@@ -13,7 +13,7 @@ use dgr_core::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 use dgr_grid::{DemandMap, Design, Rect};
 
 use crate::cost::overflow_marginal;
-use crate::maze::{maze_route, MazeConfig};
+use crate::maze::{MazeConfig, MazeScratch};
 use crate::BaselineError;
 
 /// Tuning knobs of the Lagrangian router.
@@ -65,6 +65,7 @@ impl LagrangianRouter {
             trees.push(dgr_rsmt::rsmt(&net.pins)?);
         }
 
+        let mut scratch = MazeScratch::new();
         let mut lambda = vec![0.0f32; grid.num_edges()];
         for round in 0..self.config.rounds {
             // independent routing under dual costs
@@ -78,7 +79,8 @@ impl LagrangianRouter {
                         ),
                         turn_cost: self.config.turn_cost,
                     };
-                    let corners = maze_route(grid, a, b, |e| 1.0 + lambda[e.index()], &cfg)
+                    let corners = scratch
+                        .route(grid, a, b, |e| 1.0 + lambda[e.index()], &cfg)
                         .ok_or(BaselineError::Unroutable { net: n })?;
                     for w in corners.windows(2) {
                         demand
@@ -111,34 +113,16 @@ impl LagrangianRouter {
         for &n in &order {
             let mut paths = Vec::new();
             for (a, b) in trees[n].subnets() {
-                let cfg = MazeConfig {
-                    bounds: Some(
-                        Rect::bounding(&[a, b]).inflate_clamped(self.config.margin, grid.bounds()),
-                    ),
-                    turn_cost: self.config.turn_cost,
-                };
-                let cost_fn = |e: dgr_grid::EdgeId| {
-                    1.0 + lambda[e.index()] + 1000.0 * overflow_marginal(grid, cap, &demand, e)
-                };
-                // windowed search, escalating to the full grid when the
-                // window cannot avoid overflow
-                let corners = maze_route(grid, a, b, cost_fn, &cfg)
-                    .filter(|corners| {
-                        !crate::sequential::corners_overflow(grid, cap, &demand, corners)
-                            .unwrap_or(true)
-                    })
-                    .or_else(|| {
-                        maze_route(
-                            grid,
-                            a,
-                            b,
-                            cost_fn,
-                            &MazeConfig {
-                                bounds: None,
-                                turn_cost: self.config.turn_cost,
-                            },
-                        )
-                    })
+                let ov = |e| overflow_marginal(grid, cap, &demand, e);
+                let corners = scratch
+                    .route_escalating(
+                        grid,
+                        (a, b),
+                        self.config.margin,
+                        self.config.turn_cost,
+                        |e| 1.0 + lambda[e.index()] + 1000.0 * ov(e),
+                        |e| ov(e) <= 0.0,
+                    )
                     .ok_or(BaselineError::Unroutable { net: n })?;
                 let path = RoutePath { corners };
                 for w in path.corners.windows(2) {

@@ -16,7 +16,7 @@
 //!   (Table 3),
 //! * [`lagrangian`] — a **Lagrangian-relaxation pathfinding router** in
 //!   the spirit of Yao et al. DAC'23 (Table 3),
-//! * [`maze`] — the shared Dijkstra maze-routing engine.
+//! * [`maze`] — the shared A\* maze-routing engine.
 //!
 //! All routers consume a [`dgr_grid::Design`] and produce a
 //! [`dgr_core::RoutingSolution`], so every metric in the experiment

@@ -22,7 +22,7 @@ use dgr_grid::{DemandMap, Design, Point, Rect};
 use dgr_rsmt::RoutingTree;
 
 use crate::cost::{logistic_cost, overflow_marginal};
-use crate::maze::{maze_route, MazeConfig};
+use crate::maze::MazeScratch;
 use crate::BaselineError;
 
 /// Tuning knobs of the sequential router.
@@ -99,10 +99,10 @@ impl SequentialRouter {
             }
         });
 
+        let mut scratch = MazeScratch::new();
         let mut routes: Vec<Vec<RoutePath>> = vec![Vec::new(); design.nets.len()];
         for &n in &order {
-            let paths = self.route_net(design, &trees[n], &mut demand, false)?;
-            routes[n] = paths;
+            routes[n] = self.route_net(design, &trees[n], &mut demand, None)?;
         }
 
         // rip-up and reroute rounds
@@ -111,10 +111,12 @@ impl SequentialRouter {
             if victims.is_empty() {
                 break;
             }
-            let maze = self.config.maze_fallback && round + 1 == self.config.rrr_rounds.max(1);
+            let maze = round > 0
+                || (self.config.maze_fallback && round + 1 == self.config.rrr_rounds.max(1));
             for &n in &victims {
                 self.rip_up(grid, &routes[n], &mut demand)?;
-                routes[n] = self.route_net(design, &trees[n], &mut demand, maze || round > 0)?;
+                let scratch = maze.then_some(&mut scratch);
+                routes[n] = self.route_net(design, &trees[n], &mut demand, scratch)?;
             }
         }
 
@@ -145,7 +147,7 @@ impl SequentialRouter {
         design: &Design,
         tree: &RoutingTree,
         demand: &mut DemandMap,
-        allow_maze: bool,
+        mut maze: Option<&mut MazeScratch>,
     ) -> Result<Vec<RoutePath>, BaselineError> {
         let grid = &design.grid;
         let cap = &design.capacity;
@@ -177,71 +179,33 @@ impl SequentialRouter {
             }
             let (pattern_cost, mut chosen) = best.expect("patterns are never empty");
 
-            if allow_maze {
+            if let Some(scratch) = maze.as_deref_mut() {
                 // maze fallback when the best pattern still overflows
-                let pattern_overflows = chosen.corners.windows(2).try_fold(
-                    false,
-                    |acc, w| -> Result<bool, BaselineError> {
-                        let mut edges = Vec::new();
-                        grid.push_segment_edges(w[0], w[1], &mut edges)?;
-                        Ok(acc
-                            || edges
-                                .iter()
-                                .any(|&e| overflow_marginal(grid, cap, demand, e) > 0.0))
-                    },
-                )?;
-                if pattern_overflows {
+                let ov = |e| overflow_marginal(grid, cap, demand, e);
+                if grid.polyline_edges(&chosen.corners)?.any(|e| ov(e) > 0.0) {
                     let slope = self.config.logistic_slope;
                     let alpha = self.config.logistic_alpha;
-                    let windowed = MazeConfig {
-                        bounds: Some(
-                            Rect::bounding(&[a, b])
-                                .inflate_clamped(self.config.maze_margin, grid.bounds()),
-                        ),
-                        turn_cost: self.config.via_cost,
-                    };
-                    let cost_fn = |e| {
-                        logistic_cost(grid, cap, demand, e, slope, alpha)
-                            + 1000.0 * overflow_marginal(grid, cap, demand, e)
-                    };
-                    // escalate to a full-grid search when the window's best
-                    // still rides overflowed edges (far detours)
-                    let candidate = maze_route(grid, a, b, cost_fn, &windowed)
-                        .filter(|corners| {
-                            !corners_overflow(grid, cap, demand, corners).unwrap_or(true)
-                        })
-                        .or_else(|| {
-                            maze_route(
-                                grid,
-                                a,
-                                b,
-                                cost_fn,
-                                &MazeConfig {
-                                    bounds: None,
-                                    turn_cost: self.config.via_cost,
-                                },
-                            )
-                        });
+                    let cost_fn =
+                        |e| logistic_cost(grid, cap, demand, e, slope, alpha) + 1000.0 * ov(e);
+                    let candidate = scratch.route_escalating(
+                        grid,
+                        (a, b),
+                        self.config.maze_margin,
+                        self.config.via_cost,
+                        cost_fn,
+                        |e| ov(e) <= 0.0,
+                    );
                     if let Some(corners) = candidate {
                         let maze_path = RoutePath { corners };
                         // only adopt the maze route when it avoids overflow
                         // better than the pattern (cost comparison)
                         let mut maze_cost = self.config.via_cost * maze_path.num_turns() as f32;
-                        for w in maze_path.corners.windows(2) {
-                            let mut edges = Vec::new();
-                            grid.push_segment_edges(w[0], w[1], &mut edges)?;
-                            for e in edges {
-                                maze_cost += logistic_cost(grid, cap, demand, e, slope, alpha)
-                                    + 1000.0 * overflow_marginal(grid, cap, demand, e);
-                            }
+                        for e in grid.polyline_edges(&maze_path.corners)? {
+                            maze_cost += cost_fn(e);
                         }
                         let mut pattern_cost_ov = pattern_cost;
-                        for w in chosen.corners.windows(2) {
-                            let mut edges = Vec::new();
-                            grid.push_segment_edges(w[0], w[1], &mut edges)?;
-                            for e in edges {
-                                pattern_cost_ov += 1000.0 * overflow_marginal(grid, cap, demand, e);
-                            }
+                        for e in grid.polyline_edges(&chosen.corners)? {
+                            pattern_cost_ov += 1000.0 * ov(e);
                         }
                         if maze_cost < pattern_cost_ov {
                             chosen = maze_path;
@@ -304,12 +268,8 @@ impl SequentialRouter {
         let mut victims = Vec::new();
         for (n, paths) in routes.iter().enumerate() {
             let hit = paths.iter().any(|p| {
-                p.corners.windows(2).any(|w| {
-                    let mut edges = Vec::new();
-                    grid.push_segment_edges(w[0], w[1], &mut edges)
-                        .map(|()| edges.iter().any(|e| over[e.index()]))
-                        .unwrap_or(false)
-                })
+                grid.polyline_edges(&p.corners)
+                    .is_ok_and(|mut es| es.any(|e| over[e.index()]))
             });
             if hit {
                 victims.push(n);
@@ -317,27 +277,6 @@ impl SequentialRouter {
         }
         victims
     }
-}
-
-/// Whether a corner polyline touches any edge whose marginal overflow is
-/// positive under the current demand.
-pub(crate) fn corners_overflow(
-    grid: &dgr_grid::GcellGrid,
-    cap: &dgr_grid::CapacityModel,
-    demand: &DemandMap,
-    corners: &[Point],
-) -> Result<bool, BaselineError> {
-    for w in corners.windows(2) {
-        let mut edges = Vec::new();
-        grid.push_segment_edges(w[0], w[1], &mut edges)?;
-        if edges
-            .iter()
-            .any(|&e| overflow_marginal(grid, cap, demand, e) > 0.0)
-        {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 fn corners_of(path: &dgr_dag::PatternPath) -> Vec<Point> {

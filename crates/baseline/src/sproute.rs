@@ -11,7 +11,8 @@
 use dgr_core::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 use dgr_grid::{DemandMap, Design, Rect};
 
-use crate::maze::{maze_route, MazeConfig};
+use crate::cost::overflow_marginal;
+use crate::maze::MazeScratch;
 use crate::BaselineError;
 
 /// Tuning knobs of the soft-capacity router.
@@ -77,9 +78,10 @@ impl SprouteRouter {
             }
         });
 
+        let mut scratch = MazeScratch::new();
         let mut routes: Vec<Vec<RoutePath>> = vec![Vec::new(); design.nets.len()];
         for &n in &order {
-            routes[n] = self.route_net(design, &trees[n], &mut demand, n)?;
+            routes[n] = self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
         }
         for _ in 0..self.config.rounds {
             let victims: Vec<usize> = (0..design.nets.len())
@@ -90,7 +92,7 @@ impl SprouteRouter {
             }
             for &n in &victims {
                 rip_up(grid, &routes[n], &mut demand)?;
-                routes[n] = self.route_net(design, &trees[n], &mut demand, n)?;
+                routes[n] = self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
             }
         }
 
@@ -133,35 +135,20 @@ impl SprouteRouter {
         tree: &dgr_rsmt::RoutingTree,
         demand: &mut DemandMap,
         net: usize,
+        scratch: &mut MazeScratch,
     ) -> Result<Vec<RoutePath>, BaselineError> {
         let grid = &design.grid;
         let mut out = Vec::new();
         for (a, b) in tree.subnets() {
-            let cfg = MazeConfig {
-                bounds: Some(
-                    Rect::bounding(&[a, b]).inflate_clamped(self.config.margin, grid.bounds()),
-                ),
-                turn_cost: self.config.turn_cost,
-            };
-            // windowed search first; escalate to the whole grid when the
-            // window's best still rides overflowed edges (far detours)
-            let corners = maze_route(grid, a, b, |e| self.soft_cost(design, demand, e), &cfg)
-                .filter(|corners| {
-                    !crate::sequential::corners_overflow(grid, &design.capacity, demand, corners)
-                        .unwrap_or(true)
-                })
-                .or_else(|| {
-                    maze_route(
-                        grid,
-                        a,
-                        b,
-                        |e| self.soft_cost(design, demand, e),
-                        &MazeConfig {
-                            bounds: None,
-                            turn_cost: self.config.turn_cost,
-                        },
-                    )
-                })
+            let corners = scratch
+                .route_escalating(
+                    grid,
+                    (a, b),
+                    self.config.margin,
+                    self.config.turn_cost,
+                    |e| self.soft_cost(design, demand, e),
+                    |e| overflow_marginal(grid, &design.capacity, demand, e) <= 0.0,
+                )
                 .ok_or(BaselineError::Unroutable { net })?;
             let path = RoutePath { corners };
             for w in path.corners.windows(2) {
@@ -184,15 +171,8 @@ impl SprouteRouter {
         let grid = &design.grid;
         let cap = &design.capacity;
         paths.iter().any(|p| {
-            p.corners.windows(2).any(|w| {
-                let mut edges = Vec::new();
-                grid.push_segment_edges(w[0], w[1], &mut edges)
-                    .map(|()| {
-                        edges
-                            .iter()
-                            .any(|&e| demand.total(grid, cap, e) > cap.capacity(e) + 1e-4)
-                    })
-                    .unwrap_or(false)
+            grid.polyline_edges(&p.corners).is_ok_and(|mut edges| {
+                edges.any(|e| demand.total(grid, cap, e) > cap.capacity(e) + 1e-4)
             })
         })
     }

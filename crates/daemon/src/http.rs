@@ -216,6 +216,9 @@ fn render_job(j: &Job) -> String {
         res.field_u64("vias", r.vias);
         res.field_u64("nets", r.nets);
         res.field_u64("guide_boxes", r.guide_boxes);
+        res.field_u64("refine_searches", r.refine_searches);
+        res.field_u64("refine_escalations", r.refine_escalations);
+        res.field_u64("refine_states_expanded", r.refine_states_expanded);
         res.field_u64("wall_ms", r.wall_ms);
         let mut ph = JsonObject::new();
         for (name, ms) in &r.phases {

@@ -92,6 +92,12 @@ pub struct JobResult {
     pub guide: Option<String>,
     /// Boxes in the guide (0 when no guide was produced).
     pub guide_boxes: u64,
+    /// Maze searches refinement ran.
+    pub refine_searches: u64,
+    /// How many of them repeated a windowed search on the full grid.
+    pub refine_escalations: u64,
+    /// States those searches popped from the heap in total.
+    pub refine_states_expanded: u64,
     /// Wall-clock per phase, milliseconds (`train`, `forward`,
     /// `backward`, `refine`, `assign`).
     pub phases: BTreeMap<String, f64>,

@@ -324,13 +324,16 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
     };
 
     let refine_t = Instant::now();
-    if let Err(e) = refine(&design, &mut solution, RefineConfig::default()) {
-        return RunOutput {
-            result: Err(format!("refine: {e}")),
-            telemetry,
-            cancelled: false,
-        };
-    }
+    let refined = match refine(&design, &mut solution, RefineConfig::default()) {
+        Ok(report) => report,
+        Err(e) => {
+            return RunOutput {
+                result: Err(format!("refine: {e}")),
+                telemetry,
+                cancelled: false,
+            }
+        }
+    };
     let refine_ms = refine_t.elapsed().as_secs_f64() * 1e3;
 
     let m = solution.metrics;
@@ -381,6 +384,9 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
         nets: design.num_nets() as u64,
         guide,
         guide_boxes,
+        refine_searches: refined.searches as u64,
+        refine_escalations: refined.escalations as u64,
+        refine_states_expanded: refined.states_expanded as u64,
         phases: phases.clone(),
         wall_ms: wall_ms as u64,
     };

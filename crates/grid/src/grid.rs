@@ -219,47 +219,80 @@ impl GcellGrid {
         }
     }
 
-    /// All edges along the straight segment from `a` to `b` (inclusive).
+    /// The edges along the straight segment from `a` to `b` (inclusive),
+    /// lowest coordinate first, without allocating: by the id layout above
+    /// they are an arithmetic progression of ids (stride 1 along a row,
+    /// `width` along a column).
     ///
     /// # Errors
     ///
     /// Returns [`GridError::NotAligned`] if `a` and `b` do not share a row
     /// or column, or an out-of-bounds error if the segment leaves the grid.
+    pub fn segment_edges(
+        &self,
+        a: Point,
+        b: Point,
+    ) -> Result<impl Iterator<Item = EdgeId> + Clone, GridError> {
+        let (first, len, stride) = if a == b {
+            (0, 0, 1)
+        } else if a.y == b.y {
+            let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
+            self.h_edge(x1 - 1, a.y)?;
+            (self.h_edge(x0, a.y)?.0, (x1 - x0) as u32, 1)
+        } else if a.x == b.x {
+            let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
+            self.v_edge(a.x, y1 - 1)?;
+            (self.v_edge(a.x, y0)?.0, (y1 - y0) as u32, self.width)
+        } else {
+            return Err(GridError::NotAligned { a, b });
+        };
+        Ok((0..len).map(move |i| EdgeId::new(first + i * stride)))
+    }
+
+    /// The edges under a corner polyline, segment by segment in order.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::segment_edges`]; every segment is checked before the
+    /// first edge is yielded.
+    pub fn polyline_edges<'a>(
+        &'a self,
+        corners: &'a [Point],
+    ) -> Result<impl Iterator<Item = EdgeId> + 'a, GridError> {
+        for w in corners.windows(2) {
+            self.segment_edges(w[0], w[1]).map(drop)?;
+        }
+        Ok(corners.windows(2).flat_map(|w| {
+            self.segment_edges(w[0], w[1])
+                .expect("every segment was checked above")
+        }))
+    }
+
+    /// [`Self::segment_edges`] collected into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::segment_edges`].
     pub fn edges_on_segment(&self, a: Point, b: Point) -> Result<Vec<EdgeId>, GridError> {
-        let mut out = Vec::with_capacity(a.manhattan_distance(b) as usize);
-        self.push_segment_edges(a, b, &mut out)?;
-        Ok(out)
+        Ok(self.segment_edges(a, b)?.collect())
     }
 
     /// Appends the edges of the straight segment `a`..`b` to `out`.
     ///
-    /// Same contract as [`Self::edges_on_segment`] but reuses the caller's
+    /// Same contract as [`Self::segment_edges`] but reuses the caller's
     /// buffer — the hot path when flattening thousands of path candidates.
     ///
     /// # Errors
     ///
-    /// See [`Self::edges_on_segment`].
+    /// See [`Self::segment_edges`].
     pub fn push_segment_edges(
         &self,
         a: Point,
         b: Point,
         out: &mut Vec<EdgeId>,
     ) -> Result<(), GridError> {
-        if a.y == b.y {
-            let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
-            for x in x0..x1 {
-                out.push(self.h_edge(x, a.y)?);
-            }
-            Ok(())
-        } else if a.x == b.x {
-            let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
-            for y in y0..y1 {
-                out.push(self.v_edge(a.x, y)?);
-            }
-            Ok(())
-        } else {
-            Err(GridError::NotAligned { a, b })
-        }
+        out.extend(self.segment_edges(a, b)?);
+        Ok(())
     }
 
     /// Up to four neighbouring g-cells of `p`, clipped to the grid.

@@ -1,15 +1,25 @@
-//! Dijkstra maze routing on the g-cell grid.
+//! A\* maze routing on the g-cell grid.
 //!
-//! The engine used by every sequential baseline and by the congestion
+//! The one search engine in the tree, used by every sequential baseline,
+//! by the core router's adaptive forest expansion and by the congestion
 //! refinement pass: single-pair shortest path under an arbitrary per-edge
 //! cost, with an optional turn penalty (states are (cell, incoming axis)
 //! pairs so turns are charged exactly).
+//!
+//! **Cost contract.** Every edge cost must be `≥ 1.0` (or non-finite,
+//! which blocks the edge). All callers charge `1.0 + penalty`, which is
+//! what makes the Manhattan distance to the target an admissible and
+//! consistent heuristic: the search pops states in order of
+//! `g + manhattan(cell, to)` and stops at the first pop of the target,
+//! which is optimal. Ties in that key are broken by state index —
+//! `(y, x, axis)` lexicographic, lowest first — so the result is
+//! deterministic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::geom::{Point, Rect};
-use crate::grid::GcellGrid;
+use crate::grid::{GcellGrid, MAX_SIDE};
 use crate::ids::EdgeId;
 
 /// Search options for [`maze_route`].
@@ -31,25 +41,238 @@ impl Default for MazeConfig {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapKey(f32);
+// A state packs into 31 bits as `y << 16 | x << 1 | axis`, so that integer
+// order is (y, x, axis) order and no division is needed to decode it.
+const _: () = assert!(MAX_SIDE <= 1 << 15);
+const NO_PREV: u32 = u32::MAX;
 
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+fn pack(x: i32, y: i32, axis: u32) -> u32 {
+    (y as u32) << 16 | (x as u32) << 1 | axis
 }
 
-/// Finds the cheapest rectilinear path from `from` to `to` under
-/// `edge_cost`, returning the corner polyline (both endpoints included),
-/// or `None` when no path exists inside the search bounds (e.g. all edges
-/// are `f32::INFINITY`).
+fn unpack(state: u32) -> (i32, i32, u32) {
+    (
+        (state >> 1 & 0x7fff) as i32,
+        (state >> 16) as i32,
+        state & 1,
+    )
+}
+
+/// Label of one search state; valid only while `stamp` equals the
+/// scratch's current epoch.
+#[derive(Clone, Copy)]
+struct Node {
+    dist: f32,
+    prev: u32,
+    stamp: u32,
+}
+
+/// Reusable state of the search kernel, plus counts of the work done
+/// through it.
+///
+/// Labels are epoch-stamped and indexed inside the search window, so a
+/// search pays only for the states it touches — not for clearing the
+/// window, let alone the grid. One scratch serves any sequence of
+/// searches on any grids; a reused scratch returns exactly what a fresh
+/// one would.
+#[derive(Default)]
+pub struct MazeScratch {
+    nodes: Vec<Node>,
+    epoch: u32,
+    /// Min-heap of `f.to_bits() << 32 | state`: non-negative floats order
+    /// like their bit patterns, so one integer compare orders by `f`, then
+    /// by state.
+    heap: BinaryHeap<Reverse<u64>>,
+    cells: Vec<Point>,
+    /// Searches run (a windowed search and its escalation count as two).
+    pub searches: usize,
+    /// Full-grid searches run by [`MazeScratch::route_escalating`] after
+    /// the windowed result was rejected.
+    pub escalations: usize,
+    /// Heap pops over all searches: every state expanded plus every stale
+    /// entry skipped — the unit of search work.
+    pub states_expanded: usize,
+}
+
+impl MazeScratch {
+    /// An empty scratch; buffers grow to the largest window searched.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Finds the cheapest rectilinear path from `from` to `to` under
+    /// `edge_cost` (see the [module docs](self) for the cost contract),
+    /// returning the corner polyline (both endpoints included), or `None`
+    /// when no path exists inside the search bounds (e.g. all edges are
+    /// `f32::INFINITY`).
+    pub fn route<F>(
+        &mut self,
+        grid: &GcellGrid,
+        from: Point,
+        to: Point,
+        edge_cost: F,
+        cfg: &MazeConfig,
+    ) -> Option<Vec<Point>>
+    where
+        F: Fn(EdgeId) -> f32,
+    {
+        if !grid.contains(from) || !grid.contains(to) {
+            return None;
+        }
+        if from == to {
+            return Some(vec![from]);
+        }
+        self.searches += 1;
+        let (lo, hi) = {
+            let b = cfg
+                .bounds
+                .unwrap_or_else(|| grid.bounds())
+                .inflate_clamped(0, grid.bounds());
+            // make sure both terminals are inside
+            (
+                Point::new(b.lo.x.min(from.x).min(to.x), b.lo.y.min(from.y).min(to.y)),
+                Point::new(b.hi.x.max(from.x).max(to.x), b.hi.y.max(from.y).max(to.y)),
+            )
+        };
+        let w = hi.x - lo.x + 1;
+        let states = (w * (hi.y - lo.y + 1)) as usize * 2;
+        if self.nodes.len() < states {
+            let blank = Node {
+                dist: 0.0,
+                prev: NO_PREV,
+                stamp: 0,
+            };
+            self.nodes.resize(states, blank);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // the counter wrapped: labels of 2³² searches ago would look current
+            self.nodes.iter_mut().for_each(|n| n.stamp = 0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        let nodes = &mut self.nodes[..states];
+        let heap = &mut self.heap;
+        heap.clear();
+
+        // the grid's documented id layout: horizontal edge (x, y)→(x+1, y)
+        // is y·(W−1) + x, vertical edge (x, y)→(x, y+1) is H + y·W + x
+        let gw = grid.width() as i32;
+        let v_base = grid.num_h_edges() as i32;
+        let index =
+            |x: i32, y: i32, axis: u32| ((y - lo.y) * w + (x - lo.x)) as usize * 2 + axis as usize;
+        let key = |g: f32, x: i32, y: i32, axis: u32| {
+            let f = g + ((x - to.x).abs() + (y - to.y).abs()) as f32;
+            (f.to_bits() as u64) << 32 | pack(x, y, axis) as u64
+        };
+
+        for axis in 0..2 {
+            nodes[index(from.x, from.y, axis)] = Node {
+                dist: 0.0,
+                prev: NO_PREV,
+                stamp: epoch,
+            };
+            heap.push(Reverse(key(0.0, from.x, from.y, axis)));
+        }
+
+        let mut goal = None;
+        while let Some(Reverse(popped)) = heap.pop() {
+            let state = popped as u32;
+            let (x, y, axis) = unpack(state);
+            let d = nodes[index(x, y, axis)].dist;
+            self.states_expanded += 1;
+            if popped > key(d, x, y, axis) {
+                continue; // stale: the state was relabelled after this push
+            }
+            if x == to.x && y == to.y {
+                goal = Some(state);
+                break;
+            }
+            // (neighbour, edge to it, axis of the move), bounds permitting
+            let moves = [
+                (x < hi.x, x + 1, y, y * (gw - 1) + x, 0),
+                (x > lo.x, x - 1, y, y * (gw - 1) + x - 1, 0),
+                (y < hi.y, x, y + 1, v_base + y * gw + x, 1),
+                (y > lo.y, x, y - 1, v_base + (y - 1) * gw + x, 1),
+            ];
+            for (inside, qx, qy, e, new_axis) in moves {
+                if !inside {
+                    continue;
+                }
+                let step = edge_cost(EdgeId::new(e as u32));
+                debug_assert!(step >= 1.0 || step.is_nan(), "edge cost {step} < 1");
+                if !step.is_finite() {
+                    continue;
+                }
+                let turn = if axis != new_axis && d > 0.0 {
+                    cfg.turn_cost
+                } else {
+                    0.0
+                };
+                let nd = d + step + turn;
+                let node = &mut nodes[index(qx, qy, new_axis)];
+                if node.stamp != epoch || nd < node.dist {
+                    *node = Node {
+                        dist: nd,
+                        prev: state,
+                        stamp: epoch,
+                    };
+                    heap.push(Reverse(key(nd, qx, qy, new_axis)));
+                }
+            }
+        }
+
+        let mut state = goal?;
+        self.cells.clear();
+        while state != NO_PREV {
+            let (x, y, axis) = unpack(state);
+            self.cells.push(Point::new(x, y));
+            state = nodes[index(x, y, axis)].prev;
+        }
+        self.cells.reverse();
+        debug_assert_eq!(self.cells[0], from);
+        Some(compress_corners(&self.cells))
+    }
+
+    /// The rip-up-and-reroute search every sequential router here uses:
+    /// search the bounding box of the endpoints inflated by `margin`, and
+    /// when that finds nothing, or a path with an edge that is not
+    /// `clean` (it still rides overflow), search the whole grid instead.
+    pub fn route_escalating<F, C>(
+        &mut self,
+        grid: &GcellGrid,
+        (from, to): (Point, Point),
+        margin: i32,
+        turn_cost: f32,
+        edge_cost: F,
+        clean: C,
+    ) -> Option<Vec<Point>>
+    where
+        F: Fn(EdgeId) -> f32,
+        C: Fn(EdgeId) -> bool,
+    {
+        let window = Rect::bounding(&[from, to]).inflate_clamped(margin, grid.bounds());
+        let mut cfg = MazeConfig {
+            bounds: Some(window),
+            turn_cost,
+        };
+        let windowed = self.route(grid, from, to, &edge_cost, &cfg);
+        let is_clean = |corners: &Vec<Point>| {
+            grid.polyline_edges(corners)
+                .expect("searched paths stay on the grid")
+                .all(&clean)
+        };
+        if windowed.as_ref().is_some_and(is_clean) {
+            return windowed;
+        }
+        self.escalations += 1;
+        cfg.bounds = None;
+        self.route(grid, from, to, &edge_cost, &cfg)
+    }
+}
+
+/// [`MazeScratch::route`] on a fresh scratch, for callers that search
+/// once.
 ///
 /// # Examples
 ///
@@ -80,93 +303,7 @@ pub fn maze_route<F>(
 where
     F: Fn(EdgeId) -> f32,
 {
-    if !grid.contains(from) || !grid.contains(to) {
-        return None;
-    }
-    if from == to {
-        return Some(vec![from]);
-    }
-    let bounds = {
-        let b = cfg
-            .bounds
-            .unwrap_or_else(|| grid.bounds())
-            .inflate_clamped(0, grid.bounds());
-        // make sure both terminals are inside
-        Rect::new(
-            Point::new(b.lo.x.min(from.x).min(to.x), b.lo.y.min(from.y).min(to.y)),
-            Point::new(b.hi.x.max(from.x).max(to.x), b.hi.y.max(from.y).max(to.y)),
-        )
-    };
-    let w = bounds.width() as i32;
-    let h = bounds.height() as i32;
-    let n = (w * h) as usize;
-    let local = |p: Point| -> usize { ((p.y - bounds.lo.y) * w + (p.x - bounds.lo.x)) as usize };
-
-    // state = local cell × incoming axis (0 horizontal, 1 vertical)
-    let mut dist = vec![f32::INFINITY; n * 2];
-    let mut prev: Vec<u32> = vec![u32::MAX; n * 2];
-    let mut heap = BinaryHeap::new();
-    for axis in 0..2 {
-        dist[local(from) * 2 + axis] = 0.0;
-        heap.push(Reverse((HeapKey(0.0), (local(from) * 2 + axis) as u32)));
-    }
-
-    const DIRS: [(i32, i32, usize); 4] = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)];
-    let mut goal_state = None;
-    while let Some(Reverse((HeapKey(d), state))) = heap.pop() {
-        let state = state as usize;
-        if d > dist[state] {
-            continue;
-        }
-        let cell = state / 2;
-        let axis = state % 2;
-        let p = Point::new(
-            bounds.lo.x + (cell as i32 % w),
-            bounds.lo.y + (cell as i32 / w),
-        );
-        if p == to {
-            goal_state = Some(state);
-            break;
-        }
-        for &(dx, dy, new_axis) in &DIRS {
-            let q = Point::new(p.x + dx, p.y + dy);
-            if !bounds.contains(q) {
-                continue;
-            }
-            let e = grid.edge_between(p, q).expect("neighbor in grid");
-            let step = edge_cost(e);
-            if !step.is_finite() {
-                continue;
-            }
-            let turn = if axis != new_axis && d > 0.0 {
-                cfg.turn_cost
-            } else {
-                0.0
-            };
-            let nd = d + step + turn;
-            let ns = local(q) * 2 + new_axis;
-            if nd < dist[ns] {
-                dist[ns] = nd;
-                prev[ns] = state as u32;
-                heap.push(Reverse((HeapKey(nd), ns as u32)));
-            }
-        }
-    }
-
-    let mut state = goal_state?;
-    let mut cells = vec![to];
-    while prev[state] != u32::MAX {
-        state = prev[state] as usize;
-        let cell = state / 2;
-        let p = Point::new(
-            bounds.lo.x + (cell as i32 % w),
-            bounds.lo.y + (cell as i32 / w),
-        );
-        cells.push(p);
-    }
-    cells.reverse();
-    debug_assert_eq!(cells[0], from);
-    Some(compress_corners(&cells))
+    MazeScratch::new().route(grid, from, to, edge_cost, cfg)
 }
 
 /// Collapses a unit-step cell sequence into its corner polyline.
@@ -328,6 +465,37 @@ mod tests {
         .unwrap();
         assert!(with_penalty.len() <= no_penalty.len());
         assert_eq!(with_penalty.len(), 3); // an L
+    }
+
+    #[test]
+    fn escalates_only_when_the_window_cannot_stay_clean() {
+        let g = GcellGrid::new(12, 12).unwrap();
+        // a dirty (expensive) cut between x=5 and x=6, open from row 10 up
+        let dirty = |e: EdgeId| {
+            let (a, b) = g.edge_endpoints(e);
+            a.x == 5 && b.x == 6 && a.y < 10
+        };
+        let cost = |e| if dirty(e) { 100.0 } else { 1.0 };
+        let ends = (Point::new(2, 1), Point::new(9, 1));
+        let length =
+            |p: &[Point]| -> u32 { p.windows(2).map(|w| w[0].manhattan_distance(w[1])).sum() };
+
+        // rows 0..=3 cannot dodge the cut: the full grid can, through row 10
+        let mut scratch = MazeScratch::new();
+        let path = scratch
+            .route_escalating(&g, ends, 2, 0.0, cost, |e| !dirty(e))
+            .unwrap();
+        assert_eq!(length(&path), 7 + 2 * 9);
+        assert_eq!((scratch.searches, scratch.escalations), (2, 1));
+
+        // a window that reaches row 10 finds the same detour by itself
+        let mut scratch = MazeScratch::new();
+        let path = scratch
+            .route_escalating(&g, ends, 9, 0.0, cost, |e| !dirty(e))
+            .unwrap();
+        assert_eq!(length(&path), 7 + 2 * 9);
+        assert_eq!((scratch.searches, scratch.escalations), (1, 0));
+        assert!(scratch.states_expanded > 0);
     }
 
     #[test]

@@ -40,6 +40,11 @@ pub enum PostError {
         /// Layers available.
         got: u32,
     },
+    /// Refinement's maze search found no path for a sub-net of this net.
+    Unroutable {
+        /// Index of the net in the design.
+        net: usize,
+    },
 }
 
 impl std::fmt::Display for PostError {
@@ -49,6 +54,9 @@ impl std::fmt::Display for PostError {
             PostError::TooFewLayers { got } => {
                 write!(f, "layer assignment needs ≥ 2 layers, got {got}")
             }
+            PostError::Unroutable { net } => {
+                write!(f, "refinement found no path for a sub-net of net {net}")
+            }
         }
     }
 }
@@ -57,7 +65,7 @@ impl std::error::Error for PostError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PostError::Grid(e) => Some(e),
-            PostError::TooFewLayers { .. } => None,
+            PostError::TooFewLayers { .. } | PostError::Unroutable { .. } => None,
         }
     }
 }

@@ -6,9 +6,9 @@
 //! CUGR2 applies to DGR's 2D output before layer assignment.
 
 use dgr_baseline::cost::overflow_marginal;
-use dgr_baseline::maze::{maze_route, MazeConfig};
 use dgr_core::{RoutePath, RoutingSolution};
-use dgr_grid::{Design, Rect};
+use dgr_grid::maze::MazeScratch;
+use dgr_grid::{DemandMap, Design, EdgeId, Point};
 
 use crate::PostError;
 
@@ -47,68 +47,192 @@ pub struct RefineReport {
     pub overflowed_before: usize,
     /// Overflowed edges after refinement.
     pub overflowed_after: usize,
+    /// Maze searches run (windowed and full-grid).
+    pub searches: usize,
+    /// Searches repeated on the full grid because the windowed result
+    /// still rode overflow.
+    pub escalations: usize,
+    /// States popped from the search heap over all searches.
+    pub states_expanded: usize,
 }
 
-/// Reroutes nets crossing overflowed edges, in place. Only accepts a
-/// rerouted net if it does not worsen the solution's overflow.
+/// The search's view of congestion, dense per edge and kept current for
+/// the whole pass: `marginal[e]` is [`overflow_marginal`] of the demand as
+/// it stands and `cost[e] = 1 + penalty · marginal[e]`. Demand changes only
+/// where a polyline is ripped up or committed, so [`EdgeCosts::refresh`]
+/// recomputes exactly those entries, by the same expression that filled
+/// them.
+#[derive(Debug, PartialEq)]
+struct EdgeCosts {
+    penalty: f32,
+    marginal: Vec<f32>,
+    cost: Vec<f32>,
+}
+
+impl EdgeCosts {
+    fn new(design: &Design, demand: &DemandMap, penalty: f32) -> Self {
+        let mut costs = EdgeCosts {
+            penalty,
+            marginal: vec![0.0; design.grid.num_edges()],
+            cost: vec![0.0; design.grid.num_edges()],
+        };
+        for e in design.grid.edge_ids() {
+            costs.set(design, demand, e);
+        }
+        costs
+    }
+
+    fn set(&mut self, design: &Design, demand: &DemandMap, e: EdgeId) {
+        let m = overflow_marginal(&design.grid, &design.capacity, demand, e);
+        self.marginal[e.index()] = m;
+        self.cost[e.index()] = 1.0 + self.penalty * m;
+    }
+
+    /// Recomputes every entry that adding or removing `corners` can have
+    /// changed: the edges under the polyline (wire demand) and the up to
+    /// four edges around each turn (via pressure).
+    fn refresh(
+        &mut self,
+        design: &Design,
+        demand: &DemandMap,
+        corners: &[Point],
+    ) -> Result<(), PostError> {
+        for e in design.grid.polyline_edges(corners)? {
+            self.set(design, demand, e);
+        }
+        for &turn in turns(corners) {
+            for e in design.grid.incident_edges(turn) {
+                self.set(design, demand, e);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The turning points of a corner polyline: everything but its endpoints.
+fn turns(corners: &[Point]) -> &[Point] {
+    corners
+        .get(1..corners.len().saturating_sub(1))
+        .unwrap_or(&[])
+}
+
+/// Adds (`commit`) or removes one polyline's wire and via demand, then
+/// brings `costs` up to date with it.
+fn apply(
+    design: &Design,
+    demand: &mut DemandMap,
+    costs: &mut EdgeCosts,
+    corners: &[Point],
+    commit: bool,
+) -> Result<(), PostError> {
+    let grid = &design.grid;
+    for w in corners.windows(2) {
+        if commit {
+            demand.add_segment(grid, w[0], w[1])?;
+        } else {
+            demand.remove_segment(grid, w[0], w[1])?;
+        }
+    }
+    for &turn in turns(corners) {
+        if commit {
+            demand.add_turn(grid, turn)?;
+        } else {
+            demand.remove_turn(grid, turn)?;
+        }
+    }
+    costs.refresh(design, demand, corners)
+}
+
+/// Reroutes every net that crosses an overflowed edge, in place: each
+/// victim is ripped up whole and its sub-nets are maze-routed one by one
+/// under the overflow-penalized cost, every result committed as found.
+/// Nothing is compared afterwards — a reroute is kept even where it does
+/// not lower the overflow. Where overflow is avoidable it goes; on a design
+/// that cannot be routed without it, the overflowed-edge count can rise
+/// while the total overflow falls.
 ///
 /// # Errors
 ///
 /// Propagates grid errors (impossible for solutions produced against the
-/// same design).
+/// same design). [`PostError::Unroutable`] means the search found no path
+/// at all, which takes a non-finite `overflow_penalty` or demand; the
+/// solution is then returned with the failing net and all later ones as
+/// they were, and its demand consistent with its routes.
 pub fn refine(
     design: &Design,
     solution: &mut RoutingSolution,
     cfg: RefineConfig,
 ) -> Result<RefineReport, PostError> {
     let _span = dgr_obs::span("post", "refine");
+    let overflowed_before = solution.metrics.overflow.overflowed_edges;
+    let mut scratch = MazeScratch::new();
+    let pass = reroute(design, solution, cfg, &mut scratch);
+    let kept = cfg!(debug_assertions).then(|| solution.demand.clone());
+    solution.remeasure(design)?;
+    let (rounds, nets_rerouted, costs) = pass?;
+    debug_assert!(
+        kept.is_some_and(|kept| kept == solution.demand),
+        "incrementally kept demand differs from a recount of the routes"
+    );
+    debug_assert!(
+        costs.is_none_or(
+            |costs| costs == EdgeCosts::new(design, &solution.demand, cfg.overflow_penalty)
+        ),
+        "incrementally kept edge costs differ from a recompute"
+    );
+    Ok(RefineReport {
+        rounds,
+        nets_rerouted,
+        overflowed_before,
+        overflowed_after: solution.metrics.overflow.overflowed_edges,
+        searches: scratch.searches,
+        escalations: scratch.escalations,
+        states_expanded: scratch.states_expanded,
+    })
+}
+
+/// The rip-up-and-reroute rounds of [`refine`], up to but not including
+/// the final re-measure: returns rounds run, nets rerouted and the edge
+/// costs as kept through the pass (`None` when nothing overflowed).
+fn reroute(
+    design: &Design,
+    solution: &mut RoutingSolution,
+    cfg: RefineConfig,
+    scratch: &mut MazeScratch,
+) -> Result<(usize, usize, Option<EdgeCosts>), PostError> {
     let grid = &design.grid;
     let cap = &design.capacity;
-    let overflowed_before = solution.metrics.overflow.overflowed_edges;
+    let RoutingSolution { routes, demand, .. } = solution;
+    let mut costs = None;
+    let mut over = vec![false; grid.num_edges()];
     let mut nets_rerouted = 0usize;
     let mut rounds = 0usize;
 
     for _ in 0..cfg.rounds {
-        let victims: Vec<usize> = {
-            let over: Vec<bool> = grid
-                .edge_ids()
-                .map(|e| solution.demand.total(grid, cap, e) > cap.capacity(e) + 1e-4)
-                .collect();
-            (0..solution.routes.len())
-                .filter(|&n| {
-                    solution.routes[n].paths.iter().any(|p| {
-                        p.corners.windows(2).any(|w| {
-                            let mut edges = Vec::new();
-                            grid.push_segment_edges(w[0], w[1], &mut edges)
-                                .map(|()| edges.iter().any(|e| over[e.index()]))
-                                .unwrap_or(false)
-                        })
-                    })
+        for e in grid.edge_ids() {
+            over[e.index()] = demand.total(grid, cap, e) > cap.capacity(e) + 1e-4;
+        }
+        let victims: Vec<usize> = (0..routes.len())
+            .filter(|&n| {
+                routes[n].paths.iter().any(|p| {
+                    grid.polyline_edges(&p.corners)
+                        .is_ok_and(|mut edges| edges.any(|e| over[e.index()]))
                 })
-                .collect()
-        };
+            })
+            .collect();
         if victims.is_empty() {
             break;
         }
         rounds += 1;
+        let costs =
+            costs.get_or_insert_with(|| EdgeCosts::new(design, demand, cfg.overflow_penalty));
         for &n in &victims {
-            // rip up net n
-            let old_paths = solution.routes[n].paths.clone();
-            for path in &old_paths {
-                for w in path.corners.windows(2) {
-                    solution.demand.remove_segment(grid, w[0], w[1])?;
-                }
-                let k = path.corners.len();
-                if k > 2 {
-                    for c in &path.corners[1..k - 1] {
-                        solution.demand.remove_turn(grid, *c)?;
-                    }
-                }
+            for path in &routes[n].paths {
+                apply(design, demand, costs, &path.corners, false)?;
             }
             // reroute each sub-net by maze under overflow penalty
-            let mut new_paths = Vec::with_capacity(old_paths.len());
-            let mut ok = true;
-            for path in &old_paths {
+            let mut new_paths = Vec::with_capacity(routes[n].paths.len());
+            for path in &routes[n].paths {
                 let (a, b) = (
                     *path.corners.first().expect("non-empty"),
                     *path.corners.last().expect("non-empty"),
@@ -117,99 +241,24 @@ pub fn refine(
                     new_paths.push(path.clone());
                     continue;
                 }
-                let mcfg = MazeConfig {
-                    bounds: Some(
-                        Rect::bounding(&[a, b]).inflate_clamped(cfg.margin, grid.bounds()),
-                    ),
-                    turn_cost: cfg.turn_cost,
-                };
-                let demand = &solution.demand;
-                let cost_fn =
-                    |e| 1.0 + cfg.overflow_penalty * overflow_marginal(grid, cap, demand, e);
-                // windowed search, escalating to the full grid when the
-                // window cannot dodge the congestion
-                let windowed = maze_route(grid, a, b, cost_fn, &mcfg).filter(|corners| {
-                    corners.windows(2).all(|w| {
-                        let mut edges = Vec::new();
-                        grid.push_segment_edges(w[0], w[1], &mut edges)
-                            .map(|()| {
-                                edges
-                                    .iter()
-                                    .all(|&e| overflow_marginal(grid, cap, demand, e) <= 0.0)
-                            })
-                            .unwrap_or(false)
-                    })
-                });
-                let escalated = windowed.or_else(|| {
-                    maze_route(
+                let corners = scratch
+                    .route_escalating(
                         grid,
-                        a,
-                        b,
-                        cost_fn,
-                        &MazeConfig {
-                            bounds: None,
-                            turn_cost: cfg.turn_cost,
-                        },
+                        (a, b),
+                        cfg.margin,
+                        cfg.turn_cost,
+                        |e| costs.cost[e.index()],
+                        |e| costs.marginal[e.index()] <= 0.0,
                     )
-                });
-                match escalated {
-                    Some(corners) => {
-                        let p = RoutePath { corners };
-                        for w in p.corners.windows(2) {
-                            solution.demand.add_segment(grid, w[0], w[1])?;
-                        }
-                        let k = p.corners.len();
-                        if k > 2 {
-                            for c in &p.corners[1..k - 1] {
-                                solution.demand.add_turn(grid, *c)?;
-                            }
-                        }
-                        new_paths.push(p);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+                    .ok_or(PostError::Unroutable { net: n })?;
+                apply(design, demand, costs, &corners, true)?;
+                new_paths.push(RoutePath { corners });
             }
-            if ok {
-                solution.routes[n].paths = new_paths;
-                nets_rerouted += 1;
-            } else {
-                // roll back: remove whatever was committed, restore old
-                for p in &new_paths {
-                    for w in p.corners.windows(2) {
-                        solution.demand.remove_segment(grid, w[0], w[1])?;
-                    }
-                    let k = p.corners.len();
-                    if k > 2 {
-                        for c in &p.corners[1..k - 1] {
-                            solution.demand.remove_turn(grid, *c)?;
-                        }
-                    }
-                }
-                for path in &old_paths {
-                    for w in path.corners.windows(2) {
-                        solution.demand.add_segment(grid, w[0], w[1])?;
-                    }
-                    let k = path.corners.len();
-                    if k > 2 {
-                        for c in &path.corners[1..k - 1] {
-                            solution.demand.add_turn(grid, *c)?;
-                        }
-                    }
-                }
-            }
+            routes[n].paths = new_paths;
+            nets_rerouted += 1;
         }
     }
-
-    solution.remeasure(design)?;
-    Ok(RefineReport {
-        rounds,
-        nets_rerouted,
-        overflowed_before,
-        overflowed_after: solution.metrics.overflow.overflowed_edges,
-    })
+    Ok((rounds, nets_rerouted, costs))
 }
 
 #[cfg(test)]
@@ -323,5 +372,82 @@ mod tests {
         refine(&design, &mut sol, RefineConfig::default()).unwrap();
         assert!(sol.metrics.overflow.total_overflow < ov_before);
         assert!(sol.metrics.total_wirelength >= wl_before);
+    }
+
+    /// A 32×32 generated design routed by patterns alone at a capacity
+    /// that leaves hundreds of edges overflowed.
+    fn congested_solution() -> (Design, RoutingSolution) {
+        use dgr_baseline::sequential::{SequentialConfig, SequentialRouter};
+        use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
+        let design = IspdLikeGenerator::new(IspdLikeConfig {
+            width: 32,
+            height: 32,
+            num_nets: 700,
+            base_capacity: 8.0,
+            seed: 7,
+            ..IspdLikeConfig::default()
+        })
+        .generate()
+        .unwrap();
+        let patterns_only = SequentialConfig {
+            rrr_rounds: 0,
+            ..SequentialConfig::default()
+        };
+        let sol = SequentialRouter::new(patterns_only).route(&design).unwrap();
+        (design, sol)
+    }
+
+    #[test]
+    fn kept_costs_and_demand_equal_a_recompute() {
+        let (design, mut sol) = congested_solution();
+        assert!(sol.metrics.overflow.overflowed_edges > 100);
+        let cfg = RefineConfig::default();
+        let mut scratch = MazeScratch::new();
+        let (rounds, rerouted, costs) = reroute(&design, &mut sol, cfg, &mut scratch).unwrap();
+        assert_eq!(rounds, cfg.rounds);
+        assert!(rerouted > 100 && scratch.escalations > 0, "{rerouted} nets");
+
+        let mut recount = sol.clone();
+        recount.remeasure(&design).unwrap();
+        assert_eq!(sol.demand, recount.demand);
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (kept, fresh) = (
+            costs.unwrap(),
+            EdgeCosts::new(&design, &sol.demand, cfg.overflow_penalty),
+        );
+        assert_eq!(bits(&kept.marginal), bits(&fresh.marginal));
+        assert_eq!(bits(&kept.cost), bits(&fresh.cost));
+    }
+
+    #[test]
+    fn report_counts_the_searches() {
+        let (design, mut sol) = congested_solution();
+        let overflow_before = sol.metrics.overflow.total_overflow;
+        let report = refine(&design, &mut sol, RefineConfig::default()).unwrap();
+        // more edges end up overflowed here, each by less
+        assert!(
+            sol.metrics.overflow.total_overflow < overflow_before,
+            "{report:?}"
+        );
+        assert!(report.searches >= report.nets_rerouted + report.escalations);
+        // a search pops its source at the least
+        assert!(report.states_expanded >= report.searches);
+    }
+
+    #[test]
+    fn unroutable_is_an_error_that_leaves_the_solution_consistent() {
+        // an infinite penalty makes every edge cost ∞ or NaN: no path
+        let (design, mut sol) = overflowing_solution();
+        let before = sol.clone();
+        let cfg = RefineConfig {
+            overflow_penalty: f32::INFINITY,
+            ..RefineConfig::default()
+        };
+        let err = refine(&design, &mut sol, cfg).unwrap_err();
+        assert!(matches!(err, PostError::Unroutable { net: 0 }), "{err}");
+        assert_eq!(sol.routes, before.routes);
+        assert_eq!(sol.demand, before.demand);
+        assert_eq!(sol.metrics, before.metrics);
     }
 }

@@ -561,6 +561,12 @@ fn cmd_route(args: &[String]) -> CliResult {
         "  refinement       : {} nets rerouted ({} → {} overflowed edges)",
         report.nets_rerouted, report.overflowed_before, report.overflowed_after
     );
+    if !args.iter().any(|a| a == "--quiet") {
+        println!(
+            "  maze search      : {} searches, {} escalated to the full grid, {} states popped",
+            report.searches, report.escalations, report.states_expanded
+        );
+    }
     let mut vias = m.total_turns;
     if design.num_layers >= 2 {
         let assigned = assign_layers(&design, &solution, AssignConfig::default())?;

@@ -137,6 +137,14 @@ fn concurrent_jobs_match_the_cli_byte_for_byte() {
                 .unwrap()
                 > 0
         );
+        for count in [
+            "refine_searches",
+            "refine_escalations",
+            "refine_states_expanded",
+        ] {
+            let n = result.get(count).and_then(JsonValue::as_u64);
+            assert!(n.is_some(), "missing {count}");
+        }
         let phases = result.get("phases_ms").expect("per-phase totals");
         for phase in ["train", "forward", "backward", "refine", "assign"] {
             assert!(phases.get(phase).is_some(), "missing phase {phase}");

@@ -4,20 +4,10 @@ use std::sync::Arc;
 
 use crate::activation::Activation;
 use crate::kernels;
-use crate::ops::Op;
+use crate::ops::{par_out, Op};
 use crate::parallel::{self, par_axpy, par_scatter_add, SendPtr};
 use crate::segments::Segments;
 use crate::AutodiffError;
-
-/// Arena-size threshold (bytes) above which a batched graph executes
-/// one lane at a time instead of one fused op-major sweep across all
-/// lanes. A batched arena is `batch`× the single-instance footprint;
-/// once it outgrows this L2-ish budget, adjacent ops' producer→consumer
-/// buffer reuse starts missing cache and the op-major sweep scales
-/// super-linearly in `batch`. Lane-blocked sweeps restore the
-/// single-instance working set per lane; both orders are bit-identical
-/// per lane.
-const LANE_BLOCK_BYTES: usize = 4 << 20;
 
 /// Handle to a tape variable (a dense `f32` buffer plus its gradient).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,22 +34,10 @@ impl VarId {
 ///
 /// All node values live in one contiguous `f32` arena, all gradients in a
 /// second one, with a shared offset table (node `i` owns
-/// `offsets[i]..offsets[i] + lens[i]·batch` of both). The forward sweep
-/// walks the value arena strictly left-to-right and the backward sweep
+/// `offsets[i]..offsets[i] + lens[i]` of both). The forward sweep walks
+/// the value arena strictly left-to-right and the backward sweep
 /// right-to-left, so consecutive ops touch adjacent cache lines instead
 /// of chasing per-node heap allocations.
-///
-/// # Batch axis
-///
-/// A graph built with [`Graph::with_batch`] evaluates `B` independent
-/// problem instances per sweep: every node's physical buffer holds `B`
-/// consecutive logical slices (instance-major), `lens` stores the
-/// *logical* per-instance length, and scalars (the loss, temperatures)
-/// become length-`B` vectors. [`Graph::backward`] seeds ∂loss/∂loss = 1
-/// for every instance, so one sweep produces all `B` gradients and one
-/// [`crate::Adam`] step updates all instances. Per-instance reductions
-/// reuse the exact single-instance kernels, so instance `b` of a batched
-/// run is bit-identical to a standalone run with the same leaf data.
 ///
 /// # Examples
 ///
@@ -76,12 +54,12 @@ impl VarId {
 /// g.backward(loss);
 /// assert_eq!(g.grad(x), &[2.0, 2.0, 2.0]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Op>,
-    /// Logical (per-instance) length of node `i`.
+    /// Length of node `i`.
     lens: Vec<usize>,
-    /// Start of node `i`'s buffer in both arenas (physical offset).
+    /// Start of node `i`'s buffer in both arenas.
     offsets: Vec<usize>,
     /// Value arena: all node values, concatenated in node order.
     vals: Vec<f32>,
@@ -89,14 +67,6 @@ pub struct Graph {
     grads: Vec<f32>,
     params: Vec<VarId>,
     plan: Option<BackwardPlan>,
-    /// Number of batch instances every buffer carries (≥ 1).
-    batch: usize,
-}
-
-impl Default for Graph {
-    fn default() -> Self {
-        Graph::with_batch(1)
-    }
 }
 
 /// The cached loss-reachability analysis: which nodes can influence the
@@ -113,120 +83,47 @@ struct BackwardPlan {
 }
 
 impl Graph {
-    /// Creates an empty single-instance graph.
+    /// Creates an empty graph.
     pub fn new() -> Self {
         Graph::default()
-    }
-
-    /// Creates an empty graph whose buffers carry `batch` independent
-    /// instances (instance-major layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn with_batch(batch: usize) -> Self {
-        assert!(batch >= 1, "batch must be at least 1");
-        Graph {
-            nodes: Vec::new(),
-            lens: Vec::new(),
-            offsets: Vec::new(),
-            vals: Vec::new(),
-            grads: Vec::new(),
-            params: Vec::new(),
-            plan: None,
-            batch,
-        }
-    }
-
-    /// Number of batch instances every buffer carries.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     fn push(&mut self, op: Op, len: usize) -> VarId {
         let id = VarId(self.nodes.len() as u32);
         let offset = self.vals.len();
-        let phys = len * self.batch;
         self.nodes.push(op);
         self.lens.push(len);
         self.offsets.push(offset);
-        self.vals.resize(offset + phys, 0.0);
-        self.grads.resize(offset + phys, 0.0);
+        self.vals.resize(offset + len, 0.0);
+        self.grads.resize(offset + len, 0.0);
         self.plan = None; // the tape grew: any cached reachability is stale
         id
     }
 
-    /// Physical range of `v` in both arenas (all `batch` instances).
+    /// Range of `v` in both arenas.
     fn range_of(&self, v: VarId) -> std::ops::Range<usize> {
         let i = v.index();
-        self.offsets[i]..self.offsets[i] + self.lens[i] * self.batch
+        self.offsets[i]..self.offsets[i] + self.lens[i]
     }
 
-    /// Adds a **trainable** leaf whose per-instance data is `data`,
-    /// replicated across all batch instances. Trainable leaves are what
-    /// [`crate::Adam`] updates.
+    fn leaf(&mut self, trainable: bool, data: &[f32]) -> VarId {
+        let id = self.push(Op::Leaf { trainable }, data.len());
+        let r = self.range_of(id);
+        self.vals[r].copy_from_slice(data);
+        id
+    }
+
+    /// Adds a **trainable** leaf holding `data`. Trainable leaves are
+    /// what [`crate::Adam`] updates.
     pub fn param(&mut self, data: Vec<f32>) -> VarId {
-        let n = data.len();
-        let id = self.push(Op::Leaf { trainable: true }, n);
-        let r = self.range_of(id);
-        if n > 0 {
-            for chunk in self.vals[r].chunks_exact_mut(n) {
-                chunk.copy_from_slice(&data);
-            }
-        }
+        let id = self.leaf(true, &data);
         self.params.push(id);
         id
     }
 
-    /// Adds a trainable leaf from pre-stacked per-instance data:
-    /// `data.len()` must equal `per_len · batch` (instance-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    pub fn param_stacked(&mut self, per_len: usize, data: Vec<f32>) -> VarId {
-        assert_eq!(
-            data.len(),
-            per_len * self.batch,
-            "param_stacked length mismatch"
-        );
-        let id = self.push(Op::Leaf { trainable: true }, per_len);
-        let r = self.range_of(id);
-        self.vals[r].copy_from_slice(&data);
-        self.params.push(id);
-        id
-    }
-
-    /// Adds a non-trainable leaf (noise buffers, the temperature scalar);
-    /// `data` is per-instance and replicated across the batch.
+    /// Adds a non-trainable leaf (noise buffers, the temperature scalar).
     pub fn input(&mut self, data: Vec<f32>) -> VarId {
-        let n = data.len();
-        let id = self.push(Op::Leaf { trainable: false }, n);
-        let r = self.range_of(id);
-        if n > 0 {
-            for chunk in self.vals[r].chunks_exact_mut(n) {
-                chunk.copy_from_slice(&data);
-            }
-        }
-        id
-    }
-
-    /// Adds a non-trainable leaf from pre-stacked per-instance data
-    /// (`per_len · batch` elements, instance-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    pub fn input_stacked(&mut self, per_len: usize, data: Vec<f32>) -> VarId {
-        assert_eq!(
-            data.len(),
-            per_len * self.batch,
-            "input_stacked length mismatch"
-        );
-        let id = self.push(Op::Leaf { trainable: false }, per_len);
-        let r = self.range_of(id);
-        self.vals[r].copy_from_slice(&data);
-        id
+        self.leaf(false, &data)
     }
 
     /// Elementwise sum. # Errors — [`AutodiffError::ShapeMismatch`] if
@@ -377,22 +274,9 @@ impl Graph {
         );
     }
 
-    /// Current (physical) value buffer of `v` — all batch instances,
-    /// instance-major (valid after [`Graph::forward`]).
+    /// Current value buffer of `v` (valid after [`Graph::forward`]).
     pub fn value(&self, v: VarId) -> &[f32] {
         &self.vals[self.range_of(v)]
-    }
-
-    /// Value slice of instance `b` of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b >= batch`.
-    pub fn value_at(&self, v: VarId, b: usize) -> &[f32] {
-        assert!(b < self.batch, "instance out of range");
-        let n = self.lens[v.index()];
-        let off = self.offsets[v.index()] + b * n;
-        &self.vals[off..off + n]
     }
 
     /// Current gradient buffer of `v` (valid after [`Graph::backward`];
@@ -444,13 +328,8 @@ impl Graph {
         matches!(self.nodes[v.index()], Op::Leaf { trainable: true })
     }
 
-    /// Physical length of variable `v` (logical length × batch).
+    /// Length of variable `v`.
     pub fn len_of(&self, v: VarId) -> usize {
-        self.lens[v.index()] * self.batch
-    }
-
-    /// Logical (per-instance) length of variable `v`.
-    pub fn logical_len_of(&self, v: VarId) -> usize {
         self.lens[v.index()]
     }
 
@@ -462,35 +341,11 @@ impl Graph {
     /// Total bytes held in value + gradient buffers — the "device memory"
     /// figure reported in the scalability study (Fig. 5b analogue).
     pub fn bytes(&self) -> usize {
-        self.lens.iter().sum::<usize>() * self.batch * 8
+        self.lens.iter().sum::<usize>() * 8
     }
 
     /// Recomputes every node value in topological order.
-    ///
-    /// Batched graphs whose arena exceeds [`LANE_BLOCK_BYTES`] execute
-    /// one lane at a time (see [`Graph::forward_sweep`]); smaller graphs
-    /// run one fused op-major sweep across all lanes.
     pub fn forward(&mut self) {
-        if self.batch == 1 || self.bytes() <= LANE_BLOCK_BYTES {
-            self.forward_sweep(0, self.batch);
-        } else {
-            for lane in 0..self.batch {
-                self.forward_sweep(lane, 1);
-            }
-        }
-    }
-
-    /// One topological-order value sweep over `bw` consecutive lanes
-    /// starting at `lane`.
-    ///
-    /// Lane-blocked scheduling (`bw == 1`, one call per lane) keeps a
-    /// big batched graph's producer→consumer buffer pairs inside the
-    /// same cache footprint a single-instance run enjoys; the op-major
-    /// fused sweep (`lane == 0`, `bw == batch`) amortizes dispatch
-    /// overhead when the whole arena is cache-resident anyway. Both
-    /// orders compute bit-identical lanes: every element is produced by
-    /// the same kernel arithmetic either way.
-    fn forward_sweep(&mut self, lane: usize, bw: usize) {
         for i in 0..self.nodes.len() {
             if matches!(self.nodes[i], Op::Leaf { .. }) {
                 continue;
@@ -499,15 +354,13 @@ impl Graph {
             // at the node's offset makes every input readable while the
             // node's own buffer is written.
             let (head, tail) = self.vals.split_at_mut(self.offsets[i]);
-            let n_i = self.lens[i];
-            let out = &mut tail[lane * n_i..(lane + bw) * n_i];
+            let out = &mut tail[..self.lens[i]];
             let (offsets, lens) = (&self.offsets, &self.lens);
             let get = |v: VarId| -> &[f32] {
                 let j = v.index();
-                let (o, n) = (offsets[j], lens[j]);
-                &head[o + lane * n..o + (lane + bw) * n]
+                &head[offsets[j]..offsets[j] + lens[j]]
             };
-            self.nodes[i].forward(&get, out, bw);
+            self.nodes[i].forward(&get, out);
         }
     }
 
@@ -546,7 +399,7 @@ impl Graph {
             if !live || self.lens[i] == 0 {
                 continue;
             }
-            let (off, len) = (self.offsets[i], self.lens[i] * self.batch);
+            let (off, len) = (self.offsets[i], self.lens[i]);
             match zero_runs.last_mut() {
                 Some((ro, rl)) if *ro + *rl == off => *rl += len,
                 _ => zero_runs.push((off, len)),
@@ -560,8 +413,7 @@ impl Graph {
         });
     }
 
-    /// Accumulates `∂loss/∂v` into every gradient buffer (for every batch
-    /// instance: the loss is seeded with 1 at all `batch` elements).
+    /// Accumulates `∂loss/∂v` into every gradient buffer.
     ///
     /// Only nodes on a differentiable path to `loss` (per the cached
     /// [`Graph::prepare_backward`] plan) are visited or re-zeroed; all
@@ -573,39 +425,14 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `loss` is not a (logical) scalar.
+    /// Panics if `loss` is not a scalar.
     pub fn backward(&mut self, loss: VarId) {
-        if parallel::exec_mode() == parallel::ExecMode::Spawn {
-            // Benchmark baseline: reproduce the pre-pool executor exactly
-            // (see backward_spawn_baseline).
-            return self.backward_spawn_baseline(loss);
-        }
         self.prepare_backward(loss);
         let plan = self.plan.take().expect("plan just prepared");
         for &(off, len) in &plan.zero_runs {
             self.grads[off..off + len].fill(0.0);
         }
-        let batch = self.batch;
-        let loss_off = self.offsets[loss.index()];
-        self.grads[loss_off..loss_off + batch].fill(1.0);
-        // Same scheduling split as [`Graph::forward`]: lane-blocked
-        // sweeps once the batched arena outgrows the cache budget.
-        if batch == 1 || self.bytes() <= LANE_BLOCK_BYTES {
-            self.backward_sweep(&plan, loss, 0, batch);
-        } else {
-            for lane in 0..batch {
-                self.backward_sweep(&plan, loss, lane, 1);
-            }
-        }
-        self.plan = Some(plan);
-    }
-
-    /// One reverse sweep accumulating gradients for `bw` consecutive
-    /// lanes starting at `lane` — the backward counterpart of
-    /// [`Graph::forward_sweep`], with the same bit-identity guarantee
-    /// between the fused (`bw == batch`) and lane-blocked (`bw == 1`)
-    /// orders.
-    fn backward_sweep(&mut self, plan: &BackwardPlan, loss: VarId, lane: usize, bw: usize) {
+        self.grads[self.offsets[loss.index()]] = 1.0;
         for i in (0..=loss.index()).rev() {
             if !plan.reachable[i] {
                 continue;
@@ -613,209 +440,12 @@ impl Graph {
             // Split so that input gradients (offsets < offsets[i]) are
             // mutable while the output gradient is readable.
             let (gin, gtail) = self.grads.split_at_mut(self.offsets[i]);
-            let n_i = self.lens[i];
-            let gout: &[f32] = &gtail[lane * n_i..(lane + bw) * n_i];
+            let gout: &[f32] = &gtail[..self.lens[i]];
             // Statically reachable but numerically dead (e.g. an overflow
             // activation that never saturated): every kernel accumulates
             // `+= gout·…`, so an all-zero output gradient contributes
             // nothing. The scan short-circuits on the first live element,
             // so live nodes pay one read.
-            if gout.iter().all(|&g| g == 0.0) {
-                continue;
-            }
-            let batch = bw;
-            let (offsets, lens) = (&self.offsets, &self.lens);
-            let vals = &self.vals;
-            let val = |v: VarId| -> &[f32] {
-                let j = v.index();
-                let (o, n) = (offsets[j], lens[j]);
-                &vals[o + lane * n..o + (lane + bw) * n]
-            };
-            match &self.nodes[i] {
-                Op::Leaf { .. } => {}
-                Op::Add { a, b } => {
-                    if a == b {
-                        // g + g == 2g exactly in IEEE f32.
-                        par_axpy(slice_mut(gin, offsets, lens, lane, batch, *a), gout, 2.0);
-                    } else {
-                        // Fused: both operand gradients in one gout read.
-                        let (ga, gb) = slice_mut2(gin, offsets, lens, lane, batch, *a, *b);
-                        let (pa, pb) = (SendPtr(ga.as_mut_ptr()), SendPtr(gb.as_mut_ptr()));
-                        parallel::par_apply(gout.len(), move |r| {
-                            // SAFETY: par_apply ranges are disjoint.
-                            let (a, b) = unsafe { (sub_mut(pa, &r), sub_mut(pb, &r)) };
-                            kernels::add_bwd(a, b, &gout[r]);
-                        });
-                    }
-                }
-                Op::Mul { a, b } => {
-                    let (xa, xb) = (val(*a), val(*b));
-                    if a == b {
-                        let ga = slice_mut(gin, offsets, lens, lane, batch, *a);
-                        let pa = SendPtr(ga.as_mut_ptr());
-                        parallel::par_apply(gout.len(), move |r| {
-                            // SAFETY: par_apply ranges are disjoint.
-                            let g = unsafe { sub_mut(pa, &r) };
-                            kernels::mul_bwd_same(g, &gout[r.clone()], &xa[r]);
-                        });
-                    } else {
-                        // Fused: one gout read feeds both operand grads.
-                        let (ga, gb) = slice_mut2(gin, offsets, lens, lane, batch, *a, *b);
-                        let (pa, pb) = (SendPtr(ga.as_mut_ptr()), SendPtr(gb.as_mut_ptr()));
-                        parallel::par_apply(gout.len(), move |r| {
-                            // SAFETY: par_apply ranges are disjoint.
-                            let (a, b) = unsafe { (sub_mut(pa, &r), sub_mut(pb, &r)) };
-                            kernels::mul_bwd(a, b, &gout[r.clone()], &xa[r.clone()], &xb[r]);
-                        });
-                    }
-                }
-                Op::Scale { x, k } => {
-                    par_axpy(slice_mut(gin, offsets, lens, lane, batch, *x), gout, *k)
-                }
-                Op::AddConst { x, .. } => {
-                    par_axpy(slice_mut(gin, offsets, lens, lane, batch, *x), gout, 1.0)
-                }
-                Op::MulConst { x, c } => {
-                    // One dispatch over the physical buffer; ranges split
-                    // at instance boundaries so `c` indexes stay logical.
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let c = &**c;
-                    let n = c.len();
-                    let p = SendPtr(gx.as_mut_ptr());
-                    parallel::par_apply(n * batch, move |r| {
-                        parallel::split_batch(r, n, |b, lr| {
-                            let phys = b * n + lr.start..b * n + lr.end;
-                            // SAFETY: par_apply ranges are disjoint.
-                            let g = unsafe { sub_mut(p, &phys) };
-                            kernels::fma_accum(g, &gout[phys], &c[lr]);
-                        });
-                    });
-                }
-                Op::DivByScalarVar { x, s } => {
-                    let sv = val(*s);
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let n = gx.len() / batch;
-                    let p = SendPtr(gx.as_mut_ptr());
-                    parallel::par_apply(n * batch, move |r| {
-                        parallel::split_batch(r, n, |b, _lr| {
-                            let phys = b * n + _lr.start..b * n + _lr.end;
-                            // SAFETY: par_apply ranges are disjoint.
-                            let g = unsafe { sub_mut(p, &phys) };
-                            kernels::axpy(g, &gout[phys], 1.0 / sv[b]);
-                        });
-                    });
-                }
-                Op::SegSoftmax { x, seg } => {
-                    // p is this node's own (already computed) output. All
-                    // batch × num_segments backward solves go out in one
-                    // dispatch; each (instance, segment) window is
-                    // disjoint and computed by exactly one worker, so the
-                    // result is bit-stable at any thread count.
-                    let n = self.lens[i];
-                    let p_off = self.offsets[i] + lane * n;
-                    let p_all = &vals[p_off..p_off + n * batch];
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let seg = &**seg;
-                    let nseg = seg.num_segments();
-                    let gxp = SendPtr(gx.as_mut_ptr());
-                    parallel::par_blocks(batch * nseg, batch * n, move |block| {
-                        for t in block {
-                            let (b, s) = (t / nseg, t % nseg);
-                            let r = seg.segment(s);
-                            let phys = b * n + r.start..b * n + r.end;
-                            // SAFETY: (instance, segment) windows partition gx.
-                            let g = unsafe { sub_mut(gxp, &phys) };
-                            kernels::seg_softmax_bwd(&p_all[phys.clone()], &gout[phys], g);
-                        }
-                    });
-                }
-                Op::Gather { x, idx } => {
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    parallel::par_scatter_add_batched(gx, idx, gout, batch);
-                }
-                Op::ScatterAdd { x, idx, .. } => {
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let idx = &**idx;
-                    let n = idx.len();
-                    let n_out = self.lens[i];
-                    let p = SendPtr(gx.as_mut_ptr());
-                    parallel::par_apply(n * batch, move |r| {
-                        parallel::split_batch(r, n, |b, lr| {
-                            let goutb = &gout[b * n_out..(b + 1) * n_out];
-                            let phys = b * n + lr.start..b * n + lr.end;
-                            // SAFETY: par_apply ranges are disjoint.
-                            let g = unsafe { sub_mut(p, &phys) };
-                            kernels::scatter_bwd(g, goutb, &idx[lr]);
-                        });
-                    });
-                }
-                Op::Activate { x, kind } => {
-                    let xv = val(*x);
-                    let kind = *kind;
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let p = SendPtr(gx.as_mut_ptr());
-                    parallel::par_apply(gout.len(), move |r| {
-                        // SAFETY: par_apply ranges are disjoint.
-                        let g = unsafe { sub_mut(p, &r) };
-                        kernels::activate_bwd(kind, &xv[r.clone()], &gout[r], g);
-                    });
-                }
-                Op::SumAll { x } => {
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let n = gx.len() / batch;
-                    let p = SendPtr(gx.as_mut_ptr());
-                    parallel::par_apply(n * batch, move |r| {
-                        parallel::split_batch(r, n, |b, lr| {
-                            let phys = b * n + lr.start..b * n + lr.end;
-                            // SAFETY: par_apply ranges are disjoint.
-                            let d = unsafe { sub_mut(p, &phys) };
-                            kernels::add_scalar(d, gout[b]);
-                        });
-                    });
-                }
-                Op::DotConst { x, w } => {
-                    let gx = slice_mut(gin, offsets, lens, lane, batch, *x);
-                    let w = &**w;
-                    let n = w.len();
-                    let p = SendPtr(gx.as_mut_ptr());
-                    parallel::par_apply(n * batch, move |r| {
-                        parallel::split_batch(r, n, |b, lr| {
-                            let phys = b * n + lr.start..b * n + lr.end;
-                            // SAFETY: par_apply ranges are disjoint.
-                            let g = unsafe { sub_mut(p, &phys) };
-                            kernels::axpy(g, &w[lr], gout[b]);
-                        });
-                    });
-                }
-                Op::Combine { terms } => {
-                    for (v, k) in terms {
-                        let off = offsets[v.index()] + lane;
-                        for b in 0..batch {
-                            gin[off + b] += gout[b] * k;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The pre-pool backward pass, kept (modulo the arena layout) as the
-    /// [`parallel::ExecMode::Spawn`] benchmark baseline: a full gradient
-    /// zero-fill every iteration, an O(len) all-zero scan per node in
-    /// place of the reachability plan, and sequential kernels — the only
-    /// parallel backward kernel the old executor had was the gather
-    /// scatter-add, which [`par_scatter_add`] reproduces in Spawn mode.
-    fn backward_spawn_baseline(&mut self, loss: VarId) {
-        assert_eq!(self.lens[loss.index()], 1, "loss must be scalar");
-        assert_eq!(
-            self.batch, 1,
-            "the legacy spawn baseline predates the batch axis"
-        );
-        self.grads.fill(0.0);
-        self.grads[self.offsets[loss.index()]] = 1.0;
-        for i in (0..=loss.index()).rev() {
-            let (gin, gtail) = self.grads.split_at_mut(self.offsets[i]);
-            let gout: &[f32] = &gtail[..self.lens[i]];
             if gout.iter().all(|&g| g == 0.0) {
                 continue;
             }
@@ -828,117 +458,100 @@ impl Graph {
             match &self.nodes[i] {
                 Op::Leaf { .. } => {}
                 Op::Add { a, b } => {
-                    seq_axpy(slice_mut(gin, offsets, lens, 0, 1, *a), gout, 1.0);
-                    seq_axpy(slice_mut(gin, offsets, lens, 0, 1, *b), gout, 1.0);
+                    if a == b {
+                        // g + g == 2g exactly in IEEE f32.
+                        par_axpy(slice_mut(gin, offsets, lens, *a), gout, 2.0);
+                    } else {
+                        // Fused: both operand gradients in one gout read.
+                        let (ga, gb) = slice_mut2(gin, offsets, lens, *a, *b);
+                        let (pa, pb) = (SendPtr(ga.as_mut_ptr()), SendPtr(gb.as_mut_ptr()));
+                        parallel::par_apply(gout.len(), move |r| {
+                            // SAFETY: par_apply ranges are disjoint.
+                            let (a, b) = unsafe { (sub_mut(pa, &r), sub_mut(pb, &r)) };
+                            kernels::add_bwd(a, b, &gout[r]);
+                        });
+                    }
                 }
                 Op::Mul { a, b } => {
                     let (xa, xb) = (val(*a), val(*b));
                     if a == b {
-                        let ga = slice_mut(gin, offsets, lens, 0, 1, *a);
-                        for i in 0..ga.len() {
-                            ga[i] += 2.0 * gout[i] * xa[i];
-                        }
+                        par_out(slice_mut(gin, offsets, lens, *a), |r, g| {
+                            kernels::mul_bwd_same(g, &gout[r.clone()], &xa[r]);
+                        });
                     } else {
-                        let ga = slice_mut(gin, offsets, lens, 0, 1, *a);
-                        for i in 0..ga.len() {
-                            ga[i] += gout[i] * xb[i];
-                        }
-                        let gb = slice_mut(gin, offsets, lens, 0, 1, *b);
-                        for i in 0..gb.len() {
-                            gb[i] += gout[i] * xa[i];
-                        }
+                        // Fused: one gout read feeds both operand grads.
+                        let (ga, gb) = slice_mut2(gin, offsets, lens, *a, *b);
+                        let (pa, pb) = (SendPtr(ga.as_mut_ptr()), SendPtr(gb.as_mut_ptr()));
+                        parallel::par_apply(gout.len(), move |r| {
+                            // SAFETY: par_apply ranges are disjoint.
+                            let (a, b) = unsafe { (sub_mut(pa, &r), sub_mut(pb, &r)) };
+                            kernels::mul_bwd(a, b, &gout[r.clone()], &xa[r.clone()], &xb[r]);
+                        });
                     }
                 }
-                Op::Scale { x, k } => seq_axpy(slice_mut(gin, offsets, lens, 0, 1, *x), gout, *k),
-                Op::AddConst { x, .. } => {
-                    seq_axpy(slice_mut(gin, offsets, lens, 0, 1, *x), gout, 1.0)
-                }
+                Op::Scale { x, k } => par_axpy(slice_mut(gin, offsets, lens, *x), gout, *k),
+                Op::AddConst { x, .. } => par_axpy(slice_mut(gin, offsets, lens, *x), gout, 1.0),
                 Op::MulConst { x, c } => {
-                    let gx = slice_mut(gin, offsets, lens, 0, 1, *x);
-                    for i in 0..gx.len() {
-                        gx[i] += gout[i] * c[i];
-                    }
+                    par_out(slice_mut(gin, offsets, lens, *x), |r, g| {
+                        kernels::fma_accum(g, &gout[r.clone()], &c[r]);
+                    });
                 }
                 Op::DivByScalarVar { x, s } => {
-                    let inv = 1.0 / val(*s)[0];
-                    seq_axpy(slice_mut(gin, offsets, lens, 0, 1, *x), gout, inv);
+                    par_axpy(slice_mut(gin, offsets, lens, *x), gout, 1.0 / val(*s)[0]);
                 }
                 Op::SegSoftmax { x, seg } => {
+                    // p is this node's own (already computed) output. Each
+                    // segment window is disjoint and solved by exactly one
+                    // worker, so the result is bit-stable at any thread
+                    // count.
                     let p = &vals[self.offsets[i]..self.offsets[i] + self.lens[i]];
-                    let gx = slice_mut(gin, offsets, lens, 0, 1, *x);
-                    for s in 0..seg.num_segments() {
-                        let r = seg.segment(s);
-                        let dot: f32 = gout[r.clone()]
-                            .iter()
-                            .zip(&p[r.clone()])
-                            .map(|(g, p)| g * p)
-                            .sum();
-                        for j in r {
-                            gx[j] += p[j] * (gout[j] - dot);
+                    let gx = slice_mut(gin, offsets, lens, *x);
+                    let seg = &**seg;
+                    let gxp = SendPtr(gx.as_mut_ptr());
+                    parallel::par_blocks(seg.num_segments(), seg.len(), move |block| {
+                        for s in block {
+                            let r = seg.segment(s);
+                            // SAFETY: segment windows partition gx.
+                            let g = unsafe { sub_mut(gxp, &r) };
+                            kernels::seg_softmax_bwd(&p[r.clone()], &gout[r], g);
                         }
-                    }
+                    });
                 }
                 Op::Gather { x, idx } => {
-                    par_scatter_add(slice_mut(gin, offsets, lens, 0, 1, *x), idx, gout);
+                    par_scatter_add(slice_mut(gin, offsets, lens, *x), idx, gout);
                 }
                 Op::ScatterAdd { x, idx, .. } => {
-                    let gx = slice_mut(gin, offsets, lens, 0, 1, *x);
-                    for j in 0..gx.len() {
-                        gx[j] += gout[idx[j] as usize];
-                    }
+                    par_out(slice_mut(gin, offsets, lens, *x), |r, g| {
+                        kernels::scatter_bwd(g, gout, &idx[r]);
+                    });
                 }
                 Op::Activate { x, kind } => {
                     let xv = val(*x);
-                    let kind = *kind;
-                    let gx = slice_mut(gin, offsets, lens, 0, 1, *x);
-                    for i in 0..gx.len() {
-                        gx[i] += gout[i] * kind.grad(xv[i]);
-                    }
+                    par_out(slice_mut(gin, offsets, lens, *x), |r, g| {
+                        kernels::activate_bwd(*kind, &xv[r.clone()], &gout[r], g);
+                    });
                 }
                 Op::SumAll { x } => {
-                    let g = gout[0];
-                    for v in slice_mut(gin, offsets, lens, 0, 1, *x) {
-                        *v += g;
-                    }
+                    par_out(slice_mut(gin, offsets, lens, *x), |_, g| {
+                        kernels::add_scalar(g, gout[0]);
+                    });
                 }
-                Op::DotConst { x, w } => {
-                    let g = gout[0];
-                    let gx = slice_mut(gin, offsets, lens, 0, 1, *x);
-                    for (v, wi) in gx.iter_mut().zip(w.iter()) {
-                        *v += g * wi;
-                    }
-                }
+                Op::DotConst { x, w } => par_axpy(slice_mut(gin, offsets, lens, *x), w, gout[0]),
                 Op::Combine { terms } => {
-                    let g = gout[0];
                     for (v, k) in terms {
-                        gin[offsets[v.index()]] += g * k;
+                        gin[offsets[v.index()]] += gout[0] * k;
                     }
                 }
             }
         }
+        self.plan = Some(plan);
     }
 }
 
-/// Sequential `dst += k·src` — the legacy baseline's axpy.
-fn seq_axpy(dst: &mut [f32], src: &[f32], k: f32) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += k * s;
-    }
-}
-
-/// Mutable view of `v`'s (physical) gradient inside the lower half of a
-/// split arena.
-fn slice_mut<'a>(
-    gin: &'a mut [f32],
-    offsets: &[usize],
-    lens: &[usize],
-    lane: usize,
-    batch: usize,
-    v: VarId,
-) -> &'a mut [f32] {
+/// Mutable view of `v`'s gradient inside the lower half of a split arena.
+fn slice_mut<'a>(gin: &'a mut [f32], offsets: &[usize], lens: &[usize], v: VarId) -> &'a mut [f32] {
     let j = v.index();
-    let o = offsets[j] + lane * lens[j];
-    &mut gin[o..o + lens[j] * batch]
+    &mut gin[offsets[j]..offsets[j] + lens[j]]
 }
 
 /// Two simultaneous mutable gradient views for the fused two-operand
@@ -951,15 +564,13 @@ fn slice_mut2<'a>(
     gin: &'a mut [f32],
     offsets: &[usize],
     lens: &[usize],
-    lane: usize,
-    batch: usize,
     a: VarId,
     b: VarId,
 ) -> (&'a mut [f32], &'a mut [f32]) {
     assert_ne!(a, b, "fused backward needs distinct operands");
     let (ia, ib) = (a.index(), b.index());
-    let (oa, la) = (offsets[ia] + lane * lens[ia], lens[ia] * batch);
-    let (ob, lb) = (offsets[ib] + lane * lens[ib], lens[ib] * batch);
+    let (oa, la) = (offsets[ia], lens[ia]);
+    let (ob, lb) = (offsets[ib], lens[ib]);
     let base = gin.as_mut_ptr();
     debug_assert!(oa + la <= gin.len() && ob + lb <= gin.len());
     debug_assert!(oa + la <= ob || ob + lb <= oa, "node ranges overlap");
@@ -1001,7 +612,6 @@ pub fn check_indices(idx: &[u32], len: usize) -> Result<(), AutodiffError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adam::Adam;
 
     fn finite_diff_loss<F>(g: &mut Graph, w: VarId, loss: VarId, build_eval: F) -> Vec<f32>
     where
@@ -1251,151 +861,6 @@ mod tests {
         assert_eq!(g.grad(t_src), &[0.0]);
         assert_eq!(g.grad(t), &[0.0]);
         assert!((g.grad(w)[0] - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    /// A miniature DGR-shaped model (softmax → gather → scatter →
-    /// activation → combined loss) built on an arbitrary-batch graph.
-    fn build_mini_model(g: &mut Graph, w_per_instance: &[Vec<f32>]) -> (VarId, VarId, VarId) {
-        let n = w_per_instance[0].len();
-        let stacked: Vec<f32> = w_per_instance.concat();
-        let w = g.param_stacked(n, stacked);
-        let t = g.input(vec![2.0]);
-        let z = g.div_by_scalar(w, t);
-        let seg = Arc::new(Segments::from_offsets(vec![0, 2, n as u32]).unwrap());
-        let p = g.segmented_softmax(z, seg);
-        let idx = Arc::new(vec![0u32, 1, 1, 3, 2]);
-        let gathered = g.gather(p, idx.clone());
-        let d = g.scatter_add(gathered, Arc::new(vec![0u32, 0, 1, 2, 2]), 3);
-        let a = g.activate(d, Activation::Celu);
-        let s = g.sum_all(a);
-        let wl = g.dot_const(p, Arc::new(vec![0.5; 4]));
-        let loss = g.combine(vec![(s, 2.0), (wl, 0.25)]);
-        (w, p, loss)
-    }
-
-    #[test]
-    fn batched_instances_match_standalone_runs_bitwise() {
-        let insts = vec![
-            vec![0.3, -0.7, 1.1, 0.05],
-            vec![-1.2, 0.4, 0.0, 2.0],
-            vec![0.0, 0.0, -0.5, 0.25],
-        ];
-        // Standalone reference runs, one graph per instance.
-        let mut want_vals = Vec::new();
-        let mut want_grads = Vec::new();
-        for inst in &insts {
-            let mut g = Graph::new();
-            let (w, p, loss) = build_mini_model(&mut g, std::slice::from_ref(inst));
-            g.forward();
-            g.backward(loss);
-            want_vals.push((g.value(p).to_vec(), g.value(loss).to_vec()));
-            want_grads.push(g.grad(w).to_vec());
-        }
-        // One batched graph evaluating all instances per sweep.
-        let mut g = Graph::with_batch(insts.len());
-        let (w, p, loss) = build_mini_model(&mut g, &insts);
-        g.forward();
-        g.backward(loss);
-        for (b, (wv, wg)) in want_vals.iter().zip(&want_grads).enumerate() {
-            assert_eq!(g.value_at(p, b), &wv.0[..], "instance {b} values");
-            assert_eq!(g.value_at(loss, b), &wv.1[..], "instance {b} loss");
-            let n = g.logical_len_of(w);
-            assert_eq!(
-                &g.grad(w)[b * n..(b + 1) * n],
-                &wg[..],
-                "instance {b} grads"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_blocked_sweeps_match_fused_sweeps_bitwise() {
-        // Big batched graphs switch from one fused op-major sweep to
-        // per-lane sweeps (LANE_BLOCK_BYTES); the two schedules must be
-        // bit-identical. Drive both orders explicitly on the same model.
-        let insts = vec![
-            vec![0.3, -0.7, 1.1, 0.05],
-            vec![-1.2, 0.4, 0.0, 2.0],
-            vec![0.0, 0.0, -0.5, 0.25],
-        ];
-        let mut fused = Graph::with_batch(insts.len());
-        let (_, _, loss_f) = build_mini_model(&mut fused, &insts);
-        fused.forward_sweep(0, insts.len());
-        fused.prepare_backward(loss_f);
-        let plan = fused.plan.take().expect("plan prepared");
-        for &(off, len) in &plan.zero_runs {
-            fused.grads[off..off + len].fill(0.0);
-        }
-        let loss_off = fused.offsets[loss_f.index()];
-        fused.grads[loss_off..loss_off + insts.len()].fill(1.0);
-        fused.backward_sweep(&plan, loss_f, 0, insts.len());
-        fused.plan = Some(plan);
-
-        let mut laned = Graph::with_batch(insts.len());
-        let (_, _, loss_l) = build_mini_model(&mut laned, &insts);
-        for lane in 0..insts.len() {
-            laned.forward_sweep(lane, 1);
-        }
-        laned.prepare_backward(loss_l);
-        let plan = laned.plan.take().expect("plan prepared");
-        for &(off, len) in &plan.zero_runs {
-            laned.grads[off..off + len].fill(0.0);
-        }
-        let loss_off = laned.offsets[loss_l.index()];
-        laned.grads[loss_off..loss_off + insts.len()].fill(1.0);
-        for lane in 0..insts.len() {
-            laned.backward_sweep(&plan, loss_l, lane, 1);
-        }
-        laned.plan = Some(plan);
-
-        assert_eq!(fused.vals, laned.vals, "value arenas diverged");
-        assert_eq!(fused.grads, laned.grads, "gradient arenas diverged");
-    }
-
-    #[test]
-    fn batched_adam_updates_instances_independently() {
-        // Two instances with identical data must track the single-instance
-        // trajectory exactly, step after step.
-        let inst = vec![1.0f32, -2.0, 0.5, 0.8];
-        let mut single = Graph::new();
-        let (ws, _, ls) = build_mini_model(&mut single, std::slice::from_ref(&inst));
-        let mut adam_s = Adam::new(&single, 0.1);
-
-        let mut batched = Graph::with_batch(2);
-        let (wb, _, lb) = build_mini_model(&mut batched, &[inst.clone(), inst.clone()]);
-        let mut adam_b = Adam::new(&batched, 0.1);
-
-        for _ in 0..5 {
-            single.forward();
-            single.backward(ls);
-            adam_s.step(&mut single);
-            batched.forward();
-            batched.backward(lb);
-            adam_b.step(&mut batched);
-        }
-        let n = inst.len();
-        for b in 0..2 {
-            assert_eq!(
-                &batched.value(wb)[b * n..(b + 1) * n],
-                single.value(ws),
-                "instance {b} diverged from the standalone trajectory"
-            );
-        }
-    }
-
-    #[test]
-    fn param_replication_broadcasts_across_batch() {
-        let mut g = Graph::with_batch(3);
-        let w = g.param(vec![1.0, 2.0]);
-        assert_eq!(g.len_of(w), 6);
-        assert_eq!(g.logical_len_of(w), 2);
-        assert_eq!(g.value(w), &[1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
-        let y = g.scale(w, 2.0);
-        let loss = g.sum_all(y);
-        g.forward();
-        assert_eq!(g.value(loss), &[6.0, 6.0, 6.0]);
-        g.backward(loss);
-        assert_eq!(g.grad(w), &[2.0; 6]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Chunked (8-lane) f32 kernels with scalar fallbacks — the SIMD layer.
+//! Chunked (8-lane) f32 kernels — the SIMD layer.
 //!
 //! The DGR paper runs its tensor ops as wide CUDA kernels; this module is
 //! the CPU analogue: every hot loop is written as an explicit 8-lane
@@ -9,93 +9,23 @@
 //! differ from the sequential sum in the last ULP whenever more than one
 //! chunk participates.
 //!
-//! # Kernel modes
-//!
-//! [`kernel_mode`] selects between the chunked kernels and the original
-//! scalar reference loops at runtime (env `DGR_KERNELS=scalar`, or
-//! [`set_kernel_mode`] from tests/benches). CI runs a matrix leg with the
-//! scalar path forced on so the reference implementation stays green.
-//!
-//! Which kernels change numerics when chunked:
-//!
-//! * **Pure elementwise passes** (axpy, gather, fused activation maps,
-//!   fused multiply backward) are bit-identical in both modes — chunking
-//!   only reorders independent element computations.
-//! * **Reductions** ([`sum`], [`dot`], the softmax normalizer, the
-//!   softmax-backward dot) reassociate the float sum: chunked and scalar
-//!   agree only up to ULP-scale error. [`max`] is associative and stays
-//!   bit-identical for finite inputs.
-//!
-//! Committed golden files are generated under the default chunked mode;
-//! byte-exact golden comparisons are skipped when the scalar mode is
-//! forced (cross-thread-count invariance is still asserted).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The sequential loops the reductions replaced stay as [`sum_scalar`],
+//! [`dot_scalar`] and [`softmax_into_scalar`]: nothing executes them, they
+//! are the reference `tests/kernel_parity.rs` checks [`sum`], [`dot`] and
+//! [`softmax_into`] against (agreement up to ULP-scale error; [`max`] is
+//! associative and bit-identical to its sequential fold for finite
+//! inputs). Pure elementwise passes (axpy, gather, fused activation maps,
+//! fused multiply backward) carry no reduction and need no reference.
 
 use crate::activation::Activation;
-
-/// Which kernel implementations the tape executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// 8-lane chunked kernels (default).
-    Chunked,
-    /// The original scalar reference loops (CI fallback leg).
-    Scalar,
-}
-
-/// 0 = unset, 1 = chunked, 2 = scalar.
-static MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// The active [`KernelMode`]. Resolved once from `DGR_KERNELS`
-/// (`scalar` selects the reference loops; anything else is chunked) and
-/// cached; [`set_kernel_mode`] overrides it at any time.
-pub fn kernel_mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Chunked,
-        2 => KernelMode::Scalar,
-        _ => {
-            let mode = match std::env::var("DGR_KERNELS") {
-                Ok(s) if s.eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-                _ => KernelMode::Chunked,
-            };
-            set_kernel_mode(mode);
-            mode
-        }
-    }
-}
-
-/// Forces a [`KernelMode`], overriding the `DGR_KERNELS` environment
-/// variable (used by the equivalence proptests and `bench_kernels`).
-pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Chunked => 1,
-        KernelMode::Scalar => 2,
-    };
-    MODE.store(v, Ordering::Relaxed);
-}
 
 const LANES: usize = 8;
 
 // --- reductions ------------------------------------------------------------
 
-/// `Σ x[i]`, mode-dispatched.
+/// `Σ x[i]`, lane-striped: 8 accumulators folded pairwise, scalar tail.
 #[inline]
 pub fn sum(x: &[f32]) -> f32 {
-    match kernel_mode() {
-        KernelMode::Chunked => sum_chunked(x),
-        KernelMode::Scalar => sum_scalar(x),
-    }
-}
-
-/// Sequential reference sum.
-#[inline]
-pub fn sum_scalar(x: &[f32]) -> f32 {
-    x.iter().sum()
-}
-
-/// Lane-striped sum: 8 accumulators folded pairwise, scalar tail.
-#[inline]
-pub fn sum_chunked(x: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
     let mut it = x.chunks_exact(LANES);
     for c in &mut it {
@@ -110,7 +40,14 @@ pub fn sum_chunked(x: &[f32]) -> f32 {
     s
 }
 
-/// `Σ x[i]·w[i]`, mode-dispatched.
+/// Sequential reference sum.
+#[inline]
+pub fn sum_scalar(x: &[f32]) -> f32 {
+    x.iter().sum()
+}
+
+/// `Σ x[i]·w[i]`, lane-striped (8 accumulators, pairwise fold, scalar
+/// tail).
 ///
 /// # Panics
 ///
@@ -118,21 +55,6 @@ pub fn sum_chunked(x: &[f32]) -> f32 {
 #[inline]
 pub fn dot(x: &[f32], w: &[f32]) -> f32 {
     assert_eq!(x.len(), w.len(), "dot operands disagree");
-    match kernel_mode() {
-        KernelMode::Chunked => dot_chunked(x, w),
-        KernelMode::Scalar => dot_scalar(x, w),
-    }
-}
-
-/// Sequential reference dot product.
-#[inline]
-pub fn dot_scalar(x: &[f32], w: &[f32]) -> f32 {
-    x.iter().zip(w).map(|(a, b)| a * b).sum()
-}
-
-/// Lane-striped dot product (8 accumulators, pairwise fold, scalar tail).
-#[inline]
-pub fn dot_chunked(x: &[f32], w: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
     let mut xs = x.chunks_exact(LANES);
     let mut ws = w.chunks_exact(LANES);
@@ -146,6 +68,12 @@ pub fn dot_chunked(x: &[f32], w: &[f32]) -> f32 {
         s += a * b;
     }
     s
+}
+
+/// Sequential reference dot product.
+#[inline]
+pub fn dot_scalar(x: &[f32], w: &[f32]) -> f32 {
+    x.iter().zip(w).map(|(a, b)| a * b).sum()
 }
 
 /// Maximum element (`-inf` for empty input). Max is associative, so the
@@ -175,40 +103,9 @@ fn fold_lanes(acc: &[f32; LANES]) -> f32 {
 
 // --- softmax ---------------------------------------------------------------
 
-/// Numerically-stable softmax of `x` into `out` (same length),
-/// mode-dispatched. The chunked variant lane-stripes the exp-sum; the
-/// max pass is associative and shared.
+/// Numerically-stable softmax of `x` into `out` (same length):
+/// associative max, lane-striped exp accumulation, and a rescale pass.
 pub fn softmax_into(x: &[f32], out: &mut [f32]) {
-    if x.is_empty() {
-        return;
-    }
-    match kernel_mode() {
-        KernelMode::Chunked => softmax_into_chunked(x, out),
-        KernelMode::Scalar => softmax_into_scalar(x, out),
-    }
-}
-
-/// The original sequential softmax kernel.
-pub fn softmax_into_scalar(x: &[f32], out: &mut [f32]) {
-    if x.is_empty() {
-        return;
-    }
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for (o, &v) in out.iter_mut().zip(x) {
-        let e = (v - max).exp();
-        *o = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
-}
-
-/// Chunked softmax: associative max, lane-striped exp accumulation, and a
-/// chunked rescale pass.
-pub fn softmax_into_chunked(x: &[f32], out: &mut [f32]) {
     if x.is_empty() {
         return;
     }
@@ -235,10 +132,27 @@ pub fn softmax_into_chunked(x: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Sequential reference softmax.
+pub fn softmax_into_scalar(x: &[f32], out: &mut [f32]) {
+    if x.is_empty() {
+        return;
+    }
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for (o, &v) in out.iter_mut().zip(x) {
+        let e = (v - max).exp();
+        *o = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
+}
+
 /// Fused segmented-softmax backward for one segment:
 /// `gx[j] += p[j]·(gout[j] − Σ_k gout[k]·p[k])` in two passes — one
-/// mode-dispatched dot, one elementwise fused update (bit-identical
-/// across modes given the same dot).
+/// [`dot`], one elementwise fused update.
 pub fn seg_softmax_bwd(p: &[f32], gout: &[f32], gx: &mut [f32]) {
     let d = dot(gout, p);
     for ((g, &pv), &go) in gx.iter_mut().zip(p).zip(gout) {
@@ -248,9 +162,8 @@ pub fn seg_softmax_bwd(p: &[f32], gout: &[f32], gx: &mut [f32]) {
 
 // --- elementwise passes ----------------------------------------------------
 //
-// These are bit-identical in both modes (no reduction); the explicit
-// slice-iterator bodies exist so LLVM vectorizes them without bounds
-// checks. They are written once and used by both mode paths.
+// No reduction is involved; the explicit slice-iterator bodies exist so
+// LLVM vectorizes them without bounds checks.
 
 /// `out[i] = a[i] + b[i]`.
 pub fn add2(out: &mut [f32], a: &[f32], b: &[f32]) {
@@ -352,29 +265,19 @@ pub fn scatter_bwd(gx: &mut [f32], gout: &[f32], idx: &[u32]) {
 }
 
 /// `out[idx[i]] += x[i]` — the sequential scatter-add body (also the
-/// per-chunk kernel of the parallel scatter). Mode-dispatched: the
-/// chunked variant unrolls the index stream by 8 to hide load latency;
-/// both orders visit entries identically per output bin, so results are
-/// bit-identical.
+/// per-chunk kernel of the parallel scatter). The index stream is
+/// unrolled by 8 to hide load latency; entries still land in each output
+/// bin in index order, so the result is bit-identical to the plain loop.
 pub fn scatter_add(out: &mut [f32], idx: &[u32], x: &[f32]) {
-    match kernel_mode() {
-        KernelMode::Chunked => {
-            let mut is = idx.chunks_exact(LANES);
-            let mut xs = x.chunks_exact(LANES);
-            for (ci, cx) in (&mut is).zip(&mut xs) {
-                for j in 0..LANES {
-                    out[ci[j] as usize] += cx[j];
-                }
-            }
-            for (&i, &v) in is.remainder().iter().zip(xs.remainder()) {
-                out[i as usize] += v;
-            }
+    let mut is = idx.chunks_exact(LANES);
+    let mut xs = x.chunks_exact(LANES);
+    for (ci, cx) in (&mut is).zip(&mut xs) {
+        for j in 0..LANES {
+            out[ci[j] as usize] += cx[j];
         }
-        KernelMode::Scalar => {
-            for (&i, &v) in idx.iter().zip(x) {
-                out[i as usize] += v;
-            }
-        }
+    }
+    for (&i, &v) in is.remainder().iter().zip(xs.remainder()) {
+        out[i as usize] += v;
     }
 }
 
@@ -453,9 +356,6 @@ pub fn activate_bwd(kind: Activation, x: &[f32], gout: &[f32], gx: &mut [f32]) {
 mod tests {
     use super::*;
 
-    /// Serializes kernel-mode flips across tests in this module.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn ulp_close(a: f32, b: f32, scale: f32) -> bool {
         (a - b).abs() <= 1e-5 * scale.abs().max(1.0)
     }
@@ -464,9 +364,9 @@ mod tests {
     fn chunked_sum_dot_match_scalar() {
         let x: Vec<f32> = (0..1003).map(|i| ((i % 37) as f32 - 18.0) * 0.37).collect();
         let w: Vec<f32> = (0..1003).map(|i| ((i % 11) as f32) * 0.21).collect();
-        let (sc, ss) = (sum_chunked(&x), sum_scalar(&x));
+        let (sc, ss) = (sum(&x), sum_scalar(&x));
         assert!(ulp_close(sc, ss, ss), "{sc} vs {ss}");
-        let (dc, ds) = (dot_chunked(&x, &w), dot_scalar(&x, &w));
+        let (dc, ds) = (dot(&x, &w), dot_scalar(&x, &w));
         assert!(ulp_close(dc, ds, ds), "{dc} vs {ds}");
     }
 
@@ -476,8 +376,8 @@ mod tests {
         // chunked reductions degrade to the exact sequential order.
         for n in 0..8 {
             let x: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-            assert_eq!(sum_chunked(&x), sum_scalar(&x), "n={n}");
-            assert_eq!(dot_chunked(&x, &x), dot_scalar(&x, &x), "n={n}");
+            assert_eq!(sum(&x), sum_scalar(&x), "n={n}");
+            assert_eq!(dot(&x, &x), dot_scalar(&x, &x), "n={n}");
         }
     }
 
@@ -490,12 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn softmax_modes_agree_and_normalize() {
-        let _guard = MODE_LOCK.lock().unwrap();
+    fn softmax_matches_scalar_and_normalizes() {
         let x: Vec<f32> = (0..21).map(|i| ((i % 9) as f32 - 4.0) * 0.7).collect();
         let mut a = vec![0.0; x.len()];
         let mut b = vec![0.0; x.len()];
-        softmax_into_chunked(&x, &mut a);
+        softmax_into(&x, &mut a);
         softmax_into_scalar(&x, &mut b);
         assert!(ulp_close(a.iter().sum::<f32>(), 1.0, 1.0));
         for (u, v) in a.iter().zip(&b) {
@@ -516,32 +415,5 @@ mod tests {
             assert_eq!(ga[i], 0.5 + gout[i] * xb[i]);
             assert_eq!(gb[i], -0.5 + gout[i] * xa[i]);
         }
-    }
-
-    #[test]
-    fn scatter_add_modes_are_bit_identical() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let idx: Vec<u32> = (0..501).map(|i| (i * 13 % 97) as u32).collect();
-        let x: Vec<f32> = (0..501).map(|i| (i as f32) * 0.01).collect();
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::Chunked);
-        let mut a = vec![0.0f32; 97];
-        scatter_add(&mut a, &idx, &x);
-        set_kernel_mode(KernelMode::Scalar);
-        let mut b = vec![0.0f32; 97];
-        scatter_add(&mut b, &idx, &x);
-        set_kernel_mode(prev);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mode_override_roundtrip() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::Scalar);
-        assert_eq!(kernel_mode(), KernelMode::Scalar);
-        set_kernel_mode(KernelMode::Chunked);
-        assert_eq!(kernel_mode(), KernelMode::Chunked);
-        set_kernel_mode(prev);
     }
 }

@@ -1,22 +1,10 @@
-//! Op definitions and their forward/backward slice kernels.
+//! Op definitions and their forward slice kernels.
 //!
-//! Each op reads input value slices and writes one output slice (forward),
-//! or reads the output cotangent and accumulates into input cotangents
-//! (backward). The element loops live in [`crate::kernels`] as chunked
-//! 8-lane passes (with scalar fallbacks); kernels above the parallel
-//! threshold shard across worker threads via [`crate::parallel`].
-//!
-//! # Batch axis
-//!
-//! Every buffer may carry a trailing batch of `B` independent instances
-//! in **instance-major** layout: the physical buffer is `B` consecutive
-//! logical slices. Pure elementwise ops process the whole physical
-//! buffer in one pass (bit-identical to per-instance processing);
-//! instance-coupled ops (reductions, segmented softmax, gather/scatter,
-//! the per-instance constants) loop over instances and apply the exact
-//! single-instance kernel — including its parallel-threshold decision —
-//! to each slice, so a batched instance reproduces the single-instance
-//! trajectory bit for bit.
+//! Each op reads input value slices and writes one output slice. The
+//! element loops live in [`crate::kernels`] as chunked 8-lane passes;
+//! kernels above the parallel threshold shard across worker threads via
+//! [`crate::parallel`]. The backward counterparts are fused per op in
+//! [`crate::graph::Graph::backward`].
 
 use std::sync::Arc;
 
@@ -39,43 +27,33 @@ pub(crate) enum Op {
     Mul { a: VarId, b: VarId },
     /// `out = k · x`.
     Scale { x: VarId, k: f32 },
-    /// `out = x + c` for a constant vector `c` (shared across instances).
+    /// `out = x + c` for a constant vector `c`.
     AddConst { x: VarId, c: Arc<Vec<f32>> },
-    /// `out = x ⊙ c` for a constant vector `c` (shared across instances).
+    /// `out = x ⊙ c` for a constant vector `c`.
     MulConst { x: VarId, c: Arc<Vec<f32>> },
-    /// `out = x / s[b]` per instance, where `s` is a logical length-1
-    /// variable (no gradient is propagated to `s`; it is the annealing
-    /// temperature — one per batch instance).
+    /// `out = x / s[0]`, where `s` is a length-1 variable (no gradient is
+    /// propagated to `s`; it is the annealing temperature).
     DivByScalarVar { x: VarId, s: VarId },
-    /// Softmax within each CSR segment, per instance.
+    /// Softmax within each CSR segment.
     SegSoftmax { x: VarId, seg: Arc<Segments> },
-    /// `out[i] = x[idx[i]]` per instance (shared index table).
+    /// `out[i] = x[idx[i]]`.
     Gather { x: VarId, idx: Arc<Vec<u32>> },
-    /// `out[j] = Σ_{i: idx[i]=j} x[i]` per instance (output length fixed
-    /// at creation).
+    /// `out[j] = Σ_{i: idx[i]=j} x[i]` (output length fixed at creation).
     ScatterAdd { x: VarId, idx: Arc<Vec<u32>> },
     /// Elementwise activation.
     Activate { x: VarId, kind: Activation },
-    /// Per-instance scalar `out[b] = Σ_i x[b·n + i]`.
+    /// Scalar `out[0] = Σ_i x[i]`.
     SumAll { x: VarId },
-    /// Per-instance scalar `out[b] = Σ_i x[b·n + i]·w[i]` for a constant
-    /// weight vector.
+    /// Scalar `out[0] = Σ_i x[i]·w[i]` for a constant weight vector.
     DotConst { x: VarId, w: Arc<Vec<f32>> },
-    /// Per-instance scalar `out[b] = Σ_j k_j · x_j[b]` over scalar inputs.
+    /// Scalar `out[0] = Σ_j k_j · x_j[0]` over scalar inputs.
     Combine { terms: Vec<(VarId, f32)> },
-}
-
-/// The `b`-th logical slice of an instance-major physical buffer whose
-/// logical length is `n`.
-#[inline]
-fn inst(x: &[f32], b: usize, n: usize) -> &[f32] {
-    &x[b * n..(b + 1) * n]
 }
 
 /// Shards `out` into parallel ranges and hands each range's mutable
 /// window plus its global range to `f` — the slice-kernel analogue of
 /// `par_map_mut`.
-fn par_out<F>(out: &mut [f32], f: F)
+pub(crate) fn par_out<F>(out: &mut [f32], f: F)
 where
     F: Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
 {
@@ -89,14 +67,8 @@ where
 }
 
 impl Op {
-    /// Forward kernel: reads `get(v)` for inputs (physical buffers), fills
-    /// `out` (`batch` consecutive logical slices).
-    pub(crate) fn forward<'a>(
-        &self,
-        get: &dyn Fn(VarId) -> &'a [f32],
-        out: &mut [f32],
-        batch: usize,
-    ) {
+    /// Forward kernel: reads `get(v)` for inputs, fills `out`.
+    pub(crate) fn forward<'a>(&self, get: &dyn Fn(VarId) -> &'a [f32], out: &mut [f32]) {
         match self {
             Op::Leaf { .. } => {}
             Op::Add { a, b } => {
@@ -113,104 +85,54 @@ impl Op {
                 par_out(out, |r, o| kernels::scale_into(o, &x[r], k));
             }
             Op::AddConst { x, c } => {
-                // One dispatch spans all instances; the range splits at
-                // instance boundaries so `c` indexes stay logical.
                 let x = get(*x);
-                let n = c.len();
-                par_out(out, |r, o| {
-                    let base = r.start;
-                    parallel::split_batch(r, n, |b, lr| {
-                        let p = b * n + lr.start..b * n + lr.end;
-                        kernels::add2(&mut o[p.start - base..p.end - base], &x[p], &c[lr]);
-                    });
-                });
+                par_out(out, |r, o| kernels::add2(o, &x[r.clone()], &c[r]));
             }
             Op::MulConst { x, c } => {
                 let x = get(*x);
-                let n = c.len();
-                par_out(out, |r, o| {
-                    let base = r.start;
-                    parallel::split_batch(r, n, |b, lr| {
-                        let p = b * n + lr.start..b * n + lr.end;
-                        kernels::mul2(&mut o[p.start - base..p.end - base], &x[p], &c[lr]);
-                    });
-                });
+                par_out(out, |r, o| kernels::mul2(o, &x[r.clone()], &c[r]));
             }
             Op::DivByScalarVar { x, s } => {
                 let x = get(*x);
-                let s = get(*s);
-                let n = out.len() / batch;
-                par_out(out, |r, o| {
-                    let base = r.start;
-                    parallel::split_batch(r, n, |b, lr| {
-                        let p = b * n + lr.start..b * n + lr.end;
-                        kernels::scale_into(
-                            &mut o[p.start - base..p.end - base],
-                            &x[p],
-                            1.0 / s[b],
-                        );
-                    });
-                });
+                let inv = 1.0 / get(*s)[0];
+                par_out(out, |r, o| kernels::scale_into(o, &x[r], inv));
             }
             Op::SegSoftmax { x, seg } => {
-                // All `batch × num_segments` softmaxes go out in one
-                // dispatch. Segments partition each instance's window, so
-                // every (b, s) pair owns a disjoint output slice; each
-                // softmax is computed by exactly one worker, so the
-                // result is bit-stable at any thread count.
+                // Segments partition the buffer, so every segment owns a
+                // disjoint output slice; each softmax is computed by
+                // exactly one worker, so the result is bit-stable at any
+                // thread count.
                 let x = get(*x);
                 let seg = &**seg;
-                let n = seg.len();
-                let nseg = seg.num_segments();
                 let outp = SendPtr(out.as_mut_ptr());
-                parallel::par_blocks(batch * nseg, batch * n, move |block| {
-                    for t in block {
-                        let (b, s) = (t / nseg, t % nseg);
+                parallel::par_blocks(seg.num_segments(), seg.len(), move |block| {
+                    for s in block {
                         let r = seg.segment(s);
-                        // SAFETY: (instance, segment) windows are disjoint.
+                        // SAFETY: segment windows are disjoint.
                         let o = unsafe {
-                            std::slice::from_raw_parts_mut(outp.get().add(b * n + r.start), r.len())
+                            std::slice::from_raw_parts_mut(outp.get().add(r.start), r.len())
                         };
-                        kernels::softmax_into(&x[b * n + r.start..b * n + r.end], o);
+                        kernels::softmax_into(&x[r], o);
                     }
                 });
             }
             Op::Gather { x, idx } => {
                 let x = get(*x);
-                let n_out = idx.len();
-                let n_in = x.len() / batch;
-                par_out(out, |r, o| {
-                    let base = r.start;
-                    parallel::split_batch(r, n_out, |b, lr| {
-                        let p = b * n_out + lr.start..b * n_out + lr.end;
-                        kernels::gather_fwd(
-                            &mut o[p.start - base..p.end - base],
-                            inst(x, b, n_in),
-                            &idx[lr],
-                        );
-                    });
-                });
+                par_out(out, |r, o| kernels::gather_fwd(o, x, &idx[r]));
             }
             Op::ScatterAdd { x, idx, .. } => {
-                let x = get(*x);
                 out.fill(0.0);
-                parallel::par_scatter_add_batched(out, idx, x, batch);
+                parallel::par_scatter_add(out, idx, get(*x));
             }
             Op::Activate { x, kind } => {
                 let x = get(*x);
                 let kind = *kind;
                 par_out(out, |r, o| kernels::activate_fwd(kind, &x[r], o));
             }
-            Op::SumAll { x } => {
-                parallel::par_sum_batched(get(*x), batch, out);
-            }
-            Op::DotConst { x, w } => {
-                parallel::par_dot_batched(get(*x), w, batch, out);
-            }
+            Op::SumAll { x } => out[0] = parallel::par_sum(get(*x)),
+            Op::DotConst { x, w } => out[0] = parallel::par_dot(get(*x), w),
             Op::Combine { terms } => {
-                for (b, o) in out.iter_mut().enumerate() {
-                    *o = terms.iter().map(|(v, k)| k * get(*v)[b]).sum();
-                }
+                out[0] = terms.iter().map(|(v, k)| k * get(*v)[0]).sum();
             }
         }
     }

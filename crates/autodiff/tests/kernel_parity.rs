@@ -4,28 +4,12 @@
 //! the order of 1 ULP per accumulated element. Elementwise and
 //! index-driven kernels must match bit-for-bit.
 //!
-//! Mode flips go through the process-global kernel mode, so every test
-//! in this binary serializes on `MODE_LOCK` and restores the ambient
-//! mode (which honours `DGR_KERNELS`) before releasing it.
-
-use std::sync::Mutex;
+//! The references are the `*_scalar` functions `kernels` keeps for this
+//! purpose, and plain loops written out here where no such function
+//! exists.
 
 use dgr_autodiff::kernels;
-use dgr_autodiff::{kernel_mode, set_kernel_mode, KernelMode};
 use proptest::prelude::*;
-
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` under the given kernel mode, holding the lock so parallel
-/// tests in this binary cannot observe the flip.
-fn with_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
-    let _guard = MODE_LOCK.lock().unwrap();
-    let prev = kernel_mode();
-    set_kernel_mode(mode);
-    let out = f();
-    set_kernel_mode(prev);
-    out
-}
 
 /// Distance in representable f32 steps (monotonic bit mapping), `u64`
 /// so NaN/infinity mismatches simply read as enormous.
@@ -86,7 +70,7 @@ proptest! {
             let ws = &w[at..at + len];
             at += len;
             let (s0, d0) = (kernels::sum_scalar(xs), kernels::dot_scalar(xs, ws));
-            let (s1, d1) = (kernels::sum_chunked(xs), kernels::dot_chunked(xs, ws));
+            let (s1, d1) = (kernels::sum(xs), kernels::dot(xs, ws));
             // Sound bound: reassociation error ≤ n·ε·Σ|terms|.
             let norm: f32 = xs.iter().map(|v| v.abs()).sum();
             prop_assert!(
@@ -115,7 +99,7 @@ proptest! {
             let r = at..at + len;
             at += len;
             kernels::softmax_into_scalar(&x[r.clone()], &mut p_s[r.clone()]);
-            kernels::softmax_into_chunked(&x[r.clone()], &mut p_c[r.clone()]);
+            kernels::softmax_into(&x[r.clone()], &mut p_c[r.clone()]);
             for j in r.clone() {
                 prop_assert!(
                     close(p_s[j], p_c[j], len, f32::EPSILON * len as f32),
@@ -123,14 +107,13 @@ proptest! {
                     p_s[j], p_c[j]
                 );
             }
-            // Backward differs only through the mode-dispatched dot; run
-            // it under each mode against that mode's forward output.
-            with_mode(KernelMode::Scalar, || {
-                kernels::seg_softmax_bwd(&p_s[r.clone()], &gout[r.clone()], &mut gx_s[r.clone()]);
-            });
-            with_mode(KernelMode::Chunked, || {
-                kernels::seg_softmax_bwd(&p_c[r.clone()], &gout[r.clone()], &mut gx_c[r.clone()]);
-            });
+            // Backward differs only through its dot; the reference runs
+            // the sequential dot against the sequential forward output.
+            let d = kernels::dot_scalar(&gout[r.clone()], &p_s[r.clone()]);
+            for j in r.clone() {
+                gx_s[j] += p_s[j] * (gout[j] - d);
+            }
+            kernels::seg_softmax_bwd(&p_c[r.clone()], &gout[r.clone()], &mut gx_c[r.clone()]);
             let dnorm: f32 = gout[r.clone()].iter().zip(&p_s[r.clone()])
                 .map(|(a, b)| (a * b).abs()).sum();
             for j in r {
@@ -151,31 +134,20 @@ proptest! {
         let idx: Vec<u32> = (0..total)
             .map(|i| ((i * 2654435761) % total) as u32)
             .collect();
-        let run = |mode| {
-            with_mode(mode, || {
-                let mut out = vec![0.0f32; total];
-                let mut gx = vec![0.0f32; total];
-                let mut acc = vec![0.0f32; total];
-                kernels::gather_fwd(&mut out, &x, &idx);
-                kernels::scatter_bwd(&mut gx, &x, &idx);
-                kernels::scatter_add(&mut acc, &idx, &x);
-                (out, gx, acc)
-            })
-        };
-        let scalar = run(KernelMode::Scalar);
-        let chunked = run(KernelMode::Chunked);
-        // Index-driven kernels visit each output bin in the same order
-        // in both modes, so they must agree bit-for-bit.
-        prop_assert_eq!(scalar, chunked);
+        let mut naive = (vec![0.0f32; total], vec![0.0f32; total], vec![0.0f32; total]);
+        for (j, &i) in idx.iter().enumerate() {
+            naive.0[j] = x[i as usize];
+            naive.1[j] += x[i as usize];
+            naive.2[i as usize] += x[j];
+        }
+        let mut out = vec![0.0f32; total];
+        let mut gx = vec![0.0f32; total];
+        let mut acc = vec![0.0f32; total];
+        kernels::gather_fwd(&mut out, &x, &idx);
+        kernels::scatter_bwd(&mut gx, &x, &idx);
+        kernels::scatter_add(&mut acc, &idx, &x);
+        // Index-driven kernels visit each output bin in index order, as
+        // the plain loop does, so they must agree bit-for-bit.
+        prop_assert_eq!(naive, (out, gx, acc));
     }
-}
-
-#[test]
-fn ambient_mode_honours_env() {
-    let _guard = MODE_LOCK.lock().unwrap();
-    let expect = match std::env::var("DGR_KERNELS") {
-        Ok(s) if s.eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        _ => KernelMode::Chunked,
-    };
-    assert_eq!(kernel_mode(), expect);
 }

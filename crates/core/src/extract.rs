@@ -44,8 +44,8 @@ struct NetPlan {
 ///
 /// Geometry (`end_*`, `coeff_*`, `cap_e`, the incident-edge CSR) is
 /// resolved once per extraction; `wire`/`vp` are borrowed from the
-/// executor scratch pool so repeated extractions (adaptive rounds, batch
-/// read-outs) reuse the same allocations.
+/// executor scratch pool so repeated extractions (adaptive rounds) reuse
+/// the same allocations.
 struct FastDemand {
     /// Per-edge wire demand (mirror of [`DemandMap`]'s wire array).
     wire: Vec<f32>,
@@ -166,9 +166,7 @@ impl FastDemand {
 ///
 /// Runs one noise-free forward pass at the final annealed temperature,
 /// then realizes the selections net by net, committing demand as it goes
-/// (so later greedy picks see earlier commitments). On a batched model
-/// this reads instance 0; use [`extract_solution_instance`] for the
-/// others.
+/// (so later greedy picks see earlier commitments).
 ///
 /// # Errors
 ///
@@ -180,32 +178,15 @@ pub fn extract_solution(
     model: &mut CostModel,
     cfg: &DgrConfig,
 ) -> Result<RoutingSolution, DgrError> {
-    extract_solution_instance(design, forest, model, cfg, 0)
-}
-
-/// [`extract_solution`] for batch instance `instance` of a batched model
-/// (the noise-free forward pass evaluates every instance; the read-out
-/// uses instance `instance`'s probabilities).
-///
-/// # Panics
-///
-/// Panics if `instance >= model.batch()`.
-pub fn extract_solution_instance(
-    design: &Design,
-    forest: &DagForest,
-    model: &mut CostModel,
-    cfg: &DgrConfig,
-    instance: usize,
-) -> Result<RoutingSolution, DgrError> {
     let _span = dgr_obs::span("route", "extract");
-    // deterministic read-out: no noise, final temperature (all instances)
+    // deterministic read-out: no noise, final temperature
     model.graph.data_mut(model.noise_tree).fill(0.0);
     model.graph.data_mut(model.noise_path).fill(0.0);
     let final_temp = cfg.temperature_at(cfg.iterations.saturating_sub(1));
     model.graph.data_mut(model.temperature).fill(final_temp);
     model.graph.forward();
-    let q = model.graph.value_at(model.q, instance);
-    let p = model.graph.value_at(model.p, instance);
+    let q = model.graph.value(model.q);
+    let p = model.graph.value(model.p);
 
     let grid = &design.grid;
 
@@ -527,45 +508,6 @@ mod tests {
         let mask = fd.overflow_mask();
         assert_eq!(mask, overflowed_edges(&design, &sol.demand));
         fd.release();
-    }
-
-    #[test]
-    fn batched_instance_extraction_matches_standalone() {
-        let grid = GcellGrid::new(8, 8).unwrap();
-        let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
-        let design = Design::new(
-            grid,
-            cap,
-            vec![
-                Net::new("a", vec![Point::new(0, 0), Point::new(6, 6)]),
-                Net::new("b", vec![Point::new(0, 0), Point::new(6, 6)]),
-            ],
-            5,
-        )
-        .unwrap();
-        let pools: Vec<_> = design
-            .nets
-            .iter()
-            .map(|n| tree_candidates(&n.pins, &CandidateConfig::single()).unwrap())
-            .collect();
-        let forest = build_forest(&design.grid, &pools, PatternConfig::l_only()).unwrap();
-        let cfg = DgrConfig {
-            iterations: 60,
-            ..DgrConfig::default()
-        };
-        let seeds = [2u64, 9];
-        let (mut batched, mut rngs) =
-            crate::relax::build_cost_model_batched(&design, &forest, &cfg, &seeds);
-        crate::train::train_batched(&mut batched, &cfg, &mut rngs);
-        for (b, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut single = build_cost_model(&design, &forest, &cfg, &mut rng);
-            train(&mut single, &cfg, &mut rng);
-            let solo = extract_solution(&design, &forest, &mut single, &cfg).unwrap();
-            let inst = extract_solution_instance(&design, &forest, &mut batched, &cfg, b).unwrap();
-            assert_eq!(inst.routes, solo.routes, "instance {b} (seed {seed})");
-            assert_eq!(inst.demand.wire_slice(), solo.demand.wire_slice());
-        }
     }
 
     #[test]

@@ -50,16 +50,16 @@ pub mod train;
 
 pub use attribution::{attribute_solution, write_attribution, MAX_ATTRIBUTION_NETS};
 pub use config::{CostWeights, DgrConfig, ExtractionMode};
-pub use extract::{extract_solution, extract_solution_instance};
-pub use relax::{build_cost_model, build_cost_model_batched, CostModel};
+pub use extract::extract_solution;
+pub use relax::{build_cost_model, CostModel};
 pub use snapshot::{
     ensure_header, snapshot_header, write_demand_snapshot, write_dense_snapshot,
-    write_dense_snapshot_lane, write_solution_snapshot,
+    write_solution_snapshot,
 };
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 pub use train::{
-    train, train_batched, train_batched_with_hooks, train_with_hooks, CurvePoint, ProgressConfig,
-    SnapshotProbe, TrainHooks, TrainReport, CURVE_POINTS,
+    train, train_with_hooks, CurvePoint, ProgressConfig, SnapshotProbe, TrainHooks, TrainReport,
+    CURVE_POINTS,
 };
 
 use dgr_grid::Design;
@@ -302,6 +302,7 @@ impl DgrRouter {
                 iter_offset,
                 skip_rss: hooks.skip_rss,
                 cancel: hooks.cancel.clone(),
+                lane: None,
             };
             let report = train_with_hooks(&mut model, &round_cfg, &mut rng, &mut train_hooks);
             // a cancel raised mid-training stops the job here: no

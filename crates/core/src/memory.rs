@@ -41,12 +41,12 @@ pub fn memory_snapshot() -> MemorySnapshot {
 /// "unmeasurable" is distinguishable from "zero": the JSONL `mem_rss`
 /// field serializes `None` as `null`, never as `0`.
 pub fn rss_bytes() -> Option<u64> {
-    let snap = memory_snapshot();
-    if snap.rss == 0 {
-        None
-    } else {
-        Some(snap.rss)
-    }
+    measured_rss(memory_snapshot())
+}
+
+/// A snapshot's RSS, with the "could not be read" zero mapped to `None`.
+fn measured_rss(snap: MemorySnapshot) -> Option<u64> {
+    (snap.rss != 0).then_some(snap.rss)
 }
 
 fn parse_kb(rest: &str) -> u64 {
@@ -74,11 +74,14 @@ mod tests {
 
     #[test]
     fn rss_bytes_agrees_with_snapshot() {
-        let snap = memory_snapshot();
-        match rss_bytes() {
-            Some(rss) => assert_eq!(rss, snap.rss),
-            None => assert_eq!(snap.rss, 0, "None only when RSS is unreadable"),
-        }
+        // one snapshot value per assertion: RSS moves between two reads
+        // of /proc/self/status
+        assert_eq!(measured_rss(MemorySnapshot::default()), None);
+        let snap = MemorySnapshot {
+            rss: 4096,
+            peak_rss: 8192,
+        };
+        assert_eq!(measured_rss(snap), Some(4096));
     }
 
     #[test]

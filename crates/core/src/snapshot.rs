@@ -69,19 +69,8 @@ pub fn write_demand_snapshot(
 /// demand the relaxed model maintains during training (Eq. 10). A
 /// length mismatch is silently dropped — observability must never abort
 /// a training run (and the trainer's demand tensor always matches).
+/// `lane` is [`TrainHooks::lane`](crate::TrainHooks::lane).
 pub fn write_dense_snapshot(
-    sink: &mut SnapshotSink,
-    design: &Design,
-    total_demand: &[f32],
-    iter: u64,
-    phase: &str,
-) {
-    write_dense_snapshot_lane(sink, design, total_demand, iter, phase, None);
-}
-
-/// [`write_dense_snapshot`] with a batch lane tag — batched training
-/// captures each instance's demand grid separately and labels it.
-pub fn write_dense_snapshot_lane(
     sink: &mut SnapshotSink,
     design: &Design,
     total_demand: &[f32],
@@ -166,7 +155,7 @@ mod tests {
         let mut a = SnapshotSink::in_memory();
         write_demand_snapshot(&mut a, &design, &demand, 0, "x");
         let mut b = SnapshotSink::in_memory();
-        write_dense_snapshot(&mut b, &design, &dense, 0, "x");
+        write_dense_snapshot(&mut b, &design, &dense, 0, "x", None);
         assert_eq!(a.memory_contents(), b.memory_contents());
     }
 }

@@ -119,6 +119,10 @@ pub struct TrainHooks<'a> {
     /// relaxed load). When raised, the loop stops before the next
     /// forward pass; the report covers the iterations that ran.
     pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// Tag written into every telemetry row and dense snapshot of this
+    /// run. `dgr train --batch N` trains its seeds one after another into
+    /// the same sinks and numbers them here; a lone run leaves it `None`.
+    pub lane: Option<u64>,
 }
 
 impl TrainHooks<'_> {
@@ -207,6 +211,7 @@ pub fn train_with_hooks(
                     model.graph.value(model.demand),
                     (hooks.iter_offset + it) as u64,
                     "train",
+                    hooks.lane,
                 );
             }
         }
@@ -232,7 +237,7 @@ pub fn train_with_hooks(
                 temperature: temp,
                 grad_norm: grad_sq.sqrt(),
                 mem_rss: rss_cache,
-                lane: None,
+                lane: hooks.lane,
             };
             if let Some(sink) = hooks.telemetry.as_deref_mut() {
                 sink.record(&row);
@@ -279,209 +284,6 @@ pub fn train_with_hooks(
         backward_time,
         graph_bytes: model.graph.bytes(),
     }
-}
-
-/// Trains a batched model (see
-/// [`build_cost_model_batched`](crate::relax::build_cost_model_batched))
-/// and returns one report per instance.
-///
-/// One forward/backward/Adam sweep advances every instance together —
-/// the tape walk, reachability plan, and dispatch overhead are paid once
-/// per iteration instead of once per seed. Instance `b` resamples its
-/// Gumbel noise from `rngs[b]` in the single-instance draw order (tree
-/// noise, then path noise), and the annealing temperature is shared, so
-/// instance `b`'s trajectory is bit-for-bit the trajectory
-/// [`train`] would produce for that seed.
-///
-/// Reported wall-clock numbers (`duration`, `forward_time`,
-/// `backward_time`, `graph_bytes`) are whole-batch figures, replicated
-/// into every report: phases are fused across instances and cannot be
-/// attributed per seed.
-///
-/// # Panics
-///
-/// Panics if `rngs.len()` differs from the model's batch size.
-pub fn train_batched(
-    model: &mut CostModel,
-    cfg: &DgrConfig,
-    rngs: &mut [StdRng],
-) -> Vec<TrainReport> {
-    train_batched_with_hooks(model, cfg, rngs, &mut TrainHooks::default())
-}
-
-/// [`train_batched`] with observability hooks. Telemetry rows and dense
-/// snapshots are written once per lane per capture point, tagged with
-/// the lane index (`lane` field), so batched runs remain attributable;
-/// progress lines and live status track lane 0.
-///
-/// # Panics
-///
-/// Panics if `rngs.len()` differs from the model's batch size.
-pub fn train_batched_with_hooks(
-    model: &mut CostModel,
-    cfg: &DgrConfig,
-    rngs: &mut [StdRng],
-    hooks: &mut TrainHooks<'_>,
-) -> Vec<TrainReport> {
-    let _train_span = dgr_obs::span("train", "train_batched");
-    dgr_obs::status_phase("train");
-    let batch = model.graph.batch();
-    assert_eq!(rngs.len(), batch, "one RNG per batch instance");
-    let start = Instant::now();
-    let mut adam = Adam::new(&model.graph, cfg.learning_rate);
-    let n_tree = model.graph.logical_len_of(model.noise_tree);
-    let n_path = model.graph.logical_len_of(model.noise_path);
-    let mut noise_buf_tree = vec![0.0f32; n_tree * batch];
-    let mut noise_buf_path = vec![0.0f32; n_path * batch];
-    let mut loss_history = vec![Vec::new(); batch];
-    let mut curve = vec![Vec::new(); batch];
-    let mut final_loss = vec![f32::NAN; batch];
-    let mut forward_time = Duration::ZERO;
-    let mut backward_time = Duration::ZERO;
-    let curve_stride = cfg.iterations.div_ceil(CURVE_POINTS).max(1);
-    let n_w_tree = model.graph.logical_len_of(model.w_tree);
-    let n_w_path = model.graph.logical_len_of(model.w_path);
-    let mut last_progress: Option<Instant> = None;
-    let mut rss_cache: Option<u64> = None;
-
-    for it in 0..cfg.iterations {
-        if hooks.is_cancelled() {
-            break;
-        }
-        let temp = cfg.temperature_at(it);
-        model.graph.data_mut(model.temperature).fill(temp);
-        if cfg.gumbel_noise {
-            // instance-major refill, preserving each seed's single-run
-            // draw order: tree noise then path noise from its own RNG
-            for (b, rng) in rngs.iter_mut().enumerate() {
-                gumbel::fill_gumbel(rng, &mut noise_buf_tree[b * n_tree..(b + 1) * n_tree]);
-                gumbel::fill_gumbel(rng, &mut noise_buf_path[b * n_path..(b + 1) * n_path]);
-            }
-            model.graph.set_data(model.noise_tree, &noise_buf_tree);
-            model.graph.set_data(model.noise_path, &noise_buf_path);
-        }
-        let fwd_start = Instant::now();
-        {
-            let _s = dgr_obs::span("train", "forward");
-            model.graph.forward();
-        }
-        forward_time += fwd_start.elapsed();
-        let last_iter = it + 1 == cfg.iterations;
-        let record_loss = cfg.loss_record_interval > 0 && it % cfg.loss_record_interval == 0;
-        let record_curve = it % curve_stride == 0 || last_iter;
-        for b in 0..batch {
-            let loss = model.graph.value(model.loss)[b];
-            final_loss[b] = loss;
-            if record_loss {
-                loss_history[b].push((it, loss));
-            }
-            if record_curve {
-                curve[b].push(CurvePoint {
-                    iter: it,
-                    loss,
-                    overflow: model.graph.value(model.overflow_cost)[b],
-                });
-            }
-        }
-        let bwd_start = Instant::now();
-        {
-            let _s = dgr_obs::span("train", "backward");
-            model.graph.backward(model.loss);
-        }
-        backward_time += bwd_start.elapsed();
-        if let Some(probe) = hooks.snap.as_mut() {
-            if probe.every > 0 && (it % probe.every == 0 || last_iter) {
-                let demand = model.graph.value(model.demand);
-                let per_lane = demand.len() / batch;
-                for b in 0..batch {
-                    crate::snapshot::write_dense_snapshot_lane(
-                        probe.sink,
-                        probe.design,
-                        &demand[b * per_lane..(b + 1) * per_lane],
-                        (hooks.iter_offset + it) as u64,
-                        "train",
-                        Some(b as u64),
-                    );
-                }
-            }
-        }
-        if hooks.telemetry.is_some() || dgr_obs::enabled() {
-            if !hooks.skip_rss && (it % RSS_SAMPLE_INTERVAL == 0 || last_iter) {
-                rss_cache = rss_bytes();
-            }
-            let grad_tree = model.graph.grad(model.w_tree);
-            let grad_path = model.graph.grad(model.w_path);
-            for b in 0..batch {
-                let grad_sq: f32 = grad_tree[b * n_w_tree..(b + 1) * n_w_tree]
-                    .iter()
-                    .chain(&grad_path[b * n_w_path..(b + 1) * n_w_path])
-                    .map(|g| g * g)
-                    .sum();
-                let row = IterationRow {
-                    iter: hooks.iter_offset + it,
-                    loss: model.graph.value(model.loss)[b],
-                    wl: model.graph.value(model.wl_cost)[b],
-                    vias: model.graph.value(model.via_cost)[b],
-                    overflow: model.graph.value(model.overflow_cost)[b],
-                    temperature: temp,
-                    grad_norm: grad_sq.sqrt(),
-                    mem_rss: rss_cache,
-                    lane: Some(b as u64),
-                };
-                if let Some(sink) = hooks.telemetry.as_deref_mut() {
-                    sink.record(&row);
-                }
-                dgr_obs::status_tick(&row);
-                dgr_obs::sentinel_tick(&row);
-            }
-        }
-        {
-            let _s = dgr_obs::span("train", "adam");
-            adam.step(&mut model.graph);
-        }
-        if let Some(progress) = hooks.progress {
-            let due = progress.every > 0 && (it % progress.every == 0 || last_iter);
-            let spaced = last_progress.is_none_or(|t| t.elapsed() >= progress.min_gap);
-            if due && (spaced || last_iter) {
-                last_progress = Some(Instant::now());
-                eprintln!(
-                    "[dgr] iter {:>6}/{}  loss {:>12.4}  overflow {:>10.4}  elapsed {:.1}s  (lane 0 of {batch})",
-                    hooks.iter_offset + it,
-                    hooks.iter_offset + cfg.iterations,
-                    model.graph.value(model.loss)[0],
-                    model.graph.value(model.overflow_cost)[0],
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-        }
-    }
-
-    if let Some(sink) = hooks.telemetry.as_deref_mut() {
-        sink.flush();
-    }
-    if let Some(probe) = hooks.snap.as_mut() {
-        probe.sink.flush();
-    }
-
-    let duration = start.elapsed();
-    let final_temperature = cfg.temperature_at(cfg.iterations.saturating_sub(1));
-    let graph_bytes = model.graph.bytes();
-    loss_history
-        .into_iter()
-        .zip(curve)
-        .zip(final_loss)
-        .map(|((loss_history, curve), final_loss)| TrainReport {
-            iterations: cfg.iterations,
-            loss_history,
-            curve,
-            final_loss,
-            final_temperature,
-            duration,
-            forward_time,
-            backward_time,
-            graph_bytes,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -566,51 +368,6 @@ mod tests {
         assert!(report.final_loss.is_finite());
         assert!(report.graph_bytes > 0);
         assert!((report.final_temperature - 1.0).abs() < 1e-6); // < 100 iters
-    }
-
-    #[test]
-    fn batched_training_reproduces_single_instance_trajectories_bitwise() {
-        let design = contended_design();
-        let pools: Vec<_> = design
-            .nets
-            .iter()
-            .map(|n| tree_candidates(&n.pins, &CandidateConfig::single()).unwrap())
-            .collect();
-        let forest = build_forest(&design.grid, &pools, PatternConfig::l_only()).unwrap();
-        let cfg = DgrConfig {
-            iterations: 40,
-            loss_record_interval: 10,
-            ..DgrConfig::default()
-        };
-        let seeds = [3u64, 3, 8];
-        let (mut batched, mut rngs) =
-            crate::relax::build_cost_model_batched(&design, &forest, &cfg, &seeds);
-        let reports = train_batched(&mut batched, &cfg, &mut rngs);
-        assert_eq!(reports.len(), 3);
-
-        for (b, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut single = build_cost_model(&design, &forest, &cfg, &mut rng);
-            let solo = train(&mut single, &cfg, &mut rng);
-            // bit-for-bit: the loss trajectory, final loss, and the final
-            // trained logits of instance b equal the standalone run
-            assert_eq!(reports[b].final_loss, solo.final_loss, "seed {seed}");
-            assert_eq!(reports[b].loss_history, solo.loss_history);
-            assert_eq!(
-                batched.graph.value_at(batched.w_path, b),
-                single.graph.value(single.w_path),
-            );
-            assert_eq!(
-                batched.graph.value_at(batched.w_tree, b),
-                single.graph.value(single.w_tree),
-            );
-        }
-        // identical seeds produce identical instances
-        assert_eq!(reports[0].final_loss, reports[1].final_loss);
-        assert_eq!(
-            batched.graph.value_at(batched.w_path, 0),
-            batched.graph.value_at(batched.w_path, 1),
-        );
     }
 
     #[test]

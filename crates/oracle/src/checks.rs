@@ -8,7 +8,6 @@
 use std::sync::Mutex;
 
 use dgr_autodiff::gumbel::fill_gumbel;
-use dgr_autodiff::parallel::{self, ExecMode};
 use dgr_autodiff::Activation;
 use dgr_core::{build_cost_model, DgrConfig, NetRoute, RoutePath};
 use dgr_dag::{build_forest, PatternConfig};
@@ -39,9 +38,8 @@ impl std::fmt::Display for Mismatch {
     }
 }
 
-/// `set_exec_mode`/`set_num_threads` are process-global; checks that
-/// flip them serialize on this lock (same pattern as the autodiff
-/// determinism tests).
+/// `set_num_threads` is process-global; tests that flip it serialize on
+/// this lock (same pattern as the autodiff determinism tests).
 pub static EXEC_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs the check a spec names. `Ok(())` means the implementations
@@ -248,7 +246,6 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     };
 
     // forward consistency first: a wrong forward makes FD meaningless
-    let _guard = EXEC_LOCK.lock().unwrap();
     let (tape_loss, ..) = model.evaluate();
     let ref_loss = eval(&w_tree, &w_path);
     if !close(tape_loss as f64, ref_loss, tol::COST_REL) {
@@ -282,32 +279,28 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     let tree_coords = sample(w_tree.len(), &mut rng);
     let path_coords = sample(w_path.len(), &mut rng);
 
-    for mode in [ExecMode::Pool, ExecMode::Spawn] {
-        parallel::set_exec_mode(mode);
-        model.graph.forward();
-        model.graph.backward(model.loss);
-        let g_tree = model.graph.grad(model.w_tree).to_vec();
-        let g_path = model.graph.grad(model.w_path).to_vec();
-        parallel::set_exec_mode(ExecMode::Pool);
-        for &j in &tree_coords {
-            let want = fd_at(&w_tree, true, j);
-            let got = g_tree[j] as f64;
-            if !close(got, want, tol::GRAD_REL) {
-                return Err(fail(
-                    spec,
-                    format!("{mode:?} tape ∂loss/∂w_tree[{j}] {got} ≠ central diff {want}"),
-                ));
-            }
+    model.graph.forward();
+    model.graph.backward(model.loss);
+    let g_tree = model.graph.grad(model.w_tree);
+    let g_path = model.graph.grad(model.w_path);
+    for &j in &tree_coords {
+        let want = fd_at(&w_tree, true, j);
+        let got = g_tree[j] as f64;
+        if !close(got, want, tol::GRAD_REL) {
+            return Err(fail(
+                spec,
+                format!("tape ∂loss/∂w_tree[{j}] {got} ≠ central diff {want}"),
+            ));
         }
-        for &j in &path_coords {
-            let want = fd_at(&w_path, false, j);
-            let got = g_path[j] as f64;
-            if !close(got, want, tol::GRAD_REL) {
-                return Err(fail(
-                    spec,
-                    format!("{mode:?} tape ∂loss/∂w_path[{j}] {got} ≠ central diff {want}"),
-                ));
-            }
+    }
+    for &j in &path_coords {
+        let want = fd_at(&w_path, false, j);
+        let got = g_path[j] as f64;
+        if !close(got, want, tol::GRAD_REL) {
+            return Err(fail(
+                spec,
+                format!("tape ∂loss/∂w_path[{j}] {got} ≠ central diff {want}"),
+            ));
         }
     }
     Ok(())

@@ -8,7 +8,7 @@
 //!          [--snap out.snaps] [--snap-every N]
 //!          [--serve ADDR] [--profile out.folded] [--no-ledger]
 //!          [--progress N] [--quiet]
-//! dgr train <design.txt> [--batch N] ...        # batched multi-seed run
+//! dgr train <design.txt> [--batch N] ...        # multi-seed run, best kept
 //! dgr compare <design.txt> [--iterations N]     # DGR vs all baselines
 //! dgr compare --ledger                          # last two ledger runs
 //! dgr history [--limit N]                       # the persistent run ledger
@@ -33,6 +33,7 @@
 //! artifacts into one self-contained HTML post-mortem.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -45,6 +46,22 @@ use dgr::obs::ledger::{self, LedgerRecord, LEDGER_VERSION};
 use dgr::obs::{render_report, ObsServer, Profiler, ProfilerConfig, ReportInputs};
 use dgr::obs::{SnapshotSink, TelemetrySink};
 use dgr::post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
+
+// Shadows of the std macros for every print below: a reader that went away
+// (`dgr route … | head -1`) ends the printing, not the run — std's versions
+// panic on the write error, after which no guide, routes file or ledger
+// record would be written. SIGPIPE stays ignored: the HTTP servers count
+// on socket writes returning EPIPE.
+macro_rules! print {
+    ($($arg:tt)*) => {{
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -105,7 +122,7 @@ fn print_usage() {
     println!("            [--routes out.txt] [--telemetry out.jsonl]");
     println!("            [--snap out.snaps] [--snap-every N] [--serve ADDR]");
     println!("            [--profile out.folded] [--no-ledger] [--quiet]");
-    println!("      train N seeds on one batched tape, report each, extract the best");
+    println!("      train N seeds over one shared forest, report each, extract the best");
     println!("  dgr compare <design.txt> [--iterations N] [--trace out.json]");
     println!("      route with DGR and every baseline, print a comparison table");
     println!("  dgr compare --ledger");
@@ -426,7 +443,7 @@ fn append_ledger(args: &[String], outcome: &RunOutcome<'_>) {
     let mut train_ms = 0.0f64;
     for t in dgr::obs::span_totals() {
         let ms = t.total.as_secs_f64() * 1e3;
-        if t.name == "train" || t.name == "train_batched" {
+        if t.name == "train" {
             train_ms += ms;
         }
         phases.insert(t.name.to_string(), ms);
@@ -623,15 +640,15 @@ fn cmd_route(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `dgr train`: batched multi-seed training — one tape evaluates
-/// `--batch N` seeds at once (seed, seed+1, …), each reproducing its
-/// standalone trajectory bit for bit; the best instance by final loss is
-/// extracted into the reported solution.
+/// `dgr train`: multi-seed training — `--batch N` trains seeds `seed`,
+/// `seed+1`, … one after another over one shared forest, each exactly as
+/// a standalone run of that seed; the best by final loss is extracted
+/// into the reported solution.
 fn cmd_train(args: &[String]) -> CliResult {
     use dgr::core::{
-        build_cost_model_batched, extract_solution_instance, train_batched_with_hooks,
-        SnapshotProbe, TrainHooks,
+        build_cost_model, extract_solution, train_with_hooks, CostModel, SnapshotProbe, TrainHooks,
     };
+    use rand::{rngs::StdRng, SeedableRng};
 
     let design = load_design(args)?;
     let cfg = config_from(args)?;
@@ -664,20 +681,35 @@ fn cmd_train(args: &[String]) -> CliResult {
         .map(|n| dgr::rsmt::tree_candidates(&n.pins, &cfg.candidates))
         .collect::<Result<_, _>>()?;
     let forest = dgr::dag::build_forest(&design.grid, &pools, cfg.patterns)?;
-    let (mut model, mut rngs) = build_cost_model_batched(&design, &forest, &cfg, &seeds);
-    let mut hooks = TrainHooks {
-        telemetry: telemetry.as_mut(),
-        snap: snap_sink.as_mut().map(|sink| SnapshotProbe {
-            sink,
-            design: &design,
-            every: snap_every,
-        }),
-        progress: (!args.iter().any(|a| a == "--quiet")).then(ProgressConfig::default),
-        iter_offset: 0,
-        skip_rss: false,
-        cancel: None,
-    };
-    let reports = train_batched_with_hooks(&mut model, &cfg, &mut rngs, &mut hooks);
+    let progress = (!args.iter().any(|a| a == "--quiet")).then(ProgressConfig::default);
+    let mut reports = Vec::with_capacity(batch);
+    // the model with the lowest final loss so far, and its seed's index
+    let mut best: Option<(usize, CostModel)> = None;
+    for (b, &seed) in seeds.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        let mut hooks = TrainHooks {
+            telemetry: telemetry.as_mut(),
+            snap: snap_sink.as_mut().map(|sink| SnapshotProbe {
+                sink,
+                design: &design,
+                every: snap_every,
+            }),
+            progress,
+            iter_offset: 0,
+            skip_rss: false,
+            cancel: None,
+            lane: (batch > 1).then_some(b as u64),
+        };
+        reports.push(train_with_hooks(&mut model, &cfg, &mut rng, &mut hooks));
+        if best
+            .as_ref()
+            .is_none_or(|&(i, _)| reports[b].final_loss < reports[i].final_loss)
+        {
+            best = Some((b, model));
+        }
+    }
+    let (best, mut model) = best.expect("--batch is at least 1");
 
     println!(
         "trained {} instance(s) of {} nets in {:.2?} ({} iterations each)",
@@ -686,17 +718,13 @@ fn cmd_train(args: &[String]) -> CliResult {
         t0.elapsed(),
         cfg.iterations
     );
-    let mut best = 0usize;
-    for (b, report) in reports.iter().enumerate() {
+    for (seed, report) in seeds.iter().zip(&reports) {
         println!(
             "  seed {:>4}  final loss {:>12.4}  final temperature {:.4}",
-            seeds[b], report.final_loss, report.final_temperature
+            seed, report.final_loss, report.final_temperature
         );
-        if report.final_loss < reports[best].final_loss {
-            best = b;
-        }
     }
-    let solution = extract_solution_instance(&design, &forest, &mut model, &cfg, best)?;
+    let solution = extract_solution(&design, &forest, &mut model, &cfg)?;
     let elapsed = t0.elapsed();
     let m = &solution.metrics;
     println!("best: seed {} (instance {best})", seeds[best]);

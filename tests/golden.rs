@@ -49,14 +49,6 @@ fn guide_output_matches_golden_files() {
     parallel::set_num_threads(0);
     drop(_guard);
 
-    // Committed goldens are generated under the default chunked kernels;
-    // the scalar fallback reassociates reductions and legitimately lands
-    // on different bytes. The route above still ran as a smoke test.
-    if dgr::autodiff::kernel_mode() != dgr::autodiff::KernelMode::Chunked {
-        eprintln!("golden: scalar kernel mode — skipping byte-exact comparison");
-        return;
-    }
-
     for (seed, text) in texts {
         let path = dir.join(format!("guide_seed{seed}.txt"));
         if update {

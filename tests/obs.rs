@@ -207,3 +207,46 @@ fn cli_route_progress_line_appears_without_quiet() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that goes away (`dgr route … | head -1`) ends the printing,
+/// not the run: no panic, exit status 0, every output file still written.
+#[test]
+fn cli_route_survives_a_closed_stdout() {
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join("dgr_obs_cli_closed_stdout_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let design_path = dir.join("design.txt");
+    let guide_path = dir.join("out.guide");
+    let routes_path = dir.join("routes.txt");
+    let ledger_path = dir.join("ledger.jsonl");
+    std::fs::write(&design_path, dgr::io::write_design(&small_design(9))).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .env("DGR_LEDGER", &ledger_path)
+        .args([
+            "route",
+            design_path.to_str().unwrap(),
+            "--iterations",
+            "20",
+            "--quiet",
+            "--guide",
+            guide_path.to_str().unwrap(),
+            "--routes",
+            routes_path.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dgr");
+    // close the read end before the run reaches its first line of output
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for dgr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "stderr not empty:\n{stderr}");
+    for path in [&guide_path, &routes_path, &ledger_path] {
+        let len = std::fs::metadata(path).map_or(0, |m| m.len());
+        assert!(len > 0, "{} missing or empty", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -86,14 +86,6 @@ fn report_html_matches_golden_file() {
 
     assert_eq!(html, again, "report diverged between identical runs");
 
-    // The committed report bytes are chunked-kernel numerics; the scalar
-    // fallback reassociates reductions, so only the run-to-run
-    // determinism above is asserted in that mode.
-    if dgr::autodiff::kernel_mode() != dgr::autodiff::KernelMode::Chunked {
-        eprintln!("report_golden: scalar kernel mode — skipping byte-exact comparison");
-        return;
-    }
-
     if update {
         std::fs::create_dir_all(&dir).expect("create golden dir");
         std::fs::write(&path, &html).expect("write golden file");

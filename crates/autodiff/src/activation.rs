@@ -23,55 +23,54 @@ const LEAKY_ALPHA: f32 = 0.01;
 const EXP_CLAMP: f32 = 20.0;
 
 impl Activation {
+    /// Evaluates the activation and its derivative at `x` together, so
+    /// the variants built on an exponential evaluate it once.
+    #[inline]
+    pub fn eval_grad(self, x: f32) -> (f32, f32) {
+        match self {
+            Activation::Relu => {
+                if x > 0.0 {
+                    (x, 1.0)
+                } else {
+                    (0.0, 0.0)
+                }
+            }
+            Activation::Sigmoid => {
+                let s = 1.0 / (1.0 + (-x).exp());
+                (s, s * (1.0 - s))
+            }
+            Activation::LeakyRelu => {
+                if x > 0.0 {
+                    (x, 1.0)
+                } else {
+                    (LEAKY_ALPHA * x, LEAKY_ALPHA)
+                }
+            }
+            Activation::Exp => {
+                let e = x.min(EXP_CLAMP).exp();
+                (e, e)
+            }
+            Activation::Celu => {
+                if x >= 0.0 {
+                    (x, 1.0)
+                } else {
+                    let e = x.exp();
+                    (e - 1.0, e)
+                }
+            }
+        }
+    }
+
     /// Evaluates the activation at `x`.
     #[inline]
     pub fn eval(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    LEAKY_ALPHA * x
-                }
-            }
-            Activation::Exp => x.min(EXP_CLAMP).exp(),
-            Activation::Celu => x.max(0.0) + (x.min(0.0).exp() - 1.0).min(0.0),
-        }
+        self.eval_grad(x).0
     }
 
     /// Evaluates the derivative at `x`.
     #[inline]
     pub fn grad(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Sigmoid => {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            }
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    LEAKY_ALPHA
-                }
-            }
-            Activation::Exp => x.min(EXP_CLAMP).exp(),
-            Activation::Celu => {
-                if x >= 0.0 {
-                    1.0
-                } else {
-                    x.exp()
-                }
-            }
-        }
+        self.eval_grad(x).1
     }
 
     /// All variants, in the order Fig. 6 lists them.

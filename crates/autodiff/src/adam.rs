@@ -1,30 +1,23 @@
 //! The Adam optimizer (Kingma & Ba 2015) — the update rule the paper uses
 //! for its trainable logits.
 
-use crate::graph::{Graph, VarId};
-use crate::parallel::{self, SendPtr};
+use crate::kernels;
 
-/// Adam state over a graph's trainable parameters.
-///
-/// Create it **after** all [`Graph::param`] calls: the moment buffers are
-/// sized from the parameter list at construction.
+/// Adam state over one parameter vector.
 ///
 /// # Examples
 ///
 /// ```
-/// use dgr_autodiff::{Adam, Graph};
+/// use dgr_autodiff::Adam;
 ///
-/// let mut g = Graph::new();
-/// let w = g.param(vec![5.0]);
-/// let sq = g.mul(w, w);
-/// let loss = g.sum_all(sq);
-/// let mut adam = Adam::new(&g, 0.5);
+/// // minimise w²: the gradient is 2w
+/// let mut w = [5.0f32];
+/// let mut adam = Adam::new(1, 0.5);
 /// for _ in 0..200 {
-///     g.forward();
-///     g.backward(loss);
-///     adam.step(&mut g);
+///     let g = [2.0 * w[0]];
+///     adam.step(&mut w, &g);
 /// }
-/// assert!(g.value(w)[0].abs() < 0.1);
+/// assert!(w[0].abs() < 0.1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -33,38 +26,24 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
-    /// First-moment arena; parameter `k` owns
-    /// `offsets[k]..offsets[k + 1]`.
+    /// First moments.
     m: Vec<f32>,
-    /// Second-moment arena, same layout as `m`.
+    /// Second moments.
     v: Vec<f32>,
-    offsets: Vec<usize>,
-    params: Vec<VarId>,
 }
 
 impl Adam {
     /// Creates an optimizer with the standard moments
-    /// (`β₁ = 0.9, β₂ = 0.999, ε = 1e−8`) over `graph`'s current
-    /// parameters.
-    pub fn new(graph: &Graph, lr: f32) -> Self {
-        let params = graph.params().to_vec();
-        let mut offsets = Vec::with_capacity(params.len() + 1);
-        let mut total = 0;
-        for &p in &params {
-            offsets.push(total);
-            total += graph.len_of(p);
-        }
-        offsets.push(total);
+    /// (`β₁ = 0.9, β₂ = 0.999, ε = 1e−8`) over `len` parameters.
+    pub fn new(len: usize, lr: f32) -> Self {
         Adam {
             lr,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: vec![0.0; total],
-            v: vec![0.0; total],
-            offsets,
-            params,
+            m: vec![0.0; len],
+            v: vec![0.0; len],
         }
     }
 
@@ -83,103 +62,66 @@ impl Adam {
         self.t
     }
 
-    /// Applies one Adam update using the gradients currently stored in
-    /// `graph` (i.e. call after [`Graph::backward`]).
+    /// Applies one Adam update to `params` from `grads`. A parameter whose
+    /// gradient has always been zero is left bit-for-bit unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if `graph` gained parameters after this optimizer was built.
-    pub fn step(&mut self, graph: &mut Graph) {
-        assert_eq!(
-            graph.params().len(),
-            self.params.len(),
-            "graph parameters changed after Adam construction"
-        );
+    /// Panics if either slice's length differs from the optimizer's.
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        for (k, &p) in self.params.iter().enumerate() {
-            let r = self.offsets[k]..self.offsets[k + 1];
-            let m = &mut self.m[r.clone()];
-            let v = &mut self.v[r];
-            let (data, grad) = graph.val_grad_mut(p);
-            let n = data.len();
-            let (dp, mp, vp) = (
-                SendPtr(data.as_mut_ptr()),
-                SendPtr(m.as_mut_ptr()),
-                SendPtr(v.as_mut_ptr()),
-            );
-            // Elementwise and index-partitioned: bit-stable at any thread
-            // count. One fused pass reads the gradient once and updates
-            // moments + parameters together.
-            parallel::par_blocks(n, n, move |block| {
-                let r = block.start..block.end;
-                // SAFETY: blocks partition 0..n; each range is touched by
-                // exactly one block and the buffers outlive the dispatch.
-                let (d, m, v) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(dp.get().add(r.start), r.len()),
-                        std::slice::from_raw_parts_mut(mp.get().add(r.start), r.len()),
-                        std::slice::from_raw_parts_mut(vp.get().add(r.start), r.len()),
-                    )
-                };
-                crate::kernels::adam_update(d, m, v, &grad[r], lr, b1, b2, eps, bc1, bc2);
-            });
-        }
+        kernels::adam_update(
+            params,
+            &mut self.m,
+            &mut self.v,
+            grads,
+            self.lr,
+            self.beta1,
+            self.beta2,
+            self.eps,
+            bc1,
+            bc2,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Segments;
-    use std::sync::Arc;
 
     #[test]
     fn minimizes_a_convex_bowl() {
-        let mut g = Graph::new();
-        let w = g.param(vec![3.0, -4.0]);
-        let sq = g.mul(w, w);
-        let loss = g.sum_all(sq);
-        let mut adam = Adam::new(&g, 0.3);
+        let mut w = [3.0f32, -4.0];
+        let mut adam = Adam::new(2, 0.3);
+        let loss = |w: &[f32; 2]| w[0] * w[0] + w[1] * w[1];
         let mut last = f32::INFINITY;
         for i in 0..300 {
-            g.forward();
             if i % 50 == 0 {
-                assert!(g.value(loss)[0] <= last + 1e-3);
-                last = g.value(loss)[0];
+                assert!(loss(&w) <= last + 1e-3);
+                last = loss(&w);
             }
-            g.backward(loss);
-            adam.step(&mut g);
+            let g = [2.0 * w[0], 2.0 * w[1]];
+            adam.step(&mut w, &g);
         }
-        g.forward();
-        assert!(g.value(loss)[0] < 1e-3);
+        assert!(loss(&w) < 1e-3);
     }
 
     #[test]
-    fn pushes_softmax_to_cheapest_choice() {
-        // 3 choices with costs [5, 1, 3]: probability mass must land on 1.
-        let mut g = Graph::new();
-        let w = g.param(vec![0.0, 0.0, 0.0]);
-        let seg = Arc::new(Segments::from_offsets(vec![0, 3]).unwrap());
-        let p = g.segmented_softmax(w, seg);
-        let loss = g.dot_const(p, Arc::new(vec![5.0, 1.0, 3.0]));
-        let mut adam = Adam::new(&g, 0.2);
-        for _ in 0..400 {
-            g.forward();
-            g.backward(loss);
-            adam.step(&mut g);
+    fn zero_gradients_leave_parameters_bit_identical() {
+        let mut w = [0.1f32, -0.0, 3.5e-9];
+        let before = w.map(f32::to_bits);
+        let mut adam = Adam::new(3, 0.3);
+        for _ in 0..20 {
+            adam.step(&mut w, &[0.0; 3]);
         }
-        g.forward();
-        assert!(g.value(p)[1] > 0.95, "probabilities {:?}", g.value(p));
+        assert_eq!(w.map(f32::to_bits), before);
     }
 
     #[test]
     fn learning_rate_is_adjustable() {
-        let mut g = Graph::new();
-        let _ = g.param(vec![0.0]);
-        let mut adam = Adam::new(&g, 0.5);
+        let mut adam = Adam::new(1, 0.5);
         assert_eq!(adam.learning_rate(), 0.5);
         adam.set_learning_rate(0.1);
         assert_eq!(adam.learning_rate(), 0.1);

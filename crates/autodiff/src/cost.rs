@@ -1,0 +1,1125 @@
+//! The fused expected-cost kernel: Eqs. 9–12 and their hand-derived
+//! gradient, over straight g-cell runs instead of single edges.
+//!
+//! ```text
+//! q, p   = softmax((w + gumbel) / τ) per net / per sub-net
+//! qp_i   = q_tree(i) · p_i
+//! WL     = Σ_i qp_i · WL_i                      via = √L · Σ_i qp_i · TP_i
+//! d_e    = Σ_{i∋e} qp_i + ½β_u·vp_u + ½β_v·vp_v   vp_c = Σ_{i turns at c} qp_i
+//! loss   = a₃ · Σ_e f((d_e − cap_e)/s) + a₂ · via + a₁ · WL
+//! ```
+//!
+//! # Phases
+//!
+//! **Forward** ([`CostModel::forward`]): tree softmax; then one loop over
+//! sub-nets that takes the path softmax, forms each path's mass `qp`, adds
+//! the WL/turn dot products, and posts the mass to a *difference array* —
+//! `+qp` at the low end cell of every run, `−qp` at the high end — and to
+//! the via pressure of its turn cells; then one scan per orientation (along rows
+//! for horizontal edges, down columns for vertical ones) turns the
+//! difference array into wire demand and, in the same visit of the edge,
+//! adds the `½β` endpoint terms, applies the activation and stores
+//! `a₃/s · f′` as the backward seed. A path costs two updates per run
+//! instead of one per edge.
+//!
+//! **Backward** ([`CostModel::backward`]): prefix sums of the seed along
+//! rows and columns, so the congestion gradient of a path is
+//! `prefix[high] − prefix[low]` per run, plus the gradient of its turn
+//! cells and its constant `a₁·WL + a₂·√L·TP`; then the softmax backward of
+//! each sub-net and each net, and `1/τ`.
+//!
+//! # Constant groups
+//!
+//! A net with one tree or a sub-net with one path has probability exactly
+//! 1 whatever its logit: such groups are never exponentiated, draw no
+//! noise, and keep a zero gradient, so their logits never move.
+//!
+//! # Precision and determinism
+//!
+//! Both scans run in `f64`. A demand is a running sum of `±qp` along a
+//! whole row, and a run gradient is the difference of two prefix sums
+//! that may each be thousands of times larger than it: in `f32` the
+//! first drifts and the second cancels to noise. Everything else is
+//! `f32`, as the leaves are.
+//!
+//! Every buffer element has one writer and every reduction runs in an
+//! order fixed by the index structure, on the calling thread: the result
+//! does not depend on [`crate::parallel::num_threads`].
+
+use rand::Rng;
+
+use crate::activation::Activation;
+use crate::segments::Segments;
+use crate::{gumbel, kernels, AutodiffError};
+
+/// The index structure of one expected-cost problem: the forest's
+/// groupings and per-path geometry over a `width × height` g-cell grid.
+///
+/// Cells are numbered row-major (`y · width + x`); horizontal edges come
+/// first (`y · (width − 1) + x` joins `(x, y)` and `(x + 1, y)`), then
+/// vertical ones (`y · width + x` joins `(x, y)` and `(x, y + 1)`).
+#[derive(Debug, Clone, Copy)]
+pub struct CostShape<'a> {
+    /// Grid width in g-cells.
+    pub width: usize,
+    /// Grid height in g-cells.
+    pub height: usize,
+    /// CSR offsets grouping trees by net (softmax groups of `q`).
+    pub net_tree_offsets: &'a [u32],
+    /// The tree owning each sub-net.
+    pub subnet_tree: &'a [u32],
+    /// CSR offsets grouping paths by sub-net (softmax groups of `p`).
+    pub subnet_path_offsets: &'a [u32],
+    /// Wirelength of each path (`WL_i`).
+    pub path_wl: &'a [f32],
+    /// Turning-point count of each path (`TP_i`).
+    pub path_turns: &'a [f32],
+    /// CSR offsets grouping runs by path.
+    pub path_run_offsets: &'a [u32],
+    /// `(low, high)` end cells of each straight run, `low < high`, in one
+    /// row or one column.
+    pub path_runs: &'a [(u32, u32)],
+    /// CSR offsets grouping turn cells by path.
+    pub path_via_offsets: &'a [u32],
+    /// The cells where each path turns.
+    pub path_via_cells: &'a [u32],
+    /// Capacity of each edge.
+    pub capacity: &'a [f32],
+    /// Via-pressure coefficient `β` of each cell.
+    pub beta: &'a [f32],
+}
+
+/// The weights and the overflow function of Eqs. 3 and 9.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostTerms {
+    /// `a₁`, the weight of the expected wirelength.
+    pub wirelength: f32,
+    /// `a₂`, the weight of the expected via cost.
+    pub via: f32,
+    /// `a₃`, the weight of the overflow term.
+    pub overflow: f32,
+    /// `√L`, the via cost of one expected turn.
+    pub sqrt_layers: f32,
+    /// The overflow function `f`.
+    pub activation: Activation,
+    /// `s` in `f((d − cap) / s)`.
+    pub overflow_scale: f32,
+}
+
+/// The expected cost of a routing forest, its leaves and its gradient.
+///
+/// Built once per routing problem; every training iteration calls
+/// [`Self::sample_noise`], [`Self::forward`], [`Self::backward`] and steps
+/// [`crate::Adam`] over [`Self::logits_and_grads`].
+///
+/// # Examples
+///
+/// ```
+/// use dgr_autodiff::{Activation, Adam, CostModel, CostShape, CostTerms};
+///
+/// // one net, one tree, one sub-net from (0,0) to (1,1) on a 2×2 grid
+/// // whose lower-left L crosses an edge with no capacity
+/// let shape = CostShape {
+///     width: 2,
+///     height: 2,
+///     net_tree_offsets: &[0, 1],
+///     subnet_tree: &[0],
+///     subnet_path_offsets: &[0, 2],
+///     path_wl: &[2.0, 2.0],
+///     path_turns: &[1.0, 1.0],
+///     path_run_offsets: &[0, 2, 4],
+///     path_runs: &[(0, 1), (1, 3), (0, 2), (2, 3)],
+///     path_via_offsets: &[0, 1, 2],
+///     path_via_cells: &[1, 2],
+///     capacity: &[0.0, 1.0, 1.0, 1.0],
+///     beta: &[0.0; 4],
+/// };
+/// let terms = CostTerms {
+///     wirelength: 0.5,
+///     via: 4.0,
+///     overflow: 500.0,
+///     sqrt_layers: 2.0,
+///     activation: Activation::Relu,
+///     overflow_scale: 1.0,
+/// };
+/// let mut model = CostModel::new(&shape, terms, vec![0.0; 3])?;
+/// let mut adam = Adam::new(3, 0.3);
+/// for _ in 0..50 {
+///     model.forward();
+///     model.backward();
+///     let (w, g) = model.logits_and_grads();
+///     adam.step(w, g);
+/// }
+/// model.probabilities();
+/// assert!(model.p()[1] > 0.95, "mass moved to the upper-left L");
+/// assert_eq!(model.tree_logits(), &[0.0], "a one-tree net is a constant");
+/// # Ok::<(), dgr_autodiff::AutodiffError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    width: usize,
+    height: usize,
+    net_trees: Segments,
+    subnet_tree: Vec<u32>,
+    subnet_paths: Segments,
+    path_wl: Vec<f32>,
+    path_turns: Vec<f32>,
+    path_runs: Segments,
+    /// Difference-array slots of each run's low and high end: the cell id
+    /// for a horizontal run, `cells +` the cell id for a vertical one.
+    run_slots: Vec<[u32; 2]>,
+    path_vias: Segments,
+    via_cells: Vec<u32>,
+    capacity: Vec<f32>,
+    half_beta: Vec<f32>,
+    terms: CostTerms,
+
+    // leaves, tree entries first, then path entries
+    logits: Vec<f32>,
+    noise: Vec<f32>,
+    temperature: f32,
+
+    // values
+    /// `q` then `p`.
+    prob: Vec<f32>,
+    /// Horizontal slots, then vertical ones; zero between forward passes.
+    diff: Vec<f64>,
+    via_pressure: Vec<f32>,
+    demand: Vec<f32>,
+    wl_cost: f32,
+    via_cost: f32,
+    overflow_cost: f32,
+    loss: f32,
+
+    // gradients
+    /// `∂loss/∂d_e`, stored by the forward pass.
+    seed: Vec<f32>,
+    /// Exclusive prefix sums of `seed`, in the slot layout of `diff`.
+    prefix: Vec<f64>,
+    /// `∂loss/∂vp_c`.
+    cell_grad: Vec<f32>,
+    /// `∂loss/∂q_t`.
+    tree_mass_grad: Vec<f64>,
+    /// `∂loss/∂logits`, in the layout of `logits`.
+    grad: Vec<f32>,
+
+    /// Scaled logits of the group being normalised.
+    scratch: Vec<f32>,
+}
+
+fn expect_len(left: usize, right: usize) -> Result<(), AutodiffError> {
+    if left == right {
+        Ok(())
+    } else {
+        Err(AutodiffError::ShapeMismatch { left, right })
+    }
+}
+
+fn check_indices(idx: &[u32], len: usize) -> Result<(), AutodiffError> {
+    match idx.iter().find(|&&i| i as usize >= len) {
+        Some(&index) => Err(AutodiffError::IndexOutOfRange { index, len }),
+        None => Ok(()),
+    }
+}
+
+impl CostModel {
+    /// Assembles the kernel for `shape` with `logits` (one per tree, then
+    /// one per path) as its trainable leaves, noise at zero and
+    /// temperature 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AutodiffError`] naming the first offset table that is
+    /// not a CSR partition, array of the wrong length, index outside its
+    /// target, or run that is not a straight, non-empty segment.
+    pub fn new(
+        shape: &CostShape<'_>,
+        terms: CostTerms,
+        logits: Vec<f32>,
+    ) -> Result<Self, AutodiffError> {
+        let (width, height) = (shape.width, shape.height);
+        if width == 0 || height == 0 {
+            return Err(AutodiffError::ShapeMismatch {
+                left: width,
+                right: height,
+            });
+        }
+        let cells = width * height;
+        expect_len(shape.beta.len(), cells)?;
+        expect_len(
+            shape.capacity.len(),
+            (width - 1) * height + width * (height - 1),
+        )?;
+
+        let net_trees = Segments::from_offsets(shape.net_tree_offsets.to_vec())?;
+        let subnet_paths = Segments::from_offsets(shape.subnet_path_offsets.to_vec())?;
+        let path_runs = Segments::from_offsets(shape.path_run_offsets.to_vec())?;
+        let path_vias = Segments::from_offsets(shape.path_via_offsets.to_vec())?;
+        let (trees, paths) = (net_trees.len(), subnet_paths.len());
+        expect_len(shape.subnet_tree.len(), subnet_paths.num_segments())?;
+        check_indices(shape.subnet_tree, trees)?;
+        expect_len(shape.path_wl.len(), paths)?;
+        expect_len(shape.path_turns.len(), paths)?;
+        expect_len(path_runs.num_segments(), paths)?;
+        expect_len(path_runs.len(), shape.path_runs.len())?;
+        expect_len(path_vias.num_segments(), paths)?;
+        expect_len(path_vias.len(), shape.path_via_cells.len())?;
+        check_indices(shape.path_via_cells, cells)?;
+        expect_len(logits.len(), trees + paths)?;
+
+        let mut run_slots = Vec::with_capacity(shape.path_runs.len());
+        for &(low, high) in shape.path_runs {
+            check_indices(&[high], cells)?;
+            let (a, b) = (low as usize, high as usize);
+            let vertical = a % width == b % width;
+            if low >= high || !(vertical || a / width == b / width) {
+                return Err(AutodiffError::BadRun { low, high });
+            }
+            let base = if vertical { cells as u32 } else { 0 };
+            run_slots.push([base + low, base + high]);
+        }
+
+        Ok(CostModel {
+            width,
+            height,
+            net_trees,
+            subnet_tree: shape.subnet_tree.to_vec(),
+            subnet_paths,
+            path_wl: shape.path_wl.to_vec(),
+            path_turns: shape.path_turns.to_vec(),
+            path_runs,
+            run_slots,
+            path_vias,
+            via_cells: shape.path_via_cells.to_vec(),
+            capacity: shape.capacity.to_vec(),
+            half_beta: shape.beta.iter().map(|b| 0.5 * b).collect(),
+            terms,
+            noise: vec![0.0; logits.len()],
+            temperature: 1.0,
+            // the probability of a one-candidate group, never rewritten
+            prob: vec![1.0; logits.len()],
+            diff: vec![0.0; 2 * cells],
+            via_pressure: vec![0.0; cells],
+            demand: vec![0.0; shape.capacity.len()],
+            wl_cost: 0.0,
+            via_cost: 0.0,
+            overflow_cost: 0.0,
+            loss: 0.0,
+            seed: vec![0.0; shape.capacity.len()],
+            prefix: vec![0.0; 2 * cells],
+            cell_grad: vec![0.0; cells],
+            tree_mass_grad: vec![0.0; trees],
+            grad: vec![0.0; logits.len()],
+            logits,
+            scratch: Vec::new(),
+        })
+    }
+
+    /// Number of tree candidates (the length of `q`).
+    pub fn num_trees(&self) -> usize {
+        self.net_trees.len()
+    }
+
+    /// Number of path candidates (the length of `p`).
+    pub fn num_paths(&self) -> usize {
+        self.subnet_paths.len()
+    }
+
+    /// Trainable tree logits.
+    pub fn tree_logits(&self) -> &[f32] {
+        &self.logits[..self.num_trees()]
+    }
+
+    /// Trainable path logits.
+    pub fn path_logits(&self) -> &[f32] {
+        &self.logits[self.num_trees()..]
+    }
+
+    /// Replaces every logit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length is not the number of trees / paths.
+    pub fn set_logits(&mut self, tree: &[f32], path: &[f32]) {
+        let (t, p) = self.logits.split_at_mut(self.net_trees.len());
+        t.copy_from_slice(tree);
+        p.copy_from_slice(path);
+    }
+
+    /// The noise added to the tree logits.
+    pub fn tree_noise(&self) -> &[f32] {
+        &self.noise[..self.num_trees()]
+    }
+
+    /// The noise added to the path logits.
+    pub fn path_noise(&self) -> &[f32] {
+        &self.noise[self.num_trees()..]
+    }
+
+    /// Draws fresh Gumbel(0, 1) noise for every logit of a group with two
+    /// or more candidates, trees first, in index order.
+    pub fn sample_noise<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        let (tree, path) = self.noise.split_at_mut(self.net_trees.len());
+        for (groups, noise) in [(&self.net_trees, tree), (&self.subnet_paths, path)] {
+            for g in 0..groups.num_segments() {
+                let r = groups.segment(g);
+                if r.len() >= 2 {
+                    gumbel::fill_gumbel(rng, &mut noise[r]);
+                }
+            }
+        }
+    }
+
+    /// The softmax temperature `τ` of the next pass.
+    pub fn temperature(&self) -> f32 {
+        self.temperature
+    }
+
+    /// Sets the softmax temperature `τ` of the next pass.
+    pub fn set_temperature(&mut self, temperature: f32) {
+        self.temperature = temperature;
+    }
+
+    /// Tree probabilities `q` of the last pass.
+    pub fn q(&self) -> &[f32] {
+        &self.prob[..self.num_trees()]
+    }
+
+    /// Path probabilities `p` of the last pass.
+    pub fn p(&self) -> &[f32] {
+        &self.prob[self.num_trees()..]
+    }
+
+    /// Expected demand `d_e` of each edge.
+    pub fn demand(&self) -> &[f32] {
+        &self.demand
+    }
+
+    /// Expected wirelength `Σ qp·WL`.
+    pub fn wl_cost(&self) -> f32 {
+        self.wl_cost
+    }
+
+    /// Expected via cost `√L · Σ qp·TP`.
+    pub fn via_cost(&self) -> f32 {
+        self.via_cost
+    }
+
+    /// Expected overflow `Σ_e f((d_e − cap_e)/s)`.
+    pub fn overflow_cost(&self) -> f32 {
+        self.overflow_cost
+    }
+
+    /// The weighted total of the three costs.
+    pub fn loss(&self) -> f32 {
+        self.loss
+    }
+
+    /// `∂loss/∂` tree logits of the last [`Self::backward`].
+    pub fn tree_grad(&self) -> &[f32] {
+        &self.grad[..self.num_trees()]
+    }
+
+    /// `∂loss/∂` path logits of the last [`Self::backward`].
+    pub fn path_grad(&self) -> &[f32] {
+        &self.grad[self.num_trees()..]
+    }
+
+    /// Every logit (trees, then paths) with its gradient — what one
+    /// [`crate::Adam::step`] updates.
+    pub fn logits_and_grads(&mut self) -> (&mut [f32], &[f32]) {
+        (&mut self.logits, &self.grad)
+    }
+
+    /// Bytes held by the value and gradient buffers — the "device memory"
+    /// figure of the scalability study (Fig. 5b analogue).
+    pub fn bytes(&self) -> usize {
+        let f32s = self.logits.len()
+            + self.noise.len()
+            + self.prob.len()
+            + self.via_pressure.len()
+            + self.demand.len()
+            + self.seed.len()
+            + self.cell_grad.len()
+            + self.grad.len();
+        4 * f32s + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
+    }
+
+    /// A forward pass, returning `(loss, overflow, wirelength, via)`.
+    pub fn evaluate(&mut self) -> (f32, f32, f32, f32) {
+        self.forward();
+        (self.loss, self.overflow_cost, self.wl_cost, self.via_cost)
+    }
+
+    /// `q` and `p` at the current temperature **without** noise — all the
+    /// discrete read-out needs. Leaves every other value as it was.
+    pub fn probabilities(&mut self) {
+        let inv_tau = 1.0 / self.temperature;
+        let trees = self.net_trees.len();
+        let (w_tree, w_path) = self.logits.split_at(trees);
+        let (q, p) = self.prob.split_at_mut(trees);
+        softmax_groups(&self.net_trees, w_tree, None, inv_tau, &mut self.scratch, q);
+        softmax_groups(
+            &self.subnet_paths,
+            w_path,
+            None,
+            inv_tau,
+            &mut self.scratch,
+            p,
+        );
+    }
+
+    /// Computes every value from the current logits, noise and
+    /// temperature, and the backward seed.
+    pub fn forward(&mut self) {
+        let inv_tau = 1.0 / self.temperature;
+        let trees = self.net_trees.len();
+        let (q, p) = self.prob.split_at_mut(trees);
+        let (w_tree, w_path) = self.logits.split_at(trees);
+        let (noise_tree, noise_path) = self.noise.split_at(trees);
+        let scratch = &mut self.scratch;
+        softmax_groups(
+            &self.net_trees,
+            w_tree,
+            Some(noise_tree),
+            inv_tau,
+            scratch,
+            q,
+        );
+
+        self.via_pressure.fill(0.0);
+        let (mut wl, mut turns) = (0.0f64, 0.0f64);
+        for s in 0..self.subnet_paths.num_segments() {
+            let group = self.subnet_paths.segment(s);
+            if group.len() >= 2 {
+                softmax_group(
+                    &w_path[group.clone()],
+                    Some(&noise_path[group.clone()]),
+                    inv_tau,
+                    scratch,
+                    &mut p[group.clone()],
+                );
+            }
+            let q_tree = q[self.subnet_tree[s] as usize];
+            for i in group {
+                let mass = p[i] * q_tree;
+                wl += f64::from(mass * self.path_wl[i]);
+                turns += f64::from(mass * self.path_turns[i]);
+                for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
+                    self.diff[low as usize] += f64::from(mass);
+                    self.diff[high as usize] -= f64::from(mass);
+                }
+                for &c in &self.via_cells[self.path_vias.segment(i)] {
+                    self.via_pressure[c as usize] += mass;
+                }
+            }
+        }
+
+        let overflow = match self.terms.activation {
+            Activation::Relu => self.scan_edges(|x| Activation::Relu.eval_grad(x)),
+            Activation::Sigmoid => self.scan_edges(|x| Activation::Sigmoid.eval_grad(x)),
+            Activation::LeakyRelu => self.scan_edges(|x| Activation::LeakyRelu.eval_grad(x)),
+            Activation::Exp => self.scan_edges(|x| Activation::Exp.eval_grad(x)),
+            Activation::Celu => self.scan_edges(|x| Activation::Celu.eval_grad(x)),
+        };
+        self.diff.fill(0.0);
+
+        let via = f64::from(self.terms.sqrt_layers) * turns;
+        self.wl_cost = wl as f32;
+        self.via_cost = via as f32;
+        self.overflow_cost = overflow as f32;
+        self.loss = (f64::from(self.terms.overflow) * overflow
+            + f64::from(self.terms.via) * via
+            + f64::from(self.terms.wirelength) * wl) as f32;
+    }
+
+    /// Scans the difference array into wire demand and visits every edge
+    /// once: total demand, activation, backward seed. Returns `Σ f`.
+    /// Generic over the activation so each variant gets a loop of its own.
+    fn scan_edges(&mut self, activation: impl Fn(f32) -> (f32, f32)) -> f64 {
+        let (width, height) = (self.width, self.height);
+        let cells = width * height;
+        let h_edges = (width - 1) * height;
+        let inv_scale = 1.0 / self.terms.overflow_scale;
+        let seed_scale = self.terms.overflow * inv_scale;
+        let (half_beta, vp, capacity) = (&self.half_beta, &self.via_pressure, &self.capacity);
+        let (demand, seed) = (&mut self.demand, &mut self.seed);
+        let mut overflow = 0.0f64;
+        let mut visit = |e: usize, wire: f64, a: usize, b: usize| {
+            let d = wire as f32 + half_beta[a] * vp[a] + half_beta[b] * vp[b];
+            demand[e] = d;
+            let (f, slope) = activation((d - capacity[e]) * inv_scale);
+            seed[e] = seed_scale * slope;
+            overflow += f64::from(f);
+        };
+
+        let (diff_h, diff_v) = self.diff.split_at_mut(cells);
+        for y in 0..height {
+            let mut wire = 0.0f64;
+            for x in 0..width - 1 {
+                let c = y * width + x;
+                wire += diff_h[c];
+                visit(y * (width - 1) + x, wire, c, c + 1);
+            }
+        }
+        // down the columns, all columns of a row at a time: slot `c` holds
+        // the running sum of its column once row `y − 1` has pushed it on
+        for c in 0..width * (height - 1) {
+            let wire = diff_v[c];
+            diff_v[c + width] += wire;
+            visit(h_edges + c, wire, c, c + width);
+        }
+        overflow
+    }
+
+    /// Computes `∂loss/∂logits` of the last [`Self::forward`].
+    pub fn backward(&mut self) {
+        let (width, height) = (self.width, self.height);
+        let cells = width * height;
+        let h_edges = (width - 1) * height;
+
+        // prefix sums of the seed in the slot layout of `diff`, and the
+        // seed mass around every cell
+        let cell_grad = &mut self.cell_grad;
+        cell_grad.fill(0.0);
+        let (prefix_h, prefix_v) = self.prefix.split_at_mut(cells);
+        for y in 0..height {
+            let mut sum = 0.0f64;
+            for x in 0..width - 1 {
+                let c = y * width + x;
+                let s = self.seed[y * (width - 1) + x];
+                prefix_h[c] = sum;
+                sum += f64::from(s);
+                cell_grad[c] += s;
+                cell_grad[c + 1] += s;
+            }
+            prefix_h[y * width + width - 1] = sum;
+        }
+        prefix_v[..width].fill(0.0);
+        for c in 0..width * (height - 1) {
+            let s = self.seed[h_edges + c];
+            prefix_v[c + width] = prefix_v[c] + f64::from(s);
+            cell_grad[c] += s;
+            cell_grad[c + width] += s;
+        }
+        for (g, half_beta) in cell_grad.iter_mut().zip(&self.half_beta) {
+            *g *= half_beta;
+        }
+
+        let inv_tau = 1.0 / self.temperature;
+        let trees = self.net_trees.len();
+        let (q, p) = self.prob.split_at(trees);
+        let (grad_tree, grad_path) = self.grad.split_at_mut(trees);
+        let (prefix, cell_grad) = (&self.prefix, &self.cell_grad);
+        let turn_weight = self.terms.via * self.terms.sqrt_layers;
+        // ∂loss/∂qp_i
+        let mass_grad = |i: usize| -> f64 {
+            let mut g = f64::from(
+                self.terms.wirelength * self.path_wl[i] + turn_weight * self.path_turns[i],
+            );
+            for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
+                g += prefix[high as usize] - prefix[low as usize];
+            }
+            for &c in &self.via_cells[self.path_vias.segment(i)] {
+                g += f64::from(cell_grad[c as usize]);
+            }
+            g
+        };
+
+        // The softmax backward of a group is `prob_i · (g_i − Σ_k prob_k·g_k)`.
+        // Late in training one candidate has nearly all the mass, the sum
+        // is nearly its `g`, and `Σ prob` is 1 only to rounding: taken
+        // literally the difference is rounding noise as large as the
+        // gradient. So every `g` is taken relative to that of the most
+        // probable candidate, in f64: the differences are exact, and the
+        // mean is a sum over the *small* probabilities only.
+        self.tree_mass_grad.fill(0.0);
+        for s in 0..self.subnet_paths.num_segments() {
+            let group = self.subnet_paths.segment(s);
+            let tree = self.subnet_tree[s] as usize;
+            let Some(top) = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b])) else {
+                continue;
+            };
+            let top_grad = mass_grad(top);
+            let mut mean = 0.0f64;
+            for i in group.clone().filter(|&i| i != top) {
+                let g = mass_grad(i) - top_grad;
+                grad_path[i] = g as f32;
+                mean += g * f64::from(p[i]);
+            }
+            // Σ_k p_k·g_k — all of `g` when the one path has p = 1
+            self.tree_mass_grad[tree] += top_grad + mean;
+            if group.len() >= 2 {
+                grad_path[top] = 0.0;
+                let scale = q[tree] * inv_tau;
+                for i in group {
+                    grad_path[i] = scale * p[i] * (grad_path[i] - mean as f32);
+                }
+            }
+        }
+
+        for n in 0..self.net_trees.num_segments() {
+            let group = self.net_trees.segment(n);
+            if group.len() < 2 {
+                continue;
+            }
+            let top = group.clone().max_by(|&a, &b| q[a].total_cmp(&q[b]));
+            let top_grad = self.tree_mass_grad[top.expect("two or more trees")];
+            let relative = |t: usize| self.tree_mass_grad[t] - top_grad;
+            let mean: f64 = group.clone().map(|t| f64::from(q[t]) * relative(t)).sum();
+            for t in group {
+                grad_tree[t] = inv_tau * q[t] * (relative(t) - mean) as f32;
+            }
+        }
+    }
+}
+
+/// [`softmax_group`] over every group of two or more candidates; the
+/// probability of a lone candidate stays the 1 it was initialised to.
+fn softmax_groups(
+    groups: &Segments,
+    w: &[f32],
+    noise: Option<&[f32]>,
+    inv_tau: f32,
+    scratch: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    for g in 0..groups.num_segments() {
+        let r = groups.segment(g);
+        if r.len() >= 2 {
+            let noise = noise.map(|n| &n[r.clone()]);
+            softmax_group(&w[r.clone()], noise, inv_tau, scratch, &mut out[r]);
+        }
+    }
+}
+
+/// `out = softmax((w + noise) / τ)` over one candidate group.
+fn softmax_group(
+    w: &[f32],
+    noise: Option<&[f32]>,
+    inv_tau: f32,
+    scratch: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    scratch.clear();
+    match noise {
+        Some(noise) => scratch.extend(w.iter().zip(noise).map(|(w, g)| (w + g) * inv_tau)),
+        None => scratch.extend(w.iter().map(|w| w * inv_tau)),
+    }
+    kernels::softmax_into(scratch, out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    type Cell = (usize, usize);
+
+    /// A random forest-shaped problem on a small grid, with each path's
+    /// edges listed one by one for the naive reference.
+    struct Problem {
+        width: usize,
+        height: usize,
+        net_tree_offsets: Vec<u32>,
+        subnet_tree: Vec<u32>,
+        subnet_path_offsets: Vec<u32>,
+        path_wl: Vec<f32>,
+        path_turns: Vec<f32>,
+        path_run_offsets: Vec<u32>,
+        path_runs: Vec<(u32, u32)>,
+        path_via_offsets: Vec<u32>,
+        path_via_cells: Vec<u32>,
+        capacity: Vec<f32>,
+        beta: Vec<f32>,
+        path_edges: Vec<Vec<usize>>,
+    }
+
+    impl Problem {
+        /// 1–4 nets of 1–3 trees of 0–3 sub-nets; a sub-net between two
+        /// random cells has its straight path or both L-shapes and, half
+        /// the time, a detour that doubles back over its own first leg.
+        fn random(seed: u64) -> Problem {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (width, height) = (rng.gen_range(1..7usize), rng.gen_range(1..7usize));
+            let edges = (width - 1) * height + width * (height - 1);
+            let mut p = Problem {
+                width,
+                height,
+                net_tree_offsets: vec![0],
+                subnet_tree: vec![],
+                subnet_path_offsets: vec![0],
+                path_wl: vec![],
+                path_turns: vec![],
+                path_run_offsets: vec![0],
+                path_runs: vec![],
+                path_via_offsets: vec![0],
+                path_via_cells: vec![],
+                capacity: (0..edges).map(|_| rng.gen_range(0.0..2.0)).collect(),
+                beta: (0..width * height)
+                    .map(|_| rng.gen_range(0.0..2.0))
+                    .collect(),
+                path_edges: vec![],
+            };
+            let mut trees = 0u32;
+            for _net in 0..rng.gen_range(1..5) {
+                for _tree in 0..rng.gen_range(1..4) {
+                    for _subnet in 0..rng.gen_range(0..4) {
+                        p.subnet_tree.push(trees);
+                        let a = (rng.gen_range(0..width), rng.gen_range(0..height));
+                        let b = (rng.gen_range(0..width), rng.gen_range(0..height));
+                        p.push_path(&[a, (b.0, a.1), b]);
+                        if a.0 != b.0 && a.1 != b.1 {
+                            p.push_path(&[a, (a.0, b.1), b]);
+                            if rng.gen_range(0..2) == 0 {
+                                p.push_path(&[a, (width - 1, a.1), (b.0, a.1), b]);
+                            }
+                        }
+                        p.subnet_path_offsets.push(p.path_wl.len() as u32);
+                    }
+                    trees += 1;
+                }
+                p.net_tree_offsets.push(trees);
+            }
+            p
+        }
+
+        fn push_path(&mut self, corners: &[Cell]) {
+            let cell = |(x, y): Cell| (y * self.width + x) as u32;
+            let h_edges = (self.width - 1) * self.height;
+            let mut edges = Vec::new();
+            for w in corners.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                if a == b {
+                    continue;
+                }
+                self.path_runs
+                    .push((cell(a).min(cell(b)), cell(a).max(cell(b))));
+                if a.1 == b.1 {
+                    edges.extend((a.0.min(b.0)..a.0.max(b.0)).map(|x| a.1 * (self.width - 1) + x));
+                } else {
+                    edges.extend(
+                        (a.1.min(b.1)..a.1.max(b.1)).map(|y| h_edges + y * self.width + a.0),
+                    );
+                }
+            }
+            let turns_before = self.path_via_cells.len();
+            for w in corners.windows(3) {
+                if w[0] != w[1] && w[1] != w[2] {
+                    self.path_via_cells.push(cell(w[1]));
+                }
+            }
+            self.path_wl.push(edges.len() as f32);
+            self.path_turns
+                .push((self.path_via_cells.len() - turns_before) as f32);
+            self.path_run_offsets.push(self.path_runs.len() as u32);
+            self.path_via_offsets.push(self.path_via_cells.len() as u32);
+            self.path_edges.push(edges);
+        }
+
+        fn shape(&self) -> CostShape<'_> {
+            CostShape {
+                width: self.width,
+                height: self.height,
+                net_tree_offsets: &self.net_tree_offsets,
+                subnet_tree: &self.subnet_tree,
+                subnet_path_offsets: &self.subnet_path_offsets,
+                path_wl: &self.path_wl,
+                path_turns: &self.path_turns,
+                path_run_offsets: &self.path_run_offsets,
+                path_runs: &self.path_runs,
+                path_via_offsets: &self.path_via_offsets,
+                path_via_cells: &self.path_via_cells,
+                capacity: &self.capacity,
+                beta: &self.beta,
+            }
+        }
+
+        fn num_logits(&self) -> usize {
+            *self.net_tree_offsets.last().unwrap() as usize + self.path_wl.len()
+        }
+
+        /// The kernel over this problem with random logits, fresh noise
+        /// and a temperature of ½, 1 or 2.
+        fn model(&self, terms: CostTerms, seed: u64) -> CostModel {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let logits = (0..self.num_logits())
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let mut model = CostModel::new(&self.shape(), terms, logits).unwrap();
+            model.sample_noise(&mut rng);
+            model.set_temperature([0.5, 1.0, 2.0][seed as usize % 3]);
+            model
+        }
+
+        /// Eqs. 9–12 edge by edge in f64 at `logits` and `model`'s noise
+        /// and temperature: `(loss, demand)`.
+        fn reference(
+            &self,
+            terms: &CostTerms,
+            logits: &[f32],
+            model: &CostModel,
+        ) -> (f64, Vec<f64>) {
+            let tau = f64::from(model.temperature());
+            let softmax = |offsets: &[u32], w: &[f32], noise: &[f32]| -> Vec<f64> {
+                let mut out = vec![0.0; w.len()];
+                for g in offsets.windows(2) {
+                    let r = g[0] as usize..g[1] as usize;
+                    let z: Vec<f64> = r
+                        .clone()
+                        .map(|i| (f64::from(w[i]) + f64::from(noise[i])) / tau)
+                        .collect();
+                    let m = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                    let sum: f64 = z.iter().map(|v| (v - m).exp()).sum();
+                    for (i, v) in r.zip(&z) {
+                        out[i] = (v - m).exp() / sum;
+                    }
+                }
+                out
+            };
+            let (w_tree, w_path) = logits.split_at(model.num_trees());
+            let q = softmax(&self.net_tree_offsets, w_tree, model.tree_noise());
+            let p = softmax(&self.subnet_path_offsets, w_path, model.path_noise());
+            let mut demand = vec![0.0f64; self.capacity.len()];
+            let mut vp = vec![0.0f64; self.beta.len()];
+            let (mut wl, mut turns) = (0.0, 0.0);
+            for (i, p_i) in p.iter().enumerate() {
+                let s = self
+                    .subnet_path_offsets
+                    .partition_point(|&o| o as usize <= i)
+                    - 1;
+                let mass = p_i * q[self.subnet_tree[s] as usize];
+                wl += mass * f64::from(self.path_wl[i]);
+                turns += mass * f64::from(self.path_turns[i]);
+                for &e in &self.path_edges[i] {
+                    demand[e] += mass;
+                }
+                let vias = self.path_via_offsets[i] as usize..self.path_via_offsets[i + 1] as usize;
+                for &c in &self.path_via_cells[vias] {
+                    vp[c as usize] += mass;
+                }
+            }
+            let h_edges = (self.width - 1) * self.height;
+            let mut overflow = 0.0;
+            for (e, d) in demand.iter_mut().enumerate() {
+                let (a, b) = if e < h_edges {
+                    let c = e / (self.width - 1) * self.width + e % (self.width - 1);
+                    (c, c + 1)
+                } else {
+                    (e - h_edges, e - h_edges + self.width)
+                };
+                *d += 0.5 * (f64::from(self.beta[a]) * vp[a] + f64::from(self.beta[b]) * vp[b]);
+                let x = (*d - f64::from(self.capacity[e])) / f64::from(terms.overflow_scale);
+                overflow += match terms.activation {
+                    Activation::Relu => x.max(0.0),
+                    Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+                    Activation::LeakyRelu => x.max(0.01 * x),
+                    Activation::Exp => x.min(20.0).exp(),
+                    Activation::Celu => x.max(0.0) + (x.min(0.0).exp() - 1.0),
+                };
+            }
+            let loss = f64::from(terms.overflow) * overflow
+                + f64::from(terms.via * terms.sqrt_layers) * turns
+                + f64::from(terms.wirelength) * wl;
+            (loss, demand)
+        }
+    }
+
+    fn terms(activation: Activation) -> CostTerms {
+        CostTerms {
+            wirelength: 0.5,
+            via: 4.0,
+            overflow: 500.0,
+            sqrt_layers: 5f32.sqrt(),
+            activation,
+            overflow_scale: 2.0,
+        }
+    }
+
+    fn close(a: f64, b: f64, rel: f64) -> bool {
+        (a - b).abs() <= rel * a.abs().max(b.abs()).max(1.0)
+    }
+
+    #[test]
+    fn forward_matches_the_edge_by_edge_reference() {
+        for seed in 0..60 {
+            let problem = Problem::random(seed);
+            let terms = terms(Activation::ALL[seed as usize % 5]);
+            let mut model = problem.model(terms, seed);
+            let (loss, ..) = model.evaluate();
+            let (want, demand) = problem.reference(&terms, &model.logits, &model);
+            assert!(
+                close(f64::from(loss), want, 1e-5),
+                "seed {seed}: {loss} vs {want}"
+            );
+            for (e, (&got, &want)) in model.demand().iter().zip(&demand).enumerate() {
+                assert!(
+                    close(f64::from(got), want, 1e-5),
+                    "seed {seed} edge {e}: {got} vs {want}"
+                );
+            }
+            // a second pass starts from a clean difference array
+            assert_eq!(model.evaluate().0, loss, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn backward_matches_central_differences() {
+        let smooth = [Activation::Sigmoid, Activation::Celu, Activation::Exp];
+        for seed in 0..60 {
+            let problem = Problem::random(seed);
+            let terms = terms(smooth[seed as usize % 3]);
+            let mut model = problem.model(terms, seed);
+            model.forward();
+            model.backward();
+            let logits = model.logits.clone();
+            for j in 0..logits.len() {
+                let (mut up, mut down) = (logits.clone(), logits.clone());
+                up[j] += 1e-3;
+                down[j] -= 1e-3;
+                let want = (problem.reference(&terms, &up, &model).0
+                    - problem.reference(&terms, &down, &model).0)
+                    / f64::from(up[j] - down[j]);
+                assert!(
+                    close(f64::from(model.grad[j]), want, 1e-3),
+                    "seed {seed} logit {j}: {} vs {want}",
+                    model.grad[j]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_candidate_groups_are_constants() {
+        let mut checked = 0;
+        for seed in 0..20 {
+            let problem = Problem::random(seed);
+            let mut model = problem.model(terms(Activation::Sigmoid), seed);
+            model.noise.fill(0.0);
+            let trees = model.num_trees();
+            let single = |offsets: &[u32], base: usize| -> Vec<usize> {
+                let lone = offsets.windows(2).filter(|g| g[1] - g[0] == 1);
+                lone.map(|g| base + g[0] as usize).collect()
+            };
+            let mut constants = single(&problem.net_tree_offsets, 0);
+            constants.extend(single(&problem.subnet_path_offsets, trees));
+            let before: Vec<u32> = model.logits.iter().map(|w| w.to_bits()).collect();
+            let mut adam = crate::Adam::new(before.len(), 0.3);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                model.sample_noise(&mut rng);
+                model.forward();
+                model.backward();
+                let (w, g) = model.logits_and_grads();
+                adam.step(w, g);
+            }
+            for &i in &constants {
+                assert_eq!(model.prob[i], 1.0, "seed {seed} entry {i}");
+                assert_eq!(model.noise[i], 0.0, "seed {seed} entry {i}");
+                assert_eq!(model.grad[i], 0.0, "seed {seed} entry {i}");
+                assert_eq!(
+                    model.logits[i].to_bits(),
+                    before[i],
+                    "seed {seed} entry {i}"
+                );
+            }
+            checked += constants.len();
+        }
+        assert!(checked > 50, "only {checked} one-candidate groups");
+    }
+
+    #[test]
+    fn probabilities_are_the_noise_free_forward_probabilities() {
+        let has_choice = |offsets: &[u32]| offsets.windows(2).any(|g| g[1] - g[0] >= 2);
+        let problem = (0..)
+            .map(Problem::random)
+            .find(|p| has_choice(&p.net_tree_offsets) && has_choice(&p.subnet_path_offsets))
+            .expect("some seed has a choice of trees and of paths");
+        let mut noisy = problem.model(terms(Activation::Sigmoid), 7);
+        let mut quiet = noisy.clone();
+        quiet.noise.fill(0.0);
+        quiet.forward();
+        noisy.forward();
+        assert_ne!(noisy.q(), quiet.q(), "the noise changed nothing");
+        assert_ne!(noisy.p(), quiet.p(), "the noise changed nothing");
+        let demand = noisy.demand().to_vec();
+        noisy.probabilities();
+        assert_eq!(noisy.q(), quiet.q());
+        assert_eq!(noisy.p(), quiet.p());
+        assert_eq!(
+            noisy.demand(),
+            &demand[..],
+            "the read-out computes nothing else"
+        );
+    }
+
+    #[test]
+    fn malformed_shapes_are_rejected() {
+        // 3×2 cells, one net, one tree, one sub-net, one L from 0 to 5
+        let good = CostShape {
+            width: 3,
+            height: 2,
+            net_tree_offsets: &[0, 1],
+            subnet_tree: &[0],
+            subnet_path_offsets: &[0, 1],
+            path_wl: &[3.0],
+            path_turns: &[1.0],
+            path_run_offsets: &[0, 2],
+            path_runs: &[(0, 2), (2, 5)],
+            path_via_offsets: &[0, 1],
+            path_via_cells: &[2],
+            capacity: &[1.0; 7],
+            beta: &[0.5; 6],
+        };
+        let build =
+            |shape: CostShape<'_>| CostModel::new(&shape, terms(Activation::Relu), vec![0.0; 2]);
+        assert!(build(good).is_ok());
+
+        for (runs, why) in [
+            ([(2, 2), (2, 5)], "empty"),
+            ([(2, 0), (2, 5)], "reversed"),
+            ([(0, 2), (2, 6)], "off the grid"),
+            ([(0, 4), (2, 5)], "diagonal"),
+            ([(2, 3), (2, 5)], "wraps from one row into the next"),
+        ] {
+            let bad = CostShape {
+                path_runs: &runs,
+                ..good
+            };
+            assert!(build(bad).is_err(), "a run that is {why}");
+        }
+        let bad = CostShape {
+            capacity: &[1.0; 6],
+            ..good
+        };
+        assert!(build(bad).is_err(), "one capacity short");
+        let bad = CostShape {
+            net_tree_offsets: &[1, 0],
+            ..good
+        };
+        assert!(build(bad).is_err(), "offsets that are not CSR");
+        let bad = CostShape {
+            subnet_tree: &[1],
+            ..good
+        };
+        assert!(
+            build(bad).is_err(),
+            "a sub-net of a tree that does not exist"
+        );
+        let bad = CostShape {
+            path_via_cells: &[6],
+            ..good
+        };
+        assert!(build(bad).is_err(), "a turn off the grid");
+        let bad = CostShape {
+            path_run_offsets: &[0, 1],
+            ..good
+        };
+        assert!(build(bad).is_err(), "a run no path owns");
+        assert!(
+            CostModel::new(&good, terms(Activation::Relu), vec![0.0; 3]).is_err(),
+            "one logit too many"
+        );
+    }
+}

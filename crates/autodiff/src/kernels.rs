@@ -1,50 +1,24 @@
-//! Chunked (8-lane) f32 kernels — the SIMD layer.
+//! Chunked (8-lane) f32 kernels: the group softmax and dot product the
+//! expected-cost kernel ([`crate::cost`]) calls, the fused Adam update,
+//! and the gather / scatter-add pair the benchmark times per element.
 //!
-//! The DGR paper runs its tensor ops as wide CUDA kernels; this module is
-//! the CPU analogue: every hot loop is written as an explicit 8-lane
-//! chunked pass (`chunks_exact(8)` bodies LLVM auto-vectorizes to SSE/AVX
-//! on stable Rust — no nightly features, no intrinsics) with a scalar
-//! tail. Reductions keep **8 independent lane accumulators** that are
-//! folded in a fixed pairwise order, so results are deterministic but
-//! differ from the sequential sum in the last ULP whenever more than one
-//! chunk participates.
+//! Every hot loop is written as an explicit 8-lane chunked pass
+//! (`chunks_exact(8)` bodies LLVM auto-vectorizes to SSE/AVX on stable
+//! Rust — no nightly features, no intrinsics) with a scalar tail.
+//! Reductions keep **8 independent lane accumulators** that are folded in
+//! a fixed pairwise order, so results are deterministic but differ from
+//! the sequential sum in the last ULP whenever more than one chunk
+//! participates.
 //!
-//! The sequential loops the reductions replaced stay as [`sum_scalar`],
-//! [`dot_scalar`] and [`softmax_into_scalar`]: nothing executes them, they
-//! are the reference `tests/kernel_parity.rs` checks [`sum`], [`dot`] and
-//! [`softmax_into`] against (agreement up to ULP-scale error; [`max`] is
-//! associative and bit-identical to its sequential fold for finite
-//! inputs). Pure elementwise passes (axpy, gather, fused activation maps,
-//! fused multiply backward) carry no reduction and need no reference.
-
-use crate::activation::Activation;
+//! The sequential loops the reductions replaced stay as [`dot_scalar`]
+//! and [`softmax_into_scalar`]: nothing executes them, they are the
+//! reference `tests/kernel_parity.rs` checks [`dot`] and [`softmax_into`]
+//! against (agreement up to ULP-scale error; [`max`] is associative and
+//! bit-identical to its sequential fold for finite inputs).
 
 const LANES: usize = 8;
 
 // --- reductions ------------------------------------------------------------
-
-/// `Σ x[i]`, lane-striped: 8 accumulators folded pairwise, scalar tail.
-#[inline]
-pub fn sum(x: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut it = x.chunks_exact(LANES);
-    for c in &mut it {
-        for (a, &v) in acc.iter_mut().zip(c) {
-            *a += v;
-        }
-    }
-    let mut s = fold_lanes(&acc);
-    for &v in it.remainder() {
-        s += v;
-    }
-    s
-}
-
-/// Sequential reference sum.
-#[inline]
-pub fn sum_scalar(x: &[f32]) -> f32 {
-    x.iter().sum()
-}
 
 /// `Σ x[i]·w[i]`, lane-striped (8 accumulators, pairwise fold, scalar
 /// tail).
@@ -160,94 +134,7 @@ pub fn seg_softmax_bwd(p: &[f32], gout: &[f32], gx: &mut [f32]) {
     }
 }
 
-// --- elementwise passes ----------------------------------------------------
-//
-// No reduction is involved; the explicit slice-iterator bodies exist so
-// LLVM vectorizes them without bounds checks.
-
-/// `out[i] = a[i] + b[i]`.
-pub fn add2(out: &mut [f32], a: &[f32], b: &[f32]) {
-    for ((o, &u), &v) in out.iter_mut().zip(a).zip(b) {
-        *o = u + v;
-    }
-}
-
-/// `out[i] = a[i] · b[i]`.
-pub fn mul2(out: &mut [f32], a: &[f32], b: &[f32]) {
-    for ((o, &u), &v) in out.iter_mut().zip(a).zip(b) {
-        *o = u * v;
-    }
-}
-
-/// `out[i] = k · x[i]`.
-pub fn scale_into(out: &mut [f32], x: &[f32], k: f32) {
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = k * v;
-    }
-}
-
-/// `dst[i] += g` — the SumAll backward broadcast.
-pub fn add_scalar(dst: &mut [f32], g: f32) {
-    for d in dst.iter_mut() {
-        *d += g;
-    }
-}
-
-/// `dst[i] += k·src[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ.
-#[inline]
-pub fn axpy(dst: &mut [f32], src: &[f32], k: f32) {
-    assert_eq!(dst.len(), src.len(), "axpy operands disagree");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += k * s;
-    }
-}
-
-/// Fused Add backward, one read of `gout` feeding both operands:
-/// `ga[i] += gout[i]` and `gb[i] += gout[i]`.
-pub fn add_bwd(ga: &mut [f32], gb: &mut [f32], gout: &[f32]) {
-    for ((a, b), &g) in ga.iter_mut().zip(gb.iter_mut()).zip(gout) {
-        *a += g;
-        *b += g;
-    }
-}
-
-/// Fused multiply backward, both operands in one read of `gout`:
-/// `ga[i] += gout[i]·xb[i]` and `gb[i] += gout[i]·xa[i]`.
-///
-/// # Panics
-///
-/// Panics if any slice length differs.
-pub fn mul_bwd(ga: &mut [f32], gb: &mut [f32], gout: &[f32], xa: &[f32], xb: &[f32]) {
-    let n = gout.len();
-    assert!(
-        ga.len() == n && gb.len() == n && xa.len() == n && xb.len() == n,
-        "mul_bwd operands disagree"
-    );
-    for i in 0..n {
-        let g = gout[i];
-        ga[i] += g * xb[i];
-        gb[i] += g * xa[i];
-    }
-}
-
-/// Fused multiply backward for `x·x`: `ga[i] += 2·gout[i]·xa[i]`.
-pub fn mul_bwd_same(ga: &mut [f32], gout: &[f32], xa: &[f32]) {
-    for ((g, &go), &x) in ga.iter_mut().zip(gout).zip(xa) {
-        *g += 2.0 * go * x;
-    }
-}
-
-/// `gx[i] += gout[i]·c[i]` — the MulConst backward / generic three-slice
-/// fused multiply-accumulate.
-pub fn fma_accum(gx: &mut [f32], gout: &[f32], c: &[f32]) {
-    for ((g, &go), &cv) in gx.iter_mut().zip(gout).zip(c) {
-        *g += go * cv;
-    }
-}
+// --- index-driven passes ---------------------------------------------------
 
 /// `out[i] = x[idx[i]]` — the gather forward.
 pub fn gather_fwd(out: &mut [f32], x: &[f32], idx: &[u32]) {
@@ -256,16 +143,7 @@ pub fn gather_fwd(out: &mut [f32], x: &[f32], idx: &[u32]) {
     }
 }
 
-/// `gx[j] += gout[idx[j]]` — the scatter-add backward (a gather-accumulate
-/// over the *output* cotangent; elementwise in `j`).
-pub fn scatter_bwd(gx: &mut [f32], gout: &[f32], idx: &[u32]) {
-    for (g, &i) in gx.iter_mut().zip(idx) {
-        *g += gout[i as usize];
-    }
-}
-
-/// `out[idx[i]] += x[i]` — the sequential scatter-add body (also the
-/// per-chunk kernel of the parallel scatter). The index stream is
+/// `out[idx[i]] += x[i]` — the scatter-add. The index stream is
 /// unrolled by 8 to hide load latency; entries still land in each output
 /// bin in index order, so the result is bit-identical to the plain loop.
 pub fn scatter_add(out: &mut [f32], idx: &[u32], x: &[f32]) {
@@ -314,44 +192,6 @@ pub fn adam_update(
     }
 }
 
-// --- fused activation kernels ----------------------------------------------
-
-/// `out[i] = kind.eval(x[i])` with the variant match hoisted out of the
-/// loop so each arm compiles to a dedicated vectorizable pass.
-pub fn activate_fwd(kind: Activation, x: &[f32], out: &mut [f32]) {
-    #[inline(always)]
-    fn map(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = f(v);
-        }
-    }
-    match kind {
-        Activation::Relu => map(x, out, |v| Activation::Relu.eval(v)),
-        Activation::Sigmoid => map(x, out, |v| Activation::Sigmoid.eval(v)),
-        Activation::LeakyRelu => map(x, out, |v| Activation::LeakyRelu.eval(v)),
-        Activation::Exp => map(x, out, |v| Activation::Exp.eval(v)),
-        Activation::Celu => map(x, out, |v| Activation::Celu.eval(v)),
-    }
-}
-
-/// Fused activation backward: `gx[i] += gout[i]·kind.grad(x[i])` in one
-/// pass per variant (one read of `x` and `gout`, one write of `gx`).
-pub fn activate_bwd(kind: Activation, x: &[f32], gout: &[f32], gx: &mut [f32]) {
-    #[inline(always)]
-    fn fused(x: &[f32], gout: &[f32], gx: &mut [f32], df: impl Fn(f32) -> f32) {
-        for ((g, &go), &v) in gx.iter_mut().zip(gout).zip(x) {
-            *g += go * df(v);
-        }
-    }
-    match kind {
-        Activation::Relu => fused(x, gout, gx, |v| Activation::Relu.grad(v)),
-        Activation::Sigmoid => fused(x, gout, gx, |v| Activation::Sigmoid.grad(v)),
-        Activation::LeakyRelu => fused(x, gout, gx, |v| Activation::LeakyRelu.grad(v)),
-        Activation::Exp => fused(x, gout, gx, |v| Activation::Exp.grad(v)),
-        Activation::Celu => fused(x, gout, gx, |v| Activation::Celu.grad(v)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,11 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_sum_dot_match_scalar() {
+    fn chunked_dot_matches_scalar() {
         let x: Vec<f32> = (0..1003).map(|i| ((i % 37) as f32 - 18.0) * 0.37).collect();
         let w: Vec<f32> = (0..1003).map(|i| ((i % 11) as f32) * 0.21).collect();
-        let (sc, ss) = (sum(&x), sum_scalar(&x));
-        assert!(ulp_close(sc, ss, ss), "{sc} vs {ss}");
         let (dc, ds) = (dot(&x, &w), dot_scalar(&x, &w));
         assert!(ulp_close(dc, ds, ds), "{dc} vs {ds}");
     }
@@ -376,7 +214,6 @@ mod tests {
         // chunked reductions degrade to the exact sequential order.
         for n in 0..8 {
             let x: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-            assert_eq!(sum(&x), sum_scalar(&x), "n={n}");
             assert_eq!(dot(&x, &x), dot_scalar(&x, &x), "n={n}");
         }
     }
@@ -403,17 +240,22 @@ mod tests {
     }
 
     #[test]
-    fn fused_mul_backward_matches_reference() {
-        let n = 37;
-        let xa: Vec<f32> = (0..n).map(|i| (i as f32) * 0.3 - 2.0).collect();
-        let xb: Vec<f32> = (0..n).map(|i| 1.5 - (i as f32) * 0.1).collect();
-        let gout: Vec<f32> = (0..n).map(|i| ((i % 5) as f32) * 0.25).collect();
-        let mut ga = vec![0.5f32; n];
-        let mut gb = vec![-0.5f32; n];
-        mul_bwd(&mut ga, &mut gb, &gout, &xa, &xb);
-        for i in 0..n {
-            assert_eq!(ga[i], 0.5 + gout[i] * xb[i]);
-            assert_eq!(gb[i], -0.5 + gout[i] * xa[i]);
+    fn softmax_is_monotone_and_shift_invariant() {
+        let mut a = vec![0.0; 4];
+        softmax_into(&[1.0, 2.0, 3.0, 4.0], &mut a);
+        assert!(a.windows(2).all(|w| w[0] < w[1]));
+        let mut b = vec![0.0; 4];
+        softmax_into(&[101.0, 102.0, 103.0, 104.0], &mut b);
+        for (x, y) in a.iter().zip(&b) {
+            assert!((x - y).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn softmax_handles_large_logits() {
+        let mut out = vec![0.0; 2];
+        softmax_into(&[1000.0, 0.0], &mut out);
+        assert!((out[0] - 1.0).abs() < 1e-6);
+        assert!(out.iter().all(|v| v.is_finite()));
     }
 }

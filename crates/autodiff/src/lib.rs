@@ -1,65 +1,41 @@
 #![warn(missing_docs)]
 
-//! A small reverse-mode automatic-differentiation engine.
+//! The differentiable substrate of the router: the expected cost of
+//! Eqs. 9–12 and its gradient.
 //!
 //! The DGR paper implements its differentiable solver in PyTorch and runs
 //! it on a GPU. Mature GPU autodiff does not exist in the offline Rust
-//! ecosystem, so this crate is the **substitution substrate**: it provides
-//! exactly the tensor operations DGR's expected-cost computation needs —
-//! on dense `f32` buffers, with a tape of statically-shaped ops, and
-//! multi-threaded CPU kernels standing in for CUDA streams:
+//! ecosystem, and the expected cost is one fixed chain — group softmax →
+//! joint mass → demand → activation — so instead of a general op tape
+//! this crate provides that chain as **one fused kernel with a
+//! hand-derived backward pass**:
 //!
-//! * [`Graph`] — the op tape; build once, then [`Graph::forward`] /
-//!   [`Graph::backward`] every iteration,
-//! * segmented [(Gumbel-)softmax](Graph::segmented_softmax) over CSR
-//!   groups (one group per net / per sub-net),
-//! * [`gather`](Graph::gather) / [`scatter_add`](Graph::scatter_add) —
-//!   the sparse demand-accumulation kernels,
+//! * [`CostModel`] — the kernel: [`CostModel::forward`],
+//!   [`CostModel::backward`], and the noise-free
+//!   [`CostModel::probabilities`] the discrete read-out needs (see
+//!   [`cost`] for the phases and the determinism contract),
 //! * [`Activation`] — ReLU / sigmoid / LeakyReLU / exp / CELU, the Fig. 6
 //!   overflow-cost family,
 //! * [`Adam`] — the optimizer used by the paper,
 //! * [`gumbel::fill_gumbel`] — Gumbel(0, 1) noise for the stochastic
-//!   softmax.
-//!
-//! # Examples
-//!
-//! ```
-//! use dgr_autodiff::{Adam, Graph, Segments};
-//! use std::sync::Arc;
-//!
-//! // minimize ‖softmax(w) − [0, 1]‖ via a toy quadratic-free objective:
-//! // loss = Σ softmax(w) · c with c = [1, 0] pushes mass onto index 1.
-//! let mut g = Graph::new();
-//! let w = g.param(vec![0.0, 0.0]);
-//! let seg = Arc::new(Segments::from_offsets(vec![0, 2])?);
-//! let p = g.segmented_softmax(w, seg);
-//! let loss = g.dot_const(p, Arc::new(vec![1.0, 0.0]));
-//! let mut adam = Adam::new(&g, 0.1);
-//! for _ in 0..100 {
-//!     g.forward();
-//!     g.backward(loss);
-//!     adam.step(&mut g);
-//! }
-//! g.forward();
-//! assert!(g.value(p)[1] > 0.9);
-//! # Ok::<(), dgr_autodiff::AutodiffError>(())
-//! ```
+//!   softmax,
+//! * [`parallel`] — the worker pool the route pipeline's index-pure
+//!   fan-outs run on (the kernel itself runs on the calling thread).
 
 pub mod activation;
 pub mod adam;
-pub mod graph;
+pub mod cost;
 pub mod gumbel;
 pub mod kernels;
-pub mod ops;
 pub mod parallel;
 pub mod segments;
 
 pub use activation::Activation;
 pub use adam::Adam;
-pub use graph::{Graph, VarId};
+pub use cost::{CostModel, CostShape, CostTerms};
 pub use segments::Segments;
 
-/// Errors produced while assembling or executing a graph.
+/// Errors produced while assembling a [`CostModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AutodiffError {
     /// CSR segment offsets were empty, non-monotone, or did not start at 0.
@@ -78,6 +54,14 @@ pub enum AutodiffError {
         /// Length of the indexed buffer.
         len: usize,
     },
+    /// A run's end cells were not the two ends of a non-empty straight
+    /// segment.
+    BadRun {
+        /// The lower end cell.
+        low: u32,
+        /// The higher end cell.
+        high: u32,
+    },
 }
 
 impl std::fmt::Display for AutodiffError {
@@ -89,6 +73,9 @@ impl std::fmt::Display for AutodiffError {
             }
             AutodiffError::IndexOutOfRange { index, len } => {
                 write!(f, "index {index} out of range for length {len}")
+            }
+            AutodiffError::BadRun { low, high } => {
+                write!(f, "cells {low} and {high} do not bound a straight run")
             }
         }
     }

@@ -1,26 +1,20 @@
-//! Multi-threaded CPU kernels — the GPU-substitution layer.
+//! The persistent worker pool behind the route pipeline's index-pure
+//! fan-outs: per-net candidate generation, the forest build and the
+//! extraction rasters.
 //!
-//! The paper runs its tensor ops as CUDA kernels. Here, dense ops are
-//! sharded across a **persistent worker pool**: threads are spawned once
-//! (on first parallel dispatch), then park on a condvar between jobs. A
-//! job is an index range of chunks; workers race to claim chunk indices,
-//! so a dispatch costs two mutex/condvar handshakes instead of a round of
-//! `thread::spawn`/`join` per op per iteration.
+//! Threads are spawned once (on first parallel dispatch), then park on a
+//! condvar between jobs. A job is an index range of chunks; workers race
+//! to claim chunk indices, so a dispatch costs two mutex/condvar
+//! handshakes instead of a round of `thread::spawn`/`join`.
 //!
 //! # Determinism contract
 //!
-//! Work is partitioned into [`num_threads`] chunks **by index**, not by
-//! worker: which OS thread executes a chunk never affects where its
-//! results land. Pure elementwise maps are therefore bit-reproducible
-//! across *any* thread count. Reductions (scatter-add, sums, dots) use
-//! per-chunk partial buffers merged in chunk order, so they are
-//! **bit-reproducible for a fixed thread count** — no atomics, no
-//! scheduling-dependent float ordering (CUDA atomics give neither).
-//! Across *different* thread counts the summation order changes, so
-//! reductions agree only up to float associativity.
-//!
-//! Below [`PAR_THRESHOLD`] elements the sequential path is used; dispatch
-//! overhead dominates for small tensors.
+//! Work is partitioned into chunks **by index**, not by worker, and every
+//! result lands in a slot owned by its index: which OS thread executes a
+//! chunk, and how many threads there are, never affects the output. No
+//! primitive here reduces across chunks — [`par_map_mut`] and
+//! [`par_indexed`] are bit-reproducible at *any* thread count. (The
+//! training kernel, [`crate::cost`], does not use the pool at all.)
 //!
 //! # Observability
 //!
@@ -31,7 +25,6 @@
 //! to one relaxed atomic load and a predictable branch, keeping the
 //! uninstrumented dispatch path bench-neutral.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -50,8 +43,8 @@ struct PoolMetrics {
     /// Summed wall-clock nanoseconds between job publication and the last
     /// chunk completing (the pool's busy time).
     busy_ns: &'static dgr_obs::Counter,
-    /// Kernel calls that took the sequential fallback (below
-    /// [`PAR_THRESHOLD`] or single-threaded).
+    /// Calls that took the sequential fallback (below the caller's size
+    /// threshold or single-threaded).
     seq_fallbacks: &'static dgr_obs::Counter,
     /// Distribution of per-dispatch wall times, in nanoseconds.
     dispatch_ns: &'static dgr_obs::Histogram,
@@ -68,7 +61,8 @@ fn pool_metrics() -> &'static PoolMetrics {
     })
 }
 
-/// Minimum number of elements before an op fans out to worker threads.
+/// Minimum number of elements before [`par_map_mut`] fans out to worker
+/// threads.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -91,12 +85,11 @@ fn host_parallelism() -> usize {
     }
 }
 
-/// Number of chunks dense kernels partition their work into.
+/// Number of chunks a fan-out partitions its work into.
 ///
 /// Defaults to the machine's available parallelism; override (e.g. in
 /// determinism tests) with [`set_num_threads`]. The override controls the
-/// *partitioning* — and hence the bit-exact result of reductions — even
-/// when fewer physical workers execute the chunks.
+/// *partitioning* even when fewer physical workers execute the chunks.
 pub fn num_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if o != 0 {
@@ -296,62 +289,6 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Splits `0..num_items` into [`num_threads`] contiguous chunks and runs
-/// `f(range)` for each on the pool. Falls back to one sequential
-/// `f(0..num_items)` call when `total_elems` is below [`PAR_THRESHOLD`]
-/// or a single thread is configured.
-///
-/// `f` must write only to locations owned by its item range, so results
-/// are independent of which worker runs which chunk.
-pub(crate) fn par_blocks<F>(num_items: usize, total_elems: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let threads = num_threads();
-    if num_items == 0 {
-        return;
-    }
-    if total_elems < PAR_THRESHOLD || threads <= 1 {
-        pool_metrics().seq_fallbacks.add(1);
-        f(0..num_items);
-        return;
-    }
-    let chunk = num_items.div_ceil(threads);
-    let chunks = num_items.div_ceil(chunk);
-    run_chunks(chunks, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(num_items);
-        f(lo..hi);
-    });
-}
-
-/// Runs `f(range)` over contiguous subranges of `0..len` — the dispatch
-/// skeleton behind the chunked slice kernels in [`crate::kernels`].
-///
-/// Below [`PAR_THRESHOLD`] elements (or with one thread) the whole range
-/// is processed sequentially; otherwise chunks run on the worker pool.
-/// `f` must write only to locations owned by its range, so placement is
-/// independent of which worker executes a chunk (bit-stable across thread
-/// counts for elementwise kernels).
-pub(crate) fn par_apply<F>(len: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let threads = num_threads();
-    if len < PAR_THRESHOLD || threads <= 1 {
-        pool_metrics().seq_fallbacks.add(1);
-        f(0..len);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    run_chunks(chunks, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(len);
-        f(lo..hi);
-    });
-}
-
 /// Applies `f(global_index, &mut out[i])` over `out` in parallel chunks.
 ///
 /// `f` must be pure per element — the index-to-value mapping cannot depend
@@ -426,152 +363,31 @@ where
         .collect()
 }
 
-/// Reusable per-chunk partial buffers for scatter-add reductions, kept
-/// across dispatches so the hot training loop stops allocating
-/// `threads × out.len()` floats every iteration.
-static PARTIALS_CACHE: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+/// Reusable f32 scratch buffers, kept across calls so repeated
+/// extractions (adaptive rounds, daemon jobs) stop paying a heap
+/// allocation each.
+static SCRATCH_CACHE: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
 
-fn take_partials(chunks: usize, len: usize) -> Vec<Vec<f32>> {
-    let mut cache = PARTIALS_CACHE.lock().expect("scratch poisoned");
-    let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(chunks);
-    while bufs.len() < chunks {
-        bufs.push(cache.pop().unwrap_or_default());
-    }
-    drop(cache);
-    for b in &mut bufs {
-        b.clear();
-        b.resize(len, 0.0);
-    }
-    bufs
-}
-
-fn return_partials(bufs: Vec<Vec<f32>>) {
-    const LIMIT: usize = 256;
-    let mut cache = PARTIALS_CACHE.lock().expect("scratch poisoned");
-    for b in bufs {
-        if cache.len() < LIMIT {
-            cache.push(b);
-        }
-    }
-}
-
-/// Borrows a zeroed `len`-element f32 scratch buffer from the executor's
-/// cache (the same pool [`par_scatter_add`] reuses for its reduction
-/// partials). Return it with [`return_scratch`] when done so hot loops —
-/// the backward pass, the extraction phases — stop paying a heap
-/// allocation per iteration.
+/// Borrows a zeroed `len`-element f32 scratch buffer from the cache.
+/// Return it with [`return_scratch`] when done.
 pub fn take_scratch(len: usize) -> Vec<f32> {
-    let mut b = {
-        let mut cache = PARTIALS_CACHE.lock().expect("scratch poisoned");
-        cache.pop().unwrap_or_default()
-    };
+    let mut b = SCRATCH_CACHE
+        .lock()
+        .expect("scratch poisoned")
+        .pop()
+        .unwrap_or_default();
     b.clear();
     b.resize(len, 0.0);
     b
 }
 
-/// Returns a buffer borrowed via [`take_scratch`] to the executor cache.
+/// Returns a buffer borrowed via [`take_scratch`] to the cache.
 pub fn return_scratch(buf: Vec<f32>) {
-    return_partials(vec![buf]);
-}
-
-/// Parallel scatter-add: `out[idx[i]] += vals[i]` for all `i`.
-///
-/// Parallelized with per-chunk partial output buffers merged in chunk
-/// order, so the result is bit-reproducible for a fixed thread count.
-/// Falls back to the sequential loop for small inputs (or when partial
-/// buffers would cost more than they save).
-///
-/// # Panics
-///
-/// Panics if `idx.len() != vals.len()` or any index is out of range
-/// (callers validate indices at graph-construction time).
-pub fn par_scatter_add(out: &mut [f32], idx: &[u32], vals: &[f32]) {
-    assert_eq!(idx.len(), vals.len(), "scatter operands disagree");
-    let threads = num_threads();
-    // Partial buffers cost threads × out.len() writes; only profitable for
-    // large entry counts relative to the output size.
-    if idx.len() < PAR_THRESHOLD || threads <= 1 || out.len() * threads > idx.len() * 4 {
-        pool_metrics().seq_fallbacks.add(1);
-        crate::kernels::scatter_add(out, idx, vals);
-        return;
+    const LIMIT: usize = 256;
+    let mut cache = SCRATCH_CACHE.lock().expect("scratch poisoned");
+    if cache.len() < LIMIT {
+        cache.push(buf);
     }
-    let chunk = idx.len().div_ceil(threads);
-    let chunks = idx.len().div_ceil(chunk);
-    let mut partials = take_partials(chunks, out.len());
-    let parts = SendPtr(partials.as_mut_ptr());
-    run_chunks(chunks, &move |c| {
-        // SAFETY: chunk c exclusively owns partials[c].
-        let part: &mut Vec<f32> = unsafe { &mut *parts.get().add(c) };
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(idx.len());
-        crate::kernels::scatter_add(part, &idx[lo..hi], &vals[lo..hi]);
-    });
-    for part in &partials {
-        crate::kernels::axpy(out, part, 1.0);
-    }
-    return_partials(partials);
-}
-
-/// Parallel `dst[i] += k * src[i]` — the backward kernel of the linear
-/// ops. Bit-reproducible across all thread counts.
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ.
-pub fn par_axpy(dst: &mut [f32], src: &[f32], k: f32) {
-    assert_eq!(dst.len(), src.len(), "axpy operands disagree");
-    let base = SendPtr(dst.as_mut_ptr());
-    par_apply(src.len(), move |r| {
-        // SAFETY: par_apply ranges are disjoint and dst outlives it.
-        let d = unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()) };
-        crate::kernels::axpy(d, &src[r], k);
-    });
-}
-
-/// Parallel sum with per-chunk partials merged in chunk order
-/// (bit-reproducible for a fixed thread count). Per-chunk bodies use
-/// [`crate::kernels::sum`].
-pub fn par_sum(x: &[f32]) -> f32 {
-    par_reduce(x.len(), |lo, hi| crate::kernels::sum(&x[lo..hi]))
-}
-
-/// Parallel dot product against a constant weight vector, chunk partials
-/// merged in chunk order (bit-reproducible for a fixed thread count).
-/// Per-chunk bodies use [`crate::kernels::dot`].
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ.
-pub fn par_dot(x: &[f32], w: &[f32]) -> f32 {
-    assert_eq!(x.len(), w.len(), "dot operands disagree");
-    par_reduce(x.len(), |lo, hi| {
-        crate::kernels::dot(&x[lo..hi], &w[lo..hi])
-    })
-}
-
-/// Chunked reduction skeleton: `partial(lo, hi)` per chunk, partials
-/// summed in chunk order.
-fn par_reduce<F>(len: usize, partial: F) -> f32
-where
-    F: Fn(usize, usize) -> f32 + Sync,
-{
-    let threads = num_threads();
-    if len < PAR_THRESHOLD || threads <= 1 {
-        pool_metrics().seq_fallbacks.add(1);
-        return partial(0, len);
-    }
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    let mut partials = vec![0.0f32; chunks];
-    let parts = SendPtr(partials.as_mut_ptr());
-    run_chunks(chunks, &move |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(len);
-        // SAFETY: chunk c exclusively owns partials[c].
-        unsafe { *parts.get().add(c) = partial(lo, hi) };
-    });
-    partials.iter().sum()
 }
 
 #[cfg(test)]
@@ -579,40 +395,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_matches_sequential() {
-        let mut a = vec![0.0f32; 100_000];
-        let mut b = vec![0.0f32; 100_000];
-        par_map_mut(&mut a, |i, v| *v = (i as f32).sin());
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = (i as f32).sin();
+    fn par_map_matches_sequential_at_any_thread_count() {
+        let want: Vec<f32> = (0..100_000).map(|i| (i as f32).sin()).collect();
+        for threads in [1, 3, 8] {
+            set_num_threads(threads);
+            let mut got = vec![0.0f32; want.len()];
+            par_map_mut(&mut got, |i, v| *v = (i as f32).sin());
+            assert_eq!(got, want, "threads={threads}");
         }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scatter_add_matches_sequential() {
-        let n = 200_000;
-        let idx: Vec<u32> = (0..n).map(|i| ((i * 7919) % 1000) as u32).collect();
-        let vals: Vec<f32> = (0..n).map(|i| (i % 13) as f32 * 0.5).collect();
-        set_num_threads(3); // force the partial-buffer path
-        let mut par = vec![0.0f32; 1000];
-        par_scatter_add(&mut par, &idx, &vals);
         set_num_threads(0);
-        let mut seq = vec![0.0f32; 1000];
-        for (&i, &v) in idx.iter().zip(&vals) {
-            seq[i as usize] += v;
-        }
-        // summation order differs → equality up to float associativity
-        for (p, s) in par.iter().zip(&seq) {
-            assert!((p - s).abs() <= 1e-3 * s.abs().max(1.0), "{p} vs {s}");
-        }
-    }
-
-    #[test]
-    fn scatter_add_empty_is_noop() {
-        let mut out = vec![1.0f32; 4];
-        par_scatter_add(&mut out, &[], &[]);
-        assert_eq!(out, vec![1.0; 4]);
     }
 
     #[test]
@@ -621,35 +412,6 @@ mod tests {
         assert_eq!(num_threads(), 2);
         set_num_threads(0);
         assert!(num_threads() >= 1);
-    }
-
-    /// Forces the multi-threaded code path (the host may have one core):
-    /// repeated runs at a fixed thread count are bit-identical, and
-    /// different counts agree up to float associativity. Pure maps carry
-    /// no reduction, so they are bit-identical across counts too.
-    #[test]
-    fn determinism_across_runs_and_thread_counts() {
-        let n = 300_000;
-        let idx: Vec<u32> = (0..n).map(|i| ((i * 31 + 7) % 5000) as u32).collect();
-        let vals: Vec<f32> = (0..n).map(|i| ((i % 97) as f32) * 0.37).collect();
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut out = vec![0.0f32; 5000];
-            par_scatter_add(&mut out, &idx, &vals);
-            let mut mapped = vec![0.0f32; n];
-            par_map_mut(&mut mapped, |i, v| *v = vals[i] * 2.0 + 1.0);
-            set_num_threads(0);
-            (out, mapped)
-        };
-        let (scatter4a, map4a) = run(4);
-        let (scatter4b, map4b) = run(4);
-        assert_eq!(scatter4a, scatter4b, "same thread count must be bit-stable");
-        assert_eq!(map4a, map4b);
-        let (scatter1, map1) = run(1);
-        assert_eq!(map1, map4a, "maps have no reduction: bit-identical");
-        for (a, b) in scatter1.iter().zip(&scatter4a) {
-            assert!((a - b).abs() <= 0.01 * a.abs().max(1.0), "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -665,37 +427,6 @@ mod tests {
             assert_eq!(out[PAR_THRESHOLD], k + PAR_THRESHOLD as f32);
         }
         set_num_threads(0);
-    }
-
-    #[test]
-    fn reductions_are_chunk_stable() {
-        let x: Vec<f32> = (0..200_000).map(|i| ((i % 31) as f32) * 0.125).collect();
-        let w: Vec<f32> = (0..200_000).map(|i| ((i % 17) as f32) * 0.25).collect();
-        set_num_threads(4);
-        let s4a = par_sum(&x);
-        let s4b = par_sum(&x);
-        let d4a = par_dot(&x, &w);
-        let d4b = par_dot(&x, &w);
-        set_num_threads(1);
-        let s1 = par_sum(&x);
-        let d1 = par_dot(&x, &w);
-        set_num_threads(0);
-        assert_eq!(s4a, s4b, "fixed thread count must be bit-stable");
-        assert_eq!(d4a, d4b);
-        assert!((s4a - s1).abs() <= 1e-3 * s1.abs().max(1.0));
-        assert!((d4a - d1).abs() <= 1e-3 * d1.abs().max(1.0));
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let src: Vec<f32> = (0..40_000).map(|i| i as f32).collect();
-        let mut dst = vec![1.0f32; 40_000];
-        set_num_threads(3);
-        par_axpy(&mut dst, &src, 0.5);
-        set_num_threads(0);
-        for (i, d) in dst.iter().enumerate() {
-            assert_eq!(*d, 1.0 + 0.5 * i as f32);
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@ use crate::AutodiffError;
 /// A partition of `0..len()` into contiguous segments, described by CSR
 /// offsets. Segment `s` covers `offsets[s]..offsets[s+1]`.
 ///
-/// Segmented softmax normalizes within each segment — one segment per net
-/// (tree probabilities `q`) or per 2-pin sub-net (path probabilities `p`).
+/// The cost kernel groups trees by net and paths by sub-net (the softmax
+/// groups of `q` and `p`), and runs and turn cells by path, this way.
 ///
 /// # Examples
 ///
@@ -43,22 +43,6 @@ impl Segments {
         Ok(Segments { offsets })
     }
 
-    /// Builds uniform segments: `count` segments of `width` elements each.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dgr_autodiff::Segments;
-    /// let seg = Segments::uniform(3, 2);
-    /// assert_eq!(seg.num_segments(), 3);
-    /// assert_eq!(seg.len(), 6);
-    /// ```
-    pub fn uniform(count: usize, width: usize) -> Self {
-        Segments {
-            offsets: (0..=count).map(|i| (i * width) as u32).collect(),
-        }
-    }
-
     /// Number of segments.
     pub fn num_segments(&self) -> usize {
         self.offsets.len() - 1
@@ -82,11 +66,6 @@ impl Segments {
     pub fn segment(&self, s: usize) -> std::ops::Range<usize> {
         self.offsets[s] as usize..self.offsets[s + 1] as usize
     }
-
-    /// The raw CSR offsets.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
 }
 
 #[cfg(test)]
@@ -108,13 +87,6 @@ mod tests {
         assert!(Segments::from_offsets(vec![]).is_err());
         assert!(Segments::from_offsets(vec![1, 2]).is_err());
         assert!(Segments::from_offsets(vec![0, 5, 3]).is_err());
-    }
-
-    #[test]
-    fn uniform_layout() {
-        let s = Segments::uniform(4, 3);
-        assert_eq!(s.num_segments(), 4);
-        assert_eq!(s.segment(2), 6..9);
     }
 
     #[test]

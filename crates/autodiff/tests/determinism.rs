@@ -1,17 +1,16 @@
-//! Determinism properties of the parallel executor, at the whole-graph
-//! level: random DGR-shaped tapes (segmented softmax → scatter-add →
-//! quadratic overflow) executed under different thread configurations.
+//! Determinism properties of the cost kernel and the worker pool.
 //!
-//! Contract under test (see `parallel` module docs):
-//! * a fixed thread count is **bit-reproducible**, run to run;
-//! * different thread counts agree up to float associativity;
-//! * results are continuous across the `PAR_THRESHOLD` sequential/parallel
-//!   boundary (±1 element).
+//! Contract under test (see the `cost` and `parallel` module docs):
+//! * the kernel's loss and gradients are **bit-identical at any thread
+//!   count** — it fixes every reduction order by its index structure;
+//! * the pool's pure maps are bit-identical at any thread count and on
+//!   both sides of the `PAR_THRESHOLD` sequential/parallel boundary;
+//! * its counters lose no increment under concurrency.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use dgr_autodiff::parallel::{self, par_map_mut, par_scatter_add, par_sum, PAR_THRESHOLD};
-use dgr_autodiff::{Graph, Segments};
+use dgr_autodiff::parallel::{self, par_map_mut, PAR_THRESHOLD};
+use dgr_autodiff::{Activation, CostModel, CostShape, CostTerms};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,66 +18,80 @@ use rand::{Rng, SeedableRng};
 /// `set_num_threads` is process-global; tests that touch it serialize.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
-/// Builds a random DGR-shaped tape and runs one forward + backward sweep
-/// at the given thread count. Returns the loss and the parameter gradient.
-fn run_once(groups: usize, group: usize, seed: u64, threads: usize) -> (f32, Vec<f32>) {
+/// A random DGR-shaped problem — `subnets` two-pin sub-nets with both
+/// L-shapes each, three sub-nets to a tree, two trees to a net, on a
+/// `side × side` grid — run for one noisy forward + backward pass at the
+/// given thread count. Returns the loss and the gradient bits.
+fn run_once(subnets: usize, side: usize, seed: u64, threads: usize) -> (u32, Vec<u32>) {
     parallel::set_num_threads(threads);
-    let n = groups * group;
-    let buckets = (n / 7).max(1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new();
-    let w = g.param((0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect());
-    let seg = Arc::new(Segments::uniform(groups, group));
-    let p = g.segmented_softmax(w, seg);
-    let idx: Arc<Vec<u32>> = Arc::new((0..n).map(|_| rng.gen_range(0..buckets as u32)).collect());
-    let d = g.scatter_add(p, idx, buckets);
-    let sq = g.mul(d, d);
-    let loss = g.sum_all(sq);
-    g.forward();
-    g.backward(loss);
-    let out = (g.value(loss)[0], g.grad(w).to_vec());
+    let cell = |x: usize, y: usize| (y * side + x) as u32;
+    let trees = subnets.div_ceil(3);
+    let mut runs = Vec::new();
+    let mut vias = Vec::new();
+    for _ in 0..subnets {
+        let (ax, bx) = (rng.gen_range(0..side / 2), rng.gen_range(side / 2..side));
+        let (ay, by) = (rng.gen_range(0..side / 2), rng.gen_range(side / 2..side));
+        // along a's row then up b's column; up a's column then along b's row
+        runs.extend([(cell(ax, ay), cell(bx, ay)), (cell(bx, ay), cell(bx, by))]);
+        runs.extend([(cell(ax, ay), cell(ax, by)), (cell(ax, by), cell(bx, by))]);
+        vias.extend([cell(bx, ay), cell(ax, by)]);
+    }
+    let paths = 2 * subnets;
+    let shape = CostShape {
+        width: side,
+        height: side,
+        net_tree_offsets: &(0..=trees.div_ceil(2))
+            .map(|n| (2 * n).min(trees) as u32)
+            .collect::<Vec<_>>(),
+        subnet_tree: &(0..subnets).map(|s| (s / 3) as u32).collect::<Vec<_>>(),
+        subnet_path_offsets: &(0..=subnets).map(|s| 2 * s as u32).collect::<Vec<_>>(),
+        path_wl: &vec![side as f32; paths],
+        path_turns: &vec![1.0; paths],
+        path_run_offsets: &(0..=paths).map(|i| 2 * i as u32).collect::<Vec<_>>(),
+        path_runs: &runs,
+        path_via_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
+        path_via_cells: &vias,
+        capacity: &vec![subnets as f32 / side as f32; 2 * side * (side - 1)],
+        beta: &vec![0.5; side * side],
+    };
+    let terms = CostTerms {
+        wirelength: 0.5,
+        via: 4.0,
+        overflow: 500.0,
+        sqrt_layers: 3.0,
+        activation: Activation::Sigmoid,
+        overflow_scale: 1.0,
+    };
+    let logits = (0..trees + paths)
+        .map(|_| rng.gen_range(-2.0f32..2.0))
+        .collect();
+    let mut model = CostModel::new(&shape, terms, logits).expect("a well-formed problem");
+    model.sample_noise(&mut rng);
+    model.forward();
+    model.backward();
+    let grads = model.tree_grad().iter().chain(model.path_grad());
+    let out = (model.loss().to_bits(), grads.map(|g| g.to_bits()).collect());
     parallel::set_num_threads(0);
     out
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Same seed, same thread count (4), two runs: bit-identical loss and
-    /// gradients. Sizes straddle `PAR_THRESHOLD` so both the sequential
-    /// and the pooled code paths are exercised.
+    /// Sizes straddle `PAR_THRESHOLD` path entries, the size at which a
+    /// pooled reduction would start to chunk by thread count.
     #[test]
-    fn fixed_thread_count_is_bit_reproducible(
-        groups in 1000usize..20_000,
-        group in 2usize..6,
+    fn kernel_is_bit_identical_at_any_thread_count(
+        subnets in 2_000usize..40_000,
+        side in 8usize..64,
         seed in 0u64..10_000,
     ) {
         let _guard = THREADS_LOCK.lock().unwrap();
-        let (loss_a, grad_a) = run_once(groups, group, seed, 4);
-        let (loss_b, grad_b) = run_once(groups, group, seed, 4);
-        prop_assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        prop_assert_eq!(bits(&grad_a), bits(&grad_b));
-    }
-
-    /// One thread vs four: reductions reorder float sums, so results agree
-    /// only up to associativity — but tightly.
-    #[test]
-    fn thread_counts_agree_within_tolerance(
-        groups in 1000usize..20_000,
-        group in 2usize..6,
-        seed in 0u64..10_000,
-    ) {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let (loss_1, grad_1) = run_once(groups, group, seed, 1);
-        let (loss_4, grad_4) = run_once(groups, group, seed, 4);
-        let tol = |a: f32, b: f32| (a - b).abs() <= 1e-3 * a.abs().max(1.0);
-        prop_assert!(tol(loss_1, loss_4), "loss {} vs {}", loss_1, loss_4);
-        for (a, b) in grad_1.iter().zip(&grad_4) {
-            prop_assert!(tol(*a, *b), "grad {} vs {}", a, b);
+        let one = run_once(subnets, side, seed, 1);
+        prop_assert!(f32::from_bits(one.0).is_finite());
+        for threads in [2, 8] {
+            prop_assert_eq!(&run_once(subnets, side, seed, threads), &one);
         }
     }
 }
@@ -123,8 +136,7 @@ fn pool_counter_increments_sum_exactly() {
 
 /// The sequential/parallel switch sits at exactly `PAR_THRESHOLD`
 /// elements: pure maps must be bit-identical on both sides of it (and to
-/// the plain sequential loop), and reductions must stay within
-/// associativity tolerance across the boundary.
+/// the plain sequential loop).
 #[test]
 fn par_threshold_boundary_is_seamless() {
     let _guard = THREADS_LOCK.lock().unwrap();
@@ -132,8 +144,6 @@ fn par_threshold_boundary_is_seamless() {
         let src: Vec<f32> = (0..len)
             .map(|i| ((i % 251) as f32) * 0.321 - 40.0)
             .collect();
-
-        // Pure map: bit-identical to the sequential loop at any count.
         parallel::set_num_threads(4);
         let mut mapped = vec![0.0f32; len];
         par_map_mut(&mut mapped, |i, v| *v = src[i] * 1.5 + 2.0);
@@ -141,28 +151,5 @@ fn par_threshold_boundary_is_seamless() {
         for (i, v) in mapped.iter().enumerate() {
             assert_eq!(*v, src[i] * 1.5 + 2.0, "map diverged at len {len}, i {i}");
         }
-
-        // Reductions: fixed count bit-stable, boundary within tolerance.
-        parallel::set_num_threads(4);
-        let s4a = par_sum(&src);
-        let s4b = par_sum(&src);
-        parallel::set_num_threads(1);
-        let s1 = par_sum(&src);
-        parallel::set_num_threads(0);
-        assert_eq!(s4a.to_bits(), s4b.to_bits(), "sum unstable at len {len}");
-        assert!(
-            (s4a - s1).abs() <= 1e-3 * s1.abs().max(1.0),
-            "sum {s4a} vs {s1} at len {len}"
-        );
-
-        // Scatter-add: fixed count bit-stable across the boundary too.
-        let idx: Vec<u32> = (0..len).map(|i| ((i * 31) % 997) as u32).collect();
-        parallel::set_num_threads(4);
-        let mut out_a = vec![0.0f32; 997];
-        par_scatter_add(&mut out_a, &idx, &src);
-        let mut out_b = vec![0.0f32; 997];
-        par_scatter_add(&mut out_b, &idx, &src);
-        parallel::set_num_threads(0);
-        assert_eq!(bits(&out_a), bits(&out_b), "scatter unstable at len {len}");
     }
 }

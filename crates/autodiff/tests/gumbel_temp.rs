@@ -6,38 +6,60 @@
 //! toward 0 almost everywhere); as τ grows it flattens toward uniform.
 //! Both regimes are numerically delicate — saturation divides by a tiny
 //! τ before exponentiating, flattening loses signal to round-off — so
-//! the tape is checked against f64 central differences of a
+//! the kernel is checked against f64 central differences of a
 //! self-contained reference at τ = 1e-3 and τ = 1e3.
 
-use std::sync::Arc;
-
-use dgr_autodiff::gumbel::fill_gumbel;
-use dgr_autodiff::{Activation, Graph, Segments, VarId};
+use dgr_autodiff::{Activation, CostModel, CostShape, CostTerms};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GROUPS: usize = 4;
 const GROUP: usize = 3;
 const N: usize = GROUPS * GROUP;
+/// Cells of the one-row grid; path `i` runs from cell 0 over the first
+/// `1 + i % GROUP` edges.
+const CELLS: usize = GROUP + 1;
+const CAPACITY: f32 = 0.5;
+const OVERFLOW_WEIGHT: f32 = 3.0;
 
-/// Tape: loss = Σ sigmoid(weights · softmax((w + noise)/τ)) — the same op
-/// chain the router's relaxation uses (scale → softmax → dot → activate).
-fn build_tape(w0: &[f32], noise: &[f32], weights: &[f32], tau: f32) -> (Graph, VarId, VarId) {
-    let mut g = Graph::new();
-    let w = g.param(w0.to_vec());
-    let z = g.add_const(w, Arc::new(noise.to_vec()));
-    let zt = g.scale(z, 1.0 / tau);
-    let p = g.segmented_softmax(zt, Arc::new(Segments::uniform(GROUPS, GROUP)));
-    let s = g.dot_const(p, Arc::new(weights.to_vec()));
-    let a = g.activate(s, Activation::Sigmoid);
-    let loss = g.sum_all(a);
-    (g, w, loss)
+/// One net, one tree, `GROUPS` sub-nets of `GROUP` paths each:
+/// loss = Σ weights·p + 3 · Σ_e sigmoid(d_e − ½).
+fn build_model(w0: &[f32], weights: &[f32], tau: f32) -> CostModel {
+    let runs: Vec<(u32, u32)> = (0..N).map(|i| (0, (1 + i % GROUP) as u32)).collect();
+    let shape = CostShape {
+        width: CELLS,
+        height: 1,
+        net_tree_offsets: &[0, 1],
+        subnet_tree: &[0; GROUPS],
+        subnet_path_offsets: &(0..=GROUPS).map(|g| (g * GROUP) as u32).collect::<Vec<_>>(),
+        path_wl: weights,
+        path_turns: &[0.0; N],
+        path_run_offsets: &(0..=N as u32).collect::<Vec<_>>(),
+        path_runs: &runs,
+        path_via_offsets: &[0; N + 1],
+        path_via_cells: &[],
+        capacity: &[CAPACITY; CELLS - 1],
+        beta: &[0.0; CELLS],
+    };
+    let terms = CostTerms {
+        wirelength: 1.0,
+        via: 0.0,
+        overflow: OVERFLOW_WEIGHT,
+        sqrt_layers: 1.0,
+        activation: Activation::Sigmoid,
+        overflow_scale: 1.0,
+    };
+    let mut logits = vec![0.0]; // the tree's
+    logits.extend_from_slice(w0);
+    let mut model = CostModel::new(&shape, terms, logits).expect("a well-formed row");
+    model.set_temperature(tau);
+    model
 }
 
 /// Self-contained f64 reference of the same function.
 fn reference_loss(w: &[f32], noise: &[f32], weights: &[f32], tau: f64) -> f64 {
-    let mut total = 0.0f64;
-    let mut dot = 0.0f64;
+    let mut demand = [0.0f64; CELLS - 1];
+    let mut loss = 0.0f64;
     for grp in 0..GROUPS {
         let lo = grp * GROUP;
         let z: Vec<f64> = (lo..lo + GROUP)
@@ -47,30 +69,35 @@ fn reference_loss(w: &[f32], noise: &[f32], weights: &[f32], tau: f64) -> f64 {
         let e: Vec<f64> = z.iter().map(|&v| (v - m).exp()).collect();
         let sum: f64 = e.iter().sum();
         for (k, &ek) in e.iter().enumerate() {
-            dot += ek / sum * weights[lo + k] as f64;
+            loss += ek / sum * weights[lo + k] as f64;
+            for d in &mut demand[..=k] {
+                *d += ek / sum;
+            }
         }
     }
-    total += 1.0 / (1.0 + (-dot).exp());
-    total
+    for d in demand {
+        loss += OVERFLOW_WEIGHT as f64 / (1.0 + (-(d - CAPACITY as f64)).exp());
+    }
+    loss
 }
 
 fn run_extreme(tau: f32, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let w0: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let mut noise = vec![0.0f32; N];
-    fill_gumbel(&mut rng, &mut noise);
     let weights: Vec<f32> = (0..N).map(|_| rng.gen_range(0.5f32..2.0)).collect();
 
-    let (mut g, w, loss) = build_tape(&w0, &noise, &weights, tau);
-    g.forward();
-    g.backward(loss);
-    let tape_loss = g.value(loss)[0] as f64;
-    let grad = g.grad(w).to_vec();
+    let mut model = build_model(&w0, &weights, tau);
+    model.sample_noise(&mut rng);
+    let noise = model.path_noise().to_vec();
+    model.forward();
+    model.backward();
+    let kernel_loss = model.loss() as f64;
+    let grad = model.path_grad();
 
     let ref_loss = reference_loss(&w0, &noise, &weights, tau as f64);
     assert!(
-        (tape_loss - ref_loss).abs() <= 1e-4 * ref_loss.abs().max(1.0),
-        "τ={tau}: tape loss {tape_loss} ≠ reference {ref_loss}"
+        (kernel_loss - ref_loss).abs() <= 1e-4 * ref_loss.abs().max(1.0),
+        "τ={tau}: kernel loss {kernel_loss} ≠ reference {ref_loss}"
     );
 
     // τ-scaled FD step: the function varies on a scale proportional to τ,
@@ -84,13 +111,13 @@ fn run_extreme(tau: f32, seed: u64) {
         minus[j] -= h as f32;
         let fd = (reference_loss(&plus, &noise, &weights, tau as f64)
             - reference_loss(&minus, &noise, &weights, tau as f64))
-            / (2.0 * h);
+            / (plus[j] as f64 - minus[j] as f64);
         // relative bound with an absolute floor: at τ→0 both sides
         // saturate to ~0 and the relative error is meaningless
         let tol = 1e-3 * fd.abs().max(grad[j].abs() as f64).max(1e-6);
         assert!(
             (grad[j] as f64 - fd).abs() <= tol,
-            "τ={tau}: ∂loss/∂w[{j}] tape {} ≠ central diff {fd}",
+            "τ={tau}: ∂loss/∂w[{j}] kernel {} ≠ central diff {fd}",
             grad[j]
         );
     }
@@ -114,27 +141,18 @@ fn gradients_survive_large_temperature() {
     }
 }
 
-/// The annealed grad at τ=1e-3 concentrates on each group's argmax: the
-/// winning entry's probability is ≈ 1 and the rest ≈ 0.
+/// At τ=1e-3 each group's probability concentrates on its argmax.
 #[test]
 fn near_zero_temperature_saturates_to_argmax() {
     let mut rng = StdRng::seed_from_u64(7);
     let w0: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let noise = vec![0.0f32; N];
-    let weights = vec![1.0f32; N];
-    let (mut g, _w, _loss) = build_tape(&w0, &noise, &weights, 1e-3);
-    g.forward();
-    // p is node 3 in build order; recompute instead of poking internals
+    let mut model = build_model(&w0, &[1.0; N], 1e-3);
+    model.probabilities();
     for grp in 0..GROUPS {
         let lo = grp * GROUP;
         let zmax = (lo..lo + GROUP)
             .max_by(|&a, &b| w0[a].partial_cmp(&w0[b]).unwrap())
             .unwrap();
-        // reference softmax at τ=1e-3 puts ≥ 0.999 mass on the argmax
-        let z: Vec<f64> = (lo..lo + GROUP).map(|i| w0[i] as f64 / 1e-3).collect();
-        let m = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let e: Vec<f64> = z.iter().map(|&v| (v - m).exp()).collect();
-        let sum: f64 = e.iter().sum();
-        assert!(e[zmax - lo] / sum >= 0.999);
+        assert!(model.p()[zmax] >= 0.999, "group {grp}: {:?}", model.p());
     }
 }

@@ -60,7 +60,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sum_and_dot_parity(lens in seg_lens(), seed in 0u64..1000) {
+    fn dot_parity(lens in seg_lens(), seed in 0u64..1000) {
         let total: usize = lens.iter().sum();
         let x = pseudo(total, seed);
         let w = pseudo(total, seed ^ 0xABCD);
@@ -69,14 +69,8 @@ proptest! {
             let xs = &x[at..at + len];
             let ws = &w[at..at + len];
             at += len;
-            let (s0, d0) = (kernels::sum_scalar(xs), kernels::dot_scalar(xs, ws));
-            let (s1, d1) = (kernels::sum(xs), kernels::dot(xs, ws));
+            let (d0, d1) = (kernels::dot_scalar(xs, ws), kernels::dot(xs, ws));
             // Sound bound: reassociation error ≤ n·ε·Σ|terms|.
-            let norm: f32 = xs.iter().map(|v| v.abs()).sum();
-            prop_assert!(
-                close(s0, s1, len, f32::EPSILON * norm * len.max(1) as f32),
-                "sum mismatch on segment of {len}: {s0} vs {s1}"
-            );
             let dnorm: f32 = xs.iter().zip(ws).map(|(a, b)| (a * b).abs()).sum();
             prop_assert!(
                 close(d0, d1, len, f32::EPSILON * dnorm * len.max(1) as f32),
@@ -134,20 +128,17 @@ proptest! {
         let idx: Vec<u32> = (0..total)
             .map(|i| ((i * 2654435761) % total) as u32)
             .collect();
-        let mut naive = (vec![0.0f32; total], vec![0.0f32; total], vec![0.0f32; total]);
+        let mut naive = (vec![0.0f32; total], vec![0.0f32; total]);
         for (j, &i) in idx.iter().enumerate() {
             naive.0[j] = x[i as usize];
-            naive.1[j] += x[i as usize];
-            naive.2[i as usize] += x[j];
+            naive.1[i as usize] += x[j];
         }
         let mut out = vec![0.0f32; total];
-        let mut gx = vec![0.0f32; total];
         let mut acc = vec![0.0f32; total];
         kernels::gather_fwd(&mut out, &x, &idx);
-        kernels::scatter_bwd(&mut gx, &x, &idx);
         kernels::scatter_add(&mut acc, &idx, &x);
         // Index-driven kernels visit each output bin in index order, as
         // the plain loop does, so they must agree bit-for-bit.
-        prop_assert_eq!(naive, (out, gx, acc));
+        prop_assert_eq!(naive, (out, acc));
     }
 }

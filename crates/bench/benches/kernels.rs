@@ -1,27 +1,25 @@
 //! Micro-benchmarks of the hot kernels: the building blocks whose
 //! throughput determines DGR's per-iteration cost.
 
-use std::sync::Arc;
-
-use dgr_autodiff::{Graph, Segments};
+use dgr_autodiff::kernels;
 use dgr_bench::harness::Harness;
 use dgr_grid::{GcellGrid, Point};
 use dgr_rsmt::{rsmt, tree_candidates, CandidateConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn bench_segmented_softmax(h: &mut Harness) {
+fn bench_pair_softmax(h: &mut Harness) {
     for &n in &[10_000usize, 100_000, 1_000_000] {
-        let mut g = Graph::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let data: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let w = g.param(data);
-        let seg = Arc::new(Segments::uniform(n / 2, 2));
-        let p = g.segmented_softmax(w, seg);
-        let loss = g.sum_all(p);
-        h.bench_throughput(&format!("segmented_softmax/fwd_bwd/{n}"), n as u64, || {
-            g.forward();
-            g.backward(loss);
+        let logits: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let gout: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut p = vec![0.0f32; n];
+        let mut gx = vec![0.0f32; n];
+        h.bench_throughput(&format!("pair_softmax/fwd_bwd/{n}"), n as u64, || {
+            for k in (0..n).step_by(2) {
+                kernels::softmax_into(&logits[k..k + 2], &mut p[k..k + 2]);
+                kernels::seg_softmax_bwd(&p[k..k + 2], &gout[k..k + 2], &mut gx[k..k + 2]);
+            }
         });
     }
 }
@@ -29,18 +27,14 @@ fn bench_segmented_softmax(h: &mut Harness) {
 fn bench_gather_scatter(h: &mut Harness) {
     for &n in &[100_000usize, 1_000_000] {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut g = Graph::new();
-        let w = g.param((0..n / 4).map(|_| rng.gen_range(0.0..1.0)).collect());
-        let idx: Arc<Vec<u32>> =
-            Arc::new((0..n).map(|_| rng.gen_range(0..(n as u32 / 4))).collect());
-        let tgt: Arc<Vec<u32>> =
-            Arc::new((0..n).map(|_| rng.gen_range(0..(n as u32 / 8))).collect());
-        let gathered = g.gather(w, idx);
-        let d = g.scatter_add(gathered, tgt, n / 8);
-        let loss = g.sum_all(d);
-        h.bench_throughput(&format!("gather_scatter/fwd_bwd/{n}"), n as u64, || {
-            g.forward();
-            g.backward(loss);
+        let w: Vec<f32> = (0..n / 4).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let idx: Vec<u32> = (0..n).map(|_| rng.gen_range(0..(n as u32 / 4))).collect();
+        let tgt: Vec<u32> = (0..n).map(|_| rng.gen_range(0..(n as u32 / 8))).collect();
+        let mut gathered = vec![0.0f32; n];
+        let mut out = vec![0.0f32; n / 8];
+        h.bench_throughput(&format!("gather_scatter/{n}"), n as u64, || {
+            kernels::gather_fwd(&mut gathered, &w, &idx);
+            kernels::scatter_add(&mut out, &tgt, &gathered);
         });
     }
 }
@@ -89,7 +83,7 @@ fn bench_maze(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::from_args();
-    bench_segmented_softmax(&mut h);
+    bench_pair_softmax(&mut h);
     bench_gather_scatter(&mut h);
     bench_rsmt(&mut h);
     bench_forest_build(&mut h);

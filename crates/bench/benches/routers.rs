@@ -31,11 +31,12 @@ fn bench_train_iteration(h: &mut Harness) {
         .collect();
     let forest = dgr_dag::build_forest(&design.grid, &pools, cfg.patterns).expect("in grid");
     let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-    let mut adam = Adam::new(&model.graph, cfg.learning_rate);
+    let mut adam = Adam::new(model.num_trees() + model.num_paths(), cfg.learning_rate);
     h.bench("dgr_train_iteration_500_nets", || {
-        model.graph.forward();
-        model.graph.backward(model.loss);
-        adam.step(&mut model.graph);
+        model.forward();
+        model.backward();
+        let (logits, grads) = model.logits_and_grads();
+        adam.step(logits, grads);
     });
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Sweeps the ISPD-like generator over a range of net counts and prints
 //! one series row per size: DGR runtime, CUGR2-style runtime, peak RSS,
-//! and the tape + forest byte accounting (the reproduction's "GPU
+//! and the kernel + forest byte accounting (the reproduction's "GPU
 //! memory" analogue). The paper's qualitative claims: DGR runtime grows
 //! near-linearly and crosses below the sequential router at scale;
 //! memory is linear in net count.
@@ -27,13 +27,13 @@ fn main() {
 
     println!("Fig. 5: runtime and memory vs number of nets");
     println!(
-        "{:>8} {:>8} | {:>10} {:>10} | {:>12} {:>14} {:>22}",
+        "{:>8} {:>8} | {:>10} {:>10} | {:>12} {:>16} {:>22}",
         "nets",
         "grid",
         "DGR t(s)",
         "seq t(s)",
         "peak RSS MB",
-        "tape+forest MB",
+        "kernel+forest MB",
         "loss(first→final)"
     );
 
@@ -68,7 +68,7 @@ fn main() {
             .expect("sequential route");
 
         println!(
-            "{:>8} {:>8} | {:>10.2} {:>10.2} | {:>12.1} {:>14.1} {:>10.1} → {:<9.1}",
+            "{:>8} {:>8} | {:>10.2} {:>10.2} | {:>12.1} {:>16.1} {:>10.1} → {:<9.1}",
             nets,
             format!("{side}x{side}"),
             dgr_time.as_secs_f64(),

@@ -164,7 +164,7 @@ impl FastDemand {
 
 /// Extracts a discrete 2D solution from a trained model.
 ///
-/// Runs one noise-free forward pass at the final annealed temperature,
+/// Takes the noise-free probabilities at the final annealed temperature,
 /// then realizes the selections net by net, committing demand as it goes
 /// (so later greedy picks see earlier commitments).
 ///
@@ -180,13 +180,9 @@ pub fn extract_solution(
 ) -> Result<RoutingSolution, DgrError> {
     let _span = dgr_obs::span("route", "extract");
     // deterministic read-out: no noise, final temperature
-    model.graph.data_mut(model.noise_tree).fill(0.0);
-    model.graph.data_mut(model.noise_path).fill(0.0);
-    let final_temp = cfg.temperature_at(cfg.iterations.saturating_sub(1));
-    model.graph.data_mut(model.temperature).fill(final_temp);
-    model.graph.forward();
-    let q = model.graph.value(model.q);
-    let p = model.graph.value(model.p);
+    model.set_temperature(cfg.temperature_at(cfg.iterations.saturating_sub(1)));
+    model.probabilities();
+    let (q, p) = (model.q(), model.p());
 
     let grid = &design.grid;
 

@@ -393,19 +393,17 @@ mod expand {
 
     impl WarmStart {
         pub(crate) fn capture(forest: &DagForest, model: &CostModel) -> Self {
-            let w_tree = model.graph.value(model.w_tree).to_vec();
-            let w_path = model.graph.value(model.w_path);
+            let w_path = model.path_logits();
             let path_logits = (0..forest.num_subnets())
                 .map(|s| forest.paths_of_subnet(s).map(|i| w_path[i]).collect())
                 .collect();
             WarmStart {
-                tree_logits: w_tree,
+                tree_logits: model.tree_logits().to_vec(),
                 path_logits,
             }
         }
 
         pub(crate) fn apply(&self, forest: &DagForest, model: &mut CostModel) {
-            model.graph.set_data(model.w_tree, &self.tree_logits);
             let mut w_path = vec![0.0f32; forest.num_paths()];
             for s in 0..forest.num_subnets() {
                 let old = &self.path_logits[s];
@@ -416,7 +414,7 @@ mod expand {
                     w_path[i] = old.get(k).copied().unwrap_or(best);
                 }
             }
-            model.graph.set_data(model.w_path, &w_path);
+            model.set_logits(&self.tree_logits, &w_path);
         }
     }
 
@@ -476,5 +474,102 @@ mod expand {
             }
         }
         grew
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dgr_grid::{CapacityBuilder, GcellGrid, GcellId, Net, Point};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Over random congested designs, grown by one round of maze-derived
+    /// extras: the runs the forest records for a path cover exactly the
+    /// multiset of edges it lists — also for the extras, which are not
+    /// monotone — and a one-candidate group is a constant of training.
+    #[test]
+    fn runs_cover_path_edges_and_one_candidate_groups_never_move() {
+        let (mut extras_seen, mut detours_seen, mut constants_seen) = (0, 0, 0);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let side = rng.gen_range(6..12);
+            let grid = GcellGrid::new(side, side).unwrap();
+            let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
+            let nets = (0..rng.gen_range(8..20))
+                .map(|n| {
+                    let pins = (0..rng.gen_range(2..5))
+                        .map(|_| {
+                            Point::new(rng.gen_range(0..side as i32), rng.gen_range(0..side as i32))
+                        })
+                        .collect();
+                    Net::new(format!("n{n}"), pins)
+                })
+                .collect();
+            let design = Design::new(grid, cap, nets, 5).unwrap();
+            let cfg = DgrConfig {
+                iterations: 50,
+                seed,
+                ..DgrConfig::default()
+            };
+            let pools: Vec<_> = design
+                .nets
+                .iter()
+                .map(|n| dgr_rsmt::tree_candidates(&n.pins, &cfg.candidates).unwrap())
+                .collect();
+
+            // round 0 routes on the patterns alone; its overflow decides
+            // which sub-nets get a maze-derived candidate for round 1
+            let mut extras = Default::default();
+            for round in 0..2 {
+                let forest =
+                    dgr_dag::build_forest_with_extras(&design.grid, &pools, cfg.patterns, &extras)
+                        .unwrap();
+                for i in 0..forest.num_paths() {
+                    let mut from_runs: Vec<u32> = Vec::new();
+                    for &(low, high) in forest.path_runs(i) {
+                        let (a, b) = (
+                            design.grid.cell_point(GcellId(low)),
+                            design.grid.cell_point(GcellId(high)),
+                        );
+                        from_runs.extend(design.grid.segment_edges(a, b).unwrap().map(|e| e.0));
+                    }
+                    let mut edges = forest.path_edges(i).to_vec();
+                    from_runs.sort_unstable();
+                    edges.sort_unstable();
+                    assert_eq!(from_runs, edges, "seed {seed} round {round} path {i}");
+                    let (a, b) = forest.subnet_endpoints(forest.subnet_of_path(i));
+                    detours_seen += usize::from(edges.len() as u32 > a.manhattan_distance(b));
+                }
+
+                let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+                let before: Vec<u32> = model.path_logits().iter().map(|w| w.to_bits()).collect();
+                train(&mut model, &cfg, &mut rng);
+                for s in 0..forest.num_subnets() {
+                    let group = forest.paths_of_subnet(s);
+                    if group.len() == 1 {
+                        let i = group.start;
+                        assert_eq!(model.p()[i], 1.0, "seed {seed} path {i}");
+                        assert_eq!(model.path_grad()[i], 0.0, "seed {seed} path {i}");
+                        assert_eq!(model.path_logits()[i].to_bits(), before[i]);
+                        constants_seen += 1;
+                    }
+                }
+                for n in 0..forest.num_nets() {
+                    let group = forest.trees_of_net(n);
+                    if group.len() == 1 {
+                        assert_eq!(model.q()[group.start], 1.0, "seed {seed} net {n}");
+                        assert_eq!(model.tree_grad()[group.start], 0.0, "seed {seed} net {n}");
+                    }
+                }
+
+                let solution = extract_solution(&design, &forest, &mut model, &cfg).unwrap();
+                expand::grow_extras(&design, &forest, &solution, &mut extras);
+            }
+            extras_seen += extras.values().map(Vec::len).sum::<usize>();
+        }
+        assert!(extras_seen > 0, "no design overflowed: nothing grew");
+        assert!(detours_seen > 0, "every candidate was monotone");
+        assert!(constants_seen > 0, "no one-candidate group was checked");
     }
 }

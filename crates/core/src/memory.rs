@@ -3,7 +3,7 @@
 //! The paper plots peak CPU and GPU memory against net count. In this
 //! reproduction "CPU memory" is the process RSS read from
 //! `/proc/self/status` and "device memory" is the byte accounting of the
-//! op tape ([`dgr_autodiff::Graph::bytes`]) plus the DAG forest arenas
+//! cost kernel ([`dgr_autodiff::CostModel::bytes`]) plus the DAG forest arenas
 //! ([`dgr_dag::DagForest::bytes`]).
 
 /// A snapshot of process memory, in bytes.

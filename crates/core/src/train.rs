@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use dgr_autodiff::{gumbel, Adam};
+use dgr_autodiff::Adam;
 use dgr_grid::Design;
 use dgr_obs::{IterationRow, SnapshotSink, TelemetrySink};
 use rand::rngs::StdRng;
@@ -51,7 +51,8 @@ pub struct TrainReport {
     pub curve: Vec<CurvePoint>,
     /// Loss of the final iteration.
     pub final_loss: f32,
-    /// Final annealed temperature.
+    /// Temperature of the last iteration executed (the initial one if
+    /// none was).
     pub final_temperature: f32,
     /// Wall-clock training time.
     pub duration: Duration,
@@ -59,8 +60,8 @@ pub struct TrainReport {
     pub forward_time: Duration,
     /// Time spent in backward sweeps across all iterations.
     pub backward_time: Duration,
-    /// Bytes held by the op tape (values + gradients) — the "GPU memory"
-    /// analogue reported in the Fig. 5b reproduction.
+    /// Bytes held by the kernel's value and gradient buffers — the "GPU
+    /// memory" analogue reported in the Fig. 5b reproduction.
     pub graph_bytes: usize,
 }
 
@@ -135,9 +136,9 @@ impl TrainHooks<'_> {
 
 /// Trains `model` in place per `cfg` and returns the report.
 ///
-/// Every iteration: update the temperature leaf from the annealing
-/// schedule, resample Gumbel noise (if enabled), forward, backward, Adam
-/// step. The graph is never rebuilt.
+/// Every iteration: set the temperature from the annealing schedule,
+/// resample Gumbel noise (if enabled), forward, backward, Adam step. The
+/// kernel is never rebuilt.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
     train_with_hooks(model, cfg, rng, &mut TrainHooks::default())
 }
@@ -154,14 +155,14 @@ pub fn train_with_hooks(
     let _train_span = dgr_obs::span("train", "train");
     dgr_obs::status_phase("train");
     let start = Instant::now();
-    let mut adam = Adam::new(&model.graph, cfg.learning_rate);
+    let mut adam = Adam::new(model.num_trees() + model.num_paths(), cfg.learning_rate);
     let mut loss_history = Vec::new();
     let mut curve = Vec::new();
+    let mut iterations = 0;
     let mut final_loss = f32::NAN;
+    let mut final_temperature = cfg.initial_temperature;
     let mut forward_time = Duration::ZERO;
     let mut backward_time = Duration::ZERO;
-    let mut noise_buf_tree = vec![0.0f32; model.graph.len_of(model.noise_tree)];
-    let mut noise_buf_path = vec![0.0f32; model.graph.len_of(model.noise_path)];
     let curve_stride = cfg.iterations.div_ceil(CURVE_POINTS).max(1);
     let mut last_progress: Option<Instant> = None;
     let mut rss_cache: Option<u64> = None;
@@ -171,21 +172,20 @@ pub fn train_with_hooks(
             break;
         }
         let temp = cfg.temperature_at(it);
-        model.graph.set_data(model.temperature, &[temp]);
+        model.set_temperature(temp);
         if cfg.gumbel_noise {
-            gumbel::fill_gumbel(rng, &mut noise_buf_tree);
-            gumbel::fill_gumbel(rng, &mut noise_buf_path);
-            model.graph.set_data(model.noise_tree, &noise_buf_tree);
-            model.graph.set_data(model.noise_path, &noise_buf_path);
+            model.sample_noise(rng);
         }
         let fwd_start = Instant::now();
         {
             let _s = dgr_obs::span("train", "forward");
-            model.graph.forward();
+            model.forward();
         }
         forward_time += fwd_start.elapsed();
-        let loss = model.graph.value(model.loss)[0];
+        let loss = model.loss();
+        iterations += 1;
         final_loss = loss;
+        final_temperature = temp;
         if cfg.loss_record_interval > 0 && it % cfg.loss_record_interval == 0 {
             loss_history.push((it, loss));
         }
@@ -194,13 +194,13 @@ pub fn train_with_hooks(
             curve.push(CurvePoint {
                 iter: hooks.iter_offset + it,
                 loss,
-                overflow: model.graph.value(model.overflow_cost)[0],
+                overflow: model.overflow_cost(),
             });
         }
         let bwd_start = Instant::now();
         {
             let _s = dgr_obs::span("train", "backward");
-            model.graph.backward(model.loss);
+            model.backward();
         }
         backward_time += bwd_start.elapsed();
         if let Some(probe) = hooks.snap.as_mut() {
@@ -208,7 +208,7 @@ pub fn train_with_hooks(
                 crate::snapshot::write_dense_snapshot(
                     probe.sink,
                     probe.design,
-                    model.graph.value(model.demand),
+                    model.demand(),
                     (hooks.iter_offset + it) as u64,
                     "train",
                     hooks.lane,
@@ -222,18 +222,17 @@ pub fn train_with_hooks(
                 rss_cache = rss_bytes();
             }
             let grad_sq: f32 = model
-                .graph
-                .grad(model.w_tree)
+                .tree_grad()
                 .iter()
-                .chain(model.graph.grad(model.w_path))
+                .chain(model.path_grad())
                 .map(|g| g * g)
                 .sum();
             let row = IterationRow {
                 iter: hooks.iter_offset + it,
                 loss,
-                wl: model.graph.value(model.wl_cost)[0],
-                vias: model.graph.value(model.via_cost)[0],
-                overflow: model.graph.value(model.overflow_cost)[0],
+                wl: model.wl_cost(),
+                vias: model.via_cost(),
+                overflow: model.overflow_cost(),
                 temperature: temp,
                 grad_norm: grad_sq.sqrt(),
                 mem_rss: rss_cache,
@@ -247,7 +246,8 @@ pub fn train_with_hooks(
         }
         {
             let _s = dgr_obs::span("train", "adam");
-            adam.step(&mut model.graph);
+            let (logits, grads) = model.logits_and_grads();
+            adam.step(logits, grads);
         }
         if let Some(progress) = hooks.progress {
             let due = progress.every > 0 && (it % progress.every == 0 || last_iter);
@@ -259,7 +259,7 @@ pub fn train_with_hooks(
                     hooks.iter_offset + it,
                     hooks.iter_offset + cfg.iterations,
                     loss,
-                    model.graph.value(model.overflow_cost)[0],
+                    model.overflow_cost(),
                     start.elapsed().as_secs_f64(),
                 );
             }
@@ -274,15 +274,15 @@ pub fn train_with_hooks(
     }
 
     TrainReport {
-        iterations: cfg.iterations,
+        iterations,
         loss_history,
         curve,
         final_loss,
-        final_temperature: cfg.temperature_at(cfg.iterations.saturating_sub(1)),
+        final_temperature,
         duration: start.elapsed(),
         forward_time,
         backward_time,
-        graph_bytes: model.graph.bytes(),
+        graph_bytes: model.bytes(),
     }
 }
 
@@ -340,10 +340,8 @@ mod tests {
         assert!(report.final_loss < first, "{first} → {}", report.final_loss);
 
         // with noise off at readout, the two nets should prefer opposite Ls
-        model.graph.set_data(model.noise_path, &[0.0; 4]);
-        model.graph.set_data(model.noise_tree, &[0.0; 2]);
-        model.graph.forward();
-        let p = model.graph.value(model.p);
+        model.probabilities();
+        let p = model.p();
         let a_choice = p[0] > p[1];
         let b_choice = p[2] > p[3];
         assert_ne!(a_choice, b_choice, "nets did not separate: p = {p:?}");
@@ -368,6 +366,39 @@ mod tests {
         assert!(report.final_loss.is_finite());
         assert!(report.graph_bytes > 0);
         assert!((report.final_temperature - 1.0).abs() < 1e-6); // < 100 iters
+    }
+
+    #[test]
+    fn a_cancel_raised_before_the_first_iteration_reports_nothing_ran() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let design = contended_design();
+        let pools: Vec<_> = design
+            .nets
+            .iter()
+            .map(|n| tree_candidates(&n.pins, &CandidateConfig::single()).unwrap())
+            .collect();
+        let forest = build_forest(&design.grid, &pools, PatternConfig::l_only()).unwrap();
+        let cfg = DgrConfig {
+            iterations: 40,
+            initial_temperature: 0.7,
+            ..DgrConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        let mut sink = TelemetrySink::in_memory();
+        let mut hooks = TrainHooks {
+            telemetry: Some(&mut sink),
+            cancel: Some(Arc::new(AtomicBool::new(true))),
+            ..TrainHooks::default()
+        };
+        let report = train_with_hooks(&mut model, &cfg, &mut rng, &mut hooks);
+        assert_eq!(report.iterations, 0);
+        assert!(report.final_loss.is_nan());
+        assert_eq!(report.final_temperature, 0.7);
+        assert!(report.curve.is_empty() && report.loss_history.is_empty());
+        assert_eq!(sink.rows(), 0);
     }
 
     #[test]

@@ -149,6 +149,8 @@ pub fn build_forest_with_extras(
     let mut path_turns = Vec::new();
     let mut path_edge_offsets = vec![0u32];
     let mut path_edge_ids: Vec<u32> = Vec::new();
+    let mut path_run_offsets = vec![0u32];
+    let mut path_runs: Vec<(u32, u32)> = Vec::new();
     let mut path_via_offsets = vec![0u32];
     let mut path_via_cells: Vec<u32> = Vec::new();
 
@@ -157,6 +159,7 @@ pub fn build_forest_with_extras(
         let mut subnet_cursor = 0usize;
         let mut path_cursor = 0usize;
         let mut edge_cursor = 0usize;
+        let mut run_cursor = 0usize;
         let mut via_cursor = 0usize;
         for &subnets_in_tree in &chunk.tree_subnet_counts {
             let t = tree_net.len() as u32;
@@ -175,6 +178,10 @@ pub fn build_forest_with_extras(
                         .extend_from_slice(&chunk.path_edge_ids[edge_cursor..edge_cursor + ne]);
                     edge_cursor += ne;
                     path_edge_offsets.push(path_edge_ids.len() as u32);
+                    let nr = chunk.path_run_counts[path_cursor] as usize;
+                    path_runs.extend_from_slice(&chunk.path_runs[run_cursor..run_cursor + nr]);
+                    run_cursor += nr;
+                    path_run_offsets.push(path_runs.len() as u32);
                     let nv = chunk.path_via_counts[path_cursor] as usize;
                     path_via_cells
                         .extend_from_slice(&chunk.path_via_cells[via_cursor..via_cursor + nv]);
@@ -203,6 +210,8 @@ pub fn build_forest_with_extras(
         path_turns,
         path_edge_offsets,
         path_edge_ids,
+        path_run_offsets,
+        path_runs,
         path_via_offsets,
         path_via_cells,
     };
@@ -226,6 +235,8 @@ struct NetChunk {
     path_turns: Vec<f32>,
     path_edge_counts: Vec<u32>,
     path_edge_ids: Vec<u32>,
+    path_run_counts: Vec<u32>,
+    path_runs: Vec<(u32, u32)>,
     path_via_counts: Vec<u32>,
     path_via_cells: Vec<u32>,
 }
@@ -245,6 +256,8 @@ fn build_net_chunk(
         path_turns: Vec::new(),
         path_edge_counts: Vec::new(),
         path_edge_ids: Vec::new(),
+        path_run_counts: Vec::new(),
+        path_runs: Vec::new(),
         path_via_counts: Vec::new(),
         path_via_cells: Vec::new(),
     };
@@ -274,12 +287,23 @@ fn build_net_chunk(
                 chunk.path_wl.push(path.wirelength() as f32);
                 chunk.path_turns.push(path.num_turns() as f32);
                 let edges_before = chunk.path_edge_ids.len();
-                for e in path.edges(grid)? {
-                    chunk.path_edge_ids.push(e.0);
+                let runs_before = chunk.path_runs.len();
+                for w in path.corners.windows(2) {
+                    let edges = grid.segment_edges(w[0], w[1])?;
+                    if w[0] == w[1] {
+                        continue;
+                    }
+                    chunk.path_edge_ids.extend(edges.map(|e| e.0));
+                    // the segment is on the grid, so its end cells are
+                    let (a, b) = (grid.cell_id(w[0])?.0, grid.cell_id(w[1])?.0);
+                    chunk.path_runs.push((a.min(b), a.max(b)));
                 }
                 chunk
                     .path_edge_counts
                     .push((chunk.path_edge_ids.len() - edges_before) as u32);
+                chunk
+                    .path_run_counts
+                    .push((chunk.path_runs.len() - runs_before) as u32);
                 let vias_before = chunk.path_via_cells.len();
                 for v in path.turning_points() {
                     let id = grid.cell_id(v)?;
@@ -449,6 +473,50 @@ mod tests {
         let extra_idx = grown.num_paths() - 1;
         assert_eq!(grown.path_wirelength(extra_idx), 14.0); // detour length
         assert_eq!(grown.path_turn_count(extra_idx), 2.0);
+    }
+
+    #[test]
+    fn runs_cover_exactly_the_path_edges() {
+        let g = grid();
+        let nets = vec![
+            pool(&[Point::new(2, 3), Point::new(9, 8), Point::new(5, 14)]),
+            pool(&[Point::new(4, 4), Point::new(4, 4)]),
+            pool(&[Point::new(1, 6), Point::new(12, 6)]),
+        ];
+        // an extra that doubles back over its own first leg: the edges
+        // (3,3)–(5,3) are walked twice and must be counted twice
+        let doubling = crate::paths::PatternPath::new(vec![
+            Point::new(2, 3),
+            Point::new(5, 3),
+            Point::new(3, 3),
+            Point::new(3, 8),
+            Point::new(9, 8),
+        ]);
+        let mut extras = std::collections::HashMap::new();
+        for s in 0..4 {
+            extras.insert(s, vec![doubling.clone()]);
+        }
+        let f = build_forest_with_extras(&g, &nets, PatternConfig::with_z_and_c(2, 1), &extras)
+            .unwrap();
+        f.validate().unwrap();
+        let mut doubled = 0;
+        for i in 0..f.num_paths() {
+            let mut from_runs: Vec<u32> = Vec::new();
+            for &(lo, hi) in f.path_runs(i) {
+                assert!(lo < hi);
+                let (a, b) = (
+                    g.cell_point(dgr_grid::GcellId(lo)),
+                    g.cell_point(dgr_grid::GcellId(hi)),
+                );
+                from_runs.extend(g.segment_edges(a, b).unwrap().map(|e| e.0));
+            }
+            let mut edges = f.path_edges(i).to_vec();
+            from_runs.sort_unstable();
+            edges.sort_unstable();
+            assert_eq!(from_runs, edges, "path {i}");
+            doubled += usize::from(edges.windows(2).any(|w| w[0] == w[1]));
+        }
+        assert!(doubled > 0, "the doubling extra was not admitted");
     }
 
     #[test]

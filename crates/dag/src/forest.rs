@@ -17,8 +17,10 @@ use crate::DagError;
 /// * **path** `0..num_paths()` — pattern-path candidates, grouped by
 ///   subnet via `subnet_path_offsets`.
 ///
-/// Per-path CSR side tables map paths to the g-cell edges they occupy and
-/// the g-cells where they turn (via pressure).
+/// Per-path CSR side tables map paths to the g-cell edges they occupy, the
+/// straight *runs* those edges form (one per corner-to-corner segment —
+/// what the expected-cost kernel streams instead of the edges), and the
+/// g-cells where they turn (via pressure).
 ///
 /// Construct with [`crate::build_forest`]; all fields are read-only after
 /// construction (exposed through accessors so the representation can
@@ -37,6 +39,8 @@ pub struct DagForest {
     pub(crate) path_turns: Vec<f32>,
     pub(crate) path_edge_offsets: Vec<u32>,
     pub(crate) path_edge_ids: Vec<u32>,
+    pub(crate) path_run_offsets: Vec<u32>,
+    pub(crate) path_runs: Vec<(u32, u32)>,
     pub(crate) path_via_offsets: Vec<u32>,
     pub(crate) path_via_cells: Vec<u32>,
 }
@@ -124,6 +128,18 @@ impl DagForest {
         &self.path_edge_ids[lo..hi]
     }
 
+    /// Straight runs of path `i`, one per non-empty corner-to-corner
+    /// segment in source-to-sink order: `(low, high)` raw
+    /// [`dgr_grid::GcellId`] values of the segment's end cells, `low <
+    /// high`. A run whose ends share a row covers the horizontal edges
+    /// between them, otherwise the vertical ones; together the runs cover
+    /// exactly the multiset [`Self::path_edges`] lists.
+    pub fn path_runs(&self, i: usize) -> &[(u32, u32)] {
+        let lo = self.path_run_offsets[i] as usize;
+        let hi = self.path_run_offsets[i + 1] as usize;
+        &self.path_runs[lo..hi]
+    }
+
     /// G-cells where path `i` turns (raw [`dgr_grid::GcellId`] values).
     pub fn path_vias(&self, i: usize) -> &[u32] {
         let lo = self.path_via_offsets[i] as usize;
@@ -146,6 +162,11 @@ impl DagForest {
         &self.path_tree
     }
 
+    /// Per-subnet tree index (every path of a subnet shares its tree).
+    pub fn subnet_tree_slice(&self) -> &[u32] {
+        &self.subnet_tree
+    }
+
     /// CSR offsets grouping paths by subnet (softmax groups for `p`).
     pub fn subnet_path_offsets_slice(&self) -> &[u32] {
         &self.subnet_path_offsets
@@ -159,6 +180,12 @@ impl DagForest {
     /// CSR (offsets, edge ids) mapping each path to its g-cell edges.
     pub fn path_edge_csr(&self) -> (&[u32], &[u32]) {
         (&self.path_edge_offsets, &self.path_edge_ids)
+    }
+
+    /// CSR (offsets, end-cell pairs) mapping each path to its straight
+    /// runs (see [`Self::path_runs`]).
+    pub fn path_run_csr(&self) -> (&[u32], &[(u32, u32)]) {
+        (&self.path_run_offsets, &self.path_runs)
     }
 
     /// CSR (offsets, cell ids) mapping each path to its turn cells.
@@ -181,6 +208,8 @@ impl DagForest {
             + self.path_turns.len()
             + self.path_edge_offsets.len()
             + self.path_edge_ids.len()
+            + self.path_run_offsets.len()
+            + 2 * self.path_runs.len()
             + self.path_via_offsets.len()
             + self.path_via_cells.len())
     }
@@ -215,6 +244,7 @@ impl DagForest {
             &self.path_edge_offsets,
             self.path_edge_ids.len(),
         )?;
+        check_csr("path→run", &self.path_run_offsets, self.path_runs.len())?;
         check_csr(
             "path→via",
             &self.path_via_offsets,
@@ -226,6 +256,13 @@ impl DagForest {
         {
             return Err(DagError::Inconsistent(
                 "per-path arrays disagree on length".into(),
+            ));
+        }
+        if self.path_run_offsets.len() != self.path_subnet.len() + 1
+            || self.path_runs.iter().any(|&(lo, hi)| lo >= hi)
+        {
+            return Err(DagError::Inconsistent(
+                "path runs must be grouped per path with low < high end cells".into(),
             ));
         }
         if self.subnet_endpoints.len() != self.subnet_tree.len() {

@@ -7,7 +7,6 @@
 
 use std::sync::Mutex;
 
-use dgr_autodiff::gumbel::fill_gumbel;
 use dgr_autodiff::Activation;
 use dgr_core::{build_cost_model, DgrConfig, NetRoute, RoutePath};
 use dgr_dag::{build_forest, PatternConfig};
@@ -162,9 +161,8 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
             ));
         }
 
-        // the production tape against the independent discrete replay
-        model.graph.set_data(model.w_tree, &w_tree);
-        model.graph.set_data(model.w_path, &w_path);
+        // the production kernel against the independent discrete replay
+        model.set_logits(&w_tree, &w_path);
         let (loss, overflow, wl, via) = model.evaluate();
         for (name, got, want) in [
             ("loss", loss as f64, discrete.loss),
@@ -176,19 +174,18 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
                 return Err(fail(
                     spec,
                     format!(
-                        "tape {name} {got} ≠ discrete replay {want} \
+                        "kernel {name} {got} ≠ discrete replay {want} \
                          (selection trees {:?}, paths {:?})",
                         sel.tree_of_net, sel.path_of_subnet
                     ),
                 ));
             }
         }
-        let tape_demand = model.graph.value(model.demand);
-        for (e, (&got, &want)) in tape_demand.iter().zip(&discrete.demand).enumerate() {
+        for (e, (&got, &want)) in model.demand().iter().zip(&discrete.demand).enumerate() {
             if !close(got as f64, want, tol::COST_REL) {
                 return Err(fail(
                     spec,
-                    format!("tape demand[{e}] {got} ≠ replayed demand {want}"),
+                    format!("kernel demand[{e}] {got} ≠ replayed demand {want}"),
                 ));
             }
         }
@@ -196,7 +193,16 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
     Ok(())
 }
 
-// --- check 3: tape gradients vs. f64 central differences -------------------
+// --- check 3: kernel gradients vs. f64 central differences -----------------
+
+/// Where `activation` is not differentiable, as a value of its input.
+fn kink(activation: Activation) -> Option<f64> {
+    match activation {
+        Activation::Relu | Activation::LeakyRelu => Some(0.0),
+        Activation::Exp => Some(20.0), // the clamp
+        Activation::Sigmoid | Activation::Celu => None,
+    }
+}
 
 fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     let mut rng = case_rng(spec);
@@ -215,59 +221,60 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     let forest = build_forest(&design.grid, &pools, PatternConfig::with_z(2))
         .expect("candidates clamped to grid");
     let cfg = DgrConfig {
-        // smooth activations only: FD at a ReLU kink is meaningless
-        activation: if rng.gen_range(0..2) == 0 {
-            Activation::Sigmoid
-        } else {
-            Activation::Celu
-        },
+        activation: Activation::ALL[rng.gen_range(0..Activation::ALL.len())],
         overflow_scale: 2.0,
         initial_temperature: [0.5f32, 1.0, 2.0][rng.gen_range(0..3usize)],
         ..DgrConfig::default()
     };
     let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
     if rng.gen_range(0..2) == 0 {
-        let mut noise = vec![0.0f32; forest.num_trees()];
-        fill_gumbel(&mut rng, &mut noise);
-        model.graph.set_data(model.noise_tree, &noise);
-        let mut noise = vec![0.0f32; forest.num_paths()];
-        fill_gumbel(&mut rng, &mut noise);
-        model.graph.set_data(model.noise_path, &noise);
+        model.sample_noise(&mut rng);
     }
 
-    let w_tree = model.graph.value(model.w_tree).to_vec();
-    let w_path = model.graph.value(model.w_path).to_vec();
-    let noise_tree = model.graph.value(model.noise_tree).to_vec();
-    let noise_path = model.graph.value(model.noise_path).to_vec();
-    let tau = model.graph.value(model.temperature)[0];
+    let w_tree = model.tree_logits().to_vec();
+    let w_path = model.path_logits().to_vec();
+    let noise_tree = model.tree_noise().to_vec();
+    let noise_path = model.path_noise().to_vec();
+    let tau = model.temperature();
     let reference = RefModel::new(&design, &forest, &cfg);
-    let eval = |wt: &[f32], wp: &[f32]| -> f64 {
-        reference.eval(wt, wp, &noise_tree, &noise_path, tau).loss
-    };
+    let eval = |wt: &[f32], wp: &[f32]| reference.eval(wt, wp, &noise_tree, &noise_path, tau);
 
     // forward consistency first: a wrong forward makes FD meaningless
-    let (tape_loss, ..) = model.evaluate();
-    let ref_loss = eval(&w_tree, &w_path);
-    if !close(tape_loss as f64, ref_loss, tol::COST_REL) {
+    let (kernel_loss, ..) = model.evaluate();
+    let ref_loss = eval(&w_tree, &w_path).loss;
+    if !close(kernel_loss as f64, ref_loss, tol::COST_REL) {
         return Err(fail(
             spec,
-            format!("tape loss {tape_loss} ≠ f64 reference {ref_loss}"),
+            format!("kernel loss {kernel_loss} ≠ f64 reference {ref_loss}"),
         ));
     }
 
-    // f64 central differences on a deterministic coordinate sample
+    // f64 central differences on a deterministic coordinate sample. A
+    // coordinate whose ±h step carries an edge across the activation's
+    // kink has no derivative to compare with (every demand is monotone in
+    // every logit, so looking at the two ends is enough): `None`. An edge
+    // that sits on the kink at both ends does not move and does not count.
     let h = tol::FD_STEP;
-    let fd_at = |buf: &[f32], is_tree: bool, j: usize| -> f64 {
+    let cap = design.capacity.as_slice();
+    let fd_at = |buf: &[f32], is_tree: bool, j: usize| -> Option<f64> {
         let mut plus = buf.to_vec();
         let mut minus = buf.to_vec();
         plus[j] += h;
         minus[j] -= h;
-        let (lp, lm) = if is_tree {
+        let (up, down) = if is_tree {
             (eval(&plus, &w_path), eval(&minus, &w_path))
         } else {
             (eval(&w_tree, &plus), eval(&w_tree, &minus))
         };
-        (lp - lm) / (2.0 * h as f64)
+        if let Some(k) = kink(cfg.activation) {
+            let side = |d: f64, e: usize| (d - cap[e] as f64) / cfg.overflow_scale as f64 - k;
+            let crosses =
+                (0..cap.len()).any(|e| side(up.demand[e], e) * side(down.demand[e], e) < 0.0);
+            if crosses {
+                return None;
+            }
+        }
+        Some((up.loss - down.loss) / (2.0 * h as f64))
     };
     let sample = |len: usize, rng: &mut StdRng| -> Vec<usize> {
         if len <= tol::FD_COORDS {
@@ -279,28 +286,22 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     let tree_coords = sample(w_tree.len(), &mut rng);
     let path_coords = sample(w_path.len(), &mut rng);
 
-    model.graph.forward();
-    model.graph.backward(model.loss);
-    let g_tree = model.graph.grad(model.w_tree);
-    let g_path = model.graph.grad(model.w_path);
-    for &j in &tree_coords {
-        let want = fd_at(&w_tree, true, j);
-        let got = g_tree[j] as f64;
-        if !close(got, want, tol::GRAD_REL) {
-            return Err(fail(
-                spec,
-                format!("tape ∂loss/∂w_tree[{j}] {got} ≠ central diff {want}"),
-            ));
-        }
-    }
-    for &j in &path_coords {
-        let want = fd_at(&w_path, false, j);
-        let got = g_path[j] as f64;
-        if !close(got, want, tol::GRAD_REL) {
-            return Err(fail(
-                spec,
-                format!("tape ∂loss/∂w_path[{j}] {got} ≠ central diff {want}"),
-            ));
+    model.backward();
+    for (name, coords, logits, grads, is_tree) in [
+        ("w_tree", &tree_coords, &w_tree, model.tree_grad(), true),
+        ("w_path", &path_coords, &w_path, model.path_grad(), false),
+    ] {
+        for &j in coords {
+            let Some(want) = fd_at(logits, is_tree, j) else {
+                continue;
+            };
+            let got = grads[j] as f64;
+            if !close(got, want, tol::GRAD_REL) {
+                return Err(fail(
+                    spec,
+                    format!("kernel ∂loss/∂{name}[{j}] {got} ≠ central diff {want}"),
+                ));
+            }
         }
     }
     Ok(())

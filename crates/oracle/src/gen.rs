@@ -19,8 +19,8 @@ pub enum CheckKind {
     /// Relaxed expected cost at one-hot logits vs. a discrete replay of
     /// every selectable tree/path combination.
     PathCost,
-    /// Autodiff tape gradients (both exec modes) vs. central differences
-    /// of an independent f64 forward pass.
+    /// The cost kernel's gradients vs. central differences of an
+    /// independent f64 forward pass.
     GradCheck,
     /// Incremental demand updates vs. a from-scratch naive recount.
     DemandReplay,

@@ -9,8 +9,8 @@
 //! | check          | production code                       | reference                               |
 //! |----------------|---------------------------------------|-----------------------------------------|
 //! | `rsmt`         | `dgr_rsmt::exact_steiner` (DP)        | MSTs over bounded Hanan subsets         |
-//! | `path_cost`    | the `dgr-core` expected-cost tape     | f64 discrete replay of every selection  |
-//! | `grad_check`   | `dgr-autodiff` backward (both modes)  | central differences of an f64 forward   |
+//! | `path_cost`    | the `dgr-autodiff` cost kernel        | f64 discrete replay of every selection  |
+//! | `grad_check`   | the kernel's hand-derived backward    | central differences of an f64 forward   |
 //! | `demand_replay`| incremental `dgr_grid::DemandMap`     | from-scratch unit-step recount          |
 //! | `layer_assign` | the `dgr-post` per-net DP             | exhaustive (root × segment-layer) scan  |
 //!
@@ -40,13 +40,13 @@ pub use reference::{RefModel, Selection, ONE_HOT};
 ///
 /// The production solver computes in f32; every reference here computes
 /// in f64. Agreement bounds are therefore set by f32 round-off through
-/// the tape's op chain, not by the references.
+/// the kernel's phases, not by the references.
 pub mod tol {
-    /// Relative tolerance for scalar costs and demands: tape f32 vs.
+    /// Relative tolerance for scalar costs and demands: kernel f32 vs.
     /// reference f64, `|a − b| ≤ tol · max(1, |a|, |b|)`.
     pub const COST_REL: f64 = 1e-4;
 
-    /// Relative tolerance for tape gradients vs. f64 central
+    /// Relative tolerance for kernel gradients vs. f64 central
     /// differences (the ISSUE's acceptance bound).
     pub const GRAD_REL: f64 = 1e-4;
 

@@ -96,7 +96,7 @@ impl<'a> RefModel<'a> {
         }
     }
 
-    /// Full f64 forward pass over the same leaves the tape reads:
+    /// Full f64 forward pass over the same leaves the kernel reads:
     /// `z = (w + noise)/τ`, per-group softmax, `qp = p·q`, expected
     /// wirelength/vias/demand, activated overflow, weighted loss.
     pub fn eval(

@@ -10,7 +10,8 @@
 //! * [`grid`] — g-cell grid, capacity/demand model, overflow metrics
 //! * [`rsmt`] — rectilinear Steiner trees and tree-candidate pools
 //! * [`dag`] — the routing DAG forest (the search-space representation)
-//! * [`autodiff`] — the reverse-mode autodiff engine and Adam
+//! * [`autodiff`] — the expected-cost kernel (Eqs. 9–12, forward and
+//!   hand-derived backward), Adam and the front end's worker pool
 //! * [`core`] — the differentiable router itself
 //! * [`baseline`] — ILP, sequential, soft-capacity and Lagrangian routers
 //! * [`post`] — layer assignment, maze refinement, routing guides

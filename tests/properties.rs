@@ -1,8 +1,6 @@
 //! Property-based tests over the core invariants of every subsystem.
 
-use std::sync::Arc;
-
-use dgr::autodiff::{Graph, Segments};
+use dgr::autodiff::{Activation, CostModel, CostShape, CostTerms};
 use dgr::dag::{build_forest, enumerate_paths, PatternConfig};
 use dgr::grid::{GcellGrid, Point, Rect};
 use dgr::rsmt::{exact_steiner, rmst, rsmt, tree_candidates, CandidateConfig};
@@ -14,6 +12,41 @@ fn arb_point(max: i32) -> impl Strategy<Value = Point> {
 
 fn arb_pins(max_coord: i32, max_pins: usize) -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec(arb_point(max_coord), 1..=max_pins)
+}
+
+/// A cost kernel over one row of `reach + 1` cells: one net, one tree,
+/// sub-nets grouped by `offsets`; path `i` costs `path_cost[i]` and runs
+/// from cell 0 over the first `1 + i % reach` edges (none if `reach` is 0).
+fn one_row_model(offsets: &[u32], path_cost: &[f32], reach: usize, logits: Vec<f32>) -> CostModel {
+    let paths = path_cost.len();
+    let runs: Vec<(u32, u32)> = (0..paths * reach.min(1))
+        .map(|i| (0, (1 + i % reach) as u32))
+        .collect();
+    let run_offsets: Vec<u32> = (0..=paths).map(|i| (i * reach.min(1)) as u32).collect();
+    let shape = CostShape {
+        width: reach + 1,
+        height: 1,
+        net_tree_offsets: &[0, 1],
+        subnet_tree: &vec![0; offsets.len() - 1],
+        subnet_path_offsets: offsets,
+        path_wl: path_cost,
+        path_turns: &vec![0.0; paths],
+        path_run_offsets: &run_offsets,
+        path_runs: &runs,
+        path_via_offsets: &vec![0; paths + 1],
+        path_via_cells: &[],
+        capacity: &vec![0.5; reach],
+        beta: &vec![0.0; reach + 1],
+    };
+    let terms = CostTerms {
+        wirelength: 1.0,
+        via: 0.0,
+        overflow: 2.0,
+        sqrt_layers: 1.0,
+        activation: Activation::Sigmoid,
+        overflow_scale: 1.0,
+    };
+    CostModel::new(&shape, terms, logits).expect("a well-formed row")
 }
 
 proptest! {
@@ -104,15 +137,14 @@ proptest! {
         }
         let n = *offsets.last().unwrap() as usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let logits: Vec<f32> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let mut g = Graph::new();
-        let w = g.param(logits);
-        let seg = Arc::new(Segments::from_offsets(offsets.clone()).unwrap());
-        let p = g.segmented_softmax(w, seg);
-        g.forward();
+        // one tree whose sub-nets are the groups; the first logit is the tree's
+        let logits: Vec<f32> = (0..1 + n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let mut model = one_row_model(&offsets, &vec![0.0; n], 0, logits);
+        model.sample_noise(&mut rng);
+        model.forward();
         for k in 0..widths.len() {
             let r = offsets[k] as usize..offsets[k + 1] as usize;
-            let sum: f32 = g.value(p)[r].iter().sum();
+            let sum: f32 = model.p()[r].iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "group {k} sums to {sum}");
         }
     }
@@ -122,32 +154,26 @@ proptest! {
         logits in proptest::collection::vec(-2.0f32..2.0, 4..10),
         costs in proptest::collection::vec(-3.0f32..3.0, 10),
     ) {
+        // one group of n paths: path i costs `costs[i]` and runs over the
+        // first 1 + i % 3 edges of a four-cell row
         let n = logits.len();
-        let costs = &costs[..n];
-        let build = |data: Vec<f32>| {
-            let mut g = Graph::new();
-            let w = g.param(data);
-            let seg = Arc::new(Segments::from_offsets(vec![0, n as u32]).unwrap());
-            let p = g.segmented_softmax(w, seg);
-            let sq = g.mul(p, p);
-            let loss = g.dot_const(sq, Arc::new(costs.to_vec()));
-            (g, w, loss)
+        let loss_at = |path_logits: &[f32]| {
+            let mut w = vec![0.0];
+            w.extend_from_slice(path_logits);
+            let mut model = one_row_model(&[0, n as u32], &costs[..n], 3, w);
+            model.forward();
+            model
         };
-        let (mut g, w, loss) = build(logits.clone());
-        g.forward();
-        g.backward(loss);
-        let analytic = g.grad(w).to_vec();
+        let mut model = loss_at(&logits);
+        model.backward();
+        let analytic = model.path_grad().to_vec();
         let h = 1e-2f32;
         for i in 0..n {
             let mut up = logits.clone();
             up[i] += h;
-            let (mut gu, _, lu) = build(up);
-            gu.forward();
             let mut dn = logits.clone();
             dn[i] -= h;
-            let (mut gd, _, ld) = build(dn);
-            gd.forward();
-            let numeric = (gu.value(lu)[0] - gd.value(ld)[0]) / (2.0 * h);
+            let numeric = (loss_at(&up).loss() - loss_at(&dn).loss()) / (2.0 * h);
             prop_assert!(
                 (analytic[i] - numeric).abs() < 0.05,
                 "grad[{i}] analytic {} vs numeric {}", analytic[i], numeric

@@ -16,12 +16,10 @@
 
 use std::time::{Duration, Instant};
 
-use dgr_core::{DgrConfig, DgrRouter, RoutingSolution};
-
-pub mod harness;
+use dgr_core::{DgrConfig, RouteHooks, RoutingSolution};
 use dgr_grid::Design;
 use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
-use dgr_post::{assign_layers, refine, AssignConfig, Assigned3d, RefineConfig};
+use dgr_post::{pipeline, Assigned3d};
 
 /// A routed case with post-processing applied: the quantities every table
 /// reports.
@@ -31,11 +29,26 @@ pub struct PipelineResult {
     pub solution: RoutingSolution,
     /// The layer assignment (vias, 3D overflow, n₁).
     pub assigned: Assigned3d,
-    /// Wall-clock routing time (excl. generation, incl. training).
+    /// Wall-clock routing time (excl. generation, incl. training and
+    /// refinement).
     pub runtime: Duration,
 }
 
 impl PipelineResult {
+    fn new(
+        solution: RoutingSolution,
+        post: pipeline::Finished,
+        runtime: Duration,
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        Ok(PipelineResult {
+            solution,
+            assigned: post
+                .assigned
+                .ok_or("the tables need a layer assignment: design has one layer")?,
+            runtime,
+        })
+    }
+
     /// Overflowed g-cell edges of the 2D solution (the paper's
     /// "# G-cell edges w/ overflow" column, CUGR2 metric).
     pub fn overflow_edges(&self) -> usize {
@@ -61,7 +74,7 @@ impl PipelineResult {
     }
 }
 
-/// Runs the full DGR pipeline (route → refine → layer-assign).
+/// Runs the full DGR pipeline ([`pipeline::run`]).
 ///
 /// # Errors
 ///
@@ -70,20 +83,13 @@ pub fn run_dgr(
     design: &Design,
     config: DgrConfig,
 ) -> Result<PipelineResult, Box<dyn std::error::Error>> {
-    let start = Instant::now();
-    let mut solution = DgrRouter::new(config).route(design)?;
-    refine(design, &mut solution, RefineConfig::default())?;
-    let runtime = start.elapsed();
-    let assigned = assign_layers(design, &solution, assign_cfg(design))?;
-    Ok(PipelineResult {
-        solution,
-        assigned,
-        runtime,
-    })
+    let out = pipeline::run(design, &config, &mut RouteHooks::default(), false)?;
+    PipelineResult::new(out.solution, out.post, out.route_time)
 }
 
 /// Runs a baseline router closure through the same refinement and layer
-/// assignment as DGR, so every column is measured identically.
+/// assignment as DGR ([`pipeline::finish`]), so every column is measured
+/// identically.
 ///
 /// # Errors
 ///
@@ -97,37 +103,19 @@ where
 {
     let start = Instant::now();
     let mut solution = route(design)?;
-    refine(design, &mut solution, RefineConfig::default())?;
-    let runtime = start.elapsed();
-    let assigned = assign_layers(design, &solution, assign_cfg(design))?;
-    Ok(PipelineResult {
-        solution,
-        assigned,
-        runtime,
-    })
+    let routed = start.elapsed();
+    let post = pipeline::finish(design, &mut solution, false)?;
+    let runtime = routed + post.refine_time;
+    PipelineResult::new(solution, post, runtime)
 }
 
-fn assign_cfg(design: &Design) -> AssignConfig {
-    let _ = design;
-    AssignConfig::default()
-}
-
-/// Generates a catalog case, optionally shrunk by `--fast`.
+/// Generates a catalog case, optionally shrunk by `--fast`
+/// ([`IspdLikeConfig::fast`]).
 pub fn generate_case(
-    mut config: IspdLikeConfig,
+    config: IspdLikeConfig,
     fast: bool,
 ) -> Result<Design, Box<dyn std::error::Error>> {
-    if fast {
-        // shrink nets ×4 and area ×4 together: net density, cluster density
-        // and relative cluster spread — hence the congestion regime — are
-        // all preserved
-        let f = 4.0f64;
-        config.num_nets = ((config.num_nets as f64 / f) as usize).max(50);
-        config.width = ((config.width as f64 / f.sqrt()).round() as u32).max(20);
-        config.height = ((config.height as f64 / f.sqrt()).round() as u32).max(20);
-        config.cluster_spread /= f.sqrt();
-        config.clusters = ((config.clusters as f64 / f).round() as usize).max(3);
-    }
+    let config = if fast { config.fast() } else { config };
     Ok(IspdLikeGenerator::new(config).generate()?)
 }
 
@@ -137,14 +125,10 @@ pub fn fast_flag() -> bool {
 }
 
 /// A DGR config sized for the experiment scale: the paper's 1000
-/// iterations for full runs, 200 for `--fast`. The `DGR_ITERS`
-/// environment variable overrides both (calibration escape hatch).
+/// iterations for full runs, 200 for `--fast`.
 pub fn dgr_config(fast: bool, seed: u64) -> DgrConfig {
     DgrConfig {
-        iterations: std::env::var("DGR_ITERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if fast { 200 } else { 1000 }),
+        iterations: if fast { 200 } else { 1000 },
         seed,
         ..DgrConfig::default()
     }
@@ -195,33 +179,5 @@ mod tests {
         assert_eq!(ratio(0.0, 0.0), 1.0);
         assert_eq!(ratio(5.0, 0.0), f64::INFINITY);
         assert_eq!(ratio(6.0, 3.0), 2.0);
-    }
-
-    #[test]
-    fn fast_scaling_preserves_densities() {
-        let base = IspdLikeConfig {
-            width: 120,
-            height: 120,
-            num_nets: 8000,
-            clusters: 100,
-            cluster_spread: 12.0,
-            ..IspdLikeConfig::default()
-        };
-        let full = generate_case(base.clone(), false).unwrap();
-        let fast_cfg = {
-            // re-derive the shrunk config to compare densities
-            let mut c = base.clone();
-            let f = 4.0f64;
-            c.num_nets = ((c.num_nets as f64 / f) as usize).max(50);
-            c.width = ((c.width as f64 / f.sqrt()).round() as u32).max(20);
-            c.height = ((c.height as f64 / f.sqrt()).round() as u32).max(20);
-            c
-        };
-        let fast = generate_case(base, true).unwrap();
-        assert_eq!(fast.num_nets(), fast_cfg.num_nets);
-        let density =
-            |d: &Design| d.num_nets() as f64 / (d.grid.width() as f64 * d.grid.height() as f64);
-        let rel = (density(&fast) - density(&full)).abs() / density(&full);
-        assert!(rel < 0.1, "net density drifted {rel:.3} under --fast");
     }
 }

@@ -89,11 +89,6 @@ pub struct DgrConfig {
     pub seed: u64,
     /// Routing-tree candidate pool configuration.
     pub candidates: CandidateConfig,
-    /// Memoize Dreyfus–Wagner solves across nets via the canonical
-    /// pin-configuration cache ([`dgr_rsmt::RsmtCache`]). Cached and
-    /// uncached runs produce identical trees (both solve in canonical
-    /// space); disabling exists for benchmarking the cache itself.
-    pub use_rsmt_cache: bool,
     /// Pattern families per 2-pin sub-net.
     pub patterns: PatternConfig,
     /// Record the loss every this many iterations (0 = never).
@@ -128,7 +123,6 @@ impl Default for DgrConfig {
             extraction: ExtractionMode::default(),
             seed: 0,
             candidates: CandidateConfig::default(),
-            use_rsmt_cache: true,
             patterns: PatternConfig::default(),
             loss_record_interval: 10,
             extraction_rounds: 2,

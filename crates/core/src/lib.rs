@@ -157,6 +157,9 @@ pub struct RouteHooks {
     /// instead of extracting a solution. `None` (the default) never
     /// cancels.
     pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// Written by the run, not read: the `(hits, misses)` of its own
+    /// Steiner-template cache ([`Candidates::cache_hits`]).
+    pub cache_counts: (u64, u64),
 }
 
 impl RouteHooks {
@@ -166,6 +169,22 @@ impl RouteHooks {
             .as_ref()
             .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
     }
+}
+
+/// The router's front-end product: what [`DgrRouter::candidates`] built
+/// for a design and [`DgrRouter::forest`] turns into the DAG forest.
+#[derive(Debug)]
+pub struct Candidates {
+    /// Routing-tree candidates per net, in input-net order.
+    pub pools: Vec<Vec<dgr_rsmt::RoutingTree>>,
+    /// Maze-derived path candidates per sub-net, grown by the adaptive
+    /// expansion rounds (empty until a round has overflowed).
+    extras: std::collections::HashMap<usize, Vec<dgr_dag::PatternPath>>,
+    /// Steiner-template cache hits of this call alone (the
+    /// `rsmt.cache.*` obs counters are process-wide).
+    pub cache_hits: u64,
+    /// Steiner-template cache misses of this call alone.
+    pub cache_misses: u64,
 }
 
 /// The end-to-end differentiable global router.
@@ -186,6 +205,61 @@ impl DgrRouter {
     /// The active configuration.
     pub fn config(&self) -> &DgrConfig {
         &self.config
+    }
+
+    /// Step 1 of [`DgrRouter::route`]: the per-net tree candidate pools
+    /// (span `candidates`). Trees are clamped to the die, every net draws
+    /// from its own seed derived from `(candidates.seed, net index)` — so
+    /// the fan-out over the worker pool is deterministic at any thread
+    /// count — and Steiner templates are shared through one canonical
+    /// cache per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DgrError::Rsmt`] if a net has no pins.
+    pub fn candidates(&self, design: &Design) -> Result<Candidates, DgrError> {
+        let _s = dgr_obs::span("route", "candidates");
+        dgr_obs::status_phase("candidates");
+        let mut base_cfg = self.config.candidates.clone();
+        base_cfg.clamp = Some(design.grid.bounds());
+        let cache = dgr_rsmt::RsmtCache::new();
+        let nets = &design.nets;
+        let pools = dgr_autodiff::parallel::par_indexed(nets.len(), NET_PAR_MIN, |i| {
+            let cfg_i = dgr_rsmt::CandidateConfig {
+                seed: per_net_seed(base_cfg.seed, i),
+                ..base_cfg.clone()
+            };
+            dgr_rsmt::tree_candidates_cached(&nets[i].pins, &cfg_i, &cache)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        Ok(Candidates {
+            pools,
+            extras: Default::default(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+        })
+    }
+
+    /// Step 2 of [`DgrRouter::route`]: the DAG forest over `candidates`
+    /// (span `forest`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DgrError::Dag`] if a candidate leaves the grid.
+    pub fn forest(
+        &self,
+        design: &Design,
+        candidates: &Candidates,
+    ) -> Result<dgr_dag::DagForest, DgrError> {
+        let _s = dgr_obs::span("route", "forest");
+        dgr_obs::status_phase("forest");
+        Ok(dgr_dag::build_forest_with_extras(
+            &design.grid,
+            &candidates.pools,
+            self.config.patterns,
+            &candidates.extras,
+        )?)
     }
 
     /// Routes `design`: candidates → forest → training → extraction,
@@ -226,36 +300,10 @@ impl DgrRouter {
             snapshot::ensure_header(&mut s.sink, design);
         }
 
-        // 1. per-net tree candidate pools — invariant config hoisted out
-        // of the loop, per-net seeds derived by index (deterministic under
-        // any parallel schedule), Steiner templates shared via the
-        // canonical cache, fan-out over the worker pool.
-        let pools = {
-            let _s = dgr_obs::span("route", "candidates");
-            dgr_obs::status_phase("candidates");
-            let mut base_cfg = self.config.candidates.clone();
-            base_cfg.clamp = Some(design.grid.bounds());
-            let cache = self.config.use_rsmt_cache.then(dgr_rsmt::RsmtCache::new);
-            let nets = &design.nets;
-            let results = dgr_autodiff::parallel::par_indexed(nets.len(), NET_PAR_MIN, |i| {
-                let cfg_i = dgr_rsmt::CandidateConfig {
-                    seed: per_net_seed(base_cfg.seed, i),
-                    ..base_cfg.clone()
-                };
-                match &cache {
-                    Some(c) => dgr_rsmt::tree_candidates_cached(&nets[i].pins, &cfg_i, c),
-                    None => dgr_rsmt::tree_candidates(&nets[i].pins, &cfg_i),
-                }
-            });
-            let mut pools = Vec::with_capacity(results.len());
-            for r in results {
-                pools.push(r?);
-            }
-            pools
-        };
+        // 1. per-net tree candidate pools
+        let mut candidates = self.candidates(design)?;
+        hooks.cache_counts = (candidates.cache_hits, candidates.cache_misses);
 
-        let mut extras: std::collections::HashMap<usize, Vec<dgr_dag::PatternPath>> =
-            Default::default();
         let mut warm_start: Option<expand::WarmStart> = None;
         let mut total_duration = std::time::Duration::ZERO;
         let mut iter_offset = 0usize;
@@ -266,16 +314,7 @@ impl DgrRouter {
                 return Err(DgrError::Cancelled);
             }
             // 2. DAG forest (with any adaptive extras)
-            let forest = {
-                let _s = dgr_obs::span("route", "forest");
-                dgr_obs::status_phase("forest");
-                dgr_dag::build_forest_with_extras(
-                    &design.grid,
-                    &pools,
-                    self.config.patterns,
-                    &extras,
-                )?
-            };
+            let forest = self.forest(design, &candidates)?;
 
             // 3. continuous relaxation + training (warm-started after the
             // first round)
@@ -345,7 +384,7 @@ impl DgrRouter {
 
             // 5. adaptive expansion: congested sub-nets get maze-derived
             // candidates; logits carry over
-            let grew = expand::grow_extras(design, &forest, &solution, &mut extras);
+            let grew = expand::grow_extras(design, &forest, &solution, &mut candidates.extras);
             warm_start = Some(expand::WarmStart::capture(&forest, &model));
             if !grew {
                 return Ok(finish(report, solution));

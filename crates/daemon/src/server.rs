@@ -2,23 +2,21 @@
 //!
 //! Each worker thread claims the highest-priority queued job, opens a
 //! job-scoped `dgr-obs` status scope (so `/status` reports every live
-//! job independently), and runs the exact one-shot `dgr route`
-//! pipeline: `route_with_hooks` → `refine` → `assign_layers` → guide
-//! extraction. Per-job state is fully isolated — each run gets its own
-//! design, its own in-memory telemetry sink, and its own cooperative
-//! cancel flag — so concurrent jobs produce byte-identical artifacts to
-//! one-shot CLI runs of the same config.
+//! job independently), and makes the call a one-shot `dgr route` makes:
+//! [`dgr_post::pipeline::run`]. Per-job state is fully isolated — each
+//! run gets its own design, its own in-memory telemetry sink, and its
+//! own cooperative cancel flag — so concurrent jobs produce
+//! byte-identical artifacts to one-shot CLI runs of the same config.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use dgr_core::{DgrConfig, DgrError, DgrRouter, RouteHooks};
+use dgr_core::{DgrConfig, RouteHooks};
 use dgr_grid::Design;
 use dgr_io::{catalog_case, parse_design, IspdLikeGenerator};
-use dgr_obs::ledger::{self, LedgerRecord, LEDGER_VERSION};
 use dgr_obs::TelemetrySink;
-use dgr_post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
+use dgr_post::pipeline::{self, PipelineError};
 
 use crate::queue::{CancelError, CancelOutcome, Job, JobId, JobResult, JobTable, SubmitError};
 use crate::spec::{DesignSource, JobSpec};
@@ -267,17 +265,7 @@ struct RunOutput {
     cancelled: bool,
 }
 
-impl RunOutput {
-    fn failed(msg: String) -> RunOutput {
-        RunOutput {
-            result: Err(msg),
-            telemetry: None,
-            cancelled: false,
-        }
-    }
-}
-
-/// Executes one job with the exact one-shot `dgr route` pipeline.
+/// Executes one job: the one-shot `dgr route` pipeline call.
 fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutput {
     let mut cfg = DgrConfig::default();
     if let Some(it) = spec.iterations {
@@ -290,7 +278,13 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
 
     let design = match load_design(&spec.design) {
         Ok(d) => d,
-        Err(e) => return RunOutput::failed(e),
+        Err(e) => {
+            return RunOutput {
+                result: Err(e),
+                telemetry: None,
+                cancelled: false,
+            }
+        }
     };
 
     let mut hooks = RouteHooks {
@@ -298,101 +292,63 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
         cancel: Some(Arc::clone(cancel)),
         ..RouteHooks::default()
     };
-    let t0 = Instant::now();
-    let routed = DgrRouter::new(cfg.clone()).route_with_hooks(&design, &mut hooks);
+    let run = pipeline::run(&design, &cfg, &mut hooks, spec.want_guide);
     let telemetry = hooks
         .telemetry
         .as_ref()
         .and_then(|s| s.memory_contents())
         .map(str::to_string);
-    let mut solution = match routed {
-        Ok(s) => s,
-        Err(DgrError::Cancelled) => {
-            return RunOutput {
-                result: Err("run cancelled".into()),
-                telemetry,
-                cancelled: true,
-            }
-        }
+    let mut out = match run {
+        Ok(out) => out,
         Err(e) => {
             return RunOutput {
                 result: Err(e.to_string()),
                 telemetry,
-                cancelled: false,
+                cancelled: matches!(e, PipelineError::Cancelled),
             }
         }
     };
 
-    let refine_t = Instant::now();
-    let refined = match refine(&design, &mut solution, RefineConfig::default()) {
-        Ok(report) => report,
-        Err(e) => {
-            return RunOutput {
-                result: Err(format!("refine: {e}")),
-                telemetry,
-                cancelled: false,
-            }
-        }
-    };
-    let refine_ms = refine_t.elapsed().as_secs_f64() * 1e3;
-
-    let m = solution.metrics;
-    let mut vias = m.total_turns;
-    let mut guide = None;
-    let mut guide_boxes = 0u64;
-    let mut assign_ms = 0.0f64;
-    if design.num_layers >= 2 {
-        let assign_t = Instant::now();
-        let assigned = match assign_layers(&design, &solution, AssignConfig::default()) {
-            Ok(a) => a,
-            Err(e) => {
-                return RunOutput {
-                    result: Err(format!("assign: {e}")),
-                    telemetry,
-                    cancelled: false,
-                }
-            }
-        };
-        assign_ms = assign_t.elapsed().as_secs_f64() * 1e3;
-        vias = assigned.total_vias;
-        if spec.want_guide {
-            let g = RouteGuide::from_assignment(&design, &assigned);
-            guide_boxes = g.num_boxes() as u64;
-            guide = Some(g.to_text());
-        }
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut phases = std::collections::BTreeMap::new();
-    let mut final_loss = f64::NAN;
-    if let Some(report) = &solution.train_report {
-        final_loss = report.final_loss as f64;
-        phases.insert("train".into(), report.duration.as_secs_f64() * 1e3);
-        phases.insert("forward".into(), report.forward_time.as_secs_f64() * 1e3);
-        phases.insert("backward".into(), report.backward_time.as_secs_f64() * 1e3);
+    if let Some(report) = &out.solution.train_report {
+        phases.insert("train".into(), ms(report.duration));
+        phases.insert("forward".into(), ms(report.forward_time));
+        phases.insert("backward".into(), ms(report.backward_time));
     }
-    phases.insert("refine".into(), refine_ms);
-    phases.insert("assign".into(), assign_ms);
+    phases.insert("refine".into(), ms(out.post.refine_time));
+    phases.insert("assign".into(), ms(out.post.assign_time));
+    if to_ledger {
+        // best effort, like the CLI's
+        let _ = dgr_obs::ledger::append(&pipeline::ledger_record(
+            "dgrd",
+            &spec.label,
+            &design,
+            &cfg,
+            &out,
+            phases.clone(),
+        ));
+    }
 
+    let m = out.solution.metrics;
+    let refined = out.post.refine;
+    let guide = out.post.guide.take();
     let result = JobResult {
-        final_loss,
+        final_loss: out.final_loss,
         wirelength: m.total_wirelength,
         turns: m.total_turns,
         overflow: m.overflow.total_overflow,
         overflowed_edges: m.overflow.overflowed_edges as u64,
-        vias,
+        vias: out.vias(),
         nets: design.num_nets() as u64,
-        guide,
-        guide_boxes,
+        guide_boxes: guide.as_ref().map_or(0, |g| g.num_boxes() as u64),
+        guide: guide.map(|g| g.to_text()),
         refine_searches: refined.searches as u64,
         refine_escalations: refined.escalations as u64,
         refine_states_expanded: refined.states_expanded as u64,
-        phases: phases.clone(),
-        wall_ms: wall_ms as u64,
+        phases,
+        wall_ms: ms(out.wall) as u64,
     };
-    if to_ledger {
-        append_job_ledger(spec, &design, &cfg, &result);
-    }
     RunOutput {
         result: Ok(result),
         telemetry,
@@ -412,72 +368,16 @@ fn load_design(src: &DesignSource) -> Result<Design, String> {
         DesignSource::Catalog { name, fast } => {
             let case =
                 catalog_case(name).ok_or_else(|| format!("unknown catalog case `{name}`"))?;
-            let mut config = case.config.clone();
-            if *fast {
-                // same shrink as `dgr generate --fast`
-                config.num_nets /= 4;
-                config.width = (config.width / 2).max(20);
-                config.height = (config.height / 2).max(20);
-                config.clusters = (config.clusters / 4).max(3);
-                config.cluster_spread /= 2.0;
-            }
+            let config = if *fast {
+                case.config.fast()
+            } else {
+                case.config
+            };
             IspdLikeGenerator::new(config)
                 .generate()
                 .map_err(|e| format!("catalog `{name}`: {e}"))
         }
     }
-}
-
-/// Appends one persistent-ledger record for a finished job (best
-/// effort, like the CLI's).
-fn append_job_ledger(spec: &JobSpec, design: &Design, cfg: &DgrConfig, r: &JobResult) {
-    let train_ms = r.phases.get("train").copied().unwrap_or(0.0);
-    let train_secs = if train_ms > 0.0 {
-        train_ms
-    } else {
-        r.wall_ms as f64
-    } / 1e3;
-    let iterations = cfg.iterations as u64;
-    let it_per_s = if train_secs > 0.0 {
-        iterations as f64 / train_secs
-    } else {
-        0.0
-    };
-    let mut fp_cfg = cfg.clone();
-    fp_cfg.seed = 0;
-    let key = format!(
-        "{}|{}|{}x{}|{}|{:?}",
-        spec.label,
-        design.num_nets(),
-        design.grid.width(),
-        design.grid.height(),
-        design.num_layers,
-        fp_cfg
-    );
-    let record = LedgerRecord {
-        version: LEDGER_VERSION,
-        hash: String::new(),
-        ts: crate::queue::now_unix_ms() / 1000,
-        cmd: "dgrd".to_string(),
-        design: spec.label.clone(),
-        nets: design.num_nets() as u64,
-        config_fp: format!("{:016x}", ledger::fnv1a64(key.as_bytes())),
-        iterations,
-        seed: cfg.seed,
-        batch: 1,
-        wall_ms: r.wall_ms,
-        it_per_s,
-        loss: r.final_loss,
-        wirelength: r.wirelength,
-        overflow: r.overflow,
-        overflowed_edges: r.overflowed_edges,
-        vias: r.vias,
-        cache_hits: dgr_obs::counter("rsmt.cache.hits").get(),
-        cache_misses: dgr_obs::counter("rsmt.cache.misses").get(),
-        phases: r.phases.clone(),
-        health: Some(dgr_obs::health_summary_of(dgr_obs::status_scope_id())),
-    };
-    let _ = ledger::append(&record);
 }
 
 #[cfg(test)]

@@ -67,6 +67,25 @@ impl Default for IspdLikeConfig {
     }
 }
 
+impl IspdLikeConfig {
+    /// The `--fast` shrink for smoke runs — the one rule behind
+    /// `dgr generate --fast`, dgrd's catalog `"fast": true` and the table
+    /// binaries: a quarter of the nets (at least 50) on a quarter of the
+    /// area (sides halved, rounded, at least 20), with a quarter of the
+    /// clusters (rounded, at least 3) spread half as wide. Net density,
+    /// cluster density and relative cluster spread — hence the congestion
+    /// regime — are all preserved.
+    #[must_use]
+    pub fn fast(mut self) -> Self {
+        self.num_nets = (self.num_nets / 4).max(50);
+        self.width = self.width.div_ceil(2).max(20);
+        self.height = self.height.div_ceil(2).max(20);
+        self.clusters = ((self.clusters + 2) / 4).max(3);
+        self.cluster_spread /= 2.0;
+        self
+    }
+}
+
 /// The ISPD-like design generator. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct IspdLikeGenerator {
@@ -188,6 +207,38 @@ impl IspdLikeGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fast_shrink_preserves_net_density() {
+        let base = IspdLikeConfig {
+            width: 121,
+            height: 120,
+            num_nets: 8000,
+            clusters: 102,
+            cluster_spread: 12.0,
+            ..IspdLikeConfig::default()
+        };
+        let fast = base.clone().fast();
+        assert_eq!((fast.width, fast.height), (61, 60), "halves round up");
+        assert_eq!((fast.num_nets, fast.clusters), (2000, 26));
+        assert_eq!(fast.cluster_spread, 6.0);
+        let full = IspdLikeGenerator::new(base).generate().unwrap();
+        let fast = IspdLikeGenerator::new(fast).generate().unwrap();
+        let density =
+            |d: &Design| d.num_nets() as f64 / (d.grid.width() as f64 * d.grid.height() as f64);
+        let rel = (density(&fast) - density(&full)).abs() / density(&full);
+        assert!(rel < 0.1, "net density drifted {rel:.3} under --fast");
+        // nothing shrinks below the floors
+        let tiny = IspdLikeConfig {
+            width: 24,
+            height: 24,
+            num_nets: 60,
+            clusters: 4,
+            ..IspdLikeConfig::default()
+        }
+        .fast();
+        assert_eq!((tiny.width, tiny.num_nets, tiny.clusters), (20, 50, 3));
+    }
 
     #[test]
     fn generates_requested_shape() {

@@ -1,135 +1,28 @@
-//! Minimal JSON for fuzz case files.
-//!
-//! The workspace vendors only `serde` derive markers (no `serde_json`),
-//! so case files are written and parsed by hand. The supported grammar
-//! is deliberately a subset: one flat object of string keys mapping to
-//! strings, numbers, or booleans — exactly what a [`CaseSpec`] needs.
+//! Fuzz case files: one flat JSON object per [`CaseSpec`], written with
+//! [`dgr_obs::json`] and read back with [`dgr_obs::parse`] (the
+//! workspace vendors no `serde_json`).
+
+use dgr_obs::json::JsonObject;
+use dgr_obs::parse::{parse_json, JsonValue};
 
 use crate::gen::{CaseSpec, CheckKind};
 
-/// Serializes a spec (plus a free-form note) as a pretty-printed flat
-/// JSON object.
+/// Serializes a spec (plus a free-form note) as one flat JSON object.
 pub fn write_case(spec: &CaseSpec, note: &str) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |k: &str, v: String| {
-        s.push_str(&format!("  \"{k}\": {v},\n"));
-    };
-    field("check", format!("\"{}\"", spec.check.name()));
-    field("seed", spec.seed.to_string());
-    field("width", spec.width.to_string());
-    field("height", spec.height.to_string());
-    field("tracks", format!("{:?}", spec.tracks));
-    field("num_nets", spec.num_nets.to_string());
-    field("max_pins", spec.max_pins.to_string());
-    field("num_layers", spec.num_layers.to_string());
-    field("hotspot", spec.hotspot.to_string());
-    field("pin_density", spec.pin_density.to_string());
-    field("ops", spec.ops.to_string());
-    s.push_str(&format!("  \"note\": \"{}\"\n}}\n", escape(note)));
-    s
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// One parsed JSON scalar.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-/// Parses a flat JSON object into key/value pairs.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = text.chars().peekable();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    let parse_string =
-        |chars: &mut std::iter::Peekable<std::str::Chars>| -> Result<String, String> {
-            if chars.next() != Some('"') {
-                return Err("expected '\"'".into());
-            }
-            let mut out = String::new();
-            loop {
-                match chars.next() {
-                    Some('"') => return Ok(out),
-                    Some('\\') => match chars.next() {
-                        Some('n') => out.push('\n'),
-                        Some(c) => out.push(c),
-                        None => return Err("unterminated escape".into()),
-                    },
-                    Some(c) => out.push(c),
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        };
-
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    let mut pairs = Vec::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                return Ok(pairs);
-            }
-            Some('"') => {}
-            other => return Err(format!("expected key or '}}', found {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => Value::Str(parse_string(&mut chars)?),
-            Some('t') | Some('f') => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
-                    "true" => Value::Bool(true),
-                    "false" => Value::Bool(false),
-                    w => return Err(format!("bad literal {w:?}")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let word: String = std::iter::from_fn(|| {
-                    chars
-                        .next_if(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                })
-                .collect();
-                Value::Num(
-                    word.parse::<f64>()
-                        .map_err(|e| format!("bad number {word:?}: {e}"))?,
-                )
-            }
-            other => return Err(format!("unsupported value start {other:?}")),
-        };
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => {}
-            Some('}') => return Ok(pairs),
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
+    let mut o = JsonObject::new();
+    o.field_str("check", spec.check.name());
+    o.field_u64("seed", spec.seed);
+    o.field_u64("width", spec.width.into());
+    o.field_u64("height", spec.height.into());
+    o.field_f32("tracks", spec.tracks);
+    o.field_u64("num_nets", spec.num_nets as u64);
+    o.field_u64("max_pins", spec.max_pins as u64);
+    o.field_u64("num_layers", spec.num_layers.into());
+    o.field_raw("hotspot", &spec.hotspot.to_string());
+    o.field_raw("pin_density", &spec.pin_density.to_string());
+    o.field_u64("ops", spec.ops as u64);
+    o.field_str("note", note);
+    o.finish() + "\n"
 }
 
 /// Parses a dumped case file back into a [`CaseSpec`] (the `note` field
@@ -139,32 +32,20 @@ fn parse_flat_object(text: &str) -> Result<Vec<(String, Value)>, String> {
 ///
 /// Returns a description of the first syntax or schema problem.
 pub fn parse_case(text: &str) -> Result<CaseSpec, String> {
-    let pairs = parse_flat_object(text)?;
-    let get = |key: &str| -> Result<&Value, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
+    let v = parse_json(text).map_err(|e| e.to_string())?;
+    let num = |key: &str| {
+        v.num(key)
+            .ok_or_else(|| format!("field {key:?} is missing or not a number"))
     };
-    let num = |key: &str| -> Result<f64, String> {
-        match get(key)? {
-            Value::Num(n) => Ok(*n),
-            v => Err(format!("field {key:?} is not a number: {v:?}")),
-        }
+    let boolean = |key: &str| match v.get(key) {
+        Some(JsonValue::Bool(b)) => Ok(*b),
+        _ => Err(format!("field {key:?} is missing or not a bool")),
     };
-    let boolean = |key: &str| -> Result<bool, String> {
-        match get(key)? {
-            Value::Bool(b) => Ok(*b),
-            v => Err(format!("field {key:?} is not a bool: {v:?}")),
-        }
-    };
-    let check = match get("check")? {
-        Value::Str(s) => CheckKind::from_name(s).ok_or_else(|| format!("unknown check {s:?}"))?,
-        v => return Err(format!("field \"check\" is not a string: {v:?}")),
-    };
+    let check = v
+        .str("check")
+        .ok_or("field \"check\" is missing or not a string")?;
     Ok(CaseSpec {
-        check,
+        check: CheckKind::from_name(check).ok_or_else(|| format!("unknown check {check:?}"))?,
         seed: num("seed")? as u64,
         width: num("width")? as u32,
         height: num("height")? as u32,

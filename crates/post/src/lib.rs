@@ -13,6 +13,10 @@
 //!    followed by re-assignment,
 //! 3. [`RouteGuide`] — the final guide boxes handed to a detailed router.
 //!
+//! [`pipeline`] runs the router and these passes in that order; it is the
+//! one sequencing of them that `dgr route`, `dgrd` and the table binaries
+//! share.
+//!
 //! The layer model alternates preferred directions (metal1 horizontal by
 //! default) and splits each 2D edge capacity evenly across the layers of
 //! its direction.
@@ -20,6 +24,7 @@
 pub mod assign;
 pub mod guide;
 pub mod layers;
+pub mod pipeline;
 pub mod refine;
 
 pub use assign::{

@@ -37,7 +37,7 @@ impl Default for RefineConfig {
 }
 
 /// What the refinement accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefineReport {
     /// Rounds actually executed.
     pub rounds: usize,

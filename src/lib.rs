@@ -14,7 +14,9 @@
 //!   hand-derived backward), Adam and the front end's worker pool
 //! * [`core`] — the differentiable router itself
 //! * [`baseline`] — ILP, sequential, soft-capacity and Lagrangian routers
-//! * [`post`] — layer assignment, maze refinement, routing guides
+//! * [`post`] — layer assignment, maze refinement, routing guides, and
+//!   [`post::pipeline`]: the one route → refine → assign → guide sequence
+//!   behind `dgr route`, `dgrd` and the table binaries
 //! * [`io`] — benchmark generation and design serialization
 //! * [`obs`] — tracing spans, metrics, and training telemetry
 //! * [`daemon`] — `dgrd`, the long-lived multi-tenant routing job server

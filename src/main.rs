@@ -32,20 +32,18 @@
 //! render into cross-run deltas. `dgr report` renders the file
 //! artifacts into one self-contained HTML post-mortem.
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
 use dgr::core::{
     write_attribution, DgrConfig, DgrRouter, ProgressConfig, RouteHooks, SnapshotConfig,
 };
 use dgr::grid::Design;
-use dgr::obs::ledger::{self, LedgerRecord, LEDGER_VERSION};
+use dgr::obs::ledger::{self, LedgerRecord};
 use dgr::obs::{render_report, ObsServer, Profiler, ProfilerConfig, ReportInputs};
 use dgr::obs::{SnapshotSink, TelemetrySink};
-use dgr::post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
+use dgr::post::{pipeline, refine, RefineConfig};
 
 // Shadows of the std macros for every print below: a reader that went away
 // (`dgr route … | head -1`) ends the printing, not the run — std's versions
@@ -63,36 +61,130 @@ macro_rules! println {
     }};
 }
 
+/// A subcommand: its name, whether it takes a positional argument (a
+/// design file, a case name, an address), the flags it accepts, and its
+/// implementation. In the flag list `--flag=` takes a value, `--flag?`
+/// takes one if the next argument is not a flag itself, and a plain
+/// `--flag` takes none.
+type Command = (&'static str, bool, &'static str, fn(&Flags) -> CliResult);
+
+/// Every subcommand and every flag: an argument that is not in its
+/// command's row is an error, never ignored.
+const COMMANDS: &[Command] = &[
+    ("cases", false, "", cmd_cases),
+    ("generate", true, "--out= --fast", cmd_generate),
+    (
+        "route",
+        true,
+        "--iterations= --seed= --routes= --guide= --trace= --telemetry= --snap= --snap-every= \
+         --serve= --profile= --progress= --no-ledger --quiet",
+        cmd_route,
+    ),
+    (
+        "train",
+        true,
+        "--batch= --iterations= --seed= --routes= --trace= --telemetry= --snap= --snap-every= \
+         --serve= --profile= --no-ledger --quiet",
+        cmd_train,
+    ),
+    (
+        "compare",
+        true,
+        "--iterations= --seed= --trace= --serve= --profile= --ledger?",
+        cmd_compare,
+    ),
+    (
+        "report",
+        false,
+        "--telemetry= --snap= --trace= --profile= --health= --title= --out=",
+        cmd_report,
+    ),
+    ("doctor", false, "--telemetry= --ledger?", cmd_doctor),
+    ("history", false, "--limit= --ledger=", cmd_history),
+    (
+        "serve-jobs",
+        true,
+        "--workers= --queue-cap= --retain= --no-ledger",
+        cmd_serve_jobs,
+    ),
+];
+
+/// One subcommand's arguments, checked against its row of [`COMMANDS`].
+struct Flags<'a> {
+    /// The lone positional argument, when given.
+    positional: Option<&'a str>,
+    given: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    fn parse(command: &Command, args: &'a [String]) -> Result<Self, String> {
+        let &(cmd, takes_positional, accepted, _) = command;
+        let mut flags = Flags {
+            positional: None,
+            given: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str).peekable();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                if !takes_positional || flags.positional.is_some() {
+                    return Err(format!("unexpected argument `{arg}` for `dgr {cmd}`"));
+                }
+                flags.positional = Some(arg);
+                continue;
+            }
+            let spec = accepted
+                .split_whitespace()
+                .find(|spec| spec.trim_end_matches(['=', '?']) == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}` for `dgr {cmd}` (try --help)"))?;
+            // a spec longer than the flag ends in `=` or `?`: it takes the
+            // next argument, unless that is a flag
+            let value = rest.next_if(|next| spec != arg && !next.starts_with("--"));
+            if spec.ends_with('=') && value.is_none() {
+                return Err(format!("flag `{arg}` needs a value"));
+            }
+            flags.given.push((arg, value));
+        }
+        Ok(flags)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.given
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| *v)
+    }
+
+    /// The flag's operand parsed as `T`; `None` when the flag is absent.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| format!("bad value `{v}` for `{name}`: {e}"))
+            })
+            .transpose()
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("cases") => {
-            for name in dgr::io::catalog_names() {
-                let case = dgr::io::catalog_case(name).expect("listed case exists");
-                println!(
-                    "{name:<16} {:>6} nets  {:>4}x{:<4}  {} layers{}",
-                    case.config.num_nets,
-                    case.config.width,
-                    case.config.height,
-                    case.config.num_layers,
-                    if case.congested { "  (congested)" } else { "" }
-                );
-            }
-            Ok(())
-        }
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("route") => cmd_route(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("doctor") => cmd_doctor(&args[1..]),
-        Some("history") => cmd_history(&args[1..]),
-        Some("serve-jobs") => cmd_serve_jobs(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}` (try --help)").into()),
+        Some(name) => match COMMANDS.iter().find(|(cmd, ..)| *cmd == name) {
+            Some(command @ (.., run)) => Flags::parse(command, &args[1..])
+                .map_err(Into::into)
+                .and_then(|flags| run(&flags)),
+            None => Err(format!("unknown command `{name}` (try --help)").into()),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -101,6 +193,21 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+fn cmd_cases(_: &Flags) -> CliResult {
+    for name in dgr::io::catalog_names() {
+        let case = dgr::io::catalog_case(name).expect("listed case exists");
+        println!(
+            "{name:<16} {:>6} nets  {:>4}x{:<4}  {} layers{}",
+            case.config.num_nets,
+            case.config.width,
+            case.config.height,
+            case.config.num_layers,
+            if case.congested { "  (congested)" } else { "" }
+        );
+    }
+    Ok(())
 }
 
 fn print_usage() {
@@ -157,31 +264,18 @@ fn print_usage() {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn cmd_generate(args: &[String]) -> CliResult {
-    let case_name = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("generate needs a case name")?;
+fn cmd_generate(flags: &Flags) -> CliResult {
+    let case_name = flags.positional.ok_or("generate needs a case name")?;
     let case = dgr::io::catalog_case(case_name)
         .ok_or_else(|| format!("unknown catalog case `{case_name}`"))?;
-    let mut config = case.config.clone();
-    if args.iter().any(|a| a == "--fast") {
-        config.num_nets /= 4;
-        config.width = (config.width / 2).max(20);
-        config.height = (config.height / 2).max(20);
-        config.clusters = (config.clusters / 4).max(3);
-        config.cluster_spread /= 2.0;
-    }
+    let config = if flags.has("--fast") {
+        case.config.fast()
+    } else {
+        case.config
+    };
     let design = dgr::io::IspdLikeGenerator::new(config).generate()?;
     let text = dgr::io::write_design(&design);
-    match flag_value(args, "--out") {
+    match flags.value("--out") {
         Some(path) => {
             std::fs::write(path, text)?;
             println!(
@@ -199,24 +293,21 @@ fn cmd_generate(args: &[String]) -> CliResult {
 }
 
 /// `dgr serve-jobs`: boot `dgrd` and serve routing jobs until killed.
-fn cmd_serve_jobs(args: &[String]) -> CliResult {
-    let addr = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !is_flag_operand(args, *i))
-        .map(|(_, a)| a.as_str())
+fn cmd_serve_jobs(flags: &Flags) -> CliResult {
+    let addr = flags
+        .positional
         .ok_or("serve-jobs needs a listen address (e.g. 127.0.0.1:7878)")?;
     let mut cfg = dgr::daemon::DaemonConfig::default();
-    if let Some(v) = flag_value(args, "--workers") {
-        cfg.workers = v.parse()?;
+    if let Some(v) = flags.parsed("--workers")? {
+        cfg.workers = v;
     }
-    if let Some(v) = flag_value(args, "--queue-cap") {
-        cfg.queue_capacity = v.parse()?;
+    if let Some(v) = flags.parsed("--queue-cap")? {
+        cfg.queue_capacity = v;
     }
-    if let Some(v) = flag_value(args, "--retain") {
-        cfg.retain_jobs = v.parse()?;
+    if let Some(v) = flags.parsed("--retain")? {
+        cfg.retain_jobs = v;
     }
-    cfg.ledger = !args.iter().any(|a| a == "--no-ledger");
+    cfg.ledger = !flags.has("--no-ledger");
     // the daemon is an observability surface by nature: metrics, per-job
     // status scopes and reports are always on
     dgr::obs::reset();
@@ -233,40 +324,18 @@ fn cmd_serve_jobs(args: &[String]) -> CliResult {
     }
 }
 
-/// Flags that take no operand — anything after them can be the design
-/// positional.
-const BARE_FLAGS: &[&str] = &["--quiet", "--fast", "--no-ledger", "--ledger"];
-
-/// Whether `arg` sits right after a value-taking flag (so the design
-/// positional scan skips e.g. the `127.0.0.1:0` after `--serve`).
-fn is_flag_operand(args: &[String], index: usize) -> bool {
-    index
-        .checked_sub(1)
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| prev.starts_with("--") && !BARE_FLAGS.contains(&prev.as_str()))
-}
-
-fn design_arg(args: &[String]) -> Result<&str, Box<dyn std::error::Error>> {
-    Ok(args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !is_flag_operand(args, *i))
-        .map(|(_, a)| a.as_str())
-        .ok_or("missing design file")?)
-}
-
-fn load_design(args: &[String]) -> Result<Design, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(design_arg(args)?)?;
+fn load_design(flags: &Flags) -> Result<Design, Box<dyn std::error::Error>> {
+    let text = std::fs::read_to_string(flags.positional.ok_or("missing design file")?)?;
     Ok(dgr::io::parse_design(&text)?)
 }
 
-fn config_from(args: &[String]) -> Result<DgrConfig, Box<dyn std::error::Error>> {
+fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
     let mut cfg = DgrConfig::default();
-    if let Some(v) = flag_value(args, "--iterations") {
-        cfg.iterations = v.parse()?;
+    if let Some(v) = flags.parsed("--iterations")? {
+        cfg.iterations = v;
     }
-    if let Some(v) = flag_value(args, "--seed") {
-        cfg.seed = v.parse()?;
+    if let Some(v) = flags.parsed("--seed")? {
+        cfg.seed = v;
     }
     Ok(cfg)
 }
@@ -288,14 +357,14 @@ struct ObsSession {
 }
 
 fn obs_session(
-    args: &[String],
+    flags: &Flags,
     job: &str,
     total_iters: u64,
     batch: u64,
 ) -> Result<ObsSession, Box<dyn std::error::Error>> {
-    let trace = flag_value(args, "--trace").map(str::to_string);
-    let profile = flag_value(args, "--profile").map(str::to_string);
-    let serve = flag_value(args, "--serve");
+    let trace = flags.value("--trace").map(str::to_string);
+    let profile = flags.value("--profile").map(str::to_string);
+    let serve = flags.value("--serve");
     let show_summary = trace.is_some() || profile.is_some() || serve.is_some();
     dgr::obs::reset();
     dgr::obs::set_enabled(true);
@@ -399,7 +468,8 @@ fn print_summary_tables() {
                 ),
             }
         }
-        let (hits, misses) = rsmt_cache_counts();
+        let hits = dgr::obs::counter("rsmt.cache.hits").get();
+        let misses = dgr::obs::counter("rsmt.cache.misses").get();
         if hits + misses > 0 {
             println!(
                 "{:<22} {:>15.1}%  ({hits} hits / {misses} misses)",
@@ -410,146 +480,80 @@ fn print_summary_tables() {
     }
 }
 
-fn rsmt_cache_counts() -> (u64, u64) {
-    (
-        dgr::obs::counter("rsmt.cache.hits").get(),
-        dgr::obs::counter("rsmt.cache.misses").get(),
-    )
-}
-
-/// Everything the persistent ledger wants to know about a finished run.
-struct RunOutcome<'a> {
-    cmd: &'a str,
-    design_path: &'a str,
-    design: &'a Design,
-    cfg: &'a DgrConfig,
+/// Appends the run's [`pipeline::ledger_record`] to the persistent
+/// ledger (unless `--no-ledger`): labelled with the design file's stem,
+/// its phases the span totals. Best effort by contract: a failed append
+/// only suppresses the confirmation line.
+fn append_run(
+    flags: &Flags,
+    cmd: &str,
+    design: &Design,
+    cfg: &DgrConfig,
+    outcome: &pipeline::Outcome,
     batch: u64,
-    wall: Duration,
-    final_loss: f64,
-    wirelength: u64,
-    overflow: f64,
-    overflowed_edges: u64,
-    vias: u64,
-}
-
-/// Appends the run's summary record to the persistent ledger (unless
-/// `--no-ledger`). Best effort by contract: a failed append only
-/// suppresses the confirmation line.
-fn append_ledger(args: &[String], outcome: &RunOutcome<'_>) {
-    if args.iter().any(|a| a == "--no-ledger") {
+) {
+    if flags.has("--no-ledger") {
         return;
     }
-    let mut phases = BTreeMap::new();
-    let mut train_ms = 0.0f64;
-    for t in dgr::obs::span_totals() {
-        let ms = t.total.as_secs_f64() * 1e3;
-        if t.name == "train" {
-            train_ms += ms;
-        }
-        phases.insert(t.name.to_string(), ms);
-    }
-    let wall_ms = outcome.wall.as_secs_f64() * 1e3;
-    let train_secs = if train_ms > 0.0 { train_ms } else { wall_ms } / 1e3;
-    let iterations = outcome.cfg.iterations as u64;
-    let it_per_s = if train_secs > 0.0 {
-        iterations as f64 / train_secs
-    } else {
-        0.0
-    };
-    let (cache_hits, cache_misses) = rsmt_cache_counts();
-    let record = LedgerRecord {
-        version: LEDGER_VERSION,
-        hash: String::new(),
-        ts: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        cmd: outcome.cmd.to_string(),
-        design: design_stem(outcome.design_path),
-        nets: outcome.design.num_nets() as u64,
-        config_fp: config_fingerprint(outcome.design_path, outcome.design, outcome.cfg),
-        iterations,
-        seed: outcome.cfg.seed,
-        batch: outcome.batch,
-        wall_ms: wall_ms as u64,
-        it_per_s,
-        loss: outcome.final_loss,
-        wirelength: outcome.wirelength,
-        overflow: outcome.overflow,
-        overflowed_edges: outcome.overflowed_edges,
-        vias: outcome.vias,
-        cache_hits,
-        cache_misses,
-        phases,
-        health: dgr::obs::enabled()
-            .then(|| dgr::obs::health_summary_of(dgr::obs::status_scope_id())),
-    };
+    let path = flags.positional.unwrap_or_default();
+    let label = std::path::Path::new(path)
+        .file_stem()
+        .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned());
+    let phases = dgr::obs::span_totals()
+        .into_iter()
+        .map(|t| (t.name.to_string(), t.total.as_secs_f64() * 1e3))
+        .collect();
+    let mut record = pipeline::ledger_record(cmd, &label, design, cfg, outcome, phases);
+    record.batch = batch;
     if let Some(path) = ledger::append(&record) {
         println!("  ledger           : appended → {}", path.display());
     }
 }
 
-fn design_stem(path: &str) -> String {
-    std::path::Path::new(path)
-        .file_stem()
-        .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned())
-}
-
-/// FNV-1a fingerprint of everything that makes two runs comparable:
-/// the design identity and the full routing configuration minus the
-/// seed (seed sweeps of one config should compare against each other).
-fn config_fingerprint(design_path: &str, design: &Design, cfg: &DgrConfig) -> String {
-    let mut fp_cfg = cfg.clone();
-    fp_cfg.seed = 0;
-    let key = format!(
-        "{}|{}|{}x{}|{}|{:?}",
-        design_stem(design_path),
-        design.num_nets(),
-        design.grid.width(),
-        design.grid.height(),
-        design.num_layers,
-        fp_cfg
-    );
-    format!("{:016x}", ledger::fnv1a64(key.as_bytes()))
-}
-
-fn route_hooks(
-    args: &[String],
-    iterations: usize,
-) -> Result<RouteHooks, Box<dyn std::error::Error>> {
+fn route_hooks(flags: &Flags, iterations: usize) -> Result<RouteHooks, Box<dyn std::error::Error>> {
     let mut hooks = RouteHooks::default();
-    if let Some(path) = flag_value(args, "--telemetry") {
+    if let Some(path) = flags.value("--telemetry") {
         hooks.telemetry = Some(TelemetrySink::to_path(path)?);
     }
-    if let Some(path) = flag_value(args, "--snap") {
-        let every = match flag_value(args, "--snap-every") {
-            Some(v) => v.parse()?,
-            None => (iterations / 16).max(1),
-        };
+    if let Some(path) = flags.value("--snap") {
         hooks.snap = Some(SnapshotConfig {
             sink: SnapshotSink::to_path(path)?,
-            every,
+            every: flags
+                .parsed("--snap-every")?
+                .unwrap_or((iterations / 16).max(1)),
         });
     }
-    if !args.iter().any(|a| a == "--quiet") {
+    if !flags.has("--quiet") {
         let mut progress = ProgressConfig::default();
-        if let Some(v) = flag_value(args, "--progress") {
-            progress.every = v.parse()?;
+        if let Some(v) = flags.parsed("--progress")? {
+            progress.every = v;
         }
         hooks.progress = Some(progress);
     }
     Ok(hooks)
 }
 
-fn cmd_route(args: &[String]) -> CliResult {
-    let design = load_design(args)?;
-    let cfg = config_from(args)?;
-    let session = obs_session(args, "route", cfg.iterations as u64, 1)?;
-    let mut hooks = route_hooks(args, cfg.iterations)?;
-    let weights = cfg.weights;
-    let t0 = std::time::Instant::now();
-    let mut solution = DgrRouter::new(cfg.clone()).route_with_hooks(&design, &mut hooks)?;
-    let report = refine(&design, &mut solution, RefineConfig::default())?;
-    let elapsed = t0.elapsed();
+/// What the telemetry and snapshot sinks of a finished run took.
+fn print_sinks(flags: &Flags, hooks: &mut RouteHooks) {
+    if let Some(sink) = hooks.telemetry.as_mut() {
+        sink.flush();
+        let path = flags.value("--telemetry").unwrap_or("?");
+        println!("  telemetry        : {} rows → {path}", sink.rows());
+    }
+    if let Some(snap) = hooks.snap.as_mut() {
+        snap.sink.flush();
+        let path = flags.value("--snap").unwrap_or("?");
+        println!("  snapshots        : {} → {path}", snap.sink.snapshots());
+    }
+}
+
+fn cmd_route(flags: &Flags) -> CliResult {
+    let design = load_design(flags)?;
+    let cfg = config_from(flags)?;
+    let session = obs_session(flags, "route", cfg.iterations as u64, 1)?;
+    let mut hooks = route_hooks(flags, cfg.iterations)?;
+    let out = pipeline::run(&design, &cfg, &mut hooks, flags.has("--guide"))?;
+    let solution = &out.solution;
     if let Some(snap) = hooks.snap.as_mut() {
         // post-refinement congestion plus the final offender attribution
         let final_iter = solution
@@ -557,19 +561,18 @@ fn cmd_route(args: &[String]) -> CliResult {
             .as_ref()
             .and_then(|r| r.curve.last())
             .map_or(0, |p| p.iter as u64 + 1);
-        dgr::core::write_solution_snapshot(
-            &mut snap.sink,
-            &design,
-            &solution,
-            final_iter,
-            "refine",
-        );
-        write_attribution(&mut snap.sink, &design, &solution, &weights, "final");
+        dgr::core::write_solution_snapshot(&mut snap.sink, &design, solution, final_iter, "refine");
+        write_attribution(&mut snap.sink, &design, solution, &cfg.weights, "final");
         snap.sink.flush();
     }
 
     let m = &solution.metrics;
-    println!("routed {} nets in {elapsed:.2?}", design.num_nets());
+    let report = &out.post.refine;
+    println!(
+        "routed {} nets in {:.2?}",
+        design.num_nets(),
+        out.route_time
+    );
     println!("  wirelength       : {}", m.total_wirelength);
     println!("  turning points   : {}", m.total_turns);
     println!("  overflowed edges : {}", m.overflow.overflowed_edges);
@@ -578,31 +581,25 @@ fn cmd_route(args: &[String]) -> CliResult {
         "  refinement       : {} nets rerouted ({} → {} overflowed edges)",
         report.nets_rerouted, report.overflowed_before, report.overflowed_after
     );
-    if !args.iter().any(|a| a == "--quiet") {
+    if !flags.has("--quiet") {
         println!(
             "  maze search      : {} searches, {} escalated to the full grid, {} states popped",
             report.searches, report.escalations, report.states_expanded
         );
     }
-    let mut vias = m.total_turns;
-    if design.num_layers >= 2 {
-        let assigned = assign_layers(&design, &solution, AssignConfig::default())?;
+    if let Some(assigned) = &out.post.assigned {
         println!("  vias (3D)        : {}", assigned.total_vias);
         println!("  3D overflow      : {}", assigned.overflowed_edges3d);
-        vias = assigned.total_vias;
-        if let Some(path) = flag_value(args, "--guide") {
-            let guide = RouteGuide::from_assignment(&design, &assigned);
-            std::fs::write(path, guide.to_text())?;
-            println!("  guide boxes      : {} → {}", guide.num_boxes(), path);
-        }
     }
-    if let Some(path) = flag_value(args, "--routes") {
+    if let (Some(guide), Some(path)) = (&out.post.guide, flags.value("--guide")) {
+        std::fs::write(path, guide.to_text())?;
+        println!("  guide boxes      : {} → {}", guide.num_boxes(), path);
+    }
+    if let Some(path) = flags.value("--routes") {
         std::fs::write(path, solution.to_text())?;
         println!("  routes checkpoint → {path}");
     }
-    let mut final_loss = f64::NAN;
     if let Some(report) = &solution.train_report {
-        final_loss = report.final_loss as f64;
         if let (Some(first), Some(last)) = (report.curve.first(), report.curve.last()) {
             println!(
                 "  training loss    : {:.2} → {:.2} over {} iterations",
@@ -612,76 +609,40 @@ fn cmd_route(args: &[String]) -> CliResult {
             );
         }
     }
-    if let Some(sink) = &hooks.telemetry {
-        let path = flag_value(args, "--telemetry").unwrap_or("?");
-        println!("  telemetry        : {} rows → {path}", sink.rows());
-    }
-    if let Some(snap) = &hooks.snap {
-        let path = flag_value(args, "--snap").unwrap_or("?");
-        println!("  snapshots        : {} → {path}", snap.sink.snapshots());
-    }
-    append_ledger(
-        args,
-        &RunOutcome {
-            cmd: "route",
-            design_path: design_arg(args)?,
-            design: &design,
-            cfg: &cfg,
-            batch: 1,
-            wall: elapsed,
-            final_loss,
-            wirelength: m.total_wirelength,
-            overflow: m.overflow.total_overflow,
-            overflowed_edges: m.overflow.overflowed_edges as u64,
-            vias,
-        },
-    );
+    print_sinks(flags, &mut hooks);
+    append_run(flags, "route", &design, &cfg, &out, 1);
     obs_finish(session)?;
     Ok(())
 }
 
 /// `dgr train`: multi-seed training — `--batch N` trains seeds `seed`,
-/// `seed+1`, … one after another over one shared forest, each exactly as
-/// a standalone run of that seed; the best by final loss is extracted
-/// into the reported solution.
-fn cmd_train(args: &[String]) -> CliResult {
+/// `seed+1`, … one after another over the router's own front end
+/// ([`DgrRouter::candidates`], [`DgrRouter::forest`]), each exactly as
+/// [`DgrRouter::route`] trains that seed; the best by final loss is
+/// extracted into the reported (unrefined) solution.
+fn cmd_train(flags: &Flags) -> CliResult {
     use dgr::core::{
         build_cost_model, extract_solution, train_with_hooks, CostModel, SnapshotProbe, TrainHooks,
     };
     use rand::{rngs::StdRng, SeedableRng};
 
-    let design = load_design(args)?;
-    let cfg = config_from(args)?;
+    let design = load_design(flags)?;
+    let cfg = config_from(flags)?;
     cfg.validate()?;
-    let batch: usize = match flag_value(args, "--batch") {
-        Some(v) => v.parse()?,
-        None => 1,
-    };
+    let batch: usize = flags.parsed("--batch")?.unwrap_or(1);
     if batch == 0 {
         return Err("--batch must be at least 1".into());
     }
     let seeds: Vec<u64> = (0..batch as u64).map(|b| cfg.seed + b).collect();
-    let session = obs_session(args, "train", cfg.iterations as u64, batch as u64)?;
+    let session = obs_session(flags, "train", cfg.iterations as u64, batch as u64)?;
 
-    let mut telemetry = flag_value(args, "--telemetry")
-        .map(TelemetrySink::to_path)
-        .transpose()?;
-    let mut snap_sink = flag_value(args, "--snap")
-        .map(SnapshotSink::to_path)
-        .transpose()?;
-    let snap_every = match flag_value(args, "--snap-every") {
-        Some(v) => v.parse()?,
-        None => (cfg.iterations / 16).max(1),
-    };
+    // the sinks and the progress line of `dgr route`, handed to each seed
+    let mut sinks = route_hooks(flags, cfg.iterations)?;
 
     let t0 = std::time::Instant::now();
-    let pools: Vec<_> = design
-        .nets
-        .iter()
-        .map(|n| dgr::rsmt::tree_candidates(&n.pins, &cfg.candidates))
-        .collect::<Result<_, _>>()?;
-    let forest = dgr::dag::build_forest(&design.grid, &pools, cfg.patterns)?;
-    let progress = (!args.iter().any(|a| a == "--quiet")).then(ProgressConfig::default);
+    let router = DgrRouter::new(cfg.clone());
+    let candidates = router.candidates(&design)?;
+    let forest = router.forest(&design, &candidates)?;
     let mut reports = Vec::with_capacity(batch);
     // the model with the lowest final loss so far, and its seed's index
     let mut best: Option<(usize, CostModel)> = None;
@@ -689,13 +650,13 @@ fn cmd_train(args: &[String]) -> CliResult {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
         let mut hooks = TrainHooks {
-            telemetry: telemetry.as_mut(),
-            snap: snap_sink.as_mut().map(|sink| SnapshotProbe {
-                sink,
+            telemetry: sinks.telemetry.as_mut(),
+            snap: sinks.snap.as_mut().map(|s| SnapshotProbe {
+                sink: &mut s.sink,
                 design: &design,
-                every: snap_every,
+                every: s.every,
             }),
-            progress,
+            progress: sinks.progress,
             iter_offset: 0,
             skip_rss: false,
             cancel: None,
@@ -732,52 +693,34 @@ fn cmd_train(args: &[String]) -> CliResult {
     println!("  turning points   : {}", m.total_turns);
     println!("  overflowed edges : {}", m.overflow.overflowed_edges);
     println!("  total overflow   : {:.2}", m.overflow.total_overflow);
-    if let Some(path) = flag_value(args, "--routes") {
+    if let Some(path) = flags.value("--routes") {
         std::fs::write(path, solution.to_text())?;
         println!("  routes checkpoint → {path}");
     }
-    if let Some(sink) = telemetry.as_mut() {
-        sink.flush();
-        let path = flag_value(args, "--telemetry").unwrap_or("?");
-        println!("  telemetry        : {} rows → {path}", sink.rows());
-    }
-    if let Some(sink) = snap_sink.as_mut() {
-        sink.flush();
-        let path = flag_value(args, "--snap").unwrap_or("?");
-        println!("  snapshots        : {} → {path}", sink.snapshots());
-    }
-    append_ledger(
-        args,
-        &RunOutcome {
-            cmd: "train",
-            design_path: design_arg(args)?,
-            design: &design,
-            cfg: &cfg,
-            batch: batch as u64,
-            wall: elapsed,
-            final_loss: f64::from(reports[best].final_loss),
-            wirelength: m.total_wirelength,
-            overflow: m.overflow.total_overflow,
-            overflowed_edges: m.overflow.overflowed_edges as u64,
-            vias: m.total_turns,
-        },
-    );
+    print_sinks(flags, &mut sinks);
+    // training alone: no post pass ran, so the ledger's vias are the turns
+    let out = pipeline::Outcome {
+        solution,
+        post: pipeline::Finished::default(),
+        final_loss: f64::from(reports[best].final_loss),
+        route_time: elapsed,
+        wall: elapsed,
+        cache_hits: candidates.cache_hits,
+        cache_misses: candidates.cache_misses,
+    };
+    append_run(flags, "train", &design, &cfg, &out, batch as u64);
     obs_finish(session)?;
     Ok(())
 }
 
 /// `dgr report`: render telemetry / snapshot / trace / profile
 /// artifacts into one deterministic, self-contained HTML post-mortem.
-fn cmd_report(args: &[String]) -> CliResult {
+fn cmd_report(flags: &Flags) -> CliResult {
     let read_opt = |flag: &str| -> Result<Option<String>, std::io::Error> {
-        flag_value(args, flag)
-            .map(std::fs::read_to_string)
-            .transpose()
+        flags.value(flag).map(std::fs::read_to_string).transpose()
     };
     let inputs = ReportInputs {
-        title: flag_value(args, "--title")
-            .unwrap_or("routing run")
-            .to_string(),
+        title: flags.value("--title").unwrap_or("routing run").to_string(),
         telemetry: read_opt("--telemetry")?,
         snapshots: read_opt("--snap")?,
         trace: read_opt("--trace")?,
@@ -796,7 +739,7 @@ fn cmd_report(args: &[String]) -> CliResult {
         );
     }
     let html = render_report(&inputs)?;
-    let out = flag_value(args, "--out").unwrap_or("report.html");
+    let out = flags.value("--out").unwrap_or("report.html");
     std::fs::write(out, &html)?;
     println!("report → {out} ({} bytes)", html.len());
     Ok(())
@@ -807,9 +750,9 @@ fn cmd_report(args: &[String]) -> CliResult {
 /// ledger record's iteration rate against its last comparable run) and
 /// prints ranked findings with their evidence windows. Exits nonzero
 /// when anything trips, so CI can gate on it.
-fn cmd_doctor(args: &[String]) -> CliResult {
-    let telemetry = flag_value(args, "--telemetry");
-    let use_ledger = args.iter().any(|a| a == "--ledger");
+fn cmd_doctor(flags: &Flags) -> CliResult {
+    let telemetry = flags.value("--telemetry");
+    let use_ledger = flags.has("--ledger");
     if telemetry.is_none() && !use_ledger {
         return Err("doctor needs --telemetry <in.jsonl> and/or --ledger [path]".into());
     }
@@ -823,7 +766,7 @@ fn cmd_doctor(args: &[String]) -> CliResult {
         findings.extend(dgr::obs::analyze_rows(&rows));
     }
     if use_ledger {
-        let path = resolve_ledger_path(args)?;
+        let path = resolve_ledger_path(flags)?;
         let records = ledger::load(&path);
         println!(
             "doctor: {} ledger record(s) from {}",
@@ -872,17 +815,14 @@ fn cmd_doctor(args: &[String]) -> CliResult {
 /// `dgr history`: render the persistent run ledger as a table, newest
 /// runs last, with a per-phase delta against the previous comparable
 /// run (same config fingerprint).
-fn cmd_history(args: &[String]) -> CliResult {
-    let path = resolve_ledger_path(args)?;
+fn cmd_history(flags: &Flags) -> CliResult {
+    let path = resolve_ledger_path(flags)?;
     let records = ledger::load(&path);
     if records.is_empty() {
         println!("ledger empty: {}", path.display());
         return Ok(());
     }
-    let limit: usize = match flag_value(args, "--limit") {
-        Some(v) => v.parse()?,
-        None => 16,
-    };
+    let limit: usize = flags.parsed("--limit")?.unwrap_or(16);
     let start = records.len().saturating_sub(limit);
     println!(
         "{:<16} {:<6} {:<16} {:>6} {:>6} {:>3} {:>9} {:>12} {:>9} {:>8}",
@@ -916,10 +856,10 @@ fn cmd_history(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn resolve_ledger_path(args: &[String]) -> Result<std::path::PathBuf, Box<dyn std::error::Error>> {
+fn resolve_ledger_path(flags: &Flags) -> Result<std::path::PathBuf, Box<dyn std::error::Error>> {
     // `--ledger path` names a file explicitly; bare `--ledger` (as in
     // `compare --ledger`) falls through to the environment default.
-    if let Some(p) = flag_value(args, "--ledger").filter(|p| !p.starts_with("--")) {
+    if let Some(p) = flags.value("--ledger") {
         return Ok(std::path::PathBuf::from(p));
     }
     ledger::ledger_path().ok_or_else(|| "ledger disabled (set DGR_LEDGER or HOME)".into())
@@ -1007,8 +947,8 @@ fn fmt_ts(secs: u64) -> String {
 
 /// `dgr compare --ledger`: per-phase deltas of the last two comparable
 /// ledger runs plus a short regression trend over the trailing window.
-fn cmd_compare_ledger(args: &[String]) -> CliResult {
-    let path = resolve_ledger_path(args)?;
+fn cmd_compare_ledger(flags: &Flags) -> CliResult {
+    let path = resolve_ledger_path(flags)?;
     let records = ledger::load(&path);
     let Some((prev, last)) = last_comparable_pair(&records) else {
         return Err(format!(
@@ -1066,13 +1006,13 @@ fn fmt_series(values: &[f64]) -> String {
         .join(" ")
 }
 
-fn cmd_compare(args: &[String]) -> CliResult {
-    if args.iter().any(|a| a == "--ledger") {
-        return cmd_compare_ledger(args);
+fn cmd_compare(flags: &Flags) -> CliResult {
+    if flags.has("--ledger") {
+        return cmd_compare_ledger(flags);
     }
-    let design = load_design(args)?;
-    let cfg = config_from(args)?;
-    let session = obs_session(args, "compare", cfg.iterations as u64, 1)?;
+    let design = load_design(flags)?;
+    let cfg = config_from(flags)?;
+    let session = obs_session(flags, "compare", cfg.iterations as u64, 1)?;
     println!(
         "{:<12} {:>10} {:>8} {:>10} {:>10} {:>8}",
         "router", "wirelength", "turns", "ovf edges", "ovf total", "t(s)"

@@ -320,14 +320,14 @@ fn watchdog_kills_slo_breaching_jobs_and_health_reports_them() {
     daemon.stop();
 }
 
-/// The `dgr serve-jobs` binary boots, prints its address banner, serves
-/// a catalog job end to end, and dies cleanly.
-#[test]
-fn serve_jobs_cli_smoke() {
+/// Spawns `dgr serve-jobs` with one worker on an ephemeral port, its
+/// ledger at `ledger` (`"off"` for none), and returns it with the address
+/// its banner names.
+fn spawn_serve_jobs(ledger: &std::ffi::OsStr) -> (std::process::Child, std::net::SocketAddr) {
     use std::io::BufRead;
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off")
+        .env("DGR_LEDGER", ledger)
         .args(["serve-jobs", "127.0.0.1:0", "--workers", "1"])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::piped())
@@ -337,13 +337,21 @@ fn serve_jobs_cli_smoke() {
     let stderr = child.stderr.take().unwrap();
     let mut lines = std::io::BufReader::new(stderr).lines();
     let banner = lines.next().expect("banner line").expect("banner readable");
-    let addr: std::net::SocketAddr = banner
+    let addr = banner
         .split("http://")
         .nth(1)
         .and_then(|s| s.split('/').next())
         .expect("banner has an address")
         .parse()
         .expect("banner address parses");
+    (child, addr)
+}
+
+/// The `dgr serve-jobs` binary boots, prints its address banner, serves
+/// a catalog job end to end, and dies cleanly.
+#[test]
+fn serve_jobs_cli_smoke() {
+    let (mut child, addr) = spawn_serve_jobs("off".as_ref());
 
     let id = submit_job(
         addr,
@@ -356,4 +364,81 @@ fn serve_jobs_cli_smoke() {
 
     child.kill().expect("kill serve-jobs");
     let _ = child.wait();
+}
+
+/// The ledger record of a job describes that job alone — two identical
+/// jobs run back to back log the same Steiner-cache counts — and it is
+/// comparable with the record `dgr route` writes for the same label,
+/// design and configuration.
+#[test]
+fn job_ledger_records_are_per_job_and_comparable_with_the_cli() {
+    let dir = std::env::temp_dir().join("dgr_daemon_ledger_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let design_path = dir.join("twin.txt");
+    // few enough nets that candidate generation stays on one thread: two
+    // threads racing to the same fresh cache key would both count a miss
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 24,
+        height: 24,
+        num_nets: 48,
+        num_layers: 5,
+        seed: 41,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let text = dgr::io::write_design(&design);
+    std::fs::write(&design_path, &text).unwrap();
+
+    let daemon_ledger = dir.join("dgrd.jsonl");
+    let (mut child, addr) = spawn_serve_jobs(daemon_ledger.as_os_str());
+    for _ in 0..2 {
+        let id = submit_job(addr, &inline_spec(&text, "twin", 12, 5));
+        wait_state(addr, id, "done", Duration::from_secs(120));
+    }
+    child.kill().expect("kill serve-jobs");
+    let _ = child.wait();
+
+    let jobs = dgr::obs::ledger::load(&daemon_ledger);
+    assert_eq!(jobs.len(), 2, "one record per job");
+    assert!(jobs.iter().all(|r| r.cmd == "dgrd" && r.design == "twin"));
+    assert!(
+        jobs[0].cache_hits + jobs[0].cache_misses > 0,
+        "no net went through the Steiner cache"
+    );
+    assert_eq!(
+        (jobs[0].cache_hits, jobs[0].cache_misses),
+        (jobs[1].cache_hits, jobs[1].cache_misses),
+        "the second job logged more than its own cache traffic"
+    );
+
+    let cli_ledger = dir.join("cli.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .env("DGR_LEDGER", &cli_ledger)
+        .args([
+            "route",
+            design_path.to_str().unwrap(),
+            "--iterations",
+            "12",
+            "--seed",
+            "5",
+            "--quiet",
+        ])
+        .output()
+        .expect("run dgr route");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let cli = dgr::obs::ledger::load(&cli_ledger);
+    assert_eq!(cli.len(), 1);
+    assert_eq!(cli[0].design, "twin");
+    assert_eq!(cli[0].config_fp, jobs[0].config_fp);
+    assert_eq!(
+        (cli[0].cache_hits, cli[0].cache_misses, cli[0].vias),
+        (jobs[0].cache_hits, jobs[0].cache_misses, jobs[0].vias)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

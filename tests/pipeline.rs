@@ -1,10 +1,10 @@
 //! End-to-end integration tests spanning every crate: design generation →
 //! differentiable routing → refinement → layer assignment → guides.
 
-use dgr::core::{DgrConfig, DgrRouter};
+use dgr::core::{DgrConfig, DgrRouter, RouteHooks};
 use dgr::grid::{CapacityBuilder, Design, GcellGrid, Net, Point};
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
-use dgr::post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
+use dgr::post::{assign_layers, pipeline, refine, AssignConfig, RefineConfig, RouteGuide};
 
 fn small_catalog_design(seed: u64) -> Design {
     IspdLikeGenerator::new(IspdLikeConfig {
@@ -206,4 +206,80 @@ fn design_io_roundtrip_preserves_routing_results() {
         a.metrics.overflow.overflowed_edges,
         b.metrics.overflow.overflowed_edges
     );
+}
+
+/// `pipeline::run` is the four stages called by hand, on a design packed
+/// tightly enough that refinement has nets to reroute.
+#[test]
+fn pipeline_run_equals_the_stages_called_by_hand() {
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 24,
+        height: 24,
+        num_nets: 220,
+        num_layers: 5,
+        base_capacity: 5.0,
+        seed: 31,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let cfg = quick_config(2);
+
+    let mut by_hand = DgrRouter::new(cfg.clone()).route(&design).unwrap();
+    let report = refine(&design, &mut by_hand, RefineConfig::default()).unwrap();
+    assert!(report.nets_rerouted > 0, "refinement had nothing to do");
+    let assigned = assign_layers(&design, &by_hand, AssignConfig::default()).unwrap();
+    let guide = RouteGuide::from_assignment(&design, &assigned);
+
+    let out = pipeline::run(&design, &cfg, &mut RouteHooks::default(), true).unwrap();
+    assert_eq!(out.solution.to_text(), by_hand.to_text());
+    assert_eq!(out.post.refine, report);
+    assert_eq!(out.post.assigned.as_ref(), Some(&assigned));
+    assert_eq!(out.vias(), assigned.total_vias);
+    assert_eq!(out.post.guide.map(|g| g.to_text()), Some(guide.to_text()));
+    assert_eq!(
+        out.final_loss,
+        f64::from(by_hand.train_report.unwrap().final_loss)
+    );
+    assert!(out.route_time <= out.wall);
+    assert!(
+        out.cache_hits + out.cache_misses > 0,
+        "no net went through the Steiner cache"
+    );
+
+    // no guide is built unless asked for
+    let quiet = pipeline::run(&design, &cfg, &mut RouteHooks::default(), false).unwrap();
+    assert!(quiet.post.guide.is_none());
+    assert_eq!(quiet.post.assigned, Some(assigned));
+}
+
+/// One layer: nothing to assign, no guide even when asked for, and the
+/// via count falls back to the 2D turns.
+#[test]
+fn pipeline_on_a_one_layer_design_skips_assignment() {
+    let grid = GcellGrid::new(12, 12).unwrap();
+    let cap = CapacityBuilder::uniform(&grid, 2.0).build(&grid).unwrap();
+    let nets = (0..10)
+        .map(|i| {
+            Net::new(
+                format!("n{i}"),
+                vec![
+                    Point::new(i, (3 * i) % 12),
+                    Point::new(11 - i, (5 * i + 4) % 12),
+                ],
+            )
+        })
+        .collect();
+    let design = Design::new(grid, cap, nets, 1).unwrap();
+
+    let mut solution = DgrRouter::new(quick_config(3)).route(&design).unwrap();
+    let post = pipeline::finish(&design, &mut solution, true).unwrap();
+    assert!(post.assigned.is_none() && post.guide.is_none());
+    assert_eq!(post.assign_time, std::time::Duration::ZERO);
+
+    let out = pipeline::run(&design, &quick_config(3), &mut RouteHooks::default(), true).unwrap();
+    assert!(out.post.assigned.is_none() && out.post.guide.is_none());
+    assert!(out.solution.metrics.total_turns > 0);
+    assert_eq!(out.vias(), out.solution.metrics.total_turns);
+    assert_eq!(out.solution.to_text(), solution.to_text());
 }

@@ -238,6 +238,7 @@ fn worker_loop(inner: &Inner) {
         for old in evicted {
             dgr_obs::status_remove(old);
             dgr_obs::sentinel_remove(old);
+            dgr_obs::spans_remove(old);
         }
         inner.work.notify_all();
     }

@@ -82,7 +82,8 @@ pub use snapshot::{
     AttributionRecord, NetShare, SnapshotHeader, SnapshotRecord, SnapshotSink, SnapshotStream,
 };
 pub use span::{
-    chrome_trace, reset_spans, span, span_totals, write_chrome_trace, SpanGuard, SpanTotal,
+    chrome_trace, reset_spans, span, span_events_of, span_totals, spans_remove, write_chrome_trace,
+    SpanGuard, SpanTotal,
 };
 pub use status::{
     status_begin, status_jobs, status_json, status_phase, status_queue_depth, status_remove,

@@ -21,6 +21,13 @@
 //! The event log is capped at [`MAX_EVENTS`]; beyond it, events still
 //! fold into the aggregates but the detailed log drops them (the drop
 //! count is reported by [`dropped_events`]).
+//!
+//! Every event carries the status scope id of the thread that recorded
+//! it ([`crate::status_scope_id`]: 0 in a one-shot CLI run, the job id in
+//! a `dgrd` worker), and [`spans_remove`] drops one scope's events — the
+//! daemon calls it when it evicts a job, beside `status_remove` and
+//! `sentinel_remove`, so the log of a long-lived server holds the events
+//! of the jobs it still retains rather than of every job it ever ran.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -29,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use crate::json::JsonObject;
 
-/// Hard cap on detailed span events held in memory (~48 bytes each).
+/// Hard cap on detailed span events held in memory (64 bytes each).
 pub const MAX_EVENTS: usize = 1 << 20;
 
 /// One completed span.
@@ -37,6 +44,8 @@ pub const MAX_EVENTS: usize = 1 << 20;
 struct SpanEvent {
     cat: &'static str,
     name: &'static str,
+    /// Status scope of the recording thread (0 = one-shot CLI run).
+    scope: u64,
     tid: u32,
     depth: u32,
     start_ns: u64,
@@ -192,6 +201,7 @@ impl Drop for SpanGuard {
         let event = SpanEvent {
             cat: live.cat,
             name: live.name,
+            scope: crate::status_scope_id(),
             tid: thread_id(),
             depth: live.depth,
             start_ns: live.start.duration_since(epoch()).as_nanos() as u64,
@@ -251,6 +261,18 @@ pub fn span_totals() -> Vec<SpanTotal> {
 /// (aggregates are never dropped).
 pub fn dropped_events() -> usize {
     log().dropped
+}
+
+/// Drops the detailed events recorded under status scope `id` (job
+/// evicted). Aggregates keep the job's contribution; unknown scopes are a
+/// no-op.
+pub fn spans_remove(id: u64) {
+    log().events.retain(|e| e.scope != id);
+}
+
+/// Number of detailed events currently held for status scope `id`.
+pub fn span_events_of(id: u64) -> usize {
+    log().events.iter().filter(|e| e.scope == id).count()
 }
 
 /// Clears the event log and the aggregates.
@@ -381,6 +403,25 @@ mod tests {
         }
         assert!(span_totals().is_empty());
         assert_eq!(dropped_events(), 0);
+    }
+
+    #[test]
+    fn removing_a_scope_drops_its_events_and_only_those() {
+        let _guard = crate::test_lock();
+        crate::set_enabled(true);
+        reset_spans();
+        for id in [0u64, 901, 902, 901] {
+            let _scope = crate::status_scope(id);
+            let _s = span("test", "scoped");
+        }
+        crate::set_enabled(false);
+        assert_eq!(span_events_of(901), 2);
+        spans_remove(901);
+        assert_eq!(span_events_of(901), 0);
+        assert_eq!((span_events_of(0), span_events_of(902)), (1, 1));
+        let scoped = span_totals().into_iter().find(|t| t.name == "scoped");
+        assert_eq!(scoped.unwrap().count, 4, "aggregates keep evicted jobs");
+        reset_spans();
     }
 
     #[test]

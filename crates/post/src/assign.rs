@@ -15,6 +15,27 @@
 //! demand — the same greedy-sequential scheme CUGR2 uses. Via counts are
 //! then measured exactly as the layer *span* at every node (a stack of
 //! vias from the lowest to the highest layer touching the node).
+//!
+//! # The per-net cost table
+//!
+//! The congestion term of segment `s` on layer `ls` depends on the
+//! segment's edges and on the demand earlier nets committed to `ls` —
+//! not on the node the DP is at, nor on the parent layer `l` it is
+//! trying. The DP asks for it once per `(node, l, child, ls)`, i.e.
+//! `num_layers` times per (segment, layer), so `assign_net` walks each
+//! segment's edges once into one flat list and prices every segment on
+//! every layer running its way into one `segs × layers` table *before*
+//! the DP, which then only looks prices up.
+//!
+//! Hoisting cannot change a bit of the result: a net's own demand is
+//! committed in step 5, after its DP and its cycle closers have read
+//! their last price, so every use within the net sees the same
+//! `layer_demand`; and the table entry is computed by the same function
+//! (`seg_price`: same edges in the same order, same `f32` operations)
+//! the uses would have called. The DP's own sums — via term, then price,
+//! then child subtree, added left to right — are untouched. The tests
+//! keep a per-use pricing (`assign_net_per_use`) and demand an equal
+//! [`Assigned3d`] on congested 2-, 5- and 9-layer designs.
 
 use std::collections::HashMap;
 
@@ -164,6 +185,27 @@ pub fn assign_layers(
     solution: &RoutingSolution,
     cfg: AssignConfig,
 ) -> Result<Assigned3d, PostError> {
+    assign_layers_with(design, solution, cfg, assign_net)
+}
+
+/// The signature of [`assign_net`], which [`assign_layers_with`] takes as
+/// a parameter so the tests can run the per-use pricing reference through
+/// the same net order and 3D accounting.
+type AssignNetFn = fn(
+    &Design,
+    &LayerModel,
+    AssignConfig,
+    &dgr_core::NetRoute,
+    &std::collections::HashSet<Point>,
+    &mut [Vec<f32>],
+) -> Result<NetAssignment, PostError>;
+
+fn assign_layers_with(
+    design: &Design,
+    solution: &RoutingSolution,
+    cfg: AssignConfig,
+    assign_net: AssignNetFn,
+) -> Result<Assigned3d, PostError> {
     let _span = dgr_obs::span("post", "assign_layers");
     if design.num_layers < 2 {
         return Err(PostError::TooFewLayers {
@@ -196,9 +238,9 @@ pub fn assign_layers(
     let mut peak = 0.0f32;
     let mut over_flag = vec![vec![false; num_edges]; num_layers];
     for (l, dem) in layer_demand.iter().enumerate() {
+        let dir = model.dir_of(l as u32);
         for e in grid.edge_ids() {
-            let dir = grid.edge_dir(e);
-            if model.dir_of(l as u32) != dir {
+            if grid.edge_dir(e) != dir {
                 continue;
             }
             let cap = model.layer_capacity(design.capacity.capacity(e), dir);
@@ -211,19 +253,15 @@ pub fn assign_layers(
             }
         }
     }
-    let mut overflowed_nets = 0usize;
     let total_vias = nets.iter().map(|n| n.vias).sum();
-    for net in &nets {
-        let hit = net.segments.iter().any(|s| {
-            let mut edges = Vec::new();
-            grid.push_segment_edges(s.a, s.b, &mut edges)
-                .map(|()| edges.iter().any(|e| over_flag[s.layer as usize][e.index()]))
-                .unwrap_or(false)
-        });
-        if hit {
-            overflowed_nets += 1;
-        }
-    }
+    let touches_overflow = |s: &Segment3d| {
+        grid.segment_edges(s.a, s.b)
+            .is_ok_and(|mut edges| edges.any(|e| over_flag[s.layer as usize][e.index()]))
+    };
+    let overflowed_nets = nets
+        .iter()
+        .filter(|net| net.segments.iter().any(touches_overflow))
+        .count();
 
     Ok(Assigned3d {
         nets,
@@ -277,6 +315,56 @@ pub fn assign_net_dp(
     assign_net(design, &model, cfg, route, pins, layer_demand)
 }
 
+/// The grid edges and direction of every segment of one net, built once:
+/// segment `si` owns `edges[start[si]..start[si + 1]]`.
+struct SegEdges {
+    edges: Vec<dgr_grid::EdgeId>,
+    start: Vec<usize>,
+    dirs: Vec<EdgeDir>,
+}
+
+impl SegEdges {
+    fn of(grid: &dgr_grid::GcellGrid, topology: &NetTopology) -> Result<Self, PostError> {
+        let mut edges = Vec::new();
+        let mut start = Vec::with_capacity(topology.segs.len() + 1);
+        let mut dirs = Vec::with_capacity(topology.segs.len());
+        for &(_, _, a, b) in &topology.segs {
+            start.push(edges.len());
+            grid.push_segment_edges(a, b, &mut edges)?;
+            dirs.push(if a.y == b.y {
+                EdgeDir::Horizontal
+            } else {
+                EdgeDir::Vertical
+            });
+        }
+        start.push(edges.len());
+        Ok(SegEdges { edges, start, dirs })
+    }
+
+    fn of_seg(&self, si: usize) -> &[dgr_grid::EdgeId] {
+        &self.edges[self.start[si]..self.start[si + 1]]
+    }
+}
+
+/// Weighted marginal overflow of one more wire over `edges` (which run
+/// along `dir`) on a layer whose committed demand is `demand`.
+fn seg_price(
+    design: &Design,
+    model: &LayerModel,
+    cfg: AssignConfig,
+    edges: &[dgr_grid::EdgeId],
+    dir: EdgeDir,
+    demand: &[f32],
+) -> f32 {
+    let mut cost = 0.0;
+    for &e in edges {
+        let cap = model.layer_capacity(design.capacity.capacity(e), dir);
+        let d = demand[e.index()];
+        cost += cfg.overflow_weight * ((d + 1.0 - cap).max(0.0) - (d - cap).max(0.0));
+    }
+    cost
+}
+
 fn assign_net(
     design: &Design,
     model: &LayerModel,
@@ -285,26 +373,71 @@ fn assign_net(
     pins: &std::collections::HashSet<Point>,
     layer_demand: &mut [Vec<f32>],
 ) -> Result<NetAssignment, PostError> {
-    let grid = &design.grid;
-
-    // 1. collect segments and nodes, 2. spanning tree (extras = cycle
-    // closers)
+    // 1. segments, nodes and the spanning tree; every segment's edges
     let topology = NetTopology::of_route(route);
+    let seg_edges = SegEdges::of(&design.grid, &topology)?;
+
+    // Price every segment on every layer running its way, once. Steps
+    // 2–4 only read `layer_demand` — it changes at the commit, step 5 —
+    // so these are the values a per-use evaluation would produce.
+    let num_layers = layer_demand.len();
+    let mut costs = vec![f32::INFINITY; topology.segs.len() * num_layers];
+    for (si, &dir) in seg_edges.dirs.iter().enumerate() {
+        for ls in model.layers_of(dir) {
+            costs[si * num_layers + ls as usize] = seg_price(
+                design,
+                model,
+                cfg,
+                seg_edges.of_seg(si),
+                dir,
+                &layer_demand[ls as usize],
+            );
+        }
+    }
+    let seg_cost = |si: usize, ls: u32| costs[si * num_layers + ls as usize];
+
+    let plan = choose_layers(&topology, &seg_edges.dirs, model, cfg, pins, seg_cost);
+    Ok(commit_net(
+        route.net,
+        topology,
+        &seg_edges,
+        plan,
+        pins,
+        layer_demand,
+    ))
+}
+
+/// The DP's decision for one net.
+struct LayerPlan {
+    /// Chosen layer per segment (tree segments by the DP, cycle closers
+    /// greedily).
+    seg_layer: Vec<u32>,
+    dp_cost: f32,
+    root_layer: u32,
+}
+
+/// Steps 2–4: the tree DP over the segment graph, then the cycle closers.
+/// `seg_cost(si, ls)` is the congestion price of segment `si` on layer
+/// `ls` (asked only for layers running the segment's way).
+fn choose_layers(
+    topology: &NetTopology,
+    seg_dirs: &[EdgeDir],
+    model: &LayerModel,
+    cfg: AssignConfig,
+    pins: &std::collections::HashSet<Point>,
+    seg_cost: impl Fn(usize, u32) -> f32,
+) -> LayerPlan {
     let points = &topology.points;
     let segs = &topology.segs;
     let in_tree = &topology.in_tree;
     if segs.is_empty() {
-        return Ok(NetAssignment {
-            net3d: Net3d {
-                net: route.net,
-                segments: Vec::new(),
-                vias: 0,
-            },
-            topology,
+        return LayerPlan {
+            seg_layer: Vec::new(),
             dp_cost: 0.0,
             root_layer: 0,
-        });
+        };
     }
+    // 2. adjacency over the spanning tree (extras = cycle closers)
     let n_nodes = points.len();
     let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_nodes]; // (seg, other)
     for (si, &(na, nb, ..)) in segs.iter().enumerate() {
@@ -313,48 +446,15 @@ fn assign_net(
             adj[nb].push((si, na));
         }
     }
-
     let num_layers = model.num_layers() as usize;
-    let seg_dir = |si: usize| -> EdgeDir {
-        let (_, _, a, b) = segs[si];
-        if a.y == b.y {
-            EdgeDir::Horizontal
-        } else {
-            EdgeDir::Vertical
-        }
-    };
-    let mut seg_edge_cache: Vec<Option<Vec<dgr_grid::EdgeId>>> = vec![None; segs.len()];
-    let seg_edges = |si: usize,
-                     cache: &mut Vec<Option<Vec<dgr_grid::EdgeId>>>|
-     -> Result<Vec<dgr_grid::EdgeId>, PostError> {
-        if cache[si].is_none() {
-            let (_, _, a, b) = segs[si];
-            let mut edges = Vec::new();
-            grid.push_segment_edges(a, b, &mut edges)?;
-            cache[si] = Some(edges);
-        }
-        Ok(cache[si].clone().expect("just filled"))
-    };
-    let seg_cost = |si: usize,
-                    layer: u32,
-                    layer_demand: &[Vec<f32>],
-                    cache: &mut Vec<Option<Vec<dgr_grid::EdgeId>>>|
-     -> Result<f32, PostError> {
-        let dir = seg_dir(si);
-        let mut cost = 0.0;
-        for e in seg_edges(si, cache)? {
-            let cap = model.layer_capacity(design.capacity.capacity(e), dir);
-            let d = layer_demand[layer as usize][e.index()];
-            cost += cfg.overflow_weight * ((d + 1.0 - cap).max(0.0) - (d - cap).max(0.0));
-        }
-        Ok(cost)
-    };
 
     // 3. tree DP from node 0 (post-order via explicit stack)
     const INF: f32 = f32::INFINITY;
-    let mut dp = vec![vec![0.0f32; num_layers]; n_nodes];
-    // choice[child_seg][parent_layer] = chosen layer of that segment
-    let mut choice: Vec<Vec<u32>> = vec![vec![0; num_layers]; segs.len()];
+    // dp[v * num_layers + l]
+    let mut dp = vec![0.0f32; n_nodes * num_layers];
+    // choice[child_seg * num_layers + parent_layer] = chosen layer of that
+    // segment
+    let mut choice = vec![0u32; segs.len() * num_layers];
     let root = 0usize;
     // iterative post-order
     let mut visit_order = Vec::with_capacity(n_nodes);
@@ -377,8 +477,9 @@ fn assign_net(
         }
     }
     for &v in visit_order.iter().rev() {
+        let is_pin = pins.contains(&points[v]);
         for l in 0..num_layers {
-            let mut cost = if pins.contains(&points[v]) {
+            let mut cost = if is_pin {
                 cfg.via_weight * l as f32
             } else {
                 0.0
@@ -388,30 +489,30 @@ fn assign_net(
                     continue; // u is v's parent through si
                 }
                 // segment si connects v down to child u
-                let dir = seg_dir(si);
                 let mut best = INF;
                 let mut best_l = 0u32;
-                for &ls in &model.layers_of(dir) {
+                for ls in model.layers_of(seg_dirs[si]) {
                     let c = cfg.via_weight * (ls as f32 - l as f32).abs()
-                        + seg_cost(si, ls, layer_demand, &mut seg_edge_cache)?
-                        + dp[u][ls as usize];
+                        + seg_cost(si, ls)
+                        + dp[u * num_layers + ls as usize];
                     if c < best {
                         best = c;
                         best_l = ls;
                     }
                 }
-                choice[si][l] = best_l;
+                choice[si * num_layers + l] = best_l;
                 cost += best;
             }
-            dp[v][l] = cost;
+            dp[v * num_layers + l] = cost;
         }
     }
 
     // 4. pick the root layer and backtrack
+    let root_dp = &dp[root * num_layers..(root + 1) * num_layers];
     let root_l = (0..num_layers)
-        .min_by(|&a, &b| dp[root][a].total_cmp(&dp[root][b]))
+        .min_by(|&a, &b| root_dp[a].total_cmp(&root_dp[b]))
         .expect("≥2 layers") as u32;
-    let dp_cost = dp[root][root_l as usize];
+    let dp_cost = root_dp[root_l as usize];
     let mut seg_layer = vec![u32::MAX; segs.len()];
     let mut stack = vec![(root, root_l)];
     while let Some((v, l)) = stack.pop() {
@@ -419,7 +520,7 @@ fn assign_net(
             if parent_seg[u] != si {
                 continue;
             }
-            let ls = choice[si][l as usize];
+            let ls = choice[si * num_layers + l as usize];
             seg_layer[si] = ls;
             stack.push((u, ls));
         }
@@ -439,13 +540,13 @@ fn assign_net(
         }
         let (na, nb, ..) = segs[si];
         let (la, lb) = (node_layer(na, &seg_layer), node_layer(nb, &seg_layer));
-        let dir = seg_dir(si);
+        let layers = model.layers_of(seg_dirs[si]);
         let mut best = INF;
-        let mut best_l = model.layers_of(dir)[0];
-        for &ls in &model.layers_of(dir) {
+        let mut best_l = layers.clone().next().expect("both directions have a layer");
+        for ls in layers {
             let c = cfg.via_weight
                 * ((ls as f32 - la as f32).abs() + (ls as f32 - lb as f32).abs())
-                + seg_cost(si, ls, layer_demand, &mut seg_edge_cache)?;
+                + seg_cost(si, ls);
             if c < best {
                 best = c;
                 best_l = ls;
@@ -453,12 +554,27 @@ fn assign_net(
         }
         seg_layer[si] = best_l;
     }
+    LayerPlan {
+        seg_layer,
+        dp_cost,
+        root_layer: root_l,
+    }
+}
 
-    // 5. commit demand and count vias exactly (layer span per node)
-    let mut segments = Vec::with_capacity(segs.len());
-    for (si, &(_, _, a, b)) in segs.iter().enumerate() {
-        let layer = seg_layer[si];
-        for e in seg_edges(si, &mut seg_edge_cache)? {
+/// Step 5: commits the plan's demand and counts vias exactly (layer span
+/// per node).
+fn commit_net(
+    net: usize,
+    topology: NetTopology,
+    seg_edges: &SegEdges,
+    plan: LayerPlan,
+    pins: &std::collections::HashSet<Point>,
+    layer_demand: &mut [Vec<f32>],
+) -> NetAssignment {
+    let mut segments = Vec::with_capacity(topology.segs.len());
+    for (si, &(_, _, a, b)) in topology.segs.iter().enumerate() {
+        let layer = plan.seg_layer[si];
+        for e in seg_edges.of_seg(si) {
             layer_demand[layer as usize][e.index()] += 1.0;
         }
         segments.push(Segment3d { a, b, layer });
@@ -476,24 +592,100 @@ fn assign_net(
         let lo = if pins.contains(p) { 0 } else { *lo };
         vias += (*hi - lo) as u64;
     }
-
-    Ok(NetAssignment {
+    NetAssignment {
         net3d: Net3d {
-            net: route.net,
+            net,
             segments,
             vias,
         },
         topology,
-        dp_cost,
-        root_layer: root_l,
-    })
+        dp_cost: plan.dp_cost,
+        root_layer: plan.root_layer,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_core::{NetRoute, RoutePath, SolutionMetrics};
+    use dgr_core::{DgrConfig, DgrRouter, NetRoute, RoutePath, SolutionMetrics};
     use dgr_grid::{CapacityBuilder, DemandMap, GcellGrid, Net};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The pricing `assign_net`'s table replaced: every use of a
+    /// segment's price recomputes it from the live demand.
+    fn assign_net_per_use(
+        design: &Design,
+        model: &LayerModel,
+        cfg: AssignConfig,
+        route: &NetRoute,
+        pins: &std::collections::HashSet<Point>,
+        layer_demand: &mut [Vec<f32>],
+    ) -> Result<NetAssignment, PostError> {
+        let topology = NetTopology::of_route(route);
+        let seg_edges = SegEdges::of(&design.grid, &topology)?;
+        let demand: &[Vec<f32>] = layer_demand;
+        let seg_cost = |si: usize, ls: u32| {
+            let (edges, dir) = (seg_edges.of_seg(si), seg_edges.dirs[si]);
+            seg_price(design, model, cfg, edges, dir, &demand[ls as usize])
+        };
+        let plan = choose_layers(&topology, &seg_edges.dirs, model, cfg, pins, seg_cost);
+        Ok(commit_net(
+            route.net,
+            topology,
+            &seg_edges,
+            plan,
+            pins,
+            layer_demand,
+        ))
+    }
+
+    #[test]
+    fn tabulated_prices_assign_exactly_like_per_use_prices() {
+        for (case, num_layers) in [2u32, 5, 9, 2, 5, 9].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xA551 + case as u64);
+            // net 0 is routed by hand below; the rest by the router
+            let mut nets = vec![Net::new("loop", vec![Point::new(1, 1), Point::new(6, 7)])];
+            nets.extend((1..48).map(|i| {
+                let pins = (0..rng.gen_range(2..=6))
+                    .map(|_| Point::new(rng.gen_range(0..12), rng.gen_range(0..12)))
+                    .collect();
+                Net::new(format!("n{i}"), pins)
+            }));
+            let grid = GcellGrid::new(12, 12).unwrap();
+            let cap = CapacityBuilder::uniform(&grid, 2.0).build(&grid).unwrap();
+            let d = Design::new(grid, cap, nets, num_layers).unwrap();
+            let routed = DgrRouter::new(DgrConfig {
+                iterations: 20,
+                seed: case as u64,
+                ..DgrConfig::default()
+            })
+            .route(&d)
+            .unwrap();
+            let mut routes = routed.routes;
+            // both L-shapes at once: four segments, the last closes a cycle
+            let corners = |via: Point| vec![Point::new(1, 1), via, Point::new(6, 7)];
+            routes[0].paths = [Point::new(6, 1), Point::new(1, 7)]
+                .map(|via| RoutePath {
+                    corners: corners(via),
+                })
+                .to_vec();
+            assert_eq!(
+                NetTopology::of_route(&routes[0]).in_tree,
+                [true, true, true, false]
+            );
+            let sol = solution_for(&d, routes);
+
+            let cfg = AssignConfig::default();
+            let tabulated = assign_layers_with(&d, &sol, cfg, assign_net).unwrap();
+            let per_use = assign_layers_with(&d, &sol, cfg, assign_net_per_use).unwrap();
+            assert_eq!(tabulated, per_use, "{num_layers} layers, case {case}");
+            assert!(
+                tabulated.overflowed_edges3d > 0,
+                "{num_layers} layers, case {case}: not congested, prices never mattered"
+            );
+        }
+    }
 
     fn design(tracks: f32, nets: Vec<Net>, layers: u32) -> Design {
         let grid = GcellGrid::new(10, 10).unwrap();

@@ -18,7 +18,7 @@ use dgr_grid::EdgeDir;
 /// let stack = LayerModel::alternating(5, true);
 /// assert_eq!(stack.dir_of(0), EdgeDir::Horizontal);
 /// assert_eq!(stack.dir_of(1), EdgeDir::Vertical);
-/// assert_eq!(stack.layers_of(EdgeDir::Horizontal), vec![0, 2, 4]);
+/// assert!(stack.layers_of(EdgeDir::Horizontal).eq([0, 2, 4]));
 /// assert_eq!(stack.count_of(EdgeDir::Vertical), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,11 +62,12 @@ impl LayerModel {
         }
     }
 
-    /// The layers whose preferred direction is `dir`, in ascending order.
-    pub fn layers_of(&self, dir: EdgeDir) -> Vec<u32> {
-        (0..self.num_layers)
-            .filter(|&l| self.dir_of(l) == dir)
-            .collect()
+    /// The layers whose preferred direction is `dir`, in ascending order:
+    /// every second layer from the first one running that way. Nothing is
+    /// allocated — the layer-assignment DP asks per segment and per edge.
+    pub fn layers_of(&self, dir: EdgeDir) -> impl ExactSizeIterator<Item = u32> + Clone {
+        let first = u32::from(self.dir_of(0) != dir);
+        (first..self.num_layers).step_by(2)
     }
 
     /// Number of layers with preferred direction `dir`.
@@ -88,11 +89,25 @@ mod tests {
     #[test]
     fn alternation_and_counts() {
         let m = LayerModel::alternating(5, true);
-        assert_eq!(m.layers_of(EdgeDir::Horizontal), vec![0, 2, 4]);
-        assert_eq!(m.layers_of(EdgeDir::Vertical), vec![1, 3]);
+        assert!(m.layers_of(EdgeDir::Horizontal).eq([0, 2, 4]));
+        assert!(m.layers_of(EdgeDir::Vertical).eq([1, 3]));
         let m = LayerModel::alternating(4, false);
-        assert_eq!(m.layers_of(EdgeDir::Vertical), vec![0, 2]);
-        assert_eq!(m.layers_of(EdgeDir::Horizontal), vec![1, 3]);
+        assert!(m.layers_of(EdgeDir::Vertical).eq([0, 2]));
+        assert!(m.layers_of(EdgeDir::Horizontal).eq([1, 3]));
+    }
+
+    #[test]
+    fn layers_of_is_exactly_the_layers_running_that_way() {
+        for num_layers in 2..=11 {
+            for first_horizontal in [true, false] {
+                let m = LayerModel::alternating(num_layers, first_horizontal);
+                for dir in [EdgeDir::Horizontal, EdgeDir::Vertical] {
+                    let want: Vec<u32> = (0..num_layers).filter(|&l| m.dir_of(l) == dir).collect();
+                    assert!(m.layers_of(dir).eq(want.iter().copied()));
+                    assert_eq!(m.count_of(dir), want.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,16 @@ impl HananGrid {
         self.ys.len()
     }
 
+    /// The distinct x coordinates (grid columns), ascending.
+    pub fn xs(&self) -> &[i32] {
+        &self.xs
+    }
+
+    /// The distinct y coordinates (grid rows), ascending.
+    pub fn ys(&self) -> &[i32] {
+        &self.ys
+    }
+
     /// Total number of Hanan points.
     pub fn num_points(&self) -> usize {
         self.xs.len() * self.ys.len()

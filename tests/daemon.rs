@@ -249,6 +249,43 @@ fn cancellation_mid_run_leaves_the_queue_healthy() {
     daemon.stop();
 }
 
+/// The span log of a long-lived daemon holds the events of the jobs it
+/// still retains, not of every job it ever ran: an evicted job's events
+/// leave with its status and sentinel rows. (Job ids are process-global,
+/// so the other daemons in this test binary cannot disturb the counts.)
+#[test]
+fn evicted_jobs_take_their_span_events_with_them() {
+    let daemon = boot(DaemonConfig {
+        workers: 1,
+        retain_jobs: 2,
+        ..DaemonConfig::default()
+    });
+    let addr = daemon.local_addr();
+    let spec = inline_spec(&dgr::io::write_design(&small_design(31)), "spans", 10, 1);
+    let held = |ids: &[u64]| -> usize { ids.iter().map(|&id| dgr::obs::span_events_of(id)).sum() };
+
+    let mut ids = Vec::new();
+    let mut held_after_two = 0;
+    for _ in 0..8 {
+        let id = submit_job(addr, &spec);
+        wait_state(addr, id, "done", Duration::from_secs(120));
+        ids.push(id);
+        if ids.len() == 2 {
+            // nothing evicted yet: this is what two retained jobs hold
+            held_after_two = held(&ids);
+            assert!(held_after_two > 2 * 10, "a job records its spans");
+        }
+    }
+    daemon.stop(); // joins the worker, so every eviction has run
+
+    assert_eq!(held(&ids[..6]), 0, "evicted jobs hold no events");
+    assert_eq!(
+        held(&ids),
+        held_after_two,
+        "eight jobs later the log holds what it held after two"
+    );
+}
+
 /// A `deadline_ms=1` job is killed by the sentinel watchdog and reported
 /// as a structured *failure* (not a cancellation — no client asked for
 /// one), `/health` surfaces it as a critical row next to the healthy

@@ -57,10 +57,7 @@ pub use snapshot::{
     write_solution_snapshot,
 };
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
-pub use train::{
-    train, train_with_hooks, CurvePoint, ProgressConfig, SnapshotProbe, TrainHooks, TrainReport,
-    CURVE_POINTS,
-};
+pub use train::{train, train_with_hooks, CurvePoint, ProgressConfig, TrainReport, CURVE_POINTS};
 
 use dgr_grid::Design;
 use dgr_obs::{SnapshotSink, TelemetrySink};
@@ -330,20 +327,15 @@ impl DgrRouter {
             if round > 0 {
                 round_cfg.iterations = self.config.adaptive_iterations.max(1);
             }
-            let mut train_hooks = TrainHooks {
-                telemetry: hooks.telemetry.as_mut(),
-                snap: hooks.snap.as_mut().map(|s| train::SnapshotProbe {
-                    sink: &mut s.sink,
-                    design,
-                    every: s.every,
-                }),
-                progress: hooks.progress,
+            let report = train_with_hooks(
+                &mut model,
+                &round_cfg,
+                &mut rng,
+                design,
+                hooks,
                 iter_offset,
-                skip_rss: hooks.skip_rss,
-                cancel: hooks.cancel.clone(),
-                lane: None,
-            };
-            let report = train_with_hooks(&mut model, &round_cfg, &mut rng, &mut train_hooks);
+                None,
+            );
             // a cancel raised mid-training stops the job here: no
             // extraction, no partial solution escapes
             if hooks.is_cancelled() {

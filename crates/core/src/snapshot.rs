@@ -69,7 +69,7 @@ pub fn write_demand_snapshot(
 /// demand the relaxed model maintains during training (Eq. 10). A
 /// length mismatch is silently dropped — observability must never abort
 /// a training run (and the trainer's demand tensor always matches).
-/// `lane` is [`TrainHooks::lane`](crate::TrainHooks::lane).
+/// `lane` is [`train_with_hooks`](crate::train_with_hooks)'s lane tag.
 pub fn write_dense_snapshot(
     sink: &mut SnapshotSink,
     design: &Design,

@@ -53,7 +53,7 @@ impl NetRoute {
 
 /// Aggregate quality metrics of a 2D solution, in the paper's reporting
 /// vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolutionMetrics {
     /// Total wirelength in g-cell edge units.
     pub total_wirelength: u64,

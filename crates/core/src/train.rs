@@ -1,24 +1,26 @@
 //! The training loop: Adam over the expected cost with temperature
 //! annealing and per-iteration Gumbel noise resampling.
 //!
-//! The loop is instrumented through `dgr-obs` (see [`TrainHooks`]):
+//! The loop is instrumented through `dgr-obs` (see [`RouteHooks`]):
 //! per-iteration `forward`/`backward`/`adam` spans when the global
 //! observability switch is on, per-iteration JSONL telemetry rows when a
-//! [`TelemetrySink`] is attached, and a throttled stderr progress line
-//! when a [`ProgressConfig`] is attached. With no hooks and observability
-//! off, the loop is byte-for-byte the uninstrumented hot path plus one
-//! relaxed atomic load per iteration phase.
+//! [`TelemetrySink`](dgr_obs::TelemetrySink) is attached, and a throttled
+//! stderr progress line when a [`ProgressConfig`] is attached. With no
+//! hooks and observability off, the loop is byte-for-byte the
+//! uninstrumented hot path plus one relaxed atomic load per iteration
+//! phase.
 
 use std::time::{Duration, Instant};
 
 use dgr_autodiff::Adam;
 use dgr_grid::Design;
-use dgr_obs::{IterationRow, SnapshotSink, TelemetrySink};
+use dgr_obs::IterationRow;
 use rand::rngs::StdRng;
 
 use crate::config::DgrConfig;
 use crate::memory::rss_bytes;
 use crate::relax::CostModel;
+use crate::RouteHooks;
 
 /// Maximum number of [`CurvePoint`]s retained in a [`TrainReport`].
 pub const CURVE_POINTS: usize = 256;
@@ -30,7 +32,7 @@ const RSS_SAMPLE_INTERVAL: usize = 16;
 /// One retained sample of the training trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
-    /// Iteration index (offset by [`TrainHooks::iter_offset`]).
+    /// Iteration index (offset by [`train_with_hooks`]'s `iter_offset`).
     pub iter: usize,
     /// Total weighted loss at this iteration.
     pub loss: f32,
@@ -85,72 +87,50 @@ impl Default for ProgressConfig {
     }
 }
 
-/// Periodic spatial-congestion capture during training: every `every`
-/// iterations (plus the final one) the dense Eq. 10 expected demand is
-/// frozen into a [`SnapshotRecord`](dgr_obs::SnapshotRecord) on `sink`.
-#[derive(Debug)]
-pub struct SnapshotProbe<'a> {
-    /// Destination snapshot stream.
-    pub sink: &'a mut SnapshotSink,
-    /// Grid and capacities the demand is measured against.
-    pub design: &'a Design,
-    /// Capture stride in iterations; `0` disables captures.
-    pub every: usize,
-}
-
-/// Optional instrumentation threaded through [`train_with_hooks`].
-///
-/// The default hooks are inert: [`train`] forwards to them, so the
-/// uninstrumented call sites behave exactly as before.
-#[derive(Debug, Default)]
-pub struct TrainHooks<'a> {
-    /// Per-iteration JSONL telemetry destination.
-    pub telemetry: Option<&'a mut TelemetrySink>,
-    /// Periodic spatial congestion snapshots.
-    pub snap: Option<SnapshotProbe<'a>>,
-    /// Throttled stderr progress line.
-    pub progress: Option<ProgressConfig>,
-    /// Added to every reported iteration index, so adaptive rounds
-    /// continue numbering instead of restarting at zero.
-    pub iter_offset: usize,
-    /// Skip RSS sampling in telemetry rows (`mem_rss` stays `null`). RSS
-    /// is inherently nondeterministic; the determinism tests disable it.
-    pub skip_rss: bool,
-    /// Cooperative cancellation flag, checked once per iteration (one
-    /// relaxed load). When raised, the loop stops before the next
-    /// forward pass; the report covers the iterations that ran.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Tag written into every telemetry row and dense snapshot of this
-    /// run. `dgr train --batch N` trains its seeds one after another into
-    /// the same sinks and numbers them here; a lone run leaves it `None`.
-    pub lane: Option<u64>,
-}
-
-impl TrainHooks<'_> {
-    fn is_cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-    }
-}
-
 /// Trains `model` in place per `cfg` and returns the report.
 ///
 /// Every iteration: set the temperature from the annealing schedule,
 /// resample Gumbel noise (if enabled), forward, backward, Adam step. The
 /// kernel is never rebuilt.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
-    train_with_hooks(model, cfg, rng, &mut TrainHooks::default())
+    train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0, None)
 }
 
 /// [`train`] with observability hooks: telemetry rows, progress lines,
-/// and per-iteration phase spans (`forward` / `backward` / `adam` under
-/// the `train` category) recorded when `dgr_obs::enabled()`.
+/// dense snapshots of the Eq. 10 expected demand over `design` every
+/// [`SnapshotConfig::every`](crate::SnapshotConfig::every) iterations
+/// (plus the final one), cooperative cancellation between iterations, and
+/// per-iteration phase spans (`forward` / `backward` / `adam` under the
+/// `train` category) recorded when `dgr_obs::enabled()`.
+///
+/// The two things a round varies ride beside the hooks: `iter_offset` is
+/// added to every reported iteration index, so adaptive rounds continue
+/// numbering instead of restarting at zero, and `lane` tags every
+/// telemetry row and dense snapshot — `dgr train --batch N` trains its
+/// seeds one after another into the same sinks and numbers them there; a
+/// lone run passes `None`.
 pub fn train_with_hooks(
     model: &mut CostModel,
     cfg: &DgrConfig,
     rng: &mut StdRng,
-    hooks: &mut TrainHooks<'_>,
+    design: &Design,
+    hooks: &mut RouteHooks,
+    iter_offset: usize,
+    lane: Option<u64>,
+) -> TrainReport {
+    train_loop(model, cfg, rng, Some(design), hooks, iter_offset, lane)
+}
+
+/// The loop behind both entry points; [`train`] has no design and no
+/// snapshot sink to capture one for.
+fn train_loop(
+    model: &mut CostModel,
+    cfg: &DgrConfig,
+    rng: &mut StdRng,
+    design: Option<&Design>,
+    hooks: &mut RouteHooks,
+    iter_offset: usize,
+    lane: Option<u64>,
 ) -> TrainReport {
     let _train_span = dgr_obs::span("train", "train");
     dgr_obs::status_phase("train");
@@ -192,7 +172,7 @@ pub fn train_with_hooks(
         let last_iter = it + 1 == cfg.iterations;
         if it % curve_stride == 0 || last_iter {
             curve.push(CurvePoint {
-                iter: hooks.iter_offset + it,
+                iter: iter_offset + it,
                 loss,
                 overflow: model.overflow_cost(),
             });
@@ -203,20 +183,20 @@ pub fn train_with_hooks(
             model.backward();
         }
         backward_time += bwd_start.elapsed();
-        if let Some(probe) = hooks.snap.as_mut() {
-            if probe.every > 0 && (it % probe.every == 0 || last_iter) {
+        if let (Some(snap), Some(design)) = (hooks.snap.as_mut(), design) {
+            if snap.every > 0 && (it % snap.every == 0 || last_iter) {
                 crate::snapshot::write_dense_snapshot(
-                    probe.sink,
-                    probe.design,
+                    &mut snap.sink,
+                    design,
                     model.demand(),
-                    (hooks.iter_offset + it) as u64,
+                    (iter_offset + it) as u64,
                     "train",
-                    hooks.lane,
+                    lane,
                 );
             }
         }
         // a row is materialized when a sink wants it OR the global obs
-        // switch is on (the live /status endpoint feeds off status_tick)
+        // switch is on (the run's live scope feeds off dgr_obs::tick)
         if hooks.telemetry.is_some() || dgr_obs::enabled() {
             if !hooks.skip_rss && (it % RSS_SAMPLE_INTERVAL == 0 || last_iter) {
                 rss_cache = rss_bytes();
@@ -228,7 +208,7 @@ pub fn train_with_hooks(
                 .map(|g| g * g)
                 .sum();
             let row = IterationRow {
-                iter: hooks.iter_offset + it,
+                iter: iter_offset + it,
                 loss,
                 wl: model.wl_cost(),
                 vias: model.via_cost(),
@@ -236,13 +216,12 @@ pub fn train_with_hooks(
                 temperature: temp,
                 grad_norm: grad_sq.sqrt(),
                 mem_rss: rss_cache,
-                lane: hooks.lane,
+                lane,
             };
-            if let Some(sink) = hooks.telemetry.as_deref_mut() {
+            if let Some(sink) = hooks.telemetry.as_mut() {
                 sink.record(&row);
             }
-            dgr_obs::status_tick(&row);
-            dgr_obs::sentinel_tick(&row);
+            dgr_obs::tick(&row);
         }
         {
             let _s = dgr_obs::span("train", "adam");
@@ -256,8 +235,8 @@ pub fn train_with_hooks(
                 last_progress = Some(Instant::now());
                 eprintln!(
                     "[dgr] iter {:>6}/{}  loss {:>12.4}  overflow {:>10.4}  elapsed {:.1}s",
-                    hooks.iter_offset + it,
-                    hooks.iter_offset + cfg.iterations,
+                    iter_offset + it,
+                    iter_offset + cfg.iterations,
                     loss,
                     model.overflow_cost(),
                     start.elapsed().as_secs_f64(),
@@ -266,11 +245,11 @@ pub fn train_with_hooks(
         }
     }
 
-    if let Some(sink) = hooks.telemetry.as_deref_mut() {
+    if let Some(sink) = hooks.telemetry.as_mut() {
         sink.flush();
     }
-    if let Some(probe) = hooks.snap.as_mut() {
-        probe.sink.flush();
+    if let Some(snap) = hooks.snap.as_mut() {
+        snap.sink.flush();
     }
 
     TrainReport {
@@ -387,18 +366,17 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(0);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        let mut sink = TelemetrySink::in_memory();
-        let mut hooks = TrainHooks {
-            telemetry: Some(&mut sink),
+        let mut hooks = RouteHooks {
+            telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
             cancel: Some(Arc::new(AtomicBool::new(true))),
-            ..TrainHooks::default()
+            ..RouteHooks::default()
         };
-        let report = train_with_hooks(&mut model, &cfg, &mut rng, &mut hooks);
+        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0, None);
         assert_eq!(report.iterations, 0);
         assert!(report.final_loss.is_nan());
         assert_eq!(report.final_temperature, 0.7);
         assert!(report.curve.is_empty() && report.loss_history.is_empty());
-        assert_eq!(sink.rows(), 0);
+        assert_eq!(hooks.telemetry.unwrap().rows(), 0);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //! Every other path falls through to the built-in observability routes
 //! (`/metrics`, `/status`, `/report`, `/`). The daemon's `/health`
 //! shadows the obs built-in so its rows can join job metadata (label,
-//! tenant, state, watchdog errors) onto the sentinel verdicts. All
-//! errors are structured: a 4xx status plus `{"error": ..., "status":
-//! N}` JSON.
+//! tenant, state, watchdog errors) onto the verdicts of the jobs' obs
+//! scopes. All errors are structured: a 4xx status plus `{"error": ...,
+//! "status": N}` JSON.
 
 use std::sync::Arc;
 
 use dgr_obs::json::JsonObject;
-use dgr_obs::{render_report, HttpHandler, HttpRequest, HttpResponse, ObsServer, ReportInputs};
+use dgr_obs::{HttpHandler, HttpRequest, HttpResponse, ObsServer};
 
 use crate::queue::{CancelError, CancelOutcome, Job, JobState};
 use crate::server::{DaemonConfig, JobServer};
@@ -209,16 +209,19 @@ fn render_job(j: &Job) -> String {
     if let Some(r) = &j.result {
         let mut res = JsonObject::new();
         res.field_f64("final_loss", r.final_loss);
-        res.field_u64("wirelength", r.wirelength);
-        res.field_u64("turns", r.turns);
-        res.field_f64("overflow", r.overflow);
-        res.field_u64("overflowed_edges", r.overflowed_edges);
+        res.field_u64("wirelength", r.metrics.total_wirelength);
+        res.field_u64("turns", r.metrics.total_turns);
+        res.field_f64("overflow", r.metrics.overflow.total_overflow);
+        res.field_u64(
+            "overflowed_edges",
+            r.metrics.overflow.overflowed_edges as u64,
+        );
         res.field_u64("vias", r.vias);
         res.field_u64("nets", r.nets);
         res.field_u64("guide_boxes", r.guide_boxes);
-        res.field_u64("refine_searches", r.refine_searches);
-        res.field_u64("refine_escalations", r.refine_escalations);
-        res.field_u64("refine_states_expanded", r.refine_states_expanded);
+        res.field_u64("refine_searches", r.refine.searches as u64);
+        res.field_u64("refine_escalations", r.refine.escalations as u64);
+        res.field_u64("refine_states_expanded", r.refine.states_expanded as u64);
         res.field_u64("wall_ms", r.wall_ms);
         let mut ph = JsonObject::new();
         for (name, ms) in &r.phases {
@@ -253,7 +256,7 @@ fn cancel_job(jobs: &JobServer, id: u64) -> HttpResponse {
 }
 
 /// Telemetry source for a job: the stored full JSONL once terminal, the
-/// live job-scoped status ring while running (the in-memory sink is
+/// ring of the job's obs scope while running (the in-memory sink is
 /// exclusively owned by the run until it finishes).
 fn job_telemetry_text(jobs: &JobServer, id: u64) -> Option<(String, JobState)> {
     let (stored, state) = jobs.with_job(id, |j| (j.telemetry.clone(), j.state))?;
@@ -283,16 +286,7 @@ fn job_report(jobs: &JobServer, id: u64) -> HttpResponse {
     let label = jobs
         .with_job(id, |j| j.spec.label.clone())
         .unwrap_or_default();
-    let health = dgr_obs::health_of(id).map(|_| dgr_obs::health_timeline_jsonl_of(id));
-    let inputs = ReportInputs {
-        title: format!("job {id} — {label}"),
-        telemetry: (!telemetry.is_empty()).then_some(telemetry),
-        snapshots: None,
-        trace: None,
-        profile: None,
-        health,
-    };
-    match render_report(&inputs) {
+    match dgr_obs::report_of(id, format!("job {id} — {label}"), telemetry, None) {
         Ok(html) => HttpResponse::html(200, html),
         Err(e) => HttpResponse::error(500, &format!("report: {e}")),
     }

@@ -69,20 +69,15 @@ impl JobState {
     }
 }
 
-/// Metrics of a successfully finished job, mirroring what the one-shot
-/// `dgr route` prints and ledgers.
+/// What a successfully finished job produced — the numbers the one-shot
+/// `dgr route` prints and ledgers, in the structs the pipeline measured
+/// them in.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobResult {
     /// Final training loss.
     pub final_loss: f64,
-    /// Extracted-solution wirelength (g-cell edge units), post-refine.
-    pub wirelength: u64,
-    /// Turning points of the 2D solution.
-    pub turns: u64,
-    /// Total overflow, post-refine.
-    pub overflow: f64,
-    /// Overflowed edge count, post-refine.
-    pub overflowed_edges: u64,
+    /// Wirelength, turning points and overflow of the refined 2D solution.
+    pub metrics: dgr_core::SolutionMetrics,
     /// 3D vias when layer assignment ran, otherwise the 2D turn count.
     pub vias: u64,
     /// Nets routed.
@@ -92,12 +87,9 @@ pub struct JobResult {
     pub guide: Option<String>,
     /// Boxes in the guide (0 when no guide was produced).
     pub guide_boxes: u64,
-    /// Maze searches refinement ran.
-    pub refine_searches: u64,
-    /// How many of them repeated a windowed search on the full grid.
-    pub refine_escalations: u64,
-    /// States those searches popped from the heap in total.
-    pub refine_states_expanded: u64,
+    /// What refinement did: maze searches, full-grid escalations, states
+    /// popped.
+    pub refine: dgr_post::RefineReport,
     /// Wall-clock per phase, milliseconds (`train`, `forward`,
     /// `backward`, `refine`, `assign`).
     pub phases: BTreeMap<String, f64>,

@@ -202,7 +202,7 @@ fn worker_loop(inner: &Inner) {
             }
         };
 
-        // Arm the sentinel SLO watchdog before the run so the deadline
+        // Arm the scope's SLO watchdog before the run so the deadline
         // clock covers design materialization too; a breach raises the
         // same cooperative-cancel flag a client cancel would.
         dgr_obs::watchdog_arm(
@@ -212,7 +212,7 @@ fn worker_loop(inner: &Inner) {
             spec.max_stall_iters,
         );
 
-        // run it under a job-scoped status registry entry
+        // run it under its own obs scope, keyed by the job id
         let run = {
             let _scope = dgr_obs::status_scope(id);
             run_job(&spec, &cancel, inner.cfg.ledger)
@@ -236,9 +236,7 @@ fn worker_loop(inner: &Inner) {
         publish_queue_gauges(&table);
         drop(table);
         for old in evicted {
-            dgr_obs::status_remove(old);
-            dgr_obs::sentinel_remove(old);
-            dgr_obs::spans_remove(old);
+            dgr_obs::scope_remove(old);
         }
         inner.work.notify_all();
     }
@@ -331,22 +329,15 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
         ));
     }
 
-    let m = out.solution.metrics;
-    let refined = out.post.refine;
     let guide = out.post.guide.take();
     let result = JobResult {
         final_loss: out.final_loss,
-        wirelength: m.total_wirelength,
-        turns: m.total_turns,
-        overflow: m.overflow.total_overflow,
-        overflowed_edges: m.overflow.overflowed_edges as u64,
+        metrics: out.solution.metrics,
         vias: out.vias(),
         nets: design.num_nets() as u64,
         guide_boxes: guide.as_ref().map_or(0, |g| g.num_boxes() as u64),
         guide: guide.map(|g| g.to_text()),
-        refine_searches: refined.searches as u64,
-        refine_escalations: refined.escalations as u64,
-        refine_states_expanded: refined.states_expanded as u64,
+        refine: out.post.refine,
         phases,
         wall_ms: ms(out.wall) as u64,
     };

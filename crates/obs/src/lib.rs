@@ -14,6 +14,11 @@
 //! * [`TelemetrySink`] — a per-iteration training telemetry sink emitting
 //!   JSONL rows (`{iter, loss, wl, vias, overflow, temperature,
 //!   grad_norm, mem_rss}`),
+//! * [`scope`] — the per-run registry behind `/status`, `/health` and the
+//!   live `/report`: one entry per run id (headline status, telemetry
+//!   ring, sentinel findings, SLO watchdog), written by one [`tick`] per
+//!   iteration and forgotten by one [`scope_remove`]; [`sentinel`] holds
+//!   the pure convergence rules it and `dgr doctor` evaluate,
 //! * [`SnapshotSink`] — a spatial congestion-snapshot stream (per-edge
 //!   demand/overflow grids plus per-net attribution records) captured at
 //!   iteration strides,
@@ -55,11 +60,11 @@ pub mod metrics;
 pub mod parse;
 pub mod profile;
 pub mod report;
+pub mod scope;
 pub mod sentinel;
 pub mod serve;
 pub mod snapshot;
 pub mod span;
-pub mod status;
 pub mod telemetry;
 
 mod sink;
@@ -71,24 +76,22 @@ pub use metrics::{
 };
 pub use profile::{FoldedProfile, Profiler, ProfilerConfig};
 pub use report::{render_report, ReportInputs};
+pub use scope::{
+    health_of, health_summary_of, report_of, scope_remove, status_begin, status_phase,
+    status_queue_depth, status_ring_jsonl_of, status_scope, status_scope_id, tick, watchdog_arm,
+    watchdog_breach, StatusScope,
+};
 pub use sentinel::{
-    analyze_rows, health_json, health_of, health_summary_of, health_timeline_jsonl_of,
-    rank_findings, rate_collapse_finding, reset_sentinel, rows_from_jsonl, sentinel_remove,
-    sentinel_tick, verdict_of, watchdog_arm, watchdog_breach, Finding, RuleEngine, Severity,
-    Verdict,
+    analyze_rows, rank_findings, rate_collapse_finding, rows_from_jsonl, verdict_of, Finding,
+    RuleEngine, Severity, Verdict,
 };
 pub use serve::{HttpHandler, HttpRequest, HttpResponse, ObsServer, DEFAULT_MAX_BODY_BYTES};
 pub use snapshot::{
     AttributionRecord, NetShare, SnapshotHeader, SnapshotRecord, SnapshotSink, SnapshotStream,
 };
 pub use span::{
-    chrome_trace, reset_spans, span, span_events_of, span_totals, spans_remove, write_chrome_trace,
-    SpanGuard, SpanTotal,
-};
-pub use status::{
-    status_begin, status_jobs, status_json, status_phase, status_queue_depth, status_remove,
-    status_ring_jsonl_of, status_scope, status_scope_id, status_snapshot, status_snapshot_of,
-    status_tick, RunStatus, StatusScope,
+    chrome_trace, reset_spans, span, span_events_of, span_totals, write_chrome_trace, SpanGuard,
+    SpanTotal,
 };
 pub use telemetry::{IterationRow, TelemetrySink};
 
@@ -111,12 +114,13 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Clears all recorded spans, zeroes all metrics (registrations
-/// survive), and drops all sentinel health state. Tests and repeated
-/// CLI commands use this between runs.
+/// survive), and forgets every run scope — status rows, rings, sentinel
+/// findings and watchdogs. Tests and repeated CLI commands use this
+/// between runs.
 pub fn reset() {
     reset_spans();
     reset_metrics();
-    reset_sentinel();
+    scope::reset_scopes();
 }
 
 /// Serializes tests that toggle the global [`enabled`] flag (they would

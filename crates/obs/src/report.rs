@@ -38,8 +38,8 @@ pub struct ReportInputs {
     /// profiles are opt-in (`--profile`), so reports rendered without
     /// one stay byte-identical to pre-profiler reports.
     pub profile: Option<String>,
-    /// Sentinel health-finding JSONL
-    /// ([`crate::sentinel::health_timeline_jsonl_of`] output). Renders
+    /// Sentinel health-finding JSONL (one [`crate::Finding::to_json`]
+    /// per line, worst first — [`crate::report_of`] fills it in). Renders
     /// a health-timeline annotation band plus the ranked finding table;
     /// like `profile`, the section only appears when the input is
     /// present, so pre-sentinel reports stay byte-identical.

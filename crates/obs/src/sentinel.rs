@@ -1,18 +1,16 @@
-//! `dgr-sentinel` — online convergence-health analytics over telemetry
-//! rows, plus the per-job SLO watchdog the daemon arms on top of it.
+//! `dgr-sentinel` — convergence-health analytics over telemetry rows.
 //!
 //! The router's health is legible only through trajectories: loss slope,
-//! overflow trend, gradient norms, iteration rate. This module consumes
-//! the same [`IterationRow`]s the telemetry sink records — the training
-//! loop fans each row out via [`sentinel_tick`] right next to
-//! `status_tick` — and evaluates a small declarative rule set over
-//! rolling windows:
+//! overflow trend, gradient norms, iteration rate. This module is the
+//! pure half of that: a small declarative rule set evaluated over
+//! rolling windows of the same [`IterationRow`]s the telemetry sink
+//! records.
 //!
 //! | rule          | severity | trips when                                          |
 //! |---------------|----------|-----------------------------------------------------|
 //! | `poisoning`   | critical | any non-finite loss / grad / overflow / wl / vias   |
 //! | `divergence`  | critical | EWMA loss rises above 2× its running minimum        |
-//! | `grad_spike`  | warn     | grad norm exceeds 10× its EWMA after warmup         |
+//! | `grad_spike`  | warn     | grad norm exceeds 25× its EWMA after warmup         |
 //! | `oscillation` | warn     | loss-delta sign flips >60% of a 64-iter window at ≥5% amplitude |
 //! | `overflow_stall` | warn  | positive overflow with no 1% improvement in 256 iters |
 //! | `rate_collapse`  | warn  | iterations/sec below half the last comparable run   |
@@ -21,32 +19,14 @@
 //! evidence window (the recent `(iter, value)` samples that tripped it)
 //! so `/health`, the HTML report band, and `dgr doctor` can show *why*,
 //! not just *that*. The rule engine is a pure fold over rows
-//! ([`RuleEngine::observe`]): the online tick path and the offline
+//! ([`RuleEngine::observe`]): the live path — [`crate::tick`] feeds each
+//! run scope's own engine, see [`crate::scope`] — and the offline
 //! [`analyze_rows`] replay used by `dgr doctor` share it, so a verdict
 //! reproduced from a telemetry file matches what the live exporter said.
-//!
-//! # Scopes and the watchdog
-//!
-//! State is keyed by the same status scope id as [`crate::status`] —
-//! a `dgrd` worker wrapping a job in `status_scope(id)` gets a sentinel
-//! row per job for free. The daemon may additionally [`watchdog_arm`] a
-//! scope with a wall-clock deadline and/or a stall budget; every tick
-//! then checks both, and on breach raises the job's cooperative-cancel
-//! flag and records a structured `watchdog: …` reason the worker turns
-//! into a `failed` terminal state. The watchdog only ever *cancels* — it
-//! never perturbs the optimization — so guide output stays byte-identical
-//! with sentinel on or off.
-//!
-//! Like every obs surface, all entry points are gated on
-//! [`crate::enabled`]: a disabled run pays one relaxed load per tick.
 
 use crate::json::JsonObject;
 use crate::parse::{parse_jsonl, JsonValue};
 use crate::telemetry::IterationRow;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 /// Iterations before divergence / spike / stall rules may trip (the
 /// first few iterations are legitimately chaotic).
@@ -174,28 +154,15 @@ impl Verdict {
             Verdict::Critical => "critical",
         }
     }
-
-    fn absorb(&mut self, s: Severity) {
-        let next = match s {
-            Severity::Warn => Verdict::Warn,
-            Severity::Critical => Verdict::Critical,
-        };
-        if matches!(
-            (*self, next),
-            (Verdict::Ok, _) | (Verdict::Warn, Verdict::Critical)
-        ) {
-            *self = next;
-        }
-    }
 }
 
 /// Verdict from a slice of findings (worst severity wins).
 pub fn verdict_of(findings: &[Finding]) -> Verdict {
-    let mut v = Verdict::Ok;
-    for f in findings {
-        v.absorb(f.severity);
-    }
-    v
+    let worst = findings.iter().map(|f| match f.severity {
+        Severity::Warn => Verdict::Warn,
+        Severity::Critical => Verdict::Critical,
+    });
+    worst.max().unwrap_or_default()
 }
 
 /// A bounded, oldest-first window of `(iter, value)` evidence samples.
@@ -523,261 +490,6 @@ pub fn rows_from_jsonl(text: &str) -> Result<Vec<IterationRow>, (usize, String)>
     Ok(rows)
 }
 
-// ---------------------------------------------------------------------
-// Live per-scope registry (mirrors crate::status's scope pattern)
-// ---------------------------------------------------------------------
-
-/// Watchdog configuration and breach record for one scope.
-#[derive(Debug, Clone)]
-struct Watchdog {
-    cancel: Arc<AtomicBool>,
-    armed_at: Instant,
-    deadline_ms: Option<u64>,
-    max_stall_iters: Option<u64>,
-    breach: Option<String>,
-}
-
-#[derive(Default)]
-struct ScopeSentinel {
-    engine: RuleEngine,
-    findings: Vec<Finding>,
-    watchdog: Option<Watchdog>,
-}
-
-#[derive(Default)]
-struct LiveSentinel {
-    scopes: BTreeMap<u64, ScopeSentinel>,
-}
-
-fn live() -> MutexGuard<'static, LiveSentinel> {
-    static LIVE: OnceLock<Mutex<LiveSentinel>> = OnceLock::new();
-    match LIVE
-        .get_or_init(|| Mutex::new(LiveSentinel::default()))
-        .lock()
-    {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Rule names with a live alert gauge on `/metrics`.
-const ALERT_RULES: &[&str] = &[
-    "poisoning",
-    "divergence",
-    "grad_spike",
-    "oscillation",
-    "overflow_stall",
-];
-
-fn alert_gauge(rule: &str) -> &'static crate::metrics::Gauge {
-    match rule {
-        "poisoning" => crate::gauge("sentinel.alert.poisoning"),
-        "divergence" => crate::gauge("sentinel.alert.divergence"),
-        "grad_spike" => crate::gauge("sentinel.alert.grad_spike"),
-        "oscillation" => crate::gauge("sentinel.alert.oscillation"),
-        _ => crate::gauge("sentinel.alert.overflow_stall"),
-    }
-}
-
-fn publish_metrics(l: &LiveSentinel) {
-    let mut unhealthy = 0u64;
-    let mut per_rule: BTreeMap<&str, f64> = ALERT_RULES.iter().map(|r| (*r, 0.0)).collect();
-    for s in l.scopes.values() {
-        if verdict_of(&s.findings) != Verdict::Ok {
-            unhealthy += 1;
-        }
-        for f in &s.findings {
-            if let Some(n) = per_rule.get_mut(f.rule) {
-                *n += 1.0;
-            }
-        }
-    }
-    crate::gauge("sentinel.unhealthy_jobs").set(unhealthy as f64);
-    for (rule, n) in per_rule {
-        alert_gauge(rule).set(n);
-    }
-}
-
-/// Feeds one telemetry row to the current scope's rule engine and
-/// watchdog. Call next to `status_tick` — gated on [`crate::enabled`],
-/// never touches the optimization state.
-pub fn sentinel_tick(row: &IterationRow) {
-    if !crate::enabled() {
-        return;
-    }
-    let id = crate::status::status_scope_id();
-    let mut l = live();
-    let s = l.scopes.entry(id).or_default();
-    let new = s.engine.observe(row);
-    let had_news = !new.is_empty();
-    for f in &new {
-        crate::counter("sentinel.findings.total").add(1);
-        crate::histogram("sentinel.finding_iter").record(f.iter);
-    }
-    s.findings.extend(new);
-
-    // watchdog: wall-clock deadline and stall budget
-    if let Some(w) = s.watchdog.as_mut() {
-        if w.breach.is_none() {
-            let elapsed_ms = w.armed_at.elapsed().as_millis() as u64;
-            if let Some(deadline) = w.deadline_ms {
-                if elapsed_ms >= deadline {
-                    w.breach = Some(format!(
-                        "watchdog: deadline_ms={deadline} exceeded ({elapsed_ms}ms elapsed at iteration {})",
-                        row.iter
-                    ));
-                }
-            }
-            if w.breach.is_none() {
-                if let Some(budget) = w.max_stall_iters {
-                    let stalled = (row.iter as u64).saturating_sub(s.engine.last_loss_improve());
-                    if stalled >= budget {
-                        w.breach = Some(format!(
-                            "watchdog: no loss improvement in {stalled} iterations (max_stall_iters={budget})"
-                        ));
-                    }
-                }
-            }
-            if w.breach.is_some() {
-                w.cancel.store(true, Ordering::Relaxed);
-                crate::counter("sentinel.watchdog.breaches").add(1);
-            }
-        }
-    }
-    if had_news {
-        publish_metrics(&l);
-    }
-}
-
-/// Arms the SLO watchdog for scope `id`: on breach the sentinel raises
-/// `cancel` (the run's cooperative-cancel flag) and records a structured
-/// reason retrievable via [`watchdog_breach`]. Arming with neither limit
-/// is a no-op.
-pub fn watchdog_arm(
-    id: u64,
-    cancel: Arc<AtomicBool>,
-    deadline_ms: Option<u64>,
-    max_stall_iters: Option<u64>,
-) {
-    if deadline_ms.is_none() && max_stall_iters.is_none() {
-        return;
-    }
-    let mut l = live();
-    l.scopes.entry(id).or_default().watchdog = Some(Watchdog {
-        cancel,
-        armed_at: Instant::now(),
-        deadline_ms,
-        max_stall_iters,
-        breach: None,
-    });
-}
-
-/// The structured breach reason for scope `id`, if its watchdog fired.
-pub fn watchdog_breach(id: u64) -> Option<String> {
-    live()
-        .scopes
-        .get(&id)
-        .and_then(|s| s.watchdog.as_ref())
-        .and_then(|w| w.breach.clone())
-}
-
-/// The current verdict and ranked findings for scope `id` (`None` when
-/// the scope has never ticked).
-pub fn health_of(id: u64) -> Option<(Verdict, Vec<Finding>)> {
-    let l = live();
-    let s = l.scopes.get(&id)?;
-    let mut findings = s.findings.clone();
-    rank_findings(&mut findings);
-    Some((verdict_of(&findings), findings))
-}
-
-/// Scope `id`'s findings as JSONL (one finding per line) — the health
-/// band input of the HTML report. Empty for a healthy or unknown scope.
-pub fn health_timeline_jsonl_of(id: u64) -> String {
-    let mut out = String::new();
-    if let Some((_, findings)) = health_of(id) {
-        for f in &findings {
-            out.push_str(&f.to_json());
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Compact health summary for the ledger record: `"ok"` or a
-/// comma-joined `rule@iter` list, worst first.
-pub fn health_summary_of(id: u64) -> String {
-    match health_of(id) {
-        None => "ok".to_string(),
-        Some((Verdict::Ok, _)) => "ok".to_string(),
-        Some((_, findings)) => findings
-            .iter()
-            .map(|f| format!("{}@{}", f.rule, f.iter))
-            .collect::<Vec<_>>()
-            .join(","),
-    }
-}
-
-/// The `/health` JSON payload: overall verdict (worst across live
-/// scopes) plus one row per scope with its ranked findings.
-pub fn health_json() -> String {
-    let l = live();
-    let mut overall = Verdict::Ok;
-    let mut rows = String::from("[");
-    for (i, (&id, s)) in l.scopes.iter().enumerate() {
-        let mut findings = s.findings.clone();
-        rank_findings(&mut findings);
-        let verdict = verdict_of(&findings);
-        match verdict {
-            Verdict::Critical => overall = Verdict::Critical,
-            Verdict::Warn if overall == Verdict::Ok => overall = Verdict::Warn,
-            _ => {}
-        }
-        if i > 0 {
-            rows.push(',');
-        }
-        let mut row = JsonObject::new();
-        row.field_u64("id", id);
-        row.field_str("verdict", verdict.as_str());
-        if let Some(w) = &s.watchdog {
-            match &w.breach {
-                Some(reason) => row.field_str("watchdog", reason),
-                None => row.field_str("watchdog", "armed"),
-            }
-        }
-        let mut fl = String::from("[");
-        for (j, f) in findings.iter().enumerate() {
-            if j > 0 {
-                fl.push(',');
-            }
-            fl.push_str(&f.to_json());
-        }
-        fl.push(']');
-        row.field_raw("findings", &fl);
-        rows.push_str(&row.finish());
-    }
-    rows.push(']');
-    let mut o = JsonObject::new();
-    o.field_str("verdict", overall.as_str());
-    o.field_u64("jobs", l.scopes.len() as u64);
-    o.field_raw("rows", &rows);
-    o.finish()
-}
-
-/// Drops scope `id`'s sentinel state (job evicted). Missing scopes are a
-/// no-op.
-pub fn sentinel_remove(id: u64) {
-    let mut l = live();
-    l.scopes.remove(&id);
-    publish_metrics(&l);
-}
-
-/// Clears all sentinel state (every scope, watchdogs included). Part of
-/// [`crate::reset`].
-pub fn reset_sentinel() {
-    live().scopes.clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,96 +647,5 @@ mod tests {
         assert!(json.contains("\"window_start\":38"));
         assert!(json.contains("\"window_end\":40"));
         assert!(json.contains("\"window_values\":[1,2,4]"));
-    }
-
-    #[test]
-    fn live_scopes_tick_and_report_health() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset_sentinel();
-        {
-            let _scope = crate::status::status_scope(301);
-            for i in 0..120 {
-                sentinel_tick(&row(i, 50.0 * (1.0 + 0.08 * i as f32)));
-            }
-        }
-        {
-            let _scope = crate::status::status_scope(302);
-            for i in 0..60 {
-                sentinel_tick(&row(i, 100.0 - i as f32));
-            }
-        }
-        crate::set_enabled(false);
-        let (v301, f301) = health_of(301).unwrap();
-        assert_eq!(v301, Verdict::Critical);
-        assert!(f301.iter().any(|f| f.rule == "divergence"));
-        assert_eq!(health_of(302).unwrap().0, Verdict::Ok);
-        let json = health_json();
-        assert!(json.contains("\"verdict\":\"critical\""), "{json}");
-        assert!(json.contains("\"id\":301"));
-        assert!(json.contains("\"id\":302"));
-        assert!(health_summary_of(301).contains("divergence@"));
-        assert_eq!(health_summary_of(302), "ok");
-        assert!(!health_timeline_jsonl_of(301).is_empty());
-        sentinel_remove(301);
-        sentinel_remove(302);
-        assert!(health_of(301).is_none());
-        reset_sentinel();
-    }
-
-    #[test]
-    fn watchdog_deadline_raises_cancel_with_reason() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset_sentinel();
-        let cancel = Arc::new(AtomicBool::new(false));
-        {
-            let _scope = crate::status::status_scope(401);
-            watchdog_arm(401, Arc::clone(&cancel), Some(0), None);
-            sentinel_tick(&row(0, 10.0));
-        }
-        crate::set_enabled(false);
-        assert!(cancel.load(Ordering::Relaxed), "cancel flag raised");
-        let reason = watchdog_breach(401).unwrap();
-        assert!(reason.starts_with("watchdog: deadline_ms=0"), "{reason}");
-        sentinel_remove(401);
-        reset_sentinel();
-    }
-
-    #[test]
-    fn watchdog_stall_budget_counts_from_last_improvement() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset_sentinel();
-        let cancel = Arc::new(AtomicBool::new(false));
-        {
-            let _scope = crate::status::status_scope(402);
-            watchdog_arm(402, Arc::clone(&cancel), None, Some(50));
-            // loss improves for 30 iters, then flatlines
-            for i in 0..30 {
-                sentinel_tick(&row(i, 100.0 - i as f32));
-            }
-            for i in 30..85 {
-                sentinel_tick(&row(i, 71.0));
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-        }
-        crate::set_enabled(false);
-        assert!(cancel.load(Ordering::Relaxed));
-        let reason = watchdog_breach(402).unwrap();
-        assert!(reason.contains("max_stall_iters=50"), "{reason}");
-        sentinel_remove(402);
-        reset_sentinel();
-    }
-
-    #[test]
-    fn disabled_ticks_are_dropped() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(false);
-        reset_sentinel();
-        sentinel_tick(&row(0, f32::NAN));
-        assert!(health_of(crate::status::status_scope_id()).is_none());
     }
 }

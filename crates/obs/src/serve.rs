@@ -7,14 +7,14 @@
 //! * `GET /metrics` — every registered obs metric in the Prometheus
 //!   text exposition format ([`crate::metrics::prometheus_text`]),
 //! * `GET /status` — the live run status as JSON
-//!   ([`crate::status::status_json`]): current job/phase/iteration,
-//!   loss, overflow, temperature, batch width, queue depth, RSS,
-//!   plus one row per registered status scope on multi-job daemons,
+//!   ([`crate::scope`]): current job/phase/iteration, loss, overflow,
+//!   temperature, batch width, queue depth, RSS, plus one row per
+//!   published run scope on multi-job daemons,
 //! * `GET /report` — the standard HTML post-mortem rendered from the
 //!   live telemetry ring and span registry *mid-run*,
-//! * `GET /health` — the sentinel convergence-health verdicts as JSON
-//!   ([`crate::sentinel::health_json`]): overall verdict plus one row
-//!   per live scope with its ranked findings,
+//! * `GET /health` — the sentinel convergence-health verdicts as JSON:
+//!   overall verdict plus one row per watched scope with its ranked
+//!   findings,
 //! * `GET /` — a plain-text index of the above.
 //!
 //! The server is deliberately minimal: `Connection: close` on every
@@ -364,13 +364,13 @@ fn route(path: &str) -> HttpResponse {
             body: crate::metrics::prometheus_text(),
         },
         "/status" => {
-            let mut body = crate::status::status_json();
+            let mut body = crate::scope::status_json();
             body.push('\n');
             HttpResponse::json(200, body)
         }
         "/report" => HttpResponse::html(200, live_report()),
         "/health" => {
-            let mut body = crate::sentinel::health_json();
+            let mut body = crate::scope::health_json();
             body.push('\n');
             HttpResponse::json(200, body)
         }
@@ -382,30 +382,18 @@ fn route(path: &str) -> HttpResponse {
     }
 }
 
-/// Renders the standard report from whatever the run has produced so
-/// far: the live telemetry ring and the span registry. Snapshot grids
-/// are file-bound, so the congestion section renders its placeholder.
+/// Renders the standard report from whatever the serving thread's scope
+/// has produced so far: its telemetry ring and the span registry.
 fn live_report() -> String {
-    let status = crate::status::status_snapshot();
-    let telemetry = crate::status::status_ring_jsonl();
-    let trace = crate::chrome_trace();
-    let title = if status.job.is_empty() {
+    let id = crate::status_scope_id();
+    let job = crate::scope::status_snapshot().job;
+    let title = if job.is_empty() {
         "live".to_string()
     } else {
-        format!("{} (live)", status.job)
+        format!("{job} (live)")
     };
-    let scope = crate::status::status_scope_id();
-    let health =
-        crate::sentinel::health_of(scope).map(|_| crate::sentinel::health_timeline_jsonl_of(scope));
-    let inputs = crate::report::ReportInputs {
-        title,
-        telemetry: (!telemetry.is_empty()).then_some(telemetry),
-        snapshots: None,
-        trace: (trace != "[]").then_some(trace),
-        profile: None,
-        health,
-    };
-    crate::report::render_report(&inputs).unwrap_or_else(|e| {
+    let trace = Some(crate::chrome_trace()).filter(|t| t != "[]");
+    crate::report_of(id, title, crate::status_ring_jsonl_of(id), trace).unwrap_or_else(|e| {
         format!("<!DOCTYPE html>\n<html><body><p>report error: {e}</p></body></html>\n")
     })
 }
@@ -468,8 +456,8 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         crate::counter("serve.test.counter").add(2);
-        crate::status::status_begin("train", 10, 1);
-        crate::status::status_phase("forward");
+        crate::status_begin("train", 10, 1);
+        crate::status_phase("forward");
         let server = ObsServer::start("127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 

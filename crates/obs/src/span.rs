@@ -22,12 +22,12 @@
 //! fold into the aggregates but the detailed log drops them (the drop
 //! count is reported by [`dropped_events`]).
 //!
-//! Every event carries the status scope id of the thread that recorded
-//! it ([`crate::status_scope_id`]: 0 in a one-shot CLI run, the job id in
-//! a `dgrd` worker), and [`spans_remove`] drops one scope's events — the
-//! daemon calls it when it evicts a job, beside `status_remove` and
-//! `sentinel_remove`, so the log of a long-lived server holds the events
-//! of the jobs it still retains rather than of every job it ever ran.
+//! Every event carries the scope id of the thread that recorded it
+//! ([`crate::status_scope_id`]: 0 in a one-shot CLI run, the job id in a
+//! `dgrd` worker), and [`crate::scope_remove`] drops one scope's events
+//! with the rest of its state — the daemon calls it when it evicts a job,
+//! so the log of a long-lived server holds the events of the jobs it
+//! still retains rather than of every job it ever ran.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -263,10 +263,10 @@ pub fn dropped_events() -> usize {
     log().dropped
 }
 
-/// Drops the detailed events recorded under status scope `id` (job
-/// evicted). Aggregates keep the job's contribution; unknown scopes are a
-/// no-op.
-pub fn spans_remove(id: u64) {
+/// Drops the detailed events recorded under scope `id` — the span half
+/// of [`crate::scope_remove`]. Aggregates keep the job's contribution;
+/// unknown scopes are a no-op.
+pub(crate) fn remove_scope(id: u64) {
     log().events.retain(|e| e.scope != id);
 }
 
@@ -416,7 +416,7 @@ mod tests {
         }
         crate::set_enabled(false);
         assert_eq!(span_events_of(901), 2);
-        spans_remove(901);
+        crate::scope_remove(901);
         assert_eq!(span_events_of(901), 0);
         assert_eq!((span_events_of(0), span_events_of(902)), (1, 1));
         let scoped = span_totals().into_iter().find(|t| t.name == "scoped");

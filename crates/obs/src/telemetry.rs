@@ -44,8 +44,9 @@ pub struct IterationRow {
     /// `null`) when the platform cannot report RSS or sampling is off.
     pub mem_rss: Option<u64>,
     /// Batch lane index for `--batch N` runs (`None`/`null` for
-    /// single-instance training). Rows from batched training interleave
-    /// lanes within each iteration; this field attributes each row.
+    /// single-instance training). A batched run trains its lanes one
+    /// after another, so its rows are lane-major — all of lane 0, then
+    /// all of lane 1 — and this field attributes each row.
     pub lane: Option<u64>,
 }
 

@@ -621,9 +621,7 @@ fn cmd_route(flags: &Flags) -> CliResult {
 /// [`DgrRouter::route`] trains that seed; the best by final loss is
 /// extracted into the reported (unrefined) solution.
 fn cmd_train(flags: &Flags) -> CliResult {
-    use dgr::core::{
-        build_cost_model, extract_solution, train_with_hooks, CostModel, SnapshotProbe, TrainHooks,
-    };
+    use dgr::core::{build_cost_model, extract_solution, train_with_hooks, CostModel};
     use rand::{rngs::StdRng, SeedableRng};
 
     let design = load_design(flags)?;
@@ -649,20 +647,10 @@ fn cmd_train(flags: &Flags) -> CliResult {
     for (b, &seed) in seeds.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        let mut hooks = TrainHooks {
-            telemetry: sinks.telemetry.as_mut(),
-            snap: sinks.snap.as_mut().map(|s| SnapshotProbe {
-                sink: &mut s.sink,
-                design: &design,
-                every: s.every,
-            }),
-            progress: sinks.progress,
-            iter_offset: 0,
-            skip_rss: false,
-            cancel: None,
-            lane: (batch > 1).then_some(b as u64),
-        };
-        reports.push(train_with_hooks(&mut model, &cfg, &mut rng, &mut hooks));
+        let lane = (batch > 1).then_some(b as u64);
+        reports.push(train_with_hooks(
+            &mut model, &cfg, &mut rng, &design, &mut sinks, 0, lane,
+        ));
         if best
             .as_ref()
             .is_none_or(|&(i, _)| reports[b].final_loss < reports[i].final_loss)

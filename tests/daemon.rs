@@ -250,9 +250,10 @@ fn cancellation_mid_run_leaves_the_queue_healthy() {
 }
 
 /// The span log of a long-lived daemon holds the events of the jobs it
-/// still retains, not of every job it ever ran: an evicted job's events
-/// leave with its status and sentinel rows. (Job ids are process-global,
-/// so the other daemons in this test binary cannot disturb the counts.)
+/// still retains, not of every job it ever ran: the one `scope_remove`
+/// an eviction makes takes the job's events with its `/status` and
+/// `/health` rows. (Job ids are process-global, so the other daemons in
+/// this test binary cannot disturb the counts.)
 #[test]
 fn evicted_jobs_take_their_span_events_with_them() {
     let daemon = boot(DaemonConfig {
@@ -278,6 +279,23 @@ fn evicted_jobs_take_their_span_events_with_them() {
     }
     daemon.stop(); // joins the worker, so every eviction has run
 
+    // a plain obs listener serves the same scope registry: the evicted
+    // ids are gone from `/status` and from the obs `/health`, the two
+    // retained ones are still there
+    let obs = dgr::obs::ObsServer::start("127.0.0.1:0").expect("obs listener binds");
+    let listed = |path: &str, key: &str| -> Vec<u64> {
+        let body = get(obs.local_addr(), path).json();
+        let Some(JsonValue::Arr(rows)) = body.get(key) else {
+            panic!("{path} has no `{key}` array");
+        };
+        let id = |row: &JsonValue| row.get("id").and_then(JsonValue::as_u64).unwrap();
+        rows.iter().map(id).collect()
+    };
+    let (on_status, on_health) = (listed("/status", "jobs"), listed("/health", "rows"));
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(on_status.contains(id), i >= 6, "/status jobs, job {id}");
+        assert_eq!(on_health.contains(id), i >= 6, "/health rows, job {id}");
+    }
     assert_eq!(held(&ids[..6]), 0, "evicted jobs hold no events");
     assert_eq!(
         held(&ids),

@@ -12,21 +12,36 @@
 //! # Phases
 //!
 //! **Forward** ([`CostModel::forward`]): tree softmax; then one loop over
-//! sub-nets that takes the path softmax, forms each path's mass `qp`, adds
-//! the WL/turn dot products, and posts the mass to a *difference array* —
-//! `+qp` at the low end cell of every run, `−qp` at the high end — and to
-//! the via pressure of its turn cells; then one scan per orientation (along rows
-//! for horizontal edges, down columns for vertical ones) turns the
-//! difference array into wire demand and, in the same visit of the edge,
-//! adds the `½β` endpoint terms, applies the activation and stores
-//! `a₃/s · f′` as the backward seed. A path costs two updates per run
-//! instead of one per edge.
+//! sub-nets that takes the path softmax and stores each path's mass `qp`;
+//! then one loop over paths that adds the WL/turn dot products and posts
+//! the mass to a *difference array* — `+qp` at the low end cell of every
+//! run, `−qp` at the high end — and to the via pressure of its turn
+//! cells; then one scan per orientation (along rows for horizontal edges,
+//! down columns for vertical ones) turns the difference array into wire
+//! demand and, in the same visit of the edge, adds the `½β` endpoint
+//! terms, applies the activation and stores `a₃/s · f′` as the backward
+//! seed. A path costs two updates per run instead of one per edge.
 //!
 //! **Backward** ([`CostModel::backward`]): prefix sums of the seed along
 //! rows and columns, so the congestion gradient of a path is
 //! `prefix[high] − prefix[low]` per run, plus the gradient of its turn
 //! cells and its constant `a₁·WL + a₂·√L·TP`; then the softmax backward of
 //! each sub-net and each net, and `1/τ`.
+//!
+//! # Lanes
+//!
+//! The two loops over sub-nets — the forward one and the backward one,
+//! two thirds of a pass between them — write one element per path (`p`
+//! and `qp`; the path gradient) and sum into one element per tree
+//! (`∂loss/∂q`), from sub-nets of that tree only. The forest orders its
+//! tables net → tree → sub-net → path, so a cut at a net boundary splits
+//! each loop into two *lanes* over contiguous sub-nets, paths and trees
+//! that share no element. Each phase is one function run over the lower
+//! lane and then the upper one; when the calling thread has a
+//! [`parallel::Helper`] engaged, [`parallel::join`] may run the upper lane
+//! there instead. The posts to the difference array are *not* split: they
+//! are `f64` sums of masses far apart in magnitude, whose result depends
+//! on their order, so they stay one loop in path order.
 //!
 //! # Constant groups
 //!
@@ -42,15 +57,19 @@
 //! first drifts and the second cancels to noise. Everything else is
 //! `f32`, as the leaves are.
 //!
-//! Every buffer element has one writer and every reduction runs in an
-//! order fixed by the index structure, on the calling thread: the result
-//! does not depend on [`crate::parallel::num_threads`].
+//! Every buffer element has one writer per phase and every reduction
+//! runs in an order fixed by the index structure, whichever thread runs
+//! a lane: the result does not depend on [`parallel::num_threads`] or on
+//! whether a helper is engaged.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use rand::Rng;
 
 use crate::activation::Activation;
 use crate::segments::Segments;
-use crate::{gumbel, kernels, AutodiffError};
+use crate::{gumbel, kernels, parallel, AutodiffError};
 
 /// The index structure of one expected-cost problem: the forest's
 /// groupings and per-path geometry over a `width × height` g-cell grid.
@@ -108,9 +127,11 @@ pub struct CostTerms {
 
 /// The expected cost of a routing forest, its leaves and its gradient.
 ///
-/// Built once per routing problem; every training iteration calls
-/// [`Self::sample_noise`], [`Self::forward`], [`Self::backward`] and steps
-/// [`crate::Adam`] over [`Self::logits_and_grads`].
+/// Built once per routing problem; every training iteration draws noise
+/// ([`Self::sample_noise`], or [`NoiseRuns::fill`] into a second buffer
+/// that [`Self::swap_noise`] trades in), calls [`Self::forward`] and
+/// [`Self::backward`], and steps [`crate::Adam`] over
+/// [`Self::logits_and_grads`].
 ///
 /// # Examples
 ///
@@ -174,14 +195,19 @@ pub struct CostModel {
     half_beta: Vec<f32>,
     terms: CostTerms,
 
+    cut: LaneCut,
+
     // leaves, tree entries first, then path entries
     logits: Vec<f32>,
     noise: Vec<f32>,
+    noise_runs: NoiseRuns,
     temperature: f32,
 
     // values
     /// `q` then `p`.
     prob: Vec<f32>,
+    /// `qp` of each path.
+    mass: Vec<f32>,
     /// Horizontal slots, then vertical ones; zero between forward passes.
     diff: Vec<f64>,
     via_pressure: Vec<f32>,
@@ -202,9 +228,105 @@ pub struct CostModel {
     tree_mass_grad: Vec<f64>,
     /// `∂loss/∂logits`, in the layout of `logits`.
     grad: Vec<f32>,
+}
 
-    /// Scaled logits of the group being normalised.
-    scratch: Vec<f32>,
+/// Where the loops over sub-nets split into a lower and an upper lane:
+/// the first sub-net, tree and path of the upper one. All three are the
+/// table lengths when there is one lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LaneCut {
+    subnet: usize,
+    tree: usize,
+    path: usize,
+}
+
+impl LaneCut {
+    /// The boundary, nearest the middle path, of the net that holds the
+    /// middle path — so each lane has at least a quarter of the paths —
+    /// or one lane when that net holds more than half of them, when a
+    /// boundary is an end of the table, or when the sub-nets are not in
+    /// tree order (then no cut separates the trees).
+    fn new(net_trees: &Segments, subnet_tree: &[u32], subnet_paths: &Segments) -> LaneCut {
+        let paths = subnet_paths.len();
+        let one_lane = LaneCut {
+            subnet: subnet_tree.len(),
+            tree: net_trees.len(),
+            path: paths,
+        };
+        if paths == 0 || subnet_tree.windows(2).any(|w| w[0] > w[1]) {
+            return one_lane;
+        }
+        let mid = paths / 2;
+        let path_offsets = subnet_paths.offsets();
+        let subnet_mid = path_offsets.partition_point(|&o| o as usize <= mid) - 1;
+        let tree_mid = subnet_tree[subnet_mid];
+        let net = net_trees.offsets().partition_point(|&o| o <= tree_mid) - 1;
+        let boundary = |tree: usize| {
+            let subnet = subnet_tree.partition_point(|&t| (t as usize) < tree);
+            let path = path_offsets[subnet] as usize;
+            LaneCut { subnet, tree, path }
+        };
+        let trees = net_trees.segment(net);
+        let (below, above) = (boundary(trees.start), boundary(trees.end));
+        if 2 * (above.path - below.path) > paths {
+            return one_lane;
+        }
+        let cut = if mid - below.path <= above.path - mid {
+            below
+        } else {
+            above
+        };
+        if cut.path == 0 || cut.path == paths {
+            return one_lane;
+        }
+        cut
+    }
+}
+
+/// One side of a [`LaneCut`]: its sub-nets, and where its trees and
+/// paths — its parts of the buffers split at the cut — begin.
+struct Lane {
+    subnets: Range<usize>,
+    first_tree: usize,
+    first_path: usize,
+}
+
+/// The entries of the logit layout that draw noise — the maximal runs of
+/// entries in groups of two or more candidates — behind a handle that
+/// can fill a noise buffer away from its [`CostModel`].
+#[derive(Debug, Clone)]
+pub struct NoiseRuns(Arc<[Range<usize>]>);
+
+impl NoiseRuns {
+    fn new(net_trees: &Segments, subnet_paths: &Segments) -> NoiseRuns {
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for (groups, base) in [(net_trees, 0), (subnet_paths, net_trees.len())] {
+            for g in 0..groups.num_segments() {
+                let r = groups.segment(g);
+                if r.len() < 2 {
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some(last) if last.end == base + r.start => last.end = base + r.end,
+                    _ => runs.push(base + r.start..base + r.end),
+                }
+            }
+        }
+        NoiseRuns(runs.into())
+    }
+
+    /// Draws fresh Gumbel(0, 1) noise into every such entry of `noise`
+    /// (a buffer in the logit layout), in index order; the others keep
+    /// what they hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `noise` is shorter than the layout.
+    pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, noise: &mut [f32]) {
+        for run in self.0.iter() {
+            gumbel::fill_gumbel(rng, &mut noise[run.clone()]);
+        }
+    }
 }
 
 fn expect_len(left: usize, right: usize) -> Result<(), AutodiffError> {
@@ -282,6 +404,9 @@ impl CostModel {
         Ok(CostModel {
             width,
             height,
+            cut: LaneCut::new(&net_trees, shape.subnet_tree, &subnet_paths),
+            noise_runs: NoiseRuns::new(&net_trees, &subnet_paths),
+            mass: vec![0.0; paths],
             net_trees,
             subnet_tree: shape.subnet_tree.to_vec(),
             subnet_paths,
@@ -311,7 +436,6 @@ impl CostModel {
             tree_mass_grad: vec![0.0; trees],
             grad: vec![0.0; logits.len()],
             logits,
-            scratch: Vec::new(),
         })
     }
 
@@ -359,15 +483,49 @@ impl CostModel {
     /// Draws fresh Gumbel(0, 1) noise for every logit of a group with two
     /// or more candidates, trees first, in index order.
     pub fn sample_noise<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let (tree, path) = self.noise.split_at_mut(self.net_trees.len());
-        for (groups, noise) in [(&self.net_trees, tree), (&self.subnet_paths, path)] {
-            for g in 0..groups.num_segments() {
-                let r = groups.segment(g);
-                if r.len() >= 2 {
-                    gumbel::fill_gumbel(rng, &mut noise[r]);
-                }
-            }
-        }
+        self.noise_runs.fill(rng, &mut self.noise);
+    }
+
+    /// The entries [`Self::sample_noise`] draws, for drawing the next
+    /// iteration's noise into a second buffer while this one computes.
+    pub fn noise_runs(&self) -> NoiseRuns {
+        self.noise_runs.clone()
+    }
+
+    /// Trades the noise for `other`, a buffer [`NoiseRuns::fill`] drew
+    /// into that holds zeros elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` is not one entry per logit.
+    pub fn swap_noise(&mut self, other: &mut Vec<f32>) {
+        assert_eq!(
+            other.len(),
+            self.noise.len(),
+            "a buffer in the logit layout"
+        );
+        std::mem::swap(&mut self.noise, other);
+    }
+
+    /// The sub-nets of the lower and of the upper lane (see the module
+    /// docs); the upper range is empty when no net boundary splits the
+    /// paths usefully.
+    pub fn lanes(&self) -> [Range<usize>; 2] {
+        self.lane_pair().map(|lane| lane.subnets)
+    }
+
+    fn lane_pair(&self) -> [Lane; 2] {
+        let lower = Lane {
+            subnets: 0..self.cut.subnet,
+            first_tree: 0,
+            first_path: 0,
+        };
+        let upper = Lane {
+            subnets: self.cut.subnet..self.subnet_tree.len(),
+            first_tree: self.cut.tree,
+            first_path: self.cut.path,
+        };
+        [lower, upper]
     }
 
     /// The softmax temperature `τ` of the next pass.
@@ -432,11 +590,13 @@ impl CostModel {
     }
 
     /// Bytes held by the value and gradient buffers — the "device memory"
-    /// figure of the scalability study (Fig. 5b analogue).
+    /// figure of the scalability study (Fig. 5b analogue). Counts the
+    /// second noise buffer a training loop draws ahead into.
     pub fn bytes(&self) -> usize {
         let f32s = self.logits.len()
-            + self.noise.len()
+            + 2 * self.noise.len()
             + self.prob.len()
+            + self.mass.len()
             + self.via_pressure.len()
             + self.demand.len()
             + self.seed.len()
@@ -458,15 +618,8 @@ impl CostModel {
         let trees = self.net_trees.len();
         let (w_tree, w_path) = self.logits.split_at(trees);
         let (q, p) = self.prob.split_at_mut(trees);
-        softmax_groups(&self.net_trees, w_tree, None, inv_tau, &mut self.scratch, q);
-        softmax_groups(
-            &self.subnet_paths,
-            w_path,
-            None,
-            inv_tau,
-            &mut self.scratch,
-            p,
-        );
+        softmax_groups(&self.net_trees, w_tree, None, inv_tau, q);
+        softmax_groups(&self.subnet_paths, w_path, None, inv_tau, p);
     }
 
     /// Computes every value from the current logits, noise and
@@ -474,44 +627,41 @@ impl CostModel {
     pub fn forward(&mut self) {
         let inv_tau = 1.0 / self.temperature;
         let trees = self.net_trees.len();
-        let (q, p) = self.prob.split_at_mut(trees);
-        let (w_tree, w_path) = self.logits.split_at(trees);
-        let (noise_tree, noise_path) = self.noise.split_at(trees);
-        let scratch = &mut self.scratch;
+        // the buffers the lanes write leave `self`, which they share
+        let mut prob = std::mem::take(&mut self.prob);
+        let mut mass = std::mem::take(&mut self.mass);
+        let (q, p) = prob.split_at_mut(trees);
         softmax_groups(
             &self.net_trees,
-            w_tree,
-            Some(noise_tree),
+            &self.logits[..trees],
+            Some(&self.noise[..trees]),
             inv_tau,
-            scratch,
             q,
         );
 
+        let [lower, upper] = self.lane_pair();
+        let (p_lower, p_upper) = p.split_at_mut(self.cut.path);
+        let (mass_lower, mass_upper) = mass.split_at_mut(self.cut.path);
+        let (model, q) = (&*self, &*q);
+        parallel::join(
+            "lane_fwd",
+            || model.mass_lane(lower, q, p_lower, mass_lower),
+            || model.mass_lane(upper, q, p_upper, mass_upper),
+        );
+        self.prob = prob;
+        self.mass = mass;
+
         self.via_pressure.fill(0.0);
         let (mut wl, mut turns) = (0.0f64, 0.0f64);
-        for s in 0..self.subnet_paths.num_segments() {
-            let group = self.subnet_paths.segment(s);
-            if group.len() >= 2 {
-                softmax_group(
-                    &w_path[group.clone()],
-                    Some(&noise_path[group.clone()]),
-                    inv_tau,
-                    scratch,
-                    &mut p[group.clone()],
-                );
+        for (i, &mass) in self.mass.iter().enumerate() {
+            wl += f64::from(mass * self.path_wl[i]);
+            turns += f64::from(mass * self.path_turns[i]);
+            for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
+                self.diff[low as usize] += f64::from(mass);
+                self.diff[high as usize] -= f64::from(mass);
             }
-            let q_tree = q[self.subnet_tree[s] as usize];
-            for i in group {
-                let mass = p[i] * q_tree;
-                wl += f64::from(mass * self.path_wl[i]);
-                turns += f64::from(mass * self.path_turns[i]);
-                for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
-                    self.diff[low as usize] += f64::from(mass);
-                    self.diff[high as usize] -= f64::from(mass);
-                }
-                for &c in &self.via_cells[self.path_vias.segment(i)] {
-                    self.via_pressure[c as usize] += mass;
-                }
+            for &c in &self.via_cells[self.path_vias.segment(i)] {
+                self.via_pressure[c as usize] += mass;
             }
         }
 
@@ -531,6 +681,31 @@ impl CostModel {
         self.loss = (f64::from(self.terms.overflow) * overflow
             + f64::from(self.terms.via) * via
             + f64::from(self.terms.wirelength) * wl) as f32;
+    }
+
+    /// The forward phase of one lane: the path softmax of each of its
+    /// `subnets` and the mass `q_tree · p` of each of their paths, into
+    /// the lane's part of `p` and `mass`.
+    fn mass_lane(&self, lane: Lane, q: &[f32], p: &mut [f32], mass: &mut [f32]) {
+        let inv_tau = 1.0 / self.temperature;
+        let trees = self.net_trees.len();
+        let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
+        for s in lane.subnets {
+            let group = self.subnet_paths.segment(s);
+            let local = group.start - lane.first_path..group.end - lane.first_path;
+            if group.len() >= 2 {
+                softmax_group(
+                    &w[group.clone()],
+                    Some(&noise[group]),
+                    inv_tau,
+                    &mut p[local.clone()],
+                );
+            }
+            let q_tree = q[self.subnet_tree[s] as usize];
+            for (mass, p) in mass[local.clone()].iter_mut().zip(&p[local]) {
+                *mass = p * q_tree;
+            }
+        }
     }
 
     /// Scans the difference array into wire demand and visits every edge
@@ -608,67 +783,91 @@ impl CostModel {
 
         let inv_tau = 1.0 / self.temperature;
         let trees = self.net_trees.len();
-        let (q, p) = self.prob.split_at(trees);
-        let (grad_tree, grad_path) = self.grad.split_at_mut(trees);
-        let (prefix, cell_grad) = (&self.prefix, &self.cell_grad);
-        let turn_weight = self.terms.via * self.terms.sqrt_layers;
-        // ∂loss/∂qp_i
-        let mass_grad = |i: usize| -> f64 {
-            let mut g = f64::from(
-                self.terms.wirelength * self.path_wl[i] + turn_weight * self.path_turns[i],
-            );
-            for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
-                g += prefix[high as usize] - prefix[low as usize];
-            }
-            for &c in &self.via_cells[self.path_vias.segment(i)] {
-                g += f64::from(cell_grad[c as usize]);
-            }
-            g
-        };
+        // the buffers the lanes write leave `self`, which they share
+        let mut grad = std::mem::take(&mut self.grad);
+        let mut tree_mass_grad = std::mem::take(&mut self.tree_mass_grad);
+        tree_mass_grad.fill(0.0);
+        let (grad_tree, grad_path) = grad.split_at_mut(trees);
+        let [lower, upper] = self.lane_pair();
+        let (grad_lower, grad_upper) = grad_path.split_at_mut(self.cut.path);
+        let (tree_lower, tree_upper) = tree_mass_grad.split_at_mut(self.cut.tree);
+        let model = &*self;
+        parallel::join(
+            "lane_bwd",
+            || model.grad_lane(lower, grad_lower, tree_lower),
+            || model.grad_lane(upper, grad_upper, tree_upper),
+        );
 
-        // The softmax backward of a group is `prob_i · (g_i − Σ_k prob_k·g_k)`.
-        // Late in training one candidate has nearly all the mass, the sum
-        // is nearly its `g`, and `Σ prob` is 1 only to rounding: taken
-        // literally the difference is rounding noise as large as the
-        // gradient. So every `g` is taken relative to that of the most
-        // probable candidate, in f64: the differences are exact, and the
-        // mean is a sum over the *small* probabilities only.
-        self.tree_mass_grad.fill(0.0);
-        for s in 0..self.subnet_paths.num_segments() {
-            let group = self.subnet_paths.segment(s);
-            let tree = self.subnet_tree[s] as usize;
-            let Some(top) = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b])) else {
-                continue;
-            };
-            let top_grad = mass_grad(top);
-            let mut mean = 0.0f64;
-            for i in group.clone().filter(|&i| i != top) {
-                let g = mass_grad(i) - top_grad;
-                grad_path[i] = g as f32;
-                mean += g * f64::from(p[i]);
-            }
-            // Σ_k p_k·g_k — all of `g` when the one path has p = 1
-            self.tree_mass_grad[tree] += top_grad + mean;
-            if group.len() >= 2 {
-                grad_path[top] = 0.0;
-                let scale = q[tree] * inv_tau;
-                for i in group {
-                    grad_path[i] = scale * p[i] * (grad_path[i] - mean as f32);
-                }
-            }
-        }
-
+        let q = &self.prob[..trees];
         for n in 0..self.net_trees.num_segments() {
             let group = self.net_trees.segment(n);
             if group.len() < 2 {
                 continue;
             }
             let top = group.clone().max_by(|&a, &b| q[a].total_cmp(&q[b]));
-            let top_grad = self.tree_mass_grad[top.expect("two or more trees")];
-            let relative = |t: usize| self.tree_mass_grad[t] - top_grad;
+            let top_grad = tree_mass_grad[top.expect("two or more trees")];
+            let relative = |t: usize| tree_mass_grad[t] - top_grad;
             let mean: f64 = group.clone().map(|t| f64::from(q[t]) * relative(t)).sum();
             for t in group {
                 grad_tree[t] = inv_tau * q[t] * (relative(t) - mean) as f32;
+            }
+        }
+        self.grad = grad;
+        self.tree_mass_grad = tree_mass_grad;
+    }
+
+    /// `∂loss/∂qp_i` of path `i`, from the prefix sums and cell gradients
+    /// of this backward pass.
+    fn mass_grad(&self, i: usize) -> f64 {
+        let turn_weight = self.terms.via * self.terms.sqrt_layers;
+        let mut g =
+            f64::from(self.terms.wirelength * self.path_wl[i] + turn_weight * self.path_turns[i]);
+        for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
+            g += self.prefix[high as usize] - self.prefix[low as usize];
+        }
+        for &c in &self.via_cells[self.path_vias.segment(i)] {
+            g += f64::from(self.cell_grad[c as usize]);
+        }
+        g
+    }
+
+    /// The backward phase of one lane: the softmax backward of each of
+    /// its `subnets` into the lane's part of the path gradient, and each
+    /// group's `Σ p·g` into the lane's part of `tree_mass_grad`.
+    ///
+    /// The softmax backward of a group is `prob_i · (g_i − Σ_k prob_k·g_k)`.
+    /// Late in training one candidate has nearly all the mass, the sum
+    /// is nearly its `g`, and `Σ prob` is 1 only to rounding: taken
+    /// literally the difference is rounding noise as large as the
+    /// gradient. So every `g` is taken relative to that of the most
+    /// probable candidate, in f64: the differences are exact, and the
+    /// mean is a sum over the *small* probabilities only.
+    fn grad_lane(&self, lane: Lane, grad_path: &mut [f32], tree_mass_grad: &mut [f64]) {
+        let inv_tau = 1.0 / self.temperature;
+        let (q, p) = self.prob.split_at(self.net_trees.len());
+        for s in lane.subnets {
+            let group = self.subnet_paths.segment(s);
+            let tree = self.subnet_tree[s] as usize;
+            let Some(top) = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b])) else {
+                continue;
+            };
+            let grad_path =
+                &mut grad_path[group.start - lane.first_path..group.end - lane.first_path];
+            let top_grad = self.mass_grad(top);
+            let mut mean = 0.0f64;
+            for i in group.clone().filter(|&i| i != top) {
+                let g = self.mass_grad(i) - top_grad;
+                grad_path[i - group.start] = g as f32;
+                mean += g * f64::from(p[i]);
+            }
+            // Σ_k p_k·g_k — all of `g` when the one path has p = 1
+            tree_mass_grad[tree - lane.first_tree] += top_grad + mean;
+            if group.len() >= 2 {
+                grad_path[top - group.start] = 0.0;
+                let scale = q[tree] * inv_tau;
+                for (g, p) in grad_path.iter_mut().zip(&p[group]) {
+                    *g = scale * p * (*g - mean as f32);
+                }
             }
         }
     }
@@ -681,32 +880,33 @@ fn softmax_groups(
     w: &[f32],
     noise: Option<&[f32]>,
     inv_tau: f32,
-    scratch: &mut Vec<f32>,
     out: &mut [f32],
 ) {
     for g in 0..groups.num_segments() {
         let r = groups.segment(g);
         if r.len() >= 2 {
             let noise = noise.map(|n| &n[r.clone()]);
-            softmax_group(&w[r.clone()], noise, inv_tau, scratch, &mut out[r]);
+            softmax_group(&w[r.clone()], noise, inv_tau, &mut out[r]);
         }
     }
 }
 
-/// `out = softmax((w + noise) / τ)` over one candidate group.
-fn softmax_group(
-    w: &[f32],
-    noise: Option<&[f32]>,
-    inv_tau: f32,
-    scratch: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    scratch.clear();
+/// `out = softmax((w + noise) / τ)` over one candidate group. The scaled
+/// logits go through `out` itself: a lane touches no memory but its own.
+fn softmax_group(w: &[f32], noise: Option<&[f32]>, inv_tau: f32, out: &mut [f32]) {
     match noise {
-        Some(noise) => scratch.extend(w.iter().zip(noise).map(|(w, g)| (w + g) * inv_tau)),
-        None => scratch.extend(w.iter().map(|w| w * inv_tau)),
+        Some(noise) => {
+            for ((o, w), g) in out.iter_mut().zip(w).zip(noise) {
+                *o = (w + g) * inv_tau;
+            }
+        }
+        None => {
+            for (o, w) in out.iter_mut().zip(w) {
+                *o = w * inv_tau;
+            }
+        }
     }
-    kernels::softmax_into(scratch, out);
+    kernels::softmax_in_place(out);
 }
 
 #[cfg(test)]

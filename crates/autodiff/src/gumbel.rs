@@ -31,14 +31,6 @@ pub fn fill_gumbel<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32]) {
     }
 }
 
-/// Scales Gumbel noise by `weight` in place — `weight = 0` degrades the
-/// Gumbel-softmax to a plain softmax (the ablation knob).
-pub fn scale_noise(noise: &mut [f32], weight: f32) {
-    for v in noise {
-        *v *= weight;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,12 +64,5 @@ mod tests {
         fill_gumbel(&mut StdRng::seed_from_u64(9), &mut a);
         fill_gumbel(&mut StdRng::seed_from_u64(9), &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_weight_silences_noise() {
-        let mut buf = vec![1.5f32, -0.5, 2.0];
-        scale_noise(&mut buf, 0.0);
-        assert_eq!(buf, vec![0.0, 0.0, 0.0]);
     }
 }

@@ -78,31 +78,41 @@ fn fold_lanes(acc: &[f32; LANES]) -> f32 {
 // --- softmax ---------------------------------------------------------------
 
 /// Numerically-stable softmax of `x` into `out` (same length):
-/// associative max, lane-striped exp accumulation, and a rescale pass.
+/// [`softmax_in_place`] on a copy.
+///
+/// # Panics
+///
+/// Panics if the slices' lengths differ.
 pub fn softmax_into(x: &[f32], out: &mut [f32]) {
+    out.copy_from_slice(x);
+    softmax_in_place(out);
+}
+
+/// Numerically-stable softmax of `x`, in place: associative max,
+/// lane-striped exp accumulation, and a rescale pass.
+pub fn softmax_in_place(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
     let m = max(x);
     let mut acc = [0.0f32; LANES];
-    let mut xs = x.chunks_exact(LANES);
-    let mut os = out.chunks_exact_mut(LANES);
-    for (cx, co) in (&mut xs).zip(&mut os) {
+    let mut xs = x.chunks_exact_mut(LANES);
+    for c in &mut xs {
         for j in 0..LANES {
-            let e = (cx[j] - m).exp();
-            co[j] = e;
+            let e = (c[j] - m).exp();
+            c[j] = e;
             acc[j] += e;
         }
     }
     let mut sum = fold_lanes(&acc);
-    for (&v, o) in xs.remainder().iter().zip(os.into_remainder()) {
-        let e = (v - m).exp();
-        *o = e;
+    for v in xs.into_remainder() {
+        let e = (*v - m).exp();
+        *v = e;
         sum += e;
     }
     let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
+    for v in x.iter_mut() {
+        *v *= inv;
     }
 }
 

@@ -20,7 +20,9 @@
 //! * [`gumbel::fill_gumbel`] — Gumbel(0, 1) noise for the stochastic
 //!   softmax,
 //! * [`parallel`] — the worker pool the route pipeline's index-pure
-//!   fan-outs run on (the kernel itself runs on the calling thread).
+//!   fan-outs run on, and the [`parallel::Helper`] a training run engages
+//!   to take the next iteration's noise draw and one of the kernel's two
+//!   lanes off the calling thread.
 
 pub mod activation;
 pub mod adam;

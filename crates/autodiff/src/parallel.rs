@@ -1,6 +1,7 @@
-//! The persistent worker pool behind the route pipeline's index-pure
-//! fan-outs: per-net candidate generation, the forest build and the
-//! extraction rasters.
+//! The two ways work leaves the calling thread: the persistent worker
+//! pool behind the route pipeline's index-pure fan-outs (per-net candidate
+//! generation, the forest build, the extraction rasters), and the
+//! [`Helper`] a training run engages as its second lane.
 //!
 //! Threads are spawned once (on first parallel dispatch), then park on a
 //! condvar between jobs. A job is an index range of chunks; workers race
@@ -13,8 +14,33 @@
 //! result lands in a slot owned by its index: which OS thread executes a
 //! chunk, and how many threads there are, never affects the output. No
 //! primitive here reduces across chunks — [`par_map_mut`] and
-//! [`par_indexed`] are bit-reproducible at *any* thread count. (The
-//! training kernel, [`crate::cost`], does not use the pool at all.)
+//! [`par_indexed`] are bit-reproducible at *any* thread count.
+//!
+//! # The training run's helper
+//!
+//! The pool parks on a condvar between dispatches, which costs more than
+//! half a training iteration's phase saves (measured: the kernel's two
+//! lanes through [`par_indexed`] ran *slower* than one thread). A training
+//! run therefore engages one [`Helper`] thread of its own for as long as
+//! it runs. The calling thread offers it tasks — [`join`]'s second closure,
+//! an [`ahead`] closure — and never depends on it:
+//!
+//! * **claim or inline** — whoever takes a task's closure out of it
+//!   runs it. A task the helper has not started when the calling
+//!   thread needs its result is run inline, in place, so a helper that is
+//!   descheduled, busy or absent ([`num_threads`] ` == 1`) costs nothing;
+//! * **spin, then park** — the helper waits for its next task by spinning
+//!   for 1 ms (longer than any gap inside an iteration) before it parks,
+//!   and the calling thread waits for a *started* task by spinning for
+//!   50 µs before it parks: no futex round trip inside an iteration unless
+//!   the host is oversubscribed. A spin step ends in a `sched_yield`, so
+//!   two threads the scheduler has put on one CPU do not take turns
+//!   burning it;
+//! * **one script** — the helper runs a lane task, then the pending
+//!   ahead task if there is one, then waits for the next lane task.
+//!
+//! Which thread runs a task never shows in a result: a task writes only
+//! buffers that the closures of one [`join`] split between them.
 //!
 //! # Observability
 //!
@@ -25,9 +51,13 @@
 //! to one relaxed atomic load and a predictable branch, keeping the
 //! uninstrumented dispatch path bench-neutral.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// Cached handles to the pool's observability metrics. Registration takes
 /// the `dgr-obs` registry mutex once; after that every recording is a
@@ -64,6 +94,23 @@ fn pool_metrics() -> &'static PoolMetrics {
 /// Minimum number of elements before [`par_map_mut`] fans out to worker
 /// threads.
 pub const PAR_THRESHOLD: usize = 1 << 15;
+
+/// Minimum number of candidate paths before a training run engages a
+/// [`Helper`]: below it an iteration is too short for the handoffs to pay.
+/// Measured on random designs, serial → helped ms per iteration: 0.038 →
+/// 0.052 / 0.042 → 0.035 / 0.052 → 0.051 at 0.7 k paths (no gain), 0.099 →
+/// 0.087 / 0.095 → 0.075 / 0.091 → 0.093 at 1.4 k (inside the spread),
+/// 0.210 → 0.149 / 0.164 → 0.149 / 0.148 → 0.112 at 2.6 k, 0.402 → 0.279 /
+/// 0.342 → 0.301 / 0.503 → 0.291 at 5.6 k.
+pub const LANE_THRESHOLD: usize = 1 << 12;
+
+/// How long the helper spins for its next task before it parks — longer
+/// than any gap the calling thread leaves inside a training iteration.
+const HELPER_SPIN: Duration = Duration::from_micros(1000);
+
+/// How long the calling thread spins for a task the helper has started
+/// before it parks.
+const JOIN_SPIN: Duration = Duration::from_micros(50);
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -277,6 +324,7 @@ impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: every use partitions the pointee into per-chunk disjoint ranges.
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send` — chunks that share the wrapper never share an element.
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -363,6 +411,398 @@ where
         .collect()
 }
 
+// --- the training run's helper ---------------------------------------------
+
+/// Counters of the claim-or-inline rule, registered with the first helper.
+struct HelperMetrics {
+    /// Offered tasks the helper ran.
+    by_helper: &'static dgr_obs::Counter,
+    /// Offered tasks the calling thread claimed back and ran inline.
+    inline: &'static dgr_obs::Counter,
+}
+
+fn helper_metrics() -> &'static HelperMetrics {
+    static METRICS: OnceLock<HelperMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| HelperMetrics {
+        by_helper: dgr_obs::counter("train.lane_tasks_helper"),
+        inline: dgr_obs::counter("train.lane_tasks_inline"),
+    })
+}
+
+/// Locks a mutex whose every update is one assignment, so a panic while
+/// it was held (there is none) could not have left it half-written.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+static FAULT: AtomicBool = AtomicBool::new(false);
+
+/// Test hook: the next task a helper runs panics before its body.
+#[doc(hidden)]
+pub fn fail_next_helper_task() {
+    FAULT.store(true, Ordering::Relaxed);
+}
+
+/// One step of a spin-wait: a few microseconds of `PAUSE`, which leaves
+/// a hyperthread sibling its execution units, then a `sched_yield`, so
+/// that when the scheduler has put the helper and the calling thread on
+/// one CPU the one that waits hands it to the one that works.
+fn spin_politely() {
+    for _ in 0..32 {
+        std::hint::spin_loop();
+    }
+    std::thread::yield_now();
+}
+
+type Body<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// One closure offered to the helper. Whichever thread takes `body` out
+/// — the claim — runs it; when that is the helper, it then stores the
+/// outcome and raises `done`.
+struct Task<T> {
+    body: Mutex<Option<Body<T>>>,
+    /// What the helper's run returned, or the payload it panicked with.
+    outcome: Mutex<Option<std::thread::Result<T>>>,
+    /// What the calling thread spins on before it waits on `finished`.
+    done: AtomicBool,
+    finished: Condvar,
+}
+
+/// A [`Task`] of any result type, as the helper sees it.
+trait Offered: Send + Sync {
+    /// Runs the task unless it has been claimed.
+    fn run_on_helper(&self);
+}
+
+impl<T: Send> Task<T> {
+    fn new(body: Body<T>) -> Self {
+        Task {
+            body: Mutex::new(Some(body)),
+            outcome: Mutex::new(None),
+            done: AtomicBool::new(false),
+            finished: Condvar::new(),
+        }
+    }
+
+    /// The body, for the one caller that gets here first.
+    fn claim(&self) -> Option<Body<T>> {
+        lock(&self.body).take()
+    }
+
+    /// Blocks until the helper has stored the outcome of a task it
+    /// claimed: a bounded spin on `done`, then the condvar.
+    fn wait(&self) -> std::thread::Result<T> {
+        let start = Instant::now();
+        // Acquire pairs with the helper's Release store
+        while !self.done.load(Ordering::Acquire) && start.elapsed() < JOIN_SPIN {
+            spin_politely();
+        }
+        let mut outcome = lock(&self.outcome);
+        loop {
+            match outcome.take() {
+                Some(result) => return result,
+                None => {
+                    outcome = self
+                        .finished
+                        .wait(outcome)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+
+    /// The task's result: runs it here if the helper has not started it,
+    /// else waits for the helper. A panic of the body resumes here.
+    fn finish(&self) -> T {
+        if let Some(body) = self.claim() {
+            helper_metrics().inline.add(1);
+            return body();
+        }
+        helper_metrics().by_helper.add(1);
+        self.wait().unwrap_or_else(|payload| resume_unwind(payload))
+    }
+}
+
+impl<T: Send> Offered for Task<T> {
+    fn run_on_helper(&self) {
+        let Some(body) = self.claim() else {
+            return;
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if FAULT.load(Ordering::Relaxed) && FAULT.swap(false, Ordering::Relaxed) {
+                panic!("injected helper-task fault");
+            }
+            body()
+        }));
+        *lock(&self.outcome) = Some(outcome);
+        self.done.store(true, Ordering::Release);
+        self.finished.notify_one();
+    }
+}
+
+/// The two mailboxes the calling thread fills, one task each.
+#[derive(Default)]
+struct Offers {
+    /// [`join`]'s second closure: the calling thread is about to need it.
+    lane: Option<Arc<dyn Offered>>,
+    /// An [`ahead`] closure, needed an iteration from now; the helper
+    /// takes it up after a lane task, never instead of one.
+    ahead: Option<Arc<dyn Offered>>,
+}
+
+struct Shared {
+    offers: Mutex<Offers>,
+    /// Bumped after every lane offer; the helper spins on it.
+    posted: AtomicU32,
+    /// Set by the helper around `thread::park`.
+    parked: AtomicBool,
+    shutdown: AtomicBool,
+    /// The helper's handle, for `unpark`; set before `engage` returns.
+    thread: OnceLock<Thread>,
+}
+
+impl Shared {
+    fn offer_lane(&self, task: Arc<dyn Offered>) {
+        lock(&self.offers).lane = Some(task);
+        // SeqCst on `posted` and `parked`, here and in `next_lane`: either
+        // the helper's re-check sees this offer or this load sees it parked
+        self.posted.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) {
+            if let Some(thread) = self.thread.get() {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// Waits for a lane offer newer than `seen`; `None` at shutdown.
+    fn next_lane(&self, seen: u32) -> Option<u32> {
+        let mut idle_since = Instant::now();
+        loop {
+            let posted = self.posted.load(Ordering::SeqCst);
+            if posted != seen {
+                return Some(posted);
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if idle_since.elapsed() < HELPER_SPIN {
+                spin_politely();
+                continue;
+            }
+            self.parked.store(true, Ordering::SeqCst);
+            if self.posted.load(Ordering::SeqCst) == seen && !self.shutdown.load(Ordering::SeqCst) {
+                std::thread::park();
+            }
+            self.parked.store(false, Ordering::SeqCst);
+            idle_since = Instant::now();
+        }
+    }
+
+    /// The helper's script: a lane task, then the pending ahead task.
+    fn run(&self) {
+        let mut seen = 0;
+        while let Some(posted) = self.next_lane(seen) {
+            seen = posted;
+            // each mailbox is emptied in a statement of its own: the lock
+            // is not held while the task runs
+            let lane = lock(&self.offers).lane.take();
+            if let Some(task) = lane {
+                task.run_on_helper();
+            }
+            let ahead = lock(&self.offers).ahead.take();
+            if let Some(task) = ahead {
+                task.run_on_helper();
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// The helper engaged on this thread, which [`join`] and [`ahead`]
+    /// offer their tasks to.
+    static ENGAGED: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
+}
+
+/// A second lane of execution for the thread that engages it: one
+/// thread, spawned by [`Helper::engage`] and joined when the guard drops,
+/// that [`join`] and [`ahead`] on the engaging thread offer tasks to.
+/// See the module docs for the handoff.
+#[must_use = "the helper is released when the guard drops"]
+pub struct Helper {
+    engaged: Option<(Arc<Shared>, JoinHandle<()>)>,
+    /// The helper this one replaced on the thread, restored on drop.
+    previous: Option<Arc<Shared>>,
+    /// Dropped on the thread it was engaged on (it restores a
+    /// thread-local there).
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Helper {
+    /// Engages a helper for the calling thread until the guard drops.
+    /// With [`num_threads`] ` == 1` (one CPU, or the override) or when the
+    /// thread cannot be spawned, no thread is engaged and every task
+    /// runs inline. The helper records under the calling thread's
+    /// `dgr_obs` scope.
+    pub fn engage() -> Helper {
+        if num_threads() < 2 {
+            return Helper::inert();
+        }
+        Helper::spawn()
+    }
+
+    fn inert() -> Helper {
+        Helper {
+            engaged: None,
+            previous: None,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// Spawns the thread and makes it the calling thread's helper; inert
+    /// if the OS refuses the thread.
+    fn spawn() -> Helper {
+        let mut helper = Helper::inert();
+        let shared = Arc::new(Shared {
+            offers: Mutex::new(Offers::default()),
+            posted: AtomicU32::new(0),
+            parked: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            thread: OnceLock::new(),
+        });
+        let scope = dgr_obs::status_scope_id();
+        let spawned = std::thread::Builder::new()
+            .name("dgr-helper".into())
+            .spawn({
+                let shared = Arc::clone(&shared);
+                move || {
+                    let _scope = dgr_obs::status_scope(scope);
+                    shared.run();
+                }
+            });
+        if let Ok(handle) = spawned {
+            let _ = shared.thread.set(handle.thread().clone());
+            helper.previous = ENGAGED.with(|e| e.replace(Some(Arc::clone(&shared))));
+            helper.engaged = Some((shared, handle));
+        }
+        helper
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        let Some((shared, handle)) = self.engaged.take() else {
+            return;
+        };
+        ENGAGED.with(|e| *e.borrow_mut() = self.previous.take());
+        shared.shutdown.store(true, Ordering::SeqCst);
+        handle.thread().unpark();
+        // the helper catches every task's panic: it has none of its own
+        // to report, and a drop must not raise one
+        let _ = handle.join();
+    }
+}
+
+fn engaged() -> Option<Arc<Shared>> {
+    ENGAGED.with(|e| e.borrow().clone())
+}
+
+/// Runs `a` here and `b` on the engaged [`Helper`], or here after `a` if
+/// the helper has not started `b` by then (or none is engaged). Returns
+/// when both have run; a panic of either resumes on the calling thread,
+/// after the other has finished. With a helper engaged, `b` is recorded
+/// as a `train`/`name` span on the thread that runs it.
+pub fn join<A, B>(name: &'static str, a: A, b: B)
+where
+    A: FnOnce(),
+    B: FnOnce() + Send,
+{
+    let Some(helper) = engaged() else {
+        a();
+        b();
+        return;
+    };
+    let body: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+        let _span = dgr_obs::span("train", name);
+        b()
+    });
+    // SAFETY: erases the lifetime of what `b` borrows. The box is either
+    // taken by `claim` on this thread — in `finish`, or in `Settle::drop`
+    // when `a` unwinds — and called or dropped there, or taken by the
+    // helper, which calls it (consuming it) *before* it stores the
+    // outcome that `finish` and `Settle::drop` block on. Either way
+    // nothing of `b` is alive when this function returns or unwinds; the
+    // `Task` that outlives it holds `None` and a `'static` outcome.
+    let body: Body<()> = unsafe {
+        std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send + 'static>>(
+            body,
+        )
+    };
+    let task = Arc::new(Task::new(body));
+    helper.offer_lane(Arc::clone(&task) as Arc<dyn Offered>);
+    let settle = Settle(&task);
+    a();
+    std::mem::forget(settle);
+    task.finish();
+}
+
+/// Settles [`join`]'s task when its first closure unwinds: takes the
+/// second back unrun, or waits for the helper to be done with it.
+struct Settle<'t>(&'t Task<()>);
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        match self.0.claim() {
+            Some(unrun) => drop(unrun),
+            // a second panic, from the helper's run, is dropped: the
+            // first is already on its way up
+            None => drop(self.0.wait()),
+        }
+    }
+}
+
+/// A result wanted later, started now: see [`ahead`].
+#[must_use = "the closure runs, at the latest, in `finish`"]
+pub struct Ahead<T>(AheadState<T>);
+
+enum AheadState<T> {
+    /// No helper was engaged: the closure waits here for `finish`.
+    Inline(Body<T>),
+    Offered(Arc<Task<T>>),
+}
+
+/// Offers `f` to the engaged [`Helper`], which runs it after its next
+/// [`join`] task; [`Ahead::finish`] returns the result, running `f` on
+/// the spot if the helper has not started it (or none is engaged). `f`
+/// owns what it works on, so an `Ahead` that is dropped instead is simply
+/// never collected. With a helper engaged, `f` is recorded as a
+/// `train`/`name` span on the thread that runs it.
+pub fn ahead<T, F>(name: &'static str, f: F) -> Ahead<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let Some(helper) = engaged() else {
+        return Ahead(AheadState::Inline(Box::new(f)));
+    };
+    let body: Body<T> = Box::new(move || {
+        let _span = dgr_obs::span("train", name);
+        f()
+    });
+    let task = Arc::new(Task::new(body));
+    lock(&helper.offers).ahead = Some(Arc::clone(&task) as Arc<dyn Offered>);
+    Ahead(AheadState::Offered(task))
+}
+
+impl<T: Send> Ahead<T> {
+    /// The closure's result. A panic of the closure resumes here.
+    pub fn finish(self) -> T {
+        match self.0 {
+            AheadState::Inline(body) => body(),
+            AheadState::Offered(task) => task.finish(),
+        }
+    }
+}
+
 /// Reusable f32 scratch buffers, kept across calls so repeated
 /// extractions (adaptive rounds, daemon jobs) stop paying a heap
 /// allocation each.
@@ -439,6 +879,153 @@ mod tests {
             assert_eq!(got, expect, "threads={threads}");
         }
         set_num_threads(0);
+    }
+
+    /// A helper whatever the host's CPU count.
+    fn engaged_helper() -> Helper {
+        let helper = Helper::spawn();
+        assert!(helper.engaged.is_some(), "a thread was spawned");
+        helper
+    }
+
+    /// `a` for [`join`] that returns once `flag` is up: `b`, which raises
+    /// it, has then been started — by the helper, since this thread is
+    /// still in `a`.
+    fn until(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> &'static str {
+        payload.downcast_ref::<&str>().copied().unwrap_or("?")
+    }
+
+    #[test]
+    fn join_runs_both_closures_on_borrowed_halves() {
+        let mut buf = vec![0u32; 1000];
+        for helped in [false, true] {
+            let _helper = helped.then(engaged_helper);
+            for round in 1..=200 {
+                let (lower, upper) = buf.split_at_mut(500);
+                join(
+                    "test",
+                    || lower.iter_mut().for_each(|v| *v += round),
+                    || upper.iter_mut().for_each(|v| *v += 2 * round),
+                );
+            }
+        }
+        let sum: u32 = (1..=200).sum();
+        assert!(buf[..500].iter().all(|&v| v == 2 * sum));
+        assert!(buf[500..].iter().all(|&v| v == 4 * sum));
+    }
+
+    #[test]
+    fn a_task_the_helper_started_is_waited_for() {
+        let _helper = engaged_helper();
+        let started = AtomicBool::new(false);
+        let mut by = None;
+        join(
+            "test",
+            || until(&started),
+            || {
+                started.store(true, Ordering::Release);
+                // long enough for the calling thread to spin out and park
+                std::thread::sleep(4 * JOIN_SPIN);
+                by = std::thread::current().name().map(str::to_string);
+            },
+        );
+        assert_eq!(by.as_deref(), Some("dgr-helper"));
+    }
+
+    #[test]
+    fn a_panic_on_the_helper_resumes_on_the_caller_and_the_helper_lives_on() {
+        let _helper = engaged_helper();
+        let started = AtomicBool::new(false);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                "test",
+                || until(&started),
+                || {
+                    started.store(true, Ordering::Release);
+                    panic!("lane task failed");
+                },
+            )
+        }));
+        assert_eq!(panic_message(caught.unwrap_err()), "lane task failed");
+
+        // the same helper takes the next task
+        let started = AtomicBool::new(false);
+        let mut by = None;
+        join(
+            "test",
+            || until(&started),
+            || {
+                by = std::thread::current().name().map(str::to_string);
+                started.store(true, Ordering::Release);
+            },
+        );
+        assert_eq!(by.as_deref(), Some("dgr-helper"));
+    }
+
+    #[test]
+    fn a_panic_of_the_caller_waits_for_the_helper_to_let_go_of_the_borrow() {
+        let _helper = engaged_helper();
+        let started = AtomicBool::new(false);
+        let mut written = [0u8; 64];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                "test",
+                || {
+                    until(&started);
+                    panic!("caller failed");
+                },
+                || {
+                    started.store(true, Ordering::Release);
+                    std::thread::sleep(4 * JOIN_SPIN);
+                    written.fill(7);
+                },
+            )
+        }));
+        assert_eq!(panic_message(caught.unwrap_err()), "caller failed");
+        // `join` unwound only after the helper's task had finished
+        assert_eq!(written, [7; 64]);
+    }
+
+    #[test]
+    fn ahead_runs_after_a_lane_task_or_inline_at_finish() {
+        let name = || std::thread::current().name().map(str::to_string);
+        let here = name();
+
+        // nothing engaged: deferred to `finish`
+        assert_eq!(ahead("test", name).finish(), here);
+
+        let _helper = engaged_helper();
+        // no lane task comes, so the helper never takes it up
+        assert_eq!(ahead("test", name).finish(), here);
+
+        // behind a lane task the helper does
+        let taken = Arc::new(AtomicBool::new(false));
+        let pending = ahead("test", {
+            let taken = Arc::clone(&taken);
+            move || {
+                taken.store(true, Ordering::Release);
+                name()
+            }
+        });
+        let started = AtomicBool::new(false);
+        join(
+            "test",
+            || until(&started),
+            || started.store(true, Ordering::Release),
+        );
+        until(&taken);
+        assert_eq!(pending.finish().as_deref(), Some("dgr-helper"));
+
+        // a panic comes out of `finish`
+        let pending = ahead("test", || -> u32 { panic!("draw failed") });
+        let caught = catch_unwind(AssertUnwindSafe(|| pending.finish()));
+        assert_eq!(panic_message(caught.unwrap_err()), "draw failed");
     }
 
     #[test]

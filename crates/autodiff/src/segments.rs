@@ -43,6 +43,11 @@ impl Segments {
         Ok(Segments { offsets })
     }
 
+    /// The CSR offsets: `num_segments() + 1` non-decreasing values from 0.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Number of segments.
     pub fn num_segments(&self) -> usize {
         self.offsets.len() - 1

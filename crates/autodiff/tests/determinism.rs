@@ -1,30 +1,41 @@
-//! Determinism properties of the cost kernel and the worker pool.
+//! Determinism properties of the cost kernel, the training run's helper
+//! and the worker pool.
 //!
 //! Contract under test (see the `cost` and `parallel` module docs):
-//! * the kernel's loss and gradients are **bit-identical at any thread
-//!   count** — it fixes every reduction order by its index structure;
+//! * a training loop's losses, gradients, final logits and RNG state are
+//!   **bit-identical at any thread count** and to the loop run inline —
+//!   the kernel fixes every reduction order by its index structure, its
+//!   two lanes share no element, and the noise drawn an iteration ahead
+//!   is the same stream in the same order;
+//! * the lanes are cut at a net boundary;
 //! * the pool's pure maps are bit-identical at any thread count and on
 //!   both sides of the `PAR_THRESHOLD` sequential/parallel boundary;
 //! * its counters lose no increment under concurrency.
 
 use std::sync::Mutex;
 
-use dgr_autodiff::parallel::{self, par_map_mut, PAR_THRESHOLD};
-use dgr_autodiff::{Activation, CostModel, CostShape, CostTerms};
+use dgr_autodiff::parallel::{self, par_map_mut, LANE_THRESHOLD, PAR_THRESHOLD};
+use dgr_autodiff::{Activation, Adam, CostModel, CostShape, CostTerms};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// `set_num_threads` is process-global; tests that touch it serialize.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
-/// A random DGR-shaped problem — `subnets` two-pin sub-nets with both
+const TERMS: CostTerms = CostTerms {
+    wirelength: 0.5,
+    via: 4.0,
+    overflow: 500.0,
+    sqrt_layers: 3.0,
+    activation: Activation::Sigmoid,
+    overflow_scale: 1.0,
+};
+
+/// A random DGR-shaped problem: `subnets` two-pin sub-nets with both
 /// L-shapes each, three sub-nets to a tree, two trees to a net, on a
-/// `side × side` grid — run for one noisy forward + backward pass at the
-/// given thread count. Returns the loss and the gradient bits.
-fn run_once(subnets: usize, side: usize, seed: u64, threads: usize) -> (u32, Vec<u32>) {
-    parallel::set_num_threads(threads);
-    let mut rng = StdRng::seed_from_u64(seed);
+/// `side × side` grid, with random logits.
+fn model(subnets: usize, side: usize, rng: &mut StdRng) -> CostModel {
     let cell = |x: usize, y: usize| (y * side + x) as u32;
     let trees = subnets.div_ceil(3);
     let mut runs = Vec::new();
@@ -55,43 +66,181 @@ fn run_once(subnets: usize, side: usize, seed: u64, threads: usize) -> (u32, Vec
         capacity: &vec![subnets as f32 / side as f32; 2 * side * (side - 1)],
         beta: &vec![0.5; side * side],
     };
-    let terms = CostTerms {
-        wirelength: 0.5,
-        via: 4.0,
-        overflow: 500.0,
-        sqrt_layers: 3.0,
-        activation: Activation::Sigmoid,
-        overflow_scale: 1.0,
-    };
     let logits = (0..trees + paths)
         .map(|_| rng.gen_range(-2.0f32..2.0))
         .collect();
-    let mut model = CostModel::new(&shape, terms, logits).expect("a well-formed problem");
-    model.sample_noise(&mut rng);
-    model.forward();
-    model.backward();
-    let grads = model.tree_grad().iter().chain(model.path_grad());
-    let out = (model.loss().to_bits(), grads.map(|g| g.to_bits()).collect());
+    CostModel::new(&shape, TERMS, logits).expect("a well-formed problem")
+}
+
+/// Everything a training loop leaves behind, as bits: each iteration's
+/// loss, the last gradient, the final logits, and the RNG's next draw.
+type Trace = (Vec<u32>, Vec<u32>, Vec<u32>, u64);
+
+fn trace(model: &CostModel, losses: Vec<u32>, rng: &mut StdRng) -> Trace {
+    let bits = |a: &[f32], b: &[f32]| a.iter().chain(b).map(|v| v.to_bits()).collect();
+    (
+        losses,
+        bits(model.tree_grad(), model.path_grad()),
+        bits(model.tree_logits(), model.path_logits()),
+        rng.next_u64(),
+    )
+}
+
+const ITERATIONS: usize = 5;
+
+/// The loop as it was before there were lanes: noise, forward, backward
+/// and the step, one after another on this thread.
+fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = model(subnets, side, &mut rng);
+    let mut adam = Adam::new(model.num_trees() + model.num_paths(), 0.3);
+    let mut losses = Vec::new();
+    for _ in 0..ITERATIONS {
+        model.sample_noise(&mut rng);
+        model.forward();
+        model.backward();
+        losses.push(model.loss().to_bits());
+        let (w, g) = model.logits_and_grads();
+        adam.step(w, g);
+    }
+    trace(&model, losses, &mut rng)
+}
+
+/// The loop of `dgr_core::train`: a helper engaged at `threads`, each
+/// iteration's noise drawn during the one before on a copy of the RNG.
+fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace {
+    parallel::set_num_threads(threads);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = model(subnets, side, &mut rng);
+    let mut adam = Adam::new(model.num_trees() + model.num_paths(), 0.3);
+    let mut losses = Vec::new();
+    {
+        let _helper = parallel::Helper::engage();
+        let runs = model.noise_runs();
+        let draw = |mut rng: StdRng, mut noise: Vec<f32>| {
+            let runs = runs.clone();
+            parallel::ahead("noise_ahead", move || {
+                runs.fill(&mut rng, &mut noise);
+                (rng, noise)
+            })
+        };
+        let spare = vec![0.0; model.num_trees() + model.num_paths()];
+        let mut ahead = Some(draw(rng.clone(), spare));
+        for it in 0..ITERATIONS {
+            let (after, mut noise) = ahead.take().expect("drawn ahead").finish();
+            rng = after;
+            model.swap_noise(&mut noise);
+            if it + 1 < ITERATIONS {
+                ahead = Some(draw(rng.clone(), noise));
+            }
+            model.forward();
+            model.backward();
+            losses.push(model.loss().to_bits());
+            let (w, g) = model.logits_and_grads();
+            adam.step(w, g);
+        }
+    }
     parallel::set_num_threads(0);
-    out
+    trace(&model, losses, &mut rng)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sizes straddle `PAR_THRESHOLD` path entries, the size at which a
-    /// pooled reduction would start to chunk by thread count.
+    /// Sizes straddle `LANE_THRESHOLD` paths, from which a training run
+    /// engages its helper (two paths to a sub-net).
     #[test]
-    fn kernel_is_bit_identical_at_any_thread_count(
-        subnets in 2_000usize..40_000,
+    fn a_training_loop_is_bit_identical_at_any_thread_count_and_to_the_inline_loop(
+        subnets in LANE_THRESHOLD / 8..2 * LANE_THRESHOLD,
         side in 8usize..64,
         seed in 0u64..10_000,
     ) {
         let _guard = THREADS_LOCK.lock().unwrap();
-        let one = run_once(subnets, side, seed, 1);
-        prop_assert!(f32::from_bits(one.0).is_finite());
-        for threads in [2, 8] {
-            prop_assert_eq!(&run_once(subnets, side, seed, threads), &one);
+        let inline = inline_loop(subnets, side, seed);
+        prop_assert!(inline.0.iter().all(|&l| f32::from_bits(l).is_finite()));
+        for threads in [1, 2, 8] {
+            prop_assert_eq!(&helped_loop(subnets, side, seed, threads), &inline);
+        }
+    }
+
+}
+
+proptest! {
+    /// The lanes split the sub-nets at a net boundary — no net, so no
+    /// tree, has sub-nets on both sides — that leaves each lane a fair
+    /// share of the paths, or not at all.
+    #[test]
+    fn lanes_are_cut_at_a_net_boundary(
+        // per net: trees, sub-nets per tree, paths per sub-net
+        nets in proptest::collection::vec((1usize..4, 0usize..4, 1usize..5), 1..40),
+        // one net in four cases is inflated to hold most of the paths
+        big in (0usize..4, 0usize..40),
+    ) {
+        let mut nets = nets;
+        if big.0 == 0 {
+            let others: usize = nets.iter().map(|&(t, s, p)| t * s * p).sum();
+            let n = big.1 % nets.len();
+            nets[n] = (1, 1, 2 * others + 2);
+        }
+        let (mut net_tree_offsets, mut subnet_tree, mut subnet_path_offsets) =
+            (vec![0u32], vec![], vec![0u32]);
+        // the net of each sub-net, and the paths of each net
+        let (mut subnet_net, mut net_paths) = (vec![], vec![]);
+        let (mut trees, mut paths) = (0u32, 0u32);
+        for (n, &(t, s, p)) in nets.iter().enumerate() {
+            for _ in 0..t {
+                for _ in 0..s {
+                    subnet_tree.push(trees);
+                    subnet_net.push(n);
+                    paths += p as u32;
+                    subnet_path_offsets.push(paths);
+                }
+                trees += 1;
+            }
+            net_tree_offsets.push(trees);
+            net_paths.push(t * s * p);
+        }
+        let paths = paths as usize;
+        // every path is the one edge of a 2 × 1 grid
+        let shape = CostShape {
+            width: 2,
+            height: 1,
+            net_tree_offsets: &net_tree_offsets,
+            subnet_tree: &subnet_tree,
+            subnet_path_offsets: &subnet_path_offsets,
+            path_wl: &vec![1.0; paths],
+            path_turns: &vec![0.0; paths],
+            path_run_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
+            path_runs: &vec![(0, 1); paths],
+            path_via_offsets: &vec![0; paths + 1],
+            path_via_cells: &[],
+            capacity: &[1.0],
+            beta: &[0.0; 2],
+        };
+        let logits = vec![0.0; trees as usize + paths];
+        let model = CostModel::new(&shape, TERMS, logits).expect("a well-formed forest");
+        let [lower, upper] = model.lanes();
+        prop_assert_eq!(lower.start, 0);
+        prop_assert_eq!(lower.end, upper.start);
+        prop_assert_eq!(upper.end, subnet_tree.len());
+        if upper.is_empty() {
+            // only when no boundary is worth cutting at: the middle path's
+            // net holds more than half of the paths, or all of one side
+            let mid = subnet_path_offsets.partition_point(|&o| o as usize <= paths / 2) - 1;
+            let held = net_paths[subnet_net[mid]];
+            let before: usize = net_paths[..subnet_net[mid]].iter().sum();
+            prop_assert!(
+                2 * held > paths || before == 0 || before + held == paths,
+                "one lane, though net {} holds {held} of {paths} paths",
+                subnet_net[mid]
+            );
+        } else {
+            prop_assert!(subnet_net[lower.end - 1] < subnet_net[upper.start]);
+            let below = subnet_path_offsets[upper.start] as usize;
+            prop_assert!(below.min(paths - below) * 4 + 4 >= paths, "{below} of {paths}");
+        }
+        if net_paths.iter().any(|&held| 2 * held > paths) {
+            prop_assert!(upper.is_empty(), "a net holds more than half of the paths");
         }
     }
 }

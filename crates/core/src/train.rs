@@ -1,6 +1,18 @@
 //! The training loop: Adam over the expected cost with temperature
 //! annealing and per-iteration Gumbel noise resampling.
 //!
+//! A run over [`LANE_THRESHOLD`] paths or more engages a
+//! [`Helper`](parallel::Helper) thread for its duration, which the kernel
+//! hands the upper lane of its two sub-net loops and the loop hands the
+//! *next* iteration's noise draw — the RNG's only consumer here, and
+//! nothing an iteration computes feeds it. The draw works on a copy of
+//! the RNG and a second buffer; the top of the next iteration trades the
+//! buffer in and stores the copy back, so an iteration that never runs
+//! (the one after the last, the one a cancel prevents) draws nothing
+//! the caller's RNG can show. Whichever thread runs what, every result
+//! is the bit pattern of `sample_noise → forward → backward → step` run
+//! inline.
+//!
 //! The loop is instrumented through `dgr-obs` (see [`RouteHooks`]):
 //! per-iteration `forward`/`backward`/`adam` spans when the global
 //! observability switch is on, per-iteration JSONL telemetry rows when a
@@ -12,6 +24,7 @@
 
 use std::time::{Duration, Instant};
 
+use dgr_autodiff::parallel::{self, LANE_THRESHOLD};
 use dgr_autodiff::Adam;
 use dgr_grid::Design;
 use dgr_obs::IterationRow;
@@ -58,9 +71,11 @@ pub struct TrainReport {
     pub final_temperature: f32,
     /// Wall-clock training time.
     pub duration: Duration,
-    /// Time spent in forward sweeps across all iterations.
+    /// Wall-clock time the calling thread spent in forward passes across
+    /// all iterations, waiting for the helper's lane included.
     pub forward_time: Duration,
-    /// Time spent in backward sweeps across all iterations.
+    /// Wall-clock time the calling thread spent in backward passes across
+    /// all iterations, waiting for the helper's lane included.
     pub backward_time: Duration,
     /// Bytes held by the kernel's value and gradient buffers — the "GPU
     /// memory" analogue reported in the Fig. 5b reproduction.
@@ -90,8 +105,9 @@ impl Default for ProgressConfig {
 /// Trains `model` in place per `cfg` and returns the report.
 ///
 /// Every iteration: set the temperature from the annealing schedule,
-/// resample Gumbel noise (if enabled), forward, backward, Adam step. The
-/// kernel is never rebuilt.
+/// take fresh Gumbel noise (if enabled; drawn while the iteration before
+/// ran, see the module docs), forward, backward, Adam step. The kernel is
+/// never rebuilt.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
     train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0, None)
 }
@@ -101,7 +117,9 @@ pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainR
 /// [`SnapshotConfig::every`](crate::SnapshotConfig::every) iterations
 /// (plus the final one), cooperative cancellation between iterations, and
 /// per-iteration phase spans (`forward` / `backward` / `adam` under the
-/// `train` category) recorded when `dgr_obs::enabled()`.
+/// `train` category, and — with a helper engaged — `noise_ahead` /
+/// `lane_fwd` / `lane_bwd` on whichever thread ran them) recorded when
+/// `dgr_obs::enabled()`.
 ///
 /// The two things a round varies ride beside the hooks: `iter_offset` is
 /// added to every reported iteration index, so adaptive rounds continue
@@ -147,14 +165,35 @@ fn train_loop(
     let mut last_progress: Option<Instant> = None;
     let mut rss_cache: Option<u64> = None;
 
+    // dropped (joined) on every way out of this function, unwinding included
+    let _helper = (model.num_paths() >= LANE_THRESHOLD).then(parallel::Helper::engage);
+    let noise_runs = model.noise_runs();
+    // the draw for the iteration about to run: the RNG after it, and the
+    // noise in a buffer of the model's layout (zeros where nothing draws)
+    let draw = |mut rng: StdRng, mut noise: Vec<f32>| {
+        let noise_runs = noise_runs.clone();
+        parallel::ahead("noise_ahead", move || {
+            noise_runs.fill(&mut rng, &mut noise);
+            (rng, noise)
+        })
+    };
+    let logits = model.num_trees() + model.num_paths();
+    let mut noise_ahead =
+        (cfg.gumbel_noise && cfg.iterations > 0).then(|| draw(rng.clone(), vec![0.0; logits]));
+
     for it in 0..cfg.iterations {
         if hooks.is_cancelled() {
             break;
         }
         let temp = cfg.temperature_at(it);
         model.set_temperature(temp);
-        if cfg.gumbel_noise {
-            model.sample_noise(rng);
+        if let Some(ahead) = noise_ahead.take() {
+            let (rng_after, mut noise) = ahead.finish();
+            *rng = rng_after;
+            model.swap_noise(&mut noise);
+            if it + 1 < cfg.iterations {
+                noise_ahead = Some(draw(rng.clone(), noise));
+            }
         }
         let fwd_start = Instant::now();
         {
@@ -377,6 +416,153 @@ mod tests {
         assert_eq!(report.final_temperature, 0.7);
         assert!(report.curve.is_empty() && report.loss_history.is_empty());
         assert_eq!(hooks.telemetry.unwrap().rows(), 0);
+    }
+
+    /// `nets` random two- to four-pin nets on a 40 × 40 grid with the
+    /// default candidates and patterns, and a 12-iteration config.
+    fn random_problem(nets: usize) -> (Design, dgr_dag::DagForest, DgrConfig) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(nets as u64);
+        let grid = GcellGrid::new(40, 40).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, 3.0).build(&grid).unwrap();
+        let nets = (0..nets)
+            .map(|n| {
+                let pins = (0..rng.gen_range(2..5))
+                    .map(|_| Point::new(rng.gen_range(0..40), rng.gen_range(0..40)))
+                    .collect();
+                Net::new(format!("n{n}"), pins)
+            })
+            .collect();
+        let design = Design::new(grid, cap, nets, 5).unwrap();
+        let cfg = DgrConfig {
+            iterations: 12,
+            ..DgrConfig::default()
+        };
+        let pools: Vec<_> = design
+            .nets
+            .iter()
+            .map(|n| tree_candidates(&n.pins, &cfg.candidates).unwrap())
+            .collect();
+        let forest = build_forest(&design.grid, &pools, cfg.patterns).unwrap();
+        (design, forest, cfg)
+    }
+
+    /// What a run leaves behind, as bits: the final logits, and the next
+    /// draw of the RNG it was handed.
+    fn residue(model: &CostModel, rng: &mut StdRng) -> (Vec<u32>, u64) {
+        use rand::RngCore;
+        let logits = model.tree_logits().iter().chain(model.path_logits());
+        (logits.map(|w| w.to_bits()).collect(), rng.next_u64())
+    }
+
+    /// The loop as it was before the helper: `iterations` of noise,
+    /// forward, backward and the step, inline. Returns the losses too.
+    fn inline_loop(
+        model: &mut CostModel,
+        cfg: &DgrConfig,
+        rng: &mut StdRng,
+        iterations: usize,
+    ) -> Vec<u32> {
+        let mut adam = Adam::new(model.num_trees() + model.num_paths(), cfg.learning_rate);
+        let mut losses = Vec::new();
+        for it in 0..iterations {
+            model.set_temperature(cfg.temperature_at(it));
+            model.sample_noise(rng);
+            model.forward();
+            losses.push(model.loss().to_bits());
+            model.backward();
+            let (w, g) = model.logits_and_grads();
+            adam.step(w, g);
+        }
+        losses
+    }
+
+    /// `set_num_threads` is process-global, and the crate's other tests
+    /// answer the same at any value of it; these two take turns.
+    static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn train_is_the_inline_loop_bit_for_bit_on_both_sides_of_the_lane_threshold() {
+        let _guard = THREADS.lock().unwrap();
+        for (nets, engages) in [(200, false), (1200, true)] {
+            let (design, forest, cfg) = random_problem(nets);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+            assert_eq!(model.num_paths() >= LANE_THRESHOLD, engages, "{nets} nets");
+            assert!(
+                !model.lanes()[1].is_empty(),
+                "{nets} nets have a net boundary"
+            );
+            let losses = inline_loop(&mut model, &cfg, &mut rng, cfg.iterations);
+            let want = residue(&model, &mut rng);
+
+            for threads in [1, 2, 8] {
+                parallel::set_num_threads(threads);
+                let mut rng = StdRng::seed_from_u64(3);
+                let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+                let report = train(&mut model, &cfg, &mut rng);
+                parallel::set_num_threads(0);
+                let curve: Vec<u32> = report.curve.iter().map(|p| p.loss.to_bits()).collect();
+                assert_eq!(curve, losses, "{nets} nets, {threads} threads");
+                assert!(
+                    residue(&model, &mut rng) == want,
+                    "{nets} nets, {threads} threads: logits or RNG state differ"
+                );
+            }
+        }
+    }
+
+    /// A cancel raised while the helper holds the next iteration's noise
+    /// draw: the report counts the iterations that ran, and the RNG comes
+    /// back as the inline loop leaves it after that many — the draw for
+    /// the iteration that never ran shows nowhere.
+    #[test]
+    fn a_cancel_mid_run_reports_what_ran_and_hides_the_draw_ahead() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let _guard = THREADS.lock().unwrap();
+        let (design, forest, mut cfg) = random_problem(1200);
+        cfg.iterations = 1_000_000; // the cancel ends the run, nothing else
+        let cancel = Arc::new(AtomicBool::new(false));
+        // the run writes a demand snapshot per iteration to a file; a
+        // file that has grown is an iteration that has run
+        let path = std::env::temp_dir().join(format!("dgr_cancel_{}.jsonl", std::process::id()));
+        let sink = dgr_obs::SnapshotSink::to_path(path.to_str().unwrap()).unwrap();
+        let mut hooks = RouteHooks {
+            telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
+            snap: Some(crate::SnapshotConfig { sink, every: 1 }),
+            cancel: Some(Arc::clone(&cancel)),
+            skip_rss: true,
+            ..RouteHooks::default()
+        };
+        let watcher = std::thread::spawn({
+            let (cancel, path) = (Arc::clone(&cancel), path.clone());
+            move || {
+                while std::fs::metadata(&path).map_or(0, |m| m.len()) == 0 {
+                    std::thread::yield_now();
+                }
+                cancel.store(true, Ordering::Relaxed);
+            }
+        });
+
+        parallel::set_num_threads(2);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0, None);
+        parallel::set_num_threads(0);
+        watcher.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        let ran = report.iterations;
+        assert!(0 < ran && ran < cfg.iterations, "{ran} iterations");
+        assert_eq!(hooks.telemetry.unwrap().rows(), ran);
+        let got = residue(&model, &mut rng);
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        inline_loop(&mut model, &cfg, &mut rng, ran);
+        assert!(got == residue(&model, &mut rng), "after {ran} iterations");
     }
 
     #[test]

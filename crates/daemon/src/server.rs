@@ -212,11 +212,25 @@ fn worker_loop(inner: &Inner) {
             spec.max_stall_iters,
         );
 
-        // run it under its own obs scope, keyed by the job id
-        let run = {
+        // run it under its own obs scope, keyed by the job id; a panic in
+        // the pipeline (on this thread, or in a training helper's task,
+        // which resumes it here) fails the job, not the worker
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _scope = dgr_obs::status_scope(id);
             run_job(&spec, &cancel, inner.cfg.ledger)
-        };
+        }))
+        .unwrap_or_else(|payload| {
+            let why = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "no message".into());
+            RunOutput {
+                result: Err(format!("worker panicked: {why}")),
+                telemetry: None,
+                cancelled: false,
+            }
+        });
 
         // A cooperative stop triggered by the watchdog (not a client
         // cancel) is a structured failure, not a cancellation: the job
@@ -312,6 +326,7 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
     let mut phases = std::collections::BTreeMap::new();
     if let Some(report) = &out.solution.train_report {
         phases.insert("train".into(), ms(report.duration));
+        // wall time on this thread, waits for the helper's lane included
         phases.insert("forward".into(), ms(report.forward_time));
         phases.insert("backward".into(), ms(report.backward_time));
     }

@@ -71,7 +71,11 @@ pub struct LedgerRecord {
     /// RSMT cache misses over the run.
     pub cache_misses: u64,
     /// Inclusive per-phase span totals, milliseconds (`forward`,
-    /// `backward`, `extract`, ...).
+    /// `backward`, `extract`, ...). `forward` and `backward` are wall time
+    /// on the training run's calling thread, waits for its helper's lane
+    /// included; `noise_ahead`, `lane_fwd` and `lane_bwd` (records since
+    /// the helper) are the tasks offered to it, on whichever thread ran
+    /// them, and overlap the other phases.
     pub phases: BTreeMap<String, f64>,
     /// Sentinel health summary: `"ok"` or a comma-joined `rule@iter`
     /// list, worst first. `None` on records written before the field

@@ -225,3 +225,65 @@ fn fifo_and_priority_scheduling() {
 
     daemon.stop();
 }
+
+/// A panic inside a task of a training run's helper thread resumes on the
+/// worker that joined it, the worker's `catch_unwind` fails the job with
+/// the panic's message, and the daemon is none the worse: the same job
+/// submitted again produces the guide a clean daemon produces.
+#[test]
+fn a_panic_in_a_training_helper_task_fails_the_job_and_spares_the_daemon() {
+    use dgr::autodiff::parallel;
+
+    // 800 nets: enough paths for the run to engage a helper, which this
+    // makes it do even on a one-CPU host (every other job in this file
+    // is far below the size, so the fault cannot land in another test)
+    parallel::set_num_threads(2);
+    let design: Design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 56,
+        height: 56,
+        num_nets: 800,
+        num_layers: 5,
+        seed: 35,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let job = spec(&dgr::io::write_design(&design), "faulted", 60, 0);
+    let guide_of = |daemon: &Daemon, id: u64| {
+        let addr = daemon.local_addr();
+        wait_state(addr, id, "done", Duration::from_secs(180));
+        let guide = get(addr, &format!("/jobs/{id}/guide"));
+        assert_eq!(guide.status, 200);
+        guide.body
+    };
+    let boot = || {
+        let cfg = DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        };
+        Daemon::start("127.0.0.1:0", cfg).unwrap()
+    };
+
+    let clean = boot();
+    let want = guide_of(&clean, submit_job(clean.local_addr(), &job));
+    clean.stop();
+
+    let daemon = boot();
+    let addr = daemon.local_addr();
+    parallel::fail_next_helper_task();
+    let failed = submit_job(addr, &job);
+    let record = wait_state(addr, failed, "failed", Duration::from_secs(180));
+    let error = record.get("error").and_then(JsonValue::as_str);
+    assert_eq!(
+        error,
+        Some("worker panicked: injected helper-task fault"),
+        "{record:?}"
+    );
+    let got = guide_of(&daemon, submit_job(addr, &job));
+    assert!(
+        got == want,
+        "the job after the fault differs from a clean daemon's"
+    );
+    daemon.stop();
+    parallel::set_num_threads(0);
+}

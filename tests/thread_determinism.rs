@@ -1,22 +1,25 @@
 //! Thread-count invariance of the full route pipeline.
 //!
 //! The parallel front end (candidate fan-out, forest build, extraction
-//! rasters) writes results into index-ordered slots, and the training
-//! kernel fixes every reduction order by its index structure and runs on
-//! the calling thread, so `route` must produce byte-identical output at
-//! any worker count. This routes the golden-guide cases and one design
-//! large enough to cross `PAR_THRESHOLD` path-edges — the size at which
-//! the op tape this kernel replaced chunked its reductions by thread
-//! count, so that its losses differed in their last bits from the first
-//! iteration on and its guides on larger designs — at 1, 2, and 8
-//! threads, and asserts the renderings (and, for the large design, every
-//! retained loss) match each other and, for the golden cases, the
-//! committed golden files.
+//! rasters) writes results into index-ordered slots; the training kernel
+//! fixes every reduction order by its index structure, whichever thread
+//! runs which of its two lanes, and the noise a training run's helper
+//! draws an iteration ahead is the same stream in the same order. So
+//! `route` must produce byte-identical output at any worker count. This
+//! routes the golden-guide cases and one design large enough to engage
+//! the helper (`LANE_THRESHOLD` paths) — and to cross `PAR_THRESHOLD`
+//! path-edges, the size at which the op tape this kernel replaced chunked
+//! its reductions by thread count, so that its losses differed in their
+//! last bits from the first iteration on and its guides on larger
+//! designs — at 1, 2, and 8 threads, and asserts the renderings (and, for
+//! the large design, every retained loss) match each other and, for the
+//! golden cases, the committed golden files. A run cancelled in the
+//! middle of training must leave its thread as it found it.
 
 use std::path::PathBuf;
 
-use dgr::autodiff::parallel;
-use dgr::core::{DgrConfig, DgrRouter};
+use dgr::autodiff::parallel::{self, LANE_THRESHOLD};
+use dgr::core::{DgrConfig, DgrError, DgrRouter, RouteHooks};
 use dgr::grid::Design;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
 use dgr::post::{assign_layers, AssignConfig, RouteGuide};
@@ -94,19 +97,33 @@ fn route_output_is_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn a_design_above_the_parallel_threshold_routes_identically_at_any_thread_count() {
+/// 800 nets on 56 × 56 cells: enough paths for training to engage its
+/// helper.
+fn large_design() -> Design {
     let design = IspdLikeGenerator::new(IspdLikeConfig {
-        width: 48,
-        height: 48,
-        num_nets: 600,
+        width: 56,
+        height: 56,
+        num_nets: 800,
         ..IspdLikeConfig::default()
     })
     .generate()
     .expect("valid config");
+    let router = DgrRouter::new(DgrConfig::default());
+    let candidates = router.candidates(&design).expect("candidates");
+    let paths = router
+        .forest(&design, &candidates)
+        .expect("forest")
+        .num_paths();
+    assert!(paths >= LANE_THRESHOLD, "{paths} paths engage no helper");
+    design
+}
+
+#[test]
+fn a_design_above_the_parallel_threshold_routes_identically_at_any_thread_count() {
+    let design = large_design();
     let per_thread = at_each_thread_count(|| guide_and_losses(&design, 30, 0));
     let (_, (guide, losses)) = &per_thread[0];
-    assert!(guide.len() > 10_000, "a guide for 600 nets");
+    assert!(guide.len() > 10_000, "a guide for 800 nets");
     assert_eq!(losses.len(), 30);
     for (threads, (text, curve)) in &per_thread[1..] {
         assert!(
@@ -115,4 +132,63 @@ fn a_design_above_the_parallel_threshold_routes_identically_at_any_thread_count(
         );
         assert_eq!(curve, losses, "{threads}-thread losses diverged");
     }
+}
+
+/// A cancel raised in the middle of a training run that has its helper
+/// engaged ends the run as `Cancelled`, with the helper joined, and the
+/// next route on the same thread is what it would have been without it.
+#[test]
+fn a_route_cancelled_mid_training_leaves_its_thread_clean() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let design = large_design();
+    let _guard = EXEC_LOCK.lock().unwrap();
+    parallel::set_num_threads(2);
+    let before = guide_and_losses(&design, 30, 0);
+
+    // the run writes a demand snapshot per iteration to a file: a file
+    // that has grown is a training run under way
+    let path = std::env::temp_dir().join(format!("dgr_cancel_{}.jsonl", std::process::id()));
+    let cancel = Arc::new(AtomicBool::new(false));
+    let sink = dgr::obs::SnapshotSink::to_path(path.to_str().unwrap()).unwrap();
+    let mut hooks = RouteHooks {
+        snap: Some(dgr::core::SnapshotConfig { sink, every: 1 }),
+        cancel: Some(Arc::clone(&cancel)),
+        ..RouteHooks::default()
+    };
+    let watcher = std::thread::spawn({
+        let (cancel, path) = (Arc::clone(&cancel), path.clone());
+        move || {
+            while std::fs::metadata(&path).map_or(0, |m| m.len()) == 0 {
+                std::thread::yield_now();
+            }
+            cancel.store(true, Ordering::Relaxed);
+        }
+    });
+    let cfg = DgrConfig {
+        iterations: 1_000_000,
+        ..DgrConfig::default()
+    };
+    let cancelled = DgrRouter::new(cfg).route_with_hooks(&design, &mut hooks);
+    watcher.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(matches!(cancelled, Err(DgrError::Cancelled)));
+    // (the other tests that train something this large hold EXEC_LOCK)
+    assert_eq!(helper_threads(), 0, "the helper outlived its run");
+
+    let after = guide_and_losses(&design, 30, 0);
+    parallel::set_num_threads(0);
+    assert!(after == before, "the route after the cancelled one differs");
+}
+
+/// Live `dgr-helper` threads of this process.
+fn helper_threads() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0; // not Linux: nothing to count
+    };
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.trim() == "dgr-helper")
+        .count()
 }

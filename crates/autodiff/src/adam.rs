@@ -62,6 +62,18 @@ impl Adam {
         self.t
     }
 
+    /// Shrinks the optimizer to the parameters `keep` flags (one flag per
+    /// parameter, what [`crate::CostModel::prune`] returns): each keeps
+    /// its moments, and the step count is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are fewer flags than parameters.
+    pub fn retain(&mut self, keep: &[bool]) {
+        crate::cost::retain_flagged(&mut self.m, keep);
+        crate::cost::retain_flagged(&mut self.v, keep);
+    }
+
     /// Applies one Adam update to `params` from `grads`. A parameter whose
     /// gradient has always been zero is left bit-for-bit unchanged.
     ///
@@ -117,6 +129,33 @@ mod tests {
             adam.step(&mut w, &[0.0; 3]);
         }
         assert_eq!(w.map(f32::to_bits), before);
+    }
+
+    #[test]
+    fn retained_parameters_step_as_if_the_others_had_never_been_there() {
+        let grad = |step: usize, i: usize| ((step * 7 + i * 3) % 11) as f32 - 5.0;
+        let grads =
+            |step: usize, of: &[usize]| -> Vec<f32> { of.iter().map(|&i| grad(step, i)).collect() };
+        let all = [0, 1, 2, 3, 4, 5];
+        let kept = [1, 2, 5];
+        let mut w: Vec<f32> = all.iter().map(|&i| i as f32).collect();
+        let mut adam = Adam::new(w.len(), 0.1);
+        // the same three parameters, alone from the start
+        let mut w_alone: Vec<f32> = kept.iter().map(|&i| i as f32).collect();
+        let mut alone = Adam::new(kept.len(), 0.1);
+        for step in 0..5 {
+            adam.step(&mut w, &grads(step, &all));
+            alone.step(&mut w_alone, &grads(step, &kept));
+        }
+        adam.retain(&all.map(|i| kept.contains(&i)));
+        let mut w: Vec<f32> = kept.iter().map(|&i| w[i]).collect();
+        assert_eq!(adam.steps(), 5, "the bias correction carries on");
+        for step in 5..10 {
+            adam.step(&mut w, &grads(step, &kept));
+            alone.step(&mut w_alone, &grads(step, &kept));
+        }
+        let bits = |w: &[f32]| -> Vec<u32> { w.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&w), bits(&w_alone));
     }
 
     #[test]

@@ -43,11 +43,24 @@
 //! are `f64` sums of masses far apart in magnitude, whose result depends
 //! on their order, so they stay one loop in path order.
 //!
-//! # Constant groups
+//! # Constant and pruned groups
 //!
 //! A net with one tree or a sub-net with one path has probability exactly
 //! 1 whatever its logit: such groups are never exponentiated, draw no
 //! noise, and keep a zero gradient, so their logits never move.
+//!
+//! Annealing drives every group there. [`CostModel::prune`] takes the
+//! candidates whose probability has fallen under a threshold out of
+//! every table, in place, so that the passes above run over what is left
+//! — there is one kernel, over smaller tables, and no test for "alive"
+//! inside it; a group left with one candidate is a constant group like
+//! any other. What it guarantees: a pass of the pruned model is, bit for
+//! bit, the pass of the unpruned one with the dropped logits at `−∞`
+//! (the one approximation is the caller's decision to call a small
+//! probability zero), and [`CostModel::restore_layout`] hands the model
+//! back in the layout it was built with, the dropped candidates at
+//! probability exactly 0, for the code that reads it by the forest's
+//! indices.
 //!
 //! # Precision and determinism
 //!
@@ -131,7 +144,9 @@ pub struct CostTerms {
 /// ([`Self::sample_noise`], or [`NoiseRuns::fill`] into a second buffer
 /// that [`Self::swap_noise`] trades in), calls [`Self::forward`] and
 /// [`Self::backward`], and steps [`crate::Adam`] over
-/// [`Self::logits_and_grads`].
+/// [`Self::logits_and_grads`]. Between [`Self::prune`] and
+/// [`Self::restore_layout`] the counts and every slice are those of the
+/// candidates still alive.
 ///
 /// # Examples
 ///
@@ -196,6 +211,9 @@ pub struct CostModel {
     terms: CostTerms,
 
     cut: LaneCut,
+    /// Where the live candidates sit in the layout the model was built
+    /// with, once [`Self::prune`] has dropped some.
+    origin: Option<Origin>,
 
     // leaves, tree entries first, then path entries
     logits: Vec<f32>,
@@ -289,6 +307,63 @@ struct Lane {
     subnets: Range<usize>,
     first_tree: usize,
     first_path: usize,
+}
+
+/// What [`CostModel::restore_layout`] needs to undo every
+/// [`CostModel::prune`] since the model was built: the groupings it was
+/// built with, and which of their logits are live.
+#[derive(Debug, Clone)]
+struct Origin {
+    /// Whether each logit of the built layout is still alive.
+    alive: Vec<bool>,
+    net_trees: Segments,
+    subnet_tree: Vec<u32>,
+    subnet_paths: Segments,
+}
+
+/// Flags the candidates of one softmax group that [`CostModel::prune`]
+/// keeps: the most probable one, and every one at `below` or more.
+fn keep_group(group: Range<usize>, prob: &[f32], below: f32, keep: &mut [bool]) {
+    let Some(top) = group.clone().max_by(|&a, &b| prob[a].total_cmp(&prob[b])) else {
+        return;
+    };
+    for i in group {
+        keep[i] = i == top || prob[i] >= below;
+    }
+}
+
+/// Keeps the elements of `v` whose flag is set, in place and in order.
+pub(crate) fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("a flag per element"));
+}
+
+/// Keeps the groups whose flag is set, with their elements in `data`, in
+/// place and in order.
+fn retain_groups<T: Copy>(groups: &mut Segments, data: &mut Vec<T>, keep: &[bool]) {
+    let mut len = 0;
+    groups.retain(|g, elements| {
+        keep[g].then(|| {
+            data.copy_within(elements.clone(), len);
+            len += elements.len();
+            elements.len()
+        })
+    });
+    data.truncate(len);
+}
+
+/// Undoes [`retain_flagged`]: the elements of `v` move, in order, to the
+/// places `alive` flags, and `fill` takes every other place.
+fn spread<T: Copy>(v: &mut Vec<T>, alive: &[bool], fill: T) {
+    let mut from = v.len();
+    v.resize(alive.len(), fill);
+    for to in (0..alive.len()).rev().filter(|&to| alive[to]) {
+        from -= 1;
+        if to != from {
+            v[to] = v[from];
+            v[from] = fill;
+        }
+    }
 }
 
 /// The entries of the logit layout that draw noise — the maximal runs of
@@ -405,6 +480,7 @@ impl CostModel {
             width,
             height,
             cut: LaneCut::new(&net_trees, shape.subnet_tree, &subnet_paths),
+            origin: None,
             noise_runs: NoiseRuns::new(&net_trees, &subnet_paths),
             mass: vec![0.0; paths],
             net_trees,
@@ -603,6 +679,163 @@ impl CostModel {
             + self.cell_grad.len()
             + self.grad.len();
         4 * f32s + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
+    }
+
+    /// Drops the candidates annealing has decided against, and compacts
+    /// every table to the ones still alive.
+    ///
+    /// Takes `q` and `p` without noise at the current temperature. A tree
+    /// that is not the most probable of its net and has `q < below` goes,
+    /// with all its sub-nets and their paths; a path that is not the most
+    /// probable of its sub-net and has `p < below` goes. The index
+    /// tables, the leaves and the value and gradient buffers shrink in
+    /// place and keep their order, so the model is simply a smaller model:
+    /// [`Self::num_trees`], [`Self::num_paths`] and every slice accessor
+    /// follow the live layout until [`Self::restore_layout`]. The noise is
+    /// zeroed — it was drawn for the old layout — and a group left with
+    /// one candidate is a constant group from here on.
+    ///
+    /// Returns, per logit of the layout before the call, whether it stays
+    /// (for [`crate::Adam::retain`]), or `None` — and then changes nothing
+    /// but the values of `q` and `p` — when every candidate stays.
+    ///
+    /// Every pass after the call equals, bit for bit in loss, demand, seed
+    /// and each surviving gradient entry, the pass of the unpruned model
+    /// with the dropped logits at `−∞`: a probability of exactly 0 posts
+    /// nothing, adds nothing to a sum it is part of, and multiplies its
+    /// own gradient to 0. (One qualification: a group of eight or more
+    /// candidates sums its exponentials in [`kernels::softmax_in_place`]'s
+    /// eight stripes, which the survivors enter at other positions, so
+    /// for such a group "equal" means to the last ulp. No group of the
+    /// default L-shaped patterns and three-tree pools is that wide.)
+    pub fn prune(&mut self, below: f32) -> Option<Vec<bool>> {
+        self.probabilities();
+        let trees = self.num_trees();
+        let mut keep = vec![false; self.prob.len()];
+        let (q, p) = self.prob.split_at(trees);
+        let (keep_tree, keep_path) = keep.split_at_mut(trees);
+        for n in 0..self.net_trees.num_segments() {
+            keep_group(self.net_trees.segment(n), q, below, keep_tree);
+        }
+        for (s, &tree) in self.subnet_tree.iter().enumerate() {
+            if keep_tree[tree as usize] {
+                keep_group(self.subnet_paths.segment(s), p, below, keep_path);
+            }
+        }
+        if keep.iter().all(|&k| k) {
+            return None;
+        }
+
+        match &mut self.origin {
+            Some(origin) => {
+                let was_alive = origin.alive.iter_mut().filter(|alive| **alive);
+                was_alive.zip(&keep).for_each(|(alive, &k)| *alive = k);
+            }
+            None => {
+                self.origin = Some(Origin {
+                    alive: keep.clone(),
+                    net_trees: self.net_trees.clone(),
+                    subnet_tree: self.subnet_tree.clone(),
+                    subnet_paths: self.subnet_paths.clone(),
+                })
+            }
+        }
+
+        let (keep_tree, keep_path) = keep.split_at(trees);
+        let live = |flags: &[bool]| flags.iter().filter(|&&k| k).count();
+        // the number each surviving tree goes by from here on
+        let mut survivors = 0;
+        let new_tree: Vec<u32> = keep_tree
+            .iter()
+            .map(|&k| {
+                survivors += u32::from(k);
+                survivors - u32::from(k)
+            })
+            .collect();
+
+        retain_flagged(&mut self.logits, &keep);
+        retain_flagged(&mut self.path_wl, keep_path);
+        retain_flagged(&mut self.path_turns, keep_path);
+        retain_groups(&mut self.path_runs, &mut self.run_slots, keep_path);
+        retain_groups(&mut self.path_vias, &mut self.via_cells, keep_path);
+        let subnet_tree = &self.subnet_tree;
+        self.subnet_paths
+            .retain(|s, paths| keep_tree[subnet_tree[s] as usize].then(|| live(&keep_path[paths])));
+        self.subnet_tree.retain(|&t| keep_tree[t as usize]);
+        for t in &mut self.subnet_tree {
+            *t = new_tree[*t as usize];
+        }
+        self.net_trees
+            .retain(|_, trees| Some(live(&keep_tree[trees])));
+
+        // what a pass computes is rewritten by the next one; what it leaves
+        // alone — the noise, gradient and probability of a constant group —
+        // is what `new` sets
+        let (trees, paths) = (self.net_trees.len(), self.subnet_paths.len());
+        for (buffer, fill) in [
+            (&mut self.noise, 0.0),
+            (&mut self.grad, 0.0),
+            (&mut self.prob, 1.0),
+        ] {
+            buffer.truncate(trees + paths);
+            buffer.fill(fill);
+        }
+        self.mass.truncate(paths);
+        self.tree_mass_grad.truncate(trees);
+        self.recut();
+        Some(keep)
+    }
+
+    /// The lane cut and the noise runs of the groupings as they now are.
+    fn recut(&mut self) {
+        self.cut = LaneCut::new(&self.net_trees, &self.subnet_tree, &self.subnet_paths);
+        self.noise_runs = NoiseRuns::new(&self.net_trees, &self.subnet_paths);
+    }
+
+    /// Puts a pruned model back in the layout it was built with, for the
+    /// code that reads it by the forest's indices: every table and slice
+    /// has its first length again, the survivors hold their logits, noise,
+    /// probabilities and gradients, and a dropped candidate is a row with
+    /// no runs and no turn cells, a logit of `−∞` and a probability of
+    /// exactly 0 — which every later [`Self::probabilities`] or pass gives
+    /// it again. (The paths of a dropped tree come back level, at logit
+    /// 0: the tree's `q = 0` is what silences them, and a group of
+    /// nothing but `−∞` has no softmax.) Pruning is for good: the
+    /// geometry of a dropped path is not kept, so a finite logit written
+    /// over its `−∞` brings back a candidate that costs nothing. Does
+    /// nothing to a model that was never pruned.
+    pub fn restore_layout(&mut self) {
+        let Some(origin) = self.origin.take() else {
+            return;
+        };
+        let (trees, paths) = (origin.net_trees.len(), origin.subnet_paths.len());
+        let (tree_alive, path_alive) = origin.alive.split_at(trees);
+        spread(&mut self.logits, &origin.alive, f32::NEG_INFINITY);
+        for zero_elsewhere in [&mut self.noise, &mut self.prob, &mut self.grad] {
+            spread(zero_elsewhere, &origin.alive, 0.0);
+        }
+        // `q = 0` already weighs the sub-nets of a dropped tree at nothing;
+        // their paths restart level, so that each is still a distribution
+        // (and a lone path keeps the probability of a constant group)
+        for (s, &tree) in origin.subnet_tree.iter().enumerate() {
+            if !tree_alive[tree as usize] {
+                let group = origin.subnet_paths.segment(s);
+                let level = 1.0 / group.len() as f32;
+                self.logits[trees + group.start..trees + group.end].fill(0.0);
+                self.prob[trees + group.start..trees + group.end].fill(level);
+            }
+        }
+        spread(&mut self.path_wl, path_alive, 0.0);
+        spread(&mut self.path_turns, path_alive, 0.0);
+        let live_paths = (0..paths).filter(|&i| path_alive[i]);
+        self.path_runs.spread(live_paths.clone(), paths);
+        self.path_vias.spread(live_paths, paths);
+        self.mass.resize(paths, 0.0);
+        self.tree_mass_grad.resize(trees, 0.0);
+        self.net_trees = origin.net_trees;
+        self.subnet_tree = origin.subnet_tree;
+        self.subnet_paths = origin.subnet_paths;
+        self.recut();
     }
 
     /// A forward pass, returning `(loss, overflow, wirelength, via)`.
@@ -1227,6 +1460,245 @@ mod tests {
             checked += constants.len();
         }
         assert!(checked > 50, "only {checked} one-candidate groups");
+    }
+
+    /// The indices `keep` flags.
+    fn flagged(keep: Vec<bool>) -> Vec<u32> {
+        let indices = (0..).zip(keep).filter_map(|(i, k)| k.then_some(i));
+        indices.collect()
+    }
+
+    /// Everything a pass computes, as bits: the costs, every demand and
+    /// seed, and the gradient of the logits at `kept`.
+    fn pass_bits(model: &mut CostModel, kept: &[u32]) -> Vec<u32> {
+        model.forward();
+        model.backward();
+        let costs = [
+            model.loss,
+            model.wl_cost,
+            model.via_cost,
+            model.overflow_cost,
+        ];
+        let grad = kept.iter().map(|&k| model.grad[k as usize]);
+        let values = costs.into_iter().chain(model.demand.iter().copied());
+        let all = values.chain(model.seed.iter().copied()).chain(grad);
+        all.map(f32::to_bits).collect()
+    }
+
+    #[test]
+    fn pruned_kernel_equals_full_kernel_with_dead_logits_at_minus_infinity() {
+        let (mut nothing_to_drop, mut lone_trees, mut lone_paths) = (0, 0, 0);
+        for seed in 0..200 {
+            let problem = Problem::random(seed);
+            let mut full = problem.model(terms(Activation::ALL[seed as usize % 5]), seed);
+            let mut pruned = full.clone();
+            let everything: Vec<u32> = (0..full.logits.len() as u32).collect();
+            // the first threshold of each pair is out of reach at these
+            // logits, the second takes all but the winners
+            let [first, second] = [[0.0, 0.3], [0.2, 0.4], [0.3, 1.0]][seed as usize % 3];
+
+            let Some(kept) = pruned.prune(first).map(flagged) else {
+                pruned.noise.copy_from_slice(&full.noise);
+                assert_eq!(pruned.logits, full.logits, "seed {seed}");
+                assert_eq!(
+                    pass_bits(&mut pruned, &everything),
+                    pass_bits(&mut full, &everything),
+                    "seed {seed}: a prune that drops nothing changed a pass"
+                );
+                nothing_to_drop += 1;
+                continue;
+            };
+            assert!(kept.len() < everything.len() && kept.windows(2).all(|w| w[0] < w[1]));
+            let mut live = kept.clone();
+            for round in 0..2 {
+                // what was dropped is at −∞ in the full model, and the
+                // survivors hear the same noise in both
+                let mut logits = vec![f32::NEG_INFINITY; everything.len()];
+                // (the paths of a dropped tree are silenced by its `q`)
+                let trees = full.num_trees();
+                for (s, &tree) in problem.subnet_tree.iter().enumerate() {
+                    if !live.contains(&tree) {
+                        let group = full.subnet_paths.segment(s);
+                        logits[trees + group.start..trees + group.end].fill(0.0);
+                    }
+                }
+                for (j, &k) in live.iter().enumerate() {
+                    logits[k as usize] = pruned.logits[j];
+                    pruned.noise[j] = full.noise[k as usize];
+                }
+                full.logits = logits;
+                let here: Vec<u32> = (0..live.len() as u32).collect();
+                assert_eq!(
+                    pass_bits(&mut pruned, &here),
+                    pass_bits(&mut full, &live),
+                    "seed {seed} round {round}"
+                );
+                let lone = |groups: &Segments| {
+                    let lens = (0..groups.num_segments()).map(|g| groups.segment(g).len());
+                    lens.filter(|&len| len == 1).count()
+                };
+                lone_trees += lone(&pruned.net_trees);
+                lone_paths += lone(&pruned.subnet_paths);
+                if round == 0 {
+                    // a second prune composes with the first
+                    match pruned.prune(second).map(flagged) {
+                        Some(kept) => live = kept.iter().map(|&j| live[j as usize]).collect(),
+                        None => break,
+                    }
+                }
+            }
+
+            // back in the first layout the pruned model *is* the full one
+            // (a pass first: a prune that drops nothing still rewrites p)
+            pruned.forward();
+            pruned.restore_layout();
+            assert_eq!(
+                pruned.lanes(),
+                problem.model(terms(Activation::Relu), 0).lanes()
+            );
+            let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pruned.logits), bits(&full.logits), "seed {seed}");
+            // the survivors as the last pass left them, nothing for the
+            // rest, and level odds under a dropped tree
+            let mut noise = vec![0.0; everything.len()];
+            let mut prob = vec![0.0; everything.len()];
+            for &k in &live {
+                noise[k as usize] = full.noise[k as usize];
+                prob[k as usize] = full.prob[k as usize];
+            }
+            let trees = full.num_trees();
+            for (s, &tree) in problem.subnet_tree.iter().enumerate() {
+                if !live.contains(&tree) {
+                    let group = full.subnet_paths.segment(s);
+                    let level = 1.0 / group.len() as f32;
+                    prob[trees + group.start..trees + group.end].fill(level);
+                }
+            }
+            assert_eq!(bits(&pruned.noise), bits(&noise), "seed {seed}");
+            assert_eq!(bits(&pruned.prob), bits(&prob), "seed {seed}");
+            assert_eq!(
+                pass_bits(&mut pruned, &live),
+                pass_bits(&mut full, &live),
+                "seed {seed}: restored"
+            );
+            // the read-out gives every dropped candidate a weight of zero
+            full.probabilities();
+            pruned.probabilities();
+            assert_eq!(bits(&pruned.prob), bits(&full.prob), "seed {seed}");
+            let (q, p) = (pruned.q(), pruned.p());
+            for (s, &tree) in problem.subnet_tree.iter().enumerate() {
+                for i in pruned.subnet_paths.segment(s) {
+                    let lives = live.contains(&((q.len() + i) as u32));
+                    assert_eq!(
+                        q[tree as usize] * p[i] == 0.0,
+                        !lives,
+                        "seed {seed} path {i}"
+                    );
+                }
+            }
+            for i in (0..everything.len()).filter(|&i| !live.contains(&(i as u32))) {
+                assert_eq!(pruned.grad[i], 0.0, "seed {seed} entry {i}");
+                assert!(i >= q.len() || q[i] == 0.0, "seed {seed} tree {i}");
+            }
+        }
+        assert!(
+            nothing_to_drop > 10,
+            "{nothing_to_drop} prunes dropped nothing"
+        );
+        assert!(
+            lone_trees > 100 && lone_paths > 100,
+            "{lone_trees} {lone_paths}"
+        );
+    }
+
+    #[test]
+    fn a_net_keeps_its_best_tree_and_a_dropped_tree_takes_its_sub_nets() {
+        // one net of two trees on a 3 × 1 row: tree 0 has two one-path
+        // sub-nets, tree 1 one sub-net with two paths
+        let shape = CostShape {
+            width: 3,
+            height: 1,
+            net_tree_offsets: &[0, 2],
+            subnet_tree: &[0, 0, 1],
+            subnet_path_offsets: &[0, 1, 2, 4],
+            path_wl: &[1.0, 1.0, 2.0, 2.0],
+            path_turns: &[0.0; 4],
+            path_run_offsets: &[0, 1, 2, 3, 4],
+            path_runs: &[(0, 1), (1, 2), (0, 2), (0, 2)],
+            path_via_offsets: &[0; 5],
+            path_via_cells: &[],
+            capacity: &[1.0; 2],
+            beta: &[0.0; 3],
+        };
+        let build = |tree: [f32; 2]| {
+            let logits = tree.into_iter().chain([0.0, 0.0, 6.0, -6.0]).collect();
+            CostModel::new(&shape, terms(Activation::Relu), logits).unwrap()
+        };
+        // tree 1 wins: tree 0 goes with both its sub-nets, and the loser
+        // of tree 1's two paths goes too
+        let mut model = build([-20.0, 0.0]);
+        assert_eq!(model.prune(1e-4).map(flagged), Some(vec![1, 4]));
+        assert_eq!((model.num_trees(), model.num_paths()), (1, 1));
+        assert_eq!(model.subnet_tree, [0]);
+        assert_eq!(model.run_slots, [[0, 2]]);
+        assert_eq!(model.prune(1e-4), None, "nothing left to drop");
+        model.restore_layout();
+        assert_eq!(model.tree_logits(), &[f32::NEG_INFINITY, 0.0]);
+        assert_eq!(model.path_logits(), &[0.0, 0.0, 6.0, f32::NEG_INFINITY]);
+        assert_eq!(model.subnet_tree, [0, 0, 1]);
+
+        // tree 0 wins: tree 1's paths go whatever their own odds
+        let mut model = build([0.0, -20.0]);
+        assert_eq!(model.prune(1e-4).map(flagged), Some(vec![0, 2, 3]));
+        assert_eq!(model.subnet_tree, [0, 0]);
+        assert_eq!(model.path_runs.offsets(), &[0, 1, 2]);
+
+        // a threshold above every probability still keeps each winner
+        let mut model = build([0.0, 0.1]);
+        assert_eq!(model.prune(2.0).map(flagged), Some(vec![1, 4]));
+    }
+
+    #[test]
+    fn a_group_of_eight_or_more_matches_its_pruned_self_to_rounding() {
+        // one sub-net of twelve paths over the one edge of a 2 × 1 grid;
+        // every other one is far behind
+        let paths = 12;
+        let shape = CostShape {
+            width: 2,
+            height: 1,
+            net_tree_offsets: &[0, 1],
+            subnet_tree: &[0],
+            subnet_path_offsets: &[0, paths as u32],
+            path_wl: &(0..paths).map(|i| 1.0 + i as f32).collect::<Vec<_>>(),
+            path_turns: &vec![0.0; paths],
+            path_run_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
+            path_runs: &vec![(0, 1); paths],
+            path_via_offsets: &vec![0; paths + 1],
+            path_via_cells: &[],
+            capacity: &[0.5],
+            beta: &[0.0; 2],
+        };
+        let logits: Vec<f32> = (0..=paths)
+            .map(|i| if i % 2 == 0 { 0.1 * i as f32 } else { -30.0 })
+            .collect();
+        let mut full = CostModel::new(&shape, terms(Activation::Sigmoid), logits).unwrap();
+        let mut pruned = full.clone();
+        let kept = flagged(pruned.prune(1e-4).expect("six paths far behind"));
+        assert_eq!(kept.len(), 1 + paths / 2);
+        for (i, w) in full.logits.iter_mut().enumerate() {
+            if !kept.contains(&(i as u32)) {
+                *w = f32::NEG_INFINITY;
+            }
+        }
+        full.forward();
+        full.backward();
+        pruned.forward();
+        pruned.backward();
+        assert!(close(f64::from(pruned.loss), f64::from(full.loss), 1e-6));
+        for (j, &k) in kept.iter().enumerate() {
+            let (got, want) = (pruned.grad[j], full.grad[k as usize]);
+            assert!(close(f64::from(got), f64::from(want), 1e-6), "{got} {want}");
+        }
     }
 
     #[test]

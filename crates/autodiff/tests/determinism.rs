@@ -6,7 +6,8 @@
 //!   **bit-identical at any thread count** and to the loop run inline —
 //!   the kernel fixes every reduction order by its index structure, its
 //!   two lanes share no element, and the noise drawn an iteration ahead
-//!   is the same stream in the same order;
+//!   is the same stream in the same order — across prunes, each of which
+//!   equals sending the dropped logits to −∞;
 //! * the lanes are cut at a net boundary;
 //! * the pool's pure maps are bit-identical at any thread count and on
 //!   both sides of the `PAR_THRESHOLD` sequential/parallel boundary;
@@ -14,6 +15,7 @@
 
 use std::sync::Mutex;
 
+use dgr_autodiff::cost::NoiseRuns;
 use dgr_autodiff::parallel::{self, par_map_mut, LANE_THRESHOLD, PAR_THRESHOLD};
 use dgr_autodiff::{Activation, Adam, CostModel, CostShape, CostTerms};
 use proptest::prelude::*;
@@ -73,29 +75,47 @@ fn model(subnets: usize, side: usize, rng: &mut StdRng) -> CostModel {
 }
 
 /// Everything a training loop leaves behind, as bits: each iteration's
-/// loss, the last gradient, the final logits, and the RNG's next draw.
-type Trace = (Vec<u32>, Vec<u32>, Vec<u32>, u64);
+/// loss, the last gradient, the final logits, and the RNG's next draw —
+/// and the logits each prune left alive.
+type Trace = (Vec<u32>, Vec<u32>, Vec<u32>, u64, Vec<usize>);
 
-fn trace(model: &CostModel, losses: Vec<u32>, rng: &mut StdRng) -> Trace {
+fn trace(model: &mut CostModel, losses: Vec<u32>, live: Vec<usize>, rng: &mut StdRng) -> Trace {
+    model.restore_layout();
     let bits = |a: &[f32], b: &[f32]| a.iter().chain(b).map(|v| v.to_bits()).collect();
     (
         losses,
         bits(model.tree_grad(), model.path_grad()),
         bits(model.tree_logits(), model.path_logits()),
         rng.next_u64(),
+        live,
     )
 }
 
-const ITERATIONS: usize = 5;
+const ITERATIONS: usize = 8;
 
-/// The loop as it was before there were lanes: noise, forward, backward
-/// and the step, one after another on this thread.
+/// The iterations that begin with a prune, as `dgr_core::train`'s
+/// temperature steps do.
+const STEPS: [usize; 2] = [2, 5];
+
+/// Far above the router's threshold: these logits start two apart at
+/// most and get eight iterations.
+const BELOW: f32 = 0.25;
+
+/// The loop as it was before there were lanes: the prune of a step,
+/// noise, forward, backward and the update, one after another on this
+/// thread.
 fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model = model(subnets, side, &mut rng);
     let mut adam = Adam::new(model.num_trees() + model.num_paths(), 0.3);
-    let mut losses = Vec::new();
-    for _ in 0..ITERATIONS {
+    let (mut losses, mut live) = (Vec::new(), Vec::new());
+    for it in 0..ITERATIONS {
+        if STEPS.contains(&it) {
+            if let Some(keep) = model.prune(BELOW) {
+                adam.retain(&keep);
+                live.push(model.num_trees() + model.num_paths());
+            }
+        }
         model.sample_noise(&mut rng);
         model.forward();
         model.backward();
@@ -103,35 +123,47 @@ fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
         let (w, g) = model.logits_and_grads();
         adam.step(w, g);
     }
-    trace(&model, losses, &mut rng)
+    trace(&mut model, losses, live, &mut rng)
 }
 
 /// The loop of `dgr_core::train`: a helper engaged at `threads`, each
-/// iteration's noise drawn during the one before on a copy of the RNG.
+/// iteration's noise drawn during the one before on a copy of the RNG —
+/// but for a step's, whose layout the step decides.
 fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace {
     parallel::set_num_threads(threads);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model = model(subnets, side, &mut rng);
     let mut adam = Adam::new(model.num_trees() + model.num_paths(), 0.3);
-    let mut losses = Vec::new();
+    let (mut losses, mut live) = (Vec::new(), Vec::new());
     {
         let _helper = parallel::Helper::engage();
-        let runs = model.noise_runs();
-        let draw = |mut rng: StdRng, mut noise: Vec<f32>| {
-            let runs = runs.clone();
+        let draw = |runs: NoiseRuns, mut rng: StdRng, mut noise: Vec<f32>| {
             parallel::ahead("noise_ahead", move || {
                 runs.fill(&mut rng, &mut noise);
                 (rng, noise)
             })
         };
-        let spare = vec![0.0; model.num_trees() + model.num_paths()];
-        let mut ahead = Some(draw(rng.clone(), spare));
+        let mut spare = vec![0.0; model.num_trees() + model.num_paths()];
+        let mut ahead = None;
         for it in 0..ITERATIONS {
-            let (after, mut noise) = ahead.take().expect("drawn ahead").finish();
+            if STEPS.contains(&it) {
+                if let Some(keep) = model.prune(BELOW) {
+                    adam.retain(&keep);
+                    live.push(model.num_trees() + model.num_paths());
+                    spare.truncate(model.num_trees() + model.num_paths());
+                    spare.fill(0.0);
+                }
+            }
+            let drawn = ahead.take().unwrap_or_else(|| {
+                draw(model.noise_runs(), rng.clone(), std::mem::take(&mut spare))
+            });
+            let (after, mut noise) = drawn.finish();
             rng = after;
             model.swap_noise(&mut noise);
-            if it + 1 < ITERATIONS {
-                ahead = Some(draw(rng.clone(), noise));
+            if it + 1 < ITERATIONS && !STEPS.contains(&(it + 1)) {
+                ahead = Some(draw(model.noise_runs(), rng.clone(), noise));
+            } else {
+                spare = noise;
             }
             model.forward();
             model.backward();
@@ -141,7 +173,62 @@ fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace 
         }
     }
     parallel::set_num_threads(0);
-    trace(&model, losses, &mut rng)
+    trace(&mut model, losses, live, &mut rng)
+}
+
+/// One pass of a pruned model and of the unpruned one with the dropped
+/// logits at −∞, both under a helper at `threads`: the costs, every
+/// demand, and the gradient of each surviving logit, as bits.
+fn pruned_and_full_pass(subnets: usize, side: usize, seed: u64, threads: usize) -> [Vec<u32>; 2] {
+    parallel::set_num_threads(threads);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut full = model(subnets, side, &mut rng);
+    let mut pruned = full.clone();
+    let keep = pruned.prune(BELOW).expect("logits two apart");
+    let kept: Vec<u32> = (0..)
+        .zip(&keep)
+        .filter_map(|(i, &k)| k.then_some(i))
+        .collect();
+    let trees = full.num_trees();
+    // the survivors hear the same noise in both; a dropped tree's `q = 0`
+    // silences its paths, whose own logits stay
+    let mut noise = vec![0.0; trees + full.num_paths()];
+    full.noise_runs().fill(&mut rng, &mut noise);
+    let mut noise_kept: Vec<f32> = kept.iter().map(|&k| noise[k as usize]).collect();
+    let mut logits = vec![f32::NEG_INFINITY; noise.len()];
+    logits[trees..].copy_from_slice(full.path_logits());
+    for s in (0..subnets).filter(|s| keep[s / 3]) {
+        logits[trees + 2 * s..trees + 2 * s + 2].fill(f32::NEG_INFINITY);
+    }
+    let live = pruned.tree_logits().iter().chain(pruned.path_logits());
+    for (&k, &w) in kept.iter().zip(live) {
+        logits[k as usize] = w;
+    }
+    full.set_logits(&logits[..trees], &logits[trees..]);
+    full.swap_noise(&mut noise);
+    pruned.swap_noise(&mut noise_kept);
+
+    let _helper = parallel::Helper::engage();
+    let pass = |model: &mut CostModel, kept: &mut dyn Iterator<Item = usize>| -> Vec<u32> {
+        model.forward();
+        model.backward();
+        let costs = [
+            model.loss(),
+            model.wl_cost(),
+            model.via_cost(),
+            model.overflow_cost(),
+        ];
+        let grad: Vec<f32> = [model.tree_grad(), model.path_grad()].concat();
+        let values = costs.into_iter().chain(model.demand().iter().copied());
+        let all = values.chain(kept.map(|k| grad[k]));
+        all.map(f32::to_bits).collect()
+    };
+    let passes = [
+        pass(&mut pruned, &mut (0..kept.len())),
+        pass(&mut full, &mut kept.iter().map(|&k| k as usize)),
+    ];
+    parallel::set_num_threads(0);
+    passes
 }
 
 proptest! {
@@ -158,8 +245,11 @@ proptest! {
         let _guard = THREADS_LOCK.lock().unwrap();
         let inline = inline_loop(subnets, side, seed);
         prop_assert!(inline.0.iter().all(|&l| f32::from_bits(l).is_finite()));
+        prop_assert!(!inline.4.is_empty(), "no step dropped anything");
         for threads in [1, 2, 8] {
             prop_assert_eq!(&helped_loop(subnets, side, seed, threads), &inline);
+            let [pruned, full] = pruned_and_full_pass(subnets, side, seed, threads);
+            prop_assert_eq!(pruned, full, "{} threads", threads);
         }
     }
 

@@ -13,17 +13,31 @@
 //! is the bit pattern of `sample_noise → forward → backward → step` run
 //! inline.
 //!
+//! At every step of the temperature schedule (`it > 0`, a multiple of
+//! `temperature_interval`) the loop first has the kernel drop the
+//! candidates whose noise-free probability at the new temperature is
+//! under [`PRUNE_BELOW`] ([`CostModel::prune`]) and shrinks Adam's
+//! moments with it: the iterations after it run over the candidates
+//! still alive. Noise belongs to a layout, so the iteration before a
+//! step offers no draw ahead and the step draws after it has compacted —
+//! the same RNG stream whichever thread draws. On the way out the model
+//! is put back in the forest's layout ([`CostModel::restore_layout`]),
+//! which is how extraction and the warm start read it. A run shorter
+//! than one `temperature_interval` never reaches a step.
+//!
 //! The loop is instrumented through `dgr-obs` (see [`RouteHooks`]):
-//! per-iteration `forward`/`backward`/`adam` spans when the global
-//! observability switch is on, per-iteration JSONL telemetry rows when a
-//! [`TelemetrySink`](dgr_obs::TelemetrySink) is attached, and a throttled
-//! stderr progress line when a [`ProgressConfig`] is attached. With no
+//! per-iteration `forward`/`backward`/`adam` spans (and a `prune` span per
+//! step) when the global observability switch is on, per-iteration JSONL
+//! telemetry rows when a [`TelemetrySink`](dgr_obs::TelemetrySink) is
+//! attached, and a throttled stderr progress line when a
+//! [`ProgressConfig`] is attached. With no
 //! hooks and observability off, the loop is byte-for-byte the
 //! uninstrumented hot path plus one relaxed atomic load per iteration
 //! phase.
 
 use std::time::{Duration, Instant};
 
+use dgr_autodiff::cost::NoiseRuns;
 use dgr_autodiff::parallel::{self, LANE_THRESHOLD};
 use dgr_autodiff::Adam;
 use dgr_grid::Design;
@@ -37,6 +51,25 @@ use crate::RouteHooks;
 
 /// Maximum number of [`CurvePoint`]s retained in a [`TrainReport`].
 pub const CURVE_POINTS: usize = 256;
+
+/// The probability under which a temperature step drops a candidate that
+/// is not the most probable of its group ([`CostModel::prune`]).
+///
+/// Measured on the benchmark's 1 000-iteration congested design (18 170
+/// logits; `dgr route` wall time, median of six interleaved runs, 549 ms
+/// with no step dropping anything): 10⁻² 282 ms, 10⁻³ 291, **10⁻⁴ 298**,
+/// 10⁻⁵ 340, 10⁻⁶ 362, 10⁻⁸ 440, each leaving 6 087 – 6 689 logits alive
+/// and a `cost_score` within −0.43 … −0.02 % of the unpruned run's. What
+/// the threshold trades is how early a group is closed: in an unpruned run
+/// of that design 49 of the 12 055 candidates that are ever under 10⁻⁴ at
+/// a step end as the winner of their group (122 of 12 148 at 10⁻³, 7 of
+/// 11 933 at 10⁻⁶), and on `ispd18_5m` the *soft* loss ends 0.0 / 1.9 /
+/// 4.2 / 6.7 / 9.7 % above the unpruned run's at 10⁻⁸ / 10⁻⁶ / 10⁻⁵ /
+/// 10⁻⁴ / 10⁻² while the extracted cost stays inside its seed-to-seed
+/// spread (EXPERIMENTS.md, "The live set"). Extraction's rip-up rounds
+/// re-pick over every path of the chosen tree from the forest, dropped
+/// ones included.
+pub const PRUNE_BELOW: f32 = 1e-4;
 
 /// How often the training loop re-reads the process RSS for telemetry
 /// (`/proc` reads are microseconds — cheap, but not per-iteration cheap).
@@ -77,9 +110,14 @@ pub struct TrainReport {
     /// Wall-clock time the calling thread spent in backward passes across
     /// all iterations, waiting for the helper's lane included.
     pub backward_time: Duration,
-    /// Bytes held by the kernel's value and gradient buffers — the "GPU
-    /// memory" analogue reported in the Fig. 5b reproduction.
+    /// Most bytes the kernel's value and gradient buffers held during the
+    /// run (they shrink at every temperature step that drops candidates)
+    /// — the "GPU memory" analogue reported in the Fig. 5b reproduction.
     pub graph_bytes: usize,
+    /// `(iteration, trees, paths)` alive: the forest's at iteration 0,
+    /// then what each temperature step that dropped candidates left, in
+    /// order. The iteration is not offset.
+    pub live: Vec<(usize, usize, usize)>,
 }
 
 /// Throttled stderr progress reporting for long `dgr route` runs.
@@ -106,8 +144,9 @@ impl Default for ProgressConfig {
 ///
 /// Every iteration: set the temperature from the annealing schedule,
 /// take fresh Gumbel noise (if enabled; drawn while the iteration before
-/// ran, see the module docs), forward, backward, Adam step. The kernel is
-/// never rebuilt.
+/// ran, see the module docs), forward, backward, Adam step. At every
+/// temperature step the kernel first drops the candidates under
+/// [`PRUNE_BELOW`]; it is back in the forest's layout on return.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
     train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0, None)
 }
@@ -153,7 +192,7 @@ fn train_loop(
     let _train_span = dgr_obs::span("train", "train");
     dgr_obs::status_phase("train");
     let start = Instant::now();
-    let mut adam = Adam::new(model.num_trees() + model.num_paths(), cfg.learning_rate);
+    let mut adam = Adam::new(num_logits(model), cfg.learning_rate);
     let mut loss_history = Vec::new();
     let mut curve = Vec::new();
     let mut iterations = 0;
@@ -167,19 +206,23 @@ fn train_loop(
 
     // dropped (joined) on every way out of this function, unwinding included
     let _helper = (model.num_paths() >= LANE_THRESHOLD).then(parallel::Helper::engage);
-    let noise_runs = model.noise_runs();
     // the draw for the iteration about to run: the RNG after it, and the
     // noise in a buffer of the model's layout (zeros where nothing draws)
-    let draw = |mut rng: StdRng, mut noise: Vec<f32>| {
-        let noise_runs = noise_runs.clone();
+    let draw = |noise_runs: NoiseRuns, mut rng: StdRng, mut noise: Vec<f32>| {
         parallel::ahead("noise_ahead", move || {
             noise_runs.fill(&mut rng, &mut noise);
             (rng, noise)
         })
     };
-    let logits = model.num_trees() + model.num_paths();
-    let mut noise_ahead =
-        (cfg.gumbel_noise && cfg.iterations > 0).then(|| draw(rng.clone(), vec![0.0; logits]));
+    let mut noise_ahead = None;
+    // the buffer the next draw fills, while no draw is out
+    let mut spare_noise = match cfg.gumbel_noise {
+        true => vec![0.0; num_logits(model)],
+        false => Vec::new(),
+    };
+    let graph_bytes = model.bytes();
+    let mut live = vec![(0, model.num_trees(), model.num_paths())];
+    let is_step = |it: usize| it > 0 && it.is_multiple_of(cfg.temperature_interval);
 
     for it in 0..cfg.iterations {
         if hooks.is_cancelled() {
@@ -187,12 +230,32 @@ fn train_loop(
         }
         let temp = cfg.temperature_at(it);
         model.set_temperature(temp);
-        if let Some(ahead) = noise_ahead.take() {
+        if is_step(it) {
+            let _s = dgr_obs::span("train", "prune");
+            if let Some(keep) = model.prune(PRUNE_BELOW) {
+                adam.retain(&keep);
+                spare_noise.truncate(num_logits(model));
+                spare_noise.fill(0.0);
+                live.push((it, model.num_trees(), model.num_paths()));
+            }
+        }
+        if cfg.gumbel_noise {
+            // drawn while the iteration before ran, unless this is the
+            // first iteration or a step, whose layout was not known then
+            let ahead = noise_ahead.take().unwrap_or_else(|| {
+                draw(
+                    model.noise_runs(),
+                    rng.clone(),
+                    std::mem::take(&mut spare_noise),
+                )
+            });
             let (rng_after, mut noise) = ahead.finish();
             *rng = rng_after;
             model.swap_noise(&mut noise);
-            if it + 1 < cfg.iterations {
-                noise_ahead = Some(draw(rng.clone(), noise));
+            if it + 1 < cfg.iterations && !is_step(it + 1) {
+                noise_ahead = Some(draw(model.noise_runs(), rng.clone(), noise));
+            } else {
+                spare_noise = noise;
             }
         }
         let fwd_start = Instant::now();
@@ -290,6 +353,9 @@ fn train_loop(
     if let Some(snap) = hooks.snap.as_mut() {
         snap.sink.flush();
     }
+    // extraction, the warm start and every other reader index the model
+    // by the forest
+    model.restore_layout();
 
     TrainReport {
         iterations,
@@ -300,8 +366,14 @@ fn train_loop(
         duration: start.elapsed(),
         forward_time,
         backward_time,
-        graph_bytes: model.bytes(),
+        graph_bytes,
+        live,
     }
+}
+
+/// One logit per tree and per path.
+fn num_logits(model: &CostModel) -> usize {
+    model.num_trees() + model.num_paths()
 }
 
 #[cfg(test)]
@@ -419,7 +491,9 @@ mod tests {
     }
 
     /// `nets` random two- to four-pin nets on a 40 × 40 grid with the
-    /// default candidates and patterns, and a 12-iteration config.
+    /// default candidates and patterns, and a 12-iteration config whose
+    /// temperature steps every 4 iterations from low enough that each
+    /// step finds candidates under [`PRUNE_BELOW`].
     fn random_problem(nets: usize) -> (Design, dgr_dag::DagForest, DgrConfig) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(nets as u64);
@@ -436,6 +510,8 @@ mod tests {
         let design = Design::new(grid, cap, nets, 5).unwrap();
         let cfg = DgrConfig {
             iterations: 12,
+            initial_temperature: 0.05,
+            temperature_interval: 4,
             ..DgrConfig::default()
         };
         let pools: Vec<_> = design
@@ -455,18 +531,24 @@ mod tests {
         (logits.map(|w| w.to_bits()).collect(), rng.next_u64())
     }
 
-    /// The loop as it was before the helper: `iterations` of noise,
-    /// forward, backward and the step, inline. Returns the losses too.
+    /// The loop as it was before the helper: `iterations` of the step's
+    /// prune, noise, forward, backward and the update, inline. Returns
+    /// the losses too.
     fn inline_loop(
         model: &mut CostModel,
         cfg: &DgrConfig,
         rng: &mut StdRng,
         iterations: usize,
     ) -> Vec<u32> {
-        let mut adam = Adam::new(model.num_trees() + model.num_paths(), cfg.learning_rate);
+        let mut adam = Adam::new(num_logits(model), cfg.learning_rate);
         let mut losses = Vec::new();
         for it in 0..iterations {
             model.set_temperature(cfg.temperature_at(it));
+            if it > 0 && it.is_multiple_of(cfg.temperature_interval) {
+                if let Some(keep) = model.prune(PRUNE_BELOW) {
+                    adam.retain(&keep);
+                }
+            }
             model.sample_noise(rng);
             model.forward();
             losses.push(model.loss().to_bits());
@@ -474,6 +556,7 @@ mod tests {
             let (w, g) = model.logits_and_grads();
             adam.step(w, g);
         }
+        model.restore_layout();
         losses
     }
 
@@ -504,6 +587,15 @@ mod tests {
                 parallel::set_num_threads(0);
                 let curve: Vec<u32> = report.curve.iter().map(|p| p.loss.to_bits()).collect();
                 assert_eq!(curve, losses, "{nets} nets, {threads} threads");
+                let (steps, logits): (Vec<_>, Vec<_>) =
+                    report.live.iter().map(|&(it, t, p)| (it, t + p)).unzip();
+                assert_eq!(
+                    steps,
+                    [0, 4, 8],
+                    "{nets} nets: both steps dropped candidates"
+                );
+                assert!(logits[2] < logits[1] && logits[1] < logits[0]);
+                assert_eq!(logits[0], num_logits(&model));
                 assert!(
                     residue(&model, &mut rng) == want,
                     "{nets} nets, {threads} threads: logits or RNG state differ"
@@ -512,10 +604,63 @@ mod tests {
         }
     }
 
-    /// A cancel raised while the helper holds the next iteration's noise
-    /// draw: the report counts the iterations that ran, and the RNG comes
-    /// back as the inline loop leaves it after that many — the draw for
-    /// the iteration that never ran shows nowhere.
+    #[test]
+    fn after_training_the_model_is_back_in_the_forest_layout() {
+        let (design, forest, cfg) = random_problem(200);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        let report = train(&mut model, &cfg, &mut rng);
+        assert!(report.live.len() > 1, "steps that dropped candidates");
+        let &(_, live_trees, live_paths) = report.live.last().unwrap();
+        assert_eq!(
+            (model.num_trees(), model.num_paths()),
+            (forest.num_trees(), forest.num_paths())
+        );
+        assert_eq!(
+            report.graph_bytes,
+            model.bytes(),
+            "the peak is the forest's"
+        );
+
+        let dropped =
+            |w: &[f32]| -> Vec<bool> { w.iter().map(|&w| w == f32::NEG_INFINITY).collect() };
+        let (tree_gone, path_gone) = (dropped(model.tree_logits()), dropped(model.path_logits()));
+        let dropped_tree = |t: usize| tree_gone[t];
+        let dropped_path = |i: usize| tree_gone[forest.tree_of_path(i)] || path_gone[i];
+        let count =
+            |n: usize, dropped: &dyn Fn(usize) -> bool| (0..n).filter(|&i| !dropped(i)).count();
+        assert_eq!(count(forest.num_trees(), &dropped_tree), live_trees);
+        assert_eq!(count(forest.num_paths(), &dropped_path), live_paths);
+
+        // as the last iteration left it, and as extraction reads it
+        for read_out in [false, true] {
+            if read_out {
+                model.probabilities();
+            }
+            let (q, p) = (model.q(), model.p());
+            let sums_to_one = |group: std::ops::Range<usize>, prob: &[f32]| {
+                (prob[group].iter().sum::<f32>() - 1.0).abs() < 1e-5
+            };
+            for t in (0..forest.num_trees()).filter(|&t| dropped_tree(t)) {
+                assert_eq!(q[t], 0.0, "tree {t}");
+            }
+            for i in (0..forest.num_paths()).filter(|&i| dropped_path(i)) {
+                assert_eq!(q[forest.tree_of_path(i)] * p[i], 0.0, "path {i}");
+            }
+            for n in 0..forest.num_nets() {
+                assert!(sums_to_one(forest.trees_of_net(n), q), "net {n}");
+            }
+            for s in 0..forest.num_subnets() {
+                assert!(sums_to_one(forest.paths_of_subnet(s), p), "sub-net {s}");
+            }
+        }
+    }
+
+    /// A cancel raised, after a temperature step has shrunk the kernel,
+    /// while the helper holds the next iteration's noise draw: the report
+    /// counts the iterations that ran, and the RNG comes back as the
+    /// inline loop leaves it after that many — the draw for the iteration
+    /// that never ran shows nowhere.
     #[test]
     fn a_cancel_mid_run_reports_what_ran_and_hides_the_draw_ahead() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -526,7 +671,7 @@ mod tests {
         cfg.iterations = 1_000_000; // the cancel ends the run, nothing else
         let cancel = Arc::new(AtomicBool::new(false));
         // the run writes a demand snapshot per iteration to a file; a
-        // file that has grown is an iteration that has run
+        // line in the file is an iteration that has run
         let path = std::env::temp_dir().join(format!("dgr_cancel_{}.jsonl", std::process::id()));
         let sink = dgr_obs::SnapshotSink::to_path(path.to_str().unwrap()).unwrap();
         let mut hooks = RouteHooks {
@@ -536,10 +681,16 @@ mod tests {
             skip_rss: true,
             ..RouteHooks::default()
         };
+        // … and cancels once the run is past its first temperature step
+        let past_a_step = cfg.temperature_interval + 2;
         let watcher = std::thread::spawn({
             let (cancel, path) = (Arc::clone(&cancel), path.clone());
             move || {
-                while std::fs::metadata(&path).map_or(0, |m| m.len()) == 0 {
+                let snapshots = || {
+                    let file = std::fs::read(&path).unwrap_or_default();
+                    file.iter().filter(|&&b| b == b'\n').count()
+                };
+                while snapshots() < past_a_step {
                     std::thread::yield_now();
                 }
                 cancel.store(true, Ordering::Relaxed);
@@ -555,7 +706,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let ran = report.iterations;
-        assert!(0 < ran && ran < cfg.iterations, "{ran} iterations");
+        assert!(
+            past_a_step <= ran && ran < cfg.iterations,
+            "{ran} iterations"
+        );
+        assert!(report.live.len() > 1, "the step dropped candidates");
         assert_eq!(hooks.telemetry.unwrap().rows(), ran);
         let got = residue(&model, &mut rng);
 

@@ -12,7 +12,7 @@
 //! | `divergence`  | critical | EWMA loss rises above 2× its running minimum        |
 //! | `grad_spike`  | warn     | grad norm exceeds 25× its EWMA after warmup         |
 //! | `oscillation` | warn     | loss-delta sign flips >60% of a 64-iter window at ≥5% amplitude |
-//! | `overflow_stall` | warn  | positive overflow with no 1% improvement in 256 iters |
+//! | `overflow_stall` | warn  | positive overflow, not yet half of where it began, with no 1% improvement in 256 iters |
 //! | `rate_collapse`  | warn  | iterations/sec below half the last comparable run   |
 //!
 //! Each rule raises **at most one finding per run**, carrying an
@@ -51,6 +51,16 @@ pub const OSC_MIN_REL_AMPLITUDE: f32 = 0.05;
 /// `overflow_stall` trips after this many iterations without a ≥1%
 /// improvement of the best overflow seen (while overflow is positive).
 pub const STALL_WINDOW: u64 = 256;
+/// `overflow_stall` does not trip once the best overflow is under this
+/// fraction of the first row's. A run that anneals its choices to one-hot
+/// goes flat when they are made — sooner since the training loop drops
+/// decided candidates at every temperature step — and a plateau at a
+/// third of the starting overflow is that, not capacity pressure that
+/// will not resolve. Over 1 000 iterations of the benchmark's congested
+/// design and of `ispd18_5m` the plateau sits at 0.33 and 0.35 of the
+/// start (0.31 – 0.33 before the loop dropped anything); a run pinned by
+/// a saturated activation sits at its start.
+pub const STALL_RESOLVED: f32 = 0.5;
 /// `rate_collapse` trips when iterations/sec drop below this fraction of
 /// the last comparable ledger run.
 pub const RATE_COLLAPSE_RATIO: f64 = 0.5;
@@ -194,6 +204,7 @@ pub struct RuleEngine {
     /// Signs of recent loss deltas: `true` = increase.
     delta_signs: Vec<bool>,
     delta_mags: Vec<f32>,
+    first_overflow: f32,
     best_overflow: f32,
     last_overflow_improve: u64,
     /// Best (lowest) loss and the iter it happened — feeds stall budgets.
@@ -385,12 +396,16 @@ impl RuleEngine {
 
         // overflow plateau
         if row.overflow.is_finite() {
+            if self.rows_seen == 1 {
+                self.first_overflow = row.overflow;
+            }
             if self.rows_seen == 1 || row.overflow < self.best_overflow * 0.99 {
                 self.best_overflow = row.overflow;
                 self.last_overflow_improve = iter;
             }
             if self.rows_seen > WARMUP_ITERS
                 && self.best_overflow > 0.0
+                && self.best_overflow >= STALL_RESOLVED * self.first_overflow
                 && iter.saturating_sub(self.last_overflow_improve) >= STALL_WINDOW
                 && !self.tripped("overflow_stall")
             {
@@ -584,6 +599,26 @@ mod tests {
             findings.iter().any(|f| f.rule == "overflow_stall"),
             "{findings:?}"
         );
+    }
+
+    #[test]
+    fn a_plateau_under_half_the_starting_overflow_is_not_a_stall() {
+        // overflow decays towards `floor` × its start and stays there
+        let run = |floor: f32| -> Vec<IterationRow> {
+            (0..600)
+                .map(|i| {
+                    let mut r = row(i, 50.0 - 0.01 * i as f32);
+                    r.overflow = 400.0 * (floor + (1.0 - floor) * (-0.05 * i as f32).exp());
+                    r
+                })
+                .collect()
+        };
+        let stalled = |rows: &[IterationRow]| {
+            let findings = analyze_rows(rows);
+            findings.iter().any(|f| f.rule == "overflow_stall")
+        };
+        assert!(!stalled(&run(0.35)), "settled at a third of its start");
+        assert!(stalled(&run(0.8)), "stuck at four fifths of its start");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 use std::sync::Mutex;
 
 use dgr_autodiff::Activation;
-use dgr_core::{build_cost_model, DgrConfig, NetRoute, RoutePath};
-use dgr_dag::{build_forest, PatternConfig};
-use dgr_grid::{CapacityBuilder, DemandMap, GcellGrid, Point};
+use dgr_core::{build_cost_model, CostModel, DgrConfig, NetRoute, RoutePath};
+use dgr_dag::{build_forest, DagForest, PatternConfig};
+use dgr_grid::{CapacityBuilder, DemandMap, Design, GcellGrid, Point};
 use dgr_post::{assign_net_dp, AssignConfig};
 use dgr_rsmt::{tree_candidates, CandidateConfig};
 use rand::rngs::StdRng;
@@ -230,13 +230,34 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     if rng.gen_range(0..2) == 0 {
         model.sample_noise(&mut rng);
     }
+    compare_gradients(spec, &design, &forest, &cfg, &mut model, &mut rng)?;
 
+    // and on the kernel a temperature step leaves behind, at a threshold
+    // these logits (|w| < ½, τ ≥ ½) reach: the reference, whose forest is
+    // whole, sees the dropped candidates at −∞
+    if model.prune(0.3).is_some() {
+        model.restore_layout();
+        compare_gradients(spec, &design, &forest, &cfg, &mut model, &mut rng)?;
+    }
+    Ok(())
+}
+
+/// The loss of `model` against the f64 reference, and its gradient
+/// against central differences of the reference.
+fn compare_gradients(
+    spec: &CaseSpec,
+    design: &Design,
+    forest: &DagForest,
+    cfg: &DgrConfig,
+    model: &mut CostModel,
+    rng: &mut StdRng,
+) -> Result<(), Mismatch> {
     let w_tree = model.tree_logits().to_vec();
     let w_path = model.path_logits().to_vec();
     let noise_tree = model.tree_noise().to_vec();
     let noise_path = model.path_noise().to_vec();
     let tau = model.temperature();
-    let reference = RefModel::new(&design, &forest, &cfg);
+    let reference = RefModel::new(design, forest, cfg);
     let eval = |wt: &[f32], wp: &[f32]| reference.eval(wt, wp, &noise_tree, &noise_path, tau);
 
     // forward consistency first: a wrong forward makes FD meaningless
@@ -283,8 +304,8 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
             (0..tol::FD_COORDS).map(|_| rng.gen_range(0..len)).collect()
         }
     };
-    let tree_coords = sample(w_tree.len(), &mut rng);
-    let path_coords = sample(w_path.len(), &mut rng);
+    let tree_coords = sample(w_tree.len(), rng);
+    let path_coords = sample(w_path.len(), rng);
 
     model.backward();
     for (name, coords, logits, grads, is_tree) in [

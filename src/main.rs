@@ -608,6 +608,13 @@ fn cmd_route(flags: &Flags) -> CliResult {
                 last.iter + 1
             );
         }
+        if let [(_, trees, paths), .., (_, live_trees, live_paths)] = report.live[..] {
+            println!(
+                "  live candidates  : {} → {}",
+                trees + paths,
+                live_trees + live_paths
+            );
+        }
     }
     print_sinks(flags, &mut hooks);
     append_run(flags, "route", &design, &cfg, &out, 1);

@@ -13,8 +13,10 @@
 //! last bits from the first iteration on and its guides on larger
 //! designs — at 1, 2, and 8 threads, and asserts the renderings (and, for
 //! the large design, every retained loss) match each other and, for the
-//! golden cases, the committed golden files. A run cancelled in the
-//! middle of training must leave its thread as it found it.
+//! golden cases, the committed golden files. The large design trains
+//! across two temperature steps, each of which compacts the kernel to
+//! the candidates still alive and re-cuts its lanes. A run cancelled in
+//! the middle of training must leave its thread as it found it.
 
 use std::path::PathBuf;
 
@@ -27,8 +29,13 @@ use dgr_oracle::{case_rng, gen_design, CaseSpec, CheckKind, EXEC_LOCK};
 
 const GOLDEN_SEEDS: [u64; 2] = [11, 23];
 
-/// The guide text and the bits of every loss the training report kept.
-fn guide_and_losses(design: &Design, iterations: usize, seed: u64) -> (String, Vec<u32>) {
+/// The guide text, the bits of every loss the training report kept, and
+/// the candidates each temperature step left alive.
+fn guide_and_losses(
+    design: &Design,
+    iterations: usize,
+    seed: u64,
+) -> (String, Vec<u32>, Vec<usize>) {
     let cfg = DgrConfig {
         iterations,
         seed,
@@ -40,6 +47,7 @@ fn guide_and_losses(design: &Design, iterations: usize, seed: u64) -> (String, V
     (
         RouteGuide::from_assignment(design, &assigned).to_text(),
         report.curve.iter().map(|p| p.loss.to_bits()).collect(),
+        report.live.iter().map(|&(_, t, p)| t + p).collect(),
     )
 }
 
@@ -121,16 +129,21 @@ fn large_design() -> Design {
 #[test]
 fn a_design_above_the_parallel_threshold_routes_identically_at_any_thread_count() {
     let design = large_design();
-    let per_thread = at_each_thread_count(|| guide_and_losses(&design, 30, 0));
-    let (_, (guide, losses)) = &per_thread[0];
+    let per_thread = at_each_thread_count(|| guide_and_losses(&design, 260, 0));
+    let (_, (guide, losses, live)) = &per_thread[0];
     assert!(guide.len() > 10_000, "a guide for 800 nets");
-    assert_eq!(losses.len(), 30);
-    for (threads, (text, curve)) in &per_thread[1..] {
+    assert_eq!(losses.len(), 131, "every other loss, and the last");
+    assert!(
+        live.len() == 3 && live[2] < live[1] && live[1] < live[0],
+        "the steps at 100 and 200 both dropped candidates: {live:?}"
+    );
+    for (threads, (text, curve, alive)) in &per_thread[1..] {
         assert!(
             text == guide,
             "{threads}-thread guide diverged from the 1-thread guide"
         );
         assert_eq!(curve, losses, "{threads}-thread losses diverged");
+        assert_eq!(alive, live, "{threads}-thread steps diverged");
     }
 }
 

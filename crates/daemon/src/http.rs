@@ -221,6 +221,10 @@ fn render_job(j: &Job) -> String {
         res.field_u64("guide_boxes", r.guide_boxes);
         res.field_u64("refine_searches", r.refine.searches as u64);
         res.field_u64("refine_escalations", r.refine.escalations as u64);
+        res.field_u64(
+            "refine_escalations_avoided",
+            r.refine.escalations_avoided as u64,
+        );
         res.field_u64("refine_states_expanded", r.refine.states_expanded as u64);
         res.field_u64("wall_ms", r.wall_ms);
         let mut ph = JsonObject::new();

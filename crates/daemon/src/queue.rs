@@ -87,8 +87,8 @@ pub struct JobResult {
     pub guide: Option<String>,
     /// Boxes in the guide (0 when no guide was produced).
     pub guide_boxes: u64,
-    /// What refinement did: maze searches, full-grid escalations, states
-    /// popped.
+    /// What refinement did: maze searches, full-grid escalations run and
+    /// avoided, states popped.
     pub refine: dgr_post::RefineReport,
     /// Wall-clock per phase, milliseconds (`train`, `forward`,
     /// `backward`, `refine`, `assign`).

@@ -47,11 +47,14 @@ pub struct RefineReport {
     pub overflowed_before: usize,
     /// Overflowed edges after refinement.
     pub overflowed_after: usize,
-    /// Maze searches run (windowed and full-grid).
+    /// Maze searches run (windowed, certificate and full-grid).
     pub searches: usize,
     /// Searches repeated on the full grid because the windowed result
-    /// still rode overflow.
+    /// still rode overflow and its window could not certify it.
     pub escalations: usize,
+    /// Windowed results that still rode overflow and were certified as
+    /// the full grid's answer, so that it was not searched.
+    pub escalations_avoided: usize,
     /// States popped from the search heap over all searches.
     pub states_expanded: usize,
 }
@@ -166,7 +169,7 @@ pub fn refine(
     let _span = dgr_obs::span("post", "refine");
     let overflowed_before = solution.metrics.overflow.overflowed_edges;
     let mut scratch = MazeScratch::new();
-    let pass = reroute(design, solution, cfg, &mut scratch);
+    let pass = reroute(design, solution, cfg, certified(&mut scratch, design, cfg));
     let kept = cfg!(debug_assertions).then(|| solution.demand.clone());
     solution.remeasure(design)?;
     let (rounds, nets_rerouted, costs) = pass?;
@@ -187,18 +190,41 @@ pub fn refine(
         overflowed_after: solution.metrics.overflow.overflowed_edges,
         searches: scratch.searches,
         escalations: scratch.escalations,
+        escalations_avoided: scratch.escalations_avoided,
         states_expanded: scratch.states_expanded,
     })
+}
+
+/// The search [`refine`] reroutes with: [`MazeScratch::route_escalating`]
+/// under the costs kept through the pass, an edge being clean when one
+/// more wire would not overflow it.
+fn certified<'a>(
+    scratch: &'a mut MazeScratch,
+    design: &'a Design,
+    cfg: RefineConfig,
+) -> impl FnMut((Point, Point), &EdgeCosts) -> Option<Vec<Point>> + 'a {
+    move |ends, costs| {
+        scratch.route_escalating(
+            &design.grid,
+            ends,
+            cfg.margin,
+            cfg.turn_cost,
+            |e| costs.cost[e.index()],
+            |e| costs.marginal[e.index()] <= 0.0,
+        )
+    }
 }
 
 /// The rip-up-and-reroute rounds of [`refine`], up to but not including
 /// the final re-measure: returns rounds run, nets rerouted and the edge
 /// costs as kept through the pass (`None` when nothing overflowed).
+/// `search` finds each sub-net's new polyline under the costs as they
+/// stand; it is a parameter so that a test can reroute by a reference rule.
 fn reroute(
     design: &Design,
     solution: &mut RoutingSolution,
     cfg: RefineConfig,
-    scratch: &mut MazeScratch,
+    mut search: impl FnMut((Point, Point), &EdgeCosts) -> Option<Vec<Point>>,
 ) -> Result<(usize, usize, Option<EdgeCosts>), PostError> {
     let grid = &design.grid;
     let cap = &design.capacity;
@@ -241,16 +267,7 @@ fn reroute(
                     new_paths.push(path.clone());
                     continue;
                 }
-                let corners = scratch
-                    .route_escalating(
-                        grid,
-                        (a, b),
-                        cfg.margin,
-                        cfg.turn_cost,
-                        |e| costs.cost[e.index()],
-                        |e| costs.marginal[e.index()] <= 0.0,
-                    )
-                    .ok_or(PostError::Unroutable { net: n })?;
+                let corners = search((a, b), costs).ok_or(PostError::Unroutable { net: n })?;
                 apply(design, demand, costs, &corners, true)?;
                 new_paths.push(RoutePath { corners });
             }
@@ -403,7 +420,8 @@ mod tests {
         assert!(sol.metrics.overflow.overflowed_edges > 100);
         let cfg = RefineConfig::default();
         let mut scratch = MazeScratch::new();
-        let (rounds, rerouted, costs) = reroute(&design, &mut sol, cfg, &mut scratch).unwrap();
+        let search = certified(&mut scratch, &design, cfg);
+        let (rounds, rerouted, costs) = reroute(&design, &mut sol, cfg, search).unwrap();
         assert_eq!(rounds, cfg.rounds);
         assert!(rerouted > 100 && scratch.escalations > 0, "{rerouted} nets");
 
@@ -418,6 +436,65 @@ mod tests {
         );
         assert_eq!(bits(&kept.marginal), bits(&fresh.marginal));
         assert_eq!(bits(&kept.cost), bits(&fresh.cost));
+    }
+
+    #[test]
+    fn certified_reroutes_equal_always_escalating_ones() {
+        use dgr_grid::maze::MazeConfig;
+        let (design, start) = congested_solution();
+        let cfg = RefineConfig::default();
+
+        let mut sol = start.clone();
+        let mut scratch = MazeScratch::new();
+        let search = certified(&mut scratch, &design, cfg);
+        let (_, rerouted, costs) = reroute(&design, &mut sol, cfg, search).unwrap();
+        // both outcomes of the certificate occur
+        assert!(
+            scratch.escalations_avoided > 0 && scratch.escalations > 0,
+            "{} certified, {} escalated",
+            scratch.escalations_avoided,
+            scratch.escalations
+        );
+
+        // the rule the certificate stands in for: window first, whole grid
+        // whenever the result is missing or rides an edge that is not clean
+        let grid = &design.grid;
+        let mut reference = MazeScratch::new();
+        let always_escalating = |(a, b): (Point, Point), costs: &EdgeCosts| {
+            let mut window = MazeConfig {
+                bounds: Some(
+                    dgr_grid::Rect::bounding(&[a, b]).inflate_clamped(cfg.margin, grid.bounds()),
+                ),
+                turn_cost: cfg.turn_cost,
+            };
+            let cost = |e: EdgeId| costs.cost[e.index()];
+            let windowed = reference.route(grid, a, b, cost, &window);
+            let clean = |corners: &Vec<Point>| {
+                let mut edges = grid.polyline_edges(corners).unwrap();
+                edges.all(|e| costs.marginal[e.index()] <= 0.0)
+            };
+            if windowed.as_ref().is_some_and(clean) {
+                return windowed;
+            }
+            window.bounds = None;
+            reference.route(grid, a, b, cost, &window)
+        };
+        let mut want = start;
+        let (_, want_rerouted, want_costs) =
+            reroute(&design, &mut want, cfg, always_escalating).unwrap();
+
+        assert_eq!(rerouted, want_rerouted);
+        assert_eq!(sol.routes, want.routes);
+        assert_eq!(sol.demand, want.demand);
+        assert_eq!(costs, want_costs);
+        // even here, where a window is most of the grid and the grid search
+        // stops early, certifying costs less than what it replaces
+        assert!(
+            scratch.states_expanded < reference.states_expanded,
+            "{} pops certified, {} always escalating",
+            scratch.states_expanded,
+            reference.states_expanded
+        );
     }
 
     #[test]

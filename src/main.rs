@@ -583,8 +583,11 @@ fn cmd_route(flags: &Flags) -> CliResult {
     );
     if !flags.has("--quiet") {
         println!(
-            "  maze search      : {} searches, {} escalated to the full grid, {} states popped",
-            report.searches, report.escalations, report.states_expanded
+            "  maze search      : {} searches, {} escalated to the full grid, {} certified in the window, {} states popped",
+            report.searches,
+            report.escalations,
+            report.escalations_avoided,
+            report.states_expanded
         );
     }
     if let Some(assigned) = &out.post.assigned {

@@ -140,6 +140,7 @@ fn concurrent_jobs_match_the_cli_byte_for_byte() {
         for count in [
             "refine_searches",
             "refine_escalations",
+            "refine_escalations_avoided",
             "refine_states_expanded",
         ] {
             let n = result.get(count).and_then(JsonValue::as_u64);

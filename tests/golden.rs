@@ -3,9 +3,11 @@
 //! Two fixed oracle-generated designs and one high-degree design (every
 //! net through Dreyfus–Wagner, 9-layer assignment under congestion) are
 //! routed end to end, assigned to layers, and rendered as route-guide
-//! text; the result must match the committed files under `tests/golden/`
-//! byte for byte. Nothing pins the thread count: the route pipeline's
-//! output does not depend on it (see `tests/thread_determinism.rs`).
+//! text; a fourth, refine-heavy design goes through the whole pipeline,
+//! maze refinement included. The result must match the committed files
+//! under `tests/golden/` byte for byte. Nothing pins the thread count: the
+//! route pipeline's output does not depend on it (see
+//! `tests/thread_determinism.rs`).
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -15,9 +17,9 @@
 
 use std::path::PathBuf;
 
-use dgr::core::{DgrConfig, DgrRouter};
-use dgr::grid::{CapacityBuilder, Design, GcellGrid, Net, Point};
-use dgr::post::{assign_layers, AssignConfig, RouteGuide};
+use dgr::core::{DgrConfig, DgrRouter, RouteHooks};
+use dgr::grid::{CapacityBuilder, Design, GcellGrid, Net, Point, Rect};
+use dgr::post::{assign_layers, pipeline, AssignConfig, RouteGuide};
 use dgr_oracle::{case_rng, gen_design, CaseSpec, CheckKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +30,12 @@ const GOLDEN_SEEDS: [u64; 2] = [11, 23];
 /// was recorded at the commit *before* the O(n) Dreyfus–Wagner grow step
 /// and the per-net assignment cost table: it pins their byte-identity.
 const HIGH_DEGREE_SEED: u64 = 16;
+
+/// Seed of the refine-heavy golden (`guide_refine_heavy.txt`), whose guide
+/// was recorded at the commit *before* refinement's window certificate,
+/// when every windowed result that still rode overflow was searched again
+/// on the whole grid: it pins that the certificate changes no route.
+const REFINE_HEAVY_SEED: u64 = 20;
 
 fn oracle_design(seed: u64) -> Design {
     let spec = CaseSpec {
@@ -57,6 +65,56 @@ fn high_degree_design(seed: u64) -> Design {
     Design::new(grid, capacity, nets, 9).expect("valid design")
 }
 
+/// 40×40×5, 420 two- to four-pin nets on 9 tracks per edge with three
+/// macros cut to a quarter of that: after 60 iterations some 230 edges
+/// overflow, and of the 1 400 windowed searches that reroute the nets
+/// across them 300 cannot come back clean.
+fn refine_heavy_design(seed: u64) -> Design {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let grid = GcellGrid::new(40, 40).expect("valid grid");
+    let mut capacity = CapacityBuilder::uniform(&grid, 9.0);
+    for (lo, hi) in [
+        ((6, 8), (13, 17)),
+        ((22, 5), (31, 11)),
+        ((18, 24), (27, 33)),
+    ] {
+        let area = Rect::new(Point::new(lo.0, lo.1), Point::new(hi.0, hi.1));
+        capacity.scale_region(&grid, area, 0.25);
+    }
+    let capacity = capacity.build(&grid).expect("valid capacity");
+    let nets = (0..420)
+        .map(|i| {
+            // three nets in four stay within a dozen cells of their first pin
+            let reach: i32 = if i % 4 == 0 { 40 } else { 12 };
+            let first = Point::new(rng.gen_range(0..40), rng.gen_range(0..40));
+            let mut pins = vec![first];
+            for _ in 1..rng.gen_range(2..=4) {
+                let x = (first.x + rng.gen_range(-reach..=reach)).clamp(0, 39);
+                let y = (first.y + rng.gen_range(-reach..=reach)).clamp(0, 39);
+                pins.push(Point::new(x, y));
+            }
+            Net::new(format!("rh{i}"), pins)
+        })
+        .collect();
+    Design::new(grid, capacity, nets, 5).expect("valid design")
+}
+
+/// The guide of the whole pipeline — route, refine, assign — and how many
+/// windowed searches refinement saw come back still riding overflow.
+fn refined_guide_text(design: &Design, seed: u64) -> (String, usize) {
+    let cfg = DgrConfig {
+        iterations: 60,
+        seed,
+        ..DgrConfig::default()
+    };
+    let out = pipeline::run(design, &cfg, &mut RouteHooks::default(), true).expect("routes");
+    let refine = out.post.refine;
+    (
+        out.post.guide.expect("≥ 2 layers").to_text(),
+        refine.escalations + refine.escalations_avoided,
+    )
+}
+
 fn guide_text(design: &Design, seed: u64) -> String {
     let cfg = DgrConfig {
         iterations: 60,
@@ -73,16 +131,32 @@ fn guide_output_matches_golden_files() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let update = std::env::var_os("DGR_UPDATE_GOLDEN").is_some();
 
+    let (refined, unclean) =
+        refined_guide_text(&refine_heavy_design(REFINE_HEAVY_SEED), REFINE_HEAVY_SEED);
+    assert!(
+        unclean >= 20,
+        "only {unclean} windowed results rode overflow"
+    );
+
     let cases = GOLDEN_SEEDS
-        .map(|seed| (format!("guide_seed{seed}.txt"), oracle_design(seed), seed))
+        .map(|seed| {
+            let text = guide_text(&oracle_design(seed), seed);
+            (format!("guide_seed{seed}.txt"), text, seed)
+        })
         .into_iter()
-        .chain([(
-            "guide_high_degree.txt".to_string(),
-            high_degree_design(HIGH_DEGREE_SEED),
-            HIGH_DEGREE_SEED,
-        )]);
-    for (file, design, seed) in cases {
-        let text = guide_text(&design, seed);
+        .chain([
+            (
+                "guide_high_degree.txt".to_string(),
+                guide_text(&high_degree_design(HIGH_DEGREE_SEED), HIGH_DEGREE_SEED),
+                HIGH_DEGREE_SEED,
+            ),
+            (
+                "guide_refine_heavy.txt".to_string(),
+                refined,
+                REFINE_HEAVY_SEED,
+            ),
+        ]);
+    for (file, text, seed) in cases {
         let path = dir.join(file);
         if update {
             std::fs::create_dir_all(&dir).expect("create golden dir");

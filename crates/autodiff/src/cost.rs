@@ -877,6 +877,7 @@ impl CostModel {
         let (mass_lower, mass_upper) = mass.split_at_mut(self.cut.path);
         let (model, q) = (&*self, &*q);
         parallel::join(
+            "train",
             "lane_fwd",
             || model.mass_lane(lower, q, p_lower, mass_lower),
             || model.mass_lane(upper, q, p_upper, mass_upper),
@@ -1026,6 +1027,7 @@ impl CostModel {
         let (tree_lower, tree_upper) = tree_mass_grad.split_at_mut(self.cut.tree);
         let model = &*self;
         parallel::join(
+            "train",
             "lane_bwd",
             || model.grad_lane(lower, grad_lower, tree_lower),
             || model.grad_lane(upper, grad_upper, tree_upper),

@@ -19,10 +19,10 @@
 //! * [`Adam`] — the optimizer used by the paper,
 //! * [`gumbel::fill_gumbel`] — Gumbel(0, 1) noise for the stochastic
 //!   softmax,
-//! * [`parallel`] — the worker pool the route pipeline's index-pure
-//!   fan-outs run on, and the [`parallel::Helper`] a training run engages
-//!   to take the next iteration's noise draw and one of the kernel's two
-//!   lanes off the calling thread.
+//! * [`parallel`] — the [`parallel::Helper`] a training run engages to
+//!   take the next iteration's noise draw and one of the kernel's two
+//!   lanes off the calling thread, and the route pipeline's index-pure
+//!   fan-outs hand their upper half to.
 
 pub mod activation;
 pub mod adam;

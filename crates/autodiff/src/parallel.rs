@@ -1,28 +1,14 @@
-//! The two ways work leaves the calling thread: the persistent worker
-//! pool behind the route pipeline's index-pure fan-outs (per-net candidate
-//! generation, the forest build, the extraction rasters), and the
-//! [`Helper`] a training run engages as its second lane.
+//! The one way work leaves the calling thread: a [`Helper`], one thread
+//! engaged as the calling thread's second lane and joined before the code
+//! that engaged it returns. A training run engages one for as long as it
+//! runs; the route pipeline's index-pure fan-outs (per-net candidate
+//! generation, the forest build, the extraction rasters) go through
+//! [`par_indexed`], which splits its index range in two over [`join`] and
+//! engages a helper for the dispatch when the thread has none.
 //!
-//! Threads are spawned once (on first parallel dispatch), then park on a
-//! condvar between jobs. A job is an index range of chunks; workers race
-//! to claim chunk indices, so a dispatch costs two mutex/condvar
-//! handshakes instead of a round of `thread::spawn`/`join`.
+//! # The handoff
 //!
-//! # Determinism contract
-//!
-//! Work is partitioned into chunks **by index**, not by worker, and every
-//! result lands in a slot owned by its index: which OS thread executes a
-//! chunk, and how many threads there are, never affects the output. No
-//! primitive here reduces across chunks — [`par_map_mut`] and
-//! [`par_indexed`] are bit-reproducible at *any* thread count.
-//!
-//! # The training run's helper
-//!
-//! The pool parks on a condvar between dispatches, which costs more than
-//! half a training iteration's phase saves (measured: the kernel's two
-//! lanes through [`par_indexed`] ran *slower* than one thread). A training
-//! run therefore engages one [`Helper`] thread of its own for as long as
-//! it runs. The calling thread offers it tasks — [`join`]'s second closure,
+//! The calling thread offers the helper tasks — [`join`]'s second closure,
 //! an [`ahead`] closure — and never depends on it:
 //!
 //! * **claim or inline** — whoever takes a task's closure out of it
@@ -39,17 +25,23 @@
 //! * **one script** — the helper runs a lane task, then the pending
 //!   ahead task if there is one, then waits for the next lane task.
 //!
+//! # Determinism contract
+//!
 //! Which thread runs a task never shows in a result: a task writes only
-//! buffers that the closures of one [`join`] split between them.
+//! buffers that the closures of one [`join`] split between them, and no
+//! primitive here reduces across tasks. [`par_indexed`] cuts `0..n` at
+//! `n / 2` — a function of `n` alone — and appends the upper half's
+//! results to the lower half's, so its output is the sequential map's at
+//! any thread count, helper or none.
 //!
 //! # Observability
 //!
-//! When `dgr_obs::enabled()` is on, the pool records `pool.jobs_dispatched`,
-//! `pool.chunks_claimed` (counted at the claim site, so worker and
-//! dispatcher claims both show), `pool.busy_ns`, `pool.seq_fallbacks` and
-//! a `pool.dispatch_ns` histogram. When off, every recording site reduces
-//! to one relaxed atomic load and a predictable branch, keeping the
-//! uninstrumented dispatch path bench-neutral.
+//! When `dgr_obs::enabled()` is on, [`par_indexed`] counts its two
+//! branches (`pool.jobs_dispatched`, `pool.seq_fallbacks` — the names the
+//! benchmark scrapes) and the claim-or-inline rule counts who ran each
+//! offered task (`train.lane_tasks_helper`, `train.lane_tasks_inline`).
+//! When off, every recording site reduces to one relaxed atomic load and a
+//! predictable branch.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -59,42 +51,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// Cached handles to the pool's observability metrics. Registration takes
-/// the `dgr-obs` registry mutex once; after that every recording is a
-/// relaxed atomic op gated on `dgr_obs::enabled()` (one load + a
-/// predictable branch when observability is off, so the uninstrumented
-/// dispatch path stays bench-neutral).
-struct PoolMetrics {
-    /// Jobs fanned out through the pool (one per `run_chunks` dispatch).
-    jobs_dispatched: &'static dgr_obs::Counter,
-    /// Chunks claimed by workers and the dispatcher, counted at the claim
-    /// site.
-    chunks_claimed: &'static dgr_obs::Counter,
-    /// Summed wall-clock nanoseconds between job publication and the last
-    /// chunk completing (the pool's busy time).
-    busy_ns: &'static dgr_obs::Counter,
-    /// Calls that took the sequential fallback (below the caller's size
-    /// threshold or single-threaded).
-    seq_fallbacks: &'static dgr_obs::Counter,
-    /// Distribution of per-dispatch wall times, in nanoseconds.
-    dispatch_ns: &'static dgr_obs::Histogram,
-}
-
-fn pool_metrics() -> &'static PoolMetrics {
-    static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| PoolMetrics {
-        jobs_dispatched: dgr_obs::counter("pool.jobs_dispatched"),
-        chunks_claimed: dgr_obs::counter("pool.chunks_claimed"),
-        busy_ns: dgr_obs::counter("pool.busy_ns"),
-        seq_fallbacks: dgr_obs::counter("pool.seq_fallbacks"),
-        dispatch_ns: dgr_obs::histogram("pool.dispatch_ns"),
-    })
-}
-
-/// Minimum number of elements before [`par_map_mut`] fans out to worker
-/// threads.
-pub const PAR_THRESHOLD: usize = 1 << 15;
-
 /// Minimum number of candidate paths before a training run engages a
 /// [`Helper`]: below it an iteration is too short for the handoffs to pay.
 /// Measured on random designs, serial → helped ms per iteration: 0.038 →
@@ -103,6 +59,29 @@ pub const PAR_THRESHOLD: usize = 1 << 15;
 /// 0.210 → 0.149 / 0.164 → 0.149 / 0.148 → 0.112 at 2.6 k, 0.402 → 0.279 /
 /// 0.342 → 0.301 / 0.503 → 0.291 at 5.6 k.
 pub const LANE_THRESHOLD: usize = 1 << 12;
+
+/// Minimum number of nets before a per-net phase of the front end
+/// (candidate generation, the forest build, extraction's plans) goes over
+/// [`par_indexed`]'s two halves. One dispatch costs a thread spawn and a
+/// join, 20–30 µs, and the build host's two CPUs read by the quarter-hour
+/// as two cores or as hyperthreads of one (two arithmetic-bound threads
+/// take 1.0× or 2.0× the time of one). Serial → helped ms, three
+/// alternations, candidates · forest (extraction's plans are level
+/// throughout; EXPERIMENTS.md, "One mechanism", has every size):
+///
+/// | nets | as two cores | as hyperthreads |
+/// |---|---|---|
+/// | 300 | 1.62 → 1.25 / 1.68 → 1.30 / 1.58 → 1.26 · 1.23 → 1.06 / 1.19 → 1.04 / 1.20 → 1.04 | 1.07 → 1.13 / 1.04 → 1.08 / 1.06 → 1.13 · 0.76 → 0.82 / 0.77 → 0.83 / 0.78 → 0.81 |
+/// | 800 – 1 k | 4.67 → 2.37 / 2.89 → 3.26 / 4.65 → 3.09 · 3.99 → 2.90 / 3.90 → 2.94 / 3.96 → 2.98 | 3.98 → 4.02 / 3.97 → 4.14 / 3.99 → 4.15 · 3.10 → 3.13 / 3.08 → 3.16 / 3.07 → 3.41 |
+/// | 1.6 k – 2 k | 9.64 → 5.51 / 5.90 → 5.18 / 5.94 → 5.43 · 8.25 → 4.63 / 8.16 → 5.21 / 8.21 → 5.20 | 9.59 → 9.97 / 11.09 → 10.78 / 10.66 → 10.13 · 6.68 → 6.55 / 6.51 → 6.67 / 6.88 → 6.52 |
+/// | 2.4 k | 9.33 → 6.26 / 9.33 → 6.26 / 9.50 → 6.31 · 8.97 → 6.14 / 8.85 → 7.23 / 9.07 → 5.73 | — |
+/// | 4 k | — | 16.78 → 17.68 / 16.67 → 17.28 / 17.18 → 17.44 · 14.74 → 14.50 / 15.07 → 14.25 / 14.18 → 12.89 |
+///
+/// From 800 nets a second core takes a millisecond or more off each of
+/// the two phases and its absence costs a tenth of that; at 300 — a
+/// `dgrd` small job, whose two workers already fill both CPUs — the two
+/// are of one size, half a millisecond.
+pub const NET_PAR_MIN: usize = 1 << 10;
 
 /// How long the helper spins for its next task before it parks — longer
 /// than any gap the calling thread leaves inside a training iteration.
@@ -116,7 +95,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// The machine's parallelism, probed once. `available_parallelism()` is a
 /// syscall (`sched_getaffinity`) costing microseconds on some kernels —
-/// uncached it dominated small sequential-fallback kernels, which call
+/// uncached it dominated small sequential fan-outs, which call
 /// [`num_threads`] on every dispatch.
 fn host_parallelism() -> usize {
     static HOST: AtomicUsize = AtomicUsize::new(0);
@@ -132,11 +111,12 @@ fn host_parallelism() -> usize {
     }
 }
 
-/// Number of chunks a fan-out partitions its work into.
+/// Whether there is a second lane to use: below 2, [`Helper::engage`]
+/// spawns nothing and [`par_indexed`] maps sequentially. No partition
+/// depends on the value.
 ///
 /// Defaults to the machine's available parallelism; override (e.g. in
-/// determinism tests) with [`set_num_threads`]. The override controls the
-/// *partitioning* even when fewer physical workers execute the chunks.
+/// determinism tests) with [`set_num_threads`].
 pub fn num_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if o != 0 {
@@ -145,273 +125,12 @@ pub fn num_threads() -> usize {
     host_parallelism()
 }
 
-/// Overrides the worker-thread count (0 restores the default).
+/// Overrides the thread count (0 restores the default).
 pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-// --- the persistent pool ---------------------------------------------------
-
-/// Lifetime-erased handle to the in-flight job closure. The `'static` is
-/// a fiction established by `transmute` in [`run_chunks`]; it is sound
-/// because the dispatcher keeps the closure alive until every chunk has
-/// completed, so workers never dereference a dangling job.
-#[derive(Clone, Copy)]
-struct JobPtr(&'static (dyn Fn(usize) + Sync));
-
-struct PoolState {
-    job: Option<JobPtr>,
-    epoch: u64,
-    next_chunk: usize,
-    total_chunks: usize,
-    completed: usize,
-}
-
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Wakes workers when a new job (epoch) is published.
-    work_cv: Condvar,
-    /// Wakes the dispatcher when the last chunk of the job completes.
-    done_cv: Condvar,
-    /// Serializes dispatches (ops are issued one at a time, but tests may
-    /// drive several graphs from different threads).
-    dispatch_lock: Mutex<()>,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        state: Mutex::new(PoolState {
-            job: None,
-            epoch: 0,
-            next_chunk: 0,
-            total_chunks: 0,
-            completed: 0,
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        dispatch_lock: Mutex::new(()),
-    })
-}
-
-/// Lazily spawns the parked worker threads (once per process). The
-/// dispatcher itself also executes chunks, so `available_parallelism - 1`
-/// workers saturate the machine.
-fn ensure_workers() {
-    static STARTED: OnceLock<()> = OnceLock::new();
-    STARTED.get_or_init(|| {
-        let workers = host_parallelism().saturating_sub(1).min(63);
-        for w in 0..workers {
-            std::thread::Builder::new()
-                .name(format!("dgr-pool-{w}"))
-                .spawn(|| worker_loop(pool()))
-                .expect("spawn pool worker");
-        }
-    });
-}
-
-fn worker_loop(pool: &'static Pool) {
-    let mut seen_epoch = 0u64;
-    loop {
-        // Park until a job with an unseen epoch is published.
-        let (job, epoch) = {
-            let mut st = pool.state.lock().expect("pool poisoned");
-            loop {
-                if st.epoch != seen_epoch {
-                    if let Some(job) = st.job {
-                        break (job, st.epoch);
-                    }
-                }
-                st = pool.work_cv.wait(st).expect("pool poisoned");
-            }
-        };
-        seen_epoch = epoch;
-        run_job_chunks(pool, job, epoch);
-    }
-}
-
-/// Claims and executes chunks of the job published at `epoch` until none
-/// remain (or a newer epoch supersedes it).
-fn run_job_chunks(pool: &Pool, job: JobPtr, epoch: u64) {
-    loop {
-        let chunk = {
-            let mut st = pool.state.lock().expect("pool poisoned");
-            if st.epoch != epoch || st.next_chunk >= st.total_chunks {
-                return;
-            }
-            let c = st.next_chunk;
-            st.next_chunk += 1;
-            c
-        };
-        pool_metrics().chunks_claimed.add(1);
-        // The dispatcher keeps the closure alive until every claimed
-        // chunk reports completion (`completed == total_chunks`).
-        (job.0)(chunk);
-        let mut st = pool.state.lock().expect("pool poisoned");
-        st.completed += 1;
-        if st.completed == st.total_chunks {
-            pool.done_cv.notify_all();
-        }
-    }
-}
-
-/// Executes `job(chunk)` for every chunk in `0..chunks` on the pool,
-/// participating from the calling thread. Returns after all chunks
-/// complete. Chunk assignment is work-stealing; result placement must
-/// depend only on the chunk index (see the module docs).
-pub(crate) fn run_chunks(chunks: usize, job: &(dyn Fn(usize) + Sync)) {
-    if chunks == 0 {
-        return;
-    }
-    if chunks == 1 {
-        job(0);
-        return;
-    }
-    ensure_workers();
-    // `then` with a closure defers the `Instant::now()` syscall to the
-    // instrumented path only.
-    let dispatch_start = dgr_obs::enabled().then(Instant::now);
-    let pool = pool();
-    let _guard = pool.dispatch_lock.lock().expect("pool poisoned");
-    // SAFETY: erases the job's lifetime. Sound because this function does
-    // not return until `completed == total_chunks` and then clears
-    // `st.job`, so no worker touches the closure after it dies.
-    let job_ptr = JobPtr(unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
-    });
-    let epoch = {
-        let mut st = pool.state.lock().expect("pool poisoned");
-        st.epoch = st.epoch.wrapping_add(1);
-        st.job = Some(job_ptr);
-        st.next_chunk = 0;
-        st.total_chunks = chunks;
-        st.completed = 0;
-        pool.work_cv.notify_all();
-        st.epoch
-    };
-    if dispatch_start.is_some() {
-        dgr_obs::status_queue_depth(chunks as u64);
-    }
-    run_job_chunks(pool, job_ptr, epoch);
-    let mut st = pool.state.lock().expect("pool poisoned");
-    while st.completed < st.total_chunks {
-        st = pool.done_cv.wait(st).expect("pool poisoned");
-    }
-    st.job = None;
-    drop(st);
-    if let Some(start) = dispatch_start {
-        let ns = start.elapsed().as_nanos() as u64;
-        let m = pool_metrics();
-        m.jobs_dispatched.add(1);
-        m.busy_ns.add(ns);
-        m.dispatch_ns.record(ns);
-        dgr_obs::status_queue_depth(0);
-    }
-}
-
-/// A raw pointer that may cross thread boundaries. Used to hand each
-/// chunk a disjoint mutable window of a shared buffer.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-
-// Manual impls: the derive would require `T: Copy`, but copying the
-// *pointer* never copies the pointee.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: every use partitions the pointee into per-chunk disjoint ranges.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as for `Send` — chunks that share the wrapper never share an element.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. Kernels must go through this method rather
-    /// than the field: edition-2021 closures capture used fields
-    /// individually, and a captured bare `*mut T` strips the wrapper's
-    /// `Send`/`Sync`.
-    pub(crate) fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-/// Applies `f(global_index, &mut out[i])` over `out` in parallel chunks.
-///
-/// `f` must be pure per element — the index-to-value mapping cannot depend
-/// on other output elements. Bit-reproducible across all thread counts
-/// (no reduction is involved).
-pub fn par_map_mut<F>(out: &mut [f32], f: F)
-where
-    F: Fn(usize, &mut f32) + Sync,
-{
-    let threads = num_threads();
-    if out.len() < PAR_THRESHOLD || threads <= 1 {
-        pool_metrics().seq_fallbacks.add(1);
-        for (i, v) in out.iter_mut().enumerate() {
-            f(i, v);
-        }
-        return;
-    }
-    let len = out.len();
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    let base = SendPtr(out.as_mut_ptr());
-    run_chunks(chunks, &move |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(len);
-        // SAFETY: chunks index disjoint ranges of `out`, which outlives
-        // the dispatch.
-        let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-        for (i, v) in slice.iter_mut().enumerate() {
-            f(lo + i, v);
-        }
-    });
-}
-
-/// Runs `f(i)` for every `i in 0..n` on the pool and collects the results
-/// **in index order** — the task fan-out primitive behind the route
-/// pipeline's front end (candidate generation, forest build, extraction
-/// scans).
-///
-/// Unlike the dense kernels, items here are heterogeneous tasks (a 2-pin
-/// net next to a 9-pin Steiner problem), so the index space is split into
-/// roughly four chunks per thread and claimed by work stealing. Every
-/// result lands in its own output slot, so — like the pure maps — the
-/// returned vector is **bit-identical for any thread count**; no
-/// reduction is involved. Falls back to a sequential map below `min_par`
-/// items or when one thread is configured.
-pub fn par_indexed<T, F>(n: usize, min_par: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = num_threads();
-    if n < min_par || threads <= 1 {
-        pool_metrics().seq_fallbacks.add(1);
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let chunks = n.div_ceil(chunk);
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let base = SendPtr(out.as_mut_ptr());
-    run_chunks(chunks, &move |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        for i in lo..hi {
-            // SAFETY: chunks cover disjoint index ranges of `out`, which
-            // outlives the dispatch; slot i is written exactly once.
-            unsafe { *base.get().add(i) = Some(f(i)) };
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("every chunk completed"))
-        .collect()
-}
-
-// --- the training run's helper ---------------------------------------------
+// --- the helper --------------------------------------------------------------
 
 /// Counters of the claim-or-inline rule, registered with the first helper.
 struct HelperMetrics {
@@ -435,12 +154,18 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-static FAULT: AtomicBool = AtomicBool::new(false);
+static FAULT: Mutex<Option<&'static str>> = Mutex::new(None);
 
-/// Test hook: the next task a helper runs panics before its body.
+/// Whether [`FAULT`] holds a name: all a task the helper runs reads of
+/// the hook when none is armed.
+static FAULT_ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Test hook: the next task of this name that a helper runs panics
+/// before its body.
 #[doc(hidden)]
-pub fn fail_next_helper_task() {
-    FAULT.store(true, Ordering::Relaxed);
+pub fn fail_next_helper_task(name: &'static str) {
+    *lock(&FAULT) = Some(name);
+    FAULT_ARMED.store(true, Ordering::Release);
 }
 
 /// One step of a spin-wait: a few microseconds of `PAUSE`, which leaves
@@ -460,6 +185,8 @@ type Body<T> = Box<dyn FnOnce() -> T + Send>;
 /// — the claim — runs it; when that is the helper, it then stores the
 /// outcome and raises `done`.
 struct Task<T> {
+    /// What [`fail_next_helper_task`] knows the task by.
+    name: &'static str,
     body: Mutex<Option<Body<T>>>,
     /// What the helper's run returned, or the payload it panicked with.
     outcome: Mutex<Option<std::thread::Result<T>>>,
@@ -475,8 +202,9 @@ trait Offered: Send + Sync {
 }
 
 impl<T: Send> Task<T> {
-    fn new(body: Body<T>) -> Self {
+    fn new(name: &'static str, body: Body<T>) -> Self {
         Task {
+            name,
             body: Mutex::new(Some(body)),
             outcome: Mutex::new(None),
             done: AtomicBool::new(false),
@@ -529,8 +257,12 @@ impl<T: Send> Offered for Task<T> {
             return;
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if FAULT.load(Ordering::Relaxed) && FAULT.swap(false, Ordering::Relaxed) {
-                panic!("injected helper-task fault");
+            if FAULT_ARMED.load(Ordering::Acquire) {
+                let armed = lock(&FAULT).take_if(|name| *name == self.name);
+                if armed.is_some() {
+                    FAULT_ARMED.store(false, Ordering::Relaxed);
+                    panic!("injected helper-task fault");
+                }
             }
             body()
         }));
@@ -710,8 +442,8 @@ fn engaged() -> Option<Arc<Shared>> {
 /// the helper has not started `b` by then (or none is engaged). Returns
 /// when both have run; a panic of either resumes on the calling thread,
 /// after the other has finished. With a helper engaged, `b` is recorded
-/// as a `train`/`name` span on the thread that runs it.
-pub fn join<A, B>(name: &'static str, a: A, b: B)
+/// as a `cat`/`name` span on the thread that runs it.
+pub fn join<A, B>(cat: &'static str, name: &'static str, a: A, b: B)
 where
     A: FnOnce(),
     B: FnOnce() + Send,
@@ -722,7 +454,7 @@ where
         return;
     };
     let body: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-        let _span = dgr_obs::span("train", name);
+        let _span = dgr_obs::span(cat, name);
         b()
     });
     // SAFETY: erases the lifetime of what `b` borrows. The box is either
@@ -737,7 +469,7 @@ where
             body,
         )
     };
-    let task = Arc::new(Task::new(body));
+    let task = Arc::new(Task::new(name, body));
     helper.offer_lane(Arc::clone(&task) as Arc<dyn Offered>);
     let settle = Settle(&task);
     a();
@@ -788,7 +520,7 @@ where
         let _span = dgr_obs::span("train", name);
         f()
     });
-    let task = Arc::new(Task::new(body));
+    let task = Arc::new(Task::new(name, body));
     lock(&helper.offers).ahead = Some(Arc::clone(&task) as Arc<dyn Offered>);
     Ahead(AheadState::Offered(task))
 }
@@ -803,31 +535,57 @@ impl<T: Send> Ahead<T> {
     }
 }
 
-/// Reusable f32 scratch buffers, kept across calls so repeated
-/// extractions (adaptive rounds, daemon jobs) stop paying a heap
-/// allocation each.
-static SCRATCH_CACHE: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+// --- the front end's fan-out -------------------------------------------------
 
-/// Borrows a zeroed `len`-element f32 scratch buffer from the cache.
-/// Return it with [`return_scratch`] when done.
-pub fn take_scratch(len: usize) -> Vec<f32> {
-    let mut b = SCRATCH_CACHE
-        .lock()
-        .expect("scratch poisoned")
-        .pop()
-        .unwrap_or_default();
-    b.clear();
-    b.resize(len, 0.0);
-    b
+/// The two branches of [`par_indexed`], under the names the benchmark
+/// reads from `/metrics`.
+struct FanOutMetrics {
+    /// Calls that went over [`join`].
+    dispatched: &'static dgr_obs::Counter,
+    /// Calls mapped on the calling thread (below the caller's size
+    /// threshold, or no second lane).
+    sequential: &'static dgr_obs::Counter,
 }
 
-/// Returns a buffer borrowed via [`take_scratch`] to the cache.
-pub fn return_scratch(buf: Vec<f32>) {
-    const LIMIT: usize = 256;
-    let mut cache = SCRATCH_CACHE.lock().expect("scratch poisoned");
-    if cache.len() < LIMIT {
-        cache.push(buf);
+fn fan_out_metrics() -> &'static FanOutMetrics {
+    static METRICS: OnceLock<FanOutMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| FanOutMetrics {
+        dispatched: dgr_obs::counter("pool.jobs_dispatched"),
+        sequential: dgr_obs::counter("pool.seq_fallbacks"),
+    })
+}
+
+/// Runs `f(i)` for every `i in 0..n` and collects the results **in index
+/// order** — the fan-out behind the route pipeline's front end (candidate
+/// generation, forest build, extraction scans).
+///
+/// Below `min_par` items, or without a second lane ([`num_threads`]
+/// ` < 2`), a sequential map. Otherwise [`join`] over `[0, n/2)` and
+/// `[n/2, n)`, each half collected into its own vector, the upper
+/// appended to the lower: the cut depends on `n` alone, so the returned
+/// vector is the sequential map's whichever thread ran which half. Uses
+/// the [`Helper`] engaged on the thread, or engages one for the call — a
+/// caller that fans out several times in a row engages one itself.
+pub fn par_indexed<T, F>(n: usize, min_par: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if n < min_par || num_threads() < 2 {
+        fan_out_metrics().sequential.add(1);
+        return (0..n).map(f).collect();
     }
+    fan_out_metrics().dispatched.add(1);
+    let _helper = engaged().is_none().then(Helper::engage);
+    let (mut lower, mut upper) = (Vec::with_capacity(n), Vec::new());
+    join(
+        "route",
+        "fan_out",
+        || lower.extend((0..n / 2).map(&f)),
+        || upper = (n / 2..n).map(&f).collect(),
+    );
+    lower.append(&mut upper);
+    lower
 }
 
 #[cfg(test)]
@@ -835,50 +593,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_matches_sequential_at_any_thread_count() {
-        let want: Vec<f32> = (0..100_000).map(|i| (i as f32).sin()).collect();
-        for threads in [1, 3, 8] {
-            set_num_threads(threads);
-            let mut got = vec![0.0f32; want.len()];
-            par_map_mut(&mut got, |i, v| *v = (i as f32).sin());
-            assert_eq!(got, want, "threads={threads}");
-        }
-        set_num_threads(0);
-    }
-
-    #[test]
     fn thread_override_roundtrip() {
-        set_num_threads(2);
-        assert_eq!(num_threads(), 2);
-        set_num_threads(0);
+        assert_eq!(with_threads(2, num_threads), 2);
         assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn pool_survives_many_small_dispatches() {
-        // thousands of dispatches through the persistent pool: it must
-        // not leak or deadlock.
-        set_num_threads(4);
-        let mut out = vec![0.0f32; PAR_THRESHOLD + 1];
-        for round in 0..2000 {
-            let k = round as f32;
-            par_map_mut(&mut out, |i, v| *v = k + i as f32);
-            assert_eq!(out[0], k);
-            assert_eq!(out[PAR_THRESHOLD], k + PAR_THRESHOLD as f32);
-        }
-        set_num_threads(0);
-    }
-
-    #[test]
-    fn par_indexed_is_index_ordered_and_thread_count_invariant() {
-        let n = 10_000;
-        let expect: Vec<Vec<u64>> = (0..n).map(|i| vec![i as u64, (i * i) as u64]).collect();
-        for threads in [1, 2, 8] {
-            set_num_threads(threads);
-            let got = par_indexed(n, 1, |i| vec![i as u64, (i * i) as u64]);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-        set_num_threads(0);
     }
 
     /// A helper whatever the host's CPU count.
@@ -910,6 +627,7 @@ mod tests {
                 let (lower, upper) = buf.split_at_mut(500);
                 join(
                     "test",
+                    "test",
                     || lower.iter_mut().for_each(|v| *v += round),
                     || upper.iter_mut().for_each(|v| *v += 2 * round),
                 );
@@ -926,6 +644,7 @@ mod tests {
         let started = AtomicBool::new(false);
         let mut by = None;
         join(
+            "test",
             "test",
             || until(&started),
             || {
@@ -945,6 +664,7 @@ mod tests {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             join(
                 "test",
+                "test",
                 || until(&started),
                 || {
                     started.store(true, Ordering::Release);
@@ -958,6 +678,7 @@ mod tests {
         let started = AtomicBool::new(false);
         let mut by = None;
         join(
+            "test",
             "test",
             || until(&started),
             || {
@@ -975,6 +696,7 @@ mod tests {
         let mut written = [0u8; 64];
         let caught = catch_unwind(AssertUnwindSafe(|| {
             join(
+                "test",
                 "test",
                 || {
                     until(&started);
@@ -1016,6 +738,7 @@ mod tests {
         let started = AtomicBool::new(false);
         join(
             "test",
+            "test",
             || until(&started),
             || started.store(true, Ordering::Release),
         );
@@ -1028,9 +751,97 @@ mod tests {
         assert_eq!(panic_message(caught.unwrap_err()), "draw failed");
     }
 
+    /// Sets the thread override for one test at a time: it is
+    /// process-global, and the tests below depend on which branch of
+    /// [`par_indexed`] it selects.
+    fn with_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
+        static OVERRIDE: Mutex<()> = Mutex::new(());
+        let _guard = lock(&OVERRIDE);
+        set_num_threads(threads);
+        let result = body();
+        set_num_threads(0);
+        result
+    }
+
     #[test]
-    fn par_indexed_respects_min_par_and_empty() {
-        assert!(par_indexed(0, 1, |i| i).is_empty());
-        assert_eq!(par_indexed(5, 100, |i| i * 3), vec![0, 3, 6, 9, 12]);
+    fn par_indexed_is_the_sequential_map_at_any_thread_count_helped_or_not() {
+        let item = |i: usize| vec![i as u64, (i * i) as u64];
+        for helped in [false, true] {
+            let _helper = helped.then(engaged_helper);
+            for threads in [1, 2, 8] {
+                for n in [0, 1, 2, 5, 1000, 1001] {
+                    let want: Vec<Vec<u64>> = (0..n).map(item).collect();
+                    // below `min_par`, at it, and always dispatched
+                    for min_par in [n + 1, n, 0] {
+                        let got = with_threads(threads, || par_indexed(n, min_par, item));
+                        assert_eq!(got, want, "helped={helped} threads={threads} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An item that counts itself in and out.
+    struct Counted<'c>(&'c AtomicUsize);
+
+    impl<'c> Counted<'c> {
+        fn new(made: &AtomicUsize, live: &'c AtomicUsize) -> Self {
+            made.fetch_add(1, Ordering::SeqCst);
+            live.fetch_add(1, Ordering::SeqCst);
+            Counted(live)
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_either_half_resumes_on_the_caller_once_the_other_is_done_and_leaks_nothing() {
+        const N: usize = 1000;
+        let _helper = engaged_helper();
+        // the lower half fails once the helper is inside the upper half,
+        // which then runs to its end; the upper half fails at its sixth
+        // item, and the lower half always runs to its end
+        for (bad, made_by_then) in [(10, 10 + N / 2), (N / 2 + 5, N / 2 + 5)] {
+            let (made, live) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let upper_started = AtomicBool::new(false);
+            let caught = with_threads(2, || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    par_indexed(N, 1, |i| {
+                        if i == N / 2 {
+                            upper_started.store(true, Ordering::Release);
+                        }
+                        if i == bad {
+                            until(&upper_started);
+                            panic!("item failed");
+                        }
+                        Counted::new(&made, &live)
+                    })
+                }))
+            });
+            assert_eq!(
+                panic_message(caught.err().expect("panicked")),
+                "item failed"
+            );
+            assert_eq!(made.load(Ordering::SeqCst), made_by_then, "bad={bad}");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "bad={bad}");
+        }
+    }
+
+    #[test]
+    fn a_fan_out_nested_in_either_half_of_another_returns_every_element_in_order() {
+        // in the lower half the helper's one lane mailbox holds the outer
+        // upper half; in the upper half, run by the helper, nothing is
+        // engaged and the inner call engages a helper of its own
+        let _helper = engaged_helper();
+        let inner = |i: usize| move |j: usize| vec![i, j];
+        let want: Vec<Vec<Vec<usize>>> = (0..8).map(|i| (0..100).map(inner(i)).collect()).collect();
+        for _ in 0..50 {
+            let got = with_threads(2, || par_indexed(8, 1, |i| par_indexed(100, 1, inner(i))));
+            assert_eq!(got, want);
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Determinism properties of the cost kernel, the training run's helper
-//! and the worker pool.
+//! Determinism properties of the cost kernel and the training run's
+//! helper.
 //!
 //! Contract under test (see the `cost` and `parallel` module docs):
 //! * a training loop's losses, gradients, final logits and RNG state are
@@ -8,15 +8,12 @@
 //!   two lanes share no element, and the noise drawn an iteration ahead
 //!   is the same stream in the same order — across prunes, each of which
 //!   equals sending the dropped logits to −∞;
-//! * the lanes are cut at a net boundary;
-//! * the pool's pure maps are bit-identical at any thread count and on
-//!   both sides of the `PAR_THRESHOLD` sequential/parallel boundary;
-//! * its counters lose no increment under concurrency.
+//! * the lanes are cut at a net boundary.
 
 use std::sync::Mutex;
 
 use dgr_autodiff::cost::NoiseRuns;
-use dgr_autodiff::parallel::{self, par_map_mut, LANE_THRESHOLD, PAR_THRESHOLD};
+use dgr_autodiff::parallel::{self, LANE_THRESHOLD};
 use dgr_autodiff::{Activation, Adam, CostModel, CostShape, CostTerms};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -331,64 +328,6 @@ proptest! {
         }
         if net_paths.iter().any(|&held| 2 * held > paths) {
             prop_assert!(upper.is_empty(), "a net holds more than half of the paths");
-        }
-    }
-}
-
-/// Counters incremented concurrently from pool worker threads must sum
-/// exactly (relaxed `fetch_add` loses nothing), and the pool's own
-/// dispatch metrics must stay consistent: every dispatched job is claimed
-/// as at least one chunk.
-#[test]
-fn pool_counter_increments_sum_exactly() {
-    let _guard = THREADS_LOCK.lock().unwrap();
-    let len = PAR_THRESHOLD * 4;
-    let touched = dgr_obs::counter("test.pool_touched");
-    parallel::set_num_threads(4);
-    dgr_obs::set_enabled(true);
-    let before_jobs = dgr_obs::counter("pool.jobs_dispatched").get();
-    let before_chunks = dgr_obs::counter("pool.chunks_claimed").get();
-    let base = touched.get();
-    let rounds = 8usize;
-    let mut buf = vec![0.0f32; len];
-    for _ in 0..rounds {
-        par_map_mut(&mut buf, |i, v| {
-            touched.add(1);
-            *v = i as f32;
-        });
-    }
-    dgr_obs::set_enabled(false);
-    parallel::set_num_threads(0);
-    assert_eq!(
-        touched.get() - base,
-        (rounds * len) as u64,
-        "lost counter increments under concurrency"
-    );
-    let jobs = dgr_obs::counter("pool.jobs_dispatched").get() - before_jobs;
-    let chunks = dgr_obs::counter("pool.chunks_claimed").get() - before_chunks;
-    assert_eq!(jobs, rounds as u64, "one dispatched job per par_map_mut");
-    assert!(
-        chunks >= jobs,
-        "every job is claimed as at least one chunk ({chunks} < {jobs})"
-    );
-}
-
-/// The sequential/parallel switch sits at exactly `PAR_THRESHOLD`
-/// elements: pure maps must be bit-identical on both sides of it (and to
-/// the plain sequential loop).
-#[test]
-fn par_threshold_boundary_is_seamless() {
-    let _guard = THREADS_LOCK.lock().unwrap();
-    for len in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
-        let src: Vec<f32> = (0..len)
-            .map(|i| ((i % 251) as f32) * 0.321 - 40.0)
-            .collect();
-        parallel::set_num_threads(4);
-        let mut mapped = vec![0.0f32; len];
-        par_map_mut(&mut mapped, |i, v| *v = src[i] * 1.5 + 2.0);
-        parallel::set_num_threads(0);
-        for (i, v) in mapped.iter().enumerate() {
-            assert_eq!(*v, src[i] * 1.5 + 2.0, "map diverged at len {len}, i {i}");
         }
     }
 }

@@ -18,18 +18,24 @@
 //! [`DemandMap`] evaluation order, so picks are bit-identical to the
 //! map-backed read-out.
 
-use dgr_autodiff::parallel::{par_indexed, par_map_mut, return_scratch, take_scratch};
+use dgr_autodiff::parallel::{par_indexed, Helper, NET_PAR_MIN};
 use dgr_dag::DagForest;
 use dgr_grid::{DemandMap, Design, EdgeId, GcellId};
 
 use crate::config::{DgrConfig, ExtractionMode};
 use crate::relax::CostModel;
 use crate::solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
-use crate::{DgrError, NET_PAR_MIN};
+use crate::DgrError;
 
-/// Below this many g-cell edges the overflow raster is computed on the
-/// calling thread.
-const EDGE_PAR_MIN: usize = 4096;
+/// Below this many g-cell edges the overflow raster, 6 ns an edge, is
+/// computed on the calling thread. Measured like [`NET_PAR_MIN`], serial →
+/// helped ms of one raster with no helper engaged: 0.034 → 0.054 / 0.034 →
+/// 0.052 / 0.034 → 0.060 at 6 k edges, 0.136 → 0.156 / 0.139 → 0.165 /
+/// 0.141 → 0.162 (the CPUs reading as hyperthreads) and 0.178 → 0.166 /
+/// 0.172 → 0.145 / 0.171 → 0.156 (as two cores) at 21 – 26 k, 0.416 →
+/// 0.332 / 0.283 → 0.319 / 0.302 → 0.306 and 0.320 → 0.220 / 0.292 →
+/// 0.294 / 0.279 → 0.225 at 51 k.
+const EDGE_PAR_MIN: usize = 1 << 15;
 
 /// A net's extraction plan — everything about its read-out that does not
 /// depend on the demand committed by earlier nets, computed in parallel:
@@ -43,9 +49,7 @@ struct NetPlan {
 /// Flat-array demand state for the extraction hot loops.
 ///
 /// Geometry (`end_*`, `coeff_*`, `cap_e`, the incident-edge CSR) is
-/// resolved once per extraction; `wire`/`vp` are borrowed from the
-/// executor scratch pool so repeated extractions (adaptive rounds) reuse
-/// the same allocations.
+/// resolved once per extraction.
 struct FastDemand {
     /// Per-edge wire demand (mirror of [`DemandMap`]'s wire array).
     wire: Vec<f32>,
@@ -101,8 +105,8 @@ impl FastDemand {
             inc_off.push(inc_edges.len() as u32);
         }
         FastDemand {
-            wire: take_scratch(num_edges),
-            vp: take_scratch(num_cells),
+            wire: vec![0.0; num_edges],
+            vp: vec![0.0; num_cells],
             end_a,
             end_b,
             coeff_a,
@@ -154,12 +158,6 @@ impl FastDemand {
             self.total(e) > self.cap_e[e] + 1e-4
         })
     }
-
-    /// Returns the mutable buffers to the executor scratch pool.
-    fn release(self) {
-        return_scratch(self.wire);
-        return_scratch(self.vp);
-    }
 }
 
 /// Extracts a discrete 2D solution from a trained model.
@@ -179,6 +177,8 @@ pub fn extract_solution(
     cfg: &DgrConfig,
 ) -> Result<RoutingSolution, DgrError> {
     let _span = dgr_obs::span("route", "extract");
+    // one helper for the plans and each round's raster and victim scan
+    let _helper = (forest.num_nets() >= NET_PAR_MIN).then(Helper::engage);
     // deterministic read-out: no noise, final temperature
     model.set_temperature(cfg.temperature_at(cfg.iterations.saturating_sub(1)));
     model.probabilities();
@@ -187,14 +187,14 @@ pub fn extract_solution(
     let grid = &design.grid;
 
     // Demand-independent per-path cost (wirelength + via terms of the
-    // greedy objective), computed once in parallel instead of per greedy
-    // evaluation. The expression matches the serial seed path bit for bit.
+    // greedy objective), computed once instead of per greedy evaluation.
     let sqrt_l = (design.num_layers as f32).sqrt();
-    let mut static_cost = take_scratch(forest.num_paths());
-    par_map_mut(&mut static_cost, |i, v| {
-        *v = cfg.weights.wirelength * forest.path_wirelength(i)
-            + cfg.weights.via * sqrt_l * forest.path_turn_count(i);
-    });
+    let static_cost: Vec<f32> = (0..forest.num_paths())
+        .map(|i| {
+            cfg.weights.wirelength * forest.path_wirelength(i)
+                + cfg.weights.via * sqrt_l * forest.path_turn_count(i)
+        })
+        .collect();
 
     // Phase 1 (parallel, pure): per-net plans — argmax tree plus ranked
     // candidate sets. Placement is by net index, so the plan vector is
@@ -280,8 +280,6 @@ pub fn extract_solution(
             picks[n] = net_picks;
         }
     }
-    fd.release();
-    return_scratch(static_cost);
 
     let mut solution = RoutingSolution {
         routes,
@@ -503,7 +501,6 @@ mod tests {
         }
         let mask = fd.overflow_mask();
         assert_eq!(mask, overflowed_edges(&design, &sol.demand));
-        fd.release();
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub use snapshot::{
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 pub use train::{train, train_with_hooks, CurvePoint, ProgressConfig, TrainReport, CURVE_POINTS};
 
+use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_grid::Design;
 use dgr_obs::{SnapshotSink, TelemetrySink};
 
@@ -207,9 +208,8 @@ impl DgrRouter {
     /// Step 1 of [`DgrRouter::route`]: the per-net tree candidate pools
     /// (span `candidates`). Trees are clamped to the die, every net draws
     /// from its own seed derived from `(candidates.seed, net index)` — so
-    /// the fan-out over the worker pool is deterministic at any thread
-    /// count — and Steiner templates are shared through one canonical
-    /// cache per call.
+    /// the fan-out is deterministic at any thread count — and Steiner
+    /// templates are shared through one canonical cache per call.
     ///
     /// # Errors
     ///
@@ -221,7 +221,7 @@ impl DgrRouter {
         base_cfg.clamp = Some(design.grid.bounds());
         let cache = dgr_rsmt::RsmtCache::new();
         let nets = &design.nets;
-        let pools = dgr_autodiff::parallel::par_indexed(nets.len(), NET_PAR_MIN, |i| {
+        let pools = par_indexed(nets.len(), NET_PAR_MIN, |i| {
             let cfg_i = dgr_rsmt::CandidateConfig {
                 seed: per_net_seed(base_cfg.seed, i),
                 ..base_cfg.clone()
@@ -385,10 +385,6 @@ impl DgrRouter {
         unreachable!("loop returns on its final round");
     }
 }
-
-/// Below this many nets, per-net stages (candidate generation, extraction
-/// planning) stay on the calling thread.
-pub(crate) const NET_PAR_MIN: usize = 64;
 
 /// A distinct, well-mixed RNG seed for net `i` derived from the base
 /// candidate seed (splitmix64 finalizer). Depending only on `(base, i)`

@@ -17,8 +17,8 @@
 //!
 //! # Isolation and determinism
 //!
-//! Jobs share nothing but the autodiff worker pool (whose dispatch lock
-//! serializes graph execution) and the global metrics registry. A
+//! Jobs share nothing but the global metrics registry: a run's helper
+//! thread is its own. A
 //! daemon-routed job therefore produces a route guide **byte-identical**
 //! to a one-shot `dgr route` of the same design/config — the e2e suite
 //! asserts this with concurrent jobs in flight.

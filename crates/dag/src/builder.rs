@@ -1,5 +1,6 @@
 //! Construction of a [`DagForest`] from per-net tree candidate pools.
 
+use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_grid::GcellGrid;
 use dgr_rsmt::RoutingTree;
 
@@ -129,7 +130,7 @@ pub fn build_forest_with_extras(
     // self-contained (counts + flat payloads); `par_indexed` places each
     // net's chunk by index, so the result is identical at any thread
     // count.
-    let chunks = dgr_autodiff::parallel::par_indexed(candidates.len(), NET_PAR_MIN, |n| {
+    let chunks = par_indexed(candidates.len(), NET_PAR_MIN, |n| {
         build_net_chunk(grid, &candidates[n], patterns, extras, subnet_base[n])
     });
 
@@ -218,11 +219,6 @@ pub fn build_forest_with_extras(
     debug_assert!(forest.validate().is_ok());
     Ok(forest)
 }
-
-/// Below this many nets the forest build stays on the calling thread —
-/// pattern enumeration for a handful of nets is cheaper than a pool
-/// dispatch.
-const NET_PAR_MIN: usize = 16;
 
 /// One net's share of the forest, built independently of every other net:
 /// per-tree/subnet/path counts plus the flat payloads, spliced into the
@@ -540,7 +536,7 @@ mod tests {
     fn parallel_build_is_thread_count_invariant() {
         let g = grid();
         // enough nets to clear NET_PAR_MIN and exercise the fan-out
-        let nets: Vec<Vec<RoutingTree>> = (0..40)
+        let nets: Vec<Vec<RoutingTree>> = (0..NET_PAR_MIN as i32 + 40)
             .map(|i| {
                 pool(&[
                     Point::new(i % 17, (i * 3) % 19),

@@ -30,7 +30,7 @@
 //!
 //! Observability is **off by default**. Every recording site first checks
 //! [`enabled`] — one relaxed atomic load and a predictable branch — so
-//! uninstrumented hot paths (the worker-pool dispatch, the training
+//! uninstrumented hot paths (the front end's fan-outs, the training
 //! inner loop) stay branch-predictable and bench-neutral. Flip the master
 //! switch with [`set_enabled`]; telemetry sinks are explicit objects and
 //! work regardless of the switch.
@@ -78,8 +78,8 @@ pub use profile::{FoldedProfile, Profiler, ProfilerConfig};
 pub use report::{render_report, ReportInputs};
 pub use scope::{
     health_of, health_summary_of, report_of, scope_remove, status_begin, status_phase,
-    status_queue_depth, status_ring_jsonl_of, status_scope, status_scope_id, tick, watchdog_arm,
-    watchdog_breach, StatusScope,
+    status_ring_jsonl_of, status_scope, status_scope_id, tick, watchdog_arm, watchdog_breach,
+    StatusScope,
 };
 pub use sentinel::{
     analyze_rows, rank_findings, rate_collapse_finding, rows_from_jsonl, verdict_of, Finding,

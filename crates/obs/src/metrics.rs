@@ -8,14 +8,13 @@
 //!
 //! ```
 //! use std::sync::OnceLock;
-//! static DISPATCHES: OnceLock<&'static dgr_obs::Counter> = OnceLock::new();
-//! let c = DISPATCHES.get_or_init(|| dgr_obs::counter("pool.jobs_dispatched"));
+//! static HITS: OnceLock<&'static dgr_obs::Counter> = OnceLock::new();
+//! let c = HITS.get_or_init(|| dgr_obs::counter("rsmt.cache.hits"));
 //! c.add(1);
 //! ```
 //!
 //! Counters sum **exactly** under concurrency (`fetch_add` on an
-//! `AtomicU64`) — the worker-pool instrumentation and its tests rely on
-//! this.
+//! `AtomicU64`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

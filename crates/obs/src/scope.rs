@@ -71,8 +71,6 @@ pub struct RunStatus {
     pub temperature: f32,
     /// Batch lane count (1 for single-instance runs).
     pub batch: u64,
-    /// Worker-pool jobs dispatched and not yet retired (best effort).
-    pub queue_depth: u64,
 }
 
 /// Watchdog configuration and breach record of one scope.
@@ -183,12 +181,6 @@ pub fn status_phase(phase: &str) {
             s.status.phase.push_str(phase);
         }
     });
-}
-
-/// Publishes the worker-pool queue depth (jobs in flight) into the
-/// current scope.
-pub fn status_queue_depth(depth: u64) {
-    publish(|s| s.status.queue_depth = depth);
 }
 
 /// Sentinel rules with a live alert gauge on `/metrics`, by name.
@@ -344,7 +336,6 @@ fn push_status_fields(o: &mut JsonObject, s: &RunStatus) {
     o.field_f32("overflow", s.overflow);
     o.field_f32("temperature", s.temperature);
     o.field_u64("batch", s.batch);
-    o.field_u64("queue_depth", s.queue_depth);
 }
 
 /// The `/status` JSON payload: the serving thread's scope fields at the
@@ -787,7 +778,6 @@ mod tests {
             let _scope = status_scope(12);
             status_begin("job-12", 24, 2);
             status_phase("train");
-            status_queue_depth(3);
             for lane in 0..2u64 {
                 for i in 0..24 {
                     let mut r = golden_row(i, 90.0 - i as f32 - lane as f32, Some(lane));

@@ -306,7 +306,7 @@ pub fn chrome_trace() -> String {
             "args",
             &format!(
                 "{{\"name\":\"dgr-{}\"}}",
-                if tid == 0 { "main" } else { "pool" }
+                if tid == 0 { "main" } else { "helper" }
             ),
         );
         if !first {

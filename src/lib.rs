@@ -11,7 +11,8 @@
 //! * [`rsmt`] — rectilinear Steiner trees and tree-candidate pools
 //! * [`dag`] — the routing DAG forest (the search-space representation)
 //! * [`autodiff`] — the expected-cost kernel (Eqs. 9–12, forward and
-//!   hand-derived backward), Adam and the front end's worker pool
+//!   hand-derived backward), Adam and the helper thread training and the
+//!   front end's fan-outs share
 //! * [`core`] — the differentiable router itself
 //! * [`baseline`] — ILP, sequential, soft-capacity and Lagrangian routers
 //! * [`post`] — layer assignment, maze refinement, routing guides, and

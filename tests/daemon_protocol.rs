@@ -226,17 +226,21 @@ fn fifo_and_priority_scheduling() {
     daemon.stop();
 }
 
-/// A panic inside a task of a training run's helper thread resumes on the
+/// A panic inside a task of a helper thread — the upper half of a
+/// front-end fan-out, a lane of a training iteration — resumes on the
 /// worker that joined it, the worker's `catch_unwind` fails the job with
 /// the panic's message, and the daemon is none the worse: the same job
 /// submitted again produces the guide a clean daemon produces.
 #[test]
 fn a_panic_in_a_training_helper_task_fails_the_job_and_spares_the_daemon() {
-    use dgr::autodiff::parallel;
+    use dgr::autodiff::parallel::{self, NET_PAR_MIN};
 
-    // 800 nets: enough paths for the run to engage a helper, which this
-    // makes it do even on a one-CPU host (every other job in this file
-    // is far below the size, so the fault cannot land in another test)
+    // 800 nets: enough paths for training to engage a helper, too few
+    // nets for the front end to; the catalog case has 1 800, and its
+    // front end fans out. Either happens even on a one-CPU host with the
+    // override at 2 (every other job in this file is far below both
+    // sizes, so the fault cannot land in another test)
+    const _: () = assert!(800 < NET_PAR_MIN && NET_PAR_MIN <= 1800);
     parallel::set_num_threads(2);
     let design: Design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 56,
@@ -248,42 +252,52 @@ fn a_panic_in_a_training_helper_task_fails_the_job_and_spares_the_daemon() {
     })
     .generate()
     .expect("valid config");
-    let job = spec(&dgr::io::write_design(&design), "faulted", 60, 0);
-    let guide_of = |daemon: &Daemon, id: u64| {
-        let addr = daemon.local_addr();
-        wait_state(addr, id, "done", Duration::from_secs(180));
-        let guide = get(addr, &format!("/jobs/{id}/guide"));
-        assert_eq!(guide.status, 200);
-        guide.body
-    };
-    let boot = || {
-        let cfg = DaemonConfig {
-            workers: 1,
-            ..DaemonConfig::default()
+    for (task, job) in [
+        (
+            "fan_out",
+            r#"{"design_catalog":"ispd18_5m","label":"faulted","iterations":10}"#.to_string(),
+        ),
+        (
+            "lane_fwd",
+            spec(&dgr::io::write_design(&design), "faulted", 60, 0),
+        ),
+    ] {
+        let guide_of = |daemon: &Daemon, id: u64| {
+            let addr = daemon.local_addr();
+            wait_state(addr, id, "done", Duration::from_secs(180));
+            let guide = get(addr, &format!("/jobs/{id}/guide"));
+            assert_eq!(guide.status, 200);
+            guide.body
         };
-        Daemon::start("127.0.0.1:0", cfg).unwrap()
-    };
+        let boot = || {
+            let cfg = DaemonConfig {
+                workers: 1,
+                ..DaemonConfig::default()
+            };
+            Daemon::start("127.0.0.1:0", cfg).unwrap()
+        };
 
-    let clean = boot();
-    let want = guide_of(&clean, submit_job(clean.local_addr(), &job));
-    clean.stop();
+        let clean = boot();
+        let want = guide_of(&clean, submit_job(clean.local_addr(), &job));
+        clean.stop();
 
-    let daemon = boot();
-    let addr = daemon.local_addr();
-    parallel::fail_next_helper_task();
-    let failed = submit_job(addr, &job);
-    let record = wait_state(addr, failed, "failed", Duration::from_secs(180));
-    let error = record.get("error").and_then(JsonValue::as_str);
-    assert_eq!(
-        error,
-        Some("worker panicked: injected helper-task fault"),
-        "{record:?}"
-    );
-    let got = guide_of(&daemon, submit_job(addr, &job));
-    assert!(
-        got == want,
-        "the job after the fault differs from a clean daemon's"
-    );
-    daemon.stop();
+        let daemon = boot();
+        let addr = daemon.local_addr();
+        parallel::fail_next_helper_task(task);
+        let failed = submit_job(addr, &job);
+        let record = wait_state(addr, failed, "failed", Duration::from_secs(180));
+        let error = record.get("error").and_then(JsonValue::as_str);
+        assert_eq!(
+            error,
+            Some("worker panicked: injected helper-task fault"),
+            "{task}: {record:?}"
+        );
+        let got = guide_of(&daemon, submit_job(addr, &job));
+        assert!(
+            got == want,
+            "{task}: the job after the fault differs from a clean daemon's"
+        );
+        daemon.stop();
+    }
     parallel::set_num_threads(0);
 }

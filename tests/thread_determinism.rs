@@ -1,26 +1,29 @@
 //! Thread-count invariance of the full route pipeline.
 //!
-//! The parallel front end (candidate fan-out, forest build, extraction
-//! rasters) writes results into index-ordered slots; the training kernel
+//! The front end's fan-outs (candidates, forest build, extraction plans
+//! and rasters) cut their index range in two at a point that depends on
+//! its length alone and append the halves in order; the training kernel
 //! fixes every reduction order by its index structure, whichever thread
 //! runs which of its two lanes, and the noise a training run's helper
 //! draws an iteration ahead is the same stream in the same order. So
 //! `route` must produce byte-identical output at any worker count. This
 //! routes the golden-guide cases and one design large enough to engage
-//! the helper (`LANE_THRESHOLD` paths) — and to cross `PAR_THRESHOLD`
-//! path-edges, the size at which the op tape this kernel replaced chunked
-//! its reductions by thread count, so that its losses differed in their
-//! last bits from the first iteration on and its guides on larger
-//! designs — at 1, 2, and 8 threads, and asserts the renderings (and, for
+//! the helper (`LANE_THRESHOLD` paths) — and to cross 2¹⁵ path-edges,
+//! the size at which the op tape this kernel replaced chunked its
+//! reductions by thread count, so that its losses differed in their last
+//! bits from the first iteration on and its guides on larger designs —
+//! at 1, 2, and 8 threads, and asserts the renderings (and, for
 //! the large design, every retained loss) match each other and, for the
 //! golden cases, the committed golden files. The large design trains
 //! across two temperature steps, each of which compacts the kernel to
-//! the candidates still alive and re-cuts its lanes. A run cancelled in
-//! the middle of training must leave its thread as it found it.
+//! the candidates still alive and re-cuts its lanes. A design of
+//! `NET_PAR_MIN` nets, from which the front end fans out, is routed the
+//! same way for a few iterations. A run cancelled in the middle of
+//! training must leave its thread as it found it.
 
 use std::path::PathBuf;
 
-use dgr::autodiff::parallel::{self, LANE_THRESHOLD};
+use dgr::autodiff::parallel::{self, LANE_THRESHOLD, NET_PAR_MIN};
 use dgr::core::{DgrConfig, DgrError, DgrRouter, RouteHooks};
 use dgr::grid::Design;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
@@ -144,6 +147,26 @@ fn a_design_above_the_parallel_threshold_routes_identically_at_any_thread_count(
         );
         assert_eq!(curve, losses, "{threads}-thread losses diverged");
         assert_eq!(alive, live, "{threads}-thread steps diverged");
+    }
+}
+
+#[test]
+fn a_design_whose_front_end_fans_out_routes_identically_at_any_thread_count() {
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 120,
+        height: 120,
+        num_nets: NET_PAR_MIN + 100,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let per_thread = at_each_thread_count(|| guide_and_losses(&design, 10, 0));
+    let (_, one_thread) = &per_thread[0];
+    for (threads, rendering) in &per_thread[1..] {
+        assert!(
+            rendering == one_thread,
+            "{threads} threads diverged from one"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
-//! Congestion cost functions shared by the sequential baselines.
+//! CUGR2's logistic congestion cost.
 
-use dgr_grid::{CapacityModel, DemandMap, EdgeId, GcellGrid};
+use dgr_grid::{CapacityModel, DemandMap, EdgeId};
 
 /// CUGR2-style logistic wire cost of using edge `e` given the current
 /// demand: `1 + slope / (1 + e^{α(cap − d − 1)})`.
@@ -19,40 +19,26 @@ use dgr_grid::{CapacityModel, DemandMap, EdgeId, GcellGrid};
 /// let cap = CapacityBuilder::uniform(&grid, 4.0).build(&grid)?;
 /// let demand = DemandMap::new(&grid);
 /// let e = grid.h_edge(0, 0)?;
-/// let free = logistic_cost(&grid, &cap, &demand, e, 8.0, 1.0);
+/// let free = logistic_cost(&cap, &demand, e, 8.0, 1.0);
 /// assert!(free < 2.0); // nearly unit cost when empty
 /// # Ok::<(), dgr_grid::GridError>(())
 /// ```
 pub fn logistic_cost(
-    grid: &GcellGrid,
     cap: &CapacityModel,
     demand: &DemandMap,
     e: EdgeId,
     slope: f32,
     alpha: f32,
 ) -> f32 {
-    let d = demand.total(grid, cap, e);
+    let d = demand.total(cap, e);
     let c = cap.capacity(e);
     1.0 + slope / (1.0 + (alpha * (c - d - 1.0)).exp())
-}
-
-/// Hard overflow marginal of adding one wire to `e`:
-/// `max(0, d + 1 − cap) − max(0, d − cap)`.
-pub fn overflow_marginal(
-    grid: &GcellGrid,
-    cap: &CapacityModel,
-    demand: &DemandMap,
-    e: EdgeId,
-) -> f32 {
-    let d = demand.total(grid, cap, e);
-    let c = cap.capacity(e);
-    (d + 1.0 - c).max(0.0) - (d - c).max(0.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_grid::{CapacityBuilder, Point};
+    use dgr_grid::{CapacityBuilder, GcellGrid};
 
     fn setup() -> (GcellGrid, CapacityModel, DemandMap) {
         let g = GcellGrid::new(4, 4).unwrap();
@@ -64,33 +50,12 @@ mod tests {
     fn logistic_cost_rises_with_demand() {
         let (g, cap, mut d) = setup();
         let e = g.h_edge(0, 0).unwrap();
-        let c0 = logistic_cost(&g, &cap, &d, e, 8.0, 1.0);
+        let c0 = logistic_cost(&cap, &d, e, 8.0, 1.0);
         d.add_wire(e, 2.0);
-        let c2 = logistic_cost(&g, &cap, &d, e, 8.0, 1.0);
+        let c2 = logistic_cost(&cap, &d, e, 8.0, 1.0);
         d.add_wire(e, 2.0);
-        let c4 = logistic_cost(&g, &cap, &d, e, 8.0, 1.0);
+        let c4 = logistic_cost(&cap, &d, e, 8.0, 1.0);
         assert!(c0 < c2 && c2 < c4);
         assert!(c4 <= 9.0);
-    }
-
-    #[test]
-    fn overflow_marginal_kicks_in_at_capacity() {
-        let (g, cap, mut d) = setup();
-        let e = g.h_edge(1, 1).unwrap();
-        assert_eq!(overflow_marginal(&g, &cap, &d, e), 0.0);
-        d.add_wire(e, 2.0); // at capacity
-        assert_eq!(overflow_marginal(&g, &cap, &d, e), 1.0);
-        d.add_wire(e, 1.0);
-        assert_eq!(overflow_marginal(&g, &cap, &d, e), 1.0);
-        let _ = Point::new(0, 0);
-    }
-
-    #[test]
-    fn marginal_is_fractional_below_capacity_boundary() {
-        let (g, cap, mut d) = setup();
-        let e = g.h_edge(2, 2).unwrap();
-        d.add_wire(e, 1.5);
-        // d+1 = 2.5 > 2.0 → marginal 0.5
-        assert!((overflow_marginal(&g, &cap, &d, e) - 0.5).abs() < 1e-6);
     }
 }

@@ -9,12 +9,11 @@
 //! overflow marginal, which turns the dual solution into a feasible-ish
 //! primal one.
 
-use dgr_core::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
+use dgr_core::{RoutePath, RoutingSolution};
+use dgr_grid::maze::{MazeConfig, MazeScratch};
 use dgr_grid::{DemandMap, Design, Rect};
 
-use crate::cost::overflow_marginal;
-use crate::maze::{MazeConfig, MazeScratch};
-use crate::BaselineError;
+use crate::{unrouted, BaselineError};
 
 /// Tuning knobs of the Lagrangian router.
 #[derive(Debug, Clone)]
@@ -82,14 +81,10 @@ impl LagrangianRouter {
                     let corners = scratch
                         .route(grid, a, b, |e| 1.0 + lambda[e.index()], &cfg)
                         .ok_or(BaselineError::Unroutable { net: n })?;
-                    for w in corners.windows(2) {
-                        demand
-                            .add_segment(grid, w[0], w[1])
-                            .map_err(BaselineError::Grid)?;
-                    }
+                    demand.commit(grid, &corners)?;
                 }
             }
-            // projected subgradient step
+            // projected subgradient step (the dual prices wire only)
             let eta = self.config.step / ((round + 1) as f32).sqrt();
             for e in grid.edge_ids() {
                 let violation = demand.wire(e) - design.capacity.capacity(e);
@@ -100,20 +95,10 @@ impl LagrangianRouter {
         // primal pass: sequential with hard overflow marginal on top of λ
         let cap = &design.capacity;
         let mut demand = DemandMap::new(grid);
-        let mut routes: Vec<Vec<RoutePath>> = vec![Vec::new(); design.nets.len()];
-        let mut order: Vec<usize> = (0..design.nets.len()).collect();
-        order.sort_by_key(|&n| {
-            let pins = &design.nets[n].pins;
-            if pins.is_empty() {
-                0
-            } else {
-                Rect::bounding(pins).half_perimeter()
-            }
-        });
-        for &n in &order {
-            let mut paths = Vec::new();
+        let mut routes = unrouted(design);
+        for n in design.nets_by_half_perimeter() {
             for (a, b) in trees[n].subnets() {
-                let ov = |e| overflow_marginal(grid, cap, &demand, e);
+                let ov = |e| demand.marginal(cap, e, 1.0);
                 let corners = scratch
                     .route_escalating(
                         grid,
@@ -124,43 +109,11 @@ impl LagrangianRouter {
                         |e| ov(e) <= 0.0,
                     )
                     .ok_or(BaselineError::Unroutable { net: n })?;
-                let path = RoutePath { corners };
-                for w in path.corners.windows(2) {
-                    demand
-                        .add_segment(grid, w[0], w[1])
-                        .map_err(BaselineError::Grid)?;
-                }
-                let k = path.corners.len();
-                if k > 2 {
-                    for c in &path.corners[1..k - 1] {
-                        demand.add_turn(grid, *c).map_err(BaselineError::Grid)?;
-                    }
-                }
-                paths.push(path);
+                demand.commit(grid, &corners)?;
+                routes[n].paths.push(RoutePath { corners });
             }
-            routes[n] = paths;
         }
-
-        let mut solution = RoutingSolution {
-            routes: routes
-                .into_iter()
-                .enumerate()
-                .map(|(net, paths)| NetRoute {
-                    net,
-                    tree: 0,
-                    paths,
-                })
-                .collect(),
-            demand,
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(design).map_err(BaselineError::Grid)?;
-        Ok(solution)
+        Ok(RoutingSolution::from_routes(design, routes)?)
     }
 }
 

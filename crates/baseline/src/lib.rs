@@ -16,7 +16,10 @@
 //!   (Table 3),
 //! * [`lagrangian`] — a **Lagrangian-relaxation pathfinding router** in
 //!   the spirit of Yao et al. DAC'23 (Table 3),
-//! * [`maze`] — the shared A\* maze-routing engine.
+//! * [`cost`] — CUGR2's logistic congestion cost.
+//!
+//! The maze engine ([`dgr_grid::maze`]) and the demand ledger
+//! ([`dgr_grid::DemandMap`]) they search and commit with are the product's.
 //!
 //! All routers consume a [`dgr_grid::Design`] and produce a
 //! [`dgr_core::RoutingSolution`], so every metric in the experiment
@@ -25,15 +28,24 @@
 pub mod cost;
 pub mod ilp;
 pub mod lagrangian;
-pub mod maze;
 pub mod sequential;
 pub mod sproute;
 
 pub use ilp::{IlpResult, IlpSolver, IlpStatus};
 pub use lagrangian::LagrangianRouter;
-pub use maze::maze_route;
 pub use sequential::SequentialRouter;
 pub use sproute::SprouteRouter;
+
+/// One route per net of `design`, in net order, with no paths yet (the
+/// baselines pick no tree candidate: `tree` is 0).
+fn unrouted(design: &dgr_grid::Design) -> Vec<dgr_core::NetRoute> {
+    let route = |net| dgr_core::NetRoute {
+        net,
+        tree: 0,
+        paths: Vec::new(),
+    };
+    (0..design.nets.len()).map(route).collect()
+}
 
 /// Errors produced by baseline routers.
 #[derive(Debug)]

@@ -16,14 +16,15 @@
 //! stagnate in local minima — exactly the weakness DGR's concurrent
 //! optimization targets (and what Table 2 measures).
 
-use dgr_core::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
+use dgr_core::solution::overflowed_nets;
+use dgr_core::{RoutePath, RoutingSolution};
 use dgr_dag::enumerate_paths;
-use dgr_grid::{DemandMap, Design, Point, Rect};
+use dgr_grid::maze::MazeScratch;
+use dgr_grid::{DemandMap, Design, Point};
 use dgr_rsmt::RoutingTree;
 
-use crate::cost::{logistic_cost, overflow_marginal};
-use crate::maze::MazeScratch;
-use crate::BaselineError;
+use crate::cost::logistic_cost;
+use crate::{unrouted, BaselineError};
 
 /// Tuning knobs of the sequential router.
 #[derive(Debug, Clone)]
@@ -88,58 +89,29 @@ impl SequentialRouter {
             trees.push(dgr_rsmt::rsmt(&net.pins)?);
         }
 
-        // order: small bounding boxes first (they have the least freedom)
-        let mut order: Vec<usize> = (0..design.nets.len()).collect();
-        order.sort_by_key(|&n| {
-            let pins = &design.nets[n].pins;
-            if pins.is_empty() {
-                0
-            } else {
-                Rect::bounding(pins).half_perimeter()
-            }
-        });
-
         let mut scratch = MazeScratch::new();
-        let mut routes: Vec<Vec<RoutePath>> = vec![Vec::new(); design.nets.len()];
-        for &n in &order {
-            routes[n] = self.route_net(design, &trees[n], &mut demand, None)?;
+        let mut routes = unrouted(design);
+        for n in design.nets_by_half_perimeter() {
+            routes[n].paths = self.route_net(design, &trees[n], &mut demand, None)?;
         }
 
         // rip-up and reroute rounds
         for round in 0..self.config.rrr_rounds {
-            let victims = self.overflowed_nets(design, &demand, &routes);
+            let victims = overflowed_nets(design, &demand, &routes);
             if victims.is_empty() {
                 break;
             }
             let maze = round > 0
                 || (self.config.maze_fallback && round + 1 == self.config.rrr_rounds.max(1));
             for &n in &victims {
-                self.rip_up(grid, &routes[n], &mut demand)?;
+                for path in &routes[n].paths {
+                    demand.rip_up(grid, &path.corners)?;
+                }
                 let scratch = maze.then_some(&mut scratch);
-                routes[n] = self.route_net(design, &trees[n], &mut demand, scratch)?;
+                routes[n].paths = self.route_net(design, &trees[n], &mut demand, scratch)?;
             }
         }
-
-        let mut solution = RoutingSolution {
-            routes: routes
-                .into_iter()
-                .enumerate()
-                .map(|(net, paths)| NetRoute {
-                    net,
-                    tree: 0,
-                    paths,
-                })
-                .collect(),
-            demand,
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(design).map_err(BaselineError::Grid)?;
-        Ok(solution)
+        Ok(RoutingSolution::from_routes(design, routes)?)
     }
 
     fn route_net(
@@ -160,7 +132,6 @@ impl SequentialRouter {
                 let edges = path.edges(grid)?;
                 for e in &edges {
                     cost += logistic_cost(
-                        grid,
                         cap,
                         demand,
                         *e,
@@ -181,12 +152,11 @@ impl SequentialRouter {
 
             if let Some(scratch) = maze.as_deref_mut() {
                 // maze fallback when the best pattern still overflows
-                let ov = |e| overflow_marginal(grid, cap, demand, e);
+                let ov = |e| demand.marginal(cap, e, 1.0);
                 if grid.polyline_edges(&chosen.corners)?.any(|e| ov(e) > 0.0) {
                     let slope = self.config.logistic_slope;
                     let alpha = self.config.logistic_alpha;
-                    let cost_fn =
-                        |e| logistic_cost(grid, cap, demand, e, slope, alpha) + 1000.0 * ov(e);
+                    let cost_fn = |e| logistic_cost(cap, demand, e, slope, alpha) + 1000.0 * ov(e);
                     let candidate = scratch.route_escalating(
                         grid,
                         (a, b),
@@ -214,68 +184,10 @@ impl SequentialRouter {
                 }
             }
 
-            // commit
-            for w in chosen.corners.windows(2) {
-                demand
-                    .add_segment(grid, w[0], w[1])
-                    .map_err(BaselineError::Grid)?;
-            }
-            let k = chosen.corners.len();
-            if k > 2 {
-                for c in &chosen.corners[1..k - 1] {
-                    demand.add_turn(grid, *c).map_err(BaselineError::Grid)?;
-                }
-            }
+            demand.commit(grid, &chosen.corners)?;
             out.push(chosen);
         }
         Ok(out)
-    }
-
-    fn rip_up(
-        &self,
-        grid: &dgr_grid::GcellGrid,
-        paths: &[RoutePath],
-        demand: &mut DemandMap,
-    ) -> Result<(), BaselineError> {
-        for path in paths {
-            for w in path.corners.windows(2) {
-                demand
-                    .remove_segment(grid, w[0], w[1])
-                    .map_err(BaselineError::Grid)?;
-            }
-            let k = path.corners.len();
-            if k > 2 {
-                for c in &path.corners[1..k - 1] {
-                    demand.remove_turn(grid, *c).map_err(BaselineError::Grid)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn overflowed_nets(
-        &self,
-        design: &Design,
-        demand: &DemandMap,
-        routes: &[Vec<RoutePath>],
-    ) -> Vec<usize> {
-        let grid = &design.grid;
-        let cap = &design.capacity;
-        let over: Vec<bool> = grid
-            .edge_ids()
-            .map(|e| demand.total(grid, cap, e) > cap.capacity(e) + 1e-4)
-            .collect();
-        let mut victims = Vec::new();
-        for (n, paths) in routes.iter().enumerate() {
-            let hit = paths.iter().any(|p| {
-                grid.polyline_edges(&p.corners)
-                    .is_ok_and(|mut es| es.any(|e| over[e.index()]))
-            });
-            if hit {
-                victims.push(n);
-            }
-        }
-        victims
     }
 }
 
@@ -291,7 +203,7 @@ fn corners_of(path: &dgr_dag::PatternPath) -> Vec<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_grid::{CapacityBuilder, GcellGrid, Net};
+    use dgr_grid::{CapacityBuilder, GcellGrid, Net, Rect};
 
     fn design(tracks: f32, nets: Vec<Net>) -> Design {
         let grid = GcellGrid::new(12, 12).unwrap();

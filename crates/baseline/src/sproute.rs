@@ -8,12 +8,12 @@
 //! reroute rounds — single-threaded (the original's determinism-preserving
 //! parallelism is an engineering layer, not a quality lever).
 
-use dgr_core::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
-use dgr_grid::{DemandMap, Design, Rect};
+use dgr_core::solution::overflowed_nets;
+use dgr_core::{RoutePath, RoutingSolution};
+use dgr_grid::maze::MazeScratch;
+use dgr_grid::{DemandMap, Design};
 
-use crate::cost::overflow_marginal;
-use crate::maze::MazeScratch;
-use crate::BaselineError;
+use crate::{unrouted, BaselineError};
 
 /// Tuning knobs of the soft-capacity router.
 #[derive(Debug, Clone)]
@@ -68,58 +68,29 @@ impl SprouteRouter {
         for net in &design.nets {
             trees.push(dgr_rsmt::rsmt(&net.pins)?);
         }
-        let mut order: Vec<usize> = (0..design.nets.len()).collect();
-        order.sort_by_key(|&n| {
-            let pins = &design.nets[n].pins;
-            if pins.is_empty() {
-                0
-            } else {
-                Rect::bounding(pins).half_perimeter()
-            }
-        });
-
         let mut scratch = MazeScratch::new();
-        let mut routes: Vec<Vec<RoutePath>> = vec![Vec::new(); design.nets.len()];
-        for &n in &order {
-            routes[n] = self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
+        let mut routes = unrouted(design);
+        for n in design.nets_by_half_perimeter() {
+            routes[n].paths = self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
         }
         for _ in 0..self.config.rounds {
-            let victims: Vec<usize> = (0..design.nets.len())
-                .filter(|&n| self.net_overflows(design, &demand, &routes[n]))
-                .collect();
+            let victims = overflowed_nets(design, &demand, &routes);
             if victims.is_empty() {
                 break;
             }
             for &n in &victims {
-                rip_up(grid, &routes[n], &mut demand)?;
-                routes[n] = self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
+                for path in &routes[n].paths {
+                    demand.rip_up(grid, &path.corners)?;
+                }
+                routes[n].paths =
+                    self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
             }
         }
-
-        let mut solution = RoutingSolution {
-            routes: routes
-                .into_iter()
-                .enumerate()
-                .map(|(net, paths)| NetRoute {
-                    net,
-                    tree: 0,
-                    paths,
-                })
-                .collect(),
-            demand,
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(design).map_err(BaselineError::Grid)?;
-        Ok(solution)
+        Ok(RoutingSolution::from_routes(design, routes)?)
     }
 
     fn soft_cost(&self, design: &Design, demand: &DemandMap, e: dgr_grid::EdgeId) -> f32 {
-        let d = demand.total(&design.grid, &design.capacity, e);
+        let d = demand.total(&design.capacity, e);
         let c = design.capacity.capacity(e).max(1e-3);
         let u = (d + 1.0) / c;
         if u <= self.config.soft_fraction {
@@ -147,56 +118,14 @@ impl SprouteRouter {
                     self.config.margin,
                     self.config.turn_cost,
                     |e| self.soft_cost(design, demand, e),
-                    |e| overflow_marginal(grid, &design.capacity, demand, e) <= 0.0,
+                    |e| demand.marginal(&design.capacity, e, 1.0) <= 0.0,
                 )
                 .ok_or(BaselineError::Unroutable { net })?;
-            let path = RoutePath { corners };
-            for w in path.corners.windows(2) {
-                demand
-                    .add_segment(grid, w[0], w[1])
-                    .map_err(BaselineError::Grid)?;
-            }
-            let k = path.corners.len();
-            if k > 2 {
-                for c in &path.corners[1..k - 1] {
-                    demand.add_turn(grid, *c).map_err(BaselineError::Grid)?;
-                }
-            }
-            out.push(path);
+            demand.commit(grid, &corners)?;
+            out.push(RoutePath { corners });
         }
         Ok(out)
     }
-
-    fn net_overflows(&self, design: &Design, demand: &DemandMap, paths: &[RoutePath]) -> bool {
-        let grid = &design.grid;
-        let cap = &design.capacity;
-        paths.iter().any(|p| {
-            grid.polyline_edges(&p.corners).is_ok_and(|mut edges| {
-                edges.any(|e| demand.total(grid, cap, e) > cap.capacity(e) + 1e-4)
-            })
-        })
-    }
-}
-
-pub(crate) fn rip_up(
-    grid: &dgr_grid::GcellGrid,
-    paths: &[RoutePath],
-    demand: &mut DemandMap,
-) -> Result<(), BaselineError> {
-    for path in paths {
-        for w in path.corners.windows(2) {
-            demand
-                .remove_segment(grid, w[0], w[1])
-                .map_err(BaselineError::Grid)?;
-        }
-        let k = path.corners.len();
-        if k > 2 {
-            for c in &path.corners[1..k - 1] {
-                demand.remove_turn(grid, *c).map_err(BaselineError::Grid)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

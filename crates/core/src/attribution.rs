@@ -16,6 +16,7 @@
 //! the record reports `charged_excess` next to `total_excess` so the
 //! gap is visible rather than silently re-normalized away.
 
+use dgr_grid::demand::touched_edges;
 use dgr_grid::{edge_excess, Design};
 use dgr_obs::{AttributionRecord, NetShare, SnapshotSink};
 
@@ -50,25 +51,12 @@ pub fn attribute_solution(
             contributors[edge].push(net);
         }
     };
-    let mut edge_buf = Vec::new();
+    // a net loads the edges its wire crosses and, through the Eq. 2
+    // endpoint split, every edge around each of its turns
     for route in &solution.routes {
         for path in &route.paths {
-            // wire crossings
-            for w in path.corners.windows(2) {
-                edge_buf.clear();
-                if grid.push_segment_edges(w[0], w[1], &mut edge_buf).is_ok() {
-                    for e in &edge_buf {
-                        add(e.index(), route.net);
-                    }
-                }
-            }
-            // via pressure: a turn at cell v loads every edge incident
-            // to v through the Eq. 2 endpoint split
-            let interior = path.corners.len().saturating_sub(2);
-            for corner in path.corners.iter().skip(1).take(interior) {
-                for e in grid.incident_edges(*corner) {
-                    add(e.index(), route.net);
-                }
+            if let Ok(edges) = touched_edges(grid, &design.capacity, &path.corners) {
+                edges.for_each(|e| add(e.index(), route.net));
             }
         }
     }
@@ -144,8 +132,8 @@ pub fn write_attribution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solution::{NetRoute, RoutePath, SolutionMetrics};
-    use dgr_grid::{CapacityBuilder, DemandMap, GcellGrid, Net, Point};
+    use crate::solution::{NetRoute, RoutePath};
+    use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
 
     /// Two nets down the same 1-track column, one net far away.
     fn contended() -> (Design, RoutingSolution) {
@@ -160,8 +148,9 @@ mod tests {
         let straight = |x: i32| RoutePath {
             corners: vec![Point::new(x, 0), Point::new(x, 4)],
         };
-        let mut solution = RoutingSolution {
-            routes: vec![
+        let solution = RoutingSolution::from_routes(
+            &design,
+            vec![
                 NetRoute {
                     net: 0,
                     tree: 0,
@@ -178,15 +167,8 @@ mod tests {
                     paths: vec![straight(0)],
                 },
             ],
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(&design).unwrap();
+        )
+        .unwrap();
         (design, solution)
     }
 
@@ -222,23 +204,17 @@ mod tests {
             3,
         )
         .unwrap();
-        let mut solution = RoutingSolution {
-            routes: vec![NetRoute {
+        let solution = RoutingSolution::from_routes(
+            &design,
+            vec![NetRoute {
                 net: 0,
                 tree: 0,
                 paths: vec![RoutePath {
                     corners: vec![Point::new(0, 0), Point::new(4, 0), Point::new(4, 4)],
                 }],
             }],
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(&design).unwrap();
+        )
+        .unwrap();
         let record = attribute_solution(&design, &solution, &CostWeights::default(), "final");
         assert_eq!(record.ranked_nets, 0);
         assert!(record.nets.is_empty());
@@ -265,8 +241,9 @@ mod tests {
             3,
         )
         .unwrap();
-        let mut solution = RoutingSolution {
-            routes: vec![
+        let solution = RoutingSolution::from_routes(
+            &design,
+            vec![
                 NetRoute {
                     net: 0,
                     tree: 0,
@@ -283,15 +260,8 @@ mod tests {
                     }],
                 },
             ],
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(&design).unwrap();
+        )
+        .unwrap();
         let record = attribute_solution(&design, &solution, &CostWeights::default(), "final");
         let charged: Vec<u64> = record.nets.iter().map(|n| n.net).collect();
         assert!(charged.contains(&0), "turning net charged via pressure");

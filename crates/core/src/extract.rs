@@ -8,34 +8,20 @@
 //!   [`ExtractionMode::Argmax`] the set degenerates to the single most
 //!   probable path (the Table-1 read-out).
 //!
-//! The greedy/rip-up phases run against [`FastDemand`], a flat-array
-//! mirror of [`DemandMap`] with the per-edge endpoint cells, `½β`
-//! coefficients, capacities, and per-cell incident-edge lists resolved
-//! once up front: every `total(e)` in the hot loops is three loads and
-//! two multiply-adds instead of an endpoint → cell-id walk, and commits
-//! traverse the forest's precomputed per-path edge/via lists instead of
-//! re-deriving edges from corner polylines. All expressions keep the
-//! [`DemandMap`] evaluation order, so picks are bit-identical to the
-//! map-backed read-out.
+//! The greedy/rip-up phases commit to the one [`DemandMap`] ledger by
+//! the forest's precomputed per-path edge and turn-cell ids instead of
+//! re-deriving edges from corner polylines, and price a candidate with the
+//! ledger's own `marginal` — for a wire on each of its edges, for a turn's
+//! `½β` on each edge around the turn cell.
 
 use dgr_autodiff::parallel::{par_indexed, Helper, NET_PAR_MIN};
 use dgr_dag::DagForest;
-use dgr_grid::{DemandMap, Design, EdgeId, GcellId};
+use dgr_grid::{CapacityModel, DemandMap, Design, EdgeId, GcellId};
 
 use crate::config::{DgrConfig, ExtractionMode};
 use crate::relax::CostModel;
-use crate::solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
+use crate::solution::{NetRoute, RoutePath, RoutingSolution};
 use crate::DgrError;
-
-/// Below this many g-cell edges the overflow raster, 6 ns an edge, is
-/// computed on the calling thread. Measured like [`NET_PAR_MIN`], serial →
-/// helped ms of one raster with no helper engaged: 0.034 → 0.054 / 0.034 →
-/// 0.052 / 0.034 → 0.060 at 6 k edges, 0.136 → 0.156 / 0.139 → 0.165 /
-/// 0.141 → 0.162 (the CPUs reading as hyperthreads) and 0.178 → 0.166 /
-/// 0.172 → 0.145 / 0.171 → 0.156 (as two cores) at 21 – 26 k, 0.416 →
-/// 0.332 / 0.283 → 0.319 / 0.302 → 0.306 and 0.320 → 0.220 / 0.292 →
-/// 0.294 / 0.279 → 0.225 at 51 k.
-const EDGE_PAR_MIN: usize = 1 << 15;
 
 /// A net's extraction plan — everything about its read-out that does not
 /// depend on the demand committed by earlier nets, computed in parallel:
@@ -44,120 +30,6 @@ const EDGE_PAR_MIN: usize = 1 << 15;
 struct NetPlan {
     tree: usize,
     sets: Vec<Vec<usize>>,
-}
-
-/// Flat-array demand state for the extraction hot loops.
-///
-/// Geometry (`end_*`, `coeff_*`, `cap_e`, the incident-edge CSR) is
-/// resolved once per extraction.
-struct FastDemand {
-    /// Per-edge wire demand (mirror of [`DemandMap`]'s wire array).
-    wire: Vec<f32>,
-    /// Per-cell via pressure.
-    vp: Vec<f32>,
-    /// Endpoint cell ids of each edge.
-    end_a: Vec<u32>,
-    end_b: Vec<u32>,
-    /// `½β` of the respective endpoint cell.
-    coeff_a: Vec<f32>,
-    coeff_b: Vec<f32>,
-    /// Per-edge capacity.
-    cap_e: Vec<f32>,
-    /// Per-cell `½β` (the via-pressure share a turn adds to each
-    /// incident edge).
-    share: Vec<f32>,
-    /// Per-cell incident-edge CSR, in [`dgr_grid::GcellGrid::incident_edges`]
-    /// order so greedy cost accumulation keeps the legacy float order.
-    inc_off: Vec<u32>,
-    inc_edges: Vec<u32>,
-}
-
-impl FastDemand {
-    fn new(design: &Design) -> Self {
-        let grid = &design.grid;
-        let cap = &design.capacity;
-        let num_edges = grid.num_edges();
-        let num_cells = grid.num_cells();
-        let mut end_a = Vec::with_capacity(num_edges);
-        let mut end_b = Vec::with_capacity(num_edges);
-        let mut coeff_a = Vec::with_capacity(num_edges);
-        let mut coeff_b = Vec::with_capacity(num_edges);
-        let mut cap_e = Vec::with_capacity(num_edges);
-        for e in grid.edge_ids() {
-            let (pa, pb) = grid.edge_endpoints(e);
-            let ia = grid.cell_id(pa).expect("endpoint in grid");
-            let ib = grid.cell_id(pb).expect("endpoint in grid");
-            end_a.push(ia.0);
-            end_b.push(ib.0);
-            coeff_a.push(0.5 * cap.beta(ia));
-            coeff_b.push(0.5 * cap.beta(ib));
-            cap_e.push(cap.capacity(e));
-        }
-        let mut share = Vec::with_capacity(num_cells);
-        let mut inc_off = Vec::with_capacity(num_cells + 1);
-        let mut inc_edges = Vec::new();
-        inc_off.push(0u32);
-        for c in 0..num_cells {
-            let cell = GcellId(c as u32);
-            share.push(0.5 * cap.beta(cell));
-            let p = grid.cell_point(cell);
-            inc_edges.extend(grid.incident_edges(p).map(|e| e.0));
-            inc_off.push(inc_edges.len() as u32);
-        }
-        FastDemand {
-            wire: vec![0.0; num_edges],
-            vp: vec![0.0; num_cells],
-            end_a,
-            end_b,
-            coeff_a,
-            coeff_b,
-            cap_e,
-            share,
-            inc_off,
-            inc_edges,
-        }
-    }
-
-    /// Eq. (2) total demand of edge `e` — bit-identical to
-    /// [`DemandMap::total`] (`½β` is pre-folded; `0.5 * β * vp` parses as
-    /// `(0.5·β)·vp`, so folding preserves every rounding).
-    #[inline]
-    fn total(&self, e: usize) -> f32 {
-        self.wire[e]
-            + self.coeff_a[e] * self.vp[self.end_a[e] as usize]
-            + self.coeff_b[e] * self.vp[self.end_b[e] as usize]
-    }
-
-    /// Commits path `i` (unit wire demand per edge, one turn per via
-    /// cell). `+1.0` on integer-valued f32 is exact, so commit order
-    /// cannot perturb later reads.
-    fn commit(&mut self, forest: &DagForest, i: usize) {
-        for &e in forest.path_edges(i) {
-            self.wire[e as usize] += 1.0;
-        }
-        for &v in forest.path_vias(i) {
-            self.vp[v as usize] += 1.0;
-        }
-    }
-
-    /// Rips up path `i`.
-    fn uncommit(&mut self, forest: &DagForest, i: usize) {
-        for &e in forest.path_edges(i) {
-            self.wire[e as usize] -= 1.0;
-        }
-        for &v in forest.path_vias(i) {
-            self.vp[v as usize] -= 1.0;
-        }
-    }
-
-    /// The per-edge overflow mask of the committed demand — a pure
-    /// per-edge read, computed in parallel, bit-identical at any thread
-    /// count.
-    fn overflow_mask(&self) -> Vec<bool> {
-        par_indexed(self.cap_e.len(), EDGE_PAR_MIN, |e| {
-            self.total(e) > self.cap_e[e] + 1e-4
-        })
-    }
 }
 
 /// Extracts a discrete 2D solution from a trained model.
@@ -177,7 +49,7 @@ pub fn extract_solution(
     cfg: &DgrConfig,
 ) -> Result<RoutingSolution, DgrError> {
     let _span = dgr_obs::span("route", "extract");
-    // one helper for the plans and each round's raster and victim scan
+    // one helper for the plans and each round's victim scan
     let _helper = (forest.num_nets() >= NET_PAR_MIN).then(Helper::engage);
     // deterministic read-out: no noise, final temperature
     model.set_temperature(cfg.temperature_at(cfg.iterations.saturating_sub(1)));
@@ -221,7 +93,8 @@ pub fn extract_solution(
     // inherently order-dependent, kept in net order. `picks` remembers each
     // route's forest path indices so the rip-up scans below can walk
     // `path_edges` instead of re-deriving edges from corner polylines.
-    let mut fd = FastDemand::new(design);
+    let cap = &design.capacity;
+    let mut demand = DemandMap::new(grid);
     let mut routes = Vec::with_capacity(forest.num_nets());
     let mut picks: Vec<Vec<usize>> = Vec::with_capacity(forest.num_nets());
     for (n, plan) in plans.into_iter().enumerate() {
@@ -231,9 +104,9 @@ pub fn extract_solution(
             let pick = if set.len() == 1 {
                 set[0]
             } else {
-                greedy_pick(forest, cfg, &fd, &static_cost, set)
+                greedy_pick(forest, cfg, cap, &demand, &static_cost, set)
             };
-            fd.commit(forest, pick);
+            demand.commit_ids(forest.path_edges(pick), forest.path_vias(pick));
             paths.push(realize_path(grid, forest, s, pick));
             net_picks.push(pick);
         }
@@ -247,10 +120,10 @@ pub fn extract_solution(
 
     // rip-up/re-pick rounds: nets over congested edges re-choose their
     // paths greedily over the full candidate set of their selected tree.
-    // The overflow raster and the victim scan are pure reads of the
-    // committed demand — parallel; the re-pick loop commits — serial.
+    // The victim scan is a pure read of the committed demand — parallel;
+    // the re-pick loop commits — serial.
     for _ in 0..cfg.extraction_rounds {
-        let over = fd.overflow_mask();
+        let over = demand.overflow_mask(cap);
         let victim_mask = par_indexed(routes.len(), NET_PAR_MIN, |n| {
             picks[n]
                 .iter()
@@ -263,7 +136,7 @@ pub fn extract_solution(
         for &n in &victims {
             // rip up
             for &i in &picks[n] {
-                fd.uncommit(forest, i);
+                demand.rip_up_ids(forest.path_edges(i), forest.path_vias(i));
             }
             // re-pick over all candidates of the selected tree
             let tree = routes[n].tree;
@@ -271,8 +144,8 @@ pub fn extract_solution(
             let mut net_picks = Vec::with_capacity(routes[n].paths.len());
             for s in forest.subnets_of_tree(tree) {
                 let set: Vec<usize> = forest.paths_of_subnet(s).collect();
-                let pick = greedy_pick(forest, cfg, &fd, &static_cost, &set);
-                fd.commit(forest, pick);
+                let pick = greedy_pick(forest, cfg, cap, &demand, &static_cost, &set);
+                demand.commit_ids(forest.path_edges(pick), forest.path_vias(pick));
                 paths.push(realize_path(grid, forest, s, pick));
                 net_picks.push(pick);
             }
@@ -281,19 +154,11 @@ pub fn extract_solution(
         }
     }
 
-    let mut solution = RoutingSolution {
-        routes,
-        demand: DemandMap::new(grid),
-        metrics: SolutionMetrics {
-            total_wirelength: 0,
-            total_turns: 0,
-            overflow: Default::default(),
-        },
-        train_report: None,
-    };
-    // remeasure rebuilds the demand map from the realized polylines —
-    // identical to the demand the flat arrays tracked incrementally.
-    solution.remeasure(design)?;
+    let solution = RoutingSolution::from_routes(design, routes)?;
+    debug_assert!(
+        solution.demand == demand,
+        "demand committed by forest ids differs from a recount of the polylines"
+    );
     Ok(solution)
 }
 
@@ -314,25 +179,14 @@ fn top_p_set(forest: &DagForest, s: usize, p: &[f32], threshold: f32) -> Vec<usi
     set
 }
 
-/// The per-edge overflow mask of a committed [`DemandMap`] (shared with
-/// the adaptive-expansion pass). A pure per-edge read, computed in
-/// parallel — bit-identical at any thread count.
-pub(crate) fn overflowed_edges(design: &Design, demand: &DemandMap) -> Vec<bool> {
-    let grid = &design.grid;
-    let cap = &design.capacity;
-    par_indexed(grid.num_edges(), EDGE_PAR_MIN, |i| {
-        let e = EdgeId(i as u32);
-        demand.total(grid, cap, e) > cap.capacity(e) + 1e-4
-    })
-}
-
 /// Greedy pick inside a top-p set: minimize the marginal discrete cost
 /// against the demand committed so far. `static_cost[i]` carries the
 /// demand-independent wirelength + via terms.
 fn greedy_pick(
     forest: &DagForest,
     cfg: &DgrConfig,
-    fd: &FastDemand,
+    cap: &CapacityModel,
+    demand: &DemandMap,
     static_cost: &[f32],
     set: &[usize],
 ) -> usize {
@@ -342,20 +196,13 @@ fn greedy_pick(
         let mut cost = static_cost[i];
         // marginal wire overflow along the path's edges
         for &e in forest.path_edges(i) {
-            let e = e as usize;
-            let d = fd.total(e);
-            let c = fd.cap_e[e];
-            cost += cfg.weights.overflow * ((d + 1.0 - c).max(0.0) - (d - c).max(0.0));
+            cost += cfg.weights.overflow * demand.marginal(cap, EdgeId(e), 1.0);
         }
         // marginal via-pressure overflow around the turn cells
         for &v in forest.path_vias(i) {
-            let v = v as usize;
-            let share = fd.share[v];
-            for &e in &fd.inc_edges[fd.inc_off[v] as usize..fd.inc_off[v + 1] as usize] {
-                let e = e as usize;
-                let d = fd.total(e);
-                let c = fd.cap_e[e];
-                cost += cfg.weights.overflow * ((d + share - c).max(0.0) - (d - c).max(0.0));
+            let share = cap.half_beta(GcellId(v));
+            for &e in cap.incident_edges(GcellId(v)) {
+                cost += cfg.weights.overflow * demand.marginal(cap, e, share);
             }
         }
         if cost < best_cost {
@@ -480,27 +327,6 @@ mod tests {
         copy.remeasure(&design).unwrap();
         assert_eq!(copy.metrics.total_wirelength, sol.metrics.total_wirelength);
         assert_eq!(copy.demand.wire_slice(), sol.demand.wire_slice());
-    }
-
-    #[test]
-    fn fast_demand_total_matches_demand_map_bitwise() {
-        let (design, sol) = routed(1.0, ExtractionMode::TopP { threshold: 0.95 }, 7);
-        // replay the committed routes into a FastDemand via the forest-free
-        // arrays and compare every edge total against DemandMap::total
-        let mut fd = FastDemand::new(&design);
-        fd.wire.copy_from_slice(sol.demand.wire_slice());
-        fd.vp.copy_from_slice(sol.demand.via_pressure_slice());
-        let grid = &design.grid;
-        let cap = &design.capacity;
-        for e in grid.edge_ids() {
-            assert_eq!(
-                fd.total(e.index()),
-                sol.demand.total(grid, cap, e),
-                "edge {e:?}"
-            );
-        }
-        let mask = fd.overflow_mask();
-        assert_eq!(mask, overflowed_edges(&design, &sol.demand));
     }
 
     #[test]

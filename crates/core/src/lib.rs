@@ -403,6 +403,7 @@ mod expand {
     //! grow the DAG forest where the last round's solution overflowed.
 
     use dgr_dag::{DagForest, PatternPath};
+    use dgr_grid::demand::rides;
     use dgr_grid::maze::{maze_route, MazeConfig};
     use dgr_grid::{Design, Rect};
 
@@ -457,18 +458,11 @@ mod expand {
         let grid = &design.grid;
         let cap = &design.capacity;
         let demand = &solution.demand;
-        let over = crate::extract::overflowed_edges(design, demand);
+        let over = demand.overflow_mask(cap);
         let mut grew = false;
-        let mut edges = Vec::new();
         for route in &solution.routes {
             for (s, path) in forest.subnets_of_tree(route.tree).zip(&route.paths) {
-                let crosses = path.corners.windows(2).any(|w| {
-                    edges.clear();
-                    grid.push_segment_edges(w[0], w[1], &mut edges)
-                        .map(|()| edges.iter().any(|e| over[e.index()]))
-                        .unwrap_or(false)
-                });
-                if !crosses {
+                if !rides(grid, &over, &path.corners) {
                     continue;
                 }
                 let (a, b) = forest.subnet_endpoints(s);
@@ -483,11 +477,7 @@ mod expand {
                     grid,
                     a,
                     b,
-                    |e| {
-                        let d = demand.total(grid, cap, e);
-                        let c = cap.capacity(e);
-                        1.0 + 1000.0 * ((d + 1.0 - c).max(0.0) - (d - c).max(0.0))
-                    },
+                    |e| 1.0 + 1000.0 * demand.marginal(cap, e, 1.0),
                     &cfg,
                 ) else {
                     continue;

@@ -34,21 +34,6 @@ pub fn memory_snapshot() -> MemorySnapshot {
     snap
 }
 
-/// Current process RSS in bytes, or `None` on platforms where it cannot
-/// be read (no `/proc/self/status` — macOS, Windows).
-///
-/// Telemetry consumers use this instead of [`memory_snapshot`] so
-/// "unmeasurable" is distinguishable from "zero": the JSONL `mem_rss`
-/// field serializes `None` as `null`, never as `0`.
-pub fn rss_bytes() -> Option<u64> {
-    measured_rss(memory_snapshot())
-}
-
-/// A snapshot's RSS, with the "could not be read" zero mapped to `None`.
-fn measured_rss(snap: MemorySnapshot) -> Option<u64> {
-    (snap.rss != 0).then_some(snap.rss)
-}
-
 fn parse_kb(rest: &str) -> u64 {
     rest.trim()
         .trim_end_matches("kB")
@@ -70,18 +55,6 @@ mod tests {
             assert!(snap.peak_rss >= snap.rss);
             assert!(snap.rss > 1024 * 1024); // more than 1 MiB resident
         }
-    }
-
-    #[test]
-    fn rss_bytes_agrees_with_snapshot() {
-        // one snapshot value per assertion: RSS moves between two reads
-        // of /proc/self/status
-        assert_eq!(measured_rss(MemorySnapshot::default()), None);
-        let snap = MemorySnapshot {
-            rss: 4096,
-            peak_rss: 8192,
-        };
-        assert_eq!(measured_rss(snap), Some(4096));
     }
 
     #[test]

@@ -149,7 +149,7 @@ mod tests {
         let dense: Vec<f32> = design
             .grid
             .edge_ids()
-            .map(|e| demand.total(&design.grid, &design.capacity, e))
+            .map(|e| demand.total(&design.capacity, e))
             .collect();
 
         let mut a = SnapshotSink::in_memory();

@@ -1,6 +1,7 @@
 //! The discrete 2D routing solution and its quality metrics.
 
-use dgr_grid::{DemandMap, Design, OverflowStats, Point};
+use dgr_grid::demand::rides;
+use dgr_grid::{DemandMap, Design, GridError, OverflowStats, Point};
 
 use crate::train::TrainReport;
 
@@ -88,32 +89,37 @@ pub struct RoutingSolution {
 }
 
 impl RoutingSolution {
-    /// Recomputes metrics from routes against `design` (used after
-    /// post-processing mutates routes).
+    /// The solution that `routes` are, with their demand and metrics
+    /// measured against `design`.
     ///
     /// # Errors
     ///
     /// Propagates grid errors if a route leaves the grid.
-    pub fn remeasure(&mut self, design: &Design) -> Result<(), dgr_grid::GridError> {
+    pub fn from_routes(design: &Design, routes: Vec<NetRoute>) -> Result<Self, GridError> {
+        let mut solution = RoutingSolution {
+            routes,
+            demand: DemandMap::new(&design.grid),
+            metrics: SolutionMetrics::default(),
+            train_report: None,
+        };
+        solution.remeasure(design)?;
+        Ok(solution)
+    }
+
+    /// Recomputes demand and metrics from routes against `design` (used
+    /// after post-processing mutates routes).
+    ///
+    /// # Errors
+    ///
+    /// Propagates grid errors if a route leaves the grid.
+    pub fn remeasure(&mut self, design: &Design) -> Result<(), GridError> {
         let mut demand = DemandMap::new(&design.grid);
         let mut wl = 0u64;
         let mut turns = 0u64;
-        for route in &self.routes {
-            for path in &route.paths {
-                wl += path.wirelength();
-                turns += path.num_turns();
-                for w in path.corners.windows(2) {
-                    demand.add_segment(&design.grid, w[0], w[1])?;
-                }
-                for corner in path
-                    .corners
-                    .iter()
-                    .skip(1)
-                    .take(path.corners.len().saturating_sub(2))
-                {
-                    demand.add_turn(&design.grid, *corner)?;
-                }
-            }
+        for path in self.routes.iter().flat_map(|route| &route.paths) {
+            wl += path.wirelength();
+            turns += path.num_turns();
+            demand.commit(&design.grid, &path.corners)?;
         }
         let overflow = OverflowStats::measure(&design.grid, &design.capacity, &demand);
         self.demand = demand;
@@ -207,43 +213,24 @@ impl RoutingSolution {
                 design.num_nets()
             )));
         }
-        let mut solution = RoutingSolution {
-            routes,
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        solution.remeasure(design).map_err(crate::DgrError::Grid)?;
-        Ok(solution)
+        RoutingSolution::from_routes(design, routes).map_err(crate::DgrError::Grid)
     }
 
     /// Number of nets whose routes traverse at least one overflowed edge —
     /// `n₁` of the Fig. 6 weighted-overflow score.
     pub fn overflowed_nets(&self, design: &Design) -> usize {
-        let grid = &design.grid;
-        let cap = &design.capacity;
-        let over_edge: Vec<bool> = grid
-            .edge_ids()
-            .map(|e| self.demand.total(grid, cap, e) > cap.capacity(e) + 1e-4)
-            .collect();
-        self.routes
-            .iter()
-            .filter(|route| {
-                route.paths.iter().any(|p| {
-                    p.corners.windows(2).any(|w| {
-                        let mut edges = Vec::new();
-                        grid.push_segment_edges(w[0], w[1], &mut edges)
-                            .map(|()| edges.iter().any(|e| over_edge[e.index()]))
-                            .unwrap_or(false)
-                    })
-                })
-            })
-            .count()
+        overflowed_nets(design, &self.demand, &self.routes).len()
     }
+}
+
+/// The nets of `routes`, by position, with a path on an edge that `demand`
+/// overflows — the victims of a rip-up round.
+pub fn overflowed_nets(design: &Design, demand: &DemandMap, routes: &[NetRoute]) -> Vec<usize> {
+    let over = demand.overflow_mask(&design.capacity);
+    let hit = |p: &RoutePath| rides(&design.grid, &over, &p.corners);
+    (0..routes.len())
+        .filter(|&n| routes[n].paths.iter().any(hit))
+        .collect()
 }
 
 #[cfg(test)]
@@ -291,17 +278,7 @@ mod tests {
     #[test]
     fn remeasure_counts_everything() {
         let d = design(2.0);
-        let mut sol = RoutingSolution {
-            routes: vec![l_route()],
-            demand: DemandMap::new(&d.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        sol.remeasure(&d).unwrap();
+        let sol = RoutingSolution::from_routes(&d, vec![l_route()]).unwrap();
         assert_eq!(sol.metrics.total_wirelength, 8);
         assert_eq!(sol.metrics.total_turns, 1);
         assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
@@ -311,17 +288,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip() {
         let d = design(2.0);
-        let mut sol = RoutingSolution {
-            routes: vec![l_route()],
-            demand: DemandMap::new(&d.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        sol.remeasure(&d).unwrap();
+        let sol = RoutingSolution::from_routes(&d, vec![l_route()]).unwrap();
         let text = sol.to_text();
         let restored = RoutingSolution::from_text(&d, &text).unwrap();
         assert_eq!(restored.routes, sol.routes);
@@ -346,17 +313,7 @@ mod tests {
     fn overflowed_nets_detects_congestion() {
         // capacity 0.2 < 1 wire + via pressure → every used edge overflows
         let d = design(0.2);
-        let mut sol = RoutingSolution {
-            routes: vec![l_route()],
-            demand: DemandMap::new(&d.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        sol.remeasure(&d).unwrap();
+        let sol = RoutingSolution::from_routes(&d, vec![l_route()]).unwrap();
         assert!(sol.metrics.overflow.overflowed_edges > 0);
         assert_eq!(sol.overflowed_nets(&d), 1);
         assert!(sol.metrics.weighted_cost() > 0.0);

@@ -45,7 +45,6 @@ use dgr_obs::IterationRow;
 use rand::rngs::StdRng;
 
 use crate::config::DgrConfig;
-use crate::memory::rss_bytes;
 use crate::relax::CostModel;
 use crate::RouteHooks;
 
@@ -301,7 +300,7 @@ fn train_loop(
         // switch is on (the run's live scope feeds off dgr_obs::tick)
         if hooks.telemetry.is_some() || dgr_obs::enabled() {
             if !hooks.skip_rss && (it % RSS_SAMPLE_INTERVAL == 0 || last_iter) {
-                rss_cache = rss_bytes();
+                rss_cache = dgr_obs::profile::read_rss_bytes();
             }
             let grad_sq: f32 = model
                 .tree_grad()

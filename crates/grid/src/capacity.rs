@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::geom::Point;
 use crate::grid::GcellGrid;
-use crate::ids::EdgeId;
+use crate::ids::{EdgeId, GcellId};
 use crate::GridError;
 
 /// Immutable per-edge routing capacities.
@@ -45,6 +45,24 @@ use crate::GridError;
 pub struct CapacityModel {
     cap: Vec<f32>,
     beta: Vec<f32>,
+    /// Per edge, what Eq. (2) reads besides the demand itself — resolved
+    /// once here, so that [`crate::DemandMap::total`] is loads and two
+    /// multiply-adds instead of an edge → endpoints → cell ids → `β` walk.
+    pub(crate) ends: Vec<EdgeEnds>,
+    /// Per-cell incident edges as a CSR, in [`GcellGrid::incident_edges`]
+    /// order (a sum over them keeps that float order).
+    inc_off: Vec<u32>,
+    inc_edges: Vec<EdgeId>,
+}
+
+/// The two endpoint cells of an edge and `½β` of each. `0.5 * β * vp`
+/// parses as `(0.5·β)·vp`, so folding the half in here changes no rounding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct EdgeEnds {
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+    pub(crate) half_beta_a: f32,
+    pub(crate) half_beta_b: f32,
 }
 
 impl CapacityModel {
@@ -68,7 +86,33 @@ impl CapacityModel {
                 got: beta.len(),
             });
         }
-        Ok(CapacityModel { cap, beta })
+        let ends = grid
+            .edge_ids()
+            .map(|e| {
+                let (pa, pb) = grid.edge_endpoints(e);
+                let a = grid.cell_id(pa).expect("endpoint in grid");
+                let b = grid.cell_id(pb).expect("endpoint in grid");
+                EdgeEnds {
+                    a: a.0,
+                    b: b.0,
+                    half_beta_a: 0.5 * beta[a.index()],
+                    half_beta_b: 0.5 * beta[b.index()],
+                }
+            })
+            .collect();
+        let mut inc_off = vec![0u32];
+        let mut inc_edges = Vec::new();
+        for cell in 0..grid.num_cells() {
+            inc_edges.extend(grid.incident_edges(grid.cell_point(GcellId::new(cell as u32))));
+            inc_off.push(inc_edges.len() as u32);
+        }
+        Ok(CapacityModel {
+            cap,
+            beta,
+            ends,
+            inc_off,
+            inc_edges,
+        })
     }
 
     /// Capacity of edge `e`, in tracks. May be fractional or negative
@@ -91,8 +135,29 @@ impl CapacityModel {
     /// # Panics
     ///
     /// Panics if the cell id is out of range.
-    pub fn beta(&self, cell: crate::ids::GcellId) -> f32 {
+    pub fn beta(&self, cell: GcellId) -> f32 {
         self.beta[cell.index()]
+    }
+
+    /// `½β` of a g-cell: what one turning point there adds to the Eq. (2)
+    /// demand of each edge of [`CapacityModel::incident_edges`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell id is out of range.
+    pub fn half_beta(&self, cell: GcellId) -> f32 {
+        0.5 * self.beta[cell.index()]
+    }
+
+    /// The edges incident to a g-cell, in [`GcellGrid::incident_edges`]
+    /// order, without deriving them from coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell id is out of range.
+    pub fn incident_edges(&self, cell: GcellId) -> &[EdgeId] {
+        &self.inc_edges
+            [self.inc_off[cell.index()] as usize..self.inc_off[cell.index() + 1] as usize]
     }
 
     /// Per-cell `β` weights as a dense slice indexed by [`crate::GcellId`].
@@ -242,7 +307,7 @@ impl CapacityBuilder {
         }
         let mut cap = self.tracks.clone();
         for cell in 0..grid.num_cells() {
-            let p = grid.cell_point(crate::ids::GcellId::new(cell as u32));
+            let p = grid.cell_point(GcellId::new(cell as u32));
             let penalty =
                 self.beta[cell] * self.pin_count[cell] as f32 + self.local_nets[cell] as f32;
             if penalty == 0.0 {
@@ -254,10 +319,7 @@ impl CapacityBuilder {
                 cap[e.index()] -= share;
             }
         }
-        Ok(CapacityModel {
-            cap,
-            beta: self.beta.clone(),
-        })
+        CapacityModel::from_parts(grid, cap, self.beta.clone())
     }
 }
 

@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::capacity::CapacityModel;
-use crate::geom::Point;
+use crate::geom::{Point, Rect};
 use crate::grid::GcellGrid;
 use crate::GridError;
 
@@ -106,6 +106,22 @@ impl Design {
     /// Number of nets.
     pub fn num_nets(&self) -> usize {
         self.nets.len()
+    }
+
+    /// Net indices by the half-perimeter of their pins' bounding box,
+    /// smallest first (they have the least freedom), ties in input order:
+    /// the order the sequential routers commit nets in.
+    pub fn nets_by_half_perimeter(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.nets.len()).collect();
+        order.sort_by_key(|&n| {
+            let pins = &self.nets[n].pins;
+            if pins.is_empty() {
+                0
+            } else {
+                Rect::bounding(pins).half_perimeter()
+            }
+        });
+        order
     }
 
     /// Total pin count across nets.

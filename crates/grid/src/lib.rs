@@ -11,7 +11,8 @@
 //! * [`GcellGrid`] — the grid graph with dense edge/cell indexing,
 //! * [`CapacityModel`] — Eq. (1) of the DGR paper:
 //!   `cap_e = tracks_e − β_v·pin_density_v − local_nets`,
-//! * [`DemandMap`] — accumulated wire/via demand per edge,
+//! * [`DemandMap`] — the ledger of committed wire/via demand (Eq. (2)):
+//!   totals, the overflow test, marginals, commit and rip-up,
 //! * [`metrics`] — overflow statistics used by every experiment.
 //!
 //! # Examples
@@ -37,7 +38,7 @@ pub mod metrics;
 pub mod snapshot;
 
 pub use capacity::{CapacityBuilder, CapacityModel};
-pub use demand::DemandMap;
+pub use demand::{DemandMap, OVERFLOW_EPS};
 pub use design::{Design, Net};
 pub use geom::{Point, Rect};
 pub use grid::{EdgeDir, GcellGrid};

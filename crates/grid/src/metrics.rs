@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::capacity::CapacityModel;
-use crate::demand::DemandMap;
+use crate::demand::{excess, DemandMap};
 use crate::grid::GcellGrid;
 
 /// Aggregate overflow statistics of a routing state.
@@ -31,18 +31,15 @@ pub struct OverflowStats {
 impl OverflowStats {
     /// Computes statistics from a demand map against a capacity model.
     ///
-    /// Overflow uses total demand per Eq. (2) (wire + β-weighted via
-    /// pressure). An edge counts as overflowed when demand exceeds capacity
-    /// by more than `1e-4` tracks, so that float round-off in the
-    /// differentiable solver does not flip edge counts.
+    /// Overflow is the [`crate::demand::excess`] of the Eq. (2) total demand
+    /// (wire + β-weighted via pressure) over capacity.
     pub fn measure(grid: &GcellGrid, cap: &CapacityModel, demand: &DemandMap) -> Self {
-        const EPS: f32 = 1e-4;
         let mut stats = OverflowStats::default();
         for e in grid.edge_ids() {
-            let d = demand.total(grid, cap, e);
+            let d = demand.total(cap, e);
             stats.total_demand += d as f64;
-            let over = d - cap.capacity(e);
-            if over > EPS {
+            let over = excess(d, cap.capacity(e));
+            if over > 0.0 {
                 stats.overflowed_edges += 1;
                 stats.total_overflow += over as f64;
                 stats.peak_overflow = stats.peak_overflow.max(over);
@@ -76,7 +73,7 @@ impl CongestionReport {
         let utilization = grid
             .edge_ids()
             .map(|e| {
-                let d = demand.total(grid, cap, e);
+                let d = demand.total(cap, e);
                 let c = cap.capacity(e);
                 if c > 0.0 {
                     d / c

@@ -16,13 +16,8 @@
 //! training.
 
 use crate::capacity::CapacityModel;
-use crate::demand::DemandMap;
+use crate::demand::{excess, DemandMap};
 use crate::grid::GcellGrid;
-
-/// Overflow threshold in tracks, matching
-/// [`crate::metrics::OverflowStats::measure`]: float round-off from the
-/// differentiable solver must not flip edge counts.
-const EPS: f32 = 1e-4;
 
 /// A frozen per-edge demand/overflow capture, split by edge direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,10 +42,7 @@ impl CongestionSnapshot {
     /// Captures the current state of a discrete [`DemandMap`] (Eq. 2
     /// total demand: wire plus β-weighted endpoint via pressure).
     pub fn capture(grid: &GcellGrid, cap: &CapacityModel, demand: &DemandMap) -> Self {
-        let dense: Vec<f32> = grid
-            .edge_ids()
-            .map(|e| demand.total(grid, cap, e))
-            .collect();
+        let dense: Vec<f32> = grid.edge_ids().map(|e| demand.total(cap, e)).collect();
         Self::from_dense(grid, cap, &dense).expect("dense vector has num_edges() entries")
     }
 
@@ -84,8 +76,7 @@ impl CongestionSnapshot {
             peak_overflow: 0.0,
         };
         for e in grid.edge_ids() {
-            let over = total_demand[e.index()] - cap.capacity(e);
-            let over = if over > EPS { over } else { 0.0 };
+            let over = excess(total_demand[e.index()], cap.capacity(e));
             if over > 0.0 {
                 snap.overflowed_edges += 1;
                 snap.total_overflow += over;
@@ -122,16 +113,7 @@ pub fn capacity_grids(grid: &GcellGrid, cap: &CapacityModel) -> (Vec<f32>, Vec<f
 /// below the solver epsilon), indexed by [`crate::EdgeId`] — the input
 /// of the per-net attribution pass.
 pub fn edge_excess(grid: &GcellGrid, cap: &CapacityModel, demand: &DemandMap) -> Vec<f32> {
-    grid.edge_ids()
-        .map(|e| {
-            let over = demand.total(grid, cap, e) - cap.capacity(e);
-            if over > EPS {
-                over
-            } else {
-                0.0
-            }
-        })
-        .collect()
+    grid.edge_ids().map(|e| demand.excess(cap, e)).collect()
 }
 
 #[cfg(test)]

@@ -125,8 +125,8 @@ fn sampler_loop(stop: &AtomicBool, interval: Duration) -> FoldedProfile {
 }
 
 /// Current process RSS in bytes (Linux `/proc/self/status`; `None`
-/// elsewhere). Duplicated here rather than imported — this crate is the
-/// bottom of the dependency stack.
+/// elsewhere, never `Some(0)`: the telemetry `mem_rss` field writes
+/// "unmeasurable" as `null`).
 pub fn read_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;

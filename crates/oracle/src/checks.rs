@@ -330,10 +330,13 @@ fn compare_gradients(
 
 // --- check 4: incremental demand updates vs. naive recount -----------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum DemandOp {
     Seg(Point, Point),
     Turn(Point),
+    /// A whole corner polyline, through the `commit` / `rip_up` entry the
+    /// routers use.
+    Line(Vec<Point>),
 }
 
 fn check_demand_replay(spec: &CaseSpec) -> Result<(), Mismatch> {
@@ -359,12 +362,14 @@ fn check_demand_replay(spec: &CaseSpec) -> Result<(), Mismatch> {
             rng.gen_range(0..spec.height as i32),
         )
     };
-    let apply = |demand: &mut DemandMap, op: DemandOp, add: bool| {
+    let apply = |demand: &mut DemandMap, op: &DemandOp, add: bool| {
         let r = match (op, add) {
-            (DemandOp::Seg(a, b), true) => demand.add_segment(&grid, a, b),
-            (DemandOp::Seg(a, b), false) => demand.remove_segment(&grid, a, b),
-            (DemandOp::Turn(p), true) => demand.add_turn(&grid, p),
-            (DemandOp::Turn(p), false) => demand.remove_turn(&grid, p),
+            (&DemandOp::Seg(a, b), true) => demand.add_segment(&grid, a, b),
+            (&DemandOp::Seg(a, b), false) => demand.remove_segment(&grid, a, b),
+            (&DemandOp::Turn(p), true) => demand.add_turn(&grid, p),
+            (&DemandOp::Turn(p), false) => demand.remove_turn(&grid, p),
+            (DemandOp::Line(corners), true) => demand.commit(&grid, corners),
+            (DemandOp::Line(corners), false) => demand.rip_up(&grid, corners),
         };
         r.expect("generated ops stay in grid");
     };
@@ -372,11 +377,27 @@ fn check_demand_replay(spec: &CaseSpec) -> Result<(), Mismatch> {
         if !active.is_empty() && rng.gen_range(0..10) < 3 {
             let idx = rng.gen_range(0..active.len());
             let op = active.swap_remove(idx);
-            apply(&mut demand, op, false);
+            apply(&mut demand, &op, false);
             continue;
         }
-        let op = if rng.gen_range(0..4) == 0 {
+        let kind = rng.gen_range(0..4);
+        let op = if kind == 0 {
             DemandOp::Turn(rand_point(&mut rng))
+        } else if kind == 1 {
+            // two to five corners, legs alternating in direction; a leg of
+            // length zero still leaves its corner a turning point
+            let mut corners = vec![rand_point(&mut rng)];
+            let mut horizontal = rng.gen_range(0..2) == 0;
+            for _ in 0..rng.gen_range(1..5) {
+                let last = corners[corners.len() - 1];
+                corners.push(if horizontal {
+                    Point::new(rng.gen_range(0..spec.width as i32), last.y)
+                } else {
+                    Point::new(last.x, rng.gen_range(0..spec.height as i32))
+                });
+                horizontal = !horizontal;
+            }
+            DemandOp::Line(corners)
         } else {
             let a = rand_point(&mut rng);
             let horizontal = rng.gen_range(0..2) == 0;
@@ -391,26 +412,30 @@ fn check_demand_replay(spec: &CaseSpec) -> Result<(), Mismatch> {
                 DemandOp::Seg(a, b)
             }
         };
-        apply(&mut demand, op, true);
+        apply(&mut demand, &op, true);
         active.push(op);
     }
 
     // naive recount from the surviving op list, unit step by unit step
     let mut wire = vec![0.0f32; grid.num_edges()];
     let mut vp = vec![0.0f32; grid.num_cells()];
+    let mut walk = |a: Point, b: Point| {
+        let mut p = a;
+        while p != b {
+            let step = Point::new(p.x + (b.x - p.x).signum(), p.y + (b.y - p.y).signum());
+            let e = grid.edge_between(p, step).expect("in grid");
+            wire[e.index()] += 1.0;
+            p = step;
+        }
+    };
+    let mut turn = |p: Point| vp[grid.cell_id(p).expect("in grid").index()] += 1.0;
     for op in &active {
-        match *op {
-            DemandOp::Seg(a, b) => {
-                let mut p = a;
-                while p != b {
-                    let step = Point::new(p.x + (b.x - p.x).signum(), p.y + (b.y - p.y).signum());
-                    let e = grid.edge_between(p, step).expect("in grid");
-                    wire[e.index()] += 1.0;
-                    p = step;
-                }
-            }
-            DemandOp::Turn(p) => {
-                vp[grid.cell_id(p).expect("in grid").index()] += 1.0;
+        match op {
+            &DemandOp::Seg(a, b) => walk(a, b),
+            &DemandOp::Turn(p) => turn(p),
+            DemandOp::Line(corners) => {
+                corners.windows(2).for_each(|w| walk(w[0], w[1]));
+                corners[1..corners.len() - 1].iter().for_each(|&p| turn(p));
             }
         }
     }
@@ -436,7 +461,7 @@ fn check_demand_replay(spec: &CaseSpec) -> Result<(), Mismatch> {
         ));
     }
     for e in grid.edge_ids() {
-        let got = demand.total(&grid, &cap, e) as f64;
+        let got = demand.total(&cap, e) as f64;
         let (pa, pb) = grid.edge_endpoints(e);
         let ia = grid.cell_id(pa).expect("in grid");
         let ib = grid.cell_id(pb).expect("in grid");
@@ -453,7 +478,7 @@ fn check_demand_replay(spec: &CaseSpec) -> Result<(), Mismatch> {
 
     // rip everything up: an exact round trip must land on exact zeros
     for op in active.drain(..) {
-        apply(&mut demand, op, false);
+        apply(&mut demand, &op, false);
     }
     if demand.wire_slice().iter().any(|&w| w != 0.0)
         || demand.via_pressure_slice().iter().any(|&v| v != 0.0)

@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 
 use dgr_core::RoutingSolution;
-use dgr_grid::{Design, EdgeDir, Point};
+use dgr_grid::{Design, EdgeDir, Point, OVERFLOW_EPS};
 
 use crate::layers::LayerModel;
 use crate::PostError;
@@ -245,7 +245,7 @@ fn assign_layers_with(
             }
             let cap = model.layer_capacity(design.capacity.capacity(e), dir);
             let over = dem[e.index()] - cap;
-            if over > 1e-4 {
+            if over > OVERFLOW_EPS {
                 overflowed_edges3d += 1;
                 total_overflow3d += over as f64;
                 peak = peak.max(over);
@@ -607,8 +607,8 @@ fn commit_net(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_core::{DgrConfig, DgrRouter, NetRoute, RoutePath, SolutionMetrics};
-    use dgr_grid::{CapacityBuilder, DemandMap, GcellGrid, Net};
+    use dgr_core::{DgrConfig, DgrRouter, NetRoute, RoutePath};
+    use dgr_grid::{CapacityBuilder, GcellGrid, Net};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -696,18 +696,7 @@ mod tests {
     }
 
     fn solution_for(design: &Design, routes: Vec<NetRoute>) -> RoutingSolution {
-        let mut sol = RoutingSolution {
-            routes,
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        sol.remeasure(design).unwrap();
-        sol
+        RoutingSolution::from_routes(design, routes).unwrap()
     }
 
     #[test]

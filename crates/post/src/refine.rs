@@ -5,8 +5,9 @@
 //! engine under an overflow-penalized cost. This is the same refinement
 //! CUGR2 applies to DGR's 2D output before layer assignment.
 
-use dgr_baseline::cost::overflow_marginal;
+use dgr_core::solution::overflowed_nets;
 use dgr_core::{RoutePath, RoutingSolution};
+use dgr_grid::demand::touched_edges;
 use dgr_grid::maze::MazeScratch;
 use dgr_grid::{DemandMap, Design, EdgeId, Point};
 
@@ -60,11 +61,11 @@ pub struct RefineReport {
 }
 
 /// The search's view of congestion, dense per edge and kept current for
-/// the whole pass: `marginal[e]` is [`overflow_marginal`] of the demand as
-/// it stands and `cost[e] = 1 + penalty · marginal[e]`. Demand changes only
-/// where a polyline is ripped up or committed, so [`EdgeCosts::refresh`]
-/// recomputes exactly those entries, by the same expression that filled
-/// them.
+/// the whole pass: `marginal[e]` is [`DemandMap::marginal`] of one more
+/// wire on the demand as it stands and `cost[e] = 1 + penalty ·
+/// marginal[e]`. Demand changes only where a polyline is ripped up or
+/// committed, so [`EdgeCosts::refresh`] recomputes exactly the
+/// [`touched_edges`] of it, by the same expression that filled them.
 #[derive(Debug, PartialEq)]
 struct EdgeCosts {
     penalty: f32,
@@ -86,64 +87,23 @@ impl EdgeCosts {
     }
 
     fn set(&mut self, design: &Design, demand: &DemandMap, e: EdgeId) {
-        let m = overflow_marginal(&design.grid, &design.capacity, demand, e);
+        let m = demand.marginal(&design.capacity, e, 1.0);
         self.marginal[e.index()] = m;
         self.cost[e.index()] = 1.0 + self.penalty * m;
     }
 
-    /// Recomputes every entry that adding or removing `corners` can have
-    /// changed: the edges under the polyline (wire demand) and the up to
-    /// four edges around each turn (via pressure).
+    /// Brings the costs up to date with a commit or rip-up of `corners`.
     fn refresh(
         &mut self,
         design: &Design,
         demand: &DemandMap,
         corners: &[Point],
     ) -> Result<(), PostError> {
-        for e in design.grid.polyline_edges(corners)? {
+        for e in touched_edges(&design.grid, &design.capacity, corners)? {
             self.set(design, demand, e);
-        }
-        for &turn in turns(corners) {
-            for e in design.grid.incident_edges(turn) {
-                self.set(design, demand, e);
-            }
         }
         Ok(())
     }
-}
-
-/// The turning points of a corner polyline: everything but its endpoints.
-fn turns(corners: &[Point]) -> &[Point] {
-    corners
-        .get(1..corners.len().saturating_sub(1))
-        .unwrap_or(&[])
-}
-
-/// Adds (`commit`) or removes one polyline's wire and via demand, then
-/// brings `costs` up to date with it.
-fn apply(
-    design: &Design,
-    demand: &mut DemandMap,
-    costs: &mut EdgeCosts,
-    corners: &[Point],
-    commit: bool,
-) -> Result<(), PostError> {
-    let grid = &design.grid;
-    for w in corners.windows(2) {
-        if commit {
-            demand.add_segment(grid, w[0], w[1])?;
-        } else {
-            demand.remove_segment(grid, w[0], w[1])?;
-        }
-    }
-    for &turn in turns(corners) {
-        if commit {
-            demand.add_turn(grid, turn)?;
-        } else {
-            demand.remove_turn(grid, turn)?;
-        }
-    }
-    costs.refresh(design, demand, corners)
 }
 
 /// Reroutes every net that crosses an overflowed edge, in place: each
@@ -227,25 +187,13 @@ fn reroute(
     mut search: impl FnMut((Point, Point), &EdgeCosts) -> Option<Vec<Point>>,
 ) -> Result<(usize, usize, Option<EdgeCosts>), PostError> {
     let grid = &design.grid;
-    let cap = &design.capacity;
     let RoutingSolution { routes, demand, .. } = solution;
     let mut costs = None;
-    let mut over = vec![false; grid.num_edges()];
     let mut nets_rerouted = 0usize;
     let mut rounds = 0usize;
 
     for _ in 0..cfg.rounds {
-        for e in grid.edge_ids() {
-            over[e.index()] = demand.total(grid, cap, e) > cap.capacity(e) + 1e-4;
-        }
-        let victims: Vec<usize> = (0..routes.len())
-            .filter(|&n| {
-                routes[n].paths.iter().any(|p| {
-                    grid.polyline_edges(&p.corners)
-                        .is_ok_and(|mut edges| edges.any(|e| over[e.index()]))
-                })
-            })
-            .collect();
+        let victims = overflowed_nets(design, demand, routes);
         if victims.is_empty() {
             break;
         }
@@ -254,7 +202,8 @@ fn reroute(
             costs.get_or_insert_with(|| EdgeCosts::new(design, demand, cfg.overflow_penalty));
         for &n in &victims {
             for path in &routes[n].paths {
-                apply(design, demand, costs, &path.corners, false)?;
+                demand.rip_up(grid, &path.corners)?;
+                costs.refresh(design, demand, &path.corners)?;
             }
             // reroute each sub-net by maze under overflow penalty
             let mut new_paths = Vec::with_capacity(routes[n].paths.len());
@@ -268,7 +217,8 @@ fn reroute(
                     continue;
                 }
                 let corners = search((a, b), costs).ok_or(PostError::Unroutable { net: n })?;
-                apply(design, demand, costs, &corners, true)?;
+                demand.commit(grid, &corners)?;
+                costs.refresh(design, demand, &corners)?;
                 new_paths.push(RoutePath { corners });
             }
             routes[n].paths = new_paths;
@@ -281,8 +231,8 @@ fn reroute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_core::{NetRoute, SolutionMetrics};
-    use dgr_grid::{CapacityBuilder, DemandMap, GcellGrid, Net, Point};
+    use dgr_core::NetRoute;
+    use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
 
     fn overflowing_solution() -> (Design, RoutingSolution) {
         // two nets stacked on the same row although a free row exists
@@ -314,17 +264,7 @@ mod tests {
                 }],
             },
         ];
-        let mut sol = RoutingSolution {
-            routes,
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        sol.remeasure(&design).unwrap();
+        let sol = RoutingSolution::from_routes(&design, routes).unwrap();
         (design, sol)
     }
 
@@ -354,23 +294,17 @@ mod tests {
             5,
         )
         .unwrap();
-        let mut sol = RoutingSolution {
-            routes: vec![NetRoute {
+        let mut sol = RoutingSolution::from_routes(
+            &design,
+            vec![NetRoute {
                 net: 0,
                 tree: 0,
                 paths: vec![RoutePath {
                     corners: vec![Point::new(0, 0), Point::new(9, 0)],
                 }],
             }],
-            demand: DemandMap::new(&design.grid),
-            metrics: SolutionMetrics {
-                total_wirelength: 0,
-                total_turns: 0,
-                overflow: Default::default(),
-            },
-            train_report: None,
-        };
-        sol.remeasure(&design).unwrap();
+        )
+        .unwrap();
         let before = sol.clone();
         let report = refine(&design, &mut sol, RefineConfig::default()).unwrap();
         assert_eq!(report.rounds, 0);

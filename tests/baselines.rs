@@ -2,17 +2,24 @@
 //! fully connected solution on the same designs, and the exact solver
 //! must agree with brute force.
 
+mod common;
+
 use dgr::baseline::{IlpSolver, LagrangianRouter, SequentialRouter, SprouteRouter};
 use dgr::core::{DgrConfig, DgrRouter, RoutingSolution};
 use dgr::grid::{Design, Point, Rect};
 use dgr::io::{table1_design, IspdLikeConfig, IspdLikeGenerator, Table1Params};
 
 fn shared_design(seed: u64) -> Design {
+    design_with_tracks(seed, IspdLikeConfig::default().base_capacity)
+}
+
+fn design_with_tracks(seed: u64, base_capacity: f32) -> Design {
     IspdLikeGenerator::new(IspdLikeConfig {
         width: 24,
         height: 24,
         num_nets: 80,
         num_layers: 5,
+        base_capacity,
         seed,
         ..IspdLikeConfig::default()
     })
@@ -223,4 +230,82 @@ fn congestion_hotspot_is_respected_by_all_routers() {
             sol.metrics.total_wirelength
         );
     }
+}
+
+/// `to_text()` of the three sequential baselines on [`shared_design`], two
+/// seeds, and on the second at a quarter of the tracks, where all three
+/// rip up and reroute — against `tests/golden/baseline_<router>.txt`.
+#[test]
+fn baseline_routes_match_the_goldens() {
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let update = std::env::var_os("DGR_UPDATE_GOLDEN").is_some();
+    type Route = fn(&Design) -> RoutingSolution;
+    let routers: [(&str, Route); 3] = [
+        ("sequential", |d| {
+            SequentialRouter::default().route(d).unwrap()
+        }),
+        ("sproute", |d| SprouteRouter::default().route(d).unwrap()),
+        ("lagrangian", |d| {
+            LagrangianRouter::default().route(d).unwrap()
+        }),
+    ];
+    for (name, route) in routers {
+        let mut text = String::new();
+        for (seed, tracks) in [(21, 10.0), (34, 10.0), (34, 2.5)] {
+            let solution = route(&design_with_tracks(seed, tracks));
+            text.push_str(&format!(
+                "# {name} seed {seed} tracks {tracks}\n{}",
+                solution.to_text()
+            ));
+        }
+        let path = dir.join(format!("baseline_{name}.txt"));
+        if update {
+            std::fs::write(&path, &text).unwrap();
+        }
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e} (DGR_UPDATE_GOLDEN=1 records it)", path.display()));
+        assert!(
+            text == want,
+            "{name}: routes differ from {}",
+            path.display()
+        );
+    }
+}
+
+/// On every design of this file, as each router leaves it: the overflow
+/// mask, `OverflowStats` and `edge_excess` agree edge by edge.
+#[test]
+fn overflow_readers_agree_on_every_baselines_design() {
+    let cfg = DgrConfig {
+        iterations: 100,
+        ..DgrConfig::default()
+    };
+    let mut overflowed = 0;
+    for design in [
+        shared_design(21),
+        shared_design(23),
+        shared_design(34),
+        design_with_tracks(34, 2.5),
+        design_with_tracks(21, 1.5),
+    ] {
+        let solutions = [
+            ("dgr", DgrRouter::new(cfg.clone()).route(&design).unwrap()),
+            (
+                "sequential",
+                SequentialRouter::default().route(&design).unwrap(),
+            ),
+            ("sproute", SprouteRouter::default().route(&design).unwrap()),
+            (
+                "lagrangian",
+                LagrangianRouter::default().route(&design).unwrap(),
+            ),
+        ];
+        for (router, solution) in &solutions {
+            overflowed += common::assert_overflow_readers_agree(&design, &solution.demand, router);
+        }
+    }
+    assert!(
+        overflowed > 100,
+        "only {overflowed} overflowed edges checked"
+    );
 }

@@ -1,5 +1,6 @@
 //! Shared HTTP client helpers for the `dgrd` integration suites
-//! (`tests/daemon.rs`, `tests/daemon_protocol.rs`).
+//! (`tests/daemon.rs`, `tests/daemon_protocol.rs`), and the ledger check
+//! `tests/golden.rs` and `tests/baselines.rs` run on their designs.
 //!
 //! Everything is std-only and deliberately low-level: the fault-injection
 //! entry point [`raw_request`] writes arbitrary bytes so conformance
@@ -12,7 +13,33 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dgr::grid::{edge_excess, DemandMap, Design, OverflowStats, OVERFLOW_EPS};
 use dgr::obs::parse::{parse_json, JsonValue};
+
+/// Every reader of the ledger names the same edges of `demand` overflowed:
+/// the mask the victim scans use, the count `OverflowStats` reports (which
+/// decides when routing is done) and `edge_excess`. So does the spelling of
+/// the test that was dropped, `d > cap + ε`: keeping `d − cap > ε` moved no
+/// edge of this design. Returns the overflowed-edge count.
+pub fn assert_overflow_readers_agree(design: &Design, demand: &DemandMap, what: &str) -> usize {
+    let (grid, cap) = (&design.grid, &design.capacity);
+    let mask = demand.overflow_mask(cap);
+    let excess = edge_excess(grid, cap, demand);
+    for e in grid.edge_ids() {
+        assert_eq!(mask[e.index()], demand.is_over(cap, e), "{what}: {e}");
+        assert_eq!(mask[e.index()], excess[e.index()] > 0.0, "{what}: {e}");
+        let dropped = demand.total(cap, e) > cap.capacity(e) + OVERFLOW_EPS;
+        assert_eq!(
+            mask[e.index()],
+            dropped,
+            "{what}: {e} flips between the spellings"
+        );
+    }
+    let overflowed = mask.iter().filter(|&&over| over).count();
+    let stats = OverflowStats::measure(grid, cap, demand);
+    assert_eq!(overflowed, stats.overflowed_edges, "{what}");
+    overflowed
+}
 
 /// A parsed HTTP response: status line code plus body text.
 pub struct Response {

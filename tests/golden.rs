@@ -15,6 +15,8 @@
 //! DGR_UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
+mod common;
+
 use std::path::PathBuf;
 
 use dgr::core::{DgrConfig, DgrRouter, RouteHooks};
@@ -177,4 +179,41 @@ fn guide_output_matches_golden_files() {
             path.display()
         );
     }
+}
+
+/// On every golden design, routed as its golden routes it: the overflow
+/// mask, `OverflowStats` and `edge_excess` agree edge by edge, before and
+/// after refinement.
+#[test]
+fn overflow_readers_agree_on_every_golden_design() {
+    let designs = [
+        ("seed11", oracle_design(11), 11),
+        ("seed23", oracle_design(23), 23),
+        (
+            "high_degree",
+            high_degree_design(HIGH_DEGREE_SEED),
+            HIGH_DEGREE_SEED,
+        ),
+        (
+            "refine_heavy",
+            refine_heavy_design(REFINE_HEAVY_SEED),
+            REFINE_HEAVY_SEED,
+        ),
+    ];
+    let mut overflowed = 0;
+    for (name, design, seed) in &designs {
+        let cfg = DgrConfig {
+            iterations: 60,
+            seed: *seed,
+            ..DgrConfig::default()
+        };
+        let extracted = DgrRouter::new(cfg.clone()).route(design).expect("routes");
+        overflowed += common::assert_overflow_readers_agree(design, &extracted.demand, name);
+        let out = pipeline::run(design, &cfg, &mut RouteHooks::default(), true).expect("routes");
+        overflowed += common::assert_overflow_readers_agree(design, &out.solution.demand, name);
+    }
+    assert!(
+        overflowed > 100,
+        "only {overflowed} overflowed edges checked"
+    );
 }

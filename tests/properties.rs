@@ -188,9 +188,9 @@ proptest! {
         turn_cost in 0.0f32..3.0,
     ) {
         let grid = GcellGrid::new(20, 20).unwrap();
-        let path = dgr::baseline::maze_route(
+        let path = dgr::grid::maze_route(
             &grid, a, b, |_| 1.0,
-            &dgr::baseline::maze::MazeConfig { bounds: None, turn_cost },
+            &dgr::grid::MazeConfig { bounds: None, turn_cost },
         ).unwrap();
         prop_assert_eq!(*path.first().unwrap(), a);
         prop_assert_eq!(*path.last().unwrap(), b);

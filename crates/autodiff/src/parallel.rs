@@ -2,9 +2,10 @@
 //! engaged as the calling thread's second lane and joined before the code
 //! that engaged it returns. A training run engages one for as long as it
 //! runs; the route pipeline's index-pure fan-outs (per-net candidate
-//! generation, the forest build, the extraction rasters) go through
-//! [`par_indexed`], which splits its index range in two over [`join`] and
-//! engages a helper for the dispatch when the thread has none.
+//! generation, the forest build, extraction's plans and victim scans) go
+//! through [`par_halves`] — or [`par_indexed`], the element-wise map over
+//! it — which splits its index range in two over [`join`] and engages a
+//! helper for the dispatch when the thread has none.
 //!
 //! # The handoff
 //!
@@ -29,14 +30,14 @@
 //!
 //! Which thread runs a task never shows in a result: a task writes only
 //! buffers that the closures of one [`join`] split between them, and no
-//! primitive here reduces across tasks. [`par_indexed`] cuts `0..n` at
-//! `n / 2` — a function of `n` alone — and appends the upper half's
-//! results to the lower half's, so its output is the sequential map's at
-//! any thread count, helper or none.
+//! primitive here reduces across tasks. [`par_halves`] cuts `0..n` at
+//! `n / 2` — a function of `n` alone — and [`par_indexed`] appends the
+//! upper half's results to the lower half's, so its output is the
+//! sequential map's at any thread count, helper or none.
 //!
 //! # Observability
 //!
-//! When `dgr_obs::enabled()` is on, [`par_indexed`] counts its two
+//! When `dgr_obs::enabled()` is on, [`par_halves`] counts its two
 //! branches (`pool.jobs_dispatched`, `pool.seq_fallbacks` — the names the
 //! benchmark scrapes) and the claim-or-inline rule counts who ran each
 //! offered task (`train.lane_tasks_helper`, `train.lane_tasks_inline`).
@@ -62,25 +63,36 @@ pub const LANE_THRESHOLD: usize = 1 << 12;
 
 /// Minimum number of nets before a per-net phase of the front end
 /// (candidate generation, the forest build, extraction's plans) goes over
-/// [`par_indexed`]'s two halves. One dispatch costs a thread spawn and a
+/// [`par_halves`]' two halves. One dispatch costs a thread spawn and a
 /// join, 20–30 µs, and the build host's two CPUs read by the quarter-hour
 /// as two cores or as hyperthreads of one (two arithmetic-bound threads
 /// take 1.0× or 2.0× the time of one). Serial → helped ms, three
 /// alternations, candidates · forest (extraction's plans are level
-/// throughout; EXPERIMENTS.md, "One mechanism", has every size):
+/// throughout; EXPERIMENTS.md, "One mechanism", has every size of the
+/// candidates column, measured at PR 21, and "The per-net passes stop
+/// paying malloc" the forest column, re-measured at PR 23 on random
+/// designs once the build had stopped allocating per net):
 ///
 /// | nets | as two cores | as hyperthreads |
 /// |---|---|---|
-/// | 300 | 1.62 → 1.25 / 1.68 → 1.30 / 1.58 → 1.26 · 1.23 → 1.06 / 1.19 → 1.04 / 1.20 → 1.04 | 1.07 → 1.13 / 1.04 → 1.08 / 1.06 → 1.13 · 0.76 → 0.82 / 0.77 → 0.83 / 0.78 → 0.81 |
-/// | 800 – 1 k | 4.67 → 2.37 / 2.89 → 3.26 / 4.65 → 3.09 · 3.99 → 2.90 / 3.90 → 2.94 / 3.96 → 2.98 | 3.98 → 4.02 / 3.97 → 4.14 / 3.99 → 4.15 · 3.10 → 3.13 / 3.08 → 3.16 / 3.07 → 3.41 |
-/// | 1.6 k – 2 k | 9.64 → 5.51 / 5.90 → 5.18 / 5.94 → 5.43 · 8.25 → 4.63 / 8.16 → 5.21 / 8.21 → 5.20 | 9.59 → 9.97 / 11.09 → 10.78 / 10.66 → 10.13 · 6.68 → 6.55 / 6.51 → 6.67 / 6.88 → 6.52 |
-/// | 2.4 k | 9.33 → 6.26 / 9.33 → 6.26 / 9.50 → 6.31 · 8.97 → 6.14 / 8.85 → 7.23 / 9.07 → 5.73 | — |
-/// | 4 k | — | 16.78 → 17.68 / 16.67 → 17.28 / 17.18 → 17.44 · 14.74 → 14.50 / 15.07 → 14.25 / 14.18 → 12.89 |
+/// | 300 | 1.62 → 1.25 / 1.68 → 1.30 / 1.58 → 1.26 · 0.22 → 0.25 / 0.15 → 0.26 / 0.23 → 0.24 | 1.07 → 1.13 / 1.04 → 1.08 / 1.06 → 1.13 · 0.11 → 0.15 / 0.11 → 0.14 / 0.11 → 0.16 |
+/// | 800 – 1 k | 4.67 → 2.37 / 2.89 → 3.26 / 4.65 → 3.09 · 0.91 → 1.11 / 0.61 → 1.30 / 0.79 → 1.16 | 3.98 → 4.02 / 3.97 → 4.14 / 3.99 → 4.15 · 0.56 → 0.71 / 0.54 → 0.74 / 0.57 → 0.76 |
+/// | 1.6 k – 2 k | 9.64 → 5.51 / 5.90 → 5.18 / 5.94 → 5.43 · 2.00 → 1.79 / 1.88 → 1.68 / 1.73 → 1.68 | 9.59 → 9.97 / 11.09 → 10.78 / 10.66 → 10.13 · 1.61 → 1.96 / 1.48 → 1.90 / 1.55 → 1.93 |
+/// | 2.4 k | 9.33 → 6.26 / 9.33 → 6.26 / 9.50 → 6.31 · 2.26 → 2.13 / 2.15 → 2.06 / 2.69 → 2.00 | — · 1.73 → 1.93 / 1.84 → 1.88 / 1.80 → 1.91 |
+/// | 4 k | — · 4.81 → 3.31 / 4.82 → 3.58 / 4.30 → 3.13 | 16.78 → 17.68 / 16.67 → 17.28 / 17.18 → 17.44 · 3.49 → 3.91 / 3.42 → 3.81 / 3.28 → 3.46 |
 ///
-/// From 800 nets a second core takes a millisecond or more off each of
-/// the two phases and its absence costs a tenth of that; at 300 — a
-/// `dgrd` small job, whose two workers already fill both CPUs — the two
-/// are of one size, half a millisecond.
+/// From 800 nets a second core takes a millisecond or more off candidate
+/// generation and its absence costs a tenth of that; at 300 — a `dgrd`
+/// small job, whose two workers already fill both CPUs — the two are of
+/// one size, half a millisecond. Candidates set the constant. The forest
+/// build, a fifth of what it was, no longer argues for it: its two
+/// half-forests are appended, a copy the one-range build does not make,
+/// so at 1 k nets the fan-out costs 0.2–0.5 ms in either kind of period,
+/// breaks even near 2 k nets with a second core (−10 % there, −30 % at
+/// 4 k, 21 → 14 ms on `high_degree_sparse`'s 6 000 nets) and costs
+/// 10–25 % without one. That is a few tenths of a millisecond either way
+/// between 1 k and 2 k nets, and one constant for the three phases is
+/// worth more than that: `1 << 10` stays.
 pub const NET_PAR_MIN: usize = 1 << 10;
 
 /// How long the helper spins for its next task before it parks — longer
@@ -112,7 +124,7 @@ fn host_parallelism() -> usize {
 }
 
 /// Whether there is a second lane to use: below 2, [`Helper::engage`]
-/// spawns nothing and [`par_indexed`] maps sequentially. No partition
+/// spawns nothing and [`par_halves`] runs one range. No partition
 /// depends on the value.
 ///
 /// Defaults to the machine's available parallelism; override (e.g. in
@@ -537,7 +549,7 @@ impl<T: Send> Ahead<T> {
 
 // --- the front end's fan-out -------------------------------------------------
 
-/// The two branches of [`par_indexed`], under the names the benchmark
+/// The two branches of [`par_halves`], under the names the benchmark
 /// reads from `/metrics`.
 struct FanOutMetrics {
     /// Calls that went over [`join`].
@@ -555,36 +567,57 @@ fn fan_out_metrics() -> &'static FanOutMetrics {
     })
 }
 
-/// Runs `f(i)` for every `i in 0..n` and collects the results **in index
-/// order** — the fan-out behind the route pipeline's front end (candidate
-/// generation, forest build, extraction scans).
+/// Runs `f` over `0..n` as one range, or over `0..n / 2` and `n / 2..n`
+/// at once — the fan-out behind the route pipeline's front end, for a
+/// pass that fills an arena per range (the forest build, extraction's
+/// plans) where [`par_indexed`] would make it allocate per index.
 ///
 /// Below `min_par` items, or without a second lane ([`num_threads`]
-/// ` < 2`), a sequential map. Otherwise [`join`] over `[0, n/2)` and
-/// `[n/2, n)`, each half collected into its own vector, the upper
-/// appended to the lower: the cut depends on `n` alone, so the returned
-/// vector is the sequential map's whichever thread ran which half. Uses
-/// the [`Helper`] engaged on the thread, or engages one for the call — a
-/// caller that fans out several times in a row engages one itself.
+/// ` < 2`), `(f(0..n), None)`. Otherwise [`join`] over the two halves,
+/// `(f(0..n / 2), Some(f(n / 2..n)))`: the cut depends on `n` alone, so
+/// what the caller makes of the halves in order is what it would make of
+/// the one range, whichever thread ran which. Uses the [`Helper`] engaged
+/// on the thread, or engages one for the call — a caller that fans out
+/// several times in a row engages one itself.
+pub fn par_halves<T, F>(n: usize, min_par: usize, f: F) -> (T, Option<T>)
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>) -> T + Sync,
+{
+    if n < min_par || num_threads() < 2 {
+        fan_out_metrics().sequential.add(1);
+        return (f(0..n), None);
+    }
+    fan_out_metrics().dispatched.add(1);
+    let _helper = engaged().is_none().then(Helper::engage);
+    let (mut lower, mut upper) = (None, None);
+    join(
+        "route",
+        "fan_out",
+        || lower = Some(f(0..n / 2)),
+        || upper = Some(f(n / 2..n)),
+    );
+    (lower.expect("join ran the lower half"), upper)
+}
+
+/// Runs `f(i)` for every `i in 0..n` and collects the results **in index
+/// order**: [`par_halves`] with each half collected into its own vector
+/// and the upper appended to the lower, so the returned vector is the
+/// sequential map's at any thread count.
 pub fn par_indexed<T, F>(n: usize, min_par: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n < min_par || num_threads() < 2 {
-        fan_out_metrics().sequential.add(1);
-        return (0..n).map(f).collect();
+    let (mut lower, upper) = par_halves(n, min_par, |range| {
+        // the lower half makes room for the upper's append
+        let mut half = Vec::with_capacity(if range.start == 0 { n } else { range.len() });
+        half.extend(range.map(&f));
+        half
+    });
+    if let Some(mut upper) = upper {
+        lower.append(&mut upper);
     }
-    fan_out_metrics().dispatched.add(1);
-    let _helper = engaged().is_none().then(Helper::engage);
-    let (mut lower, mut upper) = (Vec::with_capacity(n), Vec::new());
-    join(
-        "route",
-        "fan_out",
-        || lower.extend((0..n / 2).map(&f)),
-        || upper = (n / 2..n).map(&f).collect(),
-    );
-    lower.append(&mut upper);
     lower
 }
 

@@ -14,7 +14,7 @@
 //! ledger's own `marginal` — for a wire on each of its edges, for a turn's
 //! `½β` on each edge around the turn cell.
 
-use dgr_autodiff::parallel::{par_indexed, Helper, NET_PAR_MIN};
+use dgr_autodiff::parallel::{par_halves, par_indexed, Helper, NET_PAR_MIN};
 use dgr_dag::DagForest;
 use dgr_grid::{CapacityModel, DemandMap, Design, EdgeId, GcellId};
 
@@ -23,13 +23,62 @@ use crate::relax::CostModel;
 use crate::solution::{NetRoute, RoutePath, RoutingSolution};
 use crate::DgrError;
 
-/// A net's extraction plan — everything about its read-out that does not
-/// depend on the demand committed by earlier nets, computed in parallel:
-/// the argmax tree and, per subnet of that tree, the ranked candidate set
-/// the serial greedy pass chooses from.
-struct NetPlan {
-    tree: usize,
-    sets: Vec<Vec<usize>>,
+/// The extraction plans of a run of consecutive nets — everything about
+/// their read-out that does not depend on the demand committed by earlier
+/// nets, computed in parallel: per net the argmax tree and, per subnet of
+/// that tree, the ranked candidate set the serial greedy pass chooses
+/// from. The sets of all the nets share one arena.
+struct Plans {
+    /// The argmax tree of each net.
+    trees: Vec<usize>,
+    /// Set `k` — the subnets of each net's tree in order, net after net —
+    /// is `members[set_starts[k]..set_starts[k + 1]]`.
+    set_starts: Vec<usize>,
+    members: Vec<usize>,
+}
+
+impl Plans {
+    fn of_nets(
+        forest: &DagForest,
+        cfg: &DgrConfig,
+        (q, p): (&[f32], &[f32]),
+        nets: std::ops::Range<usize>,
+    ) -> Plans {
+        let mut plans = Plans {
+            trees: Vec::with_capacity(nets.len()),
+            set_starts: vec![0],
+            members: Vec::new(),
+        };
+        for n in nets {
+            let tree = forest
+                .trees_of_net(n)
+                .max_by(|&a, &b| q[a].total_cmp(&q[b]))
+                .expect("net has at least one tree");
+            plans.trees.push(tree);
+            for s in forest.subnets_of_tree(tree) {
+                match cfg.extraction {
+                    ExtractionMode::Argmax => plans.members.push(
+                        forest
+                            .paths_of_subnet(s)
+                            .max_by(|&a, &b| p[a].total_cmp(&p[b]))
+                            .expect("subnet has at least one path"),
+                    ),
+                    ExtractionMode::TopP { threshold } => {
+                        push_top_p_set(forest, s, p, threshold, &mut plans.members)
+                    }
+                }
+                plans.set_starts.push(plans.members.len());
+            }
+        }
+        plans
+    }
+
+    /// The candidate sets, in the order they were planned.
+    fn sets(&self) -> impl Iterator<Item = &[usize]> {
+        self.set_starts
+            .windows(2)
+            .map(|w| &self.members[w[0]..w[1]])
+    }
 }
 
 /// Extracts a discrete 2D solution from a trained model.
@@ -69,54 +118,50 @@ pub fn extract_solution(
         .collect();
 
     // Phase 1 (parallel, pure): per-net plans — argmax tree plus ranked
-    // candidate sets. Placement is by net index, so the plan vector is
-    // identical at any thread count.
-    let plans: Vec<NetPlan> = par_indexed(forest.num_nets(), NET_PAR_MIN, |n| {
-        let tree = forest
-            .trees_of_net(n)
-            .max_by(|&a, &b| q[a].total_cmp(&q[b]))
-            .expect("net has at least one tree");
-        let sets = forest
-            .subnets_of_tree(tree)
-            .map(|s| match cfg.extraction {
-                ExtractionMode::Argmax => vec![forest
-                    .paths_of_subnet(s)
-                    .max_by(|&a, &b| p[a].total_cmp(&p[b]))
-                    .expect("subnet has at least one path")],
-                ExtractionMode::TopP { threshold } => top_p_set(forest, s, p, threshold),
-            })
-            .collect();
-        NetPlan { tree, sets }
+    // candidate sets — of the lower and the upper half of the nets. The
+    // cut is by net index, so the plans read in order are identical at
+    // any thread count.
+    let (lower, upper) = par_halves(forest.num_nets(), NET_PAR_MIN, |nets| {
+        Plans::of_nets(forest, cfg, (q, p), nets)
     });
 
     // Phase 2 (serial): greedy picks against the demand committed so far —
     // inherently order-dependent, kept in net order. `picks` remembers each
-    // route's forest path indices so the rip-up scans below can walk
-    // `path_edges` instead of re-deriving edges from corner polylines.
+    // route's forest path indices (net `n`'s are `picks[pick_starts[n]..
+    // pick_starts[n + 1]]`) so the rip-up scans below can walk `path_edges`
+    // instead of re-deriving edges from corner polylines.
     let cap = &design.capacity;
     let mut demand = DemandMap::new(grid);
     let mut routes = Vec::with_capacity(forest.num_nets());
-    let mut picks: Vec<Vec<usize>> = Vec::with_capacity(forest.num_nets());
-    for (n, plan) in plans.into_iter().enumerate() {
-        let mut paths = Vec::with_capacity(plan.sets.len());
-        let mut net_picks = Vec::with_capacity(plan.sets.len());
-        for (s, set) in forest.subnets_of_tree(plan.tree).zip(&plan.sets) {
-            let pick = if set.len() == 1 {
-                set[0]
-            } else {
-                greedy_pick(forest, cfg, cap, &demand, &static_cost, set)
-            };
-            demand.commit_ids(forest.path_edges(pick), forest.path_vias(pick));
-            paths.push(realize_path(grid, forest, s, pick));
-            net_picks.push(pick);
+    let mut picks: Vec<usize> = Vec::new();
+    let mut pick_starts = Vec::with_capacity(forest.num_nets() + 1);
+    pick_starts.push(0);
+    for plans in [Some(lower), upper].into_iter().flatten() {
+        let mut sets = plans.sets();
+        for &tree in &plans.trees {
+            let subnets = forest.subnets_of_tree(tree);
+            let mut paths = Vec::with_capacity(subnets.len());
+            for s in subnets {
+                let set = sets.next().expect("one set per subnet of the tree");
+                let pick = if set.len() == 1 {
+                    set[0]
+                } else {
+                    let set = set.iter().copied();
+                    greedy_pick(forest, cfg, cap, &demand, &static_cost, set)
+                };
+                demand.commit_ids(forest.path_edges(pick), forest.path_vias(pick));
+                paths.push(realize_path(grid, forest, s, pick));
+                picks.push(pick);
+            }
+            routes.push(NetRoute {
+                net: routes.len(),
+                tree,
+                paths,
+            });
+            pick_starts.push(picks.len());
         }
-        routes.push(NetRoute {
-            net: n,
-            tree: plan.tree,
-            paths,
-        });
-        picks.push(net_picks);
     }
+    let picks_of = |n: usize| pick_starts[n]..pick_starts[n + 1];
 
     // rip-up/re-pick rounds: nets over congested edges re-choose their
     // paths greedily over the full candidate set of their selected tree.
@@ -125,7 +170,7 @@ pub fn extract_solution(
     for _ in 0..cfg.extraction_rounds {
         let over = demand.overflow_mask(cap);
         let victim_mask = par_indexed(routes.len(), NET_PAR_MIN, |n| {
-            picks[n]
+            picks[picks_of(n)]
                 .iter()
                 .any(|&i| forest.path_edges(i).iter().any(|&e| over[e as usize]))
         });
@@ -135,22 +180,20 @@ pub fn extract_solution(
         }
         for &n in &victims {
             // rip up
-            for &i in &picks[n] {
+            for &i in &picks[picks_of(n)] {
                 demand.rip_up_ids(forest.path_edges(i), forest.path_vias(i));
             }
             // re-pick over all candidates of the selected tree
-            let tree = routes[n].tree;
-            let mut paths = Vec::with_capacity(routes[n].paths.len());
-            let mut net_picks = Vec::with_capacity(routes[n].paths.len());
-            for s in forest.subnets_of_tree(tree) {
-                let set: Vec<usize> = forest.paths_of_subnet(s).collect();
-                let pick = greedy_pick(forest, cfg, cap, &demand, &static_cost, &set);
-                demand.commit_ids(forest.path_edges(pick), forest.path_vias(pick));
-                paths.push(realize_path(grid, forest, s, pick));
-                net_picks.push(pick);
+            let subnets = forest.subnets_of_tree(routes[n].tree);
+            for ((s, pick), path) in subnets
+                .zip(&mut picks[picks_of(n)])
+                .zip(&mut routes[n].paths)
+            {
+                let set = forest.paths_of_subnet(s);
+                *pick = greedy_pick(forest, cfg, cap, &demand, &static_cost, set);
+                demand.commit_ids(forest.path_edges(*pick), forest.path_vias(*pick));
+                *path = realize_path(grid, forest, s, *pick);
             }
-            routes[n].paths = paths;
-            picks[n] = net_picks;
         }
     }
 
@@ -162,25 +205,34 @@ pub fn extract_solution(
     Ok(solution)
 }
 
-/// The top-p candidate set of subnet `s`: paths in descending probability
-/// until the cumulative mass passes `threshold` (always ≥ 1 path).
-fn top_p_set(forest: &DagForest, s: usize, p: &[f32], threshold: f32) -> Vec<usize> {
-    let mut ranked: Vec<usize> = forest.paths_of_subnet(s).collect();
-    ranked.sort_by(|&a, &b| p[b].total_cmp(&p[a]));
+/// Appends the top-p candidate set of subnet `s` to `members`: paths in
+/// descending probability until the cumulative mass passes `threshold`
+/// (always ≥ 1 path).
+fn push_top_p_set(
+    forest: &DagForest,
+    s: usize,
+    p: &[f32],
+    threshold: f32,
+    members: &mut Vec<usize>,
+) {
+    let start = members.len();
+    members.extend(forest.paths_of_subnet(s));
+    members[start..].sort_by(|&a, &b| p[b].total_cmp(&p[a]));
     let mut cum = 0.0f32;
-    let mut set = Vec::new();
-    for i in ranked {
-        set.push(i);
+    let mut kept = 0;
+    for &i in &members[start..] {
+        kept += 1;
         cum += p[i];
         if cum >= threshold {
             break;
         }
     }
-    set
+    members.truncate(start + kept);
 }
 
-/// Greedy pick inside a top-p set: minimize the marginal discrete cost
-/// against the demand committed so far. `static_cost[i]` carries the
+/// Greedy pick inside a candidate set: minimize the marginal discrete
+/// cost against the demand committed so far (the first candidate, if none
+/// prices below infinity). `static_cost[i]` carries the
 /// demand-independent wirelength + via terms.
 fn greedy_pick(
     forest: &DagForest,
@@ -188,11 +240,11 @@ fn greedy_pick(
     cap: &CapacityModel,
     demand: &DemandMap,
     static_cost: &[f32],
-    set: &[usize],
+    set: impl Iterator<Item = usize> + Clone,
 ) -> usize {
-    let mut best = set[0];
+    let mut best = set.clone().next().expect("a candidate set is never empty");
     let mut best_cost = f32::INFINITY;
-    for &i in set {
+    for i in set {
         let mut cost = static_cost[i];
         // marginal wire overflow along the path's edges
         for &e in forest.path_edges(i) {
@@ -346,10 +398,15 @@ mod tests {
         )
         .unwrap();
         let forest = build_forest(&grid, &[pool], PatternConfig::l_only()).unwrap();
-        // two paths with p = [0.8, 0.2]
-        let p = vec![0.8f32, 0.2];
-        assert_eq!(top_p_set(&forest, 0, &p, 0.7), vec![0]);
-        assert_eq!(top_p_set(&forest, 0, &p, 0.9), vec![0, 1]);
-        assert_eq!(top_p_set(&forest, 0, &p, 1.0), vec![0, 1]);
+        // two paths with p = [0.2, 0.8]; a set lands behind what is there
+        let p = vec![0.2f32, 0.8];
+        let top_p_set = |threshold: f32| {
+            let mut members = vec![7];
+            push_top_p_set(&forest, 0, &p, threshold, &mut members);
+            members
+        };
+        assert_eq!(top_p_set(0.7), vec![7, 1]);
+        assert_eq!(top_p_set(0.9), vec![7, 1, 0]);
+        assert_eq!(top_p_set(1.0), vec![7, 1, 0]);
     }
 }

@@ -46,6 +46,81 @@ pub struct DagForest {
 }
 
 impl DagForest {
+    /// The forest of no nets: every offset column starts its CSR at 0.
+    pub(crate) fn empty() -> Self {
+        DagForest {
+            net_tree_offsets: vec![0],
+            tree_net: Vec::new(),
+            tree_subnet_offsets: vec![0],
+            subnet_tree: Vec::new(),
+            subnet_endpoints: Vec::new(),
+            subnet_path_offsets: vec![0],
+            path_subnet: Vec::new(),
+            path_tree: Vec::new(),
+            path_wl: Vec::new(),
+            path_turns: Vec::new(),
+            path_edge_offsets: vec![0],
+            path_edge_ids: Vec::new(),
+            path_run_offsets: vec![0],
+            path_runs: Vec::new(),
+            path_via_offsets: vec![0],
+            path_via_cells: Vec::new(),
+        }
+    }
+
+    /// Appends the forest of the nets that follow this one's: `self`
+    /// becomes the forest built over both pools in order. Payload columns
+    /// are copied in bulk; offset and owner columns are rebased by this
+    /// forest's counts as they are copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a combined arena outgrows its `u32` index.
+    pub(crate) fn append(&mut self, upper: DagForest) {
+        let base = |len: usize, more: usize| {
+            let total = u32::try_from(len + more).expect("forest arenas are indexed by u32");
+            total - more as u32
+        };
+        let nets = base(self.num_nets(), upper.num_nets());
+        let trees = base(self.num_trees(), upper.num_trees());
+        let subnets = base(self.num_subnets(), upper.num_subnets());
+        let paths = base(self.num_paths(), upper.num_paths());
+        let edges = base(self.path_edge_ids.len(), upper.path_edge_ids.len());
+        let runs = base(self.path_runs.len(), upper.path_runs.len());
+        let vias = base(self.path_via_cells.len(), upper.path_via_cells.len());
+        // an offset column's leading 0 is this forest's last offset
+        let offsets = |into: &mut Vec<u32>, from: Vec<u32>, base: u32| {
+            into.extend(from[1..].iter().map(|&o| o + base));
+        };
+        let owners = |into: &mut Vec<u32>, from: Vec<u32>, base: u32| {
+            into.extend(from.iter().map(|&o| o + base));
+        };
+        offsets(&mut self.net_tree_offsets, upper.net_tree_offsets, trees);
+        owners(&mut self.tree_net, upper.tree_net, nets);
+        offsets(
+            &mut self.tree_subnet_offsets,
+            upper.tree_subnet_offsets,
+            subnets,
+        );
+        owners(&mut self.subnet_tree, upper.subnet_tree, trees);
+        self.subnet_endpoints.extend(upper.subnet_endpoints);
+        offsets(
+            &mut self.subnet_path_offsets,
+            upper.subnet_path_offsets,
+            paths,
+        );
+        owners(&mut self.path_subnet, upper.path_subnet, subnets);
+        owners(&mut self.path_tree, upper.path_tree, trees);
+        self.path_wl.extend(upper.path_wl);
+        self.path_turns.extend(upper.path_turns);
+        offsets(&mut self.path_edge_offsets, upper.path_edge_offsets, edges);
+        self.path_edge_ids.extend(upper.path_edge_ids);
+        offsets(&mut self.path_run_offsets, upper.path_run_offsets, runs);
+        self.path_runs.extend(upper.path_runs);
+        offsets(&mut self.path_via_offsets, upper.path_via_offsets, vias);
+        self.path_via_cells.extend(upper.path_via_cells);
+    }
+
     /// Number of nets.
     pub fn num_nets(&self) -> usize {
         self.net_tree_offsets.len() - 1

@@ -63,22 +63,12 @@ impl PatternPath {
     ///
     /// Collinear interior waypoints do not count as turns.
     pub fn turning_points(&self) -> Vec<Point> {
-        let mut turns = Vec::new();
-        for w in self.corners.windows(3) {
-            let (a, b, c) = (w[0], w[1], w[2]);
-            let dir1 = (b.x - a.x != 0, b.y - a.y != 0);
-            let dir2 = (c.x - b.x != 0, c.y - b.y != 0);
-            // a turn changes between horizontal and vertical movement
-            if dir1 != dir2 && dir1 != (false, false) && dir2 != (false, false) {
-                turns.push(b);
-            }
-        }
-        turns
+        turning_points(&self.corners).collect()
     }
 
     /// Number of turning points.
     pub fn num_turns(&self) -> u32 {
-        self.turning_points().len() as u32
+        turning_points(&self.corners).count() as u32
     }
 
     /// The g-cell edges the path occupies, in order from source to sink.
@@ -93,6 +83,17 @@ impl PatternPath {
         }
         Ok(out)
     }
+}
+
+/// The interior points of `corners` where the polyline changes between
+/// horizontal and vertical movement, in order.
+pub(crate) fn turning_points(corners: &[Point]) -> impl Iterator<Item = Point> + '_ {
+    corners.windows(3).filter_map(|w| {
+        let (a, b, c) = (w[0], w[1], w[2]);
+        let dir1 = (b.x - a.x != 0, b.y - a.y != 0);
+        let dir2 = (c.x - b.x != 0, c.y - b.y != 0);
+        (dir1 != dir2 && dir1 != (false, false) && dir2 != (false, false)).then_some(b)
+    })
 }
 
 impl std::fmt::Display for PatternPath {
@@ -165,40 +166,50 @@ pub fn enumerate_patterns(
     c_detour: Option<u32>,
     bounds: Option<dgr_grid::Rect>,
 ) -> Vec<PatternPath> {
-    if a == b {
-        return vec![PatternPath::new(vec![a])];
-    }
     let mut out = Vec::new();
+    let collected: Result<(), std::convert::Infallible> =
+        for_each_pattern(a, b, z_stride, c_detour, bounds, |corners| {
+            out.push(PatternPath::new(corners.to_vec()));
+            Ok(())
+        });
+    let Ok(()) = collected;
+    out
+}
+
+/// [`enumerate_patterns`] without the vectors: hands `visit` the corners
+/// of each candidate, in the same order, and stops at its first error.
+/// The forest builder writes them straight into its arenas.
+pub(crate) fn for_each_pattern<E>(
+    a: Point,
+    b: Point,
+    z_stride: Option<u32>,
+    c_detour: Option<u32>,
+    bounds: Option<dgr_grid::Rect>,
+    mut visit: impl FnMut(&[Point]) -> Result<(), E>,
+) -> Result<(), E> {
+    if a == b {
+        return visit(&[a]);
+    }
     if a.is_aligned_with(b) {
-        out.push(PatternPath::new(vec![a, b]));
+        visit(&[a, b])?;
     } else {
         let (c1, c2) = a.l_corners(b);
-        out.push(PatternPath::new(vec![a, c1, b]));
-        out.push(PatternPath::new(vec![a, c2, b]));
+        visit(&[a, c1, b])?;
+        visit(&[a, c2, b])?;
         if let Some(stride) = z_stride {
             let stride = stride.max(1) as i32;
             // HVH: horizontal to xm, vertical, horizontal to b.
             let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
             let mut xm = x0 + stride;
             while xm < x1 {
-                out.push(PatternPath::new(vec![
-                    a,
-                    Point::new(xm, a.y),
-                    Point::new(xm, b.y),
-                    b,
-                ]));
+                visit(&[a, Point::new(xm, a.y), Point::new(xm, b.y), b])?;
                 xm += stride;
             }
             // VHV: vertical to ym, horizontal, vertical to b.
             let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
             let mut ym = y0 + stride;
             while ym < y1 {
-                out.push(PatternPath::new(vec![
-                    a,
-                    Point::new(a.x, ym),
-                    Point::new(b.x, ym),
-                    b,
-                ]));
+                visit(&[a, Point::new(a.x, ym), Point::new(b.x, ym), b])?;
                 ym += stride;
             }
         }
@@ -212,7 +223,7 @@ pub fn enumerate_patterns(
             for y in [a.y.max(b.y) + d, a.y.min(b.y) - d] {
                 let (m1, m2) = (Point::new(a.x, y), Point::new(b.x, y));
                 if inside(m1) && inside(m2) {
-                    out.push(PatternPath::new(vec![a, m1, m2, b]));
+                    visit(&[a, m1, m2, b])?;
                 }
             }
         }
@@ -221,12 +232,12 @@ pub fn enumerate_patterns(
             for x in [a.x.max(b.x) + d, a.x.min(b.x) - d] {
                 let (m1, m2) = (Point::new(x, a.y), Point::new(x, b.y));
                 if inside(m1) && inside(m2) {
-                    out.push(PatternPath::new(vec![a, m1, m2, b]));
+                    visit(&[a, m1, m2, b])?;
                 }
             }
         }
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -372,6 +383,98 @@ mod tests {
         assert_eq!(ps.len(), 3);
         for p in &ps[1..] {
             assert!(p.corners.iter().all(|c| c.y >= 2 && c.y <= 9));
+        }
+    }
+
+    /// `enumerate_patterns` as it was: a vector per candidate.
+    fn reference_enumerate_patterns(
+        a: Point,
+        b: Point,
+        z_stride: Option<u32>,
+        c_detour: Option<u32>,
+        bounds: Option<dgr_grid::Rect>,
+    ) -> Vec<PatternPath> {
+        if a == b {
+            return vec![PatternPath::new(vec![a])];
+        }
+        let mut out = Vec::new();
+        if a.is_aligned_with(b) {
+            out.push(PatternPath::new(vec![a, b]));
+        } else {
+            let (c1, c2) = a.l_corners(b);
+            out.push(PatternPath::new(vec![a, c1, b]));
+            out.push(PatternPath::new(vec![a, c2, b]));
+            if let Some(stride) = z_stride {
+                let stride = stride.max(1) as i32;
+                // HVH: horizontal to xm, vertical, horizontal to b.
+                let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
+                let mut xm = x0 + stride;
+                while xm < x1 {
+                    out.push(PatternPath::new(vec![
+                        a,
+                        Point::new(xm, a.y),
+                        Point::new(xm, b.y),
+                        b,
+                    ]));
+                    xm += stride;
+                }
+                // VHV: vertical to ym, horizontal, vertical to b.
+                let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
+                let mut ym = y0 + stride;
+                while ym < y1 {
+                    out.push(PatternPath::new(vec![
+                        a,
+                        Point::new(a.x, ym),
+                        Point::new(b.x, ym),
+                        b,
+                    ]));
+                    ym += stride;
+                }
+            }
+        }
+        if let Some(d) = c_detour {
+            let d = d.max(1) as i32;
+            let inside = |p: Point| bounds.is_none_or(|r| r.contains(p));
+            // horizontal escape lines (middle leg runs horizontally at Y):
+            // invalid for vertical pairs — the legs would overlap themselves
+            if a.x != b.x {
+                for y in [a.y.max(b.y) + d, a.y.min(b.y) - d] {
+                    let (m1, m2) = (Point::new(a.x, y), Point::new(b.x, y));
+                    if inside(m1) && inside(m2) {
+                        out.push(PatternPath::new(vec![a, m1, m2, b]));
+                    }
+                }
+            }
+            // vertical escape lines (middle leg runs vertically at X)
+            if a.y != b.y {
+                for x in [a.x.max(b.x) + d, a.x.min(b.x) - d] {
+                    let (m1, m2) = (Point::new(x, a.y), Point::new(x, b.y));
+                    if inside(m1) && inside(m2) {
+                        out.push(PatternPath::new(vec![a, m1, m2, b]));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn enumeration_equals_the_vector_building_one_it_replaced() {
+        use dgr_grid::Rect;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9A77);
+        let bounds = Rect::new(Point::new(0, 0), Point::new(11, 11));
+        for _ in 0..2000 {
+            let mut point = || Point::new(rng.gen_range(0..12), rng.gen_range(0..12));
+            let (a, b) = (point(), point());
+            let z = [None, Some(1u32), Some(3)][rng.gen_range(0..3usize)];
+            let c = [None, Some(1u32), Some(2)][rng.gen_range(0..3usize)];
+            let bounds = rng.gen_bool(0.8).then_some(bounds);
+            assert_eq!(
+                enumerate_patterns(a, b, z, c, bounds),
+                reference_enumerate_patterns(a, b, z, c, bounds),
+                "{a} {b} {z:?} {c:?}"
+            );
         }
     }
 

@@ -64,6 +64,100 @@ impl From<(i32, i32)> for Point {
     }
 }
 
+/// Distinct points numbered in order of first appearance — the node table
+/// of one net's tree or segment graph. A net has tens of points, so a
+/// lookup scans them; a hash map takes over past [`PointIndex::SCAN_MAX`]
+/// points, which keeps a net of thousands of pins linear.
+///
+/// # Examples
+///
+/// ```
+/// use dgr_grid::{Point, PointIndex};
+///
+/// let mut nodes = PointIndex::default();
+/// assert_eq!(nodes.intern(Point::new(4, 1)), 0);
+/// assert_eq!(nodes.intern(Point::new(2, 2)), 1);
+/// assert_eq!(nodes.intern(Point::new(4, 1)), 0);
+/// assert_eq!(nodes.get(Point::new(9, 9)), None);
+/// assert_eq!(nodes.points(), [Point::new(4, 1), Point::new(2, 2)]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PointIndex {
+    points: Vec<Point>,
+    /// Every point's number, kept only while `points` is past `SCAN_MAX`.
+    by_point: std::collections::HashMap<Point, u32>,
+}
+
+impl PointIndex {
+    /// The largest table that is searched by scanning it.
+    pub const SCAN_MAX: usize = 64;
+
+    /// The index over `points`, numbered by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if a point repeats.
+    pub fn from_distinct(points: Vec<Point>) -> Self {
+        let mut index = PointIndex {
+            points,
+            by_point: Default::default(),
+        };
+        if index.points.len() > Self::SCAN_MAX {
+            index.hash_all();
+        }
+        debug_assert!(
+            (0..index.points.len()).all(|i| index.get(index.points[i]) == Some(i as u32)),
+            "a point repeats"
+        );
+        index
+    }
+
+    fn hash_all(&mut self) {
+        let numbered = self.points.iter().enumerate();
+        self.by_point.extend(numbered.map(|(i, &p)| (p, i as u32)));
+    }
+
+    /// Forgets every point and keeps the allocations.
+    pub fn clear(&mut self) {
+        self.points.clear();
+        self.by_point.clear();
+    }
+
+    /// The number of `p`, if it has appeared.
+    pub fn get(&self, p: Point) -> Option<u32> {
+        if self.points.len() <= Self::SCAN_MAX {
+            self.points.iter().position(|&q| q == p).map(|i| i as u32)
+        } else {
+            self.by_point.get(&p).copied()
+        }
+    }
+
+    /// The number of `p`, which is the next free one if `p` is new.
+    pub fn intern(&mut self, p: Point) -> u32 {
+        if let Some(i) = self.get(p) {
+            return i;
+        }
+        let i = self.points.len() as u32;
+        self.points.push(p);
+        match self.points.len() {
+            n if n <= Self::SCAN_MAX => {}
+            n if n == Self::SCAN_MAX + 1 => self.hash_all(),
+            _ => drop(self.by_point.insert(p, i)),
+        }
+        i
+    }
+
+    /// The points, by number.
+    pub fn points(&self) -> &[Point] {
+        &self.points
+    }
+
+    /// The points, by number.
+    pub fn into_points(self) -> Vec<Point> {
+        self.points
+    }
+}
+
 /// An axis-aligned, inclusive rectangle of g-cells.
 ///
 /// # Examples
@@ -165,6 +259,39 @@ impl std::fmt::Display for Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn point_index_numbers_by_first_appearance_on_both_sides_of_the_scan_bound() {
+        // 3 × SCAN_MAX distinct points, each offered three times
+        let stream: Vec<Point> = (0..9 * PointIndex::SCAN_MAX as i32)
+            .map(|i| Point::new((i * 7) % 3, (i * 5) % (PointIndex::SCAN_MAX as i32)))
+            .collect();
+        let mut index = PointIndex::default();
+        let mut first_seen: Vec<Point> = Vec::new();
+        for round in 0..2 {
+            for &p in &stream {
+                let want = first_seen.iter().position(|&q| q == p).unwrap_or_else(|| {
+                    first_seen.push(p);
+                    first_seen.len() - 1
+                });
+                assert_eq!(index.intern(p), want as u32);
+                assert_eq!(index.get(p), Some(want as u32));
+            }
+            assert_eq!(index.points(), first_seen);
+            assert_eq!(first_seen.len(), 3 * PointIndex::SCAN_MAX);
+            assert_eq!(index.get(Point::new(-1, 0)), None);
+            for len in [3, PointIndex::SCAN_MAX, PointIndex::SCAN_MAX + 1] {
+                let seeded = PointIndex::from_distinct(first_seen[..len].to_vec());
+                assert_eq!(seeded.get(first_seen[len - 1]), Some(len as u32 - 1));
+                assert_eq!(seeded.get(first_seen[len]), None);
+            }
+            if round == 0 {
+                // a cleared index is an empty one
+                index.clear();
+                first_seen.clear();
+            }
+        }
+    }
 
     #[test]
     fn manhattan_distance_is_symmetric() {

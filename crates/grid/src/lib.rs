@@ -40,7 +40,7 @@ pub mod snapshot;
 pub use capacity::{CapacityBuilder, CapacityModel};
 pub use demand::{DemandMap, OVERFLOW_EPS};
 pub use design::{Design, Net};
-pub use geom::{Point, Rect};
+pub use geom::{Point, PointIndex, Rect};
 pub use grid::{EdgeDir, GcellGrid};
 pub use ids::{EdgeId, GcellId, NetId};
 pub use maze::{maze_route, MazeConfig};

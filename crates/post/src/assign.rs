@@ -36,11 +36,19 @@
 //! then child subtree, added left to right — are untouched. The tests
 //! keep a per-use pricing (`assign_net_per_use`) and demand an equal
 //! [`Assigned3d`] on congested 2-, 5- and 9-layer designs.
-
-use std::collections::HashMap;
+//!
+//! # The workspace
+//!
+//! Everything a net's assignment needs besides its result — the node
+//! table, the segment list and its CSR adjacency, the edge list, the price
+//! table, the DP's tables and stacks — lives in one [`Workspace`] that
+//! [`assign_layers`] owns for the whole pass and every net overwrites, so
+//! a net allocates only the [`Net3d::segments`] it returns. The oracle's
+//! hooks, [`assign_net_dp`] and [`NetTopology::of_route`], run the same
+//! code on a fresh workspace per call.
 
 use dgr_core::RoutingSolution;
-use dgr_grid::{Design, EdgeDir, Point, OVERFLOW_EPS};
+use dgr_grid::{Design, EdgeDir, EdgeId, Point, PointIndex, OVERFLOW_EPS};
 
 use crate::layers::LayerModel;
 use crate::PostError;
@@ -86,28 +94,53 @@ impl NetTopology {
     /// nodes, one segment per non-degenerate corner window, and marks a
     /// union-find spanning tree in segment order.
     pub fn of_route(route: &dgr_core::NetRoute) -> Self {
-        let mut node_of: HashMap<Point, usize> = HashMap::new();
-        let mut points: Vec<Point> = Vec::new();
-        let mut segs: Vec<(usize, usize, Point, Point)> = Vec::new();
-        let intern = |p: Point, points: &mut Vec<Point>, node_of: &mut HashMap<Point, usize>| {
-            *node_of.entry(p).or_insert_with(|| {
-                points.push(p);
-                points.len() - 1
-            })
-        };
+        let mut graph = SegGraph::default();
+        graph.load(route, &[]);
+        graph.into_topology()
+    }
+}
+
+/// The segment graph of one net in buffers the next net reuses: what
+/// [`NetTopology`] holds, plus which nodes are pins and the spanning
+/// tree's adjacency.
+#[derive(Default)]
+struct SegGraph {
+    nodes: PointIndex,
+    segs: Vec<(usize, usize, Point, Point)>,
+    in_tree: Vec<bool>,
+    is_pin: Vec<bool>,
+    /// CSR adjacency over the spanning tree: node `v` owns the `(segment,
+    /// other node)` pairs `adj[adj_start[v]..adj_start[v + 1]]`, in
+    /// segment order.
+    adj_start: Vec<usize>,
+    adj: Vec<(usize, usize)>,
+    /// Per node: the union-find parent, then the adjacency fill cursor.
+    scratch: Vec<usize>,
+}
+
+impl SegGraph {
+    /// Builds the segment graph of `route`: interns corner points as
+    /// nodes, one segment per non-degenerate corner window, and marks a
+    /// union-find spanning tree in segment order.
+    fn load(&mut self, route: &dgr_core::NetRoute, pins: &[Point]) {
+        self.nodes.clear();
+        self.segs.clear();
         for path in &route.paths {
             for w in path.corners.windows(2) {
                 if w[0] == w[1] {
                     continue;
                 }
-                let na = intern(w[0], &mut points, &mut node_of);
-                let nb = intern(w[1], &mut points, &mut node_of);
-                segs.push((na, nb, w[0], w[1]));
+                let na = self.nodes.intern(w[0]) as usize;
+                let nb = self.nodes.intern(w[1]) as usize;
+                self.segs.push((na, nb, w[0], w[1]));
             }
         }
-        let n_nodes = points.len();
-        let mut in_tree = vec![false; segs.len()];
-        let mut parent: Vec<usize> = (0..n_nodes).collect();
+        let n_nodes = self.nodes.points().len();
+        self.in_tree.clear();
+        self.in_tree.resize(self.segs.len(), false);
+        let parent = &mut self.scratch;
+        parent.clear();
+        parent.extend(0..n_nodes);
         fn find(p: &mut [usize], mut x: usize) -> usize {
             while p[x] != x {
                 p[x] = p[p[x]];
@@ -115,17 +148,51 @@ impl NetTopology {
             }
             x
         }
-        for (si, &(na, nb, ..)) in segs.iter().enumerate() {
-            let (ra, rb) = (find(&mut parent, na), find(&mut parent, nb));
+        self.adj_start.clear();
+        self.adj_start.resize(n_nodes + 1, 0);
+        for (si, &(na, nb, ..)) in self.segs.iter().enumerate() {
+            let (ra, rb) = (find(parent, na), find(parent, nb));
             if ra != rb {
                 parent[ra] = rb;
-                in_tree[si] = true;
+                self.in_tree[si] = true;
+                self.adj_start[na + 1] += 1;
+                self.adj_start[nb + 1] += 1;
             }
         }
+        for v in 0..n_nodes {
+            self.adj_start[v + 1] += self.adj_start[v];
+        }
+        let cursor = &mut self.scratch;
+        cursor.copy_from_slice(&self.adj_start[..n_nodes]);
+        self.adj.clear();
+        self.adj.resize(self.adj_start[n_nodes], (0, 0));
+        for (si, &(na, nb, ..)) in self.segs.iter().enumerate() {
+            if self.in_tree[si] {
+                self.adj[cursor[na]] = (si, nb);
+                self.adj[cursor[nb]] = (si, na);
+                cursor[na] += 1;
+                cursor[nb] += 1;
+            }
+        }
+        self.is_pin.clear();
+        self.is_pin.resize(n_nodes, false);
+        for &pin in pins {
+            if let Some(v) = self.nodes.get(pin) {
+                self.is_pin[v as usize] = true;
+            }
+        }
+    }
+
+    /// The spanning-tree segments at node `v`, as `(segment, other node)`.
+    fn tree_segs_at(&self, v: usize) -> &[(usize, usize)] {
+        &self.adj[self.adj_start[v]..self.adj_start[v + 1]]
+    }
+
+    fn into_topology(self) -> NetTopology {
         NetTopology {
-            points,
-            segs,
-            in_tree,
+            points: self.nodes.into_points(),
+            segs: self.segs,
+            in_tree: self.in_tree,
         }
     }
 }
@@ -189,16 +256,17 @@ pub fn assign_layers(
 }
 
 /// The signature of [`assign_net`], which [`assign_layers_with`] takes as
-/// a parameter so the tests can run the per-use pricing reference through
-/// the same net order and 3D accounting.
+/// a parameter so the tests can run the per-use pricing reference and a
+/// fresh workspace per net through the same net order and 3D accounting.
 type AssignNetFn = fn(
     &Design,
     &LayerModel,
     AssignConfig,
     &dgr_core::NetRoute,
-    &std::collections::HashSet<Point>,
+    &[Point],
     &mut [Vec<f32>],
-) -> Result<NetAssignment, PostError>;
+    &mut Workspace,
+) -> Result<(Net3d, LayerPlan), PostError>;
 
 fn assign_layers_with(
     design: &Design,
@@ -220,36 +288,38 @@ fn assign_layers_with(
 
     // big nets first: they have the least flexibility per layer
     let mut order: Vec<usize> = (0..solution.routes.len()).collect();
-    order.sort_by_key(|&n| std::cmp::Reverse(solution.routes[n].wirelength()));
+    order.sort_by_cached_key(|&n| std::cmp::Reverse(solution.routes[n].wirelength()));
 
+    let mut ws = Workspace::default();
     let mut nets: Vec<Option<Net3d>> = vec![None; solution.routes.len()];
     for &n in &order {
         let route = &solution.routes[n];
-        let pins: std::collections::HashSet<Point> =
-            design.nets[route.net].pins.iter().copied().collect();
-        let assignment = assign_net(design, &model, cfg, route, &pins, &mut layer_demand)?;
-        nets[n] = Some(assignment.net3d);
+        let pins = &design.nets[route.net].pins;
+        let (net3d, _) = assign_net(design, &model, cfg, route, pins, &mut layer_demand, &mut ws)?;
+        nets[n] = Some(net3d);
     }
     let nets: Vec<Net3d> = nets.into_iter().map(|n| n.expect("assigned")).collect();
 
-    // 3D overflow accounting
+    // 3D overflow accounting: a layer carries only the edges running its
+    // way, which are one run of ids
     let mut overflowed_edges3d = 0usize;
     let mut total_overflow3d = 0.0f64;
     let mut peak = 0.0f32;
     let mut over_flag = vec![vec![false; num_edges]; num_layers];
     for (l, dem) in layer_demand.iter().enumerate() {
         let dir = model.dir_of(l as u32);
-        for e in grid.edge_ids() {
-            if grid.edge_dir(e) != dir {
-                continue;
-            }
-            let cap = model.layer_capacity(design.capacity.capacity(e), dir);
-            let over = dem[e.index()] - cap;
+        let along = match dir {
+            EdgeDir::Horizontal => 0..grid.num_h_edges(),
+            EdgeDir::Vertical => grid.num_h_edges()..num_edges,
+        };
+        for e in along {
+            let cap = model.layer_capacity(design.capacity.capacity(EdgeId::new(e as u32)), dir);
+            let over = dem[e] - cap;
             if over > OVERFLOW_EPS {
                 overflowed_edges3d += 1;
                 total_overflow3d += over as f64;
                 peak = peak.max(over);
-                over_flag[l][e.index()] = true;
+                over_flag[l][e] = true;
             }
         }
     }
@@ -258,10 +328,13 @@ fn assign_layers_with(
         grid.segment_edges(s.a, s.b)
             .is_ok_and(|mut edges| edges.any(|e| over_flag[s.layer as usize][e.index()]))
     };
-    let overflowed_nets = nets
-        .iter()
-        .filter(|net| net.segments.iter().any(touches_overflow))
-        .count();
+    let overflowed_nets = match overflowed_edges3d {
+        0 => 0,
+        _ => nets
+            .iter()
+            .filter(|net| net.segments.iter().any(touches_overflow))
+            .count(),
+    };
 
     Ok(Assigned3d {
         nets,
@@ -292,8 +365,8 @@ pub struct NetAssignment {
 /// `layer_demand` (one slice per layer, `grid.num_edges()` long each),
 /// commits the chosen assignment into it, and returns the DP internals.
 ///
-/// This is the oracle hook behind [`assign_layers`], which calls it per
-/// net in descending-wirelength order.
+/// This is the oracle hook behind [`assign_layers`], which runs the same
+/// steps per net in descending-wirelength order.
 ///
 /// # Errors
 ///
@@ -312,36 +385,58 @@ pub fn assign_net_dp(
         });
     }
     let model = LayerModel::alternating(design.num_layers, cfg.first_horizontal);
-    assign_net(design, &model, cfg, route, pins, layer_demand)
+    let pins: Vec<Point> = pins.iter().copied().collect();
+    let mut ws = Workspace::default();
+    let (net3d, plan) = assign_net(design, &model, cfg, route, &pins, layer_demand, &mut ws)?;
+    Ok(NetAssignment {
+        net3d,
+        topology: ws.graph.into_topology(),
+        dp_cost: plan.dp_cost,
+        root_layer: plan.root_layer,
+    })
+}
+
+/// The scratch of one net's assignment, overwritten by the next net's.
+#[derive(Default)]
+struct Workspace {
+    graph: SegGraph,
+    seg_edges: SegEdges,
+    /// `costs[si * num_layers + ls]`: the price of segment `si` on layer
+    /// `ls` (module docs).
+    costs: Vec<f32>,
+    dp: DpTables,
+    /// Per node: the lowest and highest layer of the segments ending there.
+    touch: Vec<(u32, u32)>,
 }
 
 /// The grid edges and direction of every segment of one net, built once:
 /// segment `si` owns `edges[start[si]..start[si + 1]]`.
+#[derive(Default)]
 struct SegEdges {
-    edges: Vec<dgr_grid::EdgeId>,
+    edges: Vec<EdgeId>,
     start: Vec<usize>,
     dirs: Vec<EdgeDir>,
 }
 
 impl SegEdges {
-    fn of(grid: &dgr_grid::GcellGrid, topology: &NetTopology) -> Result<Self, PostError> {
-        let mut edges = Vec::new();
-        let mut start = Vec::with_capacity(topology.segs.len() + 1);
-        let mut dirs = Vec::with_capacity(topology.segs.len());
-        for &(_, _, a, b) in &topology.segs {
-            start.push(edges.len());
-            grid.push_segment_edges(a, b, &mut edges)?;
-            dirs.push(if a.y == b.y {
+    fn load(&mut self, grid: &dgr_grid::GcellGrid, graph: &SegGraph) -> Result<(), PostError> {
+        self.edges.clear();
+        self.start.clear();
+        self.dirs.clear();
+        for &(_, _, a, b) in &graph.segs {
+            self.start.push(self.edges.len());
+            grid.push_segment_edges(a, b, &mut self.edges)?;
+            self.dirs.push(if a.y == b.y {
                 EdgeDir::Horizontal
             } else {
                 EdgeDir::Vertical
             });
         }
-        start.push(edges.len());
-        Ok(SegEdges { edges, start, dirs })
+        self.start.push(self.edges.len());
+        Ok(())
     }
 
-    fn of_seg(&self, si: usize) -> &[dgr_grid::EdgeId] {
+    fn of_seg(&self, si: usize) -> &[EdgeId] {
         &self.edges[self.start[si]..self.start[si + 1]]
     }
 }
@@ -352,7 +447,7 @@ fn seg_price(
     design: &Design,
     model: &LayerModel,
     cfg: AssignConfig,
-    edges: &[dgr_grid::EdgeId],
+    edges: &[EdgeId],
     dir: EdgeDir,
     demand: &[f32],
 ) -> f32 {
@@ -370,25 +465,28 @@ fn assign_net(
     model: &LayerModel,
     cfg: AssignConfig,
     route: &dgr_core::NetRoute,
-    pins: &std::collections::HashSet<Point>,
+    pins: &[Point],
     layer_demand: &mut [Vec<f32>],
-) -> Result<NetAssignment, PostError> {
+    ws: &mut Workspace,
+) -> Result<(Net3d, LayerPlan), PostError> {
     // 1. segments, nodes and the spanning tree; every segment's edges
-    let topology = NetTopology::of_route(route);
-    let seg_edges = SegEdges::of(&design.grid, &topology)?;
+    ws.graph.load(route, pins);
+    ws.seg_edges.load(&design.grid, &ws.graph)?;
 
     // Price every segment on every layer running its way, once. Steps
     // 2–4 only read `layer_demand` — it changes at the commit, step 5 —
     // so these are the values a per-use evaluation would produce.
     let num_layers = layer_demand.len();
-    let mut costs = vec![f32::INFINITY; topology.segs.len() * num_layers];
-    for (si, &dir) in seg_edges.dirs.iter().enumerate() {
+    let costs = &mut ws.costs;
+    costs.clear();
+    costs.resize(ws.graph.segs.len() * num_layers, f32::INFINITY);
+    for (si, &dir) in ws.seg_edges.dirs.iter().enumerate() {
         for ls in model.layers_of(dir) {
             costs[si * num_layers + ls as usize] = seg_price(
                 design,
                 model,
                 cfg,
-                seg_edges.of_seg(si),
+                ws.seg_edges.of_seg(si),
                 dir,
                 &layer_demand[ls as usize],
             );
@@ -396,95 +494,114 @@ fn assign_net(
     }
     let seg_cost = |si: usize, ls: u32| costs[si * num_layers + ls as usize];
 
-    let plan = choose_layers(&topology, &seg_edges.dirs, model, cfg, pins, seg_cost);
-    Ok(commit_net(
+    let dirs = &ws.seg_edges.dirs;
+    let plan = choose_layers(&ws.graph, dirs, model, cfg, &mut ws.dp, seg_cost);
+    let net3d = commit_net(
         route.net,
-        topology,
-        &seg_edges,
-        plan,
-        pins,
+        &ws.graph,
+        &ws.seg_edges,
+        &ws.dp.seg_layer,
+        &mut ws.touch,
         layer_demand,
-    ))
+    );
+    Ok((net3d, plan))
 }
 
-/// The DP's decision for one net.
+/// What the DP reports of one net beside the layers it chose.
 struct LayerPlan {
-    /// Chosen layer per segment (tree segments by the DP, cycle closers
-    /// greedily).
-    seg_layer: Vec<u32>,
     dp_cost: f32,
     root_layer: u32,
 }
 
-/// Steps 2–4: the tree DP over the segment graph, then the cycle closers.
-/// `seg_cost(si, ls)` is the congestion price of segment `si` on layer
-/// `ls` (asked only for layers running the segment's way).
+/// The tables and stacks of [`choose_layers`].
+#[derive(Default)]
+struct DpTables {
+    /// `dp[v * num_layers + l]`
+    dp: Vec<f32>,
+    /// `choice[child_seg * num_layers + parent_layer]`: the chosen layer
+    /// of that segment
+    choice: Vec<u32>,
+    visit_order: Vec<usize>,
+    parent_seg: Vec<usize>,
+    seen: Vec<bool>,
+    stack: Vec<(usize, usize)>,
+    /// Chosen layer per segment (tree segments by the DP, cycle closers
+    /// greedily) — the result.
+    seg_layer: Vec<u32>,
+}
+
+/// Steps 2–4: the tree DP over the segment graph, then the cycle closers,
+/// into `tables.seg_layer`. `seg_cost(si, ls)` is the congestion price of
+/// segment `si` on layer `ls` (asked only for layers running the segment's
+/// way).
 fn choose_layers(
-    topology: &NetTopology,
+    graph: &SegGraph,
     seg_dirs: &[EdgeDir],
     model: &LayerModel,
     cfg: AssignConfig,
-    pins: &std::collections::HashSet<Point>,
+    tables: &mut DpTables,
     seg_cost: impl Fn(usize, u32) -> f32,
 ) -> LayerPlan {
-    let points = &topology.points;
-    let segs = &topology.segs;
-    let in_tree = &topology.in_tree;
+    let segs = &graph.segs;
+    let in_tree = &graph.in_tree;
+    let DpTables {
+        dp,
+        choice,
+        visit_order,
+        parent_seg,
+        seen,
+        stack,
+        seg_layer,
+    } = tables;
+    seg_layer.clear();
     if segs.is_empty() {
         return LayerPlan {
-            seg_layer: Vec::new(),
             dp_cost: 0.0,
             root_layer: 0,
         };
     }
-    // 2. adjacency over the spanning tree (extras = cycle closers)
-    let n_nodes = points.len();
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_nodes]; // (seg, other)
-    for (si, &(na, nb, ..)) in segs.iter().enumerate() {
-        if in_tree[si] {
-            adj[na].push((si, nb));
-            adj[nb].push((si, na));
-        }
-    }
+    // 2. the spanning tree's adjacency is the graph's (extras = cycle
+    // closers)
+    let n_nodes = graph.nodes.points().len();
     let num_layers = model.num_layers() as usize;
 
     // 3. tree DP from node 0 (post-order via explicit stack)
     const INF: f32 = f32::INFINITY;
-    // dp[v * num_layers + l]
-    let mut dp = vec![0.0f32; n_nodes * num_layers];
-    // choice[child_seg * num_layers + parent_layer] = chosen layer of that
-    // segment
-    let mut choice = vec![0u32; segs.len() * num_layers];
+    dp.clear();
+    dp.resize(n_nodes * num_layers, 0.0);
+    choice.clear();
+    choice.resize(segs.len() * num_layers, 0);
     let root = 0usize;
     // iterative post-order
-    let mut visit_order = Vec::with_capacity(n_nodes);
-    let mut parent_seg = vec![usize::MAX; n_nodes];
-    {
-        let mut stack = vec![(root, usize::MAX)];
-        let mut seen = vec![false; n_nodes];
-        while let Some((v, pseg)) = stack.pop() {
-            if seen[v] {
-                continue;
-            }
-            seen[v] = true;
-            parent_seg[v] = pseg;
-            visit_order.push(v);
-            for &(si, u) in &adj[v] {
-                if !seen[u] {
-                    stack.push((u, si));
-                }
+    visit_order.clear();
+    parent_seg.clear();
+    parent_seg.resize(n_nodes, usize::MAX);
+    seen.clear();
+    seen.resize(n_nodes, false);
+    stack.clear();
+    stack.push((root, usize::MAX));
+    while let Some((v, pseg)) = stack.pop() {
+        if seen[v] {
+            continue;
+        }
+        seen[v] = true;
+        parent_seg[v] = pseg;
+        visit_order.push(v);
+        for &(si, u) in graph.tree_segs_at(v) {
+            if !seen[u] {
+                stack.push((u, si));
             }
         }
     }
     for &v in visit_order.iter().rev() {
-        let is_pin = pins.contains(&points[v]);
+        let is_pin = graph.is_pin[v];
         for l in 0..num_layers {
             let mut cost = if is_pin {
                 cfg.via_weight * l as f32
             } else {
                 0.0
             };
-            for &(si, u) in &adj[v] {
+            for &(si, u) in graph.tree_segs_at(v) {
                 if parent_seg[u] != si {
                     continue; // u is v's parent through si
                 }
@@ -513,22 +630,23 @@ fn choose_layers(
         .min_by(|&a, &b| root_dp[a].total_cmp(&root_dp[b]))
         .expect("≥2 layers") as u32;
     let dp_cost = root_dp[root_l as usize];
-    let mut seg_layer = vec![u32::MAX; segs.len()];
-    let mut stack = vec![(root, root_l)];
+    seg_layer.resize(segs.len(), u32::MAX);
+    stack.push((root, root_l as usize));
     while let Some((v, l)) = stack.pop() {
-        for &(si, u) in &adj[v] {
+        for &(si, u) in graph.tree_segs_at(v) {
             if parent_seg[u] != si {
                 continue;
             }
-            let ls = choice[si * num_layers + l as usize];
+            let ls = choice[si * num_layers + l];
             seg_layer[si] = ls;
-            stack.push((u, ls));
+            stack.push((u, ls as usize));
         }
     }
     // cycle-closing extras: pick the cheapest layer against the incident
     // assigned layers
     let node_layer = |node: usize, seg_layer: &[u32]| -> u32 {
-        adj[node]
+        graph
+            .tree_segs_at(node)
             .iter()
             .map(|&(si, _)| seg_layer[si])
             .find(|&l| l != u32::MAX)
@@ -539,7 +657,7 @@ fn choose_layers(
             continue;
         }
         let (na, nb, ..) = segs[si];
-        let (la, lb) = (node_layer(na, &seg_layer), node_layer(nb, &seg_layer));
+        let (la, lb) = (node_layer(na, seg_layer), node_layer(nb, seg_layer));
         let layers = model.layers_of(seg_dirs[si]);
         let mut best = INF;
         let mut best_l = layers.clone().next().expect("both directions have a layer");
@@ -555,52 +673,46 @@ fn choose_layers(
         seg_layer[si] = best_l;
     }
     LayerPlan {
-        seg_layer,
         dp_cost,
         root_layer: root_l,
     }
 }
 
-/// Step 5: commits the plan's demand and counts vias exactly (layer span
-/// per node).
+/// Step 5: commits the chosen layers' demand and counts vias exactly
+/// (layer span per node, down to metal 0 at a pin).
 fn commit_net(
     net: usize,
-    topology: NetTopology,
+    graph: &SegGraph,
     seg_edges: &SegEdges,
-    plan: LayerPlan,
-    pins: &std::collections::HashSet<Point>,
+    seg_layer: &[u32],
+    touch: &mut Vec<(u32, u32)>,
     layer_demand: &mut [Vec<f32>],
-) -> NetAssignment {
-    let mut segments = Vec::with_capacity(topology.segs.len());
-    for (si, &(_, _, a, b)) in topology.segs.iter().enumerate() {
-        let layer = plan.seg_layer[si];
+) -> Net3d {
+    touch.clear();
+    touch.resize(graph.nodes.points().len(), (u32::MAX, 0));
+    let mut segments = Vec::with_capacity(graph.segs.len());
+    for (si, &(na, nb, a, b)) in graph.segs.iter().enumerate() {
+        let layer = seg_layer[si];
         for e in seg_edges.of_seg(si) {
             layer_demand[layer as usize][e.index()] += 1.0;
         }
         segments.push(Segment3d { a, b, layer });
-    }
-    let mut touch: HashMap<Point, (u32, u32)> = HashMap::new();
-    for s in &segments {
-        for p in [s.a, s.b] {
-            let e = touch.entry(p).or_insert((s.layer, s.layer));
-            e.0 = e.0.min(s.layer);
-            e.1 = e.1.max(s.layer);
+        for node in [na, nb] {
+            let (lo, hi) = &mut touch[node];
+            *lo = (*lo).min(layer);
+            *hi = (*hi).max(layer);
         }
     }
+    // every node ends a segment
     let mut vias = 0u64;
-    for (p, (lo, hi)) in &touch {
-        let lo = if pins.contains(p) { 0 } else { *lo };
-        vias += (*hi - lo) as u64;
+    for (&(lo, hi), &is_pin) in touch.iter().zip(&graph.is_pin) {
+        let lo = if is_pin { 0 } else { lo };
+        vias += (hi - lo) as u64;
     }
-    NetAssignment {
-        net3d: Net3d {
-            net,
-            segments,
-            vias,
-        },
-        topology,
-        dp_cost: plan.dp_cost,
-        root_layer: plan.root_layer,
+    Net3d {
+        net,
+        segments,
+        vias,
     }
 }
 
@@ -619,63 +731,98 @@ mod tests {
         model: &LayerModel,
         cfg: AssignConfig,
         route: &NetRoute,
-        pins: &std::collections::HashSet<Point>,
+        pins: &[Point],
         layer_demand: &mut [Vec<f32>],
-    ) -> Result<NetAssignment, PostError> {
-        let topology = NetTopology::of_route(route);
-        let seg_edges = SegEdges::of(&design.grid, &topology)?;
-        let demand: &[Vec<f32>] = layer_demand;
+        ws: &mut Workspace,
+    ) -> Result<(Net3d, LayerPlan), PostError> {
+        ws.graph.load(route, pins);
+        ws.seg_edges.load(&design.grid, &ws.graph)?;
+        let (seg_edges, demand): (&SegEdges, &[Vec<f32>]) = (&ws.seg_edges, layer_demand);
         let seg_cost = |si: usize, ls: u32| {
             let (edges, dir) = (seg_edges.of_seg(si), seg_edges.dirs[si]);
             seg_price(design, model, cfg, edges, dir, &demand[ls as usize])
         };
-        let plan = choose_layers(&topology, &seg_edges.dirs, model, cfg, pins, seg_cost);
-        Ok(commit_net(
+        let plan = choose_layers(&ws.graph, &seg_edges.dirs, model, cfg, &mut ws.dp, seg_cost);
+        let net3d = commit_net(
             route.net,
-            topology,
-            &seg_edges,
-            plan,
-            pins,
+            &ws.graph,
+            &ws.seg_edges,
+            &ws.dp.seg_layer,
+            &mut ws.touch,
             layer_demand,
-        ))
+        );
+        Ok((net3d, plan))
+    }
+
+    /// The oracle's hook — a fresh workspace, a hashed pin set — in the
+    /// place of `assign_net`; the pass's own workspace goes unused.
+    fn assign_net_fresh(
+        design: &Design,
+        _: &LayerModel,
+        cfg: AssignConfig,
+        route: &NetRoute,
+        pins: &[Point],
+        layer_demand: &mut [Vec<f32>],
+        _: &mut Workspace,
+    ) -> Result<(Net3d, LayerPlan), PostError> {
+        let pins = pins.iter().copied().collect();
+        let done = assign_net_dp(design, cfg, route, &pins, layer_demand)?;
+        assert_eq!(
+            done.topology.points,
+            NetTopology::of_route(route).points,
+            "net {}",
+            route.net
+        );
+        let plan = LayerPlan {
+            dp_cost: done.dp_cost,
+            root_layer: done.root_layer,
+        };
+        Ok((done.net3d, plan))
+    }
+
+    /// A congested 12×12 design of 48 nets on `num_layers` layers, routed;
+    /// net 0 carries both of its L-shapes, so its last segment closes a
+    /// cycle.
+    fn congested_case(case: usize, num_layers: u32) -> (Design, RoutingSolution) {
+        let mut rng = StdRng::seed_from_u64(0xA551 + case as u64);
+        // net 0 is routed by hand below; the rest by the router
+        let mut nets = vec![Net::new("loop", vec![Point::new(1, 1), Point::new(6, 7)])];
+        nets.extend((1..48).map(|i| {
+            let pins = (0..rng.gen_range(2..=6))
+                .map(|_| Point::new(rng.gen_range(0..12), rng.gen_range(0..12)))
+                .collect();
+            Net::new(format!("n{i}"), pins)
+        }));
+        let grid = GcellGrid::new(12, 12).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, 2.0).build(&grid).unwrap();
+        let d = Design::new(grid, cap, nets, num_layers).unwrap();
+        let routed = DgrRouter::new(DgrConfig {
+            iterations: 20,
+            seed: case as u64,
+            ..DgrConfig::default()
+        })
+        .route(&d)
+        .unwrap();
+        let mut routes = routed.routes;
+        // both L-shapes at once: four segments, the last closes a cycle
+        let corners = |via: Point| vec![Point::new(1, 1), via, Point::new(6, 7)];
+        routes[0].paths = [Point::new(6, 1), Point::new(1, 7)]
+            .map(|via| RoutePath {
+                corners: corners(via),
+            })
+            .to_vec();
+        assert_eq!(
+            NetTopology::of_route(&routes[0]).in_tree,
+            [true, true, true, false]
+        );
+        let sol = solution_for(&d, routes);
+        (d, sol)
     }
 
     #[test]
     fn tabulated_prices_assign_exactly_like_per_use_prices() {
         for (case, num_layers) in [2u32, 5, 9, 2, 5, 9].into_iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(0xA551 + case as u64);
-            // net 0 is routed by hand below; the rest by the router
-            let mut nets = vec![Net::new("loop", vec![Point::new(1, 1), Point::new(6, 7)])];
-            nets.extend((1..48).map(|i| {
-                let pins = (0..rng.gen_range(2..=6))
-                    .map(|_| Point::new(rng.gen_range(0..12), rng.gen_range(0..12)))
-                    .collect();
-                Net::new(format!("n{i}"), pins)
-            }));
-            let grid = GcellGrid::new(12, 12).unwrap();
-            let cap = CapacityBuilder::uniform(&grid, 2.0).build(&grid).unwrap();
-            let d = Design::new(grid, cap, nets, num_layers).unwrap();
-            let routed = DgrRouter::new(DgrConfig {
-                iterations: 20,
-                seed: case as u64,
-                ..DgrConfig::default()
-            })
-            .route(&d)
-            .unwrap();
-            let mut routes = routed.routes;
-            // both L-shapes at once: four segments, the last closes a cycle
-            let corners = |via: Point| vec![Point::new(1, 1), via, Point::new(6, 7)];
-            routes[0].paths = [Point::new(6, 1), Point::new(1, 7)]
-                .map(|via| RoutePath {
-                    corners: corners(via),
-                })
-                .to_vec();
-            assert_eq!(
-                NetTopology::of_route(&routes[0]).in_tree,
-                [true, true, true, false]
-            );
-            let sol = solution_for(&d, routes);
-
+            let (d, sol) = congested_case(case, num_layers);
             let cfg = AssignConfig::default();
             let tabulated = assign_layers_with(&d, &sol, cfg, assign_net).unwrap();
             let per_use = assign_layers_with(&d, &sol, cfg, assign_net_per_use).unwrap();
@@ -685,6 +832,50 @@ mod tests {
                 "{num_layers} layers, case {case}: not congested, prices never mattered"
             );
         }
+    }
+
+    #[test]
+    fn one_reused_workspace_assigns_exactly_like_a_fresh_one_per_net() {
+        for (case, num_layers) in [2u32, 5, 9, 2, 5, 9].into_iter().enumerate() {
+            let (d, sol) = congested_case(case, num_layers);
+            let cfg = AssignConfig::default();
+            let reused = assign_layers(&d, &sol, cfg).unwrap();
+            let fresh = assign_layers_with(&d, &sol, cfg, assign_net_fresh).unwrap();
+            assert_eq!(reused, fresh, "{num_layers} layers, case {case}");
+            assert!(reused.overflowed_nets > 0 && reused.total_vias > 0);
+        }
+    }
+
+    #[test]
+    fn a_net_past_the_scan_bound_is_assigned_like_its_hashed_topology() {
+        // a comb: one spine and a tooth at every column, > SCAN_MAX nodes
+        let teeth = PointIndex::SCAN_MAX as i32;
+        let grid = GcellGrid::new(teeth as u32 + 2, 8).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
+        let pins: Vec<Point> = (0..=teeth).map(|x| Point::new(x, 5)).collect();
+        let d = Design::new(grid, cap, vec![Net::new("comb", pins)], 5).unwrap();
+        let mut paths = vec![RoutePath {
+            corners: (0..=teeth).map(|x| Point::new(x, 0)).collect(),
+        }];
+        paths.extend((0..=teeth).map(|x| RoutePath {
+            corners: vec![Point::new(x, 0), Point::new(x, 5)],
+        }));
+        let route = NetRoute {
+            net: 0,
+            tree: 0,
+            paths,
+        };
+        let topology = NetTopology::of_route(&route);
+        assert!(topology.points.len() > 2 * PointIndex::SCAN_MAX);
+        // first-appearance order: the spine left to right, then each tip
+        assert_eq!(topology.points[teeth as usize], Point::new(teeth, 0));
+        assert_eq!(topology.points[teeth as usize + 1], Point::new(0, 5));
+        assert!(topology.in_tree.iter().all(|&t| t));
+        let sol = solution_for(&d, vec![route]);
+        let a = assign_layers(&d, &sol, AssignConfig::default()).unwrap();
+        assert_eq!(a.nets[0].segments.len(), topology.segs.len());
+        // every tip is a pin: each tooth pays its layer down to metal 0
+        assert!(a.total_vias >= topology.segs.len() as u64 / 2);
     }
 
     fn design(tracks: f32, nets: Vec<Net>, layers: u32) -> Design {

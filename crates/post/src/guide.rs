@@ -55,17 +55,22 @@ impl RouteGuide {
         RouteGuide { nets }
     }
 
-    /// Serializes to the ISPD-style text format.
+    /// Serializes to the ISPD-style text format: every number is written
+    /// digit by digit into one buffer reserved from the box count.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        // a box line is five numbers, most of them of three digits or fewer
+        let names: usize = self.nets.iter().map(|(name, _)| name.len() + 5).sum();
+        let mut out = String::with_capacity(names + 20 * self.num_boxes());
         for (name, boxes) in &self.nets {
             out.push_str(name);
             out.push_str("\n(\n");
             for b in boxes {
-                out.push_str(&format!(
-                    "{} {} {} {} {}\n",
-                    b.lo.x, b.lo.y, b.hi.x, b.hi.y, b.layer
-                ));
+                for coordinate in [b.lo.x, b.lo.y, b.hi.x, b.hi.y] {
+                    push_decimal(&mut out, i64::from(coordinate));
+                    out.push(' ');
+                }
+                push_decimal(&mut out, i64::from(b.layer));
+                out.push('\n');
             }
             out.push_str(")\n");
         }
@@ -78,10 +83,61 @@ impl RouteGuide {
     }
 }
 
+/// Appends `v` in decimal, as `{}` would print it.
+fn push_decimal(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.extend(digits[first..].iter().map(|&d| char::from(d)));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assign::{Net3d, Segment3d};
+
+    #[test]
+    fn text_equals_the_format_spelling() {
+        let values = [0, 9, 10, 99, 100, 32_767, 2_147_483_647, -1, -2_147_483_648];
+        let mut nets = Vec::new();
+        for (i, &x) in values.iter().enumerate() {
+            let boxes = values
+                .iter()
+                .map(|&y| GuideBox {
+                    lo: Point::new(x, y),
+                    hi: Point::new(y, x),
+                    layer: [0, 8, 10, u32::MAX][i % 4],
+                })
+                .collect();
+            nets.push((format!("net{i}"), boxes));
+        }
+        nets.push(("empty".to_string(), Vec::new()));
+        let guide = RouteGuide { nets };
+        let mut want = String::new();
+        for (name, boxes) in &guide.nets {
+            want.push_str(&format!("{name}\n(\n"));
+            for b in boxes {
+                want.push_str(&format!(
+                    "{} {} {} {} {}\n",
+                    b.lo.x, b.lo.y, b.hi.x, b.hi.y, b.layer
+                ));
+            }
+            want.push_str(")\n");
+        }
+        assert!(want.contains("\n0 32767 32767 0 0\n") && want.contains("\n9 10 10 9 8\n"));
+        assert_eq!(guide.to_text(), want);
+    }
 
     fn toy_assignment() -> Assigned3d {
         Assigned3d {

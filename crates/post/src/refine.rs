@@ -112,7 +112,8 @@ impl EdgeCosts {
 /// Nothing is compared afterwards — a reroute is kept even where it does
 /// not lower the overflow. Where overflow is avoidable it goes; on a design
 /// that cannot be routed without it, the overflowed-edge count can rise
-/// while the total overflow falls.
+/// while the total overflow falls. A solution none of whose nets rides an
+/// overflowed edge comes back as it went in, demand and metrics included.
 ///
 /// # Errors
 ///
@@ -131,7 +132,11 @@ pub fn refine(
     let mut scratch = MazeScratch::new();
     let pass = reroute(design, solution, cfg, certified(&mut scratch, design, cfg));
     let kept = cfg!(debug_assertions).then(|| solution.demand.clone());
-    solution.remeasure(design)?;
+    // a pass that found no victim ripped nothing up: a recount would
+    // reproduce the demand and metrics the solution came with
+    if !matches!(pass, Ok((0, ..))) {
+        solution.remeasure(design)?;
+    }
     let (rounds, nets_rerouted, costs) = pass?;
     debug_assert!(
         kept.is_some_and(|kept| kept == solution.demand),
@@ -328,13 +333,17 @@ mod tests {
     /// A 32×32 generated design routed by patterns alone at a capacity
     /// that leaves hundreds of edges overflowed.
     fn congested_solution() -> (Design, RoutingSolution) {
+        pattern_routed(8.0)
+    }
+
+    fn pattern_routed(base_capacity: f32) -> (Design, RoutingSolution) {
         use dgr_baseline::sequential::{SequentialConfig, SequentialRouter};
         use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
         let design = IspdLikeGenerator::new(IspdLikeConfig {
             width: 32,
             height: 32,
             num_nets: 700,
-            base_capacity: 8.0,
+            base_capacity,
             seed: 7,
             ..IspdLikeConfig::default()
         })
@@ -346,6 +355,51 @@ mod tests {
         };
         let sol = SequentialRouter::new(patterns_only).route(&design).unwrap();
         (design, sol)
+    }
+
+    #[test]
+    fn refine_returns_what_a_pass_followed_by_a_recount_does() {
+        let cfg = RefineConfig::default();
+        for (base_capacity, overflows) in [(200.0, false), (8.0, true)] {
+            let (design, start) = pattern_routed(base_capacity);
+            assert_eq!(start.metrics.overflow.overflowed_edges > 0, overflows);
+
+            // the pass, then the recount whether or not a net was ripped up
+            let mut want = start.clone();
+            let mut scratch = MazeScratch::new();
+            let search = certified(&mut scratch, &design, cfg);
+            let (rounds, nets_rerouted, _) = reroute(&design, &mut want, cfg, search).unwrap();
+            want.remeasure(&design).unwrap();
+            assert_eq!(rounds > 0, overflows);
+
+            let mut got = start.clone();
+            let report = refine(&design, &mut got, cfg).unwrap();
+            assert_eq!(got.routes, want.routes);
+            assert_eq!(got.demand, want.demand);
+            assert_eq!(got.metrics, want.metrics);
+            let want_report = RefineReport {
+                rounds,
+                nets_rerouted,
+                overflowed_before: start.metrics.overflow.overflowed_edges,
+                overflowed_after: want.metrics.overflow.overflowed_edges,
+                searches: scratch.searches,
+                escalations: scratch.escalations,
+                escalations_avoided: scratch.escalations_avoided,
+                states_expanded: scratch.states_expanded,
+            };
+            assert_eq!(report, want_report);
+        }
+    }
+
+    #[test]
+    fn a_pass_without_victims_does_not_recount() {
+        let (design, mut sol) = pattern_routed(200.0);
+        // a recount would put the wirelength back
+        sol.metrics.total_wirelength += 1;
+        let marked = sol.metrics;
+        let report = refine(&design, &mut sol, RefineConfig::default()).unwrap();
+        assert_eq!((report.rounds, report.searches), (0, 0));
+        assert_eq!(sol.metrics, marked);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dgr_grid::Point;
+use dgr_grid::{Point, PointIndex};
 
 use crate::tree::RoutingTree;
 use crate::EXACT_PIN_LIMIT;
@@ -140,26 +140,18 @@ pub fn solve_canonical(key: &[Point]) -> RoutingTree {
 /// `map` and (via [`solve_canonical`]) `template`. Pin nodes are emitted
 /// in the caller's pin order; Steiner points follow.
 pub fn instantiate(template: &RoutingTree, map: &CanonMap, pins: &[Point]) -> RoutingTree {
-    let pin_index: HashMap<Point, u32> = pins
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u32))
-        .collect();
-    let num_pins = template.num_pins();
-    let mut nodes: Vec<Point> = pins.to_vec();
+    let pin_index = PointIndex::from_distinct(pins.to_vec());
+    let (template_pins, template_steiner) = template.nodes().split_at(template.num_pins());
     let mut remap: Vec<u32> = Vec::with_capacity(template.nodes().len());
-    for (i, &cp) in template.nodes().iter().enumerate() {
-        let rp = map.inverse(cp);
-        if i < num_pins {
-            remap.push(
-                *pin_index
-                    .get(&rp)
-                    .expect("template pin maps onto a real pin"),
-            );
-        } else {
-            remap.push(nodes.len() as u32);
-            nodes.push(rp);
-        }
+    remap.extend(template_pins.iter().map(|&cp| {
+        pin_index
+            .get(map.inverse(cp))
+            .expect("template pin maps onto a real pin")
+    }));
+    let mut nodes = pin_index.into_points();
+    for &cp in template_steiner {
+        remap.push(nodes.len() as u32);
+        nodes.push(map.inverse(cp));
     }
     let edges = template
         .edges()
@@ -347,6 +339,72 @@ mod tests {
         assert_eq!(tree.length(), crate::exact_steiner(&pins).length());
         for p in &pins {
             assert!(tree.nodes().contains(p));
+        }
+    }
+
+    /// [`instantiate`] as it was, finding pins through a hash map.
+    fn hashed_instantiate(template: &RoutingTree, map: &CanonMap, pins: &[Point]) -> RoutingTree {
+        let pin_index: HashMap<Point, u32> = pins
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as u32))
+            .collect();
+        let num_pins = template.num_pins();
+        let mut nodes: Vec<Point> = pins.to_vec();
+        let mut remap: Vec<u32> = Vec::with_capacity(template.nodes().len());
+        for (i, &cp) in template.nodes().iter().enumerate() {
+            let rp = map.inverse(cp);
+            if i < num_pins {
+                remap.push(
+                    *pin_index
+                        .get(&rp)
+                        .expect("template pin maps onto a real pin"),
+                );
+            } else {
+                remap.push(nodes.len() as u32);
+                nodes.push(rp);
+            }
+        }
+        let edges = template
+            .edges()
+            .iter()
+            .map(|&(a, b)| (remap[a as usize], remap[b as usize]))
+            .collect();
+        RoutingTree::from_parts(nodes, pins.len(), edges)
+    }
+
+    /// The 5 000-net corpus of the Dreyfus–Wagner sweep test through the
+    /// canonical solve: `instantiate` numbers nodes as its hash-map
+    /// spelling did.
+    #[test]
+    fn instantiate_equals_its_hashed_spelling_on_random_nets() {
+        for (case, pins) in crate::dreyfus_wagner::tests::random_nets().enumerate() {
+            let unique = crate::tree::dedup_pins(&pins);
+            let (key, map) = canonical_key(&unique);
+            let template = solve_canonical(&key);
+            assert_eq!(
+                instantiate(&template, &map, &unique),
+                hashed_instantiate(&template, &map, &unique),
+                "case {case}: {pins:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn instantiate_finds_pins_on_both_sides_of_the_scan_bound() {
+        for n in [
+            PointIndex::SCAN_MAX as i32,
+            PointIndex::SCAN_MAX as i32 + 1,
+            150,
+        ] {
+            let pins: Vec<Point> = (0..n)
+                .map(|i| Point::new((i * 37) % 151, (i * 11) % 149))
+                .collect();
+            let (key, map) = canonical_key(&pins);
+            let template = solve_canonical(&key);
+            let tree = instantiate(&template, &map, &pins);
+            tree.validate().unwrap();
+            assert_eq!(tree, hashed_instantiate(&template, &map, &pins), "{n} pins");
         }
     }
 

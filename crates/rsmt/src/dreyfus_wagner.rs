@@ -48,7 +48,7 @@
 //! formulation, and `exact_steiner` must return a [`RoutingTree`] equal to
 //! its tree — nodes, edge order and all — on every net of a seeded corpus.
 
-use dgr_grid::Point;
+use dgr_grid::{Point, PointIndex};
 
 use crate::hanan::HananGrid;
 use crate::tree::{dedup_pins, RoutingTree};
@@ -204,28 +204,16 @@ fn splits(mask: usize) -> impl Iterator<Item = (usize, usize)> {
 /// first-appearance order.
 fn tree_from_edges(terminals: Vec<Point>, edges_pts: &[(Point, Point)]) -> RoutingTree {
     let k = terminals.len();
-    let mut nodes = terminals;
-    let mut index_of = std::collections::HashMap::new();
-    for (i, &t) in nodes.iter().enumerate() {
-        index_of.insert(t, i as u32);
-    }
-    let mut edges = Vec::with_capacity(edges_pts.len());
-    for &(a, b) in edges_pts {
-        let ia = *index_of.entry(a).or_insert_with(|| {
-            nodes.push(a);
-            (nodes.len() - 1) as u32
-        });
-        let ib = *index_of.entry(b).or_insert_with(|| {
-            nodes.push(b);
-            (nodes.len() - 1) as u32
-        });
-        edges.push((ia, ib));
-    }
-    RoutingTree::from_parts(nodes, k, edges)
+    let mut nodes = PointIndex::from_distinct(terminals);
+    let edges = edges_pts
+        .iter()
+        .map(|&(a, b)| (nodes.intern(a), nodes.intern(b)))
+        .collect();
+    RoutingTree::from_parts(nodes.into_points(), k, edges)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mst::rmst_length;
     use rand::rngs::StdRng;
@@ -342,26 +330,55 @@ mod tests {
                 }
             }
         }
-        tree_from_edges(terminals, &edges_pts)
+        hashed_tree_from_edges(terminals, &edges_pts)
     }
 
-    /// Whole-tree equality (nodes, edge order, pin count — not just
-    /// length) against the reference, over 5 000 seeded random nets of
-    /// 3–8 pins in boxes of side 2…200. Small boxes make shared
-    /// coordinates, collinear subsets, duplicate pins and cost ties dense.
-    #[test]
-    fn sweep_dp_returns_the_reference_tree_on_random_nets() {
+    /// `tree_from_edges` as it was, numbering nodes through a hash map.
+    fn hashed_tree_from_edges(terminals: Vec<Point>, edges_pts: &[(Point, Point)]) -> RoutingTree {
+        let k = terminals.len();
+        let mut nodes = terminals;
+        let mut index_of = std::collections::HashMap::new();
+        for (i, &t) in nodes.iter().enumerate() {
+            index_of.insert(t, i as u32);
+        }
+        let mut edges = Vec::with_capacity(edges_pts.len());
+        for &(a, b) in edges_pts {
+            let ia = *index_of.entry(a).or_insert_with(|| {
+                nodes.push(a);
+                (nodes.len() - 1) as u32
+            });
+            let ib = *index_of.entry(b).or_insert_with(|| {
+                nodes.push(b);
+                (nodes.len() - 1) as u32
+            });
+            edges.push((ia, ib));
+        }
+        RoutingTree::from_parts(nodes, k, edges)
+    }
+
+    /// 5 000 seeded random nets of 3–8 pins in boxes of side 2…200. Small
+    /// boxes make shared coordinates, collinear subsets, duplicate pins
+    /// and cost ties dense.
+    pub(crate) fn random_nets() -> impl Iterator<Item = Vec<Point>> {
         let mut rng = StdRng::seed_from_u64(0xD6E5);
-        let mut hist = [0usize; 9];
-        for case in 0..5000 {
+        (0..5000).map(move |case| {
             let side = match case % 3 {
                 0 => rng.gen_range(2..=6),
                 1 => rng.gen_range(2..=24),
                 _ => rng.gen_range(2..=200),
             };
-            let pins: Vec<Point> = (0..rng.gen_range(3..=8))
+            (0..rng.gen_range(3..=8))
                 .map(|_| Point::new(rng.gen_range(0..side), rng.gen_range(0..side)))
-                .collect();
+                .collect()
+        })
+    }
+
+    /// Whole-tree equality (nodes, edge order, pin count — not just
+    /// length) against the reference, over [`random_nets`].
+    #[test]
+    fn sweep_dp_returns_the_reference_tree_on_random_nets() {
+        let mut hist = [0usize; 9];
+        for (case, pins) in random_nets().enumerate() {
             hist[dedup_pins(&pins).len()] += 1;
             assert_eq!(
                 exact_steiner(&pins),

@@ -195,6 +195,37 @@ fn concurrent_jobs_match_the_cli_byte_for_byte() {
     daemon.stop();
 }
 
+/// A job of more nets than `NET_PAR_MIN`: its forest is two half-forests
+/// appended, its extraction plans two arenas, its guide one buffer — and
+/// the artifact is the CLI's guide byte for byte.
+#[test]
+fn a_job_whose_front_end_fans_out_serves_the_clis_guide() {
+    const ITERS: u32 = 12;
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 40,
+        height: 40,
+        num_nets: dgr::autodiff::parallel::NET_PAR_MIN + 75,
+        num_layers: 9,
+        seed: 31,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let text = dgr::io::write_design(&design);
+
+    let daemon = boot(DaemonConfig::default());
+    let addr = daemon.local_addr();
+    let id = submit_job(addr, &inline_spec(&text, "fan-out", ITERS, 5));
+    wait_state(addr, id, "done", Duration::from_secs(120));
+    let guide = get(addr, &format!("/jobs/{id}/guide"));
+    assert_eq!(guide.status, 200);
+    assert!(
+        guide.body.as_bytes() == cli_guide(&text, ITERS, 5, "fanout").as_slice(),
+        "daemon guide differs from the one-shot CLI guide"
+    );
+    daemon.stop();
+}
+
 /// Cancelling a running job mid-train leaves the queue healthy: the
 /// waiting job still runs to completion and new submissions land.
 #[test]

@@ -12,11 +12,11 @@
 //! # Phases
 //!
 //! **Forward** ([`CostModel::forward`]): tree softmax; then one loop over
-//! sub-nets that takes the path softmax and stores each path's mass `qp`;
-//! then one loop over paths that adds the WL/turn dot products and posts
-//! the mass to a *difference array* — `+qp` at the low end cell of every
-//! run, `−qp` at the high end — and to the via pressure of its turn
-//! cells; then one scan per orientation (along rows for horizontal edges,
+//! the undecided sub-nets that takes the path softmax and stores each
+//! path's mass `qp`; then one loop over paths that adds the WL/turn dot
+//! products and posts the mass to a *difference array* — `+qp` at the low
+//! end cell of every run, `−qp` at the high end — and to the via pressure
+//! of its turn cells; then one scan per orientation (along rows for horizontal edges,
 //! down columns for vertical ones) turns the difference array into wire
 //! demand and, in the same visit of the edge, adds the `½β` endpoint
 //! terms, applies the activation and stores `a₃/s · f′` as the backward
@@ -30,13 +30,14 @@
 //!
 //! # Lanes
 //!
-//! The two loops over sub-nets — the forward one and the backward one,
-//! two thirds of a pass between them — write one element per path (`p`
-//! and `qp`; the path gradient) and sum into one element per tree
-//! (`∂loss/∂q`), from sub-nets of that tree only. The forest orders its
-//! tables net → tree → sub-net → path, so a cut at a net boundary splits
-//! each loop into two *lanes* over contiguous sub-nets, paths and trees
-//! that share no element. Each phase is one function run over the lower
+//! The two loops over sub-nets — the forward one and the backward one —
+//! write one element per path (`p` and `qp`; the path gradient) and sum
+//! into one element per tree (`∂loss/∂q`), from sub-nets of that tree
+//! only. The forest orders its tables net → tree → sub-net → path, so a
+//! cut at a net boundary splits each loop into two *lanes* over
+//! contiguous sub-nets, paths and trees that share no element; the cut is
+//! the boundary that best halves the *undecided* paths (below), the only
+//! ones a lane visits. Each phase is one function run over the lower
 //! lane and then the upper one; when the calling thread has a
 //! [`parallel::Helper`] engaged, [`parallel::join`] may run the upper lane
 //! there instead. The posts to the difference array are *not* split: they
@@ -48,6 +49,21 @@
 //! A net with one tree or a sub-net with one path has probability exactly
 //! 1 whatever its logit: such groups are never exponentiated, draw no
 //! noise, and keep a zero gradient, so their logits never move.
+//!
+//! A sub-net is *frozen* when both hold of it: one path, under the one
+//! tree of its net. Its mass is `q · p = 1.0 · 1.0` in every pass — the
+//! two factors are the constants above — so it is written where the
+//! groupings are found (`new`, [`CostModel::prune`],
+//! [`CostModel::restore_layout`]) and never again; the posts read it like
+//! any other. And nothing reads its gradient: a lone path has no softmax
+//! backward, and its `∂loss/∂qp` would only be summed into `∂loss/∂q` of
+//! a tree whose net, having no other, takes no softmax backward either.
+//! So the sub-net loops of both passes run over the *undecided* sub-nets
+//! — every one that has a path and is not frozen; a lone path under a
+//! tree with a sibling is undecided, its mass moves with `q` and its
+//! gradient feeds the choice between the trees — and the tree softmax
+//! and its backward over the nets of two or more trees. Both lists are
+//! found once per change of the groupings, not tested for per pass.
 //!
 //! Annealing drives every group there. [`CostModel::prune`] takes the
 //! candidates whose probability has fallen under a threshold out of
@@ -210,6 +226,7 @@ pub struct CostModel {
     half_beta: Vec<f32>,
     terms: CostTerms,
 
+    undecided: Undecided,
     cut: LaneCut,
     /// Where the live candidates sit in the layout the model was built
     /// with, once [`Self::prune`] has dropped some.
@@ -248,63 +265,134 @@ pub struct CostModel {
     grad: Vec<f32>,
 }
 
+/// The groups a pass still has to compute, found whenever the groupings
+/// change (see "Constant and pruned groups" in the module docs).
+#[derive(Debug, Clone)]
+struct Undecided {
+    /// The sub-nets that have a path and are not frozen, ascending.
+    subnets: Vec<u32>,
+    /// How many paths those sub-nets hold.
+    paths: usize,
+    /// The nets of two or more trees, ascending.
+    nets: Vec<u32>,
+}
+
+impl Undecided {
+    /// Walks the groupings once, and writes the mass of every frozen
+    /// sub-net's path — `q · p = 1 · 1`, which no pass writes again.
+    fn new(
+        net_trees: &Segments,
+        subnet_tree: &[u32],
+        subnet_paths: &Segments,
+        mass: &mut [f32],
+    ) -> Undecided {
+        let mut alone = vec![false; net_trees.len()];
+        let mut nets = Vec::new();
+        for n in 0..net_trees.num_segments() {
+            let trees = net_trees.segment(n);
+            match trees.len() {
+                0 => {}
+                1 => alone[trees.start] = true,
+                _ => nets.push(n as u32),
+            }
+        }
+        let (mut subnets, mut paths) = (Vec::new(), 0);
+        for (s, &tree) in subnet_tree.iter().enumerate() {
+            let group = subnet_paths.segment(s);
+            if group.len() == 1 && alone[tree as usize] {
+                mass[group.start] = 1.0;
+            } else if !group.is_empty() {
+                subnets.push(s as u32);
+                paths += group.len();
+            }
+        }
+        Undecided {
+            subnets,
+            paths,
+            nets,
+        }
+    }
+}
+
 /// Where the loops over sub-nets split into a lower and an upper lane:
-/// the first sub-net, tree and path of the upper one. All three are the
+/// the first sub-net, tree and path of the upper one, and the first entry
+/// of [`Undecided::subnets`] that is one of its sub-nets. All four are the
 /// table lengths when there is one lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneCut {
     subnet: usize,
     tree: usize,
     path: usize,
+    undecided: usize,
 }
 
 impl LaneCut {
-    /// The boundary, nearest the middle path, of the net that holds the
-    /// middle path — so each lane has at least a quarter of the paths —
-    /// or one lane when that net holds more than half of them, when a
-    /// boundary is an end of the table, or when the sub-nets are not in
-    /// tree order (then no cut separates the trees).
-    fn new(net_trees: &Segments, subnet_tree: &[u32], subnet_paths: &Segments) -> LaneCut {
-        let paths = subnet_paths.len();
+    /// The boundary, nearest the middle undecided path, of the net that
+    /// holds it — so each lane has at least a quarter of the undecided
+    /// paths, the only ones a lane visits — or one lane when that net
+    /// holds more than half of them, when a boundary leaves a side
+    /// nothing to do, or when the sub-nets are not in tree order (then
+    /// no cut separates the trees).
+    fn new(
+        net_trees: &Segments,
+        subnet_tree: &[u32],
+        subnet_paths: &Segments,
+        undecided: &Undecided,
+    ) -> LaneCut {
+        let live = &undecided.subnets[..];
+        let paths = undecided.paths;
         let one_lane = LaneCut {
             subnet: subnet_tree.len(),
             tree: net_trees.len(),
-            path: paths,
+            path: subnet_paths.len(),
+            undecided: live.len(),
         };
         if paths == 0 || subnet_tree.windows(2).any(|w| w[0] > w[1]) {
             return one_lane;
         }
+        let held = |s: &u32| subnet_paths.segment(*s as usize).len();
         let mid = paths / 2;
-        let path_offsets = subnet_paths.offsets();
-        let subnet_mid = path_offsets.partition_point(|&o| o as usize <= mid) - 1;
-        let tree_mid = subnet_tree[subnet_mid];
+        let mut seen = 0;
+        let subnet_mid = live.iter().find(|&s| {
+            seen += held(s);
+            seen > mid
+        });
+        let tree_mid = subnet_tree[*subnet_mid.expect("the middle path has a sub-net") as usize];
         let net = net_trees.offsets().partition_point(|&o| o <= tree_mid) - 1;
+        // the cut in front of `tree`, and the undecided paths under it
         let boundary = |tree: usize| {
             let subnet = subnet_tree.partition_point(|&t| (t as usize) < tree);
-            let path = path_offsets[subnet] as usize;
-            LaneCut { subnet, tree, path }
+            let undecided = live.partition_point(|&s| (s as usize) < subnet);
+            let cut = LaneCut {
+                subnet,
+                tree,
+                path: subnet_paths.offsets()[subnet] as usize,
+                undecided,
+            };
+            (cut, live[..undecided].iter().map(held).sum::<usize>())
         };
         let trees = net_trees.segment(net);
-        let (below, above) = (boundary(trees.start), boundary(trees.end));
-        if 2 * (above.path - below.path) > paths {
+        let ((below, under_below), (above, under_above)) =
+            (boundary(trees.start), boundary(trees.end));
+        if 2 * (under_above - under_below) > paths {
             return one_lane;
         }
-        let cut = if mid - below.path <= above.path - mid {
-            below
+        let (cut, under) = if mid - under_below <= under_above - mid {
+            (below, under_below)
         } else {
-            above
+            (above, under_above)
         };
-        if cut.path == 0 || cut.path == paths {
+        if under == 0 || under == paths {
             return one_lane;
         }
         cut
     }
 }
 
-/// One side of a [`LaneCut`]: its sub-nets, and where its trees and
-/// paths — its parts of the buffers split at the cut — begin.
-struct Lane {
-    subnets: Range<usize>,
+/// One side of a [`LaneCut`]: its undecided sub-nets, and where its trees
+/// and paths — its parts of the buffers split at the cut — begin.
+struct Lane<'a> {
+    undecided: &'a [u32],
     first_tree: usize,
     first_path: usize,
 }
@@ -476,13 +564,16 @@ impl CostModel {
             run_slots.push([base + low, base + high]);
         }
 
+        let mut mass = vec![0.0; paths];
+        let undecided = Undecided::new(&net_trees, shape.subnet_tree, &subnet_paths, &mut mass);
         Ok(CostModel {
             width,
             height,
-            cut: LaneCut::new(&net_trees, shape.subnet_tree, &subnet_paths),
+            cut: LaneCut::new(&net_trees, shape.subnet_tree, &subnet_paths, &undecided),
+            undecided,
             origin: None,
             noise_runs: NoiseRuns::new(&net_trees, &subnet_paths),
-            mass: vec![0.0; paths],
+            mass,
             net_trees,
             subnet_tree: shape.subnet_tree.to_vec(),
             subnet_paths,
@@ -587,21 +678,29 @@ impl CostModel {
     /// docs); the upper range is empty when no net boundary splits the
     /// paths usefully.
     pub fn lanes(&self) -> [Range<usize>; 2] {
-        self.lane_pair().map(|lane| lane.subnets)
+        [0..self.cut.subnet, self.cut.subnet..self.subnet_tree.len()]
     }
 
-    fn lane_pair(&self) -> [Lane; 2] {
+    fn lane_pair(&self) -> [Lane<'_>; 2] {
+        let (lower, upper) = self.undecided.subnets.split_at(self.cut.undecided);
         let lower = Lane {
-            subnets: 0..self.cut.subnet,
+            undecided: lower,
             first_tree: 0,
             first_path: 0,
         };
         let upper = Lane {
-            subnets: self.cut.subnet..self.subnet_tree.len(),
+            undecided: upper,
             first_tree: self.cut.tree,
             first_path: self.cut.path,
         };
         [lower, upper]
+    }
+
+    /// How many sub-nets a pass still computes, and how many paths they
+    /// hold: every sub-net but the empty ones and those with one path
+    /// under the one tree of their net.
+    pub fn undecided(&self) -> (usize, usize) {
+        (self.undecided.subnets.len(), self.undecided.paths)
     }
 
     /// The softmax temperature `τ` of the next pass.
@@ -678,7 +777,8 @@ impl CostModel {
             + self.seed.len()
             + self.cell_grad.len()
             + self.grad.len();
-        4 * f32s + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
+        let u32s = self.undecided.subnets.len() + self.undecided.nets.len();
+        4 * (f32s + u32s) + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
     }
 
     /// Drops the candidates annealing has decided against, and compacts
@@ -786,9 +886,12 @@ impl CostModel {
         Some(keep)
     }
 
-    /// The lane cut and the noise runs of the groupings as they now are.
+    /// The undecided groups, the lane cut and the noise runs of the
+    /// groupings as they now are.
     fn recut(&mut self) {
-        self.cut = LaneCut::new(&self.net_trees, &self.subnet_tree, &self.subnet_paths);
+        let (net_trees, subnet_tree) = (&self.net_trees, &self.subnet_tree[..]);
+        self.undecided = Undecided::new(net_trees, subnet_tree, &self.subnet_paths, &mut self.mass);
+        self.cut = LaneCut::new(net_trees, subnet_tree, &self.subnet_paths, &self.undecided);
         self.noise_runs = NoiseRuns::new(&self.net_trees, &self.subnet_paths);
     }
 
@@ -851,8 +954,8 @@ impl CostModel {
         let trees = self.net_trees.len();
         let (w_tree, w_path) = self.logits.split_at(trees);
         let (q, p) = self.prob.split_at_mut(trees);
-        softmax_groups(&self.net_trees, w_tree, None, inv_tau, q);
-        softmax_groups(&self.subnet_paths, w_path, None, inv_tau, p);
+        softmax_groups(&self.net_trees, w_tree, inv_tau, q);
+        softmax_groups(&self.subnet_paths, w_path, inv_tau, p);
     }
 
     /// Computes every value from the current logits, noise and
@@ -864,13 +967,16 @@ impl CostModel {
         let mut prob = std::mem::take(&mut self.prob);
         let mut mass = std::mem::take(&mut self.mass);
         let (q, p) = prob.split_at_mut(trees);
-        softmax_groups(
-            &self.net_trees,
-            &self.logits[..trees],
-            Some(&self.noise[..trees]),
-            inv_tau,
-            q,
-        );
+        for &n in &self.undecided.nets {
+            let group = self.net_trees.segment(n as usize);
+            let noise = &self.noise[group.clone()];
+            softmax_group(
+                &self.logits[group.clone()],
+                Some(noise),
+                inv_tau,
+                &mut q[group],
+            );
+        }
 
         let [lower, upper] = self.lane_pair();
         let (p_lower, p_upper) = p.split_at_mut(self.cut.path);
@@ -884,7 +990,12 @@ impl CostModel {
         );
         self.prob = prob;
         self.mass = mass;
+        self.post_masses();
+    }
 
+    /// The rest of a forward pass once every mass is in place: the posts,
+    /// the scans, the costs and the backward seed.
+    fn post_masses(&mut self) {
         self.via_pressure.fill(0.0);
         let (mut wl, mut turns) = (0.0f64, 0.0f64);
         for (i, &mass) in self.mass.iter().enumerate() {
@@ -918,13 +1029,14 @@ impl CostModel {
     }
 
     /// The forward phase of one lane: the path softmax of each of its
-    /// `subnets` and the mass `q_tree · p` of each of their paths, into
-    /// the lane's part of `p` and `mass`.
-    fn mass_lane(&self, lane: Lane, q: &[f32], p: &mut [f32], mass: &mut [f32]) {
+    /// undecided sub-nets and the mass `q_tree · p` of each of their
+    /// paths, into the lane's part of `p` and `mass`.
+    fn mass_lane(&self, lane: Lane<'_>, q: &[f32], p: &mut [f32], mass: &mut [f32]) {
         let inv_tau = 1.0 / self.temperature;
         let trees = self.net_trees.len();
         let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
-        for s in lane.subnets {
+        for &s in lane.undecided {
+            let s = s as usize;
             let group = self.subnet_paths.segment(s);
             let local = group.start - lane.first_path..group.end - lane.first_path;
             if group.len() >= 2 {
@@ -983,12 +1095,47 @@ impl CostModel {
 
     /// Computes `∂loss/∂logits` of the last [`Self::forward`].
     pub fn backward(&mut self) {
+        self.prefix_seed();
+
+        let inv_tau = 1.0 / self.temperature;
+        let trees = self.net_trees.len();
+        // the buffers the lanes write leave `self`, which they share
+        let mut grad = std::mem::take(&mut self.grad);
+        let mut tree_mass_grad = std::mem::take(&mut self.tree_mass_grad);
+        tree_mass_grad.fill(0.0);
+        let (grad_tree, grad_path) = grad.split_at_mut(trees);
+        let [lower, upper] = self.lane_pair();
+        let (grad_lower, grad_upper) = grad_path.split_at_mut(self.cut.path);
+        let (tree_lower, tree_upper) = tree_mass_grad.split_at_mut(self.cut.tree);
+        let model = &*self;
+        parallel::join(
+            "train",
+            "lane_bwd",
+            || model.grad_lane(lower, grad_lower, tree_lower),
+            || model.grad_lane(upper, grad_upper, tree_upper),
+        );
+
+        let q = &self.prob[..trees];
+        for &n in &self.undecided.nets {
+            let group = self.net_trees.segment(n as usize);
+            let top = group.clone().max_by(|&a, &b| q[a].total_cmp(&q[b]));
+            let top_grad = tree_mass_grad[top.expect("two or more trees")];
+            let relative = |t: usize| tree_mass_grad[t] - top_grad;
+            let mean: f64 = group.clone().map(|t| f64::from(q[t]) * relative(t)).sum();
+            for t in group {
+                grad_tree[t] = inv_tau * q[t] * (relative(t) - mean) as f32;
+            }
+        }
+        self.grad = grad;
+        self.tree_mass_grad = tree_mass_grad;
+    }
+
+    /// Prefix sums of the seed in the slot layout of `diff`, and the seed
+    /// mass around every cell.
+    fn prefix_seed(&mut self) {
         let (width, height) = (self.width, self.height);
         let cells = width * height;
         let h_edges = (width - 1) * height;
-
-        // prefix sums of the seed in the slot layout of `diff`, and the
-        // seed mass around every cell
         let cell_grad = &mut self.cell_grad;
         cell_grad.fill(0.0);
         let (prefix_h, prefix_v) = self.prefix.split_at_mut(cells);
@@ -1014,41 +1161,6 @@ impl CostModel {
         for (g, half_beta) in cell_grad.iter_mut().zip(&self.half_beta) {
             *g *= half_beta;
         }
-
-        let inv_tau = 1.0 / self.temperature;
-        let trees = self.net_trees.len();
-        // the buffers the lanes write leave `self`, which they share
-        let mut grad = std::mem::take(&mut self.grad);
-        let mut tree_mass_grad = std::mem::take(&mut self.tree_mass_grad);
-        tree_mass_grad.fill(0.0);
-        let (grad_tree, grad_path) = grad.split_at_mut(trees);
-        let [lower, upper] = self.lane_pair();
-        let (grad_lower, grad_upper) = grad_path.split_at_mut(self.cut.path);
-        let (tree_lower, tree_upper) = tree_mass_grad.split_at_mut(self.cut.tree);
-        let model = &*self;
-        parallel::join(
-            "train",
-            "lane_bwd",
-            || model.grad_lane(lower, grad_lower, tree_lower),
-            || model.grad_lane(upper, grad_upper, tree_upper),
-        );
-
-        let q = &self.prob[..trees];
-        for n in 0..self.net_trees.num_segments() {
-            let group = self.net_trees.segment(n);
-            if group.len() < 2 {
-                continue;
-            }
-            let top = group.clone().max_by(|&a, &b| q[a].total_cmp(&q[b]));
-            let top_grad = tree_mass_grad[top.expect("two or more trees")];
-            let relative = |t: usize| tree_mass_grad[t] - top_grad;
-            let mean: f64 = group.clone().map(|t| f64::from(q[t]) * relative(t)).sum();
-            for t in group {
-                grad_tree[t] = inv_tau * q[t] * (relative(t) - mean) as f32;
-            }
-        }
-        self.grad = grad;
-        self.tree_mass_grad = tree_mass_grad;
     }
 
     /// `∂loss/∂qp_i` of path `i`, from the prefix sums and cell gradients
@@ -1067,8 +1179,8 @@ impl CostModel {
     }
 
     /// The backward phase of one lane: the softmax backward of each of
-    /// its `subnets` into the lane's part of the path gradient, and each
-    /// group's `Σ p·g` into the lane's part of `tree_mass_grad`.
+    /// its undecided sub-nets into the lane's part of the path gradient,
+    /// and each group's `Σ p·g` into the lane's part of `tree_mass_grad`.
     ///
     /// The softmax backward of a group is `prob_i · (g_i − Σ_k prob_k·g_k)`.
     /// Late in training one candidate has nearly all the mass, the sum
@@ -1077,15 +1189,15 @@ impl CostModel {
     /// gradient. So every `g` is taken relative to that of the most
     /// probable candidate, in f64: the differences are exact, and the
     /// mean is a sum over the *small* probabilities only.
-    fn grad_lane(&self, lane: Lane, grad_path: &mut [f32], tree_mass_grad: &mut [f64]) {
+    fn grad_lane(&self, lane: Lane<'_>, grad_path: &mut [f32], tree_mass_grad: &mut [f64]) {
         let inv_tau = 1.0 / self.temperature;
         let (q, p) = self.prob.split_at(self.net_trees.len());
-        for s in lane.subnets {
+        for &s in lane.undecided {
+            let s = s as usize;
             let group = self.subnet_paths.segment(s);
             let tree = self.subnet_tree[s] as usize;
-            let Some(top) = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b])) else {
-                continue;
-            };
+            let top = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b]));
+            let top = top.expect("an undecided sub-net has a path");
             let grad_path =
                 &mut grad_path[group.start - lane.first_path..group.end - lane.first_path];
             let top_grad = self.mass_grad(top);
@@ -1108,20 +1220,14 @@ impl CostModel {
     }
 }
 
-/// [`softmax_group`] over every group of two or more candidates; the
-/// probability of a lone candidate stays the 1 it was initialised to.
-fn softmax_groups(
-    groups: &Segments,
-    w: &[f32],
-    noise: Option<&[f32]>,
-    inv_tau: f32,
-    out: &mut [f32],
-) {
+/// The noise-free [`softmax_group`] of every group of two or more
+/// candidates; the probability of a lone candidate stays the 1 it was
+/// initialised to.
+fn softmax_groups(groups: &Segments, w: &[f32], inv_tau: f32, out: &mut [f32]) {
     for g in 0..groups.num_segments() {
         let r = groups.segment(g);
         if r.len() >= 2 {
-            let noise = noise.map(|n| &n[r.clone()]);
-            softmax_group(&w[r.clone()], noise, inv_tau, &mut out[r]);
+            softmax_group(&w[r.clone()], None, inv_tau, &mut out[r]);
         }
     }
 }
@@ -1611,6 +1717,278 @@ mod tests {
             lone_trees > 100 && lone_paths > 100,
             "{lone_trees} {lone_paths}"
         );
+    }
+
+    impl CostModel {
+        /// [`CostModel::forward`] as it was before the passes followed the
+        /// undecided set: every net in the tree softmax, every sub-net in
+        /// the sub-net loop (one after another: the lanes share no
+        /// element), every mass rewritten.
+        fn reference_forward(&mut self) {
+            let inv_tau = 1.0 / self.temperature;
+            let trees = self.net_trees.len();
+            let (q, p) = self.prob.split_at_mut(trees);
+            let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
+            for n in 0..self.net_trees.num_segments() {
+                let group = self.net_trees.segment(n);
+                if group.len() >= 2 {
+                    let noise = &self.noise[group.clone()];
+                    softmax_group(
+                        &self.logits[group.clone()],
+                        Some(noise),
+                        inv_tau,
+                        &mut q[group],
+                    );
+                }
+            }
+            for s in 0..self.subnet_tree.len() {
+                let group = self.subnet_paths.segment(s);
+                if group.len() >= 2 {
+                    let noise = &noise[group.clone()];
+                    softmax_group(
+                        &w[group.clone()],
+                        Some(noise),
+                        inv_tau,
+                        &mut p[group.clone()],
+                    );
+                }
+                let q_tree = q[self.subnet_tree[s] as usize];
+                for i in group {
+                    self.mass[i] = p[i] * q_tree;
+                }
+            }
+            self.post_masses();
+        }
+
+        /// [`CostModel::backward`] as it was then: every sub-net, a lone
+        /// path of a lone tree included, and every net.
+        fn reference_backward(&mut self) {
+            self.prefix_seed();
+            let inv_tau = 1.0 / self.temperature;
+            let trees = self.net_trees.len();
+            let mut grad = std::mem::take(&mut self.grad);
+            let mut tree_mass_grad = vec![0.0f64; trees];
+            let (grad_tree, grad_path) = grad.split_at_mut(trees);
+            let (q, p) = self.prob.split_at(trees);
+            for s in 0..self.subnet_tree.len() {
+                let group = self.subnet_paths.segment(s);
+                let tree = self.subnet_tree[s] as usize;
+                let Some(top) = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b])) else {
+                    continue;
+                };
+                let grad_path = &mut grad_path[group.clone()];
+                let top_grad = self.mass_grad(top);
+                let mut mean = 0.0f64;
+                for i in group.clone().filter(|&i| i != top) {
+                    let g = self.mass_grad(i) - top_grad;
+                    grad_path[i - group.start] = g as f32;
+                    mean += g * f64::from(p[i]);
+                }
+                tree_mass_grad[tree] += top_grad + mean;
+                if group.len() >= 2 {
+                    grad_path[top - group.start] = 0.0;
+                    let scale = q[tree] * inv_tau;
+                    for (g, p) in grad_path.iter_mut().zip(&p[group]) {
+                        *g = scale * p * (*g - mean as f32);
+                    }
+                }
+            }
+            for n in 0..self.net_trees.num_segments() {
+                let group = self.net_trees.segment(n);
+                if group.len() < 2 {
+                    continue;
+                }
+                let top = group.clone().max_by(|&a, &b| q[a].total_cmp(&q[b]));
+                let top_grad = tree_mass_grad[top.expect("two or more trees")];
+                let relative = |t: usize| tree_mass_grad[t] - top_grad;
+                let mean: f64 = group.clone().map(|t| f64::from(q[t]) * relative(t)).sum();
+                for t in group {
+                    grad_tree[t] = inv_tau * q[t] * (relative(t) - mean) as f32;
+                }
+            }
+            self.grad = grad;
+        }
+    }
+
+    /// Everything a pass and the update after it leave behind, as bits:
+    /// the costs, every demand, seed, mass, probability, gradient and
+    /// logit.
+    fn state_bits(model: &CostModel) -> Vec<u32> {
+        let costs = [
+            model.loss,
+            model.wl_cost,
+            model.via_cost,
+            model.overflow_cost,
+        ];
+        let buffers = [
+            &model.demand,
+            &model.seed,
+            &model.mass,
+            &model.prob,
+            &model.grad,
+            &model.logits,
+        ];
+        let all = costs.iter().chain(buffers.into_iter().flatten());
+        all.map(|v| v.to_bits()).collect()
+    }
+
+    /// A pass of `model`, which must leave what the reference pass of a
+    /// copy — its masses forgotten — leaves.
+    fn assert_a_pass_is_the_references(model: &mut CostModel, context: &str) {
+        let mut reference = model.clone();
+        reference.mass.fill(f32::NAN);
+        reference.reference_forward();
+        reference.reference_backward();
+        model.forward();
+        model.backward();
+        assert!(state_bits(model) == state_bits(&reference), "{context}");
+    }
+
+    #[test]
+    fn the_passes_over_the_undecided_set_equal_the_reference_over_every_group() {
+        let (mut nothing_frozen, mut all_frozen, mut collapsed) = (0, 0, 0);
+        for seed in 0..150u64 {
+            let problem = Problem::random(seed);
+            let terms = terms(Activation::ALL[seed as usize % 5]);
+            // the first threshold of each triple is out of reach at these
+            // logits, the last takes all but the winners
+            let thresholds = [[0.0, 0.3], [0.2, 0.4], [0.3, 2.0]][seed as usize % 3];
+            for threads in [1, 2, 8] {
+                parallel::with_threads(threads, || {
+                    let _helper = parallel::Helper::engage();
+                    let mut model = problem.model(terms, seed);
+                    let mut reference = model.clone();
+                    let mut rng = StdRng::seed_from_u64(!seed);
+                    let new_adams = |n: usize| [crate::Adam::new(n, 0.3), crate::Adam::new(n, 0.3)];
+                    let mut adams = new_adams(model.logits.len());
+                    // as built, after each of two prunes, back in the
+                    // first layout: three updates each
+                    for stage in 0..4 {
+                        let two_lanes = !model.lanes()[1].is_empty();
+                        match stage {
+                            0 => {}
+                            3 => {
+                                model.restore_layout();
+                                reference.restore_layout();
+                                adams = new_adams(model.logits.len());
+                            }
+                            _ => {
+                                let keep = model.prune(thresholds[stage - 1]);
+                                assert_eq!(reference.prune(thresholds[stage - 1]), keep);
+                                for adam in &mut adams {
+                                    keep.iter().for_each(|keep| adam.retain(keep));
+                                }
+                            }
+                        }
+                        if threads == 1 {
+                            let lens = (0..model.subnet_tree.len())
+                                .map(|s| model.subnet_paths.segment(s).len());
+                            let with_a_path = lens.filter(|&len| len > 0).count();
+                            let (undecided, _) = model.undecided();
+                            nothing_frozen +=
+                                usize::from(undecided == with_a_path && undecided > 0);
+                            all_frozen += usize::from(undecided == 0 && with_a_path > 0);
+                            collapsed += usize::from(two_lanes && model.lanes()[1].is_empty());
+                        }
+                        for step in 0..3 {
+                            model.sample_noise(&mut rng);
+                            reference.noise.copy_from_slice(&model.noise);
+                            // the reference rewrites every mass
+                            reference.mass.fill(f32::NAN);
+                            model.forward();
+                            model.backward();
+                            reference.reference_forward();
+                            reference.reference_backward();
+                            for (model, adam) in
+                                [&mut model, &mut reference].into_iter().zip(&mut adams)
+                            {
+                                let (w, g) = model.logits_and_grads();
+                                adam.step(w, g);
+                            }
+                            assert!(
+                                state_bits(&model) == state_bits(&reference),
+                                "seed {seed}, {threads} threads, stage {stage}, step {step}"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+        assert!(
+            nothing_frozen > 20 && all_frozen > 20 && collapsed > 5,
+            "{nothing_frozen} layouts with nothing frozen, {all_frozen} with everything, \
+             {collapsed} prunes that left one lane"
+        );
+    }
+
+    /// A 3 × 1 row. Net 0 has two trees: tree 0 with two one-path
+    /// sub-nets, tree 1 with a two-path sub-net and one of no path. Net 1
+    /// has one tree with one one-path sub-net.
+    fn two_nets_on_a_row(tree_logits: [f32; 3]) -> CostModel {
+        let shape = CostShape {
+            width: 3,
+            height: 1,
+            net_tree_offsets: &[0, 2, 3],
+            subnet_tree: &[0, 0, 1, 1, 2],
+            subnet_path_offsets: &[0, 1, 2, 4, 4, 5],
+            path_wl: &[1.0, 1.0, 3.0, 3.0, 1.0],
+            path_turns: &[0.0; 5],
+            path_run_offsets: &[0, 1, 2, 3, 4, 5],
+            path_runs: &[(0, 1), (1, 2), (0, 2), (0, 2), (0, 1)],
+            path_via_offsets: &[0; 6],
+            path_via_cells: &[],
+            capacity: &[1.0; 2],
+            beta: &[0.0; 3],
+        };
+        let logits = tree_logits.into_iter().chain([0.0, 0.0, 6.0, -6.0, 0.0]);
+        CostModel::new(&shape, terms(Activation::Sigmoid), logits.collect()).unwrap()
+    }
+
+    #[test]
+    fn a_sub_net_is_frozen_only_with_one_path_under_the_one_tree_of_its_net() {
+        // the lone paths of tree 0 are undecided — their mass is `q` and
+        // their gradient decides between the trees — the sub-net of no
+        // path has nothing to compute, and net 1's is frozen
+        let mut model = two_nets_on_a_row([0.3, 0.0, 0.0]);
+        assert_eq!(model.undecided(), (3, 4));
+        assert_eq!(model.undecided.subnets, [0, 1, 2]);
+        assert_eq!(model.undecided.nets, [0]);
+        assert_a_pass_is_the_references(&mut model, "as built");
+        assert!(model.tree_grad()[0] < 0.0 && model.tree_grad()[1] > 0.0);
+        assert_eq!(model.mass[0], model.q()[0]);
+        assert_eq!(model.mass[4].to_bits(), 1f32.to_bits());
+        assert_eq!(model.tree_grad()[2], 0.0);
+
+        // tree 1 goes: net 0 is one tree of one-path sub-nets, all frozen
+        let mut model = two_nets_on_a_row([0.0, -20.0, 0.0]);
+        assert!(model.prune(1e-4).is_some());
+        assert_eq!(model.undecided(), (0, 0));
+        assert!(model.lanes()[1].is_empty());
+        assert_a_pass_is_the_references(&mut model, "everything frozen");
+        // back in the first layout tree 1's sub-net restarts level, and
+        // is computed again
+        model.restore_layout();
+        assert_eq!(model.undecided(), (3, 4));
+        assert_a_pass_is_the_references(&mut model, "restored");
+        assert_eq!(&model.p()[2..4], &[0.5, 0.5]);
+        assert_eq!(&model.mass[2..4], &[0.0, 0.0], "silenced by q = 0");
+    }
+
+    #[test]
+    fn a_frozen_mass_is_one_wherever_a_prune_moves_its_path() {
+        // tree 0 goes with its two paths and tree 1's sub-net loses its
+        // loser: the two paths left move down to where the masses of
+        // others were, and no pass will write theirs
+        let mut model = two_nets_on_a_row([-20.0, 0.0, 0.0]);
+        model.forward();
+        let one = 1f32.to_bits();
+        assert!(model.mass[..2].iter().all(|m| m.to_bits() != one));
+        assert_eq!(model.prune(1e-4).map(flagged), Some(vec![1, 2, 5, 7]));
+        assert_eq!(model.undecided(), (0, 0));
+        assert_eq!(model.mass.len(), 2);
+        assert!(model.mass.iter().all(|m| m.to_bits() == one));
+        assert_a_pass_is_the_references(&mut model, "pruned");
+        assert!(model.mass.iter().all(|m| m.to_bits() == one));
     }
 
     #[test]

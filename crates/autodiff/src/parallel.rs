@@ -621,6 +621,19 @@ where
     lower
 }
 
+/// Sets the thread override for one of this crate's unit tests at a time:
+/// it is process-global, and some of them depend on which branch of
+/// [`par_indexed`] or of [`Helper::engage`] it selects.
+#[cfg(test)]
+pub(crate) fn with_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
+    static OVERRIDE: Mutex<()> = Mutex::new(());
+    let _guard = lock(&OVERRIDE);
+    set_num_threads(threads);
+    let result = body();
+    set_num_threads(0);
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,18 +795,6 @@ mod tests {
         let pending = ahead("test", || -> u32 { panic!("draw failed") });
         let caught = catch_unwind(AssertUnwindSafe(|| pending.finish()));
         assert_eq!(panic_message(caught.unwrap_err()), "draw failed");
-    }
-
-    /// Sets the thread override for one test at a time: it is
-    /// process-global, and the tests below depend on which branch of
-    /// [`par_indexed`] it selects.
-    fn with_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
-        static OVERRIDE: Mutex<()> = Mutex::new(());
-        let _guard = lock(&OVERRIDE);
-        set_num_threads(threads);
-        let result = body();
-        set_num_threads(0);
-        result
     }
 
     #[test]

@@ -255,7 +255,8 @@ proptest! {
 proptest! {
     /// The lanes split the sub-nets at a net boundary — no net, so no
     /// tree, has sub-nets on both sides — that leaves each lane a fair
-    /// share of the paths, or not at all.
+    /// share of the undecided paths (all but a lone path under the lone
+    /// tree of its net: the ones a lane visits), or not at all.
     #[test]
     fn lanes_are_cut_at_a_net_boundary(
         // per net: trees, sub-nets per tree, paths per sub-net
@@ -271,7 +272,7 @@ proptest! {
         }
         let (mut net_tree_offsets, mut subnet_tree, mut subnet_path_offsets) =
             (vec![0u32], vec![], vec![0u32]);
-        // the net of each sub-net, and the paths of each net
+        // the net of each sub-net, and the undecided paths of each net
         let (mut subnet_net, mut net_paths) = (vec![], vec![]);
         let (mut trees, mut paths) = (0u32, 0u32);
         for (n, &(t, s, p)) in nets.iter().enumerate() {
@@ -285,9 +286,10 @@ proptest! {
                 trees += 1;
             }
             net_tree_offsets.push(trees);
-            net_paths.push(t * s * p);
+            net_paths.push(if (t, p) == (1, 1) { 0 } else { t * s * p });
         }
         let paths = paths as usize;
+        let undecided: usize = net_paths.iter().sum();
         // every path is the one edge of a 2 × 1 grid
         let shape = CostShape {
             width: 2,
@@ -306,28 +308,33 @@ proptest! {
         };
         let logits = vec![0.0; trees as usize + paths];
         let model = CostModel::new(&shape, TERMS, logits).expect("a well-formed forest");
+        prop_assert_eq!(model.undecided().1, undecided);
         let [lower, upper] = model.lanes();
         prop_assert_eq!(lower.start, 0);
         prop_assert_eq!(lower.end, upper.start);
         prop_assert_eq!(upper.end, subnet_tree.len());
+        let under = |nets: usize| net_paths[..nets].iter().sum::<usize>();
         if upper.is_empty() {
-            // only when no boundary is worth cutting at: the middle path's
-            // net holds more than half of the paths, or all of one side
-            let mid = subnet_path_offsets.partition_point(|&o| o as usize <= paths / 2) - 1;
-            let held = net_paths[subnet_net[mid]];
-            let before: usize = net_paths[..subnet_net[mid]].iter().sum();
-            prop_assert!(
-                2 * held > paths || before == 0 || before + held == paths,
-                "one lane, though net {} holds {held} of {paths} paths",
-                subnet_net[mid]
-            );
+            // only when no boundary is worth cutting at: the net of the
+            // middle undecided path holds more than half of them, or all
+            // of one side — or nothing is undecided
+            if let Some(mid) = (0..nets.len()).find(|&n| under(n + 1) > undecided / 2) {
+                let (held, before) = (net_paths[mid], under(mid));
+                prop_assert!(
+                    2 * held > undecided || before == 0 || before + held == undecided,
+                    "one lane, though net {mid} holds {held} of {undecided} undecided paths"
+                );
+            }
         } else {
             prop_assert!(subnet_net[lower.end - 1] < subnet_net[upper.start]);
-            let below = subnet_path_offsets[upper.start] as usize;
-            prop_assert!(below.min(paths - below) * 4 + 4 >= paths, "{below} of {paths}");
+            let below = under(subnet_net[upper.start]);
+            prop_assert!(
+                below.min(undecided - below) * 4 + 4 >= undecided,
+                "{below} of {undecided}"
+            );
         }
-        if net_paths.iter().any(|&held| 2 * held > paths) {
-            prop_assert!(upper.is_empty(), "a net holds more than half of the paths");
+        if net_paths.iter().any(|&held| 2 * held > undecided) {
+            prop_assert!(upper.is_empty(), "a net holds more than half of the undecided paths");
         }
     }
 }

@@ -57,7 +57,9 @@ pub use snapshot::{
     write_solution_snapshot,
 };
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
-pub use train::{train, train_with_hooks, CurvePoint, ProgressConfig, TrainReport, CURVE_POINTS};
+pub use train::{
+    train, train_with_hooks, CurvePoint, LiveRow, ProgressConfig, TrainReport, CURVE_POINTS,
+};
 
 use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_grid::Design;

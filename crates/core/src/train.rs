@@ -113,10 +113,44 @@ pub struct TrainReport {
     /// run (they shrink at every temperature step that drops candidates)
     /// — the "GPU memory" analogue reported in the Fig. 5b reproduction.
     pub graph_bytes: usize,
-    /// `(iteration, trees, paths)` alive: the forest's at iteration 0,
-    /// then what each temperature step that dropped candidates left, in
-    /// order. The iteration is not offset.
-    pub live: Vec<(usize, usize, usize)>,
+    /// The forest's counts at iteration 0, then what each temperature
+    /// step that dropped candidates left, in order.
+    pub live: Vec<LiveRow>,
+}
+
+/// What is still in the kernel's tables from one temperature step on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiveRow {
+    /// The iteration of the step (not offset).
+    pub iteration: usize,
+    /// Trees alive.
+    pub trees: usize,
+    /// Paths alive.
+    pub paths: usize,
+    /// Sub-nets an iteration still computes: those alive and not down to
+    /// one path under the one tree of their net
+    /// ([`CostModel::undecided`]).
+    pub undecided_subnets: usize,
+    /// Paths of those sub-nets.
+    pub undecided_paths: usize,
+}
+
+impl LiveRow {
+    fn at(iteration: usize, model: &CostModel) -> LiveRow {
+        let (undecided_subnets, undecided_paths) = model.undecided();
+        LiveRow {
+            iteration,
+            trees: model.num_trees(),
+            paths: model.num_paths(),
+            undecided_subnets,
+            undecided_paths,
+        }
+    }
+
+    /// Trees and paths alive: the logits still trained.
+    pub fn candidates(&self) -> usize {
+        self.trees + self.paths
+    }
 }
 
 /// Throttled stderr progress reporting for long `dgr route` runs.
@@ -220,7 +254,7 @@ fn train_loop(
         false => Vec::new(),
     };
     let graph_bytes = model.bytes();
-    let mut live = vec![(0, model.num_trees(), model.num_paths())];
+    let mut live = vec![LiveRow::at(0, model)];
     let is_step = |it: usize| it > 0 && it.is_multiple_of(cfg.temperature_interval);
 
     for it in 0..cfg.iterations {
@@ -235,7 +269,7 @@ fn train_loop(
                 adam.retain(&keep);
                 spare_noise.truncate(num_logits(model));
                 spare_noise.fill(0.0);
-                live.push((it, model.num_trees(), model.num_paths()));
+                live.push(LiveRow::at(it, model));
             }
         }
         if cfg.gumbel_noise {
@@ -586,8 +620,11 @@ mod tests {
                 parallel::set_num_threads(0);
                 let curve: Vec<u32> = report.curve.iter().map(|p| p.loss.to_bits()).collect();
                 assert_eq!(curve, losses, "{nets} nets, {threads} threads");
-                let (steps, logits): (Vec<_>, Vec<_>) =
-                    report.live.iter().map(|&(it, t, p)| (it, t + p)).unzip();
+                let (steps, logits): (Vec<_>, Vec<_>) = report
+                    .live
+                    .iter()
+                    .map(|row| (row.iteration, row.candidates()))
+                    .unzip();
                 assert_eq!(
                     steps,
                     [0, 4, 8],
@@ -610,7 +647,8 @@ mod tests {
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
         let report = train(&mut model, &cfg, &mut rng);
         assert!(report.live.len() > 1, "steps that dropped candidates");
-        let &(_, live_trees, live_paths) = report.live.last().unwrap();
+        let last = report.live.last().unwrap();
+        let (live_trees, live_paths) = (last.trees, last.paths);
         assert_eq!(
             (model.num_trees(), model.num_paths()),
             (forest.num_trees(), forest.num_paths())

@@ -611,11 +611,13 @@ fn cmd_route(flags: &Flags) -> CliResult {
                 last.iter + 1
             );
         }
-        if let [(_, trees, paths), .., (_, live_trees, live_paths)] = report.live[..] {
+        if let [forest, .., last] = report.live[..] {
             println!(
-                "  live candidates  : {} → {}",
-                trees + paths,
-                live_trees + live_paths
+                "  live candidates  : {} → {} ({} undecided in {} sub-nets)",
+                forest.candidates(),
+                last.candidates(),
+                last.undecided_paths,
+                last.undecided_subnets
             );
         }
     }

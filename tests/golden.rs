@@ -5,7 +5,8 @@
 //! routed end to end, assigned to layers, and rendered as route-guide
 //! text; a fourth, refine-heavy design goes through the whole pipeline,
 //! maze refinement included. The result must match the committed files
-//! under `tests/golden/` byte for byte. Nothing pins the thread count: the
+//! under `tests/golden/` byte for byte. A fifth file pins a whole
+//! 1 000-iteration training run — losses, final logits, guide. Nothing pins the thread count: the
 //! route pipeline's output does not depend on it (see
 //! `tests/thread_determinism.rs`).
 //!
@@ -157,6 +158,11 @@ fn guide_output_matches_golden_files() {
                 refined,
                 REFINE_HEAVY_SEED,
             ),
+            (
+                "train_annealed.txt".to_string(),
+                annealed_training_text(),
+                ANNEALED_SEED,
+            ),
         ]);
     for (file, text, seed) in cases {
         let path = dir.join(file);
@@ -179,6 +185,66 @@ fn guide_output_matches_golden_files() {
             path.display()
         );
     }
+}
+
+/// Seed of the annealed golden (`train_annealed.txt`), recorded at the
+/// commit *before* the kernel's passes followed the undecided set, when
+/// every iteration walked every sub-net and every net: it pins that the
+/// passes over what is still undecided compute the same bits.
+const ANNEALED_SEED: u64 = 24;
+
+/// 700 clustered nets on 48 × 48 cells, enough paths for training to
+/// engage its helper, trained for 1 000 iterations — nine temperature
+/// steps, by the last of which all but a few dozen sub-nets are frozen.
+/// The loss bits at every 100th iteration, an FNV-1a of the final logits'
+/// bits, and the guide.
+fn annealed_training_text() -> String {
+    use dgr::core::{build_cost_model, extract_solution, train};
+    use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
+
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 48,
+        height: 48,
+        num_nets: 700,
+        seed: ANNEALED_SEED,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let cfg = DgrConfig {
+        iterations: 1000,
+        loss_record_interval: 100,
+        seed: ANNEALED_SEED,
+        ..DgrConfig::default()
+    };
+    let router = DgrRouter::new(cfg.clone());
+    let candidates = router.candidates(&design).expect("candidates");
+    let forest = router.forest(&design, &candidates).expect("forest");
+    assert!(
+        forest.num_paths() >= dgr::autodiff::parallel::LANE_THRESHOLD,
+        "{} paths engage no helper",
+        forest.num_paths()
+    );
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+    let report = train(&mut model, &cfg, &mut rng);
+    assert!(report.live.len() > 5, "most steps dropped candidates");
+    let (first, last) = (report.live[0], report.live[report.live.len() - 1]);
+    assert!(
+        last.undecided_subnets * 10 < first.undecided_subnets,
+        "{first:?} → {last:?}: the run has to end mostly frozen to pin anything"
+    );
+
+    let mut text = String::new();
+    for (iteration, loss) in &report.loss_history {
+        text += &format!("loss {iteration} {:08x}\n", loss.to_bits());
+    }
+    let logits = model.tree_logits().iter().chain(model.path_logits());
+    let bytes: Vec<u8> = logits.flat_map(|w| w.to_bits().to_le_bytes()).collect();
+    text += &format!("logits {:016x}\n", dgr::obs::ledger::fnv1a64(&bytes));
+    let solution = extract_solution(&design, &forest, &mut model, &cfg).expect("extracts");
+    let assigned = assign_layers(&design, &solution, AssignConfig::default()).expect("≥ 2 layers");
+    text + &RouteGuide::from_assignment(&design, &assigned).to_text()
 }
 
 /// On every golden design, routed as its golden routes it: the overflow

@@ -50,7 +50,7 @@ fn guide_and_losses(
     (
         RouteGuide::from_assignment(design, &assigned).to_text(),
         report.curve.iter().map(|p| p.loss.to_bits()).collect(),
-        report.live.iter().map(|&(_, t, p)| t + p).collect(),
+        report.live.iter().map(|row| row.candidates()).collect(),
     )
 }
 

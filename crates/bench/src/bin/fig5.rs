@@ -13,7 +13,6 @@
 
 use dgr_baseline::SequentialRouter;
 use dgr_bench::{dgr_config, fast_flag, run_baseline};
-use dgr_core::memory::memory_snapshot;
 use dgr_core::DgrRouter;
 use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
 
@@ -60,7 +59,7 @@ fn main() {
         let dgr_time = t0.elapsed();
         let report = solution.train_report.as_ref().expect("train report");
         let graph_mb = report.graph_bytes as f64 / (1024.0 * 1024.0);
-        let snap = memory_snapshot();
+        let peak_rss = dgr_obs::process_memory().peak_rss.unwrap_or(0);
         // the retained curve replaces the old ad-hoc final-loss readout
         let loss0 = report.curve.first().map_or(f32::NAN, |p| p.loss);
 
@@ -73,7 +72,7 @@ fn main() {
             format!("{side}x{side}"),
             dgr_time.as_secs_f64(),
             seq.runtime.as_secs_f64(),
-            snap.peak_rss as f64 / (1024.0 * 1024.0),
+            peak_rss as f64 / (1024.0 * 1024.0),
             graph_mb,
             loss0,
             report.final_loss,

@@ -91,8 +91,6 @@ pub struct DgrConfig {
     pub candidates: CandidateConfig,
     /// Pattern families per 2-pin sub-net.
     pub patterns: PatternConfig,
-    /// Record the loss every this many iterations (0 = never).
-    pub loss_record_interval: usize,
     /// Rip-up/re-pick rounds after the first extraction pass: nets that
     /// cross overflowed edges re-choose their paths greedily over the
     /// full candidate set of their selected tree. `0` reproduces the
@@ -124,7 +122,6 @@ impl Default for DgrConfig {
             seed: 0,
             candidates: CandidateConfig::default(),
             patterns: PatternConfig::default(),
-            loss_record_interval: 10,
             extraction_rounds: 2,
             adaptive_rounds: 0,
             adaptive_iterations: 200,

@@ -42,7 +42,6 @@
 pub mod attribution;
 pub mod config;
 pub mod extract;
-pub mod memory;
 pub mod relax;
 pub mod snapshot;
 pub mod solution;
@@ -57,9 +56,7 @@ pub use snapshot::{
     write_solution_snapshot,
 };
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
-pub use train::{
-    train, train_with_hooks, CurvePoint, LiveRow, ProgressConfig, TrainReport, CURVE_POINTS,
-};
+pub use train::{train, train_with_hooks, CurvePoint, LiveRow, TrainReport, CURVE_POINTS};
 
 use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_grid::Design;
@@ -147,8 +144,10 @@ pub struct RouteHooks {
     /// relaxed expected demand during training, plus one capture of every
     /// extracted solution (phase `"extract"`).
     pub snap: Option<SnapshotConfig>,
-    /// Throttled stderr progress line during training.
-    pub progress: Option<ProgressConfig>,
+    /// A stderr progress line every this many training iterations, the
+    /// last one always, at most one per 200 ms but the last (`dgr route
+    /// --progress`; `None` prints none).
+    pub progress: Option<usize>,
     /// Skip RSS sampling in telemetry rows (determinism tests set this).
     pub skip_rss: bool,
     /// Cooperative cancellation flag. When another thread sets it, the

@@ -29,8 +29,8 @@
 //! per-iteration `forward`/`backward`/`adam` spans (and a `prune` span per
 //! step) when the global observability switch is on, per-iteration JSONL
 //! telemetry rows when a [`TelemetrySink`](dgr_obs::TelemetrySink) is
-//! attached, and a throttled stderr progress line when a
-//! [`ProgressConfig`] is attached. With no
+//! attached, and a throttled stderr progress line when
+//! [`RouteHooks::progress`] is set. With no
 //! hooks and observability off, the loop is byte-for-byte the
 //! uninstrumented hot path plus one relaxed atomic load per iteration
 //! phase.
@@ -74,6 +74,10 @@ pub const PRUNE_BELOW: f32 = 1e-4;
 /// (`/proc` reads are microseconds — cheap, but not per-iteration cheap).
 const RSS_SAMPLE_INTERVAL: usize = 16;
 
+/// Least wall-clock time between two progress lines but the last, so
+/// tiny fast runs do not flood stderr.
+const PROGRESS_MIN_GAP: Duration = Duration::from_millis(200);
+
 /// One retained sample of the training trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
@@ -90,8 +94,6 @@ pub struct CurvePoint {
 pub struct TrainReport {
     /// Iterations executed.
     pub iterations: usize,
-    /// `(iteration, loss)` samples at `loss_record_interval`.
-    pub loss_history: Vec<(usize, f32)>,
     /// Downsampled loss/overflow trajectory (≤ [`CURVE_POINTS`] samples,
     /// final iteration always included) retained so comparison tooling
     /// (`dgr compare`, fig5/fig6) does not re-derive it ad hoc.
@@ -153,26 +155,6 @@ impl LiveRow {
     }
 }
 
-/// Throttled stderr progress reporting for long `dgr route` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressConfig {
-    /// Print every `every` iterations (the final iteration always
-    /// prints).
-    pub every: usize,
-    /// Minimum wall-clock gap between lines, so tiny fast runs do not
-    /// flood stderr.
-    pub min_gap: Duration,
-}
-
-impl Default for ProgressConfig {
-    fn default() -> Self {
-        ProgressConfig {
-            every: 100,
-            min_gap: Duration::from_millis(200),
-        }
-    }
-}
-
 /// Trains `model` in place per `cfg` and returns the report.
 ///
 /// Every iteration: set the temperature from the annealing schedule,
@@ -226,7 +208,6 @@ fn train_loop(
     dgr_obs::status_phase("train");
     let start = Instant::now();
     let mut adam = Adam::new(num_logits(model), cfg.learning_rate);
-    let mut loss_history = Vec::new();
     let mut curve = Vec::new();
     let mut iterations = 0;
     let mut final_loss = f32::NAN;
@@ -301,9 +282,6 @@ fn train_loop(
         iterations += 1;
         final_loss = loss;
         final_temperature = temp;
-        if cfg.loss_record_interval > 0 && it % cfg.loss_record_interval == 0 {
-            loss_history.push((it, loss));
-        }
         let last_iter = it + 1 == cfg.iterations;
         if it % curve_stride == 0 || last_iter {
             curve.push(CurvePoint {
@@ -334,7 +312,7 @@ fn train_loop(
         // switch is on (the run's live scope feeds off dgr_obs::tick)
         if hooks.telemetry.is_some() || dgr_obs::enabled() {
             if !hooks.skip_rss && (it % RSS_SAMPLE_INTERVAL == 0 || last_iter) {
-                rss_cache = dgr_obs::profile::read_rss_bytes();
+                rss_cache = dgr_obs::process_memory().rss;
             }
             let grad_sq: f32 = model
                 .tree_grad()
@@ -363,9 +341,9 @@ fn train_loop(
             let (logits, grads) = model.logits_and_grads();
             adam.step(logits, grads);
         }
-        if let Some(progress) = hooks.progress {
-            let due = progress.every > 0 && (it % progress.every == 0 || last_iter);
-            let spaced = last_progress.is_none_or(|t| t.elapsed() >= progress.min_gap);
+        if let Some(every) = hooks.progress {
+            let due = every > 0 && (it % every == 0 || last_iter);
+            let spaced = last_progress.is_none_or(|t| t.elapsed() >= PROGRESS_MIN_GAP);
             if due && (spaced || last_iter) {
                 last_progress = Some(Instant::now());
                 eprintln!(
@@ -392,7 +370,6 @@ fn train_loop(
 
     TrainReport {
         iterations,
-        loss_history,
         curve,
         final_loss,
         final_temperature,
@@ -449,7 +426,6 @@ mod tests {
         // (σ(1) + σ(−1) = 2σ(0)), so it cannot split two identical nets.
         let cfg = DgrConfig {
             iterations: 200,
-            loss_record_interval: 50,
             activation: dgr_autodiff::Activation::Relu,
             ..DgrConfig::default()
         };
@@ -458,8 +434,7 @@ mod tests {
         let report = train(&mut model, &cfg, &mut rng);
 
         assert_eq!(report.iterations, 200);
-        assert_eq!(report.loss_history.len(), 4);
-        let first = report.loss_history[0].1;
+        let first = report.curve[0].loss;
         assert!(report.final_loss < first, "{first} → {}", report.final_loss);
 
         // with noise off at readout, the two nets should prefer opposite Ls
@@ -519,7 +494,7 @@ mod tests {
         assert_eq!(report.iterations, 0);
         assert!(report.final_loss.is_nan());
         assert_eq!(report.final_temperature, 0.7);
-        assert!(report.curve.is_empty() && report.loss_history.is_empty());
+        assert!(report.curve.is_empty());
         assert_eq!(hooks.telemetry.unwrap().rows(), 0);
     }
 

@@ -39,7 +39,7 @@ impl Daemon {
     /// ephemeral port; read it back with [`Daemon::local_addr`]).
     pub fn start(addr: &str, cfg: DaemonConfig) -> std::io::Result<Daemon> {
         let max_body = cfg.max_body_bytes;
-        let jobs = Arc::new(JobServer::start(cfg));
+        let jobs = Arc::new(JobServer::start(cfg)?);
         let handler_jobs = Arc::clone(&jobs);
         let handler: HttpHandler = Arc::new(move |req| handle(&handler_jobs, req));
         let http = ObsServer::start_with_handler(addr, handler, max_body)?;
@@ -380,7 +380,8 @@ mod tests {
         let server = JobServer::start(DaemonConfig {
             workers: 1,
             ..DaemonConfig::default()
-        });
+        })
+        .unwrap();
         let id = server
             .submit(JobSpec {
                 label: "g".into(),

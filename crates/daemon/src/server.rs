@@ -77,29 +77,34 @@ impl JobServer {
     /// Also flips the global `dgr-obs` recording switch on: the daemon
     /// is an observability surface by nature — job-scoped `/status`
     /// rows, `/metrics`, and per-job ledger records all depend on it.
-    pub fn start(cfg: DaemonConfig) -> JobServer {
+    ///
+    /// # Errors
+    ///
+    /// The OS's refusal to spawn a worker; the workers already spawned
+    /// are shut down first.
+    pub fn start(cfg: DaemonConfig) -> std::io::Result<JobServer> {
         dgr_obs::set_enabled(true);
-        let inner = Arc::new(Inner {
-            table: Mutex::new(JobTable::new(cfg.queue_capacity, cfg.retain_jobs)),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            cfg,
-        });
-        publish_queue_gauges(&inner.lock());
-        let mut handles = Vec::new();
-        for i in 0..inner.cfg.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("dgrd-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn dgrd worker"),
-            );
+        let mut server = JobServer {
+            inner: Arc::new(Inner {
+                table: Mutex::new(JobTable::new(cfg.queue_capacity, cfg.retain_jobs)),
+                work: Condvar::new(),
+                shutdown: AtomicBool::new(false),
+                cfg,
+            }),
+            workers: Mutex::new(Vec::new()),
+        };
+        publish_queue_gauges(&server.inner.lock());
+        for i in 0..server.inner.cfg.workers.max(1) {
+            let inner = Arc::clone(&server.inner);
+            // on failure `server` drops here, which stops and joins the
+            // workers spawned so far
+            let handle = std::thread::Builder::new()
+                .name(format!("dgrd-worker-{i}"))
+                .spawn(move || worker_loop(&inner))?;
+            let workers = server.workers.get_mut();
+            workers.expect("the server is not shared yet").push(handle);
         }
-        JobServer {
-            inner,
-            workers: Mutex::new(handles),
-        }
+        Ok(server)
     }
 
     /// The daemon configuration.
@@ -423,7 +428,8 @@ mod tests {
         let server = JobServer::start(DaemonConfig {
             workers: 1,
             ..DaemonConfig::default()
-        });
+        })
+        .unwrap();
         let id = server.submit(quick_spec(4)).unwrap();
         assert!(server.wait_terminal(id, Duration::from_secs(60)));
         server
@@ -448,7 +454,8 @@ mod tests {
         let server = JobServer::start(DaemonConfig {
             workers: 1,
             ..DaemonConfig::default()
-        });
+        })
+        .unwrap();
         let mut spec = quick_spec(600);
         spec.deadline_ms = Some(1);
         let id = server.submit(spec).unwrap();
@@ -477,7 +484,8 @@ mod tests {
         let server = JobServer::start(DaemonConfig {
             workers: 1,
             ..DaemonConfig::default()
-        });
+        })
+        .unwrap();
         let mut spec = quick_spec(2);
         spec.design = DesignSource::Text("this is not a design".into());
         let id = server.submit(spec).unwrap();

@@ -7,10 +7,12 @@
 //! on, so every layer of the pipeline reports into this crate:
 //!
 //! * [`span`] / [`SpanGuard`] — hierarchical wall-clock span timers with a
-//!   thread-safe global registry and Chrome-trace-event JSON export
-//!   (loadable in `chrome://tracing` or Perfetto),
-//! * [`counter`] / [`gauge`] / [`histogram`] — a metrics registry whose
-//!   hot-path recording is a single relaxed atomic op,
+//!   thread-safe global registry, Chrome-trace-event JSON export
+//!   (loadable in `chrome://tracing` or Perfetto) and its fold into
+//!   collapsed stacks of self time ([`folded_profile`], `--profile`),
+//! * [`counter`] / [`gauge`] — a metrics registry whose hot-path
+//!   recording is a single relaxed atomic op,
+//! * [`process_memory`] — the process's RSS and peak RSS,
 //! * [`TelemetrySink`] — a per-iteration training telemetry sink emitting
 //!   JSONL rows (`{iter, loss, wl, vias, overflow, temperature,
 //!   grad_norm, mem_rss}`),
@@ -71,10 +73,10 @@ mod sink;
 
 pub use ledger::LedgerRecord;
 pub use metrics::{
-    counter, gauge, histogram, metrics_snapshot, prometheus_text, reset_metrics, Counter, Gauge,
-    Histogram, MetricSnapshot, MetricValue,
+    counter, gauge, metrics_snapshot, prometheus_text, reset_metrics, Counter, Gauge,
+    MetricSnapshot, MetricValue,
 };
-pub use profile::{FoldedProfile, Profiler, ProfilerConfig};
+pub use profile::{process_memory, FoldedProfile, ProcessMemory};
 pub use report::{render_report, ReportInputs};
 pub use scope::{
     health_of, health_summary_of, report_of, scope_remove, status_begin, status_phase,
@@ -90,8 +92,8 @@ pub use snapshot::{
     AttributionRecord, NetShare, SnapshotHeader, SnapshotRecord, SnapshotSink, SnapshotStream,
 };
 pub use span::{
-    chrome_trace, reset_spans, span, span_events_of, span_totals, write_chrome_trace, SpanGuard,
-    SpanTotal,
+    chrome_trace, folded_profile, reset_spans, span, span_events_of, span_totals,
+    write_chrome_trace, SpanGuard, SpanTotal,
 };
 pub use telemetry::{IterationRow, TelemetrySink};
 

@@ -1,6 +1,6 @@
-//! Counters, gauges and histograms with atomic hot-path recording.
+//! Counters and gauges with atomic hot-path recording.
 //!
-//! Metrics are registered by name ([`counter`], [`gauge`], [`histogram`])
+//! Metrics are registered by name ([`counter`], [`gauge`])
 //! and returned as `&'static` handles — registration takes a mutex once,
 //! after which recording is a single relaxed atomic RMW (plus the
 //! [`crate::enabled`] check). Call sites on hot paths cache the handle in
@@ -66,95 +66,9 @@ impl Gauge {
     }
 }
 
-/// Number of power-of-two histogram buckets (values ≥ 2⁶³ clamp into the
-/// last).
-pub const HIST_BUCKETS: usize = 64;
-
-/// A log₂-bucketed histogram of `u64` samples (e.g. nanosecond
-/// durations). Bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)` — so
-/// bucket 1 holds exactly the value 1 — and bucket 0 holds only zero,
-/// the one value below the first log₂ boundary.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample (when enabled): three relaxed RMWs.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        let b = (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample, or 0 with no samples.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Upper bound (2^b) of the bucket containing quantile `q ∈ [0, 1]` —
-    /// an order-of-magnitude estimate, which is what log₂ buckets buy.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * n as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= target.max(1) {
-                return 1u64.checked_shl(b as u32).unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-}
-
 enum MetricRef {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
 }
 
 struct Registered {
@@ -218,29 +132,6 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
     g
 }
 
-/// Returns (registering on first use) the histogram named `name`.
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric kind.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut reg = registry();
-    for r in reg.iter() {
-        if r.name == name {
-            match r.metric {
-                MetricRef::Histogram(h) => return h,
-                _ => panic!("metric `{name}` already registered as a non-histogram"),
-            }
-        }
-    }
-    let h: &'static Histogram = Box::leak(Box::default());
-    reg.push(Registered {
-        name,
-        metric: MetricRef::Histogram(h),
-    });
-    h
-}
-
 /// A point-in-time reading of one metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSnapshot {
@@ -257,21 +148,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge reading.
     Gauge(f64),
-    /// Histogram summary.
-    Histogram {
-        /// Sample count.
-        count: u64,
-        /// Sample sum.
-        sum: u64,
-        /// Mean sample.
-        mean: f64,
-        /// ~p50 bucket upper bound.
-        p50: u64,
-        /// ~p95 bucket upper bound.
-        p95: u64,
-        /// ~p99 bucket upper bound.
-        p99: u64,
-    },
 }
 
 /// Snapshots every registered metric, in registration order.
@@ -283,14 +159,6 @@ pub fn metrics_snapshot() -> Vec<MetricSnapshot> {
             value: match r.metric {
                 MetricRef::Counter(c) => MetricValue::Counter(c.get()),
                 MetricRef::Gauge(g) => MetricValue::Gauge(g.get()),
-                MetricRef::Histogram(h) => MetricValue::Histogram {
-                    count: h.count(),
-                    sum: h.sum(),
-                    mean: h.mean(),
-                    p50: h.quantile(0.50),
-                    p95: h.quantile(0.95),
-                    p99: h.quantile(0.99),
-                },
             },
         })
         .collect()
@@ -302,12 +170,7 @@ pub fn metrics_snapshot() -> Vec<MetricSnapshot> {
 ///
 /// Mapping:
 /// * counters → `counter` families (`dgr_` prefix, dots → underscores),
-/// * gauges → `gauge` families,
-/// * histograms → a `histogram` family with cumulative
-///   `_bucket{le="2^i"}` lines (only buckets with mass, plus `+Inf`),
-///   `_sum` and `_count` — and a companion `<name>_quantile` gauge
-///   family labelled `quantile="0.5" | "0.95" | "0.99"` carrying the
-///   log₂ quantile estimates.
+/// * gauges → `gauge` families.
 pub fn prometheus_text() -> String {
     let reg = registry();
     let mut out = String::new();
@@ -321,34 +184,6 @@ pub fn prometheus_text() -> String {
             MetricRef::Gauge(g) => {
                 out.push_str(&format!("# TYPE {name} gauge\n"));
                 out.push_str(&format!("{name} {}\n", fmt_f64(g.get())));
-            }
-            MetricRef::Histogram(h) => {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-                let mut cumulative = 0u64;
-                for (b, bucket) in h.buckets.iter().enumerate() {
-                    let n = bucket.load(Ordering::Relaxed);
-                    if n == 0 {
-                        continue;
-                    }
-                    cumulative += n;
-                    let le = 1u64.checked_shl(b as u32).unwrap_or(u64::MAX);
-                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-                }
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-                out.push_str(&format!("{name}_sum {}\n", h.sum()));
-                out.push_str(&format!("{name}_count {}\n", h.count()));
-                // the quantile family appears only once samples exist —
-                // an empty histogram rendering `0` is indistinguishable
-                // from a real zero-latency reading
-                if h.count() > 0 {
-                    out.push_str(&format!("# TYPE {name}_quantile gauge\n"));
-                    for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                        out.push_str(&format!(
-                            "{name}_quantile{{quantile=\"{label}\"}} {}\n",
-                            h.quantile(q)
-                        ));
-                    }
-                }
             }
         }
     }
@@ -396,7 +231,6 @@ pub fn reset_metrics() {
         match r.metric {
             MetricRef::Counter(c) => c.reset(),
             MetricRef::Gauge(g) => g.reset(),
-            MetricRef::Histogram(h) => h.reset(),
         }
     }
 }
@@ -428,79 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn gauge_and_histogram_basics() {
+    fn gauge_basics() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         let g = gauge("test.gauge");
         g.set(2.5);
+        crate::set_enabled(false);
         assert_eq!(g.get(), 2.5);
-
-        let h = histogram("test.hist");
-        h.reset();
-        for v in [1u64, 2, 3, 1000, 1_000_000] {
-            h.record(v);
-        }
-        crate::set_enabled(false);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1_001_006);
-        assert!(h.mean() > 0.0);
-        assert!(h.quantile(0.5) >= 2);
-        assert!(h.quantile(1.0) >= 1_000_000);
-        h.reset();
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn empty_histogram_reports_zeroes() {
-        let _guard = crate::test_lock();
-        let h = histogram("test.hist-empty");
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.mean(), 0.0);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0, "empty histogram has no quantile {q}");
-        }
-    }
-
-    #[test]
-    fn single_bucket_saturation_pins_every_quantile() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        let h = histogram("test.hist-saturated");
-        h.reset();
-        // 5 ∈ [4, 8) → bucket 3 for every sample
-        for _ in 0..10_000 {
-            h.record(5);
-        }
-        crate::set_enabled(false);
-        assert_eq!(h.count(), 10_000);
-        assert_eq!(h.mean(), 5.0);
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 8, "all mass in one bucket → its bound");
-        }
-        h.reset();
-    }
-
-    #[test]
-    fn values_below_first_log2_boundary_land_in_bucket_zero() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        let h = histogram("test.hist-below");
-        h.reset();
-        // zero is the only value below the first boundary (2^0 = 1);
-        // one already belongs to bucket 1
-        h.record(0);
-        h.record(0);
-        h.record(1);
-        crate::set_enabled(false);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 1);
-        // two of three samples sit in bucket 0, whose upper bound is 2^0
-        assert_eq!(h.quantile(0.5), 1);
-        // the value 1 sits strictly above, in bucket 1 (bound 2^1)
-        assert_eq!(h.quantile(1.0), 2);
-        h.reset();
+        g.set(4.0);
+        assert_eq!(g.get(), 2.5, "a disabled set is dropped");
     }
 
     #[test]
@@ -523,37 +293,12 @@ mod tests {
         crate::set_enabled(true);
         counter("test.prom.counter").add(3);
         gauge("test.prom.gauge").set(1.5);
-        let h = histogram("test.prom.hist");
-        h.reset();
-        for v in [1u64, 5, 1000] {
-            h.record(v);
-        }
         crate::set_enabled(false);
         let text = prometheus_text();
         assert!(text.contains("# TYPE dgr_test_prom_counter counter\n"));
         assert!(text.contains("dgr_test_prom_gauge 1.5\n"));
-        assert!(text.contains("# TYPE dgr_test_prom_hist histogram\n"));
-        assert!(text.contains("dgr_test_prom_hist_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("dgr_test_prom_hist_sum 1006\n"));
-        assert!(text.contains("dgr_test_prom_hist_count 3\n"));
-        assert!(text.contains("dgr_test_prom_hist_quantile{quantile=\"0.99\"}"));
-        h.reset();
+        assert!(text.contains("# TYPE dgr_test_prom_gauge gauge\n"));
         counter("test.prom.counter").0.store(0, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn empty_histogram_omits_the_quantile_family() {
-        let _guard = crate::test_lock();
-        let h = histogram("test.prom.hist-unsampled");
-        h.reset();
-        let text = prometheus_text();
-        assert!(
-            !text.contains("dgr_test_prom_hist_unsampled_quantile"),
-            "no quantile gauges before the first sample:\n{text}"
-        );
-        // the histogram family itself still advertises its existence
-        assert!(text.contains("# TYPE dgr_test_prom_hist_unsampled histogram\n"));
-        assert!(text.contains("dgr_test_prom_hist_unsampled_count 0\n"));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * one overflow heatmap per congestion snapshot (per-g-cell worst
 //!   incident-edge utilization),
 //! * the ranked per-net attribution table, and
-//! * a per-phase span breakdown aggregated from the trace.
+//! * a per-phase span breakdown aggregated from the trace (the live
+//!   `/report` reads the span registry's totals instead).
 //!
 //! The output is **deterministic**: identical inputs yield byte-identical
 //! HTML (no timestamps, no randomized ids, no map-ordered iteration), so
@@ -53,16 +54,20 @@ pub struct ReportInputs {
 /// Returns a description of the first malformed input file. Absent
 /// inputs are not errors.
 pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
+    let spans = inputs.trace.as_deref().map(parse_trace).transpose()?;
+    render(inputs, spans.as_deref())
+}
+
+/// [`render_report`] with the phase table given as per-name totals —
+/// the live registry's ([`crate::report_of`]) — and `inputs.trace`
+/// unread.
+pub(crate) fn render(inputs: &ReportInputs, spans: Option<&[SpanAgg]>) -> Result<String, String> {
     let telemetry = match &inputs.telemetry {
         Some(text) => Some(parse_telemetry(text)?),
         None => None,
     };
     let stream = match &inputs.snapshots {
         Some(text) => Some(SnapshotStream::parse(text).map_err(|e| format!("snapshots: {e}"))?),
-        None => None,
-    };
-    let spans = match &inputs.trace {
-        Some(text) => Some(parse_trace(text)?),
         None => None,
     };
 
@@ -80,7 +85,7 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
     render_curves(&mut html, telemetry.as_deref());
     render_snapshots(&mut html, stream.as_ref());
     render_attribution(&mut html, stream.as_ref());
-    render_spans(&mut html, spans.as_deref());
+    render_spans(&mut html, spans);
     if let Some(folded) = &inputs.profile {
         render_profile(&mut html, &crate::profile::FoldedProfile::parse(folded));
     }
@@ -532,12 +537,23 @@ fn render_attribution_record(html: &mut String, attr: &AttributionRecord) {
 // span breakdown
 // ---------------------------------------------------------------------------
 
-/// Per-name aggregate parsed back out of a Chrome trace.
+/// Per-name aggregate of a phase table: parsed back out of a Chrome
+/// trace file, or read off the live registry.
 #[derive(Debug, Clone, PartialEq)]
-struct SpanAgg {
+pub(crate) struct SpanAgg {
     name: String,
     count: u64,
     total_us: f64,
+}
+
+impl From<&crate::SpanTotal> for SpanAgg {
+    fn from(t: &crate::SpanTotal) -> Self {
+        SpanAgg {
+            name: t.name.to_string(),
+            count: t.count,
+            total_us: t.total.as_nanos() as f64 / 1e3,
+        }
+    }
 }
 
 fn parse_trace(text: &str) -> Result<Vec<SpanAgg>, String> {
@@ -598,61 +614,55 @@ fn render_spans(html: &mut String, spans: Option<&[SpanAgg]>) {
 }
 
 // ---------------------------------------------------------------------------
-// sampling profile
+// span profile
 // ---------------------------------------------------------------------------
 
-/// Renders the collapsed-stack profile section: headline sample stats,
-/// the hot-leaf-frame ranking, and the heaviest whole stacks. Only
-/// called when a profile input is present.
+/// Renders the collapsed-stack profile section: total self time, the
+/// hot-leaf-frame ranking, and the heaviest whole stacks. Only called
+/// when a profile input is present.
 fn render_profile(html: &mut String, profile: &crate::profile::FoldedProfile) {
-    html.push_str("<h2>Sampling profile</h2>\n");
-    let busy = profile.busy_samples();
-    if busy == 0 {
-        html.push_str("<p class=\"missing\">Profile contains no stack samples.</p>\n");
+    html.push_str("<h2>Span profile</h2>\n");
+    let total = profile.total();
+    if total == 0 {
+        html.push_str("<p class=\"missing\">Profile contains no stacks.</p>\n");
         return;
     }
-    let mut note = format!(
-        "<p class=\"note\">{} samples ({} in spans, {} idle)",
-        profile.samples, busy, profile.idle
+    let _ = writeln!(
+        html,
+        "<p class=\"note\">{} ms of self time in spans, over {} stacks</p>",
+        fmt(total as f64 / 1e3),
+        profile.counts.len()
     );
-    if profile.peak_rss > 0 {
-        let _ = write!(
-            note,
-            " · peak RSS {} MiB",
-            fmt(profile.peak_rss as f64 / (1024.0 * 1024.0))
-        );
-    }
-    note.push_str("</p>\n");
-    html.push_str(&note);
+    let hot = profile.hot_frames();
+    let hot = hot.iter().map(|(name, us)| (name.as_str(), *us));
+    share_table(html, "Hot frames (self time)", "frame", hot, total);
+    let mut stacks: Vec<(&str, u64)> = profile
+        .counts
+        .iter()
+        .map(|(s, &us)| (s.as_str(), us))
+        .collect();
+    stacks.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    share_table(html, "Heaviest stacks", "stack", stacks.into_iter(), total);
+}
 
-    html.push_str(
-        "<h3>Hot frames (self samples)</h3>\n\
-         <table>\n<tr><th class=\"l\">frame</th><th>samples</th><th>%</th></tr>\n",
+/// The first 20 `(label, µs)` rows with their share of `total`.
+fn share_table<'a>(
+    html: &mut String,
+    title: &str,
+    label: &str,
+    rows: impl Iterator<Item = (&'a str, u64)>,
+    total: u64,
+) {
+    let _ = writeln!(
+        html,
+        "<h3>{title}</h3>\n<table>\n<tr><th class=\"l\">{label}</th><th>self µs</th><th>%</th></tr>"
     );
-    for (name, count) in profile.hot_frames().into_iter().take(20) {
+    for (name, us) in rows.take(20) {
         let _ = writeln!(
             html,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{}%</td></tr>",
-            escape(&name),
-            count,
-            fmt(count as f64 / busy as f64 * 100.0),
-        );
-    }
-    html.push_str("</table>\n");
-
-    let mut stacks: Vec<(&String, &u64)> = profile.counts.iter().collect();
-    stacks.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-    html.push_str(
-        "<h3>Heaviest stacks</h3>\n\
-         <table>\n<tr><th class=\"l\">stack</th><th>samples</th><th>%</th></tr>\n",
-    );
-    for (stack, count) in stacks.into_iter().take(20) {
-        let _ = writeln!(
-            html,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{}%</td></tr>",
-            escape(stack),
-            count,
-            fmt(*count as f64 / busy as f64 * 100.0),
+            "<tr><td class=\"l\">{}</td><td>{us}</td><td>{}%</td></tr>",
+            escape(name),
+            fmt(us as f64 / total as f64 * 100.0),
         );
     }
     html.push_str("</table>\n");
@@ -916,11 +926,12 @@ mod tests {
     #[test]
     fn profile_section_renders_only_when_supplied() {
         let without = render_report(&tiny_inputs()).unwrap();
-        assert!(!without.contains("Sampling profile"));
+        assert!(!without.contains("Span profile"));
         let mut inputs = tiny_inputs();
-        inputs.profile = Some("route;train;forward 30\nroute;train;backward 50\n(idle) 5\n".into());
+        inputs.profile = Some("route;train;forward 30\nroute;train;backward 50\n".into());
         let with = render_report(&inputs).unwrap();
-        assert!(with.contains("<h2>Sampling profile</h2>"));
+        assert!(with.contains("<h2>Span profile</h2>"));
+        assert!(with.contains("0.08 ms of self time in spans, over 2 stacks"));
         assert!(with.contains("route;train;backward"));
         assert!(with.contains("Hot frames"));
     }

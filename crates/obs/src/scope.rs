@@ -234,9 +234,8 @@ pub fn tick(row: &IterationRow) {
 
     let raised = s.engine.observe(row);
     let news = !raised.is_empty();
-    for f in &raised {
-        crate::counter("sentinel.findings.total").add(1);
-        crate::histogram("sentinel.finding_iter").record(f.iter);
+    if news {
+        crate::counter("sentinel.findings.total").add(raised.len() as u64);
     }
     s.findings.extend(raised);
 
@@ -357,7 +356,7 @@ pub(crate) fn status_json() -> String {
     };
     let mut o = JsonObject::new();
     push_status_fields(&mut o, &own);
-    o.field_opt_u64("rss", crate::profile::read_rss_bytes());
+    o.field_opt_u64("rss", crate::process_memory().rss);
     let jobs: Vec<String> = rows
         .iter()
         .map(|(id, status, ring_rows)| {
@@ -428,8 +427,9 @@ pub(crate) fn health_json() -> String {
 /// The standard HTML report of scope `id` as the run stands: training
 /// curves from `telemetry` (JSONL — the scope's ring mid-run, the full
 /// stream once a daemon has stored it), the health band when the scope
-/// is watched, the span timeline when a `trace` is given. Snapshot grids
-/// are file-bound, so the congestion section renders its placeholder.
+/// is watched, the phase table when `spans` are given (the live
+/// `/report` passes [`crate::span_totals`]). Snapshot grids are
+/// file-bound, so the congestion section renders its placeholder.
 ///
 /// # Errors
 ///
@@ -438,16 +438,16 @@ pub fn report_of(
     id: u64,
     title: String,
     telemetry: String,
-    trace: Option<String>,
+    spans: Option<&[crate::SpanTotal]>,
 ) -> Result<String, String> {
-    crate::report::render_report(&crate::report::ReportInputs {
+    let inputs = crate::report::ReportInputs {
         title,
         telemetry: (!telemetry.is_empty()).then_some(telemetry),
-        snapshots: None,
-        trace,
-        profile: None,
         health: health_timeline_of(id),
-    })
+        ..Default::default()
+    };
+    let spans: Option<Vec<_>> = spans.map(|s| s.iter().map(Into::into).collect());
+    crate::report::render(&inputs, spans.as_deref())
 }
 
 #[cfg(test)]

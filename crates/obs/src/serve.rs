@@ -5,13 +5,14 @@
 //! Built-in endpoints (always served):
 //!
 //! * `GET /metrics` — every registered obs metric in the Prometheus
-//!   text exposition format ([`crate::metrics::prometheus_text`]),
+//!   text exposition format ([`crate::metrics::prometheus_text`]), the
+//!   `process.rss_bytes` gauge re-read for each scrape,
 //! * `GET /status` — the live run status as JSON
 //!   ([`crate::scope`]): current job/phase/iteration, loss, overflow,
 //!   temperature, batch width, queue depth, RSS, plus one row per
 //!   published run scope on multi-job daemons,
 //! * `GET /report` — the standard HTML post-mortem rendered from the
-//!   live telemetry ring and span registry *mid-run*,
+//!   live telemetry ring and the span registry's totals *mid-run*,
 //! * `GET /health` — the sentinel convergence-health verdicts as JSON:
 //!   overall verdict plus one row per watched scope with its ranked
 //!   findings,
@@ -358,11 +359,16 @@ fn content_length(head: &str) -> Result<Option<usize>, ()> {
 /// Maps a GET path to the built-in endpoints.
 fn route(path: &str) -> HttpResponse {
     match path {
-        "/metrics" => HttpResponse {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
-            body: crate::metrics::prometheus_text(),
-        },
+        "/metrics" => {
+            if let Some(rss) = crate::process_memory().rss {
+                crate::gauge("process.rss_bytes").set(rss as f64);
+            }
+            HttpResponse {
+                status: 200,
+                content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
+                body: crate::metrics::prometheus_text(),
+            }
+        }
         "/status" => {
             let mut body = crate::scope::status_json();
             body.push('\n');
@@ -383,7 +389,9 @@ fn route(path: &str) -> HttpResponse {
 }
 
 /// Renders the standard report from whatever the serving thread's scope
-/// has produced so far: its telemetry ring and the span registry.
+/// has produced so far: its telemetry ring and the span registry's
+/// per-name totals (never the event log: a long run's log is tens of
+/// thousands of events).
 fn live_report() -> String {
     let id = crate::status_scope_id();
     let job = crate::scope::status_snapshot().job;
@@ -392,8 +400,8 @@ fn live_report() -> String {
     } else {
         format!("{job} (live)")
     };
-    let trace = Some(crate::chrome_trace()).filter(|t| t != "[]");
-    crate::report_of(id, title, crate::status_ring_jsonl_of(id), trace).unwrap_or_else(|e| {
+    let spans = crate::span_totals();
+    crate::report_of(id, title, crate::status_ring_jsonl_of(id), Some(&spans)).unwrap_or_else(|e| {
         format!("<!DOCTYPE html>\n<html><body><p>report error: {e}</p></body></html>\n")
     })
 }
@@ -458,12 +466,24 @@ mod tests {
         crate::counter("serve.test.counter").add(2);
         crate::status_begin("train", 10, 1);
         crate::status_phase("forward");
+        {
+            let _s = crate::span("test", "serve-live-span");
+        }
         let server = ObsServer::start("127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/metrics");
         assert_eq!(status, 200);
         assert!(body.contains("dgr_serve_test_counter 2\n"), "{body}");
+        if crate::process_memory().rss.is_some() {
+            let rss = body
+                .lines()
+                .find_map(|l| l.strip_prefix("dgr_process_rss_bytes "));
+            assert!(
+                rss.is_some_and(|v| v != "0"),
+                "the scrape re-reads RSS:\n{body}"
+            );
+        }
 
         let (status, body) = get(addr, "/status");
         assert_eq!(status, 200);
@@ -472,6 +492,10 @@ mod tests {
         let (status, body) = get(addr, "/report");
         assert_eq!(status, 200);
         assert!(body.contains("<html"), "{body}");
+        assert!(
+            body.contains("<tr><td class=\"l\">serve-live-span</td><td>1</td>"),
+            "the phase table reads the registry:\n{body}"
+        );
 
         let (status, body) = get(addr, "/health");
         assert_eq!(status, 200);

@@ -11,7 +11,9 @@
 //!   array (`chrome://tracing` / Perfetto "X" complete events, one track
 //!   per thread; nesting is reconstructed from time containment),
 //! * [`span_totals`] — per-name `(count, total)` aggregates for summary
-//!   tables and benchmark phase breakdowns.
+//!   tables, benchmark phase breakdowns and the live `/report`,
+//! * [`folded_profile`] — the log's self time per stack of span names
+//!   (`--profile`, see [`crate::profile`]).
 //!
 //! Recording is gated on [`crate::enabled`]: a disabled span costs one
 //! relaxed atomic load. An enabled span costs two `Instant::now()` calls
@@ -30,26 +32,30 @@
 //! still retains rather than of every job it ever ran.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::JsonObject;
+use crate::profile::FoldedProfile;
 
 /// Hard cap on detailed span events held in memory (64 bytes each).
 pub const MAX_EVENTS: usize = 1 << 20;
 
 /// One completed span.
 #[derive(Debug, Clone, Copy)]
-struct SpanEvent {
-    cat: &'static str,
-    name: &'static str,
+pub(crate) struct SpanEvent {
+    pub(crate) cat: &'static str,
+    pub(crate) name: &'static str,
     /// Status scope of the recording thread (0 = one-shot CLI run).
-    scope: u64,
-    tid: u32,
-    depth: u32,
-    start_ns: u64,
-    dur_ns: u64,
+    pub(crate) scope: u64,
+    /// Track: the recording thread, numbered in the order threads first
+    /// opened a span.
+    pub(crate) tid: u32,
+    /// Spans open on the thread when this one opened.
+    pub(crate) depth: u32,
+    pub(crate) start_ns: u64,
+    pub(crate) dur_ns: u64,
 }
 
 #[derive(Default)]
@@ -75,6 +81,15 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+/// Track `tid`'s name in a trace and at the root of a folded stack.
+pub(crate) fn track_name(tid: u32) -> &'static str {
+    if tid == 0 {
+        "dgr-main"
+    } else {
+        "dgr-helper"
+    }
+}
+
 /// Small dense per-thread ids for trace tracks (OS thread ids are sparse).
 fn thread_id() -> u32 {
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -86,52 +101,6 @@ fn thread_id() -> u32 {
 
 thread_local! {
     static DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-// ---------------------------------------------------------------------------
-// active-span stacks (the sampling profiler's view)
-// ---------------------------------------------------------------------------
-
-/// Whether the sampling profiler is attached. When off (the default),
-/// span open/close never touches the active-stack registry, preserving
-/// the lock-free open path.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-#[inline]
-pub(crate) fn profiling() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-pub(crate) fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
-    if !on {
-        active().clear();
-    }
-}
-
-/// Per-thread stacks of currently-open span names. Only maintained while
-/// [`profiling`] — a mutex push/pop per span open/close, acceptable for
-/// phase- and iteration-granularity spans.
-fn active() -> std::sync::MutexGuard<'static, HashMap<u32, Vec<&'static str>>> {
-    static ACTIVE: OnceLock<Mutex<HashMap<u32, Vec<&'static str>>>> = OnceLock::new();
-    match ACTIVE.get_or_init(|| Mutex::new(HashMap::new())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// A point-in-time copy of every thread's open-span stack, outermost
-/// frame first, sorted by thread id (deterministic iteration for the
-/// profiler's aggregation). Empty stacks are skipped.
-pub(crate) fn active_stacks() -> Vec<(u32, Vec<&'static str>)> {
-    let map = active();
-    let mut out: Vec<(u32, Vec<&'static str>)> = map
-        .iter()
-        .filter(|(_, s)| !s.is_empty())
-        .map(|(&tid, s)| (tid, s.clone()))
-        .collect();
-    out.sort_by_key(|(tid, _)| *tid);
-    out
 }
 
 /// Opens a span named `name` under category `cat`; the span closes (and
@@ -152,16 +121,13 @@ pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
     });
     // materialize the epoch before `start` so offsets are never negative
     let _ = epoch();
-    let tracked = profiling();
-    if tracked {
-        active().entry(thread_id()).or_default().push(name);
-    }
     SpanGuard {
         live: Some(LiveSpan {
             cat,
             name,
+            // taken at open: the first thread to open a span is track 0
+            tid: thread_id(),
             depth,
-            tracked,
             start: Instant::now(),
         }),
     }
@@ -170,10 +136,8 @@ pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
 struct LiveSpan {
     cat: &'static str,
     name: &'static str,
+    tid: u32,
     depth: u32,
-    /// Whether this span pushed onto the active-stack registry at open
-    /// time (profiling may toggle while the span is live; pop iff pushed).
-    tracked: bool,
     start: Instant,
 }
 
@@ -190,19 +154,11 @@ impl Drop for SpanGuard {
         };
         let dur = live.start.elapsed();
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        if live.tracked {
-            // tracked spans close in LIFO order among themselves, so the
-            // top of this thread's stack is this span (untracked spans
-            // never pushed)
-            if let Some(stack) = active().get_mut(&thread_id()) {
-                stack.pop();
-            }
-        }
         let event = SpanEvent {
             cat: live.cat,
             name: live.name,
             scope: crate::status_scope_id(),
-            tid: thread_id(),
+            tid: live.tid,
             depth: live.depth,
             start_ns: live.start.duration_since(epoch()).as_nanos() as u64,
             dur_ns: dur.as_nanos() as u64,
@@ -283,6 +239,12 @@ pub fn reset_spans() {
     log.dropped = 0;
 }
 
+/// The fold of the event log: self time per stack of span names, per
+/// track ([`FoldedProfile::fold`]).
+pub fn folded_profile() -> FoldedProfile {
+    FoldedProfile::fold(&log().events)
+}
+
 /// Serializes every recorded span as a Chrome trace-event JSON array.
 ///
 /// Load the result in `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -302,13 +264,7 @@ pub fn chrome_trace() -> String {
         o.field_str("ph", "M");
         o.field_u64("pid", 1);
         o.field_u64("tid", tid as u64);
-        o.field_raw(
-            "args",
-            &format!(
-                "{{\"name\":\"dgr-{}\"}}",
-                if tid == 0 { "main" } else { "helper" }
-            ),
-        );
+        o.field_raw("args", &format!("{{\"name\":\"{}\"}}", track_name(tid)));
         if !first {
             out.push_str(",\n");
         }

@@ -24,8 +24,8 @@
 //! streams per-g-cell congestion snapshots plus the per-net overflow
 //! attribution. `--serve ADDR` exposes `/metrics` (Prometheus),
 //! `/status` (JSON) and `/report` (HTML) over HTTP while the run is
-//! live; `--profile` runs the sampling self-profiler and writes a
-//! collapsed-stack (flamegraph-compatible) file. Every `route`/`train`
+//! live; `--profile` folds the span log into a collapsed-stack
+//! (flamegraph-compatible) file of self time. Every `route`/`train`
 //! run also appends a content-hashed summary record to the persistent
 //! ledger (`~/.dgr/ledger.jsonl`, override with `DGR_LEDGER`, disable
 //! with `--no-ledger`) that `dgr history` and `dgr compare --ledger`
@@ -36,12 +36,10 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
-use dgr::core::{
-    write_attribution, DgrConfig, DgrRouter, ProgressConfig, RouteHooks, SnapshotConfig,
-};
+use dgr::core::{write_attribution, DgrConfig, DgrRouter, RouteHooks, SnapshotConfig};
 use dgr::grid::Design;
 use dgr::obs::ledger::{self, LedgerRecord};
-use dgr::obs::{render_report, ObsServer, Profiler, ProfilerConfig, ReportInputs};
+use dgr::obs::{render_report, ObsServer, ReportInputs};
 use dgr::obs::{SnapshotSink, TelemetrySink};
 use dgr::post::{pipeline, refine, RefineConfig};
 
@@ -256,7 +254,7 @@ fn print_usage() {
     println!("  --snap out.snaps      stream per-g-cell congestion snapshots + attribution");
     println!("  --snap-every N        training snapshot stride (default: iterations/16)");
     println!("  --serve ADDR          live HTTP exporter: /metrics /status /report");
-    println!("  --profile out.folded  sampling self-profiler → collapsed stacks");
+    println!("  --profile out.folded  self time per span stack → collapsed stacks");
     println!("  --no-ledger           skip the persistent run ledger for this run");
     println!("  --progress N          progress line every N iterations (default 100)");
     println!("  --quiet               suppress the progress line");
@@ -312,8 +310,6 @@ fn cmd_serve_jobs(flags: &Flags) -> CliResult {
     // status scopes and reports are always on
     dgr::obs::reset();
     dgr::obs::set_enabled(true);
-    let rss = dgr::obs::profile::read_rss_bytes().unwrap_or(0);
-    dgr::obs::gauge("process.rss_bytes").set(rss as f64);
     let daemon = dgr::daemon::Daemon::start(addr, cfg)?;
     eprintln!(
         "dgrd: http://{}/  (POST /jobs, GET|DELETE /jobs/:id, /metrics /status)",
@@ -341,7 +337,7 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
 }
 
 /// Live observability attached to one CLI run: the optional Chrome
-/// trace, the sampling self-profiler, and the HTTP exporter.
+/// trace and span profile, written at its end, and the HTTP exporter.
 ///
 /// The span registry is enabled for every `route`/`train` run (the
 /// persistent ledger needs per-phase totals either way); the end-of-run
@@ -350,7 +346,6 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
 struct ObsSession {
     trace: Option<String>,
     profile: Option<String>,
-    profiler: Option<Profiler>,
     /// Held for its lifetime only: dropping it stops the HTTP exporter.
     _server: Option<ObsServer>,
     show_summary: bool,
@@ -368,12 +363,9 @@ fn obs_session(
     let show_summary = trace.is_some() || profile.is_some() || serve.is_some();
     dgr::obs::reset();
     dgr::obs::set_enabled(true);
-    // publish the run identity and seed the RSS gauge before the
-    // listener comes up, so the very first /status and /metrics scrapes
-    // are never empty
+    // publish the run identity before the listener comes up, so the very
+    // first /status scrape names the job
     dgr::obs::status_begin(job, total_iters, batch);
-    let rss = dgr::obs::profile::read_rss_bytes().unwrap_or(0);
-    dgr::obs::gauge("process.rss_bytes").set(rss as f64);
     let server = match serve {
         Some(addr) => {
             let server = ObsServer::start(addr)?;
@@ -385,34 +377,35 @@ fn obs_session(
         }
         None => None,
     };
-    let profiler = profile
-        .is_some()
-        .then(|| Profiler::start(ProfilerConfig::default()));
     Ok(ObsSession {
         trace,
         profile,
-        profiler,
         _server: server,
         show_summary,
     })
 }
 
-/// Stops the profiler and server, writes the trace and folded profile
-/// (if requested) and prints the end-of-run summary tables.
-fn obs_finish(mut session: ObsSession) -> CliResult {
-    if let Some(profiler) = session.profiler.take() {
-        let profile = profiler.stop();
-        if let Some(path) = session.profile.as_deref() {
-            profile.write(path)?;
-            let hottest = profile
-                .hot_frames()
-                .first()
-                .map_or_else(|| "(idle)".to_string(), |(frame, _)| frame.clone());
-            println!();
+/// Writes the folded profile and trace (if requested), prints the
+/// end-of-run summary tables and stops the server.
+fn obs_finish(session: ObsSession) -> CliResult {
+    if let Some(path) = session.profile.as_deref() {
+        let profile = dgr::obs::folded_profile();
+        profile.write(path)?;
+        let hottest = profile
+            .hot_frames()
+            .first()
+            .map_or_else(|| "-".to_string(), |(frame, _)| frame.clone());
+        println!();
+        println!(
+            "profile → {path} ({} stacks, {:.1} ms of self time, hottest frame: {hottest})",
+            profile.counts.len(),
+            profile.total() as f64 / 1e3,
+        );
+        let dropped = dgr::obs::span::dropped_events();
+        if dropped > 0 {
             println!(
-                "profile → {path} ({} samples, {} busy, hottest frame: {hottest})",
-                profile.samples,
-                profile.busy_samples(),
+                "  {dropped} span events past the log's cap of {} are not in it",
+                dgr::obs::span::MAX_EVENTS
             );
         }
     }
@@ -455,17 +448,6 @@ fn print_summary_tables() {
             match m.value {
                 MetricValue::Counter(v) => println!("{:<22} {:>16}", m.name, v),
                 MetricValue::Gauge(v) => println!("{:<22} {:>16.3}", m.name, v),
-                MetricValue::Histogram {
-                    count,
-                    mean,
-                    p50,
-                    p95,
-                    p99,
-                    ..
-                } => println!(
-                    "{:<22} {:>16}  (mean {mean:.0}, p50 ≤ {p50}, p95 ≤ {p95}, p99 ≤ {p99})",
-                    m.name, count
-                ),
             }
         }
         let hits = dgr::obs::counter("rsmt.cache.hits").get();
@@ -524,11 +506,7 @@ fn route_hooks(flags: &Flags, iterations: usize) -> Result<RouteHooks, Box<dyn s
         });
     }
     if !flags.has("--quiet") {
-        let mut progress = ProgressConfig::default();
-        if let Some(v) = flags.parsed("--progress")? {
-            progress.every = v;
-        }
-        hooks.progress = Some(progress);
+        hooks.progress = Some(flags.parsed("--progress")?.unwrap_or(100));
     }
     Ok(hooks)
 }

@@ -213,7 +213,6 @@ fn annealed_training_text() -> String {
     .expect("valid config");
     let cfg = DgrConfig {
         iterations: 1000,
-        loss_record_interval: 100,
         seed: ANNEALED_SEED,
         ..DgrConfig::default()
     };
@@ -236,8 +235,8 @@ fn annealed_training_text() -> String {
     );
 
     let mut text = String::new();
-    for (iteration, loss) in &report.loss_history {
-        text += &format!("loss {iteration} {:08x}\n", loss.to_bits());
+    for point in report.curve.iter().filter(|p| p.iter % 100 == 0) {
+        text += &format!("loss {} {:08x}\n", point.iter, point.loss.to_bits());
     }
     let logits = model.tree_logits().iter().chain(model.path_logits());
     let bytes: Vec<u8> = logits.flat_map(|w| w.to_bits().to_le_bytes()).collect();

@@ -1,5 +1,5 @@
 //! Observatory integration tests: the live HTTP exporter answering
-//! mid-run, the sampling profiler's collapsed-stack output, the
+//! mid-run, the span log's fold into collapsed stacks, the
 //! persistent run ledger driving `dgr history` / `dgr compare --ledger`,
 //! Prometheus text-exposition grammar, and the Chrome trace round-trip
 //! through `obs::parse`.
@@ -99,9 +99,9 @@ fn serve_endpoints_answer_during_a_live_run() {
         }
     };
 
-    // the RSS gauge is seeded before the listener comes up, so the very
-    // first scrape already carries a family; poll briefly anyway in case
-    // the accept loop is still warming up
+    // every scrape re-reads the RSS gauge, so the very first one already
+    // carries a family; poll briefly anyway in case the accept loop is
+    // still warming up
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let metrics = loop {
         let (status, metrics) = http_get(&addr, "/metrics");
@@ -132,13 +132,15 @@ fn serve_endpoints_answer_during_a_live_run() {
 }
 
 /// `--profile` writes a non-empty collapsed-stack file whose frames name
-/// real pipeline phases, and the file round-trips through the parser.
+/// real pipeline phases, whose main track holds no more self time than
+/// the run took, and which `dgr report --profile` renders.
 #[test]
 fn cli_profile_writes_collapsed_stacks_naming_real_phases() {
     let dir = std::env::temp_dir().join("dgr_observatory_profile_test");
     let design_path = write_design(&dir, 5);
     let folded_path = dir.join("out.folded");
 
+    let started = std::time::Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
         .env("DGR_LEDGER", "off")
         .args([
@@ -152,6 +154,7 @@ fn cli_profile_writes_collapsed_stacks_naming_real_phases() {
         ])
         .output()
         .expect("spawn dgr");
+    let wall_us = started.elapsed().as_micros() as u64;
     assert!(
         out.status.success(),
         "dgr route --profile failed: {}",
@@ -164,18 +167,41 @@ fn cli_profile_writes_collapsed_stacks_naming_real_phases() {
     assert!(!text.trim().is_empty(), "folded profile is empty");
     for line in text.lines() {
         let (_stack, count) = line.rsplit_once(' ').expect("`stack count` shape");
-        count.parse::<u64>().expect("count is an integer");
+        let us: u64 = count.parse().expect("count is an integer");
+        assert!(us > 0, "a stack of no self time: {line}");
     }
 
     let profile = dgr::obs::FoldedProfile::parse(&text);
-    assert!(profile.samples > 0, "no samples recorded");
-    assert!(profile.busy_samples() > 0, "profiler saw no open spans");
     let phases = ["route", "train", "forward", "backward", "extract"];
     let hot = profile.hot_frames();
     assert!(
         hot.iter()
             .any(|(frame, _)| phases.iter().any(|p| frame == p)),
         "no real phase among hot frames: {hot:?}"
+    );
+    let main_us: u64 = profile
+        .counts
+        .iter()
+        .filter(|(stack, _)| stack.starts_with("dgr-main;"))
+        .map(|(_, us)| us)
+        .sum();
+    assert!(
+        0 < main_us && main_us <= wall_us,
+        "main track holds {main_us} µs of self time in a {wall_us} µs run"
+    );
+
+    let html_path = dir.join("profile.html");
+    let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .args(["report", "--profile", folded_path.to_str().unwrap()])
+        .args(["--out", html_path.to_str().unwrap()])
+        .output()
+        .expect("spawn dgr report");
+    assert!(out.status.success(), "dgr report --profile failed");
+    let html = std::fs::read_to_string(&html_path).expect("report written");
+    assert!(html.contains("<h2>Span profile</h2>"), "no profile section");
+    assert!(
+        html.contains("dgr-main;route;train"),
+        "no stack table:\n{html}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -270,18 +296,16 @@ fn ledger_accumulates_runs_and_history_renders_deltas() {
 }
 
 /// The `/metrics` payload obeys the Prometheus text exposition format:
-/// typed families, legal metric names, numeric sample values, cumulative
-/// histogram buckets capped by `+Inf`.
+/// typed counter and gauge families, legal metric names, numeric sample
+/// values, each sample right under its family's `TYPE` line.
 #[test]
 fn prometheus_text_follows_the_exposition_grammar() {
     let _guard = OBS_LOCK.lock().unwrap();
     dgr::obs::set_enabled(true);
     dgr::obs::counter("observatory.test.requests").add(7);
     dgr::obs::gauge("observatory.test.depth").set(3.5);
-    let h = dgr::obs::histogram("observatory.test.latency");
-    for v in [0, 1, 3, 200, 131071] {
-        h.record(v);
-    }
+    dgr::obs::gauge("observatory.test.ratio").set(f64::NAN);
+    dgr::obs::gauge("dgrd.observatory.test").set(-2.0);
     let text = dgr::obs::prometheus_text();
     dgr::obs::set_enabled(false);
 
@@ -296,63 +320,39 @@ fn prometheus_text_follows_the_exposition_grammar() {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     };
 
-    let mut families: Vec<String> = Vec::new();
+    let mut family: Option<&str> = None;
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split(' ');
-            let name = parts.next().unwrap_or("");
-            let kind = parts.next().unwrap_or("");
+            let (name, kind) = rest.split_once(' ').expect("`# TYPE name kind`");
             assert!(name_ok(name), "bad family name: {line}");
             assert!(
-                ["counter", "gauge", "histogram"].contains(&kind),
+                ["counter", "gauge"].contains(&kind),
                 "bad family type: {line}"
             );
-            families.push(name.to_string());
+            family = Some(name);
             continue;
         }
         assert!(!line.is_empty(), "blank line in exposition");
-        let (series, value) = line.rsplit_once(' ').expect("`series value` shape");
-        let name = series.split('{').next().unwrap();
-        assert!(name_ok(name), "bad metric name: {line}");
+        let (name, value) = line.split_once(' ').expect("`name value` shape");
+        assert_eq!(
+            Some(name),
+            family.take(),
+            "sample not under its TYPE line: {line}"
+        );
         assert!(
-            value.parse::<f64>().is_ok() || value == "+Inf" || value == "NaN",
+            value.parse::<f64>().is_ok() || ["+Inf", "-Inf", "NaN"].contains(&value),
             "bad sample value: {line}"
         );
-        assert!(
-            families.iter().any(|f| name == f
-                || name.strip_prefix(f.as_str()).is_some_and(
-                    |s| s.is_empty() || ["_bucket", "_sum", "_count", "_quantile"].contains(&s)
-                )),
-            "sample before its TYPE line: {line}"
-        );
     }
-
-    // histogram specifics: cumulative buckets ending at +Inf == _count
-    let bucket_counts: Vec<u64> = text
-        .lines()
-        .filter(|l| l.starts_with("dgr_observatory_test_latency_bucket"))
-        .map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap())
-        .collect();
-    assert!(bucket_counts.len() >= 2, "want buckets:\n{text}");
-    assert!(
-        bucket_counts.windows(2).all(|w| w[0] <= w[1]),
-        "buckets must be cumulative: {bucket_counts:?}"
-    );
-    let count: u64 = text
-        .lines()
-        .find(|l| l.starts_with("dgr_observatory_test_latency_count"))
-        .map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap())
-        .expect("_count sample");
-    assert_eq!(*bucket_counts.last().unwrap(), count, "+Inf == _count");
-    assert!(
-        text.lines()
-            .any(|l| l.starts_with("dgr_observatory_test_latency_quantile{quantile=\"0.95\"}")),
-        "quantile gauge family missing:\n{text}"
-    );
-    assert!(
-        text.contains("dgr_observatory_test_requests 7"),
-        "counter sample:\n{text}"
-    );
+    assert!(family.is_none(), "a TYPE line without its sample");
+    for sample in [
+        "dgr_observatory_test_requests 7",
+        "dgr_observatory_test_depth 3.5",
+        "dgr_observatory_test_ratio NaN",
+        "dgrd_observatory_test -2",
+    ] {
+        assert!(text.lines().any(|l| l == sample), "{sample}:\n{text}");
+    }
 }
 
 /// The Chrome trace written by the span registry parses back through

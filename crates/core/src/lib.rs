@@ -56,7 +56,7 @@ pub use snapshot::{
     write_solution_snapshot,
 };
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
-pub use train::{train, train_with_hooks, CurvePoint, LiveRow, TrainReport, CURVE_POINTS};
+pub use train::{train, CurvePoint, LiveRow, TrainReport, CURVE_POINTS};
 
 use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_grid::Design;
@@ -148,8 +148,6 @@ pub struct RouteHooks {
     /// last one always, at most one per 200 ms but the last (`dgr route
     /// --progress`; `None` prints none).
     pub progress: Option<usize>,
-    /// Skip RSS sampling in telemetry rows (determinism tests set this).
-    pub skip_rss: bool,
     /// Cooperative cancellation flag. When another thread sets it, the
     /// training loop stops between iterations and
     /// [`DgrRouter::route_with_hooks`] returns [`DgrError::Cancelled`]
@@ -328,14 +326,13 @@ impl DgrRouter {
             if round > 0 {
                 round_cfg.iterations = self.config.adaptive_iterations.max(1);
             }
-            let report = train_with_hooks(
+            let report = train::train_with_hooks(
                 &mut model,
                 &round_cfg,
                 &mut rng,
                 design,
                 hooks,
                 iter_offset,
-                None,
             );
             // a cancel raised mid-training stops the job here: no
             // extraction, no partial solution escapes

@@ -32,12 +32,7 @@ pub fn ensure_header(sink: &mut SnapshotSink, design: &Design) {
     }
 }
 
-fn to_record(
-    snap: CongestionSnapshot,
-    iter: u64,
-    phase: &str,
-    lane: Option<u64>,
-) -> SnapshotRecord {
+fn to_record(snap: CongestionSnapshot, iter: u64, phase: &str) -> SnapshotRecord {
     SnapshotRecord {
         iter,
         phase: phase.to_string(),
@@ -48,7 +43,6 @@ fn to_record(
         overflowed_edges: snap.overflowed_edges as u64,
         total_overflow: snap.total_overflow,
         peak_overflow: snap.peak_overflow,
-        lane,
     }
 }
 
@@ -62,26 +56,24 @@ pub fn write_demand_snapshot(
 ) {
     ensure_header(sink, design);
     let snap = CongestionSnapshot::capture(&design.grid, &design.capacity, demand);
-    sink.write_snapshot(&to_record(snap, iter, phase, None));
+    sink.write_snapshot(&to_record(snap, iter, phase));
 }
 
 /// Captures and writes one snapshot of the dense per-edge expected
 /// demand the relaxed model maintains during training (Eq. 10). A
 /// length mismatch is silently dropped — observability must never abort
 /// a training run (and the trainer's demand tensor always matches).
-/// `lane` is [`train_with_hooks`](crate::train_with_hooks)'s lane tag.
 pub fn write_dense_snapshot(
     sink: &mut SnapshotSink,
     design: &Design,
     total_demand: &[f32],
     iter: u64,
     phase: &str,
-    lane: Option<u64>,
 ) {
     ensure_header(sink, design);
     debug_assert_eq!(total_demand.len(), design.grid.num_edges());
     if let Ok(snap) = CongestionSnapshot::from_dense(&design.grid, &design.capacity, total_demand) {
-        sink.write_snapshot(&to_record(snap, iter, phase, lane));
+        sink.write_snapshot(&to_record(snap, iter, phase));
     }
 }
 
@@ -155,7 +147,7 @@ mod tests {
         let mut a = SnapshotSink::in_memory();
         write_demand_snapshot(&mut a, &design, &demand, 0, "x");
         let mut b = SnapshotSink::in_memory();
-        write_dense_snapshot(&mut b, &design, &dense, 0, "x", None);
+        write_dense_snapshot(&mut b, &design, &dense, 0, "x");
         assert_eq!(a.memory_contents(), b.memory_contents());
     }
 }

@@ -70,10 +70,6 @@ pub const CURVE_POINTS: usize = 256;
 /// ones included.
 pub const PRUNE_BELOW: f32 = 1e-4;
 
-/// How often the training loop re-reads the process RSS for telemetry
-/// (`/proc` reads are microseconds — cheap, but not per-iteration cheap).
-const RSS_SAMPLE_INTERVAL: usize = 16;
-
 /// Least wall-clock time between two progress lines but the last, so
 /// tiny fast runs do not flood stderr.
 const PROGRESS_MIN_GAP: Duration = Duration::from_millis(200);
@@ -81,7 +77,7 @@ const PROGRESS_MIN_GAP: Duration = Duration::from_millis(200);
 /// One retained sample of the training trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
-    /// Iteration index (offset by [`train_with_hooks`]'s `iter_offset`).
+    /// Iteration index (offset by the adaptive rounds before this one).
     pub iter: usize,
     /// Total weighted loss at this iteration.
     pub loss: f32,
@@ -163,7 +159,7 @@ impl LiveRow {
 /// temperature step the kernel first drops the candidates under
 /// [`PRUNE_BELOW`]; it is back in the forest's layout on return.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
-    train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0, None)
+    train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0)
 }
 
 /// [`train`] with observability hooks: telemetry rows, progress lines,
@@ -175,22 +171,18 @@ pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainR
 /// `lane_fwd` / `lane_bwd` on whichever thread ran them) recorded when
 /// `dgr_obs::enabled()`.
 ///
-/// The two things a round varies ride beside the hooks: `iter_offset` is
-/// added to every reported iteration index, so adaptive rounds continue
-/// numbering instead of restarting at zero, and `lane` tags every
-/// telemetry row and dense snapshot — `dgr train --batch N` trains its
-/// seeds one after another into the same sinks and numbers them there; a
-/// lone run passes `None`.
-pub fn train_with_hooks(
+/// `iter_offset` is added to every reported iteration index, so adaptive
+/// rounds continue numbering instead of restarting at zero. The one
+/// caller is [`DgrRouter::route_with_hooks`](crate::DgrRouter::route_with_hooks).
+pub(crate) fn train_with_hooks(
     model: &mut CostModel,
     cfg: &DgrConfig,
     rng: &mut StdRng,
     design: &Design,
     hooks: &mut RouteHooks,
     iter_offset: usize,
-    lane: Option<u64>,
 ) -> TrainReport {
-    train_loop(model, cfg, rng, Some(design), hooks, iter_offset, lane)
+    train_loop(model, cfg, rng, Some(design), hooks, iter_offset)
 }
 
 /// The loop behind both entry points; [`train`] has no design and no
@@ -202,7 +194,6 @@ fn train_loop(
     design: Option<&Design>,
     hooks: &mut RouteHooks,
     iter_offset: usize,
-    lane: Option<u64>,
 ) -> TrainReport {
     let _train_span = dgr_obs::span("train", "train");
     dgr_obs::status_phase("train");
@@ -216,7 +207,6 @@ fn train_loop(
     let mut backward_time = Duration::ZERO;
     let curve_stride = cfg.iterations.div_ceil(CURVE_POINTS).max(1);
     let mut last_progress: Option<Instant> = None;
-    let mut rss_cache: Option<u64> = None;
 
     // dropped (joined) on every way out of this function, unwinding included
     let _helper = (model.num_paths() >= LANE_THRESHOLD).then(parallel::Helper::engage);
@@ -304,16 +294,12 @@ fn train_loop(
                     model.demand(),
                     (iter_offset + it) as u64,
                     "train",
-                    lane,
                 );
             }
         }
         // a row is materialized when a sink wants it OR the global obs
         // switch is on (the run's live scope feeds off dgr_obs::tick)
         if hooks.telemetry.is_some() || dgr_obs::enabled() {
-            if !hooks.skip_rss && (it % RSS_SAMPLE_INTERVAL == 0 || last_iter) {
-                rss_cache = dgr_obs::process_memory().rss;
-            }
             let grad_sq: f32 = model
                 .tree_grad()
                 .iter()
@@ -328,8 +314,6 @@ fn train_loop(
                 overflow: model.overflow_cost(),
                 temperature: temp,
                 grad_norm: grad_sq.sqrt(),
-                mem_rss: rss_cache,
-                lane,
             };
             if let Some(sink) = hooks.telemetry.as_mut() {
                 sink.record(&row);
@@ -490,7 +474,7 @@ mod tests {
             cancel: Some(Arc::new(AtomicBool::new(true))),
             ..RouteHooks::default()
         };
-        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0, None);
+        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0);
         assert_eq!(report.iterations, 0);
         assert!(report.final_loss.is_nan());
         assert_eq!(report.final_temperature, 0.7);
@@ -690,7 +674,6 @@ mod tests {
             telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
             snap: Some(crate::SnapshotConfig { sink, every: 1 }),
             cancel: Some(Arc::clone(&cancel)),
-            skip_rss: true,
             ..RouteHooks::default()
         };
         // … and cancels once the run is past its first temperature step
@@ -712,7 +695,7 @@ mod tests {
         parallel::set_num_threads(2);
         let mut rng = StdRng::seed_from_u64(3);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0, None);
+        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0);
         parallel::set_num_threads(0);
         watcher.join().unwrap();
         let _ = std::fs::remove_file(&path);

@@ -2,11 +2,12 @@
 //! train/route run, appended to `~/.dgr/ledger.jsonl`.
 //!
 //! The ledger is what lets runs see each other: `dgr history` renders
-//! the recent records as a table with per-run deltas, and
-//! `dgr compare --ledger` diffs the per-phase span totals of the last
-//! two runs of a design. Records are append-only and self-verifying —
-//! each carries an FNV-1a 64 hash of its own body, so replay tooling
-//! can detect truncated or hand-edited lines.
+//! the recent records as a table and diffs the per-phase span totals of
+//! the last two comparable runs. Records are append-only and
+//! self-verifying — each line leads with an FNV-1a 64 hash of its own
+//! body bytes as stored, so replay tooling can detect truncated or
+//! hand-edited lines, and a record written before a field was added or
+//! removed verifies all the same.
 //!
 //! Resolution order for the ledger path:
 //!
@@ -20,7 +21,7 @@
 //! a routing run.
 
 use crate::json::JsonObject;
-use crate::parse::{parse_jsonl, JsonValue};
+use crate::parse::JsonValue;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -32,7 +33,7 @@ pub const LEDGER_VERSION: u64 = 1;
 pub struct LedgerRecord {
     /// Schema version ([`LEDGER_VERSION`]).
     pub version: u64,
-    /// FNV-1a 64 hash (hex) of the record body minus this field.
+    /// FNV-1a 64 hash (hex) of the stored line minus this field.
     pub hash: String,
     /// Unix timestamp (seconds) the record was written.
     pub ts: u64,
@@ -49,8 +50,6 @@ pub struct LedgerRecord {
     pub iterations: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Batch lane count (1 for single-instance runs).
-    pub batch: u64,
     /// Wall-clock of the whole run, milliseconds.
     pub wall_ms: u64,
     /// Training iterations per second (bench-style; 0 when no
@@ -78,14 +77,14 @@ pub struct LedgerRecord {
     /// them, and overlap the other phases.
     pub phases: BTreeMap<String, f64>,
     /// Sentinel health summary: `"ok"` or a comma-joined `rule@iter`
-    /// list, worst first. `None` on records written before the field
-    /// existed — omitted from the body so old hashes keep verifying.
+    /// list, worst first. `None` (`null`) when the run was not watched,
+    /// and on records written before the field existed.
     pub health: Option<String>,
 }
 
 impl LedgerRecord {
     /// Serializes the body fields (everything but `hash`), in schema
-    /// order. This is the byte string the hash covers.
+    /// order. This is the byte string the hash covers when written.
     fn body_json(&self) -> String {
         let mut o = JsonObject::new();
         o.field_u64("version", self.version);
@@ -96,7 +95,6 @@ impl LedgerRecord {
         o.field_str("config_fp", &self.config_fp);
         o.field_u64("iterations", self.iterations);
         o.field_u64("seed", self.seed);
-        o.field_u64("batch", self.batch);
         o.field_u64("wall_ms", self.wall_ms);
         o.field_f64("it_per_s", self.it_per_s);
         o.field_f64("loss", self.loss);
@@ -111,8 +109,9 @@ impl LedgerRecord {
             phases.field_f64(name, *ms);
         }
         o.field_raw("phases", &phases.finish());
-        if let Some(health) = &self.health {
-            o.field_str("health", health);
+        match &self.health {
+            Some(health) => o.field_str("health", health),
+            None => o.field_raw("health", "null"),
         }
         o.finish()
     }
@@ -138,11 +137,6 @@ impl LedgerRecord {
         }
     }
 
-    /// Whether the stored `hash` matches the body bytes.
-    pub fn verify(&self) -> bool {
-        self.hash == format!("{:016x}", fnv1a64(self.body_json().as_bytes()))
-    }
-
     fn from_value(v: &JsonValue) -> Option<LedgerRecord> {
         let u = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
         let f = |k: &str| v.num(k).unwrap_or(0.0);
@@ -166,7 +160,6 @@ impl LedgerRecord {
             config_fp: s("config_fp"),
             iterations: u("iterations"),
             seed: u("seed"),
-            batch: u("batch"),
             wall_ms: u("wall_ms"),
             it_per_s: f("it_per_s"),
             loss: f("loss"),
@@ -257,22 +250,28 @@ pub fn load(path: &std::path::Path) -> Vec<LedgerRecord> {
     parse(&text)
 }
 
-/// [`load`], but from JSONL text (replay tests).
+/// [`load`], but from JSONL text (replay tests). Each line is checked
+/// on its own, so one corrupt line does not hide the rest.
 pub fn parse(text: &str) -> Vec<LedgerRecord> {
-    let Ok(values) = parse_jsonl(text) else {
-        // salvage line-by-line: one corrupt line must not hide the rest
-        return text
-            .lines()
-            .filter_map(|l| crate::parse::parse_json(l).ok())
-            .filter_map(|v| LedgerRecord::from_value(&v))
-            .filter(LedgerRecord::verify)
-            .collect();
-    };
-    values
-        .iter()
-        .filter_map(LedgerRecord::from_value)
-        .filter(LedgerRecord::verify)
+    text.lines()
+        .filter(|line| verifies(line))
+        .filter_map(|line| crate::parse::parse_json(line).ok())
+        .filter_map(|v| LedgerRecord::from_value(&v))
         .collect()
+}
+
+/// Whether `line` is `{"hash":"<16 hex>",` followed by the rest of a
+/// body whose bytes — `{` and everything after that prefix — hash to it.
+/// The stored bytes are what is checked, never a re-serialization, so a
+/// record keeps verifying after the schema gains or loses a field.
+fn verifies(line: &str) -> bool {
+    let Some((hash, rest)) = line
+        .strip_prefix("{\"hash\":\"")
+        .and_then(|tail| tail.split_once("\","))
+    else {
+        return false;
+    };
+    hash == format!("{:016x}", fnv1a64(format!("{{{rest}").as_bytes()))
 }
 
 #[cfg(test)]
@@ -294,7 +293,6 @@ mod tests {
             config_fp: "00aabbccddeeff11".to_string(),
             iterations: 120,
             seed,
-            batch: 1,
             wall_ms: 900,
             it_per_s: 133.3,
             loss: 812.25,
@@ -321,7 +319,6 @@ mod tests {
         assert_eq!(loaded[0].seed, 11);
         assert_eq!(loaded[1].seed, 12);
         assert_eq!(loaded[0].phases["backward"], 260.25);
-        assert!(loaded.iter().all(LedgerRecord::verify));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -348,11 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn health_field_round_trips_and_stays_hash_compatible() {
-        // a record without health serializes exactly as before the field
+    fn health_field_round_trips() {
         let plain = record(2).to_json();
-        assert!(!plain.contains("\"health\""));
-        assert!(parse(&plain).len() == 1, "pre-health records still verify");
+        assert!(plain.ends_with(",\"health\":null}"), "{plain}");
+        assert_eq!(parse(&plain)[0].health, None);
         // with health set, it's hashed, persisted and re-read
         let mut rec = record(2);
         rec.health = Some("divergence@80,oscillation@95".to_string());
@@ -367,6 +363,29 @@ mod tests {
         // tampering with health breaks the hash like any other field
         let tampered = line.replace("divergence", "divergonce");
         assert!(parse(&tampered).is_empty());
+    }
+
+    /// A line as an earlier writer stored it, with a `batch` field this
+    /// schema no longer has: it verifies on its own bytes and loads;
+    /// tampered with, it does not.
+    #[test]
+    fn records_of_an_older_schema_verify_on_their_stored_bytes() {
+        let line = r#"{"hash":"fd92ef214cd32ed3","version":1,"ts":1792073790,"cmd":"route","design":"d","nets":75,"config_fp":"737e47925719c826","iterations":40,"seed":0,"batch":1,"wall_ms":1,"it_per_s":44779.44444382251,"loss":982.0446166992188,"wirelength":382,"overflow":0,"overflowed_edges":0,"vias":442,"cache_hits":0,"cache_misses":16,"phases":{"adam":0.022053,"assign_layers":0.107446,"backward":0.171575,"candidates":0.249149,"extract":0.050694,"forest":0.05013,"forward":0.41557999999999995,"refine":0.011063,"relax":0.036129,"route":1.289609,"train":0.893267},"health":"ok"}"#;
+        let loaded = parse(line);
+        assert_eq!(loaded.len(), 1, "an older record must load");
+        let r = &loaded[0];
+        assert_eq!(
+            (r.hash.as_str(), r.seed, r.wirelength),
+            ("fd92ef214cd32ed3", 0, 382)
+        );
+        assert_eq!(
+            (r.config_fp.as_str(), r.phases.len()),
+            ("737e47925719c826", 11)
+        );
+        assert_eq!(r.health.as_deref(), Some("ok"));
+        let tampered = line.replace("\"wirelength\":382", "\"wirelength\":381");
+        assert_ne!(line, tampered);
+        assert!(parse(&tampered).is_empty(), "tampered line must not load");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`process_memory`] — the process's RSS and peak RSS,
 //! * [`TelemetrySink`] — a per-iteration training telemetry sink emitting
 //!   JSONL rows (`{iter, loss, wl, vias, overflow, temperature,
-//!   grad_norm, mem_rss}`),
+//!   grad_norm}`), one per iteration of one run,
 //! * [`scope`] — the per-run registry behind `/status`, `/health` and the
 //!   live `/report`: one entry per run id (headline status, telemetry
 //!   ring, sentinel findings, SLO watchdog), written by one [`tick`] per

@@ -377,13 +377,13 @@ mod tests {
         let mut o = crate::json::JsonObject::new();
         o.field_u64("iter", 12);
         o.field_f32("loss", 0.625);
-        o.field_opt_u64("mem_rss", None);
+        o.field_opt_u64("rss", None);
         o.field_str("name", "n\"7\"\n");
         o.field_f32_array("xs", &[1.0, f32::NAN]);
         let v = parse_json(&o.finish()).unwrap();
         assert_eq!(v.num("iter"), Some(12.0));
         assert_eq!(v.num("loss"), Some(0.625));
-        assert_eq!(v.get("mem_rss"), Some(&JsonValue::Null));
+        assert_eq!(v.get("rss"), Some(&JsonValue::Null));
         assert_eq!(v.str("name"), Some("n\"7\"\n"));
         assert_eq!(
             v.get("xs").unwrap().as_arr().unwrap(),

@@ -147,8 +147,8 @@ fn encloses(outer: &SpanEvent, inner: &SpanEvent) -> bool {
 }
 
 /// This process's memory in bytes, from `/proc/self/status`: `None`
-/// where it cannot be read (off Linux), never `Some(0)` — the telemetry
-/// `mem_rss` field writes "unmeasurable" as `null`.
+/// where it cannot be read (off Linux), never `Some(0)` — `/status`
+/// writes "unmeasurable" as `"rss":null`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessMemory {
     /// Resident set size now (`VmRSS`).
@@ -158,8 +158,8 @@ pub struct ProcessMemory {
 }
 
 /// Reads [`ProcessMemory`]: the one `/proc/self/status` reader behind
-/// telemetry's `mem_rss`, `/status`'s `rss`, the `process.rss_bytes`
-/// gauge `/metrics` refreshes and fig5's peak column.
+/// `/status`'s `rss`, the `process.rss_bytes` gauge `/metrics` refreshes
+/// and fig5's peak column.
 pub fn process_memory() -> ProcessMemory {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     ProcessMemory {

@@ -123,7 +123,6 @@ struct CurveRow {
     loss: f64,
     overflow: f64,
     temperature: f64,
-    lane: Option<u64>,
 }
 
 fn parse_telemetry(text: &str) -> Result<Vec<CurveRow>, String> {
@@ -136,7 +135,6 @@ fn parse_telemetry(text: &str) -> Result<Vec<CurveRow>, String> {
             loss: v.num("loss").unwrap_or(f64::NAN),
             overflow: v.num("overflow").unwrap_or(f64::NAN),
             temperature: v.num("temperature").unwrap_or(f64::NAN),
-            lane: v.get("lane").and_then(crate::parse::JsonValue::as_u64),
         })
         .collect())
 }
@@ -160,13 +158,6 @@ fn render_curves(html: &mut String, rows: Option<&[CurveRow]>) {
         html.push_str("<p class=\"missing\">Telemetry file contained no rows.</p>\n");
         return;
     }
-    let mut lanes: Vec<Option<u64>> = rows.iter().map(|r| r.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    if lanes.len() > 1 {
-        render_lane_curves(html, rows, &lanes);
-        return;
-    }
     let first = rows.first().unwrap();
     let last = rows.last().unwrap();
     let _ = writeln!(
@@ -187,45 +178,6 @@ fn render_curves(html: &mut String, rows: Option<&[CurveRow]>) {
         html.push_str(&line_chart(&series, color));
         let _ = write!(html, "<figcaption>{label} vs. iteration</figcaption>");
         html.push_str("</figure>\n");
-    }
-}
-
-/// Per-lane curves for batched (`--batch N`) runs: one figure per
-/// metric per lane, grouped metric-first so lanes sit side by side.
-fn render_lane_curves(html: &mut String, rows: &[CurveRow], lanes: &[Option<u64>]) {
-    let iters = rows.iter().filter(|r| r.lane == lanes[0]).count();
-    let _ = writeln!(
-        html,
-        "<p class=\"note\">{} batch lanes · {} iterations per lane \
-         (rows tagged with their lane index)</p>",
-        lanes.len(),
-        iters,
-    );
-    for (label, color, pick) in CURVE_METRICS {
-        for lane in lanes {
-            let series: Vec<(f64, f64)> = rows
-                .iter()
-                .filter(|r| r.lane == *lane && pick(r).is_finite())
-                .map(|r| (r.iter, pick(r)))
-                .collect();
-            html.push_str("<figure>");
-            html.push_str(&line_chart(&series, color));
-            match lane {
-                Some(l) => {
-                    let _ = write!(
-                        html,
-                        "<figcaption>{label} vs. iteration — lane {l}</figcaption>"
-                    );
-                }
-                None => {
-                    let _ = write!(
-                        html,
-                        "<figcaption>{label} vs. iteration — untagged</figcaption>"
-                    );
-                }
-            }
-            html.push_str("</figure>\n");
-        }
     }
 }
 
@@ -352,13 +304,9 @@ fn render_snapshots(html: &mut String, stream: Option<&SnapshotStream>) {
     for snap in &stream.snapshots {
         html.push_str("<figure>");
         html.push_str(&heatmap_svg(header, snap));
-        let lane = match snap.lane {
-            Some(l) => format!(", lane {l}"),
-            None => String::new(),
-        };
         let _ = write!(
             html,
-            "<figcaption>iter {} ({}{lane}) — {} overflowed edges, total overflow {}, \
+            "<figcaption>iter {} ({}) — {} overflowed edges, total overflow {}, \
              peak {}</figcaption>",
             snap.iter,
             escape(&snap.phase),
@@ -836,9 +784,9 @@ mod tests {
 
     fn tiny_inputs() -> ReportInputs {
         let telemetry = "{\"iter\":0,\"loss\":10.0,\"wl\":8.0,\"vias\":2.0,\
-                         \"overflow\":1.0,\"temperature\":1.0,\"grad_norm\":3.0,\"mem_rss\":null}\n\
+                         \"overflow\":1.0,\"temperature\":1.0,\"grad_norm\":3.0}\n\
                          {\"iter\":1,\"loss\":9.0,\"wl\":8.0,\"vias\":2.0,\
-                         \"overflow\":0.5,\"temperature\":0.9,\"grad_norm\":2.0,\"mem_rss\":null}\n";
+                         \"overflow\":0.5,\"temperature\":0.9,\"grad_norm\":2.0}\n";
         let header = SnapshotHeader {
             width: 2,
             height: 2,
@@ -855,7 +803,6 @@ mod tests {
             overflowed_edges: 1,
             total_overflow: 1.0,
             peak_overflow: 1.0,
-            lane: None,
         };
         let attr = AttributionRecord {
             phase: "final".into(),
@@ -959,26 +906,6 @@ mod tests {
         inputs.health = Some(String::new());
         let ok = render_report(&inputs).unwrap();
         assert!(ok.contains("All sentinel rules passed"));
-    }
-
-    #[test]
-    fn lane_tagged_telemetry_renders_per_lane_curves() {
-        let mut inputs = tiny_inputs();
-        inputs.telemetry = Some(
-            "{\"iter\":0,\"loss\":10.0,\"overflow\":1.0,\"temperature\":1.0,\"lane\":0}\n\
-             {\"iter\":0,\"loss\":12.0,\"overflow\":1.5,\"temperature\":1.0,\"lane\":1}\n\
-             {\"iter\":1,\"loss\":9.0,\"overflow\":0.5,\"temperature\":0.9,\"lane\":0}\n\
-             {\"iter\":1,\"loss\":11.0,\"overflow\":1.2,\"temperature\":0.9,\"lane\":1}\n"
-                .into(),
-        );
-        let html = render_report(&inputs).unwrap();
-        assert!(html.contains("2 batch lanes"));
-        assert!(html.contains("loss vs. iteration — lane 0"));
-        assert!(html.contains("loss vs. iteration — lane 1"));
-        // single-lane rendering is byte-stable: untagged input keeps the
-        // original captions
-        let single = render_report(&tiny_inputs()).unwrap();
-        assert!(single.contains("<figcaption>loss vs. iteration</figcaption>"));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!
 //! Bounded at [`RING_CAPACITY`] rows by stride doubling: when full, the
 //! keep-stride doubles and only rows whose iteration is a multiple of it
-//! stay, so arbitrarily long runs keep an evenly thinned history in
-//! every lane (newest rows always land; resolution degrades gracefully).
+//! stay, so arbitrarily long runs keep an evenly thinned history (newest
+//! rows always land; resolution degrades gracefully).
 //!
 //! # The watchdog
 //!
@@ -63,13 +63,14 @@ pub struct RunStatus {
     pub iter: u64,
     /// Planned total iterations (0 when unknown).
     pub total_iters: u64,
-    /// Latest training loss (lane 0 for batched runs).
+    /// Latest training loss.
     pub loss: f32,
     /// Latest unweighted overflow term.
     pub overflow: f32,
     /// Current Gumbel-softmax temperature.
     pub temperature: f32,
-    /// Batch lane count (1 for single-instance runs).
+    /// `/status`'s `batch`: whatever [`status_begin`] was handed, at
+    /// least 1. A run is one seed; every caller in the workspace passes 1.
     pub batch: u64,
 }
 
@@ -204,10 +205,9 @@ fn publish_alerts(scopes: &Scopes) {
     }
 }
 
-/// Feeds one iteration's row to the current scope: headline numbers
-/// (lane 0 or untagged rows), telemetry ring (every lane), sentinel
-/// rules and watchdog. The one call the training loop makes per row;
-/// it never touches the optimization state.
+/// Feeds one iteration's row to the current scope: headline numbers,
+/// telemetry ring, sentinel rules and watchdog. The one call the
+/// training loop makes per row; it never touches the optimization state.
 pub fn tick(row: &IterationRow) {
     if !crate::enabled() {
         return;
@@ -217,12 +217,10 @@ pub fn tick(row: &IterationRow) {
     let s = scopes.entry(status_scope_id()).or_default();
     s.published = true;
     s.watched = true;
-    if row.lane.unwrap_or(0) == 0 {
-        s.status.iter = iter;
-        s.status.loss = row.loss;
-        s.status.overflow = row.overflow;
-        s.status.temperature = row.temperature;
-    }
+    s.status.iter = iter;
+    s.status.loss = row.loss;
+    s.status.overflow = row.overflow;
+    s.status.temperature = row.temperature;
     if iter.is_multiple_of(1 << s.thinnings) {
         s.ring.push(*row);
         if s.ring.len() >= RING_CAPACITY && s.thinnings < 63 {
@@ -454,7 +452,7 @@ pub fn report_of(
 mod tests {
     use super::*;
 
-    fn row(iter: usize, lane: Option<u64>) -> IterationRow {
+    fn row(iter: usize) -> IterationRow {
         IterationRow {
             iter,
             loss: iter as f32,
@@ -463,8 +461,6 @@ mod tests {
             overflow: 0.5,
             temperature: 1.0,
             grad_norm: 0.1,
-            mem_rss: None,
-            lane,
         }
     }
 
@@ -472,15 +468,8 @@ mod tests {
         IterationRow {
             loss,
             overflow: 0.0,
-            ..row(iter, None)
+            ..row(iter)
         }
-    }
-
-    /// The iterations scope `id`'s ring holds for `lane`.
-    fn ring_iters(id: u64, lane: Option<u64>) -> Vec<usize> {
-        let rows = crate::rows_from_jsonl(&status_ring_jsonl_of(id)).unwrap();
-        let of_lane = rows.iter().filter(|r| r.lane == lane);
-        of_lane.map(|r| r.iter).collect()
     }
 
     #[test]
@@ -491,7 +480,7 @@ mod tests {
         status_begin("train", 100, 1);
         status_phase("train");
         for i in 0..10 {
-            tick(&row(i, None));
+            tick(&row(i));
         }
         crate::set_enabled(false);
         let s = status_snapshot();
@@ -507,53 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn headline_tracks_lane_zero_only() {
-        let _guard = crate::test_lock();
-        crate::reset();
-        crate::set_enabled(true);
-        status_begin("train", 10, 2);
-        tick(&row(3, Some(0)));
-        tick(&row(3, Some(1)));
-        crate::set_enabled(false);
-        let s = status_snapshot();
-        assert_eq!(s.loss, 3.0);
-        assert_eq!(s.batch, 2);
-        assert_eq!(status_ring_jsonl_of(0).lines().count(), 2);
-    }
-
-    #[test]
     fn ring_thins_by_stride_doubling() {
         let _guard = crate::test_lock();
         crate::reset();
         crate::set_enabled(true);
         status_begin("train", 0, 1);
         for i in 0..(RING_CAPACITY * 4) {
-            tick(&row(i, None));
+            tick(&row(i));
         }
         crate::set_enabled(false);
         let lines = status_ring_jsonl_of(0).lines().count();
         assert!(lines < RING_CAPACITY, "ring unbounded: {lines}");
         assert!(lines > RING_CAPACITY / 8, "ring over-thinned: {lines}");
-    }
-
-    /// `dgr train --batch 2` writes its lanes one after another, an odd
-    /// number of rows each: thinning by position would leave the second
-    /// lane on the odd iterations, where no later row lands.
-    #[test]
-    fn ring_thins_every_lane_onto_the_same_iterations() {
-        let _guard = crate::test_lock();
-        crate::reset();
-        crate::set_enabled(true);
-        status_begin("train", 1025, 2);
-        for lane in 0..2 {
-            for i in 0..1025 {
-                tick(&row(i, Some(lane)));
-            }
-        }
-        crate::set_enabled(false);
-        let even: Vec<usize> = (0..1025).step_by(2).collect();
-        assert_eq!(ring_iters(0, Some(0)), even);
-        assert_eq!(ring_iters(0, Some(1)), even);
     }
 
     #[test]
@@ -580,7 +534,7 @@ mod tests {
             let _scope = status_scope(71);
             status_begin("job-71", 500, 1);
             status_phase("train");
-            tick(&row(4, None));
+            tick(&row(4));
             let s71 = status_snapshot();
             assert_eq!((s71.job.as_str(), s71.iter), ("job-71", 4));
         }
@@ -703,7 +657,7 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         status_begin("train", 10, 1);
-        tick(&row(0, None));
+        tick(&row(0));
         crate::set_enabled(false);
         crate::reset();
         assert_eq!(status_snapshot(), RunStatus::default());
@@ -712,7 +666,7 @@ mod tests {
         assert!(status_json().ends_with("\"jobs\":[]}"));
     }
 
-    fn golden_row(iter: usize, loss: f32, lane: Option<u64>) -> IterationRow {
+    fn golden_row(iter: usize, loss: f32) -> IterationRow {
         IterationRow {
             iter,
             loss,
@@ -721,8 +675,6 @@ mod tests {
             overflow: 0.25,
             temperature: 1.0 - iter as f32 / 128.0,
             grad_norm: loss * 0.01,
-            mem_rss: None,
-            lane,
         }
     }
 
@@ -745,10 +697,11 @@ mod tests {
     /// Every scope-keyed surface, byte for byte, over a scripted run of
     /// three scopes: the CLI scope (begun, never ticked), a diverging job
     /// whose stall watchdog — armed *before* `status_begin`, as `dgrd`
-    /// arms it — breaches, and a two-lane job with a NaN row and a
-    /// deadline that stays armed; then the eviction of the first job.
-    /// Recorded at the commit before the registries were merged
-    /// (`DGR_UPDATE_GOLDEN=1` rewrites it).
+    /// arms it — breaches, and a job with a NaN row and a deadline that
+    /// stays armed; then the eviction of the first job. Recorded at the
+    /// commit before the registries were merged, re-recorded when rows
+    /// lost the process RSS and the batch tag and the third job its
+    /// second run (`DGR_UPDATE_GOLDEN=1` rewrites it).
     #[test]
     fn scope_surfaces_match_the_golden_recorded_before_the_merge() {
         use std::fmt::Write as _;
@@ -769,23 +722,22 @@ mod tests {
             status_phase("train");
             let _span = crate::span("test", "golden-scope-11");
             for i in 0..48 {
-                tick(&golden_row(i, 50.0 * (1.0 + 0.08 * i as f32), None));
+                tick(&golden_row(i, 50.0 * (1.0 + 0.08 * i as f32)));
             }
         }
         let cancel_12 = Arc::new(AtomicBool::new(false));
         watchdog_arm(12, Arc::clone(&cancel_12), Some(1 << 40), None);
         {
             let _scope = status_scope(12);
+            // the third argument is only echoed, as `/status`'s `batch`
             status_begin("job-12", 24, 2);
             status_phase("train");
-            for lane in 0..2u64 {
-                for i in 0..24 {
-                    let mut r = golden_row(i, 90.0 - i as f32 - lane as f32, Some(lane));
-                    if (lane, i) == (1, 7) {
-                        r.grad_norm = f32::NAN;
-                    }
-                    tick(&r);
+            for i in 0..24 {
+                let mut r = golden_row(i, 90.0 - i as f32);
+                if i == 7 {
+                    r.grad_norm = f32::NAN;
                 }
+                tick(&r);
             }
             status_phase("extract");
         }

@@ -238,13 +238,12 @@ impl RuleEngine {
     }
 
     /// Folds one row into the rolling state, returning any findings that
-    /// tripped on this row. Non-lane-0 rows of batched runs only feed the
-    /// poisoning check (headline dynamics track lane 0, like `/status`).
+    /// tripped on this row.
     pub fn observe(&mut self, row: &IterationRow) -> Vec<Finding> {
         let mut out = Vec::new();
         let iter = row.iter as u64;
 
-        // poisoning: any lane, any non-finite term
+        // poisoning: any non-finite term
         if !self.tripped("poisoning") {
             let poisoned = [
                 ("loss", row.loss),
@@ -269,9 +268,6 @@ impl RuleEngine {
                     &mut out,
                 );
             }
-        }
-        if row.lane.unwrap_or(0) != 0 {
-            return out;
         }
         self.rows_seen += 1;
         self.loss_window.push(iter, row.loss);
@@ -471,7 +467,9 @@ pub fn analyze_rows(rows: &[IterationRow]) -> Vec<Finding> {
 
 /// Parses telemetry JSONL text into rows (the inverse of
 /// [`IterationRow::to_json`]; `null` numerics map to NaN so the
-/// poisoning rule sees them).
+/// poisoning rule sees them). Keys outside the schema are ignored: a
+/// file of the older schema, whose rows also carried the process RSS and
+/// a batch tag, still reads — a batched one as its runs concatenated.
 ///
 /// # Errors
 ///
@@ -498,8 +496,6 @@ pub fn rows_from_jsonl(text: &str) -> Result<Vec<IterationRow>, (usize, String)>
             overflow: num("overflow"),
             temperature: num("temperature"),
             grad_norm: num("grad_norm"),
-            mem_rss: v.get("mem_rss").and_then(JsonValue::as_u64),
-            lane: v.get("lane").and_then(JsonValue::as_u64),
         });
     }
     Ok(rows)
@@ -518,8 +514,6 @@ mod tests {
             overflow: 0.0,
             temperature: 1.0,
             grad_norm: loss * 0.01,
-            mem_rss: None,
-            lane: None,
         }
     }
 

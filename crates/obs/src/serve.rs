@@ -9,7 +9,7 @@
 //!   `process.rss_bytes` gauge re-read for each scrape,
 //! * `GET /status` — the live run status as JSON
 //!   ([`crate::scope`]): current job/phase/iteration, loss, overflow,
-//!   temperature, batch width, queue depth, RSS, plus one row per
+//!   temperature, queue depth, RSS, plus one row per
 //!   published run scope on multi-job daemons,
 //! * `GET /report` — the standard HTML post-mortem rendered from the
 //!   live telemetry ring and the span registry's totals *mid-run*,

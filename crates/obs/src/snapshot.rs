@@ -79,9 +79,6 @@ pub struct SnapshotRecord {
     pub total_overflow: f32,
     /// Largest per-edge overflow.
     pub peak_overflow: f32,
-    /// Batch lane index for `--batch N` runs (`None`/`null` for
-    /// single-instance captures).
-    pub lane: Option<u64>,
 }
 
 impl SnapshotRecord {
@@ -98,7 +95,6 @@ impl SnapshotRecord {
         o.field_u64("overflowed_edges", self.overflowed_edges);
         o.field_f32("total_overflow", self.total_overflow);
         o.field_f32("peak_overflow", self.peak_overflow);
-        o.field_opt_u64("lane", self.lane);
         o.finish()
     }
 }
@@ -311,7 +307,6 @@ impl SnapshotStream {
                             .unwrap_or(0),
                         total_overflow: v.num("total_overflow").unwrap_or(0.0) as f32,
                         peak_overflow: v.num("peak_overflow").unwrap_or(0.0) as f32,
-                        lane: v.get("lane").and_then(JsonValue::as_u64),
                     });
                 }
                 Some("attribution") => {
@@ -376,20 +371,7 @@ mod tests {
             overflowed_edges: 1,
             total_overflow: 1.5,
             peak_overflow: 1.5,
-            lane: None,
         }
-    }
-
-    #[test]
-    fn lane_round_trips() {
-        let mut s = snap(4, "train");
-        s.lane = Some(3);
-        let mut sink = SnapshotSink::in_memory();
-        sink.write_header(&header());
-        sink.write_snapshot(&s);
-        let text = sink.memory_contents().unwrap().to_string();
-        let stream = SnapshotStream::parse(&text).unwrap();
-        assert_eq!(stream.snapshots[0].lane, Some(3));
     }
 
     fn attribution() -> AttributionRecord {

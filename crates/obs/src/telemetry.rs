@@ -2,23 +2,20 @@
 //!
 //! A [`TelemetrySink`] is an explicit object (not ambient global state —
 //! several trainings can run concurrently in tests without interleaving
-//! rows). Each [`IterationRow`] serializes to one JSON line with a fixed
-//! schema:
+//! rows). A row is one iteration of one run, and each [`IterationRow`]
+//! serializes to one JSON line with a fixed schema:
 //!
 //! ```json
 //! {"iter":0,"loss":873.2,"wl":512.0,"vias":96.5,"overflow":0.53,
-//!  "temperature":1.0,"grad_norm":12.94,"mem_rss":141557760}
+//!  "temperature":1.0,"grad_norm":12.94}
 //! ```
 //!
 //! `wl`, `vias` and `overflow` are the three *unweighted* cost terms of
-//! Eq. (3) as evaluated on that iteration's forward pass, `grad_norm` is
-//! the L2 norm of the logit gradients, and `mem_rss` is the process
-//! resident set in bytes. `mem_rss` is `null` — not `0` — whenever RSS is
-//! unavailable: on hosts without `/proc/self/status` (macOS, Windows),
-//! when sampling is disabled for determinism, or on iterations between
-//! sample points before the first sample. Rows written with RSS sampling
-//! disabled are byte-deterministic for a fixed seed and thread count —
-//! the determinism tests rely on this.
+//! Eq. (3) as evaluated on that iteration's forward pass, and `grad_norm`
+//! is the L2 norm of the logit gradients. Every field is a function of
+//! the run's inputs, so the rows are byte-deterministic for a fixed seed
+//! at any thread count. The process's memory is `/status`'s and the
+//! `process.rss_bytes` gauge's business, not a row's.
 
 use crate::json::JsonObject;
 use crate::sink::LineOut;
@@ -40,14 +37,6 @@ pub struct IterationRow {
     pub temperature: f32,
     /// L2 norm of the tree+path logit gradients.
     pub grad_norm: f32,
-    /// Process resident set size in bytes; `None` (serialized as JSON
-    /// `null`) when the platform cannot report RSS or sampling is off.
-    pub mem_rss: Option<u64>,
-    /// Batch lane index for `--batch N` runs (`None`/`null` for
-    /// single-instance training). A batched run trains its lanes one
-    /// after another, so its rows are lane-major — all of lane 0, then
-    /// all of lane 1 — and this field attributes each row.
-    pub lane: Option<u64>,
 }
 
 impl IterationRow {
@@ -61,13 +50,11 @@ impl IterationRow {
         o.field_f32("overflow", self.overflow);
         o.field_f32("temperature", self.temperature);
         o.field_f32("grad_norm", self.grad_norm);
-        o.field_opt_u64("mem_rss", self.mem_rss);
-        o.field_opt_u64("lane", self.lane);
         o.finish()
     }
 
     /// The schema keys, in serialization order (used by validators).
-    pub const KEYS: [&'static str; 9] = [
+    pub const KEYS: [&'static str; 7] = [
         "iter",
         "loss",
         "wl",
@@ -75,8 +62,6 @@ impl IterationRow {
         "overflow",
         "temperature",
         "grad_norm",
-        "mem_rss",
-        "lane",
     ];
 }
 
@@ -160,8 +145,6 @@ mod tests {
             overflow: 0.25,
             temperature: 1.0,
             grad_norm: 3.5,
-            mem_rss: Some(4096),
-            lane: None,
         }
     }
 
@@ -176,22 +159,8 @@ mod tests {
         }
         assert_eq!(
             json,
-            r#"{"iter":7,"loss":10.5,"wl":8,"vias":2,"overflow":0.25,"temperature":1,"grad_norm":3.5,"mem_rss":4096,"lane":null}"#
+            r#"{"iter":7,"loss":10.5,"wl":8,"vias":2,"overflow":0.25,"temperature":1,"grad_norm":3.5}"#
         );
-    }
-
-    #[test]
-    fn batched_rows_carry_their_lane() {
-        let mut r = row(0);
-        r.lane = Some(2);
-        assert!(r.to_json().ends_with("\"lane\":2}"));
-    }
-
-    #[test]
-    fn unsampled_rss_serializes_as_null() {
-        let mut r = row(0);
-        r.mem_rss = None;
-        assert!(r.to_json().contains("\"mem_rss\":null"));
     }
 
     #[test]

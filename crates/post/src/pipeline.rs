@@ -160,8 +160,8 @@ pub fn run(
     })
 }
 
-/// The persistent-ledger record of a finished run (batch 1; the content
-/// hash is computed when the record is serialized).
+/// The persistent-ledger record of a finished run (the content hash is
+/// computed when the record is serialized).
 ///
 /// `label` names the design (`dgr route`: the file stem; `dgrd`: the
 /// job label) and `phases` is the per-phase wall-clock in milliseconds
@@ -205,7 +205,6 @@ pub fn ledger_record(
         config_fp: format!("{:016x}", ledger::fnv1a64(key.as_bytes())),
         iterations,
         seed: cfg.seed,
-        batch: 1,
         wall_ms: wall_ms as u64,
         it_per_s: if train_secs > 0.0 {
             iterations as f64 / train_secs

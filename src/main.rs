@@ -8,9 +8,8 @@
 //!          [--snap out.snaps] [--snap-every N]
 //!          [--serve ADDR] [--profile out.folded] [--no-ledger]
 //!          [--progress N] [--quiet]
-//! dgr train <design.txt> [--batch N] ...        # multi-seed run, best kept
+//! dgr train <design.txt> ...                   # the 2D router, unrefined
 //! dgr compare <design.txt> [--iterations N]     # DGR vs all baselines
-//! dgr compare --ledger                          # last two ledger runs
 //! dgr history [--limit N]                       # the persistent run ledger
 //! dgr report [--telemetry in.jsonl] [--snap in.snaps] [--trace in.json]
 //!            [--profile in.folded] [--title NAME] [--out report.html]
@@ -28,9 +27,9 @@
 //! (flamegraph-compatible) file of self time. Every `route`/`train`
 //! run also appends a content-hashed summary record to the persistent
 //! ledger (`~/.dgr/ledger.jsonl`, override with `DGR_LEDGER`, disable
-//! with `--no-ledger`) that `dgr history` and `dgr compare --ledger`
-//! render into cross-run deltas. `dgr report` renders the file
-//! artifacts into one self-contained HTML post-mortem.
+//! with `--no-ledger`) that `dgr history` renders into cross-run deltas.
+//! `dgr report` renders the file artifacts into one self-contained HTML
+//! post-mortem.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -81,14 +80,14 @@ const COMMANDS: &[Command] = &[
     (
         "train",
         true,
-        "--batch= --iterations= --seed= --routes= --trace= --telemetry= --snap= --snap-every= \
-         --serve= --profile= --no-ledger --quiet",
+        "--iterations= --seed= --routes= --trace= --telemetry= --snap= --snap-every= --serve= \
+         --profile= --no-ledger --quiet",
         cmd_train,
     ),
     (
         "compare",
         true,
-        "--iterations= --seed= --trace= --serve= --profile= --ledger?",
+        "--iterations= --seed= --trace= --serve= --profile=",
         cmd_compare,
     ),
     (
@@ -223,17 +222,16 @@ fn print_usage() {
     println!("            [--serve ADDR] [--profile out.folded] [--no-ledger]");
     println!("            [--progress N] [--quiet]");
     println!("      route a design and print metrics");
-    println!("  dgr train <design.txt> [--batch N] [--iterations N] [--seed S]");
+    println!("  dgr train <design.txt> [--iterations N] [--seed S]");
     println!("            [--routes out.txt] [--telemetry out.jsonl]");
     println!("            [--snap out.snaps] [--snap-every N] [--serve ADDR]");
     println!("            [--profile out.folded] [--no-ledger] [--quiet]");
-    println!("      train N seeds over one shared forest, report each, extract the best");
+    println!("      train and extract one seed, print the 2D solution before refinement");
     println!("  dgr compare <design.txt> [--iterations N] [--trace out.json]");
     println!("      route with DGR and every baseline, print a comparison table");
-    println!("  dgr compare --ledger");
-    println!("      diff the last two comparable ledger runs (per-phase deltas + trend)");
     println!("  dgr history [--limit N] [--ledger path]");
-    println!("      render recent ledger records as a table with cross-run deltas");
+    println!("      render recent ledger records as a table, with per-phase deltas");
+    println!("      against the previous comparable run");
     println!("  dgr report [--telemetry in.jsonl] [--snap in.snaps] [--trace in.json]");
     println!("             [--profile in.folded] [--health in.jsonl] [--title NAME]");
     println!("             [--out report.html]");
@@ -355,7 +353,6 @@ fn obs_session(
     flags: &Flags,
     job: &str,
     total_iters: u64,
-    batch: u64,
 ) -> Result<ObsSession, Box<dyn std::error::Error>> {
     let trace = flags.value("--trace").map(str::to_string);
     let profile = flags.value("--profile").map(str::to_string);
@@ -365,7 +362,7 @@ fn obs_session(
     dgr::obs::set_enabled(true);
     // publish the run identity before the listener comes up, so the very
     // first /status scrape names the job
-    dgr::obs::status_begin(job, total_iters, batch);
+    dgr::obs::status_begin(job, total_iters, 1);
     let server = match serve {
         Some(addr) => {
             let server = ObsServer::start(addr)?;
@@ -472,7 +469,6 @@ fn append_run(
     design: &Design,
     cfg: &DgrConfig,
     outcome: &pipeline::Outcome,
-    batch: u64,
 ) {
     if flags.has("--no-ledger") {
         return;
@@ -485,8 +481,7 @@ fn append_run(
         .into_iter()
         .map(|t| (t.name.to_string(), t.total.as_secs_f64() * 1e3))
         .collect();
-    let mut record = pipeline::ledger_record(cmd, &label, design, cfg, outcome, phases);
-    record.batch = batch;
+    let record = pipeline::ledger_record(cmd, &label, design, cfg, outcome, phases);
     if let Some(path) = ledger::append(&record) {
         println!("  ledger           : appended → {}", path.display());
     }
@@ -528,7 +523,7 @@ fn print_sinks(flags: &Flags, hooks: &mut RouteHooks) {
 fn cmd_route(flags: &Flags) -> CliResult {
     let design = load_design(flags)?;
     let cfg = config_from(flags)?;
-    let session = obs_session(flags, "route", cfg.iterations as u64, 1)?;
+    let session = obs_session(flags, "route", cfg.iterations as u64)?;
     let mut hooks = route_hooks(flags, cfg.iterations)?;
     let out = pipeline::run(&design, &cfg, &mut hooks, flags.has("--guide"))?;
     let solution = &out.solution;
@@ -600,73 +595,37 @@ fn cmd_route(flags: &Flags) -> CliResult {
         }
     }
     print_sinks(flags, &mut hooks);
-    append_run(flags, "route", &design, &cfg, &out, 1);
+    append_run(flags, "route", &design, &cfg, &out);
     obs_finish(session)?;
     Ok(())
 }
 
-/// `dgr train`: multi-seed training — `--batch N` trains seeds `seed`,
-/// `seed+1`, … one after another over the router's own front end
-/// ([`DgrRouter::candidates`], [`DgrRouter::forest`]), each exactly as
-/// [`DgrRouter::route`] trains that seed; the best by final loss is
-/// extracted into the reported (unrefined) solution.
+/// `dgr train`: [`DgrRouter::route_with_hooks`] alone — candidates,
+/// forest, training and extraction for one seed — and the 2D solution
+/// it extracts, before refinement.
 fn cmd_train(flags: &Flags) -> CliResult {
-    use dgr::core::{build_cost_model, extract_solution, train_with_hooks, CostModel};
-    use rand::{rngs::StdRng, SeedableRng};
-
     let design = load_design(flags)?;
     let cfg = config_from(flags)?;
-    cfg.validate()?;
-    let batch: usize = flags.parsed("--batch")?.unwrap_or(1);
-    if batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
-    let seeds: Vec<u64> = (0..batch as u64).map(|b| cfg.seed + b).collect();
-    let session = obs_session(flags, "train", cfg.iterations as u64, batch as u64)?;
-
-    // the sinks and the progress line of `dgr route`, handed to each seed
-    let mut sinks = route_hooks(flags, cfg.iterations)?;
-
+    let session = obs_session(flags, "train", cfg.iterations as u64)?;
+    let mut hooks = route_hooks(flags, cfg.iterations)?;
     let t0 = std::time::Instant::now();
-    let router = DgrRouter::new(cfg.clone());
-    let candidates = router.candidates(&design)?;
-    let forest = router.forest(&design, &candidates)?;
-    let mut reports = Vec::with_capacity(batch);
-    // the model with the lowest final loss so far, and its seed's index
-    let mut best: Option<(usize, CostModel)> = None;
-    for (b, &seed) in seeds.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        let lane = (batch > 1).then_some(b as u64);
-        reports.push(train_with_hooks(
-            &mut model, &cfg, &mut rng, &design, &mut sinks, 0, lane,
-        ));
-        if best
-            .as_ref()
-            .is_none_or(|&(i, _)| reports[b].final_loss < reports[i].final_loss)
-        {
-            best = Some((b, model));
-        }
-    }
-    let (best, mut model) = best.expect("--batch is at least 1");
+    let solution = DgrRouter::new(cfg.clone()).route_with_hooks(&design, &mut hooks)?;
+    let elapsed = t0.elapsed();
 
+    let m = &solution.metrics;
     println!(
-        "trained {} instance(s) of {} nets in {:.2?} ({} iterations each)",
-        batch,
+        "trained {} nets in {:.2?} ({} iterations, seed {})",
         design.num_nets(),
-        t0.elapsed(),
-        cfg.iterations
+        elapsed,
+        cfg.iterations,
+        cfg.seed
     );
-    for (seed, report) in seeds.iter().zip(&reports) {
+    if let Some(report) = &solution.train_report {
         println!(
-            "  seed {:>4}  final loss {:>12.4}  final temperature {:.4}",
-            seed, report.final_loss, report.final_temperature
+            "  final loss       : {:.4} (temperature {:.4})",
+            report.final_loss, report.final_temperature
         );
     }
-    let solution = extract_solution(&design, &forest, &mut model, &cfg)?;
-    let elapsed = t0.elapsed();
-    let m = &solution.metrics;
-    println!("best: seed {} (instance {best})", seeds[best]);
     println!("  wirelength       : {}", m.total_wirelength);
     println!("  turning points   : {}", m.total_turns);
     println!("  overflowed edges : {}", m.overflow.overflowed_edges);
@@ -675,18 +634,22 @@ fn cmd_train(flags: &Flags) -> CliResult {
         std::fs::write(path, solution.to_text())?;
         println!("  routes checkpoint → {path}");
     }
-    print_sinks(flags, &mut sinks);
+    print_sinks(flags, &mut hooks);
     // training alone: no post pass ran, so the ledger's vias are the turns
+    let (cache_hits, cache_misses) = hooks.cache_counts;
     let out = pipeline::Outcome {
+        final_loss: solution
+            .train_report
+            .as_ref()
+            .map_or(f64::NAN, |r| f64::from(r.final_loss)),
         solution,
         post: pipeline::Finished::default(),
-        final_loss: f64::from(reports[best].final_loss),
         route_time: elapsed,
         wall: elapsed,
-        cache_hits: candidates.cache_hits,
-        cache_misses: candidates.cache_misses,
+        cache_hits,
+        cache_misses,
     };
-    append_run(flags, "train", &design, &cfg, &out, batch as u64);
+    append_run(flags, "train", &design, &cfg, &out);
     obs_finish(session)?;
     Ok(())
 }
@@ -803,18 +766,17 @@ fn cmd_history(flags: &Flags) -> CliResult {
     let limit: usize = flags.parsed("--limit")?.unwrap_or(16);
     let start = records.len().saturating_sub(limit);
     println!(
-        "{:<16} {:<6} {:<16} {:>6} {:>6} {:>3} {:>9} {:>12} {:>9} {:>8}",
-        "when", "cmd", "design", "iters", "nets", "b", "it/s", "loss", "wl", "ovf"
+        "{:<16} {:<6} {:<16} {:>6} {:>6} {:>9} {:>12} {:>9} {:>8}",
+        "when", "cmd", "design", "iters", "nets", "it/s", "loss", "wl", "ovf"
     );
     for r in &records[start..] {
         println!(
-            "{:<16} {:<6} {:<16} {:>6} {:>6} {:>3} {:>9.1} {:>12.2} {:>9} {:>8.2}",
+            "{:<16} {:<6} {:<16} {:>6} {:>6} {:>9.1} {:>12.2} {:>9} {:>8.2}",
             fmt_ts(r.ts),
             r.cmd,
             r.design,
             r.iterations,
             r.nets,
-            r.batch,
             r.it_per_s,
             r.loss,
             r.wirelength,
@@ -836,7 +798,7 @@ fn cmd_history(flags: &Flags) -> CliResult {
 
 fn resolve_ledger_path(flags: &Flags) -> Result<std::path::PathBuf, Box<dyn std::error::Error>> {
     // `--ledger path` names a file explicitly; bare `--ledger` (as in
-    // `compare --ledger`) falls through to the environment default.
+    // `doctor --ledger`) falls through to the environment default.
     if let Some(p) = flags.value("--ledger") {
         return Ok(std::path::PathBuf::from(p));
     }
@@ -923,74 +885,10 @@ fn fmt_ts(secs: u64) -> String {
     )
 }
 
-/// `dgr compare --ledger`: per-phase deltas of the last two comparable
-/// ledger runs plus a short regression trend over the trailing window.
-fn cmd_compare_ledger(flags: &Flags) -> CliResult {
-    let path = resolve_ledger_path(flags)?;
-    let records = ledger::load(&path);
-    let Some((prev, last)) = last_comparable_pair(&records) else {
-        return Err(format!(
-            "need two runs with the same config in {} ({} record(s) present) — run the same \
-             `dgr route`/`dgr train` twice",
-            path.display(),
-            records.len()
-        )
-        .into());
-    };
-    println!(
-        "comparing the last two `{}` runs of {} ({} nets):",
-        last.cmd, last.design, last.nets
-    );
-    print_run_delta(prev, last);
-    let window: Vec<&LedgerRecord> = records
-        .iter()
-        .filter(|r| r.config_fp == last.config_fp)
-        .collect();
-    let tail = &window[window.len().saturating_sub(8)..];
-    if tail.len() > 2 {
-        println!();
-        println!(
-            "trend over the last {} comparable runs (oldest first):",
-            tail.len()
-        );
-        let series = |name: &str, values: Vec<f64>| {
-            println!("  {:<10} {}  {}", name, spark(&values), fmt_series(&values));
-        };
-        series("loss", tail.iter().map(|r| r.loss).collect());
-        series("it/s", tail.iter().map(|r| r.it_per_s).collect());
-        series("wall ms", tail.iter().map(|r| r.wall_ms as f64).collect());
-    }
-    Ok(())
-}
-
-fn spark(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    values
-        .iter()
-        .map(|&v| {
-            let t = if hi > lo { (v - lo) / (hi - lo) } else { 0.0 };
-            BARS[((t * 7.0).round() as usize).min(7)]
-        })
-        .collect()
-}
-
-fn fmt_series(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v:.1}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 fn cmd_compare(flags: &Flags) -> CliResult {
-    if flags.has("--ledger") {
-        return cmd_compare_ledger(flags);
-    }
     let design = load_design(flags)?;
     let cfg = config_from(flags)?;
-    let session = obs_session(flags, "compare", cfg.iterations as u64, 1)?;
+    let session = obs_session(flags, "compare", cfg.iterations as u64)?;
     println!(
         "{:<12} {:>10} {:>8} {:>10} {:>10} {:>8}",
         "router", "wirelength", "turns", "ovf edges", "ovf total", "t(s)"

@@ -40,7 +40,6 @@ fn route_with_snapshots(design: &Design) -> (dgr::core::RoutingSolution, String)
             sink: SnapshotSink::in_memory(),
             every: 20,
         }),
-        skip_rss: true,
         ..RouteHooks::default()
     };
     let solution = DgrRouter::new(cfg)

@@ -5,7 +5,7 @@
 use dgr::core::{DgrConfig, DgrRouter, RouteHooks, CURVE_POINTS};
 use dgr::grid::Design;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
-use dgr::obs::{IterationRow, TelemetrySink};
+use dgr::obs::{render_report, rows_from_jsonl, IterationRow, ReportInputs, TelemetrySink};
 
 fn small_design(seed: u64) -> Design {
     IspdLikeGenerator::new(IspdLikeConfig {
@@ -31,7 +31,6 @@ fn quick_config(seed: u64) -> DgrConfig {
 fn route_telemetry(design: &Design, cfg: &DgrConfig) -> String {
     let mut hooks = RouteHooks {
         telemetry: Some(TelemetrySink::in_memory()),
-        skip_rss: true, // RSS is the one nondeterministic field
         ..RouteHooks::default()
     };
     DgrRouter::new(cfg.clone())
@@ -45,8 +44,9 @@ fn route_telemetry(design: &Design, cfg: &DgrConfig) -> String {
         .to_string()
 }
 
-/// Same seed, same thread count: the telemetry stream is byte-identical
-/// run to run (extends the PR-1 determinism contract from tensors to the
+/// Same seed: the telemetry stream is byte-identical run to run, with
+/// nothing switched off — every field of a row is a function of the
+/// run's inputs (extends the determinism contract from tensors to the
 /// observability layer).
 #[test]
 fn telemetry_jsonl_is_deterministic_for_fixed_seed() {
@@ -56,9 +56,48 @@ fn telemetry_jsonl_is_deterministic_for_fixed_seed() {
     let b = route_telemetry(&design, &cfg);
     assert!(!a.is_empty());
     assert_eq!(a, b, "telemetry diverged between identical runs");
-    // skip_rss means unmeasured, which serializes as null — never 0
-    assert!(a.contains("\"mem_rss\":null"), "skipped RSS must be null");
-    assert!(!a.contains("\"mem_rss\":0"), "mem_rss must never be 0");
+}
+
+/// A telemetry file of the older schema — every row also carrying the
+/// process RSS and a batch tag, two tagged runs one after the other —
+/// still parses and renders: the extra keys are ignored and the two runs
+/// read as one concatenated run.
+#[test]
+fn telemetry_of_the_older_schema_still_parses_and_renders() {
+    let mut text = String::new();
+    for (tag, loss) in [(0, 10.0), (1, 12.0)] {
+        for iter in 0..3 {
+            text.push_str(&format!(
+                "{{\"iter\":{iter},\"loss\":{},\"wl\":8,\"vias\":2,\"overflow\":0.5,\
+                 \"temperature\":1,\"grad_norm\":3,\"mem_rss\":{},\"lane\":{tag}}}\n",
+                loss - iter as f64,
+                [Some(4096), None, Some(8192)][iter]
+                    .map_or("null".to_string(), |b: u64| b.to_string()),
+            ));
+        }
+    }
+    let rows = rows_from_jsonl(&text).expect("older rows parse");
+    let iters: Vec<usize> = rows.iter().map(|r| r.iter).collect();
+    assert_eq!(iters, [0, 1, 2, 0, 1, 2], "one concatenated run");
+    assert_eq!(rows[3].loss, 12.0);
+    assert!(rows.iter().all(|r| r.grad_norm == 3.0));
+    // re-serialized, a row has exactly the current schema
+    let json = rows[0].to_json();
+    assert_eq!(
+        json.matches("\":").count(),
+        IterationRow::KEYS.len(),
+        "{json}"
+    );
+
+    let html = render_report(&ReportInputs {
+        title: "older schema".into(),
+        telemetry: Some(text),
+        ..ReportInputs::default()
+    })
+    .expect("older telemetry renders");
+    assert!(html
+        .contains("<p class=\"note\">6 iterations · loss 10 → 10 · final overflow term 0.5</p>"));
+    assert!(html.contains("<figcaption>loss vs. iteration</figcaption>"));
 }
 
 #[test]

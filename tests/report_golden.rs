@@ -1,8 +1,7 @@
 //! Byte-exact golden snapshot of the `dgr report` HTML output.
 //!
 //! A fixed oracle-generated design is routed with in-memory telemetry
-//! and congestion snapshots (RSS sampling off — the one nondeterministic
-//! telemetry field), the attribution pass is run, and the rendered HTML
+//! and congestion snapshots, the attribution pass is run, and the rendered HTML
 //! must match `tests/golden/report_seed11.html` byte for byte. No trace
 //! input: span timings are wall-clock and would never reproduce. Nothing
 //! pins the thread count: the pipeline's output does not depend on it.
@@ -38,7 +37,6 @@ fn report_html() -> String {
             sink: SnapshotSink::in_memory(),
             every: 15,
         }),
-        skip_rss: true,
         ..RouteHooks::default()
     };
     let solution = DgrRouter::new(cfg)

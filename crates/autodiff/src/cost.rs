@@ -48,7 +48,10 @@
 //!
 //! A net with one tree or a sub-net with one path has probability exactly
 //! 1 whatever its logit: such groups are never exponentiated, draw no
-//! noise, and keep a zero gradient, so their logits never move.
+//! noise, and have a zero gradient. A group constant from the start
+//! therefore never moves its logit; one that [`CostModel::prune`] leaves
+//! with one candidate keeps drifting on the optimizer's momentum from
+//! before, which nothing reads.
 //!
 //! A sub-net is *frozen* when both hold of it: one path, under the one
 //! tree of its net. Its mass is `q · p = 1.0 · 1.0` in every pass — the
@@ -486,9 +489,7 @@ impl NoiseRuns {
     ///
     /// Panics if `noise` is shorter than the layout.
     pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, noise: &mut [f32]) {
-        for run in self.0.iter() {
-            gumbel::fill_gumbel(rng, &mut noise[run.clone()]);
-        }
+        gumbel::fill_runs(rng, &self.0, noise);
     }
 }
 
@@ -1254,7 +1255,7 @@ fn softmax_group(w: &[f32], noise: Option<&[f32]>, inv_tau: f32, out: &mut [f32]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     type Cell = (usize, usize);
 
@@ -1568,6 +1569,26 @@ mod tests {
             checked += constants.len();
         }
         assert!(checked > 50, "only {checked} one-candidate groups");
+    }
+
+    #[test]
+    fn noise_runs_draw_what_the_reference_draws_run_by_run() {
+        for seed in 0..200 {
+            let model = Problem::random(seed).model(terms(Activation::Sigmoid), seed);
+            let runs = model.noise_runs();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut got = vec![3.0f32; model.logits.len()];
+            let mut want = got.clone();
+            for _ in 0..50 {
+                runs.fill(&mut a, &mut got);
+                for run in runs.0.iter() {
+                    gumbel::reference_fill(&mut b, &mut want[run.clone()]);
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
     }
 
     /// The indices `keep` flags.

@@ -48,10 +48,12 @@
 //!
 //! A net with one tree or a sub-net with one path has probability exactly
 //! 1 whatever its logit: such groups are never exponentiated, draw no
-//! noise, and have a zero gradient. A group constant from the start
-//! therefore never moves its logit; one that [`CostModel::prune`] leaves
-//! with one candidate keeps drifting on the optimizer's momentum from
-//! before, which nothing reads.
+//! noise, and have a gradient of exactly `+0.0` — every entry outside
+//! [`NoiseRuns::runs`]. A group constant from the start never moves its
+//! logit. One that [`CostModel::prune`] leaves with one candidate keeps
+//! the logit it had at the prune: the training loop forgets its optimizer
+//! moments there ([`crate::Adam::retain`]) and steps only the runs from
+//! then on ([`crate::Adam::step_runs`]).
 //!
 //! A sub-net is *frozen* when both hold of it: one path, under the one
 //! tree of its net. Its mass is `q · p = 1.0 · 1.0` in every pass — the
@@ -460,6 +462,11 @@ fn spread<T: Copy>(v: &mut Vec<T>, alive: &[bool], fill: T) {
 /// The entries of the logit layout that draw noise — the maximal runs of
 /// entries in groups of two or more candidates — behind a handle that
 /// can fill a noise buffer away from its [`CostModel`].
+///
+/// They are also the only entries whose gradient can be anything but
+/// `+0.0`: `new` and [`CostModel::prune`] zero the gradient, the sub-net
+/// backward never writes the path of a one-path group, and the tree
+/// backward runs only over the nets of two or more trees.
 #[derive(Debug, Clone)]
 pub struct NoiseRuns(Arc<[Range<usize>]>);
 
@@ -479,6 +486,12 @@ impl NoiseRuns {
             }
         }
         NoiseRuns(runs.into())
+    }
+
+    /// The runs, ascending and apart: outside them every gradient entry
+    /// is exactly `+0.0`.
+    pub fn runs(&self) -> &[Range<usize>] {
+        &self.0
     }
 
     /// Draws fresh Gumbel(0, 1) noise into every such entry of `noise`
@@ -760,7 +773,8 @@ impl CostModel {
     }
 
     /// Every logit (trees, then paths) with its gradient — what one
-    /// [`crate::Adam::step`] updates.
+    /// [`crate::Adam::step`] updates, or [`crate::Adam::step_runs`] over
+    /// [`NoiseRuns::runs`].
     pub fn logits_and_grads(&mut self) -> (&mut [f32], &[f32]) {
         (&mut self.logits, &self.grad)
     }
@@ -1591,6 +1605,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn outside_the_noise_runs_every_gradient_is_plus_zero() {
+        let mut outside = 0;
+        for seed in 0..200 {
+            let mut model = Problem::random(seed).model(terms(Activation::Sigmoid), seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            // as built, then after a prune that leaves groups of one
+            for below in [None, Some(0.3)] {
+                if let Some(below) = below {
+                    model.prune(below);
+                }
+                for _ in 0..3 {
+                    model.sample_noise(&mut rng);
+                    model.forward();
+                    model.backward();
+                    let runs = model.noise_runs();
+                    let inside = |i: usize| runs.runs().iter().any(|r| r.contains(&i));
+                    for i in (0..model.grad.len()).filter(|&i| !inside(i)) {
+                        assert_eq!(model.grad[i].to_bits(), 0, "seed {seed} entry {i}");
+                        outside += 1;
+                    }
+                }
+            }
+        }
+        assert!(outside > 500, "only {outside} entries outside the runs");
+    }
+
     /// The indices `keep` flags.
     fn flagged(keep: Vec<bool>) -> Vec<u32> {
         let indices = (0..).zip(keep).filter_map(|(i, k)| k.then_some(i));
@@ -1896,8 +1937,9 @@ mod tests {
                             _ => {
                                 let keep = model.prune(thresholds[stage - 1]);
                                 assert_eq!(reference.prune(thresholds[stage - 1]), keep);
+                                let runs = model.noise_runs();
                                 for adam in &mut adams {
-                                    keep.iter().for_each(|keep| adam.retain(keep));
+                                    keep.iter().for_each(|keep| adam.retain(keep, runs.runs()));
                                 }
                             }
                         }

@@ -109,7 +109,7 @@ fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
     for it in 0..ITERATIONS {
         if STEPS.contains(&it) {
             if let Some(keep) = model.prune(BELOW) {
-                adam.retain(&keep);
+                adam.retain(&keep, model.noise_runs().runs());
                 live.push(model.num_trees() + model.num_paths());
             }
         }
@@ -145,7 +145,7 @@ fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace 
         for it in 0..ITERATIONS {
             if STEPS.contains(&it) {
                 if let Some(keep) = model.prune(BELOW) {
-                    adam.retain(&keep);
+                    adam.retain(&keep, model.noise_runs().runs());
                     live.push(model.num_trees() + model.num_paths());
                     spare.truncate(model.num_trees() + model.num_paths());
                     spare.fill(0.0);

@@ -18,7 +18,11 @@
 //! candidates whose noise-free probability at the new temperature is
 //! under [`PRUNE_BELOW`] ([`CostModel::prune`]) and shrinks Adam's
 //! moments with it: the iterations after it run over the candidates
-//! still alive. Noise belongs to a layout, so the iteration before a
+//! still alive. A logit whose group is left with one candidate has a
+//! gradient of `+0.0` from then on; the step forgets its moments, and
+//! the Adam update and the telemetry row's gradient norm run over the
+//! groups of two or more only ([`STEP_GAP`]), so it keeps the value it
+//! had at the prune. Noise belongs to a layout, so the iteration before a
 //! step offers no draw ahead and the step draws after it has compacted —
 //! the same RNG stream whichever thread draws. On the way out the model
 //! is put back in the forest's layout ([`CostModel::restore_layout`]),
@@ -35,6 +39,7 @@
 //! uninstrumented hot path plus one relaxed atomic load per iteration
 //! phase.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use dgr_autodiff::cost::NoiseRuns;
@@ -69,6 +74,34 @@ pub const CURVE_POINTS: usize = 256;
 /// re-pick over every path of the chosen tree from the forest, dropped
 /// ones included.
 pub const PRUNE_BELOW: f32 = 1e-4;
+
+/// The most lone logits between two noise runs that the Adam step and the
+/// gradient norm walk through rather than around (`moving_runs`). A
+/// logit of a one-candidate group has a `+0.0` gradient and, since the
+/// prune that left it alone, zero moments, so stepping it changes no bit;
+/// what a gap costs is a few wasted updates, what a cut costs is a call of
+/// the update loop.
+///
+/// Measured as the `adam` span of `dgr route --profile` on the seed-1
+/// benchmark designs, ms a run, three runs each, against the dense step
+/// over every logit:
+///
+/// | gap | `congested_full_train` (1 000 it) | `large_quick_route` (40) | `high_degree_sparse` (40) |
+/// |---|---|---|---|
+/// | dense | 26.1–26.5 | 4.5–4.8 | 17.9–20.5 |
+/// | 0 (exact runs) | 9.8–10.2 | 7.7–14.0 | 25.3–29.1 |
+/// | **4** | **6.6–7.2** | **4.5–5.0** | **18.7–19.7** |
+/// | 8 | 7.0–7.6 | 4.6–5.0 | 18.3–19.4 |
+/// | 16 | 7.2–7.9 | 4.5–4.9 | 18.7–20.3 |
+/// | 64 | 8.1–8.6 | 4.5–5.3 | 18.1–20.3 |
+/// | 256 | 9.3–9.9 | 4.4–4.7 | 18.3–19.4 |
+///
+/// Exact runs lose on the two 40-iteration designs, where most runs are
+/// 2–3 logits long; from 4 up those read as the dense step, and the
+/// congested design, whose step the dense loop spent on decided logits,
+/// is fastest at 4. The gradient norm over the same runs: 3.1–3.3 ms there
+/// at 4, 4.9–5.3 exact, 5.4–5.9 at 256 (the sum over every logit: 6.0–6.3).
+pub const STEP_GAP: usize = 4;
 
 /// Least wall-clock time between two progress lines but the last, so
 /// tiny fast runs do not flood stderr.
@@ -227,6 +260,9 @@ fn train_loop(
     let graph_bytes = model.bytes();
     let mut live = vec![LiveRow::at(0, model)];
     let is_step = |it: usize| it > 0 && it.is_multiple_of(cfg.temperature_interval);
+    // the logits Adam steps and the gradient norm sums: every other one
+    // is in a group of one, its gradient +0.0 and its moments zero
+    let mut moving = moving_runs(model);
 
     for it in 0..cfg.iterations {
         if hooks.is_cancelled() {
@@ -237,7 +273,8 @@ fn train_loop(
         if is_step(it) {
             let _s = dgr_obs::span("train", "prune");
             if let Some(keep) = model.prune(PRUNE_BELOW) {
-                adam.retain(&keep);
+                adam.retain(&keep, model.noise_runs().runs());
+                moving = moving_runs(model);
                 spare_noise.truncate(num_logits(model));
                 spare_noise.fill(0.0);
                 live.push(LiveRow::at(it, model));
@@ -300,12 +337,12 @@ fn train_loop(
         // a row is materialized when a sink wants it OR the global obs
         // switch is on (the run's live scope feeds off dgr_obs::tick)
         if hooks.telemetry.is_some() || dgr_obs::enabled() {
-            let grad_sq: f32 = model
-                .tree_grad()
+            // folded from +0.0: with nothing moving, the row reads 0, not −0
+            let (_, grads) = model.logits_and_grads();
+            let grad_sq = moving
                 .iter()
-                .chain(model.path_grad())
-                .map(|g| g * g)
-                .sum();
+                .flat_map(|r| &grads[r.clone()])
+                .fold(0.0f32, |sum, g| sum + g * g);
             let row = IterationRow {
                 iter: iter_offset + it,
                 loss,
@@ -323,7 +360,7 @@ fn train_loop(
         {
             let _s = dgr_obs::span("train", "adam");
             let (logits, grads) = model.logits_and_grads();
-            adam.step(logits, grads);
+            adam.step_runs(logits, grads, &moving);
         }
         if let Some(every) = hooks.progress {
             let due = every > 0 && (it % every == 0 || last_iter);
@@ -368,6 +405,19 @@ fn train_loop(
 /// One logit per tree and per path.
 fn num_logits(model: &CostModel) -> usize {
     model.num_trees() + model.num_paths()
+}
+
+/// The model's noise runs — the logits of groups of two or more, the only
+/// ones with a gradient — merged across gaps of at most [`STEP_GAP`].
+fn moving_runs(model: &CostModel) -> Vec<Range<usize>> {
+    let mut merged: Vec<Range<usize>> = Vec::new();
+    for run in model.noise_runs().runs() {
+        match merged.last_mut() {
+            Some(last) if run.start - last.end <= STEP_GAP => last.end = run.end,
+            _ => merged.push(run.clone()),
+        }
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -524,7 +574,10 @@ mod tests {
     }
 
     /// The loop as it was before the helper: `iterations` of the step's
-    /// prune, noise, forward, backward and the update, inline. Returns
+    /// prune, noise, forward, backward and the update, inline. Each prune
+    /// forgets the moments of the logits it leaves alone in their group,
+    /// and the update steps every logit: the gaps between the runs
+    /// [`train`] steps are stepped here too, and must not move. Returns
     /// the losses too.
     fn inline_loop(
         model: &mut CostModel,
@@ -532,13 +585,48 @@ mod tests {
         rng: &mut StdRng,
         iterations: usize,
     ) -> Vec<u32> {
+        inline_loop_by(Forget::AtThePrune, model, cfg, rng, iterations).0
+    }
+
+    /// What a prune does to the optimizer moments of a logit it leaves
+    /// alone in its group.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Forget {
+        AtThePrune,
+        /// Keep them: the loop before [`STEP_GAP`], whose lone logits
+        /// drifted on that momentum.
+        Never,
+    }
+
+    /// [`inline_loop`] under `forget`. Also returns the logits in the
+    /// forest's layout as built and after each prune that dropped
+    /// candidates.
+    fn inline_loop_by(
+        forget: Forget,
+        model: &mut CostModel,
+        cfg: &DgrConfig,
+        rng: &mut StdRng,
+        iterations: usize,
+    ) -> (Vec<u32>, Vec<Vec<f32>>) {
+        let in_the_forest_layout = |model: &CostModel| {
+            let mut model = model.clone();
+            model.restore_layout();
+            let logits = model.tree_logits().iter().chain(model.path_logits());
+            logits.copied().collect::<Vec<f32>>()
+        };
         let mut adam = Adam::new(num_logits(model), cfg.learning_rate);
         let mut losses = Vec::new();
+        let mut at_prunes = vec![in_the_forest_layout(model)];
         for it in 0..iterations {
             model.set_temperature(cfg.temperature_at(it));
             if it > 0 && it.is_multiple_of(cfg.temperature_interval) {
                 if let Some(keep) = model.prune(PRUNE_BELOW) {
-                    adam.retain(&keep);
+                    let runs = match forget {
+                        Forget::AtThePrune => model.noise_runs().runs().to_vec(),
+                        Forget::Never => std::iter::once(0..num_logits(model)).collect(),
+                    };
+                    adam.retain(&keep, &runs);
+                    at_prunes.push(in_the_forest_layout(model));
                 }
             }
             model.sample_noise(rng);
@@ -549,7 +637,116 @@ mod tests {
             adam.step(w, g);
         }
         model.restore_layout();
-        losses
+        (losses, at_prunes)
+    }
+
+    /// Whether each logit of `w` (in the forest's layout) is decided: the
+    /// one finite logit of its group, and for a path, under a live tree.
+    fn decided(forest: &dgr_dag::DagForest, w: &[f32]) -> Vec<bool> {
+        let trees = forest.num_trees();
+        let mut flags = vec![false; w.len()];
+        let mut mark_lone = |group: std::ops::Range<usize>| {
+            let mut finite = group.filter(|&i| w[i].is_finite());
+            if let (Some(i), None) = (finite.next(), finite.next()) {
+                flags[i] = true;
+            }
+        };
+        for n in 0..forest.num_nets() {
+            mark_lone(forest.trees_of_net(n));
+        }
+        for s in 0..forest.num_subnets() {
+            if w[forest.tree_of_subnet(s)].is_finite() {
+                let paths = forest.paths_of_subnet(s);
+                mark_lone(trees + paths.start..trees + paths.end);
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn forgetting_at_the_prune_moves_nothing_but_the_decided_logits() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for nets in [200, 1200] {
+            let (design, forest, cfg) = random_problem(nets);
+            let run = |forget| {
+                let mut rng = StdRng::seed_from_u64(3);
+                let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+                let (losses, at_prunes) =
+                    inline_loop_by(forget, &mut model, &cfg, &mut rng, cfg.iterations);
+                model.probabilities();
+                (model, losses, at_prunes)
+            };
+            let (new, losses, at_prunes) = run(Forget::AtThePrune);
+            let (old, old_losses, _) = run(Forget::Never);
+            assert_eq!(
+                at_prunes.len(),
+                3,
+                "{nets} nets: both steps dropped candidates"
+            );
+            assert_eq!(losses, old_losses, "{nets} nets");
+            assert_eq!(bits(new.q()), bits(old.q()), "{nets} nets");
+            assert_eq!(bits(new.p()), bits(old.p()), "{nets} nets");
+            assert_eq!(bits(new.demand()), bits(old.demand()), "{nets} nets");
+
+            let logits = |m: &CostModel| [m.tree_logits(), m.path_logits()].concat();
+            let (w, w_old) = (logits(&new), logits(&old));
+            let decided_at = at_prunes.iter().map(|at| decided(&forest, at));
+            let decided_at: Vec<Vec<bool>> = decided_at.collect();
+            let (mut kept, mut drifted) = (0, 0);
+            for (i, decided) in decided(&forest, &w).into_iter().enumerate() {
+                if !decided {
+                    assert_eq!(w[i].to_bits(), w_old[i].to_bits(), "{nets} nets, logit {i}");
+                    continue;
+                }
+                // the value it had at the prune that left it alone, or as
+                // built when it was alone from the start
+                let first = decided_at.iter().position(|d| d[i]);
+                let first = first.expect("decided at the end, so after the last prune");
+                assert_eq!(
+                    w[i].to_bits(),
+                    at_prunes[first][i].to_bits(),
+                    "{nets} nets, logit {i}"
+                );
+                kept += usize::from(first > 0);
+                drifted += usize::from(w[i].to_bits() != w_old[i].to_bits());
+            }
+            assert!(
+                kept > 0 && drifted > 0,
+                "{nets} nets: {kept} logits decided by a prune, {drifted} of them drifted before"
+            );
+        }
+    }
+
+    #[test]
+    fn a_model_with_nothing_to_decide_reports_a_gradient_norm_of_plus_zero() {
+        // two nets along one row each: one tree of one straight path
+        let grid = GcellGrid::new(6, 6).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
+        let nets =
+            [0, 3].map(|y| Net::new(format!("n{y}"), vec![Point::new(0, y), Point::new(5, y)]));
+        let design = Design::new(grid, cap, nets.into(), 5).unwrap();
+        let pools: Vec<_> = design
+            .nets
+            .iter()
+            .map(|n| tree_candidates(&n.pins, &CandidateConfig::single()).unwrap())
+            .collect();
+        let forest = build_forest(&design.grid, &pools, PatternConfig::l_only()).unwrap();
+        let cfg = DgrConfig {
+            iterations: 5,
+            ..DgrConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        assert!(model.noise_runs().runs().is_empty(), "a group of two");
+        let mut hooks = RouteHooks {
+            telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
+            ..RouteHooks::default()
+        };
+        train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0);
+        let sink = hooks.telemetry.unwrap();
+        let rows = sink.memory_contents().unwrap().lines();
+        let norms: Vec<&str> = rows.map(|row| row.rsplit_once(',').unwrap().1).collect();
+        assert_eq!(norms, [r#""grad_norm":0}"#; 5]);
     }
 
     /// `set_num_threads` is process-global, and the crate's other tests

@@ -196,8 +196,16 @@ const ANNEALED_SEED: u64 = 24;
 /// 700 clustered nets on 48 × 48 cells, enough paths for training to
 /// engage its helper, trained for 1 000 iterations — nine temperature
 /// steps, by the last of which all but a few dozen sub-nets are frozen.
-/// The loss bits at every 100th iteration, an FNV-1a of the final logits'
-/// bits, and the guide.
+/// The loss bits at every 100th iteration, two FNV-1a of the final
+/// logits' bits, and the guide.
+///
+/// The logits are hashed in two lines by their group — a net's trees, a
+/// sub-net's paths — as the run leaves it. `moving` holds the groups that
+/// end with two or more finite logits, and was recorded at the commit
+/// *before* Adam stopped stepping groups of one: those logits train as
+/// they did. `decided` holds the rest, and was re-recorded then: a group
+/// that a prune leaves with one candidate now keeps its logit from that
+/// prune on, where it used to drift on Adam's momentum, read by nothing.
 fn annealed_training_text() -> String {
     use dgr::core::{build_cost_model, extract_solution, train};
     use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
@@ -238,9 +246,26 @@ fn annealed_training_text() -> String {
     for point in report.curve.iter().filter(|p| p.iter % 100 == 0) {
         text += &format!("loss {} {:08x}\n", point.iter, point.loss.to_bits());
     }
-    let logits = model.tree_logits().iter().chain(model.path_logits());
-    let bytes: Vec<u8> = logits.flat_map(|w| w.to_bits().to_le_bytes()).collect();
-    text += &format!("logits {:016x}\n", dgr::obs::ledger::fnv1a64(&bytes));
+    let w = [model.tree_logits(), model.path_logits()].concat();
+    let trees = forest.num_trees();
+    let tree_groups = (0..forest.num_nets()).map(|n| forest.trees_of_net(n));
+    let path_groups = (0..forest.num_subnets()).map(|s| {
+        let paths = forest.paths_of_subnet(s);
+        trees + paths.start..trees + paths.end
+    });
+    let (mut moving, mut decided) = (Vec::new(), Vec::new());
+    for group in tree_groups.chain(path_groups) {
+        let finite = group.clone().filter(|&i| w[i].is_finite()).count();
+        let side = if finite >= 2 {
+            &mut moving
+        } else {
+            &mut decided
+        };
+        side.extend(group.flat_map(|i| w[i].to_bits().to_le_bytes()));
+    }
+    for (name, bytes) in [("moving", moving), ("decided", decided)] {
+        text += &format!("logits {name} {:016x}\n", dgr::obs::ledger::fnv1a64(&bytes));
+    }
     let solution = extract_solution(&design, &forest, &mut model, &cfg).expect("extracts");
     let assigned = assign_layers(&design, &solution, AssignConfig::default()).expect("≥ 2 layers");
     text + &RouteGuide::from_assignment(&design, &assigned).to_text()

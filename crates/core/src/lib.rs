@@ -51,10 +51,7 @@ pub use attribution::{attribute_solution, write_attribution, MAX_ATTRIBUTION_NET
 pub use config::{CostWeights, DgrConfig, ExtractionMode};
 pub use extract::extract_solution;
 pub use relax::{build_cost_model, CostModel};
-pub use snapshot::{
-    ensure_header, snapshot_header, write_demand_snapshot, write_dense_snapshot,
-    write_solution_snapshot,
-};
+pub use snapshot::{ensure_header, write_demand_snapshot, write_dense_snapshot};
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 pub use train::{train, CurvePoint, LiveRow, TrainReport, CURVE_POINTS};
 
@@ -357,10 +354,10 @@ impl DgrRouter {
                     sink.flush();
                 }
                 if let Some(s) = hooks.snap.as_mut() {
-                    snapshot::write_solution_snapshot(
+                    snapshot::write_demand_snapshot(
                         &mut s.sink,
                         design,
-                        &solution,
+                        &solution.demand,
                         iter_offset as u64,
                         "extract",
                     );

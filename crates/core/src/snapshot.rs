@@ -1,52 +1,70 @@
-//! Glue between the grid's congestion captures and the obs snapshot
-//! stream.
+//! The capture of the obs snapshot stream: per-edge demand, split by
+//! direction into the rasters of a [`SnapshotRecord`].
 //!
-//! `dgr-obs` is dependency-free (plain vectors), `dgr-grid` knows the
-//! edge layout; this module converts between the two and owns the write
-//! discipline of the stream: header first (idempotent), then snapshots
-//! keyed by `(iter, phase)`. Capture sites call these helpers from the
-//! training loop (dense Eq. 10 expected demand) and from extraction /
-//! post-processing (discrete [`DemandMap`] demand).
+//! Both records are built here, straight from the design and a dense
+//! per-edge total-demand slice indexed by [`dgr_grid::EdgeId`]: the
+//! header's capacity rasters once, then one record per capture. H edges
+//! come first in the dense numbering of [`dgr_grid::GcellGrid`], row-major
+//! (`(width−1)·height` of them), V edges after them, row-major
+//! (`width·(height−1)`), so each direction's raster is a contiguous run.
+//! This module also owns the write discipline of the stream: header
+//! first (idempotent), then snapshots keyed by `(iter, phase)`. The
+//! training loop captures the dense Eq. (10) expected demand it
+//! maintains; extraction and post-processing capture a discrete
+//! [`DemandMap`] (Eq. 2), densified first.
 
-use dgr_grid::{capacity_grids, CongestionSnapshot, DemandMap, Design};
+use dgr_grid::demand::excess;
+use dgr_grid::{DemandMap, Design};
 use dgr_obs::{SnapshotHeader, SnapshotRecord, SnapshotSink};
 
-use crate::solution::RoutingSolution;
-
-/// Builds the stream header (grid dimensions + capacity rasters) for
-/// `design`.
-pub fn snapshot_header(design: &Design) -> SnapshotHeader {
-    let (h_capacity, v_capacity) = capacity_grids(&design.grid, &design.capacity);
-    SnapshotHeader {
-        width: design.grid.width(),
-        height: design.grid.height(),
-        h_capacity,
-        v_capacity,
-    }
-}
-
-/// Writes the header record if the sink does not have one yet.
+/// Writes the header record — grid dimensions and capacity rasters — if
+/// the sink does not have one yet.
 pub fn ensure_header(sink: &mut SnapshotSink, design: &Design) {
-    if !sink.header_written() {
-        sink.write_header(&snapshot_header(design));
+    if sink.header_written() {
+        return;
     }
+    let grid = &design.grid;
+    let capacity: Vec<f32> = grid
+        .edge_ids()
+        .map(|e| design.capacity.capacity(e))
+        .collect();
+    let (h, v) = capacity.split_at(grid.num_h_edges());
+    sink.write_header(&SnapshotHeader {
+        width: grid.width(),
+        height: grid.height(),
+        h_capacity: h.to_vec(),
+        v_capacity: v.to_vec(),
+    });
 }
 
-fn to_record(snap: CongestionSnapshot, iter: u64, phase: &str) -> SnapshotRecord {
+/// One capture of the dense per-edge total demand `total_demand`, which
+/// has `grid.num_edges()` entries: the demand and its [`excess`] split by
+/// direction, and the overflowed-edge count, sum and peak of that excess.
+fn capture(design: &Design, total_demand: &[f32], iter: u64, phase: &str) -> SnapshotRecord {
+    let grid = &design.grid;
+    let overflow: Vec<f32> = grid
+        .edge_ids()
+        .map(|e| excess(total_demand[e.index()], design.capacity.capacity(e)))
+        .collect();
+    let over = overflow.iter().copied().filter(|&o| o > 0.0);
+    let num_h = grid.num_h_edges();
     SnapshotRecord {
         iter,
         phase: phase.to_string(),
-        h_demand: snap.h_demand,
-        v_demand: snap.v_demand,
-        h_overflow: snap.h_overflow,
-        v_overflow: snap.v_overflow,
-        overflowed_edges: snap.overflowed_edges as u64,
-        total_overflow: snap.total_overflow,
-        peak_overflow: snap.peak_overflow,
+        h_demand: total_demand[..num_h].to_vec(),
+        v_demand: total_demand[num_h..].to_vec(),
+        h_overflow: overflow[..num_h].to_vec(),
+        v_overflow: overflow[num_h..].to_vec(),
+        overflowed_edges: over.clone().count() as u64,
+        // folded from +0.0 in edge order: `Iterator::sum` starts at −0.0,
+        // which a clean capture would print as `-0`
+        total_overflow: over.clone().fold(0.0, |sum, o| sum + o),
+        peak_overflow: over.fold(0.0, f32::max),
     }
 }
 
-/// Captures and writes one snapshot of a discrete [`DemandMap`].
+/// Captures and writes one snapshot of a discrete [`DemandMap`] (Eq. 2
+/// total demand: wire plus β-weighted endpoint via pressure).
 pub fn write_demand_snapshot(
     sink: &mut SnapshotSink,
     design: &Design,
@@ -54,9 +72,12 @@ pub fn write_demand_snapshot(
     iter: u64,
     phase: &str,
 ) {
-    ensure_header(sink, design);
-    let snap = CongestionSnapshot::capture(&design.grid, &design.capacity, demand);
-    sink.write_snapshot(&to_record(snap, iter, phase));
+    let dense: Vec<f32> = design
+        .grid
+        .edge_ids()
+        .map(|e| demand.total(&design.capacity, e))
+        .collect();
+    write_dense_snapshot(sink, design, &dense, iter, phase);
 }
 
 /// Captures and writes one snapshot of the dense per-edge expected
@@ -72,44 +93,37 @@ pub fn write_dense_snapshot(
 ) {
     ensure_header(sink, design);
     debug_assert_eq!(total_demand.len(), design.grid.num_edges());
-    if let Ok(snap) = CongestionSnapshot::from_dense(&design.grid, &design.capacity, total_demand) {
-        sink.write_snapshot(&to_record(snap, iter, phase));
+    if total_demand.len() == design.grid.num_edges() {
+        sink.write_snapshot(&capture(design, total_demand, iter, phase));
     }
-}
-
-/// Captures and writes one snapshot of an extracted solution's committed
-/// demand.
-pub fn write_solution_snapshot(
-    sink: &mut SnapshotSink,
-    design: &Design,
-    solution: &RoutingSolution,
-    iter: u64,
-    phase: &str,
-) {
-    write_demand_snapshot(sink, design, &solution.demand, iter, phase);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
+    use dgr_grid::{CapacityBuilder, GcellGrid, Net, OverflowStats, Point};
     use dgr_obs::SnapshotStream;
 
-    fn tiny_design() -> Design {
-        let grid = GcellGrid::new(4, 4).unwrap();
-        let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
-        Design::new(
-            grid,
-            cap,
-            vec![Net::new("n0", vec![Point::new(0, 0), Point::new(3, 3)])],
-            3,
-        )
-        .unwrap()
+    /// A `w`×`h` design of uniform capacity `tracks` and one net.
+    fn design(w: u32, h: u32, tracks: f32) -> Design {
+        let grid = GcellGrid::new(w, h).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, tracks)
+            .build(&grid)
+            .unwrap();
+        let pins = vec![Point::new(0, 0), Point::new(w as i32 - 1, h as i32 - 1)];
+        Design::new(grid, cap, vec![Net::new("n0", pins)], 3).unwrap()
+    }
+
+    fn dense(design: &Design, demand: &DemandMap) -> Vec<f32> {
+        let grid = &design.grid;
+        grid.edge_ids()
+            .map(|e| demand.total(&design.capacity, e))
+            .collect()
     }
 
     #[test]
     fn demand_snapshot_round_trips_through_stream() {
-        let design = tiny_design();
+        let design = design(4, 4, 1.0);
         let mut demand = DemandMap::new(&design.grid);
         for _ in 0..2 {
             demand
@@ -133,21 +147,93 @@ mod tests {
 
     #[test]
     fn dense_snapshot_matches_demand_snapshot() {
-        let design = tiny_design();
+        let design = design(4, 4, 1.0);
         let mut demand = DemandMap::new(&design.grid);
         demand
             .add_segment(&design.grid, Point::new(0, 0), Point::new(0, 3))
             .unwrap();
-        let dense: Vec<f32> = design
-            .grid
-            .edge_ids()
-            .map(|e| demand.total(&design.capacity, e))
-            .collect();
-
         let mut a = SnapshotSink::in_memory();
         write_demand_snapshot(&mut a, &design, &demand, 0, "x");
         let mut b = SnapshotSink::in_memory();
-        write_dense_snapshot(&mut b, &design, &dense, 0, "x");
+        write_dense_snapshot(&mut b, &design, &dense(&design, &demand), 0, "x");
         assert_eq!(a.memory_contents(), b.memory_contents());
+    }
+
+    #[test]
+    fn capture_splits_directions_row_major() {
+        let design = design(4, 3, 1.0);
+        let g = &design.grid;
+        let mut d = DemandMap::new(g);
+        // 2 wires across the h-edge (1,2)-(2,2); one wire on v-edge (0,0)-(0,1)
+        for _ in 0..2 {
+            d.add_segment(g, Point::new(1, 2), Point::new(2, 2))
+                .unwrap();
+        }
+        d.add_segment(g, Point::new(0, 0), Point::new(0, 1))
+            .unwrap();
+        let snap = capture(&design, &dense(&design, &d), 5, "train");
+        assert_eq!((snap.iter, snap.phase.as_str()), (5, "train"));
+        assert_eq!(snap.h_demand.len(), g.num_h_edges());
+        assert_eq!(snap.v_demand.len(), g.num_v_edges());
+        assert_eq!(snap.h_overflow.len(), g.num_h_edges());
+        assert_eq!(snap.v_overflow.len(), g.num_v_edges());
+        // h-edge (1,2): row-major index y*(w−1)+x = 2*3+1 = 7
+        assert_eq!(snap.h_demand[7], 2.0);
+        assert_eq!(snap.h_overflow[7], 1.0);
+        // v-edge (0,0): index y*w+x = 0
+        assert_eq!(snap.v_demand[0], 1.0);
+        assert_eq!(snap.v_overflow[0], 0.0);
+        assert_eq!(snap.overflowed_edges, 1);
+        assert_eq!(snap.total_overflow, 1.0);
+        assert_eq!(snap.peak_overflow, 1.0);
+    }
+
+    #[test]
+    fn capture_agrees_with_overflow_stats() {
+        let design = design(4, 3, 1.0);
+        let g = &design.grid;
+        let mut d = DemandMap::new(g);
+        for _ in 0..3 {
+            d.add_segment(g, Point::new(0, 0), Point::new(3, 0))
+                .unwrap();
+        }
+        d.add_turn(g, Point::new(3, 0)).unwrap();
+        let snap = capture(&design, &dense(&design, &d), 0, "x");
+        let stats = OverflowStats::measure(g, &design.capacity, &d);
+        assert_eq!(snap.overflowed_edges as usize, stats.overflowed_edges);
+        assert!((snap.total_overflow as f64 - stats.total_overflow).abs() < 1e-5);
+        assert_eq!(snap.peak_overflow, stats.peak_overflow);
+    }
+
+    #[test]
+    fn round_off_below_epsilon_is_not_overflow() {
+        let design = design(4, 3, 1.0);
+        let snap = capture(&design, &vec![1.0 + 5e-5; design.grid.num_edges()], 0, "x");
+        assert_eq!(snap.overflowed_edges, 0);
+        assert!(snap.h_overflow.iter().all(|&o| o == 0.0));
+        // a clean capture's sum is +0, which prints `0`, not `-0`
+        assert!(snap.total_overflow.is_sign_positive());
+        assert!(snap.to_json().contains("\"total_overflow\":0,"));
+    }
+
+    #[test]
+    fn capacity_rasters_match_the_model() {
+        let grid = GcellGrid::new(3, 3).unwrap();
+        let mut b = CapacityBuilder::uniform(&grid, 2.0);
+        b.set_tracks(grid.h_edge(1, 0).unwrap(), 0.5);
+        let cap = b.build(&grid).unwrap();
+        let nets = vec![Net::new("n0", vec![Point::new(0, 0), Point::new(2, 2)])];
+        let design = Design::new(grid, cap, nets, 3).unwrap();
+        let mut sink = SnapshotSink::in_memory();
+        ensure_header(&mut sink, &design);
+        ensure_header(&mut sink, &design); // written once
+        let text = sink.memory_contents().unwrap();
+        assert_eq!(text.lines().count(), 1);
+        let header = SnapshotStream::parse(text).unwrap().header.unwrap();
+        assert_eq!((header.width, header.height), (3, 3));
+        assert_eq!(header.h_capacity.len(), design.grid.num_h_edges());
+        assert_eq!(header.v_capacity.len(), design.grid.num_v_edges());
+        assert_eq!(header.h_capacity[1], 0.5); // h-edge (1,0) is index 1
+        assert!(header.v_capacity.iter().all(|&c| c == 2.0));
     }
 }

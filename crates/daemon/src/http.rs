@@ -259,41 +259,44 @@ fn cancel_job(jobs: &JobServer, id: u64) -> HttpResponse {
     }
 }
 
-/// Telemetry source for a job: the stored full JSONL once terminal, the
+/// The job's telemetry JSONL: the stored full stream once terminal, the
 /// ring of the job's obs scope while running (the in-memory sink is
 /// exclusively owned by the run until it finishes).
-fn job_telemetry_text(jobs: &JobServer, id: u64) -> Option<(String, JobState)> {
-    let (stored, state) = jobs.with_job(id, |j| (j.telemetry.clone(), j.state))?;
+fn job_telemetry(jobs: &JobServer, id: u64) -> HttpResponse {
+    let Some((stored, state)) = jobs.with_job(id, |j| (j.telemetry.clone(), j.state)) else {
+        return HttpResponse::error(404, "unknown job");
+    };
     let text = match stored {
         Some(t) => t,
         None if state == JobState::Running => dgr_obs::status_ring_jsonl_of(id),
         None => String::new(),
     };
-    Some((text, state))
-}
-
-fn job_telemetry(jobs: &JobServer, id: u64) -> HttpResponse {
-    match job_telemetry_text(jobs, id) {
-        Some((text, _)) => HttpResponse {
-            status: 200,
-            content_type: "application/x-ndjson".into(),
-            body: text,
-        },
-        None => HttpResponse::error(404, "unknown job"),
+    HttpResponse {
+        status: 200,
+        content_type: "application/x-ndjson".into(),
+        body: text,
     }
 }
 
+/// The job's HTML report: curves from its stored full telemetry once
+/// terminal (never the ring, which thins a long run), from its scope's
+/// ring while it runs, and none before.
 fn job_report(jobs: &JobServer, id: u64) -> HttpResponse {
-    let Some((telemetry, _state)) = job_telemetry_text(jobs, id) else {
+    let Some((stored, state, label)) =
+        jobs.with_job(id, |j| (j.telemetry.clone(), j.state, j.spec.label.clone()))
+    else {
         return HttpResponse::error(404, "unknown job");
     };
-    let label = jobs
-        .with_job(id, |j| j.spec.label.clone())
-        .unwrap_or_default();
-    match dgr_obs::report_of(id, format!("job {id} — {label}"), telemetry, None) {
-        Ok(html) => HttpResponse::html(200, html),
-        Err(e) => HttpResponse::error(500, &format!("report: {e}")),
-    }
+    let rows = match stored.as_deref().map(dgr_obs::rows_from_jsonl) {
+        Some(Ok(rows)) => Some(rows),
+        Some(Err((line, e))) => {
+            return HttpResponse::error(500, &format!("telemetry: line {line}: {e}"))
+        }
+        None if state == JobState::Running => None,
+        None => Some(Vec::new()),
+    };
+    let title = format!("job {id} — {label}");
+    HttpResponse::html(200, dgr_obs::report_of(id, title, rows, None))
 }
 
 fn job_guide(jobs: &JobServer, id: u64) -> HttpResponse {

@@ -35,17 +35,15 @@ pub mod grid;
 pub mod ids;
 pub mod maze;
 pub mod metrics;
-pub mod snapshot;
 
 pub use capacity::{CapacityBuilder, CapacityModel};
-pub use demand::{DemandMap, OVERFLOW_EPS};
+pub use demand::{edge_excess, DemandMap, OVERFLOW_EPS};
 pub use design::{Design, Net};
 pub use geom::{Point, PointIndex, Rect};
 pub use grid::{EdgeDir, GcellGrid};
 pub use ids::{EdgeId, GcellId, NetId};
 pub use maze::{maze_route, MazeConfig};
 pub use metrics::{CongestionReport, OverflowStats};
-pub use snapshot::{capacity_grids, edge_excess, CongestionSnapshot};
 
 /// Errors produced by grid construction and indexing.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,8 +25,11 @@
 //!   demand/overflow grids plus per-net attribution records) captured at
 //!   iteration strides,
 //! * [`render_report`] — the deterministic self-contained HTML
-//!   post-mortem renderer behind `dgr report`, fed by [`parse`], a
-//!   minimal JSON reader for the files the crate itself writes.
+//!   post-mortem renderer behind `dgr report` and the live `/report`: a
+//!   pure function of the records above. Each file format is read back
+//!   in the module that writes it ([`rows_from_jsonl`],
+//!   [`SnapshotStream::parse`], [`parse_trace`], [`FoldedProfile::parse`]),
+//!   the three JSON ones through [`parse`], a minimal JSON reader.
 //!
 //! # Overhead contract
 //!
@@ -84,18 +87,18 @@ pub use scope::{
     StatusScope,
 };
 pub use sentinel::{
-    analyze_rows, rank_findings, rate_collapse_finding, rows_from_jsonl, verdict_of, Finding,
-    RuleEngine, Severity, Verdict,
+    analyze_rows, rank_findings, rate_collapse_finding, verdict_of, Finding, RuleEngine, Severity,
+    Verdict,
 };
 pub use serve::{HttpHandler, HttpRequest, HttpResponse, ObsServer, DEFAULT_MAX_BODY_BYTES};
 pub use snapshot::{
     AttributionRecord, NetShare, SnapshotHeader, SnapshotRecord, SnapshotSink, SnapshotStream,
 };
 pub use span::{
-    chrome_trace, folded_profile, reset_spans, span, span_events_of, span_totals,
-    write_chrome_trace, SpanGuard, SpanTotal,
+    chrome_trace, folded_profile, parse_trace, reset_spans, span, span_events_of, span_totals,
+    write_chrome_trace, PhaseTotal, SpanGuard, SpanTotal,
 };
-pub use telemetry::{IterationRow, TelemetrySink};
+pub use telemetry::{rows_from_jsonl, IterationRow, TelemetrySink};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

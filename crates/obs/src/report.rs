@@ -1,15 +1,20 @@
 //! Deterministic self-contained HTML post-mortem reports (`dgr report`).
 //!
-//! [`render_report`] consumes up to three artifacts of a routing run —
-//! telemetry JSONL, a snapshot stream, and a Chrome trace — and renders
-//! one HTML document with:
+//! [`render_report`] is a pure function of a routing run's records —
+//! telemetry rows, a snapshot stream, a phase table, a span profile and
+//! sentinel findings — and renders one HTML document with:
 //!
 //! * loss / overflow / temperature training curves (inline SVG),
 //! * one overflow heatmap per congestion snapshot (per-g-cell worst
 //!   incident-edge utilization),
 //! * the ranked per-net attribution table, and
-//! * a per-phase span breakdown aggregated from the trace (the live
-//!   `/report` reads the span registry's totals instead).
+//! * a per-phase span breakdown.
+//!
+//! It reads no text: `dgr report` reads each file with the reader that
+//! lives beside its writer ([`crate::rows_from_jsonl`],
+//! [`SnapshotStream::parse`], [`crate::span::parse_trace`],
+//! [`FoldedProfile::parse`]), and the live `/report` hands over the rows,
+//! findings and span totals it already holds ([`crate::report_of`]).
 //!
 //! The output is **deterministic**: identical inputs yield byte-identical
 //! HTML (no timestamps, no randomized ids, no map-ordered iteration), so
@@ -17,60 +22,38 @@
 //! **self-contained**: inline CSS and SVG only, no scripts, no external
 //! fetches — one file that renders anywhere, offline.
 
-use crate::parse::parse_json;
-use crate::snapshot::{AttributionRecord, SnapshotHeader, SnapshotRecord, SnapshotStream};
-use std::collections::BTreeMap;
+use crate::profile::FoldedProfile;
+use crate::sentinel::{Finding, Severity};
+use crate::snapshot::{SnapshotHeader, SnapshotRecord, SnapshotStream};
+use crate::span::PhaseTotal;
+use crate::telemetry::IterationRow;
 use std::fmt::Write as _;
 
-/// The artifacts a report is rendered from. Every field is optional;
+/// The records a report is rendered from. Every field is optional;
 /// missing inputs render as an explanatory placeholder section.
 #[derive(Debug, Clone, Default)]
 pub struct ReportInputs {
     /// Report title (design or run name).
     pub title: String,
-    /// Telemetry JSONL text ([`crate::TelemetrySink`] output).
-    pub telemetry: Option<String>,
-    /// Snapshot-stream JSONL text ([`crate::SnapshotSink`] output).
-    pub snapshots: Option<String>,
-    /// Chrome trace JSON text ([`crate::chrome_trace`] output).
-    pub trace: Option<String>,
-    /// Collapsed-stack profile text ([`crate::FoldedProfile`] output).
-    /// Unlike the other inputs this section renders only when present —
-    /// profiles are opt-in (`--profile`), so reports rendered without
-    /// one stay byte-identical to pre-profiler reports.
-    pub profile: Option<String>,
-    /// Sentinel health-finding JSONL (one [`crate::Finding::to_json`]
-    /// per line, worst first — [`crate::report_of`] fills it in). Renders
-    /// a health-timeline annotation band plus the ranked finding table;
-    /// like `profile`, the section only appears when the input is
-    /// present, so pre-sentinel reports stay byte-identical.
-    pub health: Option<String>,
+    /// Telemetry rows, oldest first.
+    pub telemetry: Option<Vec<IterationRow>>,
+    /// A snapshot stream.
+    pub snapshots: Option<SnapshotStream>,
+    /// The phase table, longest total first.
+    pub phases: Option<Vec<PhaseTotal>>,
+    /// A span profile. Unlike the inputs above this section renders only
+    /// when present — profiles are opt-in (`--profile`), so reports
+    /// rendered without one stay byte-identical to pre-profiler reports.
+    pub profile: Option<FoldedProfile>,
+    /// Sentinel findings, worst first ([`crate::report_of`] fills them
+    /// in). Renders a health-timeline annotation band plus the ranked
+    /// finding table; like `profile`, the section only appears when the
+    /// input is present, so pre-sentinel reports stay byte-identical.
+    pub health: Option<Vec<Finding>>,
 }
 
 /// Renders the post-mortem HTML document.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed input file. Absent
-/// inputs are not errors.
-pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
-    let spans = inputs.trace.as_deref().map(parse_trace).transpose()?;
-    render(inputs, spans.as_deref())
-}
-
-/// [`render_report`] with the phase table given as per-name totals —
-/// the live registry's ([`crate::report_of`]) — and `inputs.trace`
-/// unread.
-pub(crate) fn render(inputs: &ReportInputs, spans: Option<&[SpanAgg]>) -> Result<String, String> {
-    let telemetry = match &inputs.telemetry {
-        Some(text) => Some(parse_telemetry(text)?),
-        None => None,
-    };
-    let stream = match &inputs.snapshots {
-        Some(text) => Some(SnapshotStream::parse(text).map_err(|e| format!("snapshots: {e}"))?),
-        None => None,
-    };
-
+pub fn render_report(inputs: &ReportInputs) -> String {
     let mut html = String::with_capacity(64 * 1024);
     html.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
     let _ = writeln!(
@@ -82,19 +65,19 @@ pub(crate) fn render(inputs: &ReportInputs, spans: Option<&[SpanAgg]>) -> Result
     html.push_str("</head>\n<body>\n");
     let _ = writeln!(html, "<h1>DGR post-mortem — {}</h1>", escape(&inputs.title));
 
-    render_curves(&mut html, telemetry.as_deref());
-    render_snapshots(&mut html, stream.as_ref());
-    render_attribution(&mut html, stream.as_ref());
-    render_spans(&mut html, spans);
-    if let Some(folded) = &inputs.profile {
-        render_profile(&mut html, &crate::profile::FoldedProfile::parse(folded));
+    render_curves(&mut html, inputs.telemetry.as_deref());
+    render_snapshots(&mut html, inputs.snapshots.as_ref());
+    render_attribution(&mut html, inputs.snapshots.as_ref());
+    render_spans(&mut html, inputs.phases.as_deref());
+    if let Some(profile) = &inputs.profile {
+        render_profile(&mut html, profile);
     }
-    if let Some(health) = &inputs.health {
-        render_health(&mut html, health)?;
+    if let Some(findings) = &inputs.health {
+        render_health(&mut html, findings);
     }
 
     html.push_str("</body>\n</html>\n");
-    Ok(html)
+    html
 }
 
 const STYLE: &str = "<style>\n\
@@ -116,39 +99,24 @@ svg{background:#fff;border:1px solid #ddd}\n\
 // telemetry curves
 // ---------------------------------------------------------------------------
 
-/// One parsed telemetry row (only the fields the report plots).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CurveRow {
-    iter: f64,
-    loss: f64,
-    overflow: f64,
-    temperature: f64,
-}
-
-fn parse_telemetry(text: &str) -> Result<Vec<CurveRow>, String> {
-    let values = crate::parse::parse_jsonl(text)
-        .map_err(|(line, e)| format!("telemetry: line {line}: {e}"))?;
-    Ok(values
-        .iter()
-        .map(|v| CurveRow {
-            iter: v.num("iter").unwrap_or(0.0),
-            loss: v.num("loss").unwrap_or(f64::NAN),
-            overflow: v.num("overflow").unwrap_or(f64::NAN),
-            temperature: v.num("temperature").unwrap_or(f64::NAN),
-        })
-        .collect())
+/// `v` as the `f64` its shortest decimal spells: the value the row's JSON
+/// line reads back as, so curves plotted from live rows and from the
+/// telemetry file print the same digits (`38962.92`, where widening the
+/// `f32` itself prints `38962.922`).
+fn wide(v: f32) -> f64 {
+    v.to_string().parse().unwrap_or(f64::NAN)
 }
 
 /// A plotted telemetry metric: label, stroke colour, row accessor.
-type CurveMetric = (&'static str, &'static str, fn(&CurveRow) -> f64);
+type CurveMetric = (&'static str, &'static str, fn(&IterationRow) -> f32);
 
 const CURVE_METRICS: [CurveMetric; 3] = [
-    ("loss", "#b13a3a", |r: &CurveRow| r.loss),
-    ("overflow", "#3a66b1", |r: &CurveRow| r.overflow),
-    ("temperature", "#3a9b57", |r: &CurveRow| r.temperature),
+    ("loss", "#b13a3a", |r: &IterationRow| r.loss),
+    ("overflow", "#3a66b1", |r: &IterationRow| r.overflow),
+    ("temperature", "#3a9b57", |r: &IterationRow| r.temperature),
 ];
 
-fn render_curves(html: &mut String, rows: Option<&[CurveRow]>) {
+fn render_curves(html: &mut String, rows: Option<&[IterationRow]>) {
     html.push_str("<h2>Training curves</h2>\n");
     let Some(rows) = rows else {
         html.push_str("<p class=\"missing\">No telemetry supplied (--telemetry).</p>\n");
@@ -164,15 +132,15 @@ fn render_curves(html: &mut String, rows: Option<&[CurveRow]>) {
         html,
         "<p class=\"note\">{} iterations · loss {} → {} · final overflow term {}</p>",
         rows.len(),
-        fmt(first.loss),
-        fmt(last.loss),
-        fmt(last.overflow),
+        fmt(wide(first.loss)),
+        fmt(wide(last.loss)),
+        fmt(wide(last.overflow)),
     );
     for (label, color, pick) in CURVE_METRICS {
         let series: Vec<(f64, f64)> = rows
             .iter()
-            .filter(|r| pick(r).is_finite())
-            .map(|r| (r.iter, pick(r)))
+            .map(|r| (r.iter as f64, wide(pick(r))))
+            .filter(|&(_, y)| y.is_finite())
             .collect();
         html.push_str("<figure>");
         html.push_str(&line_chart(&series, color));
@@ -432,10 +400,6 @@ fn render_attribution(html: &mut String, stream: Option<&SnapshotStream>) {
         );
         return;
     };
-    render_attribution_record(html, attr);
-}
-
-fn render_attribution_record(html: &mut String, attr: &AttributionRecord) {
     let _ = writeln!(
         html,
         "<p class=\"note\">phase {} · {} nets · overflow mass {} ({} charged to nets; \
@@ -485,56 +449,7 @@ fn render_attribution_record(html: &mut String, attr: &AttributionRecord) {
 // span breakdown
 // ---------------------------------------------------------------------------
 
-/// Per-name aggregate of a phase table: parsed back out of a Chrome
-/// trace file, or read off the live registry.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SpanAgg {
-    name: String,
-    count: u64,
-    total_us: f64,
-}
-
-impl From<&crate::SpanTotal> for SpanAgg {
-    fn from(t: &crate::SpanTotal) -> Self {
-        SpanAgg {
-            name: t.name.to_string(),
-            count: t.count,
-            total_us: t.total.as_nanos() as f64 / 1e3,
-        }
-    }
-}
-
-fn parse_trace(text: &str) -> Result<Vec<SpanAgg>, String> {
-    let v = parse_json(text).map_err(|e| format!("trace: {e}"))?;
-    let events = v.as_arr().ok_or("trace: expected a JSON array")?;
-    let mut totals: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    for e in events {
-        if e.str("ph") != Some("X") {
-            continue;
-        }
-        let name = e.str("name").unwrap_or("?").to_string();
-        let dur = e.num("dur").unwrap_or(0.0);
-        let t = totals.entry(name).or_insert((0, 0.0));
-        t.0 += 1;
-        t.1 += dur;
-    }
-    let mut out: Vec<SpanAgg> = totals
-        .into_iter()
-        .map(|(name, (count, total_us))| SpanAgg {
-            name,
-            count,
-            total_us,
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.total_us
-            .total_cmp(&a.total_us)
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    Ok(out)
-}
-
-fn render_spans(html: &mut String, spans: Option<&[SpanAgg]>) {
+fn render_spans(html: &mut String, spans: Option<&[PhaseTotal]>) {
     html.push_str("<h2>Phase breakdown</h2>\n");
     let Some(spans) = spans else {
         html.push_str("<p class=\"missing\">No Chrome trace supplied (--trace).</p>\n");
@@ -568,7 +483,7 @@ fn render_spans(html: &mut String, spans: Option<&[SpanAgg]>) {
 /// Renders the collapsed-stack profile section: total self time, the
 /// hot-leaf-frame ranking, and the heaviest whole stacks. Only called
 /// when a profile input is present.
-fn render_profile(html: &mut String, profile: &crate::profile::FoldedProfile) {
+fn render_profile(html: &mut String, profile: &FoldedProfile) {
     html.push_str("<h2>Span profile</h2>\n");
     let total = profile.total();
     if total == 0 {
@@ -620,63 +535,26 @@ fn share_table<'a>(
 // sentinel health band
 // ---------------------------------------------------------------------------
 
-/// One parsed sentinel finding (the fields the band renders).
-#[derive(Debug, Clone, PartialEq)]
-struct HealthRow {
-    rule: String,
-    severity: String,
-    iter: u64,
-    message: String,
-    window_start: u64,
-    window_end: u64,
-}
-
-fn parse_health(text: &str) -> Result<Vec<HealthRow>, String> {
-    let values =
-        crate::parse::parse_jsonl(text).map_err(|(line, e)| format!("health: line {line}: {e}"))?;
-    Ok(values
-        .iter()
-        .map(|v| HealthRow {
-            rule: v.str("rule").unwrap_or("?").to_string(),
-            severity: v.str("severity").unwrap_or("warn").to_string(),
-            iter: v
-                .get("iter")
-                .and_then(crate::parse::JsonValue::as_u64)
-                .unwrap_or(0),
-            message: v.str("message").unwrap_or("").to_string(),
-            window_start: v
-                .get("window_start")
-                .and_then(crate::parse::JsonValue::as_u64)
-                .unwrap_or(0),
-            window_end: v
-                .get("window_end")
-                .and_then(crate::parse::JsonValue::as_u64)
-                .unwrap_or(0),
-        })
-        .collect())
-}
-
 /// Renders the sentinel health section: a timeline annotation band (one
 /// colored span per finding's evidence window over the iteration axis)
 /// plus the ranked finding table. Only called when a health input is
 /// present; a run with no findings renders an explicit all-clear.
-fn render_health(html: &mut String, text: &str) -> Result<(), String> {
+fn render_health(html: &mut String, findings: &[Finding]) {
     html.push_str("<h2>Convergence health</h2>\n");
-    let rows = parse_health(text)?;
-    if rows.is_empty() {
+    if findings.is_empty() {
         html.push_str("<p class=\"note\">All sentinel rules passed — no findings.</p>\n");
-        return Ok(());
+        return;
     }
-    let max_iter = rows
+    let max_iter = findings
         .iter()
-        .map(|r| r.window_end.max(r.iter))
+        .map(|f| f.window().1.max(f.iter))
         .max()
         .unwrap_or(0)
         .max(1);
     // annotation band: iteration axis with one span per evidence window
     const W: f64 = 720.0;
     const LANE_H: f64 = 16.0;
-    let h = 24.0 + rows.len() as f64 * LANE_H;
+    let h = 24.0 + findings.len() as f64 * LANE_H;
     let _ = write!(
         html,
         "<figure><svg class=\"healthband\" width=\"{W}\" height=\"{h}\" \
@@ -697,14 +575,14 @@ fn render_health(html: &mut String, text: &str) -> Result<(), String> {
         h - 2.0,
         W - 4.0
     );
-    for (lane, r) in rows.iter().enumerate() {
-        let color = if r.severity == "critical" {
-            "#b13a3a"
-        } else {
-            "#d98e2b"
+    for (lane, f) in findings.iter().enumerate() {
+        let color = match f.severity {
+            Severity::Critical => "#b13a3a",
+            Severity::Warn => "#d98e2b",
         };
-        let x0 = px(r.window_start);
-        let x1 = px(r.window_end.max(r.window_start)).max(x0 + 2.0);
+        let (start, end) = f.window();
+        let x0 = px(start);
+        let x1 = px(end.max(start)).max(x0 + 2.0);
         let y = 4.0 + lane as f64 * LANE_H;
         let _ = write!(
             html,
@@ -714,7 +592,7 @@ fn render_health(html: &mut String, text: &str) -> Result<(), String> {
             x1 - x0,
             x1 + 4.0,
             y + 9.0,
-            escape(&r.rule)
+            escape(f.rule)
         );
     }
     html.push_str(
@@ -725,22 +603,20 @@ fn render_health(html: &mut String, text: &str) -> Result<(), String> {
         "<table>\n<tr><th>#</th><th class=\"l\">rule</th><th class=\"l\">severity</th>\
          <th>iter</th><th>window</th><th class=\"l\">finding</th></tr>\n",
     );
-    for (rank, r) in rows.iter().enumerate() {
+    for (rank, f) in findings.iter().enumerate() {
+        let (start, end) = f.window();
         let _ = writeln!(
             html,
             "<tr><td>{}</td><td class=\"l\">{}</td><td class=\"l\">{}</td><td>{}</td>\
-             <td>{}–{}</td><td class=\"l\">{}</td></tr>",
+             <td>{start}–{end}</td><td class=\"l\">{}</td></tr>",
             rank + 1,
-            escape(&r.rule),
-            escape(&r.severity),
-            r.iter,
-            r.window_start,
-            r.window_end,
-            escape(&r.message),
+            escape(f.rule),
+            f.severity.as_str(),
+            f.iter,
+            escape(&f.message),
         );
     }
     html.push_str("</table>\n");
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -780,13 +656,21 @@ fn fmt(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::NetShare;
+    use crate::snapshot::{AttributionRecord, NetShare};
+
+    fn row(iter: usize, loss: f32, overflow: f32, temperature: f32) -> IterationRow {
+        IterationRow {
+            iter,
+            loss,
+            wl: 8.0,
+            vias: 2.0,
+            overflow,
+            temperature,
+            grad_norm: 3.0,
+        }
+    }
 
     fn tiny_inputs() -> ReportInputs {
-        let telemetry = "{\"iter\":0,\"loss\":10.0,\"wl\":8.0,\"vias\":2.0,\
-                         \"overflow\":1.0,\"temperature\":1.0,\"grad_norm\":3.0}\n\
-                         {\"iter\":1,\"loss\":9.0,\"wl\":8.0,\"vias\":2.0,\
-                         \"overflow\":0.5,\"temperature\":0.9,\"grad_norm\":2.0}\n";
         let header = SnapshotHeader {
             width: 2,
             height: 2,
@@ -820,20 +704,19 @@ mod tests {
                 cost: 505.5,
             }],
         };
-        let snaps = format!(
-            "{}\n{}\n{}\n",
-            header.to_json(),
-            snap.to_json(),
-            attr.to_json()
-        );
-        let trace = "[\n{\"name\":\"train\",\"cat\":\"core\",\"ph\":\"X\",\"pid\":1,\
-                     \"tid\":0,\"ts\":0,\"dur\":1500},\n{\"name\":\"train\",\"cat\":\"core\",\
-                     \"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":2000,\"dur\":500}\n]\n";
         ReportInputs {
             title: "unit".into(),
-            telemetry: Some(telemetry.to_string()),
-            snapshots: Some(snaps),
-            trace: Some(trace.to_string()),
+            telemetry: Some(vec![row(0, 10.0, 1.0, 1.0), row(1, 9.0, 0.5, 0.9)]),
+            snapshots: Some(SnapshotStream {
+                header: Some(header),
+                snapshots: vec![snap],
+                attributions: vec![attr],
+            }),
+            phases: Some(vec![PhaseTotal {
+                name: "train".into(),
+                count: 2,
+                total_us: 2000.0,
+            }]),
             profile: None,
             health: None,
         }
@@ -841,12 +724,15 @@ mod tests {
 
     #[test]
     fn full_report_contains_every_section() {
-        let html = render_report(&tiny_inputs()).unwrap();
+        let html = render_report(&tiny_inputs());
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<h2>Training curves</h2>"));
+        assert!(html.contains(
+            "<p class=\"note\">2 iterations · loss 10 → 9 · final overflow term 0.5</p>"
+        ));
         assert!(html.contains("<svg class=\"heatmap\""));
         assert!(html.contains("n&lt;0&gt;"), "net names are escaped");
-        assert!(html.contains("Phase breakdown"));
+        assert!(html.contains("<tr><td class=\"l\">train</td><td>2</td><td>2</td><td>1</td></tr>"));
         assert!(html.contains("<polyline"));
         assert!(!html.contains("<script"), "report must be JS-free");
     }
@@ -854,10 +740,7 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let inputs = tiny_inputs();
-        assert_eq!(
-            render_report(&inputs).unwrap(),
-            render_report(&inputs).unwrap()
-        );
+        assert_eq!(render_report(&inputs), render_report(&inputs));
     }
 
     #[test]
@@ -865,18 +748,19 @@ mod tests {
         let html = render_report(&ReportInputs {
             title: "empty".into(),
             ..Default::default()
-        })
-        .unwrap();
+        });
         assert_eq!(html.matches("class=\"missing\"").count(), 4);
     }
 
     #[test]
     fn profile_section_renders_only_when_supplied() {
-        let without = render_report(&tiny_inputs()).unwrap();
+        let without = render_report(&tiny_inputs());
         assert!(!without.contains("Span profile"));
         let mut inputs = tiny_inputs();
-        inputs.profile = Some("route;train;forward 30\nroute;train;backward 50\n".into());
-        let with = render_report(&inputs).unwrap();
+        inputs.profile = Some(FoldedProfile::parse(
+            "route;train;forward 30\nroute;train;backward 50\n",
+        ));
+        let with = render_report(&inputs);
         assert!(with.contains("<h2>Span profile</h2>"));
         assert!(with.contains("0.08 ms of self time in spans, over 2 stacks"));
         assert!(with.contains("route;train;backward"));
@@ -885,53 +769,43 @@ mod tests {
 
     #[test]
     fn health_section_renders_only_when_supplied() {
-        let without = render_report(&tiny_inputs()).unwrap();
+        let without = render_report(&tiny_inputs());
         assert!(!without.contains("Convergence health"));
         // findings render the band and the ranked table
         let mut inputs = tiny_inputs();
-        inputs.health = Some(
-            "{\"rule\":\"divergence\",\"severity\":\"critical\",\"score\":2.5,\"iter\":40,\
-             \"message\":\"loss 2.5x its minimum\",\"window_start\":20,\"window_end\":40,\
-             \"window_values\":[1,2,4]}\n"
-                .into(),
-        );
-        let with = render_report(&inputs).unwrap();
+        inputs.health = Some(vec![Finding {
+            rule: "divergence",
+            severity: Severity::Critical,
+            score: 2.5,
+            iter: 40,
+            message: "loss 2.5x its minimum".into(),
+            evidence: vec![(20, 1.0), (30, 2.0), (40, 4.0)],
+        }]);
+        let with = render_report(&inputs);
         assert!(with.contains("<h2>Convergence health</h2>"));
         assert!(with.contains("class=\"healthband\""));
-        assert!(with.contains("divergence"));
-        assert!(with.contains("20–40"));
+        assert!(with.contains(
+            "<td class=\"l\">divergence</td><td class=\"l\">critical</td><td>40</td><td>20–40</td>"
+        ));
         assert!(!with.contains("<script"));
         // an empty (healthy) timeline renders the all-clear note
         let mut inputs = tiny_inputs();
-        inputs.health = Some(String::new());
-        let ok = render_report(&inputs).unwrap();
+        inputs.health = Some(Vec::new());
+        let ok = render_report(&inputs);
         assert!(ok.contains("All sentinel rules passed"));
     }
 
+    /// Curves print an `f32` as its shortest decimal, which is what the
+    /// row's JSON line says; the widened `f32` has more digits.
     #[test]
-    fn malformed_inputs_error() {
-        let mut bad = tiny_inputs();
-        bad.telemetry = Some("not json\n".into());
-        assert!(render_report(&bad).unwrap_err().contains("telemetry"));
-        let mut bad = tiny_inputs();
-        bad.trace = Some("{}".into());
-        assert!(render_report(&bad).unwrap_err().contains("trace"));
-    }
-
-    #[test]
-    fn span_aggregation_sums_and_ranks() {
-        let spans = parse_trace(
-            "[{\"name\":\"b\",\"ph\":\"X\",\"dur\":5},\
-              {\"name\":\"a\",\"ph\":\"X\",\"dur\":10},\
-              {\"name\":\"b\",\"ph\":\"X\",\"dur\":6},\
-              {\"name\":\"meta\",\"ph\":\"M\"}]",
-        )
-        .unwrap();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "b");
-        assert_eq!(spans[0].count, 2);
-        assert!((spans[0].total_us - 11.0).abs() < 1e-9);
-        assert_eq!(spans[1].name, "a");
+    fn curve_values_print_their_shortest_decimal() {
+        assert_eq!(fmt(wide(38962.92)), "38962.92");
+        assert_eq!(fmt(f64::from(38962.92f32)), "38962.922");
+        assert!(wide(f32::NAN).is_nan() && wide(f32::INFINITY).is_infinite());
+        let mut inputs = tiny_inputs();
+        inputs.telemetry = Some(vec![row(0, 38962.92, 0.1, 1.0)]);
+        let html = render_report(&inputs);
+        assert!(html.contains("loss 38962.92 → 38962.92 · final overflow term 0.1</p>"));
     }
 
     #[test]

@@ -389,13 +389,6 @@ pub fn health_summary_of(id: u64) -> String {
     }
 }
 
-/// Scope `id`'s findings as JSONL, worst first — the health-band input
-/// of the HTML report (`None` for an unwatched scope, which has no band).
-fn health_timeline_of(id: u64) -> Option<String> {
-    let (_, findings) = health_of(id)?;
-    Some(findings.iter().map(|f| f.to_json() + "\n").collect())
-}
-
 /// The `/health` JSON payload: overall verdict (worst across watched
 /// scopes) plus one row per scope with its ranked findings.
 pub(crate) fn health_json() -> String {
@@ -423,29 +416,33 @@ pub(crate) fn health_json() -> String {
 }
 
 /// The standard HTML report of scope `id` as the run stands: training
-/// curves from `telemetry` (JSONL — the scope's ring mid-run, the full
-/// stream once a daemon has stored it), the health band when the scope
-/// is watched, the phase table when `spans` are given (the live
-/// `/report` passes [`crate::span_totals`]). Snapshot grids are
-/// file-bound, so the congestion section renders its placeholder.
-///
-/// # Errors
-///
-/// The renderer's message when an input does not parse.
+/// curves from `rows` — the run's full telemetry when the caller holds it
+/// (a finished `dgrd` job's stored stream), the scope's ring when `None`
+/// — the health band when the scope is watched, the phase table when
+/// `spans` are given (the live `/report` passes [`crate::span_totals`]).
+/// No rows at all render the "no telemetry" placeholder. Snapshot grids
+/// are file-bound, so the congestion section renders its placeholder.
 pub fn report_of(
     id: u64,
     title: String,
-    telemetry: String,
+    rows: Option<Vec<IterationRow>>,
     spans: Option<&[crate::SpanTotal]>,
-) -> Result<String, String> {
-    let inputs = crate::report::ReportInputs {
-        title,
-        telemetry: (!telemetry.is_empty()).then_some(telemetry),
-        health: health_timeline_of(id),
-        ..Default::default()
+) -> String {
+    // copied out under the lock, rendered outside it: every training
+    // thread's tick waits on this lock
+    let (rows, health) = {
+        let scopes = scopes();
+        let scope = scopes.get(&id);
+        let rows = rows.unwrap_or_else(|| scope.map_or_else(Vec::new, |s| s.ring.clone()));
+        (rows, scope.filter(|s| s.watched).map(|s| s.health().1))
     };
-    let spans: Option<Vec<_>> = spans.map(|s| s.iter().map(Into::into).collect());
-    crate::report::render(&inputs, spans.as_deref())
+    crate::render_report(&crate::ReportInputs {
+        title,
+        telemetry: (!rows.is_empty()).then_some(rows),
+        phases: spans.map(|s| s.iter().map(Into::into).collect()),
+        health,
+        ..Default::default()
+    })
 }
 
 #[cfg(test)]
@@ -603,7 +600,7 @@ mod tests {
         assert!(json.contains("\"id\":302"));
         assert!(health_summary_of(301).contains("divergence@"));
         assert_eq!(health_summary_of(302), "ok");
-        let report = report_of(301, "t".into(), status_ring_jsonl_of(301), None).unwrap();
+        let report = report_of(301, "t".into(), None, None);
         assert!(report.contains("class=\"healthband\""));
         scope_remove(301);
         assert!(health_of(301).is_none());
@@ -760,14 +757,12 @@ mod tests {
                 &format!("{:?}", health_of(id).map(|h| h.0)),
             );
         }
-        section(
-            "health_timeline_jsonl_of(11)",
-            &health_timeline_of(11).unwrap_or_default(),
-        );
-        section(
-            "health_timeline_jsonl_of(12)",
-            &health_timeline_of(12).unwrap_or_default(),
-        );
+        // the findings the report's health band draws, one JSON line each
+        for id in [11, 12] {
+            let findings = health_of(id).map(|h| h.1).unwrap_or_default();
+            let lines: String = findings.iter().map(|f| f.to_json() + "\n").collect();
+            section(&format!("health_timeline_jsonl_of({id})"), &lines);
+        }
         section("status_ring_jsonl_of(11)", &status_ring_jsonl_of(11));
         section("status_ring_jsonl_of(12)", &status_ring_jsonl_of(12));
         section("metrics sentinel_*", &sentinel_metric_lines());

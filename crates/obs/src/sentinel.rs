@@ -22,10 +22,10 @@
 //! ([`RuleEngine::observe`]): the live path — [`crate::tick`] feeds each
 //! run scope's own engine, see [`crate::scope`] — and the offline
 //! [`analyze_rows`] replay used by `dgr doctor` share it, so a verdict
-//! reproduced from a telemetry file matches what the live exporter said.
+//! reproduced from a telemetry file ([`crate::rows_from_jsonl`]) matches
+//! what the live exporter said.
 
 use crate::json::JsonObject;
-use crate::parse::{parse_jsonl, JsonValue};
 use crate::telemetry::IterationRow;
 
 /// Iterations before divergence / spike / stall rules may trip (the
@@ -108,6 +108,15 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// The first and last iteration of the evidence window (the trip
+    /// iteration twice when there is no evidence).
+    pub fn window(&self) -> (u64, u64) {
+        match (self.evidence.first(), self.evidence.last()) {
+            (Some(&(s, _)), Some(&(e, _))) => (s, e),
+            _ => (self.iter, self.iter),
+        }
+    }
+
     /// Serializes the finding as one JSON object.
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
@@ -116,10 +125,7 @@ impl Finding {
         o.field_f32("score", self.score);
         o.field_u64("iter", self.iter);
         o.field_str("message", &self.message);
-        let (start, end) = match (self.evidence.first(), self.evidence.last()) {
-            (Some(&(s, _)), Some(&(e, _))) => (s, e),
-            _ => (self.iter, self.iter),
-        };
+        let (start, end) = self.window();
         o.field_u64("window_start", start);
         o.field_u64("window_end", end);
         let vals: Vec<f32> = self.evidence.iter().map(|&(_, v)| v).collect();
@@ -465,42 +471,6 @@ pub fn analyze_rows(rows: &[IterationRow]) -> Vec<Finding> {
     findings
 }
 
-/// Parses telemetry JSONL text into rows (the inverse of
-/// [`IterationRow::to_json`]; `null` numerics map to NaN so the
-/// poisoning rule sees them). Keys outside the schema are ignored: a
-/// file of the older schema, whose rows also carried the process RSS and
-/// a batch tag, still reads — a batched one as its runs concatenated.
-///
-/// # Errors
-///
-/// Returns `(line_number, message)` on malformed JSON.
-pub fn rows_from_jsonl(text: &str) -> Result<Vec<IterationRow>, (usize, String)> {
-    let values = parse_jsonl(text).map_err(|(line, e)| (line, e.to_string()))?;
-    let mut rows = Vec::with_capacity(values.len());
-    for (i, v) in values.iter().enumerate() {
-        let num = |key: &str| -> f32 {
-            match v.get(key) {
-                Some(JsonValue::Num(n)) => *n as f32,
-                _ => f32::NAN,
-            }
-        };
-        let iter = v
-            .get("iter")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| (i + 1, "row missing `iter`".to_string()))?;
-        rows.push(IterationRow {
-            iter: iter as usize,
-            loss: num("loss"),
-            wl: num("wl"),
-            vias: num("vias"),
-            overflow: num("overflow"),
-            temperature: num("temperature"),
-            grad_norm: num("grad_norm"),
-        });
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,18 +617,6 @@ mod tests {
         assert!(f.message.contains("4.0"));
         assert!(rate_collapse_finding(4.0, 0.0).is_none());
         assert!(rate_collapse_finding(f64::NAN, 10.0).is_none());
-    }
-
-    #[test]
-    fn jsonl_round_trips_rows_including_nan() {
-        let mut r = row(3, 12.5);
-        r.loss = f32::NAN; // serializes as null
-        let text = format!("{}\n{}\n", row(2, 13.0).to_json(), r.to_json());
-        let rows = rows_from_jsonl(&text).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].iter, 2);
-        assert!(rows[1].loss.is_nan(), "null loss re-read as NaN");
-        assert!(rows_from_jsonl("{\"loss\":1}\n").is_err(), "iter required");
     }
 
     #[test]

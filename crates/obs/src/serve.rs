@@ -393,7 +393,6 @@ fn route(path: &str) -> HttpResponse {
 /// per-name totals (never the event log: a long run's log is tens of
 /// thousands of events).
 fn live_report() -> String {
-    let id = crate::status_scope_id();
     let job = crate::scope::status_snapshot().job;
     let title = if job.is_empty() {
         "live".to_string()
@@ -401,9 +400,7 @@ fn live_report() -> String {
         format!("{job} (live)")
     };
     let spans = crate::span_totals();
-    crate::report_of(id, title, crate::status_ring_jsonl_of(id), Some(&spans)).unwrap_or_else(|e| {
-        format!("<!DOCTYPE html>\n<html><body><p>report error: {e}</p></body></html>\n")
-    })
+    crate::report_of(crate::status_scope_id(), title, None, Some(&spans))
 }
 
 fn reason(status: u16) -> &'static str {

@@ -21,8 +21,8 @@
 //!   wirelength/turn counts and ICCAD'19 weighted cost.
 //!
 //! This crate stays dependency-free, so records hold plain vectors —
-//! the capture kernels that fill them from grid types live in
-//! `dgr-grid`/`dgr-core`.
+//! the capture that fills them from grid types is `dgr_core::snapshot`.
+//! [`SnapshotStream::parse`] is the one reader of the format.
 
 use crate::json::JsonObject;
 use crate::parse::{parse_jsonl, JsonValue};
@@ -274,18 +274,26 @@ pub struct SnapshotStream {
 
 impl SnapshotStream {
     /// Parses the JSONL text of a snapshot stream. Unknown record kinds
-    /// are skipped (forward compatibility).
+    /// are skipped (forward compatibility). Every raster must have the
+    /// length the (last) header's grid gives it: `(width−1)·height` H
+    /// edges and `width·(height−1)` V edges.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, or of the
+    /// first record whose raster lengths disagree with the header.
     pub fn parse(text: &str) -> Result<SnapshotStream, String> {
         let values = parse_jsonl(text).map_err(|(line, e)| format!("line {line}: {e}"))?;
         let mut stream = SnapshotStream::default();
+        // record numbers of the header and of each snapshot, for the
+        // length check once the whole stream is read
+        let mut header_record = 0;
+        let mut snapshot_records = Vec::new();
         for (i, v) in values.iter().enumerate() {
             let fail = |what: &str| format!("record {}: {what}", i + 1);
             match v.str("kind") {
                 Some("header") => {
+                    header_record = i + 1;
                     stream.header = Some(SnapshotHeader {
                         width: v.num("width").unwrap_or(0.0) as u32,
                         height: v.num("height").unwrap_or(0.0) as u32,
@@ -294,6 +302,7 @@ impl SnapshotStream {
                     });
                 }
                 Some("snapshot") => {
+                    snapshot_records.push(i + 1);
                     stream.snapshots.push(SnapshotRecord {
                         iter: v.get("iter").and_then(JsonValue::as_u64).unwrap_or(0),
                         phase: v.str("phase").unwrap_or("train").to_string(),
@@ -342,6 +351,33 @@ impl SnapshotStream {
                 }
                 _ => {} // unknown kinds are skipped
             }
+        }
+        let Some(header) = &stream.header else {
+            return Ok(stream); // nothing indexes a raster without a grid
+        };
+        let (w, h) = (header.width as usize, header.height as usize);
+        if w == 0 || h == 0 {
+            return Err(format!(
+                "record {header_record}: a {w}×{h} grid has no g-cells"
+            ));
+        }
+        let (num_h, num_v) = ((w - 1) * h, w * (h - 1));
+        let check = |record: usize, name: &str, raster: &[f32], want: usize| {
+            let len = raster.len();
+            if len == want {
+                return Ok(());
+            }
+            Err(format!(
+                "record {record}: {name} has length {len}, but the {w}×{h} header needs {want}"
+            ))
+        };
+        check(header_record, "h_capacity", &header.h_capacity, num_h)?;
+        check(header_record, "v_capacity", &header.v_capacity, num_v)?;
+        for (s, &record) in stream.snapshots.iter().zip(&snapshot_records) {
+            check(record, "h_demand", &s.h_demand, num_h)?;
+            check(record, "v_demand", &s.v_demand, num_v)?;
+            check(record, "h_overflow", &s.h_overflow, num_h)?;
+            check(record, "v_overflow", &s.v_overflow, num_v)?;
         }
         Ok(stream)
     }
@@ -444,5 +480,44 @@ mod tests {
         // header without capacities is also rejected
         let err = SnapshotStream::parse("{\"kind\":\"header\"}\n").unwrap_err();
         assert!(err.contains("h_capacity"), "{err}");
+    }
+
+    /// A snapshot whose raster is shorter than its header's grid is the
+    /// reader's error, not an index out of bounds in the heatmap.
+    #[test]
+    fn rasters_must_match_the_header() {
+        let truncated = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/truncated_raster.snaps"
+        ));
+        assert_eq!(
+            SnapshotStream::parse(truncated).unwrap_err(),
+            "record 2: h_demand has length 1, but the 3×2 header needs 4"
+        );
+        // the header's own rasters, and a grid without cells
+        let mut short = header();
+        short.v_capacity.pop();
+        let err = SnapshotStream::parse(&short.to_json()).unwrap_err();
+        assert_eq!(
+            err,
+            "record 1: v_capacity has length 2, but the 3×2 header needs 3"
+        );
+        let empty = SnapshotHeader {
+            width: 0,
+            ..header()
+        };
+        let err = SnapshotStream::parse(&empty.to_json()).unwrap_err();
+        assert_eq!(err, "record 1: a 0×2 grid has no g-cells");
+        // every raster of every snapshot is checked, whatever the order
+        let mut bad = snap(4, "final");
+        bad.v_overflow.push(0.0);
+        let text = format!("{}\n{}\n", bad.to_json(), header().to_json());
+        let err = SnapshotStream::parse(&text).unwrap_err();
+        assert_eq!(
+            err,
+            "record 1: v_overflow has length 4, but the 3×2 header needs 3"
+        );
+        // without a header nothing indexes a raster, so nothing is checked
+        assert!(SnapshotStream::parse(&bad.to_json()).is_ok());
     }
 }

@@ -15,6 +15,10 @@
 //! * [`folded_profile`] — the log's self time per stack of span names
 //!   (`--profile`, see [`crate::profile`]).
 //!
+//! [`parse_trace`] reads a trace file back as the report's phase table
+//! ([`PhaseTotal`] rows, which the live `/report` takes from
+//! [`span_totals`] instead).
+//!
 //! Recording is gated on [`crate::enabled`]: a disabled span costs one
 //! relaxed atomic load. An enabled span costs two `Instant::now()` calls
 //! plus one mutex push — suitable for per-phase and per-iteration scopes,
@@ -31,12 +35,13 @@
 //! so the log of a long-lived server holds the events of the jobs it
 //! still retains rather than of every job it ever ran.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::JsonObject;
+use crate::parse::parse_json;
 use crate::profile::FoldedProfile;
 
 /// Hard cap on detailed span events held in memory (64 bytes each).
@@ -300,6 +305,54 @@ pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
     std::fs::write(path, chrome_trace())
 }
 
+/// One row of a report's phase table: a span name, how many spans
+/// completed under it and their summed duration in µs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseTotal {
+    /// The span name.
+    pub name: String,
+    /// How many spans completed under this name.
+    pub count: u64,
+    /// Summed duration, µs.
+    pub total_us: f64,
+}
+
+impl From<&SpanTotal> for PhaseTotal {
+    fn from(t: &SpanTotal) -> Self {
+        PhaseTotal {
+            name: t.name.to_string(),
+            count: t.count,
+            total_us: t.total.as_nanos() as f64 / 1e3,
+        }
+    }
+}
+
+/// Reads a [`chrome_trace`] file back as per-name totals of its complete
+/// (`"X"`) events, longest total first (name ties alphabetical).
+///
+/// # Errors
+///
+/// Returns a description when the text is not a JSON array.
+pub fn parse_trace(text: &str) -> Result<Vec<PhaseTotal>, String> {
+    let v = parse_json(text).map_err(|e| e.to_string())?;
+    let events = v.as_arr().ok_or("expected a JSON array")?;
+    let mut totals: BTreeMap<&str, PhaseTotal> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.str("ph") == Some("X")) {
+        let name = e.str("name").unwrap_or("?");
+        let t = totals.entry(name).or_insert_with(|| PhaseTotal {
+            name: name.to_string(),
+            count: 0,
+            total_us: 0.0,
+        });
+        t.count += 1;
+        t.total_us += e.num("dur").unwrap_or(0.0);
+    }
+    let mut out: Vec<PhaseTotal> = totals.into_values().collect();
+    // stable: equal totals keep the map's name order
+    out.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +400,23 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         reset_spans();
+    }
+
+    #[test]
+    fn trace_totals_sum_and_rank() {
+        let phases = parse_trace(
+            "[{\"name\":\"b\",\"ph\":\"X\",\"dur\":5},\
+              {\"name\":\"a\",\"ph\":\"X\",\"dur\":10},\
+              {\"name\":\"b\",\"ph\":\"X\",\"dur\":6},\
+              {\"name\":\"meta\",\"ph\":\"M\"}]",
+        )
+        .unwrap();
+        assert_eq!(phases.len(), 2);
+        assert_eq!((phases[0].name.as_str(), phases[0].count), ("b", 2));
+        assert!((phases[0].total_us - 11.0).abs() < 1e-9);
+        assert_eq!(phases[1].name, "a");
+        assert_eq!(parse_trace("{}").unwrap_err(), "expected a JSON array");
+        assert!(parse_trace("[").is_err());
     }
 
     #[test]

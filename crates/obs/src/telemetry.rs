@@ -16,8 +16,12 @@
 //! the run's inputs, so the rows are byte-deterministic for a fixed seed
 //! at any thread count. The process's memory is `/status`'s and the
 //! `process.rss_bytes` gauge's business, not a row's.
+//!
+//! [`rows_from_jsonl`] is the one reader of the format: `dgr doctor`,
+//! `dgr report` and a finished `dgrd` job's report read rows through it.
 
 use crate::json::JsonObject;
+use crate::parse::{parse_jsonl, JsonValue};
 use crate::sink::LineOut;
 
 /// One training iteration's telemetry.
@@ -63,6 +67,43 @@ impl IterationRow {
         "temperature",
         "grad_norm",
     ];
+}
+
+/// Parses telemetry JSONL text into rows (the inverse of
+/// [`IterationRow::to_json`]; `null` numerics map to NaN so the
+/// poisoning rule sees them). Keys outside the schema are ignored: a
+/// file of the older schema, whose rows also carried the process RSS and
+/// a batch tag, still reads — a batched one as its runs concatenated.
+///
+/// # Errors
+///
+/// Returns `(line_number, message)` on malformed JSON or a row without
+/// `iter`.
+pub fn rows_from_jsonl(text: &str) -> Result<Vec<IterationRow>, (usize, String)> {
+    let values = parse_jsonl(text).map_err(|(line, e)| (line, e.to_string()))?;
+    let mut rows = Vec::with_capacity(values.len());
+    for (i, v) in values.iter().enumerate() {
+        let num = |key: &str| -> f32 {
+            match v.get(key) {
+                Some(JsonValue::Num(n)) => *n as f32,
+                _ => f32::NAN,
+            }
+        };
+        let iter = v
+            .get("iter")
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| (i + 1, "row missing `iter`".to_string()))?;
+        rows.push(IterationRow {
+            iter: iter as usize,
+            loss: num("loss"),
+            wl: num("wl"),
+            vias: num("vias"),
+            overflow: num("overflow"),
+            temperature: num("temperature"),
+            grad_norm: num("grad_norm"),
+        });
+    }
+    Ok(rows)
 }
 
 /// A JSONL telemetry destination (file or in-memory buffer).
@@ -168,6 +209,23 @@ mod tests {
         let mut r = row(0);
         r.loss = f32::NAN;
         assert!(r.to_json().contains("\"loss\":null"));
+    }
+
+    #[test]
+    fn jsonl_round_trips_rows_including_nan() {
+        let mut r = row(3);
+        r.loss = f32::NAN; // serializes as null
+        let text = format!("{}\n{}\n", row(2).to_json(), r.to_json());
+        let rows = rows_from_jsonl(&text).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0], row(2));
+        assert_eq!(rows[1].iter, 3);
+        assert!(rows[1].loss.is_nan(), "null loss re-read as NaN");
+        assert_eq!(
+            rows_from_jsonl("{\"loss\":1}\n"),
+            Err((1, "row missing `iter`".into()))
+        );
+        assert_eq!(rows_from_jsonl("{}\nnope\n").unwrap_err().0, 2);
     }
 
     #[test]

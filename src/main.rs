@@ -28,8 +28,9 @@
 //! run also appends a content-hashed summary record to the persistent
 //! ledger (`~/.dgr/ledger.jsonl`, override with `DGR_LEDGER`, disable
 //! with `--no-ledger`) that `dgr history` renders into cross-run deltas.
-//! `dgr report` renders the file artifacts into one self-contained HTML
-//! post-mortem.
+//! `dgr report` reads those files back, each with the reader that sits
+//! beside its writer in `dgr-obs`, and renders them into one
+//! self-contained HTML post-mortem.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -38,8 +39,8 @@ use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
 use dgr::core::{write_attribution, DgrConfig, DgrRouter, RouteHooks, SnapshotConfig};
 use dgr::grid::Design;
 use dgr::obs::ledger::{self, LedgerRecord};
-use dgr::obs::{render_report, ObsServer, ReportInputs};
-use dgr::obs::{SnapshotSink, TelemetrySink};
+use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ObsServer, ReportInputs};
+use dgr::obs::{FoldedProfile, SnapshotSink, SnapshotStream, TelemetrySink};
 use dgr::post::{pipeline, refine, RefineConfig};
 
 // Shadows of the std macros for every print below: a reader that went away
@@ -93,7 +94,7 @@ const COMMANDS: &[Command] = &[
     (
         "report",
         false,
-        "--telemetry= --snap= --trace= --profile= --health= --title= --out=",
+        "--telemetry= --snap= --trace= --profile= --title= --out=",
         cmd_report,
     ),
     ("doctor", false, "--telemetry= --ledger?", cmd_doctor),
@@ -233,8 +234,7 @@ fn print_usage() {
     println!("      render recent ledger records as a table, with per-phase deltas");
     println!("      against the previous comparable run");
     println!("  dgr report [--telemetry in.jsonl] [--snap in.snaps] [--trace in.json]");
-    println!("             [--profile in.folded] [--health in.jsonl] [--title NAME]");
-    println!("             [--out report.html]");
+    println!("             [--profile in.folded] [--title NAME] [--out report.html]");
     println!("      render routing-run artifacts into a self-contained HTML post-mortem");
     println!("  dgr doctor [--telemetry in.jsonl] [--ledger [path]]");
     println!("      replay a run's telemetry (and/or the run ledger) through the");
@@ -534,7 +534,8 @@ fn cmd_route(flags: &Flags) -> CliResult {
             .as_ref()
             .and_then(|r| r.curve.last())
             .map_or(0, |p| p.iter as u64 + 1);
-        dgr::core::write_solution_snapshot(&mut snap.sink, &design, solution, final_iter, "refine");
+        let demand = &solution.demand;
+        dgr::core::write_demand_snapshot(&mut snap.sink, &design, demand, final_iter, "refine");
         write_attribution(&mut snap.sink, &design, solution, &cfg.weights, "final");
         snap.sink.flush();
     }
@@ -655,31 +656,37 @@ fn cmd_train(flags: &Flags) -> CliResult {
 }
 
 /// `dgr report`: render telemetry / snapshot / trace / profile
-/// artifacts into one deterministic, self-contained HTML post-mortem.
+/// artifacts into one deterministic, self-contained HTML post-mortem,
+/// each file read by the reader beside its writer.
 fn cmd_report(flags: &Flags) -> CliResult {
-    let read_opt = |flag: &str| -> Result<Option<String>, std::io::Error> {
-        flags.value(flag).map(std::fs::read_to_string).transpose()
-    };
-    let inputs = ReportInputs {
-        title: flags.value("--title").unwrap_or("routing run").to_string(),
-        telemetry: read_opt("--telemetry")?,
-        snapshots: read_opt("--snap")?,
-        trace: read_opt("--trace")?,
-        profile: read_opt("--profile")?,
-        health: read_opt("--health")?,
-    };
-    if inputs.telemetry.is_none()
-        && inputs.snapshots.is_none()
-        && inputs.trace.is_none()
-        && inputs.profile.is_none()
-        && inputs.health.is_none()
+    if !["--telemetry", "--snap", "--trace", "--profile"]
+        .iter()
+        .any(|f| flags.has(f))
     {
         return Err(
-            "report needs at least one of --telemetry / --snap / --trace / --profile / --health"
-                .into(),
+            "report needs at least one of --telemetry / --snap / --trace / --profile".into(),
         );
     }
-    let html = render_report(&inputs)?;
+    let read = |flag: &str| flags.value(flag).map(std::fs::read_to_string).transpose();
+    let inputs = ReportInputs {
+        title: flags.value("--title").unwrap_or("routing run").to_string(),
+        telemetry: read("--telemetry")?
+            .map(|text| rows_from_jsonl(&text))
+            .transpose()
+            .map_err(|(line, e)| format!("telemetry: line {line}: {e}"))?,
+        snapshots: read("--snap")?
+            .map(|text| SnapshotStream::parse(&text))
+            .transpose()
+            .map_err(|e| format!("snapshots: {e}"))?,
+        phases: read("--trace")?
+            .map(|text| parse_trace(&text))
+            .transpose()
+            .map_err(|e| format!("trace: {e}"))?,
+        profile: read("--profile")?.as_deref().map(FoldedProfile::parse),
+        // findings live in a run's scope: no command writes them to a file
+        health: None,
+    };
+    let html = render_report(&inputs);
     let out = flags.value("--out").unwrap_or("report.html");
     std::fs::write(out, &html)?;
     println!("report → {out} ({} bytes)", html.len());
@@ -701,8 +708,8 @@ fn cmd_doctor(flags: &Flags) -> CliResult {
     let mut findings = Vec::new();
     if let Some(path) = telemetry {
         let text = std::fs::read_to_string(path)?;
-        let rows = dgr::obs::rows_from_jsonl(&text)
-            .map_err(|(line, e)| format!("{path}: line {line}: {e}"))?;
+        let rows =
+            rows_from_jsonl(&text).map_err(|(line, e)| format!("{path}: line {line}: {e}"))?;
         println!("doctor: {} telemetry row(s) from {path}", rows.len());
         findings.extend(dgr::obs::analyze_rows(&rows));
     }

@@ -107,7 +107,7 @@ fn report_html_surfaces_hotspot_offenders() {
     let (_, snaps) = route_with_snapshots(&design);
 
     let stream = SnapshotStream::parse(&snaps).expect("stream parses");
-    let header = stream.header.expect("header present");
+    let header = stream.header.as_ref().expect("header present");
     assert_eq!((header.width, header.height), (10, 10));
     assert!(
         stream.snapshots.iter().any(|s| s.phase == "train"),
@@ -124,10 +124,9 @@ fn report_html_surfaces_hotspot_offenders() {
 
     let html = render_report(&ReportInputs {
         title: "hotspot".to_string(),
-        snapshots: Some(snaps),
+        snapshots: Some(stream),
         ..ReportInputs::default()
-    })
-    .expect("report renders");
+    });
     for name in ["cross_a", "cross_b", "cross_c"] {
         assert!(html.contains(name), "report missing offender {name}");
     }

@@ -1,5 +1,6 @@
 //! The `dgr` binary against the library it fronts: arguments it does not
-//! know are errors, and `dgr train` runs the router's own front end.
+//! know are errors, `dgr train` runs the router's own front end, and
+//! `dgr report` refuses a file its reader refuses.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -108,4 +109,37 @@ fn arguments_outside_the_flag_table_are_errors() {
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// A snapshot stream whose raster is shorter than its header's grid is a
+/// read error that names the record (exit 1), not a panic in the
+/// heatmap (exit 101); and `dgr report` takes no findings file.
+#[test]
+fn report_refuses_a_truncated_snapshot_stream() {
+    let truncated = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/truncated_raster.snaps"
+    );
+    let out_dir = std::env::temp_dir().join("dgr_cli_test_report");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let html = out_dir.join("report.html");
+    let out = dgr(&[
+        "report",
+        "--snap",
+        truncated,
+        "--out",
+        html.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: snapshots: record 2: h_demand has length 1, but the 3×2 header needs 4\n"
+    );
+    assert!(!html.exists(), "no report is written");
+
+    let out = dgr(&["report", "--health", "findings.jsonl"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--health`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&out_dir);
 }

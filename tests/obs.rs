@@ -91,10 +91,9 @@ fn telemetry_of_the_older_schema_still_parses_and_renders() {
 
     let html = render_report(&ReportInputs {
         title: "older schema".into(),
-        telemetry: Some(text),
+        telemetry: Some(rows),
         ..ReportInputs::default()
-    })
-    .expect("older telemetry renders");
+    });
     assert!(html
         .contains("<p class=\"note\">6 iterations · loss 10 → 10 · final overflow term 0.5</p>"));
     assert!(html.contains("<figcaption>loss vs. iteration</figcaption>"));

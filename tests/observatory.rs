@@ -477,6 +477,39 @@ fn nan_injection_trips_the_poisoning_rule() {
     assert_eq!(poisoned[0].iter, rows[50].iter as u64);
 }
 
+/// The live report of a run and the report rendered from its telemetry
+/// file are one page, byte for byte: curves read back from the file and
+/// the verdicts `analyze_rows` reproduces from them say what the run's
+/// scope said. The run trips the stall rule, so the health band is drawn.
+#[test]
+fn live_report_equals_the_report_of_its_telemetry_file() {
+    const SCOPE: u64 = 7_001; // not 0: unlocked tests here tick into 0
+    let _guard = OBS_LOCK.lock().unwrap();
+    dgr::obs::set_enabled(true);
+    let text = {
+        let _scope = dgr::obs::status_scope(SCOPE);
+        telemetry_of_run(11, 1000.0, 600)
+    };
+    dgr::obs::set_enabled(false);
+    let live = dgr::obs::report_of(SCOPE, "run".into(), None, None);
+    dgr::obs::scope_remove(SCOPE);
+
+    let rows = dgr::obs::rows_from_jsonl(&text).expect("telemetry parses");
+    let findings = dgr::obs::analyze_rows(&rows);
+    assert!(
+        !findings.is_empty(),
+        "the health band has a finding to draw"
+    );
+    let file = dgr::obs::render_report(&dgr::obs::ReportInputs {
+        title: "run".into(),
+        telemetry: Some(rows),
+        health: Some(findings),
+        ..dgr::obs::ReportInputs::default()
+    });
+    assert!(live.contains("class=\"healthband\"") && live.contains("<polyline"));
+    assert!(live == file, "the live report and the file's differ");
+}
+
 /// The committed CI fixture keeps failing the doctor (the gate the
 /// workflow relies on).
 #[test]

@@ -15,7 +15,9 @@
 use std::path::PathBuf;
 
 use dgr::core::{write_attribution, CostWeights, DgrConfig, DgrRouter, RouteHooks, SnapshotConfig};
-use dgr::obs::{render_report, ReportInputs, SnapshotSink, TelemetrySink};
+use dgr::obs::{
+    render_report, rows_from_jsonl, ReportInputs, SnapshotSink, SnapshotStream, TelemetrySink,
+};
 use dgr_oracle::{case_rng, gen_design, CaseSpec, CheckKind};
 
 const GOLDEN_SEED: u64 = 11;
@@ -50,22 +52,16 @@ fn report_html() -> String {
         &CostWeights::default(),
         "final",
     );
+    let telemetry = hooks.telemetry.expect("sink retained");
+    let telemetry = telemetry.memory_contents().expect("in-memory");
+    let snapshots = snap.sink.memory_contents().expect("in-memory");
     let inputs = ReportInputs {
         title: format!("oracle seed {GOLDEN_SEED}"),
-        telemetry: Some(
-            hooks
-                .telemetry
-                .expect("sink retained")
-                .memory_contents()
-                .expect("in-memory")
-                .to_string(),
-        ),
-        snapshots: Some(snap.sink.memory_contents().expect("in-memory").to_string()),
-        trace: None,
-        profile: None,
-        health: None,
+        telemetry: Some(rows_from_jsonl(telemetry).expect("telemetry reads")),
+        snapshots: Some(SnapshotStream::parse(snapshots).expect("snapshots read")),
+        ..ReportInputs::default()
     };
-    render_report(&inputs).expect("report renders")
+    render_report(&inputs)
 }
 
 #[test]

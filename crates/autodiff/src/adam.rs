@@ -54,11 +54,6 @@ impl Adam {
         self.lr
     }
 
-    /// Updates the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
@@ -269,11 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_is_adjustable() {
-        let mut adam = Adam::new(1, 0.5);
+    fn a_new_optimizer_has_its_rate_and_no_steps() {
+        let adam = Adam::new(1, 0.5);
         assert_eq!(adam.learning_rate(), 0.5);
-        adam.set_learning_rate(0.1);
-        assert_eq!(adam.learning_rate(), 0.1);
         assert_eq!(adam.steps(), 0);
     }
 }

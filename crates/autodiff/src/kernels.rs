@@ -1,6 +1,7 @@
-//! Chunked (8-lane) f32 kernels: the group softmax and dot product the
-//! expected-cost kernel ([`crate::cost`]) calls, the fused Adam update,
-//! and the gather / scatter-add pair the benchmark times per element.
+//! Chunked (8-lane) f32 kernels: the group softmax the expected-cost
+//! kernel ([`crate::cost`]) calls, the fused Adam update, and what only
+//! the benchmark calls, timing it per element: the segmented softmax
+//! backward (the one caller of [`dot`]) and the gather / scatter-add pair.
 //!
 //! Every hot loop is written as an explicit 8-lane chunked pass
 //! (`chunks_exact(8)` bodies LLVM auto-vectorizes to SSE/AVX on stable

@@ -15,42 +15,20 @@ use dgr_grid::{DemandMap, Design, Rect};
 
 use crate::{unrouted, BaselineError};
 
-/// Tuning knobs of the Lagrangian router.
-#[derive(Debug, Clone)]
-pub struct LagrangianConfig {
-    /// Dual (multiplier-update) rounds.
-    pub rounds: usize,
-    /// Initial subgradient step size; decays as `η / √round`.
-    pub step: f32,
-    /// Turn cost in the maze search.
-    pub turn_cost: f32,
-    /// Maze window inflation around each sub-net's bounding box.
-    pub margin: i32,
-}
-
-impl Default for LagrangianConfig {
-    fn default() -> Self {
-        LagrangianConfig {
-            rounds: 8,
-            step: 0.5,
-            turn_cost: 1.0,
-            margin: 8,
-        }
-    }
-}
+/// Dual (multiplier-update) rounds.
+const ROUNDS: usize = 8;
+/// Initial subgradient step size; decays as `η / √round`.
+const STEP: f32 = 0.5;
+/// Turn cost in the maze search.
+const TURN_COST: f32 = 1.0;
+/// Maze window inflation around each sub-net's bounding box.
+const MARGIN: i32 = 8;
 
 /// The Lagrangian-relaxation baseline. See the [module docs](self).
-#[derive(Debug, Clone, Default)]
-pub struct LagrangianRouter {
-    config: LagrangianConfig,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct LagrangianRouter;
 
 impl LagrangianRouter {
-    /// Creates a router with the given configuration.
-    pub fn new(config: LagrangianConfig) -> Self {
-        LagrangianRouter { config }
-    }
-
     /// Routes `design` and returns the 2D solution.
     ///
     /// # Errors
@@ -66,17 +44,16 @@ impl LagrangianRouter {
 
         let mut scratch = MazeScratch::new();
         let mut lambda = vec![0.0f32; grid.num_edges()];
-        for round in 0..self.config.rounds {
+        for round in 0..ROUNDS {
             // independent routing under dual costs
             let mut demand = DemandMap::new(grid);
             for (n, tree) in trees.iter().enumerate() {
                 for (a, b) in tree.subnets() {
                     let cfg = MazeConfig {
                         bounds: Some(
-                            Rect::bounding(&[a, b])
-                                .inflate_clamped(self.config.margin, grid.bounds()),
+                            Rect::bounding(&[a, b]).inflate_clamped(MARGIN, grid.bounds()),
                         ),
-                        turn_cost: self.config.turn_cost,
+                        turn_cost: TURN_COST,
                     };
                     let corners = scratch
                         .route(grid, a, b, |e| 1.0 + lambda[e.index()], &cfg)
@@ -85,7 +62,7 @@ impl LagrangianRouter {
                 }
             }
             // projected subgradient step (the dual prices wire only)
-            let eta = self.config.step / ((round + 1) as f32).sqrt();
+            let eta = STEP / ((round + 1) as f32).sqrt();
             for e in grid.edge_ids() {
                 let violation = demand.wire(e) - design.capacity.capacity(e);
                 lambda[e.index()] = (lambda[e.index()] + eta * violation).max(0.0);
@@ -103,8 +80,8 @@ impl LagrangianRouter {
                     .route_escalating(
                         grid,
                         (a, b),
-                        self.config.margin,
-                        self.config.turn_cost,
+                        MARGIN,
+                        TURN_COST,
                         |e| 1.0 + lambda[e.index()] + 1000.0 * ov(e),
                         |e| ov(e) <= 0.0,
                     )
@@ -139,7 +116,7 @@ mod tests {
                 Net::new("b", vec![Point::new(9, 0), Point::new(0, 9)]),
             ],
         );
-        let sol = LagrangianRouter::default().route(&d).unwrap();
+        let sol = LagrangianRouter.route(&d).unwrap();
         assert_eq!(sol.routes.len(), 2);
         assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
     }
@@ -153,7 +130,7 @@ mod tests {
             .map(|i| Net::new(format!("n{i}"), vec![Point::new(1, 5), Point::new(10, 5)]))
             .collect();
         let d = design(2.0, nets);
-        let sol = LagrangianRouter::default().route(&d).unwrap();
+        let sol = LagrangianRouter.route(&d).unwrap();
         assert_eq!(
             sol.metrics.overflow.overflowed_edges, 0,
             "parallel tracks exist within the window"
@@ -166,7 +143,7 @@ mod tests {
     fn multi_pin_nets_are_fully_connected() {
         let pins = vec![Point::new(0, 0), Point::new(11, 0), Point::new(5, 11)];
         let d = design(2.0, vec![Net::new("m", pins.clone())]);
-        let sol = LagrangianRouter::default().route(&d).unwrap();
+        let sol = LagrangianRouter.route(&d).unwrap();
         for pin in &pins {
             let covered = sol.routes[0]
                 .paths

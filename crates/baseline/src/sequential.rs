@@ -26,52 +26,25 @@ use dgr_rsmt::RoutingTree;
 use crate::cost::logistic_cost;
 use crate::{unrouted, BaselineError};
 
-/// Tuning knobs of the sequential router.
-#[derive(Debug, Clone)]
-pub struct SequentialConfig {
-    /// Maximum rip-up-and-reroute rounds after the initial pass.
-    pub rrr_rounds: usize,
-    /// Logistic congestion cost magnitude.
-    pub logistic_slope: f32,
-    /// Logistic congestion cost sharpness.
-    pub logistic_alpha: f32,
-    /// Cost charged per turning point (via proxy).
-    pub via_cost: f32,
-    /// Z-pattern stride for the pattern stage (`None` = L only).
-    pub z_stride: Option<u32>,
-    /// Enable maze fallback for sub-nets that still overflow after
-    /// pattern rerouting.
-    pub maze_fallback: bool,
-    /// Bounding-box inflation (g-cells) for the maze search window.
-    pub maze_margin: i32,
-}
-
-impl Default for SequentialConfig {
-    fn default() -> Self {
-        SequentialConfig {
-            rrr_rounds: 3,
-            logistic_slope: 8.0,
-            logistic_alpha: 1.5,
-            via_cost: 2.0,
-            z_stride: Some(4),
-            maze_fallback: true,
-            maze_margin: 6,
-        }
-    }
-}
+/// Rip-up-and-reroute rounds after the initial pass; every round but the
+/// first may fall back to maze routing.
+const RRR_ROUNDS: usize = 3;
+/// Logistic congestion cost magnitude.
+const LOGISTIC_SLOPE: f32 = 8.0;
+/// Logistic congestion cost sharpness.
+const LOGISTIC_ALPHA: f32 = 1.5;
+/// Cost charged per turning point (via proxy).
+const VIA_COST: f32 = 2.0;
+/// Z-pattern stride of the pattern stage.
+const Z_STRIDE: Option<u32> = Some(4);
+/// Bounding-box inflation (g-cells) of the maze search window.
+const MAZE_MARGIN: i32 = 6;
 
 /// The sequential baseline router. See the [module docs](self).
-#[derive(Debug, Clone, Default)]
-pub struct SequentialRouter {
-    config: SequentialConfig,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct SequentialRouter;
 
 impl SequentialRouter {
-    /// Creates a router with the given configuration.
-    pub fn new(config: SequentialConfig) -> Self {
-        SequentialRouter { config }
-    }
-
     /// Routes `design` sequentially and returns the 2D solution.
     ///
     /// # Errors
@@ -96,18 +69,16 @@ impl SequentialRouter {
         }
 
         // rip-up and reroute rounds
-        for round in 0..self.config.rrr_rounds {
+        for round in 0..RRR_ROUNDS {
             let victims = overflowed_nets(design, &demand, &routes);
             if victims.is_empty() {
                 break;
             }
-            let maze = round > 0
-                || (self.config.maze_fallback && round + 1 == self.config.rrr_rounds.max(1));
             for &n in &victims {
                 for path in &routes[n].paths {
                     demand.rip_up(grid, &path.corners)?;
                 }
-                let scratch = maze.then_some(&mut scratch);
+                let scratch = (round > 0).then_some(&mut scratch);
                 routes[n].paths = self.route_net(design, &trees[n], &mut demand, scratch)?;
             }
         }
@@ -127,17 +98,11 @@ impl SequentialRouter {
         for (a, b) in tree.subnets() {
             // pattern candidates under the current congestion
             let mut best: Option<(f32, RoutePath)> = None;
-            for path in enumerate_paths(a, b, self.config.z_stride) {
-                let mut cost = self.config.via_cost * path.num_turns() as f32;
+            for path in enumerate_paths(a, b, Z_STRIDE) {
+                let mut cost = VIA_COST * path.num_turns() as f32;
                 let edges = path.edges(grid)?;
                 for e in &edges {
-                    cost += logistic_cost(
-                        cap,
-                        demand,
-                        *e,
-                        self.config.logistic_slope,
-                        self.config.logistic_alpha,
-                    );
+                    cost += logistic_cost(cap, demand, *e, LOGISTIC_SLOPE, LOGISTIC_ALPHA);
                 }
                 if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     best = Some((
@@ -154,14 +119,15 @@ impl SequentialRouter {
                 // maze fallback when the best pattern still overflows
                 let ov = |e| demand.marginal(cap, e, 1.0);
                 if grid.polyline_edges(&chosen.corners)?.any(|e| ov(e) > 0.0) {
-                    let slope = self.config.logistic_slope;
-                    let alpha = self.config.logistic_alpha;
-                    let cost_fn = |e| logistic_cost(cap, demand, e, slope, alpha) + 1000.0 * ov(e);
+                    let cost_fn = |e| {
+                        logistic_cost(cap, demand, e, LOGISTIC_SLOPE, LOGISTIC_ALPHA)
+                            + 1000.0 * ov(e)
+                    };
                     let candidate = scratch.route_escalating(
                         grid,
                         (a, b),
-                        self.config.maze_margin,
-                        self.config.via_cost,
+                        MAZE_MARGIN,
+                        VIA_COST,
                         cost_fn,
                         |e| ov(e) <= 0.0,
                     );
@@ -169,7 +135,7 @@ impl SequentialRouter {
                         let maze_path = RoutePath { corners };
                         // only adopt the maze route when it avoids overflow
                         // better than the pattern (cost comparison)
-                        let mut maze_cost = self.config.via_cost * maze_path.num_turns() as f32;
+                        let mut maze_cost = VIA_COST * maze_path.num_turns() as f32;
                         for e in grid.polyline_edges(&maze_path.corners)? {
                             maze_cost += cost_fn(e);
                         }
@@ -225,7 +191,7 @@ mod tests {
                 ),
             ],
         );
-        let sol = SequentialRouter::default().route(&d).unwrap();
+        let sol = SequentialRouter.route(&d).unwrap();
         assert_eq!(sol.routes.len(), 2);
         assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
         assert!(sol.metrics.total_wirelength >= 14);
@@ -242,7 +208,7 @@ mod tests {
                 Net::new("b", vec![Point::new(1, 1), Point::new(8, 8)]),
             ],
         );
-        let sol = SequentialRouter::default().route(&d).unwrap();
+        let sol = SequentialRouter.route(&d).unwrap();
         assert_eq!(
             sol.metrics.overflow.overflowed_edges, 0,
             "RRR should separate the two nets"
@@ -265,7 +231,7 @@ mod tests {
             5,
         )
         .unwrap();
-        let sol = SequentialRouter::default().route(&d).unwrap();
+        let sol = SequentialRouter.route(&d).unwrap();
         // the wall leaves rows 10-11 open: the route must detour
         assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
         assert!(sol.metrics.total_wirelength > 9);
@@ -274,7 +240,7 @@ mod tests {
     #[test]
     fn single_pin_and_empty_paths() {
         let d = design(2.0, vec![Net::new("p", vec![Point::new(3, 3)])]);
-        let sol = SequentialRouter::default().route(&d).unwrap();
+        let sol = SequentialRouter.route(&d).unwrap();
         assert_eq!(sol.routes[0].paths.len(), 0);
         assert_eq!(sol.metrics.total_wirelength, 0);
     }
@@ -288,7 +254,7 @@ mod tests {
             Point::new(7, 5),
         ];
         let d = design(3.0, vec![Net::new("m", pins.clone())]);
-        let sol = SequentialRouter::default().route(&d).unwrap();
+        let sol = SequentialRouter.route(&d).unwrap();
         // every pin must appear as an endpoint of some path
         for pin in &pins {
             let covered = sol.routes[0]

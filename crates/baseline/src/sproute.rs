@@ -15,45 +15,22 @@ use dgr_grid::{DemandMap, Design};
 
 use crate::{unrouted, BaselineError};
 
-/// Tuning knobs of the soft-capacity router.
-#[derive(Debug, Clone)]
-pub struct SprouteConfig {
-    /// Fraction of nominal capacity treated as "soft" headroom.
-    pub soft_fraction: f32,
-    /// Cost multiplier applied beyond the soft boundary.
-    pub penalty: f32,
-    /// Reroute rounds after the initial pass.
-    pub rounds: usize,
-    /// Turn cost in the maze search.
-    pub turn_cost: f32,
-    /// Maze window inflation around each sub-net's bounding box.
-    pub margin: i32,
-}
-
-impl Default for SprouteConfig {
-    fn default() -> Self {
-        SprouteConfig {
-            soft_fraction: 0.9,
-            penalty: 50.0,
-            rounds: 2,
-            turn_cost: 1.0,
-            margin: 8,
-        }
-    }
-}
+/// Fraction of nominal capacity treated as "soft" headroom.
+const SOFT_FRACTION: f32 = 0.9;
+/// Cost multiplier applied beyond the soft boundary.
+const PENALTY: f32 = 50.0;
+/// Reroute rounds after the initial pass.
+const ROUNDS: usize = 2;
+/// Turn cost in the maze search.
+const TURN_COST: f32 = 1.0;
+/// Maze window inflation around each sub-net's bounding box.
+const MARGIN: i32 = 8;
 
 /// The SPRoute-style baseline. See the [module docs](self).
-#[derive(Debug, Clone, Default)]
-pub struct SprouteRouter {
-    config: SprouteConfig,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct SprouteRouter;
 
 impl SprouteRouter {
-    /// Creates a router with the given configuration.
-    pub fn new(config: SprouteConfig) -> Self {
-        SprouteRouter { config }
-    }
-
     /// Routes `design` and returns the 2D solution.
     ///
     /// # Errors
@@ -73,7 +50,7 @@ impl SprouteRouter {
         for n in design.nets_by_half_perimeter() {
             routes[n].paths = self.route_net(design, &trees[n], &mut demand, n, &mut scratch)?;
         }
-        for _ in 0..self.config.rounds {
+        for _ in 0..ROUNDS {
             let victims = overflowed_nets(design, &demand, &routes);
             if victims.is_empty() {
                 break;
@@ -93,10 +70,10 @@ impl SprouteRouter {
         let d = demand.total(&design.capacity, e);
         let c = design.capacity.capacity(e).max(1e-3);
         let u = (d + 1.0) / c;
-        if u <= self.config.soft_fraction {
+        if u <= SOFT_FRACTION {
             1.0
         } else {
-            1.0 + self.config.penalty * (u - self.config.soft_fraction).powi(2) / 0.01
+            1.0 + PENALTY * (u - SOFT_FRACTION).powi(2) / 0.01
         }
     }
 
@@ -115,8 +92,8 @@ impl SprouteRouter {
                 .route_escalating(
                     grid,
                     (a, b),
-                    self.config.margin,
-                    self.config.turn_cost,
+                    MARGIN,
+                    TURN_COST,
                     |e| self.soft_cost(design, demand, e),
                     |e| demand.marginal(&design.capacity, e, 1.0) <= 0.0,
                 )
@@ -151,7 +128,7 @@ mod tests {
                 Net::new("c", vec![Point::new(3, 0), Point::new(3, 9)]),
             ],
         );
-        let sol = SprouteRouter::default().route(&d).unwrap();
+        let sol = SprouteRouter.route(&d).unwrap();
         assert_eq!(sol.routes.len(), 3);
         assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
     }
@@ -159,7 +136,7 @@ mod tests {
     #[test]
     fn soft_cost_grows_superlinearly_near_capacity() {
         let d = design(2.0, vec![]);
-        let router = SprouteRouter::default();
+        let router = SprouteRouter;
         let mut demand = DemandMap::new(&d.grid);
         let e = d.grid.h_edge(0, 0).unwrap();
         let empty = router.soft_cost(&d, &demand, e);
@@ -189,7 +166,7 @@ mod tests {
             5,
         )
         .unwrap();
-        let sol = SprouteRouter::default().route(&d).unwrap();
+        let sol = SprouteRouter.route(&d).unwrap();
         assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
         // one of the two detoured: more than the 11 + 9 direct wirelength
         assert!(sol.metrics.total_wirelength > 20);
@@ -208,7 +185,7 @@ mod tests {
             5,
         )
         .unwrap();
-        let sol = SprouteRouter::default().route(&d).unwrap();
+        let sol = SprouteRouter.route(&d).unwrap();
         assert!(sol.metrics.overflow.overflowed_edges > 0);
     }
 }

@@ -63,8 +63,7 @@ fn main() {
         // the retained curve replaces the old ad-hoc final-loss readout
         let loss0 = report.curve.first().map_or(f32::NAN, |p| p.loss);
 
-        let seq = run_baseline(&design, |d| SequentialRouter::default().route(d))
-            .expect("sequential route");
+        let seq = run_baseline(&design, |d| SequentialRouter.route(d)).expect("sequential route");
 
         println!(
             "{:>8} {:>8} | {:>10.2} {:>10.2} | {:>12.1} {:>16.1} {:>10.1} → {:<9.1}",

@@ -31,8 +31,7 @@ fn main() {
             "f", "lr", "seed", "0.5*WL+4*via", "weighted ovf"
         );
 
-        let seq =
-            run_baseline(&design, |d| SequentialRouter::default().route(d)).expect("sequential");
+        let seq = run_baseline(&design, |d| SequentialRouter.route(d)).expect("sequential");
         println!(
             "{:<10} {:>5} {:>5} | {:>14.0} {:>16.0}   <- CUGR2-style reference",
             "cugr2",

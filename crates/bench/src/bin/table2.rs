@@ -34,8 +34,7 @@ fn main() {
     let mut sums = [0.0f64; 6]; // ovf, wl, via for each router
     for case in congested_cases() {
         let design = generate_case(case.config.clone(), fast).expect("generate case");
-        let seq = run_baseline(&design, |d| SequentialRouter::default().route(d))
-            .expect("sequential route");
+        let seq = run_baseline(&design, |d| SequentialRouter.route(d)).expect("sequential route");
         let dgr = run_dgr(&design, dgr_config(fast, 7)).expect("dgr route");
 
         println!(

@@ -33,10 +33,8 @@ fn main() {
     let mut sums = [0.0f64; 9];
     for case in ispd18_cases() {
         let design = generate_case(case.config.clone(), fast).expect("generate case");
-        let spr =
-            run_baseline(&design, |d| SprouteRouter::default().route(d)).expect("sproute route");
-        let lag = run_baseline(&design, |d| LagrangianRouter::default().route(d))
-            .expect("lagrangian route");
+        let spr = run_baseline(&design, |d| SprouteRouter.route(d)).expect("sproute route");
+        let lag = run_baseline(&design, |d| LagrangianRouter.route(d)).expect("lagrangian route");
         let dgr = run_dgr(&design, dgr_config(fast, 11)).expect("dgr route");
 
         println!(

@@ -167,7 +167,7 @@ mod tests {
         let mut cfg = dgr_config(true, 0);
         cfg.iterations = 60;
         let dgr = run_dgr(&design, cfg).unwrap();
-        let seq = run_baseline(&design, |d| SequentialRouter::default().route(d)).unwrap();
+        let seq = run_baseline(&design, |d| SequentialRouter.route(d)).unwrap();
         assert!(dgr.wirelength() > 0);
         assert!(seq.wirelength() > 0);
         assert!(dgr.vias() > 0);

@@ -272,7 +272,8 @@ impl DgrRouter {
     /// category), per-iteration telemetry, and a progress line.
     ///
     /// Iteration numbering in telemetry rows and the retained
-    /// [`TrainReport::curve`] is monotone across adaptive rounds.
+    /// [`TrainReport::curve`] is monotone across adaptive rounds, and the
+    /// solution's [`TrainReport`] covers them all.
     ///
     /// # Errors
     ///
@@ -298,9 +299,9 @@ impl DgrRouter {
         hooks.cache_counts = (candidates.cache_hits, candidates.cache_misses);
 
         let mut warm_start: Option<expand::WarmStart> = None;
-        let mut total_duration = std::time::Duration::ZERO;
         let mut iter_offset = 0usize;
-        let mut curve_acc: Vec<train::CurvePoint> = Vec::new();
+        // the rounds trained so far, as one report
+        let mut earlier: Option<TrainReport> = None;
 
         for round in 0..=self.config.adaptive_rounds {
             if hooks.is_cancelled() {
@@ -336,9 +337,11 @@ impl DgrRouter {
             if hooks.is_cancelled() {
                 return Err(DgrError::Cancelled);
             }
-            total_duration += report.duration;
             iter_offset += round_cfg.iterations;
-            curve_acc.extend(report.curve.iter().copied());
+            let report = match earlier.take() {
+                Some(earlier) => earlier.followed_by(report),
+                None => report,
+            };
 
             // 4. discrete extraction
             dgr_obs::status_phase("extract");
@@ -346,9 +349,7 @@ impl DgrRouter {
 
             let done = round == self.config.adaptive_rounds
                 || solution.metrics.overflow.overflowed_edges == 0;
-            let mut finish = |mut report: TrainReport, mut solution: RoutingSolution| {
-                report.duration = total_duration;
-                report.curve = std::mem::take(&mut curve_acc);
+            let mut finish = |report: TrainReport, mut solution: RoutingSolution| {
                 solution.train_report = Some(report);
                 if let Some(sink) = hooks.telemetry.as_mut() {
                     sink.flush();
@@ -376,6 +377,7 @@ impl DgrRouter {
             if !grew {
                 return Ok(finish(report, solution));
             }
+            earlier = Some(report);
         }
         unreachable!("loop returns on its final round");
     }

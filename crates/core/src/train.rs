@@ -121,7 +121,7 @@ pub struct CurvePoint {
 /// What happened during training — loss trajectory, timings, memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
-    /// Iterations executed.
+    /// Iterations executed, in every adaptive round.
     pub iterations: usize,
     /// Downsampled loss/overflow trajectory (≤ [`CURVE_POINTS`] samples,
     /// final iteration always included) retained so comparison tooling
@@ -147,6 +147,24 @@ pub struct TrainReport {
     /// The forest's counts at iteration 0, then what each temperature
     /// step that dropped candidates left, in order.
     pub live: Vec<LiveRow>,
+}
+
+impl TrainReport {
+    /// This round followed by the adaptive round `next`, as one run: the
+    /// iterations, curves and times add up, the memory peak is the larger,
+    /// and the final loss, temperature and live rows are `next`'s.
+    pub(crate) fn followed_by(mut self, next: TrainReport) -> TrainReport {
+        self.curve.extend(next.curve);
+        TrainReport {
+            iterations: self.iterations + next.iterations,
+            curve: self.curve,
+            duration: self.duration + next.duration,
+            forward_time: self.forward_time + next.forward_time,
+            backward_time: self.backward_time + next.backward_time,
+            graph_bytes: self.graph_bytes.max(next.graph_bytes),
+            ..next
+        }
+    }
 }
 
 /// What is still in the kernel's tables from one temperature step on.

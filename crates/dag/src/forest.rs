@@ -1,7 +1,5 @@
 //! The flattened DAG-forest arenas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::DagError;
 
 /// The complete 2D pattern-routing search space of a design, stored as
@@ -25,7 +23,7 @@ use crate::DagError;
 /// Construct with [`crate::build_forest`]; all fields are read-only after
 /// construction (exposed through accessors so the representation can
 /// evolve without breaking users).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagForest {
     pub(crate) net_tree_offsets: Vec<u32>,
     pub(crate) tree_net: Vec<u32>,
@@ -230,11 +228,6 @@ impl DagForest {
     /// Dense per-path turn-count vector (Eq. 5's `TP` weights).
     pub fn path_turns_slice(&self) -> &[f32] {
         &self.path_turns
-    }
-
-    /// Per-path tree index (the gather table for `q_tree(i)` in Eq. 9–12).
-    pub fn path_tree_slice(&self) -> &[u32] {
-        &self.path_tree
     }
 
     /// Per-subnet tree index (every path of a subnet shares its tree).

@@ -22,12 +22,10 @@
 pub mod builder;
 pub mod forest;
 pub mod paths;
-pub mod stats;
 
 pub use builder::{build_forest, build_forest_with_extras, PatternConfig};
 pub use forest::DagForest;
 pub use paths::{enumerate_paths, enumerate_patterns, PatternPath};
-pub use stats::ForestStats;
 
 /// Errors produced while building or validating a DAG forest.
 #[derive(Debug, Clone, PartialEq)]

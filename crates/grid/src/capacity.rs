@@ -15,8 +15,6 @@
 //! the differentiable solver. The same convention is used for via demand in
 //! [`crate::demand`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::geom::Point;
 use crate::grid::GcellGrid;
 use crate::ids::{EdgeId, GcellId};
@@ -41,7 +39,7 @@ use crate::GridError;
 /// assert!(cap.capacity(e) < 10.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityModel {
     cap: Vec<f32>,
     beta: Vec<f32>,
@@ -206,27 +204,6 @@ impl CapacityBuilder {
             local_nets: vec![0; grid.num_cells()],
             beta: vec![DEFAULT_BETA; grid.num_cells()],
         }
-    }
-
-    /// Starts a builder from explicit per-edge track counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::LengthMismatch`] if `tracks.len()` differs from
-    /// `grid.num_edges()`.
-    pub fn from_tracks(grid: &GcellGrid, tracks: Vec<f32>) -> Result<Self, GridError> {
-        if tracks.len() != grid.num_edges() {
-            return Err(GridError::LengthMismatch {
-                expected: grid.num_edges(),
-                got: tracks.len(),
-            });
-        }
-        Ok(CapacityBuilder {
-            tracks,
-            pin_count: vec![0; grid.num_cells()],
-            local_nets: vec![0; grid.num_cells()],
-            beta: vec![DEFAULT_BETA; grid.num_cells()],
-        })
     }
 
     /// Overrides the track count of a single edge (e.g. to model blockages).
@@ -412,16 +389,6 @@ mod tests {
         let cap = b.build(&g).unwrap();
         assert_eq!(cap.capacity(g.h_edge(0, 0).unwrap()), 4.0);
         assert_eq!(cap.capacity(g.h_edge(2, 3).unwrap()), 8.0);
-    }
-
-    #[test]
-    fn from_tracks_validates_length() {
-        let g = grid();
-        assert!(matches!(
-            CapacityBuilder::from_tracks(&g, vec![1.0; 3]),
-            Err(GridError::LengthMismatch { .. })
-        ));
-        assert!(CapacityBuilder::from_tracks(&g, vec![1.0; g.num_edges()]).is_ok());
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! what more demand would add to the overflow
 //! ([`marginal`](DemandMap::marginal)).
 
-use serde::{Deserialize, Serialize};
-
 use crate::capacity::CapacityModel;
 use crate::geom::Point;
 use crate::grid::GcellGrid;
@@ -60,7 +58,7 @@ pub fn excess(demand: f32, capacity: f32) -> f32 {
 /// assert!(demand.is_over(&cap, grid.h_edge(1, 0)?));
 /// # Ok::<(), dgr_grid::GridError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandMap {
     wire: Vec<f32>,
     via_pressure: Vec<f32>,

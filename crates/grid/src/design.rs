@@ -4,15 +4,13 @@
 //! router, every baseline router, and the benchmark generators — the
 //! in-memory equivalent of the LEF/DEF + net list the paper's flows parse.
 
-use serde::{Deserialize, Serialize};
-
 use crate::capacity::CapacityModel;
 use crate::geom::{Point, Rect};
 use crate::grid::GcellGrid;
 use crate::GridError;
 
 /// A single net: a name and its pin positions (g-cell coordinates).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     /// Human-readable net name.
     pub name: String,
@@ -48,7 +46,7 @@ impl Net {
 /// assert_eq!(design.num_nets(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     /// The g-cell grid.
     pub grid: GcellGrid,

@@ -1,7 +1,5 @@
 //! Integer geometry on the g-cell grid.
 
-use serde::{Deserialize, Serialize};
-
 /// A g-cell coordinate.
 ///
 /// Coordinates are signed so intermediate arithmetic (e.g. bounding-box
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Point::new(5, 7);
 /// assert_eq!(a.manhattan_distance(b), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Point {
     /// Horizontal g-cell index.
     pub x: i32,
@@ -170,9 +166,7 @@ impl PointIndex {
 /// assert!(r.contains(Point::new(2, 3)));
 /// assert_eq!(r.half_perimeter(), 6);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Rect {
     /// Lower-left corner (inclusive).
     pub lo: Point,

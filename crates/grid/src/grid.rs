@@ -1,13 +1,11 @@
 //! The g-cell grid graph and its dense edge indexing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geom::{Point, Rect};
 use crate::ids::{EdgeId, GcellId};
 use crate::GridError;
 
 /// Orientation of a g-cell edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeDir {
     /// Connects `(x, y)` to `(x + 1, y)`.
     Horizontal,
@@ -37,7 +35,7 @@ pub enum EdgeDir {
 /// assert_eq!(grid.edge_endpoints(e).0, Point::new(2, 1));
 /// # Ok::<(), dgr_grid::GridError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcellGrid {
     width: u32,
     height: u32,

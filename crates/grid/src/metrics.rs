@@ -9,14 +9,12 @@
 //!   `10·n₁ + 1000·n₂ + 10000·peak`, where `n₁` counts overflowed nets
 //!   after layer assignment and `n₂` counts overflowed g-cell edges.
 
-use serde::{Deserialize, Serialize};
-
 use crate::capacity::CapacityModel;
 use crate::demand::{excess, DemandMap};
 use crate::grid::GcellGrid;
 
 /// Aggregate overflow statistics of a routing state.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OverflowStats {
     /// Number of g-cell edges whose demand exceeds capacity.
     pub overflowed_edges: usize,
@@ -58,7 +56,7 @@ impl OverflowStats {
 }
 
 /// A per-edge congestion snapshot for reporting and visualization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CongestionReport {
     /// Demand divided by capacity per edge (`∞`-free: blocked edges with
     /// non-positive capacity report `f32::INFINITY` only when demand > 0).
@@ -88,28 +86,6 @@ impl CongestionReport {
             utilization,
             stats: OverflowStats::measure(grid, cap, demand),
         }
-    }
-
-    /// Serializes per-edge utilization as CSV
-    /// (`edge_id,x,y,dir,utilization`), ready for external plotting.
-    pub fn to_csv(&self, grid: &GcellGrid) -> String {
-        let mut out = String::from("edge_id,x,y,dir,utilization\n");
-        for e in grid.edge_ids() {
-            let (a, _) = grid.edge_endpoints(e);
-            let dir = match grid.edge_dir(e) {
-                crate::EdgeDir::Horizontal => 'H',
-                crate::EdgeDir::Vertical => 'V',
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                e.0,
-                a.x,
-                a.y,
-                dir,
-                self.utilization[e.index()]
-            ));
-        }
-        out
     }
 
     /// Renders an ASCII heat map of horizontal-plus-vertical utilization
@@ -206,19 +182,6 @@ mod tests {
         let map = r.ascii_heatmap(&g);
         assert_eq!(map.lines().count(), 4);
         assert_eq!(map.lines().next().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn csv_export_has_one_row_per_edge() {
-        let (g, cap, mut d) = setup(2.0);
-        d.add_segment(&g, Point::new(0, 0), Point::new(1, 0))
-            .unwrap();
-        let r = CongestionReport::measure(&g, &cap, &d);
-        let csv = r.to_csv(&g);
-        assert_eq!(csv.lines().count(), g.num_edges() + 1);
-        assert!(csv.starts_with("edge_id,x,y,dir,utilization\n"));
-        assert!(csv.contains(",H,"));
-        assert!(csv.contains(",V,"));
     }
 
     #[test]

@@ -127,16 +127,6 @@ impl LedgerRecord {
         format!("{{\"hash\":\"{hash:016x}\",{}", &body[1..])
     }
 
-    /// RSMT cache hit rate in `[0, 1]` (0 with no lookups).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     fn from_value(v: &JsonValue) -> Option<LedgerRecord> {
         let u = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
         let f = |k: &str| v.num(k).unwrap_or(0.0);
@@ -393,8 +383,5 @@ mod tests {
         // no DGR_LEDGER in the test env by default: HOME-based or None,
         // never panics
         let _ = ledger_path();
-        let rec = record(1);
-        let rate = rec.cache_hit_rate();
-        assert!((rate - 1.0 / 809.0).abs() < 1e-9);
     }
 }

@@ -193,7 +193,7 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
     Ok(())
 }
 
-// --- check 3: kernel gradients vs. f64 central differences -----------------
+// --- check 3: kernel gradients vs. f64 fourth-order differences ------------
 
 /// Where `activation` is not differentiable, as a value of its input.
 fn kink(activation: Activation) -> Option<f64> {
@@ -243,7 +243,7 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
 }
 
 /// The loss of `model` against the f64 reference, and its gradient
-/// against central differences of the reference.
+/// against fourth-order differences of the reference.
 fn compare_gradients(
     spec: &CaseSpec,
     design: &Design,
@@ -270,23 +270,37 @@ fn compare_gradients(
         ));
     }
 
-    // f64 central differences on a deterministic coordinate sample. A
-    // coordinate whose ±h step carries an edge across the activation's
-    // kink has no derivative to compare with (every demand is monotone in
-    // every logit, so looking at the two ends is enough): `None`. An edge
-    // that sits on the kink at both ends does not move and does not count.
+    // f64 differences on a deterministic coordinate sample, to fourth
+    // order: (4·D(h) − D(2h)) / 3 cancels the h² term of the central
+    // difference D(s) = (f(w + s) − f(w − s)) / 2s. Each D divides by the
+    // span the f32 logit actually moved, or by the nominal 2s where the
+    // logit is −∞ and cannot move. A coordinate whose ±2h step carries an
+    // edge across the activation's kink has no derivative to compare with
+    // (every demand is monotone in every logit, so looking at the two
+    // outer ends is enough): `None`. An edge that sits on the kink at both
+    // ends does not move and does not count.
     let h = tol::FD_STEP;
     let cap = design.capacity.as_slice();
     let fd_at = |buf: &[f32], is_tree: bool, j: usize| -> Option<f64> {
-        let mut plus = buf.to_vec();
-        let mut minus = buf.to_vec();
-        plus[j] += h;
-        minus[j] -= h;
-        let (up, down) = if is_tree {
-            (eval(&plus, &w_path), eval(&minus, &w_path))
-        } else {
-            (eval(&w_tree, &plus), eval(&w_tree, &minus))
+        let eval_at = |w: f32| {
+            let mut moved = buf.to_vec();
+            moved[j] = w;
+            match is_tree {
+                true => eval(&moved, &w_path),
+                false => eval(&w_tree, &moved),
+            }
         };
+        let central = |step: f32| {
+            let (w_up, w_down) = (buf[j] + step, buf[j] - step);
+            let span = match buf[j].is_finite() {
+                true => w_up as f64 - w_down as f64,
+                false => 2.0 * step as f64,
+            };
+            let (up, down) = (eval_at(w_up), eval_at(w_down));
+            ((up.loss - down.loss) / span, up, down)
+        };
+        let (inner, ..) = central(h);
+        let (outer, up, down) = central(2.0 * h);
         if let Some(k) = kink(cfg.activation) {
             let side = |d: f64, e: usize| (d - cap[e] as f64) / cfg.overflow_scale as f64 - k;
             let crosses =
@@ -295,7 +309,7 @@ fn compare_gradients(
                 return None;
             }
         }
-        Some((up.loss - down.loss) / (2.0 * h as f64))
+        Some((4.0 * inner - outer) / 3.0)
     };
     let sample = |len: usize, rng: &mut StdRng| -> Vec<usize> {
         if len <= tol::FD_COORDS {
@@ -320,7 +334,7 @@ fn compare_gradients(
             if !close(got, want, tol::GRAD_REL) {
                 return Err(fail(
                     spec,
-                    format!("kernel ∂loss/∂{name}[{j}] {got} ≠ central diff {want}"),
+                    format!("kernel ∂loss/∂{name}[{j}] {got} ≠ f64 difference {want}"),
                 ));
             }
         }

@@ -19,7 +19,7 @@ pub enum CheckKind {
     /// Relaxed expected cost at one-hot logits vs. a discrete replay of
     /// every selectable tree/path combination.
     PathCost,
-    /// The cost kernel's gradients vs. central differences of an
+    /// The cost kernel's gradients vs. fourth-order differences of an
     /// independent f64 forward pass.
     GradCheck,
     /// Incremental demand updates vs. a from-scratch naive recount.

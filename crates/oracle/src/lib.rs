@@ -10,7 +10,7 @@
 //! |----------------|---------------------------------------|-----------------------------------------|
 //! | `rsmt`         | `dgr_rsmt::exact_steiner` (DP)        | MSTs over bounded Hanan subsets         |
 //! | `path_cost`    | the `dgr-autodiff` cost kernel        | f64 discrete replay of every selection  |
-//! | `grad_check`   | the kernel's hand-derived backward    | central differences of an f64 forward   |
+//! | `grad_check`   | the kernel's hand-derived backward    | 4th-order differences of an f64 forward |
 //! | `demand_replay`| incremental `dgr_grid::DemandMap`     | from-scratch unit-step recount          |
 //! | `layer_assign` | the `dgr-post` per-net DP             | exhaustive (root × segment-layer) scan  |
 //!
@@ -46,8 +46,8 @@ pub mod tol {
     /// reference f64, `|a − b| ≤ tol · max(1, |a|, |b|)`.
     pub const COST_REL: f64 = 1e-4;
 
-    /// Relative tolerance for kernel gradients vs. f64 central
-    /// differences (the ISSUE's acceptance bound).
+    /// Relative tolerance for kernel gradients vs. f64 fourth-order
+    /// differences.
     pub const GRAD_REL: f64 = 1e-4;
 
     /// Pure-f64 one-hot identity: relaxed cost at one-hot logits vs.
@@ -60,7 +60,8 @@ pub mod tol {
     /// Layer-assignment DP (f32 accumulation) vs. f64 exhaustive scan.
     pub const DP_REL: f64 = 1e-3;
 
-    /// Central-difference step, applied to f32 logit buffers but
+    /// The smaller of the gradient check's two central-difference steps
+    /// (the other is twice it), applied to f32 logit buffers but
     /// differenced in f64.
     pub const FD_STEP: f32 = 1e-3;
 

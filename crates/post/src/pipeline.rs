@@ -165,10 +165,10 @@ pub fn run(
 ///
 /// `label` names the design (`dgr route`: the file stem; `dgrd`: the
 /// job label) and `phases` is the per-phase wall-clock in milliseconds
-/// the caller measured. Training throughput is `cfg.iterations` over
-/// `phases["train"]`, over the whole run when that is missing. Two
-/// records are comparable (`config_fp`) when label, design shape and the
-/// whole configuration but the seed agree.
+/// the caller measured. Training throughput is the iterations trained, in
+/// every adaptive round, over `phases["train"]`, over the whole run when
+/// that is missing. Two records are comparable (`config_fp`) when label,
+/// design shape and the whole configuration but the seed agree.
 pub fn ledger_record(
     cmd: &str,
     label: &str,
@@ -182,7 +182,8 @@ pub fn ledger_record(
         Some(&ms) if ms > 0.0 => ms,
         _ => wall_ms,
     } / 1e3;
-    let iterations = cfg.iterations as u64;
+    let report = outcome.solution.train_report.as_ref();
+    let iterations = report.map_or(0, |r| r.iterations) as u64;
     let mut fp_cfg = cfg.clone();
     fp_cfg.seed = 0;
     let key = format!(

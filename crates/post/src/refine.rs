@@ -336,8 +336,9 @@ mod tests {
         pattern_routed(8.0)
     }
 
+    /// The patterns one training iteration picks, with no refinement.
     fn pattern_routed(base_capacity: f32) -> (Design, RoutingSolution) {
-        use dgr_baseline::sequential::{SequentialConfig, SequentialRouter};
+        use dgr_core::{DgrConfig, DgrRouter};
         use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
         let design = IspdLikeGenerator::new(IspdLikeConfig {
             width: 32,
@@ -349,11 +350,11 @@ mod tests {
         })
         .generate()
         .unwrap();
-        let patterns_only = SequentialConfig {
-            rrr_rounds: 0,
-            ..SequentialConfig::default()
+        let one_iteration = DgrConfig {
+            iterations: 1,
+            ..DgrConfig::default()
         };
-        let sol = SequentialRouter::new(patterns_only).route(&design).unwrap();
+        let sol = DgrRouter::new(one_iteration).route(&design).unwrap();
         (design, sol)
     }
 

@@ -5,7 +5,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dgr_baseline::sequential::{SequentialConfig, SequentialRouter};
+use dgr_core::{DgrConfig, DgrRouter};
 use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
 use dgr_post::{assign_layers, AssignConfig};
 
@@ -38,8 +38,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations of one `assign_layers` over a pattern-routed design of
-/// `num_nets` nets on nine layers, and how many of the nets have a segment.
+/// Allocations of one `assign_layers` over a design of `num_nets` nets on
+/// nine layers, routed by one training iteration, and how many of the nets
+/// have a segment.
 fn assignment_allocations(num_nets: usize) -> (usize, usize) {
     let design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 40,
@@ -51,11 +52,11 @@ fn assignment_allocations(num_nets: usize) -> (usize, usize) {
     })
     .generate()
     .unwrap();
-    let patterns_only = SequentialConfig {
-        rrr_rounds: 0,
-        ..SequentialConfig::default()
+    let one_iteration = DgrConfig {
+        iterations: 1,
+        ..DgrConfig::default()
     };
-    let solution = SequentialRouter::new(patterns_only).route(&design).unwrap();
+    let solution = DgrRouter::new(one_iteration).route(&design).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let assigned = assign_layers(&design, &solution, AssignConfig::default()).unwrap();
     let made = ALLOCATIONS.load(Ordering::Relaxed) - before;

@@ -255,16 +255,6 @@ impl RsmtCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Hits over total lookups, `0.0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
     /// Number of distinct canonical classes currently stored.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
@@ -440,6 +430,5 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

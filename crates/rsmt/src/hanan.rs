@@ -44,16 +44,6 @@ impl HananGrid {
         HananGrid { xs, ys }
     }
 
-    /// Number of distinct x coordinates.
-    pub fn num_cols(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Number of distinct y coordinates.
-    pub fn num_rows(&self) -> usize {
-        self.ys.len()
-    }
-
     /// The distinct x coordinates (grid columns), ascending.
     pub fn xs(&self) -> &[i32] {
         &self.xs
@@ -111,8 +101,7 @@ mod tests {
             Point::new(3, 0),
             Point::new(3, 5),
         ]);
-        assert_eq!(h.num_cols(), 2);
-        assert_eq!(h.num_rows(), 2);
+        assert_eq!((h.xs(), h.ys()), (&[0, 3][..], &[0, 5][..]));
         assert_eq!(h.num_points(), 4);
     }
 

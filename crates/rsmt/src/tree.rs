@@ -1,7 +1,6 @@
 //! The routing-tree data structure shared by every tree source.
 
 use dgr_grid::Point;
-use serde::{Deserialize, Serialize};
 
 use crate::RsmtError;
 
@@ -20,7 +19,7 @@ use crate::RsmtError;
 /// * the first [`num_pins`](RoutingTree::num_pins) nodes are exactly the
 ///   net's distinct pins,
 /// * no two nodes share a position.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RoutingTree {
     nodes: Vec<Point>,
     num_pins: usize,

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // both routers get the same maze-refinement pass (Section 4.6), so the
     // comparison matches the Table-2 pipeline
-    let mut seq = SequentialRouter::default().route(&design)?;
+    let mut seq = SequentialRouter.route(&design)?;
     refine(&design, &mut seq, RefineConfig::default())?;
     let cfg = DgrConfig {
         iterations: 300,

@@ -134,6 +134,9 @@ impl<'a> Flags<'a> {
                 .split_whitespace()
                 .find(|spec| spec.trim_end_matches(['=', '?']) == arg)
                 .ok_or_else(|| format!("unknown flag `{arg}` for `dgr {cmd}` (try --help)"))?;
+            if flags.has(arg) {
+                return Err(format!("flag `{arg}` given twice"));
+            }
             // a spec longer than the flag ends in `=` or `?`: it takes the
             // next argument, unless that is a flag
             let value = rest.next_if(|next| spec != arg && !next.starts_with("--"));
@@ -925,15 +928,9 @@ fn cmd_compare(flags: &Flags) -> CliResult {
     let dgr_sol = run("dgr", &mut || {
         Ok(DgrRouter::new(cfg.clone()).route(&design)?)
     })?;
-    run("sequential", &mut || {
-        Ok(SequentialRouter::default().route(&design)?)
-    })?;
-    run("sproute", &mut || {
-        Ok(SprouteRouter::default().route(&design)?)
-    })?;
-    run("lagrangian", &mut || {
-        Ok(LagrangianRouter::default().route(&design)?)
-    })?;
+    run("sequential", &mut || Ok(SequentialRouter.route(&design)?))?;
+    run("sproute", &mut || Ok(SprouteRouter.route(&design)?))?;
+    run("lagrangian", &mut || Ok(LagrangianRouter.route(&design)?))?;
     // The retained curve (TrainReport::curve) shows how the DGR loss moved
     // without re-running or re-deriving anything.
     if let Some(report) = &dgr_sol.train_report {

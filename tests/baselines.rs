@@ -72,11 +72,11 @@ fn all_routers_produce_valid_solutions() {
     };
     let dgr = DgrRouter::new(cfg).route(&design).unwrap();
     assert_valid(&design, &dgr, "dgr");
-    let seq = SequentialRouter::default().route(&design).unwrap();
+    let seq = SequentialRouter.route(&design).unwrap();
     assert_valid(&design, &seq, "sequential");
-    let spr = SprouteRouter::default().route(&design).unwrap();
+    let spr = SprouteRouter.route(&design).unwrap();
     assert_valid(&design, &spr, "sproute");
-    let lag = LagrangianRouter::default().route(&design).unwrap();
+    let lag = LagrangianRouter.route(&design).unwrap();
     assert_valid(&design, &lag, "lagrangian");
 }
 
@@ -103,7 +103,7 @@ fn all_routers_meet_the_steiner_lower_bound() {
         ),
         (
             "sequential",
-            SequentialRouter::default()
+            SequentialRouter
                 .route(&design)
                 .unwrap()
                 .metrics
@@ -111,7 +111,7 @@ fn all_routers_meet_the_steiner_lower_bound() {
         ),
         (
             "sproute",
-            SprouteRouter::default()
+            SprouteRouter
                 .route(&design)
                 .unwrap()
                 .metrics
@@ -119,7 +119,7 @@ fn all_routers_meet_the_steiner_lower_bound() {
         ),
         (
             "lagrangian",
-            LagrangianRouter::default()
+            LagrangianRouter
                 .route(&design)
                 .unwrap()
                 .metrics
@@ -210,15 +210,9 @@ fn congestion_hotspot_is_respected_by_all_routers() {
     )
     .unwrap();
     for (name, sol) in [
-        (
-            "sequential",
-            SequentialRouter::default().route(&design).unwrap(),
-        ),
-        ("sproute", SprouteRouter::default().route(&design).unwrap()),
-        (
-            "lagrangian",
-            LagrangianRouter::default().route(&design).unwrap(),
-        ),
+        ("sequential", SequentialRouter.route(&design).unwrap()),
+        ("sproute", SprouteRouter.route(&design).unwrap()),
+        ("lagrangian", LagrangianRouter.route(&design).unwrap()),
     ] {
         assert_eq!(
             sol.metrics.overflow.overflowed_edges, 0,
@@ -241,13 +235,9 @@ fn baseline_routes_match_the_goldens() {
     let update = std::env::var_os("DGR_UPDATE_GOLDEN").is_some();
     type Route = fn(&Design) -> RoutingSolution;
     let routers: [(&str, Route); 3] = [
-        ("sequential", |d| {
-            SequentialRouter::default().route(d).unwrap()
-        }),
-        ("sproute", |d| SprouteRouter::default().route(d).unwrap()),
-        ("lagrangian", |d| {
-            LagrangianRouter::default().route(d).unwrap()
-        }),
+        ("sequential", |d| SequentialRouter.route(d).unwrap()),
+        ("sproute", |d| SprouteRouter.route(d).unwrap()),
+        ("lagrangian", |d| LagrangianRouter.route(d).unwrap()),
     ];
     for (name, route) in routers {
         let mut text = String::new();
@@ -290,15 +280,9 @@ fn overflow_readers_agree_on_every_baselines_design() {
     ] {
         let solutions = [
             ("dgr", DgrRouter::new(cfg.clone()).route(&design).unwrap()),
-            (
-                "sequential",
-                SequentialRouter::default().route(&design).unwrap(),
-            ),
-            ("sproute", SprouteRouter::default().route(&design).unwrap()),
-            (
-                "lagrangian",
-                LagrangianRouter::default().route(&design).unwrap(),
-            ),
+            ("sequential", SequentialRouter.route(&design).unwrap()),
+            ("sproute", SprouteRouter.route(&design).unwrap()),
+            ("lagrangian", LagrangianRouter.route(&design).unwrap()),
         ];
         for (router, solution) in &solutions {
             overflowed += common::assert_overflow_readers_agree(&design, &solution.demand, router);

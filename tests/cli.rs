@@ -87,6 +87,10 @@ fn arguments_outside_the_flag_table_are_errors() {
     for (args, named) in [
         (vec!["route", design, "--iteratons", "5"], "--iteratons"),
         (vec!["route", design, "--iterations"], "--iterations"),
+        (
+            vec!["route", design, "--iterations", "5", "--iterations", "50"],
+            "--iterations",
+        ),
         (vec!["route", design, "--quiet", "other.txt"], "other.txt"),
         (vec!["train", design, "--guide", "g.txt"], "--guide"),
         (vec!["cases", "--fast"], "--fast"),

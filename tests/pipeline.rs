@@ -164,7 +164,14 @@ fn adaptive_expansion_never_hurts_overflow() {
     let mut adaptive_cfg = quick_config(2);
     adaptive_cfg.adaptive_rounds = 2;
     adaptive_cfg.adaptive_iterations = 80;
-    let adaptive = DgrRouter::new(adaptive_cfg).route(&design).unwrap();
+    let adaptive = DgrRouter::new(adaptive_cfg.clone()).route(&design).unwrap();
+    // the report covers every round the run trained, not the last one
+    let report = adaptive.train_report.as_ref().unwrap();
+    assert_eq!(report.iterations, report.curve.last().unwrap().iter + 1);
+    assert!(
+        report.iterations > adaptive_cfg.iterations,
+        "no round was added"
+    );
     assert!(
         adaptive.metrics.overflow.total_overflow <= base.metrics.overflow.total_overflow + 1e-6,
         "adaptive {} vs base {}",

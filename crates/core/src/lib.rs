@@ -151,9 +151,6 @@ pub struct RouteHooks {
     /// instead of extracting a solution. `None` (the default) never
     /// cancels.
     pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Written by the run, not read: the `(hits, misses)` of its own
-    /// Steiner-template cache ([`Candidates::cache_hits`]).
-    pub cache_counts: (u64, u64),
 }
 
 impl RouteHooks {
@@ -174,11 +171,6 @@ pub struct Candidates {
     /// Maze-derived path candidates per sub-net, grown by the adaptive
     /// expansion rounds (empty until a round has overflowed).
     extras: std::collections::HashMap<usize, Vec<dgr_dag::PatternPath>>,
-    /// Steiner-template cache hits of this call alone (the
-    /// `rsmt.cache.*` obs counters are process-wide).
-    pub cache_hits: u64,
-    /// Steiner-template cache misses of this call alone.
-    pub cache_misses: u64,
 }
 
 /// The end-to-end differentiable global router.
@@ -229,8 +221,6 @@ impl DgrRouter {
         Ok(Candidates {
             pools,
             extras: Default::default(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
         })
     }
 
@@ -296,7 +286,6 @@ impl DgrRouter {
 
         // 1. per-net tree candidate pools
         let mut candidates = self.candidates(design)?;
-        hooks.cache_counts = (candidates.cache_hits, candidates.cache_misses);
 
         let mut warm_start: Option<expand::WarmStart> = None;
         let mut iter_offset = 0usize;

@@ -368,15 +368,11 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
     }
 }
 
-/// Materializes the job's design (parse inline text, read a file, or
-/// generate a catalog case with the `dgr generate [--fast]` rules).
+/// Materializes the job's design (parse inline text, or generate a
+/// catalog case with the `dgr generate [--fast]` rules).
 fn load_design(src: &DesignSource) -> Result<Design, String> {
     match src {
         DesignSource::Text(t) => parse_design(t).map_err(|e| format!("design_text: {e}")),
-        DesignSource::Path(p) => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("design_path `{p}`: {e}"))?;
-            parse_design(&text).map_err(|e| format!("design_path `{p}`: {e}"))
-        }
         DesignSource::Catalog { name, fast } => {
             let case =
                 catalog_case(name).ok_or_else(|| format!("unknown catalog case `{name}`"))?;

@@ -24,8 +24,8 @@
 //! breach raises the job's cooperative-cancel flag and the job finishes
 //! `failed` with a structured `watchdog: …` error.
 //!
-//! The other design sources are `"design_text"` (inline netlist in the
-//! `dgr-io` text format) and `"design_path"` (server-side file path).
+//! The other design source is `"design_text"`: an inline netlist in the
+//! `dgr-io` text format, held to the server's request-body cap.
 
 use dgr_obs::parse::{parse_json, JsonValue};
 
@@ -34,8 +34,6 @@ use dgr_obs::parse::{parse_json, JsonValue};
 pub enum DesignSource {
     /// Inline design text in the `dgr-io` format (`design_text`).
     Text(String),
-    /// Path to a design file readable by the daemon (`design_path`).
-    Path(String),
     /// A named catalog case generated on demand (`design_catalog`),
     /// optionally shrunk with the same rules as `dgr generate --fast`.
     Catalog {
@@ -90,7 +88,6 @@ const KNOWN_KEYS: &[&str] = &[
     "iterations",
     "seed",
     "design_text",
-    "design_path",
     "design_catalog",
     "fast",
     "guide",
@@ -113,20 +110,11 @@ impl JobSpec {
         }
 
         let text_src = opt_str(&v, "design_text")?;
-        let path_src = opt_str(&v, "design_path")?;
         let catalog_src = opt_str(&v, "design_catalog")?;
         let fast = opt_bool(&v, "fast")?.unwrap_or(false);
-        let sources = [
-            text_src.is_some(),
-            path_src.is_some(),
-            catalog_src.is_some(),
-        ]
-        .iter()
-        .filter(|p| **p)
-        .count();
-        if sources != 1 {
+        if text_src.is_some() == catalog_src.is_some() {
             return Err(SpecError(
-                "exactly one of `design_text`, `design_path`, `design_catalog` is required".into(),
+                "exactly one of `design_text`, `design_catalog` is required".into(),
             ));
         }
         if fast && catalog_src.is_none() {
@@ -136,8 +124,6 @@ impl JobSpec {
         }
         let design = if let Some(t) = text_src {
             DesignSource::Text(t)
-        } else if let Some(p) = path_src {
-            DesignSource::Path(p)
         } else {
             DesignSource::Catalog {
                 name: catalog_src.expect("source count checked"),
@@ -188,12 +174,6 @@ impl JobSpec {
 fn default_label(design: &DesignSource) -> String {
     match design {
         DesignSource::Text(_) => "inline".into(),
-        DesignSource::Path(p) => p
-            .rsplit('/')
-            .next()
-            .unwrap_or(p)
-            .trim_end_matches(".txt")
-            .to_string(),
         DesignSource::Catalog { name, fast } => {
             if *fast {
                 format!("{name}-fast")
@@ -284,8 +264,12 @@ mod tests {
             ("not json", "invalid JSON"),
             ("[1,2]", "must be a JSON object"),
             (r#"{"design_text":"x","bogus":1}"#, "unknown job spec key"),
+            (r#"{"design_path":"/etc/hostname"}"#, "unknown job spec key"),
             (r#"{}"#, "exactly one of"),
-            (r#"{"design_text":"x","design_path":"y"}"#, "exactly one of"),
+            (
+                r#"{"design_text":"x","design_catalog":"y"}"#,
+                "exactly one of",
+            ),
             (r#"{"design_text":"x","fast":true}"#, "`fast` only applies"),
             (r#"{"design_text":"x","iterations":0}"#, "at least 1"),
             (r#"{"design_text":"x","iterations":-3}"#, "non-negative"),
@@ -317,8 +301,6 @@ mod tests {
 
     #[test]
     fn derives_labels_from_sources() {
-        let p = JobSpec::from_json(r#"{"design_path":"/tmp/designs/chip3.txt"}"#).unwrap();
-        assert_eq!(p.label, "chip3");
         let c = JobSpec::from_json(r#"{"design_catalog":"ispd18_test1","fast":true}"#).unwrap();
         assert_eq!(c.label, "ispd18_test1-fast");
     }

@@ -65,10 +65,6 @@ pub struct LedgerRecord {
     pub overflowed_edges: u64,
     /// Extracted-solution via/turn count.
     pub vias: u64,
-    /// RSMT cache hits over the run.
-    pub cache_hits: u64,
-    /// RSMT cache misses over the run.
-    pub cache_misses: u64,
     /// Inclusive per-phase span totals, milliseconds (`forward`,
     /// `backward`, `extract`, ...). `forward` and `backward` are wall time
     /// on the training run's calling thread, waits for its helper's lane
@@ -102,8 +98,6 @@ impl LedgerRecord {
         o.field_f64("overflow", self.overflow);
         o.field_u64("overflowed_edges", self.overflowed_edges);
         o.field_u64("vias", self.vias);
-        o.field_u64("cache_hits", self.cache_hits);
-        o.field_u64("cache_misses", self.cache_misses);
         let mut phases = JsonObject::new();
         for (name, ms) in &self.phases {
             phases.field_f64(name, *ms);
@@ -157,8 +151,6 @@ impl LedgerRecord {
             overflow: f("overflow"),
             overflowed_edges: u("overflowed_edges"),
             vias: u("vias"),
-            cache_hits: u("cache_hits"),
-            cache_misses: u("cache_misses"),
             phases,
             health: v.str("health").map(str::to_string),
         })
@@ -290,8 +282,6 @@ mod tests {
             overflow: 1.5,
             overflowed_edges: 2,
             vias: 96,
-            cache_hits: 1,
-            cache_misses: 808,
             phases,
             health: None,
         }
@@ -315,6 +305,7 @@ mod tests {
     #[test]
     fn serialization_is_deterministic() {
         assert_eq!(record(7).to_json(), record(7).to_json());
+        assert!(!record(7).to_json().contains("cache_"), "no cache counts");
         assert_ne!(record(7).to_json(), record(8).to_json());
     }
 
@@ -355,9 +346,9 @@ mod tests {
         assert!(parse(&tampered).is_empty());
     }
 
-    /// A line as an earlier writer stored it, with a `batch` field this
-    /// schema no longer has: it verifies on its own bytes and loads;
-    /// tampered with, it does not.
+    /// A line as an earlier writer stored it, with `batch`, `cache_hits`
+    /// and `cache_misses` fields this schema no longer has: it verifies on
+    /// its own bytes and loads; tampered with, it does not.
     #[test]
     fn records_of_an_older_schema_verify_on_their_stored_bytes() {
         let line = r#"{"hash":"fd92ef214cd32ed3","version":1,"ts":1792073790,"cmd":"route","design":"d","nets":75,"config_fp":"737e47925719c826","iterations":40,"seed":0,"batch":1,"wall_ms":1,"it_per_s":44779.44444382251,"loss":982.0446166992188,"wirelength":382,"overflow":0,"overflowed_edges":0,"vias":442,"cache_hits":0,"cache_misses":16,"phases":{"adam":0.022053,"assign_layers":0.107446,"backward":0.171575,"candidates":0.249149,"extract":0.050694,"forest":0.05013,"forward":0.41557999999999995,"refine":0.011063,"relax":0.036129,"route":1.289609,"train":0.893267},"health":"ok"}"#;

@@ -47,6 +47,7 @@
 //!
 //! ```
 //! dgr_obs::set_enabled(true);
+//! dgr_obs::log_span_events(); // as `--trace` does: keep the event log
 //! {
 //!     let _s = dgr_obs::span("demo", "work");
 //!     dgr_obs::counter("demo.widgets").add(3);
@@ -95,7 +96,7 @@ pub use snapshot::{
     AttributionRecord, NetShare, SnapshotHeader, SnapshotRecord, SnapshotSink, SnapshotStream,
 };
 pub use span::{
-    chrome_trace, folded_profile, parse_trace, reset_spans, span, span_events_of, span_totals,
+    chrome_trace, folded_profile, log_span_events, parse_trace, reset_spans, span, span_totals,
     write_chrome_trace, PhaseTotal, SpanGuard, SpanTotal,
 };
 pub use telemetry::{rows_from_jsonl, IterationRow, TelemetrySink};
@@ -118,10 +119,10 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Clears all recorded spans, zeroes all metrics (registrations
-/// survive), and forgets every run scope — status rows, rings, sentinel
-/// findings and watchdogs. Tests and repeated CLI commands use this
-/// between runs.
+/// Clears all recorded spans and stops the span event log
+/// ([`log_span_events`]), zeroes all metrics (registrations survive), and
+/// forgets every run scope — status rows, rings, sentinel findings and
+/// watchdogs. Tests and repeated CLI commands use this between runs.
 pub fn reset() {
     reset_spans();
     reset_metrics();

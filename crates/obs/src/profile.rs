@@ -16,6 +16,7 @@
 //!
 //! ```
 //! dgr_obs::set_enabled(true);
+//! dgr_obs::log_span_events(); // as `--profile` does
 //! {
 //!     let _outer = dgr_obs::span("demo", "outer");
 //!     let _inner = dgr_obs::span("demo", "inner");
@@ -184,7 +185,6 @@ mod tests {
         SpanEvent {
             cat: "test",
             name,
-            scope: 0,
             tid,
             depth,
             start_ns: start * 1000,
@@ -303,6 +303,7 @@ mod tests {
     fn fold_of_the_live_log_nests_real_spans() {
         let _guard = crate::test_lock();
         crate::reset_spans();
+        crate::log_span_events();
         crate::set_enabled(true);
         {
             let _outer = crate::span("test", "fold-outer");

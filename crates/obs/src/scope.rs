@@ -7,7 +7,7 @@
 //! findings raised so far (the `/health` row) and, when a daemon armed
 //! one, its SLO watchdog. One mutex guards the one map; [`tick`] is the
 //! single write a training iteration makes and [`scope_remove`] the
-//! single call that forgets a run, span events included.
+//! single call that forgets a run.
 //!
 //! Each thread carries a current scope id — `0`, the one-shot CLI run,
 //! until [`status_scope`] switches it for the lifetime of its guard; a
@@ -133,7 +133,7 @@ pub struct StatusScope {
 
 /// Switches the calling thread's scope to `id` until the guard drops.
 /// Daemon workers wrap each job's pipeline run in one of these so the
-/// job's status, ticks and span events land under its own id.
+/// job's status and ticks land under its own id.
 #[must_use = "the scope reverts when the guard drops"]
 pub fn status_scope(id: u64) -> StatusScope {
     StatusScope {
@@ -290,16 +290,13 @@ pub fn watchdog_breach(id: u64) -> Option<String> {
     scopes().get(&id)?.watchdog.as_ref()?.breach.clone()
 }
 
-/// Forgets scope `id` — status row, ring, sentinel state, watchdog and
-/// the detailed span events recorded under it (job evicted from a
-/// daemon's table). Removing a missing scope is a no-op.
+/// Forgets scope `id` — status row, ring, sentinel state and watchdog
+/// (job evicted from a daemon's table). Removing a missing scope is a
+/// no-op.
 pub fn scope_remove(id: u64) {
-    {
-        let mut scopes = scopes();
-        scopes.remove(&id);
-        publish_alerts(&scopes);
-    }
-    crate::span::remove_scope(id);
+    let mut scopes = scopes();
+    scopes.remove(&id);
+    publish_alerts(&scopes);
 }
 
 /// Forgets every scope. Part of [`crate::reset`].
@@ -767,9 +764,14 @@ mod tests {
         section("status_ring_jsonl_of(12)", &status_ring_jsonl_of(12));
         section("metrics sentinel_*", &sentinel_metric_lines());
 
-        assert_eq!(crate::span_events_of(11), 1);
+        // the job's span folded into the totals, and logged no event: no
+        // one asked for the log
+        let golden_span = crate::span_totals()
+            .into_iter()
+            .find(|t| t.name == "golden-scope-11");
+        assert_eq!(golden_span.map(|t| t.count), Some(1));
+        assert!(crate::folded_profile().counts.is_empty());
         scope_remove(11);
-        assert_eq!(crate::span_events_of(11), 0);
         section("status_json after evicting 11", &mask_rss(&status_json()));
         section("health_json after evicting 11", &health_json());
         section(

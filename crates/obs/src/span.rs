@@ -2,10 +2,10 @@
 //! Chrome trace-event export.
 //!
 //! A span is opened with [`span`] and closed when its [`SpanGuard`]
-//! drops. Completed spans land in a process-global log as
-//! `(category, name, thread, depth, start, duration)` tuples, and are
-//! simultaneously folded into per-name aggregate totals, so the registry
-//! serves both uses:
+//! drops. Completed spans fold into per-name aggregate totals and, while
+//! the log is asked for, land in a process-global log as
+//! `(category, name, thread, depth, start, duration)` tuples, so the
+//! registry serves both uses:
 //!
 //! * [`chrome_trace`] — the full event log as a Chrome trace-event JSON
 //!   array (`chrome://tracing` / Perfetto "X" complete events, one track
@@ -21,19 +21,16 @@
 //!
 //! Recording is gated on [`crate::enabled`]: a disabled span costs one
 //! relaxed atomic load. An enabled span costs two `Instant::now()` calls
-//! plus one mutex push — suitable for per-phase and per-iteration scopes,
-//! not for per-element inner loops (use [`crate::counter`] there).
+//! plus one mutex-held fold — suitable for per-phase and per-iteration
+//! scopes, not for per-element inner loops (use [`crate::counter`] there).
 //!
-//! The event log is capped at [`MAX_EVENTS`]; beyond it, events still
-//! fold into the aggregates but the detailed log drops them (the drop
-//! count is reported by [`dropped_events`]).
-//!
-//! Every event carries the scope id of the thread that recorded it
-//! ([`crate::status_scope_id`]: 0 in a one-shot CLI run, the job id in a
-//! `dgrd` worker), and [`crate::scope_remove`] drops one scope's events
-//! with the rest of its state — the daemon calls it when it evicts a job,
-//! so the log of a long-lived server holds the events of the jobs it
-//! still retains rather than of every job it ever ran.
+//! Only the aggregates are kept by default: the detailed event log, which
+//! [`chrome_trace`] and [`folded_profile`] read, is kept from
+//! [`log_span_events`] (the CLI's `--trace` and `--profile`) until the next
+//! [`reset_spans`]. A daemon, the table binaries and a plain `dgr route`
+//! keep none. The log is capped at [`MAX_EVENTS`]; beyond it, events still
+//! fold into the aggregates but the log drops them (the drop count is
+//! reported by [`dropped_events`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -44,7 +41,7 @@ use crate::json::JsonObject;
 use crate::parse::parse_json;
 use crate::profile::FoldedProfile;
 
-/// Hard cap on detailed span events held in memory (64 bytes each).
+/// Hard cap on detailed span events held in memory (56 bytes each).
 pub const MAX_EVENTS: usize = 1 << 20;
 
 /// One completed span.
@@ -52,8 +49,6 @@ pub const MAX_EVENTS: usize = 1 << 20;
 pub(crate) struct SpanEvent {
     pub(crate) cat: &'static str,
     pub(crate) name: &'static str,
-    /// Status scope of the recording thread (0 = one-shot CLI run).
-    pub(crate) scope: u64,
     /// Track: the recording thread, numbered in the order threads first
     /// opened a span.
     pub(crate) tid: u32,
@@ -65,7 +60,8 @@ pub(crate) struct SpanEvent {
 
 #[derive(Default)]
 struct SpanLog {
-    events: Vec<SpanEvent>,
+    /// The detailed log; `None` until [`log_span_events`] asks for it.
+    events: Option<Vec<SpanEvent>>,
     totals: HashMap<&'static str, (u64, u128)>,
     dropped: usize,
 }
@@ -159,21 +155,23 @@ impl Drop for SpanGuard {
         };
         let dur = live.start.elapsed();
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let event = SpanEvent {
-            cat: live.cat,
-            name: live.name,
-            scope: crate::status_scope_id(),
-            tid: live.tid,
-            depth: live.depth,
-            start_ns: live.start.duration_since(epoch()).as_nanos() as u64,
-            dur_ns: dur.as_nanos() as u64,
-        };
-        let mut log = log();
+        let mut guard = log();
+        let log = &mut *guard;
         let t = log.totals.entry(live.name).or_insert((0, 0));
         t.0 += 1;
         t.1 += dur.as_nanos();
-        if log.events.len() < MAX_EVENTS {
-            log.events.push(event);
+        let Some(events) = log.events.as_mut() else {
+            return;
+        };
+        if events.len() < MAX_EVENTS {
+            events.push(SpanEvent {
+                cat: live.cat,
+                name: live.name,
+                tid: live.tid,
+                depth: live.depth,
+                start_ns: live.start.duration_since(epoch()).as_nanos() as u64,
+                dur_ns: dur.as_nanos() as u64,
+            });
         } else {
             log.dropped += 1;
         }
@@ -224,42 +222,41 @@ pub fn dropped_events() -> usize {
     log().dropped
 }
 
-/// Drops the detailed events recorded under scope `id` — the span half
-/// of [`crate::scope_remove`]. Aggregates keep the job's contribution;
-/// unknown scopes are a no-op.
-pub(crate) fn remove_scope(id: u64) {
-    log().events.retain(|e| e.scope != id);
+/// Keeps the detailed event of every span that closes from now on, until
+/// the next [`reset_spans`] (or [`crate::reset`]): what [`chrome_trace`],
+/// [`write_chrome_trace`] and [`folded_profile`] read. Without it they
+/// see an empty log. Asking twice keeps the events already logged.
+pub fn log_span_events() {
+    log().events.get_or_insert_with(Vec::new);
 }
 
-/// Number of detailed events currently held for status scope `id`.
-pub fn span_events_of(id: u64) -> usize {
-    log().events.iter().filter(|e| e.scope == id).count()
-}
-
-/// Clears the event log and the aggregates.
+/// Clears the aggregates and drops the event log, which stays off until
+/// [`log_span_events`] asks for it again.
 pub fn reset_spans() {
     let mut log = log();
-    log.events.clear();
+    log.events = None;
     log.totals.clear();
     log.dropped = 0;
 }
 
-/// The fold of the event log: self time per stack of span names, per
-/// track ([`FoldedProfile::fold`]).
+/// The fold of the event log ([`log_span_events`]): self time per stack
+/// of span names, per track ([`FoldedProfile::fold`]).
 pub fn folded_profile() -> FoldedProfile {
-    FoldedProfile::fold(&log().events)
+    FoldedProfile::fold(log().events.as_deref().unwrap_or_default())
 }
 
-/// Serializes every recorded span as a Chrome trace-event JSON array.
+/// Serializes the event log ([`log_span_events`]) as a Chrome trace-event
+/// JSON array.
 ///
 /// Load the result in `chrome://tracing` or <https://ui.perfetto.dev>.
 /// Timestamps are microseconds since the first span; each pipeline thread
 /// gets its own track.
 pub fn chrome_trace() -> String {
     let log = log();
-    let mut out = String::with_capacity(64 + log.events.len() * 96);
+    let events = log.events.as_deref().unwrap_or_default();
+    let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("[\n");
-    let mut threads: Vec<u32> = log.events.iter().map(|e| e.tid).collect();
+    let mut threads: Vec<u32> = events.iter().map(|e| e.tid).collect();
     threads.sort_unstable();
     threads.dedup();
     let mut first = true;
@@ -276,7 +273,7 @@ pub fn chrome_trace() -> String {
         first = false;
         out.push_str(&o.finish());
     }
-    for e in &log.events {
+    for e in events {
         let mut o = JsonObject::new();
         o.field_str("name", e.name);
         o.field_str("cat", e.cat);
@@ -385,6 +382,7 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
+        log_span_events();
         {
             let _s = span("test", "traced");
         }
@@ -432,21 +430,30 @@ mod tests {
     }
 
     #[test]
-    fn removing_a_scope_drops_its_events_and_only_those() {
+    fn events_are_logged_only_while_asked_for() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
-        for id in [0u64, 901, 902, 901] {
-            let _scope = crate::status_scope(id);
-            let _s = span("test", "scoped");
+        let logged = || chrome_trace().matches("\"ph\":\"X\"").count();
+        {
+            let _s = span("test", "unlogged");
+        }
+        assert_eq!(logged(), 0, "no log until asked for");
+        log_span_events();
+        for _ in 0..2 {
+            let _s = span("test", "logged");
+        }
+        log_span_events();
+        assert_eq!(logged(), 2, "asking again keeps the log");
+        let total = |name| span_totals().into_iter().find(|t| t.name == name);
+        assert_eq!(total("unlogged").unwrap().count, 1, "totals fold anyway");
+        reset_spans();
+        {
+            let _s = span("test", "after-reset");
         }
         crate::set_enabled(false);
-        assert_eq!(span_events_of(901), 2);
-        crate::scope_remove(901);
-        assert_eq!(span_events_of(901), 0);
-        assert_eq!((span_events_of(0), span_events_of(902)), (1, 1));
-        let scoped = span_totals().into_iter().find(|t| t.name == "scoped");
-        assert_eq!(scoped.unwrap().count, 4, "aggregates keep evicted jobs");
+        assert_eq!(logged(), 0, "a reset stops the log");
+        assert_eq!(total("after-reset").unwrap().count, 1);
         reset_spans();
     }
 
@@ -455,6 +462,7 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
+        log_span_events();
         let h = std::thread::spawn(|| {
             let _s = span("test", "worker-span");
         });
@@ -464,8 +472,9 @@ mod tests {
         h.join().unwrap();
         crate::set_enabled(false);
         let log = log();
-        let tids: std::collections::HashSet<u32> = log.events.iter().map(|e| e.tid).collect();
-        assert_eq!(log.events.len(), 2);
+        let events = log.events.as_deref().unwrap();
+        let tids: std::collections::HashSet<u32> = events.iter().map(|e| e.tid).collect();
+        assert_eq!(events.len(), 2);
         assert_eq!(tids.len(), 2, "each thread has its own track");
         drop(log);
         reset_spans();

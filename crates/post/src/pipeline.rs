@@ -108,10 +108,6 @@ pub struct Outcome {
     pub route_time: Duration,
     /// The whole run, layer assignment and guide included.
     pub wall: Duration,
-    /// Steiner-template cache hits of this run alone.
-    pub cache_hits: u64,
-    /// Steiner-template cache misses of this run alone.
-    pub cache_misses: u64,
 }
 
 impl Outcome {
@@ -145,7 +141,6 @@ pub fn run(
         })?;
     let routed = t0.elapsed();
     let post = finish(design, &mut solution, want_guide)?;
-    let (cache_hits, cache_misses) = hooks.cache_counts;
     Ok(Outcome {
         final_loss: solution
             .train_report
@@ -155,8 +150,6 @@ pub fn run(
         route_time: routed + post.refine_time,
         post,
         wall: t0.elapsed(),
-        cache_hits,
-        cache_misses,
     })
 }
 
@@ -217,8 +210,6 @@ pub fn ledger_record(
         overflow: m.overflow.total_overflow,
         overflowed_edges: m.overflow.overflowed_edges as u64,
         vias: outcome.vias(),
-        cache_hits: outcome.cache_hits,
-        cache_misses: outcome.cache_misses,
         phases,
         health: dgr_obs::enabled().then(|| dgr_obs::health_summary_of(dgr_obs::status_scope_id())),
     }

@@ -1,21 +1,7 @@
 //! `dgr` — command-line front end for the differentiable global router.
 //!
-//! ```text
-//! dgr generate <case> [--out design.txt]        # emit a catalog design
-//! dgr route <design.txt> [--iterations N] [--seed S]
-//!          [--routes out.txt] [--guide out.guide]
-//!          [--trace out.json] [--telemetry out.jsonl]
-//!          [--snap out.snaps] [--snap-every N]
-//!          [--serve ADDR] [--profile out.folded] [--no-ledger]
-//!          [--progress N] [--quiet]
-//! dgr train <design.txt> ...                   # the 2D router, unrefined
-//! dgr compare <design.txt> [--iterations N]     # DGR vs all baselines
-//! dgr history [--limit N]                       # the persistent run ledger
-//! dgr report [--telemetry in.jsonl] [--snap in.snaps] [--trace in.json]
-//!            [--profile in.folded] [--title NAME] [--out report.html]
-//! dgr serve-jobs <addr> [--workers N] [--queue-cap N] [--retain N]
-//!            [--no-ledger]                  # dgrd: the routing job server
-//! ```
+//! `dgr --help` lists every subcommand and the flags it accepts, rendered
+//! from the one table [`Flags::parse`] checks arguments against.
 //!
 //! `--trace` turns on the `dgr-obs` span registry and writes a Chrome
 //! trace-event file (load it at `chrome://tracing` or in Perfetto);
@@ -41,7 +27,7 @@ use dgr::grid::Design;
 use dgr::obs::ledger::{self, LedgerRecord};
 use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ObsServer, ReportInputs};
 use dgr::obs::{FoldedProfile, SnapshotSink, SnapshotStream, TelemetrySink};
-use dgr::post::{pipeline, refine, RefineConfig};
+use dgr::post::pipeline;
 
 // Shadows of the std macros for every print below: a reader that went away
 // (`dgr route … | head -1`) ends the printing, not the run — std's versions
@@ -59,53 +45,114 @@ macro_rules! println {
     }};
 }
 
-/// A subcommand: its name, whether it takes a positional argument (a
-/// design file, a case name, an address), the flags it accepts, and its
-/// implementation. In the flag list `--flag=` takes a value, `--flag?`
-/// takes one if the next argument is not a flag itself, and a plain
-/// `--flag` takes none.
-type Command = (&'static str, bool, &'static str, fn(&Flags) -> CliResult);
+/// A subcommand: its name, the placeholder of its positional argument (a
+/// design file, a case name, an address) when it takes one, the flags it
+/// accepts, what it does, and its implementation. In the flag list
+/// `--flag=VALUE` takes a value, `--flag?VALUE` takes one if the next
+/// argument is not a flag itself, and a plain `--flag` takes none;
+/// `VALUE` is the placeholder `--help` shows.
+struct Command {
+    name: &'static str,
+    positional: Option<&'static str>,
+    flags: &'static str,
+    help: &'static str,
+    run: fn(&Flags) -> CliResult,
+}
 
-/// Every subcommand and every flag: an argument that is not in its
-/// command's row is an error, never ignored.
+/// Every subcommand and every flag, in `--help` order: an argument that
+/// is not in its command's row is an error, never ignored.
 const COMMANDS: &[Command] = &[
-    ("cases", false, "", cmd_cases),
-    ("generate", true, "--out= --fast", cmd_generate),
-    (
-        "route",
-        true,
-        "--iterations= --seed= --routes= --guide= --trace= --telemetry= --snap= --snap-every= \
-         --serve= --profile= --progress= --no-ledger --quiet",
-        cmd_route,
-    ),
-    (
-        "train",
-        true,
-        "--iterations= --seed= --routes= --trace= --telemetry= --snap= --snap-every= --serve= \
-         --profile= --no-ledger --quiet",
-        cmd_train,
-    ),
-    (
-        "compare",
-        true,
-        "--iterations= --seed= --trace= --serve= --profile=",
-        cmd_compare,
-    ),
-    (
-        "report",
-        false,
-        "--telemetry= --snap= --trace= --profile= --title= --out=",
-        cmd_report,
-    ),
-    ("doctor", false, "--telemetry= --ledger?", cmd_doctor),
-    ("history", false, "--limit= --ledger=", cmd_history),
-    (
-        "serve-jobs",
-        true,
-        "--workers= --queue-cap= --retain= --no-ledger",
-        cmd_serve_jobs,
-    ),
+    Command {
+        name: "cases",
+        positional: None,
+        flags: "",
+        help: "list the benchmark catalog",
+        run: cmd_cases,
+    },
+    Command {
+        name: "generate",
+        positional: Some("<case>"),
+        flags: "--out=design.txt --fast",
+        help: "emit a named catalog design (e.g. ispd18_test1, ispd19_7m)",
+        run: cmd_generate,
+    },
+    Command {
+        name: "route",
+        positional: Some("<design.txt>"),
+        flags: "--iterations=N --seed=S --routes=out.txt --guide=out.guide --trace=out.json \
+                --telemetry=out.jsonl --snap=out.snaps --snap-every=N --serve=ADDR \
+                --profile=out.folded --progress=N --no-ledger --quiet",
+        help: "route a design and print metrics",
+        run: cmd_route,
+    },
+    Command {
+        name: "train",
+        positional: Some("<design.txt>"),
+        flags: "--iterations=N --seed=S --routes=out.txt --trace=out.json --telemetry=out.jsonl \
+                --snap=out.snaps --snap-every=N --serve=ADDR --profile=out.folded --no-ledger \
+                --quiet",
+        help: "train and extract one seed, print the 2D solution before refinement",
+        run: cmd_train,
+    },
+    Command {
+        name: "compare",
+        positional: Some("<design.txt>"),
+        flags: "--iterations=N --seed=S --trace=out.json --serve=ADDR --profile=out.folded",
+        help: "route with DGR and every baseline, print a comparison table",
+        run: cmd_compare,
+    },
+    Command {
+        name: "history",
+        positional: None,
+        flags: "--limit=N --ledger=path",
+        help: "render recent ledger records as a table, with per-phase deltas\n\
+               against the previous comparable run",
+        run: cmd_history,
+    },
+    Command {
+        name: "report",
+        positional: None,
+        flags: "--telemetry=in.jsonl --snap=in.snaps --trace=in.json --profile=in.folded \
+                --title=NAME --out=report.html",
+        help: "render routing-run artifacts into a self-contained HTML post-mortem",
+        run: cmd_report,
+    },
+    Command {
+        name: "doctor",
+        positional: None,
+        flags: "--telemetry=in.jsonl --ledger?path",
+        help: "replay a run's telemetry (and/or the run ledger) through the\n\
+               sentinel convergence rules; print ranked findings with evidence\n\
+               windows, exit nonzero when any rule trips",
+        run: cmd_doctor,
+    },
+    Command {
+        name: "serve-jobs",
+        positional: Some("<addr>"),
+        flags: "--workers=N --queue-cap=N --retain=N --no-ledger",
+        help: "run dgrd: a multi-tenant routing job server (POST /jobs,\n\
+               GET /jobs/:id[/report|/telemetry|/guide], DELETE /jobs/:id,\n\
+               plus the /metrics /status /report observability routes)",
+        run: cmd_serve_jobs,
+    },
 ];
+
+/// The flag a spec of [`Command::flags`] names: `--trace=out.json` →
+/// `--trace`.
+fn flag_name(spec: &str) -> &str {
+    &spec[..spec.find(['=', '?']).unwrap_or(spec.len())]
+}
+
+/// A spec of [`Command::flags`] as `--help` shows it: `[--trace out.json]`,
+/// `[--ledger [path]]`, `[--quiet]`.
+fn flag_usage(spec: &str) -> String {
+    let name = flag_name(spec);
+    match &spec[name.len()..] {
+        "" => format!("[{name}]"),
+        value if value.starts_with('?') => format!("[{name} [{}]]", &value[1..]),
+        value => format!("[{name} {}]", &value[1..]),
+    }
+}
 
 /// One subcommand's arguments, checked against its row of [`COMMANDS`].
 struct Flags<'a> {
@@ -116,7 +163,7 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     fn parse(command: &Command, args: &'a [String]) -> Result<Self, String> {
-        let &(cmd, takes_positional, accepted, _) = command;
+        let cmd = command.name;
         let mut flags = Flags {
             positional: None,
             given: Vec::new(),
@@ -124,23 +171,24 @@ impl<'a> Flags<'a> {
         let mut rest = args.iter().map(String::as_str).peekable();
         while let Some(arg) = rest.next() {
             if !arg.starts_with("--") {
-                if !takes_positional || flags.positional.is_some() {
+                if command.positional.is_none() || flags.positional.is_some() {
                     return Err(format!("unexpected argument `{arg}` for `dgr {cmd}`"));
                 }
                 flags.positional = Some(arg);
                 continue;
             }
-            let spec = accepted
+            let spec = command
+                .flags
                 .split_whitespace()
-                .find(|spec| spec.trim_end_matches(['=', '?']) == arg)
+                .find(|&spec| flag_name(spec) == arg)
                 .ok_or_else(|| format!("unknown flag `{arg}` for `dgr {cmd}` (try --help)"))?;
             if flags.has(arg) {
                 return Err(format!("flag `{arg}` given twice"));
             }
-            // a spec longer than the flag ends in `=` or `?`: it takes the
-            // next argument, unless that is a flag
+            // a spec longer than the flag goes on with `=` or `?`: it takes
+            // the next argument, unless that is a flag
             let value = rest.next_if(|next| spec != arg && !next.starts_with("--"));
-            if spec.ends_with('=') && value.is_none() {
+            if spec.contains('=') && value.is_none() {
                 return Err(format!("flag `{arg}` needs a value"));
             }
             flags.given.push((arg, value));
@@ -180,10 +228,10 @@ fn main() -> ExitCode {
             print_usage();
             Ok(())
         }
-        Some(name) => match COMMANDS.iter().find(|(cmd, ..)| *cmd == name) {
-            Some(command @ (.., run)) => Flags::parse(command, &args[1..])
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => Flags::parse(command, &args[1..])
                 .map_err(Into::into)
-                .and_then(|flags| run(&flags)),
+                .and_then(|flags| (command.run)(&flags)),
             None => Err(format!("unknown command `{name}` (try --help)").into()),
         },
     };
@@ -211,43 +259,29 @@ fn cmd_cases(_: &Flags) -> CliResult {
     Ok(())
 }
 
+/// `--help`: each row of [`COMMANDS`] as a synopsis wrapped under its
+/// positional, then its help text.
 fn print_usage() {
     println!("dgr — differentiable global router (DAC 2024 reproduction)");
     println!();
     println!("usage:");
-    println!("  dgr cases");
-    println!("      list the benchmark catalog");
-    println!("  dgr generate <case> [--out design.txt] [--fast]");
-    println!("      emit a named catalog design (e.g. ispd18_test1, ispd19_7m)");
-    println!("  dgr route <design.txt> [--iterations N] [--seed S]");
-    println!("            [--routes out.txt] [--guide out.guide]");
-    println!("            [--trace out.json] [--telemetry out.jsonl]");
-    println!("            [--snap out.snaps] [--snap-every N]");
-    println!("            [--serve ADDR] [--profile out.folded] [--no-ledger]");
-    println!("            [--progress N] [--quiet]");
-    println!("      route a design and print metrics");
-    println!("  dgr train <design.txt> [--iterations N] [--seed S]");
-    println!("            [--routes out.txt] [--telemetry out.jsonl]");
-    println!("            [--snap out.snaps] [--snap-every N] [--serve ADDR]");
-    println!("            [--profile out.folded] [--no-ledger] [--quiet]");
-    println!("      train and extract one seed, print the 2D solution before refinement");
-    println!("  dgr compare <design.txt> [--iterations N] [--trace out.json]");
-    println!("      route with DGR and every baseline, print a comparison table");
-    println!("  dgr history [--limit N] [--ledger path]");
-    println!("      render recent ledger records as a table, with per-phase deltas");
-    println!("      against the previous comparable run");
-    println!("  dgr report [--telemetry in.jsonl] [--snap in.snaps] [--trace in.json]");
-    println!("             [--profile in.folded] [--title NAME] [--out report.html]");
-    println!("      render routing-run artifacts into a self-contained HTML post-mortem");
-    println!("  dgr doctor [--telemetry in.jsonl] [--ledger [path]]");
-    println!("      replay a run's telemetry (and/or the run ledger) through the");
-    println!("      sentinel convergence rules; print ranked findings with evidence");
-    println!("      windows, exit nonzero when any rule trips");
-    println!("  dgr serve-jobs <addr> [--workers N] [--queue-cap N] [--retain N]");
-    println!("             [--no-ledger]");
-    println!("      run dgrd: a multi-tenant routing job server (POST /jobs, ");
-    println!("      GET /jobs/:id[/report|/telemetry|/guide], DELETE /jobs/:id,");
-    println!("      plus the /metrics /status /report observability routes)");
+    for c in COMMANDS {
+        let head = format!("  dgr {}", c.name);
+        let mut line = head.clone();
+        let words = c.flags.split_whitespace().map(flag_usage);
+        for word in c.positional.map(str::to_string).into_iter().chain(words) {
+            if line.len() > head.len() && line.len() + 1 + word.len() > 78 {
+                println!("{line}");
+                line = " ".repeat(head.len());
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        println!("{line}");
+        for help in c.help.lines() {
+            println!("      {help}");
+        }
+    }
     println!();
     println!("observability:");
     println!("  --trace out.json      record phase spans, write a Chrome trace-event file");
@@ -341,9 +375,11 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
 /// trace and span profile, written at its end, and the HTTP exporter.
 ///
 /// The span registry is enabled for every `route`/`train` run (the
-/// persistent ledger needs per-phase totals either way); the end-of-run
-/// summary tables only print when the user asked for observability
-/// explicitly, so plain runs keep their original output.
+/// persistent ledger needs per-phase totals either way) but keeps its
+/// event log only for `--trace` and `--profile`, the two files written
+/// from it; the end-of-run summary tables only print when the user asked
+/// for observability explicitly, so plain runs keep their original
+/// output.
 struct ObsSession {
     trace: Option<String>,
     profile: Option<String>,
@@ -363,6 +399,9 @@ fn obs_session(
     let show_summary = trace.is_some() || profile.is_some() || serve.is_some();
     dgr::obs::reset();
     dgr::obs::set_enabled(true);
+    if trace.is_some() || profile.is_some() {
+        dgr::obs::log_span_events();
+    }
     // publish the run identity before the listener comes up, so the very
     // first /status scrape names the job
     dgr::obs::status_begin(job, total_iters, 1);
@@ -449,15 +488,6 @@ fn print_summary_tables() {
                 MetricValue::Counter(v) => println!("{:<22} {:>16}", m.name, v),
                 MetricValue::Gauge(v) => println!("{:<22} {:>16.3}", m.name, v),
             }
-        }
-        let hits = dgr::obs::counter("rsmt.cache.hits").get();
-        let misses = dgr::obs::counter("rsmt.cache.misses").get();
-        if hits + misses > 0 {
-            println!(
-                "{:<22} {:>15.1}%  ({hits} hits / {misses} misses)",
-                "rsmt cache hit rate",
-                100.0 * hits as f64 / (hits + misses) as f64
-            );
         }
     }
 }
@@ -640,7 +670,6 @@ fn cmd_train(flags: &Flags) -> CliResult {
     }
     print_sinks(flags, &mut hooks);
     // training alone: no post pass ran, so the ledger's vias are the turns
-    let (cache_hits, cache_misses) = hooks.cache_counts;
     let out = pipeline::Outcome {
         final_loss: solution
             .train_report
@@ -650,8 +679,6 @@ fn cmd_train(flags: &Flags) -> CliResult {
         post: pipeline::Finished::default(),
         route_time: elapsed,
         wall: elapsed,
-        cache_hits,
-        cache_misses,
     };
     append_run(flags, "train", &design, &cfg, &out);
     obs_finish(session)?;
@@ -903,17 +930,7 @@ fn cmd_compare(flags: &Flags) -> CliResult {
         "{:<12} {:>10} {:>8} {:>10} {:>10} {:>8}",
         "router", "wirelength", "turns", "ovf edges", "ovf total", "t(s)"
     );
-    let run = |name: &str,
-               solve: &mut dyn FnMut() -> Result<
-        dgr::core::RoutingSolution,
-        Box<dyn std::error::Error>,
-    >|
-     -> Result<dgr::core::RoutingSolution, Box<dyn std::error::Error>> {
-        let t0 = std::time::Instant::now();
-        let mut sol = solve()?;
-        refine(&design, &mut sol, RefineConfig::default())?;
-        let t = t0.elapsed().as_secs_f64();
-        let m = &sol.metrics;
+    let row = |name: &str, m: &dgr::core::SolutionMetrics, route_time: std::time::Duration| {
         println!(
             "{:<12} {:>10} {:>8} {:>10} {:>10.2} {:>8.2}",
             name,
@@ -921,19 +938,28 @@ fn cmd_compare(flags: &Flags) -> CliResult {
             m.total_turns,
             m.overflow.overflowed_edges,
             m.overflow.total_overflow,
-            t
+            route_time.as_secs_f64()
         );
-        Ok(sol)
     };
-    let dgr_sol = run("dgr", &mut || {
-        Ok(DgrRouter::new(cfg.clone()).route(&design)?)
-    })?;
-    run("sequential", &mut || Ok(SequentialRouter.route(&design)?))?;
-    run("sproute", &mut || Ok(SprouteRouter.route(&design)?))?;
-    run("lagrangian", &mut || Ok(LagrangianRouter.route(&design)?))?;
+    let dgr_out = pipeline::run(&design, &cfg, &mut RouteHooks::default(), false)?;
+    row("dgr", &dgr_out.solution.metrics, dgr_out.route_time);
+    type Baseline = fn(&Design) -> Result<dgr::core::RoutingSolution, dgr::baseline::BaselineError>;
+    let baselines: [(&str, Baseline); 3] = [
+        ("sequential", |d| SequentialRouter.route(d)),
+        ("sproute", |d| SprouteRouter.route(d)),
+        ("lagrangian", |d| LagrangianRouter.route(d)),
+    ];
+    for (name, route) in baselines {
+        // as the tables time a baseline: routing plus refinement
+        let t0 = std::time::Instant::now();
+        let mut solution = route(&design)?;
+        let routed = t0.elapsed();
+        let post = pipeline::finish(&design, &mut solution, false)?;
+        row(name, &solution.metrics, routed + post.refine_time);
+    }
     // The retained curve (TrainReport::curve) shows how the DGR loss moved
     // without re-running or re-deriving anything.
-    if let Some(report) = &dgr_sol.train_report {
+    if let Some(report) = &dgr_out.solution.train_report {
         if let (Some(first), Some(last)) = (report.curve.first(), report.curve.last()) {
             println!();
             println!(

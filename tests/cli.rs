@@ -1,6 +1,7 @@
 //! The `dgr` binary against the library it fronts: arguments it does not
-//! know are errors, `dgr train` runs the router's own front end, and
-//! `dgr report` refuses a file its reader refuses.
+//! know are errors, `--help` lists the ones it does, `dgr train` runs the
+//! router's own front end, and `dgr report` refuses a file its reader
+//! refuses.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -113,6 +114,38 @@ fn arguments_outside_the_flag_table_are_errors() {
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// `--help` shows every flag a subcommand accepts, among them the ones
+/// its hand-written synopsis once left out.
+#[test]
+fn help_lists_every_flag_a_command_accepts() {
+    let out = dgr(&["--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    // a command's synopsis: its `  dgr <cmd>` line and the `[--…]`
+    // lines wrapped under it
+    let synopsis = |cmd: &str| -> String {
+        let head = format!("  dgr {cmd} ");
+        let mut lines = help.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no `{head}` in:\n{help}"));
+        let rest = lines.take_while(|l| l.trim_start().starts_with('['));
+        std::iter::once(first)
+            .chain(rest)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    for (cmd, flag) in [
+        ("compare", "[--seed S]"),
+        ("compare", "[--serve ADDR]"),
+        ("compare", "[--profile out.folded]"),
+        ("train", "[--trace out.json]"),
+    ] {
+        let synopsis = synopsis(cmd);
+        assert!(synopsis.contains(flag), "`{flag}` not in `{synopsis}`");
+    }
 }
 
 /// A snapshot stream whose raster is shorter than its header's grid is a

@@ -342,12 +342,14 @@ fn prometheus_text_follows_the_exposition_grammar() {
     }
 }
 
-/// The Chrome trace written by the span registry parses back through
-/// `obs::parse` as an array of complete events with the span names.
+/// The Chrome trace written by the span registry, with its event log
+/// turned on as `--trace` turns it on, parses back through `obs::parse`
+/// as an array of complete events with the span names.
 #[test]
 fn chrome_trace_round_trips_through_obs_parse() {
     let _guard = OBS_LOCK.lock().unwrap();
     dgr::obs::set_enabled(true);
+    dgr::obs::log_span_events();
     {
         let _outer = dgr::obs::span("observatory", "obs-roundtrip-outer");
         let _inner = dgr::obs::span("observatory", "obs-roundtrip-inner");

@@ -249,10 +249,6 @@ fn pipeline_run_equals_the_stages_called_by_hand() {
         f64::from(by_hand.train_report.unwrap().final_loss)
     );
     assert!(out.route_time <= out.wall);
-    assert!(
-        out.cache_hits + out.cache_misses > 0,
-        "no net went through the Steiner cache"
-    );
 
     // no guide is built unless asked for
     let quiet = pipeline::run(&design, &cfg, &mut RouteHooks::default(), false).unwrap();

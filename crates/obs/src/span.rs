@@ -27,7 +27,7 @@
 //! Only the aggregates are kept by default: the detailed event log, which
 //! [`chrome_trace`] and [`folded_profile`] read, is kept from
 //! [`log_span_events`] (the CLI's `--trace` and `--profile`) until the next
-//! [`reset_spans`]. A daemon, the table binaries and a plain `dgr route`
+//! [`reset_spans`]. A daemon, the experiment tables and a plain `dgr route`
 //! keep none. The log is capped at [`MAX_EVENTS`]; beyond it, events still
 //! fold into the aggregates but the log drops them (the drop count is
 //! reported by [`dropped_events`]).

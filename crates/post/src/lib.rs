@@ -13,9 +13,9 @@
 //!    followed by re-assignment,
 //! 3. [`RouteGuide`] — the final guide boxes handed to a detailed router.
 //!
-//! [`pipeline`] runs the router and these passes in that order; it is the
-//! one sequencing of them that `dgr route`, `dgrd` and the table binaries
-//! share.
+//! [`pipeline`] runs a router and these passes in that order; it is the
+//! one sequencing of them that `dgr route`, `dgrd`, `dgr compare` and the
+//! experiment tables share, for DGR and the baselines alike.
 //!
 //! The layer model alternates preferred directions (metal1 horizontal by
 //! default) and splits each 2D edge capacity evenly across the layers of

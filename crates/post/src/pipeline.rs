@@ -2,10 +2,11 @@
 //! layer assignment → route guide (Section 4.6 of the paper), and the
 //! ledger record of a finished run.
 //!
-//! `dgr route`, every `dgrd` job and the table binaries call [`run`] or
-//! [`finish`]; none of them sequences the stages itself, so they cannot
-//! drift apart, and [`ledger_record`] is the only place a run is turned
-//! into a [`LedgerRecord`].
+//! `dgr route`, every `dgrd` job, `dgr compare` and the experiment tables
+//! call [`run`] (DGR) or [`run_with`] (any other router); none of them
+//! sequences or times the stages itself, so they cannot drift apart, and
+//! [`ledger_record`] is the only place a run is turned into a
+//! [`LedgerRecord`].
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -67,7 +68,7 @@ pub struct Finished {
 /// # Errors
 ///
 /// [`PipelineError::Refine`] or [`PipelineError::Assign`].
-pub fn finish(
+fn finish(
     design: &Design,
     solution: &mut RoutingSolution,
     want_guide: bool,
@@ -121,7 +122,8 @@ impl Outcome {
     }
 }
 
-/// Routes `design` with DGR under `cfg` and [`finish`]es the result.
+/// Routes `design` with DGR under `cfg` and finishes the result (see
+/// [`run_with`]).
 ///
 /// # Errors
 ///
@@ -132,13 +134,31 @@ pub fn run(
     hooks: &mut RouteHooks,
     want_guide: bool,
 ) -> Result<Outcome, PipelineError> {
+    run_with(design, want_guide, |d| {
+        DgrRouter::new(cfg.clone())
+            .route_with_hooks(d, hooks)
+            .map_err(|e| match e {
+                DgrError::Cancelled => PipelineError::Cancelled,
+                e => PipelineError::Route(e),
+            })
+    })
+}
+
+/// Routes `design` with `route` (DGR, or any baseline), refines the
+/// solution, assigns layers when the design has at least two and builds
+/// the guide when `want_guide`, timing it all: the one way every router
+/// is measured.
+///
+/// # Errors
+///
+/// `route`'s error, or the [`PipelineError`] of a post pass.
+pub fn run_with<E, F>(design: &Design, want_guide: bool, route: F) -> Result<Outcome, E>
+where
+    E: From<PipelineError>,
+    F: FnOnce(&Design) -> Result<RoutingSolution, E>,
+{
     let t0 = Instant::now();
-    let mut solution = DgrRouter::new(cfg.clone())
-        .route_with_hooks(design, hooks)
-        .map_err(|e| match e {
-            DgrError::Cancelled => PipelineError::Cancelled,
-            e => PipelineError::Route(e),
-        })?;
+    let mut solution = route(design)?;
     let routed = t0.elapsed();
     let post = finish(design, &mut solution, want_guide)?;
     Ok(Outcome {

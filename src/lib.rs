@@ -17,7 +17,7 @@
 //! * [`baseline`] — ILP, sequential, soft-capacity and Lagrangian routers
 //! * [`post`] — layer assignment, maze refinement, routing guides, and
 //!   [`post::pipeline`]: the one route → refine → assign → guide sequence
-//!   behind `dgr route`, `dgrd` and the table binaries
+//!   behind `dgr route`, `dgrd`, `dgr compare` and the experiment tables
 //! * [`io`] — benchmark generation and design serialization
 //! * [`obs`] — tracing spans, metrics, and training telemetry
 //! * [`daemon`] — `dgrd`, the long-lived multi-tenant routing job server

@@ -950,12 +950,9 @@ fn cmd_compare(flags: &Flags) -> CliResult {
         ("lagrangian", |d| LagrangianRouter.route(d)),
     ];
     for (name, route) in baselines {
-        // as the tables time a baseline: routing plus refinement
-        let t0 = std::time::Instant::now();
-        let mut solution = route(&design)?;
-        let routed = t0.elapsed();
-        let post = pipeline::finish(&design, &mut solution, false)?;
-        row(name, &solution.metrics, routed + post.refine_time);
+        let out =
+            pipeline::run_with::<Box<dyn std::error::Error>, _>(&design, false, |d| Ok(route(d)?))?;
+        row(name, &out.solution.metrics, out.route_time);
     }
     // The retained curve (TrainReport::curve) shows how the DGR loss moved
     // without re-running or re-deriving anything.

@@ -1,10 +1,12 @@
 //! End-to-end integration tests spanning every crate: design generation →
 //! differentiable routing → refinement → layer assignment → guides.
 
+use dgr::baseline::SequentialRouter;
 use dgr::core::{DgrConfig, DgrRouter, RouteHooks};
 use dgr::grid::{CapacityBuilder, Design, GcellGrid, Net, Point};
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
-use dgr::post::{assign_layers, pipeline, refine, AssignConfig, RefineConfig, RouteGuide};
+use dgr::post::pipeline::{self, PipelineError};
+use dgr::post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
 
 fn small_catalog_design(seed: u64) -> Design {
     IspdLikeGenerator::new(IspdLikeConfig {
@@ -275,14 +277,32 @@ fn pipeline_on_a_one_layer_design_skips_assignment() {
         .collect();
     let design = Design::new(grid, cap, nets, 1).unwrap();
 
-    let mut solution = DgrRouter::new(quick_config(3)).route(&design).unwrap();
-    let post = pipeline::finish(&design, &mut solution, true).unwrap();
-    assert!(post.assigned.is_none() && post.guide.is_none());
-    assert_eq!(post.assign_time, std::time::Duration::ZERO);
+    let router = DgrRouter::new(quick_config(3));
+    let with = pipeline::run_with(&design, true, |d| {
+        router.route(d).map_err(PipelineError::Route)
+    })
+    .unwrap();
+    assert!(with.post.assigned.is_none() && with.post.guide.is_none());
+    assert_eq!(with.post.assign_time, std::time::Duration::ZERO);
 
     let out = pipeline::run(&design, &quick_config(3), &mut RouteHooks::default(), true).unwrap();
     assert!(out.post.assigned.is_none() && out.post.guide.is_none());
     assert!(out.solution.metrics.total_turns > 0);
     assert_eq!(out.vias(), out.solution.metrics.total_turns);
-    assert_eq!(out.solution.to_text(), solution.to_text());
+    assert_eq!(out.solution.to_text(), with.solution.to_text());
+}
+
+/// A baseline goes through the same pipeline: nothing trained, so no
+/// final loss, and its runtime is routing plus refinement.
+#[test]
+fn a_baseline_through_run_with_is_timed_and_finished_like_dgr() {
+    let design = small_catalog_design(7);
+    let out = pipeline::run_with::<Box<dyn std::error::Error>, _>(&design, true, |d| {
+        Ok(SequentialRouter.route(d)?)
+    })
+    .unwrap();
+    assert!(out.final_loss.is_nan());
+    assert!(out.route_time >= out.post.refine_time);
+    assert!(out.route_time <= out.wall);
+    assert!(out.post.assigned.is_some() && out.post.guide.is_some());
 }

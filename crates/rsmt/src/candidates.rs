@@ -212,16 +212,124 @@ fn shift_variant(
     ))
 }
 
+/// The seed a pin set adds to its Steiner-shift variants' RNG.
 fn hash_pins(pins: &[Point]) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = SipHasher13::new();
     pins.hash(&mut h);
     h.finish()
+}
+
+/// SipHash-1-3 with both keys zero: what `DefaultHasher::new()` computes
+/// today, kept here because the standard library leaves that hasher's
+/// algorithm unspecified across releases, and a toolchain bump must not
+/// move a seed, and so every candidate pool and guide.
+struct SipHasher13 {
+    v: [u64; 4],
+    /// The bytes of the word being filled, little-endian.
+    tail: u64,
+    /// Bytes written so far.
+    len: usize,
+}
+
+impl SipHasher13 {
+    fn new() -> Self {
+        SipHasher13 {
+            // "somepseudorandomlygeneratedbytes" xor the zero keys
+            v: [
+                0x736f6d6570736575,
+                0x646f72616e646f6d,
+                0x6c7967656e657261,
+                0x7465646279746573,
+            ],
+            tail: 0,
+            len: 0,
+        }
+    }
+
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+
+    /// One compression of the word `m`.
+    fn compress(v: &mut [u64; 4], m: u64) {
+        v[3] ^= m;
+        Self::round(v);
+        v[0] ^= m;
+    }
+}
+
+impl std::hash::Hasher for SipHasher13 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.tail |= u64::from(b) << (8 * (self.len % 8));
+            self.len += 1;
+            if self.len.is_multiple_of(8) {
+                Self::compress(&mut self.v, self.tail);
+                self.tail = 0;
+            }
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut v = self.v;
+        Self::compress(&mut v, (self.len as u64) << 56 | self.tail);
+        v[2] ^= 0xff;
+        for _ in 0..3 {
+            Self::round(&mut v);
+        }
+        v[0] ^ v[1] ^ v[2] ^ v[3]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `hash_pins` as `DefaultHasher::new()` computed it when it was
+    /// replaced: the shift seeds of every committed guide.
+    #[test]
+    fn hash_pins_keeps_its_values() {
+        let golden: [(&[(i32, i32)], u64); 5] = [
+            (&[], 0xbd60acb658c79e45),
+            (&[(0, 0)], 0x8934f5f0a51fbffa),
+            (
+                &[(0, 0), (8, 1), (4, 7), (1, 5), (6, 4)],
+                0x51a8edb6e7d5e30b,
+            ),
+            (&[(-3, 7), (12, -40), (29_999, 0)], 0xd78c35d1dbde4ae2),
+            (
+                &[
+                    (0, 0),
+                    (7, 1),
+                    (14, 4),
+                    (21, 9),
+                    (5, 16),
+                    (12, 25),
+                    (19, 5),
+                    (3, 18),
+                    (10, 2),
+                    (17, 19),
+                    (1, 7),
+                    (8, 28),
+                ],
+                0x400023ad3e204178,
+            ),
+        ];
+        for (pins, hash) in golden {
+            let pins: Vec<Point> = pins.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            assert_eq!(hash_pins(&pins), hash, "{pins:?}");
+        }
+    }
 
     fn pins() -> Vec<Point> {
         vec![

@@ -25,6 +25,36 @@
 //! all-pairs pass it replaces cost `O(n²)` (k = 8, n = 64: 33 k
 //! relaxations per net instead of 524 k), and the whole DP is
 //! `O(3^k · n + 2^k · n)` — the `3^k` combine step is what remains.
+//! Along a row the two sweeps run as doubling steps: every cell takes the
+//! better of itself and the cell 1, then 2, then 4 columns away plus their
+//! distance, on each side. A run of up to 7 columns is a sum of distinct
+//! such hops in increasing order, so this is exact too, and each step is
+//! one operation on a whole row instead of a chain along it.
+//!
+//! **Every plane is one padded 8 × 8 array.** A Hanan grid of at most
+//! [`EXACT_PIN_LIMIT`] = 8 pins has at most 8 columns and 8 rows, so a
+//! plane is a fixed `[u32; 64]` with column `c` of row `r` at `8r + c`,
+//! and both tables live in one per-thread buffer (128 masks × 2 planes,
+//! 64 KB) that no net allocates. The combine and grow loops then run over
+//! all 64 cells of every plane, without a bound that depends on the net,
+//! and vectorize. The padding cannot move a real entry:
+//!
+//! * a padded cell starts at `BIG` = 2²⁷, and a padded column or row lies
+//!   `BIG` beyond the grid's last real one, so any value that reaches a
+//!   real cell through padding is at least `BIG`;
+//! * a real entry of `mask` is at most the star from its cell,
+//!   `|mask| · (span_x + span_y) ≤ 7 · 2 · MAX_SIDE < 2¹⁹ < BIG`
+//!   (`exact_steiner` asserts that the pins' box fits [`MAX_SIDE`]), so
+//!   `min` never takes such a value, and the real cells hold exactly the
+//!   tables of the unpadded grid;
+//! * every entry of `mask` is at most `|mask| · BIG ≤ 7 · BIG`, and no two
+//!   cells of a row or a column lie more than `BIG + MAX_SIDE` apart, so
+//!   no sum the DP forms reaches 2³¹.
+//!
+//! The DP loops are one `#[inline(always)]` body compiled twice: plain,
+//! and inside an AVX2 `#[target_feature]` wrapper that `x86_64` hosts pick
+//! when the CPU has AVX2. Both are exact `u32` arithmetic, so both fill
+//! the same tables bit for bit.
 //!
 //! **The backtrace re-derives each choice instead of reading a stored
 //! one**, which keeps back-pointer writes out of both hot loops. It
@@ -41,17 +71,49 @@
 //!    `init[mask][u] + ‖u − v‖₁ == cost[mask][v]`. Such a `u` always has
 //!    `init == cost` itself (were it reached from some `w`, the triangle
 //!    inequality would make `w` strictly better for `v` too), so the next
-//!    step from `u` is a split or a leaf.
+//!    step from `u` is a split or a leaf. "Lowest" is in the real grid's
+//!    row-major order, which is the padded plane's order with the padding
+//!    skipped.
 //!
 //! Ties are therefore broken exactly as the all-pairs formulation breaks
 //! them; the `#[cfg(test)]` reference at the bottom of this file *is* that
 //! formulation, and `exact_steiner` must return a [`RoutingTree`] equal to
 //! its tree — nodes, edge order and all — on every net of a seeded corpus.
 
+use std::cell::RefCell;
+
+use dgr_grid::grid::MAX_SIDE;
 use dgr_grid::{Point, PointIndex};
 
 use crate::hanan::HananGrid;
 use crate::tree::{dedup_pins, RoutingTree};
+use crate::EXACT_PIN_LIMIT;
+
+/// Columns and rows of a padded plane.
+const SIDE: usize = EXACT_PIN_LIMIT;
+/// Cells of a padded plane.
+const PLANE: usize = SIDE * SIDE;
+/// Masks over the first `k − 1 < SIDE` terminals.
+const MASKS: usize = 1 << (SIDE - 1);
+/// A padded cell's start value, and the distance from the last real
+/// column or row to a padded one (module docs).
+const BIG: u32 = 1 << 27;
+const _: () = assert!(7 * 2 * MAX_SIDE < BIG && 8 * (BIG as u64) + (MAX_SIDE as u64) < 1 << 31);
+
+type Plane = [u32; PLANE];
+
+/// The DP's two tables: plane `mask` of `init` and of `cost`.
+struct Tables {
+    init: [Plane; MASKS],
+    cost: [Plane; MASKS],
+}
+
+thread_local! {
+    static TABLES: RefCell<Box<Tables>> = RefCell::new(Box::new(Tables {
+        init: [[0; PLANE]; MASKS],
+        cost: [[0; PLANE]; MASKS],
+    }));
+}
 
 /// Computes an exact rectilinear Steiner minimum tree over `pins`.
 ///
@@ -61,9 +123,11 @@ use crate::tree::{dedup_pins, RoutingTree};
 ///
 /// # Panics
 ///
-/// Panics if `pins` is empty, or if the distinct pin count exceeds 16
-/// (the DP bitmask width) — callers should dispatch through [`crate::rsmt`],
-/// which routes big nets to the heuristic instead.
+/// Panics if `pins` is empty, if the distinct pin count exceeds
+/// [`EXACT_PIN_LIMIT`] (the padded plane's side) — callers should dispatch
+/// through [`crate::rsmt`], which routes big nets to the heuristic
+/// instead — or if the pins' bounding box is wider or taller than
+/// [`MAX_SIDE`] g-cells.
 ///
 /// # Examples
 ///
@@ -79,8 +143,8 @@ pub fn exact_steiner(pins: &[Point]) -> RoutingTree {
     let terminals = dedup_pins(pins);
     assert!(!terminals.is_empty(), "exact_steiner of zero pins");
     assert!(
-        terminals.len() <= 16,
-        "exact_steiner limited to 16 pins, got {}",
+        terminals.len() <= EXACT_PIN_LIMIT,
+        "exact_steiner takes at most EXACT_PIN_LIMIT = {EXACT_PIN_LIMIT} distinct pins, got {}",
         terminals.len()
     );
     let k = terminals.len();
@@ -91,101 +155,198 @@ pub fn exact_steiner(pins: &[Point]) -> RoutingTree {
         return RoutingTree::from_parts(terminals, 2, vec![(0, 1)]);
     }
 
-    let hanan = HananGrid::new(&terminals);
-    let n = hanan.num_points();
-    let points: Vec<Point> = hanan.points().collect();
-    let term_idx: Vec<usize> = terminals
-        .iter()
-        .map(|&t| hanan.index_of(t).expect("pin on own hanan grid"))
-        .collect();
-    let gaps =
-        |coords: &[i32]| -> Vec<u32> { coords.windows(2).map(|w| w[1].abs_diff(w[0])).collect() };
-    let (col_gap, row_gap) = (gaps(hanan.xs()), gaps(hanan.ys()));
-
-    // DP over subsets of the first k-1 terminals; the last terminal is the
-    // root that the final tree must reach. Plane `mask` of either table is
-    // `[mask * n..(mask + 1) * n]`, row-major like the Hanan grid.
-    let num_masks = 1usize << (k - 1);
-    let mut init = vec![u32::MAX; num_masks * n];
-    let mut cost = vec![u32::MAX; num_masks * n];
-    let at = |mask: usize, v: usize| mask * n + v;
-
-    for mask in 1..num_masks {
-        let plane = &mut init[mask * n..(mask + 1) * n];
-        if mask.is_power_of_two() {
-            // base case: the direct edge t — v (growing cannot improve on
-            // a metric, so this is `cost[mask]` too)
-            let t = points[term_idx[mask.trailing_zeros() as usize]];
-            for (c, &p) in plane.iter_mut().zip(&points) {
-                *c = t.manhattan_distance(p);
-            }
-        } else {
-            // combine step: split the terminal set at v
-            for (sub, other) in splits(mask) {
-                let a = &cost[sub * n..(sub + 1) * n];
-                let b = &cost[other * n..(other + 1) * n];
-                for ((c, &a), &b) in plane.iter_mut().zip(a).zip(b) {
-                    *c = (*c).min(a + b);
-                }
-            }
-        }
-        // grow step
-        let grown = &mut cost[mask * n..(mask + 1) * n];
-        grown.copy_from_slice(plane);
-        l1_distance_transform(grown, &col_gap, &row_gap);
-    }
-
-    // Reconstruct edges, re-deriving each step's choice (module docs).
-    let full = num_masks - 1;
-    let root = term_idx[k - 1];
-    let mut edges_pts: Vec<(Point, Point)> = Vec::new();
-    let mut stack = vec![(full, root)];
-    while let Some((mask, v)) = stack.pop() {
-        let best = cost[at(mask, v)];
-        if init[at(mask, v)] != best {
-            let u = (0..n)
-                .find(|&u| init[at(mask, u)] + points[u].manhattan_distance(points[v]) == best)
-                .expect("a grown cost has a source");
-            edges_pts.push((points[u], points[v]));
-            stack.push((mask, u));
-        } else if mask.is_power_of_two() {
-            let t = term_idx[mask.trailing_zeros() as usize];
-            if t != v {
-                edges_pts.push((points[t], points[v]));
-            }
-        } else {
-            let (sub, other) = splits(mask)
-                .find(|&(sub, other)| cost[at(sub, v)] + cost[at(other, v)] == best)
-                .expect("a combined cost has a split");
-            stack.push((sub, v));
-            stack.push((other, v));
-        }
-    }
-    tree_from_edges(terminals, &edges_pts)
+    steiner_with(terminals, fill)
 }
 
-/// In place, `plane[v] = min_u plane[u] + ‖u − v‖₁` over a row-major grid
-/// whose neighbouring columns and rows lie `col_gap` and `row_gap` apart:
-/// two sweeps along every row, then two along every column (module docs).
-fn l1_distance_transform(plane: &mut [u32], col_gap: &[u32], row_gap: &[u32]) {
-    let cols = col_gap.len() + 1;
-    for row in plane.chunks_exact_mut(cols) {
-        for c in 1..cols {
-            row[c] = row[c].min(row[c - 1] + col_gap[c - 1]);
-        }
-        for c in (1..cols).rev() {
-            row[c - 1] = row[c - 1].min(row[c] + col_gap[c - 1]);
+/// The signature of [`fill`] and of the two bodies it picks between.
+type Fill = fn(&mut Tables, usize, &[u32; SIDE], &[u32; SIDE]);
+
+/// [`exact_steiner`] of `k ≥ 3` distinct terminals, its tables filled by
+/// `fill`.
+fn steiner_with(terminals: Vec<Point>, fill: Fill) -> RoutingTree {
+    let grid = PaddedGrid::new(&terminals);
+    TABLES.with(|tables| {
+        let t = &mut **tables.borrow_mut();
+        grid.seed(t);
+        fill(t, terminals.len(), &grid.x, &grid.y);
+        grid.backtrace(t, terminals)
+    })
+}
+
+/// A net's Hanan grid in padded-plane coordinates.
+struct PaddedGrid {
+    hanan: HananGrid,
+    /// Padded index of every terminal, in pin order.
+    term_at: Vec<usize>,
+    /// Every column's x from the grid's left edge, a padded column `BIG`
+    /// beyond the last real one; `y` likewise for rows.
+    x: [u32; SIDE],
+    y: [u32; SIDE],
+}
+
+impl PaddedGrid {
+    fn new(terminals: &[Point]) -> Self {
+        let hanan = HananGrid::new(terminals);
+        let padded = |coords: &[i32]| -> [u32; SIDE] {
+            let span = coords[coords.len() - 1].abs_diff(coords[0]);
+            assert!(
+                span < MAX_SIDE,
+                "exact_steiner: pins span {span} g-cells, more than MAX_SIDE = {MAX_SIDE} allows"
+            );
+            std::array::from_fn(|c| coords.get(c).map_or(span + BIG, |&v| v.abs_diff(coords[0])))
+        };
+        let (x, y) = (padded(hanan.xs()), padded(hanan.ys()));
+        let cols = hanan.xs().len();
+        let term_at = terminals
+            .iter()
+            .map(|&t| {
+                let real = hanan.index_of(t).expect("pin on own hanan grid");
+                real / cols * SIDE + real % cols
+            })
+            .collect();
+        PaddedGrid {
+            hanan,
+            term_at,
+            x,
+            y,
         }
     }
-    for (r, &gap) in row_gap.iter().enumerate() {
-        for i in (r + 1) * cols..(r + 2) * cols {
-            plane[i] = plane[i].min(plane[i - cols] + gap);
+
+    /// The Hanan point at padded index `v`, which is not padding.
+    fn point(&self, v: usize) -> Point {
+        Point::new(self.hanan.xs()[v % SIDE], self.hanan.ys()[v / SIDE])
+    }
+
+    /// Padded indices of the real cells, in the real grid's row-major order.
+    fn real_cells(&self) -> impl Iterator<Item = usize> + '_ {
+        let cols = self.hanan.xs().len();
+        (0..self.hanan.ys().len()).flat_map(move |r| r * SIDE..r * SIDE + cols)
+    }
+
+    /// Writes the single-terminal planes of both tables: `‖t − v‖₁` on
+    /// real cells, `BIG` on padding (growing cannot improve on a metric,
+    /// so `cost` is `init`).
+    fn seed(&self, t: &mut Tables) {
+        let (x, y) = (&self.x, &self.y);
+        for (bit, &at) in self.term_at[..self.term_at.len() - 1].iter().enumerate() {
+            let (tx, ty) = (x[at % SIDE], y[at / SIDE]);
+            let plane: Plane = std::array::from_fn(|v| {
+                (x[v % SIDE].abs_diff(tx) + y[v / SIDE].abs_diff(ty)).min(BIG)
+            });
+            t.init[1 << bit] = plane;
+            t.cost[1 << bit] = plane;
         }
     }
-    for (r, &gap) in row_gap.iter().enumerate().rev() {
-        for i in (r + 1) * cols..(r + 2) * cols {
-            plane[i - cols] = plane[i - cols].min(plane[i] + gap);
+
+    /// Reconstructs the tree from filled tables, re-deriving each step's
+    /// choice (module docs).
+    fn backtrace(&self, t: &Tables, terminals: Vec<Point>) -> RoutingTree {
+        let k = terminals.len();
+        let pt = |v: usize| self.point(v);
+        let full = (1 << (k - 1)) - 1;
+        let mut edges_pts: Vec<(Point, Point)> = Vec::new();
+        let mut stack = vec![(full, self.term_at[k - 1])];
+        while let Some((mask, v)) = stack.pop() {
+            let best = t.cost[mask][v];
+            if t.init[mask][v] != best {
+                let u = self
+                    .real_cells()
+                    .find(|&u| t.init[mask][u] + pt(u).manhattan_distance(pt(v)) == best)
+                    .expect("a grown cost has a source");
+                edges_pts.push((pt(u), pt(v)));
+                stack.push((mask, u));
+            } else if mask.is_power_of_two() {
+                let at = self.term_at[mask.trailing_zeros() as usize];
+                if at != v {
+                    edges_pts.push((pt(at), pt(v)));
+                }
+            } else {
+                let (sub, other) = splits(mask)
+                    .find(|&(sub, other)| t.cost[sub][v] + t.cost[other][v] == best)
+                    .expect("a combined cost has a split");
+                stack.push((sub, v));
+                stack.push((other, v));
+            }
         }
+        tree_from_edges(terminals, &edges_pts)
+    }
+}
+
+/// Fills the planes of every mask over the first `k − 1` terminals that
+/// has two or more bits, the single-terminal planes already seeded, on the
+/// grid whose padded columns and rows lie at `x` and `y`.
+fn fill(t: &mut Tables, k: usize, x: &[u32; SIDE], y: &[u32; SIDE]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `fill_avx2` requires AVX2 and nothing else, and the CPU
+        // was just found to have it.
+        return unsafe { fill_avx2(t, k, x, y) };
+    }
+    fill_body(t, k, x, y);
+}
+
+/// [`fill_body`], compiled with 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_avx2(t: &mut Tables, k: usize, x: &[u32; SIDE], y: &[u32; SIDE]) {
+    fill_body(t, k, x, y);
+}
+
+/// The combine step into a plane, then the grow step: the row sweeps as
+/// doubling steps, then the two sweeps along every column, a row at a
+/// time (module docs).
+#[inline(always)]
+fn fill_body(t: &mut Tables, k: usize, x: &[u32; SIDE], y: &[u32; SIDE]) {
+    for mask in 1..1usize << (k - 1) {
+        if mask.is_power_of_two() {
+            continue;
+        }
+        let mut p: Plane = [u32::MAX; PLANE];
+        for (sub, other) in splits(mask) {
+            let (a, b) = (&t.cost[sub], &t.cost[other]);
+            for v in 0..PLANE {
+                p[v] = p[v].min(a[v] + b[v]);
+            }
+        }
+        t.init[mask] = p;
+        let (rows, _) = p.as_chunks_mut::<SIDE>();
+        for row in rows.iter_mut() {
+            relax::<1>(row, x);
+            relax::<2>(row, x);
+            relax::<4>(row, x);
+        }
+        for r in 1..SIDE {
+            let (above, below) = rows.split_at_mut(r);
+            for (to, &from) in below[0].iter_mut().zip(&above[r - 1]) {
+                *to = (*to).min(from + (y[r] - y[r - 1]));
+            }
+        }
+        for r in (1..SIDE).rev() {
+            let (above, below) = rows.split_at_mut(r);
+            for (to, &from) in above[r - 1].iter_mut().zip(&below[0]) {
+                *to = (*to).min(from + (y[r] - y[r - 1]));
+            }
+        }
+        t.cost[mask] = p;
+    }
+}
+
+/// One doubling step of both row sweeps: every cell against the cell `S`
+/// columns to its left plus their distance, then against the one `S` to
+/// its right, each read before its half of the step. A cell whose partner
+/// would lie off the row takes the row's end instead: a shorter hop, and
+/// just as valid.
+#[inline(always)]
+fn relax<const S: usize>(row: &mut [u32; SIDE], x: &[u32; SIDE]) {
+    let old = *row;
+    for c in 0..SIDE {
+        let from = c.saturating_sub(S);
+        row[c] = row[c].min(old[from] + (x[c] - x[from]));
+    }
+    let old = *row;
+    for c in 0..SIDE {
+        let from = (c + S).min(SIDE - 1);
+        row[c] = row[c].min(old[from] + (x[from] - x[c]));
     }
 }
 
@@ -391,11 +552,12 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn sweep_dp_returns_the_reference_tree_on_degenerate_shapes() {
+    /// Collinear, two-column, two-row, duplicate-pin, lattice, diagonal
+    /// and all-ties nets.
+    fn degenerate_nets() -> Vec<Vec<Point>> {
         let pts =
             |v: &[(i32, i32)]| -> Vec<Point> { v.iter().map(|&(x, y)| Point::new(x, y)).collect() };
-        let cases = [
+        vec![
             // all collinear, horizontally and vertically (1×n, n×1 grids)
             pts(&[(0, 3), (9, 3), (4, 3), (2, 3), (7, 3), (5, 3)]),
             pts(&[
@@ -454,11 +616,111 @@ pub(crate) mod tests {
             ]),
             // equal gaps everywhere: every split ties
             pts(&[(0, 0), (4, 0), (0, 4), (4, 4), (2, 2)]),
-        ];
-        for pins in cases {
+        ]
+    }
+
+    #[test]
+    fn sweep_dp_returns_the_reference_tree_on_degenerate_shapes() {
+        for pins in degenerate_nets() {
             let tree = exact_steiner(&pins);
             tree.validate().unwrap();
             assert_eq!(tree, reference_exact_steiner(&pins), "{pins:?}");
+        }
+    }
+
+    /// Both tables as `fill` leaves them for `pins`, on a fresh buffer.
+    fn tables_of(pins: &[Point], fill: Fill) -> Box<Tables> {
+        let terminals = dedup_pins(pins);
+        let grid = PaddedGrid::new(&terminals);
+        let mut t = Box::new(Tables {
+            init: [[0; PLANE]; MASKS],
+            cost: [[0; PLANE]; MASKS],
+        });
+        grid.seed(&mut t);
+        fill(&mut t, terminals.len(), &grid.x, &grid.y);
+        t
+    }
+
+    #[test]
+    fn the_two_fill_bodies_agree() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected above.
+            let wide: Fill = |t, k, x, y| unsafe { fill_avx2(t, k, x, y) };
+            let nets = random_nets().chain(degenerate_nets());
+            for pins in nets.filter(|pins| dedup_pins(pins).len() >= 3) {
+                let (plain, wide) = (tables_of(&pins, fill_body), tables_of(&pins, wide));
+                assert!(
+                    plain.init == wide.init && plain.cost == wide.cost,
+                    "{pins:?}"
+                );
+            }
+        }
+    }
+
+    /// The widest box `exact_steiner` accepts: real entries come closest
+    /// to `BIG` here.
+    #[test]
+    fn a_box_of_max_side_minus_one_matches_the_reference() {
+        let far = MAX_SIDE as i32 - 1;
+        let mut rng = StdRng::seed_from_u64(0xB16);
+        let corners = [(0, 0), (far, 0), (0, far), (far, far)];
+        for _ in 0..50 {
+            let pins: Vec<Point> = corners
+                .iter()
+                .map(|&(x, y)| Point::new(x, y))
+                .chain((0..4).map(|_| Point::new(rng.gen_range(0..=far), rng.gen_range(0..=far))))
+                .collect();
+            let tree = exact_steiner(&pins);
+            tree.validate().unwrap();
+            assert_eq!(tree, reference_exact_steiner(&pins), "{pins:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "EXACT_PIN_LIMIT")]
+    fn nine_distinct_pins_panic_naming_the_limit() {
+        exact_steiner(&(0..9).map(|i| Point::new(i, 2 * i)).collect::<Vec<_>>());
+    }
+
+    /// Per-net time by distinct pin count, both bodies, best of 25
+    /// alternated passes:
+    /// `cargo test --release -p dgr-rsmt --lib per_net_time -- --ignored --nocapture`
+    #[test]
+    #[ignore = "timing: run in release"]
+    fn per_net_time_by_pin_count() {
+        #[cfg(target_arch = "x86_64")]
+        let wide: Fill = |t, k, x, y| {
+            assert!(std::arch::is_x86_feature_detected!("avx2"));
+            // SAFETY: AVX2 was asserted above.
+            unsafe { fill_avx2(t, k, x, y) }
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide: Fill = fill_body;
+        let mut rng = StdRng::seed_from_u64(64);
+        println!("| k | plain µs | AVX2 µs |");
+        for k in 4..=EXACT_PIN_LIMIT {
+            let nets: Vec<Vec<Point>> = (0..2000)
+                .map(|_| loop {
+                    let pins: Vec<Point> = (0..k)
+                        .map(|_| Point::new(rng.gen_range(0..64), rng.gen_range(0..64)))
+                        .collect();
+                    if dedup_pins(&pins).len() == k {
+                        break pins;
+                    }
+                })
+                .collect();
+            let mut best = [f64::INFINITY; 2];
+            for _ in 0..25 {
+                for (best, fill) in best.iter_mut().zip([fill_body, wide]) {
+                    let start = std::time::Instant::now();
+                    for pins in &nets {
+                        std::hint::black_box(steiner_with(dedup_pins(pins), fill));
+                    }
+                    *best = best.min(start.elapsed().as_secs_f64() * 1e6 / nets.len() as f64);
+                }
+            }
+            println!("| {k} | {:.1} | {:.1} |", best[0], best[1]);
         }
     }
 

@@ -53,16 +53,25 @@ pub use tree::RoutingTree;
 ///
 /// Dreyfus–Wagner is exponential in the pin count — `O(3^k · n)` over the
 /// `n ≤ k²` Hanan points, see [`dreyfus_wagner`]. Measured per net, k
-/// distinct random pins on a 64×64 die (release build, one core of the
-/// 2-core CI-class host, best of three passes over 2 000 nets):
+/// distinct random pins on a 64×64 die (release build, one core of a
+/// 2-core x86_64 host with AVX2, best of 25 alternated passes over 2 000
+/// nets; `dreyfus_wagner`'s ignored `per_net_time_by_pin_count` test
+/// times the two bodies; the last row is the variable-size planes this
+/// replaced, alternated with both in one process on the same nets):
 ///
 /// | k | 4 | 5 | 6 | 7 | 8 |
 /// |---|---|---|---|---|---|
-/// | µs per net | 1.8 | 3.5 | 7.0 | 17 | 43 |
+/// | µs per net, plain body | 2.1 | 4.2 | 7.8 | 15.8 | 35.8 |
+/// | µs per net, AVX2 body | 1.6 | 2.8 | 4.1 | 7.0 | 12.3 |
+/// | µs per net, variable-size planes (before) | 1.9 | 4.1 | 8.2 | 19.7 | 50.2 |
 ///
-/// (The all-pairs grow step this replaced: 4.8 / 20 / 75 / 264 / 858 µs.)
-/// Each further pin costs about 3×; raising the limit changes which trees
-/// nets of 9+ pins get, so it is a quality decision, not a speed one.
+/// (The all-pairs grow step the variable-size planes replaced: 4.8 / 20 /
+/// 75 / 264 / 858 µs, measured against their 1.8 / 3.5 / 7.0 / 17 / 43 µs
+/// then.) Each further pin costs about 3×; raising the limit changes
+/// which trees nets of 9+ pins get, so it is a quality decision, not a
+/// speed one. It is also the padded plane's side:
+/// the per-thread tables hold `2 · 2^(limit − 1)` planes of `limit²`
+/// cells (64 KB at 8), so each pin added more than doubles them.
 pub const EXACT_PIN_LIMIT: usize = 8;
 
 /// Errors produced by Steiner tree construction.

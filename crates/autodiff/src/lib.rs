@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! The differentiable substrate of the router: the expected cost of
 //! Eqs. 9–12 and its gradient.

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `dgr-bench`: the paper's tables and figures.
 //!
 //! ```text

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! DGR — the differentiable global router (the paper's contribution).
 //!
@@ -14,6 +15,10 @@
 //!    Adam, annealing the softmax temperature ([`train()`]),
 //! 4. extract a discrete solution by tree-argmax + top-p path selection
 //!    ([`extract`]).
+//!
+//! A [`Session`] holds one run between those stages, so the forest and
+//! the model can be read after any of them; [`DgrRouter::route`] runs
+//! one from start to finish.
 //!
 //! # Examples
 //!
@@ -43,6 +48,7 @@ pub mod attribution;
 pub mod config;
 pub mod extract;
 pub mod relax;
+pub mod session;
 pub mod snapshot;
 pub mod solution;
 pub mod train;
@@ -51,11 +57,11 @@ pub use attribution::{attribute_solution, write_attribution, MAX_ATTRIBUTION_NET
 pub use config::{CostWeights, DgrConfig, ExtractionMode};
 pub use extract::extract_solution;
 pub use relax::{build_cost_model, CostModel};
+pub use session::Session;
 pub use snapshot::{ensure_header, write_demand_snapshot, write_dense_snapshot};
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 pub use train::{train, CurvePoint, LiveRow, TrainReport, CURVE_POINTS};
 
-use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_grid::Design;
 use dgr_obs::{SnapshotSink, TelemetrySink};
 
@@ -162,17 +168,6 @@ impl RouteHooks {
     }
 }
 
-/// The router's front-end product: what [`DgrRouter::candidates`] built
-/// for a design and [`DgrRouter::forest`] turns into the DAG forest.
-#[derive(Debug)]
-pub struct Candidates {
-    /// Routing-tree candidates per net, in input-net order.
-    pub pools: Vec<Vec<dgr_rsmt::RoutingTree>>,
-    /// Maze-derived path candidates per sub-net, grown by the adaptive
-    /// expansion rounds (empty until a round has overflowed).
-    extras: std::collections::HashMap<usize, Vec<dgr_dag::PatternPath>>,
-}
-
 /// The end-to-end differentiable global router.
 ///
 /// Owns a [`DgrConfig`] and runs the full pipeline in [`DgrRouter::route`].
@@ -193,56 +188,18 @@ impl DgrRouter {
         &self.config
     }
 
-    /// Step 1 of [`DgrRouter::route`]: the per-net tree candidate pools
-    /// (span `candidates`). Trees are clamped to the die, every net draws
-    /// from its own seed derived from `(candidates.seed, net index)` — so
-    /// the fan-out is deterministic at any thread count — and Steiner
-    /// templates are shared through one canonical cache per call.
+    /// Opens a [`Session`] on `design`: the per-net tree candidates, the
+    /// DAG forest over them and its relaxation, each under its span
+    /// (`candidates` / `forest` / `relax`), ready to train.
     ///
     /// # Errors
     ///
-    /// Returns [`DgrError::Rsmt`] if a net has no pins.
-    pub fn candidates(&self, design: &Design) -> Result<Candidates, DgrError> {
-        let _s = dgr_obs::span("route", "candidates");
-        dgr_obs::status_phase("candidates");
-        let mut base_cfg = self.config.candidates.clone();
-        base_cfg.clamp = Some(design.grid.bounds());
-        let cache = dgr_rsmt::RsmtCache::new();
-        let nets = &design.nets;
-        let pools = par_indexed(nets.len(), NET_PAR_MIN, |i| {
-            let cfg_i = dgr_rsmt::CandidateConfig {
-                seed: per_net_seed(base_cfg.seed, i),
-                ..base_cfg.clone()
-            };
-            dgr_rsmt::tree_candidates_cached(&nets[i].pins, &cfg_i, &cache)
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        Ok(Candidates {
-            pools,
-            extras: Default::default(),
-        })
-    }
-
-    /// Step 2 of [`DgrRouter::route`]: the DAG forest over `candidates`
-    /// (span `forest`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DgrError::Dag`] if a candidate leaves the grid.
-    pub fn forest(
-        &self,
-        design: &Design,
-        candidates: &Candidates,
-    ) -> Result<dgr_dag::DagForest, DgrError> {
-        let _s = dgr_obs::span("route", "forest");
-        dgr_obs::status_phase("forest");
-        Ok(dgr_dag::build_forest_with_extras(
-            &design.grid,
-            &candidates.pools,
-            self.config.patterns,
-            &candidates.extras,
-        )?)
+    /// [`DgrError::BadConfig`] for an invalid configuration,
+    /// [`DgrError::Rsmt`] if a net has no pins, [`DgrError::Dag`] if a
+    /// candidate leaves the grid.
+    pub fn session<'d>(&self, design: &'d Design) -> Result<Session<'d>, DgrError> {
+        self.config.validate()?;
+        Session::open(self.config.clone(), design)
     }
 
     /// Routes `design`: candidates → forest → training → extraction,
@@ -261,6 +218,12 @@ impl DgrRouter {
     /// (`candidates` / `forest` / `relax` / `extract` under the `route`
     /// category), per-iteration telemetry, and a progress line.
     ///
+    /// It runs a [`Session`]: train and extract, then, while the
+    /// solution overflows, up to [`DgrConfig::adaptive_rounds`] times
+    /// expand, train for [`DgrConfig::adaptive_iterations`] and extract.
+    /// The session drops on return, so its model is not held past
+    /// routing.
+    ///
     /// Iteration numbering in telemetry rows and the retained
     /// [`TrainReport::curve`] is monotone across adaptive rounds, and the
     /// solution's [`TrainReport`] covers them all.
@@ -278,205 +241,31 @@ impl DgrRouter {
         if hooks.is_cancelled() {
             return Err(DgrError::Cancelled);
         }
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
         if let Some(s) = hooks.snap.as_mut() {
             snapshot::ensure_header(&mut s.sink, design);
         }
-
-        // 1. per-net tree candidate pools
-        let mut candidates = self.candidates(design)?;
-
-        let mut warm_start: Option<expand::WarmStart> = None;
-        let mut iter_offset = 0usize;
-        // the rounds trained so far, as one report
-        let mut earlier: Option<TrainReport> = None;
-
-        for round in 0..=self.config.adaptive_rounds {
+        let mut session = Session::open(self.config.clone(), design)?;
+        session.train(self.config.iterations, hooks)?;
+        let mut solution = session.extract()?;
+        for _ in 0..self.config.adaptive_rounds {
+            if solution.metrics.overflow.overflowed_edges == 0 {
+                break;
+            }
             if hooks.is_cancelled() {
                 return Err(DgrError::Cancelled);
             }
-            // 2. DAG forest (with any adaptive extras)
-            let forest = self.forest(design, &candidates)?;
-
-            // 3. continuous relaxation + training (warm-started after the
-            // first round)
-            let mut model = {
-                let _s = dgr_obs::span("route", "relax");
-                dgr_obs::status_phase("relax");
-                build_cost_model(design, &forest, &self.config, &mut rng)
-            };
-            if let Some(warm) = &warm_start {
-                warm.apply(&forest, &mut model);
+            if !session.expand(&solution) {
+                break;
             }
-            let mut round_cfg = self.config.clone();
-            if round > 0 {
-                round_cfg.iterations = self.config.adaptive_iterations.max(1);
-            }
-            let report = train::train_with_hooks(
-                &mut model,
-                &round_cfg,
-                &mut rng,
-                design,
-                hooks,
-                iter_offset,
-            );
-            // a cancel raised mid-training stops the job here: no
-            // extraction, no partial solution escapes
-            if hooks.is_cancelled() {
-                return Err(DgrError::Cancelled);
-            }
-            iter_offset += round_cfg.iterations;
-            let report = match earlier.take() {
-                Some(earlier) => earlier.followed_by(report),
-                None => report,
-            };
-
-            // 4. discrete extraction
-            dgr_obs::status_phase("extract");
-            let solution = extract_solution(design, &forest, &mut model, &round_cfg)?;
-
-            let done = round == self.config.adaptive_rounds
-                || solution.metrics.overflow.overflowed_edges == 0;
-            let mut finish = |report: TrainReport, mut solution: RoutingSolution| {
-                solution.train_report = Some(report);
-                if let Some(sink) = hooks.telemetry.as_mut() {
-                    sink.flush();
-                }
-                if let Some(s) = hooks.snap.as_mut() {
-                    snapshot::write_demand_snapshot(
-                        &mut s.sink,
-                        design,
-                        &solution.demand,
-                        iter_offset as u64,
-                        "extract",
-                    );
-                    s.sink.flush();
-                }
-                solution
-            };
-            if done {
-                return Ok(finish(report, solution));
-            }
-
-            // 5. adaptive expansion: congested sub-nets get maze-derived
-            // candidates; logits carry over
-            let grew = expand::grow_extras(design, &forest, &solution, &mut candidates.extras);
-            warm_start = Some(expand::WarmStart::capture(&forest, &model));
-            if !grew {
-                return Ok(finish(report, solution));
-            }
-            earlier = Some(report);
+            session.train(self.config.adaptive_iterations.max(1), hooks)?;
+            solution = session.extract()?;
         }
-        unreachable!("loop returns on its final round");
-    }
-}
-
-/// A distinct, well-mixed RNG seed for net `i` derived from the base
-/// candidate seed (splitmix64 finalizer). Depending only on `(base, i)`
-/// — never on generation order — keeps parallel candidate generation
-/// deterministic at any thread count.
-fn per_net_seed(base: u64, i: usize) -> u64 {
-    let mut z = base ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-mod expand {
-    //! Adaptive forest expansion (Section 3.1's future-work direction):
-    //! grow the DAG forest where the last round's solution overflowed.
-
-    use dgr_dag::{DagForest, PatternPath};
-    use dgr_grid::demand::rides;
-    use dgr_grid::maze::{maze_route, MazeConfig};
-    use dgr_grid::{Design, Rect};
-
-    use crate::relax::CostModel;
-    use crate::solution::RoutingSolution;
-
-    /// Trained logits keyed by stable identities (tree order is unchanged
-    /// across rounds; paths are matched per subnet by position, extras
-    /// appended at the end start from the subnet's best logit).
-    pub(crate) struct WarmStart {
-        tree_logits: Vec<f32>,
-        /// per subnet: the trained path logits, in construction order
-        path_logits: Vec<Vec<f32>>,
-    }
-
-    impl WarmStart {
-        pub(crate) fn capture(forest: &DagForest, model: &CostModel) -> Self {
-            let w_path = model.path_logits();
-            let path_logits = (0..forest.num_subnets())
-                .map(|s| forest.paths_of_subnet(s).map(|i| w_path[i]).collect())
-                .collect();
-            WarmStart {
-                tree_logits: model.tree_logits().to_vec(),
-                path_logits,
-            }
+        if let Some(s) = hooks.snap.as_mut() {
+            let iter = session.iterations() as u64;
+            snapshot::write_demand_snapshot(&mut s.sink, design, &solution.demand, iter, "extract");
+            s.sink.flush();
         }
-
-        pub(crate) fn apply(&self, forest: &DagForest, model: &mut CostModel) {
-            let mut w_path = vec![0.0f32; forest.num_paths()];
-            for s in 0..forest.num_subnets() {
-                let old = &self.path_logits[s];
-                let best = old.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                for (k, i) in forest.paths_of_subnet(s).enumerate() {
-                    // original candidates keep their logits; appended
-                    // extras start competitive with the incumbent
-                    w_path[i] = old.get(k).copied().unwrap_or(best);
-                }
-            }
-            model.set_logits(&self.tree_logits, &w_path);
-        }
-    }
-
-    /// Adds a congestion-avoiding maze candidate for every sub-net whose
-    /// realized path crosses an overflowed edge. Returns whether anything
-    /// new was added.
-    pub(crate) fn grow_extras(
-        design: &Design,
-        forest: &DagForest,
-        solution: &RoutingSolution,
-        extras: &mut std::collections::HashMap<usize, Vec<PatternPath>>,
-    ) -> bool {
-        let grid = &design.grid;
-        let cap = &design.capacity;
-        let demand = &solution.demand;
-        let over = demand.overflow_mask(cap);
-        let mut grew = false;
-        for route in &solution.routes {
-            for (s, path) in forest.subnets_of_tree(route.tree).zip(&route.paths) {
-                if !rides(grid, &over, &path.corners) {
-                    continue;
-                }
-                let (a, b) = forest.subnet_endpoints(s);
-                if a == b {
-                    continue;
-                }
-                let cfg = MazeConfig {
-                    bounds: Some(Rect::bounding(&[a, b]).inflate_clamped(8, grid.bounds())),
-                    turn_cost: 1.0,
-                };
-                let Some(corners) = maze_route(
-                    grid,
-                    a,
-                    b,
-                    |e| 1.0 + 1000.0 * demand.marginal(cap, e, 1.0),
-                    &cfg,
-                ) else {
-                    continue;
-                };
-                let candidate = PatternPath::new(corners);
-                let slot = extras.entry(s).or_default();
-                if !slot.contains(&candidate) {
-                    slot.push(candidate);
-                    grew = true;
-                }
-            }
-        }
-        grew
+        Ok(solution)
     }
 }
 
@@ -511,23 +300,17 @@ mod tests {
                 .collect();
             let design = Design::new(grid, cap, nets, 5).unwrap();
             let cfg = DgrConfig {
-                iterations: 50,
                 seed,
                 ..DgrConfig::default()
             };
-            let pools: Vec<_> = design
-                .nets
-                .iter()
-                .map(|n| dgr_rsmt::tree_candidates(&n.pins, &cfg.candidates).unwrap())
-                .collect();
+            let mut session = DgrRouter::new(cfg).session(&design).unwrap();
 
             // round 0 routes on the patterns alone; its overflow decides
             // which sub-nets get a maze-derived candidate for round 1
-            let mut extras = Default::default();
+            let mut paths = Vec::new();
             for round in 0..2 {
-                let forest =
-                    dgr_dag::build_forest_with_extras(&design.grid, &pools, cfg.patterns, &extras)
-                        .unwrap();
+                let forest = session.forest();
+                paths.push(forest.num_paths());
                 for i in 0..forest.num_paths() {
                     let mut from_runs: Vec<u32> = Vec::new();
                     for &(low, high) in forest.path_runs(i) {
@@ -545,9 +328,14 @@ mod tests {
                     detours_seen += usize::from(edges.len() as u32 > a.manhattan_distance(b));
                 }
 
-                let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-                let before: Vec<u32> = model.path_logits().iter().map(|w| w.to_bits()).collect();
-                train(&mut model, &cfg, &mut rng);
+                let before: Vec<u32> = session
+                    .model()
+                    .path_logits()
+                    .iter()
+                    .map(|w| w.to_bits())
+                    .collect();
+                session.train(50, &mut RouteHooks::default()).unwrap();
+                let (forest, model) = (session.forest(), session.model());
                 for s in 0..forest.num_subnets() {
                     let group = forest.paths_of_subnet(s);
                     if group.len() == 1 {
@@ -566,10 +354,12 @@ mod tests {
                     }
                 }
 
-                let solution = extract_solution(&design, &forest, &mut model, &cfg).unwrap();
-                expand::grow_extras(&design, &forest, &solution, &mut extras);
+                let solution = session.extract().unwrap();
+                if round == 0 && !session.expand(&solution) {
+                    break;
+                }
             }
-            extras_seen += extras.values().map(Vec::len).sum::<usize>();
+            extras_seen += paths.last().unwrap() - paths[0];
         }
         assert!(extras_seen > 0, "no design overflowed: nothing grew");
         assert!(detours_seen > 0, "every candidate was monotone");

@@ -213,32 +213,19 @@ pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainR
     train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0)
 }
 
-/// [`train`] with observability hooks: telemetry rows, progress lines,
-/// dense snapshots of the Eq. 10 expected demand over `design` every
+/// The loop behind [`train`] and [`Session::train`](crate::Session::train),
+/// with observability hooks: telemetry rows, progress lines, dense
+/// snapshots of the Eq. 10 expected demand over `design` every
 /// [`SnapshotConfig::every`](crate::SnapshotConfig::every) iterations
-/// (plus the final one), cooperative cancellation between iterations, and
-/// per-iteration phase spans (`forward` / `backward` / `adam` under the
-/// `train` category, and — with a helper engaged — `noise_ahead` /
-/// `lane_fwd` / `lane_bwd` on whichever thread ran them) recorded when
-/// `dgr_obs::enabled()`.
+/// (plus the final one; [`train`] has no design to capture), cooperative
+/// cancellation between iterations, and per-iteration phase
+/// spans (`forward` / `backward` / `adam` under the `train` category,
+/// and — with a helper engaged — `noise_ahead` / `lane_fwd` / `lane_bwd`
+/// on whichever thread ran them) recorded when `dgr_obs::enabled()`.
 ///
 /// `iter_offset` is added to every reported iteration index, so adaptive
-/// rounds continue numbering instead of restarting at zero. The one
-/// caller is [`DgrRouter::route_with_hooks`](crate::DgrRouter::route_with_hooks).
-pub(crate) fn train_with_hooks(
-    model: &mut CostModel,
-    cfg: &DgrConfig,
-    rng: &mut StdRng,
-    design: &Design,
-    hooks: &mut RouteHooks,
-    iter_offset: usize,
-) -> TrainReport {
-    train_loop(model, cfg, rng, Some(design), hooks, iter_offset)
-}
-
-/// The loop behind both entry points; [`train`] has no design and no
-/// snapshot sink to capture one for.
-fn train_loop(
+/// rounds continue numbering instead of restarting at zero.
+pub(crate) fn train_loop(
     model: &mut CostModel,
     cfg: &DgrConfig,
     rng: &mut StdRng,
@@ -542,7 +529,7 @@ mod tests {
             cancel: Some(Arc::new(AtomicBool::new(true))),
             ..RouteHooks::default()
         };
-        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0);
+        let report = train_loop(&mut model, &cfg, &mut rng, Some(&design), &mut hooks, 0);
         assert_eq!(report.iterations, 0);
         assert!(report.final_loss.is_nan());
         assert_eq!(report.final_temperature, 0.7);
@@ -760,7 +747,7 @@ mod tests {
             telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
             ..RouteHooks::default()
         };
-        train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0);
+        train_loop(&mut model, &cfg, &mut rng, Some(&design), &mut hooks, 0);
         let sink = hooks.telemetry.unwrap();
         let rows = sink.memory_contents().unwrap().lines();
         let norms: Vec<&str> = rows.map(|row| row.rsplit_once(',').unwrap().1).collect();
@@ -910,7 +897,7 @@ mod tests {
         parallel::set_num_threads(2);
         let mut rng = StdRng::seed_from_u64(3);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        let report = train_with_hooks(&mut model, &cfg, &mut rng, &design, &mut hooks, 0);
+        let report = train_loop(&mut model, &cfg, &mut rng, Some(&design), &mut hooks, 0);
         parallel::set_num_threads(0);
         watcher.join().unwrap();
         let _ = std::fs::remove_file(&path);

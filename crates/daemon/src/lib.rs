@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `dgr-daemon` — `dgrd`, a long-lived multi-tenant routing job server.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The routing DAG forest — DGR's core data structure.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Benchmark generation and design I/O — the substitute for the ISPD'18
 //! and ISPD'19 contest benchmarks.

@@ -37,7 +37,9 @@ pub struct LedgerRecord {
     pub hash: String,
     /// Unix timestamp (seconds) the record was written.
     pub ts: u64,
-    /// Subcommand: `"route"` or `"train"`.
+    /// What wrote the record: `"route"` (the CLI) or `"dgrd"` (a job).
+    /// Records of the retired `dgr train` read `"train"` and still load
+    /// and render.
     pub cmd: String,
     /// Design name (case file stem).
     pub design: String,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `dgr-obs` — the observability substrate of the DGR reproduction.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Differential-testing oracle for the DGR solver stack.
 //!

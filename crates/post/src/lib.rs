@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Post-processing: 2D pattern routes → 3D routing guides.
 //!

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dgr_core::{DgrConfig, DgrError, DgrRouter, RouteHooks, RoutingSolution};
+use dgr_core::{DgrConfig, DgrError, DgrRouter, RouteHooks, RoutingSolution, SolutionMetrics};
 use dgr_grid::Design;
 use dgr_obs::ledger::{self, LedgerRecord, LEDGER_VERSION};
 
@@ -100,6 +100,9 @@ fn finish(
 pub struct Outcome {
     /// The refined 2D solution.
     pub solution: RoutingSolution,
+    /// The 2D solution's metrics as the router returned it, before
+    /// refinement.
+    pub routed: SolutionMetrics,
     /// Refinement, layer assignment and guide.
     pub post: Finished,
     /// Loss of the last training iteration (NaN when nothing trained).
@@ -159,7 +162,8 @@ where
 {
     let t0 = Instant::now();
     let mut solution = route(design)?;
-    let routed = t0.elapsed();
+    let route_time = t0.elapsed();
+    let routed = solution.metrics;
     let post = finish(design, &mut solution, want_guide)?;
     Ok(Outcome {
         final_loss: solution
@@ -167,7 +171,8 @@ where
             .as_ref()
             .map_or(f64::NAN, |r| f64::from(r.final_loss)),
         solution,
-        route_time: routed + post.refine_time,
+        routed,
+        route_time: route_time + post.refine_time,
         post,
         wall: t0.elapsed(),
     })

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Seeded differential fuzz driver.
 //!
 //! Runs N cases of each of the five oracle cross-checks, shrinks every

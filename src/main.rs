@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `dgr` — command-line front end for the differentiable global router.
 //!
 //! `dgr --help` lists every subcommand and the flags it accepts, rendered
@@ -10,10 +12,10 @@
 //! attribution. `--serve ADDR` exposes `/metrics` (Prometheus),
 //! `/status` (JSON) and `/report` (HTML) over HTTP while the run is
 //! live; `--profile` folds the span log into a collapsed-stack
-//! (flamegraph-compatible) file of self time. Every `route`/`train`
-//! run also appends a content-hashed summary record to the persistent
-//! ledger (`~/.dgr/ledger.jsonl`, override with `DGR_LEDGER`, disable
-//! with `--no-ledger`) that `dgr history` renders into cross-run deltas.
+//! (flamegraph-compatible) file of self time. Every `route` run also
+//! appends a content-hashed summary record to the persistent ledger
+//! (`~/.dgr/ledger.jsonl`, override with `DGR_LEDGER`, disable with
+//! `--no-ledger`) that `dgr history` renders into cross-run deltas.
 //! `dgr report` reads those files back, each with the reader that sits
 //! beside its writer in `dgr-obs`, and renders them into one
 //! self-contained HTML post-mortem.
@@ -22,7 +24,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
-use dgr::core::{write_attribution, DgrConfig, DgrRouter, RouteHooks, SnapshotConfig};
+use dgr::core::{write_attribution, DgrConfig, RouteHooks, SnapshotConfig};
 use dgr::grid::Design;
 use dgr::obs::ledger::{self, LedgerRecord};
 use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ObsServer, ReportInputs};
@@ -84,15 +86,6 @@ const COMMANDS: &[Command] = &[
                 --profile=out.folded --progress=N --no-ledger --quiet",
         help: "route a design and print metrics",
         run: cmd_route,
-    },
-    Command {
-        name: "train",
-        positional: Some("<design.txt>"),
-        flags: "--iterations=N --seed=S --routes=out.txt --trace=out.json --telemetry=out.jsonl \
-                --snap=out.snaps --snap-every=N --serve=ADDR --profile=out.folded --no-ledger \
-                --quiet",
-        help: "train and extract one seed, print the 2D solution before refinement",
-        run: cmd_train,
     },
     Command {
         name: "compare",
@@ -374,12 +367,11 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
 /// Live observability attached to one CLI run: the optional Chrome
 /// trace and span profile, written at its end, and the HTTP exporter.
 ///
-/// The span registry is enabled for every `route`/`train` run (the
-/// persistent ledger needs per-phase totals either way) but keeps its
-/// event log only for `--trace` and `--profile`, the two files written
-/// from it; the end-of-run summary tables only print when the user asked
-/// for observability explicitly, so plain runs keep their original
-/// output.
+/// The span registry is enabled for every `route` run (the persistent
+/// ledger needs per-phase totals either way) but keeps its event log
+/// only for `--trace` and `--profile`, the two files written from it; the
+/// end-of-run summary tables only print when the user asked for
+/// observability explicitly, so plain runs keep their original output.
 struct ObsSession {
     trace: Option<String>,
     profile: Option<String>,
@@ -496,13 +488,7 @@ fn print_summary_tables() {
 /// ledger (unless `--no-ledger`): labelled with the design file's stem,
 /// its phases the span totals. Best effort by contract: a failed append
 /// only suppresses the confirmation line.
-fn append_run(
-    flags: &Flags,
-    cmd: &str,
-    design: &Design,
-    cfg: &DgrConfig,
-    outcome: &pipeline::Outcome,
-) {
+fn append_run(flags: &Flags, design: &Design, cfg: &DgrConfig, outcome: &pipeline::Outcome) {
     if flags.has("--no-ledger") {
         return;
     }
@@ -514,7 +500,7 @@ fn append_run(
         .into_iter()
         .map(|t| (t.name.to_string(), t.total.as_secs_f64() * 1e3))
         .collect();
-    let record = pipeline::ledger_record(cmd, &label, design, cfg, outcome, phases);
+    let record = pipeline::ledger_record("route", &label, design, cfg, outcome, phases);
     if let Some(path) = ledger::append(&record) {
         println!("  ledger           : appended → {}", path.display());
     }
@@ -537,20 +523,6 @@ fn route_hooks(flags: &Flags, iterations: usize) -> Result<RouteHooks, Box<dyn s
         hooks.progress = Some(flags.parsed("--progress")?.unwrap_or(100));
     }
     Ok(hooks)
-}
-
-/// What the telemetry and snapshot sinks of a finished run took.
-fn print_sinks(flags: &Flags, hooks: &mut RouteHooks) {
-    if let Some(sink) = hooks.telemetry.as_mut() {
-        sink.flush();
-        let path = flags.value("--telemetry").unwrap_or("?");
-        println!("  telemetry        : {} rows → {path}", sink.rows());
-    }
-    if let Some(snap) = hooks.snap.as_mut() {
-        snap.sink.flush();
-        let path = flags.value("--snap").unwrap_or("?");
-        println!("  snapshots        : {} → {path}", snap.sink.snapshots());
-    }
 }
 
 fn cmd_route(flags: &Flags) -> CliResult {
@@ -584,6 +556,11 @@ fn cmd_route(flags: &Flags) -> CliResult {
     println!("  turning points   : {}", m.total_turns);
     println!("  overflowed edges : {}", m.overflow.overflowed_edges);
     println!("  total overflow   : {:.2}", m.overflow.total_overflow);
+    let r = &out.routed;
+    println!(
+        "  as routed        : wirelength {}, {} turning points, {} overflowed edges, total overflow {:.2}",
+        r.total_wirelength, r.total_turns, r.overflow.overflowed_edges, r.overflow.total_overflow
+    );
     println!(
         "  refinement       : {} nets rerouted ({} → {} overflowed edges)",
         report.nets_rerouted, report.overflowed_before, report.overflowed_after
@@ -628,59 +605,17 @@ fn cmd_route(flags: &Flags) -> CliResult {
             );
         }
     }
-    print_sinks(flags, &mut hooks);
-    append_run(flags, "route", &design, &cfg, &out);
-    obs_finish(session)?;
-    Ok(())
-}
-
-/// `dgr train`: [`DgrRouter::route_with_hooks`] alone — candidates,
-/// forest, training and extraction for one seed — and the 2D solution
-/// it extracts, before refinement.
-fn cmd_train(flags: &Flags) -> CliResult {
-    let design = load_design(flags)?;
-    let cfg = config_from(flags)?;
-    let session = obs_session(flags, "train", cfg.iterations as u64)?;
-    let mut hooks = route_hooks(flags, cfg.iterations)?;
-    let t0 = std::time::Instant::now();
-    let solution = DgrRouter::new(cfg.clone()).route_with_hooks(&design, &mut hooks)?;
-    let elapsed = t0.elapsed();
-
-    let m = &solution.metrics;
-    println!(
-        "trained {} nets in {:.2?} ({} iterations, seed {})",
-        design.num_nets(),
-        elapsed,
-        cfg.iterations,
-        cfg.seed
-    );
-    if let Some(report) = &solution.train_report {
-        println!(
-            "  final loss       : {:.4} (temperature {:.4})",
-            report.final_loss, report.final_temperature
-        );
+    if let Some(sink) = hooks.telemetry.as_mut() {
+        sink.flush();
+        let path = flags.value("--telemetry").unwrap_or("?");
+        println!("  telemetry        : {} rows → {path}", sink.rows());
     }
-    println!("  wirelength       : {}", m.total_wirelength);
-    println!("  turning points   : {}", m.total_turns);
-    println!("  overflowed edges : {}", m.overflow.overflowed_edges);
-    println!("  total overflow   : {:.2}", m.overflow.total_overflow);
-    if let Some(path) = flags.value("--routes") {
-        std::fs::write(path, solution.to_text())?;
-        println!("  routes checkpoint → {path}");
+    if let Some(snap) = hooks.snap.as_mut() {
+        snap.sink.flush();
+        let path = flags.value("--snap").unwrap_or("?");
+        println!("  snapshots        : {} → {path}", snap.sink.snapshots());
     }
-    print_sinks(flags, &mut hooks);
-    // training alone: no post pass ran, so the ledger's vias are the turns
-    let out = pipeline::Outcome {
-        final_loss: solution
-            .train_report
-            .as_ref()
-            .map_or(f64::NAN, |r| f64::from(r.final_loss)),
-        solution,
-        post: pipeline::Finished::default(),
-        route_time: elapsed,
-        wall: elapsed,
-    };
-    append_run(flags, "train", &design, &cfg, &out);
+    append_run(flags, &design, &cfg, &out);
     obs_finish(session)?;
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! The `dgr` binary against the library it fronts: arguments it does not
-//! know are errors, `--help` lists the ones it does, `dgr train` runs the
-//! router's own front end, and `dgr report` refuses a file its reader
-//! refuses.
+//! know are errors, `--help` lists the ones it does, `dgr route` prints
+//! the router's own solution before refining it, and `dgr report` refuses
+//! a file its reader refuses.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -35,14 +35,15 @@ fn dgr(args: &[&str]) -> Output {
         .expect("spawn dgr")
 }
 
-/// `dgr train --seed S` reports `DgrRouter::route`'s solution for seed S
-/// as it stands before refinement: same candidates (per-net seeds, die
-/// clamp), same forest, same training, same extraction.
+/// `dgr route --seed S`'s `as routed` line is `DgrRouter::route`'s
+/// solution for seed S as it stands before refinement: same candidates
+/// (per-net seeds, die clamp), same forest, same training, same
+/// extraction.
 #[test]
-fn train_reports_the_routers_unrefined_solution() {
-    let (path, design) = design_on_disk("train");
+fn route_prints_the_routers_unrefined_solution_as_routed() {
+    let (path, design) = design_on_disk("as_routed");
     let out = dgr(&[
-        "train",
+        "route",
         path.to_str().unwrap(),
         "--iterations",
         "40",
@@ -65,17 +66,15 @@ fn train_reports_the_routers_unrefined_solution() {
     .route(&design)
     .unwrap();
     let m = &routed.metrics;
-    for line in [
-        format!("  wirelength       : {}", m.total_wirelength),
-        format!("  turning points   : {}", m.total_turns),
-        format!("  overflowed edges : {}", m.overflow.overflowed_edges),
-        format!("  total overflow   : {:.2}", m.overflow.total_overflow),
-    ] {
-        assert!(
-            stdout.lines().any(|l| l == line),
-            "`{line}` not in:\n{stdout}"
-        );
-    }
+    let line = format!(
+        "  as routed        : wirelength {}, {} turning points, {} overflowed edges, \
+         total overflow {:.2}",
+        m.total_wirelength, m.total_turns, m.overflow.overflowed_edges, m.overflow.total_overflow
+    );
+    assert!(
+        stdout.lines().any(|l| l == line),
+        "`{line}` not in:\n{stdout}"
+    );
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
@@ -93,7 +92,7 @@ fn arguments_outside_the_flag_table_are_errors() {
             "--iterations",
         ),
         (vec!["route", design, "--quiet", "other.txt"], "other.txt"),
-        (vec!["train", design, "--guide", "g.txt"], "--guide"),
+        (vec!["compare", design, "--guide", "g.txt"], "--guide"),
         (vec!["cases", "--fast"], "--fast"),
     ] {
         let out = dgr(&args);
@@ -141,7 +140,7 @@ fn help_lists_every_flag_a_command_accepts() {
         ("compare", "[--seed S]"),
         ("compare", "[--serve ADDR]"),
         ("compare", "[--profile out.folded]"),
-        ("train", "[--trace out.json]"),
+        ("route", "[--trace out.json]"),
     ] {
         let synopsis = synopsis(cmd);
         assert!(synopsis.contains(flag), "`{flag}` not in `{synopsis}`");

@@ -131,9 +131,6 @@ fn guide_text(design: &Design, seed: u64) -> String {
 
 #[test]
 fn guide_output_matches_golden_files() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let update = std::env::var_os("DGR_UPDATE_GOLDEN").is_some();
-
     let (refined, unclean) =
         refined_guide_text(&refine_heavy_design(REFINE_HEAVY_SEED), REFINE_HEAVY_SEED);
     assert!(
@@ -165,26 +162,92 @@ fn guide_output_matches_golden_files() {
             ),
         ]);
     for (file, text, seed) in cases {
-        let path = dir.join(file);
-        if update {
-            std::fs::create_dir_all(&dir).expect("create golden dir");
-            std::fs::write(&path, &text).expect("write golden file");
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "read {}: {e}\n(run with DGR_UPDATE_GOLDEN=1 to create)",
-                path.display()
-            )
-        });
-        assert!(
-            text == want,
-            "guide output for seed {seed} diverged from {}\n\
-             --- got ---\n{text}\n--- want ---\n{want}\n\
-             If the change is intentional, regenerate with DGR_UPDATE_GOLDEN=1.",
-            path.display()
-        );
+        check_golden(&file, &text, seed);
     }
+}
+
+/// Compares `text` with `tests/golden/<file>` byte for byte, or writes it
+/// there under `DGR_UPDATE_GOLDEN`.
+fn check_golden(file: &str, text: &str, seed: u64) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var_os("DGR_UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
+        std::fs::write(&path, text).expect("write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "read {}: {e}\n(run with DGR_UPDATE_GOLDEN=1 to create)",
+            path.display()
+        )
+    });
+    assert!(
+        text == want,
+        "output for seed {seed} diverged from {}\n\
+         --- got ---\n{text}\n--- want ---\n{want}\n\
+         If the change is intentional, regenerate with DGR_UPDATE_GOLDEN=1.",
+        path.display()
+    );
+}
+
+/// Seed of the adaptive golden (`route_adaptive.txt`): the router seed of
+/// `tests/pipeline.rs`'s 220-net, seed-31 design.
+const ADAPTIVE_SEED: u64 = 2;
+
+/// That design routed with two adaptive rounds of 80 iterations: every
+/// retained curve point's loss bits, the telemetry rows and the routes.
+/// Recorded at the commit *before* the rounds moved into
+/// `dgr_core::Session`, it pins that `expand` draws, warm-starts and
+/// numbers the rounds as the loop it replaced did.
+#[test]
+fn adaptive_route_matches_its_golden_file() {
+    use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
+    use dgr::obs::TelemetrySink;
+
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 24,
+        height: 24,
+        num_nets: 220,
+        num_layers: 5,
+        base_capacity: 5.0,
+        seed: 31,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let cfg = DgrConfig {
+        iterations: 120,
+        seed: ADAPTIVE_SEED,
+        adaptive_rounds: 2,
+        adaptive_iterations: 80,
+        ..DgrConfig::default()
+    };
+    let mut hooks = RouteHooks {
+        telemetry: Some(TelemetrySink::in_memory()),
+        ..RouteHooks::default()
+    };
+    let solution = DgrRouter::new(cfg)
+        .route_with_hooks(&design, &mut hooks)
+        .expect("routes");
+    let report = solution.train_report.as_ref().expect("trained");
+    assert_eq!(report.iterations, 280, "both adaptive rounds ran");
+
+    let mut text = String::new();
+    for point in &report.curve {
+        text += &format!("curve {} {:08x}\n", point.iter, point.loss.to_bits());
+    }
+    let telemetry = hooks
+        .telemetry
+        .as_ref()
+        .and_then(TelemetrySink::memory_contents);
+    text += telemetry.expect("in-memory sink");
+    check_golden(
+        "route_adaptive.txt",
+        &(text + &solution.to_text()),
+        ADAPTIVE_SEED,
+    );
 }
 
 /// Seed of the annealed golden (`train_annealed.txt`), recorded at the
@@ -207,7 +270,6 @@ const ANNEALED_SEED: u64 = 24;
 /// that a prune leaves with one candidate now keeps its logit from that
 /// prune on, where it used to drift on Adam's momentum, read by nothing.
 fn annealed_training_text() -> String {
-    use dgr::core::{build_cost_model, extract_solution, train};
     use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
 
     let design = IspdLikeGenerator::new(IspdLikeConfig {
@@ -224,17 +286,19 @@ fn annealed_training_text() -> String {
         seed: ANNEALED_SEED,
         ..DgrConfig::default()
     };
-    let router = DgrRouter::new(cfg.clone());
-    let candidates = router.candidates(&design).expect("candidates");
-    let forest = router.forest(&design, &candidates).expect("forest");
+    let mut session = DgrRouter::new(cfg.clone())
+        .session(&design)
+        .expect("session");
+    let forest = session.forest();
     assert!(
         forest.num_paths() >= dgr::autodiff::parallel::LANE_THRESHOLD,
         "{} paths engage no helper",
         forest.num_paths()
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-    let report = train(&mut model, &cfg, &mut rng);
+    session
+        .train(cfg.iterations, &mut RouteHooks::default())
+        .expect("not cancelled");
+    let report = session.report().expect("trained");
     assert!(report.live.len() > 5, "most steps dropped candidates");
     let (first, last) = (report.live[0], report.live[report.live.len() - 1]);
     assert!(
@@ -246,6 +310,7 @@ fn annealed_training_text() -> String {
     for point in report.curve.iter().filter(|p| p.iter % 100 == 0) {
         text += &format!("loss {} {:08x}\n", point.iter, point.loss.to_bits());
     }
+    let (forest, model) = (session.forest(), session.model());
     let w = [model.tree_logits(), model.path_logits()].concat();
     let trees = forest.num_trees();
     let tree_groups = (0..forest.num_nets()).map(|n| forest.trees_of_net(n));
@@ -266,7 +331,7 @@ fn annealed_training_text() -> String {
     for (name, bytes) in [("moving", moving), ("decided", decided)] {
         text += &format!("logits {name} {:016x}\n", dgr::obs::ledger::fnv1a64(&bytes));
     }
-    let solution = extract_solution(&design, &forest, &mut model, &cfg).expect("extracts");
+    let solution = session.extract().expect("extracts");
     let assigned = assign_layers(&design, &solution, AssignConfig::default()).expect("≥ 2 layers");
     text + &RouteGuide::from_assignment(&design, &assigned).to_text()
 }

@@ -119,11 +119,10 @@ fn large_design() -> Design {
     })
     .generate()
     .expect("valid config");
-    let router = DgrRouter::new(DgrConfig::default());
-    let candidates = router.candidates(&design).expect("candidates");
-    let paths = router
-        .forest(&design, &candidates)
-        .expect("forest")
+    let paths = DgrRouter::new(DgrConfig::default())
+        .session(&design)
+        .expect("session")
+        .forest()
         .num_paths();
     assert!(paths >= LANE_THRESHOLD, "{paths} paths engage no helper");
     design

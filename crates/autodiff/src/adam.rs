@@ -134,6 +134,7 @@ impl Adam {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the dense step is tested here
 mod tests {
     use super::*;
 

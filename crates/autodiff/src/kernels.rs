@@ -1,7 +1,8 @@
 //! Chunked (8-lane) f32 kernels: the group softmax the expected-cost
 //! kernel ([`crate::cost`]) calls, the fused Adam update, and what only
 //! the benchmark calls, timing it per element: the segmented softmax
-//! backward (the one caller of [`dot`]) and the gather / scatter-add pair.
+//! backward (the one caller of the private `dot`) and the gather /
+//! scatter-add pair.
 //!
 //! Every hot loop is written as an explicit 8-lane chunked pass
 //! (`chunks_exact(8)` bodies LLVM auto-vectorizes to SSE/AVX on stable
@@ -11,11 +12,11 @@
 //! the sequential sum in the last ULP whenever more than one chunk
 //! participates.
 //!
-//! The sequential loops the reductions replaced stay as [`dot_scalar`]
-//! and [`softmax_into_scalar`]: nothing executes them, they are the
-//! reference `tests/kernel_parity.rs` checks [`dot`] and [`softmax_into`]
-//! against (agreement up to ULP-scale error; [`max`] is associative and
-//! bit-identical to its sequential fold for finite inputs).
+//! The sequential loops the reductions replaced are the references the
+//! tests check against, up to ULP-scale error: `dot_scalar` in this
+//! module's tests, the softmax in `tests/kernel_parity.rs`. ([`max`] is
+//! associative and bit-identical to its sequential fold for finite
+//! inputs.)
 
 const LANES: usize = 8;
 
@@ -28,7 +29,7 @@ const LANES: usize = 8;
 ///
 /// Panics if the slices' lengths differ.
 #[inline]
-pub fn dot(x: &[f32], w: &[f32]) -> f32 {
+fn dot(x: &[f32], w: &[f32]) -> f32 {
     assert_eq!(x.len(), w.len(), "dot operands disagree");
     let mut acc = [0.0f32; LANES];
     let mut xs = x.chunks_exact(LANES);
@@ -43,12 +44,6 @@ pub fn dot(x: &[f32], w: &[f32]) -> f32 {
         s += a * b;
     }
     s
-}
-
-/// Sequential reference dot product.
-#[inline]
-pub fn dot_scalar(x: &[f32], w: &[f32]) -> f32 {
-    x.iter().zip(w).map(|(a, b)| a * b).sum()
 }
 
 /// Maximum element (`-inf` for empty input). Max is associative, so the
@@ -117,27 +112,9 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// Sequential reference softmax.
-pub fn softmax_into_scalar(x: &[f32], out: &mut [f32]) {
-    if x.is_empty() {
-        return;
-    }
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for (o, &v) in out.iter_mut().zip(x) {
-        let e = (v - max).exp();
-        *o = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
-}
-
 /// Fused segmented-softmax backward for one segment:
 /// `gx[j] += p[j]·(gout[j] − Σ_k gout[k]·p[k])` in two passes — one
-/// [`dot`], one elementwise fused update.
+/// lane-striped dot product, one elementwise fused update.
 pub fn seg_softmax_bwd(p: &[f32], gout: &[f32], gx: &mut [f32]) {
     let d = dot(gout, p);
     for ((g, &pv), &go) in gx.iter_mut().zip(p).zip(gout) {
@@ -211,12 +188,37 @@ mod tests {
         (a - b).abs() <= 1e-5 * scale.abs().max(1.0)
     }
 
+    /// The sequential loop [`dot`] replaced.
+    fn dot_scalar(x: &[f32], w: &[f32]) -> f32 {
+        x.iter().zip(w).map(|(a, b)| a * b).sum()
+    }
+
+    /// Reproducible values in (−16, 16), varied by `salt`.
+    fn pseudo(n: usize, salt: u64) -> Vec<f32> {
+        (0..n as u64)
+            .map(|i| {
+                let h = i
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(salt.wrapping_mul(0xD134_2543_DE82_EF95))
+                    .rotate_left(17);
+                ((h % 32768) as f32 / 32768.0) * 32.0 - 16.0
+            })
+            .collect()
+    }
+
     #[test]
     fn chunked_dot_matches_scalar() {
-        let x: Vec<f32> = (0..1003).map(|i| ((i % 37) as f32 - 18.0) * 0.37).collect();
-        let w: Vec<f32> = (0..1003).map(|i| ((i % 11) as f32) * 0.21).collect();
-        let (dc, ds) = (dot(&x, &w), dot_scalar(&x, &w));
-        assert!(ulp_close(dc, ds, ds), "{dc} vs {ds}");
+        // empty, singleton, sub-chunk, every tail, and segments of a
+        // thousand, several seeds each
+        let lens = (0..=24).chain([900, 1003, 1099]);
+        for (len, salt) in lens.flat_map(|len| (0..4).map(move |salt| (len, salt))) {
+            let (x, w) = (pseudo(len, salt), pseudo(len, salt ^ 0xABCD));
+            let (dc, ds) = (dot(&x, &w), dot_scalar(&x, &w));
+            // reassociation error ≤ n·ε·Σ|terms|
+            let terms: f32 = x.iter().zip(&w).map(|(a, b)| (a * b).abs()).sum();
+            let bound = f32::EPSILON * terms * len.max(1) as f32;
+            assert!((dc - ds).abs() <= bound, "{len} elements: {dc} vs {ds}");
+        }
     }
 
     #[test]
@@ -238,16 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn softmax_matches_scalar_and_normalizes() {
+    fn softmax_normalizes() {
         let x: Vec<f32> = (0..21).map(|i| ((i % 9) as f32 - 4.0) * 0.7).collect();
         let mut a = vec![0.0; x.len()];
-        let mut b = vec![0.0; x.len()];
         softmax_into(&x, &mut a);
-        softmax_into_scalar(&x, &mut b);
         assert!(ulp_close(a.iter().sum::<f32>(), 1.0, 1.0));
-        for (u, v) in a.iter().zip(&b) {
-            assert!(ulp_close(*u, *v, 1.0), "{u} vs {v}");
-        }
     }
 
     #[test]

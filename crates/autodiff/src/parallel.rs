@@ -404,6 +404,7 @@ impl Helper {
 
     /// Spawns the thread and makes it the calling thread's helper; inert
     /// if the OS refuses the thread.
+    #[allow(clippy::disallowed_methods)] // the one place work leaves the calling thread
     fn spawn() -> Helper {
         let mut helper = Helper::inert();
         let shared = Arc::new(Shared {

@@ -101,6 +101,7 @@ const BELOW: f32 = 0.25;
 /// The loop as it was before there were lanes: the prune of a step,
 /// noise, forward, backward and the update, one after another on this
 /// thread.
+#[allow(clippy::disallowed_methods)] // the reference loop prunes and steps every logit
 fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model = model(subnets, side, &mut rng);
@@ -126,6 +127,7 @@ fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
 /// The loop of `dgr_core::train`: a helper engaged at `threads`, each
 /// iteration's noise drawn during the one before on a copy of the RNG —
 /// but for a step's, whose layout the step decides.
+#[allow(clippy::disallowed_methods)] // the helped loop prunes and steps every logit
 fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace {
     parallel::set_num_threads(threads);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -176,6 +178,7 @@ fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace 
 /// One pass of a pruned model and of the unpruned one with the dropped
 /// logits at −∞, both under a helper at `threads`: the costs, every
 /// demand, and the gradient of each surviving logit, as bits.
+#[allow(clippy::disallowed_methods)] // a pruned kernel against the whole one
 fn pruned_and_full_pass(subnets: usize, side: usize, seed: u64, threads: usize) -> [Vec<u32>; 2] {
     parallel::set_num_threads(threads);
     let mut rng = StdRng::seed_from_u64(seed);

@@ -4,9 +4,8 @@
 //! the order of 1 ULP per accumulated element. Elementwise and
 //! index-driven kernels must match bit-for-bit.
 //!
-//! The references are the `*_scalar` functions `kernels` keeps for this
-//! purpose, and plain loops written out here where no such function
-//! exists.
+//! The references are plain loops written out here. The dot product's
+//! own parity test is in `kernels`' unit tests: `kernels::dot` is private.
 
 use dgr_autodiff::kernels;
 use proptest::prelude::*;
@@ -25,6 +24,24 @@ fn ulps(a: f32, b: f32) -> u64 {
 /// within a ULP budget that grows with the reduction length.
 fn close(a: f32, b: f32, len: usize, abs_tol: f32) -> bool {
     a == b || (a - b).abs() <= abs_tol || ulps(a, b) <= 8 + len as u64
+}
+
+/// The sequential softmax the chunked one replaced.
+fn softmax_scalar(x: &[f32], out: &mut [f32]) {
+    if x.is_empty() {
+        return;
+    }
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for (o, &v) in out.iter_mut().zip(x) {
+        let e = (v - max).exp();
+        *o = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
 }
 
 /// Adversarial segment-length mix: mostly empty/singleton/small, with
@@ -60,26 +77,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dot_parity(lens in seg_lens(), seed in 0u64..1000) {
-        let total: usize = lens.iter().sum();
-        let x = pseudo(total, seed);
-        let w = pseudo(total, seed ^ 0xABCD);
-        let mut at = 0;
-        for &len in &lens {
-            let xs = &x[at..at + len];
-            let ws = &w[at..at + len];
-            at += len;
-            let (d0, d1) = (kernels::dot_scalar(xs, ws), kernels::dot(xs, ws));
-            // Sound bound: reassociation error ≤ n·ε·Σ|terms|.
-            let dnorm: f32 = xs.iter().zip(ws).map(|(a, b)| (a * b).abs()).sum();
-            prop_assert!(
-                close(d0, d1, len, f32::EPSILON * dnorm * len.max(1) as f32),
-                "dot mismatch on segment of {len}: {d0} vs {d1}"
-            );
-        }
-    }
-
-    #[test]
     fn seg_softmax_parity(lens in seg_lens(), seed in 0u64..1000) {
         let total: usize = lens.iter().sum();
         let x = pseudo(total, seed);
@@ -92,7 +89,7 @@ proptest! {
         for &len in &lens {
             let r = at..at + len;
             at += len;
-            kernels::softmax_into_scalar(&x[r.clone()], &mut p_s[r.clone()]);
+            softmax_scalar(&x[r.clone()], &mut p_s[r.clone()]);
             kernels::softmax_into(&x[r.clone()], &mut p_c[r.clone()]);
             for j in r.clone() {
                 prop_assert!(
@@ -101,9 +98,9 @@ proptest! {
                     p_s[j], p_c[j]
                 );
             }
-            // Backward differs only through its dot; the reference runs
-            // the sequential dot against the sequential forward output.
-            let d = kernels::dot_scalar(&gout[r.clone()], &p_s[r.clone()]);
+            // Backward differs only through its dot; the reference sums
+            // it in order against the sequential forward output.
+            let d: f32 = gout[r.clone()].iter().zip(&p_s[r.clone()]).map(|(a, b)| a * b).sum();
             for j in r.clone() {
                 gx_s[j] += p_s[j] * (gout[j] - d);
             }

@@ -175,6 +175,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // a dense step is enough here
     fn loss_decreases_under_training_pressure() {
         let (design, forest) = small_design();
         let cfg = DgrConfig::default();

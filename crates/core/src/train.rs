@@ -277,7 +277,7 @@ pub(crate) fn train_loop(
         model.set_temperature(temp);
         if is_step(it) {
             let _s = dgr_obs::span("train", "prune");
-            if let Some(keep) = model.prune(PRUNE_BELOW) {
+            if let Some(keep) = prune_step(model) {
                 adam.retain(&keep, model.noise_runs().runs());
                 moving = moving_runs(model);
                 spare_noise.truncate(num_logits(model));
@@ -407,6 +407,13 @@ pub(crate) fn train_loop(
     }
 }
 
+/// A temperature step's compaction: the product's one call of
+/// [`CostModel::prune`] (the oracle's gradient check is the other).
+#[allow(clippy::disallowed_methods)]
+fn prune_step(model: &mut CostModel) -> Option<Vec<bool>> {
+    model.prune(PRUNE_BELOW)
+}
+
 /// One logit per tree and per path.
 fn num_logits(model: &CostModel) -> usize {
     model.num_trees() + model.num_paths()
@@ -426,6 +433,7 @@ fn moving_runs(model: &CostModel) -> Vec<Range<usize>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the inline reference loop prunes and steps densely
 mod tests {
     use super::*;
     use crate::relax::build_cost_model;

@@ -219,13 +219,11 @@ fn render_job(j: &Job) -> String {
         res.field_u64("vias", r.vias);
         res.field_u64("nets", r.nets);
         res.field_u64("guide_boxes", r.guide_boxes);
-        res.field_u64("refine_searches", r.refine.searches as u64);
-        res.field_u64("refine_escalations", r.refine.escalations as u64);
-        res.field_u64(
-            "refine_escalations_avoided",
-            r.refine.escalations_avoided as u64,
-        );
-        res.field_u64("refine_states_expanded", r.refine.states_expanded as u64);
+        let s = r.refine.stats;
+        res.field_u64("refine_searches", s.searches() as u64);
+        res.field_u64("refine_escalations", s.escalations() as u64);
+        res.field_u64("refine_escalations_avoided", s.escalations_avoided() as u64);
+        res.field_u64("refine_states_expanded", s.states_expanded() as u64);
         res.field_u64("wall_ms", r.wall_ms);
         let mut ph = JsonObject::new();
         for (name, ms) in &r.phases {

@@ -82,6 +82,7 @@ impl JobServer {
     ///
     /// The OS's refusal to spawn a worker; the workers already spawned
     /// are shut down first.
+    #[allow(clippy::disallowed_methods)] // dgrd's workers are made here
     pub fn start(cfg: DaemonConfig) -> std::io::Result<JobServer> {
         dgr_obs::set_enabled(true);
         let mut server = JobServer {

@@ -25,12 +25,14 @@ use crate::GridError;
 
 /// An edge is overflowed when its demand exceeds its capacity by more than
 /// this many tracks, so that float round-off in the differentiable solver
-/// does not flip edge counts.
-pub const OVERFLOW_EPS: f32 = 1e-4;
+/// does not flip edge counts. Private: every overflow test, 2-D or per
+/// layer, is [`excess`].
+const OVERFLOW_EPS: f32 = 1e-4;
 
-/// `max(0, demand − capacity)`, zero up to [`OVERFLOW_EPS`] — the overflow
-/// test, spelt once. The difference of two nearby floats is exact, which
-/// `capacity + ε` is not: at 100 tracks it moves `ε` by up to 4 %.
+/// `max(0, demand − capacity)`, zero up to an epsilon of 10⁻⁴ tracks — the
+/// overflow test, spelt once. The difference of two nearby floats is
+/// exact, which `capacity + ε` is not: at 100 tracks it moves `ε` by up
+/// to 4 %.
 #[inline]
 pub fn excess(demand: f32, capacity: f32) -> f32 {
     let over = demand - capacity;

@@ -266,15 +266,6 @@ impl GcellGrid {
         }))
     }
 
-    /// [`Self::segment_edges`] collected into a fresh vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::segment_edges`].
-    pub fn edges_on_segment(&self, a: Point, b: Point) -> Result<Vec<EdgeId>, GridError> {
-        Ok(self.segment_edges(a, b)?.collect())
-    }
-
     /// Appends the edges of the straight segment `a`..`b` to `out`.
     ///
     /// Same contract as [`Self::segment_edges`] but reuses the caller's
@@ -381,9 +372,10 @@ mod tests {
     #[test]
     fn segment_edges_horizontal() {
         let g = GcellGrid::new(8, 2).unwrap();
-        let edges = g
-            .edges_on_segment(Point::new(5, 1), Point::new(2, 1))
-            .unwrap();
+        let edges: Vec<EdgeId> = g
+            .segment_edges(Point::new(5, 1), Point::new(2, 1))
+            .unwrap()
+            .collect();
         assert_eq!(edges.len(), 3);
         for e in &edges {
             assert_eq!(g.edge_dir(*e), EdgeDir::Horizontal);
@@ -393,21 +385,18 @@ mod tests {
     #[test]
     fn segment_edges_vertical_and_degenerate() {
         let g = GcellGrid::new(3, 8).unwrap();
-        let edges = g
-            .edges_on_segment(Point::new(1, 2), Point::new(1, 6))
-            .unwrap();
-        assert_eq!(edges.len(), 4);
-        let empty = g
-            .edges_on_segment(Point::new(1, 2), Point::new(1, 2))
-            .unwrap();
-        assert!(empty.is_empty());
+        let edges = g.segment_edges(Point::new(1, 2), Point::new(1, 6));
+        assert_eq!(edges.unwrap().count(), 4);
+        let empty = g.segment_edges(Point::new(1, 2), Point::new(1, 2));
+        assert_eq!(empty.unwrap().count(), 0);
     }
 
     #[test]
     fn segment_rejects_diagonal() {
         let g = GcellGrid::new(4, 4).unwrap();
         assert!(matches!(
-            g.edges_on_segment(Point::new(0, 0), Point::new(2, 2)),
+            g.segment_edges(Point::new(0, 0), Point::new(2, 2))
+                .map(drop),
             Err(GridError::NotAligned { .. })
         ));
     }

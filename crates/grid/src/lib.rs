@@ -38,7 +38,7 @@ pub mod maze;
 pub mod metrics;
 
 pub use capacity::{CapacityBuilder, CapacityModel};
-pub use demand::{edge_excess, DemandMap, OVERFLOW_EPS};
+pub use demand::{edge_excess, DemandMap};
 pub use design::{Design, Net};
 pub use geom::{Point, PointIndex, Rect};
 pub use grid::{EdgeDir, GcellGrid};

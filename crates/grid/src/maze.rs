@@ -193,6 +193,44 @@ impl Search {
     }
 }
 
+/// Counts of the work done through one [`MazeScratch`], handed out by
+/// copy ([`MazeScratch::stats`]): only the search kernel counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    searches: usize,
+    escalations: usize,
+    escalations_avoided: usize,
+    states_expanded: usize,
+}
+
+impl SearchStats {
+    /// Searches run: a windowed search, the certificate's search for a way
+    /// back in and a full-grid escalation count as one each.
+    pub fn searches(&self) -> usize {
+        self.searches
+    }
+
+    /// Full-grid searches run by [`MazeScratch::route_escalating`] after
+    /// the windowed result was rejected and could not be certified.
+    pub fn escalations(&self) -> usize {
+        self.escalations
+    }
+
+    /// Rejected windowed results that [`MazeScratch::route_escalating`]
+    /// certified as the full grid's answer and returned without searching
+    /// it.
+    pub fn escalations_avoided(&self) -> usize {
+        self.escalations_avoided
+    }
+
+    /// Heap pops over all searches, the certificate's included: every
+    /// state expanded plus every stale entry skipped — the unit of search
+    /// work.
+    pub fn states_expanded(&self) -> usize {
+        self.states_expanded
+    }
+}
+
 /// Reusable state of the search kernel, plus counts of the work done
 /// through it.
 ///
@@ -213,26 +251,18 @@ pub struct MazeScratch {
     /// The certificate's view of the outside: per cell of the window
     /// padded by one, the cheapest way to be there having left the window.
     outside: Vec<f64>,
-    /// Searches run: a windowed search, the certificate's search for a way
-    /// back in and a full-grid escalation count as one each.
-    pub searches: usize,
-    /// Full-grid searches run by [`MazeScratch::route_escalating`] after
-    /// the windowed result was rejected and could not be certified.
-    pub escalations: usize,
-    /// Rejected windowed results that [`MazeScratch::route_escalating`]
-    /// certified as the full grid's answer and returned without searching
-    /// it.
-    pub escalations_avoided: usize,
-    /// Heap pops over all searches, the certificate's included: every
-    /// state expanded plus every stale entry skipped — the unit of search
-    /// work.
-    pub states_expanded: usize,
+    stats: SearchStats,
 }
 
 impl MazeScratch {
     /// An empty scratch; buffers grow to the largest window searched.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The work done through this scratch so far.
+    pub fn stats(&self) -> SearchStats {
+        self.stats
     }
 
     /// Finds the cheapest rectilinear path from `from` to `to` under
@@ -285,7 +315,7 @@ impl MazeScratch {
     /// source labelled with its starting cost and pushed. (A source that
     /// starts at 0 takes its first step in either axis without a turn.)
     fn begin(&mut self, search: &Search, sources: impl IntoIterator<Item = (Point, f32)>) {
-        self.searches += 1;
+        self.stats.searches += 1;
         let states = search.states();
         if self.nodes.len() < states {
             let blank = Node {
@@ -353,7 +383,7 @@ impl MazeScratch {
             let state = popped as u32;
             let (x, y, axis) = unpack(state);
             let d = nodes[search.index(x, y, axis)].dist;
-            self.states_expanded += 1;
+            self.stats.states_expanded += 1;
             if f32::from_bits((popped >> 32) as u32) >= limit {
                 return None;
             }
@@ -457,10 +487,10 @@ impl MazeScratch {
         }
         let search = search?; // nothing was searched: nothing to escalate
         if self.leaving_costs_more(grid, &search, &edge_cost) {
-            self.escalations_avoided += 1;
+            self.stats.escalations_avoided += 1;
             return windowed;
         }
-        self.escalations += 1;
+        self.stats.escalations += 1;
         cfg.bounds = None;
         self.route(grid, from, to, &edge_cost, &cfg)
     }
@@ -607,6 +637,12 @@ pub fn compress_corners(cells: &[Point]) -> Vec<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(searches, escalated, certified)` so far.
+    fn counts(scratch: &MazeScratch) -> (usize, usize, usize) {
+        let s = scratch.stats();
+        (s.searches(), s.escalations(), s.escalations_avoided())
+    }
 
     fn grid() -> GcellGrid {
         GcellGrid::new(10, 10).unwrap()
@@ -767,8 +803,7 @@ mod tests {
         assert_eq!(length(&path), 7 + 2 * 9);
         // the window, then the grid: straight back in above the target
         // undercuts the window before any search for a way back is run
-        assert_eq!((scratch.searches, scratch.escalations), (2, 1));
-        assert_eq!(scratch.escalations_avoided, 0);
+        assert_eq!(counts(&scratch), (2, 1, 0));
 
         // a window that reaches row 10 finds the same detour by itself
         let mut scratch = MazeScratch::new();
@@ -776,8 +811,8 @@ mod tests {
             .route_escalating(&g, ends, 9, 0.0, cost, |e| !dirty(e))
             .unwrap();
         assert_eq!(length(&path), 7 + 2 * 9);
-        assert_eq!((scratch.searches, scratch.escalations), (1, 0));
-        assert!(scratch.states_expanded > 0);
+        assert_eq!(counts(&scratch), (1, 0, 0));
+        assert!(scratch.stats().states_expanded() > 0);
     }
 
     #[test]
@@ -804,17 +839,15 @@ mod tests {
         assert_eq!(path, always);
         // the window and the certificate's search for a way back in; no
         // grid search
-        assert_eq!((scratch.searches, scratch.escalations), (2, 0));
-        assert_eq!(scratch.escalations_avoided, 1);
+        assert_eq!(counts(&scratch), (2, 0, 1));
         // both searches settled a 15×5 window, not the 30×30 grid
-        assert!(scratch.states_expanded < 4 * 15 * 5 * 2);
+        assert!(scratch.stats().states_expanded() < 4 * 15 * 5 * 2);
 
         // a window that is the whole grid has nowhere to escalate to
         let mut scratch = MazeScratch::new();
         let path = scratch.route_escalating(&g, ends, 30, 1.0, cost, |e| !dirty(e));
         assert_eq!(path, always);
-        assert_eq!((scratch.searches, scratch.escalations), (1, 0));
-        assert_eq!(scratch.escalations_avoided, 1);
+        assert_eq!(counts(&scratch), (1, 0, 1));
     }
 
     #[test]

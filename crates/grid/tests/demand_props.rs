@@ -13,10 +13,13 @@
 use dgr_grid::demand::{excess, touched_edges};
 use dgr_grid::{
     edge_excess, CapacityBuilder, CapacityModel, DemandMap, EdgeId, GcellGrid, GcellId,
-    OverflowStats, Point, OVERFLOW_EPS,
+    OverflowStats, Point,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The ledger's overflow epsilon, private to `dgr_grid::demand`.
+const OVERFLOW_EPS: f32 = 1e-4;
 
 /// Eq. (2) by the walk `DemandMap::total` made on every call before the
 /// endpoints were resolved once per design: edge → endpoint points → cell

@@ -105,6 +105,23 @@ fn polyline_cost(
     wire + turn_cost * corners.len().saturating_sub(2) as f32
 }
 
+/// Searches, escalations, certified windows and heap pops so far.
+fn counts(scratch: &MazeScratch) -> [usize; 4] {
+    let s = scratch.stats();
+    [
+        s.searches(),
+        s.escalations(),
+        s.escalations_avoided(),
+        s.states_expanded(),
+    ]
+}
+
+/// `(escalated, certified)` so far.
+fn escalated_and_certified(scratch: &MazeScratch) -> (usize, usize) {
+    let s = scratch.stats();
+    (s.escalations(), s.escalations_avoided())
+}
+
 /// The certificate's bound is tight and its test sharp: with unit costs
 /// and a penalized cut exactly as tall as the window, the cheapest way
 /// round runs along the row just outside, and the certificate fires when
@@ -141,10 +158,10 @@ fn certificate_turns_exactly_where_the_detour_ties() {
             let got = scratch.route_escalating(&grid, (from, to), margin, 0.0, cost, clean);
             let want = always_escalating(&grid, (from, to), margin, 0.0, &cost, &clean);
             assert_eq!(got, want, "{case}");
-            let counts = (scratch.escalations, scratch.escalations_avoided);
             let expected = if crossing < detour { (0, 1) } else { (1, 0) };
             assert_eq!(
-                counts, expected,
+                escalated_and_certified(&scratch),
+                expected,
                 "{case}: (escalated, certified), detour {detour}"
             );
             let leaves = got.unwrap().iter().any(|&c| !window.contains(c));
@@ -267,7 +284,8 @@ proptest! {
         let mut fresh = MazeScratch::new();
         let got = fresh.route_escalating(&grid, (from, to), margin, turn_cost, cost, clean);
         prop_assert_eq!(&got, &want);
-        prop_assert!(fresh.escalations + fresh.escalations_avoided <= 1);
+        let (escalated, certified) = escalated_and_certified(&fresh);
+        prop_assert!(escalated + certified <= 1);
 
         let window = Rect::bounding(&[from, to]).inflate_clamped(margin, grid.bounds());
         let bounds = grid.bounds();
@@ -281,13 +299,13 @@ proptest! {
             // no search comes back clean, and unless the ring itself can be
             // entered from outside the window none can do better out there
             2 if from != to && !on_an_open_side(ring) => prop_assert_eq!(
-                (fresh.escalations, fresh.escalations_avoided),
+                escalated_and_certified(&fresh),
                 (0, 1),
                 "ring at {} of {:?} in {}", ring, (from, to), window
             ),
             // the detour through the gap beats the wall: it has to be found
             3 => {
-                prop_assert_eq!((fresh.escalations, fresh.escalations_avoided), (1, 0));
+                prop_assert_eq!(escalated_and_certified(&fresh), (1, 0));
                 let path = got.as_ref().unwrap();
                 prop_assert!(path.iter().any(|&c| !window.contains(c)), "{path:?} in {window}");
             }
@@ -300,16 +318,9 @@ proptest! {
         for &(x0, y0, x1, y1) in &warm_up {
             used.route_escalating(&grid, (at(x0, y0), at(x1, y1)), margin, turn_cost, cost, clean);
         }
-        let before = (used.searches, used.escalations, used.escalations_avoided, used.states_expanded);
+        let before = counts(&used);
         prop_assert_eq!(&used.route_escalating(&grid, (from, to), margin, turn_cost, cost, clean), &want);
-        prop_assert_eq!(
-            (
-                used.searches - before.0,
-                used.escalations - before.1,
-                used.escalations_avoided - before.2,
-                used.states_expanded - before.3,
-            ),
-            (fresh.searches, fresh.escalations, fresh.escalations_avoided, fresh.states_expanded)
-        );
+        let after = counts(&used);
+        prop_assert_eq!(std::array::from_fn(|i| after[i] - before[i]), counts(&fresh));
     }
 }

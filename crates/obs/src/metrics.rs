@@ -240,6 +240,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // eight threads bump one counter
     fn concurrent_counter_increments_sum_exactly() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);

@@ -158,6 +158,7 @@ impl ObsServer {
         Self::start_inner(addr, Some(handler), max_body_bytes)
     }
 
+    #[allow(clippy::disallowed_methods)] // the accept loop's thread
     fn start_inner(
         addr: &str,
         handler: Option<HttpHandler>,

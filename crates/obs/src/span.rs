@@ -298,6 +298,7 @@ pub fn chrome_trace() -> String {
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
+#[allow(clippy::disallowed_methods)] // the trace's one writer
 pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
     std::fs::write(path, chrome_trace())
 }
@@ -351,6 +352,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<PhaseTotal>, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the tests read the trace and record from a second thread
 mod tests {
     use super::*;
 

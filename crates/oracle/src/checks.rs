@@ -204,6 +204,7 @@ fn kink(activation: Activation) -> Option<f64> {
     }
 }
 
+#[allow(clippy::disallowed_methods)] // the pruned kernel's gradient check
 fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     let mut rng = case_rng(spec);
     let design = gen_design(spec, &mut rng);

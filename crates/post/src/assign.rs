@@ -48,7 +48,7 @@
 //! code on a fresh workspace per call.
 
 use dgr_core::RoutingSolution;
-use dgr_grid::{Design, EdgeDir, EdgeId, Point, PointIndex, OVERFLOW_EPS};
+use dgr_grid::{demand::excess, Design, EdgeDir, EdgeId, Point, PointIndex};
 
 use crate::layers::LayerModel;
 use crate::PostError;
@@ -314,8 +314,8 @@ fn assign_layers_with(
         };
         for e in along {
             let cap = model.layer_capacity(design.capacity.capacity(EdgeId::new(e as u32)), dir);
-            let over = dem[e] - cap;
-            if over > OVERFLOW_EPS {
+            let over = excess(dem[e], cap);
+            if over > 0.0 {
                 overflowed_edges3d += 1;
                 total_overflow3d += over as f64;
                 peak = peak.max(over);
@@ -717,6 +717,7 @@ fn commit_net(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the pass is tested on its own
 mod tests {
     use super::*;
     use dgr_core::{DgrConfig, DgrRouter, NetRoute, RoutePath};
@@ -974,6 +975,31 @@ mod tests {
         assert_eq!(used.len(), 3, "expected all horizontal layers used");
         assert_eq!(a.overflowed_edges3d, 0);
         assert_eq!(a.overflowed_nets, 0);
+    }
+
+    /// One wire on the one horizontal layer, whose edge holds ½ε and then
+    /// 2ε less than a track: the 3-D count overflows past the 2-D ledger's
+    /// epsilon, and not before.
+    #[test]
+    fn a_layer_overflows_past_the_ledgers_epsilon_only() {
+        const EPS: f32 = 1e-4; // the ledger's, private to dgr_grid::demand
+        let (from, to) = (Point::new(0, 0), Point::new(1, 0));
+        for (short, overflowed) in [(0.5 * EPS, 0), (2.0 * EPS, 1)] {
+            let d = design(1.0 - short, vec![Net::new("a", vec![from, to])], 2);
+            let e = d.grid.h_edge(0, 0).unwrap();
+            let route = NetRoute {
+                net: 0,
+                tree: 0,
+                paths: vec![RoutePath {
+                    corners: vec![from, to],
+                }],
+            };
+            let sol = solution_for(&d, vec![route]);
+            assert_eq!(sol.demand.total(&d.capacity, e), 1.0);
+            assert_eq!(sol.demand.is_over(&d.capacity, e), overflowed == 1);
+            let a = assign_layers(&d, &sol, AssignConfig::default()).unwrap();
+            assert_eq!(a.overflowed_edges3d, overflowed, "{short} short of a track");
+        }
     }
 
     #[test]

@@ -68,6 +68,7 @@ pub struct Finished {
 /// # Errors
 ///
 /// [`PipelineError::Refine`] or [`PipelineError::Assign`].
+#[allow(clippy::disallowed_methods)] // the one sequencing of the post passes
 fn finish(
     design: &Design,
     solution: &mut RoutingSolution,

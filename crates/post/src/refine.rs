@@ -8,7 +8,7 @@
 use dgr_core::solution::overflowed_nets;
 use dgr_core::{RoutePath, RoutingSolution};
 use dgr_grid::demand::touched_edges;
-use dgr_grid::maze::MazeScratch;
+use dgr_grid::maze::{MazeScratch, SearchStats};
 use dgr_grid::{DemandMap, Design, EdgeId, Point};
 
 use crate::PostError;
@@ -48,16 +48,9 @@ pub struct RefineReport {
     pub overflowed_before: usize,
     /// Overflowed edges after refinement.
     pub overflowed_after: usize,
-    /// Maze searches run (windowed, certificate and full-grid).
-    pub searches: usize,
-    /// Searches repeated on the full grid because the windowed result
-    /// still rode overflow and its window could not certify it.
-    pub escalations: usize,
-    /// Windowed results that still rode overflow and were certified as
-    /// the full grid's answer, so that it was not searched.
-    pub escalations_avoided: usize,
-    /// States popped from the search heap over all searches.
-    pub states_expanded: usize,
+    /// The maze searches run: windowed, certificate and full-grid ones,
+    /// escalations, certified windows and heap pops.
+    pub stats: SearchStats,
 }
 
 /// The search's view of congestion, dense per edge and kept current for
@@ -153,10 +146,7 @@ pub fn refine(
         nets_rerouted,
         overflowed_before,
         overflowed_after: solution.metrics.overflow.overflowed_edges,
-        searches: scratch.searches,
-        escalations: scratch.escalations,
-        escalations_avoided: scratch.escalations_avoided,
-        states_expanded: scratch.states_expanded,
+        stats: scratch.stats(),
     })
 }
 
@@ -234,6 +224,7 @@ fn reroute(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the pass is tested on its own
 mod tests {
     use super::*;
     use dgr_core::NetRoute;
@@ -383,10 +374,7 @@ mod tests {
                 nets_rerouted,
                 overflowed_before: start.metrics.overflow.overflowed_edges,
                 overflowed_after: want.metrics.overflow.overflowed_edges,
-                searches: scratch.searches,
-                escalations: scratch.escalations,
-                escalations_avoided: scratch.escalations_avoided,
-                states_expanded: scratch.states_expanded,
+                stats: scratch.stats(),
             };
             assert_eq!(report, want_report);
         }
@@ -399,7 +387,7 @@ mod tests {
         sol.metrics.total_wirelength += 1;
         let marked = sol.metrics;
         let report = refine(&design, &mut sol, RefineConfig::default()).unwrap();
-        assert_eq!((report.rounds, report.searches), (0, 0));
+        assert_eq!((report.rounds, report.stats.searches()), (0, 0));
         assert_eq!(sol.metrics, marked);
     }
 
@@ -412,7 +400,10 @@ mod tests {
         let search = certified(&mut scratch, &design, cfg);
         let (rounds, rerouted, costs) = reroute(&design, &mut sol, cfg, search).unwrap();
         assert_eq!(rounds, cfg.rounds);
-        assert!(rerouted > 100 && scratch.escalations > 0, "{rerouted} nets");
+        assert!(
+            rerouted > 100 && scratch.stats().escalations() > 0,
+            "{rerouted} nets"
+        );
 
         let mut recount = sol.clone();
         recount.remeasure(&design).unwrap();
@@ -439,10 +430,10 @@ mod tests {
         let (_, rerouted, costs) = reroute(&design, &mut sol, cfg, search).unwrap();
         // both outcomes of the certificate occur
         assert!(
-            scratch.escalations_avoided > 0 && scratch.escalations > 0,
+            scratch.stats().escalations_avoided() > 0 && scratch.stats().escalations() > 0,
             "{} certified, {} escalated",
-            scratch.escalations_avoided,
-            scratch.escalations
+            scratch.stats().escalations_avoided(),
+            scratch.stats().escalations()
         );
 
         // the rule the certificate stands in for: window first, whole grid
@@ -479,10 +470,10 @@ mod tests {
         // even here, where a window is most of the grid and the grid search
         // stops early, certifying costs less than what it replaces
         assert!(
-            scratch.states_expanded < reference.states_expanded,
+            scratch.stats().states_expanded() < reference.stats().states_expanded(),
             "{} pops certified, {} always escalating",
-            scratch.states_expanded,
-            reference.states_expanded
+            scratch.stats().states_expanded(),
+            reference.stats().states_expanded()
         );
     }
 
@@ -496,9 +487,10 @@ mod tests {
             sol.metrics.overflow.total_overflow < overflow_before,
             "{report:?}"
         );
-        assert!(report.searches >= report.nets_rerouted + report.escalations);
+        let stats = report.stats;
+        assert!(stats.searches() >= report.nets_rerouted + stats.escalations());
         // a search pops its source at the least
-        assert!(report.states_expanded >= report.searches);
+        assert!(stats.states_expanded() >= stats.searches());
     }
 
     #[test]

@@ -41,6 +41,7 @@ static GLOBAL: Counting = Counting;
 /// Allocations of one `assign_layers` over a design of `num_nets` nets on
 /// nine layers, routed by one training iteration, and how many of the nets
 /// have a segment.
+#[allow(clippy::disallowed_methods)] // assignment measured on its own
 fn assignment_allocations(num_nets: usize) -> (usize, usize) {
     let design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 40,

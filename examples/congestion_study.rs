@@ -7,13 +7,15 @@
 //! cargo run --release --example congestion_study
 //! ```
 
+use std::error::Error;
+
 use dgr::baseline::SequentialRouter;
 use dgr::core::{DgrConfig, DgrRouter};
 use dgr::grid::CongestionReport;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
-use dgr::post::{refine, RefineConfig};
+use dgr::post::pipeline;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn Error>> {
     // a congested 5-layer design with clustered pins and two macros
     let design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 40,
@@ -34,16 +36,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         design.grid.height()
     );
 
-    // both routers get the same maze-refinement pass (Section 4.6), so the
-    // comparison matches the Table-2 pipeline
-    let mut seq = SequentialRouter.route(&design)?;
-    refine(&design, &mut seq, RefineConfig::default())?;
+    // both routers go through the one pipeline (refinement and layer
+    // assignment, Section 4.6), so the comparison matches the Table-2
+    // pipeline
+    let seq =
+        pipeline::run_with::<Box<dyn Error>, _>(
+            &design,
+            false,
+            |d| Ok(SequentialRouter.route(d)?),
+        )?
+        .solution;
     let cfg = DgrConfig {
         iterations: 300,
         ..DgrConfig::default()
     };
-    let mut dgr = DgrRouter::new(cfg).route(&design)?;
-    refine(&design, &mut dgr, RefineConfig::default())?;
+    let dgr = pipeline::run_with::<Box<dyn Error>, _>(&design, false, |d| {
+        Ok(DgrRouter::new(cfg).route(d)?)
+    })?
+    .solution;
 
     for (name, sol) in [("sequential (CUGR2-style)", &seq), ("DGR", &dgr)] {
         let m = &sol.metrics;

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for route in &solution.routes {
             for path in &route.paths {
                 for w in path.corners.windows(2) {
-                    for e in design.grid.edges_on_segment(w[0], w[1])? {
+                    for e in design.grid.segment_edges(w[0], w[1])? {
                         wire[e.index()] += 1.0;
                     }
                 }

@@ -9,6 +9,9 @@ use dgr::core::{DgrConfig, DgrRouter};
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
 use dgr::post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
 
+// The stages one by one, as `dgr::post::pipeline::run` sequences them, to
+// show each; a program that only wants the guide calls `pipeline::run`.
+#[allow(clippy::disallowed_methods)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 32,

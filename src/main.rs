@@ -568,10 +568,10 @@ fn cmd_route(flags: &Flags) -> CliResult {
     if !flags.has("--quiet") {
         println!(
             "  maze search      : {} searches, {} escalated to the full grid, {} certified in the window, {} states popped",
-            report.searches,
-            report.escalations,
-            report.escalations_avoided,
-            report.states_expanded
+            report.stats.searches(),
+            report.stats.escalations(),
+            report.stats.escalations_avoided(),
+            report.stats.states_expanded()
         );
     }
     if let Some(assigned) = &out.post.assigned {

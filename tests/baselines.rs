@@ -177,7 +177,7 @@ fn dgr_matches_ilp_on_a_separable_instance() {
     for route in &dgr.routes {
         for path in &route.paths {
             for w in path.corners.windows(2) {
-                for e in design.grid.edges_on_segment(w[0], w[1]).unwrap() {
+                for e in design.grid.segment_edges(w[0], w[1]).unwrap() {
                     wire[e.index()] += 1.0;
                 }
             }

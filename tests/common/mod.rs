@@ -13,7 +13,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use dgr::grid::{edge_excess, DemandMap, Design, OverflowStats, OVERFLOW_EPS};
+use dgr::grid::{edge_excess, DemandMap, Design, OverflowStats};
+
+/// The ledger's overflow epsilon, private to `dgr_grid::demand`.
+const OVERFLOW_EPS: f32 = 1e-4;
 use dgr::obs::parse::{parse_json, JsonValue};
 
 /// Every reader of the ledger names the same edges of `demand` overflowed:

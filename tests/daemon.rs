@@ -76,6 +76,7 @@ fn cli_guide(design_text: &str, iterations: u32, seed: u64, tag: &str) -> Vec<u8
 /// lifecycle records, and two of their guides byte-match one-shot CLI
 /// runs of the same config.
 #[test]
+#[allow(clippy::disallowed_methods)] // concurrent clients
 fn concurrent_jobs_match_the_cli_byte_for_byte() {
     let daemon = boot(DaemonConfig {
         workers: 3,
@@ -288,6 +289,7 @@ fn cancellation_mid_run_leaves_the_queue_healthy() {
 /// (Job ids are process-global, so the other daemons in this test binary
 /// cannot disturb the rows.)
 #[test]
+#[allow(clippy::disallowed_methods)] // counts the events a trace would hold
 fn a_daemon_keeps_no_span_events() {
     let daemon = boot(DaemonConfig {
         workers: 1,

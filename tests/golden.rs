@@ -111,13 +111,14 @@ fn refined_guide_text(design: &Design, seed: u64) -> (String, usize) {
         ..DgrConfig::default()
     };
     let out = pipeline::run(design, &cfg, &mut RouteHooks::default(), true).expect("routes");
-    let refine = out.post.refine;
+    let stats = out.post.refine.stats;
     (
         out.post.guide.expect("≥ 2 layers").to_text(),
-        refine.escalations + refine.escalations_avoided,
+        stats.escalations() + stats.escalations_avoided(),
     )
 }
 
+#[allow(clippy::disallowed_methods)] // the golden guides skip refinement
 fn guide_text(design: &Design, seed: u64) -> String {
     let cfg = DgrConfig {
         iterations: 60,
@@ -269,6 +270,7 @@ const ANNEALED_SEED: u64 = 24;
 /// they did. `decided` holds the rest, and was re-recorded then: a group
 /// that a prune leaves with one candidate now keeps its logit from that
 /// prune on, where it used to drift on Adam's momentum, read by nothing.
+#[allow(clippy::disallowed_methods)] // the golden guide skips refinement
 fn annealed_training_text() -> String {
     use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
 

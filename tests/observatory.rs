@@ -346,6 +346,7 @@ fn prometheus_text_follows_the_exposition_grammar() {
 /// turned on as `--trace` turns it on, parses back through `obs::parse`
 /// as an array of complete events with the span names.
 #[test]
+#[allow(clippy::disallowed_methods)] // reads the trace it round-trips
 fn chrome_trace_round_trips_through_obs_parse() {
     let _guard = OBS_LOCK.lock().unwrap();
     dgr::obs::set_enabled(true);

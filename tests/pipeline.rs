@@ -30,6 +30,7 @@ fn quick_config(seed: u64) -> DgrConfig {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)] // the stages one by one
 fn full_pipeline_produces_consistent_artifacts() {
     let design = small_catalog_design(5);
     let mut solution = DgrRouter::new(quick_config(1)).route(&design).unwrap();
@@ -183,6 +184,7 @@ fn adaptive_expansion_never_hurts_overflow() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)] // assignment of an empty solution
 fn empty_and_degenerate_designs_route_cleanly() {
     let grid = GcellGrid::new(6, 6).unwrap();
     let cap = CapacityBuilder::uniform(&grid, 2.0).build(&grid).unwrap();
@@ -220,6 +222,7 @@ fn design_io_roundtrip_preserves_routing_results() {
 /// `pipeline::run` is the four stages called by hand, on a design packed
 /// tightly enough that refinement has nets to reroute.
 #[test]
+#[allow(clippy::disallowed_methods)] // the reference: the stages by hand
 fn pipeline_run_equals_the_stages_called_by_hand() {
     let design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 24,

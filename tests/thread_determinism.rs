@@ -34,6 +34,7 @@ const GOLDEN_SEEDS: [u64; 2] = [11, 23];
 
 /// The guide text, the bits of every loss the training report kept, and
 /// the candidates each temperature step left alive.
+#[allow(clippy::disallowed_methods)] // the golden guide skips refinement
 fn guide_and_losses(
     design: &Design,
     iterations: usize,
@@ -173,6 +174,7 @@ fn a_design_whose_front_end_fans_out_routes_identically_at_any_thread_count() {
 /// engaged ends the run as `Cancelled`, with the helper joined, and the
 /// next route on the same thread is what it would have been without it.
 #[test]
+#[allow(clippy::disallowed_methods)] // a watcher thread raises the cancel
 fn a_route_cancelled_mid_training_leaves_its_thread_clean() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;

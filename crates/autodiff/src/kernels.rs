@@ -50,7 +50,7 @@ fn dot(x: &[f32], w: &[f32]) -> f32 {
 /// chunked pass is bit-identical to the sequential fold for finite
 /// inputs; no scalar twin is needed.
 #[inline]
-pub fn max(x: &[f32]) -> f32 {
+fn max(x: &[f32]) -> f32 {
     let mut acc = [f32::NEG_INFINITY; LANES];
     let mut it = x.chunks_exact(LANES);
     for c in &mut it {

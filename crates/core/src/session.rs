@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
 use dgr_dag::{DagForest, PatternPath};
 use dgr_grid::demand::rides;
-use dgr_grid::maze::{maze_route, MazeConfig};
+use dgr_grid::maze::{MazeConfig, MazeScratch};
 use dgr_grid::{Design, Rect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -249,6 +249,7 @@ fn grow_extras(
     let cap = &design.capacity;
     let demand = &solution.demand;
     let over = demand.overflow_mask(cap);
+    let mut scratch = MazeScratch::new();
     let mut grew = false;
     for route in &solution.routes {
         for (s, path) in forest.subnets_of_tree(route.tree).zip(&route.paths) {
@@ -263,7 +264,7 @@ fn grow_extras(
                 bounds: Some(Rect::bounding(&[a, b]).inflate_clamped(8, grid.bounds())),
                 turn_cost: 1.0,
             };
-            let Some(corners) = maze_route(
+            let Some(corners) = scratch.route(
                 grid,
                 a,
                 b,

@@ -59,9 +59,38 @@
 //! walk the same `prev` chain: the same *polyline*, not only the same
 //! cost. DESIGN.md §4 has the argument in full. Otherwise the grid is
 //! searched.
+//!
+//! # The frontier
+//!
+//! A search pushes and pops keys `f.to_bits() << 32 | state`: `f = g + h`
+//! first (non-negative floats order like their bits), then the state's
+//! index in the search window, `(y − lo.y) << row_shift | (x − lo.x) << 1 |
+//! axis` with each row padded to a power of two. Within one search that
+//! index orders states exactly as `(y, x, axis)` does, so the tie-break
+//! above, and the certificate's argument, read the same in every window.
+//! The frontier pops the keys in ascending order, each as often as it was
+//! pushed — exactly what one binary heap of every key pops, stale entries
+//! included, so [`SearchStats`] counts the same pops either way.
+//!
+//! It holds the keys at the lowest cost in flight and at the three costs
+//! exactly 1, 2 and 3 above it as bitsets over the window's states, with a
+//! summary bit per word, and every other key on a binary heap; a pop takes
+//! the lower of the lowest non-empty level's first state and the heap's
+//! top, and decodes `(x, y, axis)` with shifts. Under the costs every
+//! caller charges — `1` for an edge off the overflow, turns of `1` — a
+//! step towards the target keeps `f` and a turn or a step away raises it
+//! by 1 or 2, so nearly every push is a bit set: 96 % of them on the
+//! benchmark's `large_quick_route`. Penalty-priced keys, fractional costs,
+//! the certificate's starts and anything `f32` rounding puts below the
+//! lowest level go to the heap. A bitset for every distinct cost would
+//! scan a window's worth of summary words for each sparse level, and
+//! searches over penalty-priced edges carry many: 109 distinct costs at
+//! once in `large_quick_route`'s windows, 976 in the full-grid escalations
+//! of Fig. 5's 2 000-net design.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem;
 
 use crate::geom::{Point, Rect};
 use crate::grid::{GcellGrid, MAX_SIDE};
@@ -86,22 +115,12 @@ impl Default for MazeConfig {
     }
 }
 
-// A state packs into 31 bits as `y << 16 | x << 1 | axis`, so that integer
-// order is (y, x, axis) order and no division is needed to decode it.
+// A state is indexed inside its search's window as `(y − lo.y) << row_shift
+// | (x − lo.x) << 1 | axis`, each row padded to a power of two: integer
+// order is (y, x, axis) order, decoding is shifts and masks, and a window
+// as large as the largest grid still indexes in 31 bits.
 const _: () = assert!(MAX_SIDE <= 1 << 15);
 const NO_PREV: u32 = u32::MAX;
-
-fn pack(x: i32, y: i32, axis: u32) -> u32 {
-    (y as u32) << 16 | (x as u32) << 1 | axis
-}
-
-fn unpack(state: u32) -> (i32, i32, u32) {
-    (
-        (state >> 1 & 0x7fff) as i32,
-        (state >> 16) as i32,
-        state & 1,
-    )
-}
 
 /// Label of one search state; valid only while `stamp` equals the
 /// scratch's current epoch.
@@ -113,7 +132,7 @@ struct Node {
 }
 
 /// What stays fixed through one search: the window (both corners
-/// inclusive) its labels are indexed in, the target its heuristic points
+/// inclusive) its states are indexed in, the target its heuristic points
 /// at, and the turn cost.
 #[derive(Clone, Copy)]
 struct Search {
@@ -121,6 +140,9 @@ struct Search {
     hi: Point,
     to: Point,
     turn_cost: f32,
+    /// log₂ of a padded row's states: the window's width rounded up to a
+    /// power of two, two states a cell.
+    row_shift: u32,
 }
 
 impl Search {
@@ -130,11 +152,15 @@ impl Search {
             .bounds
             .unwrap_or_else(|| grid.bounds())
             .inflate_clamped(0, grid.bounds());
+        let lo = Point::new(b.lo.x.min(from.x).min(to.x), b.lo.y.min(from.y).min(to.y));
+        let hi = Point::new(b.hi.x.max(from.x).max(to.x), b.hi.y.max(from.y).max(to.y));
+        let width = (hi.x - lo.x + 1) as u32;
         Search {
-            lo: Point::new(b.lo.x.min(from.x).min(to.x), b.lo.y.min(from.y).min(to.y)),
-            hi: Point::new(b.hi.x.max(from.x).max(to.x), b.hi.y.max(from.y).max(to.y)),
+            lo,
+            hi,
             to,
             turn_cost: cfg.turn_cost,
+            row_shift: width.next_power_of_two().trailing_zeros() + 1,
         }
     }
 
@@ -146,17 +172,29 @@ impl Search {
         self.hi.y - self.lo.y + 1
     }
 
+    /// The number of state indices, padding included.
     fn states(&self) -> usize {
-        (self.width() * self.height()) as usize * 2
+        (self.height() as usize) << self.row_shift
     }
 
-    fn index(&self, x: i32, y: i32, axis: u32) -> usize {
-        ((y - self.lo.y) * self.width() + (x - self.lo.x)) as usize * 2 + axis as usize
+    fn state(&self, x: i32, y: i32, axis: u32) -> u32 {
+        ((y - self.lo.y) as u32) << self.row_shift | ((x - self.lo.x) as u32) << 1 | axis
     }
 
-    fn key(&self, g: f32, x: i32, y: i32, axis: u32) -> u64 {
+    /// The cell and axis of `state`.
+    fn decode(&self, state: u32) -> (i32, i32, u32) {
+        let column = state >> 1 & ((1 << (self.row_shift - 1)) - 1);
+        (
+            self.lo.x + column as i32,
+            self.lo.y + (state >> self.row_shift) as i32,
+            state & 1,
+        )
+    }
+
+    /// `f.to_bits() << 32 | state` for `f = g + manhattan(cell, to)`.
+    fn key(&self, g: f32, x: i32, y: i32, state: u32) -> u64 {
         let f = g + ((x - self.to.x).abs() + (y - self.to.y).abs()) as f32;
-        (f.to_bits() as u64) << 32 | pack(x, y, axis) as u64
+        (f.to_bits() as u64) << 32 | state as u64
     }
 
     /// Every way out of the window: a window cell on a side that is not a
@@ -240,19 +278,7 @@ impl SearchStats {
 /// searches on any grids; a reused scratch returns exactly what a fresh
 /// one would.
 #[derive(Default)]
-pub struct MazeScratch {
-    nodes: Vec<Node>,
-    epoch: u32,
-    /// Min-heap of `f.to_bits() << 32 | state`: non-negative floats order
-    /// like their bit patterns, so one integer compare orders by `f`, then
-    /// by state.
-    heap: BinaryHeap<Reverse<u64>>,
-    cells: Vec<Point>,
-    /// The certificate's view of the outside: per cell of the window
-    /// padded by one, the cheapest way to be there having left the window.
-    outside: Vec<f64>,
-    stats: SearchStats,
-}
+pub struct MazeScratch(Engine<Buckets>);
 
 impl MazeScratch {
     /// An empty scratch; buffers grow to the largest window searched.
@@ -262,7 +288,7 @@ impl MazeScratch {
 
     /// The work done through this scratch so far.
     pub fn stats(&self) -> SearchStats {
-        self.stats
+        self.0.stats
     }
 
     /// Finds the cheapest rectilinear path from `from` to `to` under
@@ -281,10 +307,51 @@ impl MazeScratch {
     where
         F: Fn(EdgeId) -> f32,
     {
-        self.search(grid, from, to, &edge_cost, cfg).1
+        self.0.search(grid, from, to, &edge_cost, cfg).1
     }
 
-    /// [`Self::route`], and the search it ran — none where there was
+    /// The rip-up-and-reroute search every sequential router here uses:
+    /// search the bounding box of the endpoints inflated by `margin`, and
+    /// when that finds nothing, or a path with an edge that is not
+    /// `clean` (it still rides overflow), return what a search of the whole
+    /// grid returns — by running it, unless the window's own labels prove
+    /// it would return the windowed result (see
+    /// [the module docs](self#the-window-certificate)).
+    pub fn route_escalating<F, C>(
+        &mut self,
+        grid: &GcellGrid,
+        ends: (Point, Point),
+        margin: i32,
+        turn_cost: f32,
+        edge_cost: F,
+        clean: C,
+    ) -> Option<Vec<Point>>
+    where
+        F: Fn(EdgeId) -> f32,
+        C: Fn(EdgeId) -> bool,
+    {
+        self.0
+            .route_escalating(grid, ends, margin, turn_cost, &edge_cost, &clean)
+    }
+}
+
+/// The search kernel over a frontier `Q`: labels, the frontier, the
+/// certificate's buffers and the counts. [`MazeScratch`] runs it on
+/// [`Buckets`]; the tests run it on the plain heap as well.
+#[derive(Default)]
+struct Engine<Q> {
+    nodes: Vec<Node>,
+    epoch: u32,
+    frontier: Q,
+    cells: Vec<Point>,
+    /// The certificate's view of the outside: per cell of the window
+    /// padded by one, the cheapest way to be there having left the window.
+    outside: Vec<f64>,
+    stats: SearchStats,
+}
+
+impl<Q: Frontier> Engine<Q> {
+    /// [`MazeScratch::route`], and the search it ran — none where there was
     /// nothing to search: an endpoint off the grid, or both the same cell.
     fn search<F>(
         &mut self,
@@ -311,7 +378,7 @@ impl MazeScratch {
         (Some(search), path)
     }
 
-    /// Opens a search: a new epoch, an empty heap, both states of every
+    /// Opens a search: a new epoch, an empty frontier, both states of every
     /// source labelled with its starting cost and pushed. (A source that
     /// starts at 0 takes its first step in either axis without a turn.)
     fn begin(&mut self, search: &Search, sources: impl IntoIterator<Item = (Point, f32)>) {
@@ -331,28 +398,29 @@ impl MazeScratch {
             self.nodes.iter_mut().for_each(|n| n.stamp = 0);
             self.epoch = 1;
         }
-        self.heap.clear();
+        self.frontier.open(search);
         for (p, start) in sources {
             for axis in 0..2 {
-                let node = &mut self.nodes[search.index(p.x, p.y, axis)];
+                let state = search.state(p.x, p.y, axis);
+                let node = &mut self.nodes[state as usize];
                 if node.stamp != self.epoch || start < node.dist {
                     *node = Node {
                         dist: start,
                         prev: NO_PREV,
                         stamp: self.epoch,
                     };
-                    self.heap.push(Reverse(search.key(start, p.x, p.y, axis)));
+                    self.frontier.push(search.key(start, p.x, p.y, state));
                 }
             }
         }
     }
 
     /// Pops and expands in `(g + h, state)` order up to the first pop of
-    /// the target, whose state it returns; `None` if the heap runs empty or
-    /// reaches a key `g + h ≥ limit` first. Every state expanded carries
-    /// its exact distance from the sources inside the window; a label not
-    /// expanded yet is an upper bound on it, and every key left on the heap
-    /// is at least the last one popped.
+    /// the target, whose state it returns; `None` if the frontier runs
+    /// empty or reaches a key `g + h ≥ limit` first. Every state expanded
+    /// carries its exact distance from the sources inside the window; a
+    /// label not expanded yet is an upper bound on it, and every key left
+    /// on the frontier is at least the last one popped.
     fn advance<F>(
         &mut self,
         grid: &GcellGrid,
@@ -368,39 +436,44 @@ impl MazeScratch {
             hi,
             to,
             turn_cost,
+            row_shift,
         } = search;
         let epoch = self.epoch;
         let states = search.states();
         let nodes = &mut self.nodes[..states];
-        let heap = &mut self.heap;
+        let frontier = &mut self.frontier;
 
         // the grid's documented id layout: horizontal edge (x, y)→(x+1, y)
         // is y·(W−1) + x, vertical edge (x, y)→(x, y+1) is H + y·W + x
         let gw = grid.width() as i32;
         let v_base = grid.num_h_edges() as i32;
 
-        while let Some(Reverse(popped)) = heap.pop() {
+        while let Some(popped) = frontier.pop() {
             let state = popped as u32;
-            let (x, y, axis) = unpack(state);
-            let d = nodes[search.index(x, y, axis)].dist;
+            let (x, y, axis) = search.decode(state);
+            let d = nodes[state as usize].dist;
             self.stats.states_expanded += 1;
             if f32::from_bits((popped >> 32) as u32) >= limit {
                 return None;
             }
-            if popped > search.key(d, x, y, axis) {
+            if popped > search.key(d, x, y, state) {
                 continue; // stale: the state was relabelled after this push
             }
             if x == to.x && y == to.y {
                 return Some(state);
             }
-            // (neighbour, edge to it, axis of the move), bounds permitting
+            // (neighbour, its state on the move's axis, edge to it, axis of
+            // the move), bounds permitting
+            let (cell, row) = (state & !1, 1 << row_shift);
+            // the edges to the right of the cell and above it
+            let (h, v) = (y * (gw - 1) + x, v_base + y * gw + x);
             let moves = [
-                (x < hi.x, x + 1, y, y * (gw - 1) + x, 0),
-                (x > lo.x, x - 1, y, y * (gw - 1) + x - 1, 0),
-                (y < hi.y, x, y + 1, v_base + y * gw + x, 1),
-                (y > lo.y, x, y - 1, v_base + (y - 1) * gw + x, 1),
+                (x < hi.x, x + 1, y, cell + 2, h, 0),
+                (x > lo.x, x - 1, y, cell.wrapping_sub(2), h - 1, 0),
+                (y < hi.y, x, y + 1, cell + row + 1, v, 1),
+                (y > lo.y, x, y - 1, cell.wrapping_sub(row) + 1, v - gw, 1),
             ];
-            for (inside, qx, qy, e, new_axis) in moves {
+            for (inside, qx, qy, next, e, new_axis) in moves {
                 if !inside {
                     continue;
                 }
@@ -415,14 +488,14 @@ impl MazeScratch {
                     0.0
                 };
                 let nd = d + step + turn;
-                let node = &mut nodes[search.index(qx, qy, new_axis)];
+                let node = &mut nodes[next as usize];
                 if node.stamp != epoch || nd < node.dist {
                     *node = Node {
                         dist: nd,
                         prev: state,
                         stamp: epoch,
                     };
-                    heap.push(Reverse(search.key(nd, qx, qy, new_axis)));
+                    frontier.push(search.key(nd, qx, qy, next));
                 }
             }
         }
@@ -434,9 +507,9 @@ impl MazeScratch {
         self.cells.clear();
         let mut state = goal;
         while state != NO_PREV {
-            let (x, y, axis) = unpack(state);
+            let (x, y, _) = search.decode(state);
             self.cells.push(Point::new(x, y));
-            state = self.nodes[search.index(x, y, axis)].prev;
+            state = self.nodes[state as usize].prev;
         }
         self.cells.reverse();
         compress_corners(&self.cells)
@@ -446,26 +519,20 @@ impl MazeScratch {
     /// has not reached.
     fn label(&self, search: &Search, p: Point) -> f64 {
         (0..2)
-            .map(|axis| self.nodes[search.index(p.x, p.y, axis)])
+            .map(|axis| self.nodes[search.state(p.x, p.y, axis) as usize])
             .filter(|node| node.stamp == self.epoch)
             .fold(f64::INFINITY, |best, node| best.min(node.dist as f64))
     }
 
-    /// The rip-up-and-reroute search every sequential router here uses:
-    /// search the bounding box of the endpoints inflated by `margin`, and
-    /// when that finds nothing, or a path with an edge that is not
-    /// `clean` (it still rides overflow), return what a search of the whole
-    /// grid returns — by running it, unless the window's own labels prove
-    /// it would return the windowed result (see
-    /// [the module docs](self#the-window-certificate)).
-    pub fn route_escalating<F, C>(
+    /// [`MazeScratch::route_escalating`].
+    fn route_escalating<F, C>(
         &mut self,
         grid: &GcellGrid,
         (from, to): (Point, Point),
         margin: i32,
         turn_cost: f32,
-        edge_cost: F,
-        clean: C,
+        edge_cost: &F,
+        clean: &C,
     ) -> Option<Vec<Point>>
     where
         F: Fn(EdgeId) -> f32,
@@ -476,23 +543,23 @@ impl MazeScratch {
             bounds: Some(window),
             turn_cost,
         };
-        let (search, windowed) = self.search(grid, from, to, &edge_cost, &cfg);
+        let (search, windowed) = self.search(grid, from, to, edge_cost, &cfg);
         let is_clean = |corners: &Vec<Point>| {
             grid.polyline_edges(corners)
                 .expect("searched paths stay on the grid")
-                .all(&clean)
+                .all(clean)
         };
         if windowed.as_ref().is_some_and(is_clean) {
             return windowed;
         }
         let search = search?; // nothing was searched: nothing to escalate
-        if self.leaving_costs_more(grid, &search, &edge_cost) {
+        if self.leaving_costs_more(grid, &search, edge_cost) {
             self.stats.escalations_avoided += 1;
             return windowed;
         }
         self.stats.escalations += 1;
         cfg.bounds = None;
-        self.route(grid, from, to, &edge_cost, &cfg)
+        self.search(grid, from, to, edge_cost, &cfg).1
     }
 
     /// The window certificate: whether every path from the source of
@@ -558,6 +625,160 @@ impl MazeScratch {
     }
 }
 
+/// A min-queue of search keys, `f.to_bits() << 32 | state`. Whatever it
+/// holds inside, it pops every key pushed since [`Frontier::open`], each
+/// as often as it was pushed, in ascending order (see
+/// [the module docs](self#the-frontier)).
+trait Frontier {
+    /// Empties the queue for a search of `search`'s window.
+    fn open(&mut self, search: &Search);
+    fn push(&mut self, key: u64);
+    fn pop(&mut self) -> Option<u64>;
+}
+
+/// How many cost levels the frontier keeps as bitsets: the lowest one in
+/// flight and the ones 1, 2, … above it.
+const LEVELS: usize = 4;
+
+/// The cost of an empty level: the bits of a negative NaN, which no key
+/// carries.
+const NO_LEVEL: u32 = u32::MAX;
+
+/// The kernel's frontier: a bitset of states for each of [`LEVELS`]
+/// exactly-integral cost levels, and a binary heap for every other key
+/// (see [the module docs](self#the-frontier)).
+#[derive(Default)]
+struct Buckets {
+    /// Ascending levels from the lowest in flight, each one above the
+    /// last, or all [`NO_LEVEL`] until the first pop of a search.
+    levels: [Level; LEVELS],
+    heap: BinaryHeap<Reverse<u64>>,
+}
+
+impl Frontier for Buckets {
+    fn open(&mut self, search: &Search) {
+        let words = search.states().div_ceil(64);
+        for level in &mut self.levels {
+            level.clear(words);
+        }
+        self.heap.clear();
+    }
+
+    fn push(&mut self, key: u64) {
+        let f = (key >> 32) as u32;
+        if let Some(level) = self.levels.iter_mut().find(|level| level.f == f) {
+            if level.insert(key as u32 as usize) {
+                return;
+            }
+        }
+        self.heap.push(Reverse(key));
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        let top = self.heap.peek().map(|&Reverse(key)| key);
+        if let Some(k) = self.levels.iter().position(|level| level.len > 0) {
+            let level = &mut self.levels[k];
+            let i = level.first();
+            let key = (level.f as u64) << 32 | i as u64;
+            if top.is_none_or(|top| key <= top) {
+                level.remove(i);
+                if k > 0 {
+                    // the levels below are spent: the one popped is lowest
+                    self.levels.rotate_left(k);
+                    self.stack_from(LEVELS - k);
+                }
+                return Some(key);
+            }
+        }
+        let Reverse(key) = self.heap.pop()?;
+        if self.levels.iter().all(|level| level.len == 0) {
+            // the levels start again from the cost being popped
+            self.levels[0].f = (key >> 32) as u32;
+            self.stack_from(1);
+        }
+        Some(key)
+    }
+}
+
+impl Buckets {
+    /// Prices each of the (empty) levels from `j` up at one above the
+    /// level below it — at the same cost where `f32` cannot tell the two
+    /// apart, so that level stays empty.
+    fn stack_from(&mut self, j: usize) {
+        for j in j..LEVELS {
+            self.levels[j].f = (f32::from_bits(self.levels[j - 1].f) + 1.0).to_bits();
+        }
+    }
+}
+
+/// One cost level: a bitset over window-local states, and a summary bit
+/// per word of it so that its lowest state is found in two scans.
+#[derive(Default)]
+struct Level {
+    /// The bits of the cost every key in this level carries.
+    f: u32,
+    len: usize,
+    words: Vec<u64>,
+    /// Bit `w` is set iff `words[w]` is not zero.
+    summary: Vec<u64>,
+    /// No summary word below this one is non-zero.
+    lowest: usize,
+}
+
+impl Level {
+    /// Empties and unprices the level, and makes room for `words` words of
+    /// states.
+    fn clear(&mut self, words: usize) {
+        self.f = NO_LEVEL;
+        if self.len > 0 {
+            for (s, summary) in self.summary.iter_mut().enumerate() {
+                let mut bits = mem::take(summary);
+                while bits != 0 {
+                    self.words[s << 6 | bits.trailing_zeros() as usize] = 0;
+                    bits &= bits - 1;
+                }
+            }
+            self.len = 0;
+        }
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+            self.summary.resize(words.div_ceil(64), 0);
+        }
+        self.lowest = 0;
+    }
+
+    /// Adds state `i`; `false` (and nothing changes) if it is there already.
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i >> 6, 1u64 << (i & 63));
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.summary[w >> 6] |= 1 << (w & 63);
+        self.lowest = self.lowest.min(w >> 6);
+        self.len += 1;
+        true
+    }
+
+    /// The lowest state of a level that is not empty.
+    fn first(&mut self) -> usize {
+        while self.summary[self.lowest] == 0 {
+            self.lowest += 1;
+        }
+        let w = self.lowest << 6 | self.summary[self.lowest].trailing_zeros() as usize;
+        w << 6 | self.words[w].trailing_zeros() as usize
+    }
+
+    fn remove(&mut self, i: usize) {
+        let w = i >> 6;
+        self.words[w] &= !(1 << (i & 63));
+        if self.words[w] == 0 {
+            self.summary[w >> 6] &= !(1 << (w & 63));
+        }
+        self.len -= 1;
+    }
+}
+
 /// The L1 distance transform of a row-major field `width` wide, in place:
 /// every entry becomes the minimum over all entries of that entry's value
 /// plus its Manhattan distance — two raster passes, exact for this metric.
@@ -616,7 +837,7 @@ where
 }
 
 /// Collapses a unit-step cell sequence into its corner polyline.
-pub fn compress_corners(cells: &[Point]) -> Vec<Point> {
+fn compress_corners(cells: &[Point]) -> Vec<Point> {
     if cells.len() <= 2 {
         return cells.to_vec();
     }
@@ -637,6 +858,26 @@ pub fn compress_corners(cells: &[Point]) -> Vec<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The frontier [`Buckets`] replaced, kept as the reference it must
+    /// pop exactly like: every key on one binary heap.
+    impl Frontier for BinaryHeap<Reverse<u64>> {
+        fn open(&mut self, _: &Search) {
+            self.clear();
+        }
+
+        fn push(&mut self, key: u64) {
+            BinaryHeap::push(self, Reverse(key));
+        }
+
+        fn pop(&mut self) -> Option<u64> {
+            BinaryHeap::pop(self).map(|Reverse(key)| key)
+        }
+    }
+
+    /// The kernel on the reference frontier.
+    type Reference = Engine<BinaryHeap<Reverse<u64>>>;
 
     /// `(searches, escalated, certified)` so far.
     fn counts(scratch: &MazeScratch) -> (usize, usize, usize) {
@@ -880,5 +1121,147 @@ mod tests {
             compress_corners(&cells),
             vec![Point::new(0, 0), Point::new(2, 0), Point::new(2, 2)]
         );
+    }
+
+    /// A search window for the stream test: `corner` and `size` on a grid
+    /// as large as any.
+    fn window(corner: (i32, i32), size: (i32, i32)) -> Search {
+        let grid = GcellGrid::new(MAX_SIDE, MAX_SIDE).unwrap();
+        let lo = Point::new(corner.0, corner.1);
+        let hi = Point::new(corner.0 + size.0 - 1, corner.1 + size.1 - 1);
+        let cfg = MazeConfig {
+            bounds: Some(Rect::new(lo, hi)),
+            turn_cost: 0.0,
+        };
+        Search::new(&grid, lo, hi, &cfg)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random push/pop streams, several searches on one frontier:
+        /// pushes at the level being popped and at each level above it,
+        /// beyond the bitsets, at penalty and fractional costs, just below
+        /// the last pop, and keys pushed again — the two frontiers pop the
+        /// same keys in the same order.
+        #[test]
+        fn buckets_pop_what_the_heap_pops(
+            searches in proptest::collection::vec(
+                (
+                    (0i32..300, 0i32..300),
+                    (1i32..70, 1i32..40),
+                    proptest::collection::vec((0u32..12, 0u32..100_000), 0..300),
+                ),
+                1..4,
+            ),
+        ) {
+            let mut buckets = Buckets::default();
+            let mut heap = BinaryHeap::new();
+            for (corner, size, ops) in searches {
+                let search = window(corner, size);
+                Frontier::open(&mut buckets, &search);
+                Frontier::open(&mut heap, &search);
+                let mut pushed = Vec::new();
+                let mut last = 17.0f32;
+                for (op, v) in ops {
+                    let f = match op {
+                        0..=3 => {
+                            let popped = Frontier::pop(&mut heap);
+                            prop_assert_eq!(Frontier::pop(&mut buckets), popped);
+                            if let Some(key) = popped {
+                                last = f32::from_bits((key >> 32) as u32);
+                            }
+                            continue;
+                        }
+                        4 | 5 => last,
+                        6 => last + (v % 7) as f32,
+                        // just below the last pop, as f32 rounding can put it
+                        7 => f32::from_bits(last.to_bits() - 1 - v % 3),
+                        8 => last + 0.5 * (v % 9) as f32,
+                        9 => 1.0 + 1000.0 * (v % 5) as f32 * 0.25 + last,
+                        _ => {
+                            // a key pushed again
+                            if let Some(&key) = pushed.get(v as usize % pushed.len().max(1)) {
+                                Frontier::push(&mut buckets, key);
+                                Frontier::push(&mut heap, key);
+                            }
+                            continue;
+                        }
+                    };
+                    let (w, h) = (search.width() as u32, search.height() as u32);
+                    let cell = v % (w * h);
+                    let (x, y) = (search.lo.x + (cell % w) as i32, search.lo.y + (cell / w) as i32);
+                    let key = (f.to_bits() as u64) << 32 | search.state(x, y, v >> 16 & 1) as u64;
+                    pushed.push(key);
+                    Frontier::push(&mut buckets, key);
+                    Frontier::push(&mut heap, key);
+                }
+                // the rest, in order, and then nothing
+                loop {
+                    let popped = Frontier::pop(&mut heap);
+                    prop_assert_eq!(Frontier::pop(&mut buckets), popped);
+                    if popped.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
+
+        /// Searches on random cost fields — integer costs, `1 + 1000 · m`
+        /// penalties, blocked edges, windows at the grid border, with and
+        /// without turn costs — return the reference kernel's polylines and
+        /// count exactly its searches, escalations, certificates and pops,
+        /// on one scratch reused across the queries.
+        #[test]
+        fn buckets_search_like_the_heap(
+            w in 1u32..=24,
+            h in 1u32..=24,
+            raw_costs in proptest::collection::vec(0u32..64, 2 * 24 * 24),
+            // 0: integer costs, 1: penalties of fractional marginals,
+            // 2: a mix with a fifth of the edges blocked
+            shape in 0u32..3,
+            queries in proptest::collection::vec(
+                ((0u32..1000, 0u32..1000, 0u32..1000, 0u32..1000), 0u32..4, 0u32..3),
+                1..4,
+            ),
+        ) {
+            let grid = GcellGrid::new(w, h).unwrap();
+            let cost = |e: EdgeId| {
+                let raw = raw_costs[e.index()];
+                match shape {
+                    0 if raw >= 60 => f32::INFINITY,
+                    0 => 1.0 + (raw % 4) as f32,
+                    1 => 1.0 + 1000.0 * (raw % 8 / 5) as f32 * (raw % 3 + 1) as f32 * 0.25,
+                    _ if raw >= 51 => f32::INFINITY,
+                    _ => 1.0 + if raw >= 40 { 1000.0 * (raw - 39) as f32 / 8.0 } else { 0.0 },
+                }
+            };
+            let clean = |e: EdgeId| cost(e) < 2.0;
+            let mut scratch = MazeScratch::new();
+            let mut reference = Reference::default();
+            for ((x0, y0, x1, y1), border, turns) in queries {
+                // a fourth of the queries start on the grid's border
+                let at = |x: u32, y: u32| Point::new((x % w) as i32, (y % h) as i32);
+                let from = match border {
+                    0 => Point::new(0, (y0 % h) as i32),
+                    _ => at(x0, y0),
+                };
+                let to = at(x1, y1);
+                let margin = [0, 1, 3, 8][(x0 / 7 % 4) as usize];
+                let turn_cost = [0.0, 0.5, 1.0][turns as usize];
+                let got = scratch.route_escalating(&grid, (from, to), margin, turn_cost, cost, clean);
+                let want = reference.route_escalating(&grid, (from, to), margin, turn_cost, &cost, &clean);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(scratch.stats(), reference.stats);
+
+                let cfg = MazeConfig {
+                    bounds: Some(Rect::bounding(&[at(x1, y0), at(x0, y1)])),
+                    turn_cost,
+                };
+                let got = scratch.route(&grid, from, to, cost, &cfg);
+                prop_assert_eq!(got, reference.search(&grid, from, to, &cost, &cfg).1);
+                prop_assert_eq!(scratch.stats(), reference.stats);
+            }
+        }
     }
 }

@@ -11,6 +11,15 @@
 //! certificate stands in for: search the window, and whenever the result
 //! is missing or not clean, search the whole grid. The two must agree on
 //! the whole polyline.
+//!
+//! For the work counted, the reference is the search order the kernel
+//! documents, written out on a plain binary heap: pops by `(g + h, y, x,
+//! axis)`, stale entries popped and skipped, the window certificate's
+//! bound taken by brute force over the exits. It must pop exactly as often
+//! as the kernel.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use dgr_grid::maze::{maze_route, MazeConfig, MazeScratch};
 use dgr_grid::{EdgeId, GcellGrid, Point, Rect};
@@ -114,6 +123,187 @@ fn counts(scratch: &MazeScratch) -> [usize; 4] {
         s.escalations_avoided(),
         s.states_expanded(),
     ]
+}
+
+/// A search state: a cell and the axis of the step into it.
+type State = (Point, u32);
+
+/// The labels of one reference search as it stopped: distance and the
+/// state it was reached from.
+type Labels = HashMap<State, (f32, Option<State>)>;
+
+/// The kernel's documented search on a plain binary heap, counting into
+/// `stats` (searches, escalations, certified windows, pops).
+struct ReferenceSearch<'a> {
+    grid: &'a GcellGrid,
+    cost: &'a dyn Fn(EdgeId) -> f32,
+    stats: [usize; 4],
+}
+
+impl ReferenceSearch<'_> {
+    /// A* inside `win` from every `(cell, start)` of `sources` to `to`,
+    /// stopped at the first pop of `to` (returned) or of a key `≥ limit`.
+    fn search(
+        &mut self,
+        win: Rect,
+        sources: &[(Point, f32)],
+        to: Point,
+        turn_cost: f32,
+        limit: f32,
+    ) -> (Option<State>, Labels) {
+        self.stats[0] += 1;
+        let f = |g: f32, p: Point| (g + p.manhattan_distance(to) as f32).to_bits();
+        let mut labels = Labels::new();
+        let mut heap = BinaryHeap::new();
+        for &(p, start) in sources {
+            for axis in 0..2 {
+                // a cell given twice is pushed again only if it got cheaper
+                if labels.get(&(p, axis)).is_none_or(|&(d, _)| start < d) {
+                    labels.insert((p, axis), (start, None));
+                    heap.push(Reverse((f(start, p), p.y, p.x, axis)));
+                }
+            }
+        }
+        while let Some(Reverse((key, y, x, axis))) = heap.pop() {
+            self.stats[3] += 1;
+            if f32::from_bits(key) >= limit {
+                return (None, labels);
+            }
+            let p = Point::new(x, y);
+            let d = labels[&(p, axis)].0;
+            if key > f(d, p) {
+                continue;
+            }
+            if p == to {
+                return (Some((p, axis)), labels);
+            }
+            for q in self.grid.neighbors(p).filter(|&q| win.contains(q)) {
+                let step = (self.cost)(self.grid.edge_between(p, q).unwrap());
+                if !step.is_finite() {
+                    continue;
+                }
+                let new_axis = u32::from(p.x == q.x);
+                let turn = if axis != new_axis && d > 0.0 {
+                    turn_cost
+                } else {
+                    0.0
+                };
+                let nd = d + step + turn;
+                if labels.get(&(q, new_axis)).is_none_or(|&(old, _)| nd < old) {
+                    labels.insert((q, new_axis), (nd, Some((p, axis))));
+                    heap.push(Reverse((f(nd, q), q.y, q.x, new_axis)));
+                }
+            }
+        }
+        (None, labels)
+    }
+
+    /// `route_escalating` as documented, with every search a reference one.
+    fn route_escalating(
+        &mut self,
+        (from, to): (Point, Point),
+        margin: i32,
+        turn_cost: f32,
+        clean: &dyn Fn(EdgeId) -> bool,
+    ) -> Option<Vec<Point>> {
+        let grid = self.grid;
+        if !grid.contains(from) || !grid.contains(to) {
+            return None;
+        }
+        if from == to {
+            return Some(vec![from]);
+        }
+        let win = Rect::bounding(&[from, to]).inflate_clamped(margin, grid.bounds());
+        let (goal, labels) = self.search(win, &[(from, 0.0)], to, turn_cost, f32::INFINITY);
+        let windowed = goal.map(|goal| polyline(&labels, goal));
+        let is_clean = |c: &Vec<Point>| grid.polyline_edges(c).unwrap().all(clean);
+        if windowed.as_ref().is_some_and(is_clean) {
+            return windowed;
+        }
+        let label = |p: Point| {
+            (0..2)
+                .filter_map(|axis| labels.get(&(p, axis)))
+                .fold(f64::INFINITY, |best, &(d, _)| best.min(d as f64))
+        };
+        // every way out, in the kernel's order (a cell that is two exits
+        // is a source twice, and the order decides which push goes stale):
+        // the low then the high column, the low then the high row
+        let (lo, hi) = (win.lo, win.hi);
+        let (gw, gh) = (grid.width() as i32, grid.height() as i32);
+        let mut exits = Vec::new();
+        for (x, out) in [(lo.x, lo.x - 1), (hi.x, hi.x + 1)] {
+            if (0..gw).contains(&out) {
+                exits.extend((lo.y..=hi.y).map(|y| (Point::new(x, y), Point::new(out, y), 0)));
+            }
+        }
+        for (y, out) in [(lo.y, lo.y - 1), (hi.y, hi.y + 1)] {
+            if (0..gh).contains(&out) {
+                exits.extend((lo.x..=hi.x).map(|x| (Point::new(x, y), Point::new(x, out), 1)));
+            }
+        }
+        if exits.is_empty() {
+            self.stats[2] += 1;
+            return windowed;
+        }
+        // the cheapest way to stand on an outside cell having left
+        let outside = |r_out: Point| {
+            exits
+                .iter()
+                .map(|&(b, b_out, _)| label(b) + 1.0 + b_out.manhattan_distance(r_out) as f64)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let enough = label(to) + 0.5;
+        let undercut = exits
+            .iter()
+            .filter(|&&(r, _, axis)| if axis == 0 { r.y == to.y } else { r.x == to.x })
+            .any(|&(r, r_out, _)| {
+                let on: f64 = grid
+                    .segment_edges(r, to)
+                    .unwrap()
+                    .map(|e| (self.cost)(e) as f64)
+                    .sum();
+                outside(r_out) + 1.0 + on < enough
+            });
+        let cheaper = undercut || {
+            let reentries: Vec<(Point, f32)> = exits
+                .iter()
+                .map(|&(r, r_out, _)| (r, (outside(r_out) + 1.0) as f32))
+                .filter(|&(_, start)| start.is_finite())
+                .collect();
+            self.search(win, &reentries, to, 0.0, enough as f32)
+                .0
+                .is_some()
+        };
+        if !cheaper {
+            self.stats[2] += 1;
+            return windowed;
+        }
+        self.stats[1] += 1;
+        let (goal, labels) =
+            self.search(grid.bounds(), &[(from, 0.0)], to, turn_cost, f32::INFINITY);
+        goal.map(|goal| polyline(&labels, goal))
+    }
+}
+
+/// The corner polyline of the reference search's `prev` chain to `goal`.
+fn polyline(labels: &Labels, goal: State) -> Vec<Point> {
+    let mut cells = vec![goal.0];
+    let mut state = goal;
+    while let Some(prev) = labels[&state].1 {
+        cells.push(prev.0);
+        state = prev;
+    }
+    cells.reverse();
+    let mut corners = vec![cells[0]];
+    for w in cells.windows(3) {
+        if !(w[0].x == w[2].x || w[0].y == w[2].y) {
+            corners.push(w[1]);
+        }
+    }
+    if cells.len() > 1 {
+        corners.push(*cells.last().unwrap());
+    }
+    corners
 }
 
 /// `(escalated, certified)` so far.
@@ -322,5 +512,55 @@ proptest! {
         prop_assert_eq!(&used.route_escalating(&grid, (from, to), margin, turn_cost, cost, clean), &want);
         let after = counts(&used);
         prop_assert_eq!(std::array::from_fn(|i| after[i] - before[i]), counts(&fresh));
+    }
+
+    /// The kernel's pops and polylines are the reference search's, on the
+    /// costs refinement and the baselines charge — integer costs, `1 +
+    /// 1000 · m` penalties, blocked edges — with endpoints and windows at
+    /// the grid's border, on one scratch reused across the queries.
+    #[test]
+    fn escalating_pops_like_the_reference_search(
+        w in 1u32..=MAX_SIDE,
+        h in 1u32..=MAX_SIDE,
+        raw_costs in proptest::collection::vec(0u32..64, (2 * MAX_SIDE * MAX_SIDE) as usize),
+        // 0: integer costs, 1: penalties of quarter-step marginals, 2: both,
+        // with a fifth of the edges blocked
+        shape in 0u32..3,
+        queries in proptest::collection::vec(
+            ((0u32..1000, 0u32..1000, 0u32..1000, 0u32..1000), 0u32..3, 0u32..4, 0u32..3),
+            1..4,
+        ),
+    ) {
+        let grid = GcellGrid::new(w, h).unwrap();
+        let cost = |e: EdgeId| {
+            let raw = raw_costs[e.index()];
+            match shape {
+                0 if raw >= 60 => f32::INFINITY,
+                0 => 1.0 + (raw % 3) as f32,
+                1 => 1.0 + 1000.0 * 0.25 * (raw % 16 / 10 * (raw % 7)) as f32,
+                _ if raw >= 51 => f32::INFINITY,
+                _ if raw >= 38 => 1.0 + 1000.0 * 0.25 * (raw - 37) as f32,
+                _ => 1.0 + (raw % 5 / 4) as f32,
+            }
+        };
+        let clean = |e: EdgeId| cost(e) < 100.0;
+        let at = |x: u32, y: u32| Point::new((x % w) as i32, (y % h) as i32);
+        let mut scratch = MazeScratch::new();
+        let mut reference = ReferenceSearch { grid: &grid, cost: &cost, stats: [0; 4] };
+        for ((x0, y0, x1, y1), border, margin, turns) in queries {
+            let from = match border {
+                // on the left or the top border of the grid
+                0 => Point::new(0, (y0 % h) as i32),
+                1 => Point::new((x0 % w) as i32, h as i32 - 1),
+                _ => at(x0, y0),
+            };
+            let to = at(x1, y1);
+            let margin = [0, 1, 3, 30][margin as usize];
+            let turn_cost = [0.0, 0.5, 1.0][turns as usize];
+            let got = scratch.route_escalating(&grid, (from, to), margin, turn_cost, cost, clean);
+            let want = reference.route_escalating((from, to), margin, turn_cost, &clean);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(counts(&scratch), reference.stats, "{:?} margin {}", (from, to), margin);
+        }
     }
 }

@@ -2,9 +2,18 @@
 
 use dgr_autodiff::Activation;
 use dgr_dag::PatternConfig;
+use dgr_rsmt::candidates::SHIFT_RADIUS;
 use dgr_rsmt::CandidateConfig;
 
+use crate::extract::TOP_P;
 use crate::DgrError;
+
+/// The temperature decays every this many iterations (the paper's 100).
+pub const TEMPERATURE_INTERVAL: usize = 100;
+
+/// Training iterations of each adaptive round
+/// ([`DgrConfig::adaptive_rounds`]).
+pub const ADAPTIVE_ITERATIONS: usize = 200;
 
 /// Weights of the three cost terms in Eq. (3).
 ///
@@ -32,24 +41,17 @@ impl Default for CostWeights {
 
 /// How the discrete 2D solution is read out of the optimized
 /// probabilities (Section 4.5).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ExtractionMode {
     /// Pick the highest-probability path per sub-net (used in the ILP
     /// comparison, Table 1).
     Argmax,
-    /// Top-p candidate sets per sub-net, then a greedy congestion-aware
-    /// pick inside each set (the paper's default read-out).
-    TopP {
-        /// Cumulative-probability threshold; candidates are taken in
-        /// descending probability until the threshold is passed.
-        threshold: f32,
-    },
-}
-
-impl Default for ExtractionMode {
-    fn default() -> Self {
-        ExtractionMode::TopP { threshold: 0.9 }
-    }
+    /// Top-p candidate sets per sub-net — candidates in descending
+    /// probability until their mass passes [`TOP_P`] — then a greedy
+    /// congestion-aware pick inside each set (the paper's default
+    /// read-out).
+    #[default]
+    TopP,
 }
 
 /// Full configuration of [`crate::DgrRouter`].
@@ -68,10 +70,9 @@ pub struct DgrConfig {
     pub learning_rate: f32,
     /// Initial Gumbel-softmax temperature.
     pub initial_temperature: f32,
-    /// Multiplicative temperature decay factor.
+    /// Multiplicative temperature decay factor, applied every
+    /// [`TEMPERATURE_INTERVAL`] iterations.
     pub temperature_decay: f32,
-    /// Apply the decay every this many iterations.
-    pub temperature_interval: usize,
     /// Overflow activation `f` in Eq. (9) — the Fig. 6 knob.
     pub activation: Activation,
     /// Scale applied to the activation input: `f((d − cap) / scale)`.
@@ -100,10 +101,8 @@ pub struct DgrConfig {
     /// extension): after a routing round that leaves overflow, sub-nets
     /// crossing overflowed edges receive additional maze-derived path
     /// candidates, logits are warm-started, and training resumes for
-    /// [`DgrConfig::adaptive_iterations`]. `0` disables the feature.
+    /// [`ADAPTIVE_ITERATIONS`]. `0` disables the feature.
     pub adaptive_rounds: usize,
-    /// Training iterations of each adaptive round.
-    pub adaptive_iterations: usize,
 }
 
 impl Default for DgrConfig {
@@ -114,7 +113,6 @@ impl Default for DgrConfig {
             learning_rate: 0.3,
             initial_temperature: 1.0,
             temperature_decay: 0.9,
-            temperature_interval: 100,
             activation: Activation::Sigmoid,
             overflow_scale: 1.0,
             gumbel_noise: true,
@@ -124,7 +122,6 @@ impl Default for DgrConfig {
             patterns: PatternConfig::default(),
             extraction_rounds: 2,
             adaptive_rounds: 0,
-            adaptive_iterations: 200,
         }
     }
 }
@@ -171,21 +168,9 @@ impl DgrConfig {
                 "temperature decay must be in (0, 1]".into(),
             ));
         }
-        if self.temperature_interval == 0 {
-            return Err(DgrError::BadConfig(
-                "temperature interval must be > 0".into(),
-            ));
-        }
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(self.overflow_scale > 0.0) {
             return Err(DgrError::BadConfig("overflow scale must be > 0".into()));
-        }
-        if let ExtractionMode::TopP { threshold } = self.extraction {
-            if !(0.0 < threshold && threshold <= 1.0) {
-                return Err(DgrError::BadConfig(
-                    "top-p threshold must be in (0, 1]".into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -195,7 +180,64 @@ impl DgrConfig {
         self.initial_temperature
             * self
                 .temperature_decay
-                .powi((it / self.temperature_interval) as i32)
+                .powi((it / TEMPERATURE_INTERVAL) as i32)
+    }
+
+    /// The run key: every setting of the run but its seed, written out.
+    /// The ledger's `config_fp` hashes it, so two runs pair exactly when
+    /// their keys agree. The text is what `{:?}` of the configuration
+    /// printed with the seed set to 0 while the four constants
+    /// ([`TEMPERATURE_INTERVAL`], [`ADAPTIVE_ITERATIONS`], [`SHIFT_RADIUS`],
+    /// [`TOP_P`]) were still fields, each written here from its constant:
+    /// fingerprints of older ledger records stay comparable. Every struct
+    /// is destructured whole, so a new field does not compile until it is
+    /// written into the key.
+    pub fn run_key(&self) -> String {
+        let DgrConfig {
+            weights,
+            iterations,
+            learning_rate,
+            initial_temperature,
+            temperature_decay,
+            activation,
+            overflow_scale,
+            gumbel_noise,
+            extraction,
+            seed: _,
+            candidates,
+            patterns,
+            extraction_rounds,
+            adaptive_rounds,
+        } = self;
+        let CostWeights {
+            wirelength,
+            via,
+            overflow,
+        } = weights;
+        let CandidateConfig {
+            max_candidates,
+            seed,
+            clamp,
+            shallow_light,
+        } = candidates;
+        let PatternConfig { z_stride, c_detour } = patterns;
+        let extraction = match extraction {
+            ExtractionMode::Argmax => "Argmax".to_string(),
+            ExtractionMode::TopP => format!("TopP {{ threshold: {TOP_P:?} }}"),
+        };
+        format!(
+            "DgrConfig {{ weights: CostWeights {{ wirelength: {wirelength:?}, via: {via:?}, \
+             overflow: {overflow:?} }}, iterations: {iterations}, learning_rate: {learning_rate:?}, \
+             initial_temperature: {initial_temperature:?}, temperature_decay: {temperature_decay:?}, \
+             temperature_interval: {TEMPERATURE_INTERVAL}, activation: {activation:?}, \
+             overflow_scale: {overflow_scale:?}, gumbel_noise: {gumbel_noise}, \
+             extraction: {extraction}, seed: 0, candidates: CandidateConfig {{ \
+             max_candidates: {max_candidates}, seed: {seed}, clamp: {clamp:?}, \
+             shift_radius: {SHIFT_RADIUS}, shallow_light: {shallow_light:?} }}, \
+             patterns: PatternConfig {{ z_stride: {z_stride:?}, c_detour: {c_detour:?} }}, \
+             extraction_rounds: {extraction_rounds}, adaptive_rounds: {adaptive_rounds}, \
+             adaptive_iterations: {ADAPTIVE_ITERATIONS} }}"
+        )
     }
 }
 
@@ -234,12 +276,6 @@ mod tests {
 
         let c = DgrConfig {
             temperature_decay: 1.5,
-            ..DgrConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = DgrConfig {
-            extraction: ExtractionMode::TopP { threshold: 0.0 },
             ..DgrConfig::default()
         };
         assert!(c.validate().is_err());

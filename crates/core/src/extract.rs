@@ -3,7 +3,7 @@
 //! * **Trees**: the highest-probability candidate per net — after
 //!   temperature annealing these probabilities are close to one-hot.
 //! * **Paths**: top-p candidate sets (rank by probability, take until the
-//!   cumulative mass passes the threshold), then a greedy congestion-aware
+//!   cumulative mass passes [`TOP_P`]), then a greedy congestion-aware
 //!   pick inside each set against the demand committed so far. With
 //!   [`ExtractionMode::Argmax`] the set degenerates to the single most
 //!   probable path (the Table-1 read-out).
@@ -22,6 +22,10 @@ use crate::config::{DgrConfig, ExtractionMode};
 use crate::relax::CostModel;
 use crate::solution::{NetRoute, RoutePath, RoutingSolution};
 use crate::DgrError;
+
+/// The cumulative probability a top-p candidate set passes
+/// ([`ExtractionMode::TopP`]).
+pub const TOP_P: f32 = 0.9;
 
 /// The extraction plans of a run of consecutive nets — everything about
 /// their read-out that does not depend on the demand committed by earlier
@@ -63,9 +67,7 @@ impl Plans {
                             .max_by(|&a, &b| p[a].total_cmp(&p[b]))
                             .expect("subnet has at least one path"),
                     ),
-                    ExtractionMode::TopP { threshold } => {
-                        push_top_p_set(forest, s, p, threshold, &mut plans.members)
-                    }
+                    ExtractionMode::TopP => push_top_p_set(forest, s, p, TOP_P, &mut plans.members),
                 }
                 plans.set_starts.push(plans.members.len());
             }
@@ -279,28 +281,6 @@ fn realize_path(grid: &dgr_grid::GcellGrid, forest: &DagForest, s: usize, i: usi
     RoutePath { corners }
 }
 
-/// Returns, for diagnostic purposes, whether a probability vector is
-/// nearly one-hot within every group of `offsets` (max ≥ `threshold`).
-pub fn sharpness(p: &[f32], offsets: &[u32], threshold: f32) -> f64 {
-    let groups = offsets.len() - 1;
-    if groups == 0 {
-        return 1.0;
-    }
-    let mut sharp = 0usize;
-    for g in 0..groups {
-        let r = offsets[g] as usize..offsets[g + 1] as usize;
-        if r.is_empty() {
-            sharp += 1;
-            continue;
-        }
-        let max = p[r].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if max >= threshold {
-            sharp += 1;
-        }
-    }
-    sharp as f64 / groups as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,7 +342,7 @@ mod tests {
     #[test]
     fn top_p_greedy_matches_or_beats_argmax_on_overflow() {
         let (_, am) = routed(1.0, ExtractionMode::Argmax, 3);
-        let (_, tp) = routed(1.0, ExtractionMode::TopP { threshold: 0.95 }, 3);
+        let (_, tp) = routed(1.0, ExtractionMode::TopP, 3);
         assert!(
             tp.metrics.overflow.total_overflow <= am.metrics.overflow.total_overflow + 1e-6,
             "top-p {} vs argmax {}",
@@ -373,20 +353,12 @@ mod tests {
 
     #[test]
     fn demand_is_consistent_with_remeasure() {
-        let (design, sol) = routed(2.0, ExtractionMode::TopP { threshold: 0.9 }, 5);
+        let (design, sol) = routed(2.0, ExtractionMode::TopP, 5);
         // remeasure from scratch and compare
         let mut copy = sol.clone();
         copy.remeasure(&design).unwrap();
         assert_eq!(copy.metrics.total_wirelength, sol.metrics.total_wirelength);
         assert_eq!(copy.demand.wire_slice(), sol.demand.wire_slice());
-    }
-
-    #[test]
-    fn sharpness_reports_one_hot_groups() {
-        let p = [0.99f32, 0.01, 0.5, 0.5];
-        let offsets = [0u32, 2, 4];
-        let s = sharpness(&p, &offsets, 0.9);
-        assert!((s - 0.5).abs() < 1e-9);
     }
 
     #[test]

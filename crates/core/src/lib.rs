@@ -220,7 +220,7 @@ impl DgrRouter {
     ///
     /// It runs a [`Session`]: train and extract, then, while the
     /// solution overflows, up to [`DgrConfig::adaptive_rounds`] times
-    /// expand, train for [`DgrConfig::adaptive_iterations`] and extract.
+    /// expand, train for [`config::ADAPTIVE_ITERATIONS`] and extract.
     /// The session drops on return, so its model is not held past
     /// routing.
     ///
@@ -257,7 +257,7 @@ impl DgrRouter {
             if !session.expand(&solution) {
                 break;
             }
-            session.train(self.config.adaptive_iterations.max(1), hooks)?;
+            session.train(config::ADAPTIVE_ITERATIONS, hooks)?;
             solution = session.extract()?;
         }
         if let Some(s) = hooks.snap.as_mut() {

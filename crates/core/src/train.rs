@@ -14,7 +14,7 @@
 //! inline.
 //!
 //! At every step of the temperature schedule (`it > 0`, a multiple of
-//! `temperature_interval`) the loop first has the kernel drop the
+//! [`TEMPERATURE_INTERVAL`]) the loop first has the kernel drop the
 //! candidates whose noise-free probability at the new temperature is
 //! under [`PRUNE_BELOW`] ([`CostModel::prune`]) and shrinks Adam's
 //! moments with it: the iterations after it run over the candidates
@@ -27,7 +27,7 @@
 //! the same RNG stream whichever thread draws. On the way out the model
 //! is put back in the forest's layout ([`CostModel::restore_layout`]),
 //! which is how extraction and the warm start read it. A run shorter
-//! than one `temperature_interval` never reaches a step.
+//! than one [`TEMPERATURE_INTERVAL`] never reaches a step.
 //!
 //! The loop is instrumented through `dgr-obs` (see [`RouteHooks`]):
 //! per-iteration `forward`/`backward`/`adam` spans (and a `prune` span per
@@ -49,7 +49,7 @@ use dgr_grid::Design;
 use dgr_obs::IterationRow;
 use rand::rngs::StdRng;
 
-use crate::config::DgrConfig;
+use crate::config::{DgrConfig, TEMPERATURE_INTERVAL};
 use crate::relax::CostModel;
 use crate::RouteHooks;
 
@@ -264,7 +264,7 @@ pub(crate) fn train_loop(
     };
     let graph_bytes = model.bytes();
     let mut live = vec![LiveRow::at(0, model)];
-    let is_step = |it: usize| it > 0 && it.is_multiple_of(cfg.temperature_interval);
+    let is_step = |it: usize| it > 0 && it.is_multiple_of(TEMPERATURE_INTERVAL);
     // the logits Adam steps and the gradient norm sums: every other one
     // is in a group of one, its gradient +0.0 and its moments zero
     let mut moving = moving_runs(model);
@@ -546,9 +546,10 @@ mod tests {
     }
 
     /// `nets` random two- to four-pin nets on a 40 × 40 grid with the
-    /// default candidates and patterns, and a 12-iteration config whose
-    /// temperature steps every 4 iterations from low enough that each
-    /// step finds candidates under [`PRUNE_BELOW`].
+    /// default candidates and patterns, and the default config run just
+    /// past its second temperature step: by then training has sharpened
+    /// the logits enough that each step finds candidates under
+    /// [`PRUNE_BELOW`].
     fn random_problem(nets: usize) -> (Design, dgr_dag::DagForest, DgrConfig) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(nets as u64);
@@ -564,9 +565,7 @@ mod tests {
             .collect();
         let design = Design::new(grid, cap, nets, 5).unwrap();
         let cfg = DgrConfig {
-            iterations: 12,
-            initial_temperature: 0.05,
-            temperature_interval: 4,
+            iterations: 2 * TEMPERATURE_INTERVAL + 1,
             ..DgrConfig::default()
         };
         let pools: Vec<_> = design
@@ -632,7 +631,7 @@ mod tests {
         let mut at_prunes = vec![in_the_forest_layout(model)];
         for it in 0..iterations {
             model.set_temperature(cfg.temperature_at(it));
-            if it > 0 && it.is_multiple_of(cfg.temperature_interval) {
+            if it > 0 && it.is_multiple_of(TEMPERATURE_INTERVAL) {
                 if let Some(keep) = model.prune(PRUNE_BELOW) {
                     let runs = match forget {
                         Forget::AtThePrune => model.noise_runs().runs().to_vec(),
@@ -796,7 +795,7 @@ mod tests {
                     .unzip();
                 assert_eq!(
                     steps,
-                    [0, 4, 8],
+                    [0, TEMPERATURE_INTERVAL, 2 * TEMPERATURE_INTERVAL],
                     "{nets} nets: both steps dropped candidates"
                 );
                 assert!(logits[2] < logits[1] && logits[1] < logits[0]);
@@ -887,7 +886,7 @@ mod tests {
             ..RouteHooks::default()
         };
         // … and cancels once the run is past its first temperature step
-        let past_a_step = cfg.temperature_interval + 2;
+        let past_a_step = TEMPERATURE_INTERVAL + 2;
         let watcher = std::thread::spawn({
             let (cancel, path) = (Arc::clone(&cancel), path.clone());
             move || {

@@ -23,7 +23,7 @@ pub enum EdgeDir {
 /// # Examples
 ///
 /// ```
-/// use dgr_grid::{GcellGrid, EdgeDir, Point};
+/// use dgr_grid::{GcellGrid, Point};
 ///
 /// let grid = GcellGrid::new(4, 3)?;
 /// assert_eq!(grid.num_cells(), 12);
@@ -31,7 +31,7 @@ pub enum EdgeDir {
 /// assert_eq!(grid.num_v_edges(), 8);
 ///
 /// let e = grid.v_edge(2, 1)?;
-/// assert_eq!(grid.edge_dir(e), EdgeDir::Vertical);
+/// assert_eq!(e.index(), grid.num_h_edges() + 1 * 4 + 2);
 /// assert_eq!(grid.edge_endpoints(e).0, Point::new(2, 1));
 /// # Ok::<(), dgr_grid::GridError>(())
 /// ```
@@ -157,20 +157,6 @@ impl GcellGrid {
         Ok(EdgeId::new(
             self.num_h_edges() as u32 + y as u32 * self.width + x as u32,
         ))
-    }
-
-    /// Orientation of an edge id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range for this grid.
-    pub fn edge_dir(&self, e: EdgeId) -> EdgeDir {
-        assert!(e.index() < self.num_edges(), "edge id out of range");
-        if e.index() < self.num_h_edges() {
-            EdgeDir::Horizontal
-        } else {
-            EdgeDir::Vertical
-        }
     }
 
     /// The two endpoint g-cells of an edge, in `(lower, upper)` order.
@@ -378,7 +364,7 @@ mod tests {
             .collect();
         assert_eq!(edges.len(), 3);
         for e in &edges {
-            assert_eq!(g.edge_dir(*e), EdgeDir::Horizontal);
+            assert!(e.index() < g.num_h_edges(), "{e:?} is horizontal");
         }
     }
 

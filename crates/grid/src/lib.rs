@@ -43,7 +43,7 @@ pub use design::{Design, Net};
 pub use geom::{Point, PointIndex, Rect};
 pub use grid::{EdgeDir, GcellGrid};
 pub use ids::{EdgeId, GcellId, NetId};
-pub use maze::{maze_route, MazeConfig};
+pub use maze::MazeConfig;
 pub use metrics::{CongestionReport, OverflowStats};
 
 /// Errors produced by grid construction and indexing.

@@ -96,7 +96,7 @@ use crate::geom::{Point, Rect};
 use crate::grid::{GcellGrid, MAX_SIDE};
 use crate::ids::EdgeId;
 
-/// Search options for [`maze_route`].
+/// Search options for [`MazeScratch::route`].
 #[derive(Debug, Clone, Copy)]
 pub struct MazeConfig {
     /// Restrict the search to this rectangle (default: whole grid).
@@ -296,6 +296,27 @@ impl MazeScratch {
     /// returning the corner polyline (both endpoints included), or `None`
     /// when no path exists inside the search bounds (e.g. all edges are
     /// `f32::INFINITY`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dgr_grid::maze::{MazeConfig, MazeScratch};
+    /// use dgr_grid::{GcellGrid, Point};
+    ///
+    /// let grid = GcellGrid::new(8, 8)?;
+    /// let path = MazeScratch::new()
+    ///     .route(
+    ///         &grid,
+    ///         Point::new(0, 0),
+    ///         Point::new(5, 3),
+    ///         |_| 1.0,
+    ///         &MazeConfig::default(),
+    ///     )
+    ///     .expect("uniform grid is connected");
+    /// assert_eq!(path.first(), Some(&Point::new(0, 0)));
+    /// assert_eq!(path.last(), Some(&Point::new(5, 3)));
+    /// # Ok::<(), dgr_grid::GridError>(())
+    /// ```
     pub fn route<F>(
         &mut self,
         grid: &GcellGrid,
@@ -801,41 +822,6 @@ fn spread_l1(field: &mut [f64], width: usize) {
     }
 }
 
-/// [`MazeScratch::route`] on a fresh scratch, for callers that search
-/// once.
-///
-/// # Examples
-///
-/// ```
-/// use dgr_grid::maze::{maze_route, MazeConfig};
-/// use dgr_grid::{GcellGrid, Point};
-///
-/// let grid = GcellGrid::new(8, 8)?;
-/// let path = maze_route(
-///     &grid,
-///     Point::new(0, 0),
-///     Point::new(5, 3),
-///     |_| 1.0,
-///     &MazeConfig::default(),
-/// )
-/// .expect("uniform grid is connected");
-/// assert_eq!(path.first(), Some(&Point::new(0, 0)));
-/// assert_eq!(path.last(), Some(&Point::new(5, 3)));
-/// # Ok::<(), dgr_grid::GridError>(())
-/// ```
-pub fn maze_route<F>(
-    grid: &GcellGrid,
-    from: Point,
-    to: Point,
-    edge_cost: F,
-    cfg: &MazeConfig,
-) -> Option<Vec<Point>>
-where
-    F: Fn(EdgeId) -> f32,
-{
-    MazeScratch::new().route(grid, from, to, edge_cost, cfg)
-}
-
 /// Collapses a unit-step cell sequence into its corner polyline.
 fn compress_corners(cells: &[Point]) -> Vec<Point> {
     if cells.len() <= 2 {
@@ -892,14 +878,15 @@ mod tests {
     #[test]
     fn uniform_cost_gives_manhattan_length() {
         let g = grid();
-        let path = maze_route(
-            &g,
-            Point::new(1, 1),
-            Point::new(7, 5),
-            |_| 1.0,
-            &MazeConfig::default(),
-        )
-        .unwrap();
+        let path = MazeScratch::new()
+            .route(
+                &g,
+                Point::new(1, 1),
+                Point::new(7, 5),
+                |_| 1.0,
+                &MazeConfig::default(),
+            )
+            .unwrap();
         let len: u32 = path.windows(2).map(|w| w[0].manhattan_distance(w[1])).sum();
         assert_eq!(len, 10);
         // with a turn penalty the path should be an L (one turn)
@@ -919,17 +906,18 @@ mod tests {
                 1.0
             }
         };
-        let path = maze_route(
-            &g,
-            Point::new(0, 0),
-            Point::new(9, 0),
-            cost,
-            &MazeConfig {
-                bounds: None,
-                turn_cost: 0.0,
-            },
-        )
-        .unwrap();
+        let path = MazeScratch::new()
+            .route(
+                &g,
+                Point::new(0, 0),
+                Point::new(9, 0),
+                cost,
+                &MazeConfig {
+                    bounds: None,
+                    turn_cost: 0.0,
+                },
+            )
+            .unwrap();
         let len: u32 = path.windows(2).map(|w| w[0].manhattan_distance(w[1])).sum();
         assert!(len >= 9 + 18, "must detour through y=9, got {len}");
         // verify the polyline is rectilinear and connected
@@ -941,7 +929,7 @@ mod tests {
     #[test]
     fn fully_blocked_is_none() {
         let g = grid();
-        let path = maze_route(
+        let path = MazeScratch::new().route(
             &g,
             Point::new(0, 0),
             Point::new(9, 9),
@@ -954,40 +942,43 @@ mod tests {
     #[test]
     fn trivial_and_degenerate_cases() {
         let g = grid();
-        let p = maze_route(
-            &g,
-            Point::new(3, 3),
-            Point::new(3, 3),
-            |_| 1.0,
-            &MazeConfig::default(),
-        )
-        .unwrap();
+        let p = MazeScratch::new()
+            .route(
+                &g,
+                Point::new(3, 3),
+                Point::new(3, 3),
+                |_| 1.0,
+                &MazeConfig::default(),
+            )
+            .unwrap();
         assert_eq!(p, vec![Point::new(3, 3)]);
-        assert!(maze_route(
-            &g,
-            Point::new(0, 0),
-            Point::new(50, 50),
-            |_| 1.0,
-            &MazeConfig::default()
-        )
-        .is_none());
+        assert!(MazeScratch::new()
+            .route(
+                &g,
+                Point::new(0, 0),
+                Point::new(50, 50),
+                |_| 1.0,
+                &MazeConfig::default()
+            )
+            .is_none());
     }
 
     #[test]
     fn bounds_inflate_to_contain_terminals() {
         let g = grid();
         let tight = Rect::new(Point::new(4, 4), Point::new(5, 5));
-        let path = maze_route(
-            &g,
-            Point::new(2, 2),
-            Point::new(7, 7),
-            |_| 1.0,
-            &MazeConfig {
-                bounds: Some(tight),
-                turn_cost: 0.0,
-            },
-        )
-        .unwrap();
+        let path = MazeScratch::new()
+            .route(
+                &g,
+                Point::new(2, 2),
+                Point::new(7, 7),
+                |_| 1.0,
+                &MazeConfig {
+                    bounds: Some(tight),
+                    turn_cost: 0.0,
+                },
+            )
+            .unwrap();
         assert_eq!(path.first(), Some(&Point::new(2, 2)));
         assert_eq!(path.last(), Some(&Point::new(7, 7)));
     }
@@ -997,28 +988,30 @@ mod tests {
         let g = grid();
         // cheap zig-zag bait: make straight edges slightly pricier
         let cost = |_e: EdgeId| 1.0;
-        let no_penalty = maze_route(
-            &g,
-            Point::new(0, 0),
-            Point::new(5, 5),
-            cost,
-            &MazeConfig {
-                bounds: None,
-                turn_cost: 0.0,
-            },
-        )
-        .unwrap();
-        let with_penalty = maze_route(
-            &g,
-            Point::new(0, 0),
-            Point::new(5, 5),
-            cost,
-            &MazeConfig {
-                bounds: None,
-                turn_cost: 2.0,
-            },
-        )
-        .unwrap();
+        let no_penalty = MazeScratch::new()
+            .route(
+                &g,
+                Point::new(0, 0),
+                Point::new(5, 5),
+                cost,
+                &MazeConfig {
+                    bounds: None,
+                    turn_cost: 0.0,
+                },
+            )
+            .unwrap();
+        let with_penalty = MazeScratch::new()
+            .route(
+                &g,
+                Point::new(0, 0),
+                Point::new(5, 5),
+                cost,
+                &MazeConfig {
+                    bounds: None,
+                    turn_cost: 2.0,
+                },
+            )
+            .unwrap();
         assert!(with_penalty.len() <= no_penalty.len());
         assert_eq!(with_penalty.len(), 3); // an L
     }
@@ -1072,7 +1065,7 @@ mod tests {
                 bounds: None,
                 turn_cost: 1.0,
             };
-            maze_route(&g, ends.0, ends.1, cost, &full)
+            MazeScratch::new().route(&g, ends.0, ends.1, cost, &full)
         };
 
         let mut scratch = MazeScratch::new();

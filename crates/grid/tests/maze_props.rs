@@ -21,7 +21,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use dgr_grid::maze::{maze_route, MazeConfig, MazeScratch};
+use dgr_grid::maze::{MazeConfig, MazeScratch};
 use dgr_grid::{EdgeId, GcellGrid, Point, Rect};
 use proptest::prelude::*;
 
@@ -94,13 +94,13 @@ fn always_escalating(
         bounds: Some(window),
         turn_cost,
     };
-    let windowed = maze_route(grid, from, to, cost, &cfg);
+    let windowed = MazeScratch::new().route(grid, from, to, cost, &cfg);
     let is_clean = |corners: &Vec<Point>| grid.polyline_edges(corners).unwrap().all(clean);
     if windowed.as_ref().is_some_and(is_clean) {
         return windowed;
     }
     cfg.bounds = None;
-    maze_route(grid, from, to, cost, &cfg)
+    MazeScratch::new().route(grid, from, to, cost, &cfg)
 }
 
 /// Cost of a corner polyline: its edges plus one turn per interior corner.
@@ -388,7 +388,7 @@ proptest! {
             turn_cost: quarter_turns as f32 * 0.25,
         };
 
-        let path = maze_route(&grid, from, to, cost, &cfg);
+        let path = MazeScratch::new().route(&grid, from, to, cost, &cfg);
         let optimum = reference_optimum(&grid, from, to, &cost, &cfg);
         prop_assert_eq!(path.is_some(), optimum.is_some(), "reachability differs");
 

@@ -187,7 +187,8 @@ where
 /// the caller measured. Training throughput is the iterations trained, in
 /// every adaptive round, over `phases["train"]`, over the whole run when
 /// that is missing. Two records are comparable (`config_fp`) when label,
-/// design shape and the whole configuration but the seed agree.
+/// design shape and the run key ([`DgrConfig::run_key`]: the whole
+/// configuration but the seed) agree.
 pub fn ledger_record(
     cmd: &str,
     label: &str,
@@ -203,14 +204,13 @@ pub fn ledger_record(
     } / 1e3;
     let report = outcome.solution.train_report.as_ref();
     let iterations = report.map_or(0, |r| r.iterations) as u64;
-    let mut fp_cfg = cfg.clone();
-    fp_cfg.seed = 0;
     let key = format!(
-        "{label}|{}|{}x{}|{}|{fp_cfg:?}",
+        "{label}|{}|{}x{}|{}|{}",
         design.num_nets(),
         design.grid.width(),
         design.grid.height(),
         design.num_layers,
+        cfg.run_key(),
     );
     let m = &outcome.solution.metrics;
     LedgerRecord {

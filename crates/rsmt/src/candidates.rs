@@ -25,6 +25,10 @@ use crate::canon::RsmtCache;
 use crate::tree::{dedup_pins, RoutingTree};
 use crate::RsmtError;
 
+/// Maximum Steiner-point jitter distance per axis of a Steiner-shift
+/// variant, in g-cells.
+pub const SHIFT_RADIUS: i32 = 2;
+
 /// Configuration for [`tree_candidates`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateConfig {
@@ -35,8 +39,6 @@ pub struct CandidateConfig {
     /// Optional clamp rectangle (normally the grid bounds) for shifted
     /// Steiner points.
     pub clamp: Option<Rect>,
-    /// Maximum Steiner-point jitter distance per axis, in g-cells.
-    pub shift_radius: i32,
     /// When `Some(ε)`, a [SALT-style shallow-light
     /// tree](crate::salt::shallow_light_tree) with that bound joins the
     /// pool — the alternative tree source the paper names.
@@ -49,7 +51,6 @@ impl Default for CandidateConfig {
             max_candidates: 3,
             seed: 0xD6_E5_A1,
             clamp: None,
-            shift_radius: 2,
             shallow_light: None,
         }
     }
@@ -171,7 +172,7 @@ fn tree_candidates_impl(
     Ok(pool)
 }
 
-/// Jitters every Steiner point of `tree` by up to `shift_radius` per axis,
+/// Jitters every Steiner point of `tree` by up to [`SHIFT_RADIUS`] per axis,
 /// clamped to `cfg.clamp` and the net bounding box. Returns `None` when
 /// the jitter is a no-op.
 fn shift_variant(
@@ -191,8 +192,8 @@ fn shift_variant(
     let mut nodes = tree.nodes().to_vec();
     let mut changed = false;
     for node in nodes.iter_mut().skip(tree.num_pins()) {
-        let dx = rng.gen_range(-cfg.shift_radius..=cfg.shift_radius);
-        let dy = rng.gen_range(-cfg.shift_radius..=cfg.shift_radius);
+        let dx = rng.gen_range(-SHIFT_RADIUS..=SHIFT_RADIUS);
+        let dy = rng.gen_range(-SHIFT_RADIUS..=SHIFT_RADIUS);
         let shifted = Point::new(
             (node.x + dx).clamp(clamp.lo.x, clamp.hi.x),
             (node.y + dy).clamp(clamp.lo.y, clamp.hi.y),

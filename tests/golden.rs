@@ -197,11 +197,14 @@ fn check_golden(file: &str, text: &str, seed: u64) {
 /// `tests/pipeline.rs`'s 220-net, seed-31 design.
 const ADAPTIVE_SEED: u64 = 2;
 
-/// That design routed with two adaptive rounds of 80 iterations: every
+/// That design routed with two adaptive rounds of
+/// `dgr_core::config::ADAPTIVE_ITERATIONS` each: every
 /// retained curve point's loss bits, the telemetry rows and the routes.
-/// Recorded at the commit *before* the rounds moved into
-/// `dgr_core::Session`, it pins that `expand` draws, warm-starts and
-/// numbers the rounds as the loop it replaced did.
+/// First recorded, with 80-iteration rounds, at the commit *before* the
+/// rounds moved into `dgr_core::Session`, to pin that `expand` draws,
+/// warm-starts and numbers the rounds as the loop it replaced did; then
+/// re-recorded with 200-iteration rounds at the commit before the round
+/// length became a constant.
 #[test]
 fn adaptive_route_matches_its_golden_file() {
     use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
@@ -222,7 +225,6 @@ fn adaptive_route_matches_its_golden_file() {
         iterations: 120,
         seed: ADAPTIVE_SEED,
         adaptive_rounds: 2,
-        adaptive_iterations: 80,
         ..DgrConfig::default()
     };
     let mut hooks = RouteHooks {
@@ -233,7 +235,7 @@ fn adaptive_route_matches_its_golden_file() {
         .route_with_hooks(&design, &mut hooks)
         .expect("routes");
     let report = solution.train_report.as_ref().expect("trained");
-    assert_eq!(report.iterations, 280, "both adaptive rounds ran");
+    assert_eq!(report.iterations, 520, "both adaptive rounds ran");
 
     let mut text = String::new();
     for point in &report.curve {

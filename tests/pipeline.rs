@@ -166,7 +166,6 @@ fn adaptive_expansion_never_hurts_overflow() {
     let base = DgrRouter::new(quick_config(2)).route(&design).unwrap();
     let mut adaptive_cfg = quick_config(2);
     adaptive_cfg.adaptive_rounds = 2;
-    adaptive_cfg.adaptive_iterations = 80;
     let adaptive = DgrRouter::new(adaptive_cfg.clone()).route(&design).unwrap();
     // the report covers every round the run trained, not the last one
     let report = adaptive.train_report.as_ref().unwrap();

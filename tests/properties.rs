@@ -188,7 +188,7 @@ proptest! {
         turn_cost in 0.0f32..3.0,
     ) {
         let grid = GcellGrid::new(20, 20).unwrap();
-        let path = dgr::grid::maze_route(
+        let path = dgr::grid::maze::MazeScratch::new().route(
             &grid, a, b, |_| 1.0,
             &dgr::grid::MazeConfig { bounds: None, turn_cost },
         ).unwrap();

@@ -4,6 +4,12 @@
 /// cost (Eq. 6/9). The paper evaluates exactly this set and finds sigmoid
 /// best; ReLU is used for the ILP comparison because ILP can only model
 /// piecewise-linear objectives.
+///
+/// Where the derivative has a kink, [`Activation::eval_grad`] takes one
+/// side: ReLU and LeakyReLU the left slope at 0 (0 and 0.01), CELU the
+/// right (`x ≥ 0` gives 1), and Exp keeps the slope e²⁰ above its clamp,
+/// although the clamped value is flat there. The oracle's f64 reverse
+/// pass takes the same sides; no oracle case reaches `x ≥ 20`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// `max(0, x)` — the exact overflow mass; zero gradient below capacity.

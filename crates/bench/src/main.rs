@@ -449,8 +449,10 @@ mod tests {
     }
 
     /// Each setting the run key carries moves the ledger's `config_fp` on
-    /// its own, and the seed moves nothing: a field the key leaves out
-    /// would pair runs that differ.
+    /// its own, and the seed and the candidate clamp — which the session
+    /// overwrites with the grid's bounds — move nothing: a field the key
+    /// leaves out would pair runs that differ, one it keeps would part
+    /// runs that route alike.
     #[test]
     fn every_setting_but_the_seed_moves_the_config_fp() {
         use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
@@ -472,7 +474,7 @@ mod tests {
         };
 
         type Change = fn(&mut DgrConfig);
-        let changes: [(&str, Change); 19] = [
+        let changes: [(&str, Change); 18] = [
             ("weights.wirelength", |c| c.weights.wirelength = 1.0),
             ("weights.via", |c| c.weights.via = 2.0),
             ("weights.overflow", |c| c.weights.overflow = 1.0),
@@ -488,9 +490,6 @@ mod tests {
                 c.candidates.max_candidates = 5
             }),
             ("candidates.seed", |c| c.candidates.seed = 1),
-            ("candidates.clamp", |c| {
-                c.candidates.clamp = Some(dgr_grid::Rect::new(Point::new(0, 0), Point::new(5, 5)))
-            }),
             ("candidates.shallow_light", |c| {
                 c.candidates.shallow_light = Some(0.5)
             }),
@@ -505,6 +504,9 @@ mod tests {
             change(&mut changed);
             assert_ne!(fp(&changed), base, "{field} leaves config_fp unchanged");
         }
+        let mut clamped = cfg.clone();
+        clamped.candidates.clamp = Some(dgr_grid::Rect::new(Point::new(0, 0), Point::new(5, 5)));
+        assert_eq!(fp(&clamped), base, "the candidate clamp moves config_fp");
         let reseeded = DgrConfig { seed: 9, ..cfg };
         assert_eq!(fp(&reseeded), base, "the seed moves config_fp");
     }

@@ -191,7 +191,9 @@ impl DgrConfig {
     /// [`TOP_P`]) were still fields, each written here from its constant:
     /// fingerprints of older ledger records stay comparable. Every struct
     /// is destructured whole, so a new field does not compile until it is
-    /// written into the key.
+    /// written into the key. The candidate clamp is written as `None`
+    /// whatever it holds: the session replaces it with the grid's bounds,
+    /// so it never changes a route.
     pub fn run_key(&self) -> String {
         let DgrConfig {
             weights,
@@ -217,7 +219,7 @@ impl DgrConfig {
         let CandidateConfig {
             max_candidates,
             seed,
-            clamp,
+            clamp: _,
             shallow_light,
         } = candidates;
         let PatternConfig { z_stride, c_detour } = patterns;
@@ -232,7 +234,7 @@ impl DgrConfig {
              temperature_interval: {TEMPERATURE_INTERVAL}, activation: {activation:?}, \
              overflow_scale: {overflow_scale:?}, gumbel_noise: {gumbel_noise}, \
              extraction: {extraction}, seed: 0, candidates: CandidateConfig {{ \
-             max_candidates: {max_candidates}, seed: {seed}, clamp: {clamp:?}, \
+             max_candidates: {max_candidates}, seed: {seed}, clamp: None, \
              shift_radius: {SHIFT_RADIUS}, shallow_light: {shallow_light:?} }}, \
              patterns: PatternConfig {{ z_stride: {z_stride:?}, c_detour: {c_detour:?} }}, \
              extraction_rounds: {extraction_rounds}, adaptive_rounds: {adaptive_rounds}, \

@@ -111,9 +111,10 @@ fn check_rsmt(spec: &CaseSpec) -> Result<(), Mismatch> {
 /// real counts far below this; the cap is a safety net).
 const MAX_SELECTIONS: usize = 600;
 
-fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
-    let mut rng = case_rng(spec);
-    let design = gen_design(spec, &mut rng);
+/// The forest both kernel checks build over a case's design: two tree
+/// candidates per net, clamped to the grid, under `patterns`. Draws
+/// nothing from the case's RNG.
+pub(crate) fn case_forest(spec: &CaseSpec, design: &Design, patterns: PatternConfig) -> DagForest {
     let cand = CandidateConfig {
         max_candidates: 2,
         clamp: Some(design.grid.bounds()),
@@ -125,12 +126,18 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
         .iter()
         .map(|n| tree_candidates(&n.pins, &cand).expect("non-empty pins"))
         .collect();
+    build_forest(&design.grid, &pools, patterns).expect("candidates clamped to grid")
+}
+
+fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
+    let mut rng = case_rng(spec);
+    let design = gen_design(spec, &mut rng);
     let patterns = if rng.gen_range(0..2) == 0 {
         PatternConfig::l_only()
     } else {
         PatternConfig::with_z(2)
     };
-    let forest = build_forest(&design.grid, &pools, patterns).expect("candidates clamped to grid");
+    let forest = case_forest(spec, &design, patterns);
     let cfg = DgrConfig {
         initial_temperature: 1.0,
         activation: Activation::ALL[rng.gen_range(0..Activation::ALL.len())],
@@ -149,7 +156,7 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
 
         // pure-f64 sanity: relaxed cost at one-hot logits IS the
         // discrete cost (softmax underflow makes the mass exactly 0/1)
-        let relaxed = reference.eval(&w_tree, &w_path, &zeros_t, &zeros_p, 1.0);
+        let (relaxed, _) = reference.eval(&w_tree, &w_path, &zeros_t, &zeros_p, 1.0);
         if !close(relaxed.loss, discrete.loss, tol::ONE_HOT_F64) {
             return Err(fail(
                 spec,
@@ -193,34 +200,13 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
     Ok(())
 }
 
-// --- check 3: kernel gradients vs. f64 fourth-order differences ------------
-
-/// Where `activation` is not differentiable, as a value of its input.
-fn kink(activation: Activation) -> Option<f64> {
-    match activation {
-        Activation::Relu | Activation::LeakyRelu => Some(0.0),
-        Activation::Exp => Some(20.0), // the clamp
-        Activation::Sigmoid | Activation::Celu => None,
-    }
-}
+// --- check 3: kernel gradients vs. the f64 reverse pass -------------------
 
 #[allow(clippy::disallowed_methods)] // the pruned kernel's gradient check
 fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     let mut rng = case_rng(spec);
     let design = gen_design(spec, &mut rng);
-    let cand = CandidateConfig {
-        max_candidates: 2,
-        clamp: Some(design.grid.bounds()),
-        seed: spec.seed,
-        ..CandidateConfig::default()
-    };
-    let pools: Vec<_> = design
-        .nets
-        .iter()
-        .map(|n| tree_candidates(&n.pins, &cand).expect("non-empty pins"))
-        .collect();
-    let forest = build_forest(&design.grid, &pools, PatternConfig::with_z(2))
-        .expect("candidates clamped to grid");
+    let forest = case_forest(spec, &design, PatternConfig::with_z(2));
     let cfg = DgrConfig {
         activation: Activation::ALL[rng.gen_range(0..Activation::ALL.len())],
         overflow_scale: 2.0,
@@ -231,111 +217,52 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
     if rng.gen_range(0..2) == 0 {
         model.sample_noise(&mut rng);
     }
-    compare_gradients(spec, &design, &forest, &cfg, &mut model, &mut rng)?;
+    let reference = RefModel::new(&design, &forest, &cfg);
+    compare_gradients(spec, &reference, &mut model)?;
 
     // and on the kernel a temperature step leaves behind, at a threshold
     // these logits (|w| < ½, τ ≥ ½) reach: the reference, whose forest is
     // whole, sees the dropped candidates at −∞
     if model.prune(0.3).is_some() {
         model.restore_layout();
-        compare_gradients(spec, &design, &forest, &cfg, &mut model, &mut rng)?;
+        compare_gradients(spec, &reference, &mut model)?;
     }
     Ok(())
 }
 
 /// The loss of `model` against the f64 reference, and its gradient
-/// against fourth-order differences of the reference.
+/// against the reference's reverse pass, on every coordinate.
 fn compare_gradients(
     spec: &CaseSpec,
-    design: &Design,
-    forest: &DagForest,
-    cfg: &DgrConfig,
+    reference: &RefModel,
     model: &mut CostModel,
-    rng: &mut StdRng,
 ) -> Result<(), Mismatch> {
-    let w_tree = model.tree_logits().to_vec();
-    let w_path = model.path_logits().to_vec();
-    let noise_tree = model.tree_noise().to_vec();
-    let noise_path = model.path_noise().to_vec();
-    let tau = model.temperature();
-    let reference = RefModel::new(design, forest, cfg);
-    let eval = |wt: &[f32], wp: &[f32]| reference.eval(wt, wp, &noise_tree, &noise_path, tau);
-
-    // forward consistency first: a wrong forward makes FD meaningless
+    let (cost, grad) = reference.eval(
+        model.tree_logits(),
+        model.path_logits(),
+        model.tree_noise(),
+        model.path_noise(),
+        model.temperature(),
+    );
     let (kernel_loss, ..) = model.evaluate();
-    let ref_loss = eval(&w_tree, &w_path).loss;
-    if !close(kernel_loss as f64, ref_loss, tol::COST_REL) {
+    if !close(kernel_loss as f64, cost.loss, tol::COST_REL) {
         return Err(fail(
             spec,
-            format!("kernel loss {kernel_loss} ≠ f64 reference {ref_loss}"),
+            format!("kernel loss {kernel_loss} ≠ f64 reference {}", cost.loss),
         ));
     }
 
-    // f64 differences on a deterministic coordinate sample, to fourth
-    // order: (4·D(h) − D(2h)) / 3 cancels the h² term of the central
-    // difference D(s) = (f(w + s) − f(w − s)) / 2s. Each D divides by the
-    // span the f32 logit actually moved, or by the nominal 2s where the
-    // logit is −∞ and cannot move. A coordinate whose ±2h step carries an
-    // edge across the activation's kink has no derivative to compare with
-    // (every demand is monotone in every logit, so looking at the two
-    // outer ends is enough): `None`. An edge that sits on the kink at both
-    // ends does not move and does not count.
-    let h = tol::FD_STEP;
-    let cap = design.capacity.as_slice();
-    let fd_at = |buf: &[f32], is_tree: bool, j: usize| -> Option<f64> {
-        let eval_at = |w: f32| {
-            let mut moved = buf.to_vec();
-            moved[j] = w;
-            match is_tree {
-                true => eval(&moved, &w_path),
-                false => eval(&w_tree, &moved),
-            }
-        };
-        let central = |step: f32| {
-            let (w_up, w_down) = (buf[j] + step, buf[j] - step);
-            let span = match buf[j].is_finite() {
-                true => w_up as f64 - w_down as f64,
-                false => 2.0 * step as f64,
-            };
-            let (up, down) = (eval_at(w_up), eval_at(w_down));
-            ((up.loss - down.loss) / span, up, down)
-        };
-        let (inner, ..) = central(h);
-        let (outer, up, down) = central(2.0 * h);
-        if let Some(k) = kink(cfg.activation) {
-            let side = |d: f64, e: usize| (d - cap[e] as f64) / cfg.overflow_scale as f64 - k;
-            let crosses =
-                (0..cap.len()).any(|e| side(up.demand[e], e) * side(down.demand[e], e) < 0.0);
-            if crosses {
-                return None;
-            }
-        }
-        Some((4.0 * inner - outer) / 3.0)
-    };
-    let sample = |len: usize, rng: &mut StdRng| -> Vec<usize> {
-        if len <= tol::FD_COORDS {
-            (0..len).collect()
-        } else {
-            (0..tol::FD_COORDS).map(|_| rng.gen_range(0..len)).collect()
-        }
-    };
-    let tree_coords = sample(w_tree.len(), rng);
-    let path_coords = sample(w_path.len(), rng);
-
     model.backward();
-    for (name, coords, logits, grads, is_tree) in [
-        ("w_tree", &tree_coords, &w_tree, model.tree_grad(), true),
-        ("w_path", &path_coords, &w_path, model.path_grad(), false),
+    for (name, got, want) in [
+        ("w_tree", model.tree_grad(), &grad.tree),
+        ("w_path", model.path_grad(), &grad.path),
     ] {
-        for &j in coords {
-            let Some(want) = fd_at(logits, is_tree, j) else {
-                continue;
-            };
-            let got = grads[j] as f64;
-            if !close(got, want, tol::GRAD_REL) {
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (j, (&got, &want)) in got.iter().zip(want).enumerate() {
+            if !close(got as f64, want, tol::GRAD_REL) {
                 return Err(fail(
                     spec,
-                    format!("kernel ∂loss/∂{name}[{j}] {got} ≠ f64 difference {want}"),
+                    format!("kernel ∂loss/∂{name}[{j}] {got} ≠ f64 reverse pass {want}"),
                 ));
             }
         }

@@ -78,7 +78,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> FuzzReport 
     let mut report = FuzzReport::default();
     for check in CheckKind::ALL {
         let start = std::time::Instant::now();
-        let mut failures_before = report.failures.len();
+        let failures_before = report.failures.len();
         for i in 0..cfg.cases {
             let spec = CaseSpec::sample(check, case_seed(cfg.seed, check, i));
             if let Err(first) = run_case(&spec) {
@@ -98,8 +98,6 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> FuzzReport 
         }
         report.cases_per_check.push((check, cfg.cases));
         let new = report.failures.len() - failures_before;
-        failures_before = report.failures.len();
-        let _ = failures_before;
         progress(&format!(
             "{:>13}: {} cases, {} mismatches ({:.2}s)",
             check.name(),

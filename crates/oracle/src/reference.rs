@@ -36,23 +36,40 @@ pub struct RefCost {
     pub demand: Vec<f64>,
 }
 
-/// Evaluates `activation` in f64, mirroring the f32 formulas in
-/// `dgr_autodiff::activation` (including the exp clamp and the CELU /
-/// leaky-ReLU constants).
-pub fn activation_f64(a: Activation, x: f64) -> f64 {
+/// Evaluates `activation` and its slope in f64, mirroring the f32
+/// formulas of `Activation::eval_grad` (the exp clamp, the CELU and
+/// leaky-ReLU constants) and the side each kink takes its slope from:
+/// the left at ReLU's and LeakyReLU's 0, the right at CELU's, and e²⁰
+/// above the exp clamp.
+pub fn activation_f64(a: Activation, x: f64) -> (f64, f64) {
     match a {
-        Activation::Relu => x.max(0.0),
-        Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        Activation::LeakyRelu => {
-            if x > 0.0 {
-                x
-            } else {
-                0.01 * x
-            }
+        Activation::Relu if x > 0.0 => (x, 1.0),
+        Activation::Relu => (0.0, 0.0),
+        Activation::Sigmoid => {
+            let s = 1.0 / (1.0 + (-x).exp());
+            (s, s * (1.0 - s))
         }
-        Activation::Exp => x.min(20.0).exp(),
-        Activation::Celu => x.max(0.0) + ((x.min(0.0)).exp() - 1.0).min(0.0),
+        Activation::LeakyRelu if x > 0.0 => (x, 1.0),
+        Activation::LeakyRelu => (0.01 * x, 0.01),
+        Activation::Exp => {
+            let e = x.min(20.0).exp();
+            (e, e)
+        }
+        Activation::Celu if x >= 0.0 => (x, 1.0),
+        Activation::Celu => {
+            let e = x.exp();
+            (e - 1.0, e)
+        }
     }
+}
+
+/// `∂loss/∂w` of one [`RefModel::eval`], in f64.
+#[derive(Debug, Clone)]
+pub struct RefGrad {
+    /// One entry per tree logit.
+    pub tree: Vec<f64>,
+    /// One entry per path logit.
+    pub path: Vec<f64>,
 }
 
 /// The frozen per-design data an f64 evaluation needs.
@@ -98,7 +115,9 @@ impl<'a> RefModel<'a> {
 
     /// Full f64 forward pass over the same leaves the kernel reads:
     /// `z = (w + noise)/τ`, per-group softmax, `qp = p·q`, expected
-    /// wirelength/vias/demand, activated overflow, weighted loss.
+    /// wirelength/vias/demand, activated overflow, weighted loss. Then the
+    /// same chain backwards, stage by stage: demand, ½β via pressure,
+    /// `∂loss/∂qp` per path, the path softmax, the tree softmax.
     pub fn eval(
         &self,
         w_tree: &[f32],
@@ -106,7 +125,7 @@ impl<'a> RefModel<'a> {
         noise_tree: &[f32],
         noise_path: &[f32],
         temperature: f32,
-    ) -> RefCost {
+    ) -> (RefCost, RefGrad) {
         let forest = self.forest;
         let tau = temperature as f64;
 
@@ -129,7 +148,8 @@ impl<'a> RefModel<'a> {
             wl += m * forest.path_wirelength(i) as f64;
             turns += m * forest.path_turn_count(i) as f64;
         }
-        let via = turns * (self.design.num_layers as f64).sqrt();
+        let sqrt_layers = (self.design.num_layers as f64).sqrt();
+        let via = turns * sqrt_layers;
 
         let grid = &self.design.grid;
         let mut wire = vec![0.0f64; grid.num_edges()];
@@ -142,7 +162,45 @@ impl<'a> RefModel<'a> {
                 vp[c as usize] += m;
             }
         }
-        self.finish(wl, via, wire, vp)
+        let cost = self.finish(wl, via, wire, vp);
+
+        // backwards: ∂loss/∂demand per edge and its ½β share of each end
+        // cell's via pressure, then ∂loss/∂qp per path, split between its
+        // p (times q) and its tree's q (times p)
+        let (a1, a2, a3) = self.weights;
+        let cap = self.design.capacity.as_slice();
+        let mut g_demand = vec![0.0f64; grid.num_edges()];
+        let mut g_vp = vec![0.0f64; grid.num_cells()];
+        for (e, &d) in cost.demand.iter().enumerate() {
+            let slack = (d - cap[e] as f64) / self.overflow_scale;
+            let g = a3 * activation_f64(self.activation, slack).1 / self.overflow_scale;
+            g_demand[e] = g;
+            let (ia, ib, ba, bb) = self.edge_ends[e];
+            g_vp[ia] += 0.5 * ba * g;
+            g_vp[ib] += 0.5 * bb * g;
+        }
+        let mut g_p = vec![0.0f64; num_paths];
+        let mut g_q = vec![0.0f64; forest.num_trees()];
+        for i in 0..num_paths {
+            let mut g_qp = a1 * forest.path_wirelength(i) as f64
+                + a2 * sqrt_layers * forest.path_turn_count(i) as f64;
+            for &e in forest.path_edges(i) {
+                g_qp += g_demand[e as usize];
+            }
+            for &c in forest.path_vias(i) {
+                g_qp += g_vp[c as usize];
+            }
+            let t = forest.tree_of_path(i);
+            g_p[i] = g_qp * q[t];
+            g_q[t] += g_qp * p[i];
+        }
+        let grad = RefGrad {
+            tree: softmax_backward(&q, &g_q, tau, forest.num_nets(), |n| forest.trees_of_net(n)),
+            path: softmax_backward(&p, &g_p, tau, forest.num_subnets(), |s| {
+                forest.paths_of_subnet(s)
+            }),
+        };
+        (cost, grad)
     }
 
     /// Discrete replay of a selection: walks each chosen path's corners
@@ -185,7 +243,7 @@ impl<'a> RefModel<'a> {
             let (ia, ib, ba, bb) = self.edge_ends[e];
             *d += 0.5 * ba * vp[ia] + 0.5 * bb * vp[ib];
             let slack = (*d - cap[e] as f64) / self.overflow_scale;
-            overflow += activation_f64(self.activation, slack);
+            overflow += activation_f64(self.activation, slack).0;
         }
         let (a1, a2, a3) = self.weights;
         RefCost {
@@ -218,6 +276,26 @@ fn softmax_groups(
         let sum: f64 = exps.iter().sum();
         for (i, e) in r.zip(exps) {
             out[i] = e / sum;
+        }
+    }
+    out
+}
+
+/// `∂loss/∂w` from `∂loss/∂prob` through [`softmax_groups`]:
+/// `prob_i · (g_i − Σ_k prob_k·g_k) / τ` per group.
+fn softmax_backward(
+    prob: &[f64],
+    g: &[f64],
+    tau: f64,
+    groups: usize,
+    range_of: impl Fn(usize) -> std::ops::Range<usize>,
+) -> Vec<f64> {
+    let mut out = vec![0.0f64; prob.len()];
+    for group in 0..groups {
+        let r = range_of(group);
+        let mean: f64 = r.clone().map(|i| prob[i] * g[i]).sum();
+        for i in r {
+            out[i] = prob[i] * (g[i] - mean) / tau;
         }
     }
     out
@@ -332,4 +410,106 @@ pub fn one_hot_logits(forest: &DagForest, sel: &Selection) -> (Vec<f32>, Vec<f32
         w_path[p] = ONE_HOT;
     }
     (w_tree, w_path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checks::case_forest;
+    use crate::{case_rng, case_seed, gen_design, CaseSpec, CheckKind};
+    use dgr_dag::PatternConfig;
+    use rand::Rng;
+
+    /// The step of the test's central differences. The logits sit on a
+    /// lattice of it in [−1, 1), so `w ± H` is exact in f32.
+    const H: f32 = 1.0 / 16384.0;
+
+    /// `eval`'s gradient against central differences of `eval`'s own
+    /// loss, on every coordinate — the stencil the grad check used to
+    /// read, kept where the function is smooth: sigmoid everywhere, CELU
+    /// on cases whose every edge sits clear of the jump of its second
+    /// derivative at 0, which a step across would mistake for an error.
+    #[test]
+    fn reverse_pass_matches_central_differences() {
+        let mut checked = 0;
+        for i in 0..40 {
+            let spec =
+                CaseSpec::sample(CheckKind::GradCheck, case_seed(7, CheckKind::GradCheck, i));
+            let mut rng = case_rng(&spec);
+            let design = gen_design(&spec, &mut rng);
+            let forest = case_forest(&spec, &design, PatternConfig::with_z(2));
+            let cfg = DgrConfig {
+                activation: [Activation::Sigmoid, Activation::Celu][i as usize % 2],
+                overflow_scale: 2.0,
+                ..DgrConfig::default()
+            };
+            let reference = RefModel::new(&design, &forest, &cfg);
+            let tau = [0.5f32, 1.0, 2.0][i as usize % 3];
+            let mut lattice = |n: usize| -> Vec<f32> {
+                (0..n)
+                    .map(|_| rng.gen_range(-16384..16384) as f32 * H)
+                    .collect()
+            };
+            let (w_tree, w_path) = (lattice(forest.num_trees()), lattice(forest.num_paths()));
+            let (noise_tree, noise_path) =
+                (lattice(forest.num_trees()), lattice(forest.num_paths()));
+            let eval =
+                |wt: &[f32], wp: &[f32]| reference.eval(wt, wp, &noise_tree, &noise_path, tau);
+
+            let (cost, grad) = eval(&w_tree, &w_path);
+            let cap = design.capacity.as_slice();
+            let near_zero = cost
+                .demand
+                .iter()
+                .zip(cap)
+                .any(|(&d, &c)| (d - c as f64).abs() < 1e-3);
+            if cfg.activation == Activation::Celu && near_zero {
+                continue;
+            }
+            checked += 1;
+            for (name, got, is_tree) in
+                [("w_tree", &grad.tree, true), ("w_path", &grad.path, false)]
+            {
+                for (j, &got) in got.iter().enumerate() {
+                    let loss_at = |step: f32| {
+                        let (mut wt, mut wp) = (w_tree.clone(), w_path.clone());
+                        let w = if is_tree { &mut wt[j] } else { &mut wp[j] };
+                        *w += step;
+                        eval(&wt, &wp).0.loss
+                    };
+                    let want = (loss_at(H) - loss_at(-H)) / (2.0 * H as f64);
+                    assert!(
+                        (got - want).abs() <= 1e-6 * got.abs().max(want.abs()).max(1.0),
+                        "case {i} ({}, τ = {tau}): ∂loss/∂{name}[{j}] {got} ≠ difference {want}",
+                        cfg.activation
+                    );
+                }
+            }
+        }
+        assert!(
+            checked >= 30,
+            "only {checked} of 40 cases clear of CELU's 0"
+        );
+    }
+
+    /// Each kink takes its slope from the side the kernel takes it:
+    /// value and slope equal `Activation::eval_grad`'s at 0 (ReLU's and
+    /// LeakyReLU's left slope, CELU's right), at the exp clamp and above
+    /// it, for every activation.
+    #[test]
+    fn kink_slopes_follow_the_kernel() {
+        for a in Activation::ALL {
+            for x in [0.0f32, 20.0, 25.0] {
+                let (value, slope) = activation_f64(a, x as f64);
+                let (kernel_value, kernel_slope) = a.eval_grad(x);
+                for (got, want) in [(value, kernel_value), (slope, kernel_slope)] {
+                    let want = want as f64;
+                    assert!(
+                        (got - want).abs() <= 1e-6 * got.abs().max(1.0),
+                        "{a} at {x}: {got} ≠ kernel {want}"
+                    );
+                }
+            }
+        }
+    }
 }

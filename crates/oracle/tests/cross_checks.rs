@@ -34,7 +34,7 @@ fn relaxed_cost_agrees_with_discrete_replay() {
 }
 
 #[test]
-fn kernel_gradients_agree_with_central_differences() {
+fn kernel_gradients_agree_with_the_reverse_pass() {
     run_check(CheckKind::GradCheck);
 }
 

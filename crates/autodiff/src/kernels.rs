@@ -14,7 +14,7 @@
 //!
 //! The sequential loops the reductions replaced are the references the
 //! tests check against, up to ULP-scale error: `dot_scalar` in this
-//! module's tests, the softmax in `tests/kernel_parity.rs`. ([`max`] is
+//! module's tests, the softmax in `tests/kernel_parity.rs`. (`max` is
 //! associative and bit-identical to its sequential fold for finite
 //! inputs.)
 

@@ -10,23 +10,22 @@
 //!   (the paper's CVXPY ILP reference, Table 1), with a wall-clock limit
 //!   and an admissible convexity-based lower bound,
 //! * [`sequential`] — a **CUGR2-style sequential pattern router**: greedy
-//!   net-by-net L-shape selection under a logistic congestion cost,
-//!   followed by rip-up-and-reroute rounds with maze fallback (Table 2,
-//!   Fig. 5a),
+//!   net-by-net pattern selection under CUGR2's logistic congestion cost,
+//!   followed by pattern-only rip-up-and-reroute rounds (Table 2, Fig. 5a);
+//!   its maze stage is the shared refine that finishes DGR too,
 //! * [`sproute`] — an **SPRoute 2.0-style soft-capacity maze router**
 //!   (Table 3),
 //! * [`lagrangian`] — a **Lagrangian-relaxation pathfinding router** in
-//!   the spirit of Yao et al. DAC'23 (Table 3),
-//! * [`cost`] — CUGR2's logistic congestion cost.
+//!   the spirit of Yao et al. DAC'23 (Table 3).
 //!
-//! The maze engine ([`dgr_grid::maze`]) and the demand ledger
-//! ([`dgr_grid::DemandMap`]) they search and commit with are the product's.
+//! The maze engine ([`dgr_grid::maze`]) the last two search with and the
+//! demand ledger ([`dgr_grid::DemandMap`]) all of them commit to are the
+//! product's.
 //!
 //! All routers consume a [`dgr_grid::Design`] and produce a
 //! [`dgr_core::RoutingSolution`], so every metric in the experiment
 //! harness is computed by exactly the same code for DGR and baselines.
 
-pub mod cost;
 pub mod ilp;
 pub mod lagrangian;
 pub mod sequential;

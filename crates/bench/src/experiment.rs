@@ -250,6 +250,18 @@ pub fn overflow_edges(o: &Outcome) -> f64 {
     o.solution.metrics.overflow.overflowed_edges as f64
 }
 
+/// Overflowed g-cell edges as the router returned them, before the
+/// shared maze refine ([`Outcome::routed`]).
+pub fn routed_edges(o: &Outcome) -> f64 {
+    o.routed.overflow.overflowed_edges as f64
+}
+
+/// Total overflow as the router returned it, before the shared maze
+/// refine ([`Outcome::routed`]).
+pub fn routed_overflow(o: &Outcome) -> f64 {
+    o.routed.overflow.total_overflow
+}
+
 /// Total wirelength (edge units).
 pub fn wirelength(o: &Outcome) -> f64 {
     o.solution.metrics.total_wirelength as f64

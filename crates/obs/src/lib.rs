@@ -7,7 +7,7 @@
 //! executor behaviour) are what the paper's quality/runtime story hinges
 //! on, so every layer of the pipeline reports into this crate:
 //!
-//! * [`span`] / [`SpanGuard`] — hierarchical wall-clock span timers with a
+//! * [`span()`] / [`SpanGuard`] — hierarchical wall-clock span timers with a
 //!   thread-safe global registry, Chrome-trace-event JSON export
 //!   (loadable in `chrome://tracing` or Perfetto) and its fold into
 //!   collapsed stacks of self time ([`folded_profile`], `--profile`),

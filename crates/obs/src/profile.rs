@@ -1,7 +1,7 @@
 //! What a run cost: where its time went, as collapsed stacks folded from
 //! the span log, and how much memory it held, from `/proc/self/status`.
 //!
-//! [`FoldedProfile::fold`] rebuilds, track by track, the stack of spans
+//! `FoldedProfile::fold` rebuilds, track by track, the stack of spans
 //! open around every logged span — from each event's `depth` and time
 //! containment — and charges the span's *self* time (its duration less
 //! that of its logged children) to the `track;frame;frame` key of its

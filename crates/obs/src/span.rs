@@ -240,7 +240,7 @@ pub fn reset_spans() {
 }
 
 /// The fold of the event log ([`log_span_events`]): self time per stack
-/// of span names, per track ([`FoldedProfile::fold`]).
+/// of span names, per track (`FoldedProfile::fold`).
 pub fn folded_profile() -> FoldedProfile {
     FoldedProfile::fold(log().events.as_deref().unwrap_or_default())
 }

@@ -41,7 +41,7 @@
 //!
 //! Everything a net's assignment needs besides its result — the node
 //! table, the segment list and its CSR adjacency, the edge list, the price
-//! table, the DP's tables and stacks — lives in one [`Workspace`] that
+//! table, the DP's tables and stacks — lives in one `Workspace` that
 //! [`assign_layers`] owns for the whole pass and every net overwrites, so
 //! a net allocates only the [`Net3d::segments`] it returns. The oracle's
 //! hooks, [`assign_net_dp`] and [`NetTopology::of_route`], run the same

@@ -8,6 +8,7 @@ use dgr::baseline::{IlpSolver, LagrangianRouter, SequentialRouter, SprouteRouter
 use dgr::core::{DgrConfig, DgrRouter, RoutingSolution};
 use dgr::grid::{Design, Point, Rect};
 use dgr::io::{table1_design, IspdLikeConfig, IspdLikeGenerator, Table1Params};
+use dgr::post::pipeline;
 
 fn shared_design(seed: u64) -> Design {
     design_with_tracks(seed, IspdLikeConfig::default().base_capacity)
@@ -25,6 +26,46 @@ fn design_with_tracks(seed: u64, base_capacity: f32) -> Design {
     })
     .generate()
     .expect("valid config")
+}
+
+/// A one-net design on a `side`² grid of `tracks` whose net from `a` to
+/// `b` must cross `wall`, a band of zero capacity open at one end: no
+/// pattern path of the net gets around it.
+fn walled_design(side: u32, tracks: f32, wall: Rect, a: Point, b: Point) -> Design {
+    let grid = dgr::grid::GcellGrid::new(side, side).unwrap();
+    let mut builder = dgr::grid::CapacityBuilder::uniform(&grid, tracks);
+    builder.scale_region(&grid, wall, 0.0);
+    let cap = builder.build(&grid).unwrap();
+    let net = dgr::grid::Net::new("crossing", vec![a, b]);
+    Design::new(grid, cap, vec![net], 5).unwrap()
+}
+
+/// The two walls: rows 0–6 of a 12² grid, rows 0–12 of a 16² one.
+fn walls() -> [Design; 2] {
+    [
+        walled_design(
+            12,
+            2.0,
+            Rect::new(Point::new(4, 0), Point::new(6, 6)),
+            Point::new(1, 1),
+            Point::new(10, 1),
+        ),
+        walled_design(
+            16,
+            3.0,
+            Rect::new(Point::new(6, 0), Point::new(8, 12)),
+            Point::new(1, 3),
+            Point::new(14, 3),
+        ),
+    ]
+}
+
+/// The sequential router's solution as `pipeline::run_with` finishes it:
+/// routed, then refined by the maze pass DGR gets too.
+fn sequential_finished(design: &Design) -> RoutingSolution {
+    let route = |d: &Design| Ok(SequentialRouter.route(d)?);
+    let outcome = pipeline::run_with::<Box<dyn std::error::Error>, _>(design, false, route);
+    outcome.unwrap().solution
 }
 
 fn assert_valid(design: &Design, solution: &RoutingSolution, router: &str) {
@@ -194,23 +235,11 @@ fn dgr_matches_ilp_on_a_separable_instance() {
 
 #[test]
 fn congestion_hotspot_is_respected_by_all_routers() {
-    // a blocked band forces every router around it
-    let grid = dgr::grid::GcellGrid::new(16, 16).unwrap();
-    let mut b = dgr::grid::CapacityBuilder::uniform(&grid, 3.0);
-    b.scale_region(&grid, Rect::new(Point::new(6, 0), Point::new(8, 12)), 0.0);
-    let cap = b.build(&grid).unwrap();
-    let design = Design::new(
-        grid,
-        cap,
-        vec![dgr::grid::Net::new(
-            "crossing",
-            vec![Point::new(1, 3), Point::new(14, 3)],
-        )],
-        5,
-    )
-    .unwrap();
+    // a blocked band forces every router around it; the sequential
+    // router's detour is the shared refine's
+    let [_, design] = walls();
     for (name, sol) in [
-        ("sequential", SequentialRouter.route(&design).unwrap()),
+        ("sequential", sequential_finished(&design)),
         ("sproute", SprouteRouter.route(&design).unwrap()),
         ("lagrangian", LagrangianRouter.route(&design).unwrap()),
     ] {
@@ -223,6 +252,55 @@ fn congestion_hotspot_is_respected_by_all_routers() {
             "{name} did not detour: wl {}",
             sol.metrics.total_wirelength
         );
+    }
+}
+
+/// A wall no pattern path gets around deadlocks the sequential router's
+/// pattern stage; the refine `pipeline::run_with` finishes it with
+/// detours.
+#[test]
+fn the_shared_refine_escapes_the_sequential_routers_pattern_deadlock() {
+    let [design, _] = walls();
+    let routed = SequentialRouter.route(&design).unwrap();
+    assert!(routed.metrics.overflow.overflowed_edges > 0);
+    let sol = sequential_finished(&design);
+    // the wall leaves rows 7-11 open: the route must detour
+    assert_eq!(sol.metrics.overflow.overflowed_edges, 0);
+    assert!(sol.metrics.total_wirelength > 9);
+}
+
+/// The sequential router is CUGR2's pattern stage and nothing more: each
+/// of its paths is a pattern path of its sub-net — monotone, inside the
+/// sub-net's bounding box, at most two turns — on a design where it rips
+/// up and on both walls, where only a detour avoids overflow.
+#[test]
+fn the_sequential_router_routes_pattern_paths_only() {
+    let [wall, band] = walls();
+    for (name, design) in [
+        ("tracks 2.5", design_with_tracks(34, 2.5)),
+        ("wall", wall),
+        ("band", band),
+    ] {
+        let sol = SequentialRouter.route(&design).unwrap();
+        for path in sol.routes.iter().flat_map(|r| &r.paths) {
+            let corners = &path.corners;
+            let (a, b) = (corners[0], corners[corners.len() - 1]);
+            let bbox = Rect::bounding(&[a, b]);
+            let length: u32 = corners
+                .windows(2)
+                .map(|w| w[0].manhattan_distance(w[1]))
+                .sum();
+            assert!(
+                corners.iter().all(|&c| bbox.contains(c)),
+                "{name}: {corners:?} leaves its bounding box"
+            );
+            assert_eq!(
+                length,
+                a.manhattan_distance(b),
+                "{name}: {corners:?} is not monotone"
+            );
+            assert!(path.num_turns() <= 2, "{name}: {corners:?} turns thrice");
+        }
     }
 }
 

@@ -141,7 +141,7 @@ impl IlpSolver {
             for (sub, &c) in choice.iter().enumerate() {
                 let paths: Vec<usize> = forest.paths_of_subnet(sub).collect();
                 let p = paths[c.min(paths.len() - 1)];
-                for &e in forest.path_edges(p) {
+                for e in forest.path_edges(p) {
                     demand[e as usize] += 1.0;
                 }
             }
@@ -402,8 +402,7 @@ fn solve_component(
 fn marginal(forest: &DagForest, path: usize, cap: &[f32], demand: &[f32]) -> f64 {
     forest
         .path_edges(path)
-        .iter()
-        .map(|&e| {
+        .map(|e| {
             let (d, c) = (demand[e as usize], cap[e as usize]);
             (((d + 1.0 - c).max(0.0) - (d - c).max(0.0)) as f64).max(0.0)
         })
@@ -411,7 +410,7 @@ fn marginal(forest: &DagForest, path: usize, cap: &[f32], demand: &[f32]) -> f64
 }
 
 fn commit(forest: &DagForest, path: usize, demand: &mut [f32], sign: f32) {
-    for &e in forest.path_edges(path) {
+    for e in forest.path_edges(path) {
         demand[e as usize] += sign;
     }
 }
@@ -425,10 +424,7 @@ fn overflow_of(
 ) -> f64 {
     // `base` already contains the committed demand for `choices`; compute
     // overflow restricted to the edges those choices touch plus base.
-    let mut touched: Vec<u32> = choices
-        .iter()
-        .flat_map(|&p| forest.path_edges(p).iter().copied())
-        .collect();
+    let mut touched: Vec<u32> = choices.iter().flat_map(|&p| forest.path_edges(p)).collect();
     touched.sort_unstable();
     touched.dedup();
     touched

@@ -9,10 +9,11 @@
 //!   probable path (the Table-1 read-out).
 //!
 //! The greedy/rip-up phases commit to the one [`DemandMap`] ledger by
-//! the forest's precomputed per-path edge and turn-cell ids instead of
-//! re-deriving edges from corner polylines, and price a candidate with the
-//! ledger's own `marginal` — for a wire on each of its edges, for a turn's
-//! `½β` on each edge around the turn cell.
+//! edge and turn-cell ids — the edges a path's runs derive
+//! ([`DagForest::path_edges`], collected nowhere), the turn cells the
+//! forest stores — instead of re-deriving edges from corner polylines,
+//! and price a candidate with the ledger's own `marginal` — for a wire on
+//! each of its edges, for a turn's `½β` on each edge around the turn cell.
 
 use dgr_autodiff::parallel::{par_halves, par_indexed, Helper, NET_PAR_MIN};
 use dgr_dag::DagForest;
@@ -174,7 +175,7 @@ pub fn extract_solution(
         let victim_mask = par_indexed(routes.len(), NET_PAR_MIN, |n| {
             picks[picks_of(n)]
                 .iter()
-                .any(|&i| forest.path_edges(i).iter().any(|&e| over[e as usize]))
+                .any(|&i| forest.path_edges(i).any(|e| over[e as usize]))
         });
         let victims: Vec<usize> = (0..routes.len()).filter(|&n| victim_mask[n]).collect();
         if victims.is_empty() {
@@ -247,11 +248,11 @@ fn greedy_pick(
     let mut best = set.clone().next().expect("a candidate set is never empty");
     let mut best_cost = f32::INFINITY;
     for i in set {
-        let mut cost = static_cost[i];
-        // marginal wire overflow along the path's edges
-        for &e in forest.path_edges(i) {
-            cost += cfg.weights.overflow * demand.marginal(cap, EdgeId(e), 1.0);
-        }
+        // marginal wire overflow along the path's edges (a fold: the
+        // derived edges iterate fastest from the inside)
+        let mut cost = forest.path_edges(i).fold(static_cost[i], |cost, e| {
+            cost + cfg.weights.overflow * demand.marginal(cap, EdgeId(e), 1.0)
+        });
         // marginal via-pressure overflow around the turn cells
         for &v in forest.path_vias(i) {
             let share = cap.half_beta(GcellId(v));

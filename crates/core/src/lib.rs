@@ -277,11 +277,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Over random congested designs, grown by one round of maze-derived
-    /// extras: the runs the forest records for a path cover exactly the
-    /// multiset of edges it lists — also for the extras, which are not
-    /// monotone — and a one-candidate group is a constant of training.
+    /// extras: the edges a path's runs derive are, in order, those of the
+    /// corners extraction realizes it as — also for the extras, which are
+    /// not monotone — and a one-candidate group is a constant of training.
     #[test]
-    fn runs_cover_path_edges_and_one_candidate_groups_never_move() {
+    fn path_edges_are_the_realized_corners_and_one_candidate_groups_never_move() {
         let (mut extras_seen, mut detours_seen, mut constants_seen) = (0, 0, 0);
         for seed in 0..24u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -312,19 +312,22 @@ mod tests {
                 let forest = session.forest();
                 paths.push(forest.num_paths());
                 for i in 0..forest.num_paths() {
-                    let mut from_runs: Vec<u32> = Vec::new();
-                    for &(low, high) in forest.path_runs(i) {
-                        let (a, b) = (
-                            design.grid.cell_point(GcellId(low)),
-                            design.grid.cell_point(GcellId(high)),
-                        );
-                        from_runs.extend(design.grid.segment_edges(a, b).unwrap().map(|e| e.0));
-                    }
-                    let mut edges = forest.path_edges(i).to_vec();
-                    from_runs.sort_unstable();
-                    edges.sort_unstable();
-                    assert_eq!(from_runs, edges, "seed {seed} round {round} path {i}");
                     let (a, b) = forest.subnet_endpoints(forest.subnet_of_path(i));
+                    let turns = forest.path_vias(i).iter();
+                    let mut corners: Vec<Point> = std::iter::once(a)
+                        .chain(turns.map(|&v| design.grid.cell_point(GcellId(v))))
+                        .collect();
+                    if b != a {
+                        corners.push(b);
+                    }
+                    let realized: Vec<u32> = design
+                        .grid
+                        .polyline_edges(&corners)
+                        .unwrap()
+                        .map(|e| e.0)
+                        .collect();
+                    let edges: Vec<u32> = forest.path_edges(i).collect();
+                    assert_eq!(edges, realized, "seed {seed} round {round} path {i}");
                     detours_seen += usize::from(edges.len() as u32 > a.manhattan_distance(b));
                 }
 

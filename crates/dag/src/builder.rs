@@ -101,8 +101,11 @@ pub fn build_forest(
 /// maze-derived) candidates keyed by their construction-order subnet
 /// index.
 ///
-/// Extras that duplicate an already-enumerated pattern, or whose
-/// endpoints do not match the sub-net, are skipped silently.
+/// An extra may run either way between the sub-net's endpoints; one given
+/// sink to source is stored reversed, so that every path walks from the
+/// sub-net's first endpoint to its second. Extras that duplicate an
+/// already-enumerated pattern, or whose endpoints do not match the
+/// sub-net, are skipped silently.
 ///
 /// # Errors
 ///
@@ -126,9 +129,11 @@ pub fn build_forest_with_extras(
     // that forest's numbering; the upper half's is appended to the lower
     // half's. The cut depends on the net count alone and the first error in
     // net order surfaces, so the result is the one-range build's at any
-    // thread count.
+    // thread count. Each range's forest gives its columns' doubling slack
+    // back before the halves are joined, and the join grows each column by
+    // exactly what it takes in: every column ends sized to its length.
     let (lower, upper) = par_halves(candidates.len(), NET_PAR_MIN, |nets| {
-        let mut forest = DagForest::empty();
+        let mut forest = DagForest::empty(grid);
         let first_subnet = subnets_before(nets.start);
         push_nets(
             &mut forest,
@@ -138,6 +143,7 @@ pub fn build_forest_with_extras(
             extras,
             first_subnet,
         )?;
+        forest.shrink_to_fit();
         Ok::<_, DagError>(forest)
     });
     let mut forest = lower?;
@@ -163,66 +169,66 @@ fn push_nets(
     let bounds = Some(grid.bounds());
     let mut global_subnet = first_subnet;
     for pool in pools {
-        let net = forest.num_nets() as u32;
         for tree in pool {
-            let t = forest.tree_net.len() as u32;
-            forest.tree_net.push(net);
+            let t = forest.num_trees() as u32;
             for (a, b) in tree.subnets() {
-                let s = forest.subnet_tree.len() as u32;
                 forest.subnet_tree.push(t);
                 forest.subnet_endpoints.push((a, b));
                 let (z, c) = (patterns.z_stride, patterns.c_detour);
                 match extras.get(&global_subnet) {
                     None => for_each_pattern(a, b, z, c, bounds, |corners| {
-                        push_path(forest, grid, s, t, corners)
+                        push_path(forest, grid, corners)
                     })?,
                     Some(more) => {
                         let mut paths = enumerate_patterns(a, b, z, c, bounds);
-                        for extra in more {
-                            let endpoints_match = (extra.source() == a && extra.sink() == b)
-                                || (extra.source() == b && extra.sink() == a);
-                            if endpoints_match && !paths.contains(extra) {
-                                paths.push(extra.clone());
+                        for extra in more.iter().filter_map(|extra| oriented(extra, a, b)) {
+                            if !paths.contains(&extra) {
+                                paths.push(extra);
                             }
                         }
                         for path in &paths {
-                            push_path(forest, grid, s, t, &path.corners)?;
+                            push_path(forest, grid, &path.corners)?;
                         }
                     }
                 }
-                forest
-                    .subnet_path_offsets
-                    .push(forest.path_subnet.len() as u32);
+                forest.subnet_path_offsets.push(forest.num_paths() as u32);
                 global_subnet += 1;
             }
             forest
                 .tree_subnet_offsets
                 .push(forest.subnet_tree.len() as u32);
         }
-        forest.net_tree_offsets.push(forest.tree_net.len() as u32);
+        forest.net_tree_offsets.push(forest.num_trees() as u32);
     }
     Ok(())
 }
 
-/// Pushes one path candidate of sub-net `s` of tree `t`: its weights and
-/// the edges, runs and turn cells under `corners`.
+/// `extra` as a path from `a` to `b`: itself, reversed if it runs from
+/// `b` to `a`, `None` if it joins other cells.
+fn oriented(extra: &PatternPath, a: dgr_grid::Point, b: dgr_grid::Point) -> Option<PatternPath> {
+    match (extra.source(), extra.sink()) {
+        ends if ends == (a, b) => Some(extra.clone()),
+        ends if ends == (b, a) => Some(PatternPath::new(
+            extra.corners.iter().rev().copied().collect(),
+        )),
+        _ => None,
+    }
+}
+
+/// Pushes one path candidate: its weights and the runs and turn cells
+/// under `corners`.
 fn push_path(
     forest: &mut DagForest,
     grid: &GcellGrid,
-    s: u32,
-    t: u32,
     corners: &[dgr_grid::Point],
 ) -> Result<(), DagError> {
-    forest.path_subnet.push(s);
-    forest.path_tree.push(t);
     let mut wl = 0u32;
     for w in corners.windows(2) {
-        let edges = grid.segment_edges(w[0], w[1])?;
+        grid.segment_edges(w[0], w[1]).map(drop)?;
         if w[0] == w[1] {
             continue;
         }
         wl += w[0].manhattan_distance(w[1]);
-        forest.path_edge_ids.extend(edges.map(|e| e.0));
         // the segment is on the grid, so its end cells are
         let (a, b) = (grid.cell_id(w[0])?.0, grid.cell_id(w[1])?.0);
         forest.path_runs.push((a.min(b), a.max(b)));
@@ -234,9 +240,6 @@ fn push_path(
     }
     let turns = forest.path_via_cells.len() - vias_before;
     forest.path_turns.push(turns as f32);
-    forest
-        .path_edge_offsets
-        .push(forest.path_edge_ids.len() as u32);
     forest.path_run_offsets.push(forest.path_runs.len() as u32);
     forest
         .path_via_offsets
@@ -275,7 +278,7 @@ mod tests {
         for i in 0..2 {
             assert_eq!(f.path_wirelength(i), 12.0);
             assert_eq!(f.path_turn_count(i), 1.0);
-            assert_eq!(f.path_edges(i).len(), 12);
+            assert_eq!(f.path_edges(i).count(), 12);
             assert_eq!(f.path_vias(i).len(), 1);
         }
         // the two L-shapes turn at different corners
@@ -307,9 +310,12 @@ mod tests {
         let f = build_forest(&g, &nets, PatternConfig::l_only()).unwrap();
         f.validate().unwrap();
         assert_eq!(f.num_nets(), 3);
-        // every path's tree cache must match its subnet's tree
-        for i in 0..f.num_paths() {
-            assert_eq!(f.tree_of_path(i), f.tree_of_subnet(f.subnet_of_path(i)));
+        // the owner lookups find the group each path is in
+        for s in 0..f.num_subnets() {
+            for i in f.paths_of_subnet(s) {
+                assert_eq!(f.subnet_of_path(i), s);
+                assert_eq!(f.tree_of_path(i), f.tree_of_subnet(s));
+            }
         }
     }
 
@@ -393,23 +399,39 @@ mod tests {
         assert_eq!(grown.num_paths(), base.num_paths() + 1);
         // the original candidates keep their order; the extra is appended
         for i in 0..base.num_paths() {
-            assert_eq!(grown.path_edges(i), base.path_edges(i));
+            assert!(grown.path_edges(i).eq(base.path_edges(i)));
         }
         let extra_idx = grown.num_paths() - 1;
         assert_eq!(grown.path_wirelength(extra_idx), 14.0); // detour length
         assert_eq!(grown.path_turn_count(extra_idx), 2.0);
     }
 
+    /// The corners of path `i` as extraction realizes them: the sub-net's
+    /// first endpoint, the turn cells, the second.
+    fn realized(g: &GcellGrid, f: &DagForest, i: usize) -> Vec<Point> {
+        let (a, b) = f.subnet_endpoints(f.subnet_of_path(i));
+        let turns = f
+            .path_vias(i)
+            .iter()
+            .map(|&v| g.cell_point(dgr_grid::GcellId(v)));
+        let mut corners: Vec<Point> = std::iter::once(a).chain(turns).collect();
+        if b != a {
+            corners.push(b);
+        }
+        corners
+    }
+
     #[test]
-    fn runs_cover_exactly_the_path_edges() {
+    fn path_edges_are_the_edges_of_the_corners_in_order() {
         let g = grid();
         let nets = vec![
             pool(&[Point::new(2, 3), Point::new(9, 8), Point::new(5, 14)]),
             pool(&[Point::new(4, 4), Point::new(4, 4)]),
             pool(&[Point::new(1, 6), Point::new(12, 6)]),
+            pool(&[Point::new(15, 17), Point::new(6, 2)]),
         ];
         // an extra that doubles back over its own first leg: the edges
-        // (3,3)–(5,3) are walked twice and must be counted twice
+        // (3,3)–(5,3) are walked twice and must be listed twice
         let doubling = crate::paths::PatternPath::new(vec![
             Point::new(2, 3),
             Point::new(5, 3),
@@ -421,27 +443,58 @@ mod tests {
         for s in 0..4 {
             extras.insert(s, vec![doubling.clone()]);
         }
-        let f = build_forest_with_extras(&g, &nets, PatternConfig::with_z_and_c(2, 1), &extras)
-            .unwrap();
+        let patterns = PatternConfig::with_z_and_c(2, 1);
+        let f = build_forest_with_extras(&g, &nets, patterns, &extras).unwrap();
         f.validate().unwrap();
         let mut doubled = 0;
-        for i in 0..f.num_paths() {
-            let mut from_runs: Vec<u32> = Vec::new();
-            for &(lo, hi) in f.path_runs(i) {
-                assert!(lo < hi);
-                let (a, b) = (
-                    g.cell_point(dgr_grid::GcellId(lo)),
-                    g.cell_point(dgr_grid::GcellId(hi)),
-                );
-                from_runs.extend(g.segment_edges(a, b).unwrap().map(|e| e.0));
+        for s in 0..f.num_subnets() {
+            // the candidates in the order the builder pushes them
+            let (a, b) = f.subnet_endpoints(s);
+            let (z, c) = (patterns.z_stride, patterns.c_detour);
+            let mut built = enumerate_patterns(a, b, z, c, Some(g.bounds()));
+            for extra in extras.get(&s).into_iter().flatten() {
+                let extra = oriented(extra, a, b);
+                if extra.as_ref().is_some_and(|e| !built.contains(e)) {
+                    built.extend(extra);
+                }
             }
-            let mut edges = f.path_edges(i).to_vec();
-            from_runs.sort_unstable();
-            edges.sort_unstable();
-            assert_eq!(from_runs, edges, "path {i}");
-            doubled += usize::from(edges.windows(2).any(|w| w[0] == w[1]));
+            assert_eq!(built.len(), f.paths_of_subnet(s).len(), "sub-net {s}");
+            for (i, path) in f.paths_of_subnet(s).zip(&built) {
+                let edges: Vec<u32> = f.path_edges(i).collect();
+                let want = g.polyline_edges(&path.corners).unwrap().map(|e| e.0);
+                assert!(edges.iter().copied().eq(want), "path {i}");
+                let mut sorted = edges.clone();
+                sorted.sort_unstable();
+                doubled += usize::from(sorted.windows(2).any(|w| w[0] == w[1]));
+                // a pattern's turn cells merge nothing: they give the
+                // same edges back
+                if doubling != *path {
+                    let corners = realized(&g, &f, i);
+                    assert!(g.polyline_edges(&corners).unwrap().map(|e| e.0).eq(edges));
+                }
+            }
         }
         assert!(doubled > 0, "the doubling extra was not admitted");
+    }
+
+    #[test]
+    fn an_extra_given_sink_to_source_walks_source_to_sink() {
+        let g = grid();
+        let nets = vec![pool(&[Point::new(2, 3), Point::new(9, 8)])];
+        let base = build_forest(&g, &nets, PatternConfig::l_only()).unwrap();
+        let (a, b) = base.subnet_endpoints(0);
+        // two turns, given from `b`
+        let detour = vec![b, Point::new(b.x, 19), Point::new(a.x, 19), a];
+        let mut extras = std::collections::HashMap::new();
+        extras.insert(0usize, vec![PatternPath::new(detour)]);
+        let f = build_forest_with_extras(&g, &nets, PatternConfig::l_only(), &extras).unwrap();
+        assert_eq!(f.num_paths(), base.num_paths() + 1);
+        assert_eq!(f.path_turn_count(f.num_paths() - 1), 2.0);
+        for i in 0..f.num_paths() {
+            let corners = realized(&g, &f, i);
+            let edges = g.polyline_edges(&corners).expect("a rectilinear polyline");
+            assert!(edges.map(|e| e.0).eq(f.path_edges(i)), "path {i}");
+        }
     }
 
     #[test]
@@ -462,8 +515,11 @@ mod tests {
     }
 
     /// The builder as it was before the forest was pushed range by range
-    /// into its arenas: every net a `NetChunk` of eleven vectors (and a
+    /// into its arenas: every net a `NetChunk` of nine vectors (and a
     /// `Vec<PatternPath>` per sub-net), spliced in element by element.
+    /// Since the forest stores a path once, it keeps no edge column and no
+    /// owner column but the sub-nets' trees, and an extra given sink to
+    /// source is reversed.
     fn reference_build_forest_with_extras(
         grid: &GcellGrid,
         candidates: &[Vec<RoutingTree>],
@@ -494,46 +550,31 @@ mod tests {
         // net order surfaces, matching the serial builder.
         let mut net_tree_offsets = Vec::with_capacity(candidates.len() + 1);
         net_tree_offsets.push(0u32);
-        let mut tree_net = Vec::new();
         let mut tree_subnet_offsets = vec![0u32];
         let mut subnet_tree = Vec::new();
         let mut subnet_endpoints = Vec::new();
         let mut subnet_path_offsets = vec![0u32];
-        let mut path_subnet = Vec::new();
-        let mut path_tree = Vec::new();
         let mut path_wl = Vec::new();
         let mut path_turns = Vec::new();
-        let mut path_edge_offsets = vec![0u32];
-        let mut path_edge_ids: Vec<u32> = Vec::new();
         let mut path_run_offsets = vec![0u32];
         let mut path_runs: Vec<(u32, u32)> = Vec::new();
         let mut path_via_offsets = vec![0u32];
         let mut path_via_cells: Vec<u32> = Vec::new();
 
-        for (n, chunk) in chunks.enumerate() {
+        for chunk in chunks {
             let chunk = chunk?;
             let mut subnet_cursor = 0usize;
             let mut path_cursor = 0usize;
-            let mut edge_cursor = 0usize;
             let mut run_cursor = 0usize;
             let mut via_cursor = 0usize;
             for &subnets_in_tree in &chunk.tree_subnet_counts {
-                let t = tree_net.len() as u32;
-                tree_net.push(n as u32);
+                let t = tree_subnet_offsets.len() as u32 - 1;
                 for _ in 0..subnets_in_tree {
-                    let s = subnet_tree.len() as u32;
                     subnet_tree.push(t);
                     subnet_endpoints.push(chunk.subnet_endpoints[subnet_cursor]);
                     for _ in 0..chunk.subnet_path_counts[subnet_cursor] {
-                        path_subnet.push(s);
-                        path_tree.push(t);
                         path_wl.push(chunk.path_wl[path_cursor]);
                         path_turns.push(chunk.path_turns[path_cursor]);
-                        let ne = chunk.path_edge_counts[path_cursor] as usize;
-                        path_edge_ids
-                            .extend_from_slice(&chunk.path_edge_ids[edge_cursor..edge_cursor + ne]);
-                        edge_cursor += ne;
-                        path_edge_offsets.push(path_edge_ids.len() as u32);
                         let nr = chunk.path_run_counts[path_cursor] as usize;
                         path_runs.extend_from_slice(&chunk.path_runs[run_cursor..run_cursor + nr]);
                         run_cursor += nr;
@@ -545,31 +586,27 @@ mod tests {
                         path_via_offsets.push(path_via_cells.len() as u32);
                         path_cursor += 1;
                     }
-                    subnet_path_offsets.push(path_subnet.len() as u32);
+                    subnet_path_offsets.push(path_wl.len() as u32);
                     subnet_cursor += 1;
                 }
                 tree_subnet_offsets.push(subnet_tree.len() as u32);
             }
-            net_tree_offsets.push(tree_net.len() as u32);
+            net_tree_offsets.push(tree_subnet_offsets.len() as u32 - 1);
         }
 
         let forest = DagForest {
             net_tree_offsets,
-            tree_net,
             tree_subnet_offsets,
             subnet_tree,
             subnet_endpoints,
             subnet_path_offsets,
-            path_subnet,
-            path_tree,
             path_wl,
             path_turns,
-            path_edge_offsets,
-            path_edge_ids,
             path_run_offsets,
             path_runs,
             path_via_offsets,
             path_via_cells,
+            ..DagForest::empty(grid)
         };
         debug_assert!(forest.validate().is_ok());
         Ok(forest)
@@ -584,8 +621,6 @@ mod tests {
         subnet_path_counts: Vec<u32>,
         path_wl: Vec<f32>,
         path_turns: Vec<f32>,
-        path_edge_counts: Vec<u32>,
-        path_edge_ids: Vec<u32>,
         path_run_counts: Vec<u32>,
         path_runs: Vec<(u32, u32)>,
         path_via_counts: Vec<u32>,
@@ -605,8 +640,6 @@ mod tests {
             subnet_path_counts: Vec::new(),
             path_wl: Vec::new(),
             path_turns: Vec::new(),
-            path_edge_counts: Vec::new(),
-            path_edge_ids: Vec::new(),
             path_run_counts: Vec::new(),
             path_runs: Vec::new(),
             path_via_counts: Vec::new(),
@@ -626,10 +659,14 @@ mod tests {
                 );
                 if let Some(more) = extras.get(&s) {
                     for extra in more {
-                        let endpoints_match = (extra.source() == a && extra.sink() == b)
-                            || (extra.source() == b && extra.sink() == a);
-                        if endpoints_match && !paths.contains(extra) {
-                            paths.push(extra.clone());
+                        let extra = if (extra.source(), extra.sink()) == (b, a) {
+                            PatternPath::new(extra.corners.iter().rev().copied().collect())
+                        } else {
+                            extra.clone()
+                        };
+                        let endpoints_match = extra.source() == a && extra.sink() == b;
+                        if endpoints_match && !paths.contains(&extra) {
+                            paths.push(extra);
                         }
                     }
                 }
@@ -637,21 +674,16 @@ mod tests {
                 for path in paths {
                     chunk.path_wl.push(path.wirelength() as f32);
                     chunk.path_turns.push(path.num_turns() as f32);
-                    let edges_before = chunk.path_edge_ids.len();
                     let runs_before = chunk.path_runs.len();
                     for w in path.corners.windows(2) {
-                        let edges = grid.segment_edges(w[0], w[1])?;
+                        grid.segment_edges(w[0], w[1]).map(drop)?;
                         if w[0] == w[1] {
                             continue;
                         }
-                        chunk.path_edge_ids.extend(edges.map(|e| e.0));
                         // the segment is on the grid, so its end cells are
                         let (a, b) = (grid.cell_id(w[0])?.0, grid.cell_id(w[1])?.0);
                         chunk.path_runs.push((a.min(b), a.max(b)));
                     }
-                    chunk
-                        .path_edge_counts
-                        .push((chunk.path_edge_ids.len() - edges_before) as u32);
                     chunk
                         .path_run_counts
                         .push((chunk.path_runs.len() - runs_before) as u32);
@@ -790,5 +822,57 @@ mod tests {
         )
         .unwrap();
         assert!(large.bytes() > small.bytes());
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the view's own test
+    fn the_edge_csr_lists_the_derived_edges_and_takes_no_part_in_equality() {
+        let g = grid();
+        let forest = build_forest(&g, &random_pools(40, 0xC5), PatternConfig::with_z(2)).unwrap();
+        let untouched = forest.clone();
+        let (offsets, ids) = forest.path_edge_csr();
+        assert_eq!(offsets.len(), forest.num_paths() + 1);
+        for i in 0..forest.num_paths() {
+            let listed = &ids[offsets[i] as usize..offsets[i + 1] as usize];
+            assert!(listed.iter().copied().eq(forest.path_edges(i)), "path {i}");
+        }
+        assert_eq!(forest, untouched);
+    }
+
+    #[test]
+    fn every_column_is_sized_to_its_length() {
+        let g = grid();
+        let pools = random_pools(NET_PAR_MIN + 41, 0x512E);
+        let extras = extras_for(&build_forest(&g, &pools, PatternConfig::l_only()).unwrap());
+        // one range, and two halves appended
+        for threads in [1, 2] {
+            dgr_autodiff::parallel::set_num_threads(threads);
+            let forest = build_forest_with_extras(&g, &pools, PatternConfig::with_z(2), &extras);
+            dgr_autodiff::parallel::set_num_threads(0);
+            let forest = forest.unwrap();
+            fn column<T>(v: &Vec<T>) -> (usize, usize, usize) {
+                (v.len(), v.capacity(), std::mem::size_of::<T>())
+            }
+            let columns = [
+                ("net_tree_offsets", column(&forest.net_tree_offsets)),
+                ("tree_subnet_offsets", column(&forest.tree_subnet_offsets)),
+                ("subnet_tree", column(&forest.subnet_tree)),
+                ("subnet_endpoints", column(&forest.subnet_endpoints)),
+                ("subnet_path_offsets", column(&forest.subnet_path_offsets)),
+                ("path_wl", column(&forest.path_wl)),
+                ("path_turns", column(&forest.path_turns)),
+                ("path_run_offsets", column(&forest.path_run_offsets)),
+                ("path_runs", column(&forest.path_runs)),
+                ("path_via_offsets", column(&forest.path_via_offsets)),
+                ("path_via_cells", column(&forest.path_via_cells)),
+            ];
+            let mut held = 0;
+            for (name, (len, capacity, size)) in columns {
+                assert_eq!(capacity, len, "{name} on {threads} threads");
+                held += len * size;
+            }
+            // a column `bytes` counts and this list misses shows here
+            assert_eq!(forest.bytes(), held);
+        }
     }
 }

@@ -1,5 +1,9 @@
 //! The flattened DAG-forest arenas.
 
+use std::sync::OnceLock;
+
+use dgr_grid::GcellGrid;
+
 use crate::DagError;
 
 /// The complete 2D pattern-routing search space of a design, stored as
@@ -15,10 +19,12 @@ use crate::DagError;
 /// * **path** `0..num_paths()` — pattern-path candidates, grouped by
 ///   subnet via `subnet_path_offsets`.
 ///
-/// Per-path CSR side tables map paths to the g-cell edges they occupy, the
-/// straight *runs* those edges form (one per corner-to-corner segment —
-/// what the expected-cost kernel streams instead of the edges), and the
-/// g-cells where they turn (via pressure).
+/// Per-path CSR side tables map paths to the straight *runs* they occupy
+/// (one per corner-to-corner segment — what the expected-cost kernel
+/// streams) and to the g-cells where they turn (via pressure). A path is
+/// stored once: its g-cell edges are derived from its runs
+/// ([`Self::path_edges`]), and its sub-net and tree from the offsets.
+/// Every column is sized to its length.
 ///
 /// Construct with [`crate::build_forest`]; all fields are read-only after
 /// construction (exposed through accessors so the representation can
@@ -26,50 +32,63 @@ use crate::DagError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagForest {
     pub(crate) net_tree_offsets: Vec<u32>,
-    pub(crate) tree_net: Vec<u32>,
     pub(crate) tree_subnet_offsets: Vec<u32>,
     pub(crate) subnet_tree: Vec<u32>,
     pub(crate) subnet_endpoints: Vec<(dgr_grid::Point, dgr_grid::Point)>,
     pub(crate) subnet_path_offsets: Vec<u32>,
-    pub(crate) path_subnet: Vec<u32>,
-    pub(crate) path_tree: Vec<u32>,
     pub(crate) path_wl: Vec<f32>,
     pub(crate) path_turns: Vec<f32>,
-    pub(crate) path_edge_offsets: Vec<u32>,
-    pub(crate) path_edge_ids: Vec<u32>,
     pub(crate) path_run_offsets: Vec<u32>,
     pub(crate) path_runs: Vec<(u32, u32)>,
     pub(crate) path_via_offsets: Vec<u32>,
     pub(crate) path_via_cells: Vec<u32>,
+    /// The grid's width in cells: a run whose ends lie that far apart or
+    /// more is vertical.
+    pub(crate) grid_width: u32,
+    /// The grid's horizontal edge count, where vertical edge ids start.
+    pub(crate) num_h_edges: u32,
+    pub(crate) edge_csr: EdgeCsr,
+}
+
+/// The per-edge CSR [`DagForest::path_edge_csr`] builds from the runs on
+/// its first call. A function of the runs, it takes no part in a forest's
+/// equality.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EdgeCsr(OnceLock<(Vec<u32>, Vec<u32>)>);
+
+impl PartialEq for EdgeCsr {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl DagForest {
-    /// The forest of no nets: every offset column starts its CSR at 0.
-    pub(crate) fn empty() -> Self {
+    /// The forest of no nets on `grid`: every offset column starts its CSR
+    /// at 0.
+    pub(crate) fn empty(grid: &GcellGrid) -> Self {
         DagForest {
             net_tree_offsets: vec![0],
-            tree_net: Vec::new(),
             tree_subnet_offsets: vec![0],
             subnet_tree: Vec::new(),
             subnet_endpoints: Vec::new(),
             subnet_path_offsets: vec![0],
-            path_subnet: Vec::new(),
-            path_tree: Vec::new(),
             path_wl: Vec::new(),
             path_turns: Vec::new(),
-            path_edge_offsets: vec![0],
-            path_edge_ids: Vec::new(),
             path_run_offsets: vec![0],
             path_runs: Vec::new(),
             path_via_offsets: vec![0],
             path_via_cells: Vec::new(),
+            grid_width: grid.width(),
+            num_h_edges: u32::try_from(grid.num_h_edges()).expect("edge ids are u32"),
+            edge_csr: EdgeCsr::default(),
         }
     }
 
     /// Appends the forest of the nets that follow this one's: `self`
     /// becomes the forest built over both pools in order. Payload columns
     /// are copied in bulk; offset and owner columns are rebased by this
-    /// forest's counts as they are copied.
+    /// forest's counts as they are copied. Each column grows by exactly
+    /// what it takes in.
     ///
     /// # Panics
     ///
@@ -79,44 +98,57 @@ impl DagForest {
             let total = u32::try_from(len + more).expect("forest arenas are indexed by u32");
             total - more as u32
         };
-        let nets = base(self.num_nets(), upper.num_nets());
         let trees = base(self.num_trees(), upper.num_trees());
         let subnets = base(self.num_subnets(), upper.num_subnets());
         let paths = base(self.num_paths(), upper.num_paths());
-        let edges = base(self.path_edge_ids.len(), upper.path_edge_ids.len());
         let runs = base(self.path_runs.len(), upper.path_runs.len());
         let vias = base(self.path_via_cells.len(), upper.path_via_cells.len());
         // an offset column's leading 0 is this forest's last offset
         let offsets = |into: &mut Vec<u32>, from: Vec<u32>, base: u32| {
+            into.reserve_exact(from.len() - 1);
             into.extend(from[1..].iter().map(|&o| o + base));
         };
-        let owners = |into: &mut Vec<u32>, from: Vec<u32>, base: u32| {
-            into.extend(from.iter().map(|&o| o + base));
-        };
+        fn payload<T>(into: &mut Vec<T>, from: Vec<T>) {
+            into.reserve_exact(from.len());
+            into.extend(from);
+        }
         offsets(&mut self.net_tree_offsets, upper.net_tree_offsets, trees);
-        owners(&mut self.tree_net, upper.tree_net, nets);
         offsets(
             &mut self.tree_subnet_offsets,
             upper.tree_subnet_offsets,
             subnets,
         );
-        owners(&mut self.subnet_tree, upper.subnet_tree, trees);
-        self.subnet_endpoints.extend(upper.subnet_endpoints);
+        self.subnet_tree.reserve_exact(upper.subnet_tree.len());
+        self.subnet_tree
+            .extend(upper.subnet_tree.iter().map(|&t| t + trees));
+        payload(&mut self.subnet_endpoints, upper.subnet_endpoints);
         offsets(
             &mut self.subnet_path_offsets,
             upper.subnet_path_offsets,
             paths,
         );
-        owners(&mut self.path_subnet, upper.path_subnet, subnets);
-        owners(&mut self.path_tree, upper.path_tree, trees);
-        self.path_wl.extend(upper.path_wl);
-        self.path_turns.extend(upper.path_turns);
-        offsets(&mut self.path_edge_offsets, upper.path_edge_offsets, edges);
-        self.path_edge_ids.extend(upper.path_edge_ids);
+        payload(&mut self.path_wl, upper.path_wl);
+        payload(&mut self.path_turns, upper.path_turns);
         offsets(&mut self.path_run_offsets, upper.path_run_offsets, runs);
-        self.path_runs.extend(upper.path_runs);
+        payload(&mut self.path_runs, upper.path_runs);
         offsets(&mut self.path_via_offsets, upper.path_via_offsets, vias);
-        self.path_via_cells.extend(upper.path_via_cells);
+        payload(&mut self.path_via_cells, upper.path_via_cells);
+        self.edge_csr = EdgeCsr::default();
+    }
+
+    /// Gives every column back the capacity its length does not use.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.net_tree_offsets.shrink_to_fit();
+        self.tree_subnet_offsets.shrink_to_fit();
+        self.subnet_tree.shrink_to_fit();
+        self.subnet_endpoints.shrink_to_fit();
+        self.subnet_path_offsets.shrink_to_fit();
+        self.path_wl.shrink_to_fit();
+        self.path_turns.shrink_to_fit();
+        self.path_run_offsets.shrink_to_fit();
+        self.path_runs.shrink_to_fit();
+        self.path_via_offsets.shrink_to_fit();
+        self.path_via_cells.shrink_to_fit();
     }
 
     /// Number of nets.
@@ -126,7 +158,7 @@ impl DagForest {
 
     /// Number of routing-tree candidates across all nets.
     pub fn num_trees(&self) -> usize {
-        self.tree_net.len()
+        self.tree_subnet_offsets.len() - 1
     }
 
     /// Number of 2-pin sub-nets across all trees.
@@ -136,7 +168,7 @@ impl DagForest {
 
     /// Number of pattern-path candidates across all sub-nets.
     pub fn num_paths(&self) -> usize {
-        self.path_subnet.len()
+        self.path_wl.len()
     }
 
     /// Tree candidates of net `n`, as a tree-index range.
@@ -146,11 +178,6 @@ impl DagForest {
     /// Panics if `n >= num_nets()`.
     pub fn trees_of_net(&self, n: usize) -> std::ops::Range<usize> {
         self.net_tree_offsets[n] as usize..self.net_tree_offsets[n + 1] as usize
-    }
-
-    /// The net owning tree `t`.
-    pub fn net_of_tree(&self, t: usize) -> usize {
-        self.tree_net[t] as usize
     }
 
     /// Sub-nets of tree `t`, as a subnet-index range.
@@ -173,15 +200,26 @@ impl DagForest {
         self.subnet_path_offsets[s] as usize..self.subnet_path_offsets[s + 1] as usize
     }
 
-    /// The subnet owning path `i`.
+    /// The subnet owning path `i`, by a binary search of the subnet→path
+    /// offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_paths()`.
     pub fn subnet_of_path(&self, i: usize) -> usize {
-        self.path_subnet[i] as usize
+        assert!(i < self.num_paths(), "path {i} of {}", self.num_paths());
+        self.subnet_path_offsets
+            .partition_point(|&o| o as usize <= i)
+            - 1
     }
 
-    /// The tree owning path `i` (cached to avoid the double indirection in
-    /// hot kernels).
+    /// The tree owning path `i`: its subnet's tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_paths()`.
     pub fn tree_of_path(&self, i: usize) -> usize {
-        self.path_tree[i] as usize
+        self.subnet_tree[self.subnet_of_path(i)] as usize
     }
 
     /// Wirelength of path `i` (`WL_i` in Eq. 4).
@@ -194,19 +232,32 @@ impl DagForest {
         self.path_turns[i]
     }
 
-    /// G-cell edges occupied by path `i` (raw [`dgr_grid::EdgeId`] values).
-    pub fn path_edges(&self, i: usize) -> &[u32] {
-        let lo = self.path_edge_offsets[i] as usize;
-        let hi = self.path_edge_offsets[i + 1] as usize;
-        &self.path_edge_ids[lo..hi]
+    /// G-cell edges occupied by path `i` (raw [`dgr_grid::EdgeId`] values),
+    /// derived from its runs: run by run in source-to-sink order, each
+    /// run's lowest id first — the order
+    /// [`GcellGrid::segment_edges`] yields them over the path's corners,
+    /// segment by segment. A run `(low, high)` with `high − low ≥ width`
+    /// is vertical, the `(high − low) / width` edges from `num_h_edges +
+    /// low` at stride `width`; any other is horizontal, the `high − low`
+    /// edges from `low − low / width`.
+    pub fn path_edges(&self, i: usize) -> impl Iterator<Item = u32> + Clone + '_ {
+        let (width, h_edges) = (self.grid_width, self.num_h_edges);
+        self.path_runs(i).iter().flat_map(move |&(low, high)| {
+            let (first, stride, len) = if high - low >= width {
+                (h_edges + low, width, (high - low) / width)
+            } else {
+                (low - low / width, 1, high - low)
+            };
+            (0..len).map(move |k| first + k * stride)
+        })
     }
 
     /// Straight runs of path `i`, one per non-empty corner-to-corner
     /// segment in source-to-sink order: `(low, high)` raw
     /// [`dgr_grid::GcellId`] values of the segment's end cells, `low <
     /// high`. A run whose ends share a row covers the horizontal edges
-    /// between them, otherwise the vertical ones; together the runs cover
-    /// exactly the multiset [`Self::path_edges`] lists.
+    /// between them, otherwise the vertical ones: together, exactly the
+    /// edges [`Self::path_edges`] lists.
     pub fn path_runs(&self, i: usize) -> &[(u32, u32)] {
         let lo = self.path_run_offsets[i] as usize;
         let hi = self.path_run_offsets[i + 1] as usize;
@@ -245,9 +296,23 @@ impl DagForest {
         &self.net_tree_offsets
     }
 
-    /// CSR (offsets, edge ids) mapping each path to its g-cell edges.
+    /// CSR (offsets, edge ids) mapping each path to its g-cell edges
+    /// ([`Self::path_edges`], path after path). Built on the first call
+    /// and kept with the forest: an arena as large as every path's edges,
+    /// which the benchmark's kernel micro-timings read and nothing in the
+    /// product does.
     pub fn path_edge_csr(&self) -> (&[u32], &[u32]) {
-        (&self.path_edge_offsets, &self.path_edge_ids)
+        let (offsets, ids) = self.edge_csr.0.get_or_init(|| {
+            let mut offsets = Vec::with_capacity(self.num_paths() + 1);
+            offsets.push(0);
+            let mut ids = Vec::new();
+            for i in 0..self.num_paths() {
+                ids.extend(self.path_edges(i));
+                offsets.push(u32::try_from(ids.len()).expect("edge ids are indexed by u32"));
+            }
+            (offsets, ids)
+        });
+        (offsets, ids)
     }
 
     /// CSR (offsets, end-cell pairs) mapping each path to its straight
@@ -261,25 +326,24 @@ impl DagForest {
         (&self.path_via_offsets, &self.path_via_cells)
     }
 
-    /// Approximate heap footprint of the arenas in bytes — the
+    /// Heap bytes the arenas hold, capacity counted — the
     /// reproduction's analogue of the paper's GPU-memory axis (Fig. 5b).
+    /// The view [`Self::path_edge_csr`] builds is not counted.
     pub fn bytes(&self) -> usize {
-        4 * (self.net_tree_offsets.len()
-            + self.tree_net.len()
-            + self.tree_subnet_offsets.len()
-            + self.subnet_tree.len()
-            + 4 * self.subnet_endpoints.len()
-            + self.subnet_path_offsets.len()
-            + self.path_subnet.len()
-            + self.path_tree.len()
-            + self.path_wl.len()
-            + self.path_turns.len()
-            + self.path_edge_offsets.len()
-            + self.path_edge_ids.len()
-            + self.path_run_offsets.len()
-            + 2 * self.path_runs.len()
-            + self.path_via_offsets.len()
-            + self.path_via_cells.len())
+        fn held<T>(column: &Vec<T>) -> usize {
+            column.capacity() * std::mem::size_of::<T>()
+        }
+        held(&self.net_tree_offsets)
+            + held(&self.tree_subnet_offsets)
+            + held(&self.subnet_tree)
+            + held(&self.subnet_endpoints)
+            + held(&self.subnet_path_offsets)
+            + held(&self.path_wl)
+            + held(&self.path_turns)
+            + held(&self.path_run_offsets)
+            + held(&self.path_runs)
+            + held(&self.path_via_offsets)
+            + held(&self.path_via_cells)
     }
 
     /// Verifies every cross-index invariant of the arenas.
@@ -307,30 +371,28 @@ impl DagForest {
         check_csr("net→tree", &self.net_tree_offsets, self.num_trees())?;
         check_csr("tree→subnet", &self.tree_subnet_offsets, self.num_subnets())?;
         check_csr("subnet→path", &self.subnet_path_offsets, self.num_paths())?;
-        check_csr(
-            "path→edge",
-            &self.path_edge_offsets,
-            self.path_edge_ids.len(),
-        )?;
         check_csr("path→run", &self.path_run_offsets, self.path_runs.len())?;
         check_csr(
             "path→via",
             &self.path_via_offsets,
             self.path_via_cells.len(),
         )?;
-        if self.path_subnet.len() != self.path_tree.len()
-            || self.path_subnet.len() != self.path_wl.len()
-            || self.path_subnet.len() != self.path_turns.len()
+        if self.path_wl.len() != self.path_turns.len()
+            || self.path_run_offsets.len() != self.num_paths() + 1
+            || self.path_via_offsets.len() != self.num_paths() + 1
         {
             return Err(DagError::Inconsistent(
                 "per-path arrays disagree on length".into(),
             ));
         }
-        if self.path_run_offsets.len() != self.path_subnet.len() + 1
-            || self.path_runs.iter().any(|&(lo, hi)| lo >= hi)
-        {
+        // a run is a row's cells or a column's: what `path_edges` reads
+        let width = self.grid_width;
+        let straight = |&(lo, hi): &(u32, u32)| {
+            lo < hi && (hi - lo >= width && (hi - lo) % width == 0 || lo / width == hi / width)
+        };
+        if !self.path_runs.iter().all(straight) {
             return Err(DagError::Inconsistent(
-                "path runs must be grouped per path with low < high end cells".into(),
+                "a path run is not one row's or one column's cells, low < high".into(),
             ));
         }
         if self.subnet_endpoints.len() != self.subnet_tree.len() {
@@ -338,16 +400,7 @@ impl DagForest {
                 "subnet endpoint table disagrees with subnet count".into(),
             ));
         }
-        // back-pointers agree with the CSR groupings
-        for n in 0..self.num_nets() {
-            for t in self.trees_of_net(n) {
-                if self.net_of_tree(t) != n {
-                    return Err(DagError::Inconsistent(format!(
-                        "tree {t} back-pointer disagrees with net {n}"
-                    )));
-                }
-            }
-        }
+        // the owner column agrees with the CSR grouping
         for t in 0..self.num_trees() {
             for s in self.subnets_of_tree(t) {
                 if self.tree_of_subnet(s) != t {
@@ -357,23 +410,8 @@ impl DagForest {
                 }
             }
         }
-        for s in 0..self.num_subnets() {
-            let range = self.paths_of_subnet(s);
-            if range.is_empty() {
-                return Err(DagError::Inconsistent(format!("subnet {s} has no paths")));
-            }
-            for i in range {
-                if self.subnet_of_path(i) != s {
-                    return Err(DagError::Inconsistent(format!(
-                        "path {i} back-pointer disagrees with subnet {s}"
-                    )));
-                }
-                if self.tree_of_path(i) != self.tree_of_subnet(s) {
-                    return Err(DagError::Inconsistent(format!(
-                        "path {i} tree cache disagrees with subnet {s}"
-                    )));
-                }
-            }
+        if let Some(s) = (0..self.num_subnets()).find(|&s| self.paths_of_subnet(s).is_empty()) {
+            return Err(DagError::Inconsistent(format!("subnet {s} has no paths")));
         }
         for n in 0..self.num_nets() {
             if self.trees_of_net(n).is_empty() {

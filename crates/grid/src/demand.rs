@@ -153,12 +153,12 @@ impl DemandMap {
     }
 
     /// [`commit`](Self::commit) for a path already resolved to dense edge
-    /// and turn-cell ids (what a DAG forest stores per candidate).
+    /// and turn-cell ids (what a DAG forest gives per candidate).
     ///
     /// # Panics
     ///
     /// Panics if an id is out of range.
-    pub fn commit_ids(&mut self, edges: &[u32], turn_cells: &[u32]) {
+    pub fn commit_ids(&mut self, edges: impl IntoIterator<Item = u32>, turn_cells: &[u32]) {
         self.apply_ids(edges, turn_cells, 1.0);
     }
 
@@ -167,14 +167,14 @@ impl DemandMap {
     /// # Panics
     ///
     /// Panics if an id is out of range.
-    pub fn rip_up_ids(&mut self, edges: &[u32], turn_cells: &[u32]) {
+    pub fn rip_up_ids(&mut self, edges: impl IntoIterator<Item = u32>, turn_cells: &[u32]) {
         self.apply_ids(edges, turn_cells, -1.0);
     }
 
-    fn apply_ids(&mut self, edges: &[u32], turn_cells: &[u32], unit: f32) {
-        for &e in edges {
-            self.wire[e as usize] += unit;
-        }
+    fn apply_ids(&mut self, edges: impl IntoIterator<Item = u32>, turn_cells: &[u32], unit: f32) {
+        edges
+            .into_iter()
+            .for_each(|e| self.wire[e as usize] += unit);
         for &v in turn_cells {
             self.via_pressure[v as usize] += unit;
         }

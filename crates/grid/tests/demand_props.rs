@@ -109,9 +109,9 @@ fn the_ledger_equals_its_references_over_1000_random_states() {
                 }
                 Committed::Ids(edges, cells) => {
                     if rip {
-                        demand.rip_up_ids(edges, cells);
+                        demand.rip_up_ids(edges.iter().copied(), cells);
                     } else {
-                        demand.commit_ids(edges, cells);
+                        demand.commit_ids(edges.iter().copied(), cells);
                     }
                     let around = cells
                         .iter()
@@ -192,7 +192,7 @@ fn the_ledger_equals_its_references_over_1000_random_states() {
         for op in active {
             match op {
                 Committed::Line(corners) => demand.rip_up(&grid, &corners).unwrap(),
-                Committed::Ids(edges, cells) => demand.rip_up_ids(&edges, &cells),
+                Committed::Ids(edges, cells) => demand.rip_up_ids(edges, &cells),
             }
         }
         assert_eq!(demand, DemandMap::new(&grid), "seed {seed}");

@@ -2,10 +2,11 @@
 //!
 //! Nothing here shares code with `dgr-autodiff` or `dgr-core`: the
 //! expected cost is recomputed from the forest accessors in plain f64
-//! loops, and the discrete replay walks path corners unit step by unit
-//! step instead of reading the forest's path→edge CSR. Agreement between
-//! the two implementations is the whole point — a shared helper would be
-//! a shared bug.
+//! loops, over edges walked from each path's corners (its sub-net's ends
+//! and turn cells) rather than the ones the forest derives from its runs,
+//! and the discrete replay walks path corners unit step by unit step.
+//! Agreement between the two implementations is the whole point — a
+//! shared helper would be a shared bug.
 
 use dgr_autodiff::Activation;
 use dgr_core::DgrConfig;
@@ -113,6 +114,14 @@ impl<'a> RefModel<'a> {
         }
     }
 
+    /// The edges of path `i`, walked segment by segment over its corners.
+    fn walked_edges(&self, i: usize) -> Vec<usize> {
+        let (forest, grid) = (self.forest, &self.design.grid);
+        let corners = path_corners(forest, grid, forest.subnet_of_path(i), i);
+        let edges = grid.polyline_edges(&corners).expect("corners on the grid");
+        edges.map(|e| e.index()).collect()
+    }
+
     /// Full f64 forward pass over the same leaves the kernel reads:
     /// `z = (w + noise)/τ`, per-group softmax, `qp = p·q`, expected
     /// wirelength/vias/demand, activated overflow, weighted loss. Then the
@@ -155,8 +164,8 @@ impl<'a> RefModel<'a> {
         let mut wire = vec![0.0f64; grid.num_edges()];
         let mut vp = vec![0.0f64; grid.num_cells()];
         for (i, &m) in qp.iter().enumerate() {
-            for &e in forest.path_edges(i) {
-                wire[e as usize] += m;
+            for e in self.walked_edges(i) {
+                wire[e] += m;
             }
             for &c in forest.path_vias(i) {
                 vp[c as usize] += m;
@@ -184,8 +193,8 @@ impl<'a> RefModel<'a> {
         for i in 0..num_paths {
             let mut g_qp = a1 * forest.path_wirelength(i) as f64
                 + a2 * sqrt_layers * forest.path_turn_count(i) as f64;
-            for &e in forest.path_edges(i) {
-                g_qp += g_demand[e as usize];
+            for e in self.walked_edges(i) {
+                g_qp += g_demand[e];
             }
             for &c in forest.path_vias(i) {
                 g_qp += g_vp[c as usize];

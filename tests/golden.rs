@@ -6,7 +6,8 @@
 //! text; a fourth, refine-heavy design goes through the whole pipeline,
 //! maze refinement included. The result must match the committed files
 //! under `tests/golden/` byte for byte. A fifth file pins a whole
-//! 1 000-iteration training run — losses, final logits, guide. Nothing pins the thread count: the
+//! 1 000-iteration training run — losses, final logits, guide — and a
+//! sixth the order of every forest path's edges. Nothing pins the thread count: the
 //! route pipeline's output does not depend on it (see
 //! `tests/thread_determinism.rs`).
 //!
@@ -375,4 +376,80 @@ fn overflow_readers_agree_on_every_golden_design() {
         overflowed > 100,
         "only {overflowed} overflowed edges checked"
     );
+}
+
+/// One line per forest: its path and edge counts and an FNV-1a of every
+/// path's edge list, in path order, each list led by its length.
+fn edge_lists_line(name: &str, forest: &dgr::dag::DagForest) -> String {
+    let mut bytes = Vec::new();
+    let mut edges = 0;
+    for i in 0..forest.num_paths() {
+        let list: Vec<u32> = forest.path_edges(i).collect();
+        edges += list.len();
+        bytes.extend((list.len() as u32).to_le_bytes());
+        bytes.extend(list.iter().flat_map(|e| e.to_le_bytes()));
+    }
+    let fnv = dgr::obs::ledger::fnv1a64(&bytes);
+    format!(
+        "{name} paths {} edges {edges} fnv {fnv:016x}\n",
+        forest.num_paths()
+    )
+}
+
+/// The edge lists of two forests, in order: `ispd18_test1 --fast` on the
+/// default configuration, and 1 100 congested nets on Z- and C-shapes
+/// grown by a round of maze-derived extras (enough nets for two threads to
+/// build the forest in two halves). Recorded when each path stored its
+/// edges, one by one as its corners walk them: it pins that the edges
+/// derived from the runs come in that order.
+#[test]
+fn forest_edge_lists_match_their_golden_file() {
+    use dgr::autodiff::parallel;
+    use dgr::dag::PatternConfig;
+    use dgr::io::{catalog_case, IspdLikeConfig, IspdLikeGenerator};
+
+    let small = catalog_case("ispd18_test1")
+        .expect("catalog case")
+        .config
+        .fast();
+    let small = IspdLikeGenerator::new(small)
+        .generate()
+        .expect("valid config");
+    let grown = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 48,
+        height: 48,
+        num_nets: 1100,
+        num_layers: 5,
+        base_capacity: 4.0,
+        seed: 31,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    let text_at = |threads: usize| {
+        parallel::set_num_threads(threads);
+        let cfg = DgrConfig {
+            seed: ADAPTIVE_SEED,
+            ..DgrConfig::default()
+        };
+        let session = DgrRouter::new(cfg).session(&small).expect("session");
+        let mut text = edge_lists_line("ispd18_test1_fast", session.forest());
+        let cfg = DgrConfig {
+            seed: ADAPTIVE_SEED,
+            patterns: PatternConfig::with_z_and_c(3, 2),
+            ..DgrConfig::default()
+        };
+        let mut session = DgrRouter::new(cfg).session(&grown).expect("session");
+        session
+            .train(30, &mut RouteHooks::default())
+            .expect("not cancelled");
+        let solution = session.extract().expect("extracts");
+        assert!(session.expand(&solution), "no sub-net grew an extra");
+        text += &edge_lists_line("grown_z_c_maze", session.forest());
+        parallel::set_num_threads(0);
+        text
+    };
+    let text = text_at(1);
+    assert_eq!(text_at(2), text, "the two-half build lists other edges");
+    check_golden("forest_edges.txt", &text, ADAPTIVE_SEED);
 }

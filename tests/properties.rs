@@ -119,7 +119,7 @@ proptest! {
         // every path's edge count equals its wirelength
         for i in 0..forest.num_paths() {
             prop_assert_eq!(
-                forest.path_edges(i).len() as f32,
+                forest.path_edges(i).count() as f32,
                 forest.path_wirelength(i)
             );
         }

@@ -1,5 +1,6 @@
 //! The capture of the obs snapshot stream: per-edge demand, split by
-//! direction into the rasters of a [`SnapshotRecord`].
+//! direction into the rasters of a [`SnapshotRecord`], and the aggregates
+//! of its overflow.
 //!
 //! Both records are built here, straight from the design and a dense
 //! per-edge total-demand slice indexed by [`dgr_grid::EdgeId`]: the
@@ -38,28 +39,28 @@ pub fn ensure_header(sink: &mut SnapshotSink, design: &Design) {
 }
 
 /// One capture of the dense per-edge total demand `total_demand`, which
-/// has `grid.num_edges()` entries: the demand and its [`excess`] split by
-/// direction, and the overflowed-edge count, sum and peak of that excess.
+/// has `grid.num_edges()` entries: the demand split by direction, and the
+/// overflowed-edge count, sum and peak of its [`excess`].
 fn capture(design: &Design, total_demand: &[f32], iter: u64, phase: &str) -> SnapshotRecord {
     let grid = &design.grid;
-    let overflow: Vec<f32> = grid
+    // summed from +0.0 in edge order: `Iterator::sum` starts at −0.0,
+    // which a clean capture would print as `-0`
+    let (edges, total, peak) = grid
         .edge_ids()
         .map(|e| excess(total_demand[e.index()], design.capacity.capacity(e)))
-        .collect();
-    let over = overflow.iter().copied().filter(|&o| o > 0.0);
+        .filter(|&o| o > 0.0)
+        .fold((0, 0.0, 0.0), |(n, sum, peak): (u64, f32, f32), o| {
+            (n + 1, sum + o, peak.max(o))
+        });
     let num_h = grid.num_h_edges();
     SnapshotRecord {
         iter,
         phase: phase.to_string(),
         h_demand: total_demand[..num_h].to_vec(),
         v_demand: total_demand[num_h..].to_vec(),
-        h_overflow: overflow[..num_h].to_vec(),
-        v_overflow: overflow[num_h..].to_vec(),
-        overflowed_edges: over.clone().count() as u64,
-        // folded from +0.0 in edge order: `Iterator::sum` starts at −0.0,
-        // which a clean capture would print as `-0`
-        total_overflow: over.clone().fold(0.0, |sum, o| sum + o),
-        peak_overflow: over.fold(0.0, f32::max),
+        overflowed_edges: edges,
+        total_overflow: total,
+        peak_overflow: peak,
     }
 }
 
@@ -175,14 +176,10 @@ mod tests {
         assert_eq!((snap.iter, snap.phase.as_str()), (5, "train"));
         assert_eq!(snap.h_demand.len(), g.num_h_edges());
         assert_eq!(snap.v_demand.len(), g.num_v_edges());
-        assert_eq!(snap.h_overflow.len(), g.num_h_edges());
-        assert_eq!(snap.v_overflow.len(), g.num_v_edges());
         // h-edge (1,2): row-major index y*(w−1)+x = 2*3+1 = 7
         assert_eq!(snap.h_demand[7], 2.0);
-        assert_eq!(snap.h_overflow[7], 1.0);
         // v-edge (0,0): index y*w+x = 0
         assert_eq!(snap.v_demand[0], 1.0);
-        assert_eq!(snap.v_overflow[0], 0.0);
         assert_eq!(snap.overflowed_edges, 1);
         assert_eq!(snap.total_overflow, 1.0);
         assert_eq!(snap.peak_overflow, 1.0);
@@ -210,7 +207,7 @@ mod tests {
         let design = design(4, 3, 1.0);
         let snap = capture(&design, &vec![1.0 + 5e-5; design.grid.num_edges()], 0, "x");
         assert_eq!(snap.overflowed_edges, 0);
-        assert!(snap.h_overflow.iter().all(|&o| o == 0.0));
+        assert_eq!(snap.peak_overflow, 0.0);
         // a clean capture's sum is +0, which prints `0`, not `-0`
         assert!(snap.total_overflow.is_sign_positive());
         assert!(snap.to_json().contains("\"total_overflow\":0,"));

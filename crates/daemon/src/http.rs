@@ -24,7 +24,7 @@ use std::sync::Arc;
 use dgr_obs::json::JsonObject;
 use dgr_obs::{HttpHandler, HttpRequest, HttpResponse, ObsServer};
 
-use crate::queue::{CancelError, CancelOutcome, Job, JobState};
+use crate::queue::{CancelError, CancelOutcome, Job};
 use crate::server::{DaemonConfig, JobServer};
 use crate::spec::JobSpec;
 
@@ -257,44 +257,27 @@ fn cancel_job(jobs: &JobServer, id: u64) -> HttpResponse {
     }
 }
 
-/// The job's telemetry JSONL: the stored full stream once terminal, the
-/// ring of the job's obs scope while running (the in-memory sink is
-/// exclusively owned by the run until it finishes).
+/// The job's telemetry JSONL: every row its obs scope holds, whatever
+/// the job's state (none before it runs).
 fn job_telemetry(jobs: &JobServer, id: u64) -> HttpResponse {
-    let Some((stored, state)) = jobs.with_job(id, |j| (j.telemetry.clone(), j.state)) else {
+    if jobs.with_job(id, |_| ()).is_none() {
         return HttpResponse::error(404, "unknown job");
-    };
-    let text = match stored {
-        Some(t) => t,
-        None if state == JobState::Running => dgr_obs::status_ring_jsonl_of(id),
-        None => String::new(),
-    };
+    }
     HttpResponse {
         status: 200,
         content_type: "application/x-ndjson".into(),
-        body: text,
+        body: dgr_obs::status_ring_jsonl_of(id),
     }
 }
 
-/// The job's HTML report: curves from its stored full telemetry once
-/// terminal (never the ring, which thins a long run), from its scope's
-/// ring while it runs, and none before.
+/// The job's HTML report: curves from its obs scope's rows, whatever the
+/// job's state (none before it runs).
 fn job_report(jobs: &JobServer, id: u64) -> HttpResponse {
-    let Some((stored, state, label)) =
-        jobs.with_job(id, |j| (j.telemetry.clone(), j.state, j.spec.label.clone()))
-    else {
+    let Some(label) = jobs.with_job(id, |j| j.spec.label.clone()) else {
         return HttpResponse::error(404, "unknown job");
     };
-    let rows = match stored.as_deref().map(dgr_obs::rows_from_jsonl) {
-        Some(Ok(rows)) => Some(rows),
-        Some(Err((line, e))) => {
-            return HttpResponse::error(500, &format!("telemetry: line {line}: {e}"))
-        }
-        None if state == JobState::Running => None,
-        None => Some(Vec::new()),
-    };
     let title = format!("job {id} — {label}");
-    HttpResponse::html(200, dgr_obs::report_of(id, title, rows, None))
+    HttpResponse::html(200, dgr_obs::report_of(id, title, None))
 }
 
 fn job_guide(jobs: &JobServer, id: u64) -> HttpResponse {

@@ -100,7 +100,8 @@ pub struct JobResult {
 /// One job: spec, lifecycle, timestamps, and artifacts.
 #[derive(Debug)]
 pub struct Job {
-    /// Daemon-wide id (also the `dgr-obs` status-scope id while running).
+    /// Daemon-wide id, also the id of the `dgr-obs` scope that holds the
+    /// job's status and telemetry rows until the job is evicted.
     pub id: JobId,
     /// The submitted spec.
     pub spec: JobSpec,
@@ -124,9 +125,6 @@ pub struct Job {
     pub result: Option<JobResult>,
     /// Error message, present iff `state == Failed`.
     pub error: Option<String>,
-    /// Full per-iteration telemetry JSONL captured during the run
-    /// (present once terminal, when training produced rows).
-    pub telemetry: Option<String>,
 }
 
 /// Why a submission was rejected.
@@ -262,7 +260,6 @@ impl JobTable {
                 cancel_requested: false,
                 result: None,
                 error: None,
-                telemetry: None,
             },
         );
         Ok(id)
@@ -283,13 +280,7 @@ impl JobTable {
     /// Records the outcome of a claimed job's run. `cancelled` wins over
     /// `result` (a cooperatively stopped run reports `Cancelled` even
     /// though it produced an error value internally).
-    pub fn finish(
-        &mut self,
-        id: JobId,
-        result: Result<JobResult, String>,
-        telemetry: Option<String>,
-        cancelled: bool,
-    ) {
+    pub fn finish(&mut self, id: JobId, result: Result<JobResult, String>, cancelled: bool) {
         let Some(job) = self.jobs.get_mut(&id) else {
             return;
         };
@@ -309,7 +300,6 @@ impl JobTable {
                 }
             }
         }
-        job.telemetry = telemetry;
         job.finished_unix_ms = Some(now_unix_ms());
         self.finished_order.push_back(id);
     }
@@ -480,7 +470,7 @@ mod tests {
         assert_eq!(t.state_counts(), [2, 0, 0, 0, 0]);
         t.claim().unwrap();
         assert_eq!(t.state_counts(), [1, 1, 0, 0, 0]);
-        t.finish(a, Ok(JobResult::default()), None, false);
+        t.finish(a, Ok(JobResult::default()), false);
         t.cancel(b).unwrap();
         assert_eq!(t.state_counts(), [0, 0, 1, 0, 1]);
     }
@@ -543,7 +533,7 @@ mod tests {
         assert_eq!(t.cancel(r), Ok(CancelOutcome::CancelRequested));
         assert!(t.get(r).unwrap().cancel.load(Ordering::Relaxed));
         assert_eq!(t.cancel(r), Err(CancelError::AlreadyRequested));
-        t.finish(r, Err("cancelled".into()), None, true);
+        t.finish(r, Err("cancelled".into()), true);
         assert_eq!(t.get(r).unwrap().state, JobState::Cancelled);
         assert_eq!(t.cancel(999_999_999), Err(CancelError::UnknownJob));
         t.check_invariants();
@@ -556,7 +546,7 @@ mod tests {
         for _ in 0..4 {
             let id = t.submit(spec(0)).unwrap();
             t.claim().unwrap();
-            t.finish(id, Ok(JobResult::default()), None, false);
+            t.finish(id, Ok(JobResult::default()), false);
             ids.push(id);
         }
         let evicted = t.evict();

@@ -2,11 +2,12 @@
 //!
 //! Each worker thread claims the highest-priority queued job, opens a
 //! job-scoped `dgr-obs` status scope (so `/status` reports every live
-//! job independently), and makes the call a one-shot `dgr route` makes:
+//! job independently, and the scope keeps the job's telemetry rows until
+//! the job is evicted), and makes the call a one-shot `dgr route` makes:
 //! [`dgr_post::pipeline::run`]. Per-job state is fully isolated — each
-//! run gets its own design, its own in-memory telemetry sink, and its
-//! own cooperative cancel flag — so concurrent jobs produce
-//! byte-identical artifacts to one-shot CLI runs of the same config.
+//! run gets its own design, its own obs scope, and its own cooperative
+//! cancel flag — so concurrent jobs produce byte-identical artifacts to
+//! one-shot CLI runs of the same config.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -15,7 +16,6 @@ use std::time::Instant;
 use dgr_core::{DgrConfig, RouteHooks};
 use dgr_grid::Design;
 use dgr_io::{catalog_case, parse_design, IspdLikeGenerator};
-use dgr_obs::TelemetrySink;
 use dgr_post::pipeline::{self, PipelineError};
 
 use crate::queue::{CancelError, CancelOutcome, Job, JobId, JobResult, JobTable, SubmitError};
@@ -233,7 +233,6 @@ fn worker_loop(inner: &Inner) {
                 .unwrap_or_else(|| "no message".into());
             RunOutput {
                 result: Err(format!("worker panicked: {why}")),
-                telemetry: None,
                 cancelled: false,
             }
         });
@@ -249,8 +248,8 @@ fn worker_loop(inner: &Inner) {
 
         let mut table = inner.lock();
         match watchdog_reason {
-            Some(reason) => table.finish(id, Err(reason), run.telemetry, false),
-            None => table.finish(id, run.result, run.telemetry, run.cancelled),
+            Some(reason) => table.finish(id, Err(reason), false),
+            None => table.finish(id, run.result, run.cancelled),
         }
         let evicted = table.evict();
         publish_queue_gauges(&table);
@@ -280,7 +279,6 @@ fn publish_queue_gauges(table: &JobTable) {
 
 struct RunOutput {
     result: Result<JobResult, String>,
-    telemetry: Option<String>,
     cancelled: bool,
 }
 
@@ -300,29 +298,20 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
         Err(e) => {
             return RunOutput {
                 result: Err(e),
-                telemetry: None,
                 cancelled: false,
             }
         }
     };
 
     let mut hooks = RouteHooks {
-        telemetry: Some(TelemetrySink::in_memory()),
         cancel: Some(Arc::clone(cancel)),
         ..RouteHooks::default()
     };
-    let run = pipeline::run(&design, &cfg, &mut hooks, spec.want_guide);
-    let telemetry = hooks
-        .telemetry
-        .as_ref()
-        .and_then(|s| s.memory_contents())
-        .map(str::to_string);
-    let mut out = match run {
+    let mut out = match pipeline::run(&design, &cfg, &mut hooks, spec.want_guide) {
         Ok(out) => out,
         Err(e) => {
             return RunOutput {
                 result: Err(e.to_string()),
-                telemetry,
                 cancelled: matches!(e, PipelineError::Cancelled),
             }
         }
@@ -364,7 +353,6 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
     };
     RunOutput {
         result: Ok(result),
-        telemetry,
         cancelled: false,
     }
 }
@@ -436,11 +424,9 @@ mod tests {
                 assert!(r.nets > 0);
                 assert!(r.guide.as_deref().is_some_and(|g| !g.is_empty()));
                 assert!(r.phases.contains_key("train"));
-                assert!(j
-                    .telemetry
-                    .as_deref()
-                    .is_some_and(|t| t.contains("\"iter\"")));
                 assert!(j.run_seq.is_some());
+                // the job's rows outlive its run, in its obs scope
+                assert_eq!(dgr_obs::status_ring_jsonl_of(id).lines().count(), 4);
             })
             .unwrap();
         server.stop();

@@ -128,7 +128,7 @@ proptest! {
                             _ => Err("cancelled".to_string()),
                         };
                         let cancelled = raw_prio >= 2;
-                        table.finish(id, outcome, None, cancelled);
+                        table.finish(id, outcome, cancelled);
                         model.running.remove(&id);
                         model.terminal.insert(id);
                         let job = table.get(id).expect("just finished");
@@ -154,7 +154,7 @@ proptest! {
         // and finishable without tripping an invariant
         while let Some(id) = table.claim() {
             prop_assert_eq!(model.queue.remove(0).1, id);
-            table.finish(id, Ok(JobResult::default()), None, false);
+            table.finish(id, Ok(JobResult::default()), false);
             table.check_invariants();
         }
         prop_assert!(model.queue.is_empty());

@@ -497,6 +497,29 @@ mod tests {
         }
     }
 
+    /// An extra that gives its corner twice differs from the enumerated
+    /// L in its corners only: admitted, it records the L's turn cell and
+    /// via count, not a straight path's none.
+    #[test]
+    fn an_extra_with_a_repeated_corner_records_its_turn() {
+        let g = grid();
+        let nets = vec![pool(&[Point::new(0, 0), Point::new(3, 4)])];
+        let corners = [(0, 0), (3, 0), (3, 0), (3, 4)].map(|(x, y)| Point::new(x, y));
+        let mut extras = std::collections::HashMap::new();
+        extras.insert(0usize, vec![PatternPath::new(corners.to_vec())]);
+        let base = build_forest(&g, &nets, PatternConfig::l_only()).unwrap();
+        let f = build_forest_with_extras(&g, &nets, PatternConfig::l_only(), &extras).unwrap();
+        f.validate().unwrap();
+        let extra = f.num_paths() - 1;
+        assert_eq!(extra, base.num_paths());
+        assert_eq!(f.path_vias(extra), [g.cell_id(Point::new(3, 0)).unwrap().0]);
+        assert_eq!(f.path_turn_count(extra), 1.0);
+        assert_eq!(
+            realized(&g, &f, extra),
+            [Point::new(0, 0), Point::new(3, 0), Point::new(3, 4)]
+        );
+    }
+
     #[test]
     fn duplicate_extras_are_dropped() {
         let g = grid();

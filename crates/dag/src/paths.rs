@@ -86,13 +86,17 @@ impl PatternPath {
 }
 
 /// The interior points of `corners` where the polyline changes between
-/// horizontal and vertical movement, in order.
+/// horizontal and vertical movement, in order. A zero-length segment (a
+/// corner given twice) has no direction and is skipped, so the segments
+/// on either side of it still meet in a turn.
 pub(crate) fn turning_points(corners: &[Point]) -> impl Iterator<Item = Point> + '_ {
-    corners.windows(3).filter_map(|w| {
-        let (a, b, c) = (w[0], w[1], w[2]);
-        let dir1 = (b.x - a.x != 0, b.y - a.y != 0);
-        let dir2 = (c.x - b.x != 0, c.y - b.y != 0);
-        (dir1 != dir2 && dir1 != (false, false) && dir2 != (false, false)).then_some(b)
+    let dir = |w: &[Point]| (w[0].x != w[1].x, w[0].y != w[1].y);
+    let mut segments = corners.windows(2).filter(|w| w[0] != w[1]);
+    let mut prev = segments.next();
+    segments.filter_map(move |w| {
+        let turns = prev.is_some_and(|p| dir(p) != dir(w));
+        prev = Some(w);
+        turns.then_some(w[0])
     })
 }
 
@@ -482,5 +486,26 @@ mod tests {
     fn turning_points_of_l_shape() {
         let p = PatternPath::new(vec![Point::new(0, 0), Point::new(3, 0), Point::new(3, 4)]);
         assert_eq!(p.turning_points(), vec![Point::new(3, 0)]);
+    }
+
+    /// A corner given twice is one corner; collinear and repeated
+    /// endpoints turn nowhere.
+    #[test]
+    fn a_repeated_corner_still_turns() {
+        let pt = |x, y| Point::new(x, y);
+        let twice = PatternPath::new(vec![pt(0, 0), pt(3, 0), pt(3, 0), pt(3, 4)]);
+        assert_eq!(twice.turning_points(), vec![pt(3, 0)]);
+        let thrice = PatternPath::new(vec![
+            pt(0, 0),
+            pt(0, 0),
+            pt(3, 0),
+            pt(3, 0),
+            pt(3, 0),
+            pt(3, 4),
+        ]);
+        assert_eq!(thrice.num_turns(), 1);
+        let straight = PatternPath::new(vec![pt(0, 0), pt(2, 0), pt(2, 0), pt(5, 0)]);
+        assert_eq!(straight.num_turns(), 0);
+        assert_eq!(PatternPath::new(vec![pt(1, 1), pt(1, 1)]).num_turns(), 0);
     }
 }

@@ -44,7 +44,7 @@ pub use geom::{Point, PointIndex, Rect};
 pub use grid::{EdgeDir, GcellGrid};
 pub use ids::{EdgeId, GcellId, NetId};
 pub use maze::MazeConfig;
-pub use metrics::{CongestionReport, OverflowStats};
+pub use metrics::OverflowStats;
 
 /// Errors produced by grid construction and indexing.
 #[derive(Debug, Clone, PartialEq, Eq)]

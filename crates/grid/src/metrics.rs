@@ -22,8 +22,6 @@ pub struct OverflowStats {
     pub total_overflow: f64,
     /// Largest per-edge overflow.
     pub peak_overflow: f32,
-    /// Sum of demand over all edges (diagnostic).
-    pub total_demand: f64,
 }
 
 impl OverflowStats {
@@ -34,9 +32,7 @@ impl OverflowStats {
     pub fn measure(grid: &GcellGrid, cap: &CapacityModel, demand: &DemandMap) -> Self {
         let mut stats = OverflowStats::default();
         for e in grid.edge_ids() {
-            let d = demand.total(cap, e);
-            stats.total_demand += d as f64;
-            let over = excess(d, cap.capacity(e));
+            let over = excess(demand.total(cap, e), cap.capacity(e));
             if over > 0.0 {
                 stats.overflowed_edges += 1;
                 stats.total_overflow += over as f64;
@@ -52,64 +48,6 @@ impl OverflowStats {
         10.0 * overflowed_nets as f64
             + 1000.0 * self.overflowed_edges as f64
             + 10_000.0 * self.peak_overflow as f64
-    }
-}
-
-/// A per-edge congestion snapshot for reporting and visualization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CongestionReport {
-    /// Demand divided by capacity per edge (`∞`-free: blocked edges with
-    /// non-positive capacity report `f32::INFINITY` only when demand > 0).
-    pub utilization: Vec<f32>,
-    /// Aggregate statistics.
-    pub stats: OverflowStats,
-}
-
-impl CongestionReport {
-    /// Builds a report from the current demand state.
-    pub fn measure(grid: &GcellGrid, cap: &CapacityModel, demand: &DemandMap) -> Self {
-        let utilization = grid
-            .edge_ids()
-            .map(|e| {
-                let d = demand.total(cap, e);
-                let c = cap.capacity(e);
-                if c > 0.0 {
-                    d / c
-                } else if d > 0.0 {
-                    f32::INFINITY
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        CongestionReport {
-            utilization,
-            stats: OverflowStats::measure(grid, cap, demand),
-        }
-    }
-
-    /// Renders an ASCII heat map of horizontal-plus-vertical utilization
-    /// per g-cell (max over incident edges), top row printed first.
-    pub fn ascii_heatmap(&self, grid: &GcellGrid) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let mut out = String::new();
-        for y in (0..grid.height() as i32).rev() {
-            for x in 0..grid.width() as i32 {
-                let p = crate::Point::new(x, y);
-                let mut worst = 0.0f32;
-                for e in grid.incident_edges(p) {
-                    worst = worst.max(self.utilization[e.index()]);
-                }
-                let idx = if worst.is_infinite() {
-                    RAMP.len() - 1
-                } else {
-                    (((worst.min(1.25)) / 1.25) * (RAMP.len() - 1) as f32).round() as usize
-                };
-                out.push(RAMP[idx.min(RAMP.len() - 1)] as char);
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -166,36 +104,19 @@ mod tests {
             overflowed_edges: 3,
             total_overflow: 5.0,
             peak_overflow: 2.0,
-            total_demand: 10.0,
         };
         assert_eq!(s.weighted(7), 10.0 * 7.0 + 1000.0 * 3.0 + 10_000.0 * 2.0);
     }
 
     #[test]
-    fn report_utilization_and_heatmap() {
-        let (g, cap, mut d) = setup(2.0);
-        d.add_segment(&g, Point::new(0, 0), Point::new(3, 0))
-            .unwrap();
-        let r = CongestionReport::measure(&g, &cap, &d);
-        let e = g.h_edge(0, 0).unwrap();
-        assert!((r.utilization[e.index()] - 0.5).abs() < 1e-6);
-        let map = r.ascii_heatmap(&g);
-        assert_eq!(map.lines().count(), 4);
-        assert_eq!(map.lines().next().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn blocked_edge_with_demand_is_infinite_utilization() {
+    fn blocked_edge_with_demand_overflows() {
         let g = GcellGrid::new(3, 3).unwrap();
         let mut b = CapacityBuilder::uniform(&g, 1.0);
-        let e = g.h_edge(0, 0).unwrap();
-        b.set_tracks(e, 0.0);
+        b.set_tracks(g.h_edge(0, 0).unwrap(), 0.0);
         let cap = b.build(&g).unwrap();
         let mut d = DemandMap::new(&g);
         d.add_segment(&g, Point::new(0, 0), Point::new(1, 0))
             .unwrap();
-        let r = CongestionReport::measure(&g, &cap, &d);
-        assert!(r.utilization[e.index()].is_infinite());
-        assert_eq!(r.stats.overflowed_edges, 1);
+        assert_eq!(OverflowStats::measure(&g, &cap, &d).overflowed_edges, 1);
     }
 }

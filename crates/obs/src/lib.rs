@@ -18,12 +18,13 @@
 //!   JSONL rows (`{iter, loss, wl, vias, overflow, temperature,
 //!   grad_norm}`), one per iteration of one run,
 //! * [`scope`] — the per-run registry behind `/status`, `/health` and the
-//!   live `/report`: one entry per run id (headline status, telemetry
-//!   ring, sentinel findings, SLO watchdog), written by one [`tick`] per
-//!   iteration and forgotten by one [`scope_remove`]; [`sentinel`] holds
-//!   the pure convergence rules it and `dgr doctor` evaluate,
+//!   live `/report`: one entry per run id (headline status, every
+//!   telemetry row, sentinel findings, SLO watchdog), written by one
+//!   [`tick`] per iteration and forgotten by one [`scope_remove`];
+//!   [`sentinel`] holds the pure convergence rules it and `dgr doctor`
+//!   evaluate,
 //! * [`SnapshotSink`] — a spatial congestion-snapshot stream (per-edge
-//!   demand/overflow grids plus per-net attribution records) captured at
+//!   demand grids plus per-net attribution records) captured at
 //!   iteration strides,
 //! * [`render_report`] — the deterministic self-contained HTML
 //!   post-mortem renderer behind `dgr report` and the live `/report`: a

@@ -682,8 +682,6 @@ mod tests {
             phase: "final".into(),
             h_demand: vec![2.0, 0.0],
             v_demand: vec![0.0, 0.0],
-            h_overflow: vec![1.0, 0.0],
-            v_overflow: vec![0.0, 0.0],
             overflowed_edges: 1,
             total_overflow: 1.0,
             peak_overflow: 1.0,

@@ -2,12 +2,13 @@
 //! *id*", in one registry.
 //!
 //! A scope holds a run's headline status (job, phase, iteration, loss —
-//! the `/status` row), a bounded ring of its recent telemetry rows (the
-//! mid-run `/report` curves), its sentinel [`RuleEngine`] with the
-//! findings raised so far (the `/health` row) and, when a daemon armed
-//! one, its SLO watchdog. One mutex guards the one map; [`tick`] is the
-//! single write a training iteration makes and [`scope_remove`] the
-//! single call that forgets a run.
+//! the `/status` row), every telemetry row it has ticked (the run's one
+//! store of them: `/report`'s curves, and a `dgrd` job's telemetry and
+//! report while it runs and once it is finished), its sentinel
+//! [`RuleEngine`] with the findings raised so far (the `/health` row)
+//! and, when a daemon armed one, its SLO watchdog. One mutex guards the
+//! one map; [`tick`] is the single write a training iteration makes and
+//! [`scope_remove`] the single call that forgets a run.
 //!
 //! Each thread carries a current scope id — `0`, the one-shot CLI run,
 //! until [`status_scope`] switches it for the lifetime of its guard; a
@@ -23,12 +24,13 @@
 //! the tick path waits on nothing but that mutex (`dgrd`'s `/health`
 //! reads scopes while holding its job table).
 //!
-//! # The ring
+//! # The rows
 //!
-//! Bounded at [`RING_CAPACITY`] rows by stride doubling: when full, the
-//! keep-stride doubles and only rows whose iteration is a multiple of it
-//! stay, so arbitrarily long runs keep an evenly thinned history (newest
-//! rows always land; resolution degrades gracefully).
+//! A scope keeps every row, 32 bytes each, until [`status_begin`] starts
+//! a new run in it or [`scope_remove`] forgets it: 640 KB for a
+//! 20 000-iteration run, plus the `Vec`'s growth slack. What bounds a
+//! daemon's rows is its job retention, which evicts a finished job's
+//! scope with the job.
 //!
 //! # The watchdog
 //!
@@ -47,9 +49,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// Maximum telemetry rows retained per scope for live report rendering.
-pub const RING_CAPACITY: usize = 2048;
 
 /// The headline state of one run: a `/status` row.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -86,9 +85,7 @@ struct Watchdog {
 #[derive(Default)]
 struct Scope {
     status: RunStatus,
-    ring: Vec<IterationRow>,
-    /// The ring keeps rows whose iteration is a multiple of `1 << thinnings`.
-    thinnings: u32,
+    rows: Vec<IterationRow>,
     engine: RuleEngine,
     findings: Vec<Finding>,
     watchdog: Option<Watchdog>,
@@ -159,8 +156,8 @@ fn publish(f: impl FnOnce(&mut Scope)) {
 }
 
 /// Sets the job name and planned iteration total for the current scope,
-/// clearing its status row and ring — and nothing else: a watchdog armed
-/// before the run begins stays armed.
+/// clearing its status row and telemetry rows — and nothing else: a
+/// watchdog armed before the run begins stays armed.
 pub fn status_begin(job: &str, total_iters: u64, batch: u64) {
     publish(|s| {
         s.status = RunStatus {
@@ -169,8 +166,7 @@ pub fn status_begin(job: &str, total_iters: u64, batch: u64) {
             batch: batch.max(1),
             ..RunStatus::default()
         };
-        s.ring.clear();
-        s.thinnings = 0;
+        s.rows.clear();
     });
 }
 
@@ -206,7 +202,7 @@ fn publish_alerts(scopes: &Scopes) {
 }
 
 /// Feeds one iteration's row to the current scope: headline numbers,
-/// telemetry ring, sentinel rules and watchdog. The one call the
+/// kept rows, sentinel rules and watchdog. The one call the
 /// training loop makes per row; it never touches the optimization state.
 pub fn tick(row: &IterationRow) {
     if !crate::enabled() {
@@ -221,14 +217,7 @@ pub fn tick(row: &IterationRow) {
     s.status.loss = row.loss;
     s.status.overflow = row.overflow;
     s.status.temperature = row.temperature;
-    if iter.is_multiple_of(1 << s.thinnings) {
-        s.ring.push(*row);
-        if s.ring.len() >= RING_CAPACITY && s.thinnings < 63 {
-            s.thinnings += 1;
-            let stride = 1u64 << s.thinnings;
-            s.ring.retain(|r| (r.iter as u64).is_multiple_of(stride));
-        }
-    }
+    s.rows.push(*row);
 
     let raised = s.engine.observe(row);
     let news = !raised.is_empty();
@@ -290,7 +279,7 @@ pub fn watchdog_breach(id: u64) -> Option<String> {
     scopes().get(&id)?.watchdog.as_ref()?.breach.clone()
 }
 
-/// Forgets scope `id` — status row, ring, sentinel state and watchdog
+/// Forgets scope `id` — status row, rows, sentinel state and watchdog
 /// (job evicted from a daemon's table). Removing a missing scope is a
 /// no-op.
 pub fn scope_remove(id: u64) {
@@ -313,11 +302,13 @@ pub(crate) fn status_snapshot() -> RunStatus {
         .unwrap_or_default()
 }
 
-/// Scope `id`'s retained telemetry rows as JSONL text (empty for an
-/// unknown scope) — the telemetry of a job that is still running.
+/// Scope `id`'s telemetry rows as JSONL text, each [`IterationRow::to_json`]
+/// plus a newline, as a `--telemetry` file holds them (empty for an
+/// unknown scope) — a `dgrd` job's telemetry, running or finished.
 pub fn status_ring_jsonl_of(id: u64) -> String {
-    let scopes = scopes();
-    let rows = scopes.get(&id).map_or(&[][..], |s| &s.ring);
+    // copied out under the lock, written outside it: every training
+    // thread's tick waits on this lock
+    let rows = scopes().get(&id).map_or_else(Vec::new, |s| s.rows.clone());
     rows.iter().map(|r| r.to_json() + "\n").collect()
 }
 
@@ -345,7 +336,7 @@ pub(crate) fn status_json() -> String {
         let rows: Vec<(u64, RunStatus, usize)> = scopes
             .iter()
             .filter(|(_, s)| s.published)
-            .map(|(&id, s)| (id, s.status.clone(), s.ring.len()))
+            .map(|(&id, s)| (id, s.status.clone(), s.rows.len()))
             .collect();
         (own.unwrap_or_default(), rows)
     };
@@ -413,24 +404,18 @@ pub(crate) fn health_json() -> String {
 }
 
 /// The standard HTML report of scope `id` as the run stands: training
-/// curves from `rows` — the run's full telemetry when the caller holds it
-/// (a finished `dgrd` job's stored stream), the scope's ring when `None`
-/// — the health band when the scope is watched, the phase table when
-/// `spans` are given (the live `/report` passes [`crate::span_totals`]).
-/// No rows at all render the "no telemetry" placeholder. Snapshot grids
-/// are file-bound, so the congestion section renders its placeholder.
-pub fn report_of(
-    id: u64,
-    title: String,
-    rows: Option<Vec<IterationRow>>,
-    spans: Option<&[crate::SpanTotal]>,
-) -> String {
+/// curves from the scope's rows, the health band when the scope is
+/// watched, the phase table when `spans` are given (the live `/report`
+/// passes [`crate::span_totals`]). No rows at all render the "no
+/// telemetry" placeholder. Snapshot grids are file-bound, so the
+/// congestion section renders its placeholder.
+pub fn report_of(id: u64, title: String, spans: Option<&[crate::SpanTotal]>) -> String {
     // copied out under the lock, rendered outside it: every training
     // thread's tick waits on this lock
     let (rows, health) = {
         let scopes = scopes();
         let scope = scopes.get(&id);
-        let rows = rows.unwrap_or_else(|| scope.map_or_else(Vec::new, |s| s.ring.clone()));
+        let rows = scope.map_or_else(Vec::new, |s| s.rows.clone());
         (rows, scope.filter(|s| s.watched).map(|s| s.health().1))
     };
     crate::render_report(&crate::ReportInputs {
@@ -489,19 +474,24 @@ mod tests {
         assert!(json.contains("\"jobs\":["));
     }
 
+    /// Past the 2 048 rows the scope once thinned at, every row stays,
+    /// in order, and a new run begun in the scope starts empty.
     #[test]
-    fn ring_thins_by_stride_doubling() {
+    fn a_scope_keeps_every_row_in_order() {
         let _guard = crate::test_lock();
         crate::reset();
         crate::set_enabled(true);
         status_begin("train", 0, 1);
-        for i in 0..(RING_CAPACITY * 4) {
-            tick(&row(i));
-        }
+        let rows: Vec<IterationRow> = (0..5_000).map(row).collect();
+        rows.iter().for_each(tick);
+        let want: String = rows.iter().map(|r| r.to_json() + "\n").collect();
+        assert!(
+            status_ring_jsonl_of(0) == want,
+            "the scope lost or moved a row"
+        );
+        status_begin("train", 0, 1);
         crate::set_enabled(false);
-        let lines = status_ring_jsonl_of(0).lines().count();
-        assert!(lines < RING_CAPACITY, "ring unbounded: {lines}");
-        assert!(lines > RING_CAPACITY / 8, "ring over-thinned: {lines}");
+        assert_eq!(status_ring_jsonl_of(0), "");
     }
 
     #[test]
@@ -597,7 +587,7 @@ mod tests {
         assert!(json.contains("\"id\":302"));
         assert!(health_summary_of(301).contains("divergence@"));
         assert_eq!(health_summary_of(302), "ok");
-        let report = report_of(301, "t".into(), None, None);
+        let report = report_of(301, "t".into(), None);
         assert!(report.contains("class=\"healthband\""));
         scope_remove(301);
         assert!(health_of(301).is_none());

@@ -12,7 +12,7 @@
 //!   temperature, queue depth, RSS, plus one row per
 //!   published run scope on multi-job daemons,
 //! * `GET /report` — the standard HTML post-mortem rendered from the
-//!   live telemetry ring and the span registry's totals *mid-run*,
+//!   live telemetry rows and the span registry's totals *mid-run*,
 //! * `GET /health` — the sentinel convergence-health verdicts as JSON:
 //!   overall verdict plus one row per watched scope with its ranked
 //!   findings,
@@ -390,7 +390,7 @@ fn route(path: &str) -> HttpResponse {
 }
 
 /// Renders the standard report from whatever the serving thread's scope
-/// has produced so far: its telemetry ring and the span registry's
+/// has produced so far: its telemetry rows and the span registry's
 /// per-name totals (never the event log: a long run's log is tens of
 /// thousands of events).
 fn live_report() -> String {
@@ -401,7 +401,7 @@ fn live_report() -> String {
         format!("{job} (live)")
     };
     let spans = crate::span_totals();
-    crate::report_of(crate::status_scope_id(), title, None, Some(&spans))
+    crate::report_of(crate::status_scope_id(), title, Some(&spans))
 }
 
 fn reason(status: u16) -> &'static str {

@@ -7,14 +7,16 @@
 //!
 //! * **header** (first line, once): grid dimensions plus the H/V edge
 //!   capacity grids, which are invariant across the run:
-//!   `{"kind":"header","version":1,"width":W,"height":H,
+//!   `{"kind":"header","version":2,"width":W,"height":H,
 //!   "h_capacity":[...],"v_capacity":[...]}`. H edges are listed
 //!   row-major, `(width−1)·height` of them; V edges row-major,
 //!   `width·(height−1)`.
 //! * **snapshot** (every stride iterations and at phase boundaries): the
-//!   Eq. (2)/Eq. (10) total-demand grids and the derived per-edge
-//!   overflow (`max(0, demand − capacity)`), plus aggregate stats. The
-//!   `phase` field is `"train"`, `"extract"` or `"final"`.
+//!   Eq. (2)/Eq. (10) total-demand grids plus the aggregates of their
+//!   per-edge overflow (`max(0, demand − capacity)`): edges over, sum and
+//!   peak. The `phase` field is `"train"`, `"extract"` or `"final"`.
+//!   Version 1 also wrote the per-edge overflow rasters `h_overflow` /
+//!   `v_overflow`; the reader ignores them, so a version 1 stream reads.
 //! * **attribution** (once per extracted solution): each overflowed
 //!   edge's excess split evenly among the nets crossing it, yielding a
 //!   ranked per-net share of the overflow mass alongside that net's
@@ -29,7 +31,7 @@ use crate::parse::{parse_jsonl, JsonValue};
 use crate::sink::LineOut;
 
 /// Schema version written in the header record.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// The run-invariant prelude of a snapshot stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,10 +71,6 @@ pub struct SnapshotRecord {
     pub h_demand: Vec<f32>,
     /// Vertical-edge total demand.
     pub v_demand: Vec<f32>,
-    /// Horizontal-edge overflow `max(0, demand − capacity)`.
-    pub h_overflow: Vec<f32>,
-    /// Vertical-edge overflow.
-    pub v_overflow: Vec<f32>,
     /// Edges over capacity by more than the solver epsilon.
     pub overflowed_edges: u64,
     /// Sum of per-edge overflow.
@@ -90,8 +88,6 @@ impl SnapshotRecord {
         o.field_str("phase", &self.phase);
         o.field_f32_array("h_demand", &self.h_demand);
         o.field_f32_array("v_demand", &self.v_demand);
-        o.field_f32_array("h_overflow", &self.h_overflow);
-        o.field_f32_array("v_overflow", &self.v_overflow);
         o.field_u64("overflowed_edges", self.overflowed_edges);
         o.field_f32("total_overflow", self.total_overflow);
         o.field_f32("peak_overflow", self.peak_overflow);
@@ -274,7 +270,8 @@ pub struct SnapshotStream {
 
 impl SnapshotStream {
     /// Parses the JSONL text of a snapshot stream. Unknown record kinds
-    /// are skipped (forward compatibility). Every raster must have the
+    /// and keys are skipped (forward compatibility, and version 1's
+    /// overflow rasters). Every raster must have the
     /// length the (last) header's grid gives it: `(width−1)·height` H
     /// edges and `width·(height−1)` V edges.
     ///
@@ -308,8 +305,6 @@ impl SnapshotStream {
                         phase: v.str("phase").unwrap_or("train").to_string(),
                         h_demand: v.f32s("h_demand").ok_or_else(|| fail("no h_demand"))?,
                         v_demand: v.f32s("v_demand").ok_or_else(|| fail("no v_demand"))?,
-                        h_overflow: v.f32s("h_overflow").ok_or_else(|| fail("no h_overflow"))?,
-                        v_overflow: v.f32s("v_overflow").ok_or_else(|| fail("no v_overflow"))?,
                         overflowed_edges: v
                             .get("overflowed_edges")
                             .and_then(JsonValue::as_u64)
@@ -376,8 +371,6 @@ impl SnapshotStream {
         for (s, &record) in stream.snapshots.iter().zip(&snapshot_records) {
             check(record, "h_demand", &s.h_demand, num_h)?;
             check(record, "v_demand", &s.v_demand, num_v)?;
-            check(record, "h_overflow", &s.h_overflow, num_h)?;
-            check(record, "v_overflow", &s.v_overflow, num_v)?;
         }
         Ok(stream)
     }
@@ -402,8 +395,6 @@ mod tests {
             phase: phase.to_string(),
             h_demand: vec![1.0, 0.0, 2.5, 0.0],
             v_demand: vec![0.0, 0.5, 0.0],
-            h_overflow: vec![0.0, 0.0, 1.5, 0.0],
-            v_overflow: vec![0.0, 0.0, 0.0],
             overflowed_edges: 1,
             total_overflow: 1.5,
             peak_overflow: 1.5,
@@ -461,8 +452,23 @@ mod tests {
     #[test]
     fn header_record_shape() {
         let json = header().to_json();
-        assert!(json.starts_with(r#"{"kind":"header","version":1,"width":3,"height":2,"#));
+        assert!(json.starts_with(r#"{"kind":"header","version":2,"width":3,"height":2,"#));
         assert!(json.contains(r#""h_capacity":[2,2,1,1]"#));
+    }
+
+    /// A version 1 stream, whose snapshots also carried the overflow
+    /// rasters, reads as the version 2 stream without them.
+    #[test]
+    fn a_version_1_stream_still_parses() {
+        let v1 = concat!(
+            r#"{"kind":"header","version":1,"width":3,"height":2,"h_capacity":[2,2,1,1],"v_capacity":[2,2,2]}"#,
+            "\n",
+            r#"{"kind":"snapshot","iter":0,"phase":"train","h_demand":[1,0,2.5,0],"v_demand":[0,0.5,0],"h_overflow":[0,0,1.5,0],"v_overflow":[0,0,0],"overflowed_edges":1,"total_overflow":1.5,"peak_overflow":1.5}"#,
+            "\n",
+        );
+        let stream = SnapshotStream::parse(v1).unwrap();
+        assert_eq!(stream.header, Some(header()));
+        assert_eq!(stream.snapshots, vec![snap(0, "train")]);
     }
 
     #[test]
@@ -510,12 +516,12 @@ mod tests {
         assert_eq!(err, "record 1: a 0×2 grid has no g-cells");
         // every raster of every snapshot is checked, whatever the order
         let mut bad = snap(4, "final");
-        bad.v_overflow.push(0.0);
+        bad.v_demand.push(0.0);
         let text = format!("{}\n{}\n", bad.to_json(), header().to_json());
         let err = SnapshotStream::parse(&text).unwrap_err();
         assert_eq!(
             err,
-            "record 1: v_overflow has length 4, but the 3×2 header needs 3"
+            "record 1: v_demand has length 4, but the 3×2 header needs 3"
         );
         // without a header nothing indexes a raster, so nothing is checked
         assert!(SnapshotStream::parse(&bad.to_json()).is_ok());

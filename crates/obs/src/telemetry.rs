@@ -17,8 +17,8 @@
 //! at any thread count. The process's memory is `/status`'s and the
 //! `process.rss_bytes` gauge's business, not a row's.
 //!
-//! [`rows_from_jsonl`] is the one reader of the format: `dgr doctor`,
-//! `dgr report` and a finished `dgrd` job's report read rows through it.
+//! [`rows_from_jsonl`] is the one reader of the format: `dgr doctor` and
+//! `dgr report` read rows through it.
 
 use crate::json::JsonObject;
 use crate::parse::{parse_jsonl, JsonValue};

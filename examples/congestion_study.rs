@@ -1,7 +1,8 @@
 //! Congestion study: route the same ISPD-like design with the
 //! differentiable router and the CUGR2-style sequential baseline, then
-//! compare congestion maps and metrics side by side — the Table-2
-//! experiment in miniature.
+//! compare their metrics side by side — the Table-2 experiment in
+//! miniature. `dgr route --snap` and `dgr report --snap` draw a run's
+//! congestion map.
 //!
 //! ```text
 //! cargo run --release --example congestion_study
@@ -11,7 +12,6 @@ use std::error::Error;
 
 use dgr::baseline::SequentialRouter;
 use dgr::core::{DgrConfig, DgrRouter};
-use dgr::grid::CongestionReport;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
 use dgr::post::pipeline;
 
@@ -64,8 +64,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             m.overflow.overflowed_edges,
             m.overflow.total_overflow
         );
-        let report = CongestionReport::measure(&design.grid, &design.capacity, &sol.demand);
-        println!("{}", report.ascii_heatmap(&design.grid));
     }
 
     println!(

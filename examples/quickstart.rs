@@ -6,7 +6,7 @@
 //! ```
 
 use dgr::core::{DgrConfig, DgrRouter};
-use dgr::grid::{CapacityBuilder, CongestionReport, Design, GcellGrid, Net, Point};
+use dgr::grid::{CapacityBuilder, Design, GcellGrid, Net, Point};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. a 16×16 g-cell grid with 4 tracks per edge
@@ -51,13 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {}", corners.join(" → "));
         }
     }
-
-    // 5. congestion heat map
-    let report = CongestionReport::measure(&design.grid, &design.capacity, &solution.demand);
-    println!(
-        "\ncongestion map (top row first):\n{}",
-        report.ascii_heatmap(&design.grid)
-    );
 
     if let Some(train) = &solution.train_report {
         println!(

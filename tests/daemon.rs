@@ -42,12 +42,13 @@ fn inline_spec(design_text: &str, label: &str, iterations: u32, seed: u64) -> St
     )
 }
 
-/// One-shot CLI route of the same design/config; returns the guide bytes.
-fn cli_guide(design_text: &str, iterations: u32, seed: u64, tag: &str) -> Vec<u8> {
+/// One-shot CLI route of the same design/config; returns the bytes of the
+/// file it writes for `flag` (`--guide` or `--telemetry`).
+fn cli_file(flag: &str, design_text: &str, iterations: u32, seed: u64, tag: &str) -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!("dgr_daemon_cli_{tag}_{seed}"));
     std::fs::create_dir_all(&dir).unwrap();
     let design_path = dir.join("design.txt");
-    let guide_path = dir.join("out.guide");
+    let out_path = dir.join("out");
     std::fs::write(&design_path, design_text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
         .env("DGR_LEDGER", "off")
@@ -58,8 +59,8 @@ fn cli_guide(design_text: &str, iterations: u32, seed: u64, tag: &str) -> Vec<u8
             &iterations.to_string(),
             "--seed",
             &seed.to_string(),
-            "--guide",
-            guide_path.to_str().unwrap(),
+            flag,
+            out_path.to_str().unwrap(),
             "--quiet",
         ])
         .output()
@@ -69,7 +70,7 @@ fn cli_guide(design_text: &str, iterations: u32, seed: u64, tag: &str) -> Vec<u8
         "cli route failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read(&guide_path).expect("cli guide written")
+    std::fs::read(&out_path).expect("cli file written")
 }
 
 /// Three concurrent jobs from client threads run to `done` with full
@@ -168,7 +169,7 @@ fn concurrent_jobs_match_the_cli_byte_for_byte() {
     for (&id, (seed, text)) in ids.iter().zip(&designs).take(2) {
         let daemon_guide = get(addr, &format!("/jobs/{id}/guide"));
         assert_eq!(daemon_guide.status, 200);
-        let cli = cli_guide(text, ITERS, *seed, "bytecmp");
+        let cli = cli_file("--guide", text, ITERS, *seed, "bytecmp");
         assert_eq!(
             daemon_guide.body.as_bytes(),
             cli.as_slice(),
@@ -221,7 +222,7 @@ fn a_job_whose_front_end_fans_out_serves_the_clis_guide() {
     let guide = get(addr, &format!("/jobs/{id}/guide"));
     assert_eq!(guide.status, 200);
     assert!(
-        guide.body.as_bytes() == cli_guide(&text, ITERS, 5, "fanout").as_slice(),
+        guide.body.as_bytes() == cli_file("--guide", &text, ITERS, 5, "fanout").as_slice(),
         "daemon guide differs from the one-shot CLI guide"
     );
     daemon.stop();
@@ -512,4 +513,80 @@ fn job_ledger_records_are_per_job_and_comparable_with_the_cli() {
     assert_eq!(cli[0].config_fp, jobs[0].config_fp);
     assert_eq!(cli[0].vias, jobs[0].vias);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 12-net design on a 12×12 grid: small enough that thousands of
+/// iterations take a second.
+fn tiny_design() -> Design {
+    IspdLikeGenerator::new(IspdLikeConfig {
+        width: 12,
+        height: 12,
+        num_nets: 12,
+        num_layers: 3,
+        clusters: 3,
+        seed: 7,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config")
+}
+
+/// A finished job's `/jobs/:id/telemetry` and `/jobs/:id/report` bodies,
+/// byte for byte, against `tests/golden/daemon_job_bodies.txt` (recorded
+/// when a finished job still served a second, JSONL copy of its rows).
+/// The report's title names the process-global job id, which is masked.
+/// `DGR_UPDATE_GOLDEN=1` rewrites the file.
+#[test]
+fn a_finished_jobs_bodies_match_the_golden() {
+    let daemon = boot(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let addr = daemon.local_addr();
+    let text = dgr::io::write_design(&tiny_design());
+    let id = submit_job(addr, &inline_spec(&text, "golden", 60, 3));
+    wait_state(addr, id, "done", Duration::from_secs(120));
+    let telemetry = get(addr, &format!("/jobs/{id}/telemetry"));
+    let report = get(addr, &format!("/jobs/{id}/report"));
+    daemon.stop();
+    assert_eq!((telemetry.status, report.status), (200, 200));
+    let report = report.body.replace(&format!("job {id} — "), "job <id> — ");
+    let got = format!("== telemetry\n{}== report\n{report}", telemetry.body);
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/daemon_job_bodies.txt"
+    );
+    if std::env::var_os("DGR_UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("read {path}: {e}\n(run with DGR_UPDATE_GOLDEN=1 to create)"));
+    assert!(got == want, "a finished job's bodies changed their bytes");
+}
+
+/// A finished job of more iterations than the 2 048 rows a scope once
+/// thinned at serves every row: exactly `iterations` of them, the bytes
+/// `dgr route --telemetry` writes for the same design, iterations and
+/// seed.
+#[test]
+fn a_long_finished_job_serves_every_row_like_the_cli() {
+    const ITERS: u32 = 2_500;
+    let daemon = boot(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let addr = daemon.local_addr();
+    let text = dgr::io::write_design(&tiny_design());
+    let id = submit_job(addr, &inline_spec(&text, "long", ITERS, 9));
+    wait_state(addr, id, "done", Duration::from_secs(300));
+    let telemetry = get(addr, &format!("/jobs/{id}/telemetry"));
+    daemon.stop();
+    assert_eq!(telemetry.status, 200);
+    assert_eq!(telemetry.body.lines().count(), ITERS as usize);
+    assert!(
+        telemetry.body.as_bytes() == cli_file("--telemetry", &text, ITERS, 9, "long").as_slice(),
+        "the job's telemetry differs from the one-shot CLI's file"
+    );
 }

@@ -494,7 +494,7 @@ fn live_report_equals_the_report_of_its_telemetry_file() {
         telemetry_of_run(11, 1000.0, 600)
     };
     dgr::obs::set_enabled(false);
-    let live = dgr::obs::report_of(SCOPE, "run".into(), None, None);
+    let live = dgr::obs::report_of(SCOPE, "run".into(), None);
     dgr::obs::scope_remove(SCOPE);
 
     let rows = dgr::obs::rows_from_jsonl(&text).expect("telemetry parses");

@@ -44,26 +44,22 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod attribution;
 pub mod config;
 pub mod extract;
 pub mod relax;
 pub mod session;
-pub mod snapshot;
 pub mod solution;
 pub mod train;
 
-pub use attribution::{attribute_solution, write_attribution, MAX_ATTRIBUTION_NETS};
 pub use config::{CostWeights, DgrConfig, ExtractionMode};
 pub use extract::extract_solution;
 pub use relax::{build_cost_model, CostModel};
 pub use session::Session;
-pub use snapshot::{ensure_header, write_demand_snapshot, write_dense_snapshot};
 pub use solution::{NetRoute, RoutePath, RoutingSolution, SolutionMetrics};
 pub use train::{train, CurvePoint, LiveRow, TrainReport, CURVE_POINTS};
 
 use dgr_grid::Design;
-use dgr_obs::{SnapshotSink, TelemetrySink};
+use dgr_obs::TelemetrySink;
 
 /// Errors produced by the DGR pipeline.
 #[derive(Debug)]
@@ -123,17 +119,6 @@ impl From<dgr_grid::GridError> for DgrError {
     }
 }
 
-/// Spatial-congestion snapshot capture attached to a routing run.
-#[derive(Debug)]
-pub struct SnapshotConfig {
-    /// Destination snapshot stream (owned; flushed when the run
-    /// completes or the hooks drop).
-    pub sink: SnapshotSink,
-    /// Training-loop capture stride in iterations; `0` captures only the
-    /// extracted solution.
-    pub every: usize,
-}
-
 /// Observability hooks threaded through [`DgrRouter::route_with_hooks`].
 ///
 /// The default hooks are inert — [`DgrRouter::route`] uses them — so the
@@ -143,10 +128,6 @@ pub struct RouteHooks {
     /// Per-iteration JSONL telemetry destination (owned; flushed when the
     /// run completes or the hooks drop).
     pub telemetry: Option<TelemetrySink>,
-    /// Per-g-cell congestion snapshot stream: periodic captures of the
-    /// relaxed expected demand during training, plus one capture of every
-    /// extracted solution (phase `"extract"`).
-    pub snap: Option<SnapshotConfig>,
     /// A stderr progress line every this many training iterations, the
     /// last one always, at most one per 200 ms but the last (`dgr route
     /// --progress`; `None` prints none).
@@ -241,9 +222,6 @@ impl DgrRouter {
         if hooks.is_cancelled() {
             return Err(DgrError::Cancelled);
         }
-        if let Some(s) = hooks.snap.as_mut() {
-            snapshot::ensure_header(&mut s.sink, design);
-        }
         let mut session = Session::open(self.config.clone(), design)?;
         session.train(self.config.iterations, hooks)?;
         let mut solution = session.extract()?;
@@ -259,11 +237,6 @@ impl DgrRouter {
             }
             session.train(config::ADAPTIVE_ITERATIONS, hooks)?;
             solution = session.extract()?;
-        }
-        if let Some(s) = hooks.snap.as_mut() {
-            let iter = session.iterations() as u64;
-            snapshot::write_demand_snapshot(&mut s.sink, design, &solution.demand, iter, "extract");
-            s.sink.flush();
         }
         Ok(solution)
     }

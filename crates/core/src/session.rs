@@ -94,8 +94,8 @@ impl<'d> Session<'d> {
     }
 
     /// Trains the model for `iterations` more, with `hooks` attached.
-    /// Iteration numbers in telemetry, snapshots and the curve go on from
-    /// the rounds before, and the session's report covers them all.
+    /// Iteration numbers in telemetry and the curve go on from the rounds
+    /// before, and the session's report covers them all.
     ///
     /// # Errors
     ///
@@ -105,14 +105,7 @@ impl<'d> Session<'d> {
         self.cfg.iterations = iterations;
         let offset = self.iterations();
         let (_, model) = self.relaxed.as_mut().expect(HELD);
-        let round = train::train_loop(
-            model,
-            &self.cfg,
-            &mut self.rng,
-            Some(self.design),
-            hooks,
-            offset,
-        );
+        let round = train::train_loop(model, &self.cfg, &mut self.rng, hooks, offset);
         self.report = Some(match self.report.take() {
             Some(earlier) => earlier.followed_by(round),
             None => round,

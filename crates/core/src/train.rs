@@ -45,7 +45,6 @@ use std::time::{Duration, Instant};
 use dgr_autodiff::cost::NoiseRuns;
 use dgr_autodiff::parallel::{self, LANE_THRESHOLD};
 use dgr_autodiff::Adam;
-use dgr_grid::Design;
 use dgr_obs::IterationRow;
 use rand::rngs::StdRng;
 
@@ -210,15 +209,12 @@ impl LiveRow {
 /// temperature step the kernel first drops the candidates under
 /// [`PRUNE_BELOW`]; it is back in the forest's layout on return.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
-    train_loop(model, cfg, rng, None, &mut RouteHooks::default(), 0)
+    train_loop(model, cfg, rng, &mut RouteHooks::default(), 0)
 }
 
 /// The loop behind [`train`] and [`Session::train`](crate::Session::train),
-/// with observability hooks: telemetry rows, progress lines, dense
-/// snapshots of the Eq. 10 expected demand over `design` every
-/// [`SnapshotConfig::every`](crate::SnapshotConfig::every) iterations
-/// (plus the final one; [`train`] has no design to capture), cooperative
-/// cancellation between iterations, and per-iteration phase
+/// with observability hooks: telemetry rows, progress lines,
+/// cooperative cancellation between iterations, and per-iteration phase
 /// spans (`forward` / `backward` / `adam` under the `train` category,
 /// and — with a helper engaged — `noise_ahead` / `lane_fwd` / `lane_bwd`
 /// on whichever thread ran them) recorded when `dgr_obs::enabled()`.
@@ -229,7 +225,6 @@ pub(crate) fn train_loop(
     model: &mut CostModel,
     cfg: &DgrConfig,
     rng: &mut StdRng,
-    design: Option<&Design>,
     hooks: &mut RouteHooks,
     iter_offset: usize,
 ) -> TrainReport {
@@ -328,17 +323,6 @@ pub(crate) fn train_loop(
             model.backward();
         }
         backward_time += bwd_start.elapsed();
-        if let (Some(snap), Some(design)) = (hooks.snap.as_mut(), design) {
-            if snap.every > 0 && (it % snap.every == 0 || last_iter) {
-                crate::snapshot::write_dense_snapshot(
-                    &mut snap.sink,
-                    design,
-                    model.demand(),
-                    (iter_offset + it) as u64,
-                    "train",
-                );
-            }
-        }
         // a row is materialized when a sink wants it OR the global obs
         // switch is on (the run's live scope feeds off dgr_obs::tick)
         if hooks.telemetry.is_some() || dgr_obs::enabled() {
@@ -386,9 +370,6 @@ pub(crate) fn train_loop(
 
     if let Some(sink) = hooks.telemetry.as_mut() {
         sink.flush();
-    }
-    if let Some(snap) = hooks.snap.as_mut() {
-        snap.sink.flush();
     }
     // extraction, the warm start and every other reader index the model
     // by the forest
@@ -537,7 +518,7 @@ mod tests {
             cancel: Some(Arc::new(AtomicBool::new(true))),
             ..RouteHooks::default()
         };
-        let report = train_loop(&mut model, &cfg, &mut rng, Some(&design), &mut hooks, 0);
+        let report = train_loop(&mut model, &cfg, &mut rng, &mut hooks, 0);
         assert_eq!(report.iterations, 0);
         assert!(report.final_loss.is_nan());
         assert_eq!(report.final_temperature, 0.7);
@@ -754,7 +735,7 @@ mod tests {
             telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
             ..RouteHooks::default()
         };
-        train_loop(&mut model, &cfg, &mut rng, Some(&design), &mut hooks, 0);
+        train_loop(&mut model, &cfg, &mut rng, &mut hooks, 0);
         let sink = hooks.telemetry.unwrap();
         let rows = sink.memory_contents().unwrap().lines();
         let norms: Vec<&str> = rows.map(|row| row.rsplit_once(',').unwrap().1).collect();
@@ -875,13 +856,12 @@ mod tests {
         let (design, forest, mut cfg) = random_problem(1200);
         cfg.iterations = 1_000_000; // the cancel ends the run, nothing else
         let cancel = Arc::new(AtomicBool::new(false));
-        // the run writes a demand snapshot per iteration to a file; a
-        // line in the file is an iteration that has run
+        // the run writes a telemetry row per iteration to a file; a line
+        // in the file is an iteration that has run
         let path = std::env::temp_dir().join(format!("dgr_cancel_{}.jsonl", std::process::id()));
-        let sink = dgr_obs::SnapshotSink::to_path(path.to_str().unwrap()).unwrap();
+        let sink = dgr_obs::TelemetrySink::to_path(path.to_str().unwrap()).unwrap();
         let mut hooks = RouteHooks {
-            telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
-            snap: Some(crate::SnapshotConfig { sink, every: 1 }),
+            telemetry: Some(sink),
             cancel: Some(Arc::clone(&cancel)),
             ..RouteHooks::default()
         };
@@ -890,11 +870,11 @@ mod tests {
         let watcher = std::thread::spawn({
             let (cancel, path) = (Arc::clone(&cancel), path.clone());
             move || {
-                let snapshots = || {
+                let rows = || {
                     let file = std::fs::read(&path).unwrap_or_default();
                     file.iter().filter(|&&b| b == b'\n').count()
                 };
-                while snapshots() < past_a_step {
+                while rows() < past_a_step {
                     std::thread::yield_now();
                 }
                 cancel.store(true, Ordering::Relaxed);
@@ -904,7 +884,7 @@ mod tests {
         parallel::set_num_threads(2);
         let mut rng = StdRng::seed_from_u64(3);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        let report = train_loop(&mut model, &cfg, &mut rng, Some(&design), &mut hooks, 0);
+        let report = train_loop(&mut model, &cfg, &mut rng, &mut hooks, 0);
         parallel::set_num_threads(0);
         watcher.join().unwrap();
         let _ = std::fs::remove_file(&path);

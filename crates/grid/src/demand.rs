@@ -312,12 +312,6 @@ pub fn touched_edges<'a>(
     Ok(wire.chain(via))
 }
 
-/// Dense per-edge overflow excess ([`DemandMap::excess`] of every edge),
-/// indexed by [`EdgeId`] — the input of the per-net attribution pass.
-pub fn edge_excess(grid: &GcellGrid, cap: &CapacityModel, demand: &DemandMap) -> Vec<f32> {
-    grid.edge_ids().map(|e| demand.excess(cap, e)).collect()
-}
-
 /// Whether the polyline `corners` rides an edge set in `mask` (an
 /// [`DemandMap::overflow_mask`]). A polyline that leaves the grid rides
 /// nothing.
@@ -429,22 +423,6 @@ mod tests {
         assert!(rides(&g, &mask, &[Point::new(0, 1), Point::new(4, 1)]));
         assert!(!rides(&g, &mask, &[Point::new(0, 2), Point::new(4, 2)]));
         assert!(!rides(&g, &mask, &[Point::new(0, 1), Point::new(9, 1)]));
-    }
-
-    #[test]
-    fn edge_excess_is_dense_and_thresholded() {
-        let g = GcellGrid::new(4, 3).unwrap();
-        let cap = CapacityBuilder::uniform(&g, 1.0).build(&g).unwrap();
-        let mut d = DemandMap::new(&g);
-        for _ in 0..2 {
-            d.add_segment(&g, Point::new(0, 1), Point::new(1, 1))
-                .unwrap();
-        }
-        let excess = edge_excess(&g, &cap, &d);
-        assert_eq!(excess.len(), g.num_edges());
-        let e = g.h_edge(0, 1).unwrap();
-        assert_eq!(excess[e.index()], 1.0);
-        assert_eq!(excess.iter().filter(|&&x| x > 0.0).count(), 1);
     }
 
     #[test]

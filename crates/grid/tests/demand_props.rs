@@ -8,12 +8,11 @@
 //! `total(e)` is *bitwise* the endpoint walk it replaced; `marginal` equals
 //! its defining expression; an overflow mask refreshed only at
 //! `touched_edges` equals a fresh one; and the mask, `OverflowStats` and
-//! `edge_excess` agree edge by edge on what is overflowed.
+//! `DemandMap::excess` agree edge by edge on what is overflowed.
 
 use dgr_grid::demand::{excess, touched_edges};
 use dgr_grid::{
-    edge_excess, CapacityBuilder, CapacityModel, DemandMap, EdgeId, GcellGrid, GcellId,
-    OverflowStats, Point,
+    CapacityBuilder, CapacityModel, DemandMap, EdgeId, GcellGrid, GcellId, OverflowStats, Point,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,7 +162,6 @@ fn the_ledger_equals_its_references_over_1000_random_states() {
 
             // every question, edge by edge
             let stats = OverflowStats::measure(&grid, &cap, &demand);
-            let excesses = edge_excess(&grid, &cap, &demand);
             let fresh_mask = demand.overflow_mask(&cap);
             assert_eq!(kept_mask, fresh_mask, "seed {seed}");
             assert_eq!(
@@ -182,8 +180,8 @@ fn the_ledger_equals_its_references_over_1000_random_states() {
                     fractional_marginals += usize::from(want > 0.0 && want < add);
                 }
                 assert_eq!(demand.is_over(&cap, e), d - c > OVERFLOW_EPS, "{e}");
-                assert_eq!(demand.is_over(&cap, e), excesses[e.index()] > 0.0, "{e}");
-                assert_eq!(excesses[e.index()], excess(d, c), "{e}");
+                assert_eq!(demand.is_over(&cap, e), demand.excess(&cap, e) > 0.0, "{e}");
+                assert_eq!(demand.excess(&cap, e), excess(d, c), "{e}");
                 assert_eq!(fresh_mask[e.index()], demand.is_over(&cap, e), "{e}");
             }
             overflowed += stats.overflowed_edges;

@@ -23,15 +23,12 @@
 //!   [`tick`] per iteration and forgotten by one [`scope_remove`];
 //!   [`sentinel`] holds the pure convergence rules it and `dgr doctor`
 //!   evaluate,
-//! * [`SnapshotSink`] — a spatial congestion-snapshot stream (per-edge
-//!   demand grids plus per-net attribution records) captured at
-//!   iteration strides,
 //! * [`render_report`] — the deterministic self-contained HTML
 //!   post-mortem renderer behind `dgr report` and the live `/report`: a
 //!   pure function of the records above. Each file format is read back
-//!   in the module that writes it ([`rows_from_jsonl`],
-//!   [`SnapshotStream::parse`], [`parse_trace`], [`FoldedProfile::parse`]),
-//!   the three JSON ones through [`parse`], a minimal JSON reader.
+//!   in the module that writes it ([`rows_from_jsonl`], [`parse_trace`],
+//!   [`FoldedProfile::parse`]), the two JSON ones through [`parse`], a
+//!   minimal JSON reader.
 //!
 //! # Overhead contract
 //!
@@ -71,11 +68,8 @@ pub mod report;
 pub mod scope;
 pub mod sentinel;
 pub mod serve;
-pub mod snapshot;
 pub mod span;
 pub mod telemetry;
-
-mod sink;
 
 pub use ledger::LedgerRecord;
 pub use metrics::{
@@ -94,9 +88,6 @@ pub use sentinel::{
     Verdict,
 };
 pub use serve::{HttpHandler, HttpRequest, HttpResponse, ObsServer, DEFAULT_MAX_BODY_BYTES};
-pub use snapshot::{
-    AttributionRecord, NetShare, SnapshotHeader, SnapshotRecord, SnapshotSink, SnapshotStream,
-};
 pub use span::{
     chrome_trace, folded_profile, log_span_events, parse_trace, reset_spans, span, span_totals,
     write_chrome_trace, PhaseTotal, SpanGuard, SpanTotal,

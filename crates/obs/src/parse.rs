@@ -1,6 +1,6 @@
 //! A minimal recursive-descent JSON reader — the inverse of [`crate::json`].
 //!
-//! `dgr report` has to read back the telemetry/snapshot JSONL and the
+//! `dgr report` has to read back the telemetry JSONL and the
 //! Chrome-trace file this crate wrote, and the workspace has no vendored
 //! JSON parser. This module implements just enough of RFC 8259 for that:
 //! objects, arrays, strings with the escapes [`crate::json::push_escaped`]
@@ -9,6 +9,12 @@
 //! without precision loss at the magnitudes involved.
 
 use std::collections::BTreeMap;
+
+/// How many objects and arrays a document may nest. The descent recurses
+/// once per level, so a deeper document is refused before it can exhaust
+/// the stack of the thread reading it (`dgrd` parses request bodies on the
+/// observatory's accept loop).
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys live in a [`BTreeMap`] so iteration
 /// order (and therefore everything the report renders) is deterministic.
@@ -80,13 +86,6 @@ impl JsonValue {
     pub fn str(&self, key: &str) -> Option<&str> {
         self.get(key).and_then(JsonValue::as_str)
     }
-
-    /// Convenience: `self[key]` as an `f32` vector (non-numbers → 0).
-    pub fn f32s(&self, key: &str) -> Option<Vec<f32>> {
-        self.get(key)
-            .and_then(JsonValue::as_arr)
-            .map(|a| a.iter().map(|v| v.as_f64().unwrap_or(0.0) as f32).collect())
-    }
 }
 
 /// Parse error: a message plus the byte offset it occurred at.
@@ -116,6 +115,7 @@ pub fn parse_json(input: &str) -> Result<JsonValue, ParseError> {
         text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -148,6 +148,8 @@ struct Parser<'a> {
     /// `text`'s bytes, for the single-byte look-ahead.
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -188,8 +190,7 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -197,6 +198,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// An object or an array, one level deeper than the value around it.
+    fn nested(&mut self) -> Result<JsonValue, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = match self.peek() {
+            Some(b'{') => self.object(),
+            _ => self.array(),
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, ParseError> {
@@ -406,6 +421,35 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a[1].get("b").unwrap().as_arr().unwrap().len(), 0);
         assert_eq!(v.get("c"), Some(&JsonValue::Obj(BTreeMap::new())));
+    }
+
+    /// 100 000 `[` on a thread with the 2 MiB stack of the observatory's
+    /// accept loop are refused at the cap, not descended into until the
+    /// stack overflows and aborts the process.
+    #[test]
+    #[allow(clippy::disallowed_methods)] // a thread of a known stack size
+    fn nesting_past_the_cap_is_an_error() {
+        let deep = "[".repeat(100_000);
+        let got = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_json(&deep))
+            .unwrap()
+            .join()
+            .expect("the parse returned");
+        let want = ParseError {
+            msg: format!("nested deeper than {MAX_DEPTH} levels"),
+            at: MAX_DEPTH,
+        };
+        assert_eq!(got, Err(want));
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_json(&objects).is_err());
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Deterministic self-contained HTML post-mortem reports (`dgr report`).
 //!
 //! [`render_report`] is a pure function of a routing run's records —
-//! telemetry rows, a snapshot stream, a phase table, a span profile and
-//! sentinel findings — and renders one HTML document with:
+//! telemetry rows, a phase table, a span profile and sentinel findings —
+//! and renders one HTML document with:
 //!
 //! * loss / overflow / temperature training curves (inline SVG),
-//! * one overflow heatmap per congestion snapshot (per-g-cell worst
-//!   incident-edge utilization),
-//! * the ranked per-net attribution table, and
-//! * a per-phase span breakdown.
+//! * a per-phase span breakdown,
+//! * the span profile's hot frames and heaviest stacks, and
+//! * the sentinel health band with its ranked findings.
 //!
 //! It reads no text: `dgr report` reads each file with the reader that
 //! lives beside its writer ([`crate::rows_from_jsonl`],
-//! [`SnapshotStream::parse`], [`crate::span::parse_trace`],
-//! [`FoldedProfile::parse`]), and the live `/report` hands over the rows,
-//! findings and span totals it already holds ([`crate::report_of`]).
+//! [`crate::span::parse_trace`], [`FoldedProfile::parse`]), and the live
+//! `/report` hands over the rows, findings and span totals it already
+//! holds ([`crate::report_of`]).
 //!
 //! The output is **deterministic**: identical inputs yield byte-identical
 //! HTML (no timestamps, no randomized ids, no map-ordered iteration), so
@@ -24,7 +23,6 @@
 
 use crate::profile::FoldedProfile;
 use crate::sentinel::{Finding, Severity};
-use crate::snapshot::{SnapshotHeader, SnapshotRecord, SnapshotStream};
 use crate::span::PhaseTotal;
 use crate::telemetry::IterationRow;
 use std::fmt::Write as _;
@@ -37,8 +35,6 @@ pub struct ReportInputs {
     pub title: String,
     /// Telemetry rows, oldest first.
     pub telemetry: Option<Vec<IterationRow>>,
-    /// A snapshot stream.
-    pub snapshots: Option<SnapshotStream>,
     /// The phase table, longest total first.
     pub phases: Option<Vec<PhaseTotal>>,
     /// A span profile. Unlike the inputs above this section renders only
@@ -66,8 +62,6 @@ pub fn render_report(inputs: &ReportInputs) -> String {
     let _ = writeln!(html, "<h1>DGR post-mortem — {}</h1>", escape(&inputs.title));
 
     render_curves(&mut html, inputs.telemetry.as_deref());
-    render_snapshots(&mut html, inputs.snapshots.as_ref());
-    render_attribution(&mut html, inputs.snapshots.as_ref());
     render_spans(&mut html, inputs.phases.as_deref());
     if let Some(profile) = &inputs.profile {
         render_profile(&mut html, profile);
@@ -240,209 +234,6 @@ fn line_chart(series: &[(f64, f64)], color: &str) -> String {
         points.trim_end()
     );
     svg
-}
-
-// ---------------------------------------------------------------------------
-// congestion heatmaps
-// ---------------------------------------------------------------------------
-
-fn render_snapshots(html: &mut String, stream: Option<&SnapshotStream>) {
-    html.push_str("<h2>Congestion snapshots</h2>\n");
-    let Some(stream) = stream else {
-        html.push_str("<p class=\"missing\">No snapshot stream supplied (--snap).</p>\n");
-        return;
-    };
-    let Some(header) = &stream.header else {
-        html.push_str("<p class=\"missing\">Snapshot stream has no header record.</p>\n");
-        return;
-    };
-    if stream.snapshots.is_empty() {
-        html.push_str("<p class=\"missing\">Snapshot stream contains no snapshots.</p>\n");
-        return;
-    }
-    let _ = writeln!(
-        html,
-        "<p class=\"note\">{}×{} g-cells · {} snapshots · color = worst incident-edge \
-         utilization per g-cell (white ≤ 50%, blue → orange → dark red ≥ 125% of \
-         capacity)</p>",
-        header.width,
-        header.height,
-        stream.snapshots.len()
-    );
-    for snap in &stream.snapshots {
-        html.push_str("<figure>");
-        html.push_str(&heatmap_svg(header, snap));
-        let _ = write!(
-            html,
-            "<figcaption>iter {} ({}) — {} overflowed edges, total overflow {}, \
-             peak {}</figcaption>",
-            snap.iter,
-            escape(&snap.phase),
-            snap.overflowed_edges,
-            fmt(snap.total_overflow as f64),
-            fmt(snap.peak_overflow as f64)
-        );
-        html.push_str("</figure>\n");
-    }
-}
-
-/// Piecewise-linear color ramp over utilization (deterministic integer
-/// RGB).
-fn ramp_color(u: f32) -> String {
-    const STOPS: [(f32, [i32; 3]); 5] = [
-        (0.0, [247, 251, 255]),
-        (0.5, [107, 174, 214]),
-        (0.8, [254, 217, 118]),
-        (1.0, [253, 141, 60]),
-        (1.25, [165, 15, 21]),
-    ];
-    let u = if u.is_finite() { u } else { f32::MAX };
-    if u <= STOPS[0].0 {
-        let [r, g, b] = STOPS[0].1;
-        return format!("#{r:02x}{g:02x}{b:02x}");
-    }
-    for w in STOPS.windows(2) {
-        let (u0, c0) = w[0];
-        let (u1, c1) = w[1];
-        if u <= u1 {
-            let t = ((u - u0) / (u1 - u0)) as f64;
-            let mix = |a: i32, b: i32| (a as f64 + t * (b - a) as f64).round() as i32;
-            return format!(
-                "#{:02x}{:02x}{:02x}",
-                mix(c0[0], c1[0]),
-                mix(c0[1], c1[1]),
-                mix(c0[2], c1[2])
-            );
-        }
-    }
-    let [r, g, b] = STOPS[STOPS.len() - 1].1;
-    format!("#{r:02x}{g:02x}{b:02x}")
-}
-
-/// Worst incident-edge utilization of cell `(x, y)`.
-fn cell_utilization(header: &SnapshotHeader, snap: &SnapshotRecord, x: u32, y: u32) -> f32 {
-    let w = header.width as usize;
-    let h = header.height as usize;
-    let (x, y) = (x as usize, y as usize);
-    let mut worst = 0.0f32;
-    let mut consider = |demand: f32, cap: f32| {
-        let u = if cap > 0.0 {
-            demand / cap
-        } else if demand > 1e-6 {
-            f32::INFINITY
-        } else {
-            0.0
-        };
-        worst = worst.max(u);
-    };
-    // horizontal edges left/right of the cell: row-major, w−1 per row
-    if w > 1 {
-        if x > 0 {
-            let e = y * (w - 1) + (x - 1);
-            consider(snap.h_demand[e], header.h_capacity[e]);
-        }
-        if x < w - 1 {
-            let e = y * (w - 1) + x;
-            consider(snap.h_demand[e], header.h_capacity[e]);
-        }
-    }
-    // vertical edges below/above the cell: row-major, w per row, h−1 rows
-    if h > 1 {
-        if y > 0 {
-            let e = (y - 1) * w + x;
-            consider(snap.v_demand[e], header.v_capacity[e]);
-        }
-        if y < h - 1 {
-            let e = y * w + x;
-            consider(snap.v_demand[e], header.v_capacity[e]);
-        }
-    }
-    worst
-}
-
-/// Renders one snapshot as a per-cell heatmap SVG, top row = max y
-/// (schematic orientation).
-fn heatmap_svg(header: &SnapshotHeader, snap: &SnapshotRecord) -> String {
-    let w = header.width.max(1);
-    let h = header.height.max(1);
-    let cell = (320 / w.max(h)).clamp(3, 14);
-    let (sw, sh) = (w * cell, h * cell);
-    let mut svg = format!(
-        "<svg class=\"heatmap\" width=\"{sw}\" height=\"{sh}\" \
-         viewBox=\"0 0 {sw} {sh}\" xmlns=\"http://www.w3.org/2000/svg\" role=\"img\">"
-    );
-    for y in 0..h {
-        for x in 0..w {
-            let u = cell_utilization(header, snap, x, y);
-            let _ = write!(
-                svg,
-                "<rect x=\"{}\" y=\"{}\" width=\"{cell}\" height=\"{cell}\" fill=\"{}\"/>",
-                x * cell,
-                (h - 1 - y) * cell,
-                ramp_color(u)
-            );
-        }
-    }
-    svg.push_str("</svg>");
-    svg
-}
-
-// ---------------------------------------------------------------------------
-// attribution table
-// ---------------------------------------------------------------------------
-
-fn render_attribution(html: &mut String, stream: Option<&SnapshotStream>) {
-    html.push_str("<h2>Per-net cost attribution</h2>\n");
-    let Some(attr) = stream.and_then(|s| s.attributions.last()) else {
-        html.push_str(
-            "<p class=\"missing\">No attribution record in the snapshot stream \
-             (written when a solution is extracted with --snap).</p>\n",
-        );
-        return;
-    };
-    let _ = writeln!(
-        html,
-        "<p class=\"note\">phase {} · {} nets · overflow mass {} ({} charged to nets; \
-         the remainder sits on edges crossed by no net wire — pure via pressure)</p>",
-        escape(&attr.phase),
-        attr.total_nets,
-        fmt(attr.total_excess as f64),
-        fmt(attr.charged_excess as f64),
-    );
-    if attr.nets.is_empty() {
-        html.push_str("<p class=\"missing\">No nets carry overflow — nothing to rank.</p>\n");
-        return;
-    }
-    html.push_str(
-        "<table>\n<tr><th>#</th><th class=\"l\">net</th><th>WL</th><th>turns</th>\
-         <th>overflow share</th><th>share %</th><th>edges</th><th>weighted cost</th></tr>\n",
-    );
-    let total = attr.total_excess.max(1e-12);
-    for (rank, n) in attr.nets.iter().enumerate() {
-        let _ = writeln!(
-            html,
-            "<tr><td>{}</td><td class=\"l\">{} <small>(#{})</small></td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}%</td><td>{}</td><td>{}</td></tr>",
-            rank + 1,
-            escape(&n.name),
-            n.net,
-            n.wirelength,
-            n.turns,
-            fmt(n.overflow_share as f64),
-            fmt((n.overflow_share / total * 100.0) as f64),
-            n.overflowed_edges,
-            fmt(n.cost),
-        );
-    }
-    html.push_str("</table>\n");
-    if attr.ranked_nets as usize > attr.nets.len() {
-        let _ = writeln!(
-            html,
-            "<p class=\"note\">table truncated: {} of {} offending nets shown.</p>",
-            attr.nets.len(),
-            attr.ranked_nets
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +447,6 @@ fn fmt(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{AttributionRecord, NetShare};
 
     fn row(iter: usize, loss: f32, overflow: f32, temperature: f32) -> IterationRow {
         IterationRow {
@@ -671,45 +461,9 @@ mod tests {
     }
 
     fn tiny_inputs() -> ReportInputs {
-        let header = SnapshotHeader {
-            width: 2,
-            height: 2,
-            h_capacity: vec![1.0, 1.0],
-            v_capacity: vec![1.0, 1.0],
-        };
-        let snap = SnapshotRecord {
-            iter: 1,
-            phase: "final".into(),
-            h_demand: vec![2.0, 0.0],
-            v_demand: vec![0.0, 0.0],
-            overflowed_edges: 1,
-            total_overflow: 1.0,
-            peak_overflow: 1.0,
-        };
-        let attr = AttributionRecord {
-            phase: "final".into(),
-            total_nets: 2,
-            ranked_nets: 1,
-            total_excess: 1.0,
-            charged_excess: 1.0,
-            nets: vec![NetShare {
-                net: 0,
-                name: "n<0>".into(),
-                wirelength: 3,
-                turns: 1,
-                overflow_share: 1.0,
-                overflowed_edges: 1,
-                cost: 505.5,
-            }],
-        };
         ReportInputs {
-            title: "unit".into(),
+            title: "unit <0>".into(),
             telemetry: Some(vec![row(0, 10.0, 1.0, 1.0), row(1, 9.0, 0.5, 0.9)]),
-            snapshots: Some(SnapshotStream {
-                header: Some(header),
-                snapshots: vec![snap],
-                attributions: vec![attr],
-            }),
             phases: Some(vec![PhaseTotal {
                 name: "train".into(),
                 count: 2,
@@ -728,8 +482,7 @@ mod tests {
         assert!(html.contains(
             "<p class=\"note\">2 iterations · loss 10 → 9 · final overflow term 0.5</p>"
         ));
-        assert!(html.contains("<svg class=\"heatmap\""));
-        assert!(html.contains("n&lt;0&gt;"), "net names are escaped");
+        assert!(html.contains("<h1>DGR post-mortem — unit &lt;0&gt;</h1>"));
         assert!(html.contains("<tr><td class=\"l\">train</td><td>2</td><td>2</td><td>1</td></tr>"));
         assert!(html.contains("<polyline"));
         assert!(!html.contains("<script"), "report must be JS-free");
@@ -747,7 +500,7 @@ mod tests {
             title: "empty".into(),
             ..Default::default()
         });
-        assert_eq!(html.matches("class=\"missing\"").count(), 4);
+        assert_eq!(html.matches("class=\"missing\"").count(), 2);
     }
 
     #[test]
@@ -804,16 +557,6 @@ mod tests {
         inputs.telemetry = Some(vec![row(0, 38962.92, 0.1, 1.0)]);
         let html = render_report(&inputs);
         assert!(html.contains("loss 38962.92 → 38962.92 · final overflow term 0.1</p>"));
-    }
-
-    #[test]
-    fn ramp_is_monotone_and_clamped() {
-        assert_eq!(ramp_color(0.0), "#f7fbff");
-        assert_eq!(ramp_color(1.25), "#a50f15");
-        assert_eq!(ramp_color(9.0), "#a50f15");
-        assert_eq!(ramp_color(f32::INFINITY), "#a50f15");
-        // interior stops reproduce exactly
-        assert_eq!(ramp_color(1.0), "#fd8d3c");
     }
 
     #[test]

@@ -407,8 +407,7 @@ pub(crate) fn health_json() -> String {
 /// curves from the scope's rows, the health band when the scope is
 /// watched, the phase table when `spans` are given (the live `/report`
 /// passes [`crate::span_totals`]). No rows at all render the "no
-/// telemetry" placeholder. Snapshot grids are file-bound, so the
-/// congestion section renders its placeholder.
+/// telemetry" placeholder.
 pub fn report_of(id: u64, title: String, spans: Option<&[crate::SpanTotal]>) -> String {
     // copied out under the lock, rendered outside it: every training
     // thread's tick waits on this lock

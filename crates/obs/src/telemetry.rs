@@ -20,9 +20,10 @@
 //! [`rows_from_jsonl`] is the one reader of the format: `dgr doctor` and
 //! `dgr report` read rows through it.
 
+use std::io::Write;
+
 use crate::json::JsonObject;
 use crate::parse::{parse_jsonl, JsonValue};
-use crate::sink::LineOut;
 
 /// One training iteration's telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,17 +107,29 @@ pub fn rows_from_jsonl(text: &str) -> Result<Vec<IterationRow>, (usize, String)>
     Ok(rows)
 }
 
+/// Where a [`TelemetrySink`]'s lines go.
+enum Out {
+    /// Buffered file output.
+    File(std::io::BufWriter<std::fs::File>),
+    /// In-memory accumulation (tests, determinism checks).
+    Memory(Vec<u8>),
+}
+
 /// A JSONL telemetry destination (file or in-memory buffer).
 pub struct TelemetrySink {
-    out: LineOut,
+    out: Out,
     rows: usize,
 }
 
 impl std::fmt::Debug for TelemetrySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = match self.out {
+            Out::File(_) => "file",
+            Out::Memory(_) => "memory",
+        };
         f.debug_struct("TelemetrySink")
             .field("rows", &self.rows)
-            .field("kind", &self.out.kind())
+            .field("kind", &kind)
             .finish()
     }
 }
@@ -128,8 +141,9 @@ impl TelemetrySink {
     ///
     /// Propagates the file-creation error.
     pub fn to_path(path: &str) -> std::io::Result<Self> {
+        let file = std::fs::File::create(path)?;
         Ok(TelemetrySink {
-            out: LineOut::to_path(path)?,
+            out: Out::File(std::io::BufWriter::new(file)),
             rows: 0,
         })
     }
@@ -137,7 +151,7 @@ impl TelemetrySink {
     /// Creates an in-memory sink (tests, determinism checks).
     pub fn in_memory() -> Self {
         TelemetrySink {
-            out: LineOut::in_memory(),
+            out: Out::Memory(Vec::new()),
             rows: 0,
         }
     }
@@ -147,7 +161,14 @@ impl TelemetrySink {
     /// training run.
     pub fn record(&mut self, row: &IterationRow) {
         self.rows += 1;
-        self.out.write_line(&row.to_json());
+        let mut line = row.to_json();
+        line.push('\n');
+        match &mut self.out {
+            Out::File(w) => {
+                let _ = w.write_all(line.as_bytes());
+            }
+            Out::Memory(buf) => buf.extend_from_slice(line.as_bytes()),
+        }
     }
 
     /// Rows recorded so far.
@@ -157,13 +178,18 @@ impl TelemetrySink {
 
     /// Flushes buffered output (no-op for memory sinks).
     pub fn flush(&mut self) {
-        self.out.flush();
+        if let Out::File(w) = &mut self.out {
+            let _ = w.flush();
+        }
     }
 
     /// The accumulated JSONL text of an in-memory sink (`None` for file
     /// sinks).
     pub fn memory_contents(&self) -> Option<&str> {
-        self.out.memory_contents()
+        match &self.out {
+            Out::Memory(buf) => std::str::from_utf8(buf).ok(),
+            Out::File(_) => None,
+        }
     }
 }
 

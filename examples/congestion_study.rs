@@ -1,8 +1,7 @@
 //! Congestion study: route the same ISPD-like design with the
 //! differentiable router and the CUGR2-style sequential baseline, then
 //! compare their metrics side by side — the Table-2 experiment in
-//! miniature. `dgr route --snap` and `dgr report --snap` draw a run's
-//! congestion map.
+//! miniature.
 //!
 //! ```text
 //! cargo run --release --example congestion_study

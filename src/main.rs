@@ -7,9 +7,8 @@
 //!
 //! `--trace` turns on the `dgr-obs` span registry and writes a Chrome
 //! trace-event file (load it at `chrome://tracing` or in Perfetto);
-//! `--telemetry` streams one JSONL row per training iteration; `--snap`
-//! streams per-g-cell congestion snapshots plus the per-net overflow
-//! attribution. `--serve ADDR` exposes `/metrics` (Prometheus),
+//! `--telemetry` streams one JSONL row per training iteration.
+//! `--serve ADDR` exposes `/metrics` (Prometheus),
 //! `/status` (JSON) and `/report` (HTML) over HTTP while the run is
 //! live; `--profile` folds the span log into a collapsed-stack
 //! (flamegraph-compatible) file of self time. Every `route` run also
@@ -24,11 +23,11 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
-use dgr::core::{write_attribution, DgrConfig, RouteHooks, SnapshotConfig};
+use dgr::core::{DgrConfig, RouteHooks};
 use dgr::grid::Design;
 use dgr::obs::ledger::{self, LedgerRecord};
 use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ObsServer, ReportInputs};
-use dgr::obs::{FoldedProfile, SnapshotSink, SnapshotStream, TelemetrySink};
+use dgr::obs::{FoldedProfile, TelemetrySink};
 use dgr::post::pipeline;
 
 // Shadows of the std macros for every print below: a reader that went away
@@ -82,8 +81,8 @@ const COMMANDS: &[Command] = &[
         name: "route",
         positional: Some("<design.txt>"),
         flags: "--iterations=N --seed=S --routes=out.txt --guide=out.guide --trace=out.json \
-                --telemetry=out.jsonl --snap=out.snaps --snap-every=N --serve=ADDR \
-                --profile=out.folded --progress=N --no-ledger --quiet",
+                --telemetry=out.jsonl --serve=ADDR --profile=out.folded --progress=N \
+                --no-ledger --quiet",
         help: "route a design and print metrics",
         run: cmd_route,
     },
@@ -105,8 +104,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "report",
         positional: None,
-        flags: "--telemetry=in.jsonl --snap=in.snaps --trace=in.json --profile=in.folded \
-                --title=NAME --out=report.html",
+        flags: "--telemetry=in.jsonl --trace=in.json --profile=in.folded --title=NAME \
+                --out=report.html",
         help: "render routing-run artifacts into a self-contained HTML post-mortem",
         run: cmd_report,
     },
@@ -279,8 +278,6 @@ fn print_usage() {
     println!("observability:");
     println!("  --trace out.json      record phase spans, write a Chrome trace-event file");
     println!("  --telemetry out.jsonl stream one JSONL row per training iteration");
-    println!("  --snap out.snaps      stream per-g-cell congestion snapshots + attribution");
-    println!("  --snap-every N        training snapshot stride (default: iterations/16)");
     println!("  --serve ADDR          live HTTP exporter: /metrics /status /report");
     println!("  --profile out.folded  self time per span stack → collapsed stacks");
     println!("  --no-ledger           skip the persistent run ledger for this run");
@@ -506,18 +503,10 @@ fn append_run(flags: &Flags, design: &Design, cfg: &DgrConfig, outcome: &pipelin
     }
 }
 
-fn route_hooks(flags: &Flags, iterations: usize) -> Result<RouteHooks, Box<dyn std::error::Error>> {
+fn route_hooks(flags: &Flags) -> Result<RouteHooks, Box<dyn std::error::Error>> {
     let mut hooks = RouteHooks::default();
     if let Some(path) = flags.value("--telemetry") {
         hooks.telemetry = Some(TelemetrySink::to_path(path)?);
-    }
-    if let Some(path) = flags.value("--snap") {
-        hooks.snap = Some(SnapshotConfig {
-            sink: SnapshotSink::to_path(path)?,
-            every: flags
-                .parsed("--snap-every")?
-                .unwrap_or((iterations / 16).max(1)),
-        });
     }
     if !flags.has("--quiet") {
         hooks.progress = Some(flags.parsed("--progress")?.unwrap_or(100));
@@ -529,21 +518,9 @@ fn cmd_route(flags: &Flags) -> CliResult {
     let design = load_design(flags)?;
     let cfg = config_from(flags)?;
     let session = obs_session(flags, "route", cfg.iterations as u64)?;
-    let mut hooks = route_hooks(flags, cfg.iterations)?;
+    let mut hooks = route_hooks(flags)?;
     let out = pipeline::run(&design, &cfg, &mut hooks, flags.has("--guide"))?;
     let solution = &out.solution;
-    if let Some(snap) = hooks.snap.as_mut() {
-        // post-refinement congestion plus the final offender attribution
-        let final_iter = solution
-            .train_report
-            .as_ref()
-            .and_then(|r| r.curve.last())
-            .map_or(0, |p| p.iter as u64 + 1);
-        let demand = &solution.demand;
-        dgr::core::write_demand_snapshot(&mut snap.sink, &design, demand, final_iter, "refine");
-        write_attribution(&mut snap.sink, &design, solution, &cfg.weights, "final");
-        snap.sink.flush();
-    }
 
     let m = &solution.metrics;
     let report = &out.post.refine;
@@ -610,27 +587,20 @@ fn cmd_route(flags: &Flags) -> CliResult {
         let path = flags.value("--telemetry").unwrap_or("?");
         println!("  telemetry        : {} rows → {path}", sink.rows());
     }
-    if let Some(snap) = hooks.snap.as_mut() {
-        snap.sink.flush();
-        let path = flags.value("--snap").unwrap_or("?");
-        println!("  snapshots        : {} → {path}", snap.sink.snapshots());
-    }
     append_run(flags, &design, &cfg, &out);
     obs_finish(session)?;
     Ok(())
 }
 
-/// `dgr report`: render telemetry / snapshot / trace / profile
-/// artifacts into one deterministic, self-contained HTML post-mortem,
-/// each file read by the reader beside its writer.
+/// `dgr report`: render telemetry / trace / profile artifacts into one
+/// deterministic, self-contained HTML post-mortem, each file read by the
+/// reader beside its writer.
 fn cmd_report(flags: &Flags) -> CliResult {
-    if !["--telemetry", "--snap", "--trace", "--profile"]
+    if !["--telemetry", "--trace", "--profile"]
         .iter()
         .any(|f| flags.has(f))
     {
-        return Err(
-            "report needs at least one of --telemetry / --snap / --trace / --profile".into(),
-        );
+        return Err("report needs at least one of --telemetry / --trace / --profile".into());
     }
     let read = |flag: &str| flags.value(flag).map(std::fs::read_to_string).transpose();
     let inputs = ReportInputs {
@@ -639,10 +609,6 @@ fn cmd_report(flags: &Flags) -> CliResult {
             .map(|text| rows_from_jsonl(&text))
             .transpose()
             .map_err(|(line, e)| format!("telemetry: line {line}: {e}"))?,
-        snapshots: read("--snap")?
-            .map(|text| SnapshotStream::parse(&text))
-            .transpose()
-            .map_err(|e| format!("snapshots: {e}"))?,
         phases: read("--trace")?
             .map(|text| parse_trace(&text))
             .transpose()

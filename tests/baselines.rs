@@ -341,7 +341,7 @@ fn baseline_routes_match_the_goldens() {
 }
 
 /// On every design of this file, as each router leaves it: the overflow
-/// mask, `OverflowStats` and `edge_excess` agree edge by edge.
+/// mask, `OverflowStats` and `DemandMap::excess` agree edge by edge.
 #[test]
 fn overflow_readers_agree_on_every_baselines_design() {
     let cfg = DgrConfig {

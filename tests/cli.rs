@@ -94,6 +94,8 @@ fn arguments_outside_the_flag_table_are_errors() {
         (vec!["route", design, "--quiet", "other.txt"], "other.txt"),
         (vec!["compare", design, "--guide", "g.txt"], "--guide"),
         (vec!["cases", "--fast"], "--fast"),
+        (vec!["route", design, "--snap", "x"], "--snap"),
+        (vec!["report", "--snap", "x"], "--snap"),
     ] {
         let out = dgr(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -147,29 +149,36 @@ fn help_lists_every_flag_a_command_accepts() {
     }
 }
 
-/// A snapshot stream whose raster is shorter than its header's grid is a
-/// read error that names the record (exit 1), not a panic in the
-/// heatmap (exit 101); and `dgr report` takes no findings file.
+/// A telemetry row without `iter` is a read error that names its line
+/// (exit 1), not a report of the rows around it; and `dgr report` takes
+/// no findings file.
 #[test]
-fn report_refuses_a_truncated_snapshot_stream() {
-    let truncated = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/truncated_raster.snaps"
-    );
+fn report_refuses_a_malformed_telemetry_file() {
     let out_dir = std::env::temp_dir().join("dgr_cli_test_report");
     std::fs::create_dir_all(&out_dir).unwrap();
+    let telemetry = out_dir.join("telemetry.jsonl");
+    std::fs::write(
+        &telemetry,
+        concat!(
+            r#"{"iter":0,"loss":9,"wl":8,"vias":2,"overflow":0.5,"temperature":1,"grad_norm":3}"#,
+            "\n",
+            r#"{"loss":8,"wl":8,"vias":2,"overflow":0.25,"temperature":1,"grad_norm":2}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
     let html = out_dir.join("report.html");
     let out = dgr(&[
         "report",
-        "--snap",
-        truncated,
+        "--telemetry",
+        telemetry.to_str().unwrap(),
         "--out",
         html.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        "error: snapshots: record 2: h_demand has length 1, but the 3×2 header needs 4\n"
+        "error: telemetry: line 2: row missing `iter`\n"
     );
     assert!(!html.exists(), "no report is written");
 

@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use dgr::grid::{edge_excess, DemandMap, Design, OverflowStats};
+use dgr::grid::{DemandMap, Design, OverflowStats};
 
 /// The ledger's overflow epsilon, private to `dgr_grid::demand`.
 const OVERFLOW_EPS: f32 = 1e-4;
@@ -21,16 +21,16 @@ use dgr::obs::parse::{parse_json, JsonValue};
 
 /// Every reader of the ledger names the same edges of `demand` overflowed:
 /// the mask the victim scans use, the count `OverflowStats` reports (which
-/// decides when routing is done) and `edge_excess`. So does the spelling of
-/// the test that was dropped, `d > cap + ε`: keeping `d − cap > ε` moved no
-/// edge of this design. Returns the overflowed-edge count.
+/// decides when routing is done) and `DemandMap::excess`. So does the
+/// spelling of the test that was dropped, `d > cap + ε`: keeping
+/// `d − cap > ε` moved no edge of this design. Returns the overflowed-edge
+/// count.
 pub fn assert_overflow_readers_agree(design: &Design, demand: &DemandMap, what: &str) -> usize {
     let (grid, cap) = (&design.grid, &design.capacity);
     let mask = demand.overflow_mask(cap);
-    let excess = edge_excess(grid, cap, demand);
     for e in grid.edge_ids() {
         assert_eq!(mask[e.index()], demand.is_over(cap, e), "{what}: {e}");
-        assert_eq!(mask[e.index()], excess[e.index()] > 0.0, "{what}: {e}");
+        assert_eq!(mask[e.index()], demand.excess(cap, e) > 0.0, "{what}: {e}");
         let dropped = demand.total(cap, e) > cap.capacity(e) + OVERFLOW_EPS;
         assert_eq!(
             mask[e.index()],

@@ -85,6 +85,9 @@ fn malformed_requests_get_structured_errors_and_the_listener_survives() {
             .to_vec();
     bad.extend_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
     assert_structured_error(&raw_request(addr, &bad), 400);
+    // nested deeper than the JSON reader's cap: refused, not recursed
+    // into until the accept loop's stack overflows and aborts the process
+    assert_structured_error(&post_json(addr, "/jobs", &"[".repeat(10_000)), 400);
     // oversized body (cap is 16 KiB here)
     let huge = format!(r#"{{"design_text":"{}"}}"#, "x".repeat(32 * 1024));
     assert_structured_error(&post_json(addr, "/jobs", &huge), 413);

@@ -342,8 +342,8 @@ fn annealed_training_text() -> String {
 }
 
 /// On every golden design, routed as its golden routes it: the overflow
-/// mask, `OverflowStats` and `edge_excess` agree edge by edge, before and
-/// after refinement.
+/// mask, `OverflowStats` and `DemandMap::excess` agree edge by edge,
+/// before and after refinement.
 #[test]
 fn overflow_readers_agree_on_every_golden_design() {
     let designs = [

@@ -1,10 +1,10 @@
 //! Byte-exact golden snapshot of the `dgr report` HTML output.
 //!
-//! A fixed oracle-generated design is routed with in-memory telemetry
-//! and congestion snapshots, the attribution pass is run, and the rendered HTML
-//! must match `tests/golden/report_seed11.html` byte for byte. No trace
-//! input: span timings are wall-clock and would never reproduce. Nothing
-//! pins the thread count: the pipeline's output does not depend on it.
+//! A fixed oracle-generated design is routed with in-memory telemetry,
+//! and the rendered HTML must match `tests/golden/report_seed11.html`
+//! byte for byte. No trace input: span timings are wall-clock and would
+//! never reproduce. Nothing pins the thread count: the pipeline's output
+//! does not depend on it.
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -14,10 +14,8 @@
 
 use std::path::PathBuf;
 
-use dgr::core::{write_attribution, CostWeights, DgrConfig, DgrRouter, RouteHooks, SnapshotConfig};
-use dgr::obs::{
-    render_report, rows_from_jsonl, ReportInputs, SnapshotSink, SnapshotStream, TelemetrySink,
-};
+use dgr::core::{DgrConfig, DgrRouter, RouteHooks};
+use dgr::obs::{render_report, rows_from_jsonl, ReportInputs, TelemetrySink};
 use dgr_oracle::{case_rng, gen_design, CaseSpec, CheckKind};
 
 const GOLDEN_SEED: u64 = 11;
@@ -35,30 +33,16 @@ fn report_html() -> String {
     };
     let mut hooks = RouteHooks {
         telemetry: Some(TelemetrySink::in_memory()),
-        snap: Some(SnapshotConfig {
-            sink: SnapshotSink::in_memory(),
-            every: 15,
-        }),
         ..RouteHooks::default()
     };
-    let solution = DgrRouter::new(cfg)
+    DgrRouter::new(cfg)
         .route_with_hooks(&design, &mut hooks)
         .expect("routes");
-    let mut snap = hooks.snap.expect("sink retained");
-    write_attribution(
-        &mut snap.sink,
-        &design,
-        &solution,
-        &CostWeights::default(),
-        "final",
-    );
     let telemetry = hooks.telemetry.expect("sink retained");
     let telemetry = telemetry.memory_contents().expect("in-memory");
-    let snapshots = snap.sink.memory_contents().expect("in-memory");
     let inputs = ReportInputs {
         title: format!("oracle seed {GOLDEN_SEED}"),
         telemetry: Some(rows_from_jsonl(telemetry).expect("telemetry reads")),
-        snapshots: Some(SnapshotStream::parse(snapshots).expect("snapshots read")),
         ..ReportInputs::default()
     };
     render_report(&inputs)

@@ -184,13 +184,13 @@ fn a_route_cancelled_mid_training_leaves_its_thread_clean() {
     parallel::set_num_threads(2);
     let before = guide_and_losses(&design, 30, 0);
 
-    // the run writes a demand snapshot per iteration to a file: a file
+    // the run writes a telemetry row per iteration to a file: a file
     // that has grown is a training run under way
     let path = std::env::temp_dir().join(format!("dgr_cancel_{}.jsonl", std::process::id()));
     let cancel = Arc::new(AtomicBool::new(false));
-    let sink = dgr::obs::SnapshotSink::to_path(path.to_str().unwrap()).unwrap();
+    let sink = dgr::obs::TelemetrySink::to_path(path.to_str().unwrap()).unwrap();
     let mut hooks = RouteHooks {
-        snap: Some(dgr::core::SnapshotConfig { sink, every: 1 }),
+        telemetry: Some(sink),
         cancel: Some(Arc::clone(&cancel)),
         ..RouteHooks::default()
     };

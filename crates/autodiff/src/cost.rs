@@ -72,16 +72,25 @@
 //!
 //! Annealing drives every group there. [`CostModel::prune`] takes the
 //! candidates whose probability has fallen under a threshold out of
-//! every table, in place, so that the passes above run over what is left
+//! every table, so that the passes above run over what is left
 //! — there is one kernel, over smaller tables, and no test for "alive"
 //! inside it; a group left with one candidate is a constant group like
 //! any other. What it guarantees: a pass of the pruned model is, bit for
 //! bit, the pass of the unpruned one with the dropped logits at `−∞`
 //! (the one approximation is the caller's decision to call a small
 //! probability zero), and [`CostModel::restore_layout`] hands the model
-//! back in the layout it was built with, the dropped candidates at
-//! probability exactly 0, for the code that reads it by the forest's
-//! indices.
+//! back in the layout it was built with, over the geometry it was built
+//! with, the dropped candidates at probability exactly 0, for the code
+//! that reads it by the forest's indices.
+//!
+//! # The geometry
+//!
+//! The groupings and per-path columns are a [`Geometry`] behind an `Arc`.
+//! A model built over a DAG forest ([`CostModel::from_geometry`]) holds
+//! the forest's `Arc` and copies no column; the first [`CostModel::prune`]
+//! that drops anything builds live rows the model owns, and
+//! [`CostModel::restore_layout`] drops them and reads the shared columns
+//! again.
 //!
 //! # Precision and determinism
 //!
@@ -102,11 +111,13 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::activation::Activation;
-use crate::segments::Segments;
+use crate::geometry::{expect_len, Geometry};
 use crate::{gumbel, kernels, parallel, AutodiffError};
 
-/// The index structure of one expected-cost problem: the forest's
-/// groupings and per-path geometry over a `width × height` g-cell grid.
+/// The index structure of one expected-cost problem, borrowed: the
+/// forest's groupings and per-path geometry over a `width × height`
+/// g-cell grid. [`CostModel::new`] copies it into a [`Geometry`] of its
+/// own; [`CostModel::from_geometry`] reads a shared one in place.
 ///
 /// Cells are numbered row-major (`y · width + x`); horizontal edges come
 /// first (`y · (width − 1) + x` joins `(x, y)` and `(x + 1, y)`), then
@@ -216,25 +227,18 @@ pub struct CostTerms {
 pub struct CostModel {
     width: usize,
     height: usize,
-    net_trees: Segments,
-    subnet_tree: Vec<u32>,
-    subnet_paths: Segments,
-    path_wl: Vec<f32>,
-    path_turns: Vec<f32>,
-    path_runs: Segments,
-    /// Difference-array slots of each run's low and high end: the cell id
-    /// for a horizontal run, `cells +` the cell id for a vertical one.
-    run_slots: Vec<[u32; 2]>,
-    path_vias: Segments,
-    via_cells: Vec<u32>,
+    /// The groupings and geometry the passes read: the ones the model was
+    /// built over, shared with whoever built it, until a [`Self::prune`]
+    /// gives the model live rows of its own.
+    geometry: Arc<Geometry>,
     capacity: Vec<f32>,
     half_beta: Vec<f32>,
     terms: CostTerms,
 
     undecided: Undecided,
     cut: LaneCut,
-    /// Where the live candidates sit in the layout the model was built
-    /// with, once [`Self::prune`] has dropped some.
+    /// The geometry the model was built over, and where the live
+    /// candidates sit in it, once [`Self::prune`] has dropped some.
     origin: Option<Origin>,
 
     // leaves, tree entries first, then path entries
@@ -285,16 +289,11 @@ struct Undecided {
 impl Undecided {
     /// Walks the groupings once, and writes the mass of every frozen
     /// sub-net's path — `q · p = 1 · 1`, which no pass writes again.
-    fn new(
-        net_trees: &Segments,
-        subnet_tree: &[u32],
-        subnet_paths: &Segments,
-        mass: &mut [f32],
-    ) -> Undecided {
-        let mut alone = vec![false; net_trees.len()];
+    fn new(geometry: &Geometry, mass: &mut [f32]) -> Undecided {
+        let mut alone = vec![false; geometry.num_trees()];
         let mut nets = Vec::new();
-        for n in 0..net_trees.num_segments() {
-            let trees = net_trees.segment(n);
+        for n in 0..geometry.num_nets() {
+            let trees = geometry.trees_of_net(n);
             match trees.len() {
                 0 => {}
                 1 => alone[trees.start] = true,
@@ -302,8 +301,8 @@ impl Undecided {
             }
         }
         let (mut subnets, mut paths) = (Vec::new(), 0);
-        for (s, &tree) in subnet_tree.iter().enumerate() {
-            let group = subnet_paths.segment(s);
+        for (s, &tree) in geometry.subnet_tree.iter().enumerate() {
+            let group = geometry.paths_of_subnet(s);
             if group.len() == 1 && alone[tree as usize] {
                 mass[group.start] = 1.0;
             } else if !group.is_empty() {
@@ -338,24 +337,20 @@ impl LaneCut {
     /// holds more than half of them, when a boundary leaves a side
     /// nothing to do, or when the sub-nets are not in tree order (then
     /// no cut separates the trees).
-    fn new(
-        net_trees: &Segments,
-        subnet_tree: &[u32],
-        subnet_paths: &Segments,
-        undecided: &Undecided,
-    ) -> LaneCut {
+    fn new(geometry: &Geometry, undecided: &Undecided) -> LaneCut {
+        let subnet_tree = &geometry.subnet_tree[..];
         let live = &undecided.subnets[..];
         let paths = undecided.paths;
         let one_lane = LaneCut {
             subnet: subnet_tree.len(),
-            tree: net_trees.len(),
-            path: subnet_paths.len(),
+            tree: geometry.num_trees(),
+            path: geometry.num_paths(),
             undecided: live.len(),
         };
         if paths == 0 || subnet_tree.windows(2).any(|w| w[0] > w[1]) {
             return one_lane;
         }
-        let held = |s: &u32| subnet_paths.segment(*s as usize).len();
+        let held = |s: &u32| geometry.paths_of_subnet(*s as usize).len();
         let mid = paths / 2;
         let mut seen = 0;
         let subnet_mid = live.iter().find(|&s| {
@@ -363,7 +358,10 @@ impl LaneCut {
             seen > mid
         });
         let tree_mid = subnet_tree[*subnet_mid.expect("the middle path has a sub-net") as usize];
-        let net = net_trees.offsets().partition_point(|&o| o <= tree_mid) - 1;
+        let net = geometry
+            .net_tree_offsets
+            .partition_point(|&o| o <= tree_mid)
+            - 1;
         // the cut in front of `tree`, and the undecided paths under it
         let boundary = |tree: usize| {
             let subnet = subnet_tree.partition_point(|&t| (t as usize) < tree);
@@ -371,12 +369,12 @@ impl LaneCut {
             let cut = LaneCut {
                 subnet,
                 tree,
-                path: subnet_paths.offsets()[subnet] as usize,
+                path: geometry.subnet_path_offsets[subnet] as usize,
                 undecided,
             };
             (cut, live[..undecided].iter().map(held).sum::<usize>())
         };
-        let trees = net_trees.segment(net);
+        let trees = geometry.trees_of_net(net);
         let ((below, under_below), (above, under_above)) =
             (boundary(trees.start), boundary(trees.end));
         if 2 * (under_above - under_below) > paths {
@@ -403,15 +401,13 @@ struct Lane<'a> {
 }
 
 /// What [`CostModel::restore_layout`] needs to undo every
-/// [`CostModel::prune`] since the model was built: the groupings it was
-/// built with, and which of their logits are live.
+/// [`CostModel::prune`] since the model was built: the geometry it was
+/// built over, and which of its logits are live.
 #[derive(Debug, Clone)]
 struct Origin {
     /// Whether each logit of the built layout is still alive.
     alive: Vec<bool>,
-    net_trees: Segments,
-    subnet_tree: Vec<u32>,
-    subnet_paths: Segments,
+    built: Arc<Geometry>,
 }
 
 /// Flags the candidates of one softmax group that [`CostModel::prune`]
@@ -429,20 +425,6 @@ fn keep_group(group: Range<usize>, prob: &[f32], below: f32, keep: &mut [bool]) 
 pub(crate) fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
     let mut flags = keep.iter();
     v.retain(|_| *flags.next().expect("a flag per element"));
-}
-
-/// Keeps the groups whose flag is set, with their elements in `data`, in
-/// place and in order.
-fn retain_groups<T: Copy>(groups: &mut Segments, data: &mut Vec<T>, keep: &[bool]) {
-    let mut len = 0;
-    groups.retain(|g, elements| {
-        keep[g].then(|| {
-            data.copy_within(elements.clone(), len);
-            len += elements.len();
-            elements.len()
-        })
-    });
-    data.truncate(len);
 }
 
 /// Undoes [`retain_flagged`]: the elements of `v` move, in order, to the
@@ -471,11 +453,15 @@ fn spread<T: Copy>(v: &mut Vec<T>, alive: &[bool], fill: T) {
 pub struct NoiseRuns(Arc<[Range<usize>]>);
 
 impl NoiseRuns {
-    fn new(net_trees: &Segments, subnet_paths: &Segments) -> NoiseRuns {
+    fn new(geometry: &Geometry) -> NoiseRuns {
         let mut runs: Vec<Range<usize>> = Vec::new();
-        for (groups, base) in [(net_trees, 0), (subnet_paths, net_trees.len())] {
-            for g in 0..groups.num_segments() {
-                let r = groups.segment(g);
+        let groupings = [
+            (&geometry.net_tree_offsets, 0),
+            (&geometry.subnet_path_offsets, geometry.num_trees()),
+        ];
+        for (offsets, base) in groupings {
+            for w in offsets.windows(2) {
+                let r = w[0] as usize..w[1] as usize;
                 if r.len() < 2 {
                     continue;
                 }
@@ -506,25 +492,11 @@ impl NoiseRuns {
     }
 }
 
-fn expect_len(left: usize, right: usize) -> Result<(), AutodiffError> {
-    if left == right {
-        Ok(())
-    } else {
-        Err(AutodiffError::ShapeMismatch { left, right })
-    }
-}
-
-fn check_indices(idx: &[u32], len: usize) -> Result<(), AutodiffError> {
-    match idx.iter().find(|&&i| i as usize >= len) {
-        Some(&index) => Err(AutodiffError::IndexOutOfRange { index, len }),
-        None => Ok(()),
-    }
-}
-
 impl CostModel {
     /// Assembles the kernel for `shape` with `logits` (one per tree, then
     /// one per path) as its trainable leaves, noise at zero and
-    /// temperature 1.
+    /// temperature 1. The model copies the shape's columns into a
+    /// [`Geometry`] of its own.
     ///
     /// # Errors
     ///
@@ -536,7 +508,51 @@ impl CostModel {
         terms: CostTerms,
         logits: Vec<f32>,
     ) -> Result<Self, AutodiffError> {
-        let (width, height) = (shape.width, shape.height);
+        let width = shape.width;
+        let cells = u32::try_from(width * shape.height).unwrap_or(u32::MAX);
+        // a run whose ends share a column takes the slots `cells` above them
+        let slots = |&(low, high): &(u32, u32)| {
+            let vertical = width > 0 && low as usize % width == high as usize % width;
+            let base = if vertical { cells } else { 0 };
+            (low.saturating_add(base), high.saturating_add(base))
+        };
+        let geometry = Geometry {
+            net_tree_offsets: shape.net_tree_offsets.to_vec(),
+            subnet_tree: shape.subnet_tree.to_vec(),
+            subnet_path_offsets: shape.subnet_path_offsets.to_vec(),
+            path_wl: shape.path_wl.to_vec(),
+            path_turns: shape.path_turns.to_vec(),
+            path_run_offsets: shape.path_run_offsets.to_vec(),
+            path_runs: shape.path_runs.iter().map(slots).collect(),
+            path_via_offsets: shape.path_via_offsets.to_vec(),
+            path_via_cells: shape.path_via_cells.to_vec(),
+        };
+        let grid = (shape.width, shape.height);
+        Self::from_geometry(
+            Arc::new(geometry),
+            grid,
+            shape.capacity,
+            shape.beta,
+            terms,
+            logits,
+        )
+    }
+
+    /// The kernel over a shared `geometry`, its runs in slot form, on a
+    /// `width × height` grid: the model reads the columns through the
+    /// `Arc` and copies none of them. Otherwise as [`Self::new`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::new`].
+    pub fn from_geometry(
+        geometry: Arc<Geometry>,
+        (width, height): (usize, usize),
+        capacity: &[f32],
+        beta: &[f32],
+        terms: CostTerms,
+        logits: Vec<f32>,
+    ) -> Result<Self, AutodiffError> {
         if width == 0 || height == 0 {
             return Err(AutodiffError::ShapeMismatch {
                 left: width,
@@ -544,61 +560,25 @@ impl CostModel {
             });
         }
         let cells = width * height;
-        expect_len(shape.beta.len(), cells)?;
-        expect_len(
-            shape.capacity.len(),
-            (width - 1) * height + width * (height - 1),
-        )?;
-
-        let net_trees = Segments::from_offsets(shape.net_tree_offsets.to_vec())?;
-        let subnet_paths = Segments::from_offsets(shape.subnet_path_offsets.to_vec())?;
-        let path_runs = Segments::from_offsets(shape.path_run_offsets.to_vec())?;
-        let path_vias = Segments::from_offsets(shape.path_via_offsets.to_vec())?;
-        let (trees, paths) = (net_trees.len(), subnet_paths.len());
-        expect_len(shape.subnet_tree.len(), subnet_paths.num_segments())?;
-        check_indices(shape.subnet_tree, trees)?;
-        expect_len(shape.path_wl.len(), paths)?;
-        expect_len(shape.path_turns.len(), paths)?;
-        expect_len(path_runs.num_segments(), paths)?;
-        expect_len(path_runs.len(), shape.path_runs.len())?;
-        expect_len(path_vias.num_segments(), paths)?;
-        expect_len(path_vias.len(), shape.path_via_cells.len())?;
-        check_indices(shape.path_via_cells, cells)?;
+        expect_len(beta.len(), cells)?;
+        expect_len(capacity.len(), (width - 1) * height + width * (height - 1))?;
+        geometry.check(width, height)?;
+        let (trees, paths) = (geometry.num_trees(), geometry.num_paths());
         expect_len(logits.len(), trees + paths)?;
 
-        let mut run_slots = Vec::with_capacity(shape.path_runs.len());
-        for &(low, high) in shape.path_runs {
-            check_indices(&[high], cells)?;
-            let (a, b) = (low as usize, high as usize);
-            let vertical = a % width == b % width;
-            if low >= high || !(vertical || a / width == b / width) {
-                return Err(AutodiffError::BadRun { low, high });
-            }
-            let base = if vertical { cells as u32 } else { 0 };
-            run_slots.push([base + low, base + high]);
-        }
-
         let mut mass = vec![0.0; paths];
-        let undecided = Undecided::new(&net_trees, shape.subnet_tree, &subnet_paths, &mut mass);
+        let undecided = Undecided::new(&geometry, &mut mass);
         Ok(CostModel {
             width,
             height,
-            cut: LaneCut::new(&net_trees, shape.subnet_tree, &subnet_paths, &undecided),
+            cut: LaneCut::new(&geometry, &undecided),
             undecided,
             origin: None,
-            noise_runs: NoiseRuns::new(&net_trees, &subnet_paths),
+            noise_runs: NoiseRuns::new(&geometry),
             mass,
-            net_trees,
-            subnet_tree: shape.subnet_tree.to_vec(),
-            subnet_paths,
-            path_wl: shape.path_wl.to_vec(),
-            path_turns: shape.path_turns.to_vec(),
-            path_runs,
-            run_slots,
-            path_vias,
-            via_cells: shape.path_via_cells.to_vec(),
-            capacity: shape.capacity.to_vec(),
-            half_beta: shape.beta.iter().map(|b| 0.5 * b).collect(),
+            geometry,
+            capacity: capacity.to_vec(),
+            half_beta: beta.iter().map(|b| 0.5 * b).collect(),
             terms,
             noise: vec![0.0; logits.len()],
             temperature: 1.0,
@@ -606,12 +586,12 @@ impl CostModel {
             prob: vec![1.0; logits.len()],
             diff: vec![0.0; 2 * cells],
             via_pressure: vec![0.0; cells],
-            demand: vec![0.0; shape.capacity.len()],
+            demand: vec![0.0; capacity.len()],
             wl_cost: 0.0,
             via_cost: 0.0,
             overflow_cost: 0.0,
             loss: 0.0,
-            seed: vec![0.0; shape.capacity.len()],
+            seed: vec![0.0; capacity.len()],
             prefix: vec![0.0; 2 * cells],
             cell_grad: vec![0.0; cells],
             tree_mass_grad: vec![0.0; trees],
@@ -622,12 +602,19 @@ impl CostModel {
 
     /// Number of tree candidates (the length of `q`).
     pub fn num_trees(&self) -> usize {
-        self.net_trees.len()
+        self.geometry.num_trees()
     }
 
     /// Number of path candidates (the length of `p`).
     pub fn num_paths(&self) -> usize {
-        self.subnet_paths.len()
+        self.geometry.num_paths()
+    }
+
+    /// The groupings and geometry the passes read: the ones the model was
+    /// built over until a [`Self::prune`] drops something, then the live
+    /// rows the model holds of its own until [`Self::restore_layout`].
+    pub fn geometry(&self) -> &Geometry {
+        &self.geometry
     }
 
     /// Trainable tree logits.
@@ -646,7 +633,8 @@ impl CostModel {
     ///
     /// Panics if a slice's length is not the number of trees / paths.
     pub fn set_logits(&mut self, tree: &[f32], path: &[f32]) {
-        let (t, p) = self.logits.split_at_mut(self.net_trees.len());
+        let trees = self.num_trees();
+        let (t, p) = self.logits.split_at_mut(trees);
         t.copy_from_slice(tree);
         p.copy_from_slice(path);
     }
@@ -692,7 +680,10 @@ impl CostModel {
     /// docs); the upper range is empty when no net boundary splits the
     /// paths usefully.
     pub fn lanes(&self) -> [Range<usize>; 2] {
-        [0..self.cut.subnet, self.cut.subnet..self.subnet_tree.len()]
+        [
+            0..self.cut.subnet,
+            self.cut.subnet..self.geometry.subnet_tree.len(),
+        ]
     }
 
     fn lane_pair(&self) -> [Lane<'_>; 2] {
@@ -779,9 +770,11 @@ impl CostModel {
         (&mut self.logits, &self.grad)
     }
 
-    /// Bytes held by the value and gradient buffers — the "device memory"
-    /// figure of the scalability study (Fig. 5b analogue). Counts the
-    /// second noise buffer a training loop draws ahead into.
+    /// Bytes the model owns — the "device memory" figure of the
+    /// scalability study (Fig. 5b analogue): the value and gradient
+    /// buffers, the second noise buffer a training loop draws ahead into,
+    /// and after a [`Self::prune`] its live rows. The geometry it was
+    /// built over is its builder's, and not counted.
     pub fn bytes(&self) -> usize {
         let f32s = self.logits.len()
             + 2 * self.noise.len()
@@ -793,7 +786,10 @@ impl CostModel {
             + self.cell_grad.len()
             + self.grad.len();
         let u32s = self.undecided.subnets.len() + self.undecided.nets.len();
-        4 * (f32s + u32s) + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
+        let live_rows = self.origin.as_ref().map_or(0, |_| self.geometry.bytes());
+        4 * (f32s + u32s)
+            + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
+            + live_rows
     }
 
     /// Drops the candidates annealing has decided against, and compacts
@@ -802,13 +798,16 @@ impl CostModel {
     /// Takes `q` and `p` without noise at the current temperature. A tree
     /// that is not the most probable of its net and has `q < below` goes,
     /// with all its sub-nets and their paths; a path that is not the most
-    /// probable of its sub-net and has `p < below` goes. The index
-    /// tables, the leaves and the value and gradient buffers shrink in
-    /// place and keep their order, so the model is simply a smaller model:
-    /// [`Self::num_trees`], [`Self::num_paths`] and every slice accessor
-    /// follow the live layout until [`Self::restore_layout`]. The noise is
-    /// zeroed — it was drawn for the old layout — and a group left with
-    /// one candidate is a constant group from here on.
+    /// probable of its sub-net and has `p < below` goes. The leaves and
+    /// the value and gradient buffers shrink in place and keep their
+    /// order; the groupings and geometry the passes read become live rows
+    /// the model holds of its own, built the first time from the shared
+    /// geometry it was built over (which stays as it was) and rebuilt from
+    /// its own rows by each later prune. So the model is simply a smaller
+    /// model: [`Self::num_trees`], [`Self::num_paths`] and every slice
+    /// accessor follow the live layout until [`Self::restore_layout`].
+    /// The noise is zeroed — it was drawn for the old layout — and a group
+    /// left with one candidate is a constant group from here on.
     ///
     /// Returns, per logit of the layout before the call, whether it stays
     /// (for [`crate::Adam::retain`]), or `None` — and then changes nothing
@@ -825,22 +824,26 @@ impl CostModel {
     /// default L-shaped patterns and three-tree pools is that wide.)
     pub fn prune(&mut self, below: f32) -> Option<Vec<bool>> {
         self.probabilities();
-        let trees = self.num_trees();
+        let geometry = &*self.geometry;
+        let trees = geometry.num_trees();
         let mut keep = vec![false; self.prob.len()];
         let (q, p) = self.prob.split_at(trees);
         let (keep_tree, keep_path) = keep.split_at_mut(trees);
-        for n in 0..self.net_trees.num_segments() {
-            keep_group(self.net_trees.segment(n), q, below, keep_tree);
+        for n in 0..geometry.num_nets() {
+            keep_group(geometry.trees_of_net(n), q, below, keep_tree);
         }
-        for (s, &tree) in self.subnet_tree.iter().enumerate() {
+        for (s, &tree) in geometry.subnet_tree.iter().enumerate() {
             if keep_tree[tree as usize] {
-                keep_group(self.subnet_paths.segment(s), p, below, keep_path);
+                keep_group(geometry.paths_of_subnet(s), p, below, keep_path);
             }
         }
         if keep.iter().all(|&k| k) {
             return None;
         }
 
+        let (keep_tree, keep_path) = keep.split_at(trees);
+        let live_rows = Arc::new(geometry.live_rows(keep_tree, keep_path));
+        let was = std::mem::replace(&mut self.geometry, live_rows);
         match &mut self.origin {
             Some(origin) => {
                 let was_alive = origin.alive.iter_mut().filter(|alive| **alive);
@@ -849,44 +852,16 @@ impl CostModel {
             None => {
                 self.origin = Some(Origin {
                     alive: keep.clone(),
-                    net_trees: self.net_trees.clone(),
-                    subnet_tree: self.subnet_tree.clone(),
-                    subnet_paths: self.subnet_paths.clone(),
+                    built: was,
                 })
             }
         }
-
-        let (keep_tree, keep_path) = keep.split_at(trees);
-        let live = |flags: &[bool]| flags.iter().filter(|&&k| k).count();
-        // the number each surviving tree goes by from here on
-        let mut survivors = 0;
-        let new_tree: Vec<u32> = keep_tree
-            .iter()
-            .map(|&k| {
-                survivors += u32::from(k);
-                survivors - u32::from(k)
-            })
-            .collect();
-
         retain_flagged(&mut self.logits, &keep);
-        retain_flagged(&mut self.path_wl, keep_path);
-        retain_flagged(&mut self.path_turns, keep_path);
-        retain_groups(&mut self.path_runs, &mut self.run_slots, keep_path);
-        retain_groups(&mut self.path_vias, &mut self.via_cells, keep_path);
-        let subnet_tree = &self.subnet_tree;
-        self.subnet_paths
-            .retain(|s, paths| keep_tree[subnet_tree[s] as usize].then(|| live(&keep_path[paths])));
-        self.subnet_tree.retain(|&t| keep_tree[t as usize]);
-        for t in &mut self.subnet_tree {
-            *t = new_tree[*t as usize];
-        }
-        self.net_trees
-            .retain(|_, trees| Some(live(&keep_tree[trees])));
 
         // what a pass computes is rewritten by the next one; what it leaves
         // alone — the noise, gradient and probability of a constant group —
         // is what `new` sets
-        let (trees, paths) = (self.net_trees.len(), self.subnet_paths.len());
+        let (trees, paths) = (self.num_trees(), self.num_paths());
         for (buffer, fill) in [
             (&mut self.noise, 0.0),
             (&mut self.grad, 0.0),
@@ -904,30 +879,32 @@ impl CostModel {
     /// The undecided groups, the lane cut and the noise runs of the
     /// groupings as they now are.
     fn recut(&mut self) {
-        let (net_trees, subnet_tree) = (&self.net_trees, &self.subnet_tree[..]);
-        self.undecided = Undecided::new(net_trees, subnet_tree, &self.subnet_paths, &mut self.mass);
-        self.cut = LaneCut::new(net_trees, subnet_tree, &self.subnet_paths, &self.undecided);
-        self.noise_runs = NoiseRuns::new(&self.net_trees, &self.subnet_paths);
+        self.undecided = Undecided::new(&self.geometry, &mut self.mass);
+        self.cut = LaneCut::new(&self.geometry, &self.undecided);
+        self.noise_runs = NoiseRuns::new(&self.geometry);
     }
 
     /// Puts a pruned model back in the layout it was built with, for the
-    /// code that reads it by the forest's indices: every table and slice
-    /// has its first length again, the survivors hold their logits, noise,
-    /// probabilities and gradients, and a dropped candidate is a row with
-    /// no runs and no turn cells, a logit of `−∞` and a probability of
-    /// exactly 0 — which every later [`Self::probabilities`] or pass gives
-    /// it again. (The paths of a dropped tree come back level, at logit
-    /// 0: the tree's `q = 0` is what silences them, and a group of
-    /// nothing but `−∞` has no softmax.) Pruning is for good: the
-    /// geometry of a dropped path is not kept, so a finite logit written
-    /// over its `−∞` brings back a candidate that costs nothing. Does
-    /// nothing to a model that was never pruned.
+    /// code that reads it by the forest's indices: the passes read the
+    /// shared geometry the model was built over again — every dropped
+    /// candidate with its own runs, turn cells and weights — and the
+    /// model's live rows go. Every table and slice has its first length
+    /// again, the survivors hold their logits, noise, probabilities and
+    /// gradients, and a dropped candidate has a logit of `−∞` and a
+    /// probability of exactly 0, which every later
+    /// [`Self::probabilities`] or pass gives it again: a pass is, bit for
+    /// bit, the pass of the model never pruned with the dropped logits at
+    /// `−∞`. (The paths of a dropped tree come back level, at logit 0: the
+    /// tree's `q = 0` is what silences them, and a group of nothing but
+    /// `−∞` has no softmax.) Does nothing to a model that was never
+    /// pruned.
     pub fn restore_layout(&mut self) {
         let Some(origin) = self.origin.take() else {
             return;
         };
-        let (trees, paths) = (origin.net_trees.len(), origin.subnet_paths.len());
-        let (tree_alive, path_alive) = origin.alive.split_at(trees);
+        self.geometry = origin.built;
+        let geometry = &*self.geometry;
+        let (trees, paths) = (geometry.num_trees(), geometry.num_paths());
         spread(&mut self.logits, &origin.alive, f32::NEG_INFINITY);
         for zero_elsewhere in [&mut self.noise, &mut self.prob, &mut self.grad] {
             spread(zero_elsewhere, &origin.alive, 0.0);
@@ -935,24 +912,16 @@ impl CostModel {
         // `q = 0` already weighs the sub-nets of a dropped tree at nothing;
         // their paths restart level, so that each is still a distribution
         // (and a lone path keeps the probability of a constant group)
-        for (s, &tree) in origin.subnet_tree.iter().enumerate() {
-            if !tree_alive[tree as usize] {
-                let group = origin.subnet_paths.segment(s);
+        for (s, &tree) in geometry.subnet_tree.iter().enumerate() {
+            if !origin.alive[tree as usize] {
+                let group = geometry.paths_of_subnet(s);
                 let level = 1.0 / group.len() as f32;
                 self.logits[trees + group.start..trees + group.end].fill(0.0);
                 self.prob[trees + group.start..trees + group.end].fill(level);
             }
         }
-        spread(&mut self.path_wl, path_alive, 0.0);
-        spread(&mut self.path_turns, path_alive, 0.0);
-        let live_paths = (0..paths).filter(|&i| path_alive[i]);
-        self.path_runs.spread(live_paths.clone(), paths);
-        self.path_vias.spread(live_paths, paths);
         self.mass.resize(paths, 0.0);
         self.tree_mass_grad.resize(trees, 0.0);
-        self.net_trees = origin.net_trees;
-        self.subnet_tree = origin.subnet_tree;
-        self.subnet_paths = origin.subnet_paths;
         self.recut();
     }
 
@@ -966,24 +935,24 @@ impl CostModel {
     /// discrete read-out needs. Leaves every other value as it was.
     pub fn probabilities(&mut self) {
         let inv_tau = 1.0 / self.temperature;
-        let trees = self.net_trees.len();
-        let (w_tree, w_path) = self.logits.split_at(trees);
-        let (q, p) = self.prob.split_at_mut(trees);
-        softmax_groups(&self.net_trees, w_tree, inv_tau, q);
-        softmax_groups(&self.subnet_paths, w_path, inv_tau, p);
+        let geometry = &*self.geometry;
+        let (w_tree, w_path) = self.logits.split_at(geometry.num_trees());
+        let (q, p) = self.prob.split_at_mut(geometry.num_trees());
+        softmax_groups(&geometry.net_tree_offsets, w_tree, inv_tau, q);
+        softmax_groups(&geometry.subnet_path_offsets, w_path, inv_tau, p);
     }
 
     /// Computes every value from the current logits, noise and
     /// temperature, and the backward seed.
     pub fn forward(&mut self) {
         let inv_tau = 1.0 / self.temperature;
-        let trees = self.net_trees.len();
+        let trees = self.num_trees();
         // the buffers the lanes write leave `self`, which they share
         let mut prob = std::mem::take(&mut self.prob);
         let mut mass = std::mem::take(&mut self.mass);
         let (q, p) = prob.split_at_mut(trees);
         for &n in &self.undecided.nets {
-            let group = self.net_trees.segment(n as usize);
+            let group = self.geometry.trees_of_net(n as usize);
             let noise = &self.noise[group.clone()];
             softmax_group(
                 &self.logits[group.clone()],
@@ -1012,15 +981,16 @@ impl CostModel {
     /// the scans, the costs and the backward seed.
     fn post_masses(&mut self) {
         self.via_pressure.fill(0.0);
+        let geometry = &*self.geometry;
         let (mut wl, mut turns) = (0.0f64, 0.0f64);
         for (i, &mass) in self.mass.iter().enumerate() {
-            wl += f64::from(mass * self.path_wl[i]);
-            turns += f64::from(mass * self.path_turns[i]);
-            for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
+            wl += f64::from(mass * geometry.path_wl[i]);
+            turns += f64::from(mass * geometry.path_turns[i]);
+            for &(low, high) in geometry.runs_of_path(i) {
                 self.diff[low as usize] += f64::from(mass);
                 self.diff[high as usize] -= f64::from(mass);
             }
-            for &c in &self.via_cells[self.path_vias.segment(i)] {
+            for &c in geometry.vias_of_path(i) {
                 self.via_pressure[c as usize] += mass;
             }
         }
@@ -1048,11 +1018,11 @@ impl CostModel {
     /// paths, into the lane's part of `p` and `mass`.
     fn mass_lane(&self, lane: Lane<'_>, q: &[f32], p: &mut [f32], mass: &mut [f32]) {
         let inv_tau = 1.0 / self.temperature;
-        let trees = self.net_trees.len();
+        let (geometry, trees) = (&*self.geometry, self.num_trees());
         let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
         for &s in lane.undecided {
             let s = s as usize;
-            let group = self.subnet_paths.segment(s);
+            let group = geometry.paths_of_subnet(s);
             let local = group.start - lane.first_path..group.end - lane.first_path;
             if group.len() >= 2 {
                 softmax_group(
@@ -1062,7 +1032,7 @@ impl CostModel {
                     &mut p[local.clone()],
                 );
             }
-            let q_tree = q[self.subnet_tree[s] as usize];
+            let q_tree = q[geometry.subnet_tree[s] as usize];
             for (mass, p) in mass[local.clone()].iter_mut().zip(&p[local]) {
                 *mass = p * q_tree;
             }
@@ -1113,7 +1083,7 @@ impl CostModel {
         self.prefix_seed();
 
         let inv_tau = 1.0 / self.temperature;
-        let trees = self.net_trees.len();
+        let trees = self.num_trees();
         // the buffers the lanes write leave `self`, which they share
         let mut grad = std::mem::take(&mut self.grad);
         let mut tree_mass_grad = std::mem::take(&mut self.tree_mass_grad);
@@ -1132,7 +1102,7 @@ impl CostModel {
 
         let q = &self.prob[..trees];
         for &n in &self.undecided.nets {
-            let group = self.net_trees.segment(n as usize);
+            let group = self.geometry.trees_of_net(n as usize);
             let top = group.clone().max_by(|&a, &b| q[a].total_cmp(&q[b]));
             let top_grad = tree_mass_grad[top.expect("two or more trees")];
             let relative = |t: usize| tree_mass_grad[t] - top_grad;
@@ -1181,13 +1151,15 @@ impl CostModel {
     /// `∂loss/∂qp_i` of path `i`, from the prefix sums and cell gradients
     /// of this backward pass.
     fn mass_grad(&self, i: usize) -> f64 {
-        let turn_weight = self.terms.via * self.terms.sqrt_layers;
-        let mut g =
-            f64::from(self.terms.wirelength * self.path_wl[i] + turn_weight * self.path_turns[i]);
-        for &[low, high] in &self.run_slots[self.path_runs.segment(i)] {
+        let (geometry, terms) = (&*self.geometry, &self.terms);
+        let turn_weight = terms.via * terms.sqrt_layers;
+        let mut g = f64::from(
+            terms.wirelength * geometry.path_wl[i] + turn_weight * geometry.path_turns[i],
+        );
+        for &(low, high) in geometry.runs_of_path(i) {
             g += self.prefix[high as usize] - self.prefix[low as usize];
         }
-        for &c in &self.via_cells[self.path_vias.segment(i)] {
+        for &c in geometry.vias_of_path(i) {
             g += f64::from(self.cell_grad[c as usize]);
         }
         g
@@ -1206,11 +1178,11 @@ impl CostModel {
     /// mean is a sum over the *small* probabilities only.
     fn grad_lane(&self, lane: Lane<'_>, grad_path: &mut [f32], tree_mass_grad: &mut [f64]) {
         let inv_tau = 1.0 / self.temperature;
-        let (q, p) = self.prob.split_at(self.net_trees.len());
+        let (q, p) = self.prob.split_at(self.num_trees());
         for &s in lane.undecided {
             let s = s as usize;
-            let group = self.subnet_paths.segment(s);
-            let tree = self.subnet_tree[s] as usize;
+            let group = self.geometry.paths_of_subnet(s);
+            let tree = self.geometry.subnet_tree[s] as usize;
             let top = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b]));
             let top = top.expect("an undecided sub-net has a path");
             let grad_path =
@@ -1238,9 +1210,9 @@ impl CostModel {
 /// The noise-free [`softmax_group`] of every group of two or more
 /// candidates; the probability of a lone candidate stays the 1 it was
 /// initialised to.
-fn softmax_groups(groups: &Segments, w: &[f32], inv_tau: f32, out: &mut [f32]) {
-    for g in 0..groups.num_segments() {
-        let r = groups.segment(g);
+fn softmax_groups(offsets: &[u32], w: &[f32], inv_tau: f32, out: &mut [f32]) {
+    for g in offsets.windows(2) {
+        let r = g[0] as usize..g[1] as usize;
         if r.len() >= 2 {
             softmax_group(&w[r.clone()], None, inv_tau, &mut out[r]);
         }
@@ -1689,7 +1661,7 @@ mod tests {
                 let trees = full.num_trees();
                 for (s, &tree) in problem.subnet_tree.iter().enumerate() {
                     if !live.contains(&tree) {
-                        let group = full.subnet_paths.segment(s);
+                        let group = full.geometry.paths_of_subnet(s);
                         logits[trees + group.start..trees + group.end].fill(0.0);
                     }
                 }
@@ -1704,12 +1676,10 @@ mod tests {
                     pass_bits(&mut full, &live),
                     "seed {seed} round {round}"
                 );
-                let lone = |groups: &Segments| {
-                    let lens = (0..groups.num_segments()).map(|g| groups.segment(g).len());
-                    lens.filter(|&len| len == 1).count()
-                };
-                lone_trees += lone(&pruned.net_trees);
-                lone_paths += lone(&pruned.subnet_paths);
+                let lone =
+                    |offsets: &[u32]| offsets.windows(2).filter(|g| g[1] - g[0] == 1).count();
+                lone_trees += lone(&pruned.geometry.net_tree_offsets);
+                lone_paths += lone(&pruned.geometry.subnet_path_offsets);
                 if round == 0 {
                     // a second prune composes with the first
                     match pruned.prune(second).map(flagged) {
@@ -1740,7 +1710,7 @@ mod tests {
             let trees = full.num_trees();
             for (s, &tree) in problem.subnet_tree.iter().enumerate() {
                 if !live.contains(&tree) {
-                    let group = full.subnet_paths.segment(s);
+                    let group = full.geometry.paths_of_subnet(s);
                     let level = 1.0 / group.len() as f32;
                     prob[trees + group.start..trees + group.end].fill(level);
                 }
@@ -1758,7 +1728,7 @@ mod tests {
             assert_eq!(bits(&pruned.prob), bits(&full.prob), "seed {seed}");
             let (q, p) = (pruned.q(), pruned.p());
             for (s, &tree) in problem.subnet_tree.iter().enumerate() {
-                for i in pruned.subnet_paths.segment(s) {
+                for i in pruned.geometry.paths_of_subnet(s) {
                     let lives = live.contains(&((q.len() + i) as u32));
                     assert_eq!(
                         q[tree as usize] * p[i] == 0.0,
@@ -1789,11 +1759,11 @@ mod tests {
         /// element), every mass rewritten.
         fn reference_forward(&mut self) {
             let inv_tau = 1.0 / self.temperature;
-            let trees = self.net_trees.len();
+            let trees = self.num_trees();
             let (q, p) = self.prob.split_at_mut(trees);
             let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
-            for n in 0..self.net_trees.num_segments() {
-                let group = self.net_trees.segment(n);
+            for n in 0..self.geometry.num_nets() {
+                let group = self.geometry.trees_of_net(n);
                 if group.len() >= 2 {
                     let noise = &self.noise[group.clone()];
                     softmax_group(
@@ -1804,8 +1774,8 @@ mod tests {
                     );
                 }
             }
-            for s in 0..self.subnet_tree.len() {
-                let group = self.subnet_paths.segment(s);
+            for s in 0..self.geometry.subnet_tree.len() {
+                let group = self.geometry.paths_of_subnet(s);
                 if group.len() >= 2 {
                     let noise = &noise[group.clone()];
                     softmax_group(
@@ -1815,7 +1785,7 @@ mod tests {
                         &mut p[group.clone()],
                     );
                 }
-                let q_tree = q[self.subnet_tree[s] as usize];
+                let q_tree = q[self.geometry.subnet_tree[s] as usize];
                 for i in group {
                     self.mass[i] = p[i] * q_tree;
                 }
@@ -1828,14 +1798,14 @@ mod tests {
         fn reference_backward(&mut self) {
             self.prefix_seed();
             let inv_tau = 1.0 / self.temperature;
-            let trees = self.net_trees.len();
+            let trees = self.num_trees();
             let mut grad = std::mem::take(&mut self.grad);
             let mut tree_mass_grad = vec![0.0f64; trees];
             let (grad_tree, grad_path) = grad.split_at_mut(trees);
             let (q, p) = self.prob.split_at(trees);
-            for s in 0..self.subnet_tree.len() {
-                let group = self.subnet_paths.segment(s);
-                let tree = self.subnet_tree[s] as usize;
+            for s in 0..self.geometry.subnet_tree.len() {
+                let group = self.geometry.paths_of_subnet(s);
+                let tree = self.geometry.subnet_tree[s] as usize;
                 let Some(top) = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b])) else {
                     continue;
                 };
@@ -1856,8 +1826,8 @@ mod tests {
                     }
                 }
             }
-            for n in 0..self.net_trees.num_segments() {
-                let group = self.net_trees.segment(n);
+            for n in 0..self.geometry.num_nets() {
+                let group = self.geometry.trees_of_net(n);
                 if group.len() < 2 {
                     continue;
                 }
@@ -1945,8 +1915,8 @@ mod tests {
                             }
                         }
                         if threads == 1 {
-                            let lens = (0..model.subnet_tree.len())
-                                .map(|s| model.subnet_paths.segment(s).len());
+                            let lens = (0..model.geometry.subnet_tree.len())
+                                .map(|s| model.geometry.paths_of_subnet(s).len());
                             let with_a_path = lens.filter(|&len| len > 0).count();
                             let (undecided, _) = model.undecided();
                             nothing_frozen +=
@@ -2083,19 +2053,19 @@ mod tests {
         let mut model = build([-20.0, 0.0]);
         assert_eq!(model.prune(1e-4).map(flagged), Some(vec![1, 4]));
         assert_eq!((model.num_trees(), model.num_paths()), (1, 1));
-        assert_eq!(model.subnet_tree, [0]);
-        assert_eq!(model.run_slots, [[0, 2]]);
+        assert_eq!(model.geometry.subnet_tree, [0]);
+        assert_eq!(model.geometry.path_runs, [(0, 2)]);
         assert_eq!(model.prune(1e-4), None, "nothing left to drop");
         model.restore_layout();
         assert_eq!(model.tree_logits(), &[f32::NEG_INFINITY, 0.0]);
         assert_eq!(model.path_logits(), &[0.0, 0.0, 6.0, f32::NEG_INFINITY]);
-        assert_eq!(model.subnet_tree, [0, 0, 1]);
+        assert_eq!(model.geometry.subnet_tree, [0, 0, 1]);
 
         // tree 0 wins: tree 1's paths go whatever their own odds
         let mut model = build([0.0, -20.0]);
         assert_eq!(model.prune(1e-4).map(flagged), Some(vec![0, 2, 3]));
-        assert_eq!(model.subnet_tree, [0, 0]);
-        assert_eq!(model.path_runs.offsets(), &[0, 1, 2]);
+        assert_eq!(model.geometry.subnet_tree, [0, 0]);
+        assert_eq!(model.geometry.path_run_offsets, [0, 1, 2]);
 
         // a threshold above every probability still keeps each winner
         let mut model = build([0.0, 0.1]);

@@ -28,20 +28,20 @@
 pub mod activation;
 pub mod adam;
 pub mod cost;
+pub mod geometry;
 pub mod gumbel;
 pub mod kernels;
 pub mod parallel;
-pub mod segments;
 
 pub use activation::Activation;
 pub use adam::Adam;
 pub use cost::{CostModel, CostShape, CostTerms};
-pub use segments::Segments;
+pub use geometry::Geometry;
 
 /// Errors produced while assembling a [`CostModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AutodiffError {
-    /// CSR segment offsets were empty, non-monotone, or did not start at 0.
+    /// CSR offsets were empty, non-monotone, or did not start at 0.
     BadSegments(String),
     /// Two operands had incompatible lengths.
     ShapeMismatch {

@@ -23,7 +23,7 @@
 //! function; equivalently we apply the activation to `d − cap` (rising in
 //! congestion), which is the orientation its ReLU/ILP experiment uses.
 
-use dgr_autodiff::{CostShape, CostTerms};
+use dgr_autodiff::CostTerms;
 use dgr_dag::DagForest;
 use dgr_grid::Design;
 use rand::rngs::StdRng;
@@ -37,7 +37,9 @@ pub use dgr_autodiff::CostModel;
 ///
 /// Logits are initialized `Uniform(−0.5, 0.5)` from `rng` (the paper
 /// initializes `w` randomly), trees first. The kernel is built once;
-/// training mutates only its leaves.
+/// training mutates only its leaves. It reads the forest's groupings and
+/// per-path columns in place, through the forest's shared
+/// [`dgr_autodiff::Geometry`]: nothing of the forest is copied.
 pub fn build_cost_model(
     design: &Design,
     forest: &DagForest,
@@ -47,23 +49,6 @@ pub fn build_cost_model(
     let logits = (0..forest.num_trees() + forest.num_paths())
         .map(|_| rng.gen_range(-0.5..0.5))
         .collect();
-    let (path_run_offsets, path_runs) = forest.path_run_csr();
-    let (path_via_offsets, path_via_cells) = forest.path_via_csr();
-    let shape = CostShape {
-        width: design.grid.width() as usize,
-        height: design.grid.height() as usize,
-        net_tree_offsets: forest.net_tree_offsets_slice(),
-        subnet_tree: forest.subnet_tree_slice(),
-        subnet_path_offsets: forest.subnet_path_offsets_slice(),
-        path_wl: forest.path_wl_slice(),
-        path_turns: forest.path_turns_slice(),
-        path_run_offsets,
-        path_runs,
-        path_via_offsets,
-        path_via_cells,
-        capacity: design.capacity.as_slice(),
-        beta: design.capacity.beta_slice(),
-    };
     let terms = CostTerms {
         wirelength: cfg.weights.wirelength,
         via: cfg.weights.via,
@@ -72,8 +57,15 @@ pub fn build_cost_model(
         activation: cfg.activation,
         overflow_scale: cfg.overflow_scale,
     };
-    let mut model =
-        CostModel::new(&shape, terms, logits).expect("the forest was built against this grid");
+    let mut model = CostModel::from_geometry(
+        forest.geometry().clone(),
+        (design.grid.width() as usize, design.grid.height() as usize),
+        design.capacity.as_slice(),
+        design.capacity.beta_slice(),
+        terms,
+        logits,
+    )
+    .expect("the forest was built against this grid");
     model.set_temperature(cfg.initial_temperature);
     model
 }
@@ -81,6 +73,7 @@ pub fn build_cost_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgr_autodiff::Geometry;
     use dgr_dag::{build_forest, PatternConfig};
     use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
     use dgr_rsmt::{tree_candidates, CandidateConfig};
@@ -191,6 +184,125 @@ mod tests {
         }
         let (l1, ..) = m.evaluate();
         assert!(l1 <= l0, "loss went up: {l0} → {l1}");
+    }
+
+    /// Eight nets of three to five pins on a 16 × 16 grid: nets of
+    /// several trees, sub-nets of two L-shapes.
+    fn several_trees() -> (Design, DagForest) {
+        let grid = GcellGrid::new(16, 16).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let nets = (0..8)
+            .map(|n| {
+                let pins = (0..3 + n % 3)
+                    .map(|_| Point::new(rng.gen_range(0..16), rng.gen_range(0..16)))
+                    .collect();
+                Net::new(format!("n{n}"), pins)
+            })
+            .collect();
+        let design = Design::new(grid, cap, nets, 5).unwrap();
+        let pools: Vec<_> = design
+            .nets
+            .iter()
+            .map(|n| tree_candidates(&n.pins, &CandidateConfig::default()).unwrap())
+            .collect();
+        let forest = build_forest(&design.grid, &pools, PatternConfig::l_only()).unwrap();
+        (design, forest)
+    }
+
+    /// Where each column of `g` lives: a column read in place lives where
+    /// the forest's does.
+    fn addresses(g: &Geometry) -> [usize; 9] {
+        [
+            g.net_tree_offsets.as_ptr() as usize,
+            g.subnet_tree.as_ptr() as usize,
+            g.subnet_path_offsets.as_ptr() as usize,
+            g.path_wl.as_ptr() as usize,
+            g.path_turns.as_ptr() as usize,
+            g.path_run_offsets.as_ptr() as usize,
+            g.path_runs.as_ptr() as usize,
+            g.path_via_offsets.as_ptr() as usize,
+            g.path_via_cells.as_ptr() as usize,
+        ]
+    }
+
+    /// Everything a pass computes that the model shows, as bits: the loss
+    /// and its parts, every demand and every gradient entry.
+    fn pass_bits(model: &mut CostModel) -> Vec<u32> {
+        model.forward();
+        model.backward();
+        let costs = [model.loss(), model.wl_cost(), model.via_cost()];
+        let values = costs.into_iter().chain([model.overflow_cost()]);
+        let all = values.chain(model.demand().iter().copied());
+        let grads = model.tree_grad().iter().chain(model.path_grad());
+        all.chain(grads.copied()).map(f32::to_bits).collect()
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the prune under test
+    fn the_model_reads_the_forests_columns_until_a_prune_and_again_after_restore() {
+        let (design, forest) = several_trees();
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut model = build_cost_model(&design, &forest, &DgrConfig::default(), &mut rng);
+        let shared = addresses(forest.geometry());
+        assert_eq!(addresses(model.geometry()), shared, "as built");
+        assert_eq!(model.geometry(), &**forest.geometry());
+
+        // every tree but a net's first and every other path far behind
+        let built = (model.tree_logits().to_vec(), model.path_logits().to_vec());
+        let mut tree_logits = built.0.clone();
+        for n in 0..forest.num_nets() {
+            tree_logits[forest.trees_of_net(n)]
+                .iter_mut()
+                .skip(1)
+                .for_each(|w| *w = -200.0);
+        }
+        let path_logits: Vec<f32> = (0..forest.num_paths())
+            .map(|i| if i % 2 == 1 { -200.0 } else { built.1[i] })
+            .collect();
+        model.set_logits(&tree_logits, &path_logits);
+        let mut never_pruned = model.clone();
+
+        // a prune gives the model live rows of its own, sized to them
+        let keep = model.prune(1e-4).expect("far-behind candidates go");
+        let live_paths: Vec<usize> = (0..forest.num_paths())
+            .filter(|&i| keep[forest.num_trees() + i])
+            .collect();
+        assert!(model.num_trees() < forest.num_trees() && live_paths.len() < forest.num_paths());
+        let live = model.geometry();
+        let owned = addresses(live);
+        assert!(
+            owned.iter().zip(&shared).all(|(a, b)| a != b),
+            "{owned:?} {shared:?}"
+        );
+        assert_eq!(live.num_paths(), live_paths.len());
+        let runs: Vec<_> = live_paths
+            .iter()
+            .flat_map(|&i| forest.path_runs(i))
+            .copied()
+            .collect();
+        assert_eq!(live.path_runs, runs);
+        let vias: Vec<_> = live_paths
+            .iter()
+            .flat_map(|&i| forest.path_vias(i))
+            .copied()
+            .collect();
+        assert_eq!(live.path_via_cells, vias);
+        assert_eq!(live.path_runs.capacity(), runs.len());
+        live.check(16, 16).unwrap();
+
+        // restored, it reads the forest's columns again, and a pass is
+        // the never-pruned model's with the dropped logits at −∞
+        model.restore_layout();
+        assert_eq!(addresses(model.geometry()), shared, "restored");
+        let restored = (model.tree_logits().to_vec(), model.path_logits().to_vec());
+        never_pruned.set_logits(&restored.0, &restored.1);
+        assert_eq!(pass_bits(&mut model), pass_bits(&mut never_pruned));
+        // and every candidate given its built logit back costs what it
+        // did before the prune, the dropped ones their own runs and turns
+        model.set_logits(&built.0, &built.1);
+        never_pruned.set_logits(&built.0, &built.1);
+        assert_eq!(pass_bits(&mut model), pass_bits(&mut never_pruned));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! One routing run as a value.
 //!
 //! A [`Session`] holds what the stages of [`DgrRouter::route`] hand each
-//! other: the per-net tree candidates, the DAG forest over them, the
-//! relaxed [`CostModel`] and the training report so far. Opening one runs
-//! candidates → forest → relax; [`Session::train`], [`Session::extract`]
-//! and [`Session::expand`] run the rest, and the forest, model and report
-//! can be read between any two of them.
-//! [`DgrRouter::route_with_hooks`] runs one, stage by stage.
+//! other: the DAG forest over the per-net tree candidates, the relaxed
+//! [`CostModel`] and the training report so far. Opening one runs
+//! candidates → forest → relax, and drops the candidate pools once the
+//! forest is built; [`Session::train`], [`Session::extract`] and
+//! [`Session::expand`] run the rest, and the forest, model and report can
+//! be read between any two of them. [`DgrRouter::route_with_hooks`] runs
+//! one, stage by stage.
 
 use std::collections::HashMap;
 
@@ -37,8 +38,6 @@ pub struct Session<'d> {
     /// last (extraction reads its final temperature).
     cfg: DgrConfig,
     rng: StdRng,
-    /// Routing-tree candidates per net, in input-net order.
-    pools: Vec<Vec<dgr_rsmt::RoutingTree>>,
     /// Maze-derived path candidates per sub-net, grown by
     /// [`Session::expand`].
     extras: HashMap<usize, Vec<PatternPath>>,
@@ -55,16 +54,15 @@ impl<'d> Session<'d> {
     /// Candidates → forest → relax under `cfg`, which the caller has
     /// validated.
     pub(crate) fn open(cfg: DgrConfig, design: &'d Design) -> Result<Self, DgrError> {
-        let pools = candidates(&cfg, design)?;
         let extras = HashMap::new();
-        let forest = build_forest(&cfg, design, &pools, &extras)?;
+        // the pools go once the forest is built: `expand` derives them again
+        let forest = build_forest(&cfg, design, &candidates(&cfg, design)?, &extras)?;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let model = relax(&cfg, design, &forest, &mut rng);
         Ok(Session {
             design,
             cfg,
             rng,
-            pools,
             extras,
             relaxed: Some((forest, model)),
             report: None,
@@ -132,10 +130,11 @@ impl<'d> Session<'d> {
 
     /// Adaptive forest expansion (Section 3.1's future-work direction):
     /// every sub-net whose path in `solution` crosses an overflowed edge
-    /// gets a congestion-avoiding maze candidate; the forest is rebuilt
-    /// and relaxed again, and the trained logits carry over. Returns
-    /// whether anything new was added; when nothing was, the session is
-    /// unchanged.
+    /// gets a congestion-avoiding maze candidate; the forest is rebuilt —
+    /// over the candidate pools derived again, a pure function of the
+    /// configuration and the design — and relaxed again, and the trained
+    /// logits carry over. Returns whether anything new was added; when
+    /// nothing was, the session is unchanged.
     pub fn expand(&mut self, solution: &RoutingSolution) -> bool {
         let (forest, model) = self.relaxed.as_ref().expect(HELD);
         if !grow_extras(self.design, forest, solution, &mut self.extras) {
@@ -149,8 +148,10 @@ impl<'d> Session<'d> {
             .map(|s| forest.paths_of_subnet(s))
             .collect();
         self.relaxed = None;
-        let forest = build_forest(&self.cfg, self.design, &self.pools, &self.extras)
+        let pools = candidates(&self.cfg, self.design).expect("these pools were derived before");
+        let forest = build_forest(&self.cfg, self.design, &pools, &self.extras)
             .expect("these pools built a forest before, and maze extras stay on the grid");
+        drop(pools);
         let mut model = relax(&self.cfg, self.design, &forest, &mut self.rng);
         // a sub-net's paths keep their logits by position; the extras
         // appended after them start competitive with the incumbent
@@ -169,10 +170,11 @@ impl<'d> Session<'d> {
 }
 
 /// The per-net tree candidate pools (span `candidates`). Trees are clamped
-/// to the die, every net draws from its own seed derived from
+/// to the die, and every net draws from its own seed derived from
 /// `(candidates.seed, net index)` — so the fan-out is deterministic at any
-/// thread count — and Steiner templates are shared through one canonical
-/// cache per call.
+/// thread count, and the pools are a pure function of the configuration
+/// and the design. No Steiner template is cached: a cache per call never
+/// hit on the benchmark's designs, and cost more than it saved.
 fn candidates(
     cfg: &DgrConfig,
     design: &Design,
@@ -181,14 +183,13 @@ fn candidates(
     dgr_obs::status_phase("candidates");
     let mut base_cfg = cfg.candidates.clone();
     base_cfg.clamp = Some(design.grid.bounds());
-    let cache = dgr_rsmt::RsmtCache::new();
     let nets = &design.nets;
     let pools = par_indexed(nets.len(), NET_PAR_MIN, |i| {
         let cfg_i = dgr_rsmt::CandidateConfig {
             seed: per_net_seed(base_cfg.seed, i),
             ..base_cfg.clone()
         };
-        dgr_rsmt::tree_candidates_cached(&nets[i].pins, &cfg_i, &cache)
+        dgr_rsmt::tree_candidates(&nets[i].pins, &cfg_i)
     });
     Ok(pools.into_iter().collect::<Result<_, _>>()?)
 }

@@ -1,10 +1,11 @@
 //! Construction of a [`DagForest`] from per-net tree candidate pools.
 
 use dgr_autodiff::parallel::{par_halves, NET_PAR_MIN};
+use dgr_autodiff::Geometry;
 use dgr_grid::GcellGrid;
 use dgr_rsmt::RoutingTree;
 
-use crate::forest::DagForest;
+use crate::forest::{building, DagForest};
 use crate::paths::{enumerate_patterns, for_each_pattern, turning_points, PatternPath};
 use crate::DagError;
 
@@ -168,16 +169,17 @@ fn push_nets(
 ) -> Result<(), DagError> {
     let bounds = Some(grid.bounds());
     let mut global_subnet = first_subnet;
+    let columns = building(&mut forest.geometry);
     for pool in pools {
         for tree in pool {
-            let t = forest.num_trees() as u32;
+            let t = forest.tree_subnet_offsets.len() as u32 - 1;
             for (a, b) in tree.subnets() {
-                forest.subnet_tree.push(t);
+                columns.subnet_tree.push(t);
                 forest.subnet_endpoints.push((a, b));
                 let (z, c) = (patterns.z_stride, patterns.c_detour);
                 match extras.get(&global_subnet) {
                     None => for_each_pattern(a, b, z, c, bounds, |corners| {
-                        push_path(forest, grid, corners)
+                        push_path(columns, grid, corners)
                     })?,
                     Some(more) => {
                         let mut paths = enumerate_patterns(a, b, z, c, bounds);
@@ -187,18 +189,19 @@ fn push_nets(
                             }
                         }
                         for path in &paths {
-                            push_path(forest, grid, &path.corners)?;
+                            push_path(columns, grid, &path.corners)?;
                         }
                     }
                 }
-                forest.subnet_path_offsets.push(forest.num_paths() as u32);
+                columns.subnet_path_offsets.push(columns.num_paths() as u32);
                 global_subnet += 1;
             }
             forest
                 .tree_subnet_offsets
-                .push(forest.subnet_tree.len() as u32);
+                .push(columns.subnet_tree.len() as u32);
         }
-        forest.net_tree_offsets.push(forest.num_trees() as u32);
+        let trees = forest.tree_subnet_offsets.len() - 1;
+        columns.net_tree_offsets.push(trees as u32);
     }
     Ok(())
 }
@@ -215,13 +218,14 @@ fn oriented(extra: &PatternPath, a: dgr_grid::Point, b: dgr_grid::Point) -> Opti
     }
 }
 
-/// Pushes one path candidate: its weights and the runs and turn cells
-/// under `corners`.
+/// Pushes one path candidate: its weights and the runs (in slot form)
+/// and turn cells under `corners`.
 fn push_path(
-    forest: &mut DagForest,
+    columns: &mut Geometry,
     grid: &GcellGrid,
     corners: &[dgr_grid::Point],
 ) -> Result<(), DagError> {
+    let cells = grid.num_cells() as u32;
     let mut wl = 0u32;
     for w in corners.windows(2) {
         grid.segment_edges(w[0], w[1]).map(drop)?;
@@ -229,21 +233,25 @@ fn push_path(
             continue;
         }
         wl += w[0].manhattan_distance(w[1]);
-        // the segment is on the grid, so its end cells are
+        // the segment is on the grid, so its end cells are; a run down a
+        // column takes the slots a cell count above them
         let (a, b) = (grid.cell_id(w[0])?.0, grid.cell_id(w[1])?.0);
-        forest.path_runs.push((a.min(b), a.max(b)));
+        let base = if w[0].x == w[1].x { cells } else { 0 };
+        columns.path_runs.push((a.min(b) + base, a.max(b) + base));
     }
-    forest.path_wl.push(wl as f32);
-    let vias_before = forest.path_via_cells.len();
+    columns.path_wl.push(wl as f32);
+    let vias_before = columns.path_via_cells.len();
     for v in turning_points(corners) {
-        forest.path_via_cells.push(grid.cell_id(v)?.0);
+        columns.path_via_cells.push(grid.cell_id(v)?.0);
     }
-    let turns = forest.path_via_cells.len() - vias_before;
-    forest.path_turns.push(turns as f32);
-    forest.path_run_offsets.push(forest.path_runs.len() as u32);
-    forest
+    let turns = columns.path_via_cells.len() - vias_before;
+    columns.path_turns.push(turns as f32);
+    columns
+        .path_run_offsets
+        .push(columns.path_runs.len() as u32);
+    columns
         .path_via_offsets
-        .push(forest.path_via_cells.len() as u32);
+        .push(columns.path_via_cells.len() as u32);
     Ok(())
 }
 
@@ -617,11 +625,9 @@ mod tests {
             net_tree_offsets.push(tree_subnet_offsets.len() as u32 - 1);
         }
 
-        let forest = DagForest {
+        let geometry = Geometry {
             net_tree_offsets,
-            tree_subnet_offsets,
             subnet_tree,
-            subnet_endpoints,
             subnet_path_offsets,
             path_wl,
             path_turns,
@@ -629,6 +635,11 @@ mod tests {
             path_runs,
             path_via_offsets,
             path_via_cells,
+        };
+        let forest = DagForest {
+            geometry: std::sync::Arc::new(geometry),
+            tree_subnet_offsets,
+            subnet_endpoints,
             ..DagForest::empty(grid)
         };
         debug_assert!(forest.validate().is_ok());
@@ -705,7 +716,11 @@ mod tests {
                         }
                         // the segment is on the grid, so its end cells are
                         let (a, b) = (grid.cell_id(w[0])?.0, grid.cell_id(w[1])?.0);
-                        chunk.path_runs.push((a.min(b), a.max(b)));
+                        let (low, high) = (a.min(b), a.max(b));
+                        let cells = grid.num_cells() as u32;
+                        // the kernel's slots: a cell count up for a column
+                        let base = if w[0].x == w[1].x { cells } else { 0 };
+                        chunk.path_runs.push((low + base, high + base));
                     }
                     chunk
                         .path_run_counts
@@ -876,18 +891,19 @@ mod tests {
             fn column<T>(v: &Vec<T>) -> (usize, usize, usize) {
                 (v.len(), v.capacity(), std::mem::size_of::<T>())
             }
+            let shared = &*forest.geometry;
             let columns = [
-                ("net_tree_offsets", column(&forest.net_tree_offsets)),
+                ("net_tree_offsets", column(&shared.net_tree_offsets)),
                 ("tree_subnet_offsets", column(&forest.tree_subnet_offsets)),
-                ("subnet_tree", column(&forest.subnet_tree)),
+                ("subnet_tree", column(&shared.subnet_tree)),
                 ("subnet_endpoints", column(&forest.subnet_endpoints)),
-                ("subnet_path_offsets", column(&forest.subnet_path_offsets)),
-                ("path_wl", column(&forest.path_wl)),
-                ("path_turns", column(&forest.path_turns)),
-                ("path_run_offsets", column(&forest.path_run_offsets)),
-                ("path_runs", column(&forest.path_runs)),
-                ("path_via_offsets", column(&forest.path_via_offsets)),
-                ("path_via_cells", column(&forest.path_via_cells)),
+                ("subnet_path_offsets", column(&shared.subnet_path_offsets)),
+                ("path_wl", column(&shared.path_wl)),
+                ("path_turns", column(&shared.path_turns)),
+                ("path_run_offsets", column(&shared.path_run_offsets)),
+                ("path_runs", column(&shared.path_runs)),
+                ("path_via_offsets", column(&shared.path_via_offsets)),
+                ("path_via_cells", column(&shared.path_via_cells)),
             ];
             let mut held = 0;
             for (name, (len, capacity, size)) in columns {

@@ -1,7 +1,8 @@
 //! The flattened DAG-forest arenas.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use dgr_autodiff::Geometry;
 use dgr_grid::GcellGrid;
 
 use crate::DagError;
@@ -26,27 +27,21 @@ use crate::DagError;
 /// ([`Self::path_edges`]), and its sub-net and tree from the offsets.
 /// Every column is sized to its length.
 ///
+/// The groupings and per-path columns the expected-cost kernel reads are
+/// one shared [`Geometry`] ([`Self::geometry`]): a model built over the
+/// forest holds the same `Arc` and reads them in place, so they exist
+/// once. The runs are stored in the kernel's difference-array slot form.
+///
 /// Construct with [`crate::build_forest`]; all fields are read-only after
 /// construction (exposed through accessors so the representation can
 /// evolve without breaking users).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagForest {
-    pub(crate) net_tree_offsets: Vec<u32>,
+    pub(crate) geometry: Arc<Geometry>,
     pub(crate) tree_subnet_offsets: Vec<u32>,
-    pub(crate) subnet_tree: Vec<u32>,
     pub(crate) subnet_endpoints: Vec<(dgr_grid::Point, dgr_grid::Point)>,
-    pub(crate) subnet_path_offsets: Vec<u32>,
-    pub(crate) path_wl: Vec<f32>,
-    pub(crate) path_turns: Vec<f32>,
-    pub(crate) path_run_offsets: Vec<u32>,
-    pub(crate) path_runs: Vec<(u32, u32)>,
-    pub(crate) path_via_offsets: Vec<u32>,
-    pub(crate) path_via_cells: Vec<u32>,
-    /// The grid's width in cells: a run whose ends lie that far apart or
-    /// more is vertical.
-    pub(crate) grid_width: u32,
-    /// The grid's horizontal edge count, where vertical edge ids start.
-    pub(crate) num_h_edges: u32,
+    /// The grid's width and height in cells.
+    pub(crate) grid: (u32, u32),
     pub(crate) edge_csr: EdgeCsr,
 }
 
@@ -62,24 +57,25 @@ impl PartialEq for EdgeCsr {
     }
 }
 
+/// A forest's shared columns, to push onto while it is built.
+///
+/// # Panics
+///
+/// Panics once they are shared: a forest is built before anything reads
+/// it.
+pub(crate) fn building(geometry: &mut Arc<Geometry>) -> &mut Geometry {
+    Arc::get_mut(geometry).expect("a forest is built before it is shared")
+}
+
 impl DagForest {
     /// The forest of no nets on `grid`: every offset column starts its CSR
     /// at 0.
     pub(crate) fn empty(grid: &GcellGrid) -> Self {
         DagForest {
-            net_tree_offsets: vec![0],
+            geometry: Arc::default(),
             tree_subnet_offsets: vec![0],
-            subnet_tree: Vec::new(),
             subnet_endpoints: Vec::new(),
-            subnet_path_offsets: vec![0],
-            path_wl: Vec::new(),
-            path_turns: Vec::new(),
-            path_run_offsets: vec![0],
-            path_runs: Vec::new(),
-            path_via_offsets: vec![0],
-            path_via_cells: Vec::new(),
-            grid_width: grid.width(),
-            num_h_edges: u32::try_from(grid.num_h_edges()).expect("edge ids are u32"),
+            grid: (grid.width(), grid.height()),
             edge_csr: EdgeCsr::default(),
         }
     }
@@ -93,7 +89,7 @@ impl DagForest {
     /// # Panics
     ///
     /// Panics if a combined arena outgrows its `u32` index.
-    pub(crate) fn append(&mut self, upper: DagForest) {
+    pub(crate) fn append(&mut self, mut upper: DagForest) {
         let base = |len: usize, more: usize| {
             let total = u32::try_from(len + more).expect("forest arenas are indexed by u32");
             total - more as u32
@@ -101,8 +97,12 @@ impl DagForest {
         let trees = base(self.num_trees(), upper.num_trees());
         let subnets = base(self.num_subnets(), upper.num_subnets());
         let paths = base(self.num_paths(), upper.num_paths());
-        let runs = base(self.path_runs.len(), upper.path_runs.len());
-        let vias = base(self.path_via_cells.len(), upper.path_via_cells.len());
+        let (this, more) = (
+            building(&mut self.geometry),
+            std::mem::take(building(&mut upper.geometry)),
+        );
+        let runs = base(this.path_runs.len(), more.path_runs.len());
+        let vias = base(this.path_via_cells.len(), more.path_via_cells.len());
         // an offset column's leading 0 is this forest's last offset
         let offsets = |into: &mut Vec<u32>, from: Vec<u32>, base: u32| {
             into.reserve_exact(from.len() - 1);
@@ -112,63 +112,64 @@ impl DagForest {
             into.reserve_exact(from.len());
             into.extend(from);
         }
-        offsets(&mut self.net_tree_offsets, upper.net_tree_offsets, trees);
+        offsets(&mut this.net_tree_offsets, more.net_tree_offsets, trees);
         offsets(
             &mut self.tree_subnet_offsets,
             upper.tree_subnet_offsets,
             subnets,
         );
-        self.subnet_tree.reserve_exact(upper.subnet_tree.len());
-        self.subnet_tree
-            .extend(upper.subnet_tree.iter().map(|&t| t + trees));
+        this.subnet_tree.reserve_exact(more.subnet_tree.len());
+        this.subnet_tree
+            .extend(more.subnet_tree.iter().map(|&t| t + trees));
         payload(&mut self.subnet_endpoints, upper.subnet_endpoints);
         offsets(
-            &mut self.subnet_path_offsets,
-            upper.subnet_path_offsets,
+            &mut this.subnet_path_offsets,
+            more.subnet_path_offsets,
             paths,
         );
-        payload(&mut self.path_wl, upper.path_wl);
-        payload(&mut self.path_turns, upper.path_turns);
-        offsets(&mut self.path_run_offsets, upper.path_run_offsets, runs);
-        payload(&mut self.path_runs, upper.path_runs);
-        offsets(&mut self.path_via_offsets, upper.path_via_offsets, vias);
-        payload(&mut self.path_via_cells, upper.path_via_cells);
+        payload(&mut this.path_wl, more.path_wl);
+        payload(&mut this.path_turns, more.path_turns);
+        offsets(&mut this.path_run_offsets, more.path_run_offsets, runs);
+        payload(&mut this.path_runs, more.path_runs);
+        offsets(&mut this.path_via_offsets, more.path_via_offsets, vias);
+        payload(&mut this.path_via_cells, more.path_via_cells);
         self.edge_csr = EdgeCsr::default();
     }
 
     /// Gives every column back the capacity its length does not use.
     pub(crate) fn shrink_to_fit(&mut self) {
-        self.net_tree_offsets.shrink_to_fit();
+        let columns = building(&mut self.geometry);
+        columns.net_tree_offsets.shrink_to_fit();
         self.tree_subnet_offsets.shrink_to_fit();
-        self.subnet_tree.shrink_to_fit();
+        columns.subnet_tree.shrink_to_fit();
         self.subnet_endpoints.shrink_to_fit();
-        self.subnet_path_offsets.shrink_to_fit();
-        self.path_wl.shrink_to_fit();
-        self.path_turns.shrink_to_fit();
-        self.path_run_offsets.shrink_to_fit();
-        self.path_runs.shrink_to_fit();
-        self.path_via_offsets.shrink_to_fit();
-        self.path_via_cells.shrink_to_fit();
+        columns.subnet_path_offsets.shrink_to_fit();
+        columns.path_wl.shrink_to_fit();
+        columns.path_turns.shrink_to_fit();
+        columns.path_run_offsets.shrink_to_fit();
+        columns.path_runs.shrink_to_fit();
+        columns.path_via_offsets.shrink_to_fit();
+        columns.path_via_cells.shrink_to_fit();
     }
 
     /// Number of nets.
     pub fn num_nets(&self) -> usize {
-        self.net_tree_offsets.len() - 1
+        self.geometry.num_nets()
     }
 
     /// Number of routing-tree candidates across all nets.
     pub fn num_trees(&self) -> usize {
-        self.tree_subnet_offsets.len() - 1
+        self.geometry.num_trees()
     }
 
     /// Number of 2-pin sub-nets across all trees.
     pub fn num_subnets(&self) -> usize {
-        self.subnet_tree.len()
+        self.geometry.subnet_tree.len()
     }
 
     /// Number of pattern-path candidates across all sub-nets.
     pub fn num_paths(&self) -> usize {
-        self.path_wl.len()
+        self.geometry.num_paths()
     }
 
     /// Tree candidates of net `n`, as a tree-index range.
@@ -177,7 +178,7 @@ impl DagForest {
     ///
     /// Panics if `n >= num_nets()`.
     pub fn trees_of_net(&self, n: usize) -> std::ops::Range<usize> {
-        self.net_tree_offsets[n] as usize..self.net_tree_offsets[n + 1] as usize
+        self.geometry.trees_of_net(n)
     }
 
     /// Sub-nets of tree `t`, as a subnet-index range.
@@ -187,7 +188,7 @@ impl DagForest {
 
     /// The tree owning subnet `s`.
     pub fn tree_of_subnet(&self, s: usize) -> usize {
-        self.subnet_tree[s] as usize
+        self.geometry.subnet_tree[s] as usize
     }
 
     /// The two endpoint g-cells of subnet `s`.
@@ -197,7 +198,7 @@ impl DagForest {
 
     /// Path candidates of subnet `s`, as a path-index range.
     pub fn paths_of_subnet(&self, s: usize) -> std::ops::Range<usize> {
-        self.subnet_path_offsets[s] as usize..self.subnet_path_offsets[s + 1] as usize
+        self.geometry.paths_of_subnet(s)
     }
 
     /// The subnet owning path `i`, by a binary search of the subnet→path
@@ -208,9 +209,8 @@ impl DagForest {
     /// Panics if `i >= num_paths()`.
     pub fn subnet_of_path(&self, i: usize) -> usize {
         assert!(i < self.num_paths(), "path {i} of {}", self.num_paths());
-        self.subnet_path_offsets
-            .partition_point(|&o| o as usize <= i)
-            - 1
+        let offsets = &self.geometry.subnet_path_offsets;
+        offsets.partition_point(|&o| o as usize <= i) - 1
     }
 
     /// The tree owning path `i`: its subnet's tree.
@@ -219,32 +219,33 @@ impl DagForest {
     ///
     /// Panics if `i >= num_paths()`.
     pub fn tree_of_path(&self, i: usize) -> usize {
-        self.subnet_tree[self.subnet_of_path(i)] as usize
+        self.tree_of_subnet(self.subnet_of_path(i))
     }
 
     /// Wirelength of path `i` (`WL_i` in Eq. 4).
     pub fn path_wirelength(&self, i: usize) -> f32 {
-        self.path_wl[i]
+        self.geometry.path_wl[i]
     }
 
     /// Turning-point count of path `i` (`TP_i` in Eq. 5).
     pub fn path_turn_count(&self, i: usize) -> f32 {
-        self.path_turns[i]
+        self.geometry.path_turns[i]
     }
 
     /// G-cell edges occupied by path `i` (raw [`dgr_grid::EdgeId`] values),
     /// derived from its runs: run by run in source-to-sink order, each
     /// run's lowest id first — the order
     /// [`GcellGrid::segment_edges`] yields them over the path's corners,
-    /// segment by segment. A run `(low, high)` with `high − low ≥ width`
-    /// is vertical, the `(high − low) / width` edges from `num_h_edges +
-    /// low` at stride `width`; any other is horizontal, the `high − low`
-    /// edges from `low − low / width`.
+    /// segment by segment. A run `(low, high)` from slot `cells` up is
+    /// vertical, the `(high − low) / width` edges from `h_edges + low −
+    /// cells` at stride `width` — with `h_edges = cells − height`, from
+    /// `low − height`; any other is horizontal, the `high − low` edges from
+    /// `low − low / width`.
     pub fn path_edges(&self, i: usize) -> impl Iterator<Item = u32> + Clone + '_ {
-        let (width, h_edges) = (self.grid_width, self.num_h_edges);
+        let (width, height) = self.grid;
         self.path_runs(i).iter().flat_map(move |&(low, high)| {
-            let (first, stride, len) = if high - low >= width {
-                (h_edges + low, width, (high - low) / width)
+            let (first, stride, len) = if low >= width * height {
+                (low - height, width, (high - low) / width)
             } else {
                 (low - low / width, 1, high - low)
             };
@@ -253,47 +254,30 @@ impl DagForest {
     }
 
     /// Straight runs of path `i`, one per non-empty corner-to-corner
-    /// segment in source-to-sink order: `(low, high)` raw
+    /// segment in source-to-sink order, in the kernel's slot form
+    /// ([`Geometry::path_runs`]): `(low, high)` raw
     /// [`dgr_grid::GcellId`] values of the segment's end cells, `low <
-    /// high`. A run whose ends share a row covers the horizontal edges
-    /// between them, otherwise the vertical ones: together, exactly the
+    /// high`, for a run along a row, and the same plus the grid's cell
+    /// count for a run down a column. Together they cover exactly the
     /// edges [`Self::path_edges`] lists.
     pub fn path_runs(&self, i: usize) -> &[(u32, u32)] {
-        let lo = self.path_run_offsets[i] as usize;
-        let hi = self.path_run_offsets[i + 1] as usize;
-        &self.path_runs[lo..hi]
+        self.geometry.runs_of_path(i)
     }
 
     /// G-cells where path `i` turns (raw [`dgr_grid::GcellId`] values).
     pub fn path_vias(&self, i: usize) -> &[u32] {
-        let lo = self.path_via_offsets[i] as usize;
-        let hi = self.path_via_offsets[i + 1] as usize;
-        &self.path_via_cells[lo..hi]
+        self.geometry.vias_of_path(i)
     }
 
-    /// Dense per-path wirelength vector (Eq. 4's `WL` weights).
-    pub fn path_wl_slice(&self) -> &[f32] {
-        &self.path_wl
-    }
-
-    /// Dense per-path turn-count vector (Eq. 5's `TP` weights).
-    pub fn path_turns_slice(&self) -> &[f32] {
-        &self.path_turns
-    }
-
-    /// Per-subnet tree index (every path of a subnet shares its tree).
-    pub fn subnet_tree_slice(&self) -> &[u32] {
-        &self.subnet_tree
+    /// The groupings and per-path columns the expected-cost kernel reads,
+    /// shared: a model built over the forest holds this `Arc`.
+    pub fn geometry(&self) -> &Arc<Geometry> {
+        &self.geometry
     }
 
     /// CSR offsets grouping paths by subnet (softmax groups for `p`).
     pub fn subnet_path_offsets_slice(&self) -> &[u32] {
-        &self.subnet_path_offsets
-    }
-
-    /// CSR offsets grouping trees by net (softmax groups for `q`).
-    pub fn net_tree_offsets_slice(&self) -> &[u32] {
-        &self.net_tree_offsets
+        &self.geometry.subnet_path_offsets
     }
 
     /// CSR (offsets, edge ids) mapping each path to its g-cell edges
@@ -315,17 +299,6 @@ impl DagForest {
         (offsets, ids)
     }
 
-    /// CSR (offsets, end-cell pairs) mapping each path to its straight
-    /// runs (see [`Self::path_runs`]).
-    pub fn path_run_csr(&self) -> (&[u32], &[(u32, u32)]) {
-        (&self.path_run_offsets, &self.path_runs)
-    }
-
-    /// CSR (offsets, cell ids) mapping each path to its turn cells.
-    pub fn path_via_csr(&self) -> (&[u32], &[u32]) {
-        (&self.path_via_offsets, &self.path_via_cells)
-    }
-
     /// Heap bytes the arenas hold, capacity counted — the
     /// reproduction's analogue of the paper's GPU-memory axis (Fig. 5b).
     /// The view [`Self::path_edge_csr`] builds is not counted.
@@ -333,17 +306,7 @@ impl DagForest {
         fn held<T>(column: &Vec<T>) -> usize {
             column.capacity() * std::mem::size_of::<T>()
         }
-        held(&self.net_tree_offsets)
-            + held(&self.tree_subnet_offsets)
-            + held(&self.subnet_tree)
-            + held(&self.subnet_endpoints)
-            + held(&self.subnet_path_offsets)
-            + held(&self.path_wl)
-            + held(&self.path_turns)
-            + held(&self.path_run_offsets)
-            + held(&self.path_runs)
-            + held(&self.path_via_offsets)
-            + held(&self.path_via_cells)
+        self.geometry.bytes() + held(&self.tree_subnet_offsets) + held(&self.subnet_endpoints)
     }
 
     /// Verifies every cross-index invariant of the arenas.
@@ -352,50 +315,21 @@ impl DagForest {
     ///
     /// Returns [`DagError::Inconsistent`] naming the first violation.
     pub fn validate(&self) -> Result<(), DagError> {
-        let check_csr = |name: &str, offsets: &[u32], n_items: usize| {
-            if offsets.is_empty() {
-                return Err(DagError::Inconsistent(format!("{name}: empty offsets")));
-            }
-            if offsets[0] != 0 || *offsets.last().expect("non-empty") as usize != n_items {
-                return Err(DagError::Inconsistent(format!(
-                    "{name}: offsets must span 0..{n_items}"
-                )));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(DagError::Inconsistent(format!(
-                    "{name}: offsets not monotone"
-                )));
-            }
-            Ok(())
-        };
-        check_csr("net→tree", &self.net_tree_offsets, self.num_trees())?;
-        check_csr("tree→subnet", &self.tree_subnet_offsets, self.num_subnets())?;
-        check_csr("subnet→path", &self.subnet_path_offsets, self.num_paths())?;
-        check_csr("path→run", &self.path_run_offsets, self.path_runs.len())?;
-        check_csr(
-            "path→via",
-            &self.path_via_offsets,
-            self.path_via_cells.len(),
-        )?;
-        if self.path_wl.len() != self.path_turns.len()
-            || self.path_run_offsets.len() != self.num_paths() + 1
-            || self.path_via_offsets.len() != self.num_paths() + 1
+        // the kernel's columns, on this forest's grid
+        let (width, height) = self.grid;
+        let checked = self.geometry.check(width as usize, height as usize);
+        checked.map_err(|e| DagError::Inconsistent(e.to_string()))?;
+        let offsets = &self.tree_subnet_offsets;
+        if offsets.len() != self.num_trees() + 1
+            || offsets[0] != 0
+            || offsets[self.num_trees()] as usize != self.num_subnets()
+            || offsets.windows(2).any(|w| w[0] > w[1])
         {
             return Err(DagError::Inconsistent(
-                "per-path arrays disagree on length".into(),
+                "tree→subnet offsets do not partition the sub-nets".into(),
             ));
         }
-        // a run is a row's cells or a column's: what `path_edges` reads
-        let width = self.grid_width;
-        let straight = |&(lo, hi): &(u32, u32)| {
-            lo < hi && (hi - lo >= width && (hi - lo) % width == 0 || lo / width == hi / width)
-        };
-        if !self.path_runs.iter().all(straight) {
-            return Err(DagError::Inconsistent(
-                "a path run is not one row's or one column's cells, low < high".into(),
-            ));
-        }
-        if self.subnet_endpoints.len() != self.subnet_tree.len() {
+        if self.subnet_endpoints.len() != self.num_subnets() {
             return Err(DagError::Inconsistent(
                 "subnet endpoint table disagrees with subnet count".into(),
             ));

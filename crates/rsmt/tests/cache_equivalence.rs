@@ -8,6 +8,9 @@
 //! that makes the cache a pure memoization: both paths solve in
 //! canonical space, so a hit can only skip work, never alter topology.
 
+// the cached path has no product caller; this is its contract
+#![allow(clippy::disallowed_methods)]
+
 use dgr_grid::Point;
 use dgr_rsmt::{tree_candidates, tree_candidates_cached, CandidateConfig, RsmtCache};
 use proptest::prelude::*;

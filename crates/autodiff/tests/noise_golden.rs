@@ -9,7 +9,7 @@
 //! whose noise is known good.
 
 use dgr_autodiff::{Activation, CostModel, CostShape, CostTerms};
-use dgr_obs::ledger::fnv1a64;
+use dgr_obs::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 

@@ -405,121 +405,3 @@ fn table1(fast: bool) -> BenchResult<()> {
     println!("worst-seed gap should stay within a relative 1e-5 of the optimum.");
     Ok(())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every configuration the experiments hand DGR, named by where it is
-    /// built: the two profiles, `dgr_config` at both scales, and each row
-    /// of `fig6` and `ablation` at both scales.
-    fn experiment_configs() -> Vec<(String, DgrConfig)> {
-        let mut named = vec![
-            ("default".to_string(), DgrConfig::default()),
-            ("ilp_comparison".to_string(), DgrConfig::ilp_comparison()),
-        ];
-        for (fast, scale) in [(true, "fast"), (false, "full")] {
-            named.push((format!("dgr_config {scale}"), dgr_config(fast, 0)));
-            for (name, spec) in [("fig6", fig6(fast)), ("ablation", ablation(fast))] {
-                for row in spec.rows {
-                    for router in row.routers {
-                        if let Router::Dgr(cfg) = router {
-                            named.push((format!("{name} {scale} {}", row.label.join(" ")), cfg));
-                        }
-                    }
-                }
-            }
-        }
-        named
-    }
-
-    /// The run key of every experiment configuration is the line of
-    /// `tests/golden/config_keys.txt` named like it. The file holds each
-    /// configuration's `{:?}` text with its seed set to 0 — the key the
-    /// ledger hashed before the key was written out field by field — so
-    /// record it only at a commit that still derives `Debug` for the
-    /// configuration (`DGR_UPDATE_GOLDEN=1` rewrites it).
-    #[test]
-    fn run_keys_match_the_golden_file() {
-        let text: String = experiment_configs()
-            .iter()
-            .map(|(name, cfg)| format!("{name}: {}\n", cfg.run_key()))
-            .collect();
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/golden/config_keys.txt"
-        );
-        if std::env::var_os("DGR_UPDATE_GOLDEN").is_some() {
-            std::fs::write(path, &text).expect("write the golden");
-        }
-        let want = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("{path}: {e} (DGR_UPDATE_GOLDEN=1 records it)"));
-        for (got, want) in text.lines().zip(want.lines()) {
-            assert_eq!(got, want);
-        }
-        assert_eq!(text.lines().count(), want.lines().count());
-    }
-
-    /// Each setting the run key carries moves the ledger's `config_fp` on
-    /// its own, and the seed and the candidate clamp — which the session
-    /// overwrites with the grid's bounds — move nothing: a field the key
-    /// leaves out would pair runs that differ, one it keeps would part
-    /// runs that route alike.
-    #[test]
-    fn every_setting_but_the_seed_moves_the_config_fp() {
-        use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
-        use dgr_post::pipeline;
-
-        let grid = GcellGrid::new(6, 6).unwrap();
-        let cap = CapacityBuilder::uniform(&grid, 2.0).build(&grid).unwrap();
-        let net = Net::new("n", vec![Point::new(0, 0), Point::new(4, 3)]);
-        let design = Design::new(grid, cap, vec![net], 2).unwrap();
-        let cfg = DgrConfig {
-            iterations: 1,
-            ..DgrConfig::default()
-        };
-        let hooks = &mut dgr_core::RouteHooks::default();
-        let outcome = pipeline::run(&design, &cfg, hooks, false).unwrap();
-        let fp = |cfg: &DgrConfig| {
-            let phases = Default::default();
-            pipeline::ledger_record("route", "d", &design, cfg, &outcome, phases).config_fp
-        };
-
-        type Change = fn(&mut DgrConfig);
-        let changes: [(&str, Change); 18] = [
-            ("weights.wirelength", |c| c.weights.wirelength = 1.0),
-            ("weights.via", |c| c.weights.via = 2.0),
-            ("weights.overflow", |c| c.weights.overflow = 1.0),
-            ("iterations", |c| c.iterations = 2),
-            ("learning_rate", |c| c.learning_rate = 0.1),
-            ("initial_temperature", |c| c.initial_temperature = 0.5),
-            ("temperature_decay", |c| c.temperature_decay = 1.0),
-            ("activation", |c| c.activation = Activation::Relu),
-            ("overflow_scale", |c| c.overflow_scale = 2.0),
-            ("gumbel_noise", |c| c.gumbel_noise = false),
-            ("extraction", |c| c.extraction = ExtractionMode::Argmax),
-            ("candidates.max_candidates", |c| {
-                c.candidates.max_candidates = 5
-            }),
-            ("candidates.seed", |c| c.candidates.seed = 1),
-            ("candidates.shallow_light", |c| {
-                c.candidates.shallow_light = Some(0.5)
-            }),
-            ("patterns.z_stride", |c| c.patterns.z_stride = Some(4)),
-            ("patterns.c_detour", |c| c.patterns.c_detour = Some(2)),
-            ("extraction_rounds", |c| c.extraction_rounds = 0),
-            ("adaptive_rounds", |c| c.adaptive_rounds = 2),
-        ];
-        let base = fp(&cfg);
-        for (field, change) in changes {
-            let mut changed = cfg.clone();
-            change(&mut changed);
-            assert_ne!(fp(&changed), base, "{field} leaves config_fp unchanged");
-        }
-        let mut clamped = cfg.clone();
-        clamped.candidates.clamp = Some(dgr_grid::Rect::new(Point::new(0, 0), Point::new(5, 5)));
-        assert_eq!(fp(&clamped), base, "the candidate clamp moves config_fp");
-        let reseeded = DgrConfig { seed: 9, ..cfg };
-        assert_eq!(fp(&reseeded), base, "the seed moves config_fp");
-    }
-}

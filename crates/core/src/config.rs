@@ -2,10 +2,8 @@
 
 use dgr_autodiff::Activation;
 use dgr_dag::PatternConfig;
-use dgr_rsmt::candidates::SHIFT_RADIUS;
 use dgr_rsmt::CandidateConfig;
 
-use crate::extract::TOP_P;
 use crate::DgrError;
 
 /// The temperature decays every this many iterations (the paper's 100).
@@ -47,9 +45,9 @@ pub enum ExtractionMode {
     /// comparison, Table 1).
     Argmax,
     /// Top-p candidate sets per sub-net — candidates in descending
-    /// probability until their mass passes [`TOP_P`] — then a greedy
-    /// congestion-aware pick inside each set (the paper's default
-    /// read-out).
+    /// probability until their mass passes [`crate::extract::TOP_P`] —
+    /// then a greedy congestion-aware pick inside each set (the paper's
+    /// default read-out).
     #[default]
     TopP,
 }
@@ -181,65 +179,6 @@ impl DgrConfig {
             * self
                 .temperature_decay
                 .powi((it / TEMPERATURE_INTERVAL) as i32)
-    }
-
-    /// The run key: every setting of the run but its seed, written out.
-    /// The ledger's `config_fp` hashes it, so two runs pair exactly when
-    /// their keys agree. The text is what `{:?}` of the configuration
-    /// printed with the seed set to 0 while the four constants
-    /// ([`TEMPERATURE_INTERVAL`], [`ADAPTIVE_ITERATIONS`], [`SHIFT_RADIUS`],
-    /// [`TOP_P`]) were still fields, each written here from its constant:
-    /// fingerprints of older ledger records stay comparable. Every struct
-    /// is destructured whole, so a new field does not compile until it is
-    /// written into the key. The candidate clamp is written as `None`
-    /// whatever it holds: the session replaces it with the grid's bounds,
-    /// so it never changes a route.
-    pub fn run_key(&self) -> String {
-        let DgrConfig {
-            weights,
-            iterations,
-            learning_rate,
-            initial_temperature,
-            temperature_decay,
-            activation,
-            overflow_scale,
-            gumbel_noise,
-            extraction,
-            seed: _,
-            candidates,
-            patterns,
-            extraction_rounds,
-            adaptive_rounds,
-        } = self;
-        let CostWeights {
-            wirelength,
-            via,
-            overflow,
-        } = weights;
-        let CandidateConfig {
-            max_candidates,
-            seed,
-            clamp: _,
-            shallow_light,
-        } = candidates;
-        let PatternConfig { z_stride, c_detour } = patterns;
-        let extraction = match extraction {
-            ExtractionMode::Argmax => "Argmax".to_string(),
-            ExtractionMode::TopP => format!("TopP {{ threshold: {TOP_P:?} }}"),
-        };
-        format!(
-            "DgrConfig {{ weights: CostWeights {{ wirelength: {wirelength:?}, via: {via:?}, \
-             overflow: {overflow:?} }}, iterations: {iterations}, learning_rate: {learning_rate:?}, \
-             initial_temperature: {initial_temperature:?}, temperature_decay: {temperature_decay:?}, \
-             temperature_interval: {TEMPERATURE_INTERVAL}, activation: {activation:?}, \
-             overflow_scale: {overflow_scale:?}, gumbel_noise: {gumbel_noise}, \
-             extraction: {extraction}, seed: 0, candidates: CandidateConfig {{ \
-             max_candidates: {max_candidates}, seed: {seed}, clamp: None, \
-             shift_radius: {SHIFT_RADIUS}, shallow_light: {shallow_light:?} }}, \
-             patterns: PatternConfig {{ z_stride: {z_stride:?}, c_detour: {c_detour:?} }}, \
-             extraction_rounds: {extraction_rounds}, adaptive_rounds: {adaptive_rounds}, \
-             adaptive_iterations: {ADAPTIVE_ITERATIONS} }}"
-        )
     }
 }
 

@@ -70,8 +70,7 @@ impl JobState {
 }
 
 /// What a successfully finished job produced — the numbers the one-shot
-/// `dgr route` prints and ledgers, in the structs the pipeline measured
-/// them in.
+/// `dgr route` prints, in the structs the pipeline measured them in.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobResult {
     /// Final training loss.

@@ -32,10 +32,6 @@ pub struct DaemonConfig {
     pub max_body_bytes: usize,
     /// Terminal jobs retained for inspection before eviction.
     pub retain_jobs: usize,
-    /// Append one persistent-ledger record per finished job (off by
-    /// default so embedded/test daemons do not write `~/.dgr`; the
-    /// `dgr serve-jobs` CLI turns it on unless `--no-ledger`).
-    pub ledger: bool,
 }
 
 impl Default for DaemonConfig {
@@ -45,7 +41,6 @@ impl Default for DaemonConfig {
             queue_capacity: 16,
             max_body_bytes: dgr_obs::DEFAULT_MAX_BODY_BYTES,
             retain_jobs: 64,
-            ledger: false,
         }
     }
 }
@@ -76,7 +71,7 @@ impl JobServer {
     ///
     /// Also flips the global `dgr-obs` recording switch on: the daemon
     /// is an observability surface by nature — job-scoped `/status`
-    /// rows, `/metrics`, and per-job ledger records all depend on it.
+    /// rows, `/metrics` and `/health` all depend on it.
     ///
     /// # Errors
     ///
@@ -223,7 +218,7 @@ fn worker_loop(inner: &Inner) {
         // which resumes it here) fails the job, not the worker
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _scope = dgr_obs::status_scope(id);
-            run_job(&spec, &cancel, inner.cfg.ledger)
+            run_job(&spec, &cancel)
         }))
         .unwrap_or_else(|payload| {
             let why = payload
@@ -283,7 +278,7 @@ struct RunOutput {
 }
 
 /// Executes one job: the one-shot `dgr route` pipeline call.
-fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutput {
+fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>) -> RunOutput {
     let mut cfg = DgrConfig::default();
     if let Some(it) = spec.iterations {
         cfg.iterations = it;
@@ -327,17 +322,6 @@ fn run_job(spec: &JobSpec, cancel: &Arc<AtomicBool>, to_ledger: bool) -> RunOutp
     }
     phases.insert("refine".into(), ms(out.post.refine_time));
     phases.insert("assign".into(), ms(out.post.assign_time));
-    if to_ledger {
-        // best effort, like the CLI's
-        let _ = dgr_obs::ledger::append(&pipeline::ledger_record(
-            "dgrd",
-            &spec.label,
-            &design,
-            &cfg,
-            &out,
-            phases.clone(),
-        ));
-    }
 
     let guide = out.post.guide.take();
     let result = JobResult {

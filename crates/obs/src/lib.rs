@@ -36,8 +36,9 @@
 //! [`enabled`] — one relaxed atomic load and a predictable branch — so
 //! uninstrumented hot paths (the front end's fan-outs, the training
 //! inner loop) stay branch-predictable and bench-neutral. Flip the master
-//! switch with [`set_enabled`]; telemetry sinks are explicit objects and
-//! work regardless of the switch.
+//! switch with [`set_enabled`]: `dgr` does for `--trace`, `--profile` or
+//! `--serve` only, `dgrd` for every job. Telemetry sinks are explicit
+//! objects and work regardless of the switch.
 //!
 //! The crate has zero external dependencies, matching the offline
 //! `compat/` policy of the workspace.
@@ -60,7 +61,6 @@
 //! ```
 
 pub mod json;
-pub mod ledger;
 pub mod metrics;
 pub mod parse;
 pub mod profile;
@@ -71,7 +71,6 @@ pub mod serve;
 pub mod span;
 pub mod telemetry;
 
-pub use ledger::LedgerRecord;
 pub use metrics::{
     counter, gauge, metrics_snapshot, prometheus_text, reset_metrics, Counter, Gauge,
     MetricSnapshot, MetricValue,
@@ -84,8 +83,7 @@ pub use scope::{
     StatusScope,
 };
 pub use sentinel::{
-    analyze_rows, rank_findings, rate_collapse_finding, verdict_of, Finding, RuleEngine, Severity,
-    Verdict,
+    analyze_rows, rank_findings, verdict_of, Finding, RuleEngine, Severity, Verdict,
 };
 pub use serve::{HttpHandler, HttpRequest, HttpResponse, ObsServer, DEFAULT_MAX_BODY_BYTES};
 pub use span::{
@@ -120,6 +118,17 @@ pub fn reset() {
     reset_spans();
     reset_metrics();
     scope::reset_scopes();
+}
+
+/// FNV-1a 64-bit hash — the workspace's standard content fingerprint
+/// (tiny, deterministic, dependency-free).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Serializes tests that toggle the global [`enabled`] flag (they would

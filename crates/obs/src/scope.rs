@@ -364,7 +364,7 @@ pub fn health_of(id: u64) -> Option<(Verdict, Vec<Finding>)> {
     scopes.get(&id).filter(|s| s.watched).map(Scope::health)
 }
 
-/// Compact health summary for the ledger record: `"ok"` or a
+/// Compact health summary of a `dgrd` job: `"ok"` or a
 /// comma-joined `rule@iter` list, worst first.
 pub fn health_summary_of(id: u64) -> String {
     match health_of(id) {

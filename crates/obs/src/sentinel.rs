@@ -1,19 +1,17 @@
 //! `dgr-sentinel` — convergence-health analytics over telemetry rows.
 //!
 //! The router's health is legible only through trajectories: loss slope,
-//! overflow trend, gradient norms, iteration rate. This module is the
-//! pure half of that: a small declarative rule set evaluated over
-//! rolling windows of the same [`IterationRow`]s the telemetry sink
-//! records.
+//! overflow trend, gradient norms. This module is the pure half of that:
+//! a small declarative rule set evaluated over rolling windows of the
+//! same [`IterationRow`]s the telemetry sink records.
 //!
 //! | rule          | severity | trips when                                          |
 //! |---------------|----------|-----------------------------------------------------|
 //! | `poisoning`   | critical | any non-finite loss / grad / overflow / wl / vias   |
 //! | `divergence`  | critical | EWMA loss rises above 2× its running minimum        |
-//! | `grad_spike`  | warn     | grad norm exceeds 25× its EWMA after warmup         |
+//! | `grad_spike`  | warn     | grad norm exceeds 25× its EWMA and every earlier norm, after warmup |
 //! | `oscillation` | warn     | loss-delta sign flips >60% of a 64-iter window at ≥5% amplitude |
 //! | `overflow_stall` | warn  | positive overflow, not yet half of where it began, with no 1% improvement in 256 iters |
-//! | `rate_collapse`  | warn  | iterations/sec below half the last comparable run   |
 //!
 //! Each rule raises **at most one finding per run**, carrying an
 //! evidence window (the recent `(iter, value)` samples that tripped it)
@@ -61,9 +59,6 @@ pub const STALL_WINDOW: u64 = 256;
 /// start (0.31 – 0.33 before the loop dropped anything); a run pinned by
 /// a saturated activation sits at its start.
 pub const STALL_RESOLVED: f32 = 0.5;
-/// `rate_collapse` trips when iterations/sec drop below this fraction of
-/// the last comparable ledger run.
-pub const RATE_COLLAPSE_RATIO: f64 = 0.5;
 /// Relative loss improvement that resets the watchdog's stall counter.
 pub const IMPROVE_EPS: f32 = 1e-3;
 /// Evidence samples retained per rule window.
@@ -72,7 +67,7 @@ pub const EVIDENCE_CAPACITY: usize = 32;
 /// Finding severity; orderings rank `Critical` above `Warn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Degraded but possibly recoverable (spikes, plateaus, slowness).
+    /// Degraded but possibly recoverable (spikes, plateaus, oscillation).
     Warn,
     /// The run's numbers can no longer be trusted (NaN, divergence).
     Critical,
@@ -206,6 +201,8 @@ pub struct RuleEngine {
     ewma_loss: Option<f32>,
     min_ewma_loss: f32,
     ewma_grad: Option<f32>,
+    /// Largest gradient norm of the rows folded so far.
+    max_grad: f32,
     prev_loss: Option<f32>,
     /// Signs of recent loss deltas: `true` = increase.
     delta_signs: Vec<bool>,
@@ -364,12 +361,15 @@ impl RuleEngine {
             self.prev_loss = Some(row.loss);
         }
 
-        // gradient spike vs EWMA
+        // gradient spike vs EWMA; decided groups have zero gradient, so
+        // the EWMA decays towards 0 late in a run, and a spike must also
+        // beat every earlier norm
         if row.grad_norm.is_finite() {
             if let Some(ewma_g) = self.ewma_grad {
                 if self.rows_seen > WARMUP_ITERS
                     && ewma_g > 0.0
                     && row.grad_norm > ewma_g * GRAD_SPIKE_RATIO
+                    && row.grad_norm > self.max_grad
                     && !self.tripped("grad_spike")
                 {
                     let ratio = row.grad_norm / ewma_g;
@@ -394,6 +394,7 @@ impl RuleEngine {
                 None => row.grad_norm,
                 Some(prev) => prev + EWMA_ALPHA * (row.grad_norm - prev),
             });
+            self.max_grad = self.max_grad.max(row.grad_norm);
         }
 
         // overflow plateau
@@ -431,31 +432,6 @@ impl RuleEngine {
         }
         out
     }
-}
-
-/// Builds the `rate_collapse` finding when `current` iterations/sec fall
-/// below [`RATE_COLLAPSE_RATIO`] of a comparable `baseline` (from the
-/// ledger's last run with the same config fingerprint). Pure — the CLI
-/// and `dgr doctor` call it where wall-clock context exists.
-pub fn rate_collapse_finding(current: f64, baseline: f64) -> Option<Finding> {
-    if !(current.is_finite() && baseline.is_finite()) || baseline <= 0.0 || current <= 0.0 {
-        return None;
-    }
-    if current >= baseline * RATE_COLLAPSE_RATIO {
-        return None;
-    }
-    let ratio = current / baseline;
-    Some(Finding {
-        rule: "rate_collapse",
-        severity: Severity::Warn,
-        score: (1.0 / ratio.max(1e-9)) as f32,
-        iter: 0,
-        message: format!(
-            "{current:.1} iterations/sec is {:.0}% of the last comparable run's {baseline:.1} — the run is anomalously slow",
-            ratio * 100.0
-        ),
-        evidence: vec![(0, baseline as f32), (0, current as f32)],
-    })
 }
 
 /// Replays telemetry rows (oldest first) through a fresh [`RuleEngine`]
@@ -549,6 +525,23 @@ mod tests {
         assert_eq!(spike.iter, 40);
     }
 
+    /// Decided groups have exactly zero gradient, so late in a run the
+    /// EWMA decays towards 0 and any small norm is a large multiple of
+    /// it: a spike must also beat the largest norm the run has seen.
+    #[test]
+    fn a_small_norm_after_a_run_of_zeros_is_no_spike() {
+        let mut rows: Vec<_> = (0..600).map(|i| row(i, 90.0 - 0.1 * i as f32)).collect();
+        for r in &mut rows[100..599] {
+            r.grad_norm = 0.0;
+        }
+        rows[599].grad_norm = 0.05;
+        let findings = analyze_rows(&rows);
+        assert!(
+            findings.iter().all(|f| f.rule != "grad_spike"),
+            "{findings:?}"
+        );
+    }
+
     #[test]
     fn stuck_overflow_trips_the_stall_rule() {
         let rows: Vec<_> = (0..400)
@@ -607,16 +600,6 @@ mod tests {
         ];
         rank_findings(&mut f);
         assert_eq!(f[0].rule, "divergence");
-    }
-
-    #[test]
-    fn rate_collapse_compares_against_baseline() {
-        assert!(rate_collapse_finding(10.0, 15.0).is_none());
-        let f = rate_collapse_finding(4.0, 100.0).unwrap();
-        assert_eq!(f.rule, "rate_collapse");
-        assert!(f.message.contains("4.0"));
-        assert!(rate_collapse_finding(4.0, 0.0).is_none());
-        assert!(rate_collapse_finding(f64::NAN, 10.0).is_none());
     }
 
     #[test]

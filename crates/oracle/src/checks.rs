@@ -202,11 +202,17 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
 
 // --- check 3: kernel gradients vs. the f64 reverse pass -------------------
 
-#[allow(clippy::disallowed_methods)] // the pruned kernel's gradient check
-fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
+/// A `grad_check` case's design and forest, and its RNG as they leave it.
+fn gradient_case(spec: &CaseSpec) -> (StdRng, Design, DagForest) {
     let mut rng = case_rng(spec);
     let design = gen_design(spec, &mut rng);
     let forest = case_forest(spec, &design, PatternConfig::with_z(2));
+    (rng, design, forest)
+}
+
+#[allow(clippy::disallowed_methods)] // the pruned kernel's gradient check
+fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
+    let (mut rng, design, forest) = gradient_case(spec);
     let cfg = DgrConfig {
         activation: Activation::ALL[rng.gen_range(0..Activation::ALL.len())],
         overflow_scale: 2.0,
@@ -228,6 +234,13 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
         compare_gradients(spec, &reference, &mut model)?;
     }
     Ok(())
+}
+
+/// Whether a `grad_check` case's forest holds a net of two or more
+/// trees: only such a net's tree softmax has a gradient to check.
+pub fn reaches_multi_tree(spec: &CaseSpec) -> bool {
+    let (_, _, forest) = gradient_case(spec);
+    (0..forest.num_nets()).any(|n| forest.trees_of_net(n).len() >= 2)
 }
 
 /// The loss of `model` against the f64 reference, and its gradient

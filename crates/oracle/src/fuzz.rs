@@ -3,7 +3,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::checks::{run_case, Mismatch};
+use crate::checks::{reaches_multi_tree, run_case, Mismatch};
 use crate::gen::{CaseSpec, CheckKind};
 use crate::json;
 
@@ -48,6 +48,9 @@ pub struct FuzzReport {
     pub cases_per_check: Vec<(CheckKind, u64)>,
     /// Every mismatch found, shrunk and (optionally) dumped.
     pub failures: Vec<FuzzFailure>,
+    /// `grad_check` cases whose forest holds a net of two or more trees
+    /// ([`reaches_multi_tree`]).
+    pub multi_tree_cases: u64,
 }
 
 impl FuzzReport {
@@ -81,6 +84,9 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> FuzzReport 
         let failures_before = report.failures.len();
         for i in 0..cfg.cases {
             let spec = CaseSpec::sample(check, case_seed(cfg.seed, check, i));
+            if check == CheckKind::GradCheck && reaches_multi_tree(&spec) {
+                report.multi_tree_cases += 1;
+            }
             if let Err(first) = run_case(&spec) {
                 let shrunk = shrink_case(&spec);
                 let mismatch = run_case(&shrunk).err().unwrap_or(first);
@@ -157,6 +163,17 @@ mod tests {
                 assert!(seen.insert(case_seed(42, check, i)));
             }
         }
+    }
+
+    /// The cases of seed 42 build the instances they always built: 43 of
+    /// the first 200 `grad_check` forests hold a net of two or more trees.
+    #[test]
+    fn seed_42_reaches_43_multi_tree_cases() {
+        let reached = (0..200)
+            .map(|i| CaseSpec::sample(CheckKind::GradCheck, case_seed(42, CheckKind::GradCheck, i)))
+            .filter(reaches_multi_tree)
+            .count();
+        assert_eq!(reached, 43);
     }
 
     #[test]

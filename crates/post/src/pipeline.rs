@@ -1,19 +1,14 @@
 //! The one pipeline: differentiable 2D routing → maze refinement → DP
-//! layer assignment → route guide (Section 4.6 of the paper), and the
-//! ledger record of a finished run.
+//! layer assignment → route guide (Section 4.6 of the paper).
 //!
 //! `dgr route`, every `dgrd` job, `dgr compare` and the experiment tables
 //! call [`run`] (DGR) or [`run_with`] (any other router); none of them
-//! sequences or times the stages itself, so they cannot drift apart, and
-//! [`ledger_record`] is the only place a run is turned into a
-//! [`LedgerRecord`].
+//! sequences or times the stages itself, so they cannot drift apart.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use dgr_core::{DgrConfig, DgrError, DgrRouter, RouteHooks, RoutingSolution, SolutionMetrics};
 use dgr_grid::Design;
-use dgr_obs::ledger::{self, LedgerRecord, LEDGER_VERSION};
 
 use crate::{
     assign_layers, refine, AssignConfig, Assigned3d, PostError, RefineConfig, RefineReport,
@@ -177,66 +172,4 @@ where
         post,
         wall: t0.elapsed(),
     })
-}
-
-/// The persistent-ledger record of a finished run (the content hash is
-/// computed when the record is serialized).
-///
-/// `label` names the design (`dgr route`: the file stem; `dgrd`: the
-/// job label) and `phases` is the per-phase wall-clock in milliseconds
-/// the caller measured. Training throughput is the iterations trained, in
-/// every adaptive round, over `phases["train"]`, over the whole run when
-/// that is missing. Two records are comparable (`config_fp`) when label,
-/// design shape and the run key ([`DgrConfig::run_key`]: the whole
-/// configuration but the seed) agree.
-pub fn ledger_record(
-    cmd: &str,
-    label: &str,
-    design: &Design,
-    cfg: &DgrConfig,
-    outcome: &Outcome,
-    phases: BTreeMap<String, f64>,
-) -> LedgerRecord {
-    let wall_ms = outcome.wall.as_secs_f64() * 1e3;
-    let train_secs = match phases.get("train") {
-        Some(&ms) if ms > 0.0 => ms,
-        _ => wall_ms,
-    } / 1e3;
-    let report = outcome.solution.train_report.as_ref();
-    let iterations = report.map_or(0, |r| r.iterations) as u64;
-    let key = format!(
-        "{label}|{}|{}x{}|{}|{}",
-        design.num_nets(),
-        design.grid.width(),
-        design.grid.height(),
-        design.num_layers,
-        cfg.run_key(),
-    );
-    let m = &outcome.solution.metrics;
-    LedgerRecord {
-        version: LEDGER_VERSION,
-        hash: String::new(),
-        ts: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        cmd: cmd.to_string(),
-        design: label.to_string(),
-        nets: design.num_nets() as u64,
-        config_fp: format!("{:016x}", ledger::fnv1a64(key.as_bytes())),
-        iterations,
-        seed: cfg.seed,
-        wall_ms: wall_ms as u64,
-        it_per_s: if train_secs > 0.0 {
-            iterations as f64 / train_secs
-        } else {
-            0.0
-        },
-        loss: outcome.final_loss,
-        wirelength: m.total_wirelength,
-        overflow: m.overflow.total_overflow,
-        overflowed_edges: m.overflow.overflowed_edges as u64,
-        vias: outcome.vias(),
-        phases,
-        health: dgr_obs::enabled().then(|| dgr_obs::health_summary_of(dgr_obs::status_scope_id())),
-    }
 }

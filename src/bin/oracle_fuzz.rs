@@ -63,6 +63,10 @@ fn main() -> ExitCode {
     eprintln!("oracle_fuzz: {} cases/check, seed {}", cfg.cases, cfg.seed);
     let report = dgr_oracle::run_fuzz(&cfg, |line| eprintln!("{line}"));
     let elapsed = start.elapsed().as_secs_f64();
+    println!(
+        "grad_check reach: {} of {} cases hold a net of two or more trees",
+        report.multi_tree_cases, cfg.cases
+    );
 
     if report.failures.is_empty() {
         println!(

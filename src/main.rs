@@ -11,12 +11,11 @@
 //! `--serve ADDR` exposes `/metrics` (Prometheus),
 //! `/status` (JSON) and `/report` (HTML) over HTTP while the run is
 //! live; `--profile` folds the span log into a collapsed-stack
-//! (flamegraph-compatible) file of self time. Every `route` run also
-//! appends a content-hashed summary record to the persistent ledger
-//! (`~/.dgr/ledger.jsonl`, override with `DGR_LEDGER`, disable with
-//! `--no-ledger`) that `dgr history` renders into cross-run deltas.
-//! `dgr report` reads those files back, each with the reader that sits
-//! beside its writer in `dgr-obs`, and renders them into one
+//! (flamegraph-compatible) file of self time. Recording is on only for a
+//! run given `--trace`, `--serve` or `--profile`, so a plain `route`
+//! records nothing it would not show; `--telemetry`'s sink works either
+//! way. `dgr report` reads those files back, each with the reader that
+//! sits beside its writer in `dgr-obs`, and renders them into one
 //! self-contained HTML post-mortem.
 
 use std::io::Write as _;
@@ -25,16 +24,15 @@ use std::process::ExitCode;
 use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
 use dgr::core::{DgrConfig, RouteHooks};
 use dgr::grid::Design;
-use dgr::obs::ledger::{self, LedgerRecord};
 use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ObsServer, ReportInputs};
 use dgr::obs::{FoldedProfile, TelemetrySink};
 use dgr::post::pipeline;
 
 // Shadows of the std macros for every print below: a reader that went away
 // (`dgr route … | head -1`) ends the printing, not the run — std's versions
-// panic on the write error, after which no guide, routes file or ledger
-// record would be written. SIGPIPE stays ignored: the HTTP servers count
-// on socket writes returning EPIPE.
+// panic on the write error, after which no guide or routes file would be
+// written. SIGPIPE stays ignored: the HTTP servers count on socket writes
+// returning EPIPE.
 macro_rules! print {
     ($($arg:tt)*) => {{
         let _ = write!(std::io::stdout(), $($arg)*);
@@ -49,9 +47,8 @@ macro_rules! println {
 /// A subcommand: its name, the placeholder of its positional argument (a
 /// design file, a case name, an address) when it takes one, the flags it
 /// accepts, what it does, and its implementation. In the flag list
-/// `--flag=VALUE` takes a value, `--flag?VALUE` takes one if the next
-/// argument is not a flag itself, and a plain `--flag` takes none;
-/// `VALUE` is the placeholder `--help` shows.
+/// `--flag=VALUE` takes a value and a plain `--flag` takes none; `VALUE`
+/// is the placeholder `--help` shows.
 struct Command {
     name: &'static str,
     positional: Option<&'static str>,
@@ -81,8 +78,7 @@ const COMMANDS: &[Command] = &[
         name: "route",
         positional: Some("<design.txt>"),
         flags: "--iterations=N --seed=S --routes=out.txt --guide=out.guide --trace=out.json \
-                --telemetry=out.jsonl --serve=ADDR --profile=out.folded --progress=N \
-                --no-ledger --quiet",
+                --telemetry=out.jsonl --serve=ADDR --profile=out.folded --progress=N --quiet",
         help: "route a design and print metrics",
         run: cmd_route,
     },
@@ -92,14 +88,6 @@ const COMMANDS: &[Command] = &[
         flags: "--iterations=N --seed=S --trace=out.json --serve=ADDR --profile=out.folded",
         help: "route with DGR and every baseline, print a comparison table",
         run: cmd_compare,
-    },
-    Command {
-        name: "history",
-        positional: None,
-        flags: "--limit=N --ledger=path",
-        help: "render recent ledger records as a table, with per-phase deltas\n\
-               against the previous comparable run",
-        run: cmd_history,
     },
     Command {
         name: "report",
@@ -112,16 +100,16 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "doctor",
         positional: None,
-        flags: "--telemetry=in.jsonl --ledger?path",
-        help: "replay a run's telemetry (and/or the run ledger) through the\n\
-               sentinel convergence rules; print ranked findings with evidence\n\
-               windows, exit nonzero when any rule trips",
+        flags: "--telemetry=in.jsonl",
+        help: "replay a run's telemetry through the sentinel convergence rules;\n\
+               print ranked findings with evidence windows, exit nonzero when\n\
+               any rule trips",
         run: cmd_doctor,
     },
     Command {
         name: "serve-jobs",
         positional: Some("<addr>"),
-        flags: "--workers=N --queue-cap=N --retain=N --no-ledger",
+        flags: "--workers=N --queue-cap=N --retain=N",
         help: "run dgrd: a multi-tenant routing job server (POST /jobs,\n\
                GET /jobs/:id[/report|/telemetry|/guide], DELETE /jobs/:id,\n\
                plus the /metrics /status /report observability routes)",
@@ -132,17 +120,15 @@ const COMMANDS: &[Command] = &[
 /// The flag a spec of [`Command::flags`] names: `--trace=out.json` →
 /// `--trace`.
 fn flag_name(spec: &str) -> &str {
-    &spec[..spec.find(['=', '?']).unwrap_or(spec.len())]
+    spec.split_once('=').map_or(spec, |(name, _)| name)
 }
 
 /// A spec of [`Command::flags`] as `--help` shows it: `[--trace out.json]`,
-/// `[--ledger [path]]`, `[--quiet]`.
+/// `[--quiet]`.
 fn flag_usage(spec: &str) -> String {
-    let name = flag_name(spec);
-    match &spec[name.len()..] {
-        "" => format!("[{name}]"),
-        value if value.starts_with('?') => format!("[{name} [{}]]", &value[1..]),
-        value => format!("[{name} {}]", &value[1..]),
+    match spec.split_once('=') {
+        Some((name, value)) => format!("[{name} {value}]"),
+        None => format!("[{spec}]"),
     }
 }
 
@@ -177,10 +163,10 @@ impl<'a> Flags<'a> {
             if flags.has(arg) {
                 return Err(format!("flag `{arg}` given twice"));
             }
-            // a spec longer than the flag goes on with `=` or `?`: it takes
-            // the next argument, unless that is a flag
+            // a spec longer than the flag goes on with `=`: it takes the
+            // next argument, which must not be a flag
             let value = rest.next_if(|next| spec != arg && !next.starts_with("--"));
-            if spec.contains('=') && value.is_none() {
+            if spec != arg && value.is_none() {
                 return Err(format!("flag `{arg}` needs a value"));
             }
             flags.given.push((arg, value));
@@ -280,7 +266,6 @@ fn print_usage() {
     println!("  --telemetry out.jsonl stream one JSONL row per training iteration");
     println!("  --serve ADDR          live HTTP exporter: /metrics /status /report");
     println!("  --profile out.folded  self time per span stack → collapsed stacks");
-    println!("  --no-ledger           skip the persistent run ledger for this run");
     println!("  --progress N          progress line every N iterations (default 100)");
     println!("  --quiet               suppress the progress line");
 }
@@ -330,7 +315,6 @@ fn cmd_serve_jobs(flags: &Flags) -> CliResult {
     if let Some(v) = flags.parsed("--retain")? {
         cfg.retain_jobs = v;
     }
-    cfg.ledger = !flags.has("--no-ledger");
     // the daemon is an observability surface by nature: metrics, per-job
     // status scopes and reports are always on
     dgr::obs::reset();
@@ -364,11 +348,11 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
 /// Live observability attached to one CLI run: the optional Chrome
 /// trace and span profile, written at its end, and the HTTP exporter.
 ///
-/// The span registry is enabled for every `route` run (the persistent
-/// ledger needs per-phase totals either way) but keeps its event log
-/// only for `--trace` and `--profile`, the two files written from it; the
-/// end-of-run summary tables only print when the user asked for
-/// observability explicitly, so plain runs keep their original output.
+/// Recording is on only when `--trace`, `--profile` or `--serve` will
+/// read it, and the span registry keeps its event log only for `--trace`
+/// and `--profile`, the two files written from it; the end-of-run summary
+/// tables print in the same runs. `--telemetry` needs no switch: its sink
+/// is an explicit object.
 struct ObsSession {
     trace: Option<String>,
     profile: Option<String>,
@@ -387,7 +371,7 @@ fn obs_session(
     let serve = flags.value("--serve");
     let show_summary = trace.is_some() || profile.is_some() || serve.is_some();
     dgr::obs::reset();
-    dgr::obs::set_enabled(true);
+    dgr::obs::set_enabled(show_summary);
     if trace.is_some() || profile.is_some() {
         dgr::obs::log_span_events();
     }
@@ -481,28 +465,6 @@ fn print_summary_tables() {
     }
 }
 
-/// Appends the run's [`pipeline::ledger_record`] to the persistent
-/// ledger (unless `--no-ledger`): labelled with the design file's stem,
-/// its phases the span totals. Best effort by contract: a failed append
-/// only suppresses the confirmation line.
-fn append_run(flags: &Flags, design: &Design, cfg: &DgrConfig, outcome: &pipeline::Outcome) {
-    if flags.has("--no-ledger") {
-        return;
-    }
-    let path = flags.positional.unwrap_or_default();
-    let label = std::path::Path::new(path)
-        .file_stem()
-        .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned());
-    let phases = dgr::obs::span_totals()
-        .into_iter()
-        .map(|t| (t.name.to_string(), t.total.as_secs_f64() * 1e3))
-        .collect();
-    let record = pipeline::ledger_record("route", &label, design, cfg, outcome, phases);
-    if let Some(path) = ledger::append(&record) {
-        println!("  ledger           : appended → {}", path.display());
-    }
-}
-
 fn route_hooks(flags: &Flags) -> Result<RouteHooks, Box<dyn std::error::Error>> {
     let mut hooks = RouteHooks::default();
     if let Some(path) = flags.value("--telemetry") {
@@ -587,7 +549,6 @@ fn cmd_route(flags: &Flags) -> CliResult {
         let path = flags.value("--telemetry").unwrap_or("?");
         println!("  telemetry        : {} rows → {path}", sink.rows());
     }
-    append_run(flags, &design, &cfg, &out);
     obs_finish(session)?;
     Ok(())
 }
@@ -625,41 +586,17 @@ fn cmd_report(flags: &Flags) -> CliResult {
 }
 
 /// `dgr doctor`: offline convergence triage. Replays a telemetry JSONL
-/// file through the sentinel rule engine (and/or checks the newest
-/// ledger record's iteration rate against its last comparable run) and
-/// prints ranked findings with their evidence windows. Exits nonzero
-/// when anything trips, so CI can gate on it.
+/// file through the sentinel rule engine and prints ranked findings with
+/// their evidence windows. Exits nonzero when anything trips, so CI can
+/// gate on it.
 fn cmd_doctor(flags: &Flags) -> CliResult {
-    let telemetry = flags.value("--telemetry");
-    let use_ledger = flags.has("--ledger");
-    if telemetry.is_none() && !use_ledger {
-        return Err("doctor needs --telemetry <in.jsonl> and/or --ledger [path]".into());
-    }
-
-    let mut findings = Vec::new();
-    if let Some(path) = telemetry {
-        let text = std::fs::read_to_string(path)?;
-        let rows =
-            rows_from_jsonl(&text).map_err(|(line, e)| format!("{path}: line {line}: {e}"))?;
-        println!("doctor: {} telemetry row(s) from {path}", rows.len());
-        findings.extend(dgr::obs::analyze_rows(&rows));
-    }
-    if use_ledger {
-        let path = resolve_ledger_path(flags)?;
-        let records = ledger::load(&path);
-        println!(
-            "doctor: {} ledger record(s) from {}",
-            records.len(),
-            path.display()
-        );
-        if let Some((prev, last)) = last_comparable_pair(&records) {
-            findings.extend(dgr::obs::rate_collapse_finding(
-                last.it_per_s,
-                prev.it_per_s,
-            ));
-        }
-    }
-    dgr::obs::rank_findings(&mut findings);
+    let path = flags
+        .value("--telemetry")
+        .ok_or("doctor needs --telemetry <in.jsonl>")?;
+    let text = std::fs::read_to_string(path)?;
+    let rows = rows_from_jsonl(&text).map_err(|(line, e)| format!("{path}: line {line}: {e}"))?;
+    println!("doctor: {} telemetry row(s) from {path}", rows.len());
+    let findings = dgr::obs::analyze_rows(&rows);
 
     if findings.is_empty() {
         println!("doctor: no findings — the run looks healthy");
@@ -689,138 +626,6 @@ fn cmd_doctor(flags: &Flags) -> CliResult {
         dgr::obs::verdict_of(&findings).as_str()
     )
     .into())
-}
-
-/// `dgr history`: render the persistent run ledger as a table, newest
-/// runs last, with a per-phase delta against the previous comparable
-/// run (same config fingerprint).
-fn cmd_history(flags: &Flags) -> CliResult {
-    let path = resolve_ledger_path(flags)?;
-    let records = ledger::load(&path);
-    if records.is_empty() {
-        println!("ledger empty: {}", path.display());
-        return Ok(());
-    }
-    let limit: usize = flags.parsed("--limit")?.unwrap_or(16);
-    let start = records.len().saturating_sub(limit);
-    println!(
-        "{:<16} {:<6} {:<16} {:>6} {:>6} {:>9} {:>12} {:>9} {:>8}",
-        "when", "cmd", "design", "iters", "nets", "it/s", "loss", "wl", "ovf"
-    );
-    for r in &records[start..] {
-        println!(
-            "{:<16} {:<6} {:<16} {:>6} {:>6} {:>9.1} {:>12.2} {:>9} {:>8.2}",
-            fmt_ts(r.ts),
-            r.cmd,
-            r.design,
-            r.iterations,
-            r.nets,
-            r.it_per_s,
-            r.loss,
-            r.wirelength,
-            r.overflow,
-        );
-    }
-    if let Some((prev, last)) = last_comparable_pair(&records) {
-        print_run_delta(prev, last);
-    }
-    println!();
-    println!(
-        "{} record(s) in {} (showing last {})",
-        records.len(),
-        path.display(),
-        records.len() - start
-    );
-    Ok(())
-}
-
-fn resolve_ledger_path(flags: &Flags) -> Result<std::path::PathBuf, Box<dyn std::error::Error>> {
-    // `--ledger path` names a file explicitly; bare `--ledger` (as in
-    // `doctor --ledger`) falls through to the environment default.
-    if let Some(p) = flags.value("--ledger") {
-        return Ok(std::path::PathBuf::from(p));
-    }
-    ledger::ledger_path().ok_or_else(|| "ledger disabled (set DGR_LEDGER or HOME)".into())
-}
-
-/// The newest record plus the most recent earlier record sharing its
-/// config fingerprint.
-fn last_comparable_pair(records: &[LedgerRecord]) -> Option<(&LedgerRecord, &LedgerRecord)> {
-    let last = records.last()?;
-    let prev = records[..records.len() - 1]
-        .iter()
-        .rev()
-        .find(|r| r.config_fp == last.config_fp)?;
-    Some((prev, last))
-}
-
-fn print_run_delta(prev: &LedgerRecord, last: &LedgerRecord) {
-    println!();
-    println!(
-        "delta vs previous comparable run (config {}):",
-        &last.config_fp[..8.min(last.config_fp.len())]
-    );
-    let scalar = |name: &str, a: f64, b: f64, unit: &str| {
-        println!(
-            "  {:<18} {:>12.2} → {:<12.2} {:>8} {unit}",
-            name,
-            a,
-            b,
-            fmt_delta_pct(a, b)
-        );
-    };
-    scalar("loss", prev.loss, last.loss, "");
-    scalar(
-        "wirelength",
-        prev.wirelength as f64,
-        last.wirelength as f64,
-        "",
-    );
-    scalar("overflow", prev.overflow, last.overflow, "");
-    scalar("it/s", prev.it_per_s, last.it_per_s, "");
-    scalar("wall", prev.wall_ms as f64, last.wall_ms as f64, "ms");
-    let mut names: Vec<&String> = prev.phases.keys().chain(last.phases.keys()).collect();
-    names.sort();
-    names.dedup();
-    for name in names {
-        let a = prev.phases.get(name).copied().unwrap_or(0.0);
-        let b = last.phases.get(name).copied().unwrap_or(0.0);
-        println!(
-            "  phase {:<12} {:>12.2} → {:<12.2} {:>8} ms",
-            name,
-            a,
-            b,
-            fmt_delta_pct(a, b)
-        );
-    }
-}
-
-fn fmt_delta_pct(a: f64, b: f64) -> String {
-    if a == 0.0 {
-        return "—".to_string();
-    }
-    format!("{:+.1}%", 100.0 * (b - a) / a)
-}
-
-/// Formats a unix timestamp as `YYYY-MM-DD HH:MM` (UTC) — civil-from-days
-/// without a date dependency.
-fn fmt_ts(secs: u64) -> String {
-    let days = (secs / 86_400) as i64;
-    let rem = secs % 86_400;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let day = doy - (153 * mp + 2) / 5 + 1;
-    let month = if mp < 10 { mp + 3 } else { mp - 9 };
-    let year = yoe as i64 + era * 400 + i64::from(month <= 2);
-    format!(
-        "{year:04}-{month:02}-{day:02} {:02}:{:02}",
-        rem / 3600,
-        (rem % 3600) / 60
-    )
 }
 
 fn cmd_compare(flags: &Flags) -> CliResult {

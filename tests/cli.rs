@@ -29,7 +29,6 @@ fn design_on_disk(tag: &str) -> (PathBuf, Design) {
 
 fn dgr(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off")
         .args(args)
         .output()
         .expect("spawn dgr")
@@ -96,6 +95,15 @@ fn arguments_outside_the_flag_table_are_errors() {
         (vec!["cases", "--fast"], "--fast"),
         (vec!["route", design, "--snap", "x"], "--snap"),
         (vec!["report", "--snap", "x"], "--snap"),
+        (
+            vec!["route", "x", "--no-ledger"],
+            "unknown flag `--no-ledger`",
+        ),
+        (
+            vec!["serve-jobs", "a", "--no-ledger"],
+            "unknown flag `--no-ledger`",
+        ),
+        (vec!["history"], "unknown command"),
     ] {
         let out = dgr(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -115,6 +123,35 @@ fn arguments_outside_the_flag_table_are_errors() {
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// A route writes the files it is asked for and nothing else: no record
+/// under `$HOME`, whatever the environment says.
+#[test]
+fn a_route_writes_nothing_under_home() {
+    let (path, _) = design_on_disk("home");
+    let dir = path.parent().unwrap();
+    let home = dir.join("home");
+    std::fs::create_dir_all(&home).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .env("HOME", &home)
+        .args([
+            "route",
+            path.to_str().unwrap(),
+            "--iterations",
+            "5",
+            "--quiet",
+        ])
+        .output()
+        .expect("spawn dgr");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written: Vec<_> = std::fs::read_dir(&home).unwrap().collect();
+    assert!(written.is_empty(), "written under $HOME: {written:?}");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `--help` shows every flag a subcommand accepts, among them the ones

@@ -51,7 +51,6 @@ fn cli_file(flag: &str, design_text: &str, iterations: u32, seed: u64, tag: &str
     let out_path = dir.join("out");
     std::fs::write(&design_path, design_text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off")
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -404,14 +403,12 @@ fn watchdog_kills_slo_breaching_jobs_and_health_reports_them() {
     daemon.stop();
 }
 
-/// Spawns `dgr serve-jobs` with one worker on an ephemeral port, its
-/// ledger at `ledger` (`"off"` for none), and returns it with the address
-/// its banner names.
-fn spawn_serve_jobs(ledger: &std::ffi::OsStr) -> (std::process::Child, std::net::SocketAddr) {
+/// Spawns `dgr serve-jobs` with one worker on an ephemeral port and
+/// returns it with the address its banner names.
+fn spawn_serve_jobs() -> (std::process::Child, std::net::SocketAddr) {
     use std::io::BufRead;
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", ledger)
         .args(["serve-jobs", "127.0.0.1:0", "--workers", "1"])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::piped())
@@ -435,7 +432,7 @@ fn spawn_serve_jobs(ledger: &std::ffi::OsStr) -> (std::process::Child, std::net:
 /// a catalog job end to end, and dies cleanly.
 #[test]
 fn serve_jobs_cli_smoke() {
-    let (mut child, addr) = spawn_serve_jobs("off".as_ref());
+    let (mut child, addr) = spawn_serve_jobs();
 
     let id = submit_job(
         addr,
@@ -450,16 +447,11 @@ fn serve_jobs_cli_smoke() {
     let _ = child.wait();
 }
 
-/// The ledger record of a job describes that job alone — two identical
-/// jobs run back to back log the same vias — and it is comparable with
-/// the record `dgr route` writes for the same label, design and
-/// configuration.
+/// A job's result describes that job alone — two identical jobs run back
+/// to back report the same vias in `GET /jobs/:id` — and equals what
+/// `dgr route` prints for the same design and configuration.
 #[test]
-fn job_ledger_records_are_per_job_and_comparable_with_the_cli() {
-    let dir = std::env::temp_dir().join("dgr_daemon_ledger_test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let design_path = dir.join("twin.txt");
+fn twin_jobs_report_equal_vias_and_match_the_cli() {
     let design = IspdLikeGenerator::new(IspdLikeConfig {
         width: 24,
         height: 24,
@@ -471,26 +463,25 @@ fn job_ledger_records_are_per_job_and_comparable_with_the_cli() {
     .generate()
     .expect("valid config");
     let text = dgr::io::write_design(&design);
-    std::fs::write(&design_path, &text).unwrap();
 
-    let daemon_ledger = dir.join("dgrd.jsonl");
-    let (mut child, addr) = spawn_serve_jobs(daemon_ledger.as_os_str());
-    for _ in 0..2 {
-        let id = submit_job(addr, &inline_spec(&text, "twin", 12, 5));
-        wait_state(addr, id, "done", Duration::from_secs(120));
-    }
+    let (mut child, addr) = spawn_serve_jobs();
+    let vias: Vec<u64> = (0..2)
+        .map(|_| {
+            let id = submit_job(addr, &inline_spec(&text, "twin", 12, 5));
+            let job = wait_state(addr, id, "done", Duration::from_secs(120));
+            let result = job.get("result").expect("a done job has a result");
+            result.get("vias").and_then(JsonValue::as_u64).unwrap()
+        })
+        .collect();
     child.kill().expect("kill serve-jobs");
     let _ = child.wait();
+    assert_eq!(vias[0], vias[1], "twin jobs, different vias");
 
-    let jobs = dgr::obs::ledger::load(&daemon_ledger);
-    assert_eq!(jobs.len(), 2, "one record per job");
-    assert!(jobs.iter().all(|r| r.cmd == "dgrd" && r.design == "twin"));
-    assert_eq!(jobs[0].vias, jobs[1].vias, "twin jobs, different records");
-    assert!(jobs.iter().all(|r| r.phases.contains_key("train")));
-
-    let cli_ledger = dir.join("cli.jsonl");
+    let dir = std::env::temp_dir().join("dgr_daemon_twin_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let design_path = dir.join("twin.txt");
+    std::fs::write(&design_path, &text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", &cli_ledger)
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -507,11 +498,12 @@ fn job_ledger_records_are_per_job_and_comparable_with_the_cli() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let cli = dgr::obs::ledger::load(&cli_ledger);
-    assert_eq!(cli.len(), 1);
-    assert_eq!(cli[0].design, "twin");
-    assert_eq!(cli[0].config_fp, jobs[0].config_fp);
-    assert_eq!(cli[0].vias, jobs[0].vias);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = format!("  vias (3D)        : {}", vias[0]);
+    assert!(
+        stdout.lines().any(|l| l == line),
+        "`{line}` not in:\n{stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

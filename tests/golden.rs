@@ -334,7 +334,7 @@ fn annealed_training_text() -> String {
         side.extend(group.flat_map(|i| w[i].to_bits().to_le_bytes()));
     }
     for (name, bytes) in [("moving", moving), ("decided", decided)] {
-        text += &format!("logits {name} {:016x}\n", dgr::obs::ledger::fnv1a64(&bytes));
+        text += &format!("logits {name} {:016x}\n", dgr::obs::fnv1a64(&bytes));
     }
     let solution = session.extract().expect("extracts");
     let assigned = assign_layers(&design, &solution, AssignConfig::default()).expect("≥ 2 layers");
@@ -389,7 +389,7 @@ fn edge_lists_line(name: &str, forest: &dgr::dag::DagForest) -> String {
         bytes.extend((list.len() as u32).to_le_bytes());
         bytes.extend(list.iter().flat_map(|e| e.to_le_bytes()));
     }
-    let fnv = dgr::obs::ledger::fnv1a64(&bytes);
+    let fnv = dgr::obs::fnv1a64(&bytes);
     format!(
         "{name} paths {} edges {edges} fnv {fnv:016x}\n",
         forest.num_paths()

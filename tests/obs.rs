@@ -166,7 +166,6 @@ fn cli_route_emits_trace_and_telemetry_files() {
 
     let iters = 40;
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off") // keep CLI tests off the real ledger
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -226,7 +225,6 @@ fn cli_route_progress_line_appears_without_quiet() {
     let design_path = dir.join("design.txt");
     std::fs::write(&design_path, dgr::io::write_design(&small_design(4))).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off")
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -257,10 +255,8 @@ fn cli_route_survives_a_closed_stdout() {
     let design_path = dir.join("design.txt");
     let guide_path = dir.join("out.guide");
     let routes_path = dir.join("routes.txt");
-    let ledger_path = dir.join("ledger.jsonl");
     std::fs::write(&design_path, dgr::io::write_design(&small_design(9))).unwrap();
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", &ledger_path)
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -282,7 +278,7 @@ fn cli_route_survives_a_closed_stdout() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
     assert!(stderr.is_empty(), "stderr not empty:\n{stderr}");
-    for path in [&guide_path, &routes_path, &ledger_path] {
+    for path in [&guide_path, &routes_path] {
         let len = std::fs::metadata(path).map_or(0, |m| m.len());
         assert!(len > 0, "{} missing or empty", path.display());
     }

@@ -1,8 +1,7 @@
 //! Observatory integration tests: the live HTTP exporter answering
-//! mid-run, the span log's fold into collapsed stacks, the
-//! persistent run ledger driving `dgr history`,
-//! Prometheus text-exposition grammar, and the Chrome trace round-trip
-//! through `obs::parse`.
+//! mid-run, the span log's fold into collapsed stacks, Prometheus
+//! text-exposition grammar, and the Chrome trace round-trip through
+//! `obs::parse`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -11,7 +10,6 @@ use std::time::Duration;
 
 use dgr::grid::Design;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
-use dgr::obs::ledger;
 
 /// In-process tests share the global obs registries; serialize them.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -65,7 +63,6 @@ fn serve_endpoints_answer_during_a_live_run() {
     let design_path = write_design(&dir, 9);
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off")
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -142,7 +139,6 @@ fn cli_profile_writes_collapsed_stacks_naming_real_phases() {
 
     let started = std::time::Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", "off")
         .args([
             "route",
             design_path.to_str().unwrap(),
@@ -203,81 +199,6 @@ fn cli_profile_writes_collapsed_stacks_naming_real_phases() {
         html.contains("dgr-main;route;train"),
         "no stack table:\n{html}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Two identical runs append two verifiable, comparable ledger records;
-/// `dgr history` renders both plus the per-phase delta block.
-#[test]
-fn ledger_accumulates_runs_and_history_renders_deltas() {
-    let dir = std::env::temp_dir().join("dgr_observatory_ledger_test");
-    let design_path = write_design(&dir, 3);
-    let ledger_path = dir.join("ledger.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
-
-    for _ in 0..2 {
-        let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
-            .env("DGR_LEDGER", &ledger_path)
-            .args([
-                "route",
-                design_path.to_str().unwrap(),
-                "--iterations",
-                "40",
-                "--quiet",
-            ])
-            .output()
-            .expect("spawn dgr");
-        assert!(
-            out.status.success(),
-            "dgr route failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("ledger           : appended"),
-            "no ledger confirmation line"
-        );
-    }
-
-    let records = ledger::load(&ledger_path);
-    // `load` keeps only the lines whose stored bytes match their hash
-    assert_eq!(records.len(), 2, "two runs → two verified ledger records");
-    for r in &records {
-        assert_eq!(r.cmd, "route");
-        assert_eq!(r.design, "design");
-        assert_eq!(r.iterations, 40);
-        assert!(r.phases.contains_key("train"), "phases: {:?}", r.phases);
-        assert!(r.it_per_s > 0.0);
-    }
-    assert_eq!(
-        records[0].config_fp, records[1].config_fp,
-        "identical runs must be comparable"
-    );
-    // the routed result is deterministic, so the quality metrics agree
-    assert_eq!(records[0].wirelength, records[1].wirelength);
-    assert_eq!(records[0].loss, records[1].loss);
-
-    let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .env("DGR_LEDGER", &ledger_path)
-        .args(["history"])
-        .output()
-        .expect("spawn dgr history");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let table_rows = stdout
-        .lines()
-        .filter(|l| l.starts_with("20") && l.contains(" route "))
-        .count();
-    assert_eq!(table_rows, 2, "history must list both runs:\n{stdout}");
-    assert!(
-        stdout.contains("delta vs previous comparable run"),
-        "missing delta block:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("phase train"),
-        "missing per-phase delta:\n{stdout}"
-    );
-    assert!(stdout.contains("2 record(s)"), "record count:\n{stdout}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

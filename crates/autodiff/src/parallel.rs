@@ -420,7 +420,7 @@ impl Helper {
             .spawn({
                 let shared = Arc::clone(&shared);
                 move || {
-                    let _scope = dgr_obs::status_scope(scope);
+                    let _scope = scope.map(dgr_obs::status_scope);
                     shared.run();
                 }
             });

@@ -1,5 +1,4 @@
-//! The HTTP face of `dgrd`: `/jobs` routes mounted on the `dgr-obs`
-//! blocking server.
+//! The HTTP face of `dgrd`: every route, in one `match`.
 //!
 //! | Route | Meaning |
 //! |---|---|
@@ -11,19 +10,18 @@
 //! | `GET /jobs/{id}/telemetry` | per-job training telemetry (JSONL) |
 //! | `GET /jobs/{id}/guide` | route-guide text of a finished job |
 //! | `GET /health` | overall + per-job sentinel convergence verdicts |
+//! | `GET /metrics` | every obs metric, Prometheus text exposition |
+//! | `GET /status` | process RSS + one row per job's obs scope (JSON) |
 //!
-//! Every other path falls through to the built-in observability routes
-//! (`/metrics`, `/status`, `/report`, `/`). The daemon's `/health`
-//! shadows the obs built-in so its rows can join job metadata (label,
-//! tenant, state, watchdog errors) onto the verdicts of the jobs' obs
-//! scopes. All errors are structured: a 4xx status plus `{"error": ...,
-//! "status": N}` JSON.
+//! `/health` joins job metadata (label, tenant, state, watchdog errors)
+//! onto the verdicts of the jobs' obs scopes. All errors are structured:
+//! a 4xx status plus `{"error": ..., "status": N}` JSON.
 
 use std::sync::Arc;
 
 use dgr_obs::json::JsonObject;
-use dgr_obs::{HttpHandler, HttpRequest, HttpResponse, ObsServer};
 
+use crate::listener::{HttpRequest, HttpResponse, Listener};
 use crate::queue::{CancelError, CancelOutcome, Job};
 use crate::server::{DaemonConfig, JobServer};
 use crate::spec::JobSpec;
@@ -31,18 +29,18 @@ use crate::spec::JobSpec;
 /// A running daemon: scheduler plus HTTP listener.
 pub struct Daemon {
     jobs: Arc<JobServer>,
-    http: ObsServer,
+    http: Listener,
 }
 
 impl Daemon {
     /// Boots the scheduler and binds the listener (use port 0 for an
     /// ephemeral port; read it back with [`Daemon::local_addr`]).
     pub fn start(addr: &str, cfg: DaemonConfig) -> std::io::Result<Daemon> {
-        let max_body = cfg.max_body_bytes;
         let jobs = Arc::new(JobServer::start(cfg)?);
-        let handler_jobs = Arc::clone(&jobs);
-        let handler: HttpHandler = Arc::new(move |req| handle(&handler_jobs, req));
-        let http = ObsServer::start_with_handler(addr, handler, max_body)?;
+        let http = Listener::start(addr, {
+            let jobs = Arc::clone(&jobs);
+            move |req| handle(&jobs, req)
+        })?;
         Ok(Daemon { jobs, http })
     }
 
@@ -63,31 +61,54 @@ impl Daemon {
     }
 }
 
-/// Routes one request; `None` falls through to the obs built-ins.
-fn handle(jobs: &JobServer, req: &HttpRequest) -> Option<HttpResponse> {
+/// Routes one request.
+fn handle(jobs: &JobServer, req: &HttpRequest) -> HttpResponse {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/jobs") => Some(post_job(jobs, &req.body)),
-        ("GET", "/jobs") => Some(list_jobs(jobs)),
-        ("GET", "/health") => Some(health(jobs)),
-        (method, path) => {
-            let rest = path.strip_prefix("/jobs/")?;
-            let (id_text, sub) = match rest.split_once('/') {
-                Some((id, sub)) => (id, Some(sub)),
-                None => (rest, None),
-            };
-            let Ok(id) = id_text.parse::<u64>() else {
-                return Some(HttpResponse::error(404, "job ids are integers"));
-            };
-            Some(match (method, sub) {
-                ("GET", None) => job_json(jobs, id),
-                ("DELETE", None) => cancel_job(jobs, id),
-                ("GET", Some("report")) => job_report(jobs, id),
-                ("GET", Some("telemetry")) => job_telemetry(jobs, id),
-                ("GET", Some("guide")) => job_guide(jobs, id),
-                ("GET", Some(_)) => HttpResponse::error(404, "unknown job subresource"),
-                _ => HttpResponse::error(405, "method not allowed on this route"),
-            })
+        ("POST", "/jobs") => post_job(jobs, &req.body),
+        ("GET", "/jobs") => list_jobs(jobs),
+        ("GET", "/health") => health(jobs),
+        ("GET", "/metrics") => metrics(),
+        ("GET", "/status") => HttpResponse::json(200, dgr_obs::status_json() + "\n"),
+        (method, path @ ("/jobs" | "/health" | "/metrics" | "/status")) => {
+            HttpResponse::error(405, &format!("method {method} not allowed on {path}"))
         }
+        (method, path) => match path.strip_prefix("/jobs/") {
+            Some(rest) => job_route(jobs, method, rest),
+            None => HttpResponse::error(404, &format!("no such endpoint: {path}")),
+        },
+    }
+}
+
+/// `/jobs/{id}` and its subresources; `rest` is the path after `/jobs/`.
+fn job_route(jobs: &JobServer, method: &str, rest: &str) -> HttpResponse {
+    let (id_text, sub) = match rest.split_once('/') {
+        Some((id, sub)) => (id, Some(sub)),
+        None => (rest, None),
+    };
+    let Ok(id) = id_text.parse::<u64>() else {
+        return HttpResponse::error(404, "job ids are integers");
+    };
+    match (method, sub) {
+        ("GET", None) => job_json(jobs, id),
+        ("DELETE", None) => cancel_job(jobs, id),
+        ("GET", Some("report")) => job_report(jobs, id),
+        ("GET", Some("telemetry")) => job_telemetry(jobs, id),
+        ("GET", Some("guide")) => job_guide(jobs, id),
+        ("GET", Some(_)) => HttpResponse::error(404, "unknown job subresource"),
+        _ => HttpResponse::error(405, "method not allowed on this route"),
+    }
+}
+
+/// `GET /metrics`: the Prometheus text exposition, with the RSS gauge
+/// re-read for each scrape.
+fn metrics() -> HttpResponse {
+    if let Some(rss) = dgr_obs::process_memory().rss {
+        dgr_obs::gauge("process.rss_bytes").set(rss as f64);
+    }
+    HttpResponse {
+        status: 200,
+        content_type: "text/plain; version=0.0.4; charset=utf-8",
+        body: dgr_obs::prometheus_text(),
     }
 }
 
@@ -265,7 +286,7 @@ fn job_telemetry(jobs: &JobServer, id: u64) -> HttpResponse {
     }
     HttpResponse {
         status: 200,
-        content_type: "application/x-ndjson".into(),
+        content_type: "application/x-ndjson",
         body: dgr_obs::status_ring_jsonl_of(id),
     }
 }
@@ -277,7 +298,7 @@ fn job_report(jobs: &JobServer, id: u64) -> HttpResponse {
         return HttpResponse::error(404, "unknown job");
     };
     let title = format!("job {id} — {label}");
-    HttpResponse::html(200, dgr_obs::report_of(id, title, None))
+    HttpResponse::html(200, dgr_obs::report_of(id, title))
 }
 
 fn job_guide(jobs: &JobServer, id: u64) -> HttpResponse {
@@ -324,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_poll_and_builtin_fallthrough() {
+    fn every_route_answers_on_the_one_listener() {
         let daemon = Daemon::start(
             "127.0.0.1:0",
             DaemonConfig {
@@ -340,21 +361,45 @@ mod tests {
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("\"error\""));
 
-        // obs built-ins still answer
+        // every scrape re-reads the RSS gauge
         let (status, body) = request(addr, "GET /metrics", "");
         assert_eq!(status, 200, "{body}");
+        if dgr_obs::process_memory().rss.is_some() {
+            let rss = body
+                .lines()
+                .find_map(|l| l.strip_prefix("dgr_process_rss_bytes "));
+            assert!(rss.is_some_and(|v| v != "0"), "{body}");
+        }
 
-        // unknown id and non-integer id
-        let (status, _) = request(addr, "GET /jobs/424242", "");
-        assert_eq!(status, 404);
-        let (status, _) = request(addr, "GET /jobs/nope", "");
-        assert_eq!(status, 404);
+        let (status, body) = request(addr, "GET /status", "");
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            body.starts_with("{\"rss\":") && body.contains(",\"jobs\":["),
+            "{body}"
+        );
 
-        // the daemon /health shadows the obs built-in with job rows
+        // /health rows are the jobs'
         let (status, body) = request(addr, "GET /health", "");
         assert_eq!(status, 200, "{body}");
-        assert!(body.contains("\"verdict\""), "{body}");
-        assert!(body.contains("\"rows\""), "{body}");
+        assert!(
+            body.contains("\"verdict\"") && body.contains("\"rows\""),
+            "{body}"
+        );
+
+        // unknown paths, ids and methods are structured errors
+        for (head, want) in [
+            ("GET /jobs/424242", 404),
+            ("GET /jobs/nope", 404),
+            ("GET /nope", 404),
+            ("GET /report", 404),
+            ("GET /", 404),
+            ("PATCH /metrics", 405),
+            ("POST /status", 405),
+        ] {
+            let (status, body) = request(addr, head, "");
+            assert_eq!(status, want, "{head}: {body}");
+            assert!(body.contains("\"error\""), "{head}: {body}");
+        }
 
         daemon.stop();
     }

@@ -13,8 +13,9 @@
 //! * [`server`] — a fixed worker set draining the table; each job runs
 //!   with its own design, telemetry sink, cooperative cancel flag, and
 //!   job-scoped `dgr-obs` status entry,
-//! * [`http`] — the `/jobs` REST surface mounted in front of the
-//!   observability server's built-in routes.
+//! * [`http`] — every route: the `/jobs` REST surface plus `/health`,
+//!   `/metrics` and `/status`, served by the workspace's one HTTP
+//!   listener (a private module).
 //!
 //! # Isolation and determinism
 //!
@@ -33,6 +34,7 @@
 //! ```
 
 pub mod http;
+mod listener;
 pub mod queue;
 pub mod server;
 pub mod spec;

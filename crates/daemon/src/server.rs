@@ -28,8 +28,6 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Bounded queue depth; submissions beyond it get HTTP 429.
     pub queue_capacity: usize,
-    /// Request-body cap for `POST /jobs` (HTTP 413 beyond it).
-    pub max_body_bytes: usize,
     /// Terminal jobs retained for inspection before eviction.
     pub retain_jobs: usize,
 }
@@ -39,7 +37,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             workers: 2,
             queue_capacity: 16,
-            max_body_bytes: dgr_obs::DEFAULT_MAX_BODY_BYTES,
             retain_jobs: 64,
         }
     }

@@ -17,16 +17,16 @@
 //! * [`TelemetrySink`] — a per-iteration training telemetry sink emitting
 //!   JSONL rows (`{iter, loss, wl, vias, overflow, temperature,
 //!   grad_norm}`), one per iteration of one run,
-//! * [`scope`] — the per-run registry behind `/status`, `/health` and the
-//!   live `/report`: one entry per run id (headline status, every
-//!   telemetry row, sentinel findings, SLO watchdog), written by one
-//!   [`tick`] per iteration and forgotten by one [`scope_remove`];
-//!   [`sentinel`] holds the pure convergence rules it and `dgr doctor`
-//!   evaluate,
+//! * [`scope`] — the per-job registry behind `dgrd`'s `/status`,
+//!   `/health` and per-job telemetry and report: one entry per job id
+//!   (headline status, every telemetry row, sentinel findings, SLO
+//!   watchdog), written by one [`tick`] per iteration and forgotten by
+//!   one [`scope_remove`]; [`sentinel`] holds the pure convergence rules
+//!   it and `dgr doctor` evaluate,
 //! * [`render_report`] — the deterministic self-contained HTML
-//!   post-mortem renderer behind `dgr report` and the live `/report`: a
-//!   pure function of the records above. Each file format is read back
-//!   in the module that writes it ([`rows_from_jsonl`], [`parse_trace`],
+//!   post-mortem renderer behind `dgr report` and a `dgrd` job's
+//!   `/report`: a pure function of the records above. Each file format
+//!   is read back in the module that writes it ([`rows_from_jsonl`], [`parse_trace`],
 //!   [`FoldedProfile::parse`]), the two JSON ones through [`parse`], a
 //!   minimal JSON reader.
 //!
@@ -36,8 +36,8 @@
 //! [`enabled`] — one relaxed atomic load and a predictable branch — so
 //! uninstrumented hot paths (the front end's fan-outs, the training
 //! inner loop) stay branch-predictable and bench-neutral. Flip the master
-//! switch with [`set_enabled`]: `dgr` does for `--trace`, `--profile` or
-//! `--serve` only, `dgrd` for every job. Telemetry sinks are explicit
+//! switch with [`set_enabled`]: `dgr` does for `--trace` or `--profile`
+//! only, `dgrd` for every job. Telemetry sinks are explicit
 //! objects and work regardless of the switch.
 //!
 //! The crate has zero external dependencies, matching the offline
@@ -67,7 +67,6 @@ pub mod profile;
 pub mod report;
 pub mod scope;
 pub mod sentinel;
-pub mod serve;
 pub mod span;
 pub mod telemetry;
 
@@ -78,14 +77,13 @@ pub use metrics::{
 pub use profile::{process_memory, FoldedProfile, ProcessMemory};
 pub use report::{render_report, ReportInputs};
 pub use scope::{
-    health_of, health_summary_of, report_of, scope_remove, status_begin, status_phase,
+    health_of, health_summary_of, report_of, scope_remove, status_begin, status_json, status_phase,
     status_ring_jsonl_of, status_scope, status_scope_id, tick, watchdog_arm, watchdog_breach,
     StatusScope,
 };
 pub use sentinel::{
     analyze_rows, rank_findings, verdict_of, Finding, RuleEngine, Severity, Verdict,
 };
-pub use serve::{HttpHandler, HttpRequest, HttpResponse, ObsServer, DEFAULT_MAX_BODY_BYTES};
 pub use span::{
     chrome_trace, folded_profile, log_span_events, parse_trace, reset_spans, span, span_totals,
     write_chrome_trace, PhaseTotal, SpanGuard, SpanTotal,

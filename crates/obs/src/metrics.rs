@@ -165,8 +165,7 @@ pub fn metrics_snapshot() -> Vec<MetricSnapshot> {
 }
 
 /// Renders every registered metric in the Prometheus text exposition
-/// format (version 0.0.4), the payload the `--serve` exporter returns
-/// from `/metrics`.
+/// format (version 0.0.4), the payload of `dgrd`'s `/metrics`.
 ///
 /// Mapping:
 /// * counters → `counter` families (`dgr_` prefix, dots → underscores),

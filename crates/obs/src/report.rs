@@ -11,8 +11,8 @@
 //!
 //! It reads no text: `dgr report` reads each file with the reader that
 //! lives beside its writer ([`crate::rows_from_jsonl`],
-//! [`crate::span::parse_trace`], [`FoldedProfile::parse`]), and the live
-//! `/report` hands over the rows, findings and span totals it already
+//! [`crate::span::parse_trace`], [`FoldedProfile::parse`]), and a `dgrd`
+//! job's `/report` hands over the rows and findings its scope already
 //! holds ([`crate::report_of`]).
 //!
 //! The output is **deterministic**: identical inputs yield byte-identical

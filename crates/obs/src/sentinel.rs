@@ -18,10 +18,10 @@
 //! so `/health`, the HTML report band, and `dgr doctor` can show *why*,
 //! not just *that*. The rule engine is a pure fold over rows
 //! ([`RuleEngine::observe`]): the live path — [`crate::tick`] feeds each
-//! run scope's own engine, see [`crate::scope`] — and the offline
+//! `dgrd` job scope's own engine, see [`crate::scope`] — and the offline
 //! [`analyze_rows`] replay used by `dgr doctor` share it, so a verdict
 //! reproduced from a telemetry file ([`crate::rows_from_jsonl`]) matches
-//! what the live exporter said.
+//! what the job's `/health` row said.
 
 use crate::json::JsonObject;
 use crate::telemetry::IterationRow;

@@ -11,13 +11,12 @@
 //!   array (`chrome://tracing` / Perfetto "X" complete events, one track
 //!   per thread; nesting is reconstructed from time containment),
 //! * [`span_totals`] — per-name `(count, total)` aggregates for summary
-//!   tables, benchmark phase breakdowns and the live `/report`,
+//!   tables and benchmark phase breakdowns,
 //! * [`folded_profile`] — the log's self time per stack of span names
 //!   (`--profile`, see [`crate::profile`]).
 //!
 //! [`parse_trace`] reads a trace file back as the report's phase table
-//! ([`PhaseTotal`] rows, which the live `/report` takes from
-//! [`span_totals`] instead).
+//! ([`PhaseTotal`] rows).
 //!
 //! Recording is gated on [`crate::enabled`]: a disabled span costs one
 //! relaxed atomic load. An enabled span costs two `Instant::now()` calls
@@ -313,16 +312,6 @@ pub struct PhaseTotal {
     pub count: u64,
     /// Summed duration, µs.
     pub total_us: f64,
-}
-
-impl From<&SpanTotal> for PhaseTotal {
-    fn from(t: &SpanTotal) -> Self {
-        PhaseTotal {
-            name: t.name.to_string(),
-            count: t.count,
-            total_us: t.total.as_nanos() as f64 / 1e3,
-        }
-    }
 }
 
 /// Reads a [`chrome_trace`] file back as per-name totals of its complete

@@ -58,7 +58,8 @@ pub struct Finished {
 }
 
 /// Refines `solution` in place, assigns layers when the design has at
-/// least two, and builds the guide when `want_guide`.
+/// least two, and builds the guide when `want_guide`. Each pass first
+/// publishes its span name as the run's phase (a `dgrd` job's `/status`).
 ///
 /// # Errors
 ///
@@ -69,6 +70,7 @@ fn finish(
     solution: &mut RoutingSolution,
     want_guide: bool,
 ) -> Result<Finished, PipelineError> {
+    dgr_obs::status_phase("refine");
     let t = Instant::now();
     let refine =
         refine(design, solution, RefineConfig::default()).map_err(PipelineError::Refine)?;
@@ -78,6 +80,7 @@ fn finish(
         ..Finished::default()
     };
     if design.num_layers >= 2 {
+        dgr_obs::status_phase("assign_layers");
         let t = Instant::now();
         let assigned = assign_layers(design, solution, AssignConfig::default())
             .map_err(PipelineError::Assign)?;

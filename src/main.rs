@@ -7,16 +7,16 @@
 //!
 //! `--trace` turns on the `dgr-obs` span registry and writes a Chrome
 //! trace-event file (load it at `chrome://tracing` or in Perfetto);
-//! `--telemetry` streams one JSONL row per training iteration.
-//! `--serve ADDR` exposes `/metrics` (Prometheus),
-//! `/status` (JSON) and `/report` (HTML) over HTTP while the run is
-//! live; `--profile` folds the span log into a collapsed-stack
+//! `--telemetry` streams one JSONL row per training iteration;
+//! `--profile` folds the span log into a collapsed-stack
 //! (flamegraph-compatible) file of self time. Recording is on only for a
-//! run given `--trace`, `--serve` or `--profile`, so a plain `route`
-//! records nothing it would not show; `--telemetry`'s sink works either
-//! way. `dgr report` reads those files back, each with the reader that
-//! sits beside its writer in `dgr-obs`, and renders them into one
-//! self-contained HTML post-mortem.
+//! run given `--trace` or `--profile`, so a plain `route` records nothing
+//! it would not show; `--telemetry`'s sink works either way. `dgr report`
+//! reads those files back, each with the reader that sits beside its
+//! writer in `dgr-obs`, and renders them into one self-contained HTML
+//! post-mortem. To watch a run live, submit it to `dgr serve-jobs`
+//! (`dgrd`): `/status`, `/metrics`, `/health` and a job's `/report` and
+//! `/telemetry` answer while it runs.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -24,14 +24,14 @@ use std::process::ExitCode;
 use dgr::baseline::{LagrangianRouter, SequentialRouter, SprouteRouter};
 use dgr::core::{DgrConfig, RouteHooks};
 use dgr::grid::Design;
-use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ObsServer, ReportInputs};
+use dgr::obs::{parse_trace, render_report, rows_from_jsonl, ReportInputs};
 use dgr::obs::{FoldedProfile, TelemetrySink};
 use dgr::post::pipeline;
 
 // Shadows of the std macros for every print below: a reader that went away
 // (`dgr route … | head -1`) ends the printing, not the run — std's versions
 // panic on the write error, after which no guide or routes file would be
-// written. SIGPIPE stays ignored: the HTTP servers count on socket writes
+// written. SIGPIPE stays ignored: dgrd's listener counts on socket writes
 // returning EPIPE.
 macro_rules! print {
     ($($arg:tt)*) => {{
@@ -78,14 +78,14 @@ const COMMANDS: &[Command] = &[
         name: "route",
         positional: Some("<design.txt>"),
         flags: "--iterations=N --seed=S --routes=out.txt --guide=out.guide --trace=out.json \
-                --telemetry=out.jsonl --serve=ADDR --profile=out.folded --progress=N --quiet",
+                --telemetry=out.jsonl --profile=out.folded --progress=N --quiet",
         help: "route a design and print metrics",
         run: cmd_route,
     },
     Command {
         name: "compare",
         positional: Some("<design.txt>"),
-        flags: "--iterations=N --seed=S --trace=out.json --serve=ADDR --profile=out.folded",
+        flags: "--iterations=N --seed=S --trace=out.json --profile=out.folded",
         help: "route with DGR and every baseline, print a comparison table",
         run: cmd_compare,
     },
@@ -112,7 +112,7 @@ const COMMANDS: &[Command] = &[
         flags: "--workers=N --queue-cap=N --retain=N",
         help: "run dgrd: a multi-tenant routing job server (POST /jobs,\n\
                GET /jobs/:id[/report|/telemetry|/guide], DELETE /jobs/:id,\n\
-               plus the /metrics /status /report observability routes)",
+               GET /health /metrics /status): the live view of a run",
         run: cmd_serve_jobs,
     },
 ];
@@ -264,7 +264,6 @@ fn print_usage() {
     println!("observability:");
     println!("  --trace out.json      record phase spans, write a Chrome trace-event file");
     println!("  --telemetry out.jsonl stream one JSONL row per training iteration");
-    println!("  --serve ADDR          live HTTP exporter: /metrics /status /report");
     println!("  --profile out.folded  self time per span stack → collapsed stacks");
     println!("  --progress N          progress line every N iterations (default 100)");
     println!("  --quiet               suppress the progress line");
@@ -345,62 +344,26 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
     Ok(cfg)
 }
 
-/// Live observability attached to one CLI run: the optional Chrome
-/// trace and span profile, written at its end, and the HTTP exporter.
-///
-/// Recording is on only when `--trace`, `--profile` or `--serve` will
-/// read it, and the span registry keeps its event log only for `--trace`
-/// and `--profile`, the two files written from it; the end-of-run summary
-/// tables print in the same runs. `--telemetry` needs no switch: its sink
-/// is an explicit object.
-struct ObsSession {
-    trace: Option<String>,
-    profile: Option<String>,
-    /// Held for its lifetime only: dropping it stops the HTTP exporter.
-    _server: Option<ObsServer>,
-    show_summary: bool,
+/// Whether a CLI run records: only when `--trace` or `--profile` will
+/// read the span registry's event log, the two files written from it; the
+/// end-of-run summary tables print in the same runs. `--telemetry` needs
+/// no switch: its sink is an explicit object.
+fn obs_recording(flags: &Flags) -> bool {
+    flags.has("--trace") || flags.has("--profile")
 }
 
-fn obs_session(
-    flags: &Flags,
-    job: &str,
-    total_iters: u64,
-) -> Result<ObsSession, Box<dyn std::error::Error>> {
-    let trace = flags.value("--trace").map(str::to_string);
-    let profile = flags.value("--profile").map(str::to_string);
-    let serve = flags.value("--serve");
-    let show_summary = trace.is_some() || profile.is_some() || serve.is_some();
+fn obs_start(flags: &Flags) {
     dgr::obs::reset();
-    dgr::obs::set_enabled(show_summary);
-    if trace.is_some() || profile.is_some() {
+    dgr::obs::set_enabled(obs_recording(flags));
+    if obs_recording(flags) {
         dgr::obs::log_span_events();
     }
-    // publish the run identity before the listener comes up, so the very
-    // first /status scrape names the job
-    dgr::obs::status_begin(job, total_iters, 1);
-    let server = match serve {
-        Some(addr) => {
-            let server = ObsServer::start(addr)?;
-            eprintln!(
-                "observatory: http://{}/  (/metrics /status /report)",
-                server.local_addr()
-            );
-            Some(server)
-        }
-        None => None,
-    };
-    Ok(ObsSession {
-        trace,
-        profile,
-        _server: server,
-        show_summary,
-    })
 }
 
-/// Writes the folded profile and trace (if requested), prints the
-/// end-of-run summary tables and stops the server.
-fn obs_finish(session: ObsSession) -> CliResult {
-    if let Some(path) = session.profile.as_deref() {
+/// Writes the folded profile and trace (if requested) and prints the
+/// end-of-run summary tables.
+fn obs_finish(flags: &Flags) -> CliResult {
+    if let Some(path) = flags.value("--profile") {
         let profile = dgr::obs::folded_profile();
         profile.write(path)?;
         let hottest = profile
@@ -421,15 +384,14 @@ fn obs_finish(session: ObsSession) -> CliResult {
             );
         }
     }
-    if session.show_summary {
+    if obs_recording(flags) {
         print_summary_tables();
     }
-    if let Some(path) = session.trace.as_deref() {
+    if let Some(path) = flags.value("--trace") {
         dgr::obs::write_chrome_trace(path)?;
         println!();
         println!("trace → {path} (load at chrome://tracing)");
     }
-    // the HTTP exporter (if any) stops when `session` drops here
     Ok(())
 }
 
@@ -479,7 +441,7 @@ fn route_hooks(flags: &Flags) -> Result<RouteHooks, Box<dyn std::error::Error>> 
 fn cmd_route(flags: &Flags) -> CliResult {
     let design = load_design(flags)?;
     let cfg = config_from(flags)?;
-    let session = obs_session(flags, "route", cfg.iterations as u64)?;
+    obs_start(flags);
     let mut hooks = route_hooks(flags)?;
     let out = pipeline::run(&design, &cfg, &mut hooks, flags.has("--guide"))?;
     let solution = &out.solution;
@@ -549,7 +511,7 @@ fn cmd_route(flags: &Flags) -> CliResult {
         let path = flags.value("--telemetry").unwrap_or("?");
         println!("  telemetry        : {} rows → {path}", sink.rows());
     }
-    obs_finish(session)?;
+    obs_finish(flags)?;
     Ok(())
 }
 
@@ -631,7 +593,7 @@ fn cmd_doctor(flags: &Flags) -> CliResult {
 fn cmd_compare(flags: &Flags) -> CliResult {
     let design = load_design(flags)?;
     let cfg = config_from(flags)?;
-    let session = obs_session(flags, "compare", cfg.iterations as u64)?;
+    obs_start(flags);
     println!(
         "{:<12} {:>10} {:>8} {:>10} {:>10} {:>8}",
         "router", "wirelength", "turns", "ovf edges", "ovf total", "t(s)"
@@ -675,6 +637,6 @@ fn cmd_compare(flags: &Flags) -> CliResult {
             );
         }
     }
-    obs_finish(session)?;
+    obs_finish(flags)?;
     Ok(())
 }

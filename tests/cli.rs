@@ -3,6 +3,8 @@
 //! the router's own solution before refining it, and `dgr report` refuses
 //! a file its reader refuses.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -77,8 +79,9 @@ fn route_prints_the_routers_unrefined_solution_as_routed() {
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
-/// A misspelt flag, a value flag without its value and a second
-/// positional are errors that name the argument — not runs on defaults.
+/// A misspelt flag, a value flag without its value, a second positional
+/// and a deleted flag are errors that name the argument — not runs on
+/// defaults — and `dgrd` answers 404 to a path it does not route.
 #[test]
 fn arguments_outside_the_flag_table_are_errors() {
     let (path, _) = design_on_disk("flags");
@@ -104,6 +107,11 @@ fn arguments_outside_the_flag_table_are_errors() {
             "unknown flag `--no-ledger`",
         ),
         (vec!["history"], "unknown command"),
+        (vec!["route", "x", "--serve", "a"], "unknown flag `--serve`"),
+        (
+            vec!["compare", "x", "--serve", "a"],
+            "unknown flag `--serve`",
+        ),
     ] {
         let out = dgr(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -122,6 +130,13 @@ fn arguments_outside_the_flag_table_are_errors() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // nor are paths outside dgrd's route table: the live view of a run is
+    // its job's `/jobs/:id/report`
+    let (mut child, addr) = common::spawn_serve_jobs();
+    let statuses = ["/report", "/"].map(|path| common::get(addr, path).status);
+    child.kill().expect("kill serve-jobs");
+    let _ = child.wait();
+    assert_eq!(statuses, [404, 404], "GET /report, GET /");
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
@@ -177,7 +192,6 @@ fn help_lists_every_flag_a_command_accepts() {
     };
     for (cmd, flag) in [
         ("compare", "[--seed S]"),
-        ("compare", "[--serve ADDR]"),
         ("compare", "[--profile out.folded]"),
         ("route", "[--trace out.json]"),
     ] {

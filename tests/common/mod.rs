@@ -1,6 +1,7 @@
-//! Shared HTTP client helpers for the `dgrd` integration suites
-//! (`tests/daemon.rs`, `tests/daemon_protocol.rs`), and the ledger check
-//! `tests/golden.rs` and `tests/baselines.rs` run on their designs.
+//! Shared HTTP client helpers for the suites that drive `dgrd`
+//! (`tests/daemon.rs`, `tests/daemon_protocol.rs`, `tests/observatory.rs`,
+//! `tests/cli.rs`), and the overflow check `tests/golden.rs` and
+//! `tests/baselines.rs` run on their designs.
 //!
 //! Everything is std-only and deliberately low-level: the fault-injection
 //! entry point [`raw_request`] writes arbitrary bytes so conformance
@@ -58,13 +59,16 @@ impl Response {
 }
 
 /// Sends raw bytes and returns whatever comes back — the fault-injection
-/// client. An empty response (peer reset) maps to status 0.
+/// client. An empty response (peer reset before answering) maps to
+/// status 0.
 pub fn raw_request(addr: SocketAddr, bytes: &[u8]) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect to dgrd");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    stream.write_all(bytes).expect("write request");
+    // a server may answer (a 413) and reset the connection before it has
+    // read the whole request: the answer is still there to read
+    let _ = stream.write_all(bytes);
     let mut text = String::new();
     let _ = stream.read_to_string(&mut text);
     let status: u16 = text
@@ -99,6 +103,31 @@ pub fn post_json(addr: SocketAddr, path: &str, body: &str) -> Response {
 
 pub fn delete(addr: SocketAddr, path: &str) -> Response {
     request(addr, "DELETE", path, None)
+}
+
+/// Spawns `dgr serve-jobs` with one worker on an ephemeral port and
+/// returns it with the address its banner names.
+pub fn spawn_serve_jobs() -> (std::process::Child, std::net::SocketAddr) {
+    use std::io::BufRead;
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .args(["serve-jobs", "127.0.0.1:0", "--workers", "1"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dgr serve-jobs");
+
+    let stderr = child.stderr.take().unwrap();
+    let mut lines = std::io::BufReader::new(stderr).lines();
+    let banner = lines.next().expect("banner line").expect("banner readable");
+    let addr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|s| s.split('/').next())
+        .expect("banner has an address")
+        .parse()
+        .expect("banner address parses");
+    (child, addr)
 }
 
 /// Submits a job spec and returns the new job id (panics on non-202).

@@ -285,7 +285,7 @@ fn cancellation_mid_run_leaves_the_queue_healthy() {
 /// A long-lived daemon keeps no span events: its jobs fold their spans
 /// into the per-name totals and log no detailed event, since only the
 /// CLI's `--trace` and `--profile` ask for the log. An eviction's one
-/// `scope_remove` still takes the job's `/status` and `/health` rows.
+/// `scope_remove` still takes the job's `/status` row and its verdict.
 /// (Job ids are process-global, so the other daemons in this test binary
 /// cannot disturb the rows.)
 #[test]
@@ -305,24 +305,31 @@ fn a_daemon_keeps_no_span_events() {
         wait_state(addr, id, "done", Duration::from_secs(120));
         ids.push(id);
     }
-    daemon.stop(); // joins the worker, so every eviction has run
-
-    // a plain obs listener serves the same scope registry: the evicted
-    // ids are gone from `/status` and from the obs `/health`, the two
-    // retained ones are still there
-    let obs = dgr::obs::ObsServer::start("127.0.0.1:0").expect("obs listener binds");
+    // of this test's jobs, the ids a body's `key` array lists
     let listed = |path: &str, key: &str| -> Vec<u64> {
-        let body = get(obs.local_addr(), path).json();
+        let body = get(addr, path).json();
         let Some(JsonValue::Arr(rows)) = body.get(key) else {
             panic!("{path} has no `{key}` array");
         };
         let id = |row: &JsonValue| row.get("id").and_then(JsonValue::as_u64).unwrap();
-        rows.iter().map(id).collect()
+        rows.iter().map(id).filter(|id| ids.contains(id)).collect()
     };
-    let (on_status, on_health) = (listed("/status", "jobs"), listed("/health", "rows"));
+    // a job's eviction, and its scope's, lands just after the next job is
+    // done: the last one is polled for
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while listed("/status", "jobs") != ids[6..] {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "/status jobs: {:?}",
+            listed("/status", "jobs")
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(listed("/health", "rows"), ids[6..], "/health rows");
+    daemon.stop(); // joins the worker, so every eviction has run
     for (i, id) in ids.iter().enumerate() {
-        assert_eq!(on_status.contains(id), i >= 6, "/status jobs, job {id}");
-        assert_eq!(on_health.contains(id), i >= 6, "/health rows, job {id}");
+        let verdict = dgr::obs::health_of(*id);
+        assert_eq!(verdict.is_some(), i >= 6, "verdict of job {id}");
     }
     let events = dgr::obs::chrome_trace().matches("\"ph\":\"X\"").count();
     assert_eq!(events, 0, "the daemon kept span events");
@@ -330,6 +337,61 @@ fn a_daemon_keeps_no_span_events() {
         .into_iter()
         .find(|t| t.name == "train");
     assert!(train.is_some_and(|t| t.count >= 8), "the jobs' spans fold");
+}
+
+/// A finished job's `/status` row names the last pass it ran, layer
+/// assignment, not the extraction the router's own phases end with.
+#[test]
+fn a_finished_jobs_status_row_names_its_last_post_pass() {
+    let daemon = boot(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let addr = daemon.local_addr();
+    let id = submit_job(
+        addr,
+        r#"{"design_catalog":"ispd18_test1","fast":true,"iterations":40,"seed":1}"#,
+    );
+    wait_state(addr, id, "done", Duration::from_secs(120));
+    let status = get(addr, "/status").json();
+    daemon.stop();
+    let Some(JsonValue::Arr(rows)) = status.get("jobs") else {
+        panic!("/status has no `jobs` array");
+    };
+    let row = rows
+        .iter()
+        .find(|r| r.get("id").and_then(JsonValue::as_u64) == Some(id))
+        .expect("the job has a /status row");
+    assert_eq!(row.str("phase"), Some("assign_layers"), "{status:?}");
+}
+
+/// A route outside any job — a CLI run, in-process here beside a daemon
+/// that has recording on — opens no scope: it leaves no `/status` row and
+/// no verdict, under id 0 or any other.
+#[test]
+fn an_unscoped_route_leaves_no_run_state() {
+    let daemon = boot(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let addr = daemon.local_addr();
+    assert!(dgr::obs::enabled(), "the daemon turns recording on");
+    let cfg = dgr::core::DgrConfig {
+        iterations: 20,
+        ..dgr::core::DgrConfig::default()
+    };
+    let hooks = &mut dgr::core::RouteHooks::default();
+    dgr::post::pipeline::run(&small_design(37), &cfg, hooks, false).expect("routes");
+    let status = get(addr, "/status").json();
+    daemon.stop();
+    let Some(JsonValue::Arr(rows)) = status.get("jobs") else {
+        panic!("/status has no `jobs` array");
+    };
+    let zero = rows
+        .iter()
+        .any(|r| r.get("id").and_then(JsonValue::as_u64) == Some(0));
+    assert!(!zero, "an unscoped route made a /status row: {status:?}");
+    assert!(dgr::obs::health_of(0).is_none());
 }
 
 /// A `deadline_ms=1` job is killed by the sentinel watchdog and reported
@@ -401,31 +463,6 @@ fn watchdog_kills_slo_breaching_jobs_and_health_reports_them() {
     assert_eq!(healthy_row.str("state"), Some("done"));
 
     daemon.stop();
-}
-
-/// Spawns `dgr serve-jobs` with one worker on an ephemeral port and
-/// returns it with the address its banner names.
-fn spawn_serve_jobs() -> (std::process::Child, std::net::SocketAddr) {
-    use std::io::BufRead;
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .args(["serve-jobs", "127.0.0.1:0", "--workers", "1"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn dgr serve-jobs");
-
-    let stderr = child.stderr.take().unwrap();
-    let mut lines = std::io::BufReader::new(stderr).lines();
-    let banner = lines.next().expect("banner line").expect("banner readable");
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|s| s.split('/').next())
-        .expect("banner has an address")
-        .parse()
-        .expect("banner address parses");
-    (child, addr)
 }
 
 /// The `dgr serve-jobs` binary boots, prints its address banner, serves

@@ -61,7 +61,6 @@ fn malformed_requests_get_structured_errors_and_the_listener_survives() {
         "127.0.0.1:0",
         DaemonConfig {
             workers: 1,
-            max_body_bytes: 16 * 1024,
             ..DaemonConfig::default()
         },
     )
@@ -88,8 +87,8 @@ fn malformed_requests_get_structured_errors_and_the_listener_survives() {
     // nested deeper than the JSON reader's cap: refused, not recursed
     // into until the accept loop's stack overflows and aborts the process
     assert_structured_error(&post_json(addr, "/jobs", &"[".repeat(10_000)), 400);
-    // oversized body (cap is 16 KiB here)
-    let huge = format!(r#"{{"design_text":"{}"}}"#, "x".repeat(32 * 1024));
+    // oversized body (the listener's cap is 256 KiB)
+    let huge = format!(r#"{{"design_text":"{}"}}"#, "x".repeat(257 * 1024));
     assert_structured_error(&post_json(addr, "/jobs", &huge), 413);
     // malformed request head
     assert_structured_error(&raw_request(addr, b"THIS IS NOT HTTP\r\n\r\n"), 400);

@@ -1,15 +1,17 @@
-//! Observatory integration tests: the live HTTP exporter answering
-//! mid-run, the span log's fold into collapsed stacks, Prometheus
-//! text-exposition grammar, and the Chrome trace round-trip through
-//! `obs::parse`.
+//! Observatory integration tests: `dgrd`'s `/metrics` and `/status`
+//! answering while a job runs, the span log's fold into collapsed stacks,
+//! Prometheus text-exposition grammar, and the Chrome trace round-trip
+//! through `obs::parse`.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Command, Stdio};
+mod common;
+
+use std::process::Command;
 use std::time::Duration;
 
+use common::*;
 use dgr::grid::Design;
 use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
+use dgr::obs::parse::JsonValue;
 
 /// In-process tests share the global obs registries; serialize them.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -34,98 +36,59 @@ fn write_design(dir: &std::path::Path, seed: u64) -> std::path::PathBuf {
     path
 }
 
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to observatory");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// `--serve` answers `/metrics` and `/status` while the run iterates.
+/// `dgrd` answers `/metrics` and `/status` while a job iterates: typed
+/// `dgr_` families with the RSS gauge, and the job's row.
 #[test]
 fn serve_endpoints_answer_during_a_live_run() {
-    let dir = std::env::temp_dir().join("dgr_observatory_serve_test");
-    let design_path = write_design(&dir, 9);
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .args([
-            "route",
-            design_path.to_str().unwrap(),
-            "--iterations",
-            "5000",
-            "--quiet",
-            "--serve",
-            "127.0.0.1:0",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dgr");
-
-    // the banner line names the bound address (port 0 → OS-assigned)
-    let stderr = child.stderr.take().expect("piped stderr");
-    let mut lines = BufReader::new(stderr).lines();
-    let mut seen = Vec::new();
-    let addr = loop {
-        match lines.next() {
-            Some(Ok(line)) => {
-                if let Some(rest) = line.strip_prefix("observatory: http://") {
-                    break rest.split('/').next().unwrap_or("").to_string();
-                }
-                seen.push(line);
-            }
-            _ => panic!(
-                "dgr exited before announcing the observatory address; stderr so far:\n{}",
-                seen.join("\n")
-            ),
-        }
-    };
-
-    // every scrape re-reads the RSS gauge, so the very first one already
-    // carries a family; poll briefly anyway in case the accept loop is
-    // still warming up
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let metrics = loop {
-        let (status, metrics) = http_get(&addr, "/metrics");
-        assert_eq!(status, 200, "/metrics status");
-        if metrics.contains("# TYPE dgr_") || std::time::Instant::now() > deadline {
-            break metrics;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(
-        metrics.contains("# TYPE dgr_"),
-        "no typed dgr_ metric families:\n{metrics}"
+    let (mut child, addr) = spawn_serve_jobs();
+    let escaped = dgr::io::write_design(&small_design(9))
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    let id = submit_job(
+        addr,
+        &format!(r#"{{"design_text":"{escaped}","label":"live","iterations":500000}}"#),
     );
 
-    let (status, body) = http_get(&addr, "/status");
-    assert_eq!(status, 200, "/status status");
-    assert!(body.contains("\"job\":\"route\""), "status json:\n{body}");
-    for key in ["\"phase\":", "\"iter\":", "\"total_iters\":", "\"rss\":"] {
-        assert!(body.contains(key), "status json missing {key}:\n{body}");
-    }
+    // the job's /status row, once it has ticked
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let row = loop {
+        let status = get(addr, "/status");
+        assert_eq!(status.status, 200, "/status status");
+        let Some(JsonValue::Arr(rows)) = status.json().get("jobs").cloned() else {
+            panic!("/status has no `jobs` array: {}", status.body);
+        };
+        let row = rows
+            .into_iter()
+            .find(|r| r.get("id").and_then(JsonValue::as_u64) == Some(id));
+        if let Some(row) = row.filter(|r| r.get("iter").and_then(JsonValue::as_u64) > Some(0)) {
+            break row;
+        }
+        assert!(std::time::Instant::now() < deadline, "{}", status.body);
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(row.str("job"), Some("live"));
+    assert_eq!(row.str("phase"), Some("train"));
+    assert_eq!(
+        row.get("total_iters").and_then(JsonValue::as_u64),
+        Some(500_000)
+    );
 
-    let (status, _) = http_get(&addr, "/nope");
-    assert_eq!(status, 404);
+    let metrics = get(addr, "/metrics");
+    assert_eq!(metrics.status, 200, "/metrics status");
+    let body = &metrics.body;
+    assert!(
+        body.contains("# TYPE dgr_"),
+        "no typed dgr_ families:\n{body}"
+    );
+    assert!(
+        body.contains("\ndgr_process_rss_bytes "),
+        "no RSS gauge:\n{body}"
+    );
 
-    child.kill().expect("kill dgr");
+    assert_eq!(delete(addr, &format!("/jobs/{id}")).status, 202);
+    child.kill().expect("kill serve-jobs");
     let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--profile` writes a non-empty collapsed-stack file whose frames name
@@ -407,7 +370,7 @@ fn nan_injection_trips_the_poisoning_rule() {
 /// scope said. The run trips the stall rule, so the health band is drawn.
 #[test]
 fn live_report_equals_the_report_of_its_telemetry_file() {
-    const SCOPE: u64 = 7_001; // not 0: unlocked tests here tick into 0
+    const SCOPE: u64 = 7_001;
     let _guard = OBS_LOCK.lock().unwrap();
     dgr::obs::set_enabled(true);
     let text = {
@@ -415,7 +378,7 @@ fn live_report_equals_the_report_of_its_telemetry_file() {
         telemetry_of_run(11, 1000.0, 600)
     };
     dgr::obs::set_enabled(false);
-    let live = dgr::obs::report_of(SCOPE, "run".into(), None);
+    let live = dgr::obs::report_of(SCOPE, "run".into());
     dgr::obs::scope_remove(SCOPE);
 
     let rows = dgr::obs::rows_from_jsonl(&text).expect("telemetry parses");

@@ -728,6 +728,13 @@ impl CostModel {
         &self.prob[self.num_trees()..]
     }
 
+    /// `q` then `p` of the last pass, as one vector of
+    /// [`Self::num_trees`] + [`Self::num_paths`] entries; every other
+    /// buffer of the model is freed.
+    pub fn into_probabilities(self) -> Vec<f32> {
+        self.prob
+    }
+
     /// Expected demand `d_e` of each edge.
     pub fn demand(&self) -> &[f32] {
         &self.demand

@@ -1,9 +1,9 @@
 //! The one way work leaves the calling thread: a [`Helper`], one thread
 //! engaged as the calling thread's second lane and joined before the code
 //! that engaged it returns. A training run engages one for as long as it
-//! runs; the route pipeline's index-pure fan-outs (per-net candidate
-//! generation, the forest build, extraction's plans and victim scans) go
-//! through [`par_halves`] — or [`par_indexed`], the element-wise map over
+//! runs; the route pipeline's index-pure fan-outs (the forest build,
+//! which makes each net's candidates as it goes, and extraction's plans
+//! and victim scans) go through [`par_halves`] — or [`par_indexed`], the element-wise map over
 //! it — which splits its index range in two over [`join`] and engages a
 //! helper for the dispatch when the thread has none.
 //!
@@ -61,8 +61,8 @@ use std::time::{Duration, Instant};
 /// 0.342 → 0.301 / 0.503 → 0.291 at 5.6 k.
 pub const LANE_THRESHOLD: usize = 1 << 12;
 
-/// Minimum number of nets before a per-net phase of the front end
-/// (candidate generation, the forest build, extraction's plans) goes over
+/// Minimum number of nets before a per-net phase of the front end (the
+/// forest build with its candidate generation, extraction's plans) goes over
 /// [`par_halves`]' two halves. One dispatch costs a thread spawn and a
 /// join, 20–30 µs, and the build host's two CPUs read by the quarter-hour
 /// as two cores or as hyperthreads of one (two arithmetic-bound threads
@@ -91,8 +91,10 @@ pub const LANE_THRESHOLD: usize = 1 << 12;
 /// breaks even near 2 k nets with a second core (−10 % there, −30 % at
 /// 4 k, 21 → 14 ms on `high_degree_sparse`'s 6 000 nets) and costs
 /// 10–25 % without one. That is a few tenths of a millisecond either way
-/// between 1 k and 2 k nets, and one constant for the three phases is
-/// worth more than that: `1 << 10` stays.
+/// between 1 k and 2 k nets, and one constant for every phase is worth
+/// more than that: `1 << 10` stays. (Since candidate generation runs
+/// inside the forest build, the two halves each do both in one
+/// dispatch.)
 pub const NET_PAR_MIN: usize = 1 << 10;
 
 /// How long the helper spins for its next task before it parks — longer

@@ -101,13 +101,29 @@ pub fn extract_solution(
     cfg: &DgrConfig,
 ) -> Result<RoutingSolution, DgrError> {
     let _span = dgr_obs::span("route", "extract");
-    // one helper for the plans and each round's victim scan
-    let _helper = (forest.num_nets() >= NET_PAR_MIN).then(Helper::engage);
-    // deterministic read-out: no noise, final temperature
+    read_out(model, cfg);
+    from_probabilities(design, forest, model.q(), model.p(), cfg)
+}
+
+/// Sets `model`'s `q` and `p` to what the read-out takes: no noise, the
+/// final temperature of a run of `cfg.iterations`.
+pub(crate) fn read_out(model: &mut CostModel, cfg: &DgrConfig) {
     model.set_temperature(cfg.temperature_at(cfg.iterations.saturating_sub(1)));
     model.probabilities();
-    let (q, p) = (model.q(), model.p());
+}
 
+/// The solution the tree probabilities `q` and the path probabilities `p`
+/// over `forest` select ([`extract_solution`]'s body, which needs nothing
+/// else of the model).
+pub(crate) fn from_probabilities(
+    design: &Design,
+    forest: &DagForest,
+    q: &[f32],
+    p: &[f32],
+    cfg: &DgrConfig,
+) -> Result<RoutingSolution, DgrError> {
+    // one helper for the plans and each round's victim scan
+    let _helper = (forest.num_nets() >= NET_PAR_MIN).then(Helper::engage);
     let grid = &design.grid;
 
     // Demand-independent per-path cost (wirelength + via terms of the

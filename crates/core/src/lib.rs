@@ -169,15 +169,17 @@ impl DgrRouter {
         &self.config
     }
 
-    /// Opens a [`Session`] on `design`: the per-net tree candidates, the
-    /// DAG forest over them and its relaxation, each under its span
-    /// (`candidates` / `forest` / `relax`), ready to train.
+    /// Opens a [`Session`] on `design`: the DAG forest over the per-net
+    /// tree candidates, and its relaxation, ready to train. The forest
+    /// build (span `forest`) makes each net's candidate pool (span
+    /// `candidates`, one per net) when it reaches the net and drops it
+    /// once the net's trees are in; the relaxation is span `relax`.
     ///
     /// # Errors
     ///
     /// [`DgrError::BadConfig`] for an invalid configuration,
     /// [`DgrError::Rsmt`] if a net has no pins, [`DgrError::Dag`] if a
-    /// candidate leaves the grid.
+    /// candidate leaves the grid: the first error in net order.
     pub fn session<'d>(&self, design: &'d Design) -> Result<Session<'d>, DgrError> {
         self.config.validate()?;
         Session::open(self.config.clone(), design)
@@ -196,14 +198,17 @@ impl DgrRouter {
     }
 
     /// [`DgrRouter::route`] with observability hooks: pipeline-phase spans
-    /// (`candidates` / `forest` / `relax` / `extract` under the `route`
-    /// category), per-iteration telemetry, and a progress line.
+    /// (`forest`, with a `candidates` span per net inside it, `relax` /
+    /// `extract` under the `route` category), per-iteration telemetry, and
+    /// a progress line.
     ///
-    /// It runs a [`Session`]: train and extract, then, while the
-    /// solution overflows, up to [`DgrConfig::adaptive_rounds`] times
-    /// expand, train for [`config::ADAPTIVE_ITERATIONS`] and extract.
-    /// The session drops on return, so its model is not held past
-    /// routing.
+    /// It runs a [`Session`]: train, then, while the solution overflows,
+    /// up to [`DgrConfig::adaptive_rounds`] times extract, expand and train
+    /// for [`config::ADAPTIVE_ITERATIONS`]. The last read-out is
+    /// [`Session::finish`], which keeps only the model's probabilities
+    /// and frees its buffers before extraction allocates; a round that
+    /// stops early returns the solution it extracted. The session is not
+    /// held past routing.
     ///
     /// Iteration numbering in telemetry rows and the retained
     /// [`TrainReport::curve`] is monotone across adaptive rounds, and the
@@ -224,21 +229,20 @@ impl DgrRouter {
         }
         let mut session = Session::open(self.config.clone(), design)?;
         session.train(self.config.iterations, hooks)?;
-        let mut solution = session.extract()?;
         for _ in 0..self.config.adaptive_rounds {
+            let solution = session.extract()?;
             if solution.metrics.overflow.overflowed_edges == 0 {
-                break;
+                return Ok(solution);
             }
             if hooks.is_cancelled() {
                 return Err(DgrError::Cancelled);
             }
             if !session.expand(&solution) {
-                break;
+                return Ok(solution);
             }
             session.train(config::ADAPTIVE_ITERATIONS, hooks)?;
-            solution = session.extract()?;
         }
-        Ok(solution)
+        session.finish()
     }
 }
 

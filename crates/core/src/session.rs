@@ -2,17 +2,17 @@
 //!
 //! A [`Session`] holds what the stages of [`DgrRouter::route`] hand each
 //! other: the DAG forest over the per-net tree candidates, the relaxed
-//! [`CostModel`] and the training report so far. Opening one runs
-//! candidates → forest → relax, and drops the candidate pools once the
-//! forest is built; [`Session::train`], [`Session::extract`] and
-//! [`Session::expand`] run the rest, and the forest, model and report can
-//! be read between any two of them. [`DgrRouter::route_with_hooks`] runs
-//! one, stage by stage.
+//! [`CostModel`] and the training report so far. Opening one runs the
+//! forest build → relax. The build makes each net's candidate pool when it
+//! reaches the net and drops it once the net's trees are in, so no pool
+//! outlives its net and a run never holds every net's pools at once.
+//! [`Session::train`], [`Session::extract`] and [`Session::expand`] run
+//! the rest, and the forest, model and report can be read between any two
+//! of them. [`Session::finish`] is the last read-out: it keeps only the
+//! model's probabilities and drops the model before extraction allocates.
+//! [`DgrRouter::route_with_hooks`] runs one, stage by stage.
 
-use std::collections::HashMap;
-
-use dgr_autodiff::parallel::{par_indexed, NET_PAR_MIN};
-use dgr_dag::{DagForest, PatternPath};
+use dgr_dag::{DagForest, PatternPath, SubnetExtras};
 use dgr_grid::demand::rides;
 use dgr_grid::maze::{MazeConfig, MazeScratch};
 use dgr_grid::{Design, Rect};
@@ -22,7 +22,7 @@ use rand::SeedableRng;
 #[cfg(doc)]
 use crate::DgrRouter;
 use crate::{
-    build_cost_model, extract_solution, train, CostModel, DgrConfig, DgrError, RouteHooks,
+    build_cost_model, extract, extract_solution, train, CostModel, DgrConfig, DgrError, RouteHooks,
     RoutingSolution, TrainReport,
 };
 
@@ -38,9 +38,9 @@ pub struct Session<'d> {
     /// last (extraction reads its final temperature).
     cfg: DgrConfig,
     rng: StdRng,
-    /// Maze-derived path candidates per sub-net, grown by
-    /// [`Session::expand`].
-    extras: HashMap<usize, Vec<PatternPath>>,
+    /// Maze-derived path candidates per sub-net, by net and sub-net
+    /// within the net, grown by [`Session::expand`].
+    extras: SubnetExtras,
     /// The forest and the model relaxed over it: `None` only inside
     /// [`Session::expand`], which drops the old pair before it builds the
     /// grown one, so a round never holds two.
@@ -51,12 +51,10 @@ pub struct Session<'d> {
 const HELD: &str = "a session holds its forest and model between calls";
 
 impl<'d> Session<'d> {
-    /// Candidates → forest → relax under `cfg`, which the caller has
-    /// validated.
+    /// Forest → relax under `cfg`, which the caller has validated.
     pub(crate) fn open(cfg: DgrConfig, design: &'d Design) -> Result<Self, DgrError> {
-        let extras = HashMap::new();
-        // the pools go once the forest is built: `expand` derives them again
-        let forest = build_forest(&cfg, design, &candidates(&cfg, design)?, &extras)?;
+        let extras = SubnetExtras::new();
+        let forest = build_forest(&cfg, design, &extras)?;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let model = relax(&cfg, design, &forest, &mut rng);
         Ok(Session {
@@ -115,7 +113,8 @@ impl<'d> Session<'d> {
     }
 
     /// The discrete solution the model selects now, carrying the report
-    /// so far.
+    /// so far. The session stays as it was but for the model's
+    /// temperature and probabilities.
     ///
     /// # Errors
     ///
@@ -128,12 +127,33 @@ impl<'d> Session<'d> {
         Ok(solution)
     }
 
+    /// The last read-out: what [`Session::extract`] returns, from a
+    /// session that ends here. Only the probabilities the read-out needs
+    /// (4 B per tree and per path) are taken out of the model, and the
+    /// model's buffers are freed before extraction allocates.
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::extract`].
+    pub fn finish(mut self) -> Result<RoutingSolution, DgrError> {
+        dgr_obs::status_phase("extract");
+        let _span = dgr_obs::span("route", "extract");
+        let (forest, mut model) = self.relaxed.take().expect(HELD);
+        extract::read_out(&mut model, &self.cfg);
+        let trees = model.num_trees();
+        let probabilities = model.into_probabilities();
+        let (q, p) = probabilities.split_at(trees);
+        let mut solution = extract::from_probabilities(self.design, &forest, q, p, &self.cfg)?;
+        solution.train_report = self.report;
+        Ok(solution)
+    }
+
     /// Adaptive forest expansion (Section 3.1's future-work direction):
     /// every sub-net whose path in `solution` crosses an overflowed edge
     /// gets a congestion-avoiding maze candidate; the forest is rebuilt —
-    /// over the candidate pools derived again, a pure function of the
-    /// configuration and the design — and relaxed again, and the trained
-    /// logits carry over. Returns whether anything new was added; when
+    /// over the candidate pools made again, net by net, a pure function of
+    /// the configuration and the design — and relaxed again, and the
+    /// trained logits carry over. Returns whether anything new was added; when
     /// nothing was, the session is unchanged.
     pub fn expand(&mut self, solution: &RoutingSolution) -> bool {
         let (forest, model) = self.relaxed.as_ref().expect(HELD);
@@ -148,10 +168,8 @@ impl<'d> Session<'d> {
             .map(|s| forest.paths_of_subnet(s))
             .collect();
         self.relaxed = None;
-        let pools = candidates(&self.cfg, self.design).expect("these pools were derived before");
-        let forest = build_forest(&self.cfg, self.design, &pools, &self.extras)
+        let forest = build_forest(&self.cfg, self.design, &self.extras)
             .expect("these pools built a forest before, and maze extras stay on the grid");
-        drop(pools);
         let mut model = relax(&self.cfg, self.design, &forest, &mut self.rng);
         // a sub-net's paths keep their logits by position; the extras
         // appended after them start competitive with the incumbent
@@ -169,46 +187,33 @@ impl<'d> Session<'d> {
     }
 }
 
-/// The per-net tree candidate pools (span `candidates`). Trees are clamped
-/// to the die, and every net draws from its own seed derived from
-/// `(candidates.seed, net index)` — so the fan-out is deterministic at any
-/// thread count, and the pools are a pure function of the configuration
-/// and the design. No Steiner template is cached: a cache per call never
-/// hit on the benchmark's designs, and cost more than it saved.
-fn candidates(
-    cfg: &DgrConfig,
-    design: &Design,
-) -> Result<Vec<Vec<dgr_rsmt::RoutingTree>>, DgrError> {
-    let _s = dgr_obs::span("route", "candidates");
-    dgr_obs::status_phase("candidates");
-    let mut base_cfg = cfg.candidates.clone();
-    base_cfg.clamp = Some(design.grid.bounds());
-    let nets = &design.nets;
-    let pools = par_indexed(nets.len(), NET_PAR_MIN, |i| {
-        let cfg_i = dgr_rsmt::CandidateConfig {
-            seed: per_net_seed(base_cfg.seed, i),
-            ..base_cfg.clone()
-        };
-        dgr_rsmt::tree_candidates(&nets[i].pins, &cfg_i)
-    });
-    Ok(pools.into_iter().collect::<Result<_, _>>()?)
-}
-
-/// The DAG forest over the pools and extras (span `forest`).
+/// The DAG forest over the per-net tree candidates and `extras` (span
+/// `forest`). Each net's pool is made when the build reaches the net
+/// (span `candidates`, one per net) and dropped once its trees are in.
+/// Trees are clamped to the die, and every net draws from its own seed
+/// derived from `(candidates.seed, net index)` — so the pools, and the
+/// forest, are a pure function of the configuration and the design at
+/// any thread count. No Steiner template is cached: a cache per call
+/// never hit on the benchmark's designs, and cost more than it saved.
 fn build_forest(
     cfg: &DgrConfig,
     design: &Design,
-    pools: &[Vec<dgr_rsmt::RoutingTree>],
-    extras: &HashMap<usize, Vec<PatternPath>>,
+    extras: &SubnetExtras,
 ) -> Result<DagForest, DgrError> {
     let _s = dgr_obs::span("route", "forest");
     dgr_obs::status_phase("forest");
-    Ok(dgr_dag::build_forest_with_extras(
-        &design.grid,
-        pools,
-        cfg.patterns,
-        extras,
-    )?)
+    let mut base_cfg = cfg.candidates.clone();
+    base_cfg.clamp = Some(design.grid.bounds());
+    let nets = &design.nets;
+    let pool_of = |n: usize| {
+        let _s = dgr_obs::span("route", "candidates");
+        let cfg_n = dgr_rsmt::CandidateConfig {
+            seed: per_net_seed(base_cfg.seed, n),
+            ..base_cfg.clone()
+        };
+        dgr_rsmt::tree_candidates(&nets[n].pins, &cfg_n).map_err(DgrError::from)
+    };
+    dgr_dag::build_forest_from(&design.grid, nets.len(), pool_of, cfg.patterns, extras)
 }
 
 /// The continuous relaxation over `forest` (span `relax`).
@@ -237,7 +242,7 @@ fn grow_extras(
     design: &Design,
     forest: &DagForest,
     solution: &RoutingSolution,
-    extras: &mut HashMap<usize, Vec<PatternPath>>,
+    extras: &mut SubnetExtras,
 ) -> bool {
     let grid = &design.grid;
     let cap = &design.capacity;
@@ -246,6 +251,9 @@ fn grow_extras(
     let mut scratch = MazeScratch::new();
     let mut grew = false;
     for route in &solution.routes {
+        let first = forest
+            .subnets_of_tree(forest.trees_of_net(route.net).start)
+            .start;
         for (s, path) in forest.subnets_of_tree(route.tree).zip(&route.paths) {
             if !rides(grid, &over, &path.corners) {
                 continue;
@@ -268,7 +276,7 @@ fn grow_extras(
                 continue;
             };
             let candidate = PatternPath::new(corners);
-            let slot = extras.entry(s).or_default();
+            let slot = extras.entry((route.net, s - first)).or_default();
             if !slot.contains(&candidate) {
                 slot.push(candidate);
                 grew = true;
@@ -276,4 +284,131 @@ fn grow_extras(
         }
     }
     grew
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DgrRouter;
+    use dgr_autodiff::parallel::{set_num_threads, NET_PAR_MIN};
+    use dgr_grid::{CapacityBuilder, GcellGrid, Net, Point};
+    use rand::Rng;
+
+    /// A random design of `nets` nets of 2–4 pins on a small grid of
+    /// capacity 1, so that it overflows.
+    fn congested(seed: u64, nets: usize) -> Design {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let side = rng.gen_range(6..12);
+        let grid = GcellGrid::new(side, side).unwrap();
+        let cap = CapacityBuilder::uniform(&grid, 1.0).build(&grid).unwrap();
+        let nets = (0..nets)
+            .map(|n| {
+                let pins = (0..rng.gen_range(2..5))
+                    .map(|_| {
+                        Point::new(rng.gen_range(0..side as i32), rng.gen_range(0..side as i32))
+                    })
+                    .collect();
+                Net::new(format!("n{n}"), pins)
+            })
+            .collect();
+        Design::new(grid, cap, nets, 5).unwrap()
+    }
+
+    /// Whether two read-outs are the same solution, bit for bit.
+    fn assert_same(got: &RoutingSolution, want: &RoutingSolution, case: &str) {
+        assert_eq!(got.routes, want.routes, "{case}");
+        assert!(got.demand == want.demand, "{case}: demand");
+        // `{:?}` prints each float's shortest round trip: equal text is
+        // equal bits
+        let bits = |s: &RoutingSolution| format!("{:?}", s.metrics);
+        assert_eq!(bits(got), bits(want), "{case}: metrics");
+        let report = |s: &RoutingSolution| {
+            let r = s.train_report.as_ref()?;
+            Some((r.iterations, r.final_loss.to_bits(), r.live.clone()))
+        };
+        assert_eq!(report(got), report(want), "{case}: report");
+    }
+
+    /// Twin sessions read out alike, whether the read-out keeps the
+    /// session ([`Session::extract`]) or ends it ([`Session::finish`]):
+    /// untrained, where the model is at its initial temperature and
+    /// not at the final one; after short training, where the noise-free
+    /// probabilities are far from the noisy ones of the last pass; after
+    /// training past three temperature steps, so that the model was pruned
+    /// and put back in the forest's layout; and right after an expansion.
+    #[test]
+    fn finish_reads_out_what_extract_reads_out() {
+        let (mut pruned, mut expanded) = (0, 0);
+        for seed in 0..12u64 {
+            let design = congested(seed, 12 + seed as usize);
+            let iterations = [20, 60, 310][seed as usize % 3];
+            // without rip-up rounds a top-p set's members show in the picks
+            let cfg = DgrConfig {
+                seed,
+                extraction_rounds: [0, 2][seed as usize % 2],
+                ..DgrConfig::default()
+            };
+            let router = DgrRouter::new(cfg);
+            let opened = || router.session(&design).unwrap();
+            let want = opened().extract().unwrap();
+            assert_same(
+                &opened().finish().unwrap(),
+                &want,
+                &format!("seed {seed}, untrained"),
+            );
+
+            let trained = || {
+                let mut session = opened();
+                session
+                    .train(iterations, &mut RouteHooks::default())
+                    .unwrap();
+                session
+            };
+            let (mut kept, ended) = (trained(), trained());
+            let want = kept.extract().unwrap();
+            pruned += usize::from(kept.report().unwrap().live.len() > 1);
+            assert_same(&ended.finish().unwrap(), &want, &format!("seed {seed}"));
+
+            let (mut kept, mut ended) = (trained(), trained());
+            let first = kept.extract().unwrap();
+            if kept.expand(&first) {
+                let first = ended.extract().unwrap();
+                assert!(ended.expand(&first));
+                let want = kept.extract().unwrap();
+                assert_same(
+                    &ended.finish().unwrap(),
+                    &want,
+                    &format!("seed {seed}, grown"),
+                );
+                expanded += 1;
+            }
+        }
+        assert!(pruned > 0, "no case was pruned before its read-out");
+        assert!(expanded > 0, "no case grew");
+    }
+
+    /// A pin-less net fails the run with the tree builder's error, from
+    /// either half of the nets and at any thread count: the first error in
+    /// net order, as when every pool was made before the forest.
+    #[test]
+    fn a_pin_less_net_in_either_half_fails_with_no_pins() {
+        let nets = NET_PAR_MIN + 7;
+        let mut design = congested(5, nets);
+        let router = DgrRouter::new(DgrConfig::default());
+        for empty in [[nets - 2, nets - 2], [3, nets - 2]] {
+            for n in empty {
+                design.nets[n].pins.clear();
+            }
+            for threads in [1, 2] {
+                set_num_threads(threads);
+                let opened = router.session(&design);
+                set_num_threads(0);
+                let error = opened.expect_err("a net has no pins");
+                assert!(
+                    matches!(error, DgrError::Rsmt(dgr_rsmt::RsmtError::NoPins)),
+                    "nets {empty:?} empty, {threads} threads: {error}"
+                );
+            }
+        }
+    }
 }

@@ -1,5 +1,7 @@
 //! Construction of a [`DagForest`] from per-net tree candidate pools.
 
+use std::collections::HashMap;
+
 use dgr_autodiff::parallel::{par_halves, NET_PAR_MIN};
 use dgr_autodiff::Geometry;
 use dgr_grid::GcellGrid;
@@ -88,13 +90,15 @@ pub fn build_forest(
     candidates: &[Vec<RoutingTree>],
     patterns: PatternConfig,
 ) -> Result<DagForest, DagError> {
-    build_forest_with_extras(
-        grid,
-        candidates,
-        patterns,
-        &std::collections::HashMap::new(),
-    )
+    build_forest_with_extras(grid, candidates, patterns, &HashMap::new())
 }
+
+/// Extra path candidates for specific sub-nets, keyed by `(net, sub-net
+/// within the net)`: the `k`-th sub-net of a net counts the sub-nets of
+/// all its trees, in order. A net's pool alone resolves the key, so each
+/// half of a [`build_forest_from`] finds its extras without the other
+/// half's pools.
+pub type SubnetExtras = HashMap<(usize, usize), Vec<PatternPath>>;
 
 /// [`build_forest`] plus *extra* path candidates for specific sub-nets —
 /// the paper's "adaptive expansion of the forest" future-work hook: after
@@ -108,6 +112,9 @@ pub fn build_forest(
 /// already-enumerated pattern, or whose endpoints do not match the
 /// sub-net, are skipped silently.
 ///
+/// The pools are all at hand, so an empty one is reported before any other
+/// error; then the build is [`build_forest_from`] over them.
+///
 /// # Errors
 ///
 /// Same contract as [`build_forest`].
@@ -115,37 +122,86 @@ pub fn build_forest_with_extras(
     grid: &GcellGrid,
     candidates: &[Vec<RoutingTree>],
     patterns: PatternConfig,
-    extras: &std::collections::HashMap<usize, Vec<PatternPath>>,
+    extras: &HashMap<usize, Vec<PatternPath>>,
 ) -> Result<DagForest, DagError> {
     if let Some(net) = candidates.iter().position(Vec::is_empty) {
         return Err(DagError::EmptyNet { net });
     }
-    // `extras` is keyed by global construction-order subnet index, and a
-    // tree's subnets are exactly its edges
-    let subnets_before = |n: usize| -> usize {
-        let trees = candidates[..n].iter().flatten();
-        trees.map(|t| t.edges().len()).sum()
-    };
-    // Each range of nets is pushed straight into a forest of its own, in
-    // that forest's numbering; the upper half's is appended to the lower
-    // half's. The cut depends on the net count alone and the first error in
-    // net order surfaces, so the result is the one-range build's at any
-    // thread count. Each range's forest gives its columns' doubling slack
-    // back before the halves are joined, and the join grows each column by
-    // exactly what it takes in: every column ends sized to its length.
-    let (lower, upper) = par_halves(candidates.len(), NET_PAR_MIN, |nets| {
+    let extras = keyed_by_net(candidates, extras);
+    build_forest_from(
+        grid,
+        candidates.len(),
+        |n| Ok(&candidates[n]),
+        patterns,
+        &extras,
+    )
+}
+
+/// `extras` re-keyed from a sub-net's global construction-order index to
+/// `(net, sub-net within the net)`. A key past the last sub-net names
+/// none, and goes.
+fn keyed_by_net(
+    candidates: &[Vec<RoutingTree>],
+    extras: &HashMap<usize, Vec<PatternPath>>,
+) -> SubnetExtras {
+    if extras.is_empty() {
+        return SubnetExtras::new();
+    }
+    // the first sub-net of each net: a tree's sub-nets are exactly its edges
+    let mut firsts = Vec::with_capacity(candidates.len());
+    let mut subnets = 0;
+    for pool in candidates {
+        firsts.push(subnets);
+        subnets += pool.iter().map(|t| t.edges().len()).sum::<usize>();
+    }
+    extras
+        .iter()
+        .filter(|(&s, _)| s < subnets)
+        .map(|(&s, paths)| {
+            // a net of no sub-nets shares its first with the next net
+            let net = firsts.partition_point(|&first| first <= s) - 1;
+            ((net, s - firsts[net]), paths.clone())
+        })
+        .collect()
+}
+
+/// Builds the DAG forest of `nets` nets, taking net `n`'s tree pool from
+/// `pool_of(n)`: the one builder of every forest. Each half of the nets
+/// asks for its pools in net order and drops each pool once its trees are
+/// pushed, so a build holds at most one pool per half, never every net's.
+///
+/// Each range of nets is pushed straight into a forest of its own, in that
+/// forest's numbering; the upper half's is appended to the lower half's.
+/// The cut depends on the net count alone and the first error in net order
+/// surfaces, so the result is the one-range build's at any thread count.
+/// Each range's forest gives its columns' doubling slack back before the
+/// halves are joined, and the join grows each column by exactly what it
+/// takes in: every column ends sized to its length.
+///
+/// # Errors
+///
+/// The first error in net order: the source's own, or, converted,
+/// [`DagError::EmptyNet`] for an empty pool and
+/// [`DagError::PathOutOfGrid`] for a path candidate that leaves `grid`.
+pub fn build_forest_from<P, E>(
+    grid: &GcellGrid,
+    nets: usize,
+    pool_of: impl Fn(usize) -> Result<P, E> + Sync,
+    patterns: PatternConfig,
+    extras: &SubnetExtras,
+) -> Result<DagForest, E>
+where
+    P: AsRef<[RoutingTree]>,
+    E: From<DagError> + Send,
+{
+    let (lower, upper) = par_halves(nets, NET_PAR_MIN, |range| {
         let mut forest = DagForest::empty(grid);
-        let first_subnet = subnets_before(nets.start);
-        push_nets(
-            &mut forest,
-            grid,
-            &candidates[nets],
-            patterns,
-            extras,
-            first_subnet,
-        )?;
+        for n in range {
+            let pool = pool_of(n)?;
+            push_net(&mut forest, grid, n, pool.as_ref(), patterns, extras)?;
+        }
         forest.shrink_to_fit();
-        Ok::<_, DagError>(forest)
+        Ok::<_, E>(forest)
     });
     let mut forest = lower?;
     if let Some(upper) = upper {
@@ -155,54 +211,53 @@ pub fn build_forest_with_extras(
     Ok(forest)
 }
 
-/// Pushes the trees, sub-nets and path candidates of `pools`' nets onto
-/// the end of `forest`'s arenas. `first_subnet` is the global
-/// construction-order index of the first sub-net pushed, the key `extras`
-/// knows it by.
-fn push_nets(
+/// Pushes the trees, sub-nets and path candidates of net `net`'s `pool`
+/// onto the end of `forest`'s arenas.
+fn push_net(
     forest: &mut DagForest,
     grid: &GcellGrid,
-    pools: &[Vec<RoutingTree>],
+    net: usize,
+    pool: &[RoutingTree],
     patterns: PatternConfig,
-    extras: &std::collections::HashMap<usize, Vec<PatternPath>>,
-    first_subnet: usize,
+    extras: &SubnetExtras,
 ) -> Result<(), DagError> {
+    if pool.is_empty() {
+        return Err(DagError::EmptyNet { net });
+    }
     let bounds = Some(grid.bounds());
-    let mut global_subnet = first_subnet;
+    let (z, c) = (patterns.z_stride, patterns.c_detour);
+    let mut subnet = 0;
     let columns = building(&mut forest.geometry);
-    for pool in pools {
-        for tree in pool {
-            let t = forest.tree_subnet_offsets.len() as u32 - 1;
-            for (a, b) in tree.subnets() {
-                columns.subnet_tree.push(t);
-                forest.subnet_endpoints.push((a, b));
-                let (z, c) = (patterns.z_stride, patterns.c_detour);
-                match extras.get(&global_subnet) {
-                    None => for_each_pattern(a, b, z, c, bounds, |corners| {
-                        push_path(columns, grid, corners)
-                    })?,
-                    Some(more) => {
-                        let mut paths = enumerate_patterns(a, b, z, c, bounds);
-                        for extra in more.iter().filter_map(|extra| oriented(extra, a, b)) {
-                            if !paths.contains(&extra) {
-                                paths.push(extra);
-                            }
-                        }
-                        for path in &paths {
-                            push_path(columns, grid, &path.corners)?;
+    for tree in pool {
+        let t = forest.tree_subnet_offsets.len() as u32 - 1;
+        for (a, b) in tree.subnets() {
+            columns.subnet_tree.push(t);
+            forest.subnet_endpoints.push((a, b));
+            match extras.get(&(net, subnet)) {
+                None => for_each_pattern(a, b, z, c, bounds, |corners| {
+                    push_path(columns, grid, corners)
+                })?,
+                Some(more) => {
+                    let mut paths = enumerate_patterns(a, b, z, c, bounds);
+                    for extra in more.iter().filter_map(|extra| oriented(extra, a, b)) {
+                        if !paths.contains(&extra) {
+                            paths.push(extra);
                         }
                     }
+                    for path in &paths {
+                        push_path(columns, grid, &path.corners)?;
+                    }
                 }
-                columns.subnet_path_offsets.push(columns.num_paths() as u32);
-                global_subnet += 1;
             }
-            forest
-                .tree_subnet_offsets
-                .push(columns.subnet_tree.len() as u32);
+            columns.subnet_path_offsets.push(columns.num_paths() as u32);
+            subnet += 1;
         }
-        let trees = forest.tree_subnet_offsets.len() - 1;
-        columns.net_tree_offsets.push(trees as u32);
+        forest
+            .tree_subnet_offsets
+            .push(columns.subnet_tree.len() as u32);
     }
+    let trees = forest.tree_subnet_offsets.len() - 1;
+    columns.net_tree_offsets.push(trees as u32);
     Ok(())
 }
 
@@ -773,6 +828,26 @@ mod tests {
         extras
     }
 
+    /// `extras`, keyed by a sub-net's index in `plain`, keyed instead by
+    /// its net and its position among the net's sub-nets.
+    fn keyed_by_position(
+        plain: &DagForest,
+        extras: &std::collections::HashMap<usize, Vec<PatternPath>>,
+    ) -> SubnetExtras {
+        let mut keyed = SubnetExtras::new();
+        for n in 0..plain.num_nets() {
+            let trees = plain.trees_of_net(n);
+            let first = plain.subnets_of_tree(trees.start).start;
+            let last = plain.subnets_of_tree(trees.end - 1).end;
+            for s in first..last {
+                if let Some(paths) = extras.get(&s) {
+                    keyed.insert((n, s - first), paths.clone());
+                }
+            }
+        }
+        keyed
+    }
+
     #[test]
     fn forest_equals_the_per_net_chunk_builder_at_any_size_and_thread_count() {
         let g = grid();
@@ -780,24 +855,39 @@ mod tests {
             PatternConfig::l_only(),
             PatternConfig::with_z(2),
             PatternConfig::with_z_and_c(3, 1),
+            PatternConfig::with_z(1),
         ];
-        // NET_PAR_MIN + 41 is odd: the halves are of different sizes
-        for (case, n) in [NET_PAR_MIN - 1, NET_PAR_MIN, NET_PAR_MIN + 41]
-            .into_iter()
-            .enumerate()
-        {
+        // NET_PAR_MIN + 41 and + 1 are odd: the halves are of different
+        // sizes
+        let sizes = [
+            NET_PAR_MIN - 1,
+            NET_PAR_MIN,
+            NET_PAR_MIN + 41,
+            NET_PAR_MIN + 1,
+        ];
+        for (case, n) in sizes.into_iter().enumerate() {
             let pools = random_pools(n, 0xF0 + case as u64);
             let plain = build_forest(&g, &pools, PatternConfig::l_only()).unwrap();
             let extras = extras_for(&plain);
+            let by_net = keyed_by_position(&plain, &extras);
+            assert_eq!(by_net.len(), extras.len());
+            // the upper half resolves its own extras: it never sees the
+            // lower half's pools
+            assert!(by_net.keys().any(|&(net, _)| net >= n / 2), "{n} nets");
             let patterns = configs[case];
             let want = reference_build_forest_with_extras(&g, &pools, patterns, &extras).unwrap();
             want.validate().unwrap();
             assert!(want.num_paths() > plain.num_paths());
             for threads in [1, 2, 8] {
                 dgr_autodiff::parallel::set_num_threads(threads);
-                let got = build_forest_with_extras(&g, &pools, patterns, &extras);
+                let pooled = build_forest_with_extras(&g, &pools, patterns, &extras);
+                // each net's pool a copy of its own, made when the build
+                // asks for it and dropped once its trees are in
+                let source = |i: usize| Ok::<_, DagError>(pools[i].clone());
+                let streamed = build_forest_from(&g, n, source, patterns, &by_net);
                 dgr_autodiff::parallel::set_num_threads(0);
-                assert_eq!(got.unwrap(), want, "{n} nets, {threads} threads");
+                assert_eq!(pooled.unwrap(), want, "{n} nets, {threads} threads");
+                assert_eq!(streamed.unwrap(), want, "{n} nets, {threads} threads");
             }
         }
     }
@@ -842,6 +932,30 @@ mod tests {
             build_forest(&g, &pools, PatternConfig::l_only()),
             Err(DagError::EmptyNet { net: last - 1 })
         );
+    }
+
+    /// A source that fails fails the build with its first error in net
+    /// order, whichever half meets it.
+    #[test]
+    fn a_streamed_build_surfaces_the_sources_first_error_in_net_order() {
+        let g = grid();
+        let pools = random_pools(NET_PAR_MIN + 9, 0x50);
+        let (n, last) = (pools.len(), pools.len() - 1);
+        // in both halves, in the upper half only, at the very last net
+        for bad in [vec![5, n - 9], vec![n - 9], vec![last]] {
+            for threads in [1, 2] {
+                let source = |i: usize| match bad.contains(&i) {
+                    true => Err(DagError::Inconsistent(format!("net {i}"))),
+                    false => Ok(&pools[i]),
+                };
+                dgr_autodiff::parallel::set_num_threads(threads);
+                let got =
+                    build_forest_from(&g, n, source, PatternConfig::l_only(), &SubnetExtras::new());
+                dgr_autodiff::parallel::set_num_threads(0);
+                let want = DagError::Inconsistent(format!("net {}", bad[0]));
+                assert_eq!(got.unwrap_err(), want, "{threads} threads");
+            }
+        }
     }
 
     #[test]

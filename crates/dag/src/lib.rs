@@ -24,7 +24,9 @@ pub mod builder;
 pub mod forest;
 pub mod paths;
 
-pub use builder::{build_forest, build_forest_with_extras, PatternConfig};
+pub use builder::{
+    build_forest, build_forest_from, build_forest_with_extras, PatternConfig, SubnetExtras,
+};
 pub use forest::DagForest;
 pub use paths::{enumerate_paths, enumerate_patterns, PatternPath};
 

@@ -56,8 +56,8 @@ use std::time::Instant;
 struct RunStatus {
     /// The job's label.
     job: String,
-    /// Current pipeline phase (`"candidates"`, `"forest"`, `"relax"`,
-    /// `"train"`, `"extract"`, `"refine"`, `"assign_layers"`).
+    /// Current pipeline phase (`"forest"`, `"relax"`, `"train"`,
+    /// `"extract"`, `"refine"`, `"assign_layers"`).
     phase: String,
     /// Last completed training iteration (monotone across rounds).
     iter: u64,

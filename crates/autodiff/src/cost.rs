@@ -9,18 +9,22 @@
 //! loss   = a₃ · Σ_e f((d_e − cap_e)/s) + a₂ · via + a₁ · WL
 //! ```
 //!
+//! `TP_i` is the number of cells where path `i` turns.
+//!
 //! # Phases
 //!
 //! **Forward** ([`CostModel::forward`]): tree softmax; then one loop over
-//! the undecided sub-nets that takes the path softmax and stores each
-//! path's mass `qp`; then one loop over paths that adds the WL/turn dot
-//! products and posts the mass to a *difference array* — `+qp` at the low
-//! end cell of every run, `−qp` at the high end — and to the via pressure
-//! of its turn cells; then one scan per orientation (along rows for horizontal edges,
-//! down columns for vertical ones) turns the difference array into wire
-//! demand and, in the same visit of the edge, adds the `½β` endpoint
-//! terms, applies the activation and stores `a₃/s · f′` as the backward
-//! seed. A path costs two updates per run instead of one per edge.
+//! the undecided sub-nets that takes the path softmax; then the *posts*,
+//! one loop over the sub-nets and their paths in path order that forms
+//! each path's mass `qp = q_tree · p` as it goes — no pass stores it —
+//! adds the WL/turn dot products and posts the mass to a *difference
+//! array* — `+qp` at the low end cell of every run, `−qp` at the high end
+//! — and to the via pressure of its turn cells; then one scan per
+//! orientation (along rows for horizontal edges, down columns for
+//! vertical ones) turns the difference array into wire demand and, in
+//! the same visit of the edge, adds the `½β` endpoint terms, applies the
+//! activation and stores `a₃/s · f′` as the backward seed. A path costs
+//! two updates per run instead of one per edge.
 //!
 //! **Backward** ([`CostModel::backward`]): prefix sums of the seed along
 //! rows and columns, so the congestion gradient of a path is
@@ -28,21 +32,34 @@
 //! cells and its constant `a₁·WL + a₂·√L·TP`; then the softmax backward of
 //! each sub-net and each net, and `1/τ`.
 //!
+//! The grid-sized buffers are two, each alive for one pass at a time.
+//! The *slot array* (`f64`, two slots per cell) is the difference array
+//! from the posts to the scan, then the prefix sums from the backward's
+//! first step to its lanes; the *cell array* (`f32`) is the via pressure
+//! from the posts to the scan, then `½β · ∂loss/∂vp` from that step to the
+//! lanes. The posts zero both before they start and the prefix step
+//! writes every slot and zeroes every cell before it sums, so no phase
+//! reads what another left.
+//!
 //! # Lanes
 //!
 //! The two loops over sub-nets — the forward one and the backward one —
-//! write one element per path (`p` and `qp`; the path gradient) and sum
-//! into one element per tree (`∂loss/∂q`), from sub-nets of that tree
-//! only. The forest orders its tables net → tree → sub-net → path, so a
-//! cut at a net boundary splits each loop into two *lanes* over
-//! contiguous sub-nets, paths and trees that share no element; the cut is
-//! the boundary that best halves the *undecided* paths (below), the only
-//! ones a lane visits. Each phase is one function run over the lower
-//! lane and then the upper one; when the calling thread has a
-//! [`parallel::Helper`] engaged, [`parallel::join`] may run the upper lane
-//! there instead. The posts to the difference array are *not* split: they
-//! are `f64` sums of masses far apart in magnitude, whose result depends
-//! on their order, so they stay one loop in path order.
+//! write one element per path (`p`; the path gradient) and sum into one
+//! element per tree (`∂loss/∂q`), from sub-nets of that tree only. The
+//! forest orders its tables net → tree → sub-net → path, so a cut at a
+//! net boundary splits each loop into two *lanes* over contiguous
+//! sub-nets, paths and trees that share no element; the cut is the
+//! boundary that best halves the *undecided* paths (below), the only ones
+//! a lane visits. The undecided sub-nets are kept as the runs of
+//! consecutive ones, and the paths of consecutive sub-nets are
+//! contiguous, so the paths under a cut are a sum of offset differences,
+//! one per run; a lane walks the runs that reach into it, clipped at the
+//! cut. Each phase is one function run over the lower lane and then the
+//! upper one; when the calling thread has a [`parallel::Helper`] engaged,
+//! [`parallel::join`] may run the upper lane there instead. The posts to
+//! the difference array are *not* split: they are `f64` sums of masses
+//! far apart in magnitude, whose result depends on their order, so they
+//! stay one loop in path order.
 //!
 //! # Constant and pruned groups
 //!
@@ -57,18 +74,19 @@
 //!
 //! A sub-net is *frozen* when both hold of it: one path, under the one
 //! tree of its net. Its mass is `q · p = 1.0 · 1.0` in every pass — the
-//! two factors are the constants above — so it is written where the
-//! groupings are found (`new`, [`CostModel::prune`],
-//! [`CostModel::restore_layout`]) and never again; the posts read it like
-//! any other. And nothing reads its gradient: a lone path has no softmax
-//! backward, and its `∂loss/∂qp` would only be summed into `∂loss/∂q` of
-//! a tree whose net, having no other, takes no softmax backward either.
-//! So the sub-net loops of both passes run over the *undecided* sub-nets
-//! — every one that has a path and is not frozen; a lone path under a
-//! tree with a sibling is undecided, its mass moves with `q` and its
-//! gradient feeds the choice between the trees — and the tree softmax
-//! and its backward over the nets of two or more trees. Both lists are
-//! found once per change of the groupings, not tested for per pass.
+//! two factors are the constants above, 1 from wherever the groupings
+//! are set (`new`, [`CostModel::prune`], [`CostModel::restore_layout`])
+//! and never rewritten — so the posts form it like any other and no
+//! other loop has anything to do for it. And nothing reads its gradient:
+//! a lone path has no softmax backward, and its `∂loss/∂qp` would only be
+//! summed into `∂loss/∂q` of a tree whose net, having no other, takes no
+//! softmax backward either. So the sub-net loops of both passes run over
+//! the *undecided* sub-nets — every one that has a path and is not
+//! frozen; a lone path under a tree with a sibling is undecided, its mass
+//! moves with `q` and its gradient feeds the choice between the trees —
+//! and the tree softmax and its backward over the nets of two or more
+//! trees. Both sets are found once per change of the groupings, not
+//! tested for per pass.
 //!
 //! Annealing drives every group there. [`CostModel::prune`] takes the
 //! candidates whose probability has fallen under a threshold out of
@@ -111,7 +129,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::activation::Activation;
-use crate::geometry::{expect_len, Geometry};
+use crate::geometry::{expect_len, held, Geometry};
 use crate::{gumbel, kernels, parallel, AutodiffError};
 
 /// The index structure of one expected-cost problem, borrowed: the
@@ -136,8 +154,6 @@ pub struct CostShape<'a> {
     pub subnet_path_offsets: &'a [u32],
     /// Wirelength of each path (`WL_i`).
     pub path_wl: &'a [f32],
-    /// Turning-point count of each path (`TP_i`).
-    pub path_turns: &'a [f32],
     /// CSR offsets grouping runs by path.
     pub path_run_offsets: &'a [u32],
     /// `(low, high)` end cells of each straight run, `low < high`, in one
@@ -194,7 +210,6 @@ pub struct CostTerms {
 ///     subnet_tree: &[0],
 ///     subnet_path_offsets: &[0, 2],
 ///     path_wl: &[2.0, 2.0],
-///     path_turns: &[1.0, 1.0],
 ///     path_run_offsets: &[0, 2, 4],
 ///     path_runs: &[(0, 1), (1, 3), (0, 2), (2, 3)],
 ///     path_via_offsets: &[0, 1, 2],
@@ -250,24 +265,26 @@ pub struct CostModel {
     // values
     /// `q` then `p`.
     prob: Vec<f32>,
-    /// `qp` of each path.
-    mass: Vec<f32>,
-    /// Horizontal slots, then vertical ones; zero between forward passes.
-    diff: Vec<f64>,
-    via_pressure: Vec<f32>,
     demand: Vec<f32>,
     wl_cost: f32,
     via_cost: f32,
     overflow_cost: f32,
     loss: f32,
 
+    // one buffer per grid lifetime (see "Phases" in the module docs)
+    /// Horizontal slots, then vertical ones: the difference array the
+    /// posts write and the scan reads, then the exclusive prefix sums of
+    /// `seed` that [`Self::prefix_seed`] writes and the backward lanes
+    /// read.
+    slots: Vec<f64>,
+    /// One entry per cell: the via pressure `vp_c` the posts write and the
+    /// scan reads, then the `∂loss/∂vp_c` that [`Self::prefix_seed`]
+    /// writes and the backward lanes read.
+    cells: Vec<f32>,
+
     // gradients
     /// `∂loss/∂d_e`, stored by the forward pass.
     seed: Vec<f32>,
-    /// Exclusive prefix sums of `seed`, in the slot layout of `diff`.
-    prefix: Vec<f64>,
-    /// `∂loss/∂vp_c`.
-    cell_grad: Vec<f32>,
     /// `∂loss/∂q_t`.
     tree_mass_grad: Vec<f64>,
     /// `∂loss/∂logits`, in the layout of `logits`.
@@ -278,8 +295,11 @@ pub struct CostModel {
 /// change (see "Constant and pruned groups" in the module docs).
 #[derive(Debug, Clone)]
 struct Undecided {
-    /// The sub-nets that have a path and are not frozen, ascending.
-    subnets: Vec<u32>,
+    /// The sub-nets that have a path and are not frozen, as the maximal
+    /// runs of consecutive ones, ascending.
+    runs: Vec<Range<u32>>,
+    /// How many sub-nets the runs hold.
+    subnets: usize,
     /// How many paths those sub-nets hold.
     paths: usize,
     /// The nets of two or more trees, ascending.
@@ -287,9 +307,8 @@ struct Undecided {
 }
 
 impl Undecided {
-    /// Walks the groupings once, and writes the mass of every frozen
-    /// sub-net's path — `q · p = 1 · 1`, which no pass writes again.
-    fn new(geometry: &Geometry, mass: &mut [f32]) -> Undecided {
+    /// Walks the groupings once.
+    fn new(geometry: &Geometry) -> Undecided {
         let mut alone = vec![false; geometry.num_trees()];
         let mut nets = Vec::new();
         for n in 0..geometry.num_nets() {
@@ -300,17 +319,21 @@ impl Undecided {
                 _ => nets.push(n as u32),
             }
         }
-        let (mut subnets, mut paths) = (Vec::new(), 0);
-        for (s, &tree) in geometry.subnet_tree.iter().enumerate() {
-            let group = geometry.paths_of_subnet(s);
-            if group.len() == 1 && alone[tree as usize] {
-                mass[group.start] = 1.0;
-            } else if !group.is_empty() {
-                subnets.push(s as u32);
-                paths += group.len();
+        let (mut runs, mut subnets, mut paths) = (Vec::<Range<u32>>::new(), 0, 0);
+        for (s, &tree) in (0..).zip(&geometry.subnet_tree) {
+            let group = geometry.paths_of_subnet(s as usize);
+            if group.is_empty() || group.len() == 1 && alone[tree as usize] {
+                continue;
             }
+            match runs.last_mut() {
+                Some(run) if run.end == s => run.end += 1,
+                _ => runs.push(s..s + 1),
+            }
+            subnets += 1;
+            paths += group.len();
         }
         Undecided {
+            runs,
             subnets,
             paths,
             nets,
@@ -319,15 +342,13 @@ impl Undecided {
 }
 
 /// Where the loops over sub-nets split into a lower and an upper lane:
-/// the first sub-net, tree and path of the upper one, and the first entry
-/// of [`Undecided::subnets`] that is one of its sub-nets. All four are the
+/// the first sub-net, tree and path of the upper one. All three are the
 /// table lengths when there is one lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneCut {
     subnet: usize,
     tree: usize,
     path: usize,
-    undecided: usize,
 }
 
 impl LaneCut {
@@ -339,25 +360,29 @@ impl LaneCut {
     /// no cut separates the trees).
     fn new(geometry: &Geometry, undecided: &Undecided) -> LaneCut {
         let subnet_tree = &geometry.subnet_tree[..];
-        let live = &undecided.subnets[..];
-        let paths = undecided.paths;
+        let offsets = &geometry.subnet_path_offsets[..];
+        let (runs, paths) = (&undecided.runs, undecided.paths);
         let one_lane = LaneCut {
             subnet: subnet_tree.len(),
             tree: geometry.num_trees(),
             path: geometry.num_paths(),
-            undecided: live.len(),
         };
         if paths == 0 || subnet_tree.windows(2).any(|w| w[0] > w[1]) {
             return one_lane;
         }
-        let held = |s: &u32| geometry.paths_of_subnet(*s as usize).len();
+        // the paths of consecutive sub-nets are contiguous: a run's paths
+        // from `from` to `to` are a difference of two offsets
+        let between = |from: u32, to: u32| (offsets[to as usize] - offsets[from as usize]) as usize;
         let mid = paths / 2;
         let mut seen = 0;
-        let subnet_mid = live.iter().find(|&s| {
-            seen += held(s);
-            seen > mid
+        let path_mid = runs.iter().find_map(|run| {
+            let before = seen;
+            seen += between(run.start, run.end);
+            (seen > mid).then_some(offsets[run.start as usize] as usize + mid - before)
         });
-        let tree_mid = subnet_tree[*subnet_mid.expect("the middle path has a sub-net") as usize];
+        let path_mid = path_mid.expect("the middle path has a sub-net");
+        let subnet_mid = offsets.partition_point(|&o| o as usize <= path_mid) - 1;
+        let tree_mid = subnet_tree[subnet_mid];
         let net = geometry
             .net_tree_offsets
             .partition_point(|&o| o <= tree_mid)
@@ -365,14 +390,14 @@ impl LaneCut {
         // the cut in front of `tree`, and the undecided paths under it
         let boundary = |tree: usize| {
             let subnet = subnet_tree.partition_point(|&t| (t as usize) < tree);
-            let undecided = live.partition_point(|&s| (s as usize) < subnet);
             let cut = LaneCut {
                 subnet,
                 tree,
-                path: geometry.subnet_path_offsets[subnet] as usize,
-                undecided,
+                path: offsets[subnet] as usize,
             };
-            (cut, live[..undecided].iter().map(held).sum::<usize>())
+            let below = runs.iter().take_while(|run| run.start < subnet as u32);
+            let under = below.map(|run| between(run.start, run.end.min(subnet as u32)));
+            (cut, under.sum::<usize>())
         };
         let trees = geometry.trees_of_net(net);
         let ((below, under_below), (above, under_above)) =
@@ -392,12 +417,24 @@ impl LaneCut {
     }
 }
 
-/// One side of a [`LaneCut`]: its undecided sub-nets, and where its trees
-/// and paths — its parts of the buffers split at the cut — begin.
+/// One side of a [`LaneCut`]: the runs of undecided sub-nets that reach
+/// into it and its sub-nets, which clip them, and where its trees and
+/// paths — its parts of the buffers split at the cut — begin.
 struct Lane<'a> {
-    undecided: &'a [u32],
+    runs: &'a [Range<u32>],
+    subnets: Range<u32>,
     first_tree: usize,
     first_path: usize,
+}
+
+impl Lane<'_> {
+    /// The lane's undecided sub-nets, ascending.
+    fn undecided(&self) -> impl Iterator<Item = usize> + '_ {
+        let clip = &self.subnets;
+        let runs = self.runs.iter();
+        runs.flat_map(|run| run.start.max(clip.start)..run.end.min(clip.end))
+            .map(|s| s as usize)
+    }
 }
 
 /// What [`CostModel::restore_layout`] needs to undo every
@@ -521,7 +558,6 @@ impl CostModel {
             subnet_tree: shape.subnet_tree.to_vec(),
             subnet_path_offsets: shape.subnet_path_offsets.to_vec(),
             path_wl: shape.path_wl.to_vec(),
-            path_turns: shape.path_turns.to_vec(),
             path_run_offsets: shape.path_run_offsets.to_vec(),
             path_runs: shape.path_runs.iter().map(slots).collect(),
             path_via_offsets: shape.path_via_offsets.to_vec(),
@@ -566,8 +602,7 @@ impl CostModel {
         let (trees, paths) = (geometry.num_trees(), geometry.num_paths());
         expect_len(logits.len(), trees + paths)?;
 
-        let mut mass = vec![0.0; paths];
-        let undecided = Undecided::new(&geometry, &mut mass);
+        let undecided = Undecided::new(&geometry);
         Ok(CostModel {
             width,
             height,
@@ -575,7 +610,6 @@ impl CostModel {
             undecided,
             origin: None,
             noise_runs: NoiseRuns::new(&geometry),
-            mass,
             geometry,
             capacity: capacity.to_vec(),
             half_beta: beta.iter().map(|b| 0.5 * b).collect(),
@@ -584,16 +618,14 @@ impl CostModel {
             temperature: 1.0,
             // the probability of a one-candidate group, never rewritten
             prob: vec![1.0; logits.len()],
-            diff: vec![0.0; 2 * cells],
-            via_pressure: vec![0.0; cells],
+            slots: vec![0.0; 2 * cells],
+            cells: vec![0.0; cells],
             demand: vec![0.0; capacity.len()],
             wl_cost: 0.0,
             via_cost: 0.0,
             overflow_cost: 0.0,
             loss: 0.0,
             seed: vec![0.0; capacity.len()],
-            prefix: vec![0.0; 2 * cells],
-            cell_grad: vec![0.0; cells],
             tree_mass_grad: vec![0.0; trees],
             grad: vec![0.0; logits.len()],
             logits,
@@ -687,14 +719,16 @@ impl CostModel {
     }
 
     fn lane_pair(&self) -> [Lane<'_>; 2] {
-        let (lower, upper) = self.undecided.subnets.split_at(self.cut.undecided);
+        let (runs, cut) = (&self.undecided.runs[..], self.cut.subnet as u32);
         let lower = Lane {
-            undecided: lower,
+            runs: &runs[..runs.partition_point(|run| run.start < cut)],
+            subnets: 0..cut,
             first_tree: 0,
             first_path: 0,
         };
         let upper = Lane {
-            undecided: upper,
+            runs: &runs[runs.partition_point(|run| run.end <= cut)..],
+            subnets: cut..u32::MAX,
             first_tree: self.cut.tree,
             first_path: self.cut.path,
         };
@@ -705,7 +739,7 @@ impl CostModel {
     /// hold: every sub-net but the empty ones and those with one path
     /// under the one tree of their net.
     pub fn undecided(&self) -> (usize, usize) {
-        (self.undecided.subnets.len(), self.undecided.paths)
+        (self.undecided.subnets, self.undecided.paths)
     }
 
     /// The softmax temperature `τ` of the next pass.
@@ -777,26 +811,28 @@ impl CostModel {
         (&mut self.logits, &self.grad)
     }
 
-    /// Bytes the model owns — the "device memory" figure of the
-    /// scalability study (Fig. 5b analogue): the value and gradient
-    /// buffers, the second noise buffer a training loop draws ahead into,
-    /// and after a [`Self::prune`] its live rows. The geometry it was
-    /// built over is its builder's, and not counted.
+    /// Heap bytes the model owns, capacity counted — the "device memory"
+    /// figure of the scalability study (Fig. 5b analogue): every buffer,
+    /// the second noise buffer a training loop draws ahead into, and after
+    /// a [`Self::prune`] its live rows and what they were taken from. The
+    /// geometry it was built over is its builder's, and not counted.
     pub fn bytes(&self) -> usize {
-        let f32s = self.logits.len()
-            + 2 * self.noise.len()
-            + self.prob.len()
-            + self.mass.len()
-            + self.via_pressure.len()
-            + self.demand.len()
-            + self.seed.len()
-            + self.cell_grad.len()
-            + self.grad.len();
-        let u32s = self.undecided.subnets.len() + self.undecided.nets.len();
-        let live_rows = self.origin.as_ref().map_or(0, |_| self.geometry.bytes());
-        4 * (f32s + u32s)
-            + 8 * (self.diff.len() + self.prefix.len() + self.tree_mass_grad.len())
-            + live_rows
+        let origin = self.origin.as_ref();
+        held(&self.capacity)
+            + held(&self.half_beta)
+            + held(&self.undecided.runs)
+            + held(&self.undecided.nets)
+            + origin.map_or(0, |origin| held(&origin.alive) + self.geometry.bytes())
+            + held(&self.logits)
+            + 2 * held(&self.noise)
+            + std::mem::size_of_val(self.noise_runs.runs())
+            + held(&self.prob)
+            + held(&self.demand)
+            + held(&self.slots)
+            + held(&self.cells)
+            + held(&self.seed)
+            + held(&self.tree_mass_grad)
+            + held(&self.grad)
     }
 
     /// Drops the candidates annealing has decided against, and compacts
@@ -877,7 +913,6 @@ impl CostModel {
             buffer.truncate(trees + paths);
             buffer.fill(fill);
         }
-        self.mass.truncate(paths);
         self.tree_mass_grad.truncate(trees);
         self.recut();
         Some(keep)
@@ -886,7 +921,7 @@ impl CostModel {
     /// The undecided groups, the lane cut and the noise runs of the
     /// groupings as they now are.
     fn recut(&mut self) {
-        self.undecided = Undecided::new(&self.geometry, &mut self.mass);
+        self.undecided = Undecided::new(&self.geometry);
         self.cut = LaneCut::new(&self.geometry, &self.undecided);
         self.noise_runs = NoiseRuns::new(&self.geometry);
     }
@@ -911,7 +946,7 @@ impl CostModel {
         };
         self.geometry = origin.built;
         let geometry = &*self.geometry;
-        let (trees, paths) = (geometry.num_trees(), geometry.num_paths());
+        let trees = geometry.num_trees();
         spread(&mut self.logits, &origin.alive, f32::NEG_INFINITY);
         for zero_elsewhere in [&mut self.noise, &mut self.prob, &mut self.grad] {
             spread(zero_elsewhere, &origin.alive, 0.0);
@@ -927,7 +962,6 @@ impl CostModel {
                 self.prob[trees + group.start..trees + group.end].fill(level);
             }
         }
-        self.mass.resize(paths, 0.0);
         self.tree_mass_grad.resize(trees, 0.0);
         self.recut();
     }
@@ -954,9 +988,8 @@ impl CostModel {
     pub fn forward(&mut self) {
         let inv_tau = 1.0 / self.temperature;
         let trees = self.num_trees();
-        // the buffers the lanes write leave `self`, which they share
+        // the buffer the lanes write leaves `self`, which they share
         let mut prob = std::mem::take(&mut self.prob);
-        let mut mass = std::mem::take(&mut self.mass);
         let (q, p) = prob.split_at_mut(trees);
         for &n in &self.undecided.nets {
             let group = self.geometry.trees_of_net(n as usize);
@@ -971,37 +1004,62 @@ impl CostModel {
 
         let [lower, upper] = self.lane_pair();
         let (p_lower, p_upper) = p.split_at_mut(self.cut.path);
-        let (mass_lower, mass_upper) = mass.split_at_mut(self.cut.path);
-        let (model, q) = (&*self, &*q);
+        let model = &*self;
         parallel::join(
             "train",
             "lane_fwd",
-            || model.mass_lane(lower, q, p_lower, mass_lower),
-            || model.mass_lane(upper, q, p_upper, mass_upper),
+            || model.softmax_lane(lower, p_lower),
+            || model.softmax_lane(upper, p_upper),
         );
         self.prob = prob;
-        self.mass = mass;
         self.post_masses();
     }
 
-    /// The rest of a forward pass once every mass is in place: the posts,
+    /// The rest of a forward pass once `q` and `p` are in place: the
+    /// posts of every path's mass `q_tree · p`, formed as it is posted,
     /// the scans, the costs and the backward seed.
     fn post_masses(&mut self) {
-        self.via_pressure.fill(0.0);
+        self.slots.fill(0.0);
+        self.cells.fill(0.0);
         let geometry = &*self.geometry;
+        let (q, p) = self.prob.split_at(geometry.num_trees());
+        let (slots, cells) = (&mut self.slots[..], &mut self.cells[..]);
+        let (runs, vias) = (&geometry.path_runs[..], &geometry.path_via_cells[..]);
+        // each per-path column once, in path order: a path's runs and turn
+        // cells end where the next path's begin
+        let mut paths = p
+            .iter()
+            .zip(&geometry.path_wl)
+            .zip(&geometry.path_run_offsets[1..])
+            .zip(&geometry.path_via_offsets[1..]);
+        let (mut run, mut via) = (0, 0);
         let (mut wl, mut turns) = (0.0f64, 0.0f64);
-        for (i, &mass) in self.mass.iter().enumerate() {
-            wl += f64::from(mass * geometry.path_wl[i]);
-            turns += f64::from(mass * geometry.path_turns[i]);
-            for &(low, high) in geometry.runs_of_path(i) {
-                self.diff[low as usize] += f64::from(mass);
-                self.diff[high as usize] -= f64::from(mass);
-            }
-            for &c in geometry.vias_of_path(i) {
-                self.via_pressure[c as usize] += mass;
+        let subnets = geometry.subnet_path_offsets.windows(2);
+        for (group, &tree) in subnets.zip(&geometry.subnet_tree) {
+            let q_tree = q[tree as usize];
+            let group = paths.by_ref().take((group[1] - group[0]) as usize);
+            for (((&p, &path_wl), &run_end), &via_end) in group {
+                let mass = p * q_tree;
+                let (run_end, via_end) = (run_end as usize, via_end as usize);
+                let turn_cells = &vias[via..via_end];
+                wl += f64::from(mass * path_wl);
+                turns += f64::from(mass * turn_cells.len() as f32);
+                for &(low, high) in &runs[run..run_end] {
+                    slots[low as usize] += f64::from(mass);
+                    slots[high as usize] -= f64::from(mass);
+                }
+                for &c in turn_cells {
+                    cells[c as usize] += mass;
+                }
+                (run, via) = (run_end, via_end);
             }
         }
+        self.finish_pass(wl, turns);
+    }
 
+    /// The end of a forward pass once the posts are in: the scans, the
+    /// costs and the backward seed.
+    fn finish_pass(&mut self, wl: f64, turns: f64) {
         let overflow = match self.terms.activation {
             Activation::Relu => self.scan_edges(|x| Activation::Relu.eval_grad(x)),
             Activation::Sigmoid => self.scan_edges(|x| Activation::Sigmoid.eval_grad(x)),
@@ -1009,7 +1067,6 @@ impl CostModel {
             Activation::Exp => self.scan_edges(|x| Activation::Exp.eval_grad(x)),
             Activation::Celu => self.scan_edges(|x| Activation::Celu.eval_grad(x)),
         };
-        self.diff.fill(0.0);
 
         let via = f64::from(self.terms.sqrt_layers) * turns;
         self.wl_cost = wl as f32;
@@ -1021,27 +1078,22 @@ impl CostModel {
     }
 
     /// The forward phase of one lane: the path softmax of each of its
-    /// undecided sub-nets and the mass `q_tree · p` of each of their
-    /// paths, into the lane's part of `p` and `mass`.
-    fn mass_lane(&self, lane: Lane<'_>, q: &[f32], p: &mut [f32], mass: &mut [f32]) {
+    /// undecided sub-nets of two or more paths, into the lane's part of
+    /// `p`.
+    fn softmax_lane(&self, lane: Lane<'_>, p: &mut [f32]) {
         let inv_tau = 1.0 / self.temperature;
         let (geometry, trees) = (&*self.geometry, self.num_trees());
         let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
-        for &s in lane.undecided {
-            let s = s as usize;
+        for s in lane.undecided() {
             let group = geometry.paths_of_subnet(s);
-            let local = group.start - lane.first_path..group.end - lane.first_path;
             if group.len() >= 2 {
+                let local = group.start - lane.first_path..group.end - lane.first_path;
                 softmax_group(
                     &w[group.clone()],
                     Some(&noise[group]),
                     inv_tau,
-                    &mut p[local.clone()],
+                    &mut p[local],
                 );
-            }
-            let q_tree = q[geometry.subnet_tree[s] as usize];
-            for (mass, p) in mass[local.clone()].iter_mut().zip(&p[local]) {
-                *mass = p * q_tree;
             }
         }
     }
@@ -1055,7 +1107,7 @@ impl CostModel {
         let h_edges = (width - 1) * height;
         let inv_scale = 1.0 / self.terms.overflow_scale;
         let seed_scale = self.terms.overflow * inv_scale;
-        let (half_beta, vp, capacity) = (&self.half_beta, &self.via_pressure, &self.capacity);
+        let (half_beta, vp, capacity) = (&self.half_beta, &self.cells, &self.capacity);
         let (demand, seed) = (&mut self.demand, &mut self.seed);
         let mut overflow = 0.0f64;
         let mut visit = |e: usize, wire: f64, a: usize, b: usize| {
@@ -1066,7 +1118,7 @@ impl CostModel {
             overflow += f64::from(f);
         };
 
-        let (diff_h, diff_v) = self.diff.split_at_mut(cells);
+        let (diff_h, diff_v) = self.slots.split_at_mut(cells);
         for y in 0..height {
             let mut wire = 0.0f64;
             for x in 0..width - 1 {
@@ -1122,15 +1174,15 @@ impl CostModel {
         self.tree_mass_grad = tree_mass_grad;
     }
 
-    /// Prefix sums of the seed in the slot layout of `diff`, and the seed
-    /// mass around every cell.
+    /// Prefix sums of the seed into every slot, and the seed mass around
+    /// every cell, times `½β`, into every cell.
     fn prefix_seed(&mut self) {
         let (width, height) = (self.width, self.height);
         let cells = width * height;
         let h_edges = (width - 1) * height;
-        let cell_grad = &mut self.cell_grad;
+        let cell_grad = &mut self.cells;
         cell_grad.fill(0.0);
-        let (prefix_h, prefix_v) = self.prefix.split_at_mut(cells);
+        let (prefix_h, prefix_v) = self.slots.split_at_mut(cells);
         for y in 0..height {
             let mut sum = 0.0f64;
             for x in 0..width - 1 {
@@ -1160,14 +1212,14 @@ impl CostModel {
     fn mass_grad(&self, i: usize) -> f64 {
         let (geometry, terms) = (&*self.geometry, &self.terms);
         let turn_weight = terms.via * terms.sqrt_layers;
-        let mut g = f64::from(
-            terms.wirelength * geometry.path_wl[i] + turn_weight * geometry.path_turns[i],
-        );
+        let vias = geometry.vias_of_path(i);
+        let mut g =
+            f64::from(terms.wirelength * geometry.path_wl[i] + turn_weight * vias.len() as f32);
         for &(low, high) in geometry.runs_of_path(i) {
-            g += self.prefix[high as usize] - self.prefix[low as usize];
+            g += self.slots[high as usize] - self.slots[low as usize];
         }
-        for &c in geometry.vias_of_path(i) {
-            g += f64::from(self.cell_grad[c as usize]);
+        for &c in vias {
+            g += f64::from(self.cells[c as usize]);
         }
         g
     }
@@ -1186,8 +1238,7 @@ impl CostModel {
     fn grad_lane(&self, lane: Lane<'_>, grad_path: &mut [f32], tree_mass_grad: &mut [f64]) {
         let inv_tau = 1.0 / self.temperature;
         let (q, p) = self.prob.split_at(self.num_trees());
-        for &s in lane.undecided {
-            let s = s as usize;
+        for s in lane.undecided() {
             let group = self.geometry.paths_of_subnet(s);
             let tree = self.geometry.subnet_tree[s] as usize;
             let top = group.clone().max_by(|&a, &b| p[a].total_cmp(&p[b]));
@@ -1262,7 +1313,6 @@ mod tests {
         subnet_tree: Vec<u32>,
         subnet_path_offsets: Vec<u32>,
         path_wl: Vec<f32>,
-        path_turns: Vec<f32>,
         path_run_offsets: Vec<u32>,
         path_runs: Vec<(u32, u32)>,
         path_via_offsets: Vec<u32>,
@@ -1287,7 +1337,6 @@ mod tests {
                 subnet_tree: vec![],
                 subnet_path_offsets: vec![0],
                 path_wl: vec![],
-                path_turns: vec![],
                 path_run_offsets: vec![0],
                 path_runs: vec![],
                 path_via_offsets: vec![0],
@@ -1340,15 +1389,12 @@ mod tests {
                     );
                 }
             }
-            let turns_before = self.path_via_cells.len();
             for w in corners.windows(3) {
                 if w[0] != w[1] && w[1] != w[2] {
                     self.path_via_cells.push(cell(w[1]));
                 }
             }
             self.path_wl.push(edges.len() as f32);
-            self.path_turns
-                .push((self.path_via_cells.len() - turns_before) as f32);
             self.path_run_offsets.push(self.path_runs.len() as u32);
             self.path_via_offsets.push(self.path_via_cells.len() as u32);
             self.path_edges.push(edges);
@@ -1362,7 +1408,6 @@ mod tests {
                 subnet_tree: &self.subnet_tree,
                 subnet_path_offsets: &self.subnet_path_offsets,
                 path_wl: &self.path_wl,
-                path_turns: &self.path_turns,
                 path_run_offsets: &self.path_run_offsets,
                 path_runs: &self.path_runs,
                 path_via_offsets: &self.path_via_offsets,
@@ -1426,12 +1471,12 @@ mod tests {
                     .partition_point(|&o| o as usize <= i)
                     - 1;
                 let mass = p_i * q[self.subnet_tree[s] as usize];
+                let vias = self.path_via_offsets[i] as usize..self.path_via_offsets[i + 1] as usize;
                 wl += mass * f64::from(self.path_wl[i]);
-                turns += mass * f64::from(self.path_turns[i]);
+                turns += mass * vias.len() as f64;
                 for &e in &self.path_edges[i] {
                     demand[e] += mass;
                 }
-                let vias = self.path_via_offsets[i] as usize..self.path_via_offsets[i + 1] as usize;
                 for &c in &self.path_via_cells[vias] {
                     vp[c as usize] += mass;
                 }
@@ -1761,12 +1806,15 @@ mod tests {
 
     impl CostModel {
         /// [`CostModel::forward`] as it was before the passes followed the
-        /// undecided set: every net in the tree softmax, every sub-net in
-        /// the sub-net loop (one after another: the lanes share no
-        /// element), every mass rewritten.
-        fn reference_forward(&mut self) {
+        /// undecided set and before the posts formed the masses: every net
+        /// in the tree softmax, every sub-net in the sub-net loop (one
+        /// after another: the lanes share no element), every mass written
+        /// to a buffer of its own, then posted in one flat loop over the
+        /// paths. Returns the masses.
+        fn reference_forward(&mut self) -> Vec<f32> {
             let inv_tau = 1.0 / self.temperature;
             let trees = self.num_trees();
+            let mut mass = vec![f32::NAN; self.num_paths()];
             let (q, p) = self.prob.split_at_mut(trees);
             let (w, noise) = (&self.logits[trees..], &self.noise[trees..]);
             for n in 0..self.geometry.num_nets() {
@@ -1794,10 +1842,26 @@ mod tests {
                 }
                 let q_tree = q[self.geometry.subnet_tree[s] as usize];
                 for i in group {
-                    self.mass[i] = p[i] * q_tree;
+                    mass[i] = p[i] * q_tree;
                 }
             }
-            self.post_masses();
+            self.slots.fill(0.0);
+            self.cells.fill(0.0);
+            let geometry = &*self.geometry;
+            let (mut wl, mut turns) = (0.0f64, 0.0f64);
+            for (i, &mass) in mass.iter().enumerate() {
+                wl += f64::from(mass * geometry.path_wl[i]);
+                turns += f64::from(mass * geometry.turns_of_path(i));
+                for &(low, high) in geometry.runs_of_path(i) {
+                    self.slots[low as usize] += f64::from(mass);
+                    self.slots[high as usize] -= f64::from(mass);
+                }
+                for &c in geometry.vias_of_path(i) {
+                    self.cells[c as usize] += mass;
+                }
+            }
+            self.finish_pass(wl, turns);
+            mass
         }
 
         /// [`CostModel::backward`] as it was then: every sub-net, a lone
@@ -1850,6 +1914,20 @@ mod tests {
         }
     }
 
+    /// The mass `q_tree · p_i` of every path, in path order, as the posts
+    /// form it.
+    fn masses(model: &CostModel) -> Vec<f32> {
+        let geometry = &*model.geometry;
+        let (q, p) = (model.q(), model.p());
+        let of_subnet = |s: usize| {
+            let q_tree = q[geometry.subnet_tree[s] as usize];
+            geometry.paths_of_subnet(s).map(move |i| p[i] * q_tree)
+        };
+        (0..geometry.subnet_tree.len())
+            .flat_map(of_subnet)
+            .collect()
+    }
+
     /// Everything a pass and the update after it leave behind, as bits:
     /// the costs, every demand, seed, mass, probability, gradient and
     /// logit.
@@ -1860,10 +1938,11 @@ mod tests {
             model.via_cost,
             model.overflow_cost,
         ];
+        let masses = masses(model);
         let buffers = [
             &model.demand,
             &model.seed,
-            &model.mass,
+            &masses,
             &model.prob,
             &model.grad,
             &model.logits,
@@ -1873,20 +1952,25 @@ mod tests {
     }
 
     /// A pass of `model`, which must leave what the reference pass of a
-    /// copy — its masses forgotten — leaves.
+    /// copy leaves, the masses the reference stored included.
     fn assert_a_pass_is_the_references(model: &mut CostModel, context: &str) {
         let mut reference = model.clone();
-        reference.mass.fill(f32::NAN);
-        reference.reference_forward();
+        let mass = reference.reference_forward();
         reference.reference_backward();
         model.forward();
         model.backward();
         assert!(state_bits(model) == state_bits(&reference), "{context}");
+        assert!(bits(&masses(model)) == bits(&mass), "{context}");
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn the_passes_over_the_undecided_set_equal_the_reference_over_every_group() {
         let (mut nothing_frozen, mut all_frozen, mut collapsed) = (0, 0, 0);
+        let (mut runs, mut listed) = (0, 0);
         for seed in 0..150u64 {
             let problem = Problem::random(seed);
             let terms = terms(Activation::ALL[seed as usize % 5]);
@@ -1922,10 +2006,13 @@ mod tests {
                             }
                         }
                         if threads == 1 {
+                            let context = format!("seed {seed}, stage {stage}");
+                            runs += assert_the_runs_are_the_list(&model, &context);
                             let lens = (0..model.geometry.subnet_tree.len())
                                 .map(|s| model.geometry.paths_of_subnet(s).len());
                             let with_a_path = lens.filter(|&len| len > 0).count();
                             let (undecided, _) = model.undecided();
+                            listed += undecided;
                             nothing_frozen +=
                                 usize::from(undecided == with_a_path && undecided > 0);
                             all_frozen += usize::from(undecided == 0 && with_a_path > 0);
@@ -1934,12 +2021,11 @@ mod tests {
                         for step in 0..3 {
                             model.sample_noise(&mut rng);
                             reference.noise.copy_from_slice(&model.noise);
-                            // the reference rewrites every mass
-                            reference.mass.fill(f32::NAN);
                             model.forward();
                             model.backward();
-                            reference.reference_forward();
+                            let mass = reference.reference_forward();
                             reference.reference_backward();
+                            assert!(bits(&masses(&model)) == bits(&mass), "seed {seed}");
                             for (model, adam) in
                                 [&mut model, &mut reference].into_iter().zip(&mut adams)
                             {
@@ -1956,10 +2042,260 @@ mod tests {
             }
         }
         assert!(
-            nothing_frozen > 20 && all_frozen > 20 && collapsed > 5,
+            nothing_frozen > 20 && all_frozen > 20 && collapsed > 5 && runs < listed,
             "{nothing_frozen} layouts with nothing frozen, {all_frozen} with everything, \
-             {collapsed} prunes that left one lane"
+             {collapsed} prunes that left one lane, {runs} runs of {listed} sub-nets"
         );
+    }
+
+    /// Checks the runs of `model` against the list they replaced: they
+    /// flatten to it, never touch, cut where the list cut, and the two
+    /// lanes visit it in order. Returns how many runs there are.
+    fn assert_the_runs_are_the_list(model: &CostModel, context: &str) -> usize {
+        let (list, paths) = reference_undecided(&model.geometry);
+        let runs = &model.undecided.runs;
+        let flat: Vec<u32> = runs.iter().flat_map(|r| r.clone()).collect();
+        assert_eq!(flat, list, "{context}");
+        assert!(runs.windows(2).all(|w| w[0].end < w[1].start), "{context}");
+        assert_eq!(model.undecided(), (list.len(), paths), "{context}");
+        assert_eq!(model.cut, reference_cut(&model.geometry), "{context}");
+        let [lower, upper] = model.lane_pair();
+        assert!(lower.undecided().all(|s| s < model.cut.subnet), "{context}");
+        let visited = lower.undecided().chain(upper.undecided());
+        assert!(visited.eq(list.iter().map(|&s| s as usize)), "{context}");
+        runs.len()
+    }
+
+    /// The undecided sub-nets as the list they were before they were
+    /// runs, and the paths they hold: every sub-net that has a path and
+    /// is not one path under the one tree of its net.
+    fn reference_undecided(geometry: &Geometry) -> (Vec<u32>, usize) {
+        let (mut subnets, mut paths) = (Vec::new(), 0);
+        for (s, &tree) in geometry.subnet_tree.iter().enumerate() {
+            let group = geometry.paths_of_subnet(s);
+            let net = geometry.net_tree_offsets.partition_point(|&o| o <= tree) - 1;
+            let frozen = group.len() == 1 && geometry.trees_of_net(net).len() == 1;
+            if !group.is_empty() && !frozen {
+                subnets.push(s as u32);
+                paths += group.len();
+            }
+        }
+        (subnets, paths)
+    }
+
+    /// [`LaneCut::new`] as it was over the list of undecided sub-nets.
+    fn reference_cut(geometry: &Geometry) -> LaneCut {
+        let (live, paths) = reference_undecided(geometry);
+        let subnet_tree = &geometry.subnet_tree[..];
+        let one_lane = LaneCut {
+            subnet: subnet_tree.len(),
+            tree: geometry.num_trees(),
+            path: geometry.num_paths(),
+        };
+        if paths == 0 || subnet_tree.windows(2).any(|w| w[0] > w[1]) {
+            return one_lane;
+        }
+        let held = |s: &u32| geometry.paths_of_subnet(*s as usize).len();
+        let mid = paths / 2;
+        let mut seen = 0;
+        let subnet_mid = live.iter().find(|&s| {
+            seen += held(s);
+            seen > mid
+        });
+        let tree_mid = subnet_tree[*subnet_mid.expect("the middle path has a sub-net") as usize];
+        let net = geometry
+            .net_tree_offsets
+            .partition_point(|&o| o <= tree_mid)
+            - 1;
+        let boundary = |tree: usize| {
+            let subnet = subnet_tree.partition_point(|&t| (t as usize) < tree);
+            let undecided = live.partition_point(|&s| (s as usize) < subnet);
+            let cut = LaneCut {
+                subnet,
+                tree,
+                path: geometry.subnet_path_offsets[subnet] as usize,
+            };
+            (cut, live[..undecided].iter().map(held).sum::<usize>())
+        };
+        let trees = geometry.trees_of_net(net);
+        let ((below, under_below), (above, under_above)) =
+            (boundary(trees.start), boundary(trees.end));
+        if 2 * (under_above - under_below) > paths {
+            return one_lane;
+        }
+        let (cut, under) = if mid - under_below <= under_above - mid {
+            (below, under_below)
+        } else {
+            (above, under_above)
+        };
+        if under == 0 || under == paths {
+            return one_lane;
+        }
+        cut
+    }
+
+    /// A model as new over `model`'s current geometry, logits, noise and
+    /// temperature: nothing in its buffers from an earlier pass.
+    fn fresh(problem: &Problem, model: &CostModel, terms: CostTerms) -> CostModel {
+        let geometry = Arc::new((*model.geometry).clone());
+        let grid = (problem.width, problem.height);
+        let (capacity, beta) = (&problem.capacity, &problem.beta);
+        let logits = model.logits.clone();
+        let mut fresh = CostModel::from_geometry(geometry, grid, capacity, beta, terms, logits)
+            .expect("the geometry of a valid model");
+        fresh.noise.copy_from_slice(&model.noise);
+        fresh.set_temperature(model.temperature);
+        fresh
+    }
+
+    /// The costs, demands and seeds of the last forward pass, as bits.
+    fn value_bits(model: &CostModel) -> Vec<u32> {
+        let costs = [
+            model.loss,
+            model.wl_cost,
+            model.via_cost,
+            model.overflow_cost,
+        ];
+        let values = costs.iter().chain(&model.demand).chain(&model.seed);
+        values.map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_shared_slot_and_cell_arrays_carry_nothing_from_one_phase_to_the_next() {
+        let mut pruned = 0;
+        for seed in 0..100u64 {
+            let problem = Problem::random(seed);
+            let terms = terms(Activation::ALL[seed as usize % 5]);
+            let model = problem.model(terms, seed);
+            let mut want = fresh(&problem, &model, terms);
+            want.forward();
+            let values = value_bits(&want);
+            want.backward();
+            let grads = bits(&want.grad);
+
+            // forward, forward
+            let mut twice = model.clone();
+            twice.forward();
+            twice.forward();
+            assert_eq!(value_bits(&twice), values, "seed {seed}: forward, forward");
+            // forward, backward, evaluate
+            let mut after_backward = model.clone();
+            after_backward.forward();
+            after_backward.backward();
+            after_backward.evaluate();
+            assert_eq!(value_bits(&after_backward), values, "seed {seed}: evaluate");
+            // backward, backward
+            after_backward.backward();
+            after_backward.backward();
+            assert_eq!(
+                bits(&after_backward.grad),
+                grads,
+                "seed {seed}: backward twice"
+            );
+
+            // a pass right after a prune and right after a restore, each
+            // after a pass of the layout before it
+            let mut model = model;
+            model.forward();
+            model.backward();
+            if model.prune(0.3).is_none() {
+                continue;
+            }
+            pruned += 1;
+            for stage in ["pruned", "restored"] {
+                if stage == "restored" {
+                    model.forward();
+                    model.backward();
+                    model.restore_layout();
+                }
+                let mut want = fresh(&problem, &model, terms);
+                model.forward();
+                want.forward();
+                assert_eq!(
+                    value_bits(&model),
+                    value_bits(&want),
+                    "seed {seed}: {stage}"
+                );
+                model.backward();
+                want.backward();
+                assert_eq!(bits(&model.grad), bits(&want.grad), "seed {seed}: {stage}");
+            }
+        }
+        assert!(pruned > 30, "only {pruned} prunes dropped something");
+    }
+
+    #[test]
+    fn bytes_are_the_capacity_of_every_buffer_the_model_owns() {
+        fn held<T>(buffer: &Vec<T>) -> usize {
+            buffer.capacity() * std::mem::size_of::<T>()
+        }
+        for seed in 0..50u64 {
+            let problem = Problem::random(seed);
+            let mut model = problem.model(terms(Activation::Sigmoid), seed);
+            for stage in 0..3 {
+                match stage {
+                    0 => {}
+                    1 => {
+                        model.forward();
+                        model.prune(0.3);
+                    }
+                    _ => model.restore_layout(),
+                }
+                // every field by name: a buffer added or taken away shows
+                let CostModel {
+                    width: _,
+                    height: _,
+                    geometry,
+                    capacity,
+                    half_beta,
+                    terms: _,
+                    undecided,
+                    cut: _,
+                    origin,
+                    logits,
+                    noise,
+                    noise_runs,
+                    temperature: _,
+                    prob,
+                    demand,
+                    wl_cost: _,
+                    via_cost: _,
+                    overflow_cost: _,
+                    loss: _,
+                    slots,
+                    cells,
+                    seed: edge_seed,
+                    tree_mass_grad,
+                    grad,
+                } = &model;
+                let Undecided {
+                    runs,
+                    subnets: _,
+                    paths: _,
+                    nets,
+                } = undecided;
+                let owned = origin.as_ref().map_or(0, |Origin { alive, built: _ }| {
+                    let rows = geometry.bytes();
+                    held(alive) + rows
+                });
+                let want = held(capacity)
+                    + held(half_beta)
+                    + held(runs)
+                    + held(nets)
+                    + owned
+                    + held(logits)
+                    + 2 * held(noise)
+                    + std::mem::size_of_val(noise_runs.runs())
+                    + held(prob)
+                    + held(demand)
+                    + held(slots)
+                    + held(cells)
+                    + held(edge_seed)
+                    + held(tree_mass_grad)
+                    + held(grad);
+                assert_eq!(model.bytes(), want, "seed {seed}, stage {stage}");
+            }
+        }
     }
 
     /// A 3 × 1 row. Net 0 has two trees: tree 0 with two one-path
@@ -1973,7 +2309,6 @@ mod tests {
             subnet_tree: &[0, 0, 1, 1, 2],
             subnet_path_offsets: &[0, 1, 2, 4, 4, 5],
             path_wl: &[1.0, 1.0, 3.0, 3.0, 1.0],
-            path_turns: &[0.0; 5],
             path_run_offsets: &[0, 1, 2, 3, 4, 5],
             path_runs: &[(0, 1), (1, 2), (0, 2), (0, 2), (0, 1)],
             path_via_offsets: &[0; 6],
@@ -1992,12 +2327,12 @@ mod tests {
         // path has nothing to compute, and net 1's is frozen
         let mut model = two_nets_on_a_row([0.3, 0.0, 0.0]);
         assert_eq!(model.undecided(), (3, 4));
-        assert_eq!(model.undecided.subnets, [0, 1, 2]);
+        assert_eq!(model.undecided.runs, vec![(0..3)]);
         assert_eq!(model.undecided.nets, [0]);
         assert_a_pass_is_the_references(&mut model, "as built");
         assert!(model.tree_grad()[0] < 0.0 && model.tree_grad()[1] > 0.0);
-        assert_eq!(model.mass[0], model.q()[0]);
-        assert_eq!(model.mass[4].to_bits(), 1f32.to_bits());
+        assert_eq!(masses(&model)[0], model.q()[0]);
+        assert_eq!(masses(&model)[4].to_bits(), 1f32.to_bits());
         assert_eq!(model.tree_grad()[2], 0.0);
 
         // tree 1 goes: net 0 is one tree of one-path sub-nets, all frozen
@@ -2012,7 +2347,7 @@ mod tests {
         assert_eq!(model.undecided(), (3, 4));
         assert_a_pass_is_the_references(&mut model, "restored");
         assert_eq!(&model.p()[2..4], &[0.5, 0.5]);
-        assert_eq!(&model.mass[2..4], &[0.0, 0.0], "silenced by q = 0");
+        assert_eq!(&masses(&model)[2..4], &[0.0, 0.0], "silenced by q = 0");
     }
 
     #[test]
@@ -2023,13 +2358,19 @@ mod tests {
         let mut model = two_nets_on_a_row([-20.0, 0.0, 0.0]);
         model.forward();
         let one = 1f32.to_bits();
-        assert!(model.mass[..2].iter().all(|m| m.to_bits() != one));
+        assert!(masses(&model)[..2].iter().all(|m| m.to_bits() != one));
         assert_eq!(model.prune(1e-4).map(flagged), Some(vec![1, 2, 5, 7]));
         assert_eq!(model.undecided(), (0, 0));
-        assert_eq!(model.mass.len(), 2);
-        assert!(model.mass.iter().all(|m| m.to_bits() == one));
+        assert_eq!(masses(&model).len(), 2);
+        assert!(masses(&model).iter().all(|m| m.to_bits() == one));
         assert_a_pass_is_the_references(&mut model, "pruned");
-        assert!(model.mass.iter().all(|m| m.to_bits() == one));
+        assert!(masses(&model).iter().all(|m| m.to_bits() == one));
+        // and back in the first layout, the frozen path of net 1 is at 1.0
+        // again wherever it moved back to
+        model.restore_layout();
+        assert_eq!(masses(&model)[4].to_bits(), one);
+        assert_a_pass_is_the_references(&mut model, "restored");
+        assert_eq!(masses(&model)[4].to_bits(), one);
     }
 
     #[test]
@@ -2043,7 +2384,6 @@ mod tests {
             subnet_tree: &[0, 0, 1],
             subnet_path_offsets: &[0, 1, 2, 4],
             path_wl: &[1.0, 1.0, 2.0, 2.0],
-            path_turns: &[0.0; 4],
             path_run_offsets: &[0, 1, 2, 3, 4],
             path_runs: &[(0, 1), (1, 2), (0, 2), (0, 2)],
             path_via_offsets: &[0; 5],
@@ -2091,7 +2431,6 @@ mod tests {
             subnet_tree: &[0],
             subnet_path_offsets: &[0, paths as u32],
             path_wl: &(0..paths).map(|i| 1.0 + i as f32).collect::<Vec<_>>(),
-            path_turns: &vec![0.0; paths],
             path_run_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
             path_runs: &vec![(0, 1); paths],
             path_via_offsets: &vec![0; paths + 1],
@@ -2157,7 +2496,6 @@ mod tests {
             subnet_tree: &[0],
             subnet_path_offsets: &[0, 1],
             path_wl: &[3.0],
-            path_turns: &[1.0],
             path_run_offsets: &[0, 2],
             path_runs: &[(0, 2), (2, 5)],
             path_via_offsets: &[0, 1],

@@ -6,7 +6,9 @@ use crate::AutodiffError;
 
 /// The groupings and per-path geometry of a routing forest, as columns:
 /// the trees of each net, the sub-nets' trees and the paths of each
-/// sub-net, and each path's weights, straight runs and turn cells.
+/// sub-net, and each path's wirelength, straight runs and turn cells.
+/// A path's turning-point count `TP_i` is its number of turn cells
+/// ([`Self::turns_of_path`]), not a column of its own.
 ///
 /// The DAG forest stores these columns as one `Arc<Geometry>`, and a
 /// [`crate::CostModel`] built over the forest holds the same `Arc`: the
@@ -22,8 +24,6 @@ pub struct Geometry {
     pub subnet_path_offsets: Vec<u32>,
     /// Wirelength of each path (`WL_i`).
     pub path_wl: Vec<f32>,
-    /// Turning-point count of each path (`TP_i`).
-    pub path_turns: Vec<f32>,
     /// CSR offsets grouping runs by path.
     pub path_run_offsets: Vec<u32>,
     /// Each straight run as the difference-array slots of its two end
@@ -45,7 +45,6 @@ impl Default for Geometry {
             subnet_tree: Vec::new(),
             subnet_path_offsets: vec![0],
             path_wl: Vec::new(),
-            path_turns: Vec::new(),
             path_run_offsets: vec![0],
             path_runs: Vec::new(),
             path_via_offsets: vec![0],
@@ -94,16 +93,17 @@ impl Geometry {
         &self.path_via_cells[group(&self.path_via_offsets, i)]
     }
 
+    /// Turning-point count of path `i` (`TP_i`): its number of turn cells.
+    pub fn turns_of_path(&self, i: usize) -> f32 {
+        group(&self.path_via_offsets, i).len() as f32
+    }
+
     /// Heap bytes the columns hold, capacity counted.
     pub fn bytes(&self) -> usize {
-        fn held<T>(column: &Vec<T>) -> usize {
-            column.capacity() * std::mem::size_of::<T>()
-        }
         held(&self.net_tree_offsets)
             + held(&self.subnet_tree)
             + held(&self.subnet_path_offsets)
             + held(&self.path_wl)
-            + held(&self.path_turns)
             + held(&self.path_run_offsets)
             + held(&self.path_runs)
             + held(&self.path_via_offsets)
@@ -126,7 +126,6 @@ impl Geometry {
         expect_len(self.subnet_tree.len(), self.subnet_path_offsets.len() - 1)?;
         check_indices(&self.subnet_tree, trees)?;
         expect_len(self.path_wl.len(), paths)?;
-        expect_len(self.path_turns.len(), paths)?;
         expect_len(self.path_run_offsets.len(), paths + 1)?;
         expect_len(csr(&self.path_run_offsets)?, self.path_runs.len())?;
         expect_len(self.path_via_offsets.len(), paths + 1)?;
@@ -176,13 +175,17 @@ impl Geometry {
             subnet_tree: exact(subnets().map(|(_, &t)| before[t as usize])),
             subnet_path_offsets: exact(ends(subnets().map(|(s, _)| live(s)))),
             path_wl: exact(kept(&self.path_wl, keep_path)),
-            path_turns: exact(kept(&self.path_turns, keep_path)),
             path_run_offsets,
             path_runs,
             path_via_offsets,
             path_via_cells,
         }
     }
+}
+
+/// Heap bytes `column` holds, capacity counted.
+pub(crate) fn held<T>(column: &Vec<T>) -> usize {
+    column.capacity() * std::mem::size_of::<T>()
 }
 
 /// The items, in a column of exactly their number.

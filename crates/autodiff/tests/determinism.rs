@@ -57,7 +57,6 @@ fn model(subnets: usize, side: usize, rng: &mut StdRng) -> CostModel {
         subnet_tree: &(0..subnets).map(|s| (s / 3) as u32).collect::<Vec<_>>(),
         subnet_path_offsets: &(0..=subnets).map(|s| 2 * s as u32).collect::<Vec<_>>(),
         path_wl: &vec![side as f32; paths],
-        path_turns: &vec![1.0; paths],
         path_run_offsets: &(0..=paths).map(|i| 2 * i as u32).collect::<Vec<_>>(),
         path_runs: &runs,
         path_via_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
@@ -301,7 +300,6 @@ proptest! {
             subnet_tree: &subnet_tree,
             subnet_path_offsets: &subnet_path_offsets,
             path_wl: &vec![1.0; paths],
-            path_turns: &vec![0.0; paths],
             path_run_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
             path_runs: &vec![(0, 1); paths],
             path_via_offsets: &vec![0; paths + 1],

@@ -33,7 +33,6 @@ fn build_model(w0: &[f32], weights: &[f32], tau: f32) -> CostModel {
         subnet_tree: &[0; GROUPS],
         subnet_path_offsets: &(0..=GROUPS).map(|g| (g * GROUP) as u32).collect::<Vec<_>>(),
         path_wl: weights,
-        path_turns: &[0.0; N],
         path_run_offsets: &(0..=N as u32).collect::<Vec<_>>(),
         path_runs: &runs,
         path_via_offsets: &[0; N + 1],

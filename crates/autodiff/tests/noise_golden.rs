@@ -53,7 +53,6 @@ fn model() -> (CostModel, Vec<usize>) {
             .collect::<Vec<_>>(),
         subnet_path_offsets: &subnet_path_offsets,
         path_wl: &vec![3.0; paths],
-        path_turns: &vec![0.0; paths],
         path_run_offsets: &(0..=paths as u32).collect::<Vec<_>>(),
         path_runs: &runs,
         path_via_offsets: &vec![0; paths + 1],

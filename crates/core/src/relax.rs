@@ -212,13 +212,12 @@ mod tests {
 
     /// Where each column of `g` lives: a column read in place lives where
     /// the forest's does.
-    fn addresses(g: &Geometry) -> [usize; 9] {
+    fn addresses(g: &Geometry) -> [usize; 8] {
         [
             g.net_tree_offsets.as_ptr() as usize,
             g.subnet_tree.as_ptr() as usize,
             g.subnet_path_offsets.as_ptr() as usize,
             g.path_wl.as_ptr() as usize,
-            g.path_turns.as_ptr() as usize,
             g.path_run_offsets.as_ptr() as usize,
             g.path_runs.as_ptr() as usize,
             g.path_via_offsets.as_ptr() as usize,

@@ -139,9 +139,12 @@ pub struct TrainReport {
     /// Wall-clock time the calling thread spent in backward passes across
     /// all iterations, waiting for the helper's lane included.
     pub backward_time: Duration,
-    /// Most bytes the kernel's value and gradient buffers held during the
-    /// run (they shrink at every temperature step that drops candidates)
-    /// — the "GPU memory" analogue reported in the Fig. 5b reproduction.
+    /// Most bytes the kernel held during the run ([`CostModel::bytes`],
+    /// capacity counted), read before the first iteration and after each
+    /// temperature step that drops candidates — the "GPU memory" analogue
+    /// reported in the Fig. 5b reproduction. A step's buffers keep their
+    /// capacity and its live rows come on top, so the peak is the first
+    /// such step's.
     pub graph_bytes: usize,
     /// The forest's counts at iteration 0, then what each temperature
     /// step that dropped candidates left, in order.
@@ -257,7 +260,7 @@ pub(crate) fn train_loop(
         true => vec![0.0; num_logits(model)],
         false => Vec::new(),
     };
-    let graph_bytes = model.bytes();
+    let mut graph_bytes = model.bytes();
     let mut live = vec![LiveRow::at(0, model)];
     let is_step = |it: usize| it > 0 && it.is_multiple_of(TEMPERATURE_INTERVAL);
     // the logits Adam steps and the gradient norm sums: every other one
@@ -278,6 +281,7 @@ pub(crate) fn train_loop(
                 spare_noise.truncate(num_logits(model));
                 spare_noise.fill(0.0);
                 live.push(LiveRow::at(it, model));
+                graph_bytes = graph_bytes.max(model.bytes());
             }
         }
         if cfg.gumbel_noise {
@@ -802,10 +806,15 @@ mod tests {
             (model.num_trees(), model.num_paths()),
             (forest.num_trees(), forest.num_paths())
         );
-        assert_eq!(
+        // the peak is a step's: the buffers of the forest's layout, their
+        // capacity kept, beside live rows no larger than the forest's columns
+        assert!(
+            model.bytes() < report.graph_bytes
+                && report.graph_bytes < model.bytes() + forest.bytes(),
+            "{} of {} beside a forest of {}",
             report.graph_bytes,
             model.bytes(),
-            "the peak is the forest's"
+            forest.bytes()
         );
 
         let dropped =

@@ -273,8 +273,8 @@ fn oriented(extra: &PatternPath, a: dgr_grid::Point, b: dgr_grid::Point) -> Opti
     }
 }
 
-/// Pushes one path candidate: its weights and the runs (in slot form)
-/// and turn cells under `corners`.
+/// Pushes one path candidate: its wirelength and the runs (in slot form)
+/// and turn cells under `corners` — their count is its `TP`.
 fn push_path(
     columns: &mut Geometry,
     grid: &GcellGrid,
@@ -295,12 +295,9 @@ fn push_path(
         columns.path_runs.push((a.min(b) + base, a.max(b) + base));
     }
     columns.path_wl.push(wl as f32);
-    let vias_before = columns.path_via_cells.len();
     for v in turning_points(corners) {
         columns.path_via_cells.push(grid.cell_id(v)?.0);
     }
-    let turns = columns.path_via_cells.len() - vias_before;
-    columns.path_turns.push(turns as f32);
     columns
         .path_run_offsets
         .push(columns.path_runs.len() as u32);
@@ -641,7 +638,6 @@ mod tests {
         let mut subnet_endpoints = Vec::new();
         let mut subnet_path_offsets = vec![0u32];
         let mut path_wl = Vec::new();
-        let mut path_turns = Vec::new();
         let mut path_run_offsets = vec![0u32];
         let mut path_runs: Vec<(u32, u32)> = Vec::new();
         let mut path_via_offsets = vec![0u32];
@@ -660,7 +656,6 @@ mod tests {
                     subnet_endpoints.push(chunk.subnet_endpoints[subnet_cursor]);
                     for _ in 0..chunk.subnet_path_counts[subnet_cursor] {
                         path_wl.push(chunk.path_wl[path_cursor]);
-                        path_turns.push(chunk.path_turns[path_cursor]);
                         let nr = chunk.path_run_counts[path_cursor] as usize;
                         path_runs.extend_from_slice(&chunk.path_runs[run_cursor..run_cursor + nr]);
                         run_cursor += nr;
@@ -685,7 +680,6 @@ mod tests {
             subnet_tree,
             subnet_path_offsets,
             path_wl,
-            path_turns,
             path_run_offsets,
             path_runs,
             path_via_offsets,
@@ -709,7 +703,6 @@ mod tests {
         subnet_endpoints: Vec<(dgr_grid::Point, dgr_grid::Point)>,
         subnet_path_counts: Vec<u32>,
         path_wl: Vec<f32>,
-        path_turns: Vec<f32>,
         path_run_counts: Vec<u32>,
         path_runs: Vec<(u32, u32)>,
         path_via_counts: Vec<u32>,
@@ -728,7 +721,6 @@ mod tests {
             subnet_endpoints: Vec::new(),
             subnet_path_counts: Vec::new(),
             path_wl: Vec::new(),
-            path_turns: Vec::new(),
             path_run_counts: Vec::new(),
             path_runs: Vec::new(),
             path_via_counts: Vec::new(),
@@ -762,7 +754,6 @@ mod tests {
                 chunk.subnet_path_counts.push(paths.len() as u32);
                 for path in paths {
                     chunk.path_wl.push(path.wirelength() as f32);
-                    chunk.path_turns.push(path.num_turns() as f32);
                     let runs_before = chunk.path_runs.len();
                     for w in path.corners.windows(2) {
                         grid.segment_edges(w[0], w[1]).map(drop)?;
@@ -1013,7 +1004,6 @@ mod tests {
                 ("subnet_endpoints", column(&forest.subnet_endpoints)),
                 ("subnet_path_offsets", column(&shared.subnet_path_offsets)),
                 ("path_wl", column(&shared.path_wl)),
-                ("path_turns", column(&shared.path_turns)),
                 ("path_run_offsets", column(&shared.path_run_offsets)),
                 ("path_runs", column(&shared.path_runs)),
                 ("path_via_offsets", column(&shared.path_via_offsets)),

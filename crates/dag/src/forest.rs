@@ -128,7 +128,6 @@ impl DagForest {
             paths,
         );
         payload(&mut this.path_wl, more.path_wl);
-        payload(&mut this.path_turns, more.path_turns);
         offsets(&mut this.path_run_offsets, more.path_run_offsets, runs);
         payload(&mut this.path_runs, more.path_runs);
         offsets(&mut this.path_via_offsets, more.path_via_offsets, vias);
@@ -145,7 +144,6 @@ impl DagForest {
         self.subnet_endpoints.shrink_to_fit();
         columns.subnet_path_offsets.shrink_to_fit();
         columns.path_wl.shrink_to_fit();
-        columns.path_turns.shrink_to_fit();
         columns.path_run_offsets.shrink_to_fit();
         columns.path_runs.shrink_to_fit();
         columns.path_via_offsets.shrink_to_fit();
@@ -227,9 +225,10 @@ impl DagForest {
         self.geometry.path_wl[i]
     }
 
-    /// Turning-point count of path `i` (`TP_i` in Eq. 5).
+    /// Turning-point count of path `i` (`TP_i` in Eq. 5): its number of
+    /// turn cells.
     pub fn path_turn_count(&self, i: usize) -> f32 {
-        self.geometry.path_turns[i]
+        self.geometry.turns_of_path(i)
     }
 
     /// G-cell edges occupied by path `i` (raw [`dgr_grid::EdgeId`] values),

@@ -101,15 +101,20 @@ impl CaseSpec {
             CheckKind::LayerAssign => (rng.gen_range(3..=6), rng.gen_range(3..=6)),
             _ => (rng.gen_range(3..=8), rng.gen_range(3..=8)),
         };
+        // a gradient check reaches the tree softmax only through a net of
+        // two or more trees, which wants pins to choose among: so its
+        // designs have more nets of more pins than the others
         let num_nets = match check {
             CheckKind::Rsmt => rng.gen_range(1..=3),
-            CheckKind::PathCost | CheckKind::GradCheck => rng.gen_range(1..=2),
+            CheckKind::PathCost => rng.gen_range(1..=2),
+            CheckKind::GradCheck => rng.gen_range(3..=4),
             CheckKind::DemandReplay => 0,
             CheckKind::LayerAssign => 1,
         };
         let max_pins = match check {
             CheckKind::Rsmt => rng.gen_range(2..=5),
             CheckKind::LayerAssign => rng.gen_range(2..=3),
+            CheckKind::GradCheck => rng.gen_range(4..=6),
             _ => rng.gen_range(2..=4),
         };
         CaseSpec {
@@ -241,6 +246,9 @@ mod tests {
             assert!(s.width <= 6 && s.height <= 6 && s.max_pins <= 3);
             let s = CaseSpec::sample(CheckKind::Rsmt, seed);
             assert!(s.max_pins <= 5);
+            // six distinct pins fit on the smallest grid, 3 × 3
+            let s = CaseSpec::sample(CheckKind::GradCheck, seed);
+            assert!(s.max_pins <= 6 && s.num_nets <= 4);
         }
     }
 

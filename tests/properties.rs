@@ -30,7 +30,6 @@ fn one_row_model(offsets: &[u32], path_cost: &[f32], reach: usize, logits: Vec<f
         subnet_tree: &vec![0; offsets.len() - 1],
         subnet_path_offsets: offsets,
         path_wl: path_cost,
-        path_turns: &vec![0.0; paths],
         path_run_offsets: &run_offsets,
         path_runs: &runs,
         path_via_offsets: &vec![0; paths + 1],

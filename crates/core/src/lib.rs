@@ -128,10 +128,10 @@ pub struct RouteHooks {
     /// Per-iteration JSONL telemetry destination (owned; flushed when the
     /// run completes or the hooks drop).
     pub telemetry: Option<TelemetrySink>,
-    /// A stderr progress line every this many training iterations, the
-    /// last one always, at most one per 200 ms but the last (`dgr route
-    /// --progress`; `None` prints none).
-    pub progress: Option<usize>,
+    /// A stderr progress line every 100 training iterations, the last
+    /// one always, at most one per 200 ms but the last (`dgr route`
+    /// without `--quiet`).
+    pub progress: bool,
     /// Cooperative cancellation flag. When another thread sets it, the
     /// training loop stops between iterations and
     /// [`DgrRouter::route_with_hooks`] returns [`DgrError::Cancelled`]

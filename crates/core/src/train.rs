@@ -31,13 +31,14 @@
 //!
 //! The loop is instrumented through `dgr-obs` (see [`RouteHooks`]):
 //! per-iteration `forward`/`backward`/`adam` spans (and a `prune` span per
-//! step) when the global observability switch is on, per-iteration JSONL
-//! telemetry rows when a [`TelemetrySink`](dgr_obs::TelemetrySink) is
-//! attached, and a throttled stderr progress line when
-//! [`RouteHooks::progress`] is set. With no
-//! hooks and observability off, the loop is byte-for-byte the
-//! uninstrumented hot path plus one relaxed atomic load per iteration
-//! phase.
+//! step) while the span log is open (`--trace`, `--profile`),
+//! per-iteration telemetry rows when a
+//! [`TelemetrySink`](dgr_obs::TelemetrySink) is attached or a run scope
+//! is open (a `dgrd` job), and a throttled stderr progress line every
+//! `PROGRESS_EVERY` (100) iterations when [`RouteHooks::progress`] is set.
+//! With no hooks and nothing open, the loop is byte-for-byte the
+//! uninstrumented hot path plus one relaxed atomic load per span and one
+//! thread-local read per iteration.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -105,6 +106,10 @@ pub const STEP_GAP: usize = 4;
 /// Least wall-clock time between two progress lines but the last, so
 /// tiny fast runs do not flood stderr.
 const PROGRESS_MIN_GAP: Duration = Duration::from_millis(200);
+
+/// Training iterations between two progress lines; the last iteration
+/// always prints one.
+const PROGRESS_EVERY: usize = 100;
 
 /// One retained sample of the training trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,7 +225,7 @@ pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainR
 /// cooperative cancellation between iterations, and per-iteration phase
 /// spans (`forward` / `backward` / `adam` under the `train` category,
 /// and — with a helper engaged — `noise_ahead` / `lane_fwd` / `lane_bwd`
-/// on whichever thread ran them) recorded when `dgr_obs::enabled()`.
+/// on whichever thread ran them) recorded while the span log is open.
 ///
 /// `iter_offset` is added to every reported iteration index, so adaptive
 /// rounds continue numbering instead of restarting at zero.
@@ -327,9 +332,9 @@ pub(crate) fn train_loop(
             model.backward();
         }
         backward_time += bwd_start.elapsed();
-        // a row is materialized when a sink wants it OR the global obs
-        // switch is on (the run's live scope feeds off dgr_obs::tick)
-        if hooks.telemetry.is_some() || dgr_obs::enabled() {
+        // a row is materialized for its readers only: a sink, or the
+        // run's scope (a dgrd job), which feeds off dgr_obs::tick
+        if hooks.telemetry.is_some() || dgr_obs::status_scope_id().is_some() {
             // folded from +0.0: with nothing moving, the row reads 0, not −0
             let (_, grads) = model.logits_and_grads();
             let grad_sq = moving
@@ -355,8 +360,8 @@ pub(crate) fn train_loop(
             let (logits, grads) = model.logits_and_grads();
             adam.step_runs(logits, grads, &moving);
         }
-        if let Some(every) = hooks.progress {
-            let due = every > 0 && (it % every == 0 || last_iter);
+        if hooks.progress {
+            let due = it % PROGRESS_EVERY == 0 || last_iter;
             let spaced = last_progress.is_none_or(|t| t.elapsed() >= PROGRESS_MIN_GAP);
             if due && (spaced || last_iter) {
                 last_progress = Some(Instant::now());

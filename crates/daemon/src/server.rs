@@ -66,9 +66,9 @@ pub struct JobServer {
 impl JobServer {
     /// Boots `cfg.workers` worker threads over an empty job table.
     ///
-    /// Also flips the global `dgr-obs` recording switch on: the daemon
-    /// is an observability surface by nature — job-scoped `/status`
-    /// rows, `/metrics` and `/health` all depend on it.
+    /// Also flips the global `dgr-obs` metrics switch on: the daemon is
+    /// an observability surface by nature — `/metrics` depends on it (a
+    /// job's `/status` row, `/health` and rows depend on its scope).
     ///
     /// # Errors
     ///
@@ -257,9 +257,6 @@ fn worker_loop(inner: &Inner) {
 /// (`dgrd_jobs_queued`, `dgrd_jobs_running`, … and `dgrd_queue_capacity`).
 /// Called under the table lock at every state transition.
 fn publish_queue_gauges(table: &JobTable) {
-    if !dgr_obs::enabled() {
-        return;
-    }
     let [queued, running, done, failed, cancelled] = table.state_counts();
     dgr_obs::gauge("dgrd.jobs.queued").set(queued as f64);
     dgr_obs::gauge("dgrd.jobs.running").set(running as f64);

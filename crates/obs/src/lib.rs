@@ -32,13 +32,21 @@
 //!
 //! # Overhead contract
 //!
-//! Observability is **off by default**. Every recording site first checks
-//! [`enabled`] — one relaxed atomic load and a predictable branch — so
-//! uninstrumented hot paths (the front end's fan-outs, the training
-//! inner loop) stay branch-predictable and bench-neutral. Flip the master
-//! switch with [`set_enabled`]: `dgr` does for `--trace` or `--profile`
-//! only, `dgrd` for every job. Telemetry sinks are explicit
-//! objects and work regardless of the switch.
+//! Observability is **off by default**, and each record is gated by the
+//! one reader that exists for it — one relaxed atomic load or
+//! thread-local read and a predictable branch — so uninstrumented hot
+//! paths (the front end's fan-outs, the training inner loop) stay
+//! branch-predictable and bench-neutral:
+//!
+//! * spans, by the event log ([`log_span_events`]): `dgr`'s `--trace` and
+//!   `--profile` open it, nothing else does, so a `dgrd` job records none;
+//! * run state ([`status_begin`], [`status_phase`], [`tick`]), by an open
+//!   [`status_scope`]: `dgrd` opens one per job, a CLI run none;
+//! * metrics ([`counter`], [`gauge`]), by the switch [`enabled`] /
+//!   [`set_enabled`]: `dgr` sets it for `--trace` or `--profile`, `dgrd`
+//!   for its lifetime.
+//!
+//! Telemetry sinks are explicit objects and work regardless of any gate.
 //!
 //! The crate has zero external dependencies, matching the offline
 //! `compat/` policy of the workspace.
@@ -46,8 +54,8 @@
 //! # Examples
 //!
 //! ```
-//! dgr_obs::set_enabled(true);
-//! dgr_obs::log_span_events(); // as `--trace` does: keep the event log
+//! dgr_obs::set_enabled(true); // metrics
+//! dgr_obs::log_span_events(); // spans, as `--trace` does
 //! {
 //!     let _s = dgr_obs::span("demo", "work");
 //!     dgr_obs::counter("demo.widgets").add(3);
@@ -86,7 +94,7 @@ pub use sentinel::{
 };
 pub use span::{
     chrome_trace, folded_profile, log_span_events, parse_trace, reset_spans, span, span_totals,
-    write_chrome_trace, PhaseTotal, SpanGuard, SpanTotal,
+    write_chrome_trace, PhaseTotal, SpanGuard,
 };
 pub use telemetry::{rows_from_jsonl, IterationRow, TelemetrySink};
 
@@ -94,16 +102,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether observability recording is on. One relaxed load — safe to call
+/// Whether the metrics registry records. One relaxed load — safe to call
 /// on any hot path.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flips the master recording switch. Spans and metric recordings are
-/// dropped while off; [`TelemetrySink`]s are unaffected (they are
-/// explicit objects, not ambient state).
+/// Flips the metrics switch: [`counter`] and [`gauge`] updates are
+/// dropped while off. Spans have their own gate ([`log_span_events`]) and
+/// run state its own ([`status_scope`]); [`TelemetrySink`]s are explicit
+/// objects, not ambient state.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -129,8 +138,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes tests that toggle the global [`enabled`] flag (they would
-/// race under the default parallel test runner).
+/// Serializes tests that toggle the global [`enabled`] flag or the span
+/// log (they would race under the default parallel test runner).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -149,23 +158,59 @@ mod tests {
         let _guard = crate::test_lock();
         set_enabled(false);
         reset();
-        {
-            let _s = span("t", "off-span");
-            counter("t.off").add(5);
-        }
-        assert!(span_totals().iter().all(|t| t.name != "off-span"));
+        counter("t.off").add(5);
+        gauge("t.off-gauge").set(2.0);
         assert_eq!(counter("t.off").get(), 0);
+        assert_eq!(gauge("t.off-gauge").get(), 0.0);
 
         set_enabled(true);
+        counter("t.on").add(5);
+        gauge("t.on-gauge").set(2.0);
+        set_enabled(false);
+        assert_eq!(counter("t.on").get(), 5);
+        assert_eq!(gauge("t.on-gauge").get(), 2.0);
+        reset();
+    }
+
+    /// The switch does not gate spans: only the log does, from
+    /// `log_span_events` to the next `reset`.
+    #[test]
+    fn a_span_records_only_while_the_log_is_open() {
+        let _guard = crate::test_lock();
+        reset();
+        set_enabled(true);
+        let logged = || -> Vec<(String, u64)> {
+            span_totals()
+                .into_iter()
+                .map(|t| (t.name, t.count))
+                .collect()
+        };
         {
-            let _s = span("t", "on-span");
-            counter("t.on").add(5);
+            let _s = span("t", "unlogged");
+            counter("t.unlogged").add(1);
+        }
+        assert_eq!(logged(), [], "a span recorded with no log open");
+        assert!(folded_profile().counts.is_empty());
+        assert_eq!(counter("t.unlogged").get(), 1, "the counter counts anyway");
+
+        log_span_events();
+        for _ in 0..2 {
+            let _s = span("t", "logged");
+        }
+        log_span_events();
+        assert_eq!(
+            logged(),
+            [("logged".into(), 2)],
+            "asking again keeps the log"
+        );
+
+        reset();
+        {
+            let _s = span("t", "after-reset");
         }
         set_enabled(false);
-        let totals = span_totals();
-        let on = totals.iter().find(|t| t.name == "on-span").unwrap();
-        assert_eq!(on.count, 1);
-        assert_eq!(counter("t.on").get(), 5);
-        reset();
+        assert_eq!(logged(), [], "a reset stops the log");
+        assert!(folded_profile().counts.is_empty());
+        assert_eq!(span::dropped_events(), 0);
     }
 }

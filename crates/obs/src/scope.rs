@@ -14,16 +14,17 @@
 //! lifetime of its guard; a `dgrd` worker wraps each job in one, keyed by
 //! the job id, so concurrent jobs never overwrite each other.
 //! `status_begin` / `status_phase` / [`tick`] land in the thread's open
-//! scope and nowhere else: a CLI run opens none, so it records spans and
-//! metrics but no run state. A scope is listed on `/status` once a
+//! scope and nowhere else: a CLI run opens none, so it records no run
+//! state. A scope is listed on `/status` once a
 //! status call has touched it and has a verdict once it has ticked or
 //! been armed: a job that failed before training has a status row and
 //! no verdict.
 //!
-//! Every write is gated on [`crate::enabled`] — an uninstrumented run
-//! pays one relaxed load per call site and never touches the mutex — and
-//! the tick path waits on nothing but that mutex (`dgrd`'s `/health`
-//! reads scopes while holding its job table).
+//! Every write is gated on the open scope, its one reader, and nothing
+//! else — a run outside a job pays one thread-local read per call site
+//! and never touches the mutex — and the tick path waits on nothing but
+//! that mutex (`dgrd`'s `/health` reads scopes while holding its job
+//! table).
 //!
 //! # The rows
 //!
@@ -145,11 +146,8 @@ impl Drop for StatusScope {
     }
 }
 
-/// Applies `f` to the open scope's status row when recording is on.
+/// Applies `f` to the open scope's status row, if a scope is open.
 fn publish(f: impl FnOnce(&mut Scope)) {
-    if !crate::enabled() {
-        return;
-    }
     let Some(id) = status_scope_id() else {
         return;
     };
@@ -209,9 +207,6 @@ fn publish_alerts(scopes: &Scopes) {
 /// kept rows, sentinel rules and watchdog. The one call the
 /// training loop makes per row; it never touches the optimization state.
 pub fn tick(row: &IterationRow) {
-    if !crate::enabled() {
-        return;
-    }
     let Some(id) = status_scope_id() else {
         return;
     };
@@ -464,23 +459,8 @@ mod tests {
         assert_eq!(status_ring_jsonl_of(2), "");
     }
 
-    #[test]
-    fn disabled_updates_are_dropped() {
-        let _guard = crate::test_lock();
-        crate::reset();
-        crate::set_enabled(true);
-        let _scope = status_scope(3);
-        status_begin("idle", 0, 1);
-        crate::set_enabled(false);
-        status_begin("train", 5, 1);
-        tick(&loss_row(1, f32::NAN));
-        assert_eq!(status_of(3).unwrap().job, "idle");
-        assert_eq!(status_ring_jsonl_of(3), "");
-        assert!(health_of(3).is_none());
-    }
-
     /// A thread with no open scope — a CLI run — records no run state,
-    /// with recording on: no `/status` row, rows or verdict anywhere.
+    /// with the metrics switch on: no `/status` row, rows or verdict anywhere.
     #[test]
     fn an_unscoped_thread_records_no_run_state() {
         let _guard = crate::test_lock();
@@ -737,12 +717,10 @@ mod tests {
         section("status_ring_jsonl_of(12)", &status_ring_jsonl_of(12));
         section("metrics sentinel_*", &sentinel_metric_lines());
 
-        // the job's span folded into the totals, and logged no event: no
-        // one asked for the log
-        let golden_span = crate::span_totals()
-            .into_iter()
-            .find(|t| t.name == "golden-scope-11");
-        assert_eq!(golden_span.map(|t| t.count), Some(1));
+        // the job's span recorded nothing: no one opened the log
+        assert!(crate::span_totals()
+            .iter()
+            .all(|t| t.name != "golden-scope-11"));
         assert!(crate::folded_profile().counts.is_empty());
         scope_remove(11);
         section("status_json after evicting 11", &mask_rss(&status_json()));

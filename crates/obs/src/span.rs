@@ -2,39 +2,35 @@
 //! Chrome trace-event export.
 //!
 //! A span is opened with [`span`] and closed when its [`SpanGuard`]
-//! drops. Completed spans fold into per-name aggregate totals and, while
-//! the log is asked for, land in a process-global log as
-//! `(category, name, thread, depth, start, duration)` tuples, so the
-//! registry serves both uses:
+//! drops. Its one reader is the event log: from [`log_span_events`] (the
+//! CLI's `--trace` and `--profile`) until the next [`reset_spans`],
+//! completed spans land in a process-global log as
+//! `(category, name, thread, depth, start, duration)` tuples, and
+//! everything below reads that log:
 //!
-//! * [`chrome_trace`] — the full event log as a Chrome trace-event JSON
-//!   array (`chrome://tracing` / Perfetto "X" complete events, one track
-//!   per thread; nesting is reconstructed from time containment),
-//! * [`span_totals`] — per-name `(count, total)` aggregates for summary
-//!   tables and benchmark phase breakdowns,
+//! * [`chrome_trace`] — the log as a Chrome trace-event JSON array
+//!   (`chrome://tracing` / Perfetto "X" complete events, one track per
+//!   thread; nesting is reconstructed from time containment),
+//! * [`span_totals`] — per-name [`PhaseTotal`]s, the CLI's summary table,
 //! * [`folded_profile`] — the log's self time per stack of span names
 //!   (`--profile`, see [`crate::profile`]).
 //!
-//! [`parse_trace`] reads a trace file back as the report's phase table
-//! ([`PhaseTotal`] rows).
+//! [`parse_trace`] reads a trace file back through the same per-name fold
+//! as [`span_totals`]: the report's phase table.
 //!
-//! Recording is gated on [`crate::enabled`]: a disabled span costs one
-//! relaxed atomic load. An enabled span costs two `Instant::now()` calls
-//! plus one mutex-held fold — suitable for per-phase and per-iteration
-//! scopes, not for per-element inner loops (use [`crate::counter`] there).
-//!
-//! Only the aggregates are kept by default: the detailed event log, which
-//! [`chrome_trace`] and [`folded_profile`] read, is kept from
-//! [`log_span_events`] (the CLI's `--trace` and `--profile`) until the next
-//! [`reset_spans`]. A daemon, the experiment tables and a plain `dgr route`
-//! keep none. The log is capped at [`MAX_EVENTS`]; beyond it, events still
-//! fold into the aggregates but the log drops them (the drop count is
-//! reported by [`dropped_events`]).
+//! Recording is gated on the log alone, not on [`crate::enabled`] (the
+//! metrics' switch): with no log open — a daemon, the experiment tables,
+//! a plain `dgr route` — a span costs one relaxed atomic load and keeps
+//! nothing. A logged span costs two `Instant::now()` calls plus one
+//! mutex-held push — suitable for per-phase and per-iteration scopes, not
+//! for per-element inner loops (use [`crate::counter`] there). The log is
+//! capped at [`MAX_EVENTS`]; beyond it, events are dropped and counted by
+//! [`dropped_events`].
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::json::JsonObject;
 use crate::parse::parse_json;
@@ -57,11 +53,14 @@ pub(crate) struct SpanEvent {
     pub(crate) dur_ns: u64,
 }
 
+/// Whether the event log is open: [`span`]'s one check. Written only
+/// under the log's mutex, so a span that closes after a [`reset_spans`]
+/// sees it off and keeps nothing.
+static LOGGING: AtomicBool = AtomicBool::new(false);
+
 #[derive(Default)]
 struct SpanLog {
-    /// The detailed log; `None` until [`log_span_events`] asks for it.
-    events: Option<Vec<SpanEvent>>,
-    totals: HashMap<&'static str, (u64, u128)>,
+    events: Vec<SpanEvent>,
     dropped: usize,
 }
 
@@ -107,11 +106,11 @@ thread_local! {
 /// is recorded) when the returned guard drops. Both strings must be
 /// static so hot recording never allocates.
 ///
-/// When observability is disabled ([`crate::enabled`] is false) the
-/// returned guard is inert.
+/// While the event log is closed ([`log_span_events`]) the returned guard
+/// is inert.
 #[must_use = "a span measures the scope of its guard"]
 pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
-    if !crate::enabled() {
+    if !LOGGING.load(Ordering::Relaxed) {
         return SpanGuard { live: None };
     }
     let depth = DEPTH.with(|d| {
@@ -154,16 +153,12 @@ impl Drop for SpanGuard {
         };
         let dur = live.start.elapsed();
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let mut guard = log();
-        let log = &mut *guard;
-        let t = log.totals.entry(live.name).or_insert((0, 0));
-        t.0 += 1;
-        t.1 += dur.as_nanos();
-        let Some(events) = log.events.as_mut() else {
+        let mut log = log();
+        if !LOGGING.load(Ordering::Relaxed) {
             return;
-        };
-        if events.len() < MAX_EVENTS {
-            events.push(SpanEvent {
+        }
+        if log.events.len() < MAX_EVENTS {
+            log.events.push(SpanEvent {
                 cat: live.cat,
                 name: live.name,
                 tid: live.tid,
@@ -177,71 +172,41 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Per-name aggregate over all recorded spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanTotal {
-    /// The span name.
-    pub name: &'static str,
-    /// How many spans completed under this name.
-    pub count: u64,
-    /// Summed wall-clock duration.
-    pub total: Duration,
-}
-
-impl SpanTotal {
-    /// Mean duration per span.
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-/// All per-name aggregates, longest total first.
-pub fn span_totals() -> Vec<SpanTotal> {
-    let log = log();
-    let mut out: Vec<SpanTotal> = log
-        .totals
-        .iter()
-        .map(|(&name, &(count, ns))| SpanTotal {
-            name,
-            count,
-            total: Duration::from_nanos(ns.min(u64::MAX as u128) as u64),
-        })
-        .collect();
-    out.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(b.name)));
-    out
-}
-
-/// Number of detailed events discarded after [`MAX_EVENTS`] was reached
-/// (aggregates are never dropped).
+/// Number of events discarded after the log reached [`MAX_EVENTS`].
 pub fn dropped_events() -> usize {
     log().dropped
 }
 
-/// Keeps the detailed event of every span that closes from now on, until
-/// the next [`reset_spans`] (or [`crate::reset`]): what [`chrome_trace`],
-/// [`write_chrome_trace`] and [`folded_profile`] read. Without it they
-/// see an empty log. Asking twice keeps the events already logged.
+/// Records every span that opens from now on, until the next
+/// [`reset_spans`] (or [`crate::reset`]): what [`chrome_trace`],
+/// [`write_chrome_trace`], [`span_totals`] and [`folded_profile`] read.
+/// Without it spans record nothing and they see an empty log. Asking
+/// twice keeps the events already logged.
 pub fn log_span_events() {
-    log().events.get_or_insert_with(Vec::new);
+    let _log = log();
+    LOGGING.store(true, Ordering::Relaxed);
 }
 
-/// Clears the aggregates and drops the event log, which stays off until
-/// [`log_span_events`] asks for it again.
+/// Drops the event log and closes it: spans record nothing until
+/// [`log_span_events`] asks again.
 pub fn reset_spans() {
     let mut log = log();
-    log.events = None;
-    log.totals.clear();
+    LOGGING.store(false, Ordering::Relaxed);
+    log.events = Vec::new();
     log.dropped = 0;
+}
+
+/// Per-name totals of the event log ([`log_span_events`]), longest total
+/// first (name ties alphabetical).
+pub fn span_totals() -> Vec<PhaseTotal> {
+    let log = log();
+    phase_totals(log.events.iter().map(|e| (e.name, e.dur_ns as f64 / 1e3)))
 }
 
 /// The fold of the event log ([`log_span_events`]): self time per stack
 /// of span names, per track (`FoldedProfile::fold`).
 pub fn folded_profile() -> FoldedProfile {
-    FoldedProfile::fold(log().events.as_deref().unwrap_or_default())
+    FoldedProfile::fold(&log().events)
 }
 
 /// Serializes the event log ([`log_span_events`]) as a Chrome trace-event
@@ -252,7 +217,7 @@ pub fn folded_profile() -> FoldedProfile {
 /// gets its own track.
 pub fn chrome_trace() -> String {
     let log = log();
-    let events = log.events.as_deref().unwrap_or_default();
+    let events = &log.events;
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("[\n");
     let mut threads: Vec<u32> = events.iter().map(|e| e.tid).collect();
@@ -302,8 +267,9 @@ pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
     std::fs::write(path, chrome_trace())
 }
 
-/// One row of a report's phase table: a span name, how many spans
-/// completed under it and their summed duration in µs.
+/// Per-name aggregate of spans, a row of a summary or report phase table:
+/// a span name, how many spans completed under it and their summed
+/// duration in µs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTotal {
     /// The span name.
@@ -314,8 +280,31 @@ pub struct PhaseTotal {
     pub total_us: f64,
 }
 
+/// The one per-name fold of `(name, µs)` spans: [`span_totals`] runs it
+/// over the event log, [`parse_trace`] over a trace file. Longest total
+/// first, name ties alphabetical.
+fn phase_totals<'a>(spans: impl Iterator<Item = (&'a str, f64)>) -> Vec<PhaseTotal> {
+    let mut totals: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
+    for (name, us) in spans {
+        let t = totals.entry(name).or_default();
+        t.0 += 1;
+        t.1 += us;
+    }
+    let mut out: Vec<PhaseTotal> = totals
+        .into_iter()
+        .map(|(name, (count, total_us))| PhaseTotal {
+            name: name.to_string(),
+            count,
+            total_us,
+        })
+        .collect();
+    // stable: equal totals keep the map's name order
+    out.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
+    out
+}
+
 /// Reads a [`chrome_trace`] file back as per-name totals of its complete
-/// (`"X"`) events, longest total first (name ties alphabetical).
+/// (`"X"`) events, as [`span_totals`] folds the live log.
 ///
 /// # Errors
 ///
@@ -323,21 +312,10 @@ pub struct PhaseTotal {
 pub fn parse_trace(text: &str) -> Result<Vec<PhaseTotal>, String> {
     let v = parse_json(text).map_err(|e| e.to_string())?;
     let events = v.as_arr().ok_or("expected a JSON array")?;
-    let mut totals: BTreeMap<&str, PhaseTotal> = BTreeMap::new();
-    for e in events.iter().filter(|e| e.str("ph") == Some("X")) {
-        let name = e.str("name").unwrap_or("?");
-        let t = totals.entry(name).or_insert_with(|| PhaseTotal {
-            name: name.to_string(),
-            count: 0,
-            total_us: 0.0,
-        });
-        t.count += 1;
-        t.total_us += e.num("dur").unwrap_or(0.0);
-    }
-    let mut out: Vec<PhaseTotal> = totals.into_values().collect();
-    // stable: equal totals keep the map's name order
-    out.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
-    Ok(out)
+    let spans = events.iter().filter(|e| e.str("ph") == Some("X"));
+    Ok(phase_totals(spans.map(|e| {
+        (e.str("name").unwrap_or("?"), e.num("dur").unwrap_or(0.0))
+    })))
 }
 
 #[cfg(test)]
@@ -348,8 +326,8 @@ mod tests {
     #[test]
     fn spans_nest_and_aggregate() {
         let _guard = crate::test_lock();
-        crate::set_enabled(true);
         reset_spans();
+        log_span_events();
         {
             let _outer = span("test", "outer");
             for _ in 0..3 {
@@ -357,27 +335,26 @@ mod tests {
                 std::hint::black_box(0u64);
             }
         }
-        crate::set_enabled(false);
         let totals = span_totals();
         let outer = totals.iter().find(|t| t.name == "outer").unwrap();
         let inner = totals.iter().find(|t| t.name == "inner").unwrap();
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 3);
-        assert!(outer.total >= inner.total, "outer contains the inners");
-        assert!(inner.mean() <= inner.total);
+        assert!(
+            outer.total_us >= inner.total_us,
+            "outer contains the inners"
+        );
         reset_spans();
     }
 
     #[test]
     fn chrome_trace_is_wellformed() {
         let _guard = crate::test_lock();
-        crate::set_enabled(true);
         reset_spans();
         log_span_events();
         {
             let _s = span("test", "traced");
         }
-        crate::set_enabled(false);
         let json = chrome_trace();
         assert!(json.trim_start().starts_with('['));
         assert!(json.trim_end().ends_with(']'));
@@ -388,6 +365,11 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
+        // one fold: the file reads back as the log's totals, call for call
+        let counts = |t: Vec<PhaseTotal>| -> Vec<(String, u64)> {
+            t.into_iter().map(|t| (t.name, t.count)).collect()
+        };
+        assert_eq!(counts(parse_trace(&json).unwrap()), counts(span_totals()));
         reset_spans();
     }
 
@@ -409,49 +391,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_cost_nothing_visible() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(false);
-        reset_spans();
-        {
-            let _s = span("test", "ghost");
-        }
-        assert!(span_totals().is_empty());
-        assert_eq!(dropped_events(), 0);
-    }
-
-    #[test]
-    fn events_are_logged_only_while_asked_for() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset_spans();
-        let logged = || chrome_trace().matches("\"ph\":\"X\"").count();
-        {
-            let _s = span("test", "unlogged");
-        }
-        assert_eq!(logged(), 0, "no log until asked for");
-        log_span_events();
-        for _ in 0..2 {
-            let _s = span("test", "logged");
-        }
-        log_span_events();
-        assert_eq!(logged(), 2, "asking again keeps the log");
-        let total = |name| span_totals().into_iter().find(|t| t.name == name);
-        assert_eq!(total("unlogged").unwrap().count, 1, "totals fold anyway");
-        reset_spans();
-        {
-            let _s = span("test", "after-reset");
-        }
-        crate::set_enabled(false);
-        assert_eq!(logged(), 0, "a reset stops the log");
-        assert_eq!(total("after-reset").unwrap().count, 1);
-        reset_spans();
-    }
-
-    #[test]
     fn cross_thread_spans_get_distinct_tracks() {
         let _guard = crate::test_lock();
-        crate::set_enabled(true);
         reset_spans();
         log_span_events();
         let h = std::thread::spawn(|| {
@@ -461,9 +402,8 @@ mod tests {
             let _s = span("test", "main-span");
         }
         h.join().unwrap();
-        crate::set_enabled(false);
         let log = log();
-        let events = log.events.as_deref().unwrap();
+        let events = &log.events;
         let tids: std::collections::HashSet<u32> = events.iter().map(|e| e.tid).collect();
         assert_eq!(events.len(), 2);
         assert_eq!(tids.len(), 2, "each thread has its own track");

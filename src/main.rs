@@ -5,18 +5,18 @@
 //! `dgr --help` lists every subcommand and the flags it accepts, rendered
 //! from the one table [`Flags::parse`] checks arguments against.
 //!
-//! `--trace` turns on the `dgr-obs` span registry and writes a Chrome
+//! `--trace` opens the `dgr-obs` span log and writes it as a Chrome
 //! trace-event file (load it at `chrome://tracing` or in Perfetto);
 //! `--telemetry` streams one JSONL row per training iteration;
 //! `--profile` folds the span log into a collapsed-stack
-//! (flamegraph-compatible) file of self time. Recording is on only for a
-//! run given `--trace` or `--profile`, so a plain `route` records nothing
-//! it would not show; `--telemetry`'s sink works either way. `dgr report`
-//! reads those files back, each with the reader that sits beside its
-//! writer in `dgr-obs`, and renders them into one self-contained HTML
-//! post-mortem. To watch a run live, submit it to `dgr serve-jobs`
-//! (`dgrd`): `/status`, `/metrics`, `/health` and a job's `/report` and
-//! `/telemetry` answer while it runs.
+//! (flamegraph-compatible) file of self time. Spans and metrics record
+//! only in a run given `--trace` or `--profile`, so a plain `route`
+//! records nothing it would not show; `--telemetry`'s sink works either
+//! way. `dgr report` reads those files back, each with the reader that
+//! sits beside its writer in `dgr-obs`, and renders them into one
+//! self-contained HTML post-mortem. To watch a run live, submit it to
+//! `dgr serve-jobs` (`dgrd`): `/status`, `/metrics`, `/health` and a
+//! job's `/report` and `/telemetry` answer while it runs.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -78,7 +78,7 @@ const COMMANDS: &[Command] = &[
         name: "route",
         positional: Some("<design.txt>"),
         flags: "--iterations=N --seed=S --routes=out.txt --guide=out.guide --trace=out.json \
-                --telemetry=out.jsonl --profile=out.folded --progress=N --quiet",
+                --telemetry=out.jsonl --profile=out.folded --quiet",
         help: "route a design and print metrics",
         run: cmd_route,
     },
@@ -265,8 +265,7 @@ fn print_usage() {
     println!("  --trace out.json      record phase spans, write a Chrome trace-event file");
     println!("  --telemetry out.jsonl stream one JSONL row per training iteration");
     println!("  --profile out.folded  self time per span stack → collapsed stacks");
-    println!("  --progress N          progress line every N iterations (default 100)");
-    println!("  --quiet               suppress the progress line");
+    println!("  --quiet               suppress the progress line (every 100 iterations)");
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
@@ -314,8 +313,8 @@ fn cmd_serve_jobs(flags: &Flags) -> CliResult {
     if let Some(v) = flags.parsed("--retain")? {
         cfg.retain_jobs = v;
     }
-    // the daemon is an observability surface by nature: metrics, per-job
-    // status scopes and reports are always on
+    // the daemon is an observability surface by nature: its metrics are
+    // always on (a job's status, rows and report live in the job's scope)
     dgr::obs::reset();
     dgr::obs::set_enabled(true);
     let daemon = dgr::daemon::Daemon::start(addr, cfg)?;
@@ -344,10 +343,10 @@ fn config_from(flags: &Flags) -> Result<DgrConfig, String> {
     Ok(cfg)
 }
 
-/// Whether a CLI run records: only when `--trace` or `--profile` will
-/// read the span registry's event log, the two files written from it; the
-/// end-of-run summary tables print in the same runs. `--telemetry` needs
-/// no switch: its sink is an explicit object.
+/// Whether a CLI run records spans and metrics: only when `--trace` or
+/// `--profile` will read the span registry's event log, the two files
+/// written from it; the end-of-run summary tables print in the same runs.
+/// `--telemetry` needs no switch: its sink is an explicit object.
 fn obs_recording(flags: &Flags) -> bool {
     flags.has("--trace") || flags.has("--profile")
 }
@@ -376,13 +375,6 @@ fn obs_finish(flags: &Flags) -> CliResult {
             profile.counts.len(),
             profile.total() as f64 / 1e3,
         );
-        let dropped = dgr::obs::span::dropped_events();
-        if dropped > 0 {
-            println!(
-                "  {dropped} span events past the log's cap of {} are not in it",
-                dgr::obs::span::MAX_EVENTS
-            );
-        }
     }
     if obs_recording(flags) {
         print_summary_tables();
@@ -408,10 +400,17 @@ fn print_summary_tables() {
                 "{:<16} {:>8} {:>12.2} {:>12.1}",
                 t.name,
                 t.count,
-                t.total.as_secs_f64() * 1e3,
-                t.mean().as_secs_f64() * 1e6,
+                t.total_us / 1e3,
+                t.total_us / t.count as f64,
             );
         }
+    }
+    let dropped = dgr::obs::span::dropped_events();
+    if dropped > 0 {
+        println!(
+            "  {dropped} span events past the log's cap of {} are in neither the table nor the files",
+            dgr::obs::span::MAX_EVENTS
+        );
     }
     let metrics = dgr::obs::metrics_snapshot();
     if !metrics.is_empty() {
@@ -432,9 +431,7 @@ fn route_hooks(flags: &Flags) -> Result<RouteHooks, Box<dyn std::error::Error>> 
     if let Some(path) = flags.value("--telemetry") {
         hooks.telemetry = Some(TelemetrySink::to_path(path)?);
     }
-    if !flags.has("--quiet") {
-        hooks.progress = Some(flags.parsed("--progress")?.unwrap_or(100));
-    }
+    hooks.progress = !flags.has("--quiet");
     Ok(hooks)
 }
 

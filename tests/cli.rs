@@ -97,6 +97,10 @@ fn arguments_outside_the_flag_table_are_errors() {
         (vec!["compare", design, "--guide", "g.txt"], "--guide"),
         (vec!["cases", "--fast"], "--fast"),
         (vec!["route", design, "--snap", "x"], "--snap"),
+        (
+            vec!["route", "x", "--progress", "5"],
+            "unknown flag `--progress`",
+        ),
         (vec!["report", "--snap", "x"], "--snap"),
         (
             vec!["route", "x", "--no-ledger"],

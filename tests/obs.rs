@@ -217,7 +217,55 @@ fn cli_route_emits_trace_and_telemetry_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Progress lines reach stderr by default and honor `--progress N`.
+/// The summary span table and the trace file are one fold of one log:
+/// per span name, the table's call count is the count `parse_trace`
+/// reads back from the file the same run wrote.
+#[test]
+fn cli_summary_span_table_counts_what_its_trace_folds_to() {
+    let dir = std::env::temp_dir().join("dgr_obs_cli_summary_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let design_path = dir.join("design.txt");
+    let trace_path = dir.join("t.json");
+    let profile_path = dir.join("p.folded");
+    std::fs::write(&design_path, dgr::io::write_design(&small_design(9))).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .args(["route", design_path.to_str().unwrap(), "--iterations", "30"])
+        .args(["--trace", trace_path.to_str().unwrap()])
+        .args(["--profile", profile_path.to_str().unwrap(), "--quiet"])
+        .output()
+        .expect("spawn dgr");
+    assert!(
+        out.status.success(),
+        "dgr route failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // the rows between the `span calls …` header and the next blank line
+    let mut table: Vec<(String, u64)> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("span "))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            (cols[0].to_string(), cols[1].parse().expect("a call count"))
+        })
+        .collect();
+    assert!(!table.is_empty(), "no summary span table:\n{stdout}");
+    let trace = std::fs::read_to_string(&trace_path).unwrap();
+    let mut folded: Vec<(String, u64)> = dgr::obs::parse_trace(&trace)
+        .expect("trace parses")
+        .into_iter()
+        .map(|t| (t.name, t.count))
+        .collect();
+    table.sort();
+    folded.sort();
+    assert_eq!(table, folded, "the table and the trace count apart");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Progress lines reach stderr by default, every 100 iterations and at
+/// the last.
 #[test]
 fn cli_route_progress_line_appears_without_quiet() {
     let dir = std::env::temp_dir().join("dgr_obs_cli_progress_test");
@@ -225,14 +273,7 @@ fn cli_route_progress_line_appears_without_quiet() {
     let design_path = dir.join("design.txt");
     std::fs::write(&design_path, dgr::io::write_design(&small_design(4))).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_dgr"))
-        .args([
-            "route",
-            design_path.to_str().unwrap(),
-            "--iterations",
-            "30",
-            "--progress",
-            "10",
-        ])
+        .args(["route", design_path.to_str().unwrap(), "--iterations", "30"])
         .output()
         .expect("spawn dgr");
     assert!(out.status.success());

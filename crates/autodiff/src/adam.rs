@@ -62,7 +62,7 @@ impl Adam {
     /// Shrinks the optimizer to the parameters `keep` flags (one flag per
     /// parameter, what [`crate::CostModel::prune`] returns), and forgets
     /// the moments of every kept parameter outside `runs` (in the new
-    /// layout; the pruned model's [`crate::cost::NoiseRuns::runs`]). The
+    /// layout; the pruned model's [`crate::CostModel::choice_runs`]). The
     /// parameters inside keep their moments, and the step count is
     /// unchanged.
     ///

@@ -3,418 +3,253 @@
 //! Adding Gumbel noise to logits before a softmax ("Gumbel-softmax",
 //! Jang et al. 2016) turns the deterministic relaxation into a stochastic
 //! one, which the DGR paper uses to escape poor initializations. Noise is
-//! resampled every iteration.
+//! fresh every iteration.
 //!
-//! # The transform, and why it is libm's
+//! # A pure function
 //!
-//! A sample is `g = −ln(−ln u)`, computed in `f64` and rounded to `f32`;
-//! the *reference* is that formula with the platform's `ln` for both
-//! logarithms. Two libm calls cost several times the draw of `u`, so the
-//! samples are computed with an inline, branch-free logarithm instead
-//! (`ln` below: fdlibm's `e_log.c` reduction and polynomial, error < 1 ulp)
-//! over a chunk of uniforms at a time, and each result is *accepted* only
-//! when it provably rounds to the reference's `f32`:
+//! The noise of a logit is `g = −ln(−ln u)`, with `u` a hash of three
+//! inputs: a key (one per training round), the iteration, and the
+//! logit's index in the layout the kernel was built with. Nothing is
+//! drawn in order — the generator is counter-based, as in Salmon et al.,
+//! "Parallel random numbers: as easy as 1, 2, 3" (SC'11) — so the code
+//! that reads a logit computes its noise on the spot, and a logit's noise
+//! depends on nothing else: not on which logits a prune has left, on
+//! where the kernel's loops are cut into lanes, or on the thread.
 //!
-//! * Let `y` be the inline result and `y′` the reference's, both before
-//!   the rounding to `f32`, and `ε = f64::EPSILON`. Both inner logarithms
-//!   are within 1 ulp of `ln u`, so they differ by at most `2ε·b`, `b`
-//!   their value; the outer logarithm turns that relative difference into
-//!   at most `2ε` absolute, and its own two roundings add at most
-//!   `2ε·|y|`. So `|y − y′| ≤ 2ε·(|y| + 1)`.
-//! * Take `d = 4ε·(|y| + 1)`, twice that bound — the spare half covers
-//!   the rounding of `y ± d` itself. If `y − d` and `y + d` round to the
-//!   same `f32`, then so does every number between them, `y′` included,
-//!   because rounding to nearest is monotone.
-//! * Otherwise the sample is recomputed by the reference formula. That is
-//!   the case near `y = 0` (`u ≈ e⁻¹`, where `d` spans many `f32`s) and
-//!   wherever `y` lies within `d` of a midpoint between two `f32`s:
-//!   rarely — 336 of 10⁹ draws in the ignored test
-//!   `identity_over_a_billion_draws`.
+//! The hash is two splitmix64 sequences, nested: [`Noise::new`] takes the
+//! output at the iteration of the sequence seeded with the key, and
+//! [`Noise::sample`] the output at the logit of the sequence seeded with
+//! that. `u` is the top 23 bits of the result, taken at the middle of
+//! their cell — exact in `f32`, in `[2⁻²⁴, 1 − 2⁻²⁴]` — so `g` lies in
+//! about `[−2.81, 16.64]` and is never infinite.
 //!
-//! The output is the reference's bits on every draw, and the generator
-//! is left where the reference leaves it: the uniforms are drawn one per
-//! sample, in the same order. The transform body is compiled twice, plain
-//! and for AVX2 (chosen at run time); the bound is the proof for both.
+//! Both logarithms are `ln`, an inline `f32` logarithm with no branch
+//! and no division, so that `Noise::fill` runs them over a batch of
+//! samples in vector registers: ≈ 7 ns a sample, the hash included,
+//! where two libm `logf` calls a sample cost ≈ 15 and two `f64` `ln` ≈
+//! 18 (EXPERIMENTS.md, "Noise as a pure function"). It is also the same
+//! arithmetic on every platform, where libm's last bits are not.
 
-use std::ops::Range;
+/// splitmix64's increment, the golden ratio in 64 bits.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-use rand::Rng;
+/// splitmix64's output function (Steele, Lea and Flood, "Fast splittable
+/// pseudorandom number generators", OOPSLA'14).
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
-/// The uniform draw is clamped to `[EPS, 1 − EPS)` so the double
-/// logarithm never produces `±∞`.
-const EPS: f64 = 1e-12;
+/// The `n`-th output (from 0) of the splitmix64 sequence seeded with
+/// `seed`.
+fn nth(seed: u64, n: u64) -> u64 {
+    mix(seed.wrapping_add(n.wrapping_add(1).wrapping_mul(GAMMA)))
+}
 
-/// Samples transformed in one pass: the uniforms of a chunk are drawn,
-/// then transformed, then scattered to their runs.
-const CHUNK: usize = 256;
-
-/// Fills `out` with independent Gumbel(0, 1) samples:
-/// `g = −ln(−ln u)`, `u ~ Uniform(0, 1)`.
-///
-/// The uniform draw is clamped away from 0 and 1 so the double logarithm
-/// never produces `±∞`.
+/// One iteration's Gumbel(0, 1) noise: a pure function from a logit's
+/// index to its sample.
 ///
 /// # Examples
 ///
 /// ```
-/// use rand::{rngs::StdRng, SeedableRng};
+/// use dgr_autodiff::gumbel::Noise;
 ///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let mut noise = vec![0.0f32; 8];
-/// dgr_autodiff::gumbel::fill_gumbel(&mut rng, &mut noise);
-/// assert!(noise.iter().all(|g| g.is_finite()));
+/// let noise = Noise::new(7, 0);
+/// let g: Vec<f32> = (0..8).map(|logit| noise.sample(logit)).collect();
+/// assert!(g.iter().all(|g| g.is_finite()));
+/// // the same inputs, the same sample; another iteration, another one
+/// assert_eq!(Noise::new(7, 0).sample(3), g[3]);
+/// assert_ne!(Noise::new(7, 1).sample(3), g[3]);
 /// ```
-pub fn fill_gumbel<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32]) {
-    let all = 0..out.len();
-    fill_runs(rng, std::slice::from_ref(&all), out);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Noise {
+    /// The seed of the iteration's sequence.
+    seed: u64,
 }
 
-/// Fills the entries of `out` that `runs` name with Gumbel(0, 1)
-/// samples, run by run and in index order within a run — the order
-/// [`fill_gumbel`] over each run in turn would draw them in.
-///
-/// # Panics
-///
-/// Panics if a run reaches past the end of `out`.
-pub(crate) fn fill_runs<R: Rng + ?Sized>(rng: &mut R, runs: &[Range<usize>], out: &mut [f32]) {
-    let (mut u, mut a, mut g) = ([0.0f64; CHUNK], [0.0f64; CHUNK], [0.0f32; CHUNK]);
-    let mut left: usize = runs.iter().map(Range::len).sum();
-    let mut runs = runs.iter().cloned();
-    let mut run = 0..0;
-    while left > 0 {
-        let n = left.min(CHUNK);
-        for u in &mut u[..n] {
-            *u = rng.gen_range(EPS..(1.0 - EPS));
-        }
-        transform(&u[..n], &mut a[..n], &mut g[..n]);
-        let mut done = &g[..n];
-        while !done.is_empty() {
-            if run.is_empty() {
-                run = runs.next().expect("the runs hold the samples counted");
-            }
-            let k = run.len().min(done.len());
-            out[run.start..run.start + k].copy_from_slice(&done[..k]);
-            run.start += k;
-            done = &done[k..];
-        }
-        left -= n;
-    }
-}
-
-/// `g[i] = −ln(−ln u[i])` rounded to `f32`, bit for bit the reference's;
-/// `a` is scratch of the same length.
-fn transform(u: &[f64], a: &mut [f64], g: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `transform_avx2` requires AVX2 and nothing else, and the
-        // CPU was just found to have it.
-        return unsafe { transform_avx2(u, a, g) };
-    }
-    transform_body(u, a, g);
-}
-
-/// [`transform_body`], compiled with 256-bit vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn transform_avx2(u: &[f64], a: &mut [f64], g: &mut [f32]) {
-    transform_body(u, a, g);
-}
-
-/// Two branch-free passes over the chunk, one per logarithm (one pass
-/// of both waits on the chain of two divisions and two polynomials per
-/// sample); then, only if some sample was not accepted, a third that
-/// recomputes those by the reference.
-#[inline(always)]
-fn transform_body(u: &[f64], a: &mut [f64], g: &mut [f32]) {
-    for (a, &u) in a.iter_mut().zip(u) {
-        *a = -ln(u);
-    }
-    let mut all = true;
-    for (g, &a) in g.iter_mut().zip(&*a) {
-        let (v, accepted) = outer(a);
-        *g = v;
-        all &= accepted;
-    }
-    if !all {
-        for ((g, &a), &u) in g.iter_mut().zip(&*a).zip(u) {
-            if !outer(a).1 {
-                *g = (-(-u.ln()).ln()) as f32;
-            }
+impl Noise {
+    /// The noise of iteration `iteration` of the round keyed `key`.
+    pub fn new(key: u64, iteration: u64) -> Noise {
+        Noise {
+            seed: nth(key, iteration),
         }
     }
+
+    /// The sample of the logit at `logit`, its index in the layout the
+    /// kernel was built with: `−ln(−ln u)`.
+    pub fn sample(self, logit: u64) -> f32 {
+        gumbel(self.uniform(logit))
+    }
+
+    /// The samples of `logits`, in order, into the front of `out` until
+    /// either runs out; returns how many. Each is [`Self::sample`]'s bits:
+    /// the uniforms are hashed one by one, then both logarithms run over
+    /// the batch in a loop the compiler vectorises.
+    pub(crate) fn fill(self, logits: impl Iterator<Item = u64>, out: &mut [f32]) -> usize {
+        let mut n = 0;
+        for (u, logit) in out.iter_mut().zip(logits) {
+            *u = self.uniform(logit);
+            n += 1;
+        }
+        for g in &mut out[..n] {
+            *g = gumbel(*g);
+        }
+        n
+    }
+
+    /// The `u` of `logit`: the top 23 bits of its hash, at the middle of
+    /// their cell.
+    #[inline]
+    fn uniform(self, logit: u64) -> f32 {
+        let bits = nth(self.seed, logit) >> 41;
+        (bits as f32 + 0.5) * (1.0 / (1u32 << 23) as f32)
+    }
 }
 
-/// `y = −ln a` by [`ln`], rounded to `f32`, and whether the rounding test
-/// accepts it (module doc): `y ± d` round to the same `f32`.
+/// `−ln(−ln u)`.
 #[inline(always)]
-fn outer(a: f64) -> (f32, bool) {
-    let y = -ln(a);
-    let d = 4.0 * f64::EPSILON * (y.abs() + 1.0);
-    let lo = (y - d) as f32;
-    (lo, lo.to_bits() == ((y + d) as f32).to_bits())
+fn gumbel(u: f32) -> f32 {
+    -ln(-ln(u))
 }
 
-/// The natural logarithm of a positive normal `x`, within 1 ulp: fdlibm's
-/// `e_log.c` without its special cases and its branch on `f`.
+/// The natural logarithm of a positive normal `x`, within about 1 ulp:
+/// Moshier's Cephes `logf`, without its special cases and with its one
+/// branch a select.
 ///
-/// `x = 2^k·m` with `m ∈ [√½, √2)`, `f = m − 1`, `s = f/(2 + f)`, and
-/// `ln m = f − ½f² + s·(½f² + R(s²))` with `R` a minimax polynomial.
+/// `x = 2^e · m` with `m ∈ [√½, √2)`, `f = m − 1` (exact), and
+/// `ln x = e·ln 2 + f − ½f² + f³·P(f)`, `P` a degree-8 minimax
+/// polynomial; `ln 2` is split in two so that `e·ln 2` adds no rounding
+/// of its own.
 #[inline(always)]
-#[allow(clippy::excessive_precision)] // the constants as `e_log.c` spells them
-fn ln(x: f64) -> f64 {
-    const LN2_HI: f64 = 6.93147180369123816490e-01;
-    const LN2_LO: f64 = 1.90821492927058770002e-10;
-    const LG1: f64 = 6.666666666666735130e-01;
-    const LG2: f64 = 3.999999999940941908e-01;
-    const LG3: f64 = 2.857142874366239149e-01;
-    const LG4: f64 = 2.222219843214978396e-01;
-    const LG5: f64 = 1.818357216161805012e-01;
-    const LG6: f64 = 1.531383769920937332e-01;
-    const LG7: f64 = 1.479819860511658591e-01;
-    // the high word of √½ is 0x3fe6a09e: offsetting the high word by it
-    // carries a mantissa of √2 or more into the exponent
+#[allow(clippy::excessive_precision)] // the coefficients as Cephes spells them
+fn ln(x: f32) -> f32 {
+    const LN2_HI: f32 = 0.693_359_375;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const P: [f32; 9] = [
+        7.037_683_629_2e-2,
+        -1.151_461_031_0e-1,
+        1.167_699_874_0e-1,
+        -1.242_014_084_6e-1,
+        1.424_932_278_7e-1,
+        -1.666_805_766_5e-1,
+        2.000_071_476_5e-1,
+        -2.499_999_399_3e-1,
+        3.333_333_117_4e-1,
+    ];
     let bits = x.to_bits();
-    let hx = ((bits >> 32) as u32).wrapping_add(0x3ff0_0000 - 0x3fe6_a09e);
-    let k = (hx >> 20) as i32 - 0x3ff;
-    let hx = (hx & 0x000f_ffff) + 0x3fe6_a09e;
-    let m = f64::from_bits((hx as u64) << 32 | (bits & 0xffff_ffff));
-    let f = m - 1.0;
-    let hfsq = 0.5 * f * f;
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let t1 = w * (LG2 + w * (LG4 + w * LG6));
-    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    let r = t2 + t1;
-    let dk = k as f64;
-    dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
-}
-
-/// The loop [`fill_gumbel`] ran before the inline logarithm: one uniform
-/// and two libm logarithms per sample. The tests' reference, bit for bit.
-#[cfg(test)]
-pub(crate) fn reference_fill<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32]) {
-    for v in out {
-        let u: f64 = rng.gen_range(EPS..(1.0 - EPS));
-        *v = (-(-u.ln()).ln()) as f32;
-    }
+    // x = 2^e · m, m ∈ [½, 1); below √½ one power of two moves into m
+    let m = f32::from_bits(bits & 0x007f_ffff | 0x3f00_0000);
+    let low = m < std::f32::consts::FRAC_1_SQRT_2;
+    let e = ((bits >> 23) as i32 - 126 - i32::from(low)) as f32;
+    let f = if low { m + m - 1.0 } else { m - 1.0 };
+    let z = f * f;
+    let p = P[1..].iter().fold(P[0], |p, &c| p * f + c);
+    (f * z * p + e * LN2_LO - 0.5 * z) + f + e * LN2_HI
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
 
-    fn reference(u: f64) -> f32 {
-        (-(-u.ln()).ln()) as f32
-    }
+    /// Euler–Mascheroni: the mean of Gumbel(0, 1).
+    const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
 
-    /// The transform's decision for `u`: `true` keeps the inline result.
-    fn accepted(u: f64) -> bool {
-        outer(-ln(u)).1
-    }
-
-    #[test]
-    fn samples_are_finite_and_varied() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut buf = vec![0.0f32; 10_000];
-        fill_gumbel(&mut rng, &mut buf);
-        assert!(buf.iter().all(|v| v.is_finite()));
-        let distinct: std::collections::HashSet<u32> = buf.iter().map(|v| v.to_bits()).collect();
-        assert!(distinct.len() > 9_000);
+    /// 2²⁰ samples: 16 iterations of 65 536 logits.
+    fn samples(key: u64) -> Vec<f64> {
+        let per_iteration = 1u64 << 16;
+        let noise = (0..16).map(|it| Noise::new(key, it));
+        let all = noise.flat_map(|n| (0..per_iteration).map(move |i| f64::from(n.sample(i))));
+        all.collect()
     }
 
     #[test]
-    fn mean_approximates_euler_mascheroni() {
-        // E[Gumbel(0,1)] = γ ≈ 0.5772
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut buf = vec![0.0f32; 200_000];
-        fill_gumbel(&mut rng, &mut buf);
-        let mean: f64 = buf.iter().map(|&v| v as f64).sum::<f64>() / buf.len() as f64;
-        assert!((mean - 0.5772).abs() < 0.02, "mean {mean}");
+    fn samples_follow_gumbel_zero_one() {
+        let mut g = samples(2024);
+        let n = g.len() as f64;
+        let mean = g.iter().sum::<f64>() / n;
+        let var = g.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+        // the mean's standard error is √(π²/6 / n) = 1.25e-3; the sample
+        // variance's is √((μ₄ − σ⁴) / n) = √(4.4) · π²/6 / √n = 3.4e-3 (a
+        // Gumbel's excess kurtosis is 12/5): five of each
+        let pi2_6 = std::f64::consts::PI.powi(2) / 6.0;
+        assert!((mean - EULER_GAMMA).abs() < 5.0 * 1.25e-3, "mean {mean}");
+        assert!((var - pi2_6).abs() < 5.0 * 3.4e-3, "variance {var}");
+        // Kolmogorov–Smirnov against F(x) = exp(−exp(−x)): the largest
+        // gap between the empirical and the true CDF, under 1.95 / √n
+        // (the 0.1 % critical value)
+        g.sort_by(f64::total_cmp);
+        let cdf = |x: f64| (-(-x).exp()).exp();
+        let d = g.iter().enumerate().fold(0.0f64, |d, (i, &x)| {
+            let f = cdf(x);
+            d.max(f - i as f64 / n).max((i + 1) as f64 / n - f)
+        });
+        assert!(d < 1.95 / n.sqrt(), "KS distance {d}");
     }
 
     #[test]
-    fn deterministic_per_seed() {
-        let mut a = vec![0.0f32; 16];
-        let mut b = vec![0.0f32; 16];
-        fill_gumbel(&mut StdRng::seed_from_u64(9), &mut a);
-        fill_gumbel(&mut StdRng::seed_from_u64(9), &mut b);
-        assert_eq!(a, b);
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|g| g.to_bits()).collect()
-    }
-
-    #[test]
-    fn fill_gumbel_is_the_reference_bit_for_bit() {
-        // 4 seeds × 2.5 M draws, in buffers that end mid-chunk and on one
-        for (seed, len) in [
-            (1, 2_500_000),
-            (2, 2_499_999),
-            (3, 256 * 9_766),
-            (4, 2_500_001),
+    fn neighbouring_logits_iterations_and_keys_are_uncorrelated() {
+        // Pearson correlation of 2¹⁶ pairs each: its standard error is
+        // 1/√n = 3.9e-3, and five of it bounds each
+        let n = 1u64 << 16;
+        let base = Noise::new(5, 0);
+        for (what, other, shift) in [
+            ("next logit", base, 1),
+            ("next iteration", Noise::new(5, 1), 0),
+            ("next key", Noise::new(6, 0), 0),
         ] {
-            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let mut got = vec![0.0f32; len];
-            let mut want = vec![0.0f32; len];
-            fill_gumbel(&mut a, &mut got);
-            reference_fill(&mut b, &mut want);
-            assert!(bits(&got) == bits(&want), "seed {seed}: a sample differs");
-            assert_eq!(
-                a.next_u64(),
-                b.next_u64(),
-                "seed {seed}: the generator moved differently"
-            );
+            let a: Vec<f64> = (0..n).map(|i| f64::from(base.sample(i))).collect();
+            let b: Vec<f64> = (0..n).map(|i| f64::from(other.sample(i + shift))).collect();
+            let mean = |v: &[f64]| v.iter().sum::<f64>() / n as f64;
+            let (ma, mb) = (mean(&a), mean(&b));
+            let cov: f64 = a.iter().zip(&b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+            let sd = |v: &[f64], m: f64| v.iter().map(|x| (x - m) * (x - m)).sum::<f64>().sqrt();
+            let r = cov / (sd(&a, ma) * sd(&b, mb));
+            assert!(r.abs() < 5.0 / (n as f64).sqrt(), "{what}: r = {r}");
         }
     }
 
     #[test]
-    fn fill_runs_is_the_reference_run_by_run() {
-        // empty runs, runs of 1–3 logits with gaps between them, one run
-        // longer than a chunk, and runs straddling chunk boundaries
-        let mut runs = Vec::new();
-        let mut at = 0;
-        for i in 0..2_000usize {
-            let len = [0, 1, 2, 3, 2, 1, 3, 0][i % 8];
-            runs.push(at..at + len);
-            at += len + i % 3;
-            if i == 700 {
-                runs.push(at..at + 10_000);
-                at += 10_000;
-            }
-        }
-        let total: usize = runs.iter().map(Range::len).sum();
-        for seed in 0..8 {
-            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let mut got = vec![7.0f32; at];
-            let mut want = vec![7.0f32; at];
-            for _ in 0..1_250_000 / total + 1 {
-                fill_runs(&mut a, &runs, &mut got);
-                for run in &runs {
-                    reference_fill(&mut b, &mut want[run.clone()]);
-                }
-                assert!(bits(&got) == bits(&want), "seed {seed}: a sample differs");
-            }
-            assert_eq!(
-                a.next_u64(),
-                b.next_u64(),
-                "seed {seed}: the generator moved differently"
-            );
-        }
+    fn a_batch_is_the_samples_one_by_one() {
+        let noise = Noise::new(9, 4);
+        let logits = (0..1000u64).map(|i| i * i % 7919);
+        let mut batch = [0.0f32; 600];
+        assert_eq!(noise.fill(logits.clone(), &mut batch), 600);
+        let mut tail = [7.0f32; 600];
+        assert_eq!(noise.fill(logits.clone().skip(600), &mut tail), 400);
+        let bits = |g: &[f32]| g.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let one_by_one: Vec<f32> = logits.map(|i| noise.sample(i)).collect();
+        assert_eq!(bits(&batch), bits(&one_by_one[..600]));
+        assert_eq!(bits(&tail[..400]), bits(&one_by_one[600..]));
+        assert_eq!(tail[400], 7.0, "past the end stays");
     }
 
-    /// The `u` whose reference `y` (before the `f32` rounding) is nearest
-    /// the midpoint between `t` and the next `f32` up, by bisection on
-    /// `u`, along which `y` increases.
-    fn u_at_midpoint(t: f32) -> (f64, f64) {
-        let mid = (t as f64 + f32::from_bits(t.to_bits() + 1) as f64) / 2.0;
-        let y = |u: f64| -(-u.ln()).ln();
-        let (mut lo, mut hi) = (EPS, 1.0 - EPS);
-        while f64::from_bits(lo.to_bits() + 1) < hi {
-            let m = lo + (hi - lo) / 2.0;
-            if m <= lo || m >= hi {
-                break;
-            }
-            if y(m) < mid {
-                lo = m;
+    #[test]
+    fn ln_is_within_two_ulps_of_the_f64_logarithm() {
+        // every 97th f32 from 2⁻²⁴ to 17 — the inputs of both
+        // logarithms — against `f64::ln`, rounded to f32
+        let (from, to) = ((2f32.powi(-24)).to_bits(), 17f32.to_bits());
+        let mut worst = 0u32;
+        for x in (from..to).step_by(97).map(f32::from_bits) {
+            let (got, want) = (ln(x), f64::from(x).ln() as f32);
+            let ulps = (got.to_bits() as i64 - want.to_bits() as i64).unsigned_abs() as u32;
+            // across 0, at x = 1, the signs differ: both are exact there
+            let ulps = if got.signum() == want.signum() {
+                ulps
             } else {
-                hi = m;
-            }
+                u32::from(got != want)
+            };
+            worst = worst.max(ulps);
         }
-        let u = if (y(lo) - mid).abs() <= (y(hi) - mid).abs() {
-            lo
-        } else {
-            hi
-        };
-        (u, mid)
+        assert!(worst <= 2, "{worst} ulps");
     }
 
     #[test]
-    fn hard_inputs_fall_back_and_keep_the_reference_bits() {
-        let e_inv = (-1.0f64).exp();
-        let mut near_zero: Vec<f64> = vec![e_inv];
-        let (mut below, mut above) = (e_inv, e_inv);
-        for _ in 0..64 {
-            below = f64::from_bits(below.to_bits() - 1);
-            above = f64::from_bits(above.to_bits() + 1);
-            near_zero.extend([below, above]);
-        }
-        let mut midpoints = Vec::new();
-        for t in [1.5f32, -0.75, 0.1, 4.0, -1.8] {
-            let (u, mid) = u_at_midpoint(t);
-            let y = -(-u.ln()).ln();
-            let d = 4.0 * f64::EPSILON * (y.abs() + 1.0);
-            assert!(
-                (y - mid).abs() < d / 2.0,
-                "bisection for {t} ended {} from the midpoint",
-                y - mid
-            );
-            midpoints.push(u);
-        }
-        for &u in near_zero.iter().chain(&midpoints) {
-            assert!(!accepted(u), "u = {u:e} was accepted");
-        }
-        // the ends of the clamp are ordinary inputs: they need only agree
-        let ends = [EPS, 1.0 - EPS, 1.0 - 2.0 * EPS];
-        let inputs: Vec<f64> = near_zero
-            .iter()
-            .chain(&midpoints)
-            .chain(&ends)
-            .copied()
-            .collect();
-        let mut got = vec![0.0f32; inputs.len()];
-        transform(&inputs, &mut vec![0.0; inputs.len()], &mut got);
-        let want: Vec<f32> = inputs.iter().map(|&u| reference(u)).collect();
-        assert_eq!(bits(&got), bits(&want));
-    }
-
-    #[test]
-    fn the_two_transform_bodies_agree() {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut rng = StdRng::seed_from_u64(5);
-            let u: Vec<f64> = (0..1 << 20)
-                .map(|_| rng.gen_range(EPS..(1.0 - EPS)))
-                .collect();
-            let (mut plain, mut wide) = (vec![0.0f32; u.len()], vec![0.0f32; u.len()]);
-            for ((u, p), w) in u
-                .chunks(CHUNK)
-                .zip(plain.chunks_mut(CHUNK))
-                .zip(wide.chunks_mut(CHUNK))
-            {
-                let mut a = [0.0; CHUNK];
-                transform_body(u, &mut a[..u.len()], p);
-                // SAFETY: AVX2 was detected above.
-                unsafe { transform_avx2(u, &mut a[..u.len()], w) };
-            }
-            assert!(bits(&plain) == bits(&wide));
-        }
-    }
-
-    /// `cargo test --release -p dgr-autodiff --lib identity_over -- --ignored --nocapture`
-    #[test]
-    #[ignore = "10⁹ draws: run in release"]
-    fn identity_over_a_billion_draws() {
-        const DRAWS: u64 = 1_000_000_000;
-        let mut rng = StdRng::seed_from_u64(2024);
-        let (mut u, mut a, mut got) = ([0.0f64; CHUNK], [0.0f64; CHUNK], [0.0f32; CHUNK]);
-        let (mut mismatches, mut fallbacks) = (0u64, 0u64);
-        for _ in 0..DRAWS / CHUNK as u64 {
-            for u in &mut u {
-                *u = rng.gen_range(EPS..(1.0 - EPS));
-            }
-            transform(&u, &mut a, &mut got);
-            for (&u, &g) in u.iter().zip(&got) {
-                mismatches += (g.to_bits() != reference(u).to_bits()) as u64;
-                fallbacks += !accepted(u) as u64;
-            }
-        }
-        let rate = fallbacks as f64 / DRAWS as f64;
-        println!("gumbel identity: draws {DRAWS} mismatches {mismatches} fallbacks {fallbacks} rate {rate:.3e}");
-        assert_eq!(mismatches, 0);
-        assert!(rate < 1e-5, "fallback rate {rate}");
+    fn the_ends_of_u_are_finite() {
+        // the smallest and the largest `u` the 52 bits reach
+        let u = |bits: u32| (bits as f32 + 0.5) * (1.0 / (1u32 << 23) as f32);
+        let (low, high) = (gumbel(u(0)), gumbel(u((1 << 23) - 1)));
+        assert!((-2.82..-2.80).contains(&low), "{low}");
+        assert!((16.63..16.65).contains(&high), "{high}");
     }
 }

@@ -18,12 +18,11 @@
 //! * [`Activation`] — ReLU / sigmoid / LeakyReLU / exp / CELU, the Fig. 6
 //!   overflow-cost family,
 //! * [`Adam`] — the optimizer used by the paper,
-//! * [`gumbel::fill_gumbel`] — Gumbel(0, 1) noise for the stochastic
-//!   softmax,
+//! * [`gumbel::Noise`] — Gumbel(0, 1) noise for the stochastic softmax,
+//!   a pure function of a key, the iteration and the logit,
 //! * [`parallel`] — the [`parallel::Helper`] a training run engages to
-//!   take the next iteration's noise draw and one of the kernel's two
-//!   lanes off the calling thread, and the route pipeline's index-pure
-//!   fan-outs hand their upper half to.
+//!   take one of the kernel's two lanes off the calling thread, and the
+//!   route pipeline's index-pure fan-outs hand their upper half to.
 
 pub mod activation;
 pub mod adam;
@@ -37,6 +36,7 @@ pub use activation::Activation;
 pub use adam::Adam;
 pub use cost::{CostModel, CostShape, CostTerms};
 pub use geometry::Geometry;
+pub use gumbel::Noise;
 
 /// Errors produced while assembling a [`CostModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]

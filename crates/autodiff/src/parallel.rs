@@ -9,8 +9,8 @@
 //!
 //! # The handoff
 //!
-//! The calling thread offers the helper tasks — [`join`]'s second closure,
-//! an [`ahead`] closure — and never depends on it:
+//! The calling thread offers the helper one task at a time — [`join`]'s
+//! second closure — and never depends on it:
 //!
 //! * **claim or inline** — whoever takes a task's closure out of it
 //!   runs it. A task the helper has not started when the calling
@@ -22,9 +22,7 @@
 //!   50 µs before it parks: no futex round trip inside an iteration unless
 //!   the host is oversubscribed. A spin step ends in a `sched_yield`, so
 //!   two threads the scheduler has put on one CPU do not take turns
-//!   burning it;
-//! * **one script** — the helper runs a lane task, then the pending
-//!   ahead task if there is one, then waits for the next lane task.
+//!   burning it.
 //!
 //! # Determinism contract
 //!
@@ -193,30 +191,24 @@ fn spin_politely() {
     std::thread::yield_now();
 }
 
-type Body<T> = Box<dyn FnOnce() -> T + Send>;
+type Body = Box<dyn FnOnce() + Send>;
 
 /// One closure offered to the helper. Whichever thread takes `body` out
 /// — the claim — runs it; when that is the helper, it then stores the
 /// outcome and raises `done`.
-struct Task<T> {
+struct Task {
     /// What [`fail_next_helper_task`] knows the task by.
     name: &'static str,
-    body: Mutex<Option<Body<T>>>,
-    /// What the helper's run returned, or the payload it panicked with.
-    outcome: Mutex<Option<std::thread::Result<T>>>,
+    body: Mutex<Option<Body>>,
+    /// How the helper's run ended: the payload, if it panicked.
+    outcome: Mutex<Option<std::thread::Result<()>>>,
     /// What the calling thread spins on before it waits on `finished`.
     done: AtomicBool,
     finished: Condvar,
 }
 
-/// A [`Task`] of any result type, as the helper sees it.
-trait Offered: Send + Sync {
-    /// Runs the task unless it has been claimed.
-    fn run_on_helper(&self);
-}
-
-impl<T: Send> Task<T> {
-    fn new(name: &'static str, body: Body<T>) -> Self {
+impl Task {
+    fn new(name: &'static str, body: Body) -> Self {
         Task {
             name,
             body: Mutex::new(Some(body)),
@@ -227,13 +219,13 @@ impl<T: Send> Task<T> {
     }
 
     /// The body, for the one caller that gets here first.
-    fn claim(&self) -> Option<Body<T>> {
+    fn claim(&self) -> Option<Body> {
         lock(&self.body).take()
     }
 
     /// Blocks until the helper has stored the outcome of a task it
     /// claimed: a bounded spin on `done`, then the condvar.
-    fn wait(&self) -> std::thread::Result<T> {
+    fn wait(&self) -> std::thread::Result<()> {
         let start = Instant::now();
         // Acquire pairs with the helper's Release store
         while !self.done.load(Ordering::Acquire) && start.elapsed() < JOIN_SPIN {
@@ -253,9 +245,9 @@ impl<T: Send> Task<T> {
         }
     }
 
-    /// The task's result: runs it here if the helper has not started it,
-    /// else waits for the helper. A panic of the body resumes here.
-    fn finish(&self) -> T {
+    /// Runs the task here if the helper has not started it, else waits
+    /// for the helper. A panic of the body resumes here.
+    fn finish(&self) {
         if let Some(body) = self.claim() {
             helper_metrics().inline.add(1);
             return body();
@@ -263,9 +255,8 @@ impl<T: Send> Task<T> {
         helper_metrics().by_helper.add(1);
         self.wait().unwrap_or_else(|payload| resume_unwind(payload))
     }
-}
 
-impl<T: Send> Offered for Task<T> {
+    /// Runs the task on the helper unless it has been claimed.
     fn run_on_helper(&self) {
         let Some(body) = self.claim() else {
             return;
@@ -286,18 +277,10 @@ impl<T: Send> Offered for Task<T> {
     }
 }
 
-/// The two mailboxes the calling thread fills, one task each.
-#[derive(Default)]
-struct Offers {
-    /// [`join`]'s second closure: the calling thread is about to need it.
-    lane: Option<Arc<dyn Offered>>,
-    /// An [`ahead`] closure, needed an iteration from now; the helper
-    /// takes it up after a lane task, never instead of one.
-    ahead: Option<Arc<dyn Offered>>,
-}
-
 struct Shared {
-    offers: Mutex<Offers>,
+    /// The mailbox: [`join`]'s second closure, which the calling thread
+    /// is about to need.
+    lane: Mutex<Option<Arc<Task>>>,
     /// Bumped after every lane offer; the helper spins on it.
     posted: AtomicU32,
     /// Set by the helper around `thread::park`.
@@ -308,8 +291,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn offer_lane(&self, task: Arc<dyn Offered>) {
-        lock(&self.offers).lane = Some(task);
+    fn offer_lane(&self, task: Arc<Task>) {
+        *lock(&self.lane) = Some(task);
         // SeqCst on `posted` and `parked`, here and in `next_lane`: either
         // the helper's re-check sees this offer or this load sees it parked
         self.posted.fetch_add(1, Ordering::SeqCst);
@@ -344,19 +327,15 @@ impl Shared {
         }
     }
 
-    /// The helper's script: a lane task, then the pending ahead task.
+    /// The helper's loop: each lane task as it is posted.
     fn run(&self) {
         let mut seen = 0;
         while let Some(posted) = self.next_lane(seen) {
             seen = posted;
-            // each mailbox is emptied in a statement of its own: the lock
-            // is not held while the task runs
-            let lane = lock(&self.offers).lane.take();
+            // the mailbox is emptied in a statement of its own: the lock is
+            // not held while the task runs
+            let lane = lock(&self.lane).take();
             if let Some(task) = lane {
-                task.run_on_helper();
-            }
-            let ahead = lock(&self.offers).ahead.take();
-            if let Some(task) = ahead {
                 task.run_on_helper();
             }
         }
@@ -364,14 +343,14 @@ impl Shared {
 }
 
 thread_local! {
-    /// The helper engaged on this thread, which [`join`] and [`ahead`]
-    /// offer their tasks to.
+    /// The helper engaged on this thread, which [`join`] offers its tasks
+    /// to.
     static ENGAGED: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
 }
 
 /// A second lane of execution for the thread that engages it: one
 /// thread, spawned by [`Helper::engage`] and joined when the guard drops,
-/// that [`join`] and [`ahead`] on the engaging thread offer tasks to.
+/// that [`join`] on the engaging thread offers tasks to.
 /// See the module docs for the handoff.
 #[must_use = "the helper is released when the guard drops"]
 pub struct Helper {
@@ -410,7 +389,7 @@ impl Helper {
     fn spawn() -> Helper {
         let mut helper = Helper::inert();
         let shared = Arc::new(Shared {
-            offers: Mutex::new(Offers::default()),
+            lane: Mutex::new(None),
             posted: AtomicU32::new(0),
             parked: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -479,13 +458,13 @@ where
     // outcome that `finish` and `Settle::drop` block on. Either way
     // nothing of `b` is alive when this function returns or unwinds; the
     // `Task` that outlives it holds `None` and a `'static` outcome.
-    let body: Body<()> = unsafe {
+    let body: Body = unsafe {
         std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send + 'static>>(
             body,
         )
     };
     let task = Arc::new(Task::new(name, body));
-    helper.offer_lane(Arc::clone(&task) as Arc<dyn Offered>);
+    helper.offer_lane(Arc::clone(&task));
     let settle = Settle(&task);
     a();
     std::mem::forget(settle);
@@ -494,7 +473,7 @@ where
 
 /// Settles [`join`]'s task when its first closure unwinds: takes the
 /// second back unrun, or waits for the helper to be done with it.
-struct Settle<'t>(&'t Task<()>);
+struct Settle<'t>(&'t Task);
 
 impl Drop for Settle<'_> {
     fn drop(&mut self) {
@@ -503,49 +482,6 @@ impl Drop for Settle<'_> {
             // a second panic, from the helper's run, is dropped: the
             // first is already on its way up
             None => drop(self.0.wait()),
-        }
-    }
-}
-
-/// A result wanted later, started now: see [`ahead`].
-#[must_use = "the closure runs, at the latest, in `finish`"]
-pub struct Ahead<T>(AheadState<T>);
-
-enum AheadState<T> {
-    /// No helper was engaged: the closure waits here for `finish`.
-    Inline(Body<T>),
-    Offered(Arc<Task<T>>),
-}
-
-/// Offers `f` to the engaged [`Helper`], which runs it after its next
-/// [`join`] task; [`Ahead::finish`] returns the result, running `f` on
-/// the spot if the helper has not started it (or none is engaged). `f`
-/// owns what it works on, so an `Ahead` that is dropped instead is simply
-/// never collected. With a helper engaged, `f` is recorded as a
-/// `train`/`name` span on the thread that runs it.
-pub fn ahead<T, F>(name: &'static str, f: F) -> Ahead<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let Some(helper) = engaged() else {
-        return Ahead(AheadState::Inline(Box::new(f)));
-    };
-    let body: Body<T> = Box::new(move || {
-        let _span = dgr_obs::span("train", name);
-        f()
-    });
-    let task = Arc::new(Task::new(name, body));
-    lock(&helper.offers).ahead = Some(Arc::clone(&task) as Arc<dyn Offered>);
-    Ahead(AheadState::Offered(task))
-}
-
-impl<T: Send> Ahead<T> {
-    /// The closure's result. A panic of the closure resumes here.
-    pub fn finish(self) -> T {
-        match self.0 {
-            AheadState::Inline(body) => body(),
-            AheadState::Offered(task) => task.finish(),
         }
     }
 }
@@ -761,43 +697,6 @@ mod tests {
         assert_eq!(panic_message(caught.unwrap_err()), "caller failed");
         // `join` unwound only after the helper's task had finished
         assert_eq!(written, [7; 64]);
-    }
-
-    #[test]
-    fn ahead_runs_after_a_lane_task_or_inline_at_finish() {
-        let name = || std::thread::current().name().map(str::to_string);
-        let here = name();
-
-        // nothing engaged: deferred to `finish`
-        assert_eq!(ahead("test", name).finish(), here);
-
-        let _helper = engaged_helper();
-        // no lane task comes, so the helper never takes it up
-        assert_eq!(ahead("test", name).finish(), here);
-
-        // behind a lane task the helper does
-        let taken = Arc::new(AtomicBool::new(false));
-        let pending = ahead("test", {
-            let taken = Arc::clone(&taken);
-            move || {
-                taken.store(true, Ordering::Release);
-                name()
-            }
-        });
-        let started = AtomicBool::new(false);
-        join(
-            "test",
-            "test",
-            || until(&started),
-            || started.store(true, Ordering::Release),
-        );
-        until(&taken);
-        assert_eq!(pending.finish().as_deref(), Some("dgr-helper"));
-
-        // a panic comes out of `finish`
-        let pending = ahead("test", || -> u32 { panic!("draw failed") });
-        let caught = catch_unwind(AssertUnwindSafe(|| pending.finish()));
-        assert_eq!(panic_message(caught.unwrap_err()), "draw failed");
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! Determinism properties of the cost kernel and the training run's
 //! helper.
 //!
-//! Contract under test (see the `cost` and `parallel` module docs):
+//! Contract under test (see the `cost`, `gumbel` and `parallel` module
+//! docs):
 //! * a training loop's losses, gradients, final logits and RNG state are
-//!   **bit-identical at any thread count** and to the loop run inline —
-//!   the kernel fixes every reduction order by its index structure, its
-//!   two lanes share no element, and the noise drawn an iteration ahead
-//!   is the same stream in the same order — across prunes, each of which
-//!   equals sending the dropped logits to −∞;
+//!   **bit-identical at any thread count** and to the loop run without a
+//!   helper — the kernel fixes every reduction order by its index
+//!   structure, its two lanes share no element, and a logit's noise is a
+//!   function of the round's key, the iteration and the logit's index in
+//!   the built layout — across prunes, each of which equals sending the
+//!   dropped logits to −∞, noise included;
 //! * the lanes are cut at a net boundary.
 
 use std::sync::Mutex;
 
-use dgr_autodiff::cost::NoiseRuns;
 use dgr_autodiff::parallel::{self, LANE_THRESHOLD};
-use dgr_autodiff::{Activation, Adam, CostModel, CostShape, CostTerms};
+use dgr_autodiff::{Activation, Adam, CostModel, CostShape, CostTerms, Noise};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -97,72 +98,28 @@ const STEPS: [usize; 2] = [2, 5];
 /// most and get eight iterations.
 const BELOW: f32 = 0.25;
 
-/// The loop as it was before there were lanes: the prune of a step,
-/// noise, forward, backward and the update, one after another on this
-/// thread.
-#[allow(clippy::disallowed_methods)] // the reference loop prunes and steps every logit
-fn inline_loop(subnets: usize, side: usize, seed: u64) -> Trace {
+/// The loop of `dgr_core::train`, with a helper engaged at `threads`
+/// or with none: the round's key drawn once, then per iteration the
+/// prune of a step, the iteration's noise, forward, backward and the
+/// update.
+#[allow(clippy::disallowed_methods)] // the loop prunes and steps every logit
+fn training_loop(subnets: usize, side: usize, seed: u64, threads: Option<usize>) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model = model(subnets, side, &mut rng);
     let mut adam = Adam::new(model.num_trees() + model.num_paths(), 0.3);
     let (mut losses, mut live) = (Vec::new(), Vec::new());
-    for it in 0..ITERATIONS {
-        if STEPS.contains(&it) {
-            if let Some(keep) = model.prune(BELOW) {
-                adam.retain(&keep, model.noise_runs().runs());
-                live.push(model.num_trees() + model.num_paths());
-            }
-        }
-        model.sample_noise(&mut rng);
-        model.forward();
-        model.backward();
-        losses.push(model.loss().to_bits());
-        let (w, g) = model.logits_and_grads();
-        adam.step(w, g);
-    }
-    trace(&mut model, losses, live, &mut rng)
-}
-
-/// The loop of `dgr_core::train`: a helper engaged at `threads`, each
-/// iteration's noise drawn during the one before on a copy of the RNG —
-/// but for a step's, whose layout the step decides.
-#[allow(clippy::disallowed_methods)] // the helped loop prunes and steps every logit
-fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace {
-    parallel::set_num_threads(threads);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = model(subnets, side, &mut rng);
-    let mut adam = Adam::new(model.num_trees() + model.num_paths(), 0.3);
-    let (mut losses, mut live) = (Vec::new(), Vec::new());
+    let key = rng.next_u64();
+    parallel::set_num_threads(threads.unwrap_or(1));
     {
-        let _helper = parallel::Helper::engage();
-        let draw = |runs: NoiseRuns, mut rng: StdRng, mut noise: Vec<f32>| {
-            parallel::ahead("noise_ahead", move || {
-                runs.fill(&mut rng, &mut noise);
-                (rng, noise)
-            })
-        };
-        let mut spare = vec![0.0; model.num_trees() + model.num_paths()];
-        let mut ahead = None;
+        let _helper = threads.map(|_| parallel::Helper::engage());
         for it in 0..ITERATIONS {
             if STEPS.contains(&it) {
                 if let Some(keep) = model.prune(BELOW) {
-                    adam.retain(&keep, model.noise_runs().runs());
+                    adam.retain(&keep, model.choice_runs());
                     live.push(model.num_trees() + model.num_paths());
-                    spare.truncate(model.num_trees() + model.num_paths());
-                    spare.fill(0.0);
                 }
             }
-            let drawn = ahead.take().unwrap_or_else(|| {
-                draw(model.noise_runs(), rng.clone(), std::mem::take(&mut spare))
-            });
-            let (after, mut noise) = drawn.finish();
-            rng = after;
-            model.swap_noise(&mut noise);
-            if it + 1 < ITERATIONS && !STEPS.contains(&(it + 1)) {
-                ahead = Some(draw(model.noise_runs(), rng.clone(), noise));
-            } else {
-                spare = noise;
-            }
+            model.set_noise(Some(Noise::new(key, it as u64)));
             model.forward();
             model.backward();
             losses.push(model.loss().to_bits());
@@ -174,9 +131,12 @@ fn helped_loop(subnets: usize, side: usize, seed: u64, threads: usize) -> Trace 
     trace(&mut model, losses, live, &mut rng)
 }
 
-/// One pass of a pruned model and of the unpruned one with the dropped
-/// logits at −∞, both under a helper at `threads`: the costs, every
-/// demand, and the gradient of each surviving logit, as bits.
+/// The pin: one pass, at one (key, iteration), of a pruned model and of
+/// the unpruned one with the dropped logits at −∞, both under a helper
+/// at `threads`, as bits: the costs, every demand, and the `q` or `p`
+/// and the gradient of each surviving logit. Neither model is told the
+/// other's noise; a survivor hears the same in both because it keeps
+/// its index in the built layout.
 #[allow(clippy::disallowed_methods)] // a pruned kernel against the whole one
 fn pruned_and_full_pass(subnets: usize, side: usize, seed: u64, threads: usize) -> [Vec<u32>; 2] {
     parallel::set_num_threads(threads);
@@ -184,28 +144,22 @@ fn pruned_and_full_pass(subnets: usize, side: usize, seed: u64, threads: usize) 
     let mut full = model(subnets, side, &mut rng);
     let mut pruned = full.clone();
     let keep = pruned.prune(BELOW).expect("logits two apart");
-    let kept: Vec<u32> = (0..)
-        .zip(&keep)
-        .filter_map(|(i, &k)| k.then_some(i))
-        .collect();
+    let kept: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
     let trees = full.num_trees();
-    // the survivors hear the same noise in both; a dropped tree's `q = 0`
-    // silences its paths, whose own logits stay
-    let mut noise = vec![0.0; trees + full.num_paths()];
-    full.noise_runs().fill(&mut rng, &mut noise);
-    let mut noise_kept: Vec<f32> = kept.iter().map(|&k| noise[k as usize]).collect();
-    let mut logits = vec![f32::NEG_INFINITY; noise.len()];
+    // a dropped tree's `q = 0` silences its paths, whose own logits stay
+    let mut logits = vec![f32::NEG_INFINITY; keep.len()];
     logits[trees..].copy_from_slice(full.path_logits());
     for s in (0..subnets).filter(|s| keep[s / 3]) {
         logits[trees + 2 * s..trees + 2 * s + 2].fill(f32::NEG_INFINITY);
     }
     let live = pruned.tree_logits().iter().chain(pruned.path_logits());
     for (&k, &w) in kept.iter().zip(live) {
-        logits[k as usize] = w;
+        logits[k] = w;
     }
     full.set_logits(&logits[..trees], &logits[trees..]);
-    full.swap_noise(&mut noise);
-    pruned.swap_noise(&mut noise_kept);
+    let noise = Noise::new(rng.next_u64(), rng.gen_range(0..1000));
+    full.set_noise(Some(noise));
+    pruned.set_noise(Some(noise));
 
     let _helper = parallel::Helper::engage();
     let pass = |model: &mut CostModel, kept: &mut dyn Iterator<Item = usize>| -> Vec<u32> {
@@ -217,14 +171,15 @@ fn pruned_and_full_pass(subnets: usize, side: usize, seed: u64, threads: usize) 
             model.via_cost(),
             model.overflow_cost(),
         ];
+        let prob: Vec<f32> = [model.q(), model.p()].concat();
         let grad: Vec<f32> = [model.tree_grad(), model.path_grad()].concat();
         let values = costs.into_iter().chain(model.demand().iter().copied());
-        let all = values.chain(kept.map(|k| grad[k]));
+        let all = values.chain(kept.flat_map(|k| [prob[k], grad[k]]));
         all.map(f32::to_bits).collect()
     };
     let passes = [
         pass(&mut pruned, &mut (0..kept.len())),
-        pass(&mut full, &mut kept.iter().map(|&k| k as usize)),
+        pass(&mut full, &mut kept.iter().copied()),
     ];
     parallel::set_num_threads(0);
     passes
@@ -236,17 +191,17 @@ proptest! {
     /// Sizes straddle `LANE_THRESHOLD` paths, from which a training run
     /// engages its helper (two paths to a sub-net).
     #[test]
-    fn a_training_loop_is_bit_identical_at_any_thread_count_and_to_the_inline_loop(
+    fn a_training_loop_is_bit_identical_at_any_thread_count_and_without_a_helper(
         subnets in LANE_THRESHOLD / 8..2 * LANE_THRESHOLD,
         side in 8usize..64,
         seed in 0u64..10_000,
     ) {
         let _guard = THREADS_LOCK.lock().unwrap();
-        let inline = inline_loop(subnets, side, seed);
+        let inline = training_loop(subnets, side, seed, None);
         prop_assert!(inline.0.iter().all(|&l| f32::from_bits(l).is_finite()));
         prop_assert!(!inline.4.is_empty(), "no step dropped anything");
         for threads in [1, 2, 8] {
-            prop_assert_eq!(&helped_loop(subnets, side, seed, threads), &inline);
+            prop_assert_eq!(&training_loop(subnets, side, seed, Some(threads)), &inline);
             let [pruned, full] = pruned_and_full_pass(subnets, side, seed, threads);
             prop_assert_eq!(pruned, full, "{} threads", threads);
         }

@@ -9,7 +9,7 @@
 //! the kernel is checked against f64 central differences of a
 //! self-contained reference at τ = 1e-3 and τ = 1e3.
 
-use dgr_autodiff::{Activation, CostModel, CostShape, CostTerms};
+use dgr_autodiff::{Activation, CostModel, CostShape, CostTerms, Noise};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,8 +86,10 @@ fn run_extreme(tau: f32, seed: u64) {
     let weights: Vec<f32> = (0..N).map(|_| rng.gen_range(0.5f32..2.0)).collect();
 
     let mut model = build_model(&w0, &weights, tau);
-    model.sample_noise(&mut rng);
-    let noise = model.path_noise().to_vec();
+    let draw = Noise::new(rng.gen(), 0);
+    model.set_noise(Some(draw));
+    // path `i` is logit `1 + i`, after the tree's
+    let noise: Vec<f32> = (0..N).map(|i| draw.sample(1 + i as u64)).collect();
     model.forward();
     model.backward();
     let kernel_loss = model.loss() as f64;

@@ -1,17 +1,14 @@
 //! The training loop: Adam over the expected cost with temperature
-//! annealing and per-iteration Gumbel noise resampling.
+//! annealing and fresh Gumbel noise every iteration.
 //!
-//! A run over [`LANE_THRESHOLD`] paths or more engages a
+//! With noise on, the loop draws one key from the caller's RNG as it
+//! starts — the RNG's one use here — and names iteration `it`'s noise
+//! by the key and `it` ([`Noise::new`]); the kernel computes each
+//! logit's sample where it reads the logit. A run over
+//! [`LANE_THRESHOLD`] paths or more engages a
 //! [`Helper`](parallel::Helper) thread for its duration, which the kernel
-//! hands the upper lane of its two sub-net loops and the loop hands the
-//! *next* iteration's noise draw — the RNG's only consumer here, and
-//! nothing an iteration computes feeds it. The draw works on a copy of
-//! the RNG and a second buffer; the top of the next iteration trades the
-//! buffer in and stores the copy back, so an iteration that never runs
-//! (the one after the last, the one a cancel prevents) draws nothing
-//! the caller's RNG can show. Whichever thread runs what, every result
-//! is the bit pattern of `sample_noise → forward → backward → step` run
-//! inline.
+//! hands the upper lane of its two sub-net loops. Whichever thread runs
+//! what, every result is the bit pattern of the loop run without one.
 //!
 //! At every step of the temperature schedule (`it > 0`, a multiple of
 //! [`TEMPERATURE_INTERVAL`]) the loop first has the kernel drop the
@@ -22,12 +19,12 @@
 //! gradient of `+0.0` from then on; the step forgets its moments, and
 //! the Adam update and the telemetry row's gradient norm run over the
 //! groups of two or more only ([`STEP_GAP`]), so it keeps the value it
-//! had at the prune. Noise belongs to a layout, so the iteration before a
-//! step offers no draw ahead and the step draws after it has compacted —
-//! the same RNG stream whichever thread draws. On the way out the model
-//! is put back in the forest's layout ([`CostModel::restore_layout`]),
-//! which is how extraction and the warm start read it. A run shorter
-//! than one [`TEMPERATURE_INTERVAL`] never reaches a step.
+//! had at the prune. A surviving logit hears the noise it would have
+//! heard unpruned: its sample is keyed by its index in the forest's
+//! layout. On the way out the model is put back in that layout
+//! ([`CostModel::restore_layout`]), which is how extraction and the warm
+//! start read it. A run shorter than one [`TEMPERATURE_INTERVAL`] never
+//! reaches a step.
 //!
 //! The loop is instrumented through `dgr-obs` (see [`RouteHooks`]):
 //! per-iteration `forward`/`backward`/`adam` spans (and a `prune` span per
@@ -43,11 +40,11 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use dgr_autodiff::cost::NoiseRuns;
 use dgr_autodiff::parallel::{self, LANE_THRESHOLD};
-use dgr_autodiff::Adam;
+use dgr_autodiff::{Adam, Noise};
 use dgr_obs::IterationRow;
 use rand::rngs::StdRng;
+use rand::RngCore;
 
 use crate::config::{DgrConfig, TEMPERATURE_INTERVAL};
 use crate::relax::CostModel;
@@ -75,7 +72,7 @@ pub const CURVE_POINTS: usize = 256;
 /// ones included.
 pub const PRUNE_BELOW: f32 = 1e-4;
 
-/// The most lone logits between two noise runs that the Adam step and the
+/// The most lone logits between two choice runs that the Adam step and the
 /// gradient norm walk through rather than around (`moving_runs`). A
 /// logit of a one-candidate group has a `+0.0` gradient and, since the
 /// prune that left it alone, zero moments, so stepping it changes no bit;
@@ -212,9 +209,9 @@ impl LiveRow {
 /// Trains `model` in place per `cfg` and returns the report.
 ///
 /// Every iteration: set the temperature from the annealing schedule,
-/// take fresh Gumbel noise (if enabled; drawn while the iteration before
-/// ran, see the module docs), forward, backward, Adam step. At every
-/// temperature step the kernel first drops the candidates under
+/// name the iteration's Gumbel noise (if enabled; one key drawn from
+/// `rng` per call, see the module docs), forward, backward, Adam step. At
+/// every temperature step the kernel first drops the candidates under
 /// [`PRUNE_BELOW`]; it is back in the forest's layout on return.
 pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainReport {
     train_loop(model, cfg, rng, &mut RouteHooks::default(), 0)
@@ -224,8 +221,8 @@ pub fn train(model: &mut CostModel, cfg: &DgrConfig, rng: &mut StdRng) -> TrainR
 /// with observability hooks: telemetry rows, progress lines,
 /// cooperative cancellation between iterations, and per-iteration phase
 /// spans (`forward` / `backward` / `adam` under the `train` category,
-/// and — with a helper engaged — `noise_ahead` / `lane_fwd` / `lane_bwd`
-/// on whichever thread ran them) recorded while the span log is open.
+/// and — with a helper engaged — `lane_fwd` / `lane_bwd` on whichever
+/// thread ran them) recorded while the span log is open.
 ///
 /// `iter_offset` is added to every reported iteration index, so adaptive
 /// rounds continue numbering instead of restarting at zero.
@@ -251,20 +248,7 @@ pub(crate) fn train_loop(
 
     // dropped (joined) on every way out of this function, unwinding included
     let _helper = (model.num_paths() >= LANE_THRESHOLD).then(parallel::Helper::engage);
-    // the draw for the iteration about to run: the RNG after it, and the
-    // noise in a buffer of the model's layout (zeros where nothing draws)
-    let draw = |noise_runs: NoiseRuns, mut rng: StdRng, mut noise: Vec<f32>| {
-        parallel::ahead("noise_ahead", move || {
-            noise_runs.fill(&mut rng, &mut noise);
-            (rng, noise)
-        })
-    };
-    let mut noise_ahead = None;
-    // the buffer the next draw fills, while no draw is out
-    let mut spare_noise = match cfg.gumbel_noise {
-        true => vec![0.0; num_logits(model)],
-        false => Vec::new(),
-    };
+    let key = cfg.gumbel_noise.then(|| rng.next_u64());
     let mut graph_bytes = model.bytes();
     let mut live = vec![LiveRow::at(0, model)];
     let is_step = |it: usize| it > 0 && it.is_multiple_of(TEMPERATURE_INTERVAL);
@@ -281,33 +265,13 @@ pub(crate) fn train_loop(
         if is_step(it) {
             let _s = dgr_obs::span("train", "prune");
             if let Some(keep) = prune_step(model) {
-                adam.retain(&keep, model.noise_runs().runs());
+                adam.retain(&keep, model.choice_runs());
                 moving = moving_runs(model);
-                spare_noise.truncate(num_logits(model));
-                spare_noise.fill(0.0);
                 live.push(LiveRow::at(it, model));
                 graph_bytes = graph_bytes.max(model.bytes());
             }
         }
-        if cfg.gumbel_noise {
-            // drawn while the iteration before ran, unless this is the
-            // first iteration or a step, whose layout was not known then
-            let ahead = noise_ahead.take().unwrap_or_else(|| {
-                draw(
-                    model.noise_runs(),
-                    rng.clone(),
-                    std::mem::take(&mut spare_noise),
-                )
-            });
-            let (rng_after, mut noise) = ahead.finish();
-            *rng = rng_after;
-            model.swap_noise(&mut noise);
-            if it + 1 < cfg.iterations && !is_step(it + 1) {
-                noise_ahead = Some(draw(model.noise_runs(), rng.clone(), noise));
-            } else {
-                spare_noise = noise;
-            }
-        }
+        model.set_noise(key.map(|key| Noise::new(key, it as u64)));
         let fwd_start = Instant::now();
         {
             let _s = dgr_obs::span("train", "forward");
@@ -409,11 +373,11 @@ fn num_logits(model: &CostModel) -> usize {
     model.num_trees() + model.num_paths()
 }
 
-/// The model's noise runs — the logits of groups of two or more, the only
-/// ones with a gradient — merged across gaps of at most [`STEP_GAP`].
+/// The model's choice runs — the logits of groups of two or more, the
+/// only ones with a gradient — merged across gaps of at most [`STEP_GAP`].
 fn moving_runs(model: &CostModel) -> Vec<Range<usize>> {
     let mut merged: Vec<Range<usize>> = Vec::new();
-    for run in model.noise_runs().runs() {
+    for run in model.choice_runs() {
         match merged.last_mut() {
             Some(last) if run.start - last.end <= STEP_GAP => last.end = run.end,
             _ => merged.push(run.clone()),
@@ -570,13 +534,12 @@ mod tests {
     /// What a run leaves behind, as bits: the final logits, and the next
     /// draw of the RNG it was handed.
     fn residue(model: &CostModel, rng: &mut StdRng) -> (Vec<u32>, u64) {
-        use rand::RngCore;
         let logits = model.tree_logits().iter().chain(model.path_logits());
         (logits.map(|w| w.to_bits()).collect(), rng.next_u64())
     }
 
-    /// The loop as it was before the helper: `iterations` of the step's
-    /// prune, noise, forward, backward and the update, inline. Each prune
+    /// The loop without a helper: the round's key, then `iterations` of
+    /// the step's prune, noise, forward, backward and the update. Each prune
     /// forgets the moments of the logits it leaves alone in their group,
     /// and the update steps every logit: the gaps between the runs
     /// [`train`] steps are stepped here too, and must not move. Returns
@@ -619,19 +582,20 @@ mod tests {
         let mut adam = Adam::new(num_logits(model), cfg.learning_rate);
         let mut losses = Vec::new();
         let mut at_prunes = vec![in_the_forest_layout(model)];
+        let key = rng.next_u64();
         for it in 0..iterations {
             model.set_temperature(cfg.temperature_at(it));
             if it > 0 && it.is_multiple_of(TEMPERATURE_INTERVAL) {
                 if let Some(keep) = model.prune(PRUNE_BELOW) {
                     let runs = match forget {
-                        Forget::AtThePrune => model.noise_runs().runs().to_vec(),
+                        Forget::AtThePrune => model.choice_runs().to_vec(),
                         Forget::Never => std::iter::once(0..num_logits(model)).collect(),
                     };
                     adam.retain(&keep, &runs);
                     at_prunes.push(in_the_forest_layout(model));
                 }
             }
-            model.sample_noise(rng);
+            model.set_noise(Some(Noise::new(key, it as u64)));
             model.forward();
             losses.push(model.loss().to_bits());
             model.backward();
@@ -739,7 +703,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(0);
         let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
-        assert!(model.noise_runs().runs().is_empty(), "a group of two");
+        assert!(model.choice_runs().is_empty(), "a group of two");
         let mut hooks = RouteHooks {
             telemetry: Some(dgr_obs::TelemetrySink::in_memory()),
             ..RouteHooks::default()
@@ -857,12 +821,11 @@ mod tests {
     }
 
     /// A cancel raised, after a temperature step has shrunk the kernel,
-    /// while the helper holds the next iteration's noise draw: the report
-    /// counts the iterations that ran, and the RNG comes back as the
-    /// inline loop leaves it after that many — the draw for the iteration
-    /// that never ran shows nowhere.
+    /// while the helper is engaged: the report counts the iterations that
+    /// ran, and the logits and the RNG come back as the loop without a
+    /// helper leaves them after that many.
     #[test]
-    fn a_cancel_mid_run_reports_what_ran_and_hides_the_draw_ahead() {
+    fn a_cancel_mid_run_reports_what_ran() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 

@@ -291,7 +291,7 @@ mod tests {
         let mut log = two_track_log();
         log.push(SpanEvent {
             dur_ns: 999,
-            ..ev(1, 0, "noise_ahead", 800, 800)
+            ..ev(1, 0, "fan_out", 800, 800)
         });
         assert_eq!(
             FoldedProfile::fold(&log),

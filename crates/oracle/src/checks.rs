@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use dgr_autodiff::Activation;
+use dgr_autodiff::{Activation, Noise};
 use dgr_core::{build_cost_model, CostModel, DgrConfig, NetRoute, RoutePath};
 use dgr_dag::{build_forest, DagForest, PatternConfig};
 use dgr_grid::{CapacityBuilder, DemandMap, Design, GcellGrid, Point};
@@ -146,8 +146,6 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
     };
     let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
     let reference = RefModel::new(&design, &forest, &cfg);
-    let zeros_t = vec![0.0f32; forest.num_trees()];
-    let zeros_p = vec![0.0f32; forest.num_paths()];
 
     let (selections, _truncated) = enumerate_selections(&forest, MAX_SELECTIONS);
     for sel in &selections {
@@ -156,7 +154,7 @@ fn check_path_cost(spec: &CaseSpec) -> Result<(), Mismatch> {
 
         // pure-f64 sanity: relaxed cost at one-hot logits IS the
         // discrete cost (softmax underflow makes the mass exactly 0/1)
-        let (relaxed, _) = reference.eval(&w_tree, &w_path, &zeros_t, &zeros_p, 1.0);
+        let (relaxed, _) = reference.eval(&w_tree, &w_path, None, 1.0);
         if !close(relaxed.loss, discrete.loss, tol::ONE_HOT_F64) {
             return Err(fail(
                 spec,
@@ -220,15 +218,17 @@ fn check_gradients(spec: &CaseSpec) -> Result<(), Mismatch> {
         ..DgrConfig::default()
     };
     let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+    // half the cases at one (key, iteration), which the reference samples
+    // on its own
     if rng.gen_range(0..2) == 0 {
-        model.sample_noise(&mut rng);
+        model.set_noise(Some(Noise::new(rng.gen(), rng.gen_range(0..1000))));
     }
     let reference = RefModel::new(&design, &forest, &cfg);
     compare_gradients(spec, &reference, &mut model)?;
 
     // and on the kernel a temperature step leaves behind, at a threshold
-    // these logits (|w| < ½, τ ≥ ½) reach: the reference, whose forest is
-    // whole, sees the dropped candidates at −∞
+    // these logits (|w| < ½, τ ≥ ½) reach, with the same noise: the
+    // reference, whose forest is whole, sees the dropped candidates at −∞
     if model.prune(0.3).is_some() {
         model.restore_layout();
         compare_gradients(spec, &reference, &mut model)?;
@@ -253,8 +253,7 @@ fn compare_gradients(
     let (cost, grad) = reference.eval(
         model.tree_logits(),
         model.path_logits(),
-        model.tree_noise(),
-        model.path_noise(),
+        model.noise(),
         model.temperature(),
     );
     let (kernel_loss, ..) = model.evaluate();

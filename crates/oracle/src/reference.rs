@@ -8,7 +8,7 @@
 //! Agreement between the two implementations is the whole point — a
 //! shared helper would be a shared bug.
 
-use dgr_autodiff::Activation;
+use dgr_autodiff::{Activation, Noise};
 use dgr_core::DgrConfig;
 use dgr_dag::DagForest;
 use dgr_grid::{Design, Point};
@@ -123,20 +123,31 @@ impl<'a> RefModel<'a> {
     }
 
     /// Full f64 forward pass over the same leaves the kernel reads:
-    /// `z = (w + noise)/τ`, per-group softmax, `qp = p·q`, expected
+    /// `z = (w + g)/τ`, per-group softmax, `qp = p·q`, expected
     /// wirelength/vias/demand, activated overflow, weighted loss. Then the
     /// same chain backwards, stage by stage: demand, ½β via pressure,
     /// `∂loss/∂qp` per path, the path softmax, the tree softmax.
+    ///
+    /// `g` is `noise`'s sample of each logit, by its index in the forest's
+    /// layout (trees, then paths), or 0 without noise. Every logit gets
+    /// one: a group of one candidate has probability 1 whatever it hears.
     pub fn eval(
         &self,
         w_tree: &[f32],
         w_path: &[f32],
-        noise_tree: &[f32],
-        noise_path: &[f32],
+        noise: Option<Noise>,
         temperature: f32,
     ) -> (RefCost, RefGrad) {
         let forest = self.forest;
         let tau = temperature as f64;
+        let (trees, num_paths) = (forest.num_trees(), forest.num_paths());
+        let g: Vec<f32> = match noise {
+            Some(noise) => (0..trees + num_paths)
+                .map(|i| noise.sample(i as u64))
+                .collect(),
+            None => vec![0.0; trees + num_paths],
+        };
+        let (noise_tree, noise_path) = g.split_at(trees);
 
         let q = softmax_groups(w_tree, noise_tree, tau, forest.num_nets(), |n| {
             forest.trees_of_net(n)
@@ -145,7 +156,6 @@ impl<'a> RefModel<'a> {
             forest.paths_of_subnet(s)
         });
 
-        let num_paths = forest.num_paths();
         let mut qp = vec![0.0f64; num_paths];
         for (i, qp_i) in qp.iter_mut().enumerate() {
             *qp_i = p[i] * q[forest.tree_of_path(i)];
@@ -460,10 +470,8 @@ mod tests {
                     .collect()
             };
             let (w_tree, w_path) = (lattice(forest.num_trees()), lattice(forest.num_paths()));
-            let (noise_tree, noise_path) =
-                (lattice(forest.num_trees()), lattice(forest.num_paths()));
-            let eval =
-                |wt: &[f32], wp: &[f32]| reference.eval(wt, wp, &noise_tree, &noise_path, tau);
+            let noise = Some(Noise::new(rng.gen(), i));
+            let eval = |wt: &[f32], wp: &[f32]| reference.eval(wt, wp, noise, tau);
 
             let (cost, grad) = eval(&w_tree, &w_path);
             let cap = design.capacity.as_slice();

@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants of every subsystem.
 
-use dgr::autodiff::{Activation, CostModel, CostShape, CostTerms};
+use dgr::autodiff::{Activation, CostModel, CostShape, CostTerms, Noise};
 use dgr::dag::{build_forest, enumerate_paths, PatternConfig};
 use dgr::grid::{GcellGrid, Point, Rect};
 use dgr::rsmt::{exact_steiner, rmst, rsmt, tree_candidates, CandidateConfig};
@@ -139,7 +139,7 @@ proptest! {
         // one tree whose sub-nets are the groups; the first logit is the tree's
         let logits: Vec<f32> = (0..1 + n).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let mut model = one_row_model(&offsets, &vec![0.0; n], 0, logits);
-        model.sample_noise(&mut rng);
+        model.set_noise(Some(Noise::new(rng.gen(), 0)));
         model.forward();
         for k in 0..widths.len() {
             let r = offsets[k] as usize..offsets[k + 1] as usize;

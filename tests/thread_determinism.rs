@@ -4,8 +4,8 @@
 //! and rasters) cut their index range in two at a point that depends on
 //! its length alone and append the halves in order; the training kernel
 //! fixes every reduction order by its index structure, whichever thread
-//! runs which of its two lanes, and the noise a training run's helper
-//! draws an iteration ahead is the same stream in the same order. So
+//! runs which of its two lanes, and a logit's noise is a function of the
+//! round's key, the iteration and the logit's forest index. So
 //! `route` must produce byte-identical output at any worker count. This
 //! routes the golden-guide cases and one design large enough to engage
 //! the helper (`LANE_THRESHOLD` paths) — and to cross 2¹⁵ path-edges,
